@@ -8,9 +8,10 @@
 // identity clusters re-cluster over the union of pair lists.
 //
 // The walkthrough shows the scatter plans, the per-shard storage
-// breakdown, cache invalidation riding on the composite version, and —
-// the contract everything rests on — a one-shard service answering
-// byte-identically to an unsharded one.
+// breakdown, cache invalidation riding on the composite version, and
+// that a plain DB is simply the one-shard case: service.New runs the
+// same pipeline at fan-out 1, so it and a one-shard NewSharded answer
+// byte-identically.
 //
 //	go run ./examples/sharding
 package main
@@ -145,7 +146,8 @@ func run() error {
 		return fmt.Errorf("composite version did not move")
 	}
 
-	// ---- 4. the N=1 contract: sharded(1) == unsharded, byte for byte ----
+	// ---- 4. fan-out 1: service.New(db) and NewSharded(1 shard) are the
+	// same executor, so they agree byte for byte ----
 	db, err := core.Open(filepath.Join(dir, "plain.db"), exec.New(exec.CPU))
 	if err != nil {
 		return err
@@ -191,10 +193,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nN=1 equivalence: unsharded value=%d plan=%q\n                 sharded-1 value=%d plan=%q\n",
+	fmt.Printf("\nfan-out 1: New(db)        value=%d plan=%q\n           NewSharded(1)  value=%d plan=%q\n",
 		pr.Value, pr.Plan, or.Value, or.Plan)
 	if pr.Value != or.Value || pr.Plan != or.Plan || pr.Fingerprint != or.Fingerprint {
-		return fmt.Errorf("N=1 path diverged from unsharded execution")
+		return fmt.Errorf("New(db) and NewSharded over one shard diverged")
 	}
 
 	st := svc.Stats()

@@ -32,9 +32,9 @@ import (
 // to any in-sync replica.
 //
 // With one shard and one replica the layer is a pass-through: IDs,
-// versions and per-collection contents are byte-identical to an
-// unsharded DB fed the same operations (the N=1 equivalence the service
-// tests pin down).
+// versions and per-collection contents are byte-identical to a plain DB
+// fed the same operations, which is how the service serves one
+// (WrapSharded).
 
 // shardMetaFile persists the shard topology at the root of a sharded
 // directory so a reopen with a different -shards or -replicas value
@@ -419,12 +419,21 @@ func (s *Sharded) CreateCollection(name string, schema Schema) (*ShardedCollecti
 	return sc, nil
 }
 
-// Collection opens an existing collection's combined view by name.
+// Collection opens an existing collection's combined view by name. A
+// cached view is served only while shard 0's catalog still holds the
+// handle it was built from: the owner of a wrapped DB (WrapSharded) may
+// drop and re-create a collection directly on it, which this layer
+// never hears about, and a view of the dropped handle must not outlive
+// it.
 func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
+	live, err := s.shards[0].Collection(name)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	sc, ok := s.cols[name]
 	s.mu.RUnlock()
-	if ok {
+	if ok && sc.cols[0][0] == live {
 		return sc, nil
 	}
 	cols := make([][]*Collection, len(s.reps))
@@ -438,13 +447,10 @@ func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
 			cols[i][j] = c
 		}
 	}
-	sc = &ShardedCollection{s: s, name: name, schema: cols[0][0].Schema(), cols: cols}
+	// Racing openers build equivalent views; whichever lands last stays.
+	sc = &ShardedCollection{s: s, name: name, schema: live.Schema(), cols: cols}
 	s.mu.Lock()
-	if cached, ok := s.cols[name]; ok { // raced another opener
-		sc = cached
-	} else {
-		s.cols[name] = sc
-	}
+	s.cols[name] = sc
 	s.mu.Unlock()
 	return sc, nil
 }

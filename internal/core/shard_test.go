@@ -256,3 +256,51 @@ func TestShardedGetUnknownPatch(t *testing.T) {
 		t.Fatalf("Collection(nope) = %v, want ErrNotFound", err)
 	}
 }
+
+// TestWrapShardedSeesDropThroughUnderlyingDB: a wrapper over a DB its
+// owner keeps using directly must resolve collections against that DB's
+// live catalog. Dropping and re-creating a collection on the DB itself
+// (a re-ingest) may never leave the wrapper serving the dropped handle.
+func TestWrapShardedSeesDropThroughUnderlyingDB(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "plain.db"), exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := WrapSharded(db)
+	ingest := func(rows int) *Collection {
+		col, err := db.CreateCollection("dets", shardTestSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := col.Append(shardTestPatch(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return col
+	}
+	ingest(5)
+	before, err := s.Collection("dets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Len() != 5 {
+		t.Fatalf("wrapped Len = %d, want 5", before.Len())
+	}
+	if err := db.DropCollection("dets"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Collection("dets"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("wrapper resolved a collection dropped on its DB: err = %v", err)
+	}
+	fresh := ingest(2)
+	after, err := s.Collection("dets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Shard(0) != fresh || after.Len() != 2 || after.Version() == before.Version() {
+		t.Fatalf("wrapper serves a stale handle after re-ingest: len %d version %d (dropped: %d)",
+			after.Len(), after.Version(), before.Version())
+	}
+}

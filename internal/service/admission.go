@@ -278,15 +278,16 @@ func (a *admission) admitAppend() (release func(), err error) {
 }
 
 // priceQuery estimates a query's cost in seconds at admission time.
-// The class EWMA is the base; scattered collection queries are floored
-// at the live widest-fragment p99 (a scatter waits for its slowest
-// fragment); cacheable requests are discounted by their family's
+// The class EWMA is the base; collection queries that fan out over more
+// than one shard are floored at the live widest-fragment p99 (a scatter
+// waits for its slowest fragment; a single fragment is already what the
+// class EWMA measures); cacheable requests are discounted by their family's
 // observed hit rate (the execution is amortized over the hits the
 // cached result will serve).
 func (s *Service) priceQuery(req *Request, key string) (class string, cost float64) {
 	class = classOf(req)
 	est := s.adm.estimate(class)
-	if s.shards != nil && req.Infer == nil {
+	if s.shards.NumShards() > 1 && req.Infer == nil {
 		if p99, ok := s.fragmentP99(); ok && p99 > est {
 			est = p99
 		}

@@ -202,6 +202,33 @@ func TestAdmissionUnitBehavior(t *testing.T) {
 	}
 }
 
+// TestPriceQueryFragmentFloorByFanOut: the widest-fragment p99 floors a
+// query's price only when it fans out over more than one shard. At
+// fan-out 1 — through either constructor — the quote stays the class
+// estimate, the price New has always given.
+func TestPriceQueryFragmentFloorByFanOut(t *testing.T) {
+	cfg := Config{Workers: 1}
+	_, plain := synthUnsharded(t, 30, cfg)
+	_, one := synthSharded(t, 1, 30, cfg)
+	_, three := synthSharded(t, 3, 30, cfg)
+	req := &Request{Collection: shardTestCol}
+	for _, c := range []struct {
+		name    string
+		svc     *Service
+		floored bool
+	}{{"New", plain, false}, {"NewSharded(1)", one, false}, {"NewSharded(3)", three, true}} {
+		for i := 0; i < hedgeMinSamples; i++ {
+			c.svc.tel.fragmentDur.Observe(1) // one-second fragments: far above the class seed
+		}
+		_, cost := c.svc.priceQuery(req, "")
+		if seed := classSeeds[classFilter]; !c.floored && cost != seed {
+			t.Errorf("%s: priced %gs, want the class estimate %gs", c.name, cost, seed)
+		} else if c.floored && cost < 0.5 {
+			t.Errorf("%s: priced %gs, want the ~1s fragment p99 floor", c.name, cost)
+		}
+	}
+}
+
 // TestCacheFamilyHitRate pins the per-family hit accounting that
 // admission's cache-aware discount reads.
 func TestCacheFamilyHitRate(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // Chaos suite: the fault-injection harness drives every recovery branch
@@ -131,6 +132,84 @@ func TestFragmentErrorRetriesToSecondReplica(t *testing.T) {
 	}
 	if st := svc.Stats(); st.FragmentRetries == 0 {
 		t.Fatal("failing primary produced zero fragment retries")
+	}
+}
+
+// TestFaultKnobsAtFanOutOne: Config.Faults, the one fragment
+// error-retry, allow_partial, timeout_ms and fragment trace spans act
+// the same whether a single database is served through New or through
+// NewSharded over one shard — both run the one scatter pipeline.
+func TestFaultKnobsAtFanOutOne(t *testing.T) {
+	const rows = 60
+	failShard0 := fault.Config{Seed: 11, Rules: []fault.Rule{
+		{Point: fault.FragmentError, Shard: 0, Replica: 0, Prob: 1}}}
+	stallShard0 := fault.Config{Seed: 17, Rules: []fault.Rule{
+		{Point: fault.FragmentStall, Shard: 0, Replica: 0, Prob: 1, Stall: 2 * time.Second}}}
+	cases := []struct {
+		name   string
+		faults fault.Config
+		check  func(t *testing.T, svc *Service)
+	}{
+		{"fragment-error is retried once and counted", failShard0, func(t *testing.T, svc *Service) {
+			_, err := svc.Query(context.Background(), Request{Collection: shardTestCol, NoCache: true})
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("query over a failing shard = %v, want the injected fault", err)
+			}
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			exp, err := obs.CheckExposition(rec.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := exp.Value("deeplens_fragment_retries_total", nil); !ok || v != 1 {
+				t.Fatalf("deeplens_fragment_retries_total = %v (found=%v), want 1", v, ok)
+			}
+		}},
+		{"allow_partial with the only shard failing is an error", failShard0, func(t *testing.T, svc *Service) {
+			r, err := svc.Query(context.Background(), Request{Collection: shardTestCol, NoCache: true, AllowPartial: true})
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("allow_partial with every shard missing = %+v, %v; want the shard's error", r, err)
+			}
+			if st := svc.Stats(); st.DegradedQueries != 0 {
+				t.Fatalf("degraded_queries = %d for a query no shard answered", st.DegradedQueries)
+			}
+		}},
+		{"timeout_ms yields 504", stallShard0, func(t *testing.T, svc *Service) {
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/query", bytes.NewBufferString(
+				`{"collection":"`+shardTestCol+`","no_cache":true,"timeout_ms":50}`)))
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("timed-out query = %d, want 504", rec.Code)
+			}
+		}},
+		{"traced query carries a fragment span", fault.Config{}, func(t *testing.T, svc *Service) {
+			str := "car"
+			r := mustQuery(t, svc, Request{Collection: shardTestCol,
+				Filter: &FilterSpec{Field: "label", Str: &str}, Trace: true})
+			if r.TraceData == nil {
+				t.Fatal("traced query returned no spans")
+			}
+			frags := spansByName(r.TraceData)["fragment"]
+			if len(frags) != 1 {
+				t.Fatalf("fragment spans = %d, want 1", len(frags))
+			}
+			for attr, want := range map[string]string{"path": "column-scan(label)", "rows": "60", "matched": "20"} {
+				if got := frags[0].Attrs[attr]; got != want {
+					t.Fatalf("fragment span %s = %q, want %q (%v)", attr, got, want, frags[0].Attrs)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		cfg := Config{Workers: 1, Faults: c.faults}
+		t.Run(c.name+"/New", func(t *testing.T) {
+			_, svc := synthUnsharded(t, rows, cfg)
+			c.check(t, svc)
+		})
+		t.Run(c.name+"/NewSharded(1)", func(t *testing.T) {
+			_, svc := synthSharded(t, 1, rows, cfg)
+			c.check(t, svc)
+		})
 	}
 }
 

@@ -1,118 +1,104 @@
 package service
 
-// Columnar execution glue: the service-side bridge between the request
-// pipeline and core's columnar scan engine. Both the unsharded executor
-// and the per-shard scatter fragments route their non-indexed filter and
-// order-by stages through these helpers, so the two paths stay
-// byte-identical (the N=1 golden contract) while sharing the vectorized
-// block-at-a-time kernels.
+// Filter evaluation glue: the resolved predicate, and the two scan access
+// paths a fragment's filter stage runs when the plan names no index —
+// core's vectorized columnar scan, and the row scan for fields the store
+// cannot columnize.
 
 import (
+	"context"
+
 	"repro/internal/core"
 )
 
-// columnSelection carries a columnar filter stage's outcome forward so
-// the order-by stage can stay columnar: the store, the matching rows as
-// an ascending selection list, and their materialized patches. The scan
-// record (blocks visited, zone-pruned, rows actually compared) and the
-// store's build/extend outcome ride along for trace annotation.
-type columnSelection struct {
-	cs      *core.ColumnStore
-	sel     []int32
-	rows    []*core.Patch
-	scan    core.ScanStats
-	colInfo core.ColumnsInfo
+// filterPred is a FilterSpec resolved and type-checked against the
+// schema at plan time: equality with v, or (rng) the half-open numeric
+// range lo <= field < hi.
+type filterPred struct {
+	field  string
+	rng    bool
+	v      core.Value
+	lo, hi float64
 }
 
-// columnFilterEq evaluates the non-indexed equality filter over col's
-// columnar projection, clipped to the first n rows (the query's
-// snapshot length — the cached store may already reflect rows appended
-// after this query's snapshot was taken; snapshot prefixes are stable,
-// so clipping by row index is exact). ok is false when the field has no
-// column and the caller must run the row scan.
-func columnFilterEq(col *core.Collection, field string, v core.Value, n int) (*columnSelection, bool) {
-	cs, info, err := col.ColumnsWithInfo()
+// resolve builds the filter's predicate, validating the constant (or the
+// field's numeric kind, for ranges) against the collection schema.
+func (f *FilterSpec) resolve(schema core.Schema) (*filterPred, error) {
+	p := &filterPred{field: f.Field, rng: f.isRange()}
+	if p.rng {
+		p.lo, p.hi = f.bounds()
+		return p, schema.ValidateFilterRange(f.Field)
+	}
+	var err error
+	if p.v, err = f.value(); err != nil {
+		return nil, err
+	}
+	return p, schema.ValidateFilterValue(f.Field, p.v)
+}
+
+// match is the row predicate: core.FieldRange semantics for ranges
+// (non-numerics widen to NaN and fail both bounds), Value.Equal
+// otherwise.
+func (p *filterPred) match(mv core.Value) bool {
+	if p.rng {
+		fv := mv.AsFloat()
+		return fv >= p.lo && fv < p.hi
+	}
+	return mv.Equal(p.v)
+}
+
+// columnFilter evaluates p over the fragment's columnar projection —
+// zone maps skip blocks that cannot match, surviving blocks compare
+// typed arrays instead of paying a map lookup per patch — and leaves the
+// selection, the store and the scan record on the fragment. The
+// selection is clipped to the fragment's snapshot length: the cached
+// store may already reflect rows appended after the snapshot was taken,
+// and snapshot prefixes are stable, so clipping by row index is exact.
+// It reports false when the field has no column and the caller must run
+// the row scan.
+func (f *shardFragment) columnFilter(p *filterPred) bool {
+	cs, info, err := f.col.ColumnsWithInfo()
 	if err != nil {
-		return nil, false
+		return false
 	}
-	sel, st, ok := cs.FilterEqStats(field, v)
+	var (
+		sel []int32
+		st  core.ScanStats
+		ok  bool
+	)
+	if p.rng {
+		sel, st, ok = cs.FilterRangeStats(p.field, p.lo, p.hi)
+	} else {
+		sel, st, ok = cs.FilterEqStats(p.field, p.v)
+	}
 	if !ok {
-		return nil, false
+		return false
 	}
-	csel := clipSelection(cs, sel, n)
-	csel.scan, csel.colInfo = st, info
-	return csel, true
-}
-
-// columnFilterRange is columnFilterEq for the half-open numeric range
-// lo <= field < hi (core.FilterRange semantics, matching the row
-// predicate core.FieldRange under numeric widening). ok is false when
-// the field has no column and the caller must run the row scan.
-func columnFilterRange(col *core.Collection, field string, lo, hi float64, n int) (*columnSelection, bool) {
-	cs, info, err := col.ColumnsWithInfo()
-	if err != nil {
-		return nil, false
-	}
-	sel, st, ok := cs.FilterRangeStats(field, lo, hi)
-	if !ok {
-		return nil, false
-	}
-	csel := clipSelection(cs, sel, n)
-	csel.scan, csel.colInfo = st, info
-	return csel, true
-}
-
-// rowFilterRange is the row-scan fallback for a range filter (fields
-// the store cannot columnize): core.FieldRange semantics — missing
-// fields never match, non-numerics widen to NaN and fail both bounds.
-// Shared by the unsharded executor and the scatter fragments so the two
-// paths cannot drift (the N=1 byte-identity contract).
-func rowFilterRange(snap []*core.Patch, field string, lo, hi float64) []*core.Patch {
-	filtered := make([]*core.Patch, 0, len(snap)/4)
-	for _, p := range snap {
-		if mv, ok := p.Meta[field]; ok {
-			if fv := mv.AsFloat(); fv >= lo && fv < hi {
-				filtered = append(filtered, p)
-			}
-		}
-	}
-	return filtered
-}
-
-// clipSelection trims a selection list to the query's snapshot length
-// and materializes it (the cached store may already reflect rows
-// appended after this query's snapshot; prefixes are stable, so
-// clipping by row index is exact).
-func clipSelection(cs *core.ColumnStore, sel []int32, n int) *columnSelection {
-	for len(sel) > 0 && int(sel[len(sel)-1]) >= n {
+	for len(sel) > 0 && int(sel[len(sel)-1]) >= len(f.snap) {
 		sel = sel[:len(sel)-1]
 	}
 	if sel == nil {
-		sel = []int32{}
+		sel = []int32{} // TopK reads a nil selection as "every row"
 	}
-	return &columnSelection{cs: cs, sel: sel, rows: cs.Materialize(sel)}
+	f.sel, f.cs, f.scan, f.colInfo = sel, cs, st, info
+	return true
 }
 
-// topKRows computes the ordered top-k of filtered, byte-identical to a
-// stable sort + trim (sortRows semantics: ties in input order, missing
-// fields order as the zero Value). It prefers the columnar heap — over
-// the filter stage's selection when there was one, or over the whole
-// snapshot for unfiltered queries (ocol non-nil) — and falls back to
-// the bounded-heap row top-k, which still avoids sorting rows that can
-// never reach the limit.
-func topKRows(ocol *core.Collection, csel *columnSelection, filtered []*core.Patch, field string, desc bool, k, snapLen int) []*core.Patch {
-	if csel != nil {
-		if top, ok := csel.cs.TopK(csel.sel, field, desc, k); ok {
-			return csel.cs.Materialize(top)
-		}
-	} else if ocol != nil {
-		// Unfiltered: the store must cover exactly this query's snapshot
-		// for nil-selection (all rows) to be correct.
-		if cs, err := ocol.Columns(); err == nil && cs.Len() == snapLen {
-			if top, ok := cs.TopK(nil, field, desc, k); ok {
-				return cs.Materialize(top)
+// rowFilter is the row-scan fallback: the selection of snap's rows that
+// carry the field and satisfy p (missing fields never match). It checks
+// ctx between blocks of rows so a canceled caller (or a hedge loser)
+// stops promptly instead of burning the full scan.
+func rowFilter(ctx context.Context, snap []*core.Patch, p *filterPred) ([]int32, error) {
+	sel := make([]int32, 0, len(snap)/4)
+	for k, row := range snap {
+		if k%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
+		if mv, ok := row.Meta[p.field]; ok && p.match(mv) {
+			sel = append(sel, int32(k))
+		}
 	}
-	return core.TopKPatches(filtered, field, desc, k)
+	return sel, nil
 }

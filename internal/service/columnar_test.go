@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -103,15 +104,35 @@ func TestColumnarRowsShardCountInvariant(t *testing.T) {
 	}
 }
 
-// TestTopKRowsMatchesSortTrim: the service's top-k helper must
-// reproduce the old sortRows + trim pipeline exactly (heap fallback
-// path; the columnar path is pinned by internal/core's golden tests).
+// sortRows returns a stably sorted copy of ps by the metadata field: the
+// reference semantics the fragments' bounded top-k must reproduce.
+func sortRows(ps []*core.Patch, field string, desc bool) []*core.Patch {
+	rows := append([]*core.Patch(nil), ps...)
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i].Meta[field], rows[j].Meta[field]
+		if desc {
+			return b.Less(a)
+		}
+		return a.Less(b)
+	})
+	return rows
+}
+
+// TestTopKRowsMatchesSortTrim: a fragment's top-k must reproduce the
+// sortRows + trim pipeline exactly (heap fallback path, reached here
+// through a row-scan selection; the columnar path is pinned by
+// internal/core's golden tests).
 func TestTopKRowsMatchesSortTrim(t *testing.T) {
 	ps := make([]*core.Patch, 150)
 	for i := range ps {
 		ps[i] = synthPatch(i)
 		ps[i].ID = core.PatchID(i + 1)
 	}
+	every := make([]int32, len(ps))
+	for i := range every {
+		every[i] = int32(i)
+	}
+	frag := &shardFragment{snap: ps, method: core.FilterScan, sel: every}
 	for _, field := range []string{"score", "rank", "label"} {
 		for _, desc := range []bool{false, true} {
 			for _, k := range []int{1, 10, 150, 200} {
@@ -119,7 +140,10 @@ func TestTopKRowsMatchesSortTrim(t *testing.T) {
 				if len(want) > k {
 					want = want[:k]
 				}
-				got := topKRows(nil, nil, ps, field, desc, k, len(ps))
+				got, err := frag.topK(context.Background(), field, desc, k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(want) != len(got) {
 					t.Fatalf("%s desc=%v k=%d: %d rows, want %d", field, desc, k, len(got), len(want))
 				}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -20,8 +19,9 @@ import (
 // shard is declared missing.
 //
 // The single-replica, no-fault-injection case takes a separate inline
-// path: no goroutine, no channel, no timer — the N=1/R=1 golden tests
-// see exactly the pre-hedging execution.
+// path — no goroutine, no channel, no timer — because it has nothing to
+// hedge against and is what every query over an unreplicated backend
+// runs.
 
 const (
 	// hedgeHeadroom scales the observed p99 into the hedge budget: an
@@ -84,46 +84,46 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // fragmentAttempt runs shard i's whole fragment — snapshot, filter,
-// shard-local sort/trim — against replica r. It passes the fragment
-// failpoints first, so injected faults behave exactly like a slow or
-// failing replica would.
-func (s *Service) fragmentAttempt(ctx context.Context, req *Request, fval core.Value, scol *core.ShardedCollection, i, r, limit int, wantRows bool) (*shardFragment, int, error) {
+// materialization of the rows the gather stage will consume — against
+// replica r. It passes the fragment failpoints first, so injected faults
+// behave exactly like a slow or failing replica would.
+func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r int) (*shardFragment, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := s.inj.Fail(fault.FragmentError, i, r); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := s.inj.Stall(ctx, fault.FragmentStall, i, r); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	col := scol.Replica(i, r)
+	col := plan.scol.Replica(i, r)
 	snap, _, err := col.Snapshot()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	frag, err := s.filterFragment(ctx, req, fval, scol, i, r, snap)
+	frag := &shardFragment{col: col, snap: snap}
+	if plan.pred != nil {
+		if err := s.filterFragment(ctx, plan, i, r, frag); err != nil {
+			return nil, err
+		}
+	}
+	req := plan.req
+	switch {
+	case req.SimJoin != nil:
+		// Joins and clustering read every matched row.
+		frag.rows, err = frag.patches(ctx, -1)
+	case req.OrderBy != "":
+		// Shard-local top-limit instead of a full sort: the merge stage
+		// only ever consumes the first `limit` rows of each fragment.
+		frag.rows, err = frag.topK(ctx, req.OrderBy, req.Desc, plan.limit)
+	case plan.wantRows:
+		frag.rows, err = frag.patches(ctx, plan.limit)
+	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if req.SimJoin == nil && wantRows {
-		frag.rows = frag.filtered
-		if req.OrderBy != "" {
-			// Shard-local top-limit instead of a full sort: the merge
-			// stage only ever consumes the first `limit` rows of each
-			// fragment, and the bounded heap reproduces the stable
-			// sort's order exactly.
-			var ocol *core.Collection
-			if req.Filter == nil {
-				ocol = col
-			}
-			frag.rows = topKRows(ocol, frag.csel, frag.filtered, req.OrderBy, req.Desc, limit, len(snap))
-		}
-		if len(frag.rows) > limit {
-			frag.rows = frag.rows[:limit]
-		}
-	}
-	return frag, len(snap), nil
+	return frag, nil
 }
 
 // hedgedFragment produces shard i's fragment from whichever in-sync
@@ -132,16 +132,17 @@ func (s *Service) fragmentAttempt(ctx context.Context, req *Request, fval core.V
 // on the next replica in line; first success wins and cancels the
 // loser. Returns the parent context's error verbatim when the query
 // was canceled or timed out.
-func (s *Service) hedgedFragment(ctx context.Context, req *Request, fval core.Value, scol *core.ShardedCollection, i, limit int, wantRows bool) (*shardFragment, error) {
+func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int) (*shardFragment, error) {
+	req := plan.req
 	replicas := s.shards.InSyncReplicas(i)
 	sp := req.tr.Begin("fragment")
 
 	// Inline path: a single healthy replica and no fault injection has
 	// nothing to hedge against — run the attempt on the caller's
-	// goroutine (the R=1 golden path), keeping the one error-retry.
+	// goroutine, keeping the one error-retry.
 	if len(replicas) == 1 && s.inj == nil {
 		start := time.Now()
-		frag, snapLen, err := s.fragmentAttempt(ctx, req, fval, scol, i, replicas[0], limit, wantRows)
+		frag, err := s.fragmentAttempt(ctx, plan, i, replicas[0])
 		if err != nil && ctx.Err() == nil {
 			s.tel.fragmentRetries.Inc()
 			if serr := sleepCtx(ctx, retryDelay()); serr != nil {
@@ -149,20 +150,19 @@ func (s *Service) hedgedFragment(ctx context.Context, req *Request, fval core.Va
 				return nil, serr
 			}
 			start = time.Now()
-			frag, snapLen, err = s.fragmentAttempt(ctx, req, fval, scol, i, replicas[0], limit, wantRows)
+			frag, err = s.fragmentAttempt(ctx, plan, i, replicas[0])
 		}
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 		s.tel.fragmentDur.Observe(time.Since(start).Seconds())
-		frag.annotate(sp, i, snapLen)
+		frag.annotate(sp, i)
 		return frag, nil
 	}
 
 	type attempt struct {
 		frag    *shardFragment
-		snapLen int
 		replica int
 		dur     time.Duration
 		err     error
@@ -178,8 +178,8 @@ func (s *Service) hedgedFragment(ctx context.Context, req *Request, fval core.Va
 		next++
 		go func() {
 			start := time.Now()
-			frag, snapLen, err := s.fragmentAttempt(actx, req, fval, scol, i, r, limit, wantRows)
-			resCh <- attempt{frag: frag, snapLen: snapLen, replica: r, dur: time.Since(start), err: err}
+			frag, err := s.fragmentAttempt(actx, plan, i, r)
+			resCh <- attempt{frag: frag, replica: r, dur: time.Since(start), err: err}
 		}()
 		return r
 	}
@@ -209,7 +209,7 @@ func (s *Service) hedgedFragment(ctx context.Context, req *Request, fval core.Va
 				acancel() // stop the losing attempt, if one is running
 				s.tel.fragmentDur.Observe(res.dur.Seconds())
 				sp.End()
-				res.frag.annotate(sp, i, res.snapLen)
+				res.frag.annotate(sp, i)
 				sp.AttrInt("replica", int64(res.replica))
 				if hedged {
 					winner := "original"

@@ -163,10 +163,6 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "status": "closed"})
 		return
 	}
-	if s.shards == nil || s.shards.Replicas() < 2 {
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
-		return
-	}
 	lags := s.shards.OutOfSyncReplicas()
 	if len(lags) == 0 {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})

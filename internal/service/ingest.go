@@ -3,9 +3,8 @@ package service
 // Live ingest: the streaming append path. ETL materializes collections
 // in batch; this file lets clients keep appending — one patch or a
 // frame's worth at a time — while the same collections serve queries.
-// Appends route through the storage layer's placement (unsharded
-// Collection.Append, or core.Sharded's deterministic PatchID-hash
-// routing), bump the collection version so version-keyed fingerprints
+// Appends route through the storage layer's placement (core.Sharded's
+// deterministic PatchID-hash routing), bump the collection version so version-keyed fingerprints
 // can never serve stale results, and eagerly reclaim the collection's
 // result-cache entries by prefix. The columnar read side absorbs the
 // stream incrementally: the next query's Collection.Columns() call
@@ -66,7 +65,7 @@ type AppendResponse struct {
 	// IDs are the allocated patch ids, in append order.
 	IDs []uint64 `json:"ids"`
 	// Version is the collection version after the batch (the composite
-	// version when sharded) — the dataset identity subsequent query
+	// version past one shard) — the dataset identity subsequent query
 	// fingerprints will carry.
 	Version    uint64  `json:"version"`
 	DurationMS float64 `json:"duration_ms"`
@@ -83,10 +82,8 @@ func (r *AppendRequest) specs() []PatchSpec {
 // Append validates, converts and commits the request's patches. The
 // whole batch is schema-checked before the first write, so a malformed
 // spec rejects the batch without partial commit; only a storage failure
-// can leave a prefix committed (reported in the error). Sharded
-// backends route every patch to its hash-designated home shard via
-// core.Sharded placement — with one shard the sequence of ids and
-// versions is exactly the unsharded one.
+// can leave a prefix committed (reported in the error). Every patch
+// routes to its hash-designated home shard via core.Sharded placement.
 func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -114,29 +111,15 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 	}
 	defer release()
 
-	var (
-		schema   core.Schema
-		appendFn func(*core.Patch) error
-		version  func() uint64
-	)
-	if s.shards != nil {
-		sc, err := s.shards.Collection(req.Collection)
-		if err != nil {
-			return nil, err
-		}
-		schema, appendFn, version = sc.Schema(), sc.Append, sc.Version
-	} else {
-		col, err := s.db.Collection(req.Collection)
-		if err != nil {
-			return nil, err
-		}
-		schema, appendFn, version = col.Schema(), col.Append, col.Version
+	sc, err := s.shards.Collection(req.Collection)
+	if err != nil {
+		return nil, err
 	}
 
 	start := time.Now()
 	patches := make([]*core.Patch, len(specs))
 	for i, sp := range specs {
-		p, err := sp.patch(schema)
+		p, err := sp.patch(sc.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
 		}
@@ -144,7 +127,7 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 	}
 	ids := make([]uint64, 0, len(patches))
 	for i, p := range patches {
-		if err := appendFn(p); err != nil {
+		if err := sc.Append(p); err != nil {
 			// The batch pre-validated, so this is a storage-layer fault,
 			// not a bad request: wrap the sentinel so the HTTP layer can
 			// answer 500 (retryable server fault with a committed prefix)
@@ -162,7 +145,7 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 		Collection: req.Collection,
 		Appended:   len(ids),
 		IDs:        ids,
-		Version:    version(),
+		Version:    sc.Version(),
 		DurationMS: float64(dur.Microseconds()) / 1000,
 	}, nil
 }

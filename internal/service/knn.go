@@ -1,15 +1,12 @@
 package service
 
-// First-class kNN serving over the maintained vector indexes. The
-// unsharded path plans once (brute scan vs exact ball tree vs
-// approximate LSH, by size/dimensionality/recall target) and probes the
-// collection's versioned VectorIndex; the sharded path scatters the
-// probe — every shard answers its local top-k from its own shard-local
-// index — and k-way merges the candidate streams at the gather stage,
-// optionally re-verifying the merged pool's distances before the global
-// trim. With one shard the fragment is the whole plan and the merge is
-// the identity, so N=1 responses are byte-identical to the unsharded
-// path — the same golden contract every other query shape honors.
+// First-class kNN serving over the maintained vector indexes. The probe
+// scatters: every shard plans over its own snapshot (brute scan vs exact
+// ball tree vs approximate LSH, by size/dimensionality/recall target),
+// answers its local top-k from its shard-local versioned VectorIndex,
+// and the gather stage k-way merges the candidate streams, optionally
+// re-verifying the merged pool's distances before the global trim. With
+// one shard the fragment is the whole plan and the merge is the identity.
 
 import (
 	"context"
@@ -20,17 +17,13 @@ import (
 	"repro/internal/core"
 )
 
-// patchGetter resolves a patch id against whichever backend is serving
-// (a single collection or the sharded set).
-type patchGetter func(core.PatchID) (*core.Patch, error)
-
 // knnQueryVec resolves the request's query vector: the inline vector,
 // or the source patch's vector under the query field.
-func knnQueryVec(spec *KNNSpec, get patchGetter) ([]float32, error) {
+func knnQueryVec(spec *KNNSpec, scol *core.ShardedCollection) ([]float32, error) {
 	if len(spec.Query) > 0 {
 		return spec.Query, nil
 	}
-	p, err := get(core.PatchID(spec.SourceID))
+	p, err := scol.Get(core.PatchID(spec.SourceID))
 	if err != nil {
 		return nil, fmt.Errorf("service: knn source patch %d: %w", spec.SourceID, err)
 	}
@@ -103,10 +96,10 @@ func knnProbe(col *core.Collection, snap []*core.Patch, ver uint64, spec *KNNSpe
 
 // knnRows materializes the neighbor list as response rows: the usual
 // scalar projection plus a _dist column with the (exact) distance.
-func knnRows(ns []core.VecNeighbor, get patchGetter) ([]map[string]any, error) {
+func knnRows(ns []core.VecNeighbor, scol *core.ShardedCollection) ([]map[string]any, error) {
 	ps := make([]*core.Patch, len(ns))
 	for i, n := range ns {
-		p, err := get(n.ID)
+		p, err := scol.Get(n.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -129,45 +122,6 @@ func sortKNN(ns []core.VecNeighbor) {
 	})
 }
 
-// executeKNN serves a kNN request over the unsharded backend.
-func (s *Service) executeKNN(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spec := req.KNN
-	s.tel.knnQueries.Inc()
-	col, err := s.db.Collection(req.Collection)
-	if err != nil {
-		return nil, err
-	}
-	snap, ver, err := col.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	q, err := knnQueryVec(spec, col.Get)
-	if err != nil {
-		return nil, err
-	}
-	if err := knnCheckDim(col.Schema(), spec.Field, q); err != nil {
-		return nil, err
-	}
-	plan := s.cost.PlanKNN(len(snap), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
-	probeStart := time.Now()
-	ns, err := knnProbe(col, snap, ver, spec, q, plan)
-	if err != nil {
-		return nil, err
-	}
-	// Feed the probe's measured latency back into the planner (the same
-	// observed-cost loop filters run through ObserveFilter).
-	s.cost.ObserveKNN(plan.Method, plan.Mode, len(snap), len(q), spec.K, time.Since(probeStart))
-	resp := &Response{Value: len(ns), EstCostSec: plan.EstCost}
-	if resp.Rows, err = knnRows(ns, col.Get); err != nil {
-		return nil, err
-	}
-	resp.Plan = knnLabel(plan, spec)
-	return resp, nil
-}
-
 // knnFragment is one shard's partial kNN answer: its local top-k
 // candidates with exact distances, plus the fragment's plan record.
 type knnFragment struct {
@@ -177,8 +131,7 @@ type knnFragment struct {
 	mode  core.VecIndexMode // index access mode; 0 on the scan path
 }
 
-// executeKNNScatter serves a kNN request over the sharded backend:
-// plan-per-shard (each shard's snapshot has its own size), probe every
+// executeKNNScatter serves a kNN request: plan-per-shard (each shard's snapshot has its own size), probe every
 // shard's local index in parallel, k-way merge the candidate streams by
 // (distance, id), and trim to the global k. When any shard answered
 // approximately and more than one shard contributed, the merged pool's
@@ -199,7 +152,7 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 	s.tel.scatterQueries.Inc()
 	s.tel.fanout.Observe(float64(nsh))
 
-	q, err := knnQueryVec(spec, scol.Get)
+	q, err := knnQueryVec(spec, scol)
 	if err != nil {
 		return nil, err
 	}
@@ -224,21 +177,9 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var missing []int
-	var shardErr error
-	for i, e := range errs {
-		if e != nil {
-			missing = append(missing, i)
-			if shardErr == nil {
-				shardErr = fmt.Errorf("shard %d: %w", i, e)
-			}
-		}
-	}
-	if len(missing) > 0 && (!req.AllowPartial || len(missing) == nsh) {
-		return nil, shardErr
-	}
-	if len(missing) > 0 {
-		s.tel.degradedQueries.Inc()
+	missing, err := s.missingShards(req, errs)
+	if err != nil {
+		return nil, err
 	}
 
 	// ---- gather: k-way merge by (distance, id), re-rank, global trim ----
@@ -286,7 +227,7 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 		merged = merged[:spec.K]
 	}
 	resp.Value = len(merged)
-	if resp.Rows, err = knnRows(merged, scol.Get); err != nil {
+	if resp.Rows, err = knnRows(merged, scol); err != nil {
 		mg.End()
 		return nil, err
 	}
@@ -302,8 +243,7 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 
 // knnShardProbe plans and runs shard i's fragment over its own snapshot
 // and shard-local vector index. Fragment plans are made over the local
-// row count, so with one shard the fragment's plan, label and cost are
-// exactly the unsharded ones.
+// row count.
 func (s *Service) knnShardProbe(ctx context.Context, scol *core.ShardedCollection, i int, spec *KNNSpec, q []float32) (*knnFragment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

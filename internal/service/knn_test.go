@@ -121,28 +121,11 @@ func knnMatrix() []Request {
 	}
 }
 
-// TestKNNGoldenN1: a one-shard sharded service answers kNN requests
-// byte-identically to the unsharded path — values, rows (including
-// _dist), plan strings, fingerprints and cost estimates.
+// TestKNNGoldenN1: at fan-out 1 both constructors reproduce the frozen
+// kNN matrix — values, rows (including _dist), plan strings,
+// fingerprints and cost estimates.
 func TestKNNGoldenN1(t *testing.T) {
-	const rows = 240
-	cfg := Config{Workers: 2}
-	_, plain := synthUnsharded(t, rows, cfg)
-	_, sharded := synthSharded(t, 1, rows, cfg)
-	ctx := context.Background()
-	for qi, req := range knnMatrix() {
-		pr, err := plain.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("knn %d unsharded: %v", qi, err)
-		}
-		sr, err := sharded.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("knn %d sharded N=1: %v", qi, err)
-		}
-		if pg, sg := goldenKey(t, pr), goldenKey(t, sr); pg != sg {
-			t.Errorf("knn %d diverges:\n  unsharded: %s\n  sharded-1: %s", qi, pg, sg)
-		}
-	}
+	checkGoldenMatrix(t, "knn", knnMatrix())
 }
 
 // TestKNNShardInvariance: kNN answers — values AND rows — are

@@ -115,45 +115,19 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		func() float64 { return float64(s.inFlight.Load()) })
 	r.GaugeFunc("deeplens_peak_in_flight", "High-water mark of in-flight tasks.", nil,
 		func() float64 { return float64(s.peakInFlight.Load()) })
-	r.GaugeFunc("deeplens_shards", "Backing partition count.", nil, func() float64 {
-		if s.shards != nil {
-			return float64(s.shards.NumShards())
-		}
-		return 1
-	})
-	r.GaugeFunc("deeplens_replicas", "Per-shard replica count.", nil, func() float64 {
-		if s.shards != nil {
-			return float64(s.shards.Replicas())
-		}
-		return 1
-	})
-	r.CounterFunc("deeplens_replica_append_errors_total", "Secondary-replica append failures absorbed (each demotes the replica from the read set).", nil, func() float64 {
-		if s.shards != nil {
-			return float64(s.shards.ReplicaAppendErrors())
-		}
-		return 0
-	})
-	r.GaugeFunc("deeplens_out_of_sync_replicas", "Replicas currently demoted from the read set.", nil, func() float64 {
-		if s.shards == nil {
-			return 0
-		}
-		n := 0
-		for i := 0; i < s.shards.NumShards(); i++ {
-			n += s.shards.Replicas() - len(s.shards.InSyncReplicas(i))
-		}
-		return float64(n)
-	})
+	r.GaugeFunc("deeplens_shards", "Backing partition count.", nil,
+		func() float64 { return float64(s.shards.NumShards()) })
+	r.GaugeFunc("deeplens_replicas", "Per-shard replica count.", nil,
+		func() float64 { return float64(s.shards.Replicas()) })
+	r.CounterFunc("deeplens_replica_append_errors_total", "Secondary-replica append failures absorbed (each demotes the replica from the read set).", nil,
+		func() float64 { return float64(s.shards.ReplicaAppendErrors()) })
+	r.GaugeFunc("deeplens_out_of_sync_replicas", "Replicas currently demoted from the read set.", nil,
+		func() float64 { return float64(len(s.shards.OutOfSyncReplicas())) })
 	r.CounterFunc("deeplens_replica_resyncs_total", "Completed replica repairs (each re-promoted a demoted replica into the read set).", nil, func() float64 {
-		if s.shards == nil {
-			return 0
-		}
 		n, _ := s.shards.ResyncStats()
 		return float64(n)
 	})
 	r.CounterFunc("deeplens_resync_rows_total", "Patches streamed to demoted replicas by repairs.", nil, func() float64 {
-		if s.shards == nil {
-			return 0
-		}
 		_, rows := s.shards.ResyncStats()
 		return float64(rows)
 	})
@@ -184,14 +158,14 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		return bs.FusionFactor()
 	})
 	r.GaugeFunc("deeplens_column_extend_reuse_ratio", "Sealed blocks reused / total blocks across incremental column extends.", nil, func() float64 {
-		_, reused, total := s.columnExtendStats()
+		_, reused, total := s.shards.ColumnExtendStats()
 		if total == 0 {
 			return 0
 		}
 		return float64(reused) / float64(total)
 	})
 	r.CounterFunc("deeplens_column_extends_total", "Incremental column-store extensions performed.", nil, func() float64 {
-		n, _, _ := s.columnExtendStats()
+		n, _, _ := s.shards.ColumnExtendStats()
 		return float64(n)
 	})
 	r.CounterFunc("deeplens_segment_spills_total", "Sealed column segments written through the kv pager by the tiered column store.", nil, func() float64 {
@@ -210,11 +184,11 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		return float64(s.segCache.Stats().ResidentBytes)
 	})
 	r.CounterFunc("deeplens_index_extends_total", "Incremental vector-index extensions performed (prefix-certified appends).", nil, func() float64 {
-		n, _ := s.indexExtendStats()
+		n, _ := s.shards.IndexExtendStats()
 		return float64(n)
 	})
 	r.CounterFunc("deeplens_index_rebuilds_total", "Full vector-index builds (first touch or a shape change an extension could not absorb).", nil, func() float64 {
-		_, n := s.indexExtendStats()
+		_, n := s.shards.IndexExtendStats()
 		return float64(n)
 	})
 	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the device pool.", nil,
@@ -226,24 +200,6 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_merge_seconds_total", "Cumulative scatter gather/merge wall time.", nil,
 		func() float64 { return float64(s.mergeNS.Load()) / 1e9 })
 	return t
-}
-
-// columnExtendStats reads the backend's extend counters regardless of
-// sharding.
-func (s *Service) columnExtendStats() (extends, reused, total int64) {
-	if s.shards != nil {
-		return s.shards.ColumnExtendStats()
-	}
-	return s.db.ColumnExtendStats()
-}
-
-// indexExtendStats reads the backend's vector-index maintenance
-// counters regardless of sharding.
-func (s *Service) indexExtendStats() (extends, rebuilds int64) {
-	if s.shards != nil {
-		return s.shards.IndexExtendStats()
-	}
-	return s.db.IndexExtendStats()
 }
 
 // startTrace decides whether this query gets full span capture: an

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -14,11 +13,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Scatter-gather execution over a sharded backend. The plan is made
-// once; its fragment runs on every shard in parallel, each shard pinned
-// to its own batcher-fronted device (so concurrent fragments' kernels
-// fuse exactly like concurrent requests'); the partial results merge at
-// the service layer:
+// Scatter-gather execution: the one executor behind both constructors
+// (New wraps its DB as a single shard). The plan is made once; its
+// fragment runs on every shard in parallel, each join task pinned to a
+// batcher-fronted device (so concurrent fragments' kernels fuse exactly
+// like concurrent requests'); the partial results merge at the service
+// layer:
 //
 //   - filters/projections: per-shard counts sum, row sets concatenate in
 //     shard order;
@@ -30,45 +30,164 @@ import (
 //   - cluster/distinct queries: pairs from every task re-cluster at the
 //     gather stage (union-find over the concatenated fragments).
 //
-// With one shard the fragment IS the whole plan and the merge is the
-// identity, so results (values, rows, plan strings, cost estimates) are
-// byte-identical to the unsharded execution path — the equivalence the
-// golden tests in shard_test.go pin down.
+// With one shard the fragment is the whole plan, the merge is the
+// identity and nothing is spawned: testdata/golden_matrix.json pins that
+// case's responses.
 
-// shardFragment is one shard's partial result after the filter stage.
+// fragmentPlan is the part of a query's plan every fragment shares,
+// made once before the scatter.
+type fragmentPlan struct {
+	req      *Request
+	scol     *core.ShardedCollection
+	pred     *filterPred // resolved filter; nil = unfiltered
+	limit    int         // effective row cap
+	wantRows bool        // order/limit asked for projected rows
+}
+
+// accessPathOp formats each filter access path's plan operator.
+var accessPathOp = map[core.FilterMethod]string{
+	core.FilterHashIndex:  "hash-index(%s)",
+	core.FilterBTreeIndex: "btree-index(%s)",
+	core.FilterColumnScan: "column-scan(%s)",
+	core.FilterScan:       "scan-filter(%s)",
+}
+
+// shardFragment is one shard's partial result. The filter stage leaves
+// its matches in the form its access path produces them — a selection
+// over the snapshot for scans, an id list for index probes — and only
+// the rows the query projects, joins or clusters become patches.
 type shardFragment struct {
-	filtered []*core.Patch
-	rows     []*core.Patch // sorted/trimmed projection input (order/limit)
-	csel     *columnSelection
-	planOps  []string
-	cost     float64
+	col  *core.Collection // the replica that answered
+	snap []*core.Patch    // its snapshot
+
+	method core.FilterMethod // filter access path; 0 = unfiltered, every row matches
+	sel    []int32           // scans: matching rows of snap, ascending
+	ids    []core.PatchID    // index probes: matching patch ids, ascending
+	op     string            // the access path's plan operator
+	cost   float64
+
+	// Column scans keep their store so order-by stays columnar, and their
+	// scan record for the trace span.
+	cs      *core.ColumnStore
+	scan    core.ScanStats
+	colInfo core.ColumnsInfo
+
+	// rows is what the gather stage consumes: every match for joins and
+	// clustering, the sorted/trimmed top-limit for order/limit, nil for
+	// counts.
+	rows []*core.Patch
+}
+
+// indexed reports whether the filter ran as an index probe (matches in
+// ids) rather than a scan (matches in sel).
+func (f *shardFragment) indexed() bool {
+	return f.method == core.FilterHashIndex || f.method == core.FilterBTreeIndex
+}
+
+// matched is the filter stage's output size.
+func (f *shardFragment) matched() int {
+	switch {
+	case f.method == 0:
+		return len(f.snap)
+	case f.indexed():
+		return len(f.ids)
+	default:
+		return len(f.sel)
+	}
+}
+
+// rowsAt resolves a selection over the snapshot to its patches.
+func (f *shardFragment) rowsAt(sel []int32) []*core.Patch {
+	out := make([]*core.Patch, len(sel))
+	for k, i := range sel {
+		out[k] = f.snap[i]
+	}
+	return out
+}
+
+// patches materializes the first max matches in snapshot order (max < 0:
+// all of them). Index probes pay one fetch per id, checking ctx between
+// blocks of them so a canceled caller (or a hedge loser) stops promptly.
+func (f *shardFragment) patches(ctx context.Context, max int) ([]*core.Patch, error) {
+	n := f.matched()
+	if max >= 0 && max < n {
+		n = max
+	}
+	switch {
+	case f.method == 0:
+		return f.snap[:n:n], nil
+	case !f.indexed():
+		return f.rowsAt(f.sel[:n]), nil
+	}
+	out := make([]*core.Patch, n)
+	for k, id := range f.ids[:n] {
+		if k%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		p, err := f.col.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = p
+	}
+	return out, nil
+}
+
+// topK is the fragment's ordered top-k, byte-identical to a stable sort
+// + trim of its matches (ties in snapshot order, missing fields order as
+// the zero Value). It runs the columnar heap — over the filter's
+// selection when the filter ran columnar, over the whole snapshot when
+// there was no filter — and otherwise the bounded-heap row top-k, which
+// still avoids sorting rows that can never reach the limit.
+func (f *shardFragment) topK(ctx context.Context, field string, desc bool, k int) ([]*core.Patch, error) {
+	switch {
+	case f.cs != nil:
+		if top, ok := f.cs.TopK(f.sel, field, desc, k); ok {
+			return f.rowsAt(top), nil
+		}
+	case f.method == 0:
+		// The store must cover exactly this snapshot for a nil selection
+		// (all rows) to be correct.
+		if cs, err := f.col.Columns(); err == nil && cs.Len() == len(f.snap) {
+			if top, ok := cs.TopK(nil, field, desc, k); ok {
+				return f.rowsAt(top), nil
+			}
+		}
+	}
+	all, err := f.patches(ctx, -1)
+	if err != nil {
+		return nil, err
+	}
+	return core.TopKPatches(all, field, desc, k), nil
 }
 
 // annotate attaches the fragment's work record to its trace span:
 // which shard ran, how many rows it held and matched, the access path,
 // and — when the filter ran columnar — the zone-map pruning and
 // column-extension outcome. No-op on untraced queries (nil handle).
-func (f *shardFragment) annotate(sp *obs.SpanHandle, shard, snapRows int) {
+func (f *shardFragment) annotate(sp *obs.SpanHandle, shard int) {
 	if sp == nil {
 		return
 	}
 	sp.AttrInt("shard", int64(shard))
-	sp.AttrInt("rows", int64(snapRows))
-	sp.AttrInt("matched", int64(len(f.filtered)))
+	sp.AttrInt("rows", int64(len(f.snap)))
+	sp.AttrInt("matched", int64(f.matched()))
 	path := "full-scan"
-	if len(f.planOps) > 0 {
-		path = f.planOps[0]
+	if f.op != "" {
+		path = f.op
 	}
 	sp.Attr("path", path)
-	if c := f.csel; c != nil {
-		sp.AttrInt("blocks", int64(c.scan.Blocks))
-		sp.AttrInt("blocks_pruned", int64(c.scan.Pruned))
-		sp.AttrInt("rows_scanned", int64(c.scan.RowsScanned))
-		sp.AttrInt("seg_loads", int64(c.scan.SegLoads))
+	if f.cs != nil {
+		sp.AttrInt("blocks", int64(f.scan.Blocks))
+		sp.AttrInt("blocks_pruned", int64(f.scan.Pruned))
+		sp.AttrInt("rows_scanned", int64(f.scan.RowsScanned))
+		sp.AttrInt("seg_loads", int64(f.scan.SegLoads))
 		switch {
-		case c.colInfo.Extended:
+		case f.colInfo.Extended:
 			sp.Attr("columns", "extended")
-		case c.colInfo.Built:
+		case f.colInfo.Built:
 			sp.Attr("columns", "built")
 		default:
 			sp.Attr("columns", "cached")
@@ -76,15 +195,16 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard, snapRows int) {
 	}
 }
 
-// shardDev returns the batcher-fronted device scatter task t is pinned
-// to. Shard-local task i maps to device i%Devices, so a shard's kernels
-// always land on the same scheduler; cross tasks continue round-robin.
-func (s *Service) shardDev(t int) *exec.Batcher {
-	return s.batchers[t%len(s.batchers)]
+// taskDev returns the batcher-fronted device worker w's scatter task t
+// is pinned to: the worker's own device for task 0 (all of a one-shard
+// query), round-robin from there, so a query's tasks spread over the
+// devices while concurrent workers' single tasks never pile onto one.
+func (s *Service) taskDev(w *worker, t int) *exec.Batcher {
+	return s.batchers[(w.id+t)%len(s.batchers)]
 }
 
 // scatterWave runs n independent scatter tasks concurrently and returns
-// the first error. A single task runs inline (the N=1 path adds no
+// the first error. A single task runs inline (fan-out 1 adds no
 // goroutine overhead).
 func (s *Service) scatterWave(n int, fn func(t int) error) error {
 	s.tel.scatterTasks.Add(int64(n))
@@ -113,13 +233,38 @@ func (s *Service) scatterWave(n int, fn func(t int) error) error {
 	return first
 }
 
+// missingShards judges a scatter wave's per-shard outcomes: which shards
+// failed, and whether that fails the query. It does unless the request
+// allows partial results and at least one shard answered (all shards
+// missing is never "partial"); the error is the first failing shard's.
+func (s *Service) missingShards(req *Request, errs []error) ([]int, error) {
+	var missing []int
+	var shardErr error
+	for i, e := range errs {
+		if e != nil {
+			missing = append(missing, i)
+			if shardErr == nil {
+				shardErr = fmt.Errorf("shard %d: %w", i, e)
+			}
+		}
+	}
+	if len(missing) == 0 {
+		return nil, nil
+	}
+	if !req.AllowPartial || len(missing) == len(errs) {
+		return nil, shardErr
+	}
+	s.tel.degradedQueries.Inc()
+	return missing, nil
+}
+
 // executeScatter runs the filter -> simjoin -> distinct -> order/limit
 // pipeline as plan-once, scatter-everywhere, merge-at-the-top. Each
 // shard's fragment runs as a hedged, deadline-aware read over the
 // shard's in-sync replicas (see hedge.go); when every replica of a
 // shard fails and the request allows partial results, the gather stage
 // degrades instead of erroring.
-func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, error) {
+func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -131,32 +276,18 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 	s.tel.scatterQueries.Inc()
 	s.tel.fanout.Observe(float64(nsh))
 
-	// Plan once: resolve and type-check the filter constant (or range
-	// bounds) against the schema before fanning anything out.
-	var fval core.Value
-	if f := req.Filter; f != nil {
-		if f.isRange() {
-			if err := scol.Schema().ValidateFilterRange(f.Field); err != nil {
-				return nil, err
-			}
-		} else {
-			fval, err = f.value()
-			if err != nil {
-				return nil, err
-			}
-			if err := scol.Schema().ValidateFilterValue(f.Field, fval); err != nil {
-				return nil, err
-			}
+	// Plan once: resolve and type-check the filter against the schema
+	// before fanning anything out. Requests cap at maxRows; rows are
+	// projected only if order/limit asked for them.
+	plan := &fragmentPlan{req: req, scol: scol, limit: req.Limit, wantRows: req.OrderBy != "" || req.Limit > 0}
+	if plan.limit <= 0 || plan.limit > maxRows {
+		plan.limit = maxRows
+	}
+	if req.Filter != nil {
+		if plan.pred, err = req.Filter.resolve(scol.Schema()); err != nil {
+			return nil, err
 		}
 	}
-
-	// Effective row limit (mirrors the unsharded path: requests cap at
-	// maxRows, zero means "rows only if order/limit was asked for").
-	limit := req.Limit
-	if limit <= 0 || limit > maxRows {
-		limit = maxRows
-	}
-	wantRows := req.OrderBy != "" || req.Limit > 0
 
 	// Partial-tolerant queries under a deadline cut their fragments
 	// slightly early, so the gather stage still has time to assemble and
@@ -181,55 +312,47 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 	frags := make([]*shardFragment, nsh)
 	errs := make([]error, nsh)
 	s.scatterWave(nsh, func(i int) error {
-		frags[i], errs[i] = s.hedgedFragment(fctx, req, fval, scol, i, limit, wantRows)
+		frags[i], errs[i] = s.hedgedFragment(fctx, plan, i)
 		return nil // per-shard outcomes are judged below, not first-error
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err // timeout/cancel dominates any per-shard outcome
 	}
-	var missing []int
-	var shardErr error
-	for i, e := range errs {
-		if e != nil {
-			missing = append(missing, i)
-			if shardErr == nil {
-				shardErr = fmt.Errorf("shard %d: %w", i, e)
-			}
-		}
-	}
-	if len(missing) > 0 && (!req.AllowPartial || len(missing) == nsh) {
-		return nil, shardErr
-	}
-	if len(missing) > 0 {
-		s.tel.degradedQueries.Inc()
+	missing, err := s.missingShards(req, errs)
+	if err != nil {
+		return nil, err
 	}
 
-	if req.SimJoin != nil {
-		return s.simJoinScatter(ctx, req, scol, frags, missing)
-	}
-
-	// ---- gather: sum counts, merge rows (nil frags = missing shards) ----
-	mergeStart := time.Now()
-	mg := req.tr.Begin("merge")
+	// The fragments' shared pipeline prefix and summed cost (nil frags =
+	// missing shards).
 	resp := &Response{Degraded: len(missing) > 0, MissingShards: missing}
-	total := 0
-	var planOps []string
+	planOps := make([]string, 0, 4)
 	for _, frag := range frags {
 		if frag == nil {
 			continue
 		}
-		if planOps == nil {
-			planOps = append([]string{}, frag.planOps...)
+		if len(planOps) == 0 && frag.op != "" {
+			planOps = append(planOps, frag.op)
 		}
-		total += len(frag.filtered)
 		resp.EstCostSec += frag.cost
 	}
-	resp.Value = total
 
-	if wantRows {
+	if req.SimJoin != nil {
+		return s.simJoinScatter(ctx, w, plan, frags, resp, planOps)
+	}
+
+	// ---- gather: sum counts, merge rows ----
+	mergeStart := time.Now()
+	mg := req.tr.Begin("merge")
+	for _, frag := range frags {
+		if frag != nil {
+			resp.Value += frag.matched()
+		}
+	}
+	if plan.wantRows {
 		var merged []*core.Patch
 		if req.OrderBy != "" {
-			merged, err = mergeSortedRows(ctx, frags, req.OrderBy, req.Desc, limit)
+			merged, err = mergeSortedRows(ctx, frags, req.OrderBy, req.Desc, plan.limit)
 			if err != nil {
 				mg.End()
 				return nil, err
@@ -241,8 +364,8 @@ func (s *Service) executeScatter(ctx context.Context, req *Request) (*Response, 
 					continue
 				}
 				merged = append(merged, frag.rows...)
-				if len(merged) >= limit {
-					merged = merged[:limit]
+				if len(merged) >= plan.limit {
+					merged = merged[:plan.limit]
 					break
 				}
 			}
@@ -273,10 +396,10 @@ func gatherLabel(req *Request) string {
 	}
 }
 
-// scatterPlan renders the physical plan string. One shard reproduces
-// the unsharded plan byte for byte (the N=1 contract); more shards wrap
-// the fragment pipeline in a scatter[N(+C)] -> gather decoration, C
-// being the cross-shard join task count.
+// scatterPlan renders the physical plan string. One shard's plan is its
+// fragment pipeline, undecorated; more shards wrap the pipeline in a
+// scatter[N(+C)] -> gather decoration, C being the cross-shard join
+// task count.
 func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) string {
 	if nsh == 1 {
 		return joinPlan(fragOps)
@@ -288,142 +411,60 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, joinPlan(fragOps), gather)
 }
 
-// filterFragment runs the filter stage of the plan on replica r of
-// shard i's snapshot, using the replica-local hash index when the plan
-// asks for it. It checks ctx between blocks of row work so a canceled
-// caller (or a hedge loser) stops promptly instead of burning the
-// full scan.
-func (s *Service) filterFragment(ctx context.Context, req *Request, fval core.Value, scol *core.ShardedCollection, i, r int, snap []*core.Patch) (*shardFragment, error) {
-	frag := &shardFragment{filtered: snap}
-	f := req.Filter
-	if f == nil {
-		return frag, nil
-	}
-	// Fragments feed the same observed-latency state as the unsharded
-	// path: each replica's filter stage reports its access path and
-	// duration to the shared cost model.
-	fltStart := time.Now()
-	var fltMethod core.FilterMethod
-	fltUnits := 0
-	defer func() {
-		if fltMethod != 0 {
-			s.cost.ObserveFilter(fltMethod, fltUnits, time.Since(fltStart))
+// filterFragment runs the plan's filter stage on replica r of shard i:
+// one access-path choice — the replica-local hash or B-tree index when
+// the plan asks for one, else the columnar scan, else (fields the store
+// cannot columnize) the row scan — which fixes the plan operator, the
+// static cost and the unit count the measured latency is reported under
+// (CostModel.ObserveFilter: rows fetched for index probes, rows scanned
+// otherwise), so future plans and admission estimates price from
+// observed behavior.
+func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
+	pred := plan.pred
+	start := time.Now()
+	switch {
+	case plan.req.Filter.UseIndex:
+		kind := core.IdxHash
+		frag.method = core.FilterHashIndex
+		if pred.rng {
+			kind, frag.method = core.IdxBTree, core.FilterBTreeIndex
 		}
-	}()
-	col := scol.Replica(i, r)
-	if f.isRange() {
-		lo, hi := f.bounds()
-		if f.UseIndex {
-			idx, err := s.ensureIndexOn(s.shards.ReplicaDB(i, r), replicaScope(i, r), col, f.Field, core.IdxBTree)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := btreeRangeIDs(idx, lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			filtered := make([]*core.Patch, 0, len(ids))
-			for k, id := range ids {
-				if k%ctxCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				p, err := col.Get(id)
-				if err != nil {
-					return nil, err
-				}
-				filtered = append(filtered, p)
-			}
-			frag.filtered = filtered
-			frag.planOps = append(frag.planOps, fmt.Sprintf("btree-index(%s)", f.Field))
-			frag.cost += s.cost.FilterCost(core.FilterBTreeIndex, len(snap), len(ids))
-			fltMethod, fltUnits = core.FilterBTreeIndex, len(ids)
-		} else if cf, ok := columnFilterRange(col, f.Field, lo, hi, len(snap)); ok {
-			frag.filtered = cf.rows
-			frag.csel = cf
-			frag.planOps = append(frag.planOps, fmt.Sprintf("column-scan(%s)", f.Field))
-			frag.cost += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-			fltMethod, fltUnits = core.FilterColumnScan, len(snap)
+		idx, err := s.replicaIndex(i, r, frag.col, pred.field, kind)
+		if err != nil {
+			return err
+		}
+		if pred.rng {
+			frag.ids, err = btreeRangeIDs(idx, pred.lo, pred.hi)
 		} else {
-			frag.filtered = rowFilterRange(snap, f.Field, lo, hi)
-			frag.planOps = append(frag.planOps, fmt.Sprintf("scan-filter(%s)", f.Field))
-			frag.cost += float64(len(snap)) * scanCmpCostSec
-			fltMethod, fltUnits = core.FilterScan, len(snap)
+			frag.ids, err = idx.LookupEq(pred.v)
 		}
-		return frag, nil
-	}
-	if f.UseIndex {
-		idx, err := s.ensureIndexOn(s.shards.ReplicaDB(i, r), replicaScope(i, r), col, f.Field, core.IdxHash)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ids, err := idx.LookupEq(fval)
-		if err != nil {
-			return nil, err
+	case frag.columnFilter(pred):
+		frag.method = core.FilterColumnScan
+	default:
+		frag.method = core.FilterScan
+		var err error
+		if frag.sel, err = rowFilter(ctx, frag.snap, pred); err != nil {
+			return err
 		}
-		filtered := make([]*core.Patch, 0, len(ids))
-		for k, id := range ids {
-			if k%ctxCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			p, err := col.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, p)
-		}
-		frag.filtered = filtered
-		frag.planOps = append(frag.planOps, fmt.Sprintf("hash-index(%s)", f.Field))
-		frag.cost += float64(len(ids)) * s.cost.CFetch
-		fltMethod, fltUnits = core.FilterHashIndex, len(ids)
-	} else if cf, ok := columnFilterEq(col, f.Field, fval, len(snap)); ok {
-		// Columnar fragment: each replica prunes and scans its own blocks
-		// (same kernels, labels and cost accounting as the unsharded
-		// path, so N=1 plans stay byte-identical).
-		frag.filtered = cf.rows
-		frag.csel = cf
-		frag.planOps = append(frag.planOps, fmt.Sprintf("column-scan(%s)", f.Field))
-		frag.cost += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-		fltMethod, fltUnits = core.FilterColumnScan, len(snap)
-	} else {
-		filtered := make([]*core.Patch, 0, len(snap)/4)
-		for k, p := range snap {
-			if k%ctxCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if mv, ok := p.Meta[f.Field]; ok && mv.Equal(fval) {
-				filtered = append(filtered, p)
-			}
-		}
-		frag.filtered = filtered
-		frag.planOps = append(frag.planOps, fmt.Sprintf("scan-filter(%s)", f.Field))
-		frag.cost += float64(len(snap)) * scanCmpCostSec
-		fltMethod, fltUnits = core.FilterScan, len(snap)
 	}
-	return frag, nil
+	n, matched := len(frag.snap), frag.matched()
+	frag.op = fmt.Sprintf(accessPathOp[frag.method], pred.field)
+	frag.cost = s.cost.FilterCost(frag.method, n, matched)
+	units := n
+	if frag.indexed() {
+		units = matched
+	}
+	s.cost.ObserveFilter(frag.method, units, time.Since(start))
+	return nil
 }
 
 // ctxCheckRows is the row stride between cancellation checks in scan
 // loops: frequent enough to abandon a dead query promptly, sparse
 // enough that the atomic ctx.Err() load never shows up in profiles.
 const ctxCheckRows = 4096
-
-// shardScope disambiguates per-shard index-build locks.
-func shardScope(i int) string { return fmt.Sprintf("shard%d", i) }
-
-// replicaScope disambiguates per-replica index-build locks. The primary
-// keeps the historical shard-scope key.
-func replicaScope(i, r int) string {
-	if r == 0 {
-		return shardScope(i)
-	}
-	return fmt.Sprintf("shard%d-r%d", i, r)
-}
 
 // joinTask is one unit of the similarity-join scatter wave: a shard's
 // local self-join, or the cross join between a pair of shards.
@@ -438,12 +479,12 @@ type joinTask struct {
 // self-joins its own fragment and every shard pair cross-joins (left
 // fragment against right fragment), all tasks in parallel on their
 // pinned devices; pair lists concatenate at the gather stage, and
-// distinct queries re-cluster over the union. Shards listed in missing
-// have nil fragments (every replica failed under allow_partial): they
-// contribute no tasks, and the degraded pair set covers only the
-// surviving shards.
-func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.ShardedCollection, frags []*shardFragment, missing []int) (*Response, error) {
-	sj := req.SimJoin
+// distinct queries re-cluster over the union. Missing shards have nil
+// fragments (every replica failed under allow_partial): they contribute
+// no tasks, and the degraded pair set covers only the surviving shards.
+// resp and planOps arrive carrying the fragments' cost and filter stage.
+func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentPlan, frags []*shardFragment, resp *Response, planOps []string) (*Response, error) {
+	req, scol, sj := plan.req, plan.scol, plan.req.SimJoin
 	nsh := len(frags)
 
 	// Vector dimensionality, from the schema or the first surviving row.
@@ -453,8 +494,8 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 	}
 	if dim == 0 {
 		for _, frag := range frags {
-			if frag != nil && len(frag.filtered) > 0 {
-				if mv, ok := frag.filtered[0].Meta[sj.Field]; ok {
+			if frag != nil && len(frag.rows) > 0 {
+				if mv, ok := frag.rows[0].Meta[sj.Field]; ok {
 					dim = len(mv.V)
 				}
 				break
@@ -479,7 +520,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 			if frags[i] == nil || frags[j] == nil {
 				continue
 			}
-			if len(frags[i].filtered) == 0 || len(frags[j].filtered) == 0 {
+			if len(frags[i].rows) == 0 || len(frags[j].rows) == 0 {
 				continue // an empty side can contribute no cross pairs
 			}
 			tasks = append(tasks, &joinTask{left: i, right: j})
@@ -495,7 +536,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 		if err := s.inj.Stall(ctx, fault.DeviceStall, task.left, 0); err != nil {
 			return err
 		}
-		dev := s.shardDev(t)
+		dev := s.taskDev(w, t)
 		// Join tasks submit kernels: register with the device's batcher so
 		// its adaptive flush knows a submitter is mid-query (default flush
 		// policy only — an explicit BatchWindow is honored strictly).
@@ -505,12 +546,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 		}
 		sp := req.tr.Begin("join-task")
 		odev := s.observedDev(dev, req.tr)
-		var err error
-		if task.left == task.right {
-			err = s.runLocalJoin(task, sj, frags[task.left].filtered, scol, dim, hasIndex, dev, odev)
-		} else {
-			err = s.runCrossJoin(task, sj, frags[task.left].filtered, frags[task.right].filtered, scol, dim, hasIndex, dev, odev)
-		}
+		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right].rows, scol, dim, hasIndex, dev, odev)
 		sp.End()
 		if err == nil {
 			sp.AttrInt("left", int64(task.left)).
@@ -529,28 +565,15 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 	// ---- gather: concatenate pairs, re-cluster for distinct ----
 	mergeStart := time.Now()
 	mg := req.tr.Begin("merge")
-	resp := &Response{Degraded: len(missing) > 0, MissingShards: missing}
 	var pairs []core.Tuple
-	label := ""
-	var planOps []string
-	for _, frag := range frags {
-		if frag == nil {
-			continue
-		}
-		if planOps == nil {
-			planOps = append([]string{}, frag.planOps...)
-		}
-		resp.EstCostSec += frag.cost
-	}
 	for _, task := range tasks {
 		pairs = append(pairs, task.pairs...)
 		resp.EstCostSec += task.cost
-		if label == "" && task.label != "" {
-			label = task.label
-		}
 	}
 
-	planOps = append(planOps, label)
+	// Local self-joins lead the task list: the plan shows the first
+	// surviving shard's.
+	planOps = append(planOps, tasks[0].label)
 	gather := "gather-pairs"
 	if req.Distinct {
 		var all []*core.Patch
@@ -558,7 +581,7 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 			if frag == nil {
 				continue
 			}
-			all = append(all, frag.filtered...)
+			all = append(all, frag.rows...)
 		}
 		resp.Value = clusterCount(all, pairs, sj.MinCluster)
 		planOps = append(planOps, fmt.Sprintf("distinct(min=%d)", sj.MinCluster))
@@ -572,105 +595,45 @@ func (s *Service) simJoinScatter(ctx context.Context, req *Request, scol *core.S
 	return resp, nil
 }
 
-// shardVectorIndex resolves the shard-local maintained vector index at
-// the shard's current snapshot (exact mode — join results must be
-// byte-identical to the scan-based methods).
-func shardVectorIndex(col *core.Collection, field string) (*core.VectorIndex, error) {
-	snap, ver, err := col.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return col.VectorIndexAt(snap, ver, field, core.VecExact)
-}
-
-// runLocalJoin is shard i's self-join over its own fragment — exactly
-// the unsharded similarity join, shard-local index and all.
-func (s *Service) runLocalJoin(task *joinTask, sj *SimJoinSpec, filtered []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
-	i := task.left
-	col := scol.Shard(i)
-	db := s.shards.Shard(i)
-	n := len(filtered)
-	sp := s.cost.PlanSimilarityJoinVec(n, n, dim, hasIndex)
-	task.cost = sp.EstCost
-	opts := core.SimilarityJoinOpts{
-		LeftField: sj.Field, RightField: sj.Field,
-		Eps: sj.Eps, DedupUnordered: true, Device: odev,
-	}
-	var pairs []core.Tuple
-	var err error
-	switch sp.Method {
-	case core.SimVecIndexed:
-		vi, ierr := shardVectorIndex(col, sj.Field)
-		if ierr != nil {
-			return ierr
-		}
-		pairs, err = core.SimilarityJoinVecIndexed(filtered, col, vi, opts)
-	case core.SimOnTheFly:
-		pairs, err = core.SimilarityJoinOnTheFly(filtered, filtered, opts)
-	case core.SimBatched:
-		pairs, err = core.SimilarityJoinBatched(db, filtered, filtered, opts)
-	default:
-		pairs, err = core.SimilarityJoinNested(filtered, filtered, opts)
-	}
-	if err != nil {
-		return err
-	}
-	task.pairs = pairs
-	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
-	return nil
-}
-
-// runCrossJoin joins shard i's fragment against shard j's. The two row
-// sets are disjoint (every patch has one home shard), so no dedup is
-// needed: each qualifying cross-shard pair materializes exactly once,
-// which together with the deduped local self-joins reproduces the
-// unsharded DedupUnordered pair set.
-func (s *Service) runCrossJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
-	j := task.right
-	dbR, colR := s.shards.Shard(j), scol.Shard(j)
+// runJoin executes one join task: shard left's rows against shard
+// right's, probing right's shard-local index when the plan allows it. A
+// local task (left == right) dedups unordered pairs; a cross task needs
+// no dedup — the two row sets are disjoint (every patch has one home
+// shard), so each qualifying cross-shard pair materializes exactly once,
+// which together with the deduped local self-joins reproduces a single
+// partition's DedupUnordered pair set.
+func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
+	colR := scol.Shard(task.right)
 	sp := s.cost.PlanSimilarityJoinVec(len(left), len(right), dim, hasIndex)
 	task.cost = sp.EstCost
+	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
 	opts := core.SimilarityJoinOpts{
 		LeftField: sj.Field, RightField: sj.Field,
-		Eps: sj.Eps, Device: odev,
+		Eps: sj.Eps, DedupUnordered: task.left == task.right, Device: odev,
 	}
-	var pairs []core.Tuple
 	var err error
 	switch sp.Method {
 	case core.SimVecIndexed:
-		vi, ierr := shardVectorIndex(colR, sj.Field)
+		// The maintained shard-local vector index at the shard's current
+		// snapshot, exact mode: join results must be byte-identical to the
+		// scan-based methods.
+		snap, ver, serr := colR.Snapshot()
+		if serr != nil {
+			return serr
+		}
+		vi, ierr := colR.VectorIndexAt(snap, ver, sj.Field, core.VecExact)
 		if ierr != nil {
 			return ierr
 		}
-		pairs, err = core.SimilarityJoinVecIndexed(left, colR, vi, opts)
+		task.pairs, err = core.SimilarityJoinVecIndexed(left, colR, vi, opts)
 	case core.SimOnTheFly:
-		pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
+		task.pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
 	case core.SimBatched:
-		pairs, err = core.SimilarityJoinBatched(dbR, left, right, opts)
+		task.pairs, err = core.SimilarityJoinBatched(s.shards.Shard(task.right), left, right, opts)
 	default:
-		pairs, err = core.SimilarityJoinNested(left, right, opts)
+		task.pairs, err = core.SimilarityJoinNested(left, right, opts)
 	}
-	if err != nil {
-		return err
-	}
-	task.pairs = pairs
-	return nil
-}
-
-// sortRows returns a stably sorted copy of ps by the metadata field.
-// The serving paths now run bounded top-k (topKRows) instead of a full
-// sort; this remains the reference semantics both top-k implementations
-// are golden-tested against.
-func sortRows(ps []*core.Patch, field string, desc bool) []*core.Patch {
-	rows := append([]*core.Patch(nil), ps...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i].Meta[field], rows[j].Meta[field]
-		if desc {
-			return b.Less(a)
-		}
-		return a.Less(b)
-	})
-	return rows
+	return err
 }
 
 // rowStream is one shard's sorted, trimmed row list being consumed by
@@ -682,8 +645,7 @@ type rowStream struct {
 }
 
 // rowHeap orders streams by their head row (ties resolve in shard
-// order, mirroring the stable concatenate-then-sort the unsharded path
-// would produce).
+// order, mirroring a stable concatenate-then-sort of the shards' rows).
 type rowHeap struct {
 	streams []*rowStream
 	field   string

@@ -19,12 +19,13 @@
 //   - in-flight request coalescing (identical cold queries run once);
 //   - cache-aware plan costing: reported costs fold in the observed hit
 //     rate via CostModel.CacheAwareCost;
-//   - scatter-gather execution over a horizontally partitioned backend
-//     (NewSharded over core.Sharded): the plan is made once, its
-//     fragment runs on every shard in parallel on shard-pinned batcher
-//     devices, and partial results merge at the service layer — counts
-//     sum, ordered top-k rows k-way heap-merge, similarity joins fan
-//     out one task per shard pair and re-cluster at the gather stage.
+//   - one scatter-gather executor over a horizontally partitioned
+//     backend (NewSharded over core.Sharded; New serves a plain DB as
+//     its one-shard case): the plan is made once, its fragment runs on
+//     every shard in parallel on batcher-fronted devices, and partial
+//     results merge at the service layer — counts sum, ordered top-k
+//     rows k-way heap-merge, similarity joins fan out one task per shard
+//     pair and re-cluster at the gather stage.
 //
 // The cmd/deeplens-serve binary exposes it over HTTP JSON.
 package service
@@ -160,9 +161,8 @@ type Config struct {
 }
 
 // withDefaults resolves zero values. shards is the backing partition
-// count (1 for an unsharded DB): it raises the device ceiling, since a
-// scattered query runs up to one kernel-submitting fragment per shard
-// per worker.
+// count: it raises the device ceiling, since a scattered query runs up
+// to one kernel-submitting fragment per shard per worker.
 func (c Config) withDefaults(shards int) Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
@@ -249,11 +249,11 @@ type worker struct {
 	ocr *vision.MemoOCR
 }
 
-// Service is the concurrent query-serving layer over one DB or a
-// sharded set of DBs (scatter-gather execution; see NewSharded).
+// Service is the concurrent query-serving layer over a sharded set of
+// DBs (scatter-gather execution; see NewSharded) — a single DB being
+// the one-shard case (see New).
 type Service struct {
-	db       *core.DB      // unsharded backend (nil when sharded)
-	shards   *core.Sharded // sharded backend (nil when unsharded)
+	shards   *core.Sharded // the backend; New wraps its DB as one shard
 	cfg      Config
 	cost     *core.CostModel
 	start    time.Time
@@ -309,38 +309,36 @@ type Service struct {
 }
 
 // New starts a service over db with cfg.Workers executors. Close releases
-// the pool.
+// the pool. db is served as a one-shard partitioned database: the same
+// scatter-gather pipeline NewSharded runs, at fan-out 1, where the
+// fragment is the whole plan and runs inline on the worker. The service
+// reads db through that wrapper but never closes it.
 func New(db *core.DB, cfg Config) (*Service, error) {
 	if db == nil {
 		return nil, errors.New("service: nil db")
 	}
-	return buildService(db, nil, cfg)
+	return buildService(core.WrapSharded(db), cfg)
 }
 
 // NewSharded starts a service over a horizontally partitioned database.
 // Collection queries execute scatter-gather: the plan is made once, its
-// fragment runs on every shard in parallel — each shard pinned to its
-// own batcher-fronted device, so sharding composes with cross-request
-// kernel fusion — and the partial results merge at the service layer
+// fragment runs on every shard in parallel, join tasks pinned to
+// batcher-fronted devices so sharding composes with cross-request
+// kernel fusion, and the partial results merge at the service layer
 // (concatenation for filters, a k-way heap merge for ordered top-k,
 // re-clustering for distinct, pairwise cross-shard tasks for similarity
-// joins). With one shard, execution is byte-identical to New over the
-// same data.
+// joins).
 func NewSharded(sdb *core.Sharded, cfg Config) (*Service, error) {
 	if sdb == nil || sdb.NumShards() < 1 {
 		return nil, errors.New("service: nil or empty sharded db")
 	}
-	return buildService(nil, sdb, cfg)
+	return buildService(sdb, cfg)
 }
 
-func buildService(db *core.DB, sdb *core.Sharded, cfg Config) (*Service, error) {
-	nshards := 1
-	if sdb != nil {
-		nshards = sdb.NumShards()
-	}
+func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
+	nshards := sdb.NumShards()
 	cfg = cfg.withDefaults(nshards)
 	s := &Service{
-		db:       db,
 		shards:   sdb,
 		cfg:      cfg,
 		adaptive: cfg.BatchWindow == 0,
@@ -356,18 +354,11 @@ func buildService(db *core.DB, sdb *core.Sharded, cfg Config) (*Service, error) 
 		builds:   make(map[string]*sync.Mutex),
 	}
 	s.inj = fault.New(cfg.Faults)
-	if sdb != nil {
-		sdb.SetFaults(s.inj)
-	}
+	sdb.SetFaults(s.inj)
 	// One cost model across the service and every backing DB: observed
 	// filter latencies feed the same state that PlanFilter, admission
 	// pricing and /stats cost estimates all read from.
-	if db != nil {
-		db.SetCostModel(s.cost)
-	}
-	if sdb != nil {
-		sdb.SetCostModel(s.cost)
-	}
+	sdb.SetCostModel(s.cost)
 	// Tiered columns: one segment cache across every backing DB, so the
 	// budget bounds total column residency service-wide (negative budget
 	// = spill without eviction).
@@ -377,12 +368,7 @@ func buildService(db *core.DB, sdb *core.Sharded, cfg Config) (*Service, error) 
 			budget = 0
 		}
 		s.segCache = core.NewSegmentCache(budget)
-		if db != nil {
-			db.SetSegmentCache(s.segCache)
-		}
-		if sdb != nil {
-			sdb.SetSegmentCache(s.segCache)
-		}
+		sdb.SetSegmentCache(s.segCache)
 	}
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth)
 	s.tel = newTelemetry(s, cfg)
@@ -447,7 +433,7 @@ func buildService(db *core.DB, sdb *core.Sharded, cfg Config) (*Service, error) 
 	// repairs demoted replicas in the background so a fault's blast
 	// radius is one repair interval of reduced hedge headroom, not a
 	// restart.
-	if sdb != nil && sdb.Replicas() > 1 && cfg.ResyncInterval > 0 {
+	if sdb.Replicas() > 1 && cfg.ResyncInterval > 0 {
 		s.wg.Add(1)
 		go s.runAntiEntropy(cfg.ResyncInterval)
 	}
@@ -500,20 +486,13 @@ func (s *Service) fingerprintFor(req *Request) (string, error) {
 	if req.Infer != nil {
 		return req.fingerprint(0, s.cfg.ModelSeed), nil
 	}
-	if s.shards != nil {
-		scol, err := s.shards.Collection(req.Collection)
-		if err != nil {
-			return "", err
-		}
-		// The composite version folds every shard's version, so a write
-		// to a single shard invalidates exactly like an unsharded append.
-		return req.fingerprint(scol.Version(), s.cfg.ModelSeed), nil
-	}
-	col, err := s.db.Collection(req.Collection)
+	scol, err := s.shards.Collection(req.Collection)
 	if err != nil {
 		return "", err
 	}
-	return req.fingerprint(col.Version(), s.cfg.ModelSeed), nil
+	// The composite version folds every shard's version (and is the
+	// shard's own at one shard), so a write to any shard invalidates.
+	return req.fingerprint(scol.Version(), s.cfg.ModelSeed), nil
 }
 
 // Query executes one request: result-cache lookup, in-flight coalescing,
@@ -814,244 +793,10 @@ func (s *Service) execute(ctx context.Context, w *worker, req *Request) (*Respon
 	if req.KNN != nil {
 		// kNN has its own scatter shape (per-shard index probes, k-way
 		// candidate merge) and submits no kernels.
-		if s.shards != nil {
-			return s.executeKNNScatter(ctx, req)
-		}
-		return s.executeKNN(ctx, req)
+		return s.executeKNNScatter(ctx, req)
 	}
-	if s.shards != nil {
-		return s.executeScatter(ctx, req)
-	}
-	if s.adaptive {
-		w.dev.BeginSubmitter()
-		defer w.dev.EndSubmitter()
-	}
-	return s.executeQuery(ctx, w, req)
+	return s.executeScatter(ctx, w, req)
 }
-
-// executeQuery runs the filter -> simjoin -> distinct -> order/limit
-// pipeline over a collection snapshot.
-func (s *Service) executeQuery(ctx context.Context, w *worker, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	col, err := s.db.Collection(req.Collection)
-	if err != nil {
-		return nil, err
-	}
-	snap, ver, err := col.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{}
-	var plan []string
-	filtered := snap
-	var csel *columnSelection // non-nil when the filter stage ran columnar
-
-	// The filter stage reports its access path and measured latency back
-	// into the cost model (CostModel.ObserveFilter), so future plans and
-	// admission estimates price from observed behavior.
-	fltStart := time.Now()
-	var fltMethod core.FilterMethod
-	fltUnits := 0
-
-	if f := req.Filter; f != nil && f.isRange() {
-		lo, hi := f.bounds()
-		if err := col.Schema().ValidateFilterRange(f.Field); err != nil {
-			return nil, err
-		}
-		if f.UseIndex {
-			idx, err := s.ensureIndex(col, f.Field, core.IdxBTree)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := btreeRangeIDs(idx, lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			filtered = make([]*core.Patch, 0, len(ids))
-			for _, id := range ids {
-				p, err := col.Get(id)
-				if err != nil {
-					return nil, err
-				}
-				filtered = append(filtered, p)
-			}
-			plan = append(plan, fmt.Sprintf("btree-index(%s)", f.Field))
-			resp.EstCostSec += s.cost.FilterCost(core.FilterBTreeIndex, len(snap), len(ids))
-			fltMethod, fltUnits = core.FilterBTreeIndex, len(ids)
-		} else if cf, ok := columnFilterRange(col, f.Field, lo, hi, len(snap)); ok {
-			// Same vectorized block-at-a-time path as equality: zone maps
-			// prune blocks whose min/max cannot intersect the interval.
-			filtered = cf.rows
-			csel = cf
-			plan = append(plan, fmt.Sprintf("column-scan(%s)", f.Field))
-			resp.EstCostSec += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-			fltMethod, fltUnits = core.FilterColumnScan, len(snap)
-		} else {
-			filtered = rowFilterRange(snap, f.Field, lo, hi)
-			plan = append(plan, fmt.Sprintf("scan-filter(%s)", f.Field))
-			resp.EstCostSec += float64(len(snap)) * scanCmpCostSec
-			fltMethod, fltUnits = core.FilterScan, len(snap)
-		}
-	} else if f != nil {
-		v, err := f.value()
-		if err != nil {
-			return nil, err
-		}
-		if err := col.Schema().ValidateFilterValue(f.Field, v); err != nil {
-			return nil, err
-		}
-		if f.UseIndex {
-			idx, err := s.ensureIndex(col, f.Field, core.IdxHash)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := idx.LookupEq(v)
-			if err != nil {
-				return nil, err
-			}
-			filtered = make([]*core.Patch, 0, len(ids))
-			for _, id := range ids {
-				p, err := col.Get(id)
-				if err != nil {
-					return nil, err
-				}
-				filtered = append(filtered, p)
-			}
-			plan = append(plan, fmt.Sprintf("hash-index(%s)", f.Field))
-			resp.EstCostSec += float64(len(ids)) * s.cost.CFetch
-			fltMethod, fltUnits = core.FilterHashIndex, len(ids)
-		} else if cf, ok := columnFilterEq(col, f.Field, v, len(snap)); ok {
-			// Vectorized block-at-a-time evaluation over the collection's
-			// columnar projection: zone maps skip blocks that cannot
-			// match, surviving blocks compare typed arrays instead of
-			// paying a map lookup per patch. Results are byte-identical
-			// to the row scan (selection lists are in snapshot order).
-			filtered = cf.rows
-			csel = cf
-			plan = append(plan, fmt.Sprintf("column-scan(%s)", f.Field))
-			resp.EstCostSec += s.cost.FilterCost(core.FilterColumnScan, len(snap), 0)
-			fltMethod, fltUnits = core.FilterColumnScan, len(snap)
-		} else {
-			filtered = make([]*core.Patch, 0, len(snap)/4)
-			for _, p := range snap {
-				if mv, ok := p.Meta[f.Field]; ok && mv.Equal(v) {
-					filtered = append(filtered, p)
-				}
-			}
-			plan = append(plan, fmt.Sprintf("scan-filter(%s)", f.Field))
-			resp.EstCostSec += float64(len(snap)) * scanCmpCostSec
-			fltMethod, fltUnits = core.FilterScan, len(snap)
-		}
-	}
-	if fltMethod != 0 {
-		s.cost.ObserveFilter(fltMethod, fltUnits, time.Since(fltStart))
-	}
-
-	if sj := req.SimJoin; sj != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dim := 0
-		if fd := col.Schema().FieldNamed(sj.Field); fd != nil {
-			dim = fd.VecDim
-		}
-		if dim == 0 && len(filtered) > 0 {
-			if mv, ok := filtered[0].Meta[sj.Field]; ok {
-				dim = len(mv.V)
-			}
-		}
-		// A maintained index over the whole collection can only serve an
-		// unfiltered join.
-		hasIndex := sj.UseIndex && req.Filter == nil
-		n := len(filtered)
-		sp := s.cost.PlanSimilarityJoinVec(n, n, dim, hasIndex)
-		resp.EstCostSec += sp.EstCost
-		opts := core.SimilarityJoinOpts{
-			LeftField: sj.Field, RightField: sj.Field,
-			Eps: sj.Eps, DedupUnordered: true,
-			Device: s.observedDev(w.dev, req.tr),
-		}
-		var pairs []core.Tuple
-		switch sp.Method {
-		case core.SimVecIndexed:
-			// The maintained per-collection vector index at exactly this
-			// query's snapshot: reused across versions, incrementally
-			// extended on appends, never rebuilt per query.
-			vi, err := col.VectorIndexAt(snap, ver, sj.Field, core.VecExact)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err = core.SimilarityJoinVecIndexed(filtered, col, vi, opts)
-			if err != nil {
-				return nil, err
-			}
-		case core.SimOnTheFly:
-			pairs, err = core.SimilarityJoinOnTheFly(filtered, filtered, opts)
-			if err != nil {
-				return nil, err
-			}
-		case core.SimBatched:
-			pairs, err = core.SimilarityJoinBatched(s.db, filtered, filtered, opts)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			pairs, err = core.SimilarityJoinNested(filtered, filtered, opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		plan = append(plan, fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)",
-			sp.Method, w.dev.Kind(), sj.Field, sj.Eps))
-		if req.Distinct {
-			resp.Value = clusterCount(filtered, pairs, sj.MinCluster)
-			plan = append(plan, fmt.Sprintf("distinct(min=%d)", sj.MinCluster))
-		} else {
-			resp.Value = len(pairs)
-		}
-		resp.Plan = joinPlan(plan)
-		return resp, nil
-	}
-
-	resp.Value = len(filtered)
-	if req.OrderBy != "" || req.Limit > 0 {
-		limit := req.Limit
-		if limit <= 0 || limit > maxRows {
-			limit = maxRows
-		}
-		rows := filtered
-		if req.OrderBy != "" {
-			// Bounded top-k instead of sort-everything-then-trim: the
-			// columnar path when the filter stage left a selection (or
-			// the whole snapshot has a column), a bounded-heap row top-k
-			// otherwise. Output is identical to a stable sort + trim.
-			var ocol *core.Collection
-			if req.Filter == nil {
-				ocol = col // unfiltered: the snapshot itself may have a column
-			}
-			rows = topKRows(ocol, csel, filtered, req.OrderBy, req.Desc, limit, len(snap))
-			plan = append(plan, "order-by("+req.OrderBy+")")
-		}
-		if len(rows) > limit {
-			rows = rows[:limit]
-		}
-		resp.Rows = projectRows(rows)
-		if req.Limit > 0 {
-			plan = append(plan, fmt.Sprintf("limit(%d)", req.Limit))
-		}
-	}
-	if len(plan) == 0 {
-		plan = append(plan, "scan-count")
-	}
-	resp.Plan = joinPlan(plan)
-	return resp, nil
-}
-
-// scanCmpCostSec is the estimated cost of one metadata comparison during
-// a scan filter.
-const scanCmpCostSec = 2e-8
 
 // maxRows caps projected row output per response.
 const maxRows = 100
@@ -1190,31 +935,30 @@ func (s *Service) executeInfer(ctx context.Context, w *worker, spec *InferSpec) 
 	}, nil
 }
 
-// ensureIndex returns an index that agrees with the collection's current
-// version, building or rebuilding as needed (unsharded backend).
-func (s *Service) ensureIndex(col *core.Collection, field string, kind core.IndexKind) (*core.Index, error) {
-	return s.ensureIndexOn(s.db, "", col, field, kind)
-}
-
-// ensureIndexOn is ensureIndex against an explicit DB — the shard-local
-// form: every shard builds and serves its own indexes over its own
-// partition (scope disambiguates same-named collections across shards in
-// the build-lock table). Appends bump the version but never maintain
-// indexes incrementally, so serving a stale index would silently drop
-// the newest patches from indexed plans (and poison the version-keyed
-// result cache). Concurrent builders of the same (scope, collection,
-// field, kind) are serialized.
-func (s *Service) ensureIndexOn(db *core.DB, scope string, col *core.Collection, field string, kind core.IndexKind) (*core.Index, error) {
-	if db.HasIndex(col, field, kind) {
+// replicaIndex returns replica r of shard i's index on col that agrees
+// with the collection's current version, building or rebuilding as
+// needed: every replica builds and serves its own indexes over its own
+// partition. Appends bump the version but never maintain indexes
+// incrementally, so serving a stale index would silently drop the
+// newest patches from indexed plans (and poison the version-keyed result
+// cache). Concurrent builders of the same (replica, collection, field,
+// kind) are serialized.
+func (s *Service) replicaIndex(i, r int, col *core.Collection, field string, kind core.IndexKind) (*core.Index, error) {
+	db := s.shards.ReplicaDB(i, r)
+	current := func() (*core.Index, error) {
+		if !db.HasIndex(col, field, kind) {
+			return nil, nil
+		}
 		idx, err := db.Index(col, field, kind)
-		if err != nil {
+		if err != nil || idx.BuiltVersion != col.Version() {
 			return nil, err
 		}
-		if idx.BuiltVersion == col.Version() {
-			return idx, nil
-		}
+		return idx, nil
 	}
-	key := scope + "\x00" + col.Name() + "\x00" + field + "\x00" + kind.String()
+	if idx, err := current(); idx != nil || err != nil {
+		return idx, err
+	}
+	key := fmt.Sprintf("%d.%d\x00%s\x00%s\x00%s", i, r, col.Name(), field, kind)
 	s.buildMu.Lock()
 	mu, ok := s.builds[key]
 	if !ok {
@@ -1224,14 +968,8 @@ func (s *Service) ensureIndexOn(db *core.DB, scope string, col *core.Collection,
 	s.buildMu.Unlock()
 	mu.Lock()
 	defer mu.Unlock()
-	if db.HasIndex(col, field, kind) { // raced another builder
-		idx, err := db.Index(col, field, kind)
-		if err != nil {
-			return nil, err
-		}
-		if idx.BuiltVersion == col.Version() {
-			return idx, nil
-		}
+	if idx, err := current(); idx != nil || err != nil { // raced another builder
+		return idx, err
 	}
 	return db.BuildIndex(col, field, kind)
 }
@@ -1409,23 +1147,9 @@ func (s *Service) Stats() Stats {
 	queueDepth := len(s.queue)
 	inFlight := s.inFlight.Load()
 	s.statsMu.Unlock()
-	nshards, nreplicas := 1, 1
-	var shardInfo []core.ShardInfo
-	var extends, extReused, extTotal int64
-	var repErrs, resyncs, resyncRows int64
-	var outOfSync int
-	if s.shards != nil {
-		nshards = s.shards.NumShards()
-		nreplicas = s.shards.Replicas()
-		shardInfo = s.shards.ShardInfos()
-		extends, extReused, extTotal = s.shards.ColumnExtendStats()
-		repErrs = s.shards.ReplicaAppendErrors()
-		resyncs, resyncRows = s.shards.ResyncStats()
-		outOfSync = len(s.shards.OutOfSyncReplicas())
-	} else {
-		extends, extReused, extTotal = s.db.ColumnExtendStats()
-	}
-	idxExtends, idxRebuilds := s.indexExtendStats()
+	extends, extReused, extTotal := s.shards.ColumnExtendStats()
+	resyncs, resyncRows := s.shards.ResyncStats()
+	idxExtends, idxRebuilds := s.shards.IndexExtendStats()
 	scs := s.segCache.Stats() // nil-safe: zero record when tiering is off
 	return Stats{
 		UptimeSec:  time.Since(s.start).Seconds(),
@@ -1477,21 +1201,21 @@ func (s *Service) Stats() Stats {
 		Batcher:      bs,
 		FusionFactor: bs.FusionFactor(),
 
-		Shards:         nshards,
-		ShardInfo:      shardInfo,
+		Shards:         s.shards.NumShards(),
+		ShardInfo:      s.shards.ShardInfos(),
 		ScatterQueries: s.tel.scatterQueries.Value(),
 		ScatterTasks:   s.tel.scatterTasks.Value(),
 		MergeTimeMS:    float64(s.mergeNS.Load()) / 1e6,
 
-		Replicas:            nreplicas,
+		Replicas:            s.shards.Replicas(),
 		HedgedFragments:     s.tel.hedgedFragments.Value(),
 		FragmentRetries:     s.tel.fragmentRetries.Value(),
 		DegradedQueries:     s.tel.degradedQueries.Value(),
-		ReplicaAppendErrors: repErrs,
+		ReplicaAppendErrors: s.shards.ReplicaAppendErrors(),
 
 		ReplicaResyncs:    resyncs,
 		ResyncRows:        resyncRows,
-		OutOfSyncReplicas: outOfSync,
+		OutOfSyncReplicas: len(s.shards.OutOfSyncReplicas()),
 
 		AdmissionShed:       s.tel.admissionShed.Value(),
 		QueueCostSec:        s.adm.QueuedCostSec(),

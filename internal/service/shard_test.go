@@ -1,17 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 )
 
 // Scatter-gather tests: the sharded execution path against synthetic
@@ -144,9 +149,9 @@ func queryMatrix() []Request {
 
 func fp(f float64) *float64 { return &f }
 
-// goldenKey reduces a response to the bytes that must match between the
-// unsharded path and sharded N=1: answer, rows, plan, fingerprint and
-// cost estimate (serving metadata like durations naturally differs).
+// goldenKey reduces a response to the bytes the frozen matrix pins:
+// answer, rows, plan, fingerprint and cost estimate (serving metadata
+// like durations naturally differs).
 func goldenKey(t *testing.T, r *Response) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
@@ -162,28 +167,81 @@ func goldenKey(t *testing.T, r *Response) string {
 	return string(b)
 }
 
-// TestShardedN1GoldenEquivalence: a one-shard sharded service must be
-// byte-identical to the unsharded path on the full query matrix —
-// values, rows, plan strings, fingerprints and cost estimates.
-func TestShardedN1GoldenEquivalence(t *testing.T) {
+// updateGolden regenerates the frozen matrix from New(db)'s responses
+// (go test ./internal/service -run Golden -update). A test flag, not a
+// runtime option.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_matrix.json from New(db)'s responses")
+
+const goldenMatrixFile = "testdata/golden_matrix.json"
+
+// checkGoldenMatrix asserts that both constructors, each over a fresh
+// 240-row database, reproduce the named section of the frozen matrix
+// byte for byte. The file was recorded from the unsharded executor
+// before it was deleted, so it pins fan-out-1 behaviour (values, rows,
+// plan strings, fingerprints, cost estimates) to that path's.
+func checkGoldenMatrix(t *testing.T, section string, reqs []Request) {
+	t.Helper()
 	const rows = 240
 	cfg := Config{Workers: 2}
 	_, plain := synthUnsharded(t, rows, cfg)
 	_, sharded := synthSharded(t, 1, rows, cfg)
 	ctx := context.Background()
-	for qi, req := range queryMatrix() {
-		pr, err := plain.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("query %d unsharded: %v", qi, err)
+
+	golden := map[string][]json.RawMessage{}
+	raw, err := os.ReadFile(goldenMatrixFile)
+	if err == nil {
+		err = json.Unmarshal(raw, &golden)
+	}
+	if err != nil && !*updateGolden {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		golden[section] = nil
+		for qi, req := range reqs {
+			r, err := plain.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %d New: %v", section, qi, err)
+			}
+			golden[section] = append(golden[section], json.RawMessage(goldenKey(t, r)))
 		}
-		sr, err := sharded.Query(ctx, req)
+		out, err := json.MarshalIndent(golden, "", "  ")
 		if err != nil {
-			t.Fatalf("query %d sharded N=1: %v", qi, err)
+			t.Fatal(err)
 		}
-		if pg, sg := goldenKey(t, pr), goldenKey(t, sr); pg != sg {
-			t.Errorf("query %d diverges:\n  unsharded: %s\n  sharded-1: %s", qi, pg, sg)
+		if err := os.WriteFile(goldenMatrixFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	want := golden[section]
+	if len(want) != len(reqs) {
+		t.Fatalf("%s holds %d %s entries, the matrix has %d (rerun with -update)",
+			goldenMatrixFile, len(want), section, len(reqs))
+	}
+	for qi, req := range reqs {
+		var frozen bytes.Buffer
+		if err := json.Compact(&frozen, want[qi]); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			svc  *Service
+		}{{"New", plain}, {"NewSharded(1)", sharded}} {
+			r, err := c.svc.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s %d %s: %v", section, qi, c.name, err)
+			}
+			if got := goldenKey(t, r); got != frozen.String() {
+				t.Errorf("%s %d diverges from %s:\n  %s: %s\n  frozen: %s",
+					section, qi, goldenMatrixFile, c.name, got, frozen.String())
+			}
+		}
+	}
+}
+
+// TestShardedN1GoldenEquivalence: at fan-out 1 both constructors
+// reproduce the frozen query matrix.
+func TestShardedN1GoldenEquivalence(t *testing.T) {
+	checkGoldenMatrix(t, "query", queryMatrix())
 }
 
 // TestScatterGatherValueEquivalence: counts, pair counts and cluster
@@ -412,5 +470,40 @@ func ip(i int64) *int64 { return &i }
 func TestShardedServiceRejectsNil(t *testing.T) {
 	if _, err := NewSharded(nil, Config{}); err == nil {
 		t.Fatal("NewSharded(nil) succeeded")
+	}
+}
+
+// TestJoinTaskKeepsWorkerDeviceAtFanOutOne: a one-shard query's single
+// join task runs on its worker's own batcher, so two workers joining
+// concurrently use both devices instead of serializing on device 0. A
+// device-stall fault holds the first join on its worker long enough
+// that the second query must be claimed by the other worker.
+func TestJoinTaskKeepsWorkerDeviceAtFanOutOne(t *testing.T) {
+	cfg := Config{Workers: 2, Devices: 2, Faults: fault.Config{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.DeviceStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 300 * time.Millisecond}}}}
+	_, plain := synthUnsharded(t, 120, cfg)
+	_, sharded := synthSharded(t, 1, 120, cfg)
+	for name, svc := range map[string]*Service{"New": plain, "NewSharded(1)": sharded} {
+		join := Request{Collection: shardTestCol, SimJoin: &SimJoinSpec{Field: "emb", Eps: 0.2}, NoCache: true}
+		var wg sync.WaitGroup
+		for q := 0; q < 2; q++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := svc.Query(context.Background(), join); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}()
+			// Launch the next join only once a worker holds this one.
+			for st := svc.Stats(); st.InFlight != int64(q+1) || st.QueueDepth != 0; st = svc.Stats() {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		wg.Wait()
+		for i, b := range svc.batchers {
+			if b.Stats().Kernels == 0 {
+				t.Errorf("%s: device %d ran no kernels across two concurrent one-shard joins", name, i)
+			}
+		}
 	}
 }
