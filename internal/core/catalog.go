@@ -30,7 +30,7 @@ type DB struct {
 	sys      *kv.Bucket // catalog + counters
 	patchLoc *kv.Bucket // patch id -> collection name (global lineage resolution)
 	cols     map[string]*Collection
-	indexes  map[string]map[string]*Index // collection -> field -> index
+	indexes  map[string]*Index // descriptor key (indexKey) -> index
 
 	// Incremental column-extension counters (see Collection.Columns):
 	// how many stale stores were upgraded in place rather than rebuilt,
@@ -43,6 +43,11 @@ type DB struct {
 	// prefix-certified incremental extensions vs full builds.
 	idxExtends  atomic.Int64
 	idxRebuilds atomic.Int64
+
+	// Hash/B+ tree index maintenance counters (see Index.Sync).
+	scalarExtends  atomic.Int64
+	scalarRebuilds atomic.Int64
+	scalarInserted atomic.Int64
 
 	// cost is the planner's cost model. Every DB gets its own default;
 	// a serving layer shares one model across replica DBs (SetCostModel)
@@ -86,7 +91,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	db := &DB{
 		store: st, dev: dev, sys: sys, patchLoc: loc,
 		cols:    make(map[string]*Collection),
-		indexes: make(map[string]map[string]*Index),
+		indexes: make(map[string]*Index),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
 		db.nextID = kv.ParseU64Key(v)
@@ -297,7 +302,11 @@ func (db *DB) DropCollection(name string) error {
 		return fmt.Errorf("%w: collection %q", ErrNotFound, name)
 	}
 	delete(db.cols, name)
-	delete(db.indexes, name)
+	for k, idx := range db.indexes {
+		if idx.Col == name {
+			delete(db.indexes, k)
+		}
+	}
 	if descErr == nil {
 		if err := db.sys.Delete([]byte("col." + name)); err != nil {
 			db.mu.Unlock()
@@ -751,48 +760,72 @@ func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	c.colMu.Lock()
-	if c.colStore != nil && c.colStore.version == ver {
-		cs := c.colStore
-		c.colMu.Unlock()
-		return cs, info, nil
-	}
-	old := c.colStore
-	c.colMu.Unlock()
+	cs, use, err := refreshCached(&c.colMu,
+		func() *ColumnStore { return c.colStore },
+		func(cs *ColumnStore) { c.colStore = cs },
+		ps, ver,
+		func(prefix *ColumnStore) (*ColumnStore, Refresh, error) {
+			if prefix == nil {
+				return newColumnStoreSpill(ps, ver, c.columnSpillHandle()), RefreshRebuild, nil
+			}
+			next, st := prefix.Extend(ps, ver)
+			info.Extend = st
+			c.db.colExtends.Add(1)
+			c.db.colExtendReused.Add(int64(st.ReusedBlocks))
+			c.db.colExtendTotal.Add(int64(st.TotalBlocks))
+			return next, RefreshExtend, nil
+		})
+	info.Extended, info.Built = use == RefreshExtend, use == RefreshRebuild
+	return cs, info, err
+}
 
-	// Build or extend with colMu free: a full build projects the whole
-	// snapshot (and an extend still re-projects the tail), and holding
-	// the lock across that would stall every concurrent cache-hit reader
-	// on the collection — the same stall shape Snapshot's cold load
-	// avoids on c.mu. Racing builders at most duplicate work; the
-	// double-checked install below keeps one canonical store per version.
-	var cs *ColumnStore
-	if old != nil && old.version < ver && snapshotExtends(old.patches, ps) {
-		var st ExtendStats
-		cs, st = old.Extend(ps, ver)
-		info.Extended = true
-		info.Extend = st
-		c.db.colExtends.Add(1)
-		c.db.colExtendReused.Add(int64(st.ReusedBlocks))
-		c.db.colExtendTotal.Add(int64(st.TotalBlocks))
-	} else {
-		cs = newColumnStoreSpill(ps, ver, c.columnSpillHandle())
-		info.Built = true
-	}
+// versioned is what a collection's accelerator cache slot holds: an
+// immutable structure derived from one snapshot at one version. covers
+// answers (nil, 0) on a nil receiver — an empty slot, older than any
+// real version.
+type versioned interface {
+	covers() ([]*Patch, uint64)
+}
 
-	c.colMu.Lock()
-	switch {
-	case c.colStore != nil && c.colStore.version == ver:
-		// Another builder installed this version while we worked: adopt
-		// the canonical store (mirrors Column's raced-projector rule).
-		cs = c.colStore
-	case c.colStore == nil || c.colStore.version < ver:
-		// Cache only forward: a reader whose snapshot raced behind an
-		// append gets a private store without evicting the newer one.
-		c.colStore = cs
+// refreshCached serves the accelerator cached in one slot — read and
+// written through get/set, both called under mu — current exactly as of
+// the caller's snapshot (snap, ver): the protocol the column store and
+// the vector indexes share. The cached value is returned while its
+// version matches. Otherwise derive makes the new one, from the cached
+// value when its snapshot is a certified prefix of snap (extend) and
+// from nil when not (build). derive runs with mu free — a full build is
+// O(snapshot), and holding the lock would stall every cache-hit reader
+// of the collection — so racing callers may duplicate work; the install
+// keeps one canonical value per version, adopting a raced winner's, and
+// only moves the slot forward: a reader whose snapshot raced behind an
+// append gets a private value without evicting the newer one.
+func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap []*Patch, ver uint64,
+	derive func(prefix T) (T, Refresh, error)) (T, Refresh, error) {
+	mu.Lock()
+	old := get()
+	mu.Unlock()
+	oldSnap, oldVer := old.covers()
+	if oldVer == ver {
+		return old, RefreshHit, nil
 	}
-	c.colMu.Unlock()
-	return cs, info, nil
+	var prefix T
+	if oldVer != 0 && oldVer < ver && snapshotExtends(oldSnap, snap) {
+		prefix = old
+	}
+	next, use, err := derive(prefix)
+	if err != nil {
+		return next, use, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	cur := get()
+	switch _, curVer := cur.covers(); {
+	case curVer == ver:
+		next = cur
+	case curVer < ver:
+		set(next)
+	}
+	return next, use, nil
 }
 
 // snapshotExtends reports whether old is a prefix of next sharing the

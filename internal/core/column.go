@@ -75,6 +75,13 @@ func newColumnStoreSpill(patches []*Patch, version uint64, sp *columnSpill) *Col
 // Version is the collection version the store's snapshot reflects.
 func (cs *ColumnStore) Version() uint64 { return cs.version }
 
+func (cs *ColumnStore) covers() ([]*Patch, uint64) {
+	if cs == nil {
+		return nil, 0
+	}
+	return cs.patches, cs.version
+}
+
 // Len is the snapshot row count.
 func (cs *ColumnStore) Len() int { return len(cs.patches) }
 

@@ -287,13 +287,14 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 		col.Append(p)
 		want[int64(i%25)] = append(want[int64(i%25)], p.ID)
 	}
+	snap, ver, _ := col.Snapshot()
 	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
 		idx, err := db.BuildIndex(col, "frameno", kind)
 		if err != nil {
 			t.Fatalf("%v build: %v", kind, err)
 		}
 		for f, ids := range want {
-			got, err := idx.LookupEq(IntV(f))
+			got, err := idx.LookupEq(snap, ver, IntV(f))
 			if err != nil {
 				t.Fatalf("%v lookup: %v", kind, err)
 			}
@@ -310,7 +311,7 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 			}
 		}
 		// Missing key.
-		got, err := idx.LookupEq(IntV(999))
+		got, err := idx.LookupEq(snap, ver, IntV(999))
 		if err != nil || len(got) != 0 {
 			t.Fatalf("%v missing key: %v, %v", kind, got, err)
 		}
@@ -328,7 +329,8 @@ func TestBTreeIndexRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := IntV(20), IntV(30)
-	ids, err := idx.LookupRange(&lo, &hi)
+	snap, ver, _ := col.Snapshot()
+	ids, err := idx.LookupRange(snap, ver, &lo, &hi)
 	if err != nil || len(ids) != 10 {
 		t.Fatalf("range: %d ids, %v", len(ids), err)
 	}
@@ -353,6 +355,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	db2, _ := Open(path, exec.New(exec.CPU))
 	defer db2.Close()
 	col2, _ := db2.Collection("dets")
+	snap, ver, _ := col2.Snapshot()
 	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
 		if !db2.HasIndex(col2, "frameno", kind) {
 			t.Fatalf("%v index descriptor lost", kind)
@@ -361,7 +364,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, err := idx.LookupEq(IntV(3))
+		ids, err := idx.LookupEq(snap, ver, IntV(3))
 		if err != nil || len(ids) != 10 {
 			t.Fatalf("%v reopen lookup: %d, %v", kind, len(ids), err)
 		}

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/balltree"
 	"repro/internal/btree"
 	"repro/internal/hashidx"
-	"repro/internal/kdtree"
 	"repro/internal/lsh"
 	"repro/internal/rtree"
 )
@@ -27,7 +27,6 @@ const (
 	IdxHash
 	IdxRTree
 	IdxBallTree
-	IdxKDTree
 	IdxLSH
 )
 
@@ -41,8 +40,6 @@ func (k IndexKind) String() string {
 		return "rtree"
 	case IdxBallTree:
 		return "balltree"
-	case IdxKDTree:
-		return "kdtree"
 	case IdxLSH:
 		return "lsh"
 	default:
@@ -50,28 +47,58 @@ func (k IndexKind) String() string {
 	}
 }
 
+// scalar reports whether k is one of the two single-attribute kinds that
+// live in the page file and follow their collection's version.
+func (k IndexKind) scalar() bool { return k == IdxBTree || k == IdxHash }
+
+// Refresh is the outcome of serving an accelerator (column store, vector
+// index, hash or B+ tree index) current as of one snapshot: the three
+// arms of the certify → extend → rebuild lifecycle.
+type Refresh int
+
+// Lifecycle outcomes.
+const (
+	RefreshHit     Refresh = iota // already current for the caller's snapshot
+	RefreshExtend                 // covered a certified prefix: only the appended rows were added
+	RefreshRebuild                // certification failed: built from the whole snapshot
+)
+
+func (r Refresh) String() string {
+	return [...]string{"hit", "extend", "rebuild"}[r]
+}
+
 // Index is a secondary index over one metadata field of a collection.
-// B+ tree and hash indexes are persistent (they live in the database's
-// page file); the multidimensional indexes are memory-resident and
-// rebuilt on demand after reopen (descriptor-tracked).
+//
+// Hash and B+ tree indexes are persistent (they live in the database's
+// page file) and maintained: every probe names the snapshot it executes
+// over and first brings the index current for it (see sync). One Index
+// value serves each (collection, field, kind) of a DB; its mutex
+// serializes maintenance with every probe (the B+ tree's node cache is
+// unsynchronized).
+//
+// The multidimensional indexes are memory-resident, immutable once
+// built, and rebuilt on demand after reopen (descriptor-tracked).
 type Index struct {
 	Kind  IndexKind
 	Col   string
 	Field string
-	// BuildTime records construction cost (Figure 6's subject).
+	// BuildTime records the last full construction's cost (Figure 6's
+	// subject).
 	BuildTime time.Duration
-	// BuiltVersion is the collection version the index was built over.
-	// Appends bump the collection's version but never update indexes, so
-	// a reader needing index/collection agreement must compare this
-	// against Collection.Version() and rebuild on mismatch.
-	BuiltVersion uint64
 
-	bt   *btree.Tree
-	hash *hashidx.Index
 	rt   *rtree.Tree
 	ball *balltree.Tree
-	kd   *kdtree.Tree
 	lshI *lsh.Index
+
+	// Scalar kinds, guarded by mu: the structure, the collection version
+	// it reflects (0 = nothing usable yet) and the exact snapshot slice it
+	// covers, compared with a prober's by element identity.
+	db      *DB
+	mu      sync.Mutex
+	bt      *btree.Tree
+	hash    *hashidx.Index
+	version uint64
+	covered []*Patch
 }
 
 type idxDesc struct {
@@ -101,42 +128,31 @@ func vecOf(p *Patch, field string) ([]float32, bool) {
 	return v.V, true
 }
 
-// BuildIndex constructs an index of the given kind over field on col and
-// registers it. Rebuilding an existing (col, field, kind) replaces it.
+// BuildIndex constructs an index of the given kind over field on col's
+// current snapshot and registers it. A hash or B+ tree index that
+// already exists is rebuilt in place, a multidimensional one replaced.
 func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index, error) {
 	patches, version, err := col.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{Kind: kind, Col: col.Name(), Field: field, BuiltVersion: version}
-	start := time.Now()
-	switch kind {
-	case IdxBTree:
-		t := btree.New(db.store.Pager())
-		for _, p := range patches {
-			k, err := compositeKey(p, field)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.Put(k, nil); err != nil {
-				return nil, err
-			}
-		}
-		idx.bt = t
-	case IdxHash:
-		h, err := hashidx.Create(db.store.Pager())
+	if kind.scalar() {
+		// Build = create empty + the maintenance every probe runs.
+		idx, err := db.openIndex(col, field, kind, true)
 		if err != nil {
 			return nil, err
 		}
-		idx.hash = h
-		for _, p := range patches {
-			if err := hashPostingAdd(h, p, field); err != nil {
-				return nil, err
-			}
-		}
-		if err := h.Flush(); err != nil {
+		idx.mu.Lock()
+		defer idx.mu.Unlock()
+		idx.version = 0
+		if _, err := idx.sync(patches, version); err != nil {
 			return nil, err
 		}
+		return idx, nil
+	}
+	idx := &Index{Kind: kind, Col: col.Name(), Field: field}
+	start := time.Now()
+	switch kind {
 	case IdxRTree:
 		dim := 2
 		t := rtree.New(dim)
@@ -163,18 +179,6 @@ func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index,
 			return nil, err
 		}
 		idx.ball = t
-	case IdxKDTree:
-		var pts []kdtree.Point
-		for _, p := range patches {
-			if vec, ok := vecOf(p, field); ok {
-				pts = append(pts, kdtree.Point{Vec: vec, ID: uint64(p.ID)})
-			}
-		}
-		t, err := kdtree.Build(pts)
-		if err != nil {
-			return nil, err
-		}
-		idx.kd = t
 	case IdxLSH:
 		dim := 0
 		for _, p := range patches {
@@ -202,244 +206,321 @@ func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index,
 		return nil, fmt.Errorf("core: unknown index kind %v", kind)
 	}
 	idx.BuildTime = time.Since(start)
-
-	// Register.
-	d := idxDesc{Kind: kind, Col: col.Name(), Field: field, Version: version}
-	switch kind {
-	case IdxBTree:
-		d.Root = idx.bt.Root()
-	case IdxHash:
-		d.Root = idx.hash.Meta()
-	}
-	dv, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.sys.Put([]byte(indexKey(col.Name(), field, kind)), dv); err != nil {
+	if err := db.saveIndexDesc(idxDesc{Kind: kind, Col: col.Name(), Field: field, Version: version}); err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
-	if db.indexes[col.Name()] == nil {
-		db.indexes[col.Name()] = make(map[string]*Index)
-	}
-	db.indexes[col.Name()][field+"/"+kind.String()] = idx
+	db.indexes[indexKey(idx.Col, field, kind)] = idx
 	db.mu.Unlock()
 	return idx, nil
+}
+
+func (db *DB) saveIndexDesc(d idxDesc) error {
+	dv, err := json.Marshal(d)
+	if err != nil {
+		return err
+	}
+	return db.sys.Put([]byte(indexKey(d.Col, d.Field, d.Kind)), dv)
+}
+
+// registered returns the in-memory index under key, or nil.
+func (db *DB) registered(key string) *Index {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.indexes[key]
 }
 
 // Index returns a registered index, reopening persistent ones and
 // rebuilding memory-resident ones as needed. Returns ErrNotFound when no
 // such index was ever built.
 func (db *DB) Index(col *Collection, field string, kind IndexKind) (*Index, error) {
-	db.mu.RLock()
-	if m := db.indexes[col.Name()]; m != nil {
-		if idx, ok := m[field+"/"+kind.String()]; ok {
-			db.mu.RUnlock()
-			return idx, nil
-		}
+	return db.openIndex(col, field, kind, false)
+}
+
+// EnsureIndex is Index for the hash and B+ tree kinds, creating the
+// index when none exists. Creation is free — the first probe builds it
+// — and atomic: concurrent first users share one Index and one build.
+func (db *DB) EnsureIndex(col *Collection, field string, kind IndexKind) (*Index, error) {
+	if !kind.scalar() {
+		return nil, fmt.Errorf("core: %v index is built with BuildIndex, not on demand", kind)
 	}
-	db.mu.RUnlock()
-	v, err := db.sys.Get([]byte(indexKey(col.Name(), field, kind)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: index %s on %s.%s", ErrNotFound, kind, col.Name(), field)
-	}
-	var d idxDesc
-	if err := json.Unmarshal(v, &d); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case IdxBTree:
-		idx := &Index{Kind: kind, Col: d.Col, Field: d.Field, BuiltVersion: d.Version,
-			bt: btree.Open(db.store.Pager(), d.Root)}
-		db.registerMem(col.Name(), field, kind, idx)
+	return db.openIndex(col, field, kind, true)
+}
+
+// openIndex returns the one Index value serving (col, field, kind): the
+// registered one; else from the descriptor — a memory-resident kind
+// rebuilt, a persisted one reopened if the collection still stands at
+// the version it recorded and otherwise left for the first probe to
+// rebuild; else, with create, a new empty one.
+func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bool) (*Index, error) {
+	key := indexKey(col.Name(), field, kind)
+	if idx := db.registered(key); idx != nil {
 		return idx, nil
-	case IdxHash:
-		h, err := hashidx.Open(db.store.Pager(), d.Root)
+	}
+	idx := &Index{Kind: kind, Col: col.Name(), Field: field, db: db}
+	v, err := db.sys.Get([]byte(key))
+	switch {
+	case err != nil && !create:
+		return nil, fmt.Errorf("%w: index %s on %s.%s", ErrNotFound, kind, col.Name(), field)
+	case err != nil: // nothing persisted: the index starts empty
+	case !kind.scalar():
+		return db.BuildIndex(col, field, kind)
+	default:
+		var d idxDesc
+		if err := json.Unmarshal(v, &d); err != nil {
+			return nil, err
+		}
+		snap, ver, err := col.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		idx := &Index{Kind: kind, Col: d.Col, Field: d.Field, BuiltVersion: d.Version, hash: h}
-		db.registerMem(col.Name(), field, kind, idx)
-		return idx, nil
-	default:
-		// Memory-resident: rebuild from the collection.
-		return db.BuildIndex(col, field, kind)
-	}
-}
-
-// HasIndex reports whether an index descriptor exists without building.
-func (db *DB) HasIndex(col *Collection, field string, kind IndexKind) bool {
-	db.mu.RLock()
-	if m := db.indexes[col.Name()]; m != nil {
-		if _, ok := m[field+"/"+kind.String()]; ok {
-			db.mu.RUnlock()
-			return true
+		if ver == d.Version {
+			if kind == IdxBTree {
+				idx.bt = btree.Open(db.store.Pager(), d.Root)
+			} else if idx.hash, err = hashidx.Open(db.store.Pager(), d.Root); err != nil {
+				return nil, err
+			}
+			idx.version, idx.covered = ver, snap
 		}
 	}
-	db.mu.RUnlock()
-	_, err := db.sys.Get([]byte(indexKey(col.Name(), field, kind)))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if cur := db.indexes[key]; cur != nil {
+		return cur, nil // raced another opener: its value is the one everybody locks
+	}
+	db.indexes[key] = idx
+	return idx, nil
+}
+
+// HasIndex reports whether an index exists without building it.
+func (db *DB) HasIndex(col *Collection, field string, kind IndexKind) bool {
+	key := indexKey(col.Name(), field, kind)
+	if db.registered(key) != nil {
+		return true
+	}
+	_, err := db.sys.Get([]byte(key))
 	return err == nil
 }
 
-func (db *DB) registerMem(col, field string, kind IndexKind, idx *Index) {
-	db.mu.Lock()
-	if db.indexes[col] == nil {
-		db.indexes[col] = make(map[string]*Index)
-	}
-	db.indexes[col][field+"/"+kind.String()] = idx
-	db.mu.Unlock()
+// ScalarIndexStats reports hash/B+ tree index maintenance across the
+// DB: probes that extended an index by its collection's appended rows,
+// full builds, and the rows both inserted.
+func (db *DB) ScalarIndexStats() (extends, rebuilds, inserted int64) {
+	return db.scalarExtends.Load(), db.scalarRebuilds.Load(), db.scalarInserted.Load()
 }
 
-// compositeKey encodes (field value, patch id) for duplicate-tolerant
-// B+ tree indexing; prefix scans give equality and range lookups.
-func compositeKey(p *Patch, field string) ([]byte, error) {
-	v, ok := p.Meta[field]
+// Sync brings a hash or B+ tree index current for the snapshot (snap,
+// ver) and reports what that took. Every lookup does this itself; a
+// caller that wants maintenance accounted apart from the probe (its
+// span attribute, its cost observation) calls Sync first.
+func (idx *Index) Sync(snap []*Patch, ver uint64) (Refresh, error) {
+	if !idx.Kind.scalar() {
+		return 0, fmt.Errorf("core: %v index is not maintained", idx.Kind)
+	}
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	return idx.sync(snap, ver)
+}
+
+// sync is the lifecycle step; callers hold idx.mu. Hit: the version
+// matches, or snap is a prefix of the covered rows (a reader that raced
+// behind the index; probe drops the ids it cannot see). Extend: the
+// covered rows are a certified prefix of snap — only snap[covered:] is
+// inserted, by the loop a build runs, so the structure is the one a
+// fresh build over snap produces. Anything else rebuilds into a new
+// structure (the replaced one's pages are not freed yet).
+func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
+	use, from := RefreshRebuild, 0
+	if idx.version != 0 {
+		switch {
+		case ver == idx.version, len(snap) < len(idx.covered) && snapshotExtends(snap, idx.covered):
+			return RefreshHit, nil
+		case snapshotExtends(idx.covered, snap):
+			use, from = RefreshExtend, len(idx.covered)
+		}
+	}
+	start := time.Now()
+	// A failure below leaves the structure half-written: version 0 makes
+	// the next probe rebuild rather than trust it.
+	idx.version = 0
+	if use == RefreshRebuild {
+		var err error
+		if idx.Kind == IdxBTree {
+			idx.bt = btree.New(idx.db.store.Pager())
+		} else if idx.hash, err = hashidx.Create(idx.db.store.Pager()); err != nil {
+			return use, err
+		}
+	}
+	for _, p := range snap[from:] {
+		if err := idx.insert(p); err != nil {
+			return use, err
+		}
+	}
+	d := idxDesc{Kind: idx.Kind, Col: idx.Col, Field: idx.Field, Version: ver}
+	if idx.Kind == IdxBTree {
+		d.Root = idx.bt.Root()
+	} else {
+		if err := idx.hash.Flush(); err != nil {
+			return use, err
+		}
+		d.Root = idx.hash.Meta()
+	}
+	if err := idx.db.saveIndexDesc(d); err != nil {
+		return use, err
+	}
+	idx.version, idx.covered = ver, snap
+	if use == RefreshRebuild {
+		idx.BuildTime = time.Since(start)
+		idx.db.scalarRebuilds.Add(1)
+	} else {
+		idx.db.scalarExtends.Add(1)
+	}
+	idx.db.scalarInserted.Add(int64(len(snap) - from))
+	return use, nil
+}
+
+// probe runs look against the index made current for (snap, ver), all
+// under the index mutex, and returns exactly the ids visible in snap.
+func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error)) ([]PatchID, error) {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if _, err := idx.sync(snap, ver); err != nil {
+		return nil, err
+	}
+	ids, err := look()
+	if err != nil || len(snap) >= len(idx.covered) {
+		return ids, err
+	}
+	newer := make(map[PatchID]struct{}, len(idx.covered)-len(snap))
+	for _, p := range idx.covered[len(snap):] {
+		newer[p.ID] = struct{}{}
+	}
+	out := ids[:0]
+	for _, id := range ids {
+		if _, hidden := newer[id]; !hidden {
+			out = append(out, id)
+		}
+	}
+	return out, nil
+}
+
+// insert adds p's entry. B+ tree: a composite (field value, patch id)
+// key, duplicate-tolerant, so prefix scans give equality and range
+// lookups. Hash: the id appended to the value's last posting chunk.
+func (idx *Index) insert(p *Patch) error {
+	v, ok := p.Meta[idx.Field]
 	if !ok {
-		return nil, fmt.Errorf("core: patch %d lacks field %q", p.ID, field)
+		return fmt.Errorf("core: patch %d lacks field %q", p.ID, idx.Field)
 	}
 	sk, err := v.SortKey()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	k := make([]byte, 2+len(sk)+8)
-	binary.BigEndian.PutUint16(k, uint16(len(sk)))
-	copy(k[2:], sk)
-	binary.BigEndian.PutUint64(k[2+len(sk):], uint64(p.ID))
-	return k, nil
+	if idx.Kind == IdxBTree {
+		return idx.bt.Put(binary.BigEndian.AppendUint64(compositePrefix(sk), uint64(p.ID)), nil)
+	}
+	var key, last []byte
+	if err := idx.postings(sk, func(k, ids []byte) { key, last = k, ids }); err != nil {
+		return err
+	}
+	return idx.hash.Put(key, binary.LittleEndian.AppendUint64(last, uint64(p.ID)))
 }
 
-func compositePrefix(v Value) ([]byte, error) {
-	sk, err := v.SortKey()
-	if err != nil {
-		return nil, err
+// postings walks a value's posting list in the hash index — key =
+// sortkey || chunk number, each chunk holding up to postingChunk ids —
+// up to and including the first chunk with room (possibly absent).
+func (idx *Index) postings(sk []byte, fn func(key, ids []byte)) error {
+	for chunk := uint32(0); ; chunk++ {
+		key := binary.BigEndian.AppendUint32(bytes.Clone(sk), chunk)
+		ids, err := idx.hash.Get(key)
+		if err != nil && !errors.Is(err, hashidx.ErrNotFound) {
+			return err
+		}
+		fn(key, ids)
+		if len(ids)/8 < postingChunk {
+			return nil
+		}
 	}
-	k := make([]byte, 2+len(sk))
-	binary.BigEndian.PutUint16(k, uint16(len(sk)))
-	copy(k[2:], sk)
-	return k, nil
+}
+
+const postingChunk = 400
+
+// compositePrefix is the part of a composite key that encodes the value.
+func compositePrefix(sk []byte) []byte {
+	return append(binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(sk)+8), uint16(len(sk))), sk...)
 }
 
 func compositePatchID(k []byte) PatchID {
 	return PatchID(binary.BigEndian.Uint64(k[len(k)-8:]))
 }
 
-// hash posting lists: key = sortkey || chunk number; each chunk holds up
-// to postingChunk ids.
-const postingChunk = 400
-
-func hashPostingAdd(h *hashidx.Index, p *Patch, field string) error {
-	v, ok := p.Meta[field]
-	if !ok {
-		return fmt.Errorf("core: patch %d lacks field %q", p.ID, field)
-	}
+// LookupEq returns the ids of the patches in snap with field == v (hash
+// or B+ tree index), after bringing the index current for (snap, ver) —
+// the snapshot the caller executes over, so index contents and query
+// visibility can never skew.
+func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error) {
 	sk, err := v.SortKey()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for chunk := uint32(0); ; chunk++ {
-		key := postingKey(sk, chunk)
-		cur, err := h.Get(key)
-		if errors.Is(err, hashidx.ErrNotFound) {
-			cur = nil
-		} else if err != nil {
-			return err
-		}
-		if len(cur)/8 < postingChunk {
-			var idb [8]byte
-			binary.LittleEndian.PutUint64(idb[:], uint64(p.ID))
-			return h.Put(key, append(cur, idb[:]...))
-		}
-	}
-}
-
-func postingKey(sk []byte, chunk uint32) []byte {
-	k := make([]byte, len(sk)+4)
-	copy(k, sk)
-	binary.BigEndian.PutUint32(k[len(sk):], chunk)
-	return k
-}
-
-// LookupEq returns the patch ids with field == v (hash or B+ tree index).
-func (idx *Index) LookupEq(v Value) ([]PatchID, error) {
 	switch idx.Kind {
 	case IdxHash:
-		sk, err := v.SortKey()
-		if err != nil {
-			return nil, err
-		}
-		var out []PatchID
-		for chunk := uint32(0); ; chunk++ {
-			cur, err := idx.hash.Get(postingKey(sk, chunk))
-			if errors.Is(err, hashidx.ErrNotFound) {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			for off := 0; off+8 <= len(cur); off += 8 {
-				out = append(out, PatchID(binary.LittleEndian.Uint64(cur[off:])))
-			}
-			if len(cur)/8 < postingChunk {
-				return out, nil
-			}
-		}
-	case IdxBTree:
-		prefix, err := compositePrefix(v)
-		if err != nil {
-			return nil, err
-		}
-		var out []PatchID
-		end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-		err = idx.bt.Scan(prefix, end, func(k, _ []byte) bool {
-			if bytes.HasPrefix(k, prefix) {
-				out = append(out, compositePatchID(k))
-			}
-			return true
+		return idx.probe(snap, ver, func() (out []PatchID, err error) {
+			err = idx.postings(sk, func(_, ids []byte) {
+				for off := 0; off+8 <= len(ids); off += 8 {
+					out = append(out, PatchID(binary.LittleEndian.Uint64(ids[off:])))
+				}
+			})
+			return out, err
 		})
-		return out, err
+	case IdxBTree:
+		// Every composite key of the value, and no other, sorts between its
+		// prefix and the prefix followed by an id past the largest.
+		prefix := compositePrefix(sk)
+		return idx.scan(snap, ver, prefix, append(bytes.Clone(prefix), bytes.Repeat([]byte{0xFF}, 9)...))
 	default:
 		return nil, fmt.Errorf("core: %v index does not support equality lookup", idx.Kind)
 	}
 }
 
-// LookupRange returns patch ids with lo <= field < hi (B+ tree only).
-// Nil bounds are unbounded.
-func (idx *Index) LookupRange(lo, hi *Value) ([]PatchID, error) {
+// LookupRange returns the ids of the patches in snap with lo <= field <
+// hi (B+ tree only; nil bounds are unbounded), current for (snap, ver)
+// like LookupEq.
+func (idx *Index) LookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]PatchID, error) {
 	if idx.Kind != IdxBTree {
 		return nil, fmt.Errorf("core: %v index does not support range lookup", idx.Kind)
 	}
-	var loK, hiK []byte
-	var err error
-	if lo != nil {
-		if loK, err = compositePrefix(*lo); err != nil {
-			return nil, err
+	var keys [2][]byte
+	for i, bound := range []*Value{lo, hi} {
+		if bound != nil {
+			sk, err := bound.SortKey()
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = compositePrefix(sk)
 		}
 	}
-	if hi != nil {
-		if hiK, err = compositePrefix(*hi); err != nil {
-			return nil, err
-		}
-	}
-	var out []PatchID
-	err = idx.bt.Scan(loK, hiK, func(k, _ []byte) bool {
-		out = append(out, compositePatchID(k))
-		return true
+	return idx.scan(snap, ver, keys[0], keys[1])
+}
+
+// scan is the B+ tree probe: the ids under keys in [lo, hi), key order.
+func (idx *Index) scan(snap []*Patch, ver uint64, lo, hi []byte) ([]PatchID, error) {
+	return idx.probe(snap, ver, func() (out []PatchID, err error) {
+		err = idx.bt.Scan(lo, hi, func(k, _ []byte) bool {
+			out = append(out, compositePatchID(k))
+			return true
+		})
+		return out, err
 	})
-	return out, err
 }
 
 // LookupSimilar returns patch ids whose indexed vector lies within eps of
-// q (ball tree, KD-tree or LSH).
+// q (ball tree or LSH).
 func (idx *Index) LookupSimilar(q []float32, eps float64) ([]PatchID, error) {
 	var out []PatchID
 	switch idx.Kind {
 	case IdxBallTree:
 		idx.ball.RangeSearch(q, eps, func(p balltree.Point, _ float64) bool {
-			out = append(out, PatchID(p.ID))
-			return true
-		})
-	case IdxKDTree:
-		idx.kd.RangeSearch(q, eps, func(p kdtree.Point, _ float64) bool {
 			out = append(out, PatchID(p.ID))
 			return true
 		})

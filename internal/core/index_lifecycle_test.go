@@ -1,0 +1,370 @@
+package core
+
+import (
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/exec"
+)
+
+// Hash/B+ tree index lifecycle tests: an index that followed its
+// collection by extension must be indistinguishable — ids and their
+// order — from one freshly built over the same snapshot, and both must
+// agree with the scan; certification failures rebuild, nothing else does.
+
+// lifecycleSchema leaves "key" undeclared so one field can carry int and
+// float values (kind-prefixed sort keys: two disjoint key regions).
+func lifecycleSchema() Schema {
+	return Schema{Fields: []Field{{Name: "label", Kind: KindStr}}}
+}
+
+// lifecyclePatch is row i of the deterministic stream: label "hot" on
+// two rows of three (one posting list that crosses chunk boundaries
+// quickly), key cycling ints 0..36 with every fifth row a float.
+func lifecyclePatch(i int) *Patch {
+	label := "hot"
+	if i%3 == 2 {
+		label = "cold"
+	}
+	key := IntV(int64(i % 37))
+	if i%5 == 0 {
+		key = FloatV(float64(i%37) + 0.5)
+	}
+	return &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{"label": StrV(label), "key": key}}
+}
+
+func appendLifecycle(t testing.TB, col *Collection, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := col.Append(lifecyclePatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// scanIDs is the reference: ids of snap's rows satisfying pred, in
+// snapshot order.
+func scanIDs(snap []*Patch, pred func(*Patch) bool) []PatchID {
+	var out []PatchID
+	for _, p := range snap {
+		if pred(p) {
+			out = append(out, p.ID)
+		}
+	}
+	return out
+}
+
+// indexAnswers runs the probe set against both indexes over (snap, ver):
+// every distinct label through the hash index, every key value through
+// B+ tree equality, and a few B+ tree ranges in each numeric key region.
+func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[string][]PatchID {
+	t.Helper()
+	out := map[string][]PatchID{}
+	for _, l := range []string{"hot", "cold", "absent"} {
+		ids, err := hash.LookupEq(snap, ver, StrV(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["hash:"+l] = ids
+	}
+	for k := 0; k < 37; k += 6 {
+		for _, v := range []Value{IntV(int64(k)), FloatV(float64(k) + 0.5)} {
+			ids, err := bt.LookupEq(snap, ver, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["bteq:"+fmt.Sprint(v)] = ids
+		}
+	}
+	for _, r := range [][2]Value{
+		{IntV(3), IntV(11)}, {IntV(0), IntV(37)}, {IntV(36), IntV(36)},
+		{FloatV(2.5), FloatV(20)}, {FloatV(-1), FloatV(100)},
+	} {
+		lo, hi := r[0], r[1]
+		ids, err := bt.LookupRange(snap, ver, &lo, &hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["btrange:"+fmt.Sprint(lo, "..", hi)] = ids
+	}
+	return out
+}
+
+// checkAgainstScan compares the equality answers with the scan exactly
+// (posting lists and same-key B+ tree entries are in id order, which is
+// snapshot order here) and the range answers as sets.
+func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap []*Patch) {
+	t.Helper()
+	for _, l := range []string{"hot", "cold", "absent"} {
+		want := scanIDs(snap, func(p *Patch) bool { return p.Meta["label"].S == l })
+		if !reflect.DeepEqual(got["hash:"+l], want) {
+			t.Fatalf("%s: hash %q: %d ids, scan %d", stage, l, len(got["hash:"+l]), len(want))
+		}
+	}
+	for k := 0; k < 37; k += 6 {
+		for _, v := range []Value{IntV(int64(k)), FloatV(float64(k) + 0.5)} {
+			want := scanIDs(snap, func(p *Patch) bool { return p.Meta["key"].Equal(v) })
+			if !reflect.DeepEqual(got["bteq:"+fmt.Sprint(v)], want) {
+				t.Fatalf("%s: btree eq %v: %v, scan %v", stage, v, got["bteq:"+fmt.Sprint(v)], want)
+			}
+		}
+	}
+	inRange := func(lo, hi Value) func(*Patch) bool {
+		return func(p *Patch) bool {
+			v := p.Meta["key"]
+			if v.Kind != lo.Kind {
+				return false
+			}
+			if v.Kind == KindInt {
+				return v.I >= lo.I && v.I < hi.I
+			}
+			return v.F >= lo.F && v.F < hi.F
+		}
+	}
+	for _, r := range [][2]Value{
+		{IntV(3), IntV(11)}, {IntV(0), IntV(37)}, {IntV(36), IntV(36)},
+		{FloatV(2.5), FloatV(20)}, {FloatV(-1), FloatV(100)},
+	} {
+		g := append([]PatchID(nil), got["btrange:"+fmt.Sprint(r[0], "..", r[1])]...)
+		want := scanIDs(snap, inRange(r[0], r[1]))
+		sortIDs(g)
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: btree range %v..%v: %d ids, scan %d", stage, r[0], r[1], len(g), len(want))
+		}
+	}
+}
+
+// TestIndexExtendEqualsFreshBuildEqualsScan pins the contract across
+// alignments: no new rows, one row, a posting list crossing the
+// postingChunk boundary, and enough rows to split B+ tree leaves and the
+// (leaf) root — with int and float keys in one field throughout.
+func TestIndexExtendEqualsFreshBuildEqualsScan(t *testing.T) {
+	for _, tc := range []struct{ oldN, n int }{
+		{120, 120}, // version stands: pure hit
+		{120, 121}, // one row
+		{0, 50},    // empty prefix
+		{postingChunk*3/2 - 7, 2*postingChunk*3/2 + 9}, // "hot" crosses a chunk boundary mid-extend
+		{100, 900}, // single-leaf root, then leaf and root splits
+	} {
+		db := openDB(t)
+		col, err := db.CreateCollection("c", lifecycleSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendLifecycle(t, col, 0, tc.oldN)
+		hash, err := db.BuildIndex(col, "label", IdxHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := db.BuildIndex(col, "key", IdxBTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendLifecycle(t, col, tc.oldN, tc.n)
+		snap, ver, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, r0, n0 := db.ScalarIndexStats()
+		extended := indexAnswers(t, hash, bt, snap, ver)
+		e1, r1, n1 := db.ScalarIndexStats()
+		wantExtends := int64(2)
+		if tc.n == tc.oldN {
+			wantExtends = 0
+		}
+		if r1 != r0 || e1 != wantExtends || n1-n0 != 2*int64(tc.n-tc.oldN) {
+			t.Fatalf("%d->%d: extends %d rebuilds +%d inserted +%d, want %d/0/%d",
+				tc.oldN, tc.n, e1, r1-r0, n1-n0, wantExtends, 2*(tc.n-tc.oldN))
+		}
+		checkAgainstScan(t, "extended", extended, snap)
+
+		// Rebuild both in place over the same snapshot.
+		if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
+			t.Fatal(err)
+		}
+		if _, r2, _ := db.ScalarIndexStats(); r2 != r1+2 {
+			t.Fatalf("BuildIndex over a live index did not rebuild: %d -> %d", r1, r2)
+		}
+		fresh := indexAnswers(t, hash, bt, snap, ver)
+		if !reflect.DeepEqual(extended, fresh) {
+			t.Fatalf("%d->%d: extended index answers diverge from a fresh build", tc.oldN, tc.n)
+		}
+	}
+}
+
+// TestStaleIndexPlansSeeAppends: an index built before the collection
+// grew must serve every row through core's own planner path and through
+// the index join (both dropped the appended rows before indexes
+// followed the collection version).
+func TestStaleIndexPlansSeeAppends(t *testing.T) {
+	db := openDB(t)
+	col, _ := db.CreateCollection("dets", simpleSchema())
+	left, _ := db.CreateCollection("l", simpleSchema())
+	for i := 0; i < 50; i++ {
+		col.Append(mkPatch("car", int64(i%12)))
+		left.Append(mkPatch("player", int64(i%8)))
+	}
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	joinIdx, err := db.BuildIndex(col, "frameno", IdxHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 50; i < 60; i++ {
+		col.Append(mkPatch("car", int64(i%12)))
+	}
+
+	m, err := db.PlanFilter(col, "label", StrV("car"))
+	if err != nil || m != FilterHashIndex {
+		t.Fatalf("plan = %v, %v", m, err)
+	}
+	indexed, err := db.ExecuteFilter(col, "label", StrV("car"), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := db.ExecuteFilter(col, "label", StrV("car"), FilterScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan) != 60 || !reflect.DeepEqual(indexed, scan) {
+		t.Fatalf("indexed plan returned %d rows, scan %d", len(indexed), len(scan))
+	}
+
+	ij, err := Drain(IndexEquiJoin(db, left.Scan(), "frameno", col, joinIdx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hj, _ := Drain(HashEquiJoin(left.Scan(), col.Scan(), "frameno", "frameno"))
+	if len(hj) == 0 || len(ij) != len(hj) {
+		t.Fatalf("index join %d rows over the grown collection, hash join %d", len(ij), len(hj))
+	}
+}
+
+// TestIndexReaderBehindAndCacheReload: a reader whose snapshot raced
+// behind the index is answered from it without the newer rows (no
+// maintenance), and a reloaded snapshot cache — fresh Patch objects, so
+// prefix certification fails — rebuilds.
+func TestIndexReaderBehindAndCacheReload(t *testing.T) {
+	db := openDB(t)
+	col, _ := db.CreateCollection("c", lifecycleSchema())
+	appendLifecycle(t, col, 0, 500)
+	hash, _ := db.BuildIndex(col, "label", IdxHash)
+	bt, _ := db.BuildIndex(col, "key", IdxBTree)
+	oldSnap, oldVer, _ := col.Snapshot()
+
+	appendLifecycle(t, col, 500, 640)
+	snap, ver, _ := col.Snapshot()
+	checkAgainstScan(t, "current", indexAnswers(t, hash, bt, snap, ver), snap)
+	e0, r0, _ := db.ScalarIndexStats()
+	checkAgainstScan(t, "behind", indexAnswers(t, hash, bt, oldSnap, oldVer), oldSnap)
+	checkAgainstScan(t, "current again", indexAnswers(t, hash, bt, snap, ver), snap)
+	if e, r, _ := db.ScalarIndexStats(); e != e0 || r != r0 {
+		t.Fatalf("a reader behind the index moved it: extends %d->%d rebuilds %d->%d", e0, e, r0, r)
+	}
+
+	col.InvalidateCache()
+	appendLifecycle(t, col, 640, 641)
+	snap, ver, _ = col.Snapshot()
+	checkAgainstScan(t, "reloaded", indexAnswers(t, hash, bt, snap, ver), snap)
+	if e, r, _ := db.ScalarIndexStats(); e != e0 || r != r0+2 {
+		t.Fatalf("cache reload: extends %d->%d rebuilds %d->%d, want two rebuilds", e0, e, r0, r)
+	}
+}
+
+// TestReopenedIndexKeepsVersionAndServesConcurrentProbes: an index
+// reopened while the collection still stands at the version it was
+// persisted at is current (no rebuild), and concurrent range probes —
+// two workers serving use_index range queries after a restart —
+// serialize on the index instead of racing on the B+ tree's node cache.
+// Appends then extend it. Reopened after the collection moved on, it
+// rebuilds.
+func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("c", lifecycleSchema())
+	appendLifecycle(t, col, 0, 2000)
+	if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col2, _ := db2.Collection("c")
+	bt, err := db2.Index(col2, "key", IdxBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := db2.Index(col2, "label", IdxHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ver, _ := col2.Snapshot()
+	lo, hi := IntV(5), IntV(30)
+	want := scanIDs(snap, func(p *Patch) bool { v := p.Meta["key"]; return v.Kind == KindInt && v.I >= 5 && v.I < 30 })
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids, err := bt.LookupRange(snap, ver, &lo, &hi)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sortIDs(ids)
+			if !reflect.DeepEqual(ids, want) {
+				t.Errorf("concurrent range probe: %d ids, scan %d", len(ids), len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	checkAgainstScan(t, "reopened", indexAnswers(t, hash, bt, snap, ver), snap)
+	if e, r, _ := db2.ScalarIndexStats(); e != 0 || r != 0 {
+		t.Fatalf("reopen at the persisted version maintained the index: extends %d rebuilds %d", e, r)
+	}
+	// The adopted structures extend like ones built in this process; then
+	// the collection moves on unprobed, so the next open finds descriptors
+	// of an older version.
+	appendLifecycle(t, col2, 2000, 2010)
+	snap, ver, _ = col2.Snapshot()
+	checkAgainstScan(t, "reopened, extended", indexAnswers(t, hash, bt, snap, ver), snap)
+	if e, r, n := db2.ScalarIndexStats(); e != 2 || r != 0 || n != 20 {
+		t.Fatalf("extend after reopen: extends %d rebuilds %d inserted %d, want 2/0/20", e, r, n)
+	}
+	appendLifecycle(t, col2, 2010, 2020)
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db3, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	col3, _ := db3.Collection("c")
+	bt3, _ := db3.Index(col3, "key", IdxBTree)
+	hash3, _ := db3.Index(col3, "label", IdxHash)
+	snap, ver, _ = col3.Snapshot()
+	checkAgainstScan(t, "reopened stale", indexAnswers(t, hash3, bt3, snap, ver), snap)
+	if e, r, _ := db3.ScalarIndexStats(); e != 0 || r != 2 {
+		t.Fatalf("reopen at another version: extends %d rebuilds %d, want 0/2", e, r)
+	}
+}

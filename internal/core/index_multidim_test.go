@@ -72,7 +72,7 @@ func TestRTreeIndexIntersect(t *testing.T) {
 	}
 }
 
-func TestKDTreeAndLSHIndexSimilar(t *testing.T) {
+func TestLSHIndexSimilar(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("vecs", rectSchema())
 	rng := rand.New(rand.NewSource(6))
@@ -98,19 +98,6 @@ func TestKDTreeAndLSHIndexSimilar(t *testing.T) {
 	sortIDs(want)
 	if len(want) < 2 {
 		t.Fatal("vacuous: query matches almost nothing")
-	}
-
-	kd, err := db.BuildIndex(col, "emb", IdxKDTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := kd.LookupSimilar(q, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortIDs(got)
-	if len(got) != len(want) {
-		t.Fatalf("kdtree: %d ids, want %d", len(got), len(want))
 	}
 
 	lshIdx, err := db.BuildIndex(col, "emb", IdxLSH)
@@ -149,7 +136,7 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 		col.Append(mkSpatialPatch(rng, int64(i)))
 	}
 	rt, _ := db.BuildIndex(col, "bbox", IdxRTree)
-	if _, err := rt.LookupEq(StrV("x")); err == nil {
+	if _, err := rt.LookupEq(nil, 0, StrV("x")); err == nil {
 		t.Fatal("rtree equality lookup allowed")
 	}
 	if _, err := rt.LookupSimilar([]float32{1}, 1); err == nil {
@@ -160,7 +147,7 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 		t.Fatal("balltree spatial lookup allowed")
 	}
 	lo := IntV(1)
-	if _, err := ball.LookupRange(&lo, nil); err == nil {
+	if _, err := ball.LookupRange(nil, 0, &lo, nil); err == nil {
 		t.Fatal("balltree range lookup allowed")
 	}
 }

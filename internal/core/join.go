@@ -94,8 +94,14 @@ func HashEquiJoin(left, right Iterator, leftField, rightField string) Iterator {
 }
 
 // IndexEquiJoin probes a persistent equality index on the right
-// collection for each left tuple (the paper's index join).
+// collection for each left tuple (the paper's index join). The join runs
+// over the right collection's snapshot as of the call; the index is
+// brought current for it, however long ago it was built.
 func IndexEquiJoin(db *DB, left Iterator, leftField string, rightCol *Collection, idx *Index) Iterator {
+	snap, ver, err := rightCol.Snapshot()
+	if err != nil {
+		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, left.Close)
+	}
 	var pending []Tuple
 	return NewFuncIterator(func() (Tuple, bool, error) {
 		for {
@@ -112,7 +118,7 @@ func IndexEquiJoin(db *DB, left Iterator, leftField string, rightCol *Collection
 			if !has {
 				continue
 			}
-			ids, err := idx.LookupEq(v)
+			ids, err := idx.LookupEq(snap, ver, v)
 			if err != nil {
 				return nil, false, err
 			}

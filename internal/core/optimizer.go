@@ -67,32 +67,72 @@ type CostModel struct {
 	// CFetch is the cost of fetching one patch by id during index joins.
 	CFetch float64
 
-	// Observed per-unit filter costs (seconds), fed back by ObserveFilter
-	// from executed selections. When an access path has enough samples,
-	// FilterCost and PlanFilter price from these instead of the shipped
-	// constants — the planner and the serving layer's admission gate then
-	// quote the same observed-latency source.
-	obsMu     sync.Mutex
-	filterEst map[FilterMethod]*filterObs
-	knnEst    map[knnObsKey]*filterObs
+	// Observed per-unit costs (seconds) of executed access paths, fed
+	// back by ObserveFilter and ObserveKNN. When a path has enough
+	// samples, ObservedFilterCost, PlanFilter and PlanKNN price from these
+	// instead of the shipped constants — the planner and the serving
+	// layer's admission gate then quote the same observed-latency source.
+	obsMu sync.Mutex
+	obs   map[obsKey]*unitObs
 }
 
-// knnObsKey identifies one kNN access path for observation feedback:
-// the physical method plus, for the index, its access mode (mode is
-// normalized to zero for scans).
-type knnObsKey struct {
-	method KNNMethod
+// obsKey identifies one access path for observation feedback: the
+// operator ('f' filter, 'k' kNN), its physical method and, for the kNN
+// index, the access mode (zero everywhere else).
+type obsKey struct {
+	op     byte
+	method int
 	mode   VecIndexMode
 }
 
-// filterObs is one access path's measured per-unit cost.
-type filterObs struct {
-	perUnit float64 // EWMA, seconds per unit (row scanned or row fetched)
+func knnObsKey(method KNNMethod, mode VecIndexMode) obsKey {
+	if method == KNNScan {
+		mode = 0
+	}
+	return obsKey{'k', int(method), mode}
+}
+
+// unitObs is one access path's measured per-unit cost.
+type unitObs struct {
+	perUnit float64 // EWMA, seconds per work unit
 	samples int64
 }
 
+// observe folds one execution's latency into key's per-unit EWMA.
+// Zero-unit or zero-duration observations are ignored.
+func (cm *CostModel) observe(key obsKey, units float64, dur time.Duration) {
+	if units <= 0 || dur <= 0 {
+		return
+	}
+	per := dur.Seconds() / units
+	cm.obsMu.Lock()
+	defer cm.obsMu.Unlock()
+	if cm.obs == nil {
+		cm.obs = make(map[obsKey]*unitObs)
+	}
+	ob := cm.obs[key]
+	if ob == nil {
+		cm.obs[key] = &unitObs{perUnit: per, samples: 1}
+		return
+	}
+	ob.perUnit += filterObsAlpha * (per - ob.perUnit)
+	ob.samples++
+}
+
+// observed reports key's measured per-unit cost and whether enough
+// samples back it to be trusted in planning.
+func (cm *CostModel) observed(key obsKey) (float64, bool) {
+	cm.obsMu.Lock()
+	defer cm.obsMu.Unlock()
+	ob := cm.obs[key]
+	if ob == nil || ob.samples < minFilterObs {
+		return 0, false
+	}
+	return ob.perUnit, true
+}
+
 const (
-	// filterObsAlpha is the EWMA weight of each new filter observation.
+	// filterObsAlpha is the EWMA weight of each new observation.
 	filterObsAlpha = 0.2
 	// minFilterObs is how many observations an access path needs before
 	// its measured cost overrides the static constants in planning.
@@ -398,44 +438,16 @@ func (cm *CostModel) knnUnits(method KNNMethod, mode VecIndexMode, n, dim, k int
 
 // ObserveKNN folds one executed kNN query's measured latency back into
 // the model as a per-unit EWMA for its access path, exactly as
-// ObserveFilter does for selections. Safe for concurrent use;
-// zero-duration observations are ignored.
+// ObserveFilter does for selections. Safe for concurrent use.
 func (cm *CostModel) ObserveKNN(method KNNMethod, mode VecIndexMode, n, dim, k int, dur time.Duration) {
-	if dur <= 0 {
-		return
-	}
-	if method == KNNScan {
-		mode = 0
-	}
-	per := dur.Seconds() / cm.knnUnits(method, mode, n, dim, k)
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	if cm.knnEst == nil {
-		cm.knnEst = make(map[knnObsKey]*filterObs)
-	}
-	key := knnObsKey{method, mode}
-	ob := cm.knnEst[key]
-	if ob == nil {
-		cm.knnEst[key] = &filterObs{perUnit: per, samples: 1}
-		return
-	}
-	ob.perUnit += filterObsAlpha * (per - ob.perUnit)
-	ob.samples++
+	key := knnObsKey(method, mode)
+	cm.observe(key, cm.knnUnits(method, key.mode, n, dim, k), dur)
 }
 
 // ObservedKNNUnit reports a kNN access path's measured per-unit cost
 // and whether enough samples back it to be trusted in planning.
 func (cm *CostModel) ObservedKNNUnit(method KNNMethod, mode VecIndexMode) (float64, bool) {
-	if method == KNNScan {
-		mode = 0
-	}
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	ob := cm.knnEst[knnObsKey{method, mode}]
-	if ob == nil || ob.samples < minFilterObs {
-		return 0, false
-	}
-	return ob.perUnit, true
+	return cm.observed(knnObsKey(method, mode))
 }
 
 // CacheAwareCost folds a result cache in front of a plan into its
@@ -525,34 +537,13 @@ func filterUnits(method FilterMethod, n, matched int) int {
 // fetched for index probes, rows scanned otherwise). Safe for
 // concurrent use; zero-unit or zero-duration observations are ignored.
 func (cm *CostModel) ObserveFilter(method FilterMethod, units int, dur time.Duration) {
-	if units <= 0 || dur <= 0 {
-		return
-	}
-	per := dur.Seconds() / float64(units)
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	if cm.filterEst == nil {
-		cm.filterEst = make(map[FilterMethod]*filterObs)
-	}
-	ob := cm.filterEst[method]
-	if ob == nil {
-		cm.filterEst[method] = &filterObs{perUnit: per, samples: 1}
-		return
-	}
-	ob.perUnit += filterObsAlpha * (per - ob.perUnit)
-	ob.samples++
+	cm.observe(obsKey{'f', int(method), 0}, float64(units), dur)
 }
 
 // ObservedFilterUnit reports an access path's measured per-unit cost
 // and whether enough samples back it to be trusted in planning.
 func (cm *CostModel) ObservedFilterUnit(method FilterMethod) (float64, bool) {
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	ob := cm.filterEst[method]
-	if ob == nil || ob.samples < minFilterObs {
-		return 0, false
-	}
-	return ob.perUnit, true
+	return cm.observed(obsKey{'f', int(method), 0})
 }
 
 // FilterCost estimates a selection's cost over n rows with the given
@@ -651,7 +642,11 @@ func (db *DB) ExecuteFilter(col *Collection, field string, v Value, method Filte
 		if err != nil {
 			return nil, err
 		}
-		ids, err := idx.LookupEq(v)
+		snap, ver, err := col.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		ids, err := idx.LookupEq(snap, ver, v)
 		if err != nil {
 			return nil, err
 		}

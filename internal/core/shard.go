@@ -554,6 +554,21 @@ func (s *Sharded) IndexExtendStats() (extends, rebuilds int64) {
 	return extends, rebuilds
 }
 
+// ScalarIndexStats sums hash/B+ tree index maintenance over every
+// replica DB: each replica maintains its own indexes for the fragments
+// it answers (see DB.ScalarIndexStats).
+func (s *Sharded) ScalarIndexStats() (extends, rebuilds, inserted int64) {
+	for _, reps := range s.reps {
+		for _, db := range reps {
+			e, r, n := db.ScalarIndexStats()
+			extends += e
+			rebuilds += r
+			inserted += n
+		}
+	}
+	return extends, rebuilds, inserted
+}
+
 // ShardInfo is one shard's storage snapshot (served by /stats).
 type ShardInfo struct {
 	Shard int `json:"shard"`

@@ -202,11 +202,6 @@ func (vi *VectorIndex) Field() string { return vi.field }
 // Mode returns the access method.
 func (vi *VectorIndex) Mode() VecIndexMode { return vi.mode }
 
-// BuiltVersion returns the collection version the index contents
-// reflect — the invalidation key: a reader must only use an index whose
-// BuiltVersion matches its snapshot's version.
-func (vi *VectorIndex) BuiltVersion() uint64 { return vi.version }
-
 // Len returns the number of indexed vectors.
 func (vi *VectorIndex) Len() int {
 	if vi.mode == VecApprox {
@@ -345,49 +340,44 @@ func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
 // current exactly as of the caller's snapshot (ps, ver) — the caller
 // passes the snapshot it is executing over, so index contents and query
 // visibility can never skew. The index is cached per (field, mode) and
-// maintained like the column store: reused while the version matches,
-// incrementally extended when the cached snapshot is a certified prefix
-// of ps, rebuilt otherwise. Racing builders may duplicate work; the
-// cache only moves forward and the caller always receives an index at
-// its own version.
+// maintained like the column store (see refreshCached): reused while
+// the version matches, incrementally extended when the cached snapshot
+// is a certified prefix of ps, rebuilt otherwise; the caller always
+// receives an index at its own version.
 func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
 	key := field + "/" + mode.String()
-	c.vecMu.Lock()
-	old := c.vecIdx[key]
-	if old != nil && old.version == ver {
-		c.vecMu.Unlock()
-		return old, nil
-	}
-	c.vecMu.Unlock()
+	vi, _, err := refreshCached(&c.vecMu,
+		func() *VectorIndex { return c.vecIdx[key] },
+		func(vi *VectorIndex) {
+			if c.vecIdx == nil {
+				c.vecIdx = make(map[string]*VectorIndex)
+			}
+			c.vecIdx[key] = vi
+		},
+		ps, ver,
+		func(prefix *VectorIndex) (*VectorIndex, Refresh, error) {
+			// An extension that cannot keep the index shape (first vectors
+			// appearing, a dimensionality change) falls back to a rebuild.
+			if prefix != nil {
+				if vi, err := prefix.Extend(ps, ver); err == nil {
+					c.db.idxExtends.Add(1)
+					return vi, RefreshExtend, nil
+				}
+			}
+			vi, err := NewVectorIndex(ps, ver, field, mode)
+			if err == nil {
+				c.db.idxRebuilds.Add(1)
+			}
+			return vi, RefreshRebuild, err
+		})
+	return vi, err
+}
 
-	// Build or extend with vecMu free (balltree builds are O(n log n);
-	// holding the lock would stall every cache-hit reader).
-	var vi *VectorIndex
-	var err error
-	if old != nil && old.version < ver && snapshotExtends(old.patches, ps) {
-		if vi, err = old.Extend(ps, ver); err == nil {
-			c.db.idxExtends.Add(1)
-		}
-	}
+func (vi *VectorIndex) covers() ([]*Patch, uint64) {
 	if vi == nil {
-		if vi, err = NewVectorIndex(ps, ver, field, mode); err != nil {
-			return nil, err
-		}
-		c.db.idxRebuilds.Add(1)
+		return nil, 0
 	}
-
-	c.vecMu.Lock()
-	switch cur := c.vecIdx[key]; {
-	case cur != nil && cur.version == ver:
-		vi = cur // raced an identical build: adopt the canonical index
-	case cur == nil || cur.version < ver:
-		if c.vecIdx == nil {
-			c.vecIdx = make(map[string]*VectorIndex)
-		}
-		c.vecIdx[key] = vi
-	}
-	c.vecMu.Unlock()
-	return vi, nil
+	return vi.patches, vi.version
 }
 
 // InvalidateVectorIndexes drops the cached vector indexes (memory

@@ -85,9 +85,9 @@ func TestVectorIndexExactMatchesBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vi.BuiltVersion() != ver || vi.Len() != len(snap) {
+		if vi.version != ver || vi.Len() != len(snap) {
 			t.Fatalf("%s: index at version %d/%d rows, snapshot %d/%d",
-				stage, vi.BuiltVersion(), vi.Len(), ver, len(snap))
+				stage, vi.version, vi.Len(), ver, len(snap))
 		}
 		for qi := 0; qi < 12; qi++ {
 			q := vecTestQuery(qi, dim, clusters)

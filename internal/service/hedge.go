@@ -98,11 +98,11 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 		return nil, err
 	}
 	col := plan.scol.Replica(i, r)
-	snap, _, err := col.Snapshot()
+	snap, ver, err := col.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	frag := &shardFragment{col: col, snap: snap}
+	frag := &shardFragment{col: col, snap: snap, ver: ver}
 	if plan.pred != nil {
 		if err := s.filterFragment(ctx, plan, i, r, frag); err != nil {
 			return nil, err

@@ -1,0 +1,322 @@
+package service
+
+import (
+	"context"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/fault"
+	"repro/internal/obs"
+)
+
+// Scalar-index lifecycle at the serving layer: use_index filters create
+// the replica-local hash/B-tree index on first touch and core keeps it
+// current by extension — the service holds no index state of its own.
+
+// synthCount is the reference answer over synthetic rows [0, rows).
+func synthCount(rows int, match func(*core.Patch) bool) int {
+	n := 0
+	for i := 0; i < rows; i++ {
+		if match(synthPatch(i)) {
+			n++
+		}
+	}
+	return n
+}
+
+func isCar(p *core.Patch) bool { return p.Meta["label"].S == "car" }
+
+func rankIn14(p *core.Patch) bool { r := p.Meta["rank"].I; return r >= 1 && r < 4 }
+
+func indexedCarReq() Request {
+	return Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "label", Str: strp("car"), UseIndex: true}}
+}
+
+func indexedRankReq() Request {
+	return Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "rank", Min: fp(1), Max: fp(4), UseIndex: true}}
+}
+
+// TestScalarIndexExtendsPerAppendRound is the acceptance scenario: after
+// the first use_index touch of a hash and a B-tree index, every round of
+// (append 64 rows, one equality and one range use_index query) extends
+// each index by exactly the appended rows — two rebuilds ever, two
+// extends per round — on the replica that serves the read. At R=2 the
+// primary is stalled so the hedge to replica 1 answers every fragment:
+// replica 1 maintains its own indexes, the primary never builds any.
+func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
+	const base, rounds, batch = 500, 6, 64
+	for _, tc := range []struct {
+		name    string
+		service func(t *testing.T) (*Service, *core.DB, []*core.DB)
+	}{
+		{"R=1", func(t *testing.T) (*Service, *core.DB, []*core.DB) {
+			db, svc := synthUnsharded(t, base, Config{Workers: 2})
+			return svc, db, nil
+		}},
+		{"R=2", func(t *testing.T) (*Service, *core.DB, []*core.DB) {
+			sdb, svc := synthReplicated(t, 1, 2, base, Config{Workers: 2, HedgeAfter: time.Millisecond,
+				Faults: fault.Config{Seed: 3, Rules: []fault.Rule{
+					{Point: fault.FragmentStall, Shard: fault.Any, Replica: 0, Prob: 1, Stall: 5 * time.Second},
+				}}})
+			return svc, sdb.ReplicaDB(0, 1), []*core.DB{sdb.ReplicaDB(0, 0)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, reader, idle := tc.service(t)
+			probe := func(rows int, wantIndex string) {
+				t.Helper()
+				for _, q := range []struct {
+					req   Request
+					match func(*core.Patch) bool
+				}{{indexedCarReq(), isCar}, {indexedRankReq(), rankIn14}} {
+					q.req.NoCache, q.req.Trace = true, true
+					r := mustQuery(t, svc, q.req)
+					if want := synthCount(rows, q.match); r.Value != want {
+						t.Fatalf("%s at %d rows: %d, want %d", r.Plan, rows, r.Value, want)
+					}
+					frags := spansByName(r.TraceData)["fragment"]
+					if len(frags) != 1 || frags[0].Attrs["index"] != wantIndex {
+						t.Fatalf("%s at %d rows: fragment span index=%q, want %q", r.Plan, rows, frags[0].Attrs["index"], wantIndex)
+					}
+				}
+			}
+			probe(base, "rebuild") // first touch builds both
+			probe(base, "hit")
+			for round := 1; round <= rounds; round++ {
+				appendSynth(t, svc, base+(round-1)*batch, base+round*batch, batch)
+				probe(base+round*batch, "extend")
+			}
+			extends, rebuilds, inserted := reader.ScalarIndexStats()
+			if rebuilds != 2 || extends != 2*rounds || inserted != 2*(base+rounds*batch) {
+				t.Fatalf("serving replica: extends %d rebuilds %d inserted %d, want %d/2/%d",
+					extends, rebuilds, inserted, 2*rounds, 2*(base+rounds*batch))
+			}
+			for _, db := range idle {
+				if e, r, n := db.ScalarIndexStats(); e+r+n != 0 {
+					t.Fatalf("replica that served no read maintained an index: %d/%d/%d", e, r, n)
+				}
+			}
+
+			// The same counts, summed over replicas, are the /metrics contract.
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			exp, err := obs.CheckExposition(rec.Body)
+			if err != nil {
+				t.Fatalf("/metrics is not valid exposition: %v", err)
+			}
+			if v, ok := exp.Value("deeplens_scalar_index_extends_total", nil); !ok || v != 2*rounds {
+				t.Fatalf("deeplens_scalar_index_extends_total = %v (found=%v), want %d", v, ok, 2*rounds)
+			}
+			if v, ok := exp.Value("deeplens_scalar_index_rebuilds_total", nil); !ok || v != 2 {
+				t.Fatalf("deeplens_scalar_index_rebuilds_total = %v (found=%v), want 2", v, ok)
+			}
+			if v, _ := exp.Value("deeplens_queries_failed_total", nil); v != 0 {
+				t.Fatalf("deeplens_queries_failed_total = %v", v)
+			}
+		})
+	}
+}
+
+// TestBTreeRangeIDsExtendedEqualsFresh: the numeric-widening range
+// resolution over a field holding ints and floats returns the same ids
+// from an index that grew by extension as from one built fresh, and both
+// equal the row scan — also for a reader one batch behind the index.
+func TestBTreeRangeIDsExtendedEqualsFresh(t *testing.T) {
+	db, err := core.Open(filepath.Join(t.TempDir(), "mix.db"), exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col, err := db.CreateCollection("mix", core.Schema{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			v := core.IntV(int64(i%41 - 20))
+			if i%3 == 0 {
+				v = core.FloatV(float64(i%41) - 20.25)
+			}
+			if err := col.Append(&core.Patch{Ref: core.Ref{Source: "s", Frame: uint64(i)}, Meta: core.Metadata{"v": v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(0, 300)
+	idx, err := db.BuildIndex(col, "v", core.IdxBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind, behindVer, _ := col.Snapshot()
+	add(300, 700)
+	snap, ver, _ := col.Snapshot()
+
+	ranges := [][2]float64{{-3.5, 7}, {-20, 21}, {0, 0.5}, {4, 4}, {-1e300, 1e300}, {6.75, 6.76}}
+	answers := func(snap []*core.Patch, ver uint64) [][]core.PatchID {
+		var out [][]core.PatchID
+		for _, r := range ranges {
+			ids, err := btreeRangeIDs(idx, snap, ver, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ids)
+		}
+		return out
+	}
+	scan := func(snap []*core.Patch) [][]core.PatchID {
+		var out [][]core.PatchID
+		for _, r := range ranges {
+			sel, err := rowFilter(context.Background(), snap, &filterPred{field: "v", rng: true, lo: r[0], hi: r[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []core.PatchID
+			for _, k := range sel {
+				ids = append(ids, snap[k].ID)
+			}
+			out = append(out, ids)
+		}
+		return out
+	}
+
+	extended := answers(snap, ver)
+	if e, r, n := db.ScalarIndexStats(); e != 1 || r != 1 || n != 700 {
+		t.Fatalf("extends %d rebuilds %d inserted %d, want 1/1/700", e, r, n)
+	}
+	if want := scan(snap); !reflect.DeepEqual(extended, want) {
+		t.Fatalf("extended index ranges diverge from the row scan:\n got %v\nwant %v", extended, want)
+	}
+	if got, want := answers(behind, behindVer), scan(behind); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reader behind the index: ranges diverge from the row scan over its snapshot")
+	}
+	if _, err := db.BuildIndex(col, "v", core.IdxBTree); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := answers(snap, ver); !reflect.DeepEqual(extended, fresh) {
+		t.Fatal("extended index ranges diverge from a fresh build")
+	}
+}
+
+// TestAppendIndexedQueryHammer races streaming appends against cacheable
+// use_index queries. A response that names a fingerprint must be exactly
+// the scan answer at the version that fingerprint encodes — whether it
+// was executed or served from the result cache, so the cache can never
+// hold rows newer (or older) than its key — and one that names none
+// (its execution raced an append) must still be a complete snapshot
+// between the versions the reader saw around it.
+func TestAppendIndexedQueryHammer(t *testing.T) {
+	const base, extra, batch = 600, 960, 32
+	db, svc := synthUnsharded(t, base, Config{Workers: 4, QueueDepth: 128})
+	ctx := context.Background()
+	col, err := db.Collection(shardTestCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One collection in the DB: every appended row advances the version by
+	// exactly one, so a version names a row count.
+	v0 := col.Version()
+	rowsAt := func(v uint64) int { return base + int(v-v0) }
+
+	type shape struct {
+		req   Request
+		match func(*core.Patch) bool
+		want  []int          // answer by row count
+		rows  map[string]int // fingerprint -> row count
+	}
+	shapes := []*shape{{req: indexedCarReq(), match: isCar}, {req: indexedRankReq(), match: rankIn14}}
+	for _, sh := range shapes {
+		sh.want = make([]int, base+extra+1)
+		for n := 1; n <= base+extra; n++ {
+			sh.want[n] = sh.want[n-1]
+			if sh.match(synthPatch(n - 1)) {
+				sh.want[n]++
+			}
+		}
+		sh.rows = make(map[string]int, extra+1)
+		req := sh.req
+		if err := req.validate(); err != nil {
+			t.Fatal(err)
+		}
+		for v := v0; v <= v0+extra; v++ {
+			sh.rows[req.fingerprint(v, svc.cfg.ModelSeed)] = rowsAt(v)
+		}
+		mustQuery(t, svc, sh.req) // first touch: the hammer exercises extends
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := base; i < base+extra; i += batch {
+			req := AppendRequest{Collection: shardTestCol}
+			for j := i; j < i+batch; j++ {
+				req.Patches = append(req.Patches, specFromPatch(synthPatch(j)))
+			}
+			if _, err := svc.Append(ctx, req); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var pinned, hits, raced int64
+	var mu sync.Mutex
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				sh := shapes[(w+i)%len(shapes)]
+				before := rowsAt(col.Version())
+				r, err := svc.Query(ctx, sh.req)
+				after := rowsAt(col.Version())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if r.Fingerprint == "" {
+					raced++
+				} else {
+					pinned++
+					if r.CacheHit {
+						hits++
+					}
+				}
+				mu.Unlock()
+				if r.Fingerprint == "" {
+					if r.Value < sh.want[before] || r.Value > sh.want[after] {
+						t.Errorf("raced %s: %d outside [%d, %d]", r.Plan, r.Value, sh.want[before], sh.want[after])
+					}
+					continue
+				}
+				rows, ok := sh.rows[r.Fingerprint]
+				if !ok {
+					t.Errorf("%s: fingerprint %s matches no version of the stream", r.Plan, r.Fingerprint)
+					return
+				}
+				if r.Value != sh.want[rows] {
+					t.Errorf("%s (cache_hit=%v) fingerprinted at %d rows: %d, scan answer %d",
+						r.Plan, r.CacheHit, rows, r.Value, sh.want[rows])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("responses: %d pinned (%d cache hits), %d raced an append", pinned, hits, raced)
+
+	for _, sh := range shapes {
+		if r := mustQuery(t, svc, sh.req); r.Value != sh.want[base+extra] {
+			t.Fatalf("post-hammer %s: %d, want %d", r.Plan, r.Value, sh.want[base+extra])
+		}
+	}
+	if e, r, _ := db.ScalarIndexStats(); r != 2 || e == 0 {
+		t.Fatalf("hammer: extends %d rebuilds %d, want extends > 0 and only the two first-touch builds", e, r)
+	}
+}

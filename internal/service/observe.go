@@ -191,6 +191,14 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		_, n := s.shards.IndexExtendStats()
 		return float64(n)
 	})
+	r.CounterFunc("deeplens_scalar_index_extends_total", "Hash/B-tree index probes that inserted only the rows appended since the index was last current.", nil, func() float64 {
+		n, _, _ := s.shards.ScalarIndexStats()
+		return float64(n)
+	})
+	r.CounterFunc("deeplens_scalar_index_rebuilds_total", "Hash/B-tree indexes built in full (first touch, snapshot cache reload, reopen at another version).", nil, func() float64 {
+		_, n, _ := s.shards.ScalarIndexStats()
+		return float64(n)
+	})
 	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the device pool.", nil,
 		func() float64 { return float64(s.devPool.Stats().Kernels) })
 	r.CounterFunc("deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", nil,

@@ -59,6 +59,7 @@ var accessPathOp = map[core.FilterMethod]string{
 type shardFragment struct {
 	col  *core.Collection // the replica that answered
 	snap []*core.Patch    // its snapshot
+	ver  uint64           // and the version the snapshot reflects
 
 	method core.FilterMethod // filter access path; 0 = unfiltered, every row matches
 	sel    []int32           // scans: matching rows of snap, ascending
@@ -71,6 +72,9 @@ type shardFragment struct {
 	cs      *core.ColumnStore
 	scan    core.ScanStats
 	colInfo core.ColumnsInfo
+
+	// Index probes keep what bringing the index current took.
+	idxUse core.Refresh
 
 	// rows is what the gather stage consumes: every match for joins and
 	// clustering, the sorted/trimmed top-limit for order/limit, nil for
@@ -179,6 +183,9 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard int) {
 		path = f.op
 	}
 	sp.Attr("path", path)
+	if f.indexed() {
+		sp.Attr("index", f.idxUse.String())
+	}
 	if f.cs != nil {
 		sp.AttrInt("blocks", int64(f.scan.Blocks))
 		sp.AttrInt("blocks_pruned", int64(f.scan.Pruned))
@@ -413,12 +420,12 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 
 // filterFragment runs the plan's filter stage on replica r of shard i:
 // one access-path choice — the replica-local hash or B-tree index when
-// the plan asks for one, else the columnar scan, else (fields the store
-// cannot columnize) the row scan — which fixes the plan operator, the
-// static cost and the unit count the measured latency is reported under
-// (CostModel.ObserveFilter: rows fetched for index probes, rows scanned
-// otherwise), so future plans and admission estimates price from
-// observed behavior.
+// the plan asks for one (created on first use, kept current by core),
+// else the columnar scan, else (fields the store cannot columnize) the
+// row scan — which fixes the plan operator, the static cost and the unit
+// count the measured latency is reported under (CostModel.ObserveFilter:
+// rows fetched for index probes, rows scanned otherwise), so future
+// plans and admission estimates price from observed behavior.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
 	pred := plan.pred
 	start := time.Now()
@@ -429,14 +436,20 @@ func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r i
 		if pred.rng {
 			kind, frag.method = core.IdxBTree, core.FilterBTreeIndex
 		}
-		idx, err := s.replicaIndex(i, r, frag.col, pred.field, kind)
+		idx, err := s.shards.ReplicaDB(i, r).EnsureIndex(frag.col, pred.field, kind)
 		if err != nil {
 			return err
 		}
+		// Index maintenance is not probe cost: the per-row observation
+		// starts once the index is current for this snapshot.
+		if frag.idxUse, err = idx.Sync(frag.snap, frag.ver); err != nil {
+			return err
+		}
+		start = time.Now()
 		if pred.rng {
-			frag.ids, err = btreeRangeIDs(idx, pred.lo, pred.hi)
+			frag.ids, err = btreeRangeIDs(idx, frag.snap, frag.ver, pred.lo, pred.hi)
 		} else {
-			frag.ids, err = idx.LookupEq(pred.v)
+			frag.ids, err = idx.LookupEq(frag.snap, frag.ver, pred.v)
 		}
 		if err != nil {
 			return err

@@ -275,9 +275,6 @@ type Service struct {
 	flightMu sync.Mutex
 	inflight map[string]*flight
 
-	buildMu sync.Mutex
-	builds  map[string]*sync.Mutex // per-(col,field,kind) index-build locks
-
 	// tel owns the metrics registry (the serving counters live there as
 	// registry-backed obs.Counters), the slow-query log, and the trace
 	// sampler; /metrics and /stats read the same source.
@@ -351,7 +348,6 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		quit:     make(chan struct{}),
 		sources:  make(map[string]FrameSource),
 		inflight: make(map[string]*flight),
-		builds:   make(map[string]*sync.Mutex),
 	}
 	s.inj = fault.New(cfg.Faults)
 	sdb.SetFaults(s.inj)
@@ -744,15 +740,25 @@ func (s *Service) process(w *worker, t *task) {
 	ex.AttrInt("worker", int64(w.id)).End()
 	ex.Attr("plan", resp.Plan)
 	resp.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-	resp.Fingerprint = t.key
+	// The key names the dataset version it was computed at; the fragments
+	// snapshotted later. If an append landed in between, the response may
+	// hold rows newer than its key: still a correct answer, but not that
+	// key's — it goes out like a no_cache response, unnamed and uncached.
+	key := t.key
+	if key != "" {
+		if cur, err := s.fingerprintFor(t.req); err != nil || cur != key {
+			key = ""
+		}
+	}
+	resp.Fingerprint = key
 	resp.CacheAwareCostSec = s.cost.CacheAwareCost(
 		resp.EstCostSec, s.results.Stats().HitRate(), cacheLookupCostSec)
 	// Degraded (partial) responses are never cached: the missing shards
 	// may be back for the very next query, and a cached partial answer
 	// would keep serving under a fingerprint that promises the full one.
-	if t.key != "" && !resp.Degraded {
+	if key != "" && !resp.Degraded {
 		cs := tr.Begin("cache-store")
-		s.results.Put(t.key, resp, resp.sizeBytes())
+		s.results.Put(key, resp, resp.sizeBytes())
 		cs.End()
 	}
 	s.tel.completed.Inc()
@@ -935,45 +941,6 @@ func (s *Service) executeInfer(ctx context.Context, w *worker, spec *InferSpec) 
 	}, nil
 }
 
-// replicaIndex returns replica r of shard i's index on col that agrees
-// with the collection's current version, building or rebuilding as
-// needed: every replica builds and serves its own indexes over its own
-// partition. Appends bump the version but never maintain indexes
-// incrementally, so serving a stale index would silently drop the
-// newest patches from indexed plans (and poison the version-keyed result
-// cache). Concurrent builders of the same (replica, collection, field,
-// kind) are serialized.
-func (s *Service) replicaIndex(i, r int, col *core.Collection, field string, kind core.IndexKind) (*core.Index, error) {
-	db := s.shards.ReplicaDB(i, r)
-	current := func() (*core.Index, error) {
-		if !db.HasIndex(col, field, kind) {
-			return nil, nil
-		}
-		idx, err := db.Index(col, field, kind)
-		if err != nil || idx.BuiltVersion != col.Version() {
-			return nil, err
-		}
-		return idx, nil
-	}
-	if idx, err := current(); idx != nil || err != nil {
-		return idx, err
-	}
-	key := fmt.Sprintf("%d.%d\x00%s\x00%s\x00%s", i, r, col.Name(), field, kind)
-	s.buildMu.Lock()
-	mu, ok := s.builds[key]
-	if !ok {
-		mu = &sync.Mutex{}
-		s.builds[key] = mu
-	}
-	s.buildMu.Unlock()
-	mu.Lock()
-	defer mu.Unlock()
-	if idx, err := current(); idx != nil || err != nil { // raced another builder
-		return idx, err
-	}
-	return db.BuildIndex(col, field, kind)
-}
-
 // btreeRangeIDs resolves the numeric half-open range [lo, hi) against a
 // B-tree index. Sort keys are kind-prefixed, so int-keyed and
 // float-keyed rows occupy disjoint key regions and one key-space scan
@@ -983,8 +950,8 @@ func (s *Service) replicaIndex(i, r int, col *core.Collection, field string, kin
 // space. The id union is returned ascending, which is snapshot order
 // for the append paths that allocate ids in commit order (the service's
 // own), so the indexed path returns rows in the same order as the scan
-// it replaces.
-func btreeRangeIDs(idx *core.Index, lo, hi float64) ([]core.PatchID, error) {
+// it replaces. Both probes run against the caller's snapshot (snap, ver).
+func btreeRangeIDs(idx *core.Index, snap []*core.Patch, ver uint64, lo, hi float64) ([]core.PatchID, error) {
 	// 2^63: one past MaxInt64, and exactly -MinInt64. Conversion guard —
 	// float64 bounds at or beyond it have no int64 equivalent.
 	const intEdge = float64(1 << 63)
@@ -1009,7 +976,7 @@ func btreeRangeIDs(idx *core.Index, lo, hi float64) ([]core.PatchID, error) {
 		intHi = core.IntV(int64(c))
 	}
 	if !skipInt {
-		got, err := idx.LookupRange(&intLo, &intHi)
+		got, err := idx.LookupRange(snap, ver, &intLo, &intHi)
 		if err != nil {
 			return nil, err
 		}
@@ -1020,7 +987,7 @@ func btreeRangeIDs(idx *core.Index, lo, hi float64) ([]core.PatchID, error) {
 	// exactly the scan semantics at open sides (a stored +Inf fails
 	// v < +Inf; NaN keys sort past +Inf and are excluded with it).
 	fLo, fHi := core.FloatV(lo), core.FloatV(hi)
-	got, err := idx.LookupRange(&fLo, &fHi)
+	got, err := idx.LookupRange(snap, ver, &fLo, &fHi)
 	if err != nil {
 		return nil, err
 	}

@@ -557,7 +557,7 @@ func TestIndexedPlanSeesAppendsAfterBuild(t *testing.T) {
 		t.Fatalf("indexed count = %d, want 5", r1.Value)
 	}
 	// Appends after the index build must be visible to the indexed plan
-	// (the service rebuilds when Index.BuiltVersion lags the collection).
+	// (the probe extends the index to the snapshot the query runs over).
 	for i := 5; i < 8; i++ {
 		if err := col.Append(mk(i)); err != nil {
 			t.Fatal(err)
