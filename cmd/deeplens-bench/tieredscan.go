@@ -33,11 +33,11 @@ func runTieredScan() error {
 	fmt.Printf("\n## Tiered column store under a %d KiB budget (%.1f%% selective filter, block %d)\n",
 		bench.TieredScanBudget>>10, 100.0/bench.ColScanLabels, core.ColumnBlockSize)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "rows\tcold\twarm\tpruned\tin-mem\tspills\tloads\tevictions\tresident")
+	fmt.Fprintln(w, "rows\tcold\twarm\tpruned\tin-mem\tspills\tcold loads\twarm loads\twarm evictions\tresident")
 	for _, p := range points {
-		fmt.Fprintf(w, "%d\t%.0f ns\t%.0f ns\t%.0f ns\t%.0f ns\t%d\t%d\t%d\t%d B\n",
+		fmt.Fprintf(w, "%d\t%.0f ns\t%.0f ns\t%.0f ns\t%.0f ns\t%d\t%d\t%d\t%d\t%d B\n",
 			p.Rows, p.ColdFilterNS, p.WarmFilterNS, p.PrunedFilterNS, p.InMemFilterNS,
-			p.SegmentSpills, p.SegmentLoads, p.SegmentEvictions, p.ResidentBytes)
+			p.SegmentSpills, p.ColdLoads, p.WarmLoads, p.WarmEvictions, p.ResidentBytes)
 	}
 	w.Flush()
 	fmt.Println("\nwrote BENCH_tiered_columns.json")

@@ -88,6 +88,12 @@ type TieredScanPoint struct {
 	SegmentLoads     int64 `json:"segment_loads"`
 	SegmentEvictions int64 `json:"segment_evictions"`
 	ResidentBytes    int64 `json:"resident_bytes"`
+	// Cache activity of the cold and of the warm repetitions alone (iters
+	// filters each; the cold ones' forced evictions are not counted). A
+	// warm pass that evicts, or loads more than a cold one, is thrashing.
+	ColdLoads     int64 `json:"cold_segment_loads"`
+	WarmLoads     int64 `json:"warm_segment_loads"`
+	WarmEvictions int64 `json:"warm_segment_evictions"`
 }
 
 // WriteTieredScanJSON writes the baseline snapshot (the artifact CI
@@ -140,6 +146,7 @@ func MeasureTieredScan(dir string, sizes []int, budget int64, iters int) ([]Tier
 			}
 			return nil
 		}
+		built := sc.Stats()
 		if pt.ColdFilterNS, err = MinWallNS(iters, func() error {
 			sc.EvictAll()
 			return filter()
@@ -147,10 +154,15 @@ func MeasureTieredScan(dir string, sizes []int, budget int64, iters int) ([]Tier
 			db.Close()
 			return nil, err
 		}
+		cold := sc.Stats()
 		if pt.WarmFilterNS, err = MinWallNS(iters, filter); err != nil {
 			db.Close()
 			return nil, err
 		}
+		warm := sc.Stats()
+		pt.ColdLoads = cold.Loads - built.Loads
+		pt.WarmLoads = warm.Loads - cold.Loads
+		pt.WarmEvictions = warm.Evictions - cold.Evictions
 		if pt.PrunedFilterNS, err = MinWallNS(iters, func() error {
 			if sel, ok := cs.FilterEq("rank", core.IntV(TieredScanPrunedRank)); !ok || len(sel) != 0 {
 				return fmt.Errorf("bench: pruned predicate matched %d rows", len(sel))

@@ -15,16 +15,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Pager is the page-file interface the tree runs on. *kv.Pager satisfies it.
+// Write must copy buf before returning (the tree reuses it), and
+// ReadOverflow appends the value to dst.
 type Pager interface {
 	Read(id uint64) ([]byte, error)
 	Write(id uint64, buf []byte) error
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(head uint64, total int) ([]byte, error)
+	ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -72,19 +75,23 @@ type node struct {
 	children []uint64 // inner: len(keys)+1 children
 }
 
+const nodeHeader = 11 // type + nkeys + next/child0
+
+// entrySize is the serialized size of key i with its value or child.
+func (n *node) entrySize(i int) int {
+	switch {
+	case !n.leaf:
+		return 2 + len(n.keys[i]) + 8
+	case n.ovHead[i] != 0:
+		return 2 + 4 + len(n.keys[i]) + 8
+	}
+	return 2 + 4 + len(n.keys[i]) + len(n.vals[i])
+}
+
 func (n *node) size() int {
-	s := 11 // type + nkeys + next/child0
-	for i, k := range n.keys {
-		if n.leaf {
-			s += 2 + 4 + len(k)
-			if n.ovHead[i] != 0 {
-				s += 8
-			} else {
-				s += len(n.vals[i])
-			}
-		} else {
-			s += 2 + len(k) + 8
-		}
+	s := nodeHeader
+	for i := range n.keys {
+		s += n.entrySize(i)
 	}
 	return s
 }
@@ -171,9 +178,17 @@ func (t *Tree) loadPage(id uint64) (*node, error) {
 	return n, nil
 }
 
+// pagePool recycles store's serialization buffer: Pager.Write copies the
+// page into its cache, so the buffer is free again the moment Write
+// returns and a Put need not allocate a page of its own.
+var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+
 func (t *Tree) store(n *node) error {
 	t.cacheNode(n)
-	buf := make([]byte, pageSize)
+	page := pagePool.Get().(*[pageSize]byte)
+	defer pagePool.Put(page)
+	clear(page[:]) // bytes past the last entry are written too
+	buf := page[:]
 	if n.leaf {
 		buf[0] = typeLeaf
 	} else {
@@ -232,7 +247,12 @@ func search(keys [][]byte, key []byte) int {
 }
 
 // Get returns the value stored under key, or ErrNotFound.
-func (t *Tree) Get(key []byte) ([]byte, error) {
+func (t *Tree) Get(key []byte) ([]byte, error) { return t.GetAppend(nil, key) }
+
+// GetAppend appends the value stored under key to dst and returns the
+// extended slice, or ErrNotFound. The value is always copied, so the
+// result never aliases tree state.
+func (t *Tree) GetAppend(dst, key []byte) ([]byte, error) {
 	if t.root == 0 {
 		return nil, ErrNotFound
 	}
@@ -253,14 +273,15 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
 		return nil, ErrNotFound
 	}
-	return t.value(n, i)
+	return t.value(dst, n, i)
 }
 
-func (t *Tree) value(n *node, i int) ([]byte, error) {
+// value appends entry i's value to dst, materializing overflow chains.
+func (t *Tree) value(dst []byte, n *node, i int) ([]byte, error) {
 	if n.ovHead[i] != 0 {
-		return t.p.ReadOverflow(n.ovHead[i], n.ovLen[i])
+		return t.p.ReadOverflow(dst, n.ovHead[i], n.ovLen[i])
 	}
-	return append([]byte(nil), n.vals[i]...), nil
+	return append(dst, n.vals[i]...), nil
 }
 
 // Put inserts or replaces the value under key.
@@ -390,6 +411,28 @@ func (t *Tree) maybeSplit(n *node) ([]byte, uint64, error) {
 	mid := len(n.keys) / 2
 	if mid == 0 {
 		mid = 1
+	}
+	// Halving by count can leave one half over a page when entry sizes
+	// differ widely (a run of near-maxInline values beside tiny ones):
+	// move the split point until both halves fit. One exists, because
+	// the node overflowed by a single entry of at most ~1.5 KiB.
+	total, left := n.size(), nodeHeader
+	for i := 0; i < mid; i++ {
+		left += n.entrySize(i)
+	}
+	right := func() int { // an inner node's key mid moves up, into neither half
+		if n.leaf {
+			return nodeHeader + total - left
+		}
+		return nodeHeader + total - left - n.entrySize(mid)
+	}
+	for left > pageSize {
+		mid--
+		left -= n.entrySize(mid)
+	}
+	for right() > pageSize {
+		left += n.entrySize(mid)
+		mid++
 	}
 	r := &node{id: id, leaf: n.leaf}
 	var sep []byte
@@ -521,7 +564,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Key() []byte { return c.n.keys[c.idx] }
 
 // Value returns the current value, materializing overflow chains.
-func (c *Cursor) Value() ([]byte, error) { return c.t.value(c.n, c.idx) }
+func (c *Cursor) Value() ([]byte, error) { return c.t.value(nil, c.n, c.idx) }
 
 // Next advances to the next entry in key order.
 func (c *Cursor) Next() {

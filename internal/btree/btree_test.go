@@ -155,6 +155,33 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSplitUnevenEntrySizes: a leaf of many tiny entries followed by a few
+// near-maxInline ones must split where both halves fit a page — halving
+// by key count would put every large value in one half and overflow it.
+func TestSplitUnevenEntrySizes(t *testing.T) {
+	tr := btree.New(newPager(t))
+	want := map[string][]byte{}
+	put := func(k string, v []byte) {
+		t.Helper()
+		if err := tr.Put([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	for i := 0; i < 40; i++ {
+		put(fmt.Sprintf("a%03d", i), []byte{byte(i)})
+	}
+	for i := 0; i < 8; i++ {
+		put(fmt.Sprintf("b%03d", i), bytes.Repeat([]byte{byte(i)}, 1000))
+	}
+	for k, v := range want {
+		got, err := tr.Get([]byte(k))
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%s) after uneven split: %d bytes, err=%v", k, len(got), err)
+		}
+	}
+}
+
 func TestLargeValuesOverflow(t *testing.T) {
 	tr := btree.New(newPager(t))
 	vals := map[string][]byte{}

@@ -128,13 +128,28 @@ func appendPackedBits(out []byte, v []int64, minV int64, width int) []byte {
 	return out
 }
 
-// DecodeInts decodes an EncodeInts blob.
-func DecodeInts(b []byte) ([]int64, error) {
+// sized returns dst resliced to n elements when it has the capacity, a
+// fresh array otherwise. Every decoder below overwrites all n elements.
+func sized[T any](dst []T, n int) []T {
+	if cap(dst) >= n {
+		return dst[:n]
+	}
+	return make([]T, n)
+}
+
+// DecodeInts decodes an EncodeInts blob into a fresh array.
+func DecodeInts(b []byte) ([]int64, error) { return DecodeIntsInto(nil, b) }
+
+// DecodeIntsInto is DecodeInts reusing dst's backing array when it is
+// large enough, so a caller that keeps one buffer across segments
+// decodes without allocating. The result has exactly the decoded
+// length; dst's previous contents are overwritten.
+func DecodeIntsInto(dst []int64, b []byte) ([]int64, error) {
 	tag, n, rest, err := segCount(b)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
+	out := sized(dst, n)
 	switch tag {
 	case segRaw:
 		if len(rest) != n*8 {
@@ -207,8 +222,11 @@ func EncodeFloats(v []float64) []byte {
 	return out
 }
 
-// DecodeFloats decodes an EncodeFloats blob.
-func DecodeFloats(b []byte) ([]float64, error) {
+// DecodeFloats decodes an EncodeFloats blob into a fresh array.
+func DecodeFloats(b []byte) ([]float64, error) { return DecodeFloatsInto(nil, b) }
+
+// DecodeFloatsInto is DecodeFloats reusing dst (see DecodeIntsInto).
+func DecodeFloatsInto(dst []float64, b []byte) ([]float64, error) {
 	tag, n, rest, err := segCount(b)
 	if err != nil {
 		return nil, err
@@ -216,7 +234,7 @@ func DecodeFloats(b []byte) ([]float64, error) {
 	if tag != segRaw || len(rest) != n*8 {
 		return nil, fmt.Errorf("%w: float payload", ErrCorrupt)
 	}
-	out := make([]float64, n)
+	out := sized(dst, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
 	}
@@ -246,13 +264,16 @@ func EncodeCodes(v []uint32) []byte {
 	return raw
 }
 
-// DecodeCodes decodes an EncodeCodes blob.
-func DecodeCodes(b []byte) ([]uint32, error) {
+// DecodeCodes decodes an EncodeCodes blob into a fresh array.
+func DecodeCodes(b []byte) ([]uint32, error) { return DecodeCodesInto(nil, b) }
+
+// DecodeCodesInto is DecodeCodes reusing dst (see DecodeIntsInto).
+func DecodeCodesInto(dst []uint32, b []byte) ([]uint32, error) {
 	tag, n, rest, err := segCount(b)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint32, n)
+	out := sized(dst, n)
 	switch tag {
 	case segRaw:
 		if len(rest) != n*4 {
@@ -297,8 +318,11 @@ func EncodeBitmap(v []uint64) []byte {
 	return out
 }
 
-// DecodeBitmap decodes an EncodeBitmap blob.
-func DecodeBitmap(b []byte) ([]uint64, error) {
+// DecodeBitmap decodes an EncodeBitmap blob into a fresh array.
+func DecodeBitmap(b []byte) ([]uint64, error) { return DecodeBitmapInto(nil, b) }
+
+// DecodeBitmapInto is DecodeBitmap reusing dst (see DecodeIntsInto).
+func DecodeBitmapInto(dst []uint64, b []byte) ([]uint64, error) {
 	tag, n, rest, err := segCount(b)
 	if err != nil {
 		return nil, err
@@ -306,7 +330,7 @@ func DecodeBitmap(b []byte) ([]uint64, error) {
 	if tag != segRaw || len(rest) != n*8 {
 		return nil, fmt.Errorf("%w: bitmap payload", ErrCorrupt)
 	}
-	out := make([]uint64, n)
+	out := sized(dst, n)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(rest[i*8:])
 	}

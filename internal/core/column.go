@@ -32,9 +32,9 @@ package core
 // reference. The same immutability makes sealed segments spillable: with
 // a spill tier attached (see segment.go) their bytes serialize through
 // internal/codec into a kv bucket, the resident summaries keep pruning
-// exact, and the scan kernels fault surviving segments back in through a
-// byte-budgeted LRU — so a collection's column footprint is bounded by
-// the budget, not its history.
+// exact, and the scan kernels read surviving cold segments back through
+// a byte-budgeted cache — so a collection's column footprint is bounded
+// by the budget, not its history.
 
 import (
 	"math"
@@ -130,47 +130,85 @@ func (c *Column) Kind() ValueKind { return c.kind }
 // Blocks reports the zone-mapped segment count (testing and EXPLAIN).
 func (c *Column) Blocks() int { return len(c.segs) }
 
-// segRows returns a segment's row data, faulting it in from the spill
-// tier when evicted. The returned segData is immutable and stays valid
-// for the caller regardless of later evictions.
-func (c *Column) segRows(sg *colSegment, st *ScanStats) *segData {
-	if d := sg.data.Load(); d != nil {
-		if c.spill != nil && sg.ondisk.Load() {
-			c.spill.cache.touch(sg)
-		}
-		return d
-	}
-	return c.loadSeg(sg, st)
+// segReader hands one kernel call its column's segment data, one
+// segment at a time. Resident data is shared and immutable. A cold
+// segment that does not earn residency decodes into the reader's pooled
+// scratch, which the next rows call overwrites and close returns to the
+// pool — so a kernel finishes one segment's inner loop before asking
+// for the next, and keeps values, never slices, past it.
+type segReader struct {
+	col *Column
+	scr *segScratch
 }
 
-// loadSeg reloads an evicted segment from the kv bucket; if the bytes
-// are missing or corrupt it falls back to re-projecting the rows from
-// the resident snapshot (always possible, counted as a fault).
-func (c *Column) loadSeg(sg *colSegment, st *ScanStats) *segData {
+// rows returns sg's row data, reading it back from the spill tier when
+// evicted (st, when non-nil, counts those loads). For an in-memory
+// store this is one atomic load.
+func (r *segReader) rows(sg *colSegment, st *ScanStats) *segData {
+	if r.scr != nil && scratchDead != nil {
+		scratchDead(r.scr)
+	}
+	d := sg.data.Load()
+	sp := r.col.spill
+	if sp == nil || !sg.ondisk.Load() {
+		return d // never tracked by a cache: always resident
+	}
+	n := sp.cache.request(sg)
+	if d != nil {
+		return d
+	}
+	return r.load(sg, n, st)
+}
+
+// close returns the scratch, if the call needed one, to the pool.
+func (r *segReader) close() {
+	if r.scr != nil {
+		if scratchDead != nil {
+			scratchDead(r.scr)
+		}
+		scratchPool.Put(r.scr)
+	}
+}
+
+// load reads an evicted segment, requested n times before, from the kv
+// bucket: into fresh arrays published on the segment when the cache
+// admits it, else into the scratch. Missing or corrupt bytes fall back
+// to re-projecting the rows from the resident snapshot (a counted fault).
+func (r *segReader) load(sg *colSegment, n uint64, st *ScanStats) *segData {
+	c, sp := r.col, r.col.spill
+	if r.scr == nil {
+		r.scr = scratchPool.Get().(*segScratch)
+	}
+	scr := r.scr
+	size := segBytes(c.kind, sg.rows())
+	d, resident := &scr.d, sp.cache.admits(size, n)
+	if resident {
+		d = new(segData)
+	}
+	scr.key = appendSegKey(scr.key[:0], c.field, sg.zone.lo/ColumnBlockSize)
+	raw, err := sp.bucket.GetAppend(scr.raw[:0], scr.key)
+	if err == nil {
+		scr.raw = raw
+		err = decodeSegDataInto(d, c.kind, sg.rows(), raw)
+	}
+	if err == nil {
+		sp.cache.loads.Add(1)
+	} else {
+		sp.cache.loadFaults.Add(1)
+		d = c.rebuildSeg(sg)
+	}
 	if st != nil {
 		st.SegLoads++
 	}
-	sp := c.spill
-	var d *segData
-	if sp != nil {
-		if raw, err := sp.bucket.Get(segKey(c.field, sg.zone.lo/ColumnBlockSize)); err == nil {
-			if dd, derr := decodeSegData(c.kind, sg.rows(), raw); derr == nil {
-				d = dd
-			}
+	if !resident {
+		sp.cache.transient.Add(1)
+		if st != nil {
+			st.SegTransient++
 		}
-		if d != nil {
-			sp.cache.loads.Add(1)
-		} else {
-			sp.cache.loadFaults.Add(1)
-		}
-	}
-	if d == nil {
-		d = c.rebuildSeg(sg)
+		return d
 	}
 	if sg.data.CompareAndSwap(nil, d) {
-		if sp != nil {
-			sp.cache.insert(sg, d.bytes())
-		}
+		sp.cache.insert(sg, size)
 		return d
 	}
 	if w := sg.data.Load(); w != nil {
@@ -444,12 +482,13 @@ func (c *Column) addCode(s string) uint32 {
 // ScanStats reports one columnar predicate evaluation's pruning work:
 // how many zone-mapped segments the column holds, how many the zone maps
 // skipped, how many rows the surviving segments actually swept, and how
-// many cold segments had to be faulted in from the spill tier.
+// many cold segments had to be read back from the spill tier.
 type ScanStats struct {
-	Blocks      int // zone-mapped segments in the column
-	Pruned      int // segments skipped by zone-map/dictionary pruning
-	RowsScanned int // rows swept in unpruned segments
-	SegLoads    int // evicted segments faulted in from the disk tier
+	Blocks       int // zone-mapped segments in the column
+	Pruned       int // segments skipped by zone-map/dictionary pruning
+	RowsScanned  int // rows swept in unpruned segments
+	SegLoads     int // evicted segments read back from the disk tier
+	SegTransient int // of SegLoads: read through the scratch, not admitted to the cache
 }
 
 // Add accumulates o into s (aggregating the fragments of one query).
@@ -458,6 +497,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Pruned += o.Pruned
 	s.RowsScanned += o.RowsScanned
 	s.SegLoads += o.SegLoads
+	s.SegTransient += o.SegTransient
 }
 
 // FilterEq evaluates field == v into a selection index list in row
@@ -487,6 +527,8 @@ func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats,
 		return nil, st, true // row path: mv.Equal(v) is false for every row
 	}
 	var sel []int32
+	rd := segReader{col: col}
+	defer rd.close()
 	switch col.kind {
 	case KindInt:
 		for _, sg := range col.segs {
@@ -496,7 +538,7 @@ func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats,
 				continue
 			}
 			st.RowsScanned += z.hi - z.lo
-			sel = appendEqInt(sel, col.segRows(sg, &st), z.lo, z.hi-z.lo, v.I)
+			sel = appendEqInt(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, v.I)
 		}
 	case KindFloat:
 		for _, sg := range col.segs {
@@ -506,7 +548,7 @@ func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats,
 				continue
 			}
 			st.RowsScanned += z.hi - z.lo
-			sel = appendEqFloat(sel, col.segRows(sg, &st), z.lo, z.hi-z.lo, v.F)
+			sel = appendEqFloat(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, v.F)
 		}
 	case KindStr:
 		code, present := col.code(v.S)
@@ -526,7 +568,7 @@ func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats,
 				continue
 			}
 			st.RowsScanned += z.hi - z.lo
-			sel = appendEqCode(sel, col.segRows(sg, &st), z.lo, z.hi-z.lo, code)
+			sel = appendEqCode(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, code)
 		}
 	}
 	return sel, st, true
@@ -588,6 +630,8 @@ func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, 
 	}
 	st.Blocks = len(col.segs)
 	var sel []int32
+	rd := segReader{col: col}
+	defer rd.close()
 	switch col.kind {
 	case KindInt:
 		for _, sg := range col.segs {
@@ -597,7 +641,7 @@ func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, 
 				continue
 			}
 			st.RowsScanned += z.hi - z.lo
-			d := col.segRows(sg, &st)
+			d := rd.rows(sg, &st)
 			for j, rows := 0, z.hi-z.lo; j < rows; j++ {
 				if f := float64(d.ints[j]); f >= lo && f < hi && !d.null(j) {
 					sel = append(sel, int32(z.lo+j))
@@ -612,7 +656,7 @@ func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, 
 				continue
 			}
 			st.RowsScanned += z.hi - z.lo
-			d := col.segRows(sg, &st)
+			d := rd.rows(sg, &st)
 			for j, rows := 0, z.hi-z.lo; j < rows; j++ {
 				if f := d.floats[j]; f >= lo && f < hi && !d.null(j) {
 					sel = append(sel, int32(z.lo+j))
@@ -650,15 +694,8 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 		return nil, false
 	}
 	n := len(sel)
-	all := sel == nil
-	if all {
+	if sel == nil {
 		n = len(cs.patches)
-	}
-	row := func(i int) int32 {
-		if all {
-			return int32(i)
-		}
-		return sel[i]
 	}
 	if k > n {
 		k = n
@@ -666,42 +703,34 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 	if k <= 0 {
 		return []int32{}, true
 	}
-	// Pin every candidate segment's data up front: the comparator then
-	// reads plain arrays, and a concurrent eviction cannot stall the sort.
-	datas := make([]*segData, len(col.segs))
-	if all {
-		for si, sg := range col.segs {
-			datas[si] = col.segRows(sg, nil)
-		}
-	} else {
-		for _, r := range sel {
-			if si := int(r) / ColumnBlockSize; datas[si] == nil {
-				datas[si] = col.segRows(col.segs[si], nil)
-			}
-		}
+	// topEntry is one candidate with its sort value copied out of the
+	// segment, so the heap outlives the segment data it was read from and
+	// the walk below holds one segment at a time.
+	type topEntry struct {
+		row  int32
+		null bool
+		i    int64 // int value, or dictionary code
+		f    float64
 	}
-	// before reports whether row a orders strictly before row b in the
-	// output: Value.Less on the column values (null = zero Value, whose
-	// kind 0 sorts below every real kind), ties in row order.
-	before := func(a, b int32) bool {
-		da, ja := datas[int(a)/ColumnBlockSize], int(a)%ColumnBlockSize
-		db, jb := datas[int(b)/ColumnBlockSize], int(b)%ColumnBlockSize
-		an, bn := da.null(ja), db.null(jb)
-		if an || bn {
-			if an != bn {
+	// before reports whether a orders strictly before b in the output:
+	// Value.Less on the column values (null = zero Value, whose kind 0
+	// sorts below every real kind), ties in row order.
+	before := func(a, b topEntry) bool {
+		if a.null || b.null {
+			if a.null != b.null {
 				// One null: ascending puts the null first, descending last.
-				return an != desc
+				return a.null != desc
 			}
-			return a < b // both null: row order
+			return a.row < b.row // both null: row order
 		}
 		var less, greater bool
 		switch col.kind {
 		case KindInt:
-			less, greater = da.ints[ja] < db.ints[jb], da.ints[ja] > db.ints[jb]
+			less, greater = a.i < b.i, a.i > b.i
 		case KindFloat:
-			less, greater = da.floats[ja] < db.floats[jb], da.floats[ja] > db.floats[jb]
+			less, greater = a.f < b.f, a.f > b.f
 		case KindStr:
-			sa, sb := col.dict[da.codes[ja]], col.dict[db.codes[jb]]
+			sa, sb := col.dict[a.i], col.dict[b.i]
 			less, greater = sa < sb, sa > sb
 		}
 		if desc {
@@ -713,29 +742,43 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 		if greater {
 			return false
 		}
-		return a < b
+		return a.row < b.row
 	}
-	// sel is in row order, so candidate-position ties and row ties agree
-	// and the shared bounded heap applies directly.
-	top := topKIndexes(n, k, func(a, b int) bool { return before(row(a), row(b)) })
-	out := make([]int32, len(top))
-	for i, idx := range top {
-		out[i] = row(idx)
+	top := topHeap[topEntry]{k: k, h: make([]topEntry, 0, k), before: before}
+	rd := segReader{col: col}
+	defer rd.close()
+	// Candidates arrive in ascending row order (sel is in row order), so
+	// each segment's rows are consecutive and its data is read once.
+	var d *segData
+	cur := -1
+	for c := 0; c < n; c++ {
+		e := topEntry{row: int32(c)}
+		if sel != nil {
+			e.row = sel[c]
+		}
+		if si := int(e.row) / ColumnBlockSize; si != cur {
+			cur, d = si, rd.rows(col.segs[si], nil)
+		}
+		switch j := int(e.row) % ColumnBlockSize; {
+		case d.null(j):
+			e.null = true
+		case col.kind == KindInt:
+			e.i = d.ints[j]
+		case col.kind == KindFloat:
+			e.f = d.floats[j]
+		default:
+			e.i = int64(d.codes[j])
+		}
+		top.offer(e)
+	}
+	out := make([]int32, k)
+	for i, e := range top.sorted() {
+		out[i] = e.row
 	}
 	return out, true
 }
 
 // --------------------------------------------------------- aggregation ----
-
-// CountEq is FilterEq without materializing a selection list: the count
-// of rows with field == v. ok is false when the field has no column.
-func (cs *ColumnStore) CountEq(field string, v Value) (int, bool) {
-	sel, ok := cs.FilterEq(field, v)
-	if !ok {
-		return 0, false
-	}
-	return len(sel), true
-}
 
 // GroupCount groups the snapshot by field and returns {group, count}
 // tuples identical (values, order) to the row operator GroupCount over
@@ -749,6 +792,8 @@ func (cs *ColumnStore) GroupCount(field string) ([]Tuple, bool) {
 	if !okc {
 		return nil, false
 	}
+	rd := segReader{col: col}
+	defer rd.close()
 	switch col.kind {
 	case KindInt:
 		// SortKey order for ints is numeric order.
@@ -757,7 +802,7 @@ func (cs *ColumnStore) GroupCount(field string) ([]Tuple, bool) {
 			if sg.zone.allNull {
 				continue
 			}
-			d := col.segRows(sg, nil)
+			d := rd.rows(sg, nil)
 			for j, rows := 0, sg.rows(); j < rows; j++ {
 				if !d.null(j) {
 					counts[d.ints[j]]++
@@ -784,7 +829,7 @@ func (cs *ColumnStore) GroupCount(field string) ([]Tuple, bool) {
 			if sg.zone.allNull {
 				continue
 			}
-			d := col.segRows(sg, nil)
+			d := rd.rows(sg, nil)
 			for j, rows := 0, sg.rows(); j < rows; j++ {
 				if d.null(j) {
 					continue
@@ -810,7 +855,7 @@ func (cs *ColumnStore) GroupCount(field string) ([]Tuple, bool) {
 			if sg.zone.allNull {
 				continue
 			}
-			d := col.segRows(sg, nil)
+			d := rd.rows(sg, nil)
 			for j, rows := 0, sg.rows(); j < rows; j++ {
 				if !d.null(j) {
 					counts[d.codes[j]]++

@@ -208,45 +208,66 @@ func TopKPatches(ps []*Patch, field string, desc bool, k int) []*Patch {
 	return out
 }
 
+// topHeap keeps the k smallest values offered so far under the strict
+// total order before. The bounded heap holds the worst survivor at the
+// root, so a candidate once the heap is full costs one compare, plus
+// log k when it displaces.
+type topHeap[T any] struct {
+	k      int
+	h      []T
+	before func(a, b T) bool // by value: a pointer handed to a func value escapes
+}
+
+func (t *topHeap[T]) down(i int) {
+	h := t.h
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && t.before(h[worst], h[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && t.before(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+func (t *topHeap[T]) offer(v T) {
+	switch {
+	case len(t.h) < t.k:
+		if t.h = append(t.h, v); len(t.h) == t.k {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				t.down(i)
+			}
+		}
+	case t.before(v, t.h[0]):
+		t.h[0] = v
+		t.down(0)
+	}
+}
+
+// sorted returns the survivors in order (fewer than k when fewer were
+// offered). The heap is spent afterwards.
+func (t *topHeap[T]) sorted() []T {
+	sort.Slice(t.h, func(i, j int) bool { return t.before(t.h[i], t.h[j]) })
+	return t.h
+}
+
 // topKIndexes selects the k smallest of [0, n) under the strict total
-// order `before` and returns them sorted. The bounded heap keeps the
-// worst survivor at the root, so each of the remaining n-k candidates
-// costs one compare (plus log k when it displaces).
+// order `before` and returns them sorted.
 func topKIndexes(n, k int, before func(a, b int) bool) []int {
 	if k <= 0 {
 		return nil
 	}
-	h := make([]int, k)
-	for i := range h {
-		h[i] = i
+	top := topHeap[int]{k: k, h: make([]int, 0, k), before: before}
+	for i := 0; i < n; i++ {
+		top.offer(i)
 	}
-	down := func(i int) {
-		for {
-			worst := i
-			if l := 2*i + 1; l < k && before(h[worst], h[l]) {
-				worst = l
-			}
-			if r := 2*i + 2; r < k && before(h[worst], h[r]) {
-				worst = r
-			}
-			if worst == i {
-				return
-			}
-			h[i], h[worst] = h[worst], h[i]
-			i = worst
-		}
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for i := k; i < n; i++ {
-		if before(i, h[0]) {
-			h[0] = i
-			down(0)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
-	return h
+	return top.sorted()
 }
 
 // GroupCount groups by a metadata field and emits one synthetic patch per

@@ -7,10 +7,14 @@ package core
 // a per-collection bucket: the segment *summaries* — zone maps and null
 // counts — always stay resident, so zone-pruned scans never fault a cold
 // segment, while the row data itself lives behind an atomic pointer that
-// a byte-budgeted LRU cache (SegmentCache) may drop once the bytes are
+// a byte-budgeted cache (SegmentCache) may drop once the bytes are
 // safely on disk. Readers mid-scan hold the *segData they loaded, so an
 // eviction never invalidates an in-flight kernel — the garbage collector
-// is the reference count. A manifest (JSON, same bucket) records each
+// is the reference count. A cold segment re-enters the cache only when
+// it is requested more often than what it would displace; otherwise a
+// kernel reads it through a pooled scratch and drops it again, so a
+// scan larger than the budget neither churns nor allocates (README:
+// "Eviction and admission policy"). A manifest (JSON, same bucket) records each
 // spilled column's kind, dictionary and zone maps, letting a reopened
 // collection rehydrate its column store from disk instead of
 // re-projecting every patch.
@@ -62,9 +66,14 @@ func (d *segData) alloc(kind ValueKind, rows int) {
 	}
 }
 
-// bytes is the cache-accounting size of the segment's arrays.
-func (d *segData) bytes() int64 {
-	return int64(8*len(d.ints) + 8*len(d.floats) + 4*len(d.codes) + 8*len(d.nulls) + 64)
+// segBytes is the cache-accounting size of a segment's arrays, known
+// from its shape alone so admission is decided before anything decodes.
+func segBytes(kind ValueKind, rows int) int64 {
+	width := 8
+	if kind == KindStr {
+		width = 4
+	}
+	return int64(width*rows + 8*((rows+63)/64) + 64)
 }
 
 // colSegment is one zone-mapped block of a column. The summary fields
@@ -79,6 +88,7 @@ type colSegment struct {
 	sealed bool    // full ColumnBlockSize rows: shareable and spillable
 	ondisk atomic.Bool
 	data   atomic.Pointer[segData]
+	req    atomic.Uint64 // aged request count (see SegmentCache.request)
 }
 
 func (sg *colSegment) rows() int { return sg.zone.hi - sg.zone.lo }
@@ -144,66 +154,82 @@ func encodeSegData(kind ValueKind, d *segData) []byte {
 	return out
 }
 
-// decodeSegData reverses encodeSegData, validating the header against the
+// decodeSegDataInto reverses encodeSegData into d, reusing d's arrays
+// when they are large enough, and validates the header against the
 // expected kind and row count. decode(encode(d)) == d byte-for-byte.
-func decodeSegData(kind ValueKind, rows int, b []byte) (*segData, error) {
+func decodeSegDataInto(d *segData, kind ValueKind, rows int, b []byte) (err error) {
 	if len(b) < 6 || b[0] != segBlobVersion || ValueKind(b[1]) != kind {
-		return nil, fmt.Errorf("core: segment blob header mismatch")
+		return fmt.Errorf("core: segment blob header mismatch")
 	}
 	bl := int(binary.LittleEndian.Uint32(b[2:]))
 	if bl < 0 || len(b) < 6+bl {
-		return nil, fmt.Errorf("core: segment blob bitmap length")
+		return fmt.Errorf("core: segment blob bitmap length")
 	}
-	nulls, err := codec.DecodeBitmap(b[6 : 6+bl])
-	if err != nil {
-		return nil, err
+	if d.nulls, err = codec.DecodeBitmapInto(d.nulls, b[6:6+bl]); err != nil {
+		return err
 	}
-	if len(nulls) != (rows+63)/64 {
-		return nil, fmt.Errorf("core: segment bitmap rows mismatch")
+	if len(d.nulls) != (rows+63)/64 {
+		return fmt.Errorf("core: segment bitmap rows mismatch")
 	}
-	d := &segData{nulls: nulls}
 	typed := b[6+bl:]
 	switch kind {
 	case KindInt:
-		if d.ints, err = codec.DecodeInts(typed); err == nil && len(d.ints) != rows {
+		if d.ints, err = codec.DecodeIntsInto(d.ints, typed); err == nil && len(d.ints) != rows {
 			err = fmt.Errorf("core: segment int rows mismatch")
 		}
 	case KindFloat:
-		if d.floats, err = codec.DecodeFloats(typed); err == nil && len(d.floats) != rows {
+		if d.floats, err = codec.DecodeFloatsInto(d.floats, typed); err == nil && len(d.floats) != rows {
 			err = fmt.Errorf("core: segment float rows mismatch")
 		}
 	case KindStr:
-		if d.codes, err = codec.DecodeCodes(typed); err == nil && len(d.codes) != rows {
+		if d.codes, err = codec.DecodeCodesInto(d.codes, typed); err == nil && len(d.codes) != rows {
 			err = fmt.Errorf("core: segment code rows mismatch")
 		}
 	default:
 		err = fmt.Errorf("core: segment kind %d", kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return err
 }
+
+// segScratch holds one kernel call's buffers for cold segments that do
+// not earn residency: the bucket key, the raw blob and the arrays it
+// decodes into, reused from segment to segment and pooled between
+// calls, so a scan's cold reads allocate nothing (see segReader).
+type segScratch struct {
+	key, raw []byte
+	d        segData
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(segScratch) }}
+
+// scratchDead, when set, is called the moment a scratch's contents are
+// dead. The package's tests poison it there, so a kernel that reads a
+// transient segment past its own inner loop computes garbage.
+var scratchDead func(*segScratch)
 
 // ------------------------------------------------------- segment cache ----
 
-// SegmentCache is a byte-budgeted LRU over resident spilled segments,
-// shared service-wide (one cache across every shard replica DB, like the
-// shared cost model). Only segments safely on disk are tracked: evicting
-// one just drops its data pointer — the bytes reload from the kv bucket
-// on next touch, and any reader already holding the data keeps it alive.
-// A budget of 0 disables eviction (segments still spill for restart
-// rehydration, but stay resident).
+// SegmentCache budgets the bytes of resident spilled segments, shared
+// service-wide (one cache across every shard replica DB, like the shared
+// cost model). Only segments safely on disk are tracked: evicting one
+// just drops its data pointer — the bytes reload from the kv bucket on
+// next touch, and any reader already holding the data keeps it alive.
+// Eviction is second-chance LRU, re-admission is gated by request
+// frequency (admits). A budget of 0 disables eviction (segments still
+// spill for restart rehydration, but stay resident).
 type SegmentCache struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // admission and eviction only; a hit never takes it
 	budget int64
 	bytes  int64
-	ll     *list.List // front = most recently used
+	ll     *list.List // back = next eviction candidate
 	elems  map[*colSegment]*list.Element
+
+	epoch atomic.Uint64 // request-counter aging epoch (see request)
 
 	spills      atomic.Int64
 	spillErrors atomic.Int64
 	loads       atomic.Int64
+	transient   atomic.Int64
 	loadFaults  atomic.Int64
 	evictions   atomic.Int64
 }
@@ -211,6 +237,7 @@ type SegmentCache struct {
 type segEntry struct {
 	sg   *colSegment
 	size int64
+	seen uint64 // sg.req when the eviction hand last passed this entry
 }
 
 // NewSegmentCache builds a segment cache with the given byte budget
@@ -231,37 +258,111 @@ func (sc *SegmentCache) Budget() int64 {
 	return sc.budget
 }
 
-// insert tracks a resident spilled segment, evicting least-recently-used
-// segments while over budget.
-func (sc *SegmentCache) insert(sg *colSegment, size int64) {
-	sc.mu.Lock()
-	if e, ok := sc.elems[sg]; ok {
-		sc.ll.MoveToFront(e)
-		sc.mu.Unlock()
-		return
+// A segment's req word packs the cache epoch it was last written in
+// (high bits) over its request count (low reqBits). A count that reaches
+// reqCap advances the epoch, and every epoch a word has missed halves
+// its count when next read — so counts measure recent popularity, and a
+// column no longer scanned yields within reqCap scans of its successor.
+const (
+	reqBits = 8
+	reqCap  = 16
+)
+
+func reqCount(w, epoch uint64) uint64 {
+	if age := epoch - w>>reqBits; age < reqBits {
+		return (w & (1<<reqBits - 1)) >> age
 	}
-	e := sc.ll.PushFront(&segEntry{sg: sg, size: size})
-	sc.elems[sg] = e
-	sc.bytes += size
-	for sc.budget > 0 && sc.bytes > sc.budget && sc.ll.Len() > 0 {
-		back := sc.ll.Back()
-		ent := back.Value.(*segEntry)
-		sc.ll.Remove(back)
-		delete(sc.elems, ent.sg)
-		sc.bytes -= ent.size
-		ent.sg.data.Store(nil)
-		sc.evictions.Add(1)
-	}
-	sc.mu.Unlock()
+	return 0
 }
 
-// touch marks a tracked segment recently used.
-func (sc *SegmentCache) touch(sg *colSegment) {
-	sc.mu.Lock()
-	if e, ok := sc.elems[sg]; ok {
-		sc.ll.MoveToFront(e)
+// request counts one kernel request (hit or cold load) for a spilled
+// segment and returns the count before it. It is all a hit costs.
+func (sc *SegmentCache) request(sg *colSegment) uint64 {
+	if sc.budget <= 0 {
+		return 0 // nothing is ever evicted: no order to keep
 	}
-	sc.mu.Unlock()
+	for {
+		w := sg.req.Load()
+		epoch := sc.epoch.Load()
+		n := reqCount(w, epoch)
+		next := n + 1
+		if next == reqCap {
+			sc.epoch.CompareAndSwap(epoch, epoch+1) // lost: a racing request aged everyone already
+			epoch, next = epoch+1, next/2
+		}
+		if sg.req.CompareAndSwap(w, epoch<<reqBits|next) {
+			return n
+		}
+	}
+}
+
+// spare moves e to the front if its segment was requested since the
+// eviction hand last passed it (hits only bump req).
+func (sc *SegmentCache) spare(e *list.Element) bool {
+	ent := e.Value.(*segEntry)
+	w := ent.sg.req.Load()
+	if w == ent.seen {
+		return false
+	}
+	ent.seen = w
+	sc.ll.MoveToFront(e)
+	return true
+}
+
+// admits reports whether a cold segment of size bytes, requested n
+// times before this load, earns residency: it fits the free budget, or
+// every resident segment it would displace was requested strictly less
+// often. Ties keep the incumbent, so a cyclic scan larger than the
+// budget — where the segment asked for is always the one requested
+// longest ago — keeps a fixed resident subset. Nothing is evicted here;
+// insert does that once the segment's data is published.
+func (sc *SegmentCache) admits(size int64, n uint64) bool {
+	if sc.budget <= 0 {
+		return true
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	need := sc.bytes + size - sc.budget
+	epoch := sc.epoch.Load()
+	for e, left := sc.ll.Back(), sc.ll.Len(); need > 0; left-- {
+		if left == 0 {
+			return false // every entry spared or too hot
+		}
+		prev := e.Prev()
+		if !sc.spare(e) {
+			ent := e.Value.(*segEntry)
+			if reqCount(ent.seen, epoch) >= n {
+				return false
+			}
+			need -= ent.size
+		}
+		e = prev
+	}
+	return true
+}
+
+// insert tracks a resident spilled segment — unconditionally: a fresh
+// spill, or a load admits already let in — and evicts from the cold end
+// while over budget, sparing recently requested entries for one lap.
+func (sc *SegmentCache) insert(sg *colSegment, size int64) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if _, ok := sc.elems[sg]; ok {
+		return
+	}
+	sc.elems[sg] = sc.ll.PushFront(&segEntry{sg: sg, size: size, seen: sg.req.Load()})
+	sc.bytes += size
+	for e, left := sc.ll.Back(), sc.ll.Len(); sc.budget > 0 && sc.bytes > sc.budget && e != nil; left-- {
+		prev := e.Prev()
+		if left <= 0 || !sc.spare(e) {
+			ent := sc.ll.Remove(e).(*segEntry)
+			delete(sc.elems, ent.sg)
+			sc.bytes -= ent.size
+			ent.sg.data.Store(nil)
+			sc.evictions.Add(1)
+		}
+		e = prev
+	}
 }
 
 // EvictAll drops every tracked segment's data (tests and memory
@@ -283,6 +384,7 @@ type SegmentCacheStats struct {
 	Spills           int64 // sealed segments written to disk
 	SpillErrors      int64 // failed segment or manifest writes (segment stays pinned)
 	Loads            int64 // cold segments read back from disk
+	TransientLoads   int64 // cold reads served from a kernel's scratch, not admitted
 	LoadFaults       int64 // unreadable spilled segments rebuilt from the row snapshot
 	Evictions        int64 // resident segments dropped under budget pressure
 	ResidentBytes    int64 // bytes of spilled segments currently resident
@@ -302,6 +404,7 @@ func (sc *SegmentCache) Stats() SegmentCacheStats {
 		Spills:           sc.spills.Load(),
 		SpillErrors:      sc.spillErrors.Load(),
 		Loads:            sc.loads.Load(),
+		TransientLoads:   sc.transient.Load(),
 		LoadFaults:       sc.loadFaults.Load(),
 		Evictions:        sc.evictions.Load(),
 		ResidentBytes:    resident,
@@ -384,16 +487,17 @@ func (m segMeta) segment(si int) *colSegment {
 
 var manifestKey = []byte("m")
 
-// segKey is the bucket key of field's si-th sealed segment. Sealed
-// segments are immutable and content-stable across store generations, so
-// (field, index) addresses one value forever.
-func segKey(field string, si int) []byte {
-	k := make([]byte, 0, 3+len(field)+8)
-	k = append(k, 's', 0)
-	k = append(k, field...)
-	k = append(k, 0)
-	return append(k, kv.U64Key(uint64(si))...)
+// appendSegKey appends the bucket key of field's si-th sealed segment to
+// dst. Sealed segments are immutable and content-stable across store
+// generations, so (field, index) addresses one value forever.
+func appendSegKey(dst []byte, field string, si int) []byte {
+	dst = append(dst, 's', 0)
+	dst = append(dst, field...)
+	dst = append(dst, 0)
+	return binary.BigEndian.AppendUint64(dst, uint64(si)) // kv.U64Key's encoding
 }
+
+func segKey(field string, si int) []byte { return appendSegKey(nil, field, si) }
 
 // manifestLocked returns the cached manifest, loading it from the bucket
 // on first touch. Callers hold sp.mu.
@@ -444,7 +548,7 @@ func (sp *columnSpill) persist(col *Column) {
 		}
 		sp.cache.spills.Add(1)
 		sg.ondisk.Store(true)
-		sp.cache.insert(sg, d.bytes())
+		sp.cache.insert(sg, segBytes(col.kind, sg.rows()))
 	}
 	// Manifest covers only the contiguous on-disk prefix.
 	prefix := 0

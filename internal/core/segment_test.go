@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -16,6 +17,27 @@ import (
 // Extend allocation stays O(new rows) regardless of history length.
 
 var tieredFields = []string{"label", "score", "rank", "sparse", "clustered"}
+
+// Every test in the package runs with dead scratches poisoned: a kernel
+// reading a transient segment after its inner loop then diverges from
+// the in-memory store (or indexes the dictionary out of range) wherever
+// a byte-identity assertion looks.
+func init() {
+	scratchDead = func(s *segScratch) {
+		for i := range s.d.ints {
+			s.d.ints[i] = math.MinInt64 + 0x5a5a
+		}
+		for i := range s.d.floats {
+			s.d.floats[i] = -0x5a5ap300
+		}
+		for i := range s.d.codes {
+			s.d.codes[i] = math.MaxUint32
+		}
+		for i := range s.d.nulls {
+			s.d.nulls[i] = math.MaxUint64 // every row "present"
+		}
+	}
+}
 
 // tieredCollection is columnCollection with a segment cache installed
 // before any column projects, so every sealed segment spills.
@@ -347,6 +369,210 @@ func TestTieredConcurrentAppendScan(t *testing.T) {
 	}
 	if cs.Len() != base+extra {
 		t.Fatalf("final snapshot %d rows, want %d", cs.Len(), base+extra)
+	}
+	assertStoreMatchesMemory(t, cs, NewColumnStore(cs.Patches(), cs.Version()))
+}
+
+// overBudgetStore builds a tiered collection whose float column "score"
+// (and int column "rank", same segment size) is 4x the budget, with only
+// the named fields projected, and an in-memory twin over the same rows.
+func overBudgetStore(t testing.TB, fields ...string) (cs, mem *ColumnStore, sc *SegmentCache) {
+	t.Helper()
+	const rows = 16*ColumnBlockSize + 200
+	budget := 4*segBytes(KindFloat, ColumnBlockSize) + 100
+	_, col, sc := tieredCollection(t, rows, budget)
+	cs, err := col.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		if _, ok := cs.Column(f); !ok {
+			t.Fatalf("%s did not project", f)
+		}
+	}
+	return cs, NewColumnStore(cs.Patches(), cs.Version()), sc
+}
+
+// scanCycle is one pass of the budgeted workload: a range filter over
+// every segment of field, then a top-k over its selection (which spans
+// every segment too). It fails the test on any divergence from mem.
+func scanCycle(t testing.TB, cs, mem *ColumnStore, field string) {
+	sel, _, _ := cs.FilterRangeStats(field, 1.5, 2.5)
+	msel, _, _ := mem.FilterRangeStats(field, 1.5, 2.5)
+	if len(sel) == 0 || !reflect.DeepEqual(sel, msel) {
+		t.Fatalf("%s range filter diverges: %d vs %d rows", field, len(sel), len(msel))
+	}
+	top, _ := cs.TopK(sel, field, true, 10)
+	mtop, _ := mem.TopK(msel, field, true, 10)
+	if !reflect.DeepEqual(top, mtop) {
+		t.Fatalf("%s top-k diverges: %v vs %v", field, top, mtop)
+	}
+}
+
+// TestCyclicScanOverBudgetSettles is the thrash-cliff regression: a scan
+// cycling over a column 4x the budget must settle on a fixed resident
+// subset — no evictions from the second cycle on, the budget held, cold
+// segments read transiently — with every result the in-memory store's.
+func TestCyclicScanOverBudgetSettles(t *testing.T) {
+	cs, mem, sc := overBudgetStore(t, "score")
+	scanCycle(t, cs, mem, "score")
+	settled := sc.Stats()
+	for cycle := 2; cycle <= 3*reqCap; cycle++ { // long enough to cross several aging epochs
+		scanCycle(t, cs, mem, "score")
+		st := sc.Stats()
+		if st.Evictions != settled.Evictions {
+			t.Fatalf("cycle %d evicted: %d -> %d evictions", cycle, settled.Evictions, st.Evictions)
+		}
+		if st.ResidentBytes > st.Budget {
+			t.Fatalf("cycle %d: resident %d bytes over the %d budget", cycle, st.ResidentBytes, st.Budget)
+		}
+	}
+	st := sc.Stats()
+	if st.ResidentSegments == 0 || st.Loads == settled.Loads {
+		t.Fatalf("scan neither kept a resident subset nor loaded cold segments: %+v", st)
+	}
+	if cold := st.Loads - settled.Loads; st.TransientLoads-settled.TransientLoads != cold {
+		t.Fatalf("settled scan admitted cold segments: %d loads, %d transient", cold, st.TransientLoads-settled.TransientLoads)
+	}
+	assertStoreMatchesMemory(t, cs, mem)
+}
+
+// TestOverBudgetScanAllocatesOnlySelection: once warm, the budgeted scan
+// allocates what the in-memory scan allocates — the selection, the heap,
+// the result — and under 512 B more per cold segment it reads.
+func TestOverBudgetScanAllocatesOnlySelection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	cs, mem, sc := overBudgetStore(t, "score")
+	cycle := func(s *ColumnStore) func() {
+		return func() {
+			sel, _, _ := s.FilterRangeStats("score", 1.5, 2.5)
+			s.TopK(sel, "score", true, 10)
+		}
+	}
+	cycle(cs)() // settle the resident set and size the scratch
+	if tiered, inmem := testing.AllocsPerRun(20, cycle(cs)), testing.AllocsPerRun(20, cycle(mem)); tiered > inmem+2 {
+		t.Fatalf("budgeted scan makes %.0f allocations per cycle, in-memory %.0f", tiered, inmem)
+	}
+	const runs = 20
+	bytesPer := func(fn func()) int64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&b)
+		return int64(b.TotalAlloc-a.TotalAlloc) / runs
+	}
+	before := sc.Stats().Loads
+	tiered, inmem := bytesPer(cycle(cs)), bytesPer(cycle(mem))
+	cold := (sc.Stats().Loads - before) / runs
+	if cold == 0 {
+		t.Fatal("warm over-budget scan read no cold segment")
+	}
+	extra := (tiered - inmem) / cold
+	t.Logf("%d B/cycle budgeted, %d B/cycle in-memory, %d cold segments/cycle: %d B per cold segment", tiered, inmem, cold, extra)
+	if extra >= 512 {
+		t.Fatalf("%d B per cold segment beyond the selection", extra)
+	}
+}
+
+// TestResidentSetFollowsWorkloadShift: admission must not freeze the
+// cache. When the scans move to another column, the old column's
+// counters age away and the new column takes over the resident set
+// within a number of cycles bounded by the counter cap, not by how long
+// the old column had been hot.
+func TestResidentSetFollowsWorkloadShift(t *testing.T) {
+	cs, mem, sc := overBudgetStore(t, "score", "rank")
+	for cycle := 0; cycle < 5*reqCap; cycle++ {
+		scanCycle(t, cs, mem, "score")
+	}
+	resident := func(field string) (n int) {
+		col, _ := cs.Column(field)
+		for _, sg := range col.segs {
+			if sg.ondisk.Load() && sg.data.Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if resident("score") == 0 || resident("rank") != 0 {
+		t.Fatalf("before the shift: %d score and %d rank segments resident", resident("score"), resident("rank"))
+	}
+	shifted := 0
+	for resident("score") > 0 {
+		if shifted++; shifted > reqCap {
+			t.Fatalf("after %d cycles on rank the cache still holds %d score segments (%d rank)",
+				shifted, resident("score"), resident("rank"))
+		}
+		scanCycle(t, cs, mem, "rank")
+	}
+	t.Logf("resident set moved from score to rank in %d cycles", shifted)
+	if resident("rank") == 0 {
+		t.Fatal("score left the cache but rank never entered it")
+	}
+	if st := sc.Stats(); st.ResidentBytes > st.Budget {
+		t.Fatalf("resident %d bytes over the %d budget", st.ResidentBytes, st.Budget)
+	}
+}
+
+// TestConcurrentBudgetedScansUnderAppends: eight goroutines scan three
+// columns under a budget of a few segments while appends seal and spill
+// new ones. Every kernel result must equal an in-memory projection of
+// the snapshot it ran over; with released scratches poisoned (see init),
+// a scratch shared between two readers or read after release cannot.
+func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
+	const base = 3 * ColumnBlockSize
+	const extra = 2*ColumnBlockSize + 300
+	_, col, sc := tieredCollection(t, base, 3*segBytes(KindFloat, ColumnBlockSize))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := base; i < base+extra; i++ {
+			if err := col.Append(columnPatch(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				cs, err := col.Columns()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mem := NewColumnStore(cs.Patches(), cs.Version())
+				eq, _ := cs.FilterEq("label", StrV("bike"))
+				meq, _ := mem.FilterEq("label", StrV("bike"))
+				rg, _ := cs.FilterRange("score", float64(w), float64(w)+1.5)
+				mrg, _ := mem.FilterRange("score", float64(w), float64(w)+1.5)
+				top, _ := cs.TopK(rg, "rank", w%2 == 0, 25)
+				mtop, _ := mem.TopK(mrg, "rank", w%2 == 0, 25)
+				ltop, _ := cs.TopK(nil, "label", true, 7)
+				mltop, _ := mem.TopK(nil, "label", true, 7)
+				grp, _ := cs.GroupCount("rank")
+				mgrp, _ := mem.GroupCount("rank")
+				if !reflect.DeepEqual(eq, meq) || !reflect.DeepEqual(rg, mrg) || !reflect.DeepEqual(top, mtop) ||
+					!reflect.DeepEqual(ltop, mltop) || !reflect.DeepEqual(grp, mgrp) {
+					t.Errorf("scanner %d pass %d diverges from memory at %d rows", w, i, cs.Len())
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := sc.Stats(); st.TransientLoads == 0 || st.ResidentBytes > st.Budget {
+		t.Fatalf("scans never went through the scratch, or the budget broke: %+v", st)
+	}
+	cs, err := col.Columns()
+	if err != nil {
+		t.Fatal(err)
 	}
 	assertStoreMatchesMemory(t, cs, NewColumnStore(cs.Patches(), cs.Version()))
 }

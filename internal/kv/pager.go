@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -352,9 +353,13 @@ func (p *Pager) WriteOverflow(val []byte) (uint64, error) {
 	return head, nil
 }
 
-// ReadOverflow reassembles a value stored by WriteOverflow.
-func (p *Pager) ReadOverflow(head uint64, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
+// ReadOverflow appends the value stored by WriteOverflow to dst and
+// returns the extended slice (dst may be nil). The bytes are copied out
+// of the page cache, so a caller that passes a reused buffer reads an
+// overflow value without allocating.
+func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error) {
+	base := len(dst)
+	out := slices.Grow(dst, total)
 	id := head
 	for id != 0 {
 		buf, err := p.Read(id)
@@ -368,11 +373,11 @@ func (p *Pager) ReadOverflow(head uint64, total int) ([]byte, error) {
 		}
 		out = append(out, buf[12:12+n]...)
 		id = next
-		if len(out) > total {
+		if len(out)-base > total {
 			return nil, ErrCorruptVal
 		}
 	}
-	if len(out) != total {
+	if len(out)-base != total {
 		return nil, ErrCorruptVal
 	}
 	return out, nil

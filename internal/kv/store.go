@@ -159,10 +159,18 @@ func (b *Bucket) Put(key, val []byte) error {
 }
 
 // Get returns the value under key, or ErrNotFound.
-func (b *Bucket) Get(key []byte) ([]byte, error) {
+func (b *Bucket) Get(key []byte) ([]byte, error) { return b.GetAppend(nil, key) }
+
+// GetAppend appends the value under key to dst and returns the extended
+// slice, or ErrNotFound. The value is copied out of the tree's pages
+// into dst, never aliased: a hot reader that passes the same buffer
+// (buf[:0]) on every call reads without allocating, and owns the result
+// until it reuses the buffer. On error the returned slice is nil and
+// dst's contents are unspecified.
+func (b *Bucket) GetAppend(dst, key []byte) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	v, err := b.t.Get(key)
+	v, err := b.t.GetAppend(dst, key)
 	if errors.Is(err, btree.ErrNotFound) {
 		return nil, fmt.Errorf("%w: bucket %q key %x", ErrNotFound, b.name, key)
 	}

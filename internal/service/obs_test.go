@@ -370,6 +370,7 @@ type statsContract struct {
 	ExtendTotalBlocks int64             `json:"extend_total_blocks"`
 	SegmentSpills     int64             `json:"segment_spills"`
 	SegmentLoads      int64             `json:"segment_loads"`
+	SegmentTransient  int64             `json:"segment_transient_loads"`
 	SegmentLoadFaults int64             `json:"segment_load_faults"`
 	SegmentEvictions  int64             `json:"segment_evictions"`
 	SegmentResBytes   int64             `json:"segment_resident_bytes"`
@@ -442,7 +443,7 @@ func TestStatsJSONContract(t *testing.T) {
 		"admitted", "rejected", "coalesced", "completed", "failed",
 		"in_flight", "peak_in_flight",
 		"appends", "appended_rows", "column_extends", "extend_reuse_blocks", "extend_total_blocks",
-		"segment_spills", "segment_loads", "segment_load_faults",
+		"segment_spills", "segment_loads", "segment_transient_loads", "segment_load_faults",
 		"segment_evictions", "segment_resident_bytes", "column_mem_budget",
 		"knn_queries", "index_extends", "index_rebuilds",
 		"result_cache", "udf_cache", "result_hit_rate",

@@ -174,6 +174,9 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_segment_loads_total", "Cold column segments read back from disk.", nil, func() float64 {
 		return float64(s.segCache.Stats().Loads)
 	})
+	r.CounterFunc("deeplens_segment_transient_loads_total", "Cold column segment reads served from a kernel's scratch buffer instead of being admitted to the segment cache.", nil, func() float64 {
+		return float64(s.segCache.Stats().TransientLoads)
+	})
 	r.CounterFunc("deeplens_segment_load_faults_total", "Unreadable spilled segments rebuilt from the row snapshot.", nil, func() float64 {
 		return float64(s.segCache.Stats().LoadFaults)
 	})

@@ -191,6 +191,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard int) {
 		sp.AttrInt("blocks_pruned", int64(f.scan.Pruned))
 		sp.AttrInt("rows_scanned", int64(f.scan.RowsScanned))
 		sp.AttrInt("seg_loads", int64(f.scan.SegLoads))
+		sp.AttrInt("seg_transient", int64(f.scan.SegTransient))
 		switch {
 		case f.colInfo.Extended:
 			sp.Attr("columns", "extended")

@@ -1034,12 +1034,15 @@ type Stats struct {
 	// Config.ColumnMemBudget leaves tiering off). SegmentLoadFaults
 	// counts segments rebuilt from the row snapshot after an unreadable
 	// spill blob — never a failed query, always a counted repair.
-	SegmentSpills        int64 `json:"segment_spills"`
-	SegmentLoads         int64 `json:"segment_loads"`
-	SegmentLoadFaults    int64 `json:"segment_load_faults"`
-	SegmentEvictions     int64 `json:"segment_evictions"`
-	SegmentResidentBytes int64 `json:"segment_resident_bytes"`
-	ColumnMemBudget      int64 `json:"column_mem_budget"`
+	// SegmentTransientLoads is the part of SegmentLoads (and faults)
+	// served from a kernel's scratch without entering the cache.
+	SegmentSpills         int64 `json:"segment_spills"`
+	SegmentLoads          int64 `json:"segment_loads"`
+	SegmentTransientLoads int64 `json:"segment_transient_loads"`
+	SegmentLoadFaults     int64 `json:"segment_load_faults"`
+	SegmentEvictions      int64 `json:"segment_evictions"`
+	SegmentResidentBytes  int64 `json:"segment_resident_bytes"`
+	ColumnMemBudget       int64 `json:"column_mem_budget"`
 
 	// ANN serving: knn queries executed (cold; cache hits excluded like
 	// every execution counter) and the vector-index maintenance record —
@@ -1140,12 +1143,13 @@ func (s *Service) Stats() Stats {
 		ExtendReuseBlocks: extReused,
 		ExtendTotalBlocks: extTotal,
 
-		SegmentSpills:        scs.Spills,
-		SegmentLoads:         scs.Loads,
-		SegmentLoadFaults:    scs.LoadFaults,
-		SegmentEvictions:     scs.Evictions,
-		SegmentResidentBytes: scs.ResidentBytes,
-		ColumnMemBudget:      s.cfg.ColumnMemBudget,
+		SegmentSpills:         scs.Spills,
+		SegmentLoads:          scs.Loads,
+		SegmentTransientLoads: scs.TransientLoads,
+		SegmentLoadFaults:     scs.LoadFaults,
+		SegmentEvictions:      scs.Evictions,
+		SegmentResidentBytes:  scs.ResidentBytes,
+		ColumnMemBudget:       s.cfg.ColumnMemBudget,
 
 		KNNQueries:    s.tel.knnQueries.Value(),
 		IndexExtends:  idxExtends,

@@ -47,6 +47,10 @@ func TestTieredBudgetGoldenEquivalence(t *testing.T) {
 		if st.SegmentLoadFaults != 0 {
 			t.Fatalf("%s: healthy store reported %d load faults", name, st.SegmentLoadFaults)
 		}
+		if st.SegmentTransientLoads > st.SegmentLoads {
+			t.Fatalf("%s: %d transient loads out of %d loads", name, st.SegmentTransientLoads, st.SegmentLoads)
+		}
+		t.Logf("%s: %d segment loads, %d transient, %d evictions", name, st.SegmentLoads, st.SegmentTransientLoads, st.SegmentEvictions)
 		if st.Failed != 0 {
 			t.Fatalf("%s: %d queries failed under budget", name, st.Failed)
 		}
