@@ -13,14 +13,12 @@
 //	deeplens-bench ablation-lsh       exact vs approximate matching
 //	deeplens-bench ablation-segment   segmented-file clip-length sweep
 //	deeplens-bench ablation-buildside similarity-join build-side choice
-//	deeplens-bench shard-scaling      scatter-gather latency vs shard count
-//	deeplens-bench columnar-scan      columnar scan engine vs iterator path
-//	deeplens-bench tiered-scan        tiered column store under a memory budget
-//	deeplens-bench ann-knn            ANN-indexed kNN probes vs brute-force scan
+//	deeplens-bench ablation-kdtree    KD-tree vs ball tree across dimensionality
 //	deeplens-bench all                everything above
 //
 // Flags scale the datasets; -scale=paper restores paper-scale frame and
-// image counts (slow).
+// image counts (slow). Serving performance is measured by the
+// benchmark/ module, not here.
 package main
 
 import (
@@ -50,7 +48,7 @@ func realMain() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the experiment run to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: deeplens-bench [flags] <experiment>\n\nexperiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 ablation-lsh ablation-segment ablation-buildside ablation-kdtree shard-scaling columnar-scan tiered-scan ann-knn all\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: deeplens-bench [flags] <experiment>\n\nexperiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 ablation-lsh ablation-segment ablation-buildside ablation-kdtree all\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -143,14 +141,6 @@ func run(experiment string, cfg dataset.Config) error {
 		return withEnv(cfg, runAblationBuildSide)
 	case "ablation-kdtree":
 		return runAblationKDTree()
-	case "shard-scaling":
-		return runShardScaling()
-	case "columnar-scan":
-		return runColumnarScan()
-	case "tiered-scan":
-		return runTieredScan()
-	case "ann-knn":
-		return runANNKNN()
 	case "all":
 		if err := runFig2(cfg); err != nil {
 			return err

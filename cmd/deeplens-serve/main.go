@@ -4,47 +4,27 @@
 //
 //	deeplens-serve -addr :8080 -workers 8 -frames 240
 //
-// With -loadgen N it instead drives the in-process service with N
-// concurrent closed-loop clients over a mixed query workload, in a cold
-// phase (flushed caches) and a warm phase, and prints the throughput and
-// cache table — the serving analog of the paper's query benchmarks.
-//
-//	deeplens-serve -loadgen 16 -loadgen-requests 400
-//
-// With -ingest N it drives the live-ingest path instead: a streaming
-// appender pushes N rows frame-at-a-time through the service's append
-// API into a fresh live collection while query clients keep hitting it,
-// proving the serving path stays warm — every post-append query extends
-// the columnar store in place instead of rebuilding it, and the report
-// prints the sealed-block reuse alongside the query latencies.
-//
-//	deeplens-serve -ingest 8000 -loadgen 4 -shards 3
+// It is a server only; the repository's load and latency measurement is
+// the benchmark/ module, which drives this same handler over HTTP.
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -105,13 +85,6 @@ func run() error {
 		pcImgs  = flag.Int("pc-images", 120, "PC corpus images to ingest")
 		clips   = flag.Int("clips", 2, "football clips to ingest")
 		clipLen = flag.Int("clip-len", 30, "football clip length")
-
-		loadgen         = flag.Int("loadgen", 0, "run N concurrent load-generator clients instead of serving")
-		loadgenReqs     = flag.Int("loadgen-requests", 400, "total requests per load-generator phase")
-		loadgenDistinct = flag.Bool("loadgen-distinct", false, "jitter every request's parameters (defeats the result cache and coalescing) to exercise the compute path — the workload where cross-request kernel fusion shows")
-
-		ingest     = flag.Int("ingest", 0, "stream-append N rows through /append-style live ingest while queries run, then print the ingest + extension report (instead of serving)")
-		ingestBase = flag.Int("ingest-base", 12000, "rows pre-materialized in the live collection before the ingest stream starts")
 	)
 	flag.Parse()
 
@@ -206,17 +179,6 @@ func run() error {
 	defer svc.Close()
 	svc.RegisterSource("trafficcam", trafficSource{env.Traffic})
 
-	if *ingest > 0 {
-		clients := *loadgen
-		if clients <= 0 {
-			clients = 4
-		}
-		return runIngest(svc, env, clients, *ingest, *ingestBase)
-	}
-	if *loadgen > 0 {
-		return runLoadgen(svc, *loadgen, *loadgenReqs, *frames, *loadgenDistinct)
-	}
-
 	// The service API plus Go's profiling handlers (heap, goroutine,
 	// 30-second CPU profiles) for diagnosing serving hot paths in place.
 	mux := http.NewServeMux()
@@ -263,432 +225,4 @@ func checkDirLayout(dir string, shards, replicas int) (useSharded bool, err erro
 		return true, nil
 	}
 	return false, nil
-}
-
-// workload returns the mixed request set the load generator cycles
-// through: indexed and scan filters, similarity joins with and without a
-// prebuilt index, identity dedup, and a memoizable inference sweep.
-func workload(frames int) []service.Request {
-	str := func(s string) *string { return &s }
-	sweep := frames / 4
-	if sweep < 1 {
-		sweep = 1
-	}
-	return []service.Request{
-		{Collection: bench.ColTrafficDets,
-			Filter: &service.FilterSpec{Field: "label", Str: str("pedestrian"), UseIndex: true}},
-		{Collection: bench.ColTrafficDets,
-			Filter: &service.FilterSpec{Field: "label", Str: str("car")}},
-		{Collection: bench.ColTrafficDets,
-			Filter:   &service.FilterSpec{Field: "label", Str: str("pedestrian")},
-			SimJoin:  &service.SimJoinSpec{Field: "emb", Eps: 0.15, MinCluster: 2},
-			Distinct: true},
-		{Collection: bench.ColPCImages,
-			SimJoin: &service.SimJoinSpec{Field: "ghist", Eps: 0.066, UseIndex: true}},
-		{Collection: bench.ColPCWords,
-			Filter:  &service.FilterSpec{Field: "text", Str: str("query")},
-			OrderBy: "frameno", Limit: 1},
-		{Infer: &service.InferSpec{Source: "trafficcam", From: 0, To: sweep,
-			UDF: "detect", Label: "car"}},
-	}
-}
-
-type phaseResult struct {
-	name     string
-	total    time.Duration
-	lats     obs.Summary
-	ok       int
-	shed     int // cost-based sheds (admission said "expensive, come back later")
-	rejected int // hard rejections (physical queue full) and retry budgets exhausted
-	retried  int // re-submissions after an overload, Retry-After honored
-}
-
-// Closed-loop clients honor the service's Retry-After hint on overload,
-// but cap the sleep — a load generator that sleeps the full server hint
-// (1s+) stops generating load. Bounded attempts keep one hot request
-// from wedging a client forever.
-const (
-	loadgenRetryCap = 250 * time.Millisecond
-	loadgenAttempts = 4
-)
-
-// queryRetry runs one request against the service, retrying overloads
-// with a capped Retry-After backoff, and folds the outcome into res
-// under mu. Successful retries count in both retried and ok; requests
-// that exhaust their attempts land in rejected.
-func queryRetry(svc *service.Service, req service.Request, res *phaseResult, mu *sync.Mutex, tag string) {
-	for attempt := 1; ; attempt++ {
-		t0 := time.Now()
-		_, err := svc.Query(context.Background(), req)
-		lat := time.Since(t0)
-		var oe *service.OverloadError
-		switch {
-		case err == nil:
-			mu.Lock()
-			res.ok++
-			res.lats.ObserveDuration(lat)
-			mu.Unlock()
-			return
-		case errors.Is(err, service.ErrOverloaded):
-			backoff := loadgenRetryCap
-			if errors.As(err, &oe) {
-				mu.Lock()
-				if oe.Shed {
-					res.shed++
-				}
-				mu.Unlock()
-				if oe.RetryAfter > 0 && oe.RetryAfter < backoff {
-					backoff = oe.RetryAfter
-				}
-			}
-			if attempt >= loadgenAttempts {
-				mu.Lock()
-				res.rejected++
-				mu.Unlock()
-				return
-			}
-			time.Sleep(backoff)
-			mu.Lock()
-			res.retried++
-			mu.Unlock()
-		default:
-			log.Printf("%s: %v", tag, err)
-			return
-		}
-	}
-}
-
-func (p *phaseResult) qps() float64 {
-	if p.total <= 0 {
-		return 0
-	}
-	return float64(p.ok) / p.total.Seconds()
-}
-
-func (p *phaseResult) pct(q float64) time.Duration {
-	return time.Duration(p.lats.Quantile(q) * float64(time.Second))
-}
-
-func (p *phaseResult) mean() time.Duration {
-	return time.Duration(p.lats.Mean() * float64(time.Second))
-}
-
-// distinctReq perturbs request i so no two requests share a fingerprint:
-// simjoin thresholds get a result-preserving jitter and inference sweeps
-// rotate their frame window. NoCache keeps the result cache out of the
-// way; the UDF materialization cache still works (the paper's argument),
-// so the remaining per-request cost is device kernels — the regime the
-// cross-request batcher optimizes.
-func distinctReq(req service.Request, i, frames int) service.Request {
-	req.NoCache = true
-	if req.SimJoin != nil {
-		sj := *req.SimJoin
-		sj.Eps += float64(i%997) * 1e-9
-		req.SimJoin = &sj
-	}
-	if req.Infer != nil {
-		in := *req.Infer
-		span := in.To - in.From
-		if frames > span {
-			in.From = i % (frames - span)
-			in.To = in.From + span
-		}
-		req.Infer = &in
-	}
-	return req
-}
-
-func runPhase(svc *service.Service, name string, clients, total int, reqs []service.Request, distinct bool, frames int) phaseResult {
-	var (
-		mu  sync.Mutex
-		res = phaseResult{name: name}
-		wg  sync.WaitGroup
-		seq = make(chan int)
-	)
-	start := time.Now()
-	go func() {
-		for i := 0; i < total; i++ {
-			seq <- i
-		}
-		close(seq)
-	}()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range seq {
-				req := reqs[i%len(reqs)]
-				if distinct {
-					req = distinctReq(req, i, frames)
-				}
-				queryRetry(svc, req, &res, &mu, "loadgen")
-			}
-		}()
-	}
-	wg.Wait()
-	res.total = time.Since(start)
-	return res
-}
-
-func runLoadgen(svc *service.Service, clients, total, frames int, distinct bool) error {
-	reqs := workload(frames)
-	mode := "repeating"
-	if distinct {
-		mode = "distinct (no result-cache reuse)"
-	}
-	log.Printf("load generator: %d clients, %d requests per phase, %d query shapes, %s",
-		clients, total, len(reqs), mode)
-
-	svc.FlushCaches()
-	cold := runPhase(svc, "cold", clients, total, reqs, distinct, frames)
-	warm := runPhase(svc, "warm", clients, total, reqs, distinct, frames)
-
-	st := svc.Stats()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "phase\treqs\tok\tshed\tretried\trejected\tQPS\tmean\tp50\tp95\tp99")
-	for _, p := range []phaseResult{cold, warm} {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.0f\t%v\t%v\t%v\t%v\n",
-			p.name, total, p.ok, p.shed, p.retried, p.rejected, p.qps(),
-			p.mean().Round(time.Microsecond),
-			p.pct(0.50).Round(time.Microsecond), p.pct(0.95).Round(time.Microsecond),
-			p.pct(0.99).Round(time.Microsecond))
-	}
-	w.Flush()
-	fmt.Printf("\nwarm/cold speedup: %.1fx\n", warm.qps()/cold.qps())
-	fmt.Printf("result cache: %d hits / %d misses (%.0f%% hit rate), %d entries, %d KiB\n",
-		st.ResultCache.Hits, st.ResultCache.Misses, 100*st.ResultHitRate,
-		st.ResultCache.Entries, st.ResultCache.Bytes>>10)
-	fmt.Printf("udf cache: %d hits / %d misses, %d entries, %d KiB\n",
-		st.UDFCache.Hits, st.UDFCache.Misses, st.UDFCache.Entries, st.UDFCache.Bytes>>10)
-	fmt.Printf("pool: %d workers on %d %s devices, peak in-flight %d, coalesced %d\n",
-		st.Workers, st.Devices, st.Device, st.PeakInFlight, st.Coalesced)
-	fmt.Printf("kernels: %d executed in %d launches (%d size / %d deadline / %d idle flushes), overhead %.1f ms\n",
-		st.DeviceKernels, st.DeviceLaunches,
-		st.Batcher.FlushSize, st.Batcher.FlushDeadline, st.Batcher.FlushIdle, st.DeviceOverheadMS)
-	if st.Shards > 1 {
-		fmt.Printf("shards: %d, %d scatter queries fanned into %d tasks, merge %.2f ms total\n",
-			st.Shards, st.ScatterQueries, st.ScatterTasks, st.MergeTimeMS)
-		for _, si := range st.ShardInfo {
-			fmt.Printf("  shard %d: %d rows, %d versions\n", si.Shard, si.Rows, si.Versions)
-		}
-	}
-	fmt.Printf("fusion factor: %.2fx\n", st.FusionFactor)
-
-	// Scrape the service's own /metrics over loopback HTTP — the same
-	// bytes Prometheus would see — and cross-check the server-side
-	// histogram percentiles against the client-side raw summaries. The
-	// server buckets (fixed bounds, interpolated), the client keeps every
-	// sample, so agreement is "same bucket", not equality.
-	exp, err := scrapeMetrics(svc)
-	if err != nil {
-		return fmt.Errorf("loadgen: /metrics scrape: %w", err)
-	}
-	var client obs.Summary
-	client.Merge(&cold.lats)
-	client.Merge(&warm.lats)
-	fmt.Printf("\nserver (/metrics histogram) vs client (raw samples) latency:\n")
-	for _, q := range []float64{0.50, 0.95, 0.99} {
-		sv, ok := obs.PromHistogramQuantile(exp, "deeplens_query_duration_seconds", nil, q)
-		if !ok {
-			return fmt.Errorf("loadgen: /metrics has no deeplens_query_duration_seconds histogram")
-		}
-		fmt.Printf("  p%.0f: server %v, client %v\n", q*100,
-			time.Duration(sv*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(client.Quantile(q)*float64(time.Second)).Round(time.Microsecond))
-	}
-	if n, ok := exp.Value("deeplens_query_duration_seconds_count", nil); ok {
-		fmt.Printf("  server observed %.0f queries, client %d\n", n, client.Count())
-	}
-	return nil
-}
-
-// scrapeMetrics serves the service's handler on an ephemeral loopback
-// listener and fetches one /metrics page through a real HTTP round
-// trip, so the loadgen validates the exposition exactly as an external
-// scraper would receive it.
-func scrapeMetrics(svc *service.Service) (*obs.PromExposition, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return obs.CheckExposition(resp.Body)
-}
-
-// liveCol names the collection the -ingest mode streams into.
-const liveCol = "live.dets"
-
-// livePatchSpec is ingest row i as a client would POST it (the colscan
-// field shapes: low-cardinality label, dense float score, small-domain
-// int rank).
-func livePatchSpec(i int) service.PatchSpec {
-	p := bench.ColScanPatch(i)
-	return service.PatchSpec{
-		Source: p.Ref.Source,
-		Frame:  p.Ref.Frame,
-		Meta: map[string]any{
-			"label": p.Meta["label"].S,
-			"score": p.Meta["score"].F,
-			"rank":  float64(p.Meta["rank"].I),
-		},
-	}
-}
-
-// ingestQueries is the query mix the clients run against the live
-// collection while the appender streams: selective equality, ordered
-// top-k, and a numeric range — all on the columnar path, all NoCache so
-// every request exercises the engine rather than the result cache
-// (appends move the version every batch anyway).
-func ingestQueries() []service.Request {
-	str := func(s string) *string { return &s }
-	f := func(v float64) *float64 { return &v }
-	return []service.Request{
-		{Collection: liveCol, Filter: &service.FilterSpec{Field: "label", Str: str("cls03")}, NoCache: true},
-		{Collection: liveCol, OrderBy: "score", Desc: true, Limit: 10, NoCache: true},
-		{Collection: liveCol, Filter: &service.FilterSpec{Field: "score", Min: f(0.25), Max: f(0.75)},
-			OrderBy: "rank", Limit: 5, NoCache: true},
-	}
-}
-
-// runIngest seeds the live collection with base rows, then interleaves
-// a frame-at-a-time append stream of total rows with clients*queries
-// concurrent query traffic, and reports both sides: ingest throughput,
-// query latency during ingest, and the columnar extension's
-// sealed-block reuse (the "stays warm" proof).
-func runIngest(svc *service.Service, env *bench.Env, clients, total, base int) error {
-	schema := bench.ColScanSchema()
-	var appendSeed func(*core.Patch) error
-	if env.Shards != nil {
-		sc, err := env.Shards.CreateCollection(liveCol, schema)
-		if err != nil {
-			return err
-		}
-		appendSeed = sc.Append
-	} else {
-		c, err := env.DB.CreateCollection(liveCol, schema)
-		if err != nil {
-			return err
-		}
-		appendSeed = c.Append
-	}
-	log.Printf("seeding %s with %d rows...", liveCol, base)
-	for i := 0; i < base; i++ {
-		if err := appendSeed(bench.ColScanPatch(i)); err != nil {
-			return err
-		}
-	}
-	// Warm the columnar store so the stream upgrades instead of building.
-	warm := ingestQueries()[0]
-	if _, err := svc.Query(context.Background(), warm); err != nil {
-		return err
-	}
-
-	const batch = 64
-	reqs := ingestQueries()
-	queryTotal := clients * 64
-	log.Printf("ingest: streaming %d rows in %d-row batches against %d query clients (%d queries)...",
-		total, batch, clients, queryTotal)
-
-	var (
-		appendLats    []time.Duration
-		appendErr     error
-		appendRetried int
-		res           = phaseResult{name: "during-ingest"}
-		mu            sync.Mutex
-		wg            sync.WaitGroup
-		seq           = make(chan int)
-	)
-	start := time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; i += batch {
-			req := service.AppendRequest{Collection: liveCol}
-			for j := i; j < i+batch && j < total; j++ {
-				req.Patches = append(req.Patches, livePatchSpec(base+j))
-			}
-			// A producer must deliver every row, so overloads from the
-			// write gate retry indefinitely with the same capped backoff
-			// the query clients use; only hard errors abort the stream.
-			t0 := time.Now()
-			for {
-				_, err := svc.Append(context.Background(), req)
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, service.ErrOverloaded) {
-					appendErr = err
-					return
-				}
-				backoff := loadgenRetryCap
-				var oe *service.OverloadError
-				if errors.As(err, &oe) && oe.RetryAfter > 0 && oe.RetryAfter < backoff {
-					backoff = oe.RetryAfter
-				}
-				appendRetried++
-				time.Sleep(backoff)
-			}
-			appendLats = append(appendLats, time.Since(t0))
-		}
-	}()
-	go func() {
-		for i := 0; i < queryTotal; i++ {
-			seq <- i
-		}
-		close(seq)
-	}()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range seq {
-				queryRetry(svc, reqs[i%len(reqs)], &res, &mu, "ingest query")
-			}
-		}()
-	}
-	wg.Wait()
-	res.total = time.Since(start)
-	if appendErr != nil {
-		return appendErr
-	}
-
-	st := svc.Stats()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "phase\treqs\tok\tshed\tretried\trejected\tQPS\tmean\tp50\tp95\tp99")
-	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.0f\t%v\t%v\t%v\t%v\n",
-		res.name, queryTotal, res.ok, res.shed, res.retried, res.rejected, res.qps(),
-		res.mean().Round(time.Microsecond),
-		res.pct(0.50).Round(time.Microsecond), res.pct(0.95).Round(time.Microsecond),
-		res.pct(0.99).Round(time.Microsecond))
-	w.Flush()
-	var appendSum time.Duration
-	for _, l := range appendLats {
-		appendSum += l
-	}
-	perRow := time.Duration(0)
-	if st.AppendedRows > 0 {
-		perRow = appendSum / time.Duration(st.AppendedRows)
-	}
-	fmt.Printf("\ningest: %d rows in %d appends over %v (%v/row), %d overload retries\n",
-		st.AppendedRows, st.Appends, res.total.Round(time.Millisecond), perRow.Round(100*time.Nanosecond), appendRetried)
-	reusePct := 0.0
-	if st.ExtendTotalBlocks > 0 {
-		reusePct = 100 * float64(st.ExtendReuseBlocks) / float64(st.ExtendTotalBlocks)
-	}
-	fmt.Printf("columnar extension: %d in-place upgrades, %d/%d sealed blocks reused (%.1f%%)\n",
-		st.ColumnExtends, st.ExtendReuseBlocks, st.ExtendTotalBlocks, reusePct)
-	if st.Shards > 1 {
-		fmt.Printf("shards: %d, appends hash-routed:\n", st.Shards)
-		for _, si := range st.ShardInfo {
-			fmt.Printf("  shard %d: %d rows, %d versions\n", si.Shard, si.Rows, si.Versions)
-		}
-	}
-	return nil
 }

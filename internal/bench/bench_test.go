@@ -4,6 +4,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -239,6 +240,53 @@ func TestRunAll(t *testing.T) {
 	for q, pair := range res {
 		if pair[0].Value != pair[1].Value {
 			t.Fatalf("%s: baseline %d != tuned %d", q, pair[0].Value, pair[1].Value)
+		}
+	}
+}
+
+// TestBatchedServiceKernelsMatchUnbatched cross-checks the batcher at
+// the query level: the same similarity join produces identical pairs on
+// a bare device and through a shared fused batcher.
+func TestBatchedServiceKernelsMatchUnbatched(t *testing.T) {
+	e := newTestEnv(t)
+	col, err := e.DB.Collection(ColTrafficDets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patches, _, err := col.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(patches) > 400 {
+		patches = patches[:400]
+	}
+	run := func(dev exec.Device) int {
+		pairs, err := core.SimilarityJoinBatched(e.DB, patches, patches, core.SimilarityJoinOpts{
+			LeftField: "emb", RightField: "emb",
+			Eps: 0.15, DedupUnordered: true, Device: dev,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pairs)
+	}
+	plain := run(exec.NewGPU(exec.GPUProfile{LaunchLatency: time.Microsecond, BytesPerSecond: 1e12}))
+	bat := exec.NewBatcher(
+		exec.NewGPU(exec.GPUProfile{LaunchLatency: time.Microsecond, BytesPerSecond: 1e12}),
+		exec.BatcherConfig{MaxBatch: 4, Window: time.Millisecond})
+	var fusedPairs [4]int
+	var wg sync.WaitGroup
+	for i := range fusedPairs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fusedPairs[i] = run(bat)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range fusedPairs {
+		if got != plain {
+			t.Fatalf("submitter %d: fused join found %d pairs, unfused %d", i, got, plain)
 		}
 	}
 }

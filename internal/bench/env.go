@@ -23,7 +23,7 @@ type Env struct {
 	Cfg dataset.Config
 	DB  *core.DB
 	// Shards is set instead of DB when the environment was ingested into
-	// a horizontally partitioned database (NewShardedEnv): the same ETL
+	// a horizontally partitioned database (NewShardedReplicaEnv): the same ETL
 	// pipelines run, but every patch routes to its hash-designated shard.
 	Shards *core.Sharded
 	Dir    string
@@ -80,19 +80,14 @@ func NewEnvAt(dbPath, dir string, cfg dataset.Config, dev exec.Device) (*Env, er
 	return e, nil
 }
 
-// NewShardedEnv generates datasets and runs the full ETL into an
+// NewShardedReplicaEnv generates datasets and runs the full ETL into an
 // n-shard partitioned database rooted at dir (shard subdirectories
-// dir/shard-NNN). A prior sharded ingest is reused; a prior ingest with
-// a different shard count fails with core.ErrShardMismatch.
-func NewShardedEnv(dir string, cfg dataset.Config, n int, dev exec.Device) (*Env, error) {
-	return NewShardedReplicaEnv(dir, cfg, n, 1, dev)
-}
-
-// NewShardedReplicaEnv is NewShardedEnv with r replicas per shard
-// (replica directories dir/shard-NNN-rK beside the primaries): the ETL
-// runs once and every append fans out to all replicas of its home
-// shard, so the replicas come up byte-identical and the hedged-read
-// serving path has somewhere to fail over to.
+// dir/shard-NNN) with r replicas per shard (dir/shard-NNN-rK beside the
+// primaries): the ETL runs once and every append fans out to all
+// replicas of its home shard, so the replicas come up byte-identical and
+// the hedged-read serving path has somewhere to fail over to. A prior
+// sharded ingest is reused; a prior ingest with a different shard count
+// fails with core.ErrShardMismatch.
 func NewShardedReplicaEnv(dir string, cfg dataset.Config, n, r int, dev exec.Device) (*Env, error) {
 	sdb, err := core.OpenShardedReplicas(dir, n, r, dev)
 	if err != nil {

@@ -91,9 +91,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return bucketQuantile(h.bounds, counts, total, q)
 }
 
-// bucketQuantile is the shared bucket-interpolation core, also used by
-// PromHistogramQuantile on scraped data. counts are per-bucket (not
-// cumulative), len(counts) == len(bounds)+1.
+// bucketQuantile interpolates the q-quantile within the bucket holding
+// rank q*total. counts are per-bucket (not cumulative),
+// len(counts) == len(bounds)+1.
 func bucketQuantile(bounds []float64, counts []int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0

@@ -126,32 +126,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestSummaryMatchesLegacyPercentiles(t *testing.T) {
-	// The loadgen's historical pct(): sort, index int(q*(n-1)).
-	s := NewSummary(0)
-	for _, v := range []float64{9, 1, 5, 3, 7} {
-		s.Observe(v)
-	}
-	if got := s.Quantile(0.5); got != 5 {
-		t.Fatalf("p50 = %g, want 5", got)
-	}
-	if got := s.Quantile(0.95); got != 7 { // int(0.95*4) = 3 -> sorted[3] = 7
-		t.Fatalf("p95 = %g, want 7", got)
-	}
-	if got := s.Quantile(1); got != 9 {
-		t.Fatalf("p100 = %g, want 9", got)
-	}
-	if got := s.Min(); got != 1 {
-		t.Fatalf("min = %g, want 1", got)
-	}
-	if got := s.Mean(); got != 5 {
-		t.Fatalf("mean = %g, want 5", got)
-	}
-	if got := s.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
-	}
-}
-
 func TestSlowLogRingAndThreshold(t *testing.T) {
 	l := NewSlowLog(10*time.Millisecond, 3)
 	l.Observe(5*time.Millisecond, "fast", "", nil) // below threshold
@@ -217,9 +191,6 @@ func TestRegistryPrometheusRoundTrip(t *testing.T) {
 	}
 	if v, ok := exp.Value("deeplens_query_duration_seconds_bucket", map[string]string{"le": "+Inf"}); !ok || v != 3 {
 		t.Fatalf("+Inf bucket = %g, %v", v, ok)
-	}
-	if q, ok := PromHistogramQuantile(exp, "deeplens_query_duration_seconds", nil, 0.5); !ok || q <= 0.1 || q > 1 {
-		t.Fatalf("scraped p50 = %g, %v", q, ok)
 	}
 
 	// Same counter handle again — must be the same series, not a dup.

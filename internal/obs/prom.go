@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -243,60 +242,4 @@ func renderSorted(labels map[string]string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// PromHistogramQuantile computes the q-quantile of a scraped
-// histogram family from its _bucket samples (cumulative counts with
-// an `le` label), using the same bucket interpolation as
-// Histogram.Quantile. The loadgen uses this to cross-check the
-// server's latency distribution against its own client-side summary.
-func PromHistogramQuantile(exp *PromExposition, name string, extra map[string]string, q float64) (float64, bool) {
-	type edge struct {
-		le  float64
-		cum int64
-	}
-	var edges []edge
-	for _, s := range exp.Get(name + "_bucket") {
-		match := true
-		for k, v := range extra {
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		le := s.Labels["le"]
-		var bound float64
-		if le == "+Inf" {
-			bound = math.Inf(1)
-		} else {
-			v, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return 0, false
-			}
-			bound = v
-		}
-		edges = append(edges, edge{le: bound, cum: int64(s.Value)})
-	}
-	if len(edges) == 0 {
-		return 0, false
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].le < edges[j].le })
-	bounds := make([]float64, 0, len(edges)-1)
-	counts := make([]int64, len(edges))
-	var prev int64
-	for i, e := range edges {
-		if !math.IsInf(e.le, 1) {
-			bounds = append(bounds, e.le)
-		}
-		counts[i] = e.cum - prev
-		prev = e.cum
-	}
-	total := edges[len(edges)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	return bucketQuantile(bounds, counts, total, q), true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -301,11 +302,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := exp.Value("deeplens_cache_hit_rate", map[string]string{"cache": "result"}); !ok {
 		t.Fatal("deeplens_cache_hit_rate{cache=\"result\"} is missing")
 	}
-	// The server-side histogram quantile must reconstruct from the
-	// scraped buckets (the loadgen's cross-check path).
-	if q, ok := obs.PromHistogramQuantile(exp, "deeplens_query_duration_seconds", nil, 0.5); !ok || q < 0 {
-		t.Fatalf("p50 from scraped histogram = %v (found=%v)", q, ok)
-	}
 }
 
 // TestDebugSlowAndHealthz: the slow-log endpoint serves JSON and the
@@ -478,7 +474,7 @@ func TestTracingOverheadBound(t *testing.T) {
 	s := obsFixture(t, 1, 2000, Config{Workers: 2})
 	str := "car"
 	run := func(traced bool) float64 {
-		var sum obs.Summary
+		best := math.Inf(1)
 		for i := 0; i < 40; i++ {
 			req := Request{
 				Collection: shardTestCol,
@@ -490,9 +486,9 @@ func TestTracingOverheadBound(t *testing.T) {
 			if _, err := s.Query(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}
-			sum.ObserveDuration(time.Since(t0))
+			best = math.Min(best, time.Since(t0).Seconds())
 		}
-		return sum.Min()
+		return best
 	}
 	run(false) // warm both paths (snapshot + column store)
 	run(true)
