@@ -44,15 +44,14 @@ type DB struct {
 	idxExtends  atomic.Int64
 	idxRebuilds atomic.Int64
 
-	// Hash/B+ tree index maintenance counters (see Index.Sync).
+	// Hash/B+ tree index maintenance counters (see Index.sync).
 	scalarExtends  atomic.Int64
 	scalarRebuilds atomic.Int64
 	scalarInserted atomic.Int64
 
-	// cost is the planner's cost model. Every DB gets its own default;
-	// a serving layer shares one model across replica DBs (SetCostModel)
-	// so observed filter latencies from any replica feed one state.
-	cost atomic.Pointer[CostModel]
+	// cost is the planner's cost model: static constants, set once by
+	// Open.
+	cost *CostModel
 
 	// segCache, when installed, attaches a disk spill tier to every
 	// collection's column store: sealed segments persist into a
@@ -92,6 +91,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		store: st, dev: dev, sys: sys, patchLoc: loc,
 		cols:    make(map[string]*Collection),
 		indexes: make(map[string]*Index),
+		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
 		db.nextID = kv.ParseU64Key(v)
@@ -99,7 +99,6 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	if v, err := sys.Get([]byte("nextver")); err == nil {
 		db.nextVer.Store(kv.ParseU64Key(v))
 	}
-	db.cost.Store(DefaultCostModel())
 	// Load collection descriptors.
 	if err := sys.Scan([]byte("col."), []byte("col/"), func(k, v []byte) bool {
 		var d colDesc
@@ -115,18 +114,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 }
 
 // Cost returns the DB's cost model (never nil for an opened DB).
-func (db *DB) Cost() *CostModel {
-	return db.cost.Load()
-}
-
-// SetCostModel installs a shared cost model — the serving layer points
-// every replica DB at one model so all observed latencies and all plan
-// choices flow through the same state. Nil models are ignored.
-func (db *DB) SetCostModel(cm *CostModel) {
-	if cm != nil {
-		db.cost.Store(cm)
-	}
-}
+func (db *DB) Cost() *CostModel { return db.cost }
 
 // SetSegmentCache installs the shared column-segment cache, enabling
 // the tiered column store: sealed segments spill through the kv pager

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/tensor"
@@ -614,74 +613,66 @@ func TestOptimizerFilterPath(t *testing.T) {
 	}
 }
 
-func TestObservedFilterCostFeedback(t *testing.T) {
+// TestFilterCostStatic: selection costs are the static per-row and
+// per-fetch constants — deterministic functions of the plan and the
+// snapshot, so replicas quote byte-identical est_cost_sec.
+func TestFilterCostStatic(t *testing.T) {
 	cm := DefaultCostModel()
-	// Cold model: static constants.
-	if got, want := cm.FilterCost(FilterColumnScan, 1000, 0), 1000*CColScanSec; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("cold column-scan cost = %g, want %g", got, want)
-	}
-	// Below the sample floor the observation must not leak into pricing.
-	for i := 0; i < minFilterObs-1; i++ {
-		cm.ObserveFilter(FilterColumnScan, 1000, time.Second)
-	}
-	if _, ok := cm.ObservedFilterUnit(FilterColumnScan); ok {
-		t.Fatal("observed cost trusted below sample floor")
-	}
-	cm.ObserveFilter(FilterColumnScan, 1000, time.Second)
-	per, ok := cm.ObservedFilterUnit(FilterColumnScan)
-	if !ok || per <= 0 {
-		t.Fatalf("observed per-unit = %g, %v", per, ok)
-	}
-	// 1s per 1000 units observed throughout: the EWMA is exactly 1ms/unit
-	// and ObservedFilterCost must quote it.
-	if got := cm.ObservedFilterCost(FilterColumnScan, 2000, 0); math.Abs(got-2.0) > 1e-9 {
-		t.Fatalf("observed column-scan cost = %g, want 2.0", got)
-	}
-	// FilterCost stays the deterministic static estimator regardless —
-	// it feeds response cost fields that must be byte-identical across
-	// replicas.
-	if got, want := cm.FilterCost(FilterColumnScan, 1000, 0), 1000*CColScanSec; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("static column-scan cost drifted: %g, want %g", got, want)
-	}
-	// Unobserved paths fall through to the static constants.
-	if got, want := cm.ObservedFilterCost(FilterScan, 1000, 0), 1000*CRowScanSec; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("row-scan cost polluted: %g, want %g", got, want)
-	}
-	// Degenerate observations are dropped.
-	cm.ObserveFilter(FilterScan, 0, time.Second)
-	cm.ObserveFilter(FilterScan, 100, 0)
-	if _, ok := cm.ObservedFilterUnit(FilterScan); ok {
-		t.Fatal("degenerate observations counted")
+	for _, tc := range []struct {
+		m    FilterMethod
+		want float64
+	}{
+		{FilterColumnScan, 1000 * CColScanSec},
+		{FilterScan, 1000 * CRowScanSec},
+		{FilterHashIndex, 10 * cm.CFetch},
+		{FilterBTreeIndex, 10 * cm.CFetch},
+	} {
+		if got := cm.FilterCost(tc.m, 1000, 10); math.Abs(got-tc.want) > 1e-15 {
+			t.Fatalf("%v cost = %g, want %g", tc.m, got, tc.want)
+		}
 	}
 }
 
-func TestPlanFilterObservedOverride(t *testing.T) {
+// TestPlanFilterStaticOrder: the planner's preference order is fixed —
+// hash index, then B-tree index, then the columnar scan for scalar
+// constants, then the row scan.
+func TestPlanFilterStaticOrder(t *testing.T) {
 	db := openDB(t)
-	col, _ := db.CreateCollection("dets", simpleSchema())
+	col, err := db.CreateCollection("dets", Schema{Fields: []Field{{Name: "label", Kind: KindStr}, {Name: "emb", Kind: KindVec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
-		col.Append(mkPatch("car", int64(i)))
+		if err := col.Append(&Patch{Ref: Ref{Source: "cam", Frame: uint64(i)},
+			Meta: Metadata{"label": StrV("car"), "emb": VecV([]float32{float32(i)})}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db.BuildIndex(col, "label", IdxHash)
-	// Cold start: static preference order holds.
-	if m, _ := db.PlanFilter(col, "label", StrV("car")); m != FilterHashIndex {
-		t.Fatalf("cold plan = %v, want hash-index", m)
+	plan := func(field string, v Value) FilterMethod {
+		t.Helper()
+		m, err := db.PlanFilter(col, field, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	cm := db.Cost()
-	// Observe the hash path pathologically slow; the column scan stays
-	// unobserved — the default must not flip on one-sided evidence...
-	for i := 0; i < minFilterObs; i++ {
-		cm.ObserveFilter(FilterHashIndex, 10, time.Second)
+	if m := plan("emb", VecV([]float32{1})); m != FilterScan {
+		t.Fatalf("vector constant plan = %v, want scan-filter", m)
 	}
-	if m, _ := db.PlanFilter(col, "label", StrV("car")); m != FilterHashIndex {
-		t.Fatalf("plan flipped on partially-observed comparison: %v", m)
+	if m := plan("label", StrV("car")); m != FilterColumnScan {
+		t.Fatalf("no-index plan = %v, want column-scan", m)
 	}
-	// ...but once both paths are observed and the alternative is
-	// measurably cheaper, the planner overrides the static order.
-	for i := 0; i < minFilterObs; i++ {
-		cm.ObserveFilter(FilterColumnScan, 1000, time.Microsecond)
+	if _, err := db.BuildIndex(col, "label", IdxBTree); err != nil {
+		t.Fatal(err)
 	}
-	if m, _ := db.PlanFilter(col, "label", StrV("car")); m != FilterColumnScan {
-		t.Fatalf("observed-cheaper column scan not chosen: %v", m)
+	if m := plan("label", StrV("car")); m != FilterBTreeIndex {
+		t.Fatalf("btree-only plan = %v, want btree-index", m)
+	}
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	if m := plan("label", StrV("car")); m != FilterHashIndex {
+		t.Fatalf("hash+btree plan = %v, want hash-index", m)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -309,20 +311,8 @@ func (db *DB) ScalarIndexStats() (extends, rebuilds, inserted int64) {
 	return db.scalarExtends.Load(), db.scalarRebuilds.Load(), db.scalarInserted.Load()
 }
 
-// Sync brings a hash or B+ tree index current for the snapshot (snap,
-// ver) and reports what that took. Every lookup does this itself; a
-// caller that wants maintenance accounted apart from the probe (its
-// span attribute, its cost observation) calls Sync first.
-func (idx *Index) Sync(snap []*Patch, ver uint64) (Refresh, error) {
-	if !idx.Kind.scalar() {
-		return 0, fmt.Errorf("core: %v index is not maintained", idx.Kind)
-	}
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	return idx.sync(snap, ver)
-}
-
-// sync is the lifecycle step; callers hold idx.mu. Hit: the version
+// sync brings a hash or B+ tree index current for the snapshot (snap,
+// ver) and reports what that took; callers hold idx.mu. Hit: the version
 // matches, or snap is a prefix of the covered rows (a reader that raced
 // behind the index; probe drops the ids it cannot see). Extend: the
 // covered rows are a certified prefix of snap — only snap[covered:] is
@@ -380,16 +370,18 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 }
 
 // probe runs look against the index made current for (snap, ver), all
-// under the index mutex, and returns exactly the ids visible in snap.
-func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error)) ([]PatchID, error) {
+// under the index mutex, and returns exactly the ids visible in snap
+// together with what making the index current took.
+func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error)) ([]PatchID, Refresh, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	if _, err := idx.sync(snap, ver); err != nil {
-		return nil, err
+	use, err := idx.sync(snap, ver)
+	if err != nil {
+		return nil, use, err
 	}
 	ids, err := look()
 	if err != nil || len(snap) >= len(idx.covered) {
-		return ids, err
+		return ids, use, err
 	}
 	newer := make(map[PatchID]struct{}, len(idx.covered)-len(snap))
 	for _, p := range idx.covered[len(snap):] {
@@ -401,7 +393,7 @@ func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error
 			out = append(out, id)
 		}
 	}
-	return out, nil
+	return out, use, nil
 }
 
 // insert adds p's entry. B+ tree: a composite (field value, patch id)
@@ -459,12 +451,20 @@ func compositePatchID(k []byte) PatchID {
 // the snapshot the caller executes over, so index contents and query
 // visibility can never skew.
 func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error) {
+	ids, _, err := idx.lookupEq(snap, ver, v)
+	return ids, err
+}
+
+// lookupEq is LookupEq reporting what bringing the index current took.
+func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refresh, error) {
 	sk, err := v.SortKey()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	switch idx.Kind {
-	case IdxHash:
+	switch {
+	case v.Kind == KindFloat && math.IsNaN(v.F): // NaN equals nothing, itself included
+		return idx.probe(snap, ver, func() ([]PatchID, error) { return nil, nil })
+	case idx.Kind == IdxHash:
 		return idx.probe(snap, ver, func() (out []PatchID, err error) {
 			err = idx.postings(sk, func(_, ids []byte) {
 				for off := 0; off+8 <= len(ids); off += 8 {
@@ -473,13 +473,13 @@ func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error
 			})
 			return out, err
 		})
-	case IdxBTree:
+	case idx.Kind == IdxBTree:
 		// Every composite key of the value, and no other, sorts between its
 		// prefix and the prefix followed by an id past the largest.
 		prefix := compositePrefix(sk)
 		return idx.scan(snap, ver, prefix, append(bytes.Clone(prefix), bytes.Repeat([]byte{0xFF}, 9)...))
 	default:
-		return nil, fmt.Errorf("core: %v index does not support equality lookup", idx.Kind)
+		return nil, 0, fmt.Errorf("core: %v index does not support equality lookup", idx.Kind)
 	}
 }
 
@@ -487,15 +487,22 @@ func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error
 // hi (B+ tree only; nil bounds are unbounded), current for (snap, ver)
 // like LookupEq.
 func (idx *Index) LookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]PatchID, error) {
+	ids, _, err := idx.lookupRange(snap, ver, lo, hi)
+	return ids, err
+}
+
+// lookupRange is LookupRange reporting what bringing the index current
+// took.
+func (idx *Index) lookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]PatchID, Refresh, error) {
 	if idx.Kind != IdxBTree {
-		return nil, fmt.Errorf("core: %v index does not support range lookup", idx.Kind)
+		return nil, 0, fmt.Errorf("core: %v index does not support range lookup", idx.Kind)
 	}
 	var keys [2][]byte
 	for i, bound := range []*Value{lo, hi} {
 		if bound != nil {
 			sk, err := bound.SortKey()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			keys[i] = compositePrefix(sk)
 		}
@@ -503,8 +510,67 @@ func (idx *Index) LookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]Patch
 	return idx.scan(snap, ver, keys[0], keys[1])
 }
 
+// numericRange resolves the half-open range [lo, hi) against a B+ tree
+// index with the row predicate's numeric widening (ints compare as
+// floats, see Pred). Sort keys are kind-prefixed, so int-keyed and
+// float-keyed rows occupy disjoint key regions and one key-space scan
+// cannot serve the widening: the range runs as two probes against the
+// caller's snapshot, one per numeric kind, with the bounds converted
+// into each kind's key space. The id union is returned ascending, which
+// is snapshot order for append paths that allocate ids in commit order,
+// so the probe returns rows in the same order as the scans. The Refresh
+// is the first probe's; the second always hits.
+func (idx *Index) numericRange(snap []*Patch, ver uint64, lo, hi float64) ([]PatchID, Refresh, error) {
+	// Float probe: an inclusive -Inf low and an exclusive +Inf high are
+	// exactly the scan semantics at open sides (a stored +Inf fails
+	// v < +Inf; NaN keys sort past +Inf and are excluded with it). NaN
+	// bounds and empty intervals match nothing.
+	fLo, fHi := FloatV(lo), FloatV(hi)
+	ids, use, err := idx.lookupRange(snap, ver, &fLo, &fHi)
+	if err != nil || !(lo < hi) {
+		return nil, use, err
+	}
+	// Int probe: lo <= float64(v) < hi is the int key range
+	// [intCeil(lo), intCeil(hi)); with no int64 at or past hi it is open
+	// above, fenced by the float -Inf key, the first after the int region.
+	if iLo, ok := intCeil(lo); ok {
+		intLo, intHi := IntV(iLo), FloatV(math.Inf(-1))
+		if iHi, ok := intCeil(hi); ok {
+			intHi = IntV(iHi)
+		}
+		got, _, err := idx.lookupRange(snap, ver, &intLo, &intHi)
+		if err != nil {
+			return nil, use, err
+		}
+		ids = append(ids, got...)
+	}
+	slices.Sort(ids)
+	return ids, use, nil
+}
+
+// intCeil is the smallest int64 t with float64(t) >= x, and false when
+// none exists. The conversion rounds but never decreases as t grows, so
+// t >= intCeil(x) <=> float64(t) >= x — the widening the row predicate
+// applies, exact also past 2^53 where neighbouring ints share a float.
+func intCeil(x float64) (int64, bool) {
+	if !(x <= 1<<63) { // NaN, or past float64(MaxInt64) == 2^63
+		return 0, false
+	}
+	if x <= -(1 << 63) {
+		return math.MinInt64, true
+	}
+	t := int64(math.MaxInt64)
+	if x < 1<<63 {
+		t = int64(math.Ceil(x))
+	}
+	for float64(t-1) >= x { // at most half an ulp of steps, past 2^53 only
+		t--
+	}
+	return t, true
+}
+
 // scan is the B+ tree probe: the ids under keys in [lo, hi), key order.
-func (idx *Index) scan(snap []*Patch, ver uint64, lo, hi []byte) ([]PatchID, error) {
+func (idx *Index) scan(snap []*Patch, ver uint64, lo, hi []byte) ([]PatchID, Refresh, error) {
 	return idx.probe(snap, ver, func() (out []PatchID, err error) {
 		err = idx.bt.Scan(lo, hi, func(k, _ []byte) bool {
 			out = append(out, compositePatchID(k))

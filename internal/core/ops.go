@@ -8,25 +8,42 @@ import (
 // Predicate evaluates a tuple.
 type Predicate func(Tuple) bool
 
+// Pred is a selection predicate on one metadata field: equality with V
+// (Value.Equal), or (Range) the half-open numeric range Lo <= field < Hi,
+// where ints compare as floats and non-numerics fail both bounds. Every
+// access path DB.Select runs answers exactly the rows Match accepts.
+type Pred struct {
+	Field  string
+	Range  bool
+	V      Value
+	Lo, Hi float64
+}
+
+// Match is the row predicate: p carries the field and its value
+// satisfies pr (a missing field never matches).
+func (pr *Pred) Match(p *Patch) bool {
+	mv, ok := p.Meta[pr.Field]
+	if !ok {
+		return false
+	}
+	if pr.Range {
+		f := mv.AsFloat()
+		return f >= pr.Lo && f < pr.Hi
+	}
+	return mv.Equal(pr.V)
+}
+
 // FieldEq builds a predicate on one metadata field of the tuple's first
 // patch.
 func FieldEq(field string, v Value) Predicate {
-	return func(t Tuple) bool {
-		got, ok := t[0].Meta[field]
-		return ok && got.Equal(v)
-	}
+	pr := Pred{Field: field, V: v}
+	return func(t Tuple) bool { return pr.Match(t[0]) }
 }
 
 // FieldRange builds lo <= field < hi on the first patch (numeric fields).
 func FieldRange(field string, lo, hi float64) Predicate {
-	return func(t Tuple) bool {
-		got, ok := t[0].Meta[field]
-		if !ok {
-			return false
-		}
-		f := got.AsFloat()
-		return f >= lo && f < hi
-	}
+	pr := Pred{Field: field, Range: true, Lo: lo, Hi: hi}
+	return func(t Tuple) bool { return pr.Match(t[0]) }
 }
 
 // Select filters tuples by pred (§5's Select operator).

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/exec"
@@ -66,82 +65,7 @@ type CostModel struct {
 	DimPenalty float64
 	// CFetch is the cost of fetching one patch by id during index joins.
 	CFetch float64
-
-	// Observed per-unit costs (seconds) of executed access paths, fed
-	// back by ObserveFilter and ObserveKNN. When a path has enough
-	// samples, ObservedFilterCost, PlanFilter and PlanKNN price from these
-	// instead of the shipped constants — the planner and the serving
-	// layer's admission gate then quote the same observed-latency source.
-	obsMu sync.Mutex
-	obs   map[obsKey]*unitObs
 }
-
-// obsKey identifies one access path for observation feedback: the
-// operator ('f' filter, 'k' kNN), its physical method and, for the kNN
-// index, the access mode (zero everywhere else).
-type obsKey struct {
-	op     byte
-	method int
-	mode   VecIndexMode
-}
-
-func knnObsKey(method KNNMethod, mode VecIndexMode) obsKey {
-	if method == KNNScan {
-		mode = 0
-	}
-	return obsKey{'k', int(method), mode}
-}
-
-// unitObs is one access path's measured per-unit cost.
-type unitObs struct {
-	perUnit float64 // EWMA, seconds per work unit
-	samples int64
-}
-
-// observe folds one execution's latency into key's per-unit EWMA.
-// Zero-unit or zero-duration observations are ignored.
-func (cm *CostModel) observe(key obsKey, units float64, dur time.Duration) {
-	if units <= 0 || dur <= 0 {
-		return
-	}
-	per := dur.Seconds() / units
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	if cm.obs == nil {
-		cm.obs = make(map[obsKey]*unitObs)
-	}
-	ob := cm.obs[key]
-	if ob == nil {
-		cm.obs[key] = &unitObs{perUnit: per, samples: 1}
-		return
-	}
-	ob.perUnit += filterObsAlpha * (per - ob.perUnit)
-	ob.samples++
-}
-
-// observed reports key's measured per-unit cost and whether enough
-// samples back it to be trusted in planning.
-func (cm *CostModel) observed(key obsKey) (float64, bool) {
-	cm.obsMu.Lock()
-	defer cm.obsMu.Unlock()
-	ob := cm.obs[key]
-	if ob == nil || ob.samples < minFilterObs {
-		return 0, false
-	}
-	return ob.perUnit, true
-}
-
-const (
-	// filterObsAlpha is the EWMA weight of each new observation.
-	filterObsAlpha = 0.2
-	// minFilterObs is how many observations an access path needs before
-	// its measured cost overrides the static constants in planning.
-	minFilterObs = 8
-	// estFilterSelectivity is the planner's matched-rows guess for an
-	// equality probe when no statistics exist: 1/16 of the relation,
-	// floored at one row.
-	estFilterSelectivity = 16
-)
 
 // DefaultCostModel returns constants calibrated against the reference
 // environment.
@@ -373,81 +297,7 @@ func (cm *CostModel) PlanKNN(n, dim, k int, exact bool, recallFloor float64, for
 		}
 	}
 	best.Explain = explain
-
-	// Observed-latency override, the PlanFilter rule applied to kNN: the
-	// static choice stands until both it and a challenger have enough
-	// ObserveKNN samples, and only a strictly cheaper admissible path
-	// (never a semantic change — forceIndex and the approx gate still
-	// bound the candidate set) replaces it. EstCost stays the static
-	// formula of whatever wins: replicas must quote deterministic costs.
-	type knnCand struct {
-		method KNNMethod
-		mode   VecIndexMode
-		est    float64
-	}
-	var cands []knnCand
-	if !forceIndex {
-		cands = append(cands, knnCand{KNNScan, 0, scanCost})
-	}
-	cands = append(cands, knnCand{KNNIndex, VecExact, exactCost})
-	if allowApprox {
-		cands = append(cands, knnCand{KNNIndex, VecApprox, approxCost})
-	}
-	if per, ok := cm.ObservedKNNUnit(best.Method, best.Mode); ok {
-		bestObs := per * cm.knnUnits(best.Method, best.Mode, n, dim, k)
-		for _, c := range cands {
-			if c.method == best.Method && c.mode == best.Mode {
-				continue
-			}
-			cper, cok := cm.ObservedKNNUnit(c.method, c.mode)
-			if !cok {
-				continue
-			}
-			if obs := cper * cm.knnUnits(c.method, c.mode, n, dim, k); obs < bestObs {
-				best = KNNPlan{Method: c.method, Mode: c.mode, EstCost: c.est, Explain: explain}
-				bestObs = obs
-			}
-		}
-	}
 	return best
-}
-
-// knnUnits is the work-unit count a kNN access path's per-unit cost
-// multiplies — the static cost formulas stripped of their calibrated
-// constants, so an EWMA over (latency / units) transfers across
-// relation sizes, dimensionalities and k.
-func (cm *CostModel) knnUnits(method KNNMethod, mode VecIndexMode, n, dim, k int) float64 {
-	nf, df, kf := float64(n), float64(dim), float64(k)
-	var u float64
-	switch {
-	case method == KNNScan:
-		u = nf * df
-	case mode == VecApprox:
-		u = float64(vecLSHTables*vecLSHBits)*df + knnCandFrac*nf*df
-	default:
-		frontier := 1 + math.Log2(kf+1)
-		inflate := 1.0
-		if n > 1000 {
-			inflate = math.Pow(nf/1000, cm.ProbeAlpha)
-		}
-		dimInflate := 1 + cm.DimPenalty*math.Max(0, df-8)
-		u = df * 32 * math.Log2(nf+2) * inflate * dimInflate * frontier
-	}
-	return math.Max(u, 1)
-}
-
-// ObserveKNN folds one executed kNN query's measured latency back into
-// the model as a per-unit EWMA for its access path, exactly as
-// ObserveFilter does for selections. Safe for concurrent use.
-func (cm *CostModel) ObserveKNN(method KNNMethod, mode VecIndexMode, n, dim, k int, dur time.Duration) {
-	key := knnObsKey(method, mode)
-	cm.observe(key, cm.knnUnits(method, key.mode, n, dim, k), dur)
-}
-
-// ObservedKNNUnit reports a kNN access path's measured per-unit cost
-// and whether enough samples back it to be trusted in planning.
-func (cm *CostModel) ObservedKNNUnit(method KNNMethod, mode VecIndexMode) (float64, bool) {
-	return cm.observed(knnObsKey(method, mode))
 }
 
 // CacheAwareCost folds a result cache in front of a plan into its
@@ -523,35 +373,11 @@ const (
 	CColScanSec = 2e-9
 )
 
-// filterUnits is the work-unit count an access path's per-unit cost
-// multiplies: rows fetched for index probes, rows scanned otherwise.
-func filterUnits(method FilterMethod, n, matched int) int {
-	if method == FilterHashIndex || method == FilterBTreeIndex {
-		return matched
-	}
-	return n
-}
-
-// ObserveFilter folds one executed selection's measured latency back
-// into the model as a per-unit EWMA for its access path (units = rows
-// fetched for index probes, rows scanned otherwise). Safe for
-// concurrent use; zero-unit or zero-duration observations are ignored.
-func (cm *CostModel) ObserveFilter(method FilterMethod, units int, dur time.Duration) {
-	cm.observe(obsKey{'f', int(method), 0}, float64(units), dur)
-}
-
-// ObservedFilterUnit reports an access path's measured per-unit cost
-// and whether enough samples back it to be trusted in planning.
-func (cm *CostModel) ObservedFilterUnit(method FilterMethod) (float64, bool) {
-	return cm.observed(obsKey{'f', int(method), 0})
-}
-
 // FilterCost estimates a selection's cost over n rows with the given
 // access path (matched is the expected output size for index fetches).
 // Deliberately static: response cost estimates must be deterministic
 // functions of the plan and snapshot (replicas answering the same query
-// return byte-identical responses). Observed-latency pricing lives in
-// ObservedFilterCost.
+// return byte-identical responses).
 func (cm *CostModel) FilterCost(method FilterMethod, n, matched int) float64 {
 	switch method {
 	case FilterHashIndex, FilterBTreeIndex:
@@ -563,116 +389,25 @@ func (cm *CostModel) FilterCost(method FilterMethod, n, matched int) float64 {
 	}
 }
 
-// ObservedFilterCost prices a selection from measured behavior: paths
-// with enough ObserveFilter samples quote their per-unit EWMA, cold
-// paths fall back to the static FilterCost constants. This is the
-// estimate admission control and plan choice consume — unlike
-// FilterCost it drifts with the live system, so it must never feed
-// anything that has to be deterministic across replicas.
-func (cm *CostModel) ObservedFilterCost(method FilterMethod, n, matched int) float64 {
-	if per, ok := cm.ObservedFilterUnit(method); ok {
-		return float64(filterUnits(method, n, matched)) * per
-	}
-	return cm.FilterCost(method, n, matched)
-}
-
 // PlanFilter chooses the access path for an equality selection, after
 // validating the predicate against the schema (plan-time type checking,
-// §4.2). The static preference order — hash index, then btree index,
-// then columnar scan for scalar fields (declared fields are
+// §4.2), by a fixed preference order: hash index, then B-tree index,
+// then the columnar scan for scalar constants (declared fields are
 // kind-uniform by schema validation, so the projection always succeeds
-// and strictly dominates the row scan), then row scan — is the
-// cold-start default. Once the DB's cost model has observed enough
-// executions (ObserveFilter), a measurably cheaper available path
-// overrides it: the default wins ties and all partially-observed
-// comparisons, so plans never flip on noise or thin evidence.
+// and strictly dominates the row scan), then the row scan.
 func (db *DB) PlanFilter(col *Collection, field string, v Value) (FilterMethod, error) {
 	if err := col.Schema().ValidateFilterValue(field, v); err != nil {
 		return 0, err
 	}
-	var cands []FilterMethod
-	if db.HasIndex(col, field, IdxHash) {
-		cands = append(cands, FilterHashIndex)
+	switch {
+	case db.HasIndex(col, field, IdxHash):
+		return FilterHashIndex, nil
+	case db.HasIndex(col, field, IdxBTree):
+		return FilterBTreeIndex, nil
+	case v.Kind == KindInt, v.Kind == KindFloat, v.Kind == KindStr:
+		return FilterColumnScan, nil
 	}
-	if db.HasIndex(col, field, IdxBTree) {
-		cands = append(cands, FilterBTreeIndex)
-	}
-	switch v.Kind {
-	case KindInt, KindFloat, KindStr:
-		cands = append(cands, FilterColumnScan)
-	}
-	cands = append(cands, FilterScan)
-
-	best := cands[0]
-	cm := db.Cost()
-	if cm == nil {
-		return best, nil
-	}
-	per, ok := cm.ObservedFilterUnit(best)
-	if !ok {
-		return best, nil
-	}
-	n := col.Len()
-	matched := n / estFilterSelectivity
-	if matched < 1 {
-		matched = 1
-	}
-	bestCost := float64(filterUnits(best, n, matched)) * per
-	for _, m := range cands[1:] {
-		per, ok := cm.ObservedFilterUnit(m)
-		if !ok {
-			continue
-		}
-		if c := float64(filterUnits(m, n, matched)) * per; c < bestCost {
-			best, bestCost = m, c
-		}
-	}
-	return best, nil
-}
-
-// ExecuteFilter runs an equality selection with the chosen access path.
-func (db *DB) ExecuteFilter(col *Collection, field string, v Value, method FilterMethod) ([]*Patch, error) {
-	switch method {
-	case FilterHashIndex, FilterBTreeIndex:
-		kind := IdxHash
-		if method == FilterBTreeIndex {
-			kind = IdxBTree
-		}
-		idx, err := db.Index(col, field, kind)
-		if err != nil {
-			return nil, err
-		}
-		snap, ver, err := col.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		ids, err := idx.LookupEq(snap, ver, v)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*Patch, 0, len(ids))
-		for _, id := range ids {
-			p, err := col.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	case FilterColumnScan:
-		cs, err := col.Columns()
-		if err != nil {
-			return nil, err
-		}
-		if sel, ok := cs.FilterEq(field, v); ok {
-			return cs.Materialize(sel), nil
-		}
-		// Field not columnizable (mixed kinds, vectors, all-null): the
-		// row path answers every query the column can't.
-		return DrainPatches(Select(col.Scan(), FieldEq(field, v)))
-	default:
-		return DrainPatches(Select(col.Scan(), FieldEq(field, v)))
-	}
+	return FilterScan, nil
 }
 
 // PlanMode selects the optimizer's objective for plans whose order affects

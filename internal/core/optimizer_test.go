@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/exec"
 )
@@ -91,6 +90,7 @@ func TestFilterMethodStrings(t *testing.T) {
 		FilterScan:       "scan-filter",
 		FilterHashIndex:  "hash-index",
 		FilterBTreeIndex: "btree-index",
+		FilterColumnScan: "column-scan",
 	} {
 		if m.String() != want {
 			t.Fatalf("%d.String() = %q", m, m.String())
@@ -117,58 +117,36 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestPlanKNNObservedOverride: the kNN planner follows the same
-// feedback discipline as PlanFilter — static choice until both sides of
-// a comparison carry enough ObserveKNN samples, override only for a
-// strictly cheaper path the request's semantics allow, and EstCost
-// always quoted from the static formulas.
-func TestPlanKNNObservedOverride(t *testing.T) {
+// TestPlanKNNStatic: the kNN planner prices from the static formulas
+// alone — a cold exact query over a large relation takes the exact
+// index, forceIndex pins the index, an exact request never takes the
+// approx mode, and EstCost is the winner's static formula.
+func TestPlanKNNStatic(t *testing.T) {
 	cm := DefaultCostModel()
 	const n, dim, k = 200000, 64, 10
-	cold := cm.PlanKNN(n, dim, k, true, 0, false)
-	if cold.Method != KNNIndex || cold.Mode != VecExact {
-		t.Fatalf("cold exact plan = %v/%v, want index/exact", cold.Method, cold.Mode)
-	}
-	// One-sided evidence: the static winner observed pathologically slow,
-	// the scan unobserved — the plan must not flip.
-	for i := 0; i < minFilterObs; i++ {
-		cm.ObserveKNN(KNNIndex, VecExact, n, dim, k, time.Second)
-	}
-	if p := cm.PlanKNN(n, dim, k, true, 0, false); p.Method != KNNIndex || p.Mode != VecExact {
-		t.Fatalf("plan flipped on partially-observed comparison: %v/%v", p.Method, p.Mode)
-	}
-	// Both sides observed, scan measurably cheaper: override.
-	for i := 0; i < minFilterObs; i++ {
-		cm.ObserveKNN(KNNScan, 0, n, dim, k, time.Microsecond)
-	}
 	p := cm.PlanKNN(n, dim, k, true, 0, false)
-	if p.Method != KNNScan {
-		t.Fatalf("observed-cheaper scan not chosen: %v/%v", p.Method, p.Mode)
+	if p.Method != KNNIndex || p.Mode != VecExact {
+		t.Fatalf("exact plan = %v/%v, want index/exact", p.Method, p.Mode)
 	}
-	// EstCost is still the deterministic static formula for the winner.
-	if want := float64(n)*float64(dim)*cm.CDist + float64(k)*cm.CFetch; math.Abs(p.EstCost-want) > 1e-15 {
-		t.Fatalf("EstCost drifted from static formula: %g, want %g", p.EstCost, want)
+	inflate := math.Pow(float64(n)/1000, cm.ProbeAlpha)
+	dimInflate := 1 + cm.DimPenalty*float64(dim-8)
+	want := cm.CDist*dim*32*math.Log2(n+2)*inflate*dimInflate*(1+math.Log2(k+1)) + k*cm.CFetch
+	if math.Abs(p.EstCost-want) > 1e-15 {
+		t.Fatalf("EstCost = %g, want the static formula %g", p.EstCost, want)
 	}
-	// forceIndex still pins the index path regardless of observations.
-	if p := cm.PlanKNN(n, dim, k, true, 0, true); p.Method != KNNIndex {
-		t.Fatalf("forceIndex overridden by observations: %v", p.Method)
+	// A tiny relation: the scan is cheaper, unless forceIndex pins the index.
+	if p := cm.PlanKNN(4, dim, k, true, 0, false); p.Method != KNNScan {
+		t.Fatalf("tiny exact plan = %v, want knn-scan", p.Method)
 	}
-	// The approx gate survives feedback: an exact request never takes the
-	// approx mode, however fast it measured.
-	for i := 0; i < minFilterObs; i++ {
-		cm.ObserveKNN(KNNIndex, VecApprox, n, dim, k, time.Nanosecond)
+	if p := cm.PlanKNN(4, dim, k, true, 0, true); p.Method != KNNIndex || p.Mode != VecExact {
+		t.Fatalf("forceIndex plan = %v/%v, want index/exact", p.Method, p.Mode)
 	}
-	if p := cm.PlanKNN(n, dim, k, true, 0, false); p.Mode == VecApprox {
-		t.Fatal("approx mode chosen despite exact requirement")
-	}
-	// With approx admissible it wins on its observed cost.
+	// Approx is the cheapest path here, so the exact plan above shows an
+	// exact request never takes it; nor does one above its recall.
 	if p := cm.PlanKNN(n, dim, k, false, 0, false); p.Method != KNNIndex || p.Mode != VecApprox {
-		t.Fatalf("observed-cheapest approx not chosen: %v/%v", p.Method, p.Mode)
+		t.Fatalf("approximate plan = %v/%v, want index/approx", p.Method, p.Mode)
 	}
-	// Degenerate durations are dropped.
-	cm2 := DefaultCostModel()
-	cm2.ObserveKNN(KNNScan, 0, n, dim, k, 0)
-	if _, ok := cm2.ObservedKNNUnit(KNNScan, 0); ok {
-		t.Fatal("zero-duration observation counted")
+	if p := cm.PlanKNN(n, dim, k, false, 0.99, false); p.Mode == VecApprox {
+		t.Fatal("approx mode chosen above its recall")
 	}
 }

@@ -146,6 +146,8 @@ func (v Value) AsFloat() float64 {
 
 // SortKey encodes comparable values into an order-preserving byte string
 // (for B+ tree indexing). Vec/rect values are not indexable this way.
+// Floats that compare equal share one key (-0 is +0), and every NaN
+// takes the canonical NaN's key, which sorts past +Inf.
 func (v Value) SortKey() ([]byte, error) {
 	switch v.Kind {
 	case KindInt:
@@ -156,8 +158,15 @@ func (v Value) SortKey() ([]byte, error) {
 	case KindFloat:
 		var k [9]byte
 		k[0] = byte(KindFloat)
-		bits := math.Float64bits(v.F)
-		if v.F >= 0 {
+		f := v.F
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
+		}
+		bits := math.Float64bits(f)
+		if bits>>63 == 0 {
 			bits ^= 1 << 63
 		} else {
 			bits = ^bits

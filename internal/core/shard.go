@@ -227,19 +227,6 @@ func (s *Sharded) SetFaults(inj *fault.Injector) { s.inj.Store(inj) }
 // injector returns the currently armed injector (nil when disabled).
 func (s *Sharded) injector() *fault.Injector { return s.inj.Load() }
 
-// SetCostModel points every replica DB at one shared cost model, so
-// observed filter latencies from any replica feed a single planner
-// state (and the serving layer's admission gate prices from it too).
-func (s *Sharded) SetCostModel(cm *CostModel) {
-	for _, rs := range s.reps {
-		for _, db := range rs {
-			if db != nil {
-				db.SetCostModel(cm)
-			}
-		}
-	}
-}
-
 // SetSegmentCache points every replica DB at one shared column-segment
 // cache, so a single byte budget governs the resident spilled-segment
 // set across all shards and replicas (see DB.SetSegmentCache).

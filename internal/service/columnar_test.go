@@ -132,7 +132,7 @@ func TestTopKRowsMatchesSortTrim(t *testing.T) {
 	for i := range every {
 		every[i] = int32(i)
 	}
-	frag := &shardFragment{snap: ps, method: core.FilterScan, sel: every}
+	frag := &shardFragment{snap: ps, Selection: core.Selection{Method: core.FilterScan, Sel: every}}
 	for _, field := range []string{"score", "rank", "label"} {
 		for _, desc := range []bool{false, true} {
 			for _, k := range []int{1, 10, 150, 200} {

@@ -3,14 +3,11 @@ package service
 import (
 	"context"
 	"net/http/httptest"
-	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -120,86 +117,6 @@ func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
 				t.Fatalf("deeplens_queries_failed_total = %v", v)
 			}
 		})
-	}
-}
-
-// TestBTreeRangeIDsExtendedEqualsFresh: the numeric-widening range
-// resolution over a field holding ints and floats returns the same ids
-// from an index that grew by extension as from one built fresh, and both
-// equal the row scan — also for a reader one batch behind the index.
-func TestBTreeRangeIDsExtendedEqualsFresh(t *testing.T) {
-	db, err := core.Open(filepath.Join(t.TempDir(), "mix.db"), exec.New(exec.CPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	col, err := db.CreateCollection("mix", core.Schema{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	add := func(from, to int) {
-		for i := from; i < to; i++ {
-			v := core.IntV(int64(i%41 - 20))
-			if i%3 == 0 {
-				v = core.FloatV(float64(i%41) - 20.25)
-			}
-			if err := col.Append(&core.Patch{Ref: core.Ref{Source: "s", Frame: uint64(i)}, Meta: core.Metadata{"v": v}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	add(0, 300)
-	idx, err := db.BuildIndex(col, "v", core.IdxBTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	behind, behindVer, _ := col.Snapshot()
-	add(300, 700)
-	snap, ver, _ := col.Snapshot()
-
-	ranges := [][2]float64{{-3.5, 7}, {-20, 21}, {0, 0.5}, {4, 4}, {-1e300, 1e300}, {6.75, 6.76}}
-	answers := func(snap []*core.Patch, ver uint64) [][]core.PatchID {
-		var out [][]core.PatchID
-		for _, r := range ranges {
-			ids, err := btreeRangeIDs(idx, snap, ver, r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ids)
-		}
-		return out
-	}
-	scan := func(snap []*core.Patch) [][]core.PatchID {
-		var out [][]core.PatchID
-		for _, r := range ranges {
-			sel, err := rowFilter(context.Background(), snap, &filterPred{field: "v", rng: true, lo: r[0], hi: r[1]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ids []core.PatchID
-			for _, k := range sel {
-				ids = append(ids, snap[k].ID)
-			}
-			out = append(out, ids)
-		}
-		return out
-	}
-
-	extended := answers(snap, ver)
-	if e, r, n := db.ScalarIndexStats(); e != 1 || r != 1 || n != 700 {
-		t.Fatalf("extends %d rebuilds %d inserted %d, want 1/1/700", e, r, n)
-	}
-	if want := scan(snap); !reflect.DeepEqual(extended, want) {
-		t.Fatalf("extended index ranges diverge from the row scan:\n got %v\nwant %v", extended, want)
-	}
-	if got, want := answers(behind, behindVer), scan(behind); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reader behind the index: ranges diverge from the row scan over its snapshot")
-	}
-	if _, err := db.BuildIndex(col, "v", core.IdxBTree); err != nil {
-		t.Fatal(err)
-	}
-	if fresh := answers(snap, ver); !reflect.DeepEqual(extended, fresh) {
-		t.Fatal("extended index ranges diverge from a fresh build")
 	}
 }
 

@@ -254,12 +254,10 @@ func (s *Service) knnShardProbe(ctx context.Context, scol *core.ShardedCollectio
 		return nil, err
 	}
 	plan := s.cost.PlanKNN(len(snap), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
-	probeStart := time.Now()
 	ns, err := knnProbe(col, snap, ver, spec, q, plan)
 	if err != nil {
 		return nil, err
 	}
-	s.cost.ObserveKNN(plan.Method, plan.Mode, len(snap), len(q), spec.K, time.Since(probeStart))
 	frag := &knnFragment{ns: ns, label: knnLabel(plan, spec), cost: plan.EstCost}
 	if plan.Method == core.KNNIndex {
 		frag.mode = plan.Mode

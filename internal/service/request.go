@@ -79,7 +79,7 @@ type FilterSpec struct {
 	Int   *int64   `json:"int,omitempty"`
 	Float *float64 `json:"float,omitempty"`
 	// Min/Max select rows with Min <= field < Max under numeric widening
-	// (ints compare as floats, matching core.FieldRange). The field must
+	// (ints compare as floats, matching core.Pred). The field must
 	// be a declared numeric field.
 	Min *float64 `json:"min,omitempty"`
 	Max *float64 `json:"max,omitempty"`
@@ -124,6 +124,21 @@ func (f *FilterSpec) value() (core.Value, error) {
 		return core.Value{}, fmt.Errorf("service: filter on %q needs exactly one of str/int/float", f.Field)
 	}
 	return v, nil
+}
+
+// resolve builds the filter's predicate, validating the constant (or the
+// field's numeric kind, for ranges) against the collection schema.
+func (f *FilterSpec) resolve(schema core.Schema) (*core.Pred, error) {
+	p := &core.Pred{Field: f.Field, Range: f.isRange()}
+	if p.Range {
+		p.Lo, p.Hi = f.bounds()
+		return p, schema.ValidateFilterRange(f.Field)
+	}
+	var err error
+	if p.V, err = f.value(); err != nil {
+		return nil, err
+	}
+	return p, schema.ValidateFilterValue(f.Field, p.V)
 }
 
 // SimJoinSpec is a similarity self-join on a vector field: all pairs

@@ -39,21 +39,13 @@ import (
 type fragmentPlan struct {
 	req      *Request
 	scol     *core.ShardedCollection
-	pred     *filterPred // resolved filter; nil = unfiltered
-	limit    int         // effective row cap
-	wantRows bool        // order/limit asked for projected rows
-}
-
-// accessPathOp formats each filter access path's plan operator.
-var accessPathOp = map[core.FilterMethod]string{
-	core.FilterHashIndex:  "hash-index(%s)",
-	core.FilterBTreeIndex: "btree-index(%s)",
-	core.FilterColumnScan: "column-scan(%s)",
-	core.FilterScan:       "scan-filter(%s)",
+	pred     *core.Pred // resolved filter; nil = unfiltered
+	limit    int        // effective row cap
+	wantRows bool       // order/limit asked for projected rows
 }
 
 // shardFragment is one shard's partial result. The filter stage leaves
-// its matches in the form its access path produces them — a selection
+// its matches in the form core's Select produces them — a selection
 // over the snapshot for scans, an id list for index probes — and only
 // the rows the query projects, joins or clusters become patches.
 type shardFragment struct {
@@ -61,20 +53,10 @@ type shardFragment struct {
 	snap []*core.Patch    // its snapshot
 	ver  uint64           // and the version the snapshot reflects
 
-	method core.FilterMethod // filter access path; 0 = unfiltered, every row matches
-	sel    []int32           // scans: matching rows of snap, ascending
-	ids    []core.PatchID    // index probes: matching patch ids, ascending
-	op     string            // the access path's plan operator
-	cost   float64
-
-	// Column scans keep their store so order-by stays columnar, and their
-	// scan record for the trace span.
-	cs      *core.ColumnStore
-	scan    core.ScanStats
-	colInfo core.ColumnsInfo
-
-	// Index probes keep what bringing the index current took.
-	idxUse core.Refresh
+	// The filter stage's result; Method 0 = unfiltered, every row matches.
+	core.Selection
+	op   string // the access path's plan operator
+	cost float64
 
 	// rows is what the gather stage consumes: every match for joins and
 	// clustering, the sorted/trimmed top-limit for order/limit, nil for
@@ -82,22 +64,12 @@ type shardFragment struct {
 	rows []*core.Patch
 }
 
-// indexed reports whether the filter ran as an index probe (matches in
-// ids) rather than a scan (matches in sel).
-func (f *shardFragment) indexed() bool {
-	return f.method == core.FilterHashIndex || f.method == core.FilterBTreeIndex
-}
-
 // matched is the filter stage's output size.
 func (f *shardFragment) matched() int {
-	switch {
-	case f.method == 0:
+	if f.Method == 0 {
 		return len(f.snap)
-	case f.indexed():
-		return len(f.ids)
-	default:
-		return len(f.sel)
 	}
+	return f.Len()
 }
 
 // rowsAt resolves a selection over the snapshot to its patches.
@@ -110,33 +82,16 @@ func (f *shardFragment) rowsAt(sel []int32) []*core.Patch {
 }
 
 // patches materializes the first max matches in snapshot order (max < 0:
-// all of them). Index probes pay one fetch per id, checking ctx between
-// blocks of them so a canceled caller (or a hedge loser) stops promptly.
+// all of them).
 func (f *shardFragment) patches(ctx context.Context, max int) ([]*core.Patch, error) {
-	n := f.matched()
+	if f.Method != 0 {
+		return f.Patches(ctx, f.col, f.snap, max)
+	}
+	n := len(f.snap)
 	if max >= 0 && max < n {
 		n = max
 	}
-	switch {
-	case f.method == 0:
-		return f.snap[:n:n], nil
-	case !f.indexed():
-		return f.rowsAt(f.sel[:n]), nil
-	}
-	out := make([]*core.Patch, n)
-	for k, id := range f.ids[:n] {
-		if k%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		p, err := f.col.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = p
-	}
-	return out, nil
+	return f.snap[:n:n], nil
 }
 
 // topK is the fragment's ordered top-k, byte-identical to a stable sort
@@ -147,11 +102,11 @@ func (f *shardFragment) patches(ctx context.Context, max int) ([]*core.Patch, er
 // still avoids sorting rows that can never reach the limit.
 func (f *shardFragment) topK(ctx context.Context, field string, desc bool, k int) ([]*core.Patch, error) {
 	switch {
-	case f.cs != nil:
-		if top, ok := f.cs.TopK(f.sel, field, desc, k); ok {
+	case f.Store != nil:
+		if top, ok := f.Store.TopK(f.Sel, field, desc, k); ok {
 			return f.rowsAt(top), nil
 		}
-	case f.method == 0:
+	case f.Method == 0:
 		// The store must cover exactly this snapshot for a nil selection
 		// (all rows) to be correct.
 		if cs, err := f.col.Columns(); err == nil && cs.Len() == len(f.snap) {
@@ -183,19 +138,19 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, shard int) {
 		path = f.op
 	}
 	sp.Attr("path", path)
-	if f.indexed() {
-		sp.Attr("index", f.idxUse.String())
+	if f.Indexed() {
+		sp.Attr("index", f.Refresh.String())
 	}
-	if f.cs != nil {
-		sp.AttrInt("blocks", int64(f.scan.Blocks))
-		sp.AttrInt("blocks_pruned", int64(f.scan.Pruned))
-		sp.AttrInt("rows_scanned", int64(f.scan.RowsScanned))
-		sp.AttrInt("seg_loads", int64(f.scan.SegLoads))
-		sp.AttrInt("seg_transient", int64(f.scan.SegTransient))
+	if f.Store != nil {
+		sp.AttrInt("blocks", int64(f.Scan.Blocks))
+		sp.AttrInt("blocks_pruned", int64(f.Scan.Pruned))
+		sp.AttrInt("rows_scanned", int64(f.Scan.RowsScanned))
+		sp.AttrInt("seg_loads", int64(f.Scan.SegLoads))
+		sp.AttrInt("seg_transient", int64(f.Scan.SegTransient))
 		switch {
-		case f.colInfo.Extended:
+		case f.ColInfo.Extended:
 			sp.Attr("columns", "extended")
-		case f.colInfo.Built:
+		case f.ColInfo.Built:
 			sp.Attr("columns", "built")
 		default:
 			sp.Attr("columns", "cached")
@@ -419,66 +374,30 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, joinPlan(fragOps), gather)
 }
 
-// filterFragment runs the plan's filter stage on replica r of shard i:
-// one access-path choice — the replica-local hash or B-tree index when
-// the plan asks for one (created on first use, kept current by core),
-// else the columnar scan, else (fields the store cannot columnize) the
-// row scan — which fixes the plan operator, the static cost and the unit
-// count the measured latency is reported under (CostModel.ObserveFilter:
-// rows fetched for index probes, rows scanned otherwise), so future
-// plans and admission estimates price from observed behavior.
+// filterFragment runs the plan's filter stage on replica r of shard i
+// through core's one selection path. It only picks the method: use_index
+// asks for the replica-local hash index (B-tree for ranges), created on
+// first use and kept current by core; anything else runs the columnar
+// scan, which core falls back to the row scan for fields the store
+// cannot columnize. The path that ran fixes the plan operator and the
+// static cost.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
 	pred := plan.pred
-	start := time.Now()
-	switch {
-	case plan.req.Filter.UseIndex:
-		kind := core.IdxHash
-		frag.method = core.FilterHashIndex
-		if pred.rng {
-			kind, frag.method = core.IdxBTree, core.FilterBTreeIndex
-		}
-		idx, err := s.shards.ReplicaDB(i, r).EnsureIndex(frag.col, pred.field, kind)
-		if err != nil {
-			return err
-		}
-		// Index maintenance is not probe cost: the per-row observation
-		// starts once the index is current for this snapshot.
-		if frag.idxUse, err = idx.Sync(frag.snap, frag.ver); err != nil {
-			return err
-		}
-		start = time.Now()
-		if pred.rng {
-			frag.ids, err = btreeRangeIDs(idx, frag.snap, frag.ver, pred.lo, pred.hi)
-		} else {
-			frag.ids, err = idx.LookupEq(frag.snap, frag.ver, pred.v)
-		}
-		if err != nil {
-			return err
-		}
-	case frag.columnFilter(pred):
-		frag.method = core.FilterColumnScan
-	default:
-		frag.method = core.FilterScan
-		var err error
-		if frag.sel, err = rowFilter(ctx, frag.snap, pred); err != nil {
-			return err
+	method := core.FilterColumnScan
+	if plan.req.Filter.UseIndex {
+		method = core.FilterHashIndex
+		if pred.Range {
+			method = core.FilterBTreeIndex
 		}
 	}
-	n, matched := len(frag.snap), frag.matched()
-	frag.op = fmt.Sprintf(accessPathOp[frag.method], pred.field)
-	frag.cost = s.cost.FilterCost(frag.method, n, matched)
-	units := n
-	if frag.indexed() {
-		units = matched
+	var err error
+	if frag.Selection, err = s.shards.ReplicaDB(i, r).Select(ctx, frag.col, frag.snap, frag.ver, *pred, method); err != nil {
+		return err
 	}
-	s.cost.ObserveFilter(frag.method, units, time.Since(start))
+	frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
+	frag.cost = s.cost.FilterCost(frag.Method, len(frag.snap), frag.matched())
 	return nil
 }
-
-// ctxCheckRows is the row stride between cancellation checks in scan
-// loops: frequent enough to abandon a dead query promptly, sparse
-// enough that the atomic ctx.Err() load never shows up in profiles.
-const ctxCheckRows = 4096
 
 // joinTask is one unit of the similarity-join scatter wave: a shard's
 // local self-join, or the cross join between a pair of shards.
@@ -732,5 +651,5 @@ func mergeSortedRows(ctx context.Context, frags []*shardFragment, field string, 
 
 // mergeCtxCheckRows is the output-row stride between cancellation
 // checks in the k-way merge (heap steps are pricier than scan steps,
-// so the stride is tighter than ctxCheckRows).
+// so the stride is tighter than core's scan-loop stride).
 const mergeCtxCheckRows = 32

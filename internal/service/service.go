@@ -34,9 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -351,10 +349,6 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	}
 	s.inj = fault.New(cfg.Faults)
 	sdb.SetFaults(s.inj)
-	// One cost model across the service and every backing DB: observed
-	// filter latencies feed the same state that PlanFilter, admission
-	// pricing and /stats cost estimates all read from.
-	sdb.SetCostModel(s.cost)
 	// Tiered columns: one segment cache across every backing DB, so the
 	// budget bounds total column residency service-wide (negative budget
 	// = spill without eviction).
@@ -724,8 +718,7 @@ func (s *Service) process(w *worker, t *task) {
 		ctx = context.Background()
 	}
 	resp, err := s.execute(ctx, w, t.req)
-	// Feed the admission estimators from what execution actually cost —
-	// the same observed-latency source the planner's feedback uses — so
+	// Feed the admission estimators from what execution actually cost, so
 	// the gate's class prices and drain rate track the live workload.
 	svc := time.Since(start)
 	s.adm.observe(t.class, svc)
@@ -939,61 +932,6 @@ func (s *Service) executeInfer(ctx context.Context, w *worker, spec *InferSpec) 
 		Plan:       fmt.Sprintf("udf-sweep[%s@%s](%s[%d:%d))", spec.UDF, w.dev.Kind(), spec.Source, spec.From, spec.To),
 		EstCostSec: float64(frames) * estInferPerFrameSec,
 	}, nil
-}
-
-// btreeRangeIDs resolves the numeric half-open range [lo, hi) against a
-// B-tree index. Sort keys are kind-prefixed, so int-keyed and
-// float-keyed rows occupy disjoint key regions and one key-space scan
-// cannot serve the numeric-widening semantics ("ints compare as
-// floats") the scan paths implement — the range runs as two probes, one
-// per numeric kind, with the bounds converted into each kind's key
-// space. The id union is returned ascending, which is snapshot order
-// for the append paths that allocate ids in commit order (the service's
-// own), so the indexed path returns rows in the same order as the scan
-// it replaces. Both probes run against the caller's snapshot (snap, ver).
-func btreeRangeIDs(idx *core.Index, snap []*core.Patch, ver uint64, lo, hi float64) ([]core.PatchID, error) {
-	// 2^63: one past MaxInt64, and exactly -MinInt64. Conversion guard —
-	// float64 bounds at or beyond it have no int64 equivalent.
-	const intEdge = float64(1 << 63)
-
-	// Int probe: int64 values v with lo <= v < hi. Ceiling converts both
-	// float bounds to the int key space (v >= lo <=> v >= ceil(lo);
-	// v < hi <=> v < ceil(hi), the integral-hi case included since
-	// ceil(h) == h). Bounds past int64's range clamp to the kind's
-	// edges; the float -Inf key is the first key after the int region,
-	// so it serves as the open upper fence.
-	var ids []core.PatchID
-	intLo, intHi := core.IntV(math.MinInt64), core.FloatV(math.Inf(-1))
-	skipInt := false
-	if c := math.Ceil(lo); c >= intEdge {
-		skipInt = true // no int64 is >= 2^63
-	} else if c > -intEdge {
-		intLo = core.IntV(int64(c))
-	}
-	if c := math.Ceil(hi); c <= -intEdge {
-		skipInt = true // no int64 is < -2^63
-	} else if c < intEdge {
-		intHi = core.IntV(int64(c))
-	}
-	if !skipInt {
-		got, err := idx.LookupRange(snap, ver, &intLo, &intHi)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, got...)
-	}
-
-	// Float probe: an inclusive -Inf low and an exclusive +Inf high are
-	// exactly the scan semantics at open sides (a stored +Inf fails
-	// v < +Inf; NaN keys sort past +Inf and are excluded with it).
-	fLo, fHi := core.FloatV(lo), core.FloatV(hi)
-	got, err := idx.LookupRange(snap, ver, &fLo, &fHi)
-	if err != nil {
-		return nil, err
-	}
-	ids = append(ids, got...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
 }
 
 // ------------------------------------------------------------- stats ----
