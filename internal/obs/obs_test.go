@@ -141,14 +141,18 @@ func TestSlowLogRingAndThreshold(t *testing.T) {
 		t.Fatalf("order = %q %q %q", got[0].Query, got[1].Query, got[2].Query)
 	}
 
+	if l.Records(9*time.Millisecond) || !l.Records(10*time.Millisecond) {
+		t.Fatal("Records must agree with the threshold Observe applies")
+	}
+
 	var nilLog *SlowLog
 	nilLog.Observe(time.Second, "x", "", nil)
-	if nilLog.Snapshot() != nil {
-		t.Fatal("nil slowlog snapshot should be nil")
+	if nilLog.Snapshot() != nil || nilLog.Records(time.Second) {
+		t.Fatal("nil slowlog must record nothing")
 	}
 	off := NewSlowLog(0, 4)
 	off.Observe(time.Hour, "x", "", nil)
-	if len(off.Snapshot()) != 0 {
+	if len(off.Snapshot()) != 0 || off.Records(time.Hour) {
 		t.Fatal("disabled slowlog must not record")
 	}
 }

@@ -42,9 +42,16 @@ func (l *SlowLog) Threshold() time.Duration {
 	return l.threshold
 }
 
+// Records reports whether Observe keeps a query of this duration, so a
+// caller can skip building the entry's description when it would not.
+// Nil-safe.
+func (l *SlowLog) Records(dur time.Duration) bool {
+	return l != nil && l.threshold > 0 && dur >= l.threshold
+}
+
 // Observe records the query if it meets the threshold. Nil-safe.
 func (l *SlowLog) Observe(dur time.Duration, query, fingerprint string, trace *TraceData) {
-	if l == nil || l.threshold <= 0 || dur < l.threshold {
+	if !l.Records(dur) {
 		return
 	}
 	e := SlowEntry{

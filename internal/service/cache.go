@@ -179,6 +179,33 @@ func (c *Cache) Put(key string, val any, bytes int64) {
 		c.index[key] = el
 		c.bytes += bytes
 	}
+	c.evictLocked()
+}
+
+// Charge adds delta bytes to the entry under key, if the key still holds
+// val (a replaced or dropped entry is left alone), then evicts LRU
+// entries until the byte budget holds. It accounts for memory a value
+// gains after Put, such as a result's encoded head. val must be
+// comparable.
+func (c *Cache) Charge(key string, val any, delta int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.index[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.val != val {
+		return
+	}
+	e.bytes += delta
+	c.bytes += delta
+	c.evictLocked()
+}
+
+// evictLocked drops least-recently-used entries until the byte budget
+// holds.
+func (c *Cache) evictLocked() {
 	for c.bytes > c.cap {
 		back := c.ll.Back()
 		if back == nil {

@@ -84,6 +84,28 @@ func TestCacheUpdateAccounting(t *testing.T) {
 	}
 }
 
+// TestCacheCharge: Charge grows only the entry that still holds the
+// charged value, then evicts LRU entries down to the budget.
+func TestCacheCharge(t *testing.T) {
+	c := NewCache(100, 0)
+	a, b, stale := new(int), new(int), new(int)
+	c.Put("a", a, 40)
+	c.Put("b", b, 40)
+	c.Charge("b", stale, 50) // b holds another value: no change
+	c.Charge("gone", a, 50)  // no such key: no change
+	if st := c.Stats(); st.Bytes != 80 || st.Evictions != 0 {
+		t.Fatalf("mismatched charges changed the cache: %+v", st)
+	}
+	c.Charge("b", b, 30) // 110 > 100: evicts the LRU entry, a
+	st := c.Stats()
+	if st.Bytes != 70 || st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("after charging b: %+v, want b alone at 70 bytes after one eviction", st)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("the LRU entry survived the charge")
+	}
+}
+
 func TestCacheInvalidatePrefix(t *testing.T) {
 	c := NewCache(1<<20, 0)
 	c.Put("q:traffic.dets:abc", 1, 10)

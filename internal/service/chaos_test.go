@@ -219,11 +219,7 @@ func TestFaultKnobsAtFanOutOne(t *testing.T) {
 // degraded response never enters the result cache.
 func TestDeadShardDegradedResults(t *testing.T) {
 	const rows = 240
-	deadShard1 := fault.Config{Seed: 3, Rules: []fault.Rule{
-		{Point: fault.FragmentError, Shard: 1, Replica: 0, Prob: 1},
-		{Point: fault.FragmentError, Shard: 1, Replica: 1, Prob: 1},
-	}}
-	sdb, svc := synthReplicated(t, 3, 2, rows, Config{Workers: 2, Faults: deadShard1})
+	sdb, svc := synthReplicated(t, 3, 2, rows, Config{Workers: 2, Faults: deadShard(3, 1)})
 	ctx := context.Background()
 
 	if _, err := svc.Query(ctx, Request{Collection: shardTestCol}); !errors.Is(err, fault.ErrInjected) {
@@ -656,13 +652,17 @@ func TestTornResyncReadyzHeals(t *testing.T) {
 	}
 }
 
+// deadShard fails every fragment attempt on every replica of one shard.
+func deadShard(seed int64, shard int) fault.Config {
+	return fault.Config{Seed: seed, Rules: []fault.Rule{
+		{Point: fault.FragmentError, Shard: shard, Replica: fault.Any, Prob: 1},
+	}}
+}
+
 // TestDegradedHTTPResponseShape: the JSON surface carries the
 // degradation annotation verbatim.
 func TestDegradedHTTPResponseShape(t *testing.T) {
-	deadShard0 := fault.Config{Seed: 19, Rules: []fault.Rule{
-		{Point: fault.FragmentError, Shard: 0, Replica: fault.Any, Prob: 1},
-	}}
-	_, svc := synthReplicated(t, 2, 2, 80, Config{Workers: 2, Faults: deadShard0})
+	_, svc := synthReplicated(t, 2, 2, 80, Config{Workers: 2, Faults: deadShard(19, 0)})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 

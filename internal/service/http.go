@@ -3,8 +3,11 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"reflect"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -37,12 +40,156 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON sends v as indented JSON under status, or a 500 when v
+// cannot be encoded (a NaN float, say): the status is committed only
+// once the encoding exists.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	cw := commitWriter{w: w, status: status}
+	enc := json.NewEncoder(&cw)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil && !cw.committed {
+		writeEncodeError(w, err)
+	}
+}
+
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, httpError{"service: encode response: " + err.Error()})
+}
+
+// commitWriter sends the status line with the body's first Write and
+// drops the last trim bytes of that Write. json.Encoder.Encode calls
+// Write once, with its complete output, and only after encoding
+// succeeded, so a value that cannot be encoded leaves the response
+// uncommitted.
+type commitWriter struct {
+	w         http.ResponseWriter
+	status    int
+	trim      int
+	committed bool
+}
+
+func (c *commitWriter) Write(p []byte) (int, error) {
+	if !c.committed {
+		c.committed = true
+		c.w.Header().Set("Content-Type", "application/json")
+		c.w.WriteHeader(c.status)
+		p = p[:len(p)-c.trim]
+	}
+	_, err := c.w.Write(p)
+	return len(p), err
+}
+
+// headCloser ends the indented encoding of a Response's head: the
+// closing brace and Encode's newline. The head is stored and sent
+// without it; the tail restores it.
+const headCloser = "\n}\n"
+
+// tailBufs recycles the buffers tails are appended into: bytes handed to
+// a ResponseWriter escape, so a stack array would move to the heap on
+// every request.
+var tailBufs = sync.Pool{New: func() any { return new([256]byte) }}
+
+// writeResponse sends a successful /query answer as its head — the
+// memoized bytes of a cached result, a fresh encoding for any other —
+// followed by the per-request tail. The body is byte-identical to
+// writeJSON(w, http.StatusOK, resp).
+func writeResponse(w http.ResponseWriter, resp *Response) {
+	buf := tailBufs.Get().(*[256]byte)
+	defer tailBufs.Put(buf)
+	tail, err := resp.appendTail(buf[:0])
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	if m := resp.wire; m != nil {
+		head, err := m.headFor(resp)
+		if err != nil {
+			writeEncodeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		// Write errors mean the client is gone: there is no one to tell.
+		_, _ = w.Write(head)
+	} else {
+		cw := commitWriter{w: w, status: http.StatusOK, trim: len(headCloser)}
+		if err := resp.encodeHead(&cw); err != nil {
+			if !cw.committed {
+				writeEncodeError(w, err)
+			}
+			return
+		}
+	}
+	_, _ = w.Write(tail)
+}
+
+// appendTail appends what follows the head in the indented encoding of
+// the whole Response: cache_hit, the two costs, duration_ms, the
+// degraded and trace fields when set, and headCloser.
+func (r *Response) appendTail(b []byte) ([]byte, error) {
+	b = append(b, ",\n  \"cache_hit\": "...)
+	b = strconv.AppendBool(b, r.CacheHit)
+	var err error
+	b = append(b, ",\n  \"est_cost_sec\": "...)
+	if b, err = appendJSONFloat(b, r.EstCostSec); err != nil {
+		return nil, err
+	}
+	b = append(b, ",\n  \"cache_aware_cost_sec\": "...)
+	if b, err = appendJSONFloat(b, r.CacheAwareCostSec); err != nil {
+		return nil, err
+	}
+	b = append(b, ",\n  \"duration_ms\": "...)
+	if b, err = appendJSONFloat(b, r.DurationMS); err != nil {
+		return nil, err
+	}
+	if r.Degraded {
+		b = append(b, ",\n  \"degraded\": true"...)
+	}
+	if len(r.MissingShards) > 0 {
+		b = append(b, ",\n  \"missing_shards\": ["...)
+		for i, sh := range r.MissingShards {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    "...)
+			b = strconv.AppendInt(b, int64(sh), 10)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	if r.TraceID != "" {
+		id, _ := json.Marshal(r.TraceID) // a string always encodes
+		b = append(b, ",\n  \"trace_id\": "...)
+		b = append(b, id...)
+	}
+	if r.TraceData != nil {
+		tr, err := json.MarshalIndent(r.TraceData, "  ", "  ")
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, ",\n  \"trace\": "...)
+		b = append(b, tr...)
+	}
+	return append(b, headCloser...), nil
+}
+
+// appendJSONFloat appends f as encoding/json encodes a float64: the
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21
+// up, with a two-digit negative exponent cut to one (e-07 → e-7). Like
+// encoding/json it refuses NaN and ±Inf.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 type httpError struct {
@@ -64,7 +211,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.Query(r.Context(), req)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
+		writeResponse(w, resp)
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", retryAfterHeader(err))
 		writeJSON(w, http.StatusTooManyRequests, httpError{err.Error()})

@@ -315,6 +315,15 @@ func TestDebugSlowAndHealthz(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	traced, err := s.Query(context.Background(), Request{
+		Collection: shardTestCol,
+		Filter:     &FilterSpec{Field: "label", Str: &str},
+		Limit:      3,
+		Trace:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slow", nil))
 	var slow struct {
@@ -324,8 +333,15 @@ func TestDebugSlowAndHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &slow); err != nil {
 		t.Fatalf("/debug/slow: %v", err)
 	}
-	if len(slow.Entries) == 0 {
-		t.Fatal("/debug/slow has no entries after a slow query")
+	if len(slow.Entries) != 2 {
+		t.Fatalf("/debug/slow has %d entries after two slow queries, want 2", len(slow.Entries))
+	}
+	// Newest first: the traced query, with its description and trace.
+	if e := slow.Entries[0]; !strings.Contains(e.Query, "limit(3)") || e.Trace == nil || e.Trace.ID != traced.TraceID {
+		t.Fatalf("traced slow entry = %+v, want limit(3) with trace %q", e, traced.TraceID)
+	}
+	if slow.Entries[1].Trace != nil {
+		t.Fatal("an untraced slow entry carries a trace")
 	}
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

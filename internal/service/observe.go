@@ -234,15 +234,18 @@ func (t *telemetry) startTrace(req *Request) *obs.Trace {
 // one was captured), and — only for explicitly requested traces — a
 // caller-private response copy carrying the trace. Cached and
 // coalesced responses are shared objects, so the trace is never
-// attached in place.
+// attached in place. The slow-log entry's description and trace copy
+// are built only for queries the log keeps.
 func (t *telemetry) finishQuery(resp *Response, req *Request, tr *obs.Trace, dur time.Duration) *Response {
 	t.queryDur.Observe(dur.Seconds())
-	if tr == nil {
-		t.slow.Observe(dur, req.describe(), resp.Fingerprint, nil)
-		return resp
+	slow := t.slow.Records(dur)
+	var data *obs.TraceData
+	if slow || req.Trace {
+		data = tr.Data() // nil when untraced
 	}
-	data := tr.Data()
-	t.slow.Observe(dur, req.describe(), resp.Fingerprint, data)
+	if slow {
+		t.slow.Observe(dur, req.describe(), resp.Fingerprint, data)
+	}
 	if !req.Trace {
 		return resp
 	}

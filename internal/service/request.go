@@ -1,9 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -420,6 +423,64 @@ type Response struct {
 	// mutated.
 	TraceID   string         `json:"trace_id,omitempty"`
 	TraceData *obs.TraceData `json:"trace,omitempty"`
+
+	// wire is a cacheable result's encoded head, shared by pointer with
+	// every copy of the response (nil for uncacheable ones).
+	wire *wireMemo
+}
+
+// respHead is the part of a Response's wire form that is the same on
+// every delivery of one result: Response's leading fields, in order and
+// under the same tags, so its indented encoding up to the closing brace
+// is a prefix of the whole Response's.
+type respHead struct {
+	Value       int              `json:"value"`
+	Rows        []map[string]any `json:"rows,omitempty"`
+	Plan        string           `json:"plan"`
+	Fingerprint string           `json:"fingerprint"`
+}
+
+// encodeHead writes the indented encoding of the response's head to w,
+// with the settings writeJSON uses.
+func (r *Response) encodeHead(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(respHead{Value: r.Value, Rows: r.Rows, Plan: r.Plan, Fingerprint: r.Fingerprint})
+}
+
+// wireMemo is a cached result's head, encoded at most once — on its
+// first HTTP delivery — and shared by the leader's miss, every coalesced
+// waiter, traced copies and every later hit. Building it charges the
+// head's bytes to the result-cache entry holding entry.
+type wireMemo struct {
+	once sync.Once
+	head []byte // the encoding minus headCloser; nil when encoding failed
+	err  error
+
+	cache *Cache
+	key   string
+	entry *Response
+}
+
+// headFor returns r's memoized head, encoding it on first use.
+func (m *wireMemo) headFor(r *Response) ([]byte, error) {
+	m.once.Do(func() {
+		var c headCapture
+		if m.err = r.encodeHead(&c); m.err == nil {
+			m.head = c
+			m.cache.Charge(m.key, m.entry, int64(len(m.head)))
+		}
+	})
+	return m.head, m.err
+}
+
+// headCapture keeps an exact-size copy of one Encode output minus its
+// headCloser.
+type headCapture []byte
+
+func (h *headCapture) Write(p []byte) (int, error) {
+	*h = append([]byte(nil), p[:len(p)-len(headCloser)]...)
+	return len(p), nil
 }
 
 // sizeBytes estimates the response's cache footprint, including row

@@ -750,6 +750,7 @@ func (s *Service) process(w *worker, t *task) {
 	// may be back for the very next query, and a cached partial answer
 	// would keep serving under a fingerprint that promises the full one.
 	if key != "" && !resp.Degraded {
+		resp.wire = &wireMemo{cache: s.results, key: key, entry: resp}
 		cs := tr.Begin("cache-store")
 		s.results.Put(key, resp, resp.sizeBytes())
 		cs.End()
@@ -764,7 +765,8 @@ func (s *Service) process(w *worker, t *task) {
 const cacheLookupCostSec = 2e-6
 
 // cachedResponse returns a caller-private copy of a cached response,
-// marked as a hit and re-costed at the current hit rate.
+// marked as a hit and re-costed at the current hit rate. The copy shares
+// the original's rows and wire memo.
 func cachedResponse(r *Response, s *Service) *Response {
 	out := *r
 	out.Rows = r.Rows // shared, treated as immutable
