@@ -69,16 +69,17 @@ func run() error {
 	}
 	fmt.Printf("corpus: %d images, %d recognized words\n", images.Len(), words.Len())
 
-	// q1: near-duplicates via a ball-tree index on the matching feature.
-	if _, err := db.BuildIndex(images, "ghist", core.IdxBallTree); err != nil {
-		return err
-	}
-	idx, err := db.Index(images, "ghist", core.IdxBallTree)
+	// q1: near-duplicates via a ball-tree index on the matching feature
+	// (the collection's exact-mode vector index).
+	ps, ver, err := images.Snapshot()
 	if err != nil {
 		return err
 	}
-	ps, _ := images.Patches()
-	pairs, err := core.SimilarityJoinIndexed(db, ps, images, idx, core.SimilarityJoinOpts{
+	idx, err := images.VectorIndexAt(ps, ver, "ghist", core.VecExact)
+	if err != nil {
+		return err
+	}
+	pairs, err := core.SimilarityJoinVecIndexed(ps, images, idx, core.SimilarityJoinOpts{
 		LeftField: "ghist", RightField: "ghist", Eps: 0.066, DedupUnordered: true})
 	if err != nil {
 		return err

@@ -46,10 +46,11 @@ func Dist(a, b []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// distWithin returns the distance if it is <= limit, or (0, false) after
-// abandoning the accumulation early — the leaf-scan fast path for tight
-// range queries.
-func distWithin(a, b []float32, limit float64) (float64, bool) {
+// DistWithin returns Dist(a, b) and true if the squared distance is <=
+// limit², or (0, false) after abandoning the accumulation early — the
+// leaf-scan fast path for tight range queries, and the membership test
+// RangeSearch applies to every point.
+func DistWithin(a, b []float32, limit float64) (float64, bool) {
 	limit2 := limit * limit
 	var s float64
 	i := 0
@@ -171,12 +172,12 @@ func (t *Tree) RangeSearch(q []float32, eps float64, fn func(Point, float64) boo
 }
 
 func rangeSearch(n *node, q []float32, eps float64, fn func(Point, float64) bool) bool {
-	if _, ok := distWithin(n.center, q, n.radius+eps); !ok {
+	if _, ok := DistWithin(n.center, q, n.radius+eps); !ok {
 		return true // ball cannot contain any match
 	}
 	if n.pts != nil {
 		for _, p := range n.pts {
-			if d, ok := distWithin(p.Vec, q, eps); ok {
+			if d, ok := DistWithin(p.Vec, q, eps); ok {
 				if !fn(p, d) {
 					return false
 				}

@@ -284,9 +284,15 @@ func Fig5Pipeline(e *Env) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if idx, err := e.DB.BuildIndex(pcCol, "ghist", core.IdxBallTree); err == nil {
-		idxCost["q1"] = idx.BuildTime
+	ps, ver, err := pcCol.Snapshot()
+	if err != nil {
+		return nil, err
 	}
+	start := time.Now()
+	if _, err := core.NewVectorIndex(ps, ver, "ghist", core.VecExact); err != nil {
+		return nil, err
+	}
+	idxCost["q1"] = time.Since(start)
 	trCol, err := e.DB.Collection(ColTrafficDets)
 	if err != nil {
 		return nil, err
@@ -776,8 +782,9 @@ type AblationLSHRow struct {
 	Duration time.Duration
 }
 
-// AblationLSH runs the q4 matching step with the exact ball tree and with
-// LSH, reporting speed and pair recall.
+// AblationLSH runs the q4 matching step with an on-the-fly exact ball
+// tree and with the collection's approximate-mode vector index (the LSH
+// index the server serves), reporting speed and pair recall.
 func AblationLSH(e *Env) ([]AblationLSHRow, error) {
 	col, err := e.DB.Collection(ColTrafficDets)
 	if err != nil {
@@ -800,17 +807,16 @@ func AblationLSH(e *Env) ([]AblationLSHRow, error) {
 		exactSet[[2]core.PatchID{p[0].ID, p[1].ID}] = true
 	}
 
-	if !e.DB.HasIndex(col, "emb", core.IdxLSH) {
-		if _, err := e.DB.BuildIndex(col, "emb", core.IdxLSH); err != nil {
-			return nil, err
-		}
+	snap, ver, err := col.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	lshIdx, err := e.DB.Index(col, "emb", core.IdxLSH)
+	vi, err := col.VectorIndexAt(snap, ver, "emb", core.VecApprox)
 	if err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	approx, err := core.SimilarityJoinIndexed(e.DB, peds, col, lshIdx, opts)
+	approx, err := core.SimilarityJoinVecIndexed(peds, col, vi, opts)
 	if err != nil {
 		return nil, err
 	}

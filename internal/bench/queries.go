@@ -32,13 +32,13 @@ const (
 
 // Q1 finds all near-duplicate pairs in the PC dataset. The baseline
 // compares all image pairs; the tuned plan probes a prebuilt ball tree
-// over the embeddings.
+// (the collection's exact-mode vector index) over the embeddings.
 func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	col, err := e.DB.Collection(ColPCImages)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	ps, err := col.Patches()
+	ps, ver, err := col.Snapshot()
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -46,14 +46,9 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 		Eps: epsNearDup, DedupUnordered: true}
 	// Index construction is physical design, amortized across queries
 	// (§7.2 separates it from query time; Figure 5 adds it back).
-	var idx *core.Index
+	var vi *core.VectorIndex
 	if useIndex {
-		if !e.DB.HasIndex(col, "ghist", core.IdxBallTree) {
-			if _, err := e.DB.BuildIndex(col, "ghist", core.IdxBallTree); err != nil {
-				return QueryResult{}, err
-			}
-		}
-		if idx, err = e.DB.Index(col, "ghist", core.IdxBallTree); err != nil {
+		if vi, err = col.VectorIndexAt(ps, ver, "ghist", core.VecExact); err != nil {
 			return QueryResult{}, err
 		}
 	}
@@ -61,7 +56,7 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	var pairs []core.Tuple
 	plan := "nested-loop all-pairs"
 	if useIndex {
-		pairs, err = core.SimilarityJoinIndexed(e.DB, ps, col, idx, opts)
+		pairs, err = core.SimilarityJoinVecIndexed(ps, col, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -272,40 +267,33 @@ func (e *Env) Q3Accuracy() (float64, error) {
 
 // Q4 counts distinct pedestrians. Plans (Table 1 and Figure 4):
 //   - baseline: scan filter, then nested-loop all-pairs matching;
-//   - tuned: hash-index filter, then prebuilt-ball-tree matching.
+//   - tuned: materialized pedestrian view, then prebuilt-ball-tree matching.
 func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 	col, err := e.DB.Collection(ColTrafficDets)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	// Tuned physical design (amortized, as in Figure 4): materialize the
-	// pedestrian view and build a ball tree over its embeddings — the
-	// hand-selected design the paper compares against the index-free
-	// baseline.
-	var view *core.Collection
-	var ballIdx *core.Index
-	if useIndex {
-		if view, err = e.pedestrianView(col); err != nil {
-			return QueryResult{}, err
-		}
-		if !e.DB.HasIndex(view, "emb", core.IdxBallTree) {
-			if _, err := e.DB.BuildIndex(view, "emb", core.IdxBallTree); err != nil {
-				return QueryResult{}, err
-			}
-		}
-		if ballIdx, err = e.DB.Index(view, "emb", core.IdxBallTree); err != nil {
-			return QueryResult{}, err
-		}
-	}
 	opts := core.SimilarityJoinOpts{LeftField: "emb", RightField: "emb",
 		Eps: epsSameIdentity, DedupUnordered: true}
 	if useIndex {
-		start := time.Now()
-		peds, err := view.Patches()
+		// Tuned physical design (amortized, as in Figure 4): materialize
+		// the pedestrian view and build a ball tree (its exact-mode vector
+		// index) over its embeddings — the hand-selected design the paper
+		// compares against the index-free baseline.
+		view, err := e.pedestrianView(col)
 		if err != nil {
 			return QueryResult{}, err
 		}
-		pairs, err := core.SimilarityJoinIndexed(e.DB, peds, view, ballIdx, opts)
+		peds, ver, err := view.Snapshot()
+		if err != nil {
+			return QueryResult{}, err
+		}
+		vi, err := view.VectorIndexAt(peds, ver, "emb", core.VecExact)
+		if err != nil {
+			return QueryResult{}, err
+		}
+		start := time.Now()
+		pairs, err := core.SimilarityJoinVecIndexed(peds, view, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}

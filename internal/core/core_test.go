@@ -397,7 +397,7 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		col.Append(mkVecPatch(rng, dim, int64(i)))
 	}
-	ps, _ := col.Patches()
+	ps, ver, _ := col.Snapshot()
 	opts := SimilarityJoinOpts{LeftField: "emb", RightField: "emb", Eps: 3.5, DedupUnordered: true}
 
 	nested, err := SimilarityJoinNested(ps, ps, opts)
@@ -412,11 +412,11 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := db.BuildIndex(col, "emb", IdxBallTree)
+	vi, err := col.VectorIndexAt(ps, ver, "emb", VecExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := SimilarityJoinIndexed(db, ps, col, idx, opts)
+	indexed, err := SimilarityJoinVecIndexed(ps, col, vi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,8 +581,8 @@ func TestOptimizerSimJoinChoices(t *testing.T) {
 	if big.Method == SimNested {
 		t.Fatalf("huge join planned as scalar nested loop: %s", big.Explain)
 	}
-	// With a prebuilt index on a large build side, indexed should be
-	// competitive.
+	// With a maintained vector index on a large build side, indexed should
+	// be competitive.
 	withIdx := cm.PlanSimilarityJoin(1000, 100000, 64, true)
 	if withIdx.Method == SimNested {
 		t.Fatalf("indexed available but nested chosen: %s", withIdx.Explain)

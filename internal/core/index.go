@@ -11,25 +11,20 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/balltree"
 	"repro/internal/btree"
 	"repro/internal/hashidx"
-	"repro/internal/lsh"
-	"repro/internal/rtree"
 )
 
-// IndexKind selects an access method (§3.2: hash, B+ tree, sorted file on
-// single attributes; R-tree and ball tree on multidimensional data; LSH as
-// the approximate alternative).
+// IndexKind selects a single-attribute access method (§3.2's hash and B+
+// tree). The multidimensional access methods are VectorIndex's modes
+// (ball tree exact, LSH approximate) and the join-local R-tree of
+// SpatialJoinOnTheFly.
 type IndexKind int
 
-// Supported index kinds.
+// Supported index kinds. The values are persisted in index descriptors.
 const (
 	IdxBTree IndexKind = iota + 1
 	IdxHash
-	IdxRTree
-	IdxBallTree
-	IdxLSH
 )
 
 func (k IndexKind) String() string {
@@ -38,20 +33,10 @@ func (k IndexKind) String() string {
 		return "btree"
 	case IdxHash:
 		return "hash"
-	case IdxRTree:
-		return "rtree"
-	case IdxBallTree:
-		return "balltree"
-	case IdxLSH:
-		return "lsh"
 	default:
 		return fmt.Sprintf("idx(%d)", int(k))
 	}
 }
-
-// scalar reports whether k is one of the two single-attribute kinds that
-// live in the page file and follow their collection's version.
-func (k IndexKind) scalar() bool { return k == IdxBTree || k == IdxHash }
 
 // Refresh is the outcome of serving an accelerator (column store, vector
 // index, hash or B+ tree index) current as of one snapshot: the three
@@ -69,17 +54,13 @@ func (r Refresh) String() string {
 	return [...]string{"hit", "extend", "rebuild"}[r]
 }
 
-// Index is a secondary index over one metadata field of a collection.
-//
-// Hash and B+ tree indexes are persistent (they live in the database's
-// page file) and maintained: every probe names the snapshot it executes
-// over and first brings the index current for it (see sync). One Index
-// value serves each (collection, field, kind) of a DB; its mutex
-// serializes maintenance with every probe (the B+ tree's node cache is
+// Index is a hash or B+ tree secondary index over one metadata field of
+// a collection. Both are persistent (they live in the database's page
+// file) and maintained: every probe names the snapshot it executes over
+// and first brings the index current for it (see sync). One Index value
+// serves each (collection, field, kind) of a DB; its mutex serializes
+// maintenance with every probe (the B+ tree's node cache is
 // unsynchronized).
-//
-// The multidimensional indexes are memory-resident, immutable once
-// built, and rebuilt on demand after reopen (descriptor-tracked).
 type Index struct {
 	Kind  IndexKind
 	Col   string
@@ -88,13 +69,9 @@ type Index struct {
 	// subject).
 	BuildTime time.Duration
 
-	rt   *rtree.Tree
-	ball *balltree.Tree
-	lshI *lsh.Index
-
-	// Scalar kinds, guarded by mu: the structure, the collection version
-	// it reflects (0 = nothing usable yet) and the exact snapshot slice it
-	// covers, compared with a prober's by element identity.
+	// Guarded by mu: the structure, the collection version it reflects
+	// (0 = nothing usable yet) and the exact snapshot slice it covers,
+	// compared with a prober's by element identity.
 	db      *DB
 	mu      sync.Mutex
 	bt      *btree.Tree
@@ -115,105 +92,24 @@ func indexKey(col, field string, kind IndexKind) string {
 	return fmt.Sprintf("idx.%s.%s.%s", col, field, kind)
 }
 
-// vecOf extracts the indexable vector for a field ("" = the Data payload).
-func vecOf(p *Patch, field string) ([]float32, bool) {
-	if field == "" {
-		if p.Data != nil && p.Data.F32s != nil {
-			return p.Data.F32s, true
-		}
-		return nil, false
-	}
-	v, ok := p.Meta[field]
-	if !ok || (v.Kind != KindVec && v.Kind != KindRect) {
-		return nil, false
-	}
-	return v.V, true
-}
-
-// BuildIndex constructs an index of the given kind over field on col's
-// current snapshot and registers it. A hash or B+ tree index that
-// already exists is rebuilt in place, a multidimensional one replaced.
+// BuildIndex builds a hash or B+ tree index over field on col's current
+// snapshot and registers it; an existing one is rebuilt in place.
 func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index, error) {
+	// Build = create empty + the maintenance every probe runs.
+	idx, err := db.openIndex(col, field, kind, true)
+	if err != nil {
+		return nil, err
+	}
 	patches, version, err := col.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	if kind.scalar() {
-		// Build = create empty + the maintenance every probe runs.
-		idx, err := db.openIndex(col, field, kind, true)
-		if err != nil {
-			return nil, err
-		}
-		idx.mu.Lock()
-		defer idx.mu.Unlock()
-		idx.version = 0
-		if _, err := idx.sync(patches, version); err != nil {
-			return nil, err
-		}
-		return idx, nil
-	}
-	idx := &Index{Kind: kind, Col: col.Name(), Field: field}
-	start := time.Now()
-	switch kind {
-	case IdxRTree:
-		dim := 2
-		t := rtree.New(dim)
-		for _, p := range patches {
-			vec, ok := vecOf(p, field)
-			if !ok || len(vec) != 4 {
-				continue
-			}
-			r := rtree.BBox2D(float64(vec[0]), float64(vec[1]), float64(vec[2]), float64(vec[3]))
-			if err := t.Insert(r, uint64(p.ID)); err != nil {
-				return nil, err
-			}
-		}
-		idx.rt = t
-	case IdxBallTree:
-		var pts []balltree.Point
-		for _, p := range patches {
-			if vec, ok := vecOf(p, field); ok {
-				pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
-			}
-		}
-		t, err := balltree.Build(pts)
-		if err != nil {
-			return nil, err
-		}
-		idx.ball = t
-	case IdxLSH:
-		dim := 0
-		for _, p := range patches {
-			if vec, ok := vecOf(p, field); ok {
-				dim = len(vec)
-				break
-			}
-		}
-		if dim == 0 {
-			return nil, fmt.Errorf("core: no vectors under field %q to index", field)
-		}
-		ix, err := lsh.New(dim, 6, 16, 42)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range patches {
-			if vec, ok := vecOf(p, field); ok && len(vec) == dim {
-				if err := ix.Insert(lsh.Point{Vec: vec, ID: uint64(p.ID)}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		idx.lshI = ix
-	default:
-		return nil, fmt.Errorf("core: unknown index kind %v", kind)
-	}
-	idx.BuildTime = time.Since(start)
-	if err := db.saveIndexDesc(idxDesc{Kind: kind, Col: col.Name(), Field: field, Version: version}); err != nil {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	idx.version = 0
+	if _, err := idx.sync(patches, version); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	db.indexes[indexKey(idx.Col, field, kind)] = idx
-	db.mu.Unlock()
 	return idx, nil
 }
 
@@ -232,29 +128,27 @@ func (db *DB) registered(key string) *Index {
 	return db.indexes[key]
 }
 
-// Index returns a registered index, reopening persistent ones and
-// rebuilding memory-resident ones as needed. Returns ErrNotFound when no
-// such index was ever built.
+// Index returns a registered index, reopening a persisted one. Returns
+// ErrNotFound when no such index was ever built.
 func (db *DB) Index(col *Collection, field string, kind IndexKind) (*Index, error) {
 	return db.openIndex(col, field, kind, false)
 }
 
-// EnsureIndex is Index for the hash and B+ tree kinds, creating the
-// index when none exists. Creation is free — the first probe builds it
-// — and atomic: concurrent first users share one Index and one build.
+// EnsureIndex is Index creating the index when none exists. Creation is
+// free — the first probe builds it — and atomic: concurrent first users
+// share one Index and one build.
 func (db *DB) EnsureIndex(col *Collection, field string, kind IndexKind) (*Index, error) {
-	if !kind.scalar() {
-		return nil, fmt.Errorf("core: %v index is built with BuildIndex, not on demand", kind)
-	}
 	return db.openIndex(col, field, kind, true)
 }
 
 // openIndex returns the one Index value serving (col, field, kind): the
-// registered one; else from the descriptor — a memory-resident kind
-// rebuilt, a persisted one reopened if the collection still stands at
-// the version it recorded and otherwise left for the first probe to
-// rebuild; else, with create, a new empty one.
+// registered one; else from the descriptor — reopened if the collection
+// still stands at the version it recorded and otherwise left for the
+// first probe to rebuild; else, with create, a new empty one.
 func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bool) (*Index, error) {
+	if kind != IdxBTree && kind != IdxHash {
+		return nil, fmt.Errorf("core: unknown index kind %v", kind)
+	}
 	key := indexKey(col.Name(), field, kind)
 	if idx := db.registered(key); idx != nil {
 		return idx, nil
@@ -265,8 +159,6 @@ func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bo
 	case err != nil && !create:
 		return nil, fmt.Errorf("%w: index %s on %s.%s", ErrNotFound, kind, col.Name(), field)
 	case err != nil: // nothing persisted: the index starts empty
-	case !kind.scalar():
-		return db.BuildIndex(col, field, kind)
 	default:
 		var d idxDesc
 		if err := json.Unmarshal(v, &d); err != nil {
@@ -446,10 +338,9 @@ func compositePatchID(k []byte) PatchID {
 	return PatchID(binary.BigEndian.Uint64(k[len(k)-8:]))
 }
 
-// LookupEq returns the ids of the patches in snap with field == v (hash
-// or B+ tree index), after bringing the index current for (snap, ver) —
-// the snapshot the caller executes over, so index contents and query
-// visibility can never skew.
+// LookupEq returns the ids of the patches in snap with field == v, after
+// bringing the index current for (snap, ver) — the snapshot the caller
+// executes over, so index contents and query visibility can never skew.
 func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error) {
 	ids, _, err := idx.lookupEq(snap, ver, v)
 	return ids, err
@@ -473,13 +364,12 @@ func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refre
 			})
 			return out, err
 		})
-	case idx.Kind == IdxBTree:
-		// Every composite key of the value, and no other, sorts between its
-		// prefix and the prefix followed by an id past the largest.
+	default:
+		// B+ tree: every composite key of the value, and no other, sorts
+		// between its prefix and the prefix followed by an id past the
+		// largest.
 		prefix := compositePrefix(sk)
 		return idx.scan(snap, ver, prefix, append(bytes.Clone(prefix), bytes.Repeat([]byte{0xFF}, 9)...))
-	default:
-		return nil, 0, fmt.Errorf("core: %v index does not support equality lookup", idx.Kind)
 	}
 }
 
@@ -578,39 +468,4 @@ func (idx *Index) scan(snap []*Patch, ver uint64, lo, hi []byte) ([]PatchID, Ref
 		})
 		return out, err
 	})
-}
-
-// LookupSimilar returns patch ids whose indexed vector lies within eps of
-// q (ball tree or LSH).
-func (idx *Index) LookupSimilar(q []float32, eps float64) ([]PatchID, error) {
-	var out []PatchID
-	switch idx.Kind {
-	case IdxBallTree:
-		idx.ball.RangeSearch(q, eps, func(p balltree.Point, _ float64) bool {
-			out = append(out, PatchID(p.ID))
-			return true
-		})
-	case IdxLSH:
-		idx.lshI.RangeSearch(q, eps, func(p lsh.Point, _ float64) bool {
-			out = append(out, PatchID(p.ID))
-			return true
-		})
-	default:
-		return nil, fmt.Errorf("core: %v index does not support similarity lookup", idx.Kind)
-	}
-	return out, nil
-}
-
-// LookupIntersect returns patch ids whose indexed rect intersects the
-// query box (R-tree only).
-func (idx *Index) LookupIntersect(x1, y1, x2, y2 float64) ([]PatchID, error) {
-	if idx.Kind != IdxRTree {
-		return nil, fmt.Errorf("core: %v index does not support spatial lookup", idx.Kind)
-	}
-	var out []PatchID
-	idx.rt.SearchIntersect(rtree.BBox2D(x1, y1, x2, y2), func(e rtree.Entry) bool {
-		out = append(out, PatchID(e.ID))
-		return true
-	})
-	return out, nil
 }

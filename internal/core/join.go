@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/balltree"
 	"repro/internal/exec"
+	"repro/internal/rtree"
 	"repro/internal/tensor"
 )
 
@@ -272,41 +273,11 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 	return out, nil
 }
 
-// SimilarityJoinIndexed probes a prebuilt similarity index on the right
-// collection.
-func SimilarityJoinIndexed(db *DB, left []*Patch, rightCol *Collection, idx *Index, opts SimilarityJoinOpts) ([]Tuple, error) {
-	var out []Tuple
-	for _, l := range left {
-		lv, err := VecField(l, opts.LeftField)
-		if err != nil {
-			return nil, err
-		}
-		ids, err := idx.LookupSimilar(lv, opts.Eps)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			if opts.ExcludeSelf && l.ID == PatchID(id) {
-				continue
-			}
-			if opts.DedupUnordered && l.ID >= PatchID(id) {
-				continue
-			}
-			r, err := rightCol.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Tuple{l, r})
-		}
-	}
-	return out, nil
-}
-
 // SimilarityJoinVecIndexed probes the maintained per-collection vector
-// index on the right collection — the eps-range analog of
-// SimilarityJoinIndexed, but against a VectorIndex that is extended
-// incrementally on append instead of rebuilt per version. With an
-// exact-mode index the pair set is identical to the all-pairs methods.
+// index on the right collection, extended incrementally on append
+// instead of rebuilt per version. With an exact-mode index the pair set
+// is identical to the all-pairs methods; an approximate-mode index
+// returns a subset of it.
 func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, error) {
 	var out []Tuple
 	var ferr error
@@ -411,29 +382,35 @@ func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tu
 	return out, nil
 }
 
-// SpatialJoinIndexed probes a prebuilt R-tree on the right collection for
-// every left patch — the paper's "containment and intersection" use of the
-// multidimensional index (§3.2).
-func SpatialJoinIndexed(db *DB, left []*Patch, rightCol *Collection, idx *Index, leftField string) ([]Tuple, error) {
+// SpatialJoinOnTheFly is the R-tree counterpart of SimilarityJoinOnTheFly
+// — the paper's "containment and intersection" use of the
+// multidimensional index (§3.2): bulk-load an in-memory R-tree over the
+// right side's rects, then probe it with every left rect. Its pair set
+// is SpatialJoinNested's.
+func SpatialJoinOnTheFly(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
+	entries := make([]rtree.Entry, 0, len(right))
+	for i, r := range right {
+		if rb, ok := r.Meta[rightField]; ok && len(rb.V) == 4 {
+			entries = append(entries, rtree.Entry{Rect: rectOf(rb.V), ID: uint64(i)})
+		}
+	}
+	rt := rtree.BulkLoad(2, entries)
 	var out []Tuple
 	for _, l := range left {
 		lb, ok := l.Meta[leftField]
 		if !ok || len(lb.V) != 4 {
 			continue
 		}
-		ids, err := idx.LookupIntersect(float64(lb.V[0]), float64(lb.V[1]), float64(lb.V[2]), float64(lb.V[3]))
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			r, err := rightCol.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Tuple{l, r})
-		}
+		rt.SearchIntersect(rectOf(lb.V), func(e rtree.Entry) bool {
+			out = append(out, Tuple{l, right[e.ID]})
+			return true
+		})
 	}
 	return out, nil
+}
+
+func rectOf(v []float32) rtree.Rect {
+	return rtree.BBox2D(float64(v[0]), float64(v[1]), float64(v[2]), float64(v[3]))
 }
 
 func rectsIntersect(a, b []float32) bool {

@@ -23,7 +23,6 @@ const (
 	SimNested     SimMethod = iota + 1 // all pairs, scalar
 	SimBatched                         // all pairs, device-batched distance matrix
 	SimOnTheFly                        // build ball tree on smaller side, probe
-	SimIndexed                         // probe a prebuilt ball tree
 	SimVecIndexed                      // probe the maintained per-collection vector index
 )
 
@@ -35,8 +34,6 @@ func (m SimMethod) String() string {
 		return "batched-all-pairs"
 	case SimOnTheFly:
 		return "on-the-fly-balltree"
-	case SimIndexed:
-		return "prebuilt-balltree"
 	case SimVecIndexed:
 		return "join-index"
 	default:
@@ -136,7 +133,7 @@ func (cm *CostModel) simCost(m SimMethod, dev exec.Kind, nL, nR, dim int) float6
 			transfer = bytesMoved / 6e9
 		}
 		return flops*cm.CDevFlop[dev] + kernels*cm.DevOverhead[dev].Seconds() + transfer
-	case SimOnTheFly, SimIndexed, SimVecIndexed:
+	case SimOnTheFly, SimVecIndexed:
 		build, probe := mf, nf
 		if m == SimOnTheFly && nf < mf {
 			build, probe = nf, mf
@@ -168,8 +165,11 @@ type SimJoinPlan struct {
 }
 
 // PlanSimilarityJoin picks the cheapest physical operator for a
-// similarity join of the given shape. hasIndex reports a prebuilt ball
-// tree on the right side.
+// similarity join of the given shape. hasIndex reports an exact-mode
+// VectorIndex over the right side's join field: it probes like the
+// on-the-fly ball tree — the same Figure 7 non-linearity — but is
+// maintained across appends, so its build cost never lands on the query
+// being planned.
 func (cm *CostModel) PlanSimilarityJoin(nL, nR, dim int, hasIndex bool) SimJoinPlan {
 	type cand struct {
 		m   SimMethod
@@ -183,7 +183,7 @@ func (cm *CostModel) PlanSimilarityJoin(nL, nR, dim int, hasIndex bool) SimJoinP
 		{SimOnTheFly, exec.CPU},
 	}
 	if hasIndex {
-		cands = append(cands, cand{SimIndexed, exec.CPU})
+		cands = append(cands, cand{SimVecIndexed, exec.CPU})
 	}
 	best := SimJoinPlan{EstCost: math.Inf(1)}
 	explain := ""
@@ -193,27 +193,6 @@ func (cm *CostModel) PlanSimilarityJoin(nL, nR, dim int, hasIndex bool) SimJoinP
 		if cost < best.EstCost {
 			best = SimJoinPlan{Method: c.m, Device: c.dev, EstCost: cost}
 		}
-	}
-	best.Explain = explain
-	return best
-}
-
-// PlanSimilarityJoinVec is PlanSimilarityJoin extended with the
-// maintained vector-index alternative: hasVecIndex reports a
-// per-collection VectorIndex (exact mode) covering the right side's
-// join field. It probes like a prebuilt ball tree — the same Figure 7
-// non-linearity — but is maintained incrementally across appends
-// instead of rebuilt per version, so its build cost never lands on the
-// query being planned.
-func (cm *CostModel) PlanSimilarityJoinVec(nL, nR, dim int, hasVecIndex bool) SimJoinPlan {
-	best := cm.PlanSimilarityJoin(nL, nR, dim, false)
-	if !hasVecIndex {
-		return best
-	}
-	cost := cm.simCost(SimVecIndexed, exec.CPU, nL, nR, dim)
-	explain := best.Explain + fmt.Sprintf("%s@%s=%.4fs ", SimVecIndexed, exec.CPU, cost)
-	if cost < best.EstCost {
-		best = SimJoinPlan{Method: SimVecIndexed, Device: exec.CPU, EstCost: cost}
 	}
 	best.Explain = explain
 	return best

@@ -12,7 +12,7 @@ import (
 // non-decreasing in relation sizes and dimensionality for every method.
 func TestSimCostMonotone(t *testing.T) {
 	cm := DefaultCostModel()
-	methods := []SimMethod{SimNested, SimBatched, SimOnTheFly, SimIndexed}
+	methods := []SimMethod{SimNested, SimBatched, SimOnTheFly, SimVecIndexed}
 	f := func(nL, nR, dim uint16) bool {
 		l, r, d := int(nL%5000)+1, int(nR%5000)+1, int(dim%256)+1
 		for _, m := range methods {
@@ -42,8 +42,8 @@ func TestSimCostMonotone(t *testing.T) {
 // non-linearity is encoded in the model).
 func TestSimCostNonLinearity(t *testing.T) {
 	cm := DefaultCostModel()
-	small := cm.simCost(SimIndexed, exec.CPU, 1000, 2000, 64)
-	big := cm.simCost(SimIndexed, exec.CPU, 1000, 64000, 64)
+	small := cm.simCost(SimVecIndexed, exec.CPU, 1000, 2000, 64)
+	big := cm.simCost(SimVecIndexed, exec.CPU, 1000, 64000, 64)
 	if big <= small {
 		t.Fatalf("indexed cost did not grow with build side: %g vs %g", small, big)
 	}
@@ -101,7 +101,7 @@ func TestFilterMethodStrings(t *testing.T) {
 func TestExplainListsAllCandidates(t *testing.T) {
 	cm := DefaultCostModel()
 	p := cm.PlanSimilarityJoin(100, 100, 64, true)
-	for _, want := range []string{"nested-loop", "batched-all-pairs", "on-the-fly-balltree", "prebuilt-balltree"} {
+	for _, want := range []string{"nested-loop", "batched-all-pairs", "on-the-fly-balltree", "join-index"} {
 		if !contains(p.Explain, want) {
 			t.Fatalf("explain missing %q: %s", want, p.Explain)
 		}

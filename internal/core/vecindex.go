@@ -69,6 +69,21 @@ const exactTailMax = 256
 // byte-identical to the scan it replaces.
 func VecDist(a, b []float32) float64 { return balltree.Dist(a, b) }
 
+// vecOf extracts the indexable vector for a field ("" = the Data payload).
+func vecOf(p *Patch, field string) ([]float32, bool) {
+	if field == "" {
+		if p.Data != nil && p.Data.F32s != nil {
+			return p.Data.F32s, true
+		}
+		return nil, false
+	}
+	v, ok := p.Meta[field]
+	if !ok || (v.Kind != KindVec && v.Kind != KindRect) {
+		return nil, false
+	}
+	return v.V, true
+}
+
 // VecNeighbor is one nearest-neighbor result: a patch id with its exact
 // distance to the query.
 type VecNeighbor struct {
@@ -102,8 +117,8 @@ type VectorIndex struct {
 
 // NewVectorIndex builds an index over field across the snapshot ps,
 // recorded as of version. Rows without the field, and rows whose vector
-// dimensionality disagrees with the first one seen, are skipped (the
-// same tolerance the LSH secondary index applies).
+// dimensionality disagrees with the first one seen, are skipped: both
+// the ball tree and the LSH tables index one dimensionality.
 func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
 	vi := &VectorIndex{field: field, mode: mode, version: version, patches: ps}
 	for _, p := range ps {
@@ -297,8 +312,10 @@ func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID,
 	if stopped {
 		return
 	}
+	// The tail applies the tree's membership test, so a row at the eps
+	// boundary matches the same way before and after a re-tree.
 	for _, p := range vi.pts[vi.treeN:] {
-		if d := VecDist(p.Vec, q); d <= eps {
+		if d, ok := balltree.DistWithin(p.Vec, q, eps); ok {
 			if !fn(PatchID(p.ID), d) {
 				return
 			}

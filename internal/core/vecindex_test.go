@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/exec"
@@ -238,4 +240,168 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 	if e, r := db.IndexExtendStats(); e != e0+1 || r != r0+3 {
 		t.Fatalf("approx first touch: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+3)
 	}
+}
+
+// scanRange is the reference RangeSearch answer: every row of snap whose
+// vector lies within eps of q by the all-pairs join's test (squared
+// distance against eps²), with its VecDist distance, ascending id.
+func scanRange(snap []*Patch, q []float32, eps float64) []VecNeighbor {
+	var out []VecNeighbor
+	for _, p := range snap {
+		v := p.Meta["emb"].V
+		var s float64
+		for i := range v {
+			d := float64(v[i]) - float64(q[i])
+			s += d * d
+		}
+		if s <= eps*eps {
+			out = append(out, VecNeighbor{ID: p.ID, Dist: VecDist(v, q)})
+		}
+	}
+	return out
+}
+
+// rangeAll collects a RangeSearch answer in ascending id order.
+func rangeAll(vi *VectorIndex, q []float32, eps float64) []VecNeighbor {
+	var out []VecNeighbor
+	vi.RangeSearch(q, eps, func(id PatchID, d float64) bool {
+		out = append(out, VecNeighbor{ID: id, Dist: d})
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// TestVectorIndexRangeSearchMatchesScan: exact mode's RangeSearch is the
+// scan — same rows, bit-identical distances, boundary rows at exactly
+// eps included — at every maintenance state (fresh build, linear tail
+// after an append, re-treed), and a visitor returning false stops the
+// walk on the spot, in the tree and in the tail alike.
+func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
+	const dim, clusters = 8, 7
+	_, col := vecTestCollection(t, 500, dim, clusters)
+	check := func(stage string, wantTail bool) {
+		t.Helper()
+		snap, ver, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail := len(vi.pts) - vi.treeN; (tail > 0) != wantTail || len(vi.pts) != len(snap) {
+			t.Fatalf("%s: %d rows with a %d-row tail, snapshot %d", stage, len(vi.pts), tail, len(snap))
+		}
+		for qi := 0; qi < 12; qi++ {
+			q := vecTestQuery(qi, dim, clusters)
+			epss := []float64{0, 0.01, 0.5, 4}
+			for _, n := range BruteKNN(snap, "emb", q, 200) {
+				epss = append(epss, n.Dist) // boundary: a row at exactly eps
+			}
+			for _, eps := range epss {
+				got, want := rangeAll(vi, q, eps), scanRange(snap, q, eps)
+				if len(got) != len(want) {
+					t.Fatalf("%s: q%d eps=%g: %d rows, scan %d", stage, qi, eps, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Fatalf("%s: q%d eps=%g: row %d is %v, scan %v", stage, qi, eps, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		// Early stop: every prefix of the walk, across the tree/tail seam.
+		q := vecTestQuery(0, dim, clusters)
+		n := len(scanRange(snap, q, 4))
+		if n < 2 {
+			t.Fatalf("%s: vacuous early-stop check (%d rows)", stage, n)
+		}
+		for stop := 1; stop <= n; stop++ {
+			calls := 0
+			vi.RangeSearch(q, 4, func(PatchID, float64) bool {
+				calls++
+				return calls < stop
+			})
+			if calls != stop {
+				t.Fatalf("%s: visitor stopped at call %d, walk made %d calls", stage, stop, calls)
+			}
+		}
+	}
+	check("fresh build", false)
+	for i := 500; i < 560; i++ {
+		if err := col.Append(vecTestPatch(i, dim, clusters)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("extended tail", true)
+	for i := 560; i < 1200; i++ {
+		if err := col.Append(vecTestPatch(i, dim, clusters)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("re-treed", false)
+}
+
+// TestVectorIndexApproxDistancesExact: approximate mode computes its
+// distances inline (inside lsh), yet KNN and RangeSearch report exactly
+// VecDist's bits, fresh and extended — the property that lets a sharded
+// kNN gather merge approximate fragments by distance without
+// re-verifying them.
+func TestVectorIndexApproxDistancesExact(t *testing.T) {
+	const dim, clusters = 32, 16
+	_, col := vecTestCollection(t, 1200, dim, clusters)
+	check := func(stage string) {
+		t.Helper()
+		snap, ver, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vi, err := col.VectorIndexAt(snap, ver, "emb", VecApprox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := make(map[PatchID][]float32, len(snap))
+		for _, p := range snap {
+			vecs[p.ID] = p.Meta["emb"].V
+		}
+		same := func(what string, id PatchID, d float64, q []float32) {
+			t.Helper()
+			if want := VecDist(vecs[id], q); math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("%s: %s reports row %d at %v, VecDist %v", stage, what, id, d, want)
+			}
+		}
+		knn, ranged := 0, 0
+		for qi := 0; qi < 12; qi++ {
+			// Jitter every dimension so distances are not float32 values
+			// (an off-grid shift in one dimension alone can leave them so).
+			q := vecTestQuery(qi, dim, clusters)
+			for d := range q {
+				q[d] += float32((d*7+qi)%5-2) * 0.0123
+			}
+			for _, n := range vi.KNN(q, 25) {
+				same("KNN", n.ID, n.Dist, q)
+				knn++
+			}
+			eps := BruteKNN(snap, "emb", q, 25)[24].Dist
+			vi.RangeSearch(q, eps, func(id PatchID, d float64) bool {
+				if d > eps {
+					t.Fatalf("%s: RangeSearch row %d at %v beyond eps %v", stage, id, d, eps)
+				}
+				same("RangeSearch", id, d, q)
+				ranged++
+				return true
+			})
+		}
+		if knn == 0 || ranged == 0 {
+			t.Fatalf("%s: vacuous (%d KNN rows, %d RangeSearch rows)", stage, knn, ranged)
+		}
+	}
+	check("fresh build")
+	for i := 1200; i < 1300; i++ {
+		if err := col.Append(vecTestPatch(i, dim, clusters)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("extended")
 }

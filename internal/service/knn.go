@@ -4,9 +4,10 @@ package service
 // scatters: every shard plans over its own snapshot (brute scan vs exact
 // ball tree vs approximate LSH, by size/dimensionality/recall target),
 // answers its local top-k from its shard-local versioned VectorIndex,
-// and the gather stage k-way merges the candidate streams, optionally
-// re-verifying the merged pool's distances before the global trim. With
-// one shard the fragment is the whole plan and the merge is the identity.
+// and the gather stage k-way merges the candidate streams by (distance,
+// id) — every path, the approximate one included, reports exact
+// distances — and trims to the global k. With one shard the fragment is
+// the whole plan and the merge is the identity.
 
 import (
 	"context"
@@ -128,16 +129,12 @@ type knnFragment struct {
 	ns    []core.VecNeighbor
 	label string
 	cost  float64
-	mode  core.VecIndexMode // index access mode; 0 on the scan path
 }
 
-// executeKNNScatter serves a kNN request: plan-per-shard (each shard's snapshot has its own size), probe every
-// shard's local index in parallel, k-way merge the candidate streams by
-// (distance, id), and trim to the global k. When any shard answered
-// approximately and more than one shard contributed, the merged pool's
-// distances are re-verified against the stored vectors before the trim
-// (the exact re-rank stage), so cross-shard ordering never depends on a
-// fragment's internals.
+// executeKNNScatter serves a kNN request: plan-per-shard (each shard's
+// snapshot has its own size), probe every shard's local index in
+// parallel, k-way merge the candidate streams by (distance, id), and
+// trim to the global k.
 func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -182,13 +179,12 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 		return nil, err
 	}
 
-	// ---- gather: k-way merge by (distance, id), re-rank, global trim ----
+	// ---- gather: k-way merge by (distance, id), global trim ----
 	mergeStart := time.Now()
 	mg := req.tr.Begin("knn-merge")
 	resp := &Response{Degraded: len(missing) > 0, MissingShards: missing}
 	var merged []core.VecNeighbor
 	label := ""
-	approx := false
 	for _, frag := range frags {
 		if frag == nil {
 			continue
@@ -198,29 +194,6 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 		if label == "" {
 			label = frag.label
 		}
-		if frag.mode == core.VecApprox {
-			approx = true
-		}
-	}
-	if nsh > 1 && approx {
-		// Re-rank: re-verify every merged candidate's distance against its
-		// stored vector before the global trim. Approximate fragments
-		// already report exact distances, so this is a defensive identity
-		// today — but it pins the contract that cross-shard ordering never
-		// trusts a fragment's internals.
-		rr := req.tr.Begin("knn-rerank")
-		for i := range merged {
-			p, err := scol.Get(merged[i].ID)
-			if err != nil {
-				rr.End()
-				mg.End()
-				return nil, err
-			}
-			if mv, ok := p.Meta[spec.Field]; ok && mv.Kind == core.KindVec && len(mv.V) == len(q) {
-				merged[i].Dist = core.VecDist(mv.V, q)
-			}
-		}
-		rr.AttrInt("candidates", int64(len(merged))).End()
 	}
 	sortKNN(merged)
 	if len(merged) > spec.K {
@@ -231,10 +204,7 @@ func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Respons
 		mg.End()
 		return nil, err
 	}
-	gather := "gather-knn"
-	if nsh > 1 && approx {
-		gather = "gather-knn(rerank)"
-	}
+	const gather = "gather-knn"
 	resp.Plan = s.scatterPlan(nsh, 0, []string{label}, gather)
 	mg.Attr("gather", gather).AttrInt("rows", int64(len(resp.Rows))).End()
 	s.mergeNS.Add(time.Since(mergeStart).Nanoseconds())
@@ -258,9 +228,5 @@ func (s *Service) knnShardProbe(ctx context.Context, scol *core.ShardedCollectio
 	if err != nil {
 		return nil, err
 	}
-	frag := &knnFragment{ns: ns, label: knnLabel(plan, spec), cost: plan.EstCost}
-	if plan.Method == core.KNNIndex {
-		frag.mode = plan.Mode
-	}
-	return frag, nil
+	return &knnFragment{ns: ns, label: knnLabel(plan, spec), cost: plan.EstCost}, nil
 }

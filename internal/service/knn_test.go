@@ -217,9 +217,9 @@ func TestKNNRowsShape(t *testing.T) {
 }
 
 // TestKNNApproxScatter: at a size where the planner picks LSH, the
-// sharded plan surfaces the approximate fragments and the re-rank
-// gather, and the answer's recall against the exact result holds the
-// default floor.
+// sharded plan surfaces the approximate fragments and the plain
+// gather-knn merge, and the answer's recall against the exact result
+// holds the default floor.
 func TestKNNApproxScatter(t *testing.T) {
 	const rows, k = 600, 10
 	cfg := Config{Workers: 2}
@@ -233,8 +233,8 @@ func TestKNNApproxScatter(t *testing.T) {
 	if !strings.Contains(approx.Plan, "knn-index[approx]") {
 		t.Fatalf("plan %q does not surface the approximate index path", approx.Plan)
 	}
-	if !strings.Contains(approx.Plan, "gather-knn(rerank)") {
-		t.Fatalf("plan %q does not surface the re-rank gather", approx.Plan)
+	if !strings.HasSuffix(approx.Plan, "gather-knn") {
+		t.Fatalf("plan %q does not end in the gather-knn merge", approx.Plan)
 	}
 	exact, err := sharded.Query(ctx, Request{Collection: shardTestCol,
 		KNN: &KNNSpec{Field: "emb", K: k, Query: knnQ(4), Exact: true}})

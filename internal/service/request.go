@@ -146,13 +146,13 @@ func (f *FilterSpec) resolve(schema core.Schema) (*core.Pred, error) {
 
 // SimJoinSpec is a similarity self-join on a vector field: all pairs
 // within Eps. The optimizer picks the physical method; UseIndex
-// additionally allows probing a prebuilt ball tree when the join runs
-// over the whole collection.
+// additionally allows probing the maintained exact vector index when the
+// join runs over the whole collection.
 type SimJoinSpec struct {
 	Field string  `json:"field"`
 	Eps   float64 `json:"eps"`
-	// UseIndex permits the prebuilt-ball-tree method (built on first
-	// use). Only effective without a preceding filter: an index over the
+	// UseIndex permits the join-index method (the shard-local exact
+	// VectorIndex, built on first use and extended on append). Only effective without a preceding filter: an index over the
 	// full collection cannot serve a filtered subset. Purely physical.
 	UseIndex bool `json:"use_index,omitempty"`
 	// MinCluster drops identity clusters smaller than this when Distinct

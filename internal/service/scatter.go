@@ -435,7 +435,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 			}
 		}
 	}
-	// A prebuilt (shard-local) index can only serve an unfiltered join.
+	// A shard-local vector index can only serve an unfiltered join.
 	hasIndex := sj.UseIndex && req.Filter == nil
 
 	// Task list: one local self-join per surviving shard, then one cross
@@ -537,7 +537,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 // partition's DedupUnordered pair set.
 func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
 	colR := scol.Shard(task.right)
-	sp := s.cost.PlanSimilarityJoinVec(len(left), len(right), dim, hasIndex)
+	sp := s.cost.PlanSimilarityJoin(len(left), len(right), dim, hasIndex)
 	task.cost = sp.EstCost
 	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
 	opts := core.SimilarityJoinOpts{

@@ -168,7 +168,7 @@ func TestQuerySimJoinDistinct(t *testing.T) {
 	if r.EstCostSec <= 0 {
 		t.Fatal("optimizer reported zero plan cost")
 	}
-	// The unfiltered indexed variant also runs (prebuilt ball tree path).
+	// The unfiltered indexed variant also runs (join-index path).
 	r2, err := s.Query(ctx, Request{
 		Collection: bench.ColPCImages,
 		SimJoin:    &SimJoinSpec{Field: "ghist", Eps: 0.066, UseIndex: true},
