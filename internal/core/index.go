@@ -59,8 +59,9 @@ func (r Refresh) String() string {
 // file) and maintained: every probe names the snapshot it executes over
 // and first brings the index current for it (see sync). One Index value
 // serves each (collection, field, kind) of a DB; its mutex serializes
-// maintenance with every probe (the B+ tree's node cache is
-// unsynchronized).
+// maintenance with every probe (a B+ tree is not safe for concurrent
+// use: its inner-node cache is unsynchronized and its leaves are read in
+// place).
 type Index struct {
 	Kind  IndexKind
 	Col   string
@@ -168,12 +169,18 @@ func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bo
 		if err != nil {
 			return nil, err
 		}
-		if ver == d.Version {
-			if kind == IdxBTree {
-				idx.bt = btree.Open(db.store.Pager(), d.Root)
-			} else if idx.hash, err = hashidx.Open(db.store.Pager(), d.Root); err != nil {
-				return nil, err
-			}
+		// Opened at another version the structure stays unusable (version
+		// 0) but attached, so the first probe's rebuild frees its pages.
+		if kind == IdxBTree {
+			idx.bt = btree.Open(db.store.Pager(), d.Root)
+		} else {
+			idx.hash, err = hashidx.Open(db.store.Pager(), d.Root)
+		}
+		switch {
+		case ver != d.Version:
+		case err != nil:
+			return nil, err
+		default:
 			idx.version, idx.covered = ver, snap
 		}
 	}
@@ -210,7 +217,8 @@ func (db *DB) ScalarIndexStats() (extends, rebuilds, inserted int64) {
 // covered rows are a certified prefix of snap — only snap[covered:] is
 // inserted, by the loop a build runs, so the structure is the one a
 // fresh build over snap produces. Anything else rebuilds into a new
-// structure (the replaced one's pages are not freed yet).
+// structure and, once the descriptor names it, frees the replaced one's
+// pages.
 func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	use, from := RefreshRebuild, 0
 	if idx.version != 0 {
@@ -225,6 +233,7 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	// A failure below leaves the structure half-written: version 0 makes
 	// the next probe rebuild rather than trust it.
 	idx.version = 0
+	oldBT, oldHash := idx.bt, idx.hash
 	if use == RefreshRebuild {
 		var err error
 		if idx.Kind == IdxBTree {
@@ -254,6 +263,14 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	if use == RefreshRebuild {
 		idx.BuildTime = time.Since(start)
 		idx.db.scalarRebuilds.Add(1)
+		// Nothing refers to the replaced structure any more. A failed
+		// free only leaks its remaining pages; the new index serves.
+		switch {
+		case oldBT != nil:
+			_ = oldBT.Free()
+		case oldHash != nil:
+			_ = oldHash.Free()
+		}
 	} else {
 		idx.db.scalarExtends.Add(1)
 	}

@@ -368,3 +368,74 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 		t.Fatalf("reopen at another version: extends %d rebuilds %d, want 0/2", e, r)
 	}
 }
+
+// TestIndexRebuildsFreeReplacedPages: a rebuild frees the structure it
+// replaces once the descriptor names the new one, so after the first
+// forced rebuild (which needs room for both) ten more — a snapshot-cache
+// reload and a one-row append each — do not grow the page file.
+func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
+	db := openDB(t)
+	col, _ := db.CreateCollection("c", lifecycleSchema())
+	appendLifecycle(t, col, 0, 3000)
+	hash, _ := db.BuildIndex(col, "label", IdxHash)
+	bt, _ := db.BuildIndex(col, "key", IdxBTree)
+	pager := db.Store().Pager()
+	var pages uint64
+	for round := 0; round <= 10; round++ {
+		col.InvalidateCache()
+		appendLifecycle(t, col, 3000+round, 3001+round)
+		snap, ver, _ := col.Snapshot()
+		checkAgainstScan(t, "rebuilt", indexAnswers(t, hash, bt, snap, ver), snap)
+		if round == 0 {
+			pages = pager.NumPages()
+		} else if got := pager.NumPages(); got != pages {
+			t.Errorf("rebuild %d: page file %d -> %d pages", round, pages, got)
+		}
+	}
+	if _, r, _ := db.ScalarIndexStats(); r != 2+2*11 {
+		t.Fatalf("%d rebuilds, want %d", r, 2+2*11)
+	}
+}
+
+// TestReopenAtAnotherVersionFreesPersistedIndex: an index reopened after
+// its collection moved on is rebuilt, and the structure its descriptor
+// still named is freed, so a second reopen-and-rebuild cycle finds room
+// in the freed pages and the file stops growing.
+func TestReopenAtAnotherVersionFreesPersistedIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("c", lifecycleSchema())
+	appendLifecycle(t, col, 0, 3000)
+	if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	var pages []uint64
+	for cycle := 0; cycle < 3; cycle++ {
+		appendLifecycle(t, col, 3000+cycle, 3001+cycle) // the descriptors fall behind
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = Open(path, exec.New(exec.CPU)); err != nil {
+			t.Fatal(err)
+		}
+		col, _ = db.Collection("c")
+		bt, _ := db.Index(col, "key", IdxBTree)
+		hash, _ := db.Index(col, "label", IdxHash)
+		snap, ver, _ := col.Snapshot()
+		checkAgainstScan(t, "reopened stale", indexAnswers(t, hash, bt, snap, ver), snap)
+		if _, r, _ := db.ScalarIndexStats(); r != 2 {
+			t.Fatalf("cycle %d: %d rebuilds after reopen, want 2", cycle, r)
+		}
+		pages = append(pages, db.Store().Pager().NumPages())
+	}
+	defer db.Close()
+	if pages[2] != pages[1] {
+		t.Fatalf("page file grew across reopen rebuilds: %v", pages)
+	}
+}

@@ -556,6 +556,19 @@ func (s *Sharded) ScalarIndexStats() (extends, rebuilds, inserted int64) {
 	return extends, rebuilds, inserted
 }
 
+// PagerStats sums, over every replica DB's page file, the pages the file
+// holds (meta page included) and the page buffers resident in its cache.
+func (s *Sharded) PagerStats() (pages uint64, cached int) {
+	for _, reps := range s.reps {
+		for _, db := range reps {
+			p := db.store.Pager()
+			pages += p.NumPages()
+			cached += p.CachedPages()
+		}
+	}
+	return pages, cached
+}
+
 // ShardInfo is one shard's storage snapshot (served by /stats).
 type ShardInfo struct {
 	Shard int `json:"shard"`

@@ -112,6 +112,37 @@ func (ix *Index) Flush() error { return ix.saveMeta() }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.nitems }
 
+// Free returns every page of the index — bucket pages with their overflow
+// buckets, the directory chain and the meta page — to the pager. The
+// index must not be used afterwards.
+func (ix *Index) Free() error {
+	freed := make(map[uint64]bool)
+	for _, id := range ix.dir { // slots share buckets below global depth
+		for id != 0 && !freed[id] {
+			buf, err := ix.p.Read(id)
+			if err != nil {
+				return err
+			}
+			next := binary.LittleEndian.Uint64(buf[3:])
+			if err := ix.p.Free(id); err != nil {
+				return err
+			}
+			freed[id] = true
+			id = next
+		}
+	}
+	meta, err := ix.p.Read(ix.meta)
+	if err != nil {
+		return err
+	}
+	if head := binary.LittleEndian.Uint64(meta[9:]); head != 0 {
+		if err := ix.p.FreeOverflow(head); err != nil {
+			return err
+		}
+	}
+	return ix.p.Free(ix.meta)
+}
+
 func (ix *Index) saveMeta() error {
 	old, err := ix.p.Read(ix.meta)
 	if err == nil {

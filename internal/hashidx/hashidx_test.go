@@ -240,3 +240,35 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFreeReturnsEveryPage: a freed index — buckets, directory chain and
+// meta page — hands all its pages back, so building it again does not
+// grow the file.
+func TestFreeReturnsEveryPage(t *testing.T) {
+	ix, p := newIndex(t)
+	fill := func(ix *Index) {
+		for i := 0; i < 5000; i++ {
+			if err := ix.Put([]byte(fmt.Sprintf("key-%d", i)), bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(ix)
+	pages := p.NumPages()
+	for round := 0; round < 3; round++ {
+		if err := ix.Free(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if ix, err = Create(p); err != nil {
+			t.Fatal(err)
+		}
+		fill(ix)
+		if got := p.NumPages(); got != pages {
+			t.Fatalf("round %d: rebuild after Free grew the file from %d to %d pages", round, pages, got)
+		}
+	}
+}

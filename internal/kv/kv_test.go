@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -261,10 +262,9 @@ func TestClosedStoreErrors(t *testing.T) {
 }
 
 // TestPutWarmLeafAllocatesNoPage: replacing a value in a cached leaf
-// serializes the node into a pooled page buffer (Pager.Write copies it),
-// so a Put allocates its key and value copies, not a 4 KiB page. The
-// average holds under the race detector too, where sync.Pool drops a
-// quarter of its buffers.
+// edits a pooled copy of the page (Pager.Write copies it back), so a Put
+// does not allocate a 4 KiB page. The average holds under the race
+// detector too, where sync.Pool drops a quarter of its buffers.
 func TestPutWarmLeafAllocatesNoPage(t *testing.T) {
 	b, err := openTemp(t).Bucket("rows")
 	if err != nil {
@@ -321,5 +321,37 @@ func TestGetAppendReusesBuffer(t *testing.T) {
 	}
 	if _, err := b.GetAppend(buf[:0], []byte("absent")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetAppend(absent) = %v, want ErrNotFound", err)
+	}
+}
+
+// TestReadOverflowRejectsCorruptChains: a length no chain in the file can
+// hold fails before any buffer is sized, and a chain that loops back on
+// itself without filling its pages ends in ErrCorruptVal instead of
+// spinning.
+func TestReadOverflowRejectsCorruptChains(t *testing.T) {
+	p, err := OpenPager(filepath.Join(t.TempDir(), "p.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	head, err := p.WriteOverflow(bytes.Repeat([]byte{1}, 3*overflowCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.ReadOverflow(nil, head, 1<<30); !errors.Is(err, ErrCorruptVal) {
+		t.Fatalf("ReadOverflow of a 1 GiB length in a %d-page file: %v", p.NumPages(), err)
+	}
+	if runtime.ReadMemStats(&after); after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Fatalf("a corrupt length allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
+	}
+	loop := make([]byte, PageSize) // next = itself, no payload
+	binary.LittleEndian.PutUint64(loop, head)
+	if err := p.Write(head, loop); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ReadOverflow(nil, head, 3*overflowCap); !errors.Is(err, ErrCorruptVal) {
+		t.Fatalf("ReadOverflow of a looping chain: %v", err)
 	}
 }

@@ -111,7 +111,11 @@ func (p *Pager) readMeta() error {
 }
 
 // Read returns the contents of page id. The returned slice is the cached
-// page buffer: callers must copy before mutating, or use Write.
+// page buffer, not a copy: callers must not modify it (Write is the only
+// way to change a page). It keeps its contents until the page is next
+// written or freed — eviction drops a buffer from the cache but never
+// reuses it — so a caller that serializes its own writes of the page may
+// read the slice in place until then (the B+ tree reads leaves this way).
 func (p *Pager) Read(id uint64) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -139,7 +143,10 @@ func (p *Pager) readLocked(id uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// Write stores buf (length PageSize) as the contents of page id.
+// Write stores buf (length PageSize) as the contents of page id. It
+// copies buf, so the caller may reuse it on return. A cached page is
+// overwritten in place: a slice an earlier Read returned for it sees the
+// new contents.
 func (p *Pager) Write(id uint64, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -254,6 +261,13 @@ func (p *Pager) NumPages() uint64 {
 	return p.npages
 }
 
+// CachedPages returns the number of page buffers resident in the cache.
+func (p *Pager) CachedPages() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.cache)
+}
+
 // Flush writes all dirty cached pages and the meta page to the file.
 func (p *Pager) Flush() error {
 	p.mu.Lock()
@@ -358,6 +372,11 @@ func (p *Pager) WriteOverflow(val []byte) (uint64, error) {
 // of the page cache, so a caller that passes a reused buffer reads an
 // overflow value without allocating.
 func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error) {
+	// A chain has fewer pages than the file: a corrupt length must fail
+	// here, before it sizes the buffer.
+	if total < 0 || uint64(total) > p.NumPages()*overflowCap {
+		return nil, ErrCorruptVal
+	}
 	base := len(dst)
 	out := slices.Grow(dst, total)
 	id := head
@@ -368,7 +387,9 @@ func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
 		}
 		next := binary.LittleEndian.Uint64(buf)
 		n := int(binary.LittleEndian.Uint32(buf[8:]))
-		if n > overflowCap {
+		// Every page but the last is full (WriteOverflow), so each hop
+		// grows the value and a looping chain hits the total check.
+		if n > overflowCap || next != 0 && n != overflowCap {
 			return nil, ErrCorruptVal
 		}
 		out = append(out, buf[12:12+n]...)

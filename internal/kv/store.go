@@ -189,7 +189,9 @@ func (b *Bucket) Delete(key []byte) error {
 }
 
 // Scan calls fn over entries with key in [lo, hi) in key order; nil bounds
-// are unbounded. fn returning false stops the scan.
+// are unbounded. fn returning false stops the scan. k aliases the tree's
+// page and is valid only during the call (copy it to keep it); v is a
+// copy.
 func (b *Bucket) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -302,6 +302,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := exp.Value("deeplens_cache_hit_rate", map[string]string{"cache": "result"}); !ok {
 		t.Fatal("deeplens_cache_hit_rate{cache=\"result\"} is missing")
 	}
+	var pages uint64
+	for i := 0; i < s.shards.NumShards(); i++ {
+		pages += s.shards.Shard(i).Store().Pager().NumPages()
+	}
+	if v, ok := exp.Value("deeplens_store_pages", nil); !ok || v != float64(pages) {
+		t.Fatalf("deeplens_store_pages = %v (found=%v), want %d", v, ok, pages)
+	}
+	if v, ok := exp.Value("deeplens_pager_cached_pages", nil); !ok || v <= 0 || v > float64(pages) {
+		t.Fatalf("deeplens_pager_cached_pages = %v (found=%v), want within (0, %d]", v, ok, pages)
+	}
 }
 
 // TestDebugSlowAndHealthz: the slow-log endpoint serves JSON and the

@@ -202,6 +202,14 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		_, n, _ := s.shards.ScalarIndexStats()
 		return float64(n)
 	})
+	r.GaugeFunc("deeplens_store_pages", "Pages in the page files of every shard and replica store (meta pages included).", nil, func() float64 {
+		pages, _ := s.shards.PagerStats()
+		return float64(pages)
+	})
+	r.GaugeFunc("deeplens_pager_cached_pages", "Page buffers resident in the pager caches of every shard and replica store.", nil, func() float64 {
+		_, cached := s.shards.PagerStats()
+		return float64(cached)
+	})
 	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the device pool.", nil,
 		func() float64 { return float64(s.devPool.Stats().Kernels) })
 	r.CounterFunc("deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", nil,
