@@ -516,27 +516,31 @@ func (s *Sharded) Backtrace(p *Patch) ([]*Patch, error) {
 	return chain, nil
 }
 
-// ColumnExtendStats sums the primaries' incremental column-extension
-// counters (each shard extends its own partition's stores independently;
-// see DB.ColumnExtendStats).
+// ColumnExtendStats sums incremental column-extension counters over
+// every replica DB: each replica extends its own stores for the
+// fragments it answers (see DB.ColumnExtendStats).
 func (s *Sharded) ColumnExtendStats() (extends, reused, total int64) {
-	for _, db := range s.shards {
-		e, r, t := db.ColumnExtendStats()
-		extends += e
-		reused += r
-		total += t
+	for _, reps := range s.reps {
+		for _, db := range reps {
+			e, r, t := db.ColumnExtendStats()
+			extends += e
+			reused += r
+			total += t
+		}
 	}
 	return extends, reused, total
 }
 
-// IndexExtendStats sums the primaries' vector-index maintenance
-// counters (each shard extends its own partition's indexes
-// independently; see DB.IndexExtendStats).
+// IndexExtendStats sums vector-index maintenance counters over every
+// replica DB: each replica extends its own indexes for the fragments it
+// answers (see DB.IndexExtendStats).
 func (s *Sharded) IndexExtendStats() (extends, rebuilds int64) {
-	for _, db := range s.shards {
-		e, r := db.IndexExtendStats()
-		extends += e
-		rebuilds += r
+	for _, reps := range s.reps {
+		for _, db := range reps {
+			e, r := db.IndexExtendStats()
+			extends += e
+			rebuilds += r
+		}
 	}
 	return extends, rebuilds
 }

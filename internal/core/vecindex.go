@@ -259,7 +259,7 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 	for _, p := range tail {
 		cands = append(cands, VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
 	}
-	sortNeighbors(cands)
+	SortNeighbors(cands)
 	if len(cands) < k {
 		// Fewer points than k: the candidates are the entire index, and
 		// sorting them is already canonical.
@@ -279,7 +279,7 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 		for _, p := range tail {
 			out = append(out, VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
 		}
-		sortNeighbors(out)
+		SortNeighbors(out)
 		cands = out
 	}
 	if len(cands) > k {
@@ -323,7 +323,8 @@ func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID,
 	}
 }
 
-func sortNeighbors(ns []VecNeighbor) {
+// SortNeighbors orders neighbors canonically: ascending (distance, id).
+func SortNeighbors(ns []VecNeighbor) {
 	sort.Slice(ns, func(i, j int) bool {
 		if ns[i].Dist != ns[j].Dist {
 			return ns[i].Dist < ns[j].Dist
@@ -346,7 +347,7 @@ func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
 			out = append(out, VecNeighbor{ID: p.ID, Dist: VecDist(vec, q)})
 		}
 	}
-	sortNeighbors(out)
+	SortNeighbors(out)
 	if len(out) > k {
 		out = out[:k]
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -119,7 +120,8 @@ func TestHedgedReadsSurviveStalledReplica(t *testing.T) {
 
 // TestFragmentErrorRetriesToSecondReplica: a fragment whose first
 // attempt fails outright gets one jittered retry on the next replica —
-// the query succeeds and the retry counter moves.
+// the query succeeds and the retry counter moves, for filters and kNN
+// probes alike.
 func TestFragmentErrorRetriesToSecondReplica(t *testing.T) {
 	const rows = 120
 	_, svc := synthReplicated(t, 2, 2, rows, Config{Workers: 2, Faults: fault.Config{
@@ -130,8 +132,17 @@ func TestFragmentErrorRetriesToSecondReplica(t *testing.T) {
 	if r.Value != rows {
 		t.Fatalf("count with failing primary = %d, want %d", r.Value, rows)
 	}
-	if st := svc.Stats(); st.FragmentRetries == 0 {
+	retries := svc.Stats().FragmentRetries
+	if retries == 0 {
 		t.Fatal("failing primary produced zero fragment retries")
+	}
+	r = mustQuery(t, svc, Request{Collection: shardTestCol, NoCache: true,
+		KNN: &KNNSpec{Field: "emb", K: 5, Query: knnQ(2), Exact: true}})
+	if r.Value != 5 {
+		t.Fatalf("knn with failing primary = %d neighbors, want 5", r.Value)
+	}
+	if st := svc.Stats(); st.FragmentRetries <= retries {
+		t.Fatalf("knn over a failing primary left fragment retries at %d", st.FragmentRetries)
 	}
 }
 
@@ -198,6 +209,17 @@ func TestFaultKnobsAtFanOutOne(t *testing.T) {
 					t.Fatalf("fragment span %s = %q, want %q (%v)", attr, got, want, frags[0].Attrs)
 				}
 			}
+			r = mustQuery(t, svc, Request{Collection: shardTestCol,
+				KNN: &KNNSpec{Field: "emb", K: 5, Query: knnQ(1), Exact: true, UseIndex: true}, Trace: true})
+			frags = spansByName(r.TraceData)["fragment"]
+			if len(frags) != 1 {
+				t.Fatalf("knn fragment spans = %d, want 1", len(frags))
+			}
+			for attr, want := range map[string]string{"path": "knn-index[exact](emb, k=5)", "rows": "60", "candidates": "5"} {
+				if got := frags[0].Attrs[attr]; got != want {
+					t.Fatalf("knn fragment span %s = %q, want %q (%v)", attr, got, want, frags[0].Attrs)
+				}
+			}
 		}},
 	}
 	for _, c := range cases {
@@ -261,8 +283,17 @@ func TestDeadShardDegradedResults(t *testing.T) {
 	if !jr.Degraded {
 		t.Fatal("degraded simjoin lost its annotation")
 	}
-	if st := svc.Stats(); st.DegradedQueries < 4 {
-		t.Fatalf("degraded_queries = %d, want >= 4", st.DegradedQueries)
+	// So do kNN probes: the surviving shards' neighbors, annotated.
+	kr, err := svc.Query(ctx, Request{Collection: shardTestCol,
+		KNN: &KNNSpec{Field: "emb", K: 5, Query: knnQ(3)}, AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kr.Degraded || len(kr.MissingShards) != 1 || kr.MissingShards[0] != 1 || kr.Value != 5 {
+		t.Fatalf("degraded knn: degraded=%v missing=%v value=%d", kr.Degraded, kr.MissingShards, kr.Value)
+	}
+	if st := svc.Stats(); st.DegradedQueries < 5 {
+		t.Fatalf("degraded_queries = %d, want >= 5", st.DegradedQueries)
 	}
 
 	// On a healthy service allow_partial changes the fingerprint (a
@@ -685,5 +716,64 @@ func TestDegradedHTTPResponseShape(t *testing.T) {
 	}
 	if !body.Degraded || len(body.MissingShards) != 1 || body.MissingShards[0] != 0 {
 		t.Fatalf("degraded JSON = %+v, want degraded with missing shard 0", body)
+	}
+}
+
+// TestJoinTaskReadsFragmentSnapshot: an indexed similarity join probes
+// the vector index at its fragment's own snapshot. A device stall holds
+// the join task after the fragment has run while an append lands rows
+// within eps of existing ones; the pair count must stay the join over
+// the pre-append rows.
+func TestJoinTaskReadsFragmentSnapshot(t *testing.T) {
+	const rows = 600
+	_, svc := synthUnsharded(t, rows, Config{Workers: 1, Faults: fault.Config{Seed: 31, Rules: []fault.Rule{
+		{Point: fault.DeviceStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 200 * time.Millisecond},
+	}}})
+	// Price the batched kernels and index fetches out, so the planner
+	// picks the index join at this size.
+	cm := *svc.cost
+	cm.CDevFlop = map[exec.Kind]float64{exec.CPU: 1, exec.AVX: 1, exec.GPU: 1}
+	cm.CFetch = 0
+	svc.cost = &cm
+	req := Request{Collection: shardTestCol, NoCache: true, SimJoin: &SimJoinSpec{Field: "emb", Eps: 0.2, UseIndex: true}}
+	want := mustQuery(t, svc, req)
+	if !strings.Contains(want.Plan, "join-index") {
+		t.Fatalf("plan %q: the index join did not run", want.Plan)
+	}
+
+	type result struct {
+		r   *Response
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		r, err := svc.Query(context.Background(), req)
+		done <- result{r, err}
+	}()
+	// The stall fires once the fragment has snapshotted: append then.
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.inj.Fired(fault.DeviceStall) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("join task never reached the device stall")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	added := AppendRequest{Collection: shardTestCol}
+	for i := rows; i < rows+14; i++ {
+		added.Patches = append(added.Patches, specFromPatch(synthPatch(i)))
+	}
+	if _, err := svc.Append(context.Background(), added); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.r.Value != want.Value {
+		t.Fatalf("join racing an append = %d pairs, want %d (the fragment's snapshot)", res.r.Value, want.Value)
+	}
+	// Non-vacuous: over the post-append rows the join does grow.
+	if after := mustQuery(t, svc, req); after.Value <= want.Value {
+		t.Fatalf("post-append join = %d pairs, want more than %d", after.Value, want.Value)
 	}
 }

@@ -83,10 +83,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// fragmentAttempt runs shard i's whole fragment — snapshot, filter,
-// materialization of the rows the gather stage will consume — against
-// replica r. It passes the fragment failpoints first, so injected faults
-// behave exactly like a slow or failing replica would.
+// fragmentAttempt runs shard i's whole fragment — snapshot, filter or
+// kNN probe, materialization of the rows the gather stage will consume
+// — against replica r. It passes the fragment failpoints first, so
+// injected faults behave exactly like a slow or failing replica would.
 func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r int) (*shardFragment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -110,6 +110,9 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	}
 	req := plan.req
 	switch {
+	case req.KNN != nil:
+		// Planned and probed on this replica's own snapshot and index.
+		err = frag.knnProbe(s.cost, req.KNN, plan.knnQ)
 	case req.SimJoin != nil:
 		// Joins and clustering read every matched row.
 		frag.rows, err = frag.patches(ctx, -1)
@@ -157,7 +160,7 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 			return nil, err
 		}
 		s.tel.fragmentDur.Observe(time.Since(start).Seconds())
-		frag.annotate(sp, i)
+		frag.annotate(sp, plan, i)
 		return frag, nil
 	}
 
@@ -209,7 +212,7 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 				acancel() // stop the losing attempt, if one is running
 				s.tel.fragmentDur.Observe(res.dur.Seconds())
 				sp.End()
-				res.frag.annotate(sp, i)
+				res.frag.annotate(sp, plan, i)
 				sp.AttrInt("replica", int64(res.replica))
 				if hedged {
 					winner := "original"

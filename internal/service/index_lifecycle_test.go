@@ -46,6 +46,9 @@ func indexedRankReq() Request {
 // extends per round — on the replica that serves the read. At R=2 the
 // primary is stalled so the hedge to replica 1 answers every fragment:
 // replica 1 maintains its own indexes, the primary never builds any.
+// The column store and vector index a column scan and a kNN probe use
+// each round live on that replica too, and /stats counts their
+// maintenance there.
 func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
 	const base, rounds, batch = 500, 6, 64
 	for _, tc := range []struct {
@@ -83,11 +86,18 @@ func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
 					}
 				}
 			}
+			scanAndKNN := func() {
+				t.Helper()
+				mustQuery(t, svc, Request{Collection: shardTestCol, NoCache: true, Filter: &FilterSpec{Field: "label", Str: strp("car")}})
+				mustQuery(t, svc, Request{Collection: shardTestCol, NoCache: true, KNN: &KNNSpec{Field: "emb", K: 5, Query: knnQ(1), UseIndex: true}})
+			}
 			probe(base, "rebuild") // first touch builds both
 			probe(base, "hit")
+			scanAndKNN()
 			for round := 1; round <= rounds; round++ {
 				appendSynth(t, svc, base+(round-1)*batch, base+round*batch, batch)
 				probe(base+round*batch, "extend")
+				scanAndKNN()
 			}
 			extends, rebuilds, inserted := reader.ScalarIndexStats()
 			if rebuilds != 2 || extends != 2*rounds || inserted != 2*(base+rounds*batch) {
@@ -98,6 +108,18 @@ func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
 				if e, r, n := db.ScalarIndexStats(); e+r+n != 0 {
 					t.Fatalf("replica that served no read maintained an index: %d/%d/%d", e, r, n)
 				}
+				ce, _, _ := db.ColumnExtendStats()
+				ie, ir := db.IndexExtendStats()
+				if ce+ie+ir != 0 {
+					t.Fatalf("replica that served no read maintained columns or a vector index: %d/%d/%d", ce, ie, ir)
+				}
+			}
+			st := svc.Stats()
+			ce, _, _ := reader.ColumnExtendStats()
+			ie, ir := reader.IndexExtendStats()
+			if ce == 0 || ie == 0 || st.ColumnExtends != ce || st.IndexExtends != ie || st.IndexRebuilds != ir {
+				t.Fatalf("stats column_extends/index_extends/index_rebuilds = %d/%d/%d, serving replica %d/%d/%d",
+					st.ColumnExtends, st.IndexExtends, st.IndexRebuilds, ce, ie, ir)
 			}
 
 			// The same counts, summed over replicas, are the /metrics contract.

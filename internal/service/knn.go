@@ -1,19 +1,19 @@
 package service
 
-// First-class kNN serving over the maintained vector indexes. The probe
-// scatters: every shard plans over its own snapshot (brute scan vs exact
-// ball tree vs approximate LSH, by size/dimensionality/recall target),
-// answers its local top-k from its shard-local versioned VectorIndex,
-// and the gather stage k-way merges the candidate streams by (distance,
-// id) — every path, the approximate one included, reports exact
-// distances — and trims to the global k. With one shard the fragment is
-// the whole plan and the merge is the identity.
+// First-class kNN serving over the maintained vector indexes, as one
+// more fragment kind of the scatter executor. The plan-once stage
+// resolves and type-checks the query vector; each shard's fragment then
+// runs like a filter's — hedged, retried and degradable (see hedge.go)
+// — planning over the answering replica's own snapshot (brute scan vs
+// exact ball tree vs approximate LSH, by size/dimensionality/recall
+// target) and answering its local top-k from that replica's versioned
+// VectorIndex. The gather stage sorts the candidates by (distance, id)
+// — every path, the approximate one included, reports exact distances —
+// and trims to the global k. With one shard the fragment is the whole
+// plan and the merge is the identity.
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 )
@@ -61,23 +61,27 @@ func knnLabel(plan core.KNNPlan, spec *KNNSpec) string {
 	return fmt.Sprintf("knn-scan(%s, k=%d)", spec.Field, spec.K)
 }
 
-// knnProbe executes the planned probe over one collection snapshot. A
+// knnProbe plans and runs the fragment's probe over its replica's
+// snapshot (fragment plans are made over the local row count), leaving
+// the local top-k in f.ns and the plan record in f.op and f.cost. A
 // source-patch query probes one extra neighbor and drops the source
 // itself, so the source never appears in its own result.
-func knnProbe(col *core.Collection, snap []*core.Patch, ver uint64, spec *KNNSpec, q []float32, plan core.KNNPlan) ([]core.VecNeighbor, error) {
+func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float32) error {
+	plan := cost.PlanKNN(len(f.snap), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
+	f.op, f.cost = knnLabel(plan, spec), plan.EstCost
 	k := spec.K
 	if spec.SourceID != 0 {
 		k++
 	}
 	var ns []core.VecNeighbor
 	if plan.Method == core.KNNIndex {
-		vi, err := col.VectorIndexAt(snap, ver, spec.Field, plan.Mode)
+		vi, err := f.col.VectorIndexAt(f.snap, f.ver, spec.Field, plan.Mode)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ns = vi.KNN(q, k)
 	} else {
-		ns = core.BruteKNN(snap, spec.Field, q, k)
+		ns = core.BruteKNN(f.snap, spec.Field, q, k)
 	}
 	if spec.SourceID != 0 {
 		src := core.PatchID(spec.SourceID)
@@ -92,15 +96,30 @@ func knnProbe(col *core.Collection, snap []*core.Patch, ver uint64, spec *KNNSpe
 	if len(ns) > spec.K {
 		ns = ns[:spec.K]
 	}
-	return ns, nil
+	f.ns = ns
+	return nil
 }
 
-// knnRows materializes the neighbor list as response rows: the usual
-// scalar projection plus a _dist column with the (exact) distance.
-func knnRows(ns []core.VecNeighbor, scol *core.ShardedCollection) ([]map[string]any, error) {
+// knnRows merges the fragments' candidates by (distance, id), trims
+// them to the global k and materializes the neighbors as response rows:
+// the usual scalar projection plus a _dist column with the (exact)
+// distance. Each row is read from the collection of the fragment that
+// found it — the answering replica of the neighbor's home shard. Nil
+// fragments (missing shards) contribute nothing.
+func (s *Service) knnRows(frags []*shardFragment, k int) ([]map[string]any, error) {
+	var ns []core.VecNeighbor
+	for _, f := range frags {
+		if f != nil {
+			ns = append(ns, f.ns...)
+		}
+	}
+	core.SortNeighbors(ns)
+	if len(ns) > k {
+		ns = ns[:k]
+	}
 	ps := make([]*core.Patch, len(ns))
 	for i, n := range ns {
-		p, err := scol.Get(n.ID)
+		p, err := frags[s.shards.ShardFor(n.ID)].col.Get(n.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -111,122 +130,4 @@ func knnRows(ns []core.VecNeighbor, scol *core.ShardedCollection) ([]map[string]
 		rows[i]["_dist"] = ns[i].Dist
 	}
 	return rows, nil
-}
-
-// sortKNN orders neighbors canonically: ascending (distance, id).
-func sortKNN(ns []core.VecNeighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].ID < ns[j].ID
-	})
-}
-
-// knnFragment is one shard's partial kNN answer: its local top-k
-// candidates with exact distances, plus the fragment's plan record.
-type knnFragment struct {
-	ns    []core.VecNeighbor
-	label string
-	cost  float64
-}
-
-// executeKNNScatter serves a kNN request: plan-per-shard (each shard's
-// snapshot has its own size), probe every shard's local index in
-// parallel, k-way merge the candidate streams by (distance, id), and
-// trim to the global k.
-func (s *Service) executeKNNScatter(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spec := req.KNN
-	s.tel.knnQueries.Inc()
-	scol, err := s.shards.Collection(req.Collection)
-	if err != nil {
-		return nil, err
-	}
-	nsh := scol.Shards()
-	s.tel.scatterQueries.Inc()
-	s.tel.fanout.Observe(float64(nsh))
-
-	q, err := knnQueryVec(spec, scol)
-	if err != nil {
-		return nil, err
-	}
-	if err := knnCheckDim(scol.Schema(), spec.Field, q); err != nil {
-		return nil, err
-	}
-
-	// ---- scatter: per-shard planned probes against shard-local indexes ----
-	frags := make([]*knnFragment, nsh)
-	errs := make([]error, nsh)
-	s.scatterWave(nsh, func(i int) error {
-		sp := req.tr.Begin("knn-fragment")
-		frags[i], errs[i] = s.knnShardProbe(ctx, scol, i, spec, q)
-		sp.End()
-		if f := frags[i]; f != nil {
-			sp.AttrInt("shard", int64(i)).
-				AttrInt("candidates", int64(len(f.ns))).
-				Attr("path", f.label)
-		}
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	missing, err := s.missingShards(req, errs)
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- gather: k-way merge by (distance, id), global trim ----
-	mergeStart := time.Now()
-	mg := req.tr.Begin("knn-merge")
-	resp := &Response{Degraded: len(missing) > 0, MissingShards: missing}
-	var merged []core.VecNeighbor
-	label := ""
-	for _, frag := range frags {
-		if frag == nil {
-			continue
-		}
-		merged = append(merged, frag.ns...)
-		resp.EstCostSec += frag.cost
-		if label == "" {
-			label = frag.label
-		}
-	}
-	sortKNN(merged)
-	if len(merged) > spec.K {
-		merged = merged[:spec.K]
-	}
-	resp.Value = len(merged)
-	if resp.Rows, err = knnRows(merged, scol); err != nil {
-		mg.End()
-		return nil, err
-	}
-	const gather = "gather-knn"
-	resp.Plan = s.scatterPlan(nsh, 0, []string{label}, gather)
-	mg.Attr("gather", gather).AttrInt("rows", int64(len(resp.Rows))).End()
-	s.mergeNS.Add(time.Since(mergeStart).Nanoseconds())
-	return resp, nil
-}
-
-// knnShardProbe plans and runs shard i's fragment over its own snapshot
-// and shard-local vector index. Fragment plans are made over the local
-// row count.
-func (s *Service) knnShardProbe(ctx context.Context, scol *core.ShardedCollection, i int, spec *KNNSpec, q []float32) (*knnFragment, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	col := scol.Shard(i)
-	snap, ver, err := col.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	plan := s.cost.PlanKNN(len(snap), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
-	ns, err := knnProbe(col, snap, ver, spec, q, plan)
-	if err != nil {
-		return nil, err
-	}
-	return &knnFragment{ns: ns, label: knnLabel(plan, spec), cost: plan.EstCost}, nil
 }

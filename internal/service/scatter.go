@@ -28,7 +28,9 @@ import (
 //     cross task per shard pair (left rows from shard i probe shard j),
 //     pair lists concatenate;
 //   - cluster/distinct queries: pairs from every task re-cluster at the
-//     gather stage (union-find over the concatenated fragments).
+//     gather stage (union-find over the concatenated fragments);
+//   - kNN probes: each shard answers its local top-k, the candidates
+//     sort by (distance, id) and trim to the global k (see knn.go).
 //
 // With one shard the fragment is the whole plan, the merge is the
 // identity and nothing is spawned: testdata/golden_matrix.json pins that
@@ -40,6 +42,7 @@ type fragmentPlan struct {
 	req      *Request
 	scol     *core.ShardedCollection
 	pred     *core.Pred // resolved filter; nil = unfiltered
+	knnQ     []float32  // resolved kNN query vector; nil = not a kNN query
 	limit    int        // effective row cap
 	wantRows bool       // order/limit asked for projected rows
 }
@@ -55,13 +58,14 @@ type shardFragment struct {
 
 	// The filter stage's result; Method 0 = unfiltered, every row matches.
 	core.Selection
-	op   string // the access path's plan operator
+	op   string // the access path's (or kNN probe's) plan operator
 	cost float64
 
 	// rows is what the gather stage consumes: every match for joins and
 	// clustering, the sorted/trimmed top-limit for order/limit, nil for
-	// counts.
+	// counts. A kNN fragment leaves its local top-k in ns instead.
 	rows []*core.Patch
+	ns   []core.VecNeighbor
 }
 
 // matched is the filter stage's output size.
@@ -123,16 +127,21 @@ func (f *shardFragment) topK(ctx context.Context, field string, desc bool, k int
 }
 
 // annotate attaches the fragment's work record to its trace span:
-// which shard ran, how many rows it held and matched, the access path,
-// and — when the filter ran columnar — the zone-map pruning and
+// which shard ran, how many rows it held and matched (for kNN: how many
+// candidates it passes to the gather stage), the access path, and —
+// when the filter ran columnar — the zone-map pruning and
 // column-extension outcome. No-op on untraced queries (nil handle).
-func (f *shardFragment) annotate(sp *obs.SpanHandle, shard int) {
+func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard int) {
 	if sp == nil {
 		return
 	}
 	sp.AttrInt("shard", int64(shard))
 	sp.AttrInt("rows", int64(len(f.snap)))
-	sp.AttrInt("matched", int64(f.matched()))
+	if plan.knnQ != nil {
+		sp.AttrInt("candidates", int64(len(f.ns)))
+	} else {
+		sp.AttrInt("matched", int64(f.matched()))
+	}
 	path := "full-scan"
 	if f.op != "" {
 		path = f.op
@@ -222,11 +231,11 @@ func (s *Service) missingShards(req *Request, errs []error) ([]int, error) {
 }
 
 // executeScatter runs the filter -> simjoin -> distinct -> order/limit
-// pipeline as plan-once, scatter-everywhere, merge-at-the-top. Each
-// shard's fragment runs as a hedged, deadline-aware read over the
-// shard's in-sync replicas (see hedge.go); when every replica of a
-// shard fails and the request allows partial results, the gather stage
-// degrades instead of erroring.
+// pipeline, or a kNN probe, as plan-once, scatter-everywhere,
+// merge-at-the-top. Each shard's fragment runs as a hedged,
+// deadline-aware read over the shard's in-sync replicas (see hedge.go);
+// when every replica of a shard fails and the request allows partial
+// results, the gather stage degrades instead of erroring.
 func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -239,15 +248,25 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 	s.tel.scatterQueries.Inc()
 	s.tel.fanout.Observe(float64(nsh))
 
-	// Plan once: resolve and type-check the filter against the schema
-	// before fanning anything out. Requests cap at maxRows; rows are
-	// projected only if order/limit asked for them.
+	// Plan once: resolve and type-check the filter (or the kNN query
+	// vector) against the schema before fanning anything out. Requests
+	// cap at maxRows; rows are projected only if order/limit asked for
+	// them.
 	plan := &fragmentPlan{req: req, scol: scol, limit: req.Limit, wantRows: req.OrderBy != "" || req.Limit > 0}
 	if plan.limit <= 0 || plan.limit > maxRows {
 		plan.limit = maxRows
 	}
 	if req.Filter != nil {
 		if plan.pred, err = req.Filter.resolve(scol.Schema()); err != nil {
+			return nil, err
+		}
+	}
+	if req.KNN != nil {
+		s.tel.knnQueries.Inc()
+		if plan.knnQ, err = knnQueryVec(req.KNN, scol); err != nil {
+			return nil, err
+		}
+		if err := knnCheckDim(scol.Schema(), req.KNN.Field, plan.knnQ); err != nil {
 			return nil, err
 		}
 	}
@@ -304,12 +323,20 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 		return s.simJoinScatter(ctx, w, plan, frags, resp, planOps)
 	}
 
-	// ---- gather: sum counts, merge rows ----
+	// ---- gather: sum counts, merge rows or kNN candidates ----
 	mergeStart := time.Now()
 	mg := req.tr.Begin("merge")
-	for _, frag := range frags {
-		if frag != nil {
-			resp.Value += frag.matched()
+	if req.KNN != nil {
+		if resp.Rows, err = s.knnRows(frags, req.KNN.K); err != nil {
+			mg.End()
+			return nil, err
+		}
+		resp.Value = len(resp.Rows)
+	} else {
+		for _, frag := range frags {
+			if frag != nil {
+				resp.Value += frag.matched()
+			}
 		}
 	}
 	if plan.wantRows {
@@ -350,6 +377,8 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 // gatherLabel names the merge strategy for plain (non-join) queries.
 func gatherLabel(req *Request) string {
 	switch {
+	case req.KNN != nil:
+		return "gather-knn"
 	case req.OrderBy != "":
 		return "gather-merge"
 	case req.Limit > 0:
@@ -479,7 +508,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 		}
 		sp := req.tr.Begin("join-task")
 		odev := s.observedDev(dev, req.tr)
-		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right].rows, scol, dim, hasIndex, dev, odev)
+		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right], dim, hasIndex, dev, odev)
 		sp.End()
 		if err == nil {
 			sp.AttrInt("left", int64(task.left)).
@@ -529,14 +558,15 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 }
 
 // runJoin executes one join task: shard left's rows against shard
-// right's, probing right's shard-local index when the plan allows it. A
-// local task (left == right) dedups unordered pairs; a cross task needs
-// no dedup — the two row sets are disjoint (every patch has one home
-// shard), so each qualifying cross-shard pair materializes exactly once,
-// which together with the deduped local self-joins reproduces a single
-// partition's DedupUnordered pair set.
-func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.Patch, scol *core.ShardedCollection, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
-	colR := scol.Shard(task.right)
+// right's fragment, probing the vector index of the replica that
+// answered it when the plan allows. A local task (left == right) dedups
+// unordered pairs; a cross task needs no dedup — the two row sets are
+// disjoint (every patch has one home shard), so each qualifying
+// cross-shard pair materializes exactly once, which together with the
+// deduped local self-joins reproduces a single partition's
+// DedupUnordered pair set.
+func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, rf *shardFragment, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
+	right := rf.rows
 	sp := s.cost.PlanSimilarityJoin(len(left), len(right), dim, hasIndex)
 	task.cost = sp.EstCost
 	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
@@ -547,18 +577,15 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left, right []*core.P
 	var err error
 	switch sp.Method {
 	case core.SimVecIndexed:
-		// The maintained shard-local vector index at the shard's current
+		// The replica's maintained vector index at the fragment's own
 		// snapshot, exact mode: join results must be byte-identical to the
-		// scan-based methods.
-		snap, ver, serr := colR.Snapshot()
-		if serr != nil {
-			return serr
-		}
-		vi, ierr := colR.VectorIndexAt(snap, ver, sj.Field, core.VecExact)
+		// scan-based methods, and rows appended since the fragment ran
+		// must not join.
+		vi, ierr := rf.col.VectorIndexAt(rf.snap, rf.ver, sj.Field, core.VecExact)
 		if ierr != nil {
 			return ierr
 		}
-		task.pairs, err = core.SimilarityJoinVecIndexed(left, colR, vi, opts)
+		task.pairs, err = core.SimilarityJoinVecIndexed(left, rf.col, vi, opts)
 	case core.SimOnTheFly:
 		task.pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
 	case core.SimBatched:

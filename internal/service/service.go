@@ -791,11 +791,6 @@ func (s *Service) execute(ctx context.Context, w *worker, req *Request) (*Respon
 		}
 		return s.executeInfer(ctx, w, req.Infer)
 	}
-	if req.KNN != nil {
-		// kNN has its own scatter shape (per-shard index probes, k-way
-		// candidate merge) and submits no kernels.
-		return s.executeKNNScatter(ctx, req)
-	}
 	return s.executeScatter(ctx, w, req)
 }
 
