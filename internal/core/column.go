@@ -9,11 +9,12 @@ package core
 // dictionary-encoded strings, plus a null bitmap), partitioned into
 // fixed-size immutable segments carrying zone maps (min/max for numerics,
 // a small distinct-set for low-cardinality strings). Vectorized kernels
-// evaluate equality and range predicates segment-at-a-time into selection
-// index lists, skipping segments the zone map proves empty, and run
-// top-k, group-count and count aggregation directly over the arrays.
+// evaluate equality and range predicates segment-at-a-time, skipping
+// segments the zone map proves empty, and hand each segment's matches to
+// a consumer that keeps only what the query reads (see Keep); top-k,
+// group-count and count aggregation run directly over the arrays.
 // Results are byte-identical to the row-at-a-time operators by
-// construction: selection lists are emitted in row (snapshot) order,
+// construction: matches are emitted in row (snapshot) order,
 // top-k reproduces the stable sort's (value, row) order, and group-count
 // groups and orders by the same SortKey encoding the row operator uses.
 //
@@ -510,105 +511,10 @@ func (cs *ColumnStore) FilterEq(field string, v Value) ([]int32, bool) {
 	return sel, ok
 }
 
-// FilterEqStats is FilterEq reporting per-call pruning statistics —
-// the instrumented path trace spans read, kept separate so untraced
-// callers pay nothing new. Pruning tests run against the resident zone
-// maps before any segment data is touched, so a pruned segment is never
-// faulted in from disk.
+// FilterEqStats is FilterEq reporting per-call pruning statistics: the
+// column scan over every row of the store, keeping every match.
 func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats, bool) {
-	var st ScanStats
-	col, ok := cs.Column(field)
-	if !ok {
-		return nil, st, false
-	}
-	st.Blocks = len(col.segs)
-	if col.kind != v.Kind {
-		st.Pruned = st.Blocks
-		return nil, st, true // row path: mv.Equal(v) is false for every row
-	}
-	var sel []int32
-	rd := segReader{col: col}
-	defer rd.close()
-	switch col.kind {
-	case KindInt:
-		for _, sg := range col.segs {
-			z := sg.zone
-			if z.allNull || v.I < z.minI || v.I > z.maxI {
-				st.Pruned++
-				continue
-			}
-			st.RowsScanned += z.hi - z.lo
-			sel = appendEqInt(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, v.I)
-		}
-	case KindFloat:
-		for _, sg := range col.segs {
-			z := sg.zone
-			if z.allNull || v.F < z.minF || v.F > z.maxF {
-				st.Pruned++
-				continue
-			}
-			st.RowsScanned += z.hi - z.lo
-			sel = appendEqFloat(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, v.F)
-		}
-	case KindStr:
-		code, present := col.code(v.S)
-		if !present {
-			st.Pruned = st.Blocks
-			return nil, st, true // value not in the dictionary: no row matches
-		}
-		smallDict := len(col.dict) <= 64
-		for _, sg := range col.segs {
-			z := sg.zone
-			if z.allNull {
-				st.Pruned++
-				continue
-			}
-			if smallDict && code < 64 && z.codeSet&(1<<code) == 0 {
-				st.Pruned++
-				continue
-			}
-			st.RowsScanned += z.hi - z.lo
-			sel = appendEqCode(sel, rd.rows(sg, &st), z.lo, z.hi-z.lo, code)
-		}
-	}
-	return sel, st, true
-}
-
-// code looks up a string's dictionary code.
-func (c *Column) code(s string) (uint32, bool) {
-	code, ok := c.dictIdx[s]
-	return code, ok
-}
-
-// The segment inner loops are split out so the per-segment hot path has
-// no switch inside it: one bounds-checked array sweep per segment, with
-// rows addressed locally (global row = base + j).
-
-func appendEqInt(sel []int32, d *segData, base, rows int, v int64) []int32 {
-	for j := 0; j < rows; j++ {
-		if d.ints[j] == v && !d.null(j) {
-			sel = append(sel, int32(base+j))
-		}
-	}
-	return sel
-}
-
-func appendEqFloat(sel []int32, d *segData, base, rows int, v float64) []int32 {
-	for j := 0; j < rows; j++ {
-		if d.floats[j] == v && !d.null(j) {
-			sel = append(sel, int32(base+j))
-		}
-	}
-	return sel
-}
-
-func appendEqCode(sel []int32, d *segData, base, rows int, code uint32) []int32 {
-	for j := 0; j < rows; j++ {
-		if d.codes[j] == code && !d.null(j) {
-			sel = append(sel, int32(base+j))
-		}
-	}
-	return sel
+	return cs.filterAll(Pred{Field: field, V: v})
 }
 
 // FilterRange evaluates lo <= field < hi (numeric widening, matching
@@ -623,51 +529,141 @@ func (cs *ColumnStore) FilterRange(field string, lo, hi float64) ([]int32, bool)
 // FilterRangeStats is FilterRange reporting per-call pruning
 // statistics (see FilterEqStats).
 func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, ScanStats, bool) {
+	return cs.filterAll(Pred{Field: field, Range: true, Lo: lo, Hi: hi})
+}
+
+func (cs *ColumnStore) filterAll(pred Pred) ([]int32, ScanStats, bool) {
+	var k keeper
+	st, ok := cs.scan(&pred, len(cs.patches), &k)
+	return k.sel, st, ok
+}
+
+// scan runs pred over the store's first n rows — the caller's snapshot,
+// which the store may have outgrown — and folds each segment's matches
+// into k as one ascending block. Pruning tests run against the resident
+// zone maps before any segment data is touched, so a pruned segment is
+// never faulted in from disk. ok is false, with k untouched, when the
+// field has no column.
+func (cs *ColumnStore) scan(pred *Pred, n int, k *keeper) (ScanStats, bool) {
 	var st ScanStats
-	col, ok := cs.Column(field)
+	col, ok := cs.Column(pred.Field)
 	if !ok {
-		return nil, st, false
+		return st, false
 	}
-	st.Blocks = len(col.segs)
-	var sel []int32
+	segs := col.segs[:(n+ColumnBlockSize-1)/ColumnBlockSize]
+	st.Blocks = len(segs)
+	m, ok := compileMatcher(pred, col)
+	if !ok {
+		st.Pruned = st.Blocks
+		return st, true
+	}
 	rd := segReader{col: col}
 	defer rd.close()
-	switch col.kind {
-	case KindInt:
-		for _, sg := range col.segs {
-			z := sg.zone
-			if z.allNull || float64(z.maxI) < lo || float64(z.minI) >= hi {
-				st.Pruned++
-				continue
-			}
-			st.RowsScanned += z.hi - z.lo
-			d := rd.rows(sg, &st)
-			for j, rows := 0, z.hi-z.lo; j < rows; j++ {
-				if f := float64(d.ints[j]); f >= lo && f < hi && !d.null(j) {
-					sel = append(sel, int32(z.lo+j))
-				}
-			}
+	var blk [ColumnBlockSize]int32
+	for _, sg := range segs {
+		z := &sg.zone
+		if m.skip(z) {
+			st.Pruned++
+			continue
 		}
-	case KindFloat:
-		for _, sg := range col.segs {
-			z := sg.zone
-			if z.allNull || z.maxF < lo || z.minF >= hi {
-				st.Pruned++
-				continue
-			}
-			st.RowsScanned += z.hi - z.lo
-			d := rd.rows(sg, &st)
-			for j, rows := 0, z.hi-z.lo; j < rows; j++ {
-				if f := d.floats[j]; f >= lo && f < hi && !d.null(j) {
-					sel = append(sel, int32(z.lo+j))
-				}
-			}
+		rows := min(z.hi, n) - z.lo
+		st.RowsScanned += rows
+		d := rd.rows(sg, &st)
+		if c := m.match(&blk, d, z.lo, rows); c > 0 {
+			k.fold(blk[:c], col, d)
 		}
-	case KindStr:
-		// Non-numeric: the row predicate never matches.
-		st.Pruned = st.Blocks
 	}
-	return sel, st, true
+	return st, true
+}
+
+// matcher is a predicate compiled against one column: which match kernel
+// runs and the constant it compares.
+type matcher struct {
+	kind    ValueKind
+	rng     bool
+	i       int64
+	f       float64
+	code    uint32
+	lo, hi  float64
+	codeSet bool // string equality: zone-map code bitsets can rule segments out
+}
+
+// compileMatcher resolves pred against col. ok is false when no row can
+// match: an equality constant of another kind (Value.Equal is false
+// across kinds), a string absent from the dictionary, or a range over
+// strings (AsFloat yields NaN, which fails both bounds).
+func compileMatcher(pred *Pred, col *Column) (matcher, bool) {
+	m := matcher{kind: col.kind, rng: pred.Range, lo: pred.Lo, hi: pred.Hi, i: pred.V.I, f: pred.V.F}
+	switch {
+	case pred.Range:
+		return m, col.kind != KindStr
+	case pred.V.Kind != col.kind:
+		return m, false
+	case col.kind == KindStr:
+		code, ok := col.dictIdx[pred.V.S]
+		m.code, m.codeSet = code, len(col.dict) <= 64 && code < 64
+		return m, ok
+	}
+	return m, true
+}
+
+// skip reports whether a segment's zone map proves none of its rows
+// matches.
+func (m *matcher) skip(z *zoneMap) bool {
+	switch {
+	case z.allNull:
+		return true
+	case m.rng && m.kind == KindInt:
+		return float64(z.maxI) < m.lo || float64(z.minI) >= m.hi
+	case m.rng:
+		return z.maxF < m.lo || z.minF >= m.hi
+	case m.kind == KindInt:
+		return m.i < z.minI || m.i > z.maxI
+	case m.kind == KindFloat:
+		return m.f < z.minF || m.f > z.maxF
+	}
+	return m.codeSet && z.codeSet&(1<<m.code) == 0
+}
+
+// match runs the predicate's kernel over a segment's first rows rows and
+// returns how many matched, written to blk as global rows (base + j).
+func (m *matcher) match(blk *[ColumnBlockSize]int32, d *segData, base, rows int) int {
+	switch {
+	case m.rng && m.kind == KindInt:
+		return matchRange(blk, d.ints[:rows], d, base, m.lo, m.hi)
+	case m.rng:
+		return matchRange(blk, d.floats[:rows], d, base, m.lo, m.hi)
+	case m.kind == KindInt:
+		return matchEq(blk, d.ints[:rows], d, base, m.i)
+	case m.kind == KindFloat:
+		return matchEq(blk, d.floats[:rows], d, base, m.f)
+	}
+	return matchEq(blk, d.codes[:rows], d, base, m.code)
+}
+
+// The match kernels, one instance per array type: a typed-array sweep
+// with no switch inside, rows addressed locally (global row = base + j).
+
+func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, d *segData, base int, v T) int {
+	c := 0
+	for j, x := range vals {
+		if x == v && !d.null(j) {
+			blk[c] = int32(base + j)
+			c++
+		}
+	}
+	return c
+}
+
+func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, d *segData, base int, lo, hi float64) int {
+	c := 0
+	for j, x := range vals {
+		if f := float64(x); f >= lo && f < hi && !d.null(j) {
+			blk[c] = int32(base + j)
+			c++
+		}
+	}
+	return c
 }
 
 // Materialize resolves a selection list to its patches, preserving row
@@ -689,33 +685,90 @@ func (cs *ColumnStore) Materialize(sel []int32) []*Patch {
 // Value). sel is the candidate row set in row order; nil means all rows.
 // ok is false when the field has no column.
 func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int32, bool) {
-	col, okc := cs.Column(field)
-	if !okc {
+	if _, ok := cs.Column(field); !ok {
 		return nil, false
 	}
 	n := len(sel)
 	if sel == nil {
 		n = len(cs.patches)
 	}
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
+	if k = min(k, n); k <= 0 {
 		return []int32{}, true
 	}
-	// topEntry is one candidate with its sort value copied out of the
-	// segment, so the heap outlives the segment data it was read from and
-	// the walk below holds one segment at a time.
-	type topEntry struct {
-		row  int32
-		null bool
-		i    int64 // int value, or dictionary code
-		f    float64
+	t := newTopKeep(cs, nil, field, desc, k)
+	var blk [ColumnBlockSize]int32
+	for lo := 0; lo < n; {
+		// One block per segment: the next segment's rows, or sel's
+		// (ascending) run of rows in one segment.
+		block := blk[:min(ColumnBlockSize, n-lo)]
+		if sel == nil {
+			for j := range block {
+				block[j] = int32(lo + j)
+			}
+		} else {
+			hi := lo + 1
+			for hi < n && sel[hi]/ColumnBlockSize == sel[lo]/ColumnBlockSize {
+				hi++
+			}
+			block = sel[lo:hi]
+		}
+		t.offer(block, nil, nil)
+		lo += len(block)
 	}
-	// before reports whether a orders strictly before b in the output:
+	return t.rows(), true
+}
+
+// topKeep is the top-k consumer: a bounded heap of the k best candidates
+// offered so far. With a column for the order-by field, each candidate
+// carries its sort value copied out of the column segment, so the heap
+// outlives the segment data and the scan holds one segment at a time;
+// without one, candidates compare their rows' own values.
+type topKeep struct {
+	col  *Column // the order-by field's column; nil: compare row values
+	rd   segReader
+	heap topHeap[topEntry]
+}
+
+// topEntry is one top-k candidate: its row and, with a column, its sort
+// value.
+type topEntry struct {
+	row  int32
+	null bool
+	i    int64 // int value, or dictionary code
+	f    float64
+}
+
+// newTopKeep returns the consumer keeping the k (> 0) first rows of a
+// stable sort by field: ties in row order, null or missing values
+// ordering as the zero Value (before every value ascending, after every
+// value descending). It orders by cs's column for field when there is
+// one, else by the rows of snap.
+func newTopKeep(cs *ColumnStore, snap []*Patch, field string, desc bool, k int) *topKeep {
+	t := &topKeep{heap: topHeap[topEntry]{k: k, h: make([]topEntry, 0, k)}}
+	if cs != nil {
+		t.col, _ = cs.Column(field)
+	}
+	col := t.col
+	if col == nil {
+		t.heap.before = func(a, b topEntry) bool {
+			va, vb := snap[a.row].Meta[field], snap[b.row].Meta[field]
+			if desc {
+				va, vb = vb, va
+			}
+			if va.Less(vb) {
+				return true
+			}
+			if vb.Less(va) {
+				return false
+			}
+			return a.row < b.row
+		}
+		return t
+	}
+	t.rd.col = col
 	// Value.Less on the column values (null = zero Value, whose kind 0
 	// sorts below every real kind), ties in row order.
-	before := func(a, b topEntry) bool {
+	t.heap.before = func(a, b topEntry) bool {
 		if a.null || b.null {
 			if a.null != b.null {
 				// One null: ascending puts the null first, descending last.
@@ -744,38 +797,52 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 		}
 		return a.row < b.row
 	}
-	top := topHeap[topEntry]{k: k, h: make([]topEntry, 0, k), before: before}
-	rd := segReader{col: col}
-	defer rd.close()
-	// Candidates arrive in ascending row order (sel is in row order), so
-	// each segment's rows are consecutive and its data is read once.
-	var d *segData
-	cur := -1
-	for c := 0; c < n; c++ {
-		e := topEntry{row: int32(c)}
-		if sel != nil {
-			e.row = sel[c]
+	return t
+}
+
+// offer folds one block of candidate rows, ascending and all in one
+// segment. pd is that segment's data of column pc when the caller holds
+// it already — the filter's column — so a top-k ordered by the filtered
+// field reads each segment once.
+func (t *topKeep) offer(rows []int32, pc *Column, pd *segData) {
+	if t.col == nil {
+		for _, r := range rows {
+			t.heap.offer(topEntry{row: r})
 		}
-		if si := int(e.row) / ColumnBlockSize; si != cur {
-			cur, d = si, rd.rows(col.segs[si], nil)
-		}
-		switch j := int(e.row) % ColumnBlockSize; {
+		return
+	}
+	si := int(rows[0]) / ColumnBlockSize
+	d := pd
+	if pc != t.col {
+		d = t.rd.rows(t.col.segs[si], nil)
+	}
+	base, kind := si*ColumnBlockSize, t.col.kind
+	for _, r := range rows {
+		e := topEntry{row: r}
+		switch j := int(r) - base; {
 		case d.null(j):
 			e.null = true
-		case col.kind == KindInt:
+		case kind == KindInt:
 			e.i = d.ints[j]
-		case col.kind == KindFloat:
+		case kind == KindFloat:
 			e.f = d.floats[j]
 		default:
 			e.i = int64(d.codes[j])
 		}
-		top.offer(e)
+		t.heap.offer(e)
 	}
-	out := make([]int32, k)
-	for i, e := range top.sorted() {
+}
+
+// rows returns the kept rows in order and releases the segment reader.
+// The heap is spent afterwards.
+func (t *topKeep) rows() []int32 {
+	t.rd.close()
+	top := t.heap.sorted()
+	out := make([]int32, len(top))
+	for i, e := range top {
 		out[i] = e.row
 	}
-	return out, true
+	return out
 }
 
 // --------------------------------------------------------- aggregation ----

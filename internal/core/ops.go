@@ -257,9 +257,7 @@ func (t *topHeap[T]) offer(v T) {
 	switch {
 	case len(t.h) < t.k:
 		if t.h = append(t.h, v); len(t.h) == t.k {
-			for i := t.k/2 - 1; i >= 0; i-- {
-				t.down(i)
-			}
+			t.heapify()
 		}
 	case t.before(v, t.h[0]):
 		t.h[0] = v
@@ -267,9 +265,21 @@ func (t *topHeap[T]) offer(v T) {
 	}
 }
 
+func (t *topHeap[T]) heapify() {
+	for i := len(t.h)/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
+}
+
 // sorted returns the survivors in order (fewer than k when fewer were
-// offered). The heap is spent afterwards.
+// offered). The heap is spent afterwards. A heap that never filled is
+// heapified first, so the sort sees the same arrangement whether k was
+// clamped to the candidate count or not: under an order NaN makes
+// non-transitive, the answer still depends only on the candidates.
 func (t *topHeap[T]) sorted() []T {
+	if len(t.h) < t.k {
+		t.heapify()
+	}
 	sort.Slice(t.h, func(i, j int) bool { return t.before(t.h[i], t.h[j]) })
 	return t.h
 }

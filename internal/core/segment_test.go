@@ -480,6 +480,49 @@ func TestOverBudgetScanAllocatesOnlySelection(t *testing.T) {
 	}
 }
 
+// TestColumnScanKeepsAllocateOnlyKeptRows: over a 100k-row store, a
+// count, a first-n and a top-k column scan allocate what they keep and
+// nothing that grows with their ~20k matches (80 KiB as a selection).
+func TestColumnScanKeepsAllocateOnlyKeptRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 100_000
+	ps := make([]*Patch, rows)
+	for i := range ps {
+		ps[i] = columnPatch(i)
+	}
+	cs := NewColumnStore(ps, 1)
+	for _, pred := range []Pred{{Field: "label", V: StrV("car")}, {Field: "score", Range: true, Lo: 1, Hi: 3}} {
+		for _, keep := range []Keep{
+			{Kind: KeepCount},
+			{Kind: KeepFirst, N: 20},
+			{Kind: KeepTop, N: 10, Field: "score"},
+			{Kind: KeepTop, N: 10, Field: "rank", Desc: true},
+		} {
+			scan := func() int {
+				k := newKeeper(keep, cs, ps)
+				cs.scan(&pred, rows, &k)
+				n, _ := k.result()
+				return n
+			}
+			if n := scan(); n < rows/10 { // also projects the columns
+				t.Fatalf("%+v matched %d rows: too few to tell", pred, n)
+			}
+			const runs = 20
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			for i := 0; i < runs; i++ {
+				scan()
+			}
+			runtime.ReadMemStats(&b)
+			if per := (b.TotalAlloc - a.TotalAlloc) / runs; per > 1<<10 {
+				t.Fatalf("%+v keep %+v allocates %d B per scan", pred, keep, per)
+			}
+		}
+	}
+}
+
 // TestResidentSetFollowsWorkloadShift: admission must not freeze the
 // cache. When the scans move to another column, the old column's
 // counters age away and the new column takes over the resident set

@@ -2,19 +2,41 @@ package core
 
 import "context"
 
+// KeepKind names what a selection keeps of its matches.
+type KeepKind uint8
+
+// What a scan keeps. Every kind still counts every match.
+const (
+	KeepAll   KeepKind = iota // every match, ascending (joins, clustering)
+	KeepCount                 // no rows
+	KeepFirst                 // the first N matches, ascending
+	KeepTop                   // the first N of a stable sort by Field, in that order
+)
+
+// Keep is the consumer a scan folds its matches into: what the query
+// reads of them. The zero value keeps every match.
+type Keep struct {
+	Kind  KeepKind
+	N     int    // KeepFirst, KeepTop: the row count
+	Field string // KeepTop: the order-by field
+	Desc  bool   // KeepTop: descending
+}
+
 // Selection is one DB.Select's matches over the caller's snapshot, in
 // the form its access path produces them, plus what the path's run
 // reports.
 type Selection struct {
 	// Method is the access path that ran: a column scan over a field the
-	// store cannot columnize reports the row scan it fell back to.
+	// store cannot columnize reports the row scan it fell back to. 0 is
+	// no predicate: every row matched.
 	Method FilterMethod
-	Sel    []int32   // scans: matching rows of the snapshot, ascending
-	IDs    []PatchID // index probes: matching patch ids, ascending
+	Keep   Keep      // what the selection was asked to keep
+	N      int       // the exact match count, whatever was kept
+	Sel    []int32   // scans: the kept rows of the snapshot, in Keep's order
+	IDs    []PatchID // index probes: every matching patch id, ascending
 
-	// Column scans keep the store they evaluated (so order-by can stay
-	// columnar), its pruning record and what serving the store took.
-	Store   *ColumnStore
+	// Column scans report their pruning record and what serving the
+	// store took.
 	Scan    ScanStats
 	ColInfo ColumnsInfo
 
@@ -23,17 +45,9 @@ type Selection struct {
 }
 
 // Indexed reports whether the selection ran as an index probe (matches
-// in IDs) rather than a scan (matches in Sel).
+// in IDs) rather than a scan (kept rows in Sel).
 func (s *Selection) Indexed() bool {
 	return s.Method == FilterHashIndex || s.Method == FilterBTreeIndex
-}
-
-// Len is the number of matches.
-func (s *Selection) Len() int {
-	if s.Indexed() {
-		return len(s.IDs)
-	}
-	return len(s.Sel)
 }
 
 // ctxCheckRows is the row stride between cancellation checks in scan
@@ -42,12 +56,16 @@ func (s *Selection) Len() int {
 // profiles.
 const ctxCheckRows = 4096
 
-// Patches materializes the first max matches (max < 0: all of them) in
-// snapshot order from the snapshot Select ran over. Index probes pay one
-// fetch per id, checking ctx between blocks of them so a canceled caller
-// (or a hedge loser) stops promptly.
+// Patches materializes the first max held rows (max < 0: all of them)
+// from the snapshot Select ran over: a scan's kept rows in their order,
+// an index probe's ids in snapshot order. Index probes pay one fetch per
+// id, checking ctx between blocks of them so a canceled caller (or a
+// hedge loser) stops promptly.
 func (s *Selection) Patches(ctx context.Context, col *Collection, snap []*Patch, max int) ([]*Patch, error) {
-	n := s.Len()
+	n := len(s.Sel)
+	if s.Indexed() {
+		n = len(s.IDs)
+	}
 	if max >= 0 && max < n {
 		n = max
 	}
@@ -73,24 +91,76 @@ func (s *Selection) Patches(ctx context.Context, col *Collection, snap []*Patch,
 	return out, nil
 }
 
+// keeper folds a scan's matches, one ascending block at a time, into
+// what its Keep asks for, counting all of them.
+type keeper struct {
+	keep Keep
+	n    int
+	sel  []int32  // KeepAll, KeepFirst
+	top  *topKeep // KeepTop
+}
+
+// newKeeper returns keep's consumer for a scan over snap. A top-k orders
+// by cs's column for the field when there is one, else by snap's rows.
+func newKeeper(keep Keep, cs *ColumnStore, snap []*Patch) keeper {
+	k := keeper{keep: keep}
+	if keep.Kind == KeepTop && keep.N > 0 {
+		k.top = newTopKeep(cs, snap, keep.Field, keep.Desc, min(keep.N, len(snap)))
+	}
+	return k
+}
+
+// fold takes one block of matching rows: ascending, all in one segment.
+// pd is that segment's data of column pc when the block came from a
+// column scan.
+func (k *keeper) fold(rows []int32, pc *Column, pd *segData) {
+	k.n += len(rows)
+	switch k.keep.Kind {
+	case KeepAll:
+		k.sel = append(k.sel, rows...)
+	case KeepFirst:
+		if room := k.keep.N - len(k.sel); room > 0 {
+			k.sel = append(k.sel, rows[:min(room, len(rows))]...)
+		}
+	case KeepTop:
+		if k.top != nil {
+			k.top.offer(rows, pc, pd)
+		}
+	}
+}
+
+// result returns the match count and the kept rows.
+func (k *keeper) result() (int, []int32) {
+	if k.top != nil {
+		k.sel = k.top.rows()
+	}
+	return k.n, k.sel
+}
+
 // Select runs pred over the caller's snapshot (snap, ver) of col with
 // the given access path — the one selection implementation behind
-// ExecuteFilter and the serving layer's filter fragments:
+// ExecuteFilter and the serving layer's fragments — and keeps of the
+// matches what keep asks for:
 //
 //   - FilterHashIndex / FilterBTreeIndex probe the field's index, created
 //     on first use and brought current for the snapshot by core. A range
-//     needs the B-tree and runs as its two-probe numeric range.
+//     needs the B-tree and runs as its two-probe numeric range. Probes
+//     return every matching id whatever keep says.
 //   - FilterColumnScan evaluates pred over the collection's columnar
 //     projection (zone maps skip blocks that cannot match, surviving
-//     blocks compare typed arrays) and falls back to the row scan when
-//     the field has no column.
+//     blocks compare typed arrays, stopping at the snapshot's last row)
+//     and falls back to the row scan when the field has no column.
 //   - FilterScan tests every row with Pred.Match, checking ctx between
 //     blocks of rows.
+//   - 0 takes no predicate: every row of the snapshot matches.
 //
-// Every path answers the rows Pred.Match accepts, in snapshot order.
-// Select does not type-check pred against the schema; planners do.
-func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver uint64, pred Pred, method FilterMethod) (Selection, error) {
-	s := Selection{Method: method}
+// A scan folds each block of matches into keep's consumer as it goes,
+// so it holds no more rows than it keeps: none for a count, the first N,
+// or a bounded top-N heap. Every path matches the rows Pred.Match
+// accepts, and N counts all of them. Select does not type-check pred
+// against the schema; planners do.
+func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver uint64, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
+	s := Selection{Method: method, Keep: keep}
 	switch method {
 	case FilterHashIndex, FilterBTreeIndex:
 		kind := IdxHash
@@ -106,43 +176,58 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 		} else {
 			s.IDs, s.Refresh, err = idx.lookupEq(snap, ver, pred.V)
 		}
+		s.N = len(s.IDs)
 		return s, err
-	case FilterColumnScan:
-		// The cached store may already reflect rows appended after the
-		// snapshot was taken; snapshot prefixes are stable, so clipping
-		// the selection by row index is exact.
-		if cs, info, err := col.ColumnsWithInfo(); err == nil {
-			var ok bool
-			if pred.Range {
-				s.Sel, s.Scan, ok = cs.FilterRangeStats(pred.Field, pred.Lo, pred.Hi)
-			} else {
-				s.Sel, s.Scan, ok = cs.FilterEqStats(pred.Field, pred.V)
-			}
-			if ok {
-				for len(s.Sel) > 0 && int(s.Sel[len(s.Sel)-1]) >= len(snap) {
-					s.Sel = s.Sel[:len(s.Sel)-1]
-				}
-				if s.Sel == nil {
-					s.Sel = []int32{} // TopK reads a nil selection as "every row"
-				}
-				s.Store, s.ColInfo = cs, info
-				return s, nil
-			}
+	}
+	// A column scan, and a top-k ordered by a column, read the cached
+	// store. It may already reflect rows appended after the snapshot was
+	// taken; snapshots are prefix-stable, so stopping at the snapshot's
+	// row count is exact.
+	var cs *ColumnStore
+	var info ColumnsInfo
+	if method == FilterColumnScan || keep.Kind == KeepTop {
+		if c, in, err := col.ColumnsWithInfo(); err == nil && c.Len() >= len(snap) {
+			cs, info = c, in
 		}
 	}
-	// The row scan, and the fallback for fields with no column (mixed
-	// kinds, vectors, all-null).
-	s = Selection{Method: FilterScan, Sel: make([]int32, 0, len(snap)/4)}
-	for k, p := range snap {
-		if k%ctxCheckRows == 0 {
+	k := newKeeper(keep, cs, snap)
+	if method == FilterColumnScan && cs != nil {
+		var ok bool
+		if s.Scan, ok = cs.scan(&pred, len(snap), &k); ok {
+			s.ColInfo = info
+			s.N, s.Sel = k.result()
+			return s, nil
+		}
+	}
+	// The row scan, the fallback for fields with no column (mixed kinds,
+	// vectors, all-null), and the unfiltered walk.
+	all := method == 0
+	if !all {
+		s.Method = FilterScan
+	}
+	var blk [ColumnBlockSize]int32
+	for lo := 0; lo < len(snap); lo += ColumnBlockSize {
+		if lo%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return Selection{}, err
 			}
 		}
-		if pred.Match(p) {
-			s.Sel = append(s.Sel, int32(k))
+		if all && (keep.Kind == KeepCount || keep.Kind == KeepFirst && len(k.sel) >= keep.N) {
+			k.n = len(snap) // the rest can only add to the count
+			break
+		}
+		hi, c := min(lo+ColumnBlockSize, len(snap)), 0
+		for r := lo; r < hi; r++ {
+			if all || pred.Match(snap[r]) {
+				blk[c] = int32(r)
+				c++
+			}
+		}
+		if c > 0 {
+			k.fold(blk[:c], nil, nil)
 		}
 	}
+	s.N, s.Sel = k.result()
 	return s, nil
 }
 
@@ -154,7 +239,7 @@ func (db *DB) ExecuteFilter(col *Collection, field string, v Value, method Filte
 		return nil, err
 	}
 	ctx := context.TODO()
-	s, err := db.Select(ctx, col, snap, ver, Pred{Field: field, V: v}, method)
+	s, err := db.Select(ctx, col, snap, ver, Pred{Field: field, V: v}, method, Keep{})
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // snapshot order (never nil, so empty answers compare equal).
 func selectIDs(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod) []PatchID {
 	t.Helper()
-	s, err := db.Select(context.Background(), col, snap, ver, pred, m)
+	s, err := db.Select(context.Background(), col, snap, ver, pred, m, Keep{})
 	if err != nil {
 		t.Fatalf("%v %+v: %v", m, pred, err)
 	}
@@ -101,19 +101,72 @@ func fuzzFloat(r *rand.Rand) float64 {
 }
 
 // fuzzRow generates row i of the seeded append sequence: declared int,
-// float and string fields and an undeclared field that mixes ints and
-// floats (never columnizable, so the column scan falls back to rows).
+// float and string fields, an undeclared field that mixes ints and
+// floats (never columnizable, so the column scan falls back to rows) and
+// an undeclared float field half the rows lack (nulls in its column).
 func fuzzRow(r *rand.Rand, i int) *Patch {
 	m := IntV(fuzzInt(r))
 	if r.Intn(2) == 0 {
 		m = FloatV(fuzzFloat(r))
 	}
-	return &Patch{Ref: Ref{Source: "fz", Frame: uint64(i)}, Meta: Metadata{
+	p := &Patch{Ref: Ref{Source: "fz", Frame: uint64(i)}, Meta: Metadata{
 		"i": IntV(fuzzInt(r)),
 		"f": FloatV(fuzzFloat(r)),
 		"s": StrV([]string{"", "a", "bb", "ccc"}[r.Intn(4)]),
 		"m": m,
 	}}
+	if r.Intn(2) == 0 {
+		p.Meta["n"] = FloatV(fuzzFloat(r))
+	}
+	return p
+}
+
+// keepsAgree checks every consumer of one selection against its
+// keep-everything answer: each reports the answer's length as N, a count
+// keeps no rows, first-n keeps the answer's first n rows, and top-n by
+// any field — ties, NaNs and missing values included — keeps the row
+// operator's top-n of the answer's rows.
+func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod, n int) {
+	t.Helper()
+	ctx := context.Background()
+	var all []*Patch
+	run := func(keep Keep) []*Patch {
+		t.Helper()
+		s, err := db.Select(ctx, col, snap, ver, pred, m, keep)
+		if err != nil {
+			t.Fatalf("%v %+v keep %+v: %v", m, pred, keep, err)
+		}
+		ps, err := s.Patches(ctx, col, snap, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep.Kind == KeepAll {
+			return ps
+		}
+		if s.N != len(all) {
+			t.Fatalf("%d rows, %v %+v keep %+v: N=%d, %d matches", len(snap), m, pred, keep, s.N, len(all))
+		}
+		return ps
+	}
+	all = run(Keep{})
+	if m == 0 && len(all) != len(snap) {
+		t.Fatalf("no predicate: %d of %d rows", len(all), len(snap))
+	}
+	if got := run(Keep{Kind: KeepCount}); len(got) != 0 {
+		t.Fatalf("%v %+v: count kept %d rows", m, pred, len(got))
+	}
+	if got, want := run(Keep{Kind: KeepFirst, N: n}), all[:min(n, len(all))]; !idsEqual(patchIDs(got), patchIDs(want)) {
+		t.Fatalf("%d rows, %v %+v first %d: %v, want %v", len(snap), m, pred, n, patchIDs(got), patchIDs(want))
+	}
+	for _, field := range []string{"i", "f", "s", "m", "n"} {
+		for _, desc := range []bool{false, true} {
+			got := run(Keep{Kind: KeepTop, N: n, Field: field, Desc: desc})
+			if want := TopKPatches(all, field, desc, n); !idsEqual(patchIDs(got), patchIDs(want)) {
+				t.Fatalf("%d rows, %v %+v top %d by %s desc=%v: %v, want %v",
+					len(snap), m, pred, n, field, desc, patchIDs(got), patchIDs(want))
+			}
+		}
+	}
 }
 
 // FuzzSelectPathsAgree is the differential test over DB.Select: for a
@@ -122,7 +175,8 @@ func fuzzRow(r *rand.Rand, i int) *Patch {
 // column scan over a tiered store at a one-byte budget must return the
 // same rows in the same order — for the current snapshot and for one
 // taken before a later append (the reader-behind-index and the column
-// clipping cases).
+// clipping cases). On each scan, and on the unfiltered walk, every
+// consumer must agree with the keep-everything answer (keepsAgree).
 func FuzzSelectPathsAgree(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint16(7), -1.5, 2.25)
 	f.Add(int64(2), uint16(2100), uint16(130), math.Inf(-1), 0.0)
@@ -160,6 +214,7 @@ func FuzzSelectPathsAgree(f *testing.F) {
 			preds = append(preds, Pred{Field: field, Range: true, Lo: lo, Hi: hi},
 				Pred{Field: field, Range: true, Lo: fuzzFloat(r), Hi: fuzzFloat(r)})
 		}
+		keep := 1 + r.Intn(40) // the first-n and top-n row count
 		type view struct {
 			snap []*Patch
 			ver  uint64
@@ -179,7 +234,10 @@ func FuzzSelectPathsAgree(f *testing.F) {
 						t.Fatalf("%d/%d rows, %v %+v: %d ids, row scan %d", len(vw.snap), len(snap), m, p, len(got), len(rows))
 					}
 				}
+				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterScan, keep)
+				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterColumnScan, keep)
 			}
+			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
 		}
 		// The same column scans over a tiered store that can keep no
 		// segment resident.
@@ -190,7 +248,9 @@ func FuzzSelectPathsAgree(f *testing.F) {
 				if got := selectIDs(t, db, col, vw.snap, vw.ver, p, FilterColumnScan); !reflect.DeepEqual(got, want[v][k]) {
 					t.Fatalf("tiered %d/%d rows, %+v: %d ids, row scan %d", len(vw.snap), len(snap), p, len(got), len(want[v][k]))
 				}
+				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterColumnScan, keep)
 			}
+			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
 		}
 	})
 }

@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/balltree"
 	"repro/internal/lsh"
@@ -104,12 +105,16 @@ type VectorIndex struct {
 	patches []*Patch
 
 	// Exact mode: a balltree over pts[:treeN] plus a linear tail
-	// pts[treeN:] of appended points not yet re-treed. pts is
-	// append-only across extensions (capacity-clamped), so concurrent
-	// readers of an older extension never see their slice mutate.
+	// pts[treeN:] of appended points not yet re-treed. An extension
+	// shares pts' prefix and only ever writes past len(pts), so readers
+	// of an older index never see their slice mutate (see appendPts).
 	pts   []balltree.Point
 	treeN int
 	ball  *balltree.Tree
+
+	// extended is claimed by the first Extend of this index, which may
+	// append into the spare capacity of pts; any later one copies.
+	extended atomic.Bool
 
 	// Approximate mode.
 	lshI *lsh.Index
@@ -161,8 +166,8 @@ func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode
 }
 
 // Extend returns a new index covering ps — which must extend the
-// receiver's snapshot as a certified prefix — as of version. The
-// receiver is never mutated, so readers holding it stay consistent.
+// receiver's snapshot as a certified prefix — as of version. Readers
+// holding the receiver stay consistent: nothing they read is written.
 // Exact mode appends to the linear tail and re-trees only when the tail
 // outgrows its bound; approximate mode shares the hyperplanes and
 // copies only the bucket maps. Returns an error when the extension
@@ -181,9 +186,11 @@ func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error)
 	nx := &VectorIndex{field: vi.field, mode: vi.mode, version: version, dim: vi.dim, patches: ps}
 	switch vi.mode {
 	case VecExact:
-		nx.pts = append(vi.pts[:len(vi.pts):len(vi.pts)], newPts...)
+		nx.pts = vi.appendPts(newPts)
 		nx.ball, nx.treeN = vi.ball, vi.treeN
 		if tail := len(nx.pts) - nx.treeN; tail > exactTailMax && tail*4 > nx.treeN {
+			// Build partitions a copy of its input, never the prefix older
+			// indexes share.
 			t, err := balltree.Build(nx.pts)
 			if err != nil {
 				return nil, err
@@ -195,12 +202,24 @@ func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error)
 		if err != nil {
 			return nil, err
 		}
-		nx.pts = append(vi.pts[:len(vi.pts):len(vi.pts)], newPts...)
+		nx.pts = vi.appendPts(newPts)
 		nx.lshI = ext
 	default:
 		return nil, fmt.Errorf("core: unknown vector index mode %v", vi.mode)
 	}
 	return nx, nil
+}
+
+// appendPts returns vi's points followed by add. The first extension of
+// vi appends in place: it writes only past len(vi.pts), where no reader
+// of vi or of an older index looks, so an append costs O(added) rather
+// than a copy of the history. A raced sibling extension of the same
+// receiver would write the same slots, so every later one copies.
+func (vi *VectorIndex) appendPts(add []balltree.Point) []balltree.Point {
+	if vi.extended.CompareAndSwap(false, true) {
+		return append(vi.pts, add...)
+	}
+	return append(vi.pts[:len(vi.pts):len(vi.pts)], add...)
 }
 
 func toLSHPoints(pts []balltree.Point) []lsh.Point {

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/exec"
@@ -119,6 +122,117 @@ func TestVectorIndexExactMatchesBrute(t *testing.T) {
 	check("re-treed")
 	if k0 := (&VectorIndex{}).KNN(vecTestQuery(0, dim, clusters), 0); k0 != nil {
 		t.Fatalf("k=0 returned %v", k0)
+	}
+}
+
+// vecTestRows numbers rows [from, to) of the clustered fixture with ids
+// starting at idBase, so two sibling suffixes can hold different rows.
+func vecTestRows(from, to, idBase, dim, clusters int) []*Patch {
+	ps := make([]*Patch, 0, to-from)
+	for i := from; i < to; i++ {
+		p := vecTestPatch(i, dim, clusters)
+		p.ID = PatchID(idBase + i)
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// TestVectorIndexSiblingExtendsStayExact: extensions raced off one index
+// — two appending to the tail, one re-treeing — and a further extension
+// of each leave every index, the receiver included, equal to the brute
+// scan over its own snapshot. The first extension appends into the
+// receiver's spare capacity; a sibling writing the same slots, or a
+// re-tree permuting the shared prefix, would corrupt the others.
+func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
+	const dim, clusters, base = 8, 7, 600
+	for round := 0; round < 4; round++ {
+		snap0 := vecTestRows(0, base, 1, dim, clusters)
+		vi0, err := NewVectorIndex(snap0, 1, "emb", VecExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spare := cap(vi0.pts) - len(vi0.pts); spare < 300 {
+			t.Fatalf("fixture leaves %d spare point slots: the siblings would not share an array", spare)
+		}
+		// Sibling suffixes hold different rows: tail appends of 40 and 55
+		// rows, and a 300-row append past the tail bound.
+		snaps := [][]*Patch{
+			append(snap0[:base:base], vecTestRows(base, base+40, 10_000, dim, clusters)...),
+			append(snap0[:base:base], vecTestRows(base+round+1, base+round+56, 15_000, dim, clusters)...),
+			append(snap0[:base:base], vecTestRows(base+round, base+round+300, 20_000, dim, clusters)...),
+		}
+		ext := make([]*VectorIndex, len(snaps))
+		var wg sync.WaitGroup
+		for s := range snaps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vi, err := vi0.Extend(snaps[s], uint64(2+s))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// And once more off the sibling itself.
+				next := append(snaps[s][:len(snaps[s]):len(snaps[s])], vecTestRows(0, 25, 30_000+s*1000, dim, clusters)...)
+				if _, err := vi.Extend(next, uint64(4+s)); err != nil {
+					t.Error(err)
+				}
+				ext[s] = vi
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if ext[0].treeN != base || ext[1].treeN != base || ext[2].treeN != len(snaps[2]) {
+			t.Fatalf("tree sizes %d, %d, %d: want two tail appends and a re-tree", ext[0].treeN, ext[1].treeN, ext[2].treeN)
+		}
+		for s, c := range []struct {
+			vi   *VectorIndex
+			snap []*Patch
+		}{{vi0, snap0}, {ext[0], snaps[0]}, {ext[1], snaps[1]}, {ext[2], snaps[2]}} {
+			for qi := 0; qi < 8; qi++ {
+				q := vecTestQuery(qi, dim, clusters)
+				for _, k := range []int{1, 10, 60} {
+					if got, want := c.vi.KNN(q, k), BruteKNN(c.snap, "emb", q, k); !neighborsEqual(got, want) {
+						t.Fatalf("round %d index %d q%d k=%d: %v, brute %v", round, s, qi, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorIndexExtendAllocatesOnlyAppended: extending a 12k-point
+// exact index by 64 rows allocates for the 64 rows, not a copy of the
+// 12k points (384 KiB). Occasional capacity growth is amortized over
+// the appends, so the median extension is what is bounded.
+func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const dim, clusters, base, step, steps = 8, 7, 12_000, 64, 32
+	ps := vecTestRows(0, base+step*steps, 1, dim, clusters)
+	vi, err := NewVectorIndex(ps[:base], 1, "emb", VecExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := make([]uint64, steps)
+	var a, b runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&a)
+		if vi, err = vi.Extend(ps[:base+step*(i+1)], uint64(i+2)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&b)
+		per[i] = b.TotalAlloc - a.TotalAlloc
+	}
+	if vi.treeN != base {
+		t.Fatalf("extensions re-treed (tree %d): the test measures tail appends", vi.treeN)
+	}
+	slices.Sort(per)
+	if med := per[steps/2]; med > 16<<10 {
+		t.Fatalf("a 64-row extension of a %d-point index allocates %d B (median)", base, med)
 	}
 }
 

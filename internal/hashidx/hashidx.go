@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 )
 
 // Pager is the page-file interface the index runs on; *kv.Pager satisfies it.
@@ -212,8 +213,16 @@ func readBucket(p Pager, id uint64) (*bucket, error) {
 	return b, nil
 }
 
+// pagePool recycles whole-page buffers: Pager.Write copies the page, so
+// a buffer is free again the moment Write returns and a bucket write
+// need not allocate a page of its own.
+var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+
 func writeBucket(p Pager, id uint64, b *bucket) error {
-	buf := make([]byte, pageSize)
+	page := pagePool.Get().(*[pageSize]byte)
+	defer pagePool.Put(page)
+	clear(page[:]) // bytes past the last entry are written too
+	buf := page[:]
 	buf[0] = b.local
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(b.keys)))
 	binary.LittleEndian.PutUint64(buf[3:], b.next)

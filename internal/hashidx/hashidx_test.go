@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,33 @@ func TestPutGetMany(t *testing.T) {
 		if err != nil || string(v) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("Get(key-%d) = %q, %v", i, v, err)
 		}
+	}
+}
+
+// TestPutWarmBucketAllocatesNoPage: replacing a value in a cached bucket
+// serializes it into a pooled page (Pager.Write copies it), so a Put
+// does not allocate a 4 KiB page. The average holds under the race
+// detector too, where sync.Pool drops a quarter of its buffers.
+func TestPutWarmBucketAllocatesNoPage(t *testing.T) {
+	ix, _ := newIndex(t)
+	val := make([]byte, 16)
+	for i := 0; i < 8; i++ {
+		if err := ix.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("k3")
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := ix.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= pageSize {
+		t.Fatalf("Put into a warm bucket allocates %d B, want < %d", per, pageSize)
 	}
 }
 

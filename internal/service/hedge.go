@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -103,25 +104,25 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 		return nil, err
 	}
 	frag := &shardFragment{col: col, snap: snap, ver: ver}
-	if plan.pred != nil {
-		if err := s.filterFragment(ctx, plan, i, r, frag); err != nil {
-			return nil, err
-		}
-	}
 	req := plan.req
-	switch {
-	case req.KNN != nil:
+	if req.KNN != nil {
 		// Planned and probed on this replica's own snapshot and index.
 		err = frag.knnProbe(s.cost, req.KNN, plan.knnQ)
-	case req.SimJoin != nil:
-		// Joins and clustering read every matched row.
-		frag.rows, err = frag.patches(ctx, -1)
-	case req.OrderBy != "":
-		// Shard-local top-limit instead of a full sort: the merge stage
-		// only ever consumes the first `limit` rows of each fragment.
-		frag.rows, err = frag.topK(ctx, req.OrderBy, req.Desc, plan.limit)
-	case plan.wantRows:
-		frag.rows, err = frag.patches(ctx, plan.limit)
+	} else {
+		err = s.filterFragment(ctx, plan, i, r, frag)
+	}
+	if err == nil {
+		switch plan.keep.Kind {
+		case core.KeepAll:
+			// Joins and clustering read every matched row.
+			frag.rows, err = frag.Patches(ctx, col, snap, -1)
+		case core.KeepTop:
+			// Shard-local top-limit instead of a full sort: the merge stage
+			// only ever consumes the first `limit` rows of each fragment.
+			frag.rows, err = frag.topK(ctx, req.OrderBy, req.Desc, plan.limit)
+		case core.KeepFirst:
+			frag.rows, err = frag.Patches(ctx, col, snap, plan.limit)
+		}
 	}
 	if err != nil {
 		return nil, err

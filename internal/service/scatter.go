@@ -39,18 +39,18 @@ import (
 // fragmentPlan is the part of a query's plan every fragment shares,
 // made once before the scatter.
 type fragmentPlan struct {
-	req      *Request
-	scol     *core.ShardedCollection
-	pred     *core.Pred // resolved filter; nil = unfiltered
-	knnQ     []float32  // resolved kNN query vector; nil = not a kNN query
-	limit    int        // effective row cap
-	wantRows bool       // order/limit asked for projected rows
+	req   *Request
+	scol  *core.ShardedCollection
+	pred  *core.Pred // resolved filter; nil = unfiltered
+	knnQ  []float32  // resolved kNN query vector; nil = not a kNN query
+	limit int        // effective row cap
+	keep  core.Keep  // what each fragment's scan keeps of its matches
 }
 
 // shardFragment is one shard's partial result. The filter stage leaves
-// its matches in the form core's Select produces them — a selection
-// over the snapshot for scans, an id list for index probes — and only
-// the rows the query projects, joins or clusters become patches.
+// its matches in the form core's Select produces them — the rows a scan
+// kept, every id of an index probe — and only the rows the query
+// projects, joins or clusters become patches.
 type shardFragment struct {
 	col  *core.Collection // the replica that answered
 	snap []*core.Patch    // its snapshot
@@ -68,62 +68,17 @@ type shardFragment struct {
 	ns   []core.VecNeighbor
 }
 
-// matched is the filter stage's output size.
-func (f *shardFragment) matched() int {
-	if f.Method == 0 {
-		return len(f.snap)
-	}
-	return f.Len()
-}
-
-// rowsAt resolves a selection over the snapshot to its patches.
-func (f *shardFragment) rowsAt(sel []int32) []*core.Patch {
-	out := make([]*core.Patch, len(sel))
-	for k, i := range sel {
-		out[k] = f.snap[i]
-	}
-	return out
-}
-
-// patches materializes the first max matches in snapshot order (max < 0:
-// all of them).
-func (f *shardFragment) patches(ctx context.Context, max int) ([]*core.Patch, error) {
-	if f.Method != 0 {
-		return f.Patches(ctx, f.col, f.snap, max)
-	}
-	n := len(f.snap)
-	if max >= 0 && max < n {
-		n = max
-	}
-	return f.snap[:n:n], nil
-}
-
 // topK is the fragment's ordered top-k, byte-identical to a stable sort
 // + trim of its matches (ties in snapshot order, missing fields order as
-// the zero Value). It runs the columnar heap — over the filter's
-// selection when the filter ran columnar, over the whole snapshot when
-// there was no filter — and otherwise the bounded-heap row top-k, which
-// still avoids sorting rows that can never reach the limit.
+// the zero Value). A scan's top-k consumer kept exactly these rows, in
+// order; an index probe's ids are fetched and run the bounded-heap row
+// top-k, which still avoids sorting rows that can never reach the limit.
 func (f *shardFragment) topK(ctx context.Context, field string, desc bool, k int) ([]*core.Patch, error) {
-	switch {
-	case f.Store != nil:
-		if top, ok := f.Store.TopK(f.Sel, field, desc, k); ok {
-			return f.rowsAt(top), nil
-		}
-	case f.Method == 0:
-		// The store must cover exactly this snapshot for a nil selection
-		// (all rows) to be correct.
-		if cs, err := f.col.Columns(); err == nil && cs.Len() == len(f.snap) {
-			if top, ok := cs.TopK(nil, field, desc, k); ok {
-				return f.rowsAt(top), nil
-			}
-		}
+	rows, err := f.Patches(ctx, f.col, f.snap, -1)
+	if err != nil || (f.Keep.Kind == core.KeepTop && !f.Indexed()) {
+		return rows, err
 	}
-	all, err := f.patches(ctx, -1)
-	if err != nil {
-		return nil, err
-	}
-	return core.TopKPatches(all, field, desc, k), nil
+	return core.TopKPatches(rows, field, desc, k), nil
 }
 
 // annotate attaches the fragment's work record to its trace span:
@@ -140,7 +95,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 	if plan.knnQ != nil {
 		sp.AttrInt("candidates", int64(len(f.ns)))
 	} else {
-		sp.AttrInt("matched", int64(f.matched()))
+		sp.AttrInt("matched", int64(f.N))
 	}
 	path := "full-scan"
 	if f.op != "" {
@@ -150,7 +105,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 	if f.Indexed() {
 		sp.Attr("index", f.Refresh.String())
 	}
-	if f.Store != nil {
+	if f.Method == core.FilterColumnScan {
 		sp.AttrInt("blocks", int64(f.Scan.Blocks))
 		sp.AttrInt("blocks_pruned", int64(f.Scan.Pruned))
 		sp.AttrInt("rows_scanned", int64(f.Scan.RowsScanned))
@@ -250,11 +205,22 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 
 	// Plan once: resolve and type-check the filter (or the kNN query
 	// vector) against the schema before fanning anything out. Requests
-	// cap at maxRows; rows are projected only if order/limit asked for
-	// them.
-	plan := &fragmentPlan{req: req, scol: scol, limit: req.Limit, wantRows: req.OrderBy != "" || req.Limit > 0}
+	// cap at maxRows. A fragment's scan keeps only what the gather stage
+	// reads: every row for a join, the top limit for order_by, the first
+	// limit for a bare limit, and none for a count.
+	plan := &fragmentPlan{req: req, scol: scol, limit: req.Limit}
 	if plan.limit <= 0 || plan.limit > maxRows {
 		plan.limit = maxRows
+	}
+	switch {
+	case req.SimJoin != nil:
+		plan.keep = core.Keep{Kind: core.KeepAll}
+	case req.OrderBy != "":
+		plan.keep = core.Keep{Kind: core.KeepTop, N: plan.limit, Field: req.OrderBy, Desc: req.Desc}
+	case req.Limit > 0:
+		plan.keep = core.Keep{Kind: core.KeepFirst, N: plan.limit}
+	default:
+		plan.keep = core.Keep{Kind: core.KeepCount}
 	}
 	if req.Filter != nil {
 		if plan.pred, err = req.Filter.resolve(scol.Schema()); err != nil {
@@ -335,11 +301,11 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 	} else {
 		for _, frag := range frags {
 			if frag != nil {
-				resp.Value += frag.matched()
+				resp.Value += frag.N
 			}
 		}
 	}
-	if plan.wantRows {
+	if plan.keep.Kind != core.KeepCount {
 		var merged []*core.Patch
 		if req.OrderBy != "" {
 			merged, err = mergeSortedRows(ctx, frags, req.OrderBy, req.Desc, plan.limit)
@@ -404,27 +370,33 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 }
 
 // filterFragment runs the plan's filter stage on replica r of shard i
-// through core's one selection path. It only picks the method: use_index
-// asks for the replica-local hash index (B-tree for ranges), created on
-// first use and kept current by core; anything else runs the columnar
-// scan, which core falls back to the row scan for fields the store
-// cannot columnize. The path that ran fixes the plan operator and the
-// static cost.
+// through core's one selection path, keeping what the plan keeps. It
+// only picks the method: use_index asks for the replica-local hash index
+// (B-tree for ranges), created on first use and kept current by core;
+// anything else runs the columnar scan, which core falls back to the row
+// scan for fields the store cannot columnize. The path that ran fixes
+// the plan operator and the static cost. An unfiltered query selects
+// every row.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
-	pred := plan.pred
-	method := core.FilterColumnScan
-	if plan.req.Filter.UseIndex {
-		method = core.FilterHashIndex
-		if pred.Range {
-			method = core.FilterBTreeIndex
+	var pred core.Pred
+	var method core.FilterMethod
+	if plan.pred != nil {
+		pred, method = *plan.pred, core.FilterColumnScan
+		if plan.req.Filter.UseIndex {
+			method = core.FilterHashIndex
+			if pred.Range {
+				method = core.FilterBTreeIndex
+			}
 		}
 	}
 	var err error
-	if frag.Selection, err = s.shards.ReplicaDB(i, r).Select(ctx, frag.col, frag.snap, frag.ver, *pred, method); err != nil {
+	if frag.Selection, err = s.shards.ReplicaDB(i, r).Select(ctx, frag.col, frag.snap, frag.ver, pred, method, plan.keep); err != nil {
 		return err
 	}
-	frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
-	frag.cost = s.cost.FilterCost(frag.Method, len(frag.snap), frag.matched())
+	if plan.pred != nil {
+		frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
+		frag.cost = s.cost.FilterCost(frag.Method, len(frag.snap), frag.N)
+	}
 	return nil
 }
 
