@@ -121,6 +121,11 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  %-62s value=%-5d\n    plan: %s\n", q.what, r.Value, r.Plan)
+		for _, row := range r.Rows {
+			id, _ := row.Get("_id")
+			score, _ := row.Get("score")
+			fmt.Printf("    row _id=%v score=%v\n", id, score)
+		}
 	}
 
 	// ---- 3. composite-version cache invalidation ----

@@ -11,12 +11,11 @@ package core
 // a small distinct-set for low-cardinality strings). Vectorized kernels
 // evaluate equality and range predicates segment-at-a-time, skipping
 // segments the zone map proves empty, and hand each segment's matches to
-// a consumer that keeps only what the query reads (see Keep); top-k,
-// group-count and count aggregation run directly over the arrays.
-// Results are byte-identical to the row-at-a-time operators by
-// construction: matches are emitted in row (snapshot) order,
-// top-k reproduces the stable sort's (value, row) order, and group-count
-// groups and orders by the same SortKey encoding the row operator uses.
+// a consumer that keeps only what the query reads (see Keep); top-k
+// runs directly over the arrays. Results are byte-identical to the
+// row-at-a-time operators by construction: matches are emitted in row
+// (snapshot) order, and top-k reproduces the stable sort's (value, row)
+// order.
 //
 // A store is built over one immutable snapshot and carries its version;
 // appends bump the collection version, so a reader comparing versions
@@ -37,11 +36,7 @@ package core
 // a byte-budgeted cache — so a collection's column footprint is bounded
 // by the budget, not its history.
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // ColumnBlockSize is the number of rows per zone-mapped segment. Small
 // enough that a selective predicate skips real work on clustered data,
@@ -843,125 +838,4 @@ func (t *topKeep) rows() []int32 {
 		out[i] = e.row
 	}
 	return out
-}
-
-// --------------------------------------------------------- aggregation ----
-
-// GroupCount groups the snapshot by field and returns {group, count}
-// tuples identical (values, order) to the row operator GroupCount over
-// the same rows: groups key on the value's SortKey encoding (so e.g.
-// -0.0 and +0.0 stay distinct, as in the row path) and order by it
-// ascending. ok is false when the field has no column; null rows drop,
-// like rows missing the field. All-null segments are skipped without
-// touching their data.
-func (cs *ColumnStore) GroupCount(field string) ([]Tuple, bool) {
-	col, okc := cs.Column(field)
-	if !okc {
-		return nil, false
-	}
-	rd := segReader{col: col}
-	defer rd.close()
-	switch col.kind {
-	case KindInt:
-		// SortKey order for ints is numeric order.
-		counts := make(map[int64]int64)
-		for _, sg := range col.segs {
-			if sg.zone.allNull {
-				continue
-			}
-			d := rd.rows(sg, nil)
-			for j, rows := 0, sg.rows(); j < rows; j++ {
-				if !d.null(j) {
-					counts[d.ints[j]]++
-				}
-			}
-		}
-		keys := make([]int64, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		out := make([]Tuple, len(keys))
-		for i, k := range keys {
-			out[i] = groupTuple(IntV(k), counts[k])
-		}
-		return out, true
-	case KindFloat:
-		// Group and order by the SortKey bit transform, not float
-		// equality: the row path distinguishes bit patterns (-0.0 vs 0.0)
-		// and orders NaNs by their encoding.
-		counts := make(map[uint64]int64)
-		vals := make(map[uint64]float64)
-		for _, sg := range col.segs {
-			if sg.zone.allNull {
-				continue
-			}
-			d := rd.rows(sg, nil)
-			for j, rows := 0, sg.rows(); j < rows; j++ {
-				if d.null(j) {
-					continue
-				}
-				k := floatSortBits(d.floats[j])
-				counts[k]++
-				vals[k] = d.floats[j]
-			}
-		}
-		keys := make([]uint64, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		out := make([]Tuple, len(keys))
-		for i, k := range keys {
-			out[i] = groupTuple(FloatV(vals[k]), counts[k])
-		}
-		return out, true
-	case KindStr:
-		counts := make([]int64, len(col.dict))
-		for _, sg := range col.segs {
-			if sg.zone.allNull {
-				continue
-			}
-			d := rd.rows(sg, nil)
-			for j, rows := 0, sg.rows(); j < rows; j++ {
-				if !d.null(j) {
-					counts[d.codes[j]]++
-				}
-			}
-		}
-		order := make([]uint32, 0, len(col.dict))
-		for code := range col.dict {
-			if counts[code] > 0 {
-				order = append(order, uint32(code))
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return col.dict[order[i]] < col.dict[order[j]] })
-		out := make([]Tuple, len(order))
-		for i, code := range order {
-			out[i] = groupTuple(StrV(col.dict[code]), counts[code])
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-// floatSortBits is the order-preserving bit transform Value.SortKey
-// applies to floats (total order matching the row operator's key space).
-func floatSortBits(f float64) uint64 {
-	bits := math.Float64bits(f)
-	if f >= 0 {
-		return bits ^ (1 << 63)
-	}
-	return ^bits
-}
-
-func groupTuple(v Value, n int64) Tuple {
-	return Tuple{&Patch{Meta: Metadata{"group": v, "count": IntV(n)}}}
-}
-
-// AggCount mirrors the row AggCount over the snapshot: one tuple with
-// the row count. Kept columnar for API symmetry (snapshot length is
-// already O(1)).
-func (cs *ColumnStore) AggCount() Tuple {
-	return Tuple{&Patch{Meta: Metadata{"count": IntV(int64(len(cs.patches)))}}}
 }

@@ -248,42 +248,6 @@ func TestColumnarTopKSelected(t *testing.T) {
 	}
 }
 
-// TestColumnarGroupCount: columnar group-count must equal the row
-// operator's output tuple for tuple, including value order.
-func TestColumnarGroupCount(t *testing.T) {
-	const rows = ColumnBlockSize + 77
-	_, col := columnCollection(t, rows)
-	cs, err := col.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, _ := col.Snapshot()
-	for _, field := range []string{"label", "rank", "score", "sparse"} {
-		got, ok := cs.GroupCount(field)
-		if !ok {
-			t.Fatalf("field %s lost its column", field)
-		}
-		want, err := Drain(GroupCount(FromPatches(snap), field))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("groupcount(%s): %d groups, want %d", field, len(got), len(want))
-		}
-		for i := range want {
-			wg, wc := want[i][0].Meta["group"], want[i][0].Meta["count"]
-			gg, gc := got[i][0].Meta["group"], got[i][0].Meta["count"]
-			if !wg.Equal(gg) || !wc.Equal(gc) {
-				t.Fatalf("groupcount(%s) group %d: got (%+v, %+v) want (%+v, %+v)",
-					field, i, gg, gc, wg, wc)
-			}
-		}
-	}
-	if n := cs.AggCount()[0].Meta["count"].I; n != int64(rows) {
-		t.Fatalf("aggcount = %d, want %d", n, rows)
-	}
-}
-
 // TestColumnarZoneMapPruning: a block-clustered predicate must touch
 // only matching blocks — verified through the all-pruned case returning
 // instantly-empty and the per-block distinct-set case.

@@ -81,10 +81,10 @@ func assertStoreMatchesMemory(t *testing.T, cs, mem *ColumnStore) {
 	if !reflect.DeepEqual(te, tm) {
 		t.Fatal("TopK diverges")
 	}
-	ge, _ := cs.GroupCount("label")
-	gm, _ := mem.GroupCount("label")
-	if !reflect.DeepEqual(ge, gm) {
-		t.Fatal("GroupCount diverges")
+	le, _ := cs.TopK(nil, "label", false, 40)
+	lm, _ := mem.TopK(nil, "label", false, 40)
+	if !reflect.DeepEqual(le, lm) {
+		t.Fatal("TopK(label) diverges")
 	}
 }
 
@@ -276,7 +276,7 @@ func TestSegmentCacheBudgetEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cs.GroupCount("rank"); !ok {
+	if _, ok := cs.TopK(nil, "rank", false, 10); !ok {
 		t.Fatal("rank did not project")
 	}
 	st := sc.Stats()
@@ -352,7 +352,7 @@ func TestTieredConcurrentAppendScan(t *testing.T) {
 					return
 				}
 				cs.TopK(nil, "score", true, 10)
-				cs.GroupCount("rank")
+				cs.FilterRange("rank", math.Inf(-1), math.Inf(1))
 			}
 		}()
 	}
@@ -601,8 +601,8 @@ func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
 				mtop, _ := mem.TopK(mrg, "rank", w%2 == 0, 25)
 				ltop, _ := cs.TopK(nil, "label", true, 7)
 				mltop, _ := mem.TopK(nil, "label", true, 7)
-				grp, _ := cs.GroupCount("rank")
-				mgrp, _ := mem.GroupCount("rank")
+				grp, _ := cs.TopK(nil, "rank", w%2 != 0, 25)
+				mgrp, _ := mem.TopK(nil, "rank", w%2 != 0, 25)
 				if !reflect.DeepEqual(eq, meq) || !reflect.DeepEqual(rg, mrg) || !reflect.DeepEqual(top, mtop) ||
 					!reflect.DeepEqual(ltop, mltop) || !reflect.DeepEqual(grp, mgrp) {
 					t.Errorf("scanner %d pass %d diverges from memory at %d rows", w, i, cs.Len())

@@ -86,6 +86,60 @@ func TestPagerPersistence(t *testing.T) {
 	}
 }
 
+// TestPagerEvictionKeepsFailedWriteBack: a dirty page whose eviction
+// write-back fails stays cached and dirty — reads still see it, Flush
+// reports the failure, and a Flush once the file is writable again
+// persists it.
+func TestPagerEvictionKeepsFailedWriteBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.db")
+	p, err := OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.maxCache = 4
+	id, _ := p.Alloc()
+	want := make([]byte, PageSize)
+	for i := range want {
+		want[i] = byte(i % 253)
+	}
+	if err := p.Write(id, want); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := p.f
+	p.f = ro // every write-back now fails
+	for i := 0; i < 3*p.maxCache; i++ {
+		if _, err := p.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.CachedPages(); n <= p.maxCache {
+		t.Fatalf("%d cached pages: failed write-backs were dropped to hold the cap of %d", n, p.maxCache)
+	}
+	if got, err := p.Read(id); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("page lost after a failed eviction write-back (err=%v)", err)
+	}
+	if err := p.Flush(); err == nil {
+		t.Fatal("Flush succeeded with every write-back failing")
+	}
+	p.f = rw
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close on a writable file: %v", err)
+	}
+	p2, err := OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if got, err := p2.Read(id); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("retried write-back did not persist the page (err=%v)", err)
+	}
+}
+
 func TestPagerNotAStoreFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "junk.db")

@@ -186,7 +186,9 @@ func (p *Pager) insertCache(id uint64, buf []byte, dirty bool) {
 
 // evictLocked writes back and drops roughly the least recently used quarter
 // of the cache. Approximate LRU keeps the hot working set without the cost
-// of a full ordering.
+// of a full ordering. A dirty page whose write-back fails stays cached and
+// dirty, over the cap if need be: the next Flush retries it and reports
+// the error, where dropping it would lose the write silently.
 func (p *Pager) evictLocked() {
 	var sum uint64
 	for _, cp := range p.cache {
@@ -194,12 +196,15 @@ func (p *Pager) evictLocked() {
 	}
 	cutoff := sum / uint64(len(p.cache)) // evict pages older than mean use time
 	for id, cp := range p.cache {
-		if cp.used <= cutoff {
-			if cp.dirty {
-				p.f.WriteAt(cp.buf, int64(id)*PageSize)
-			}
-			delete(p.cache, id)
+		if cp.used > cutoff {
+			continue
 		}
+		if cp.dirty {
+			if _, err := p.f.WriteAt(cp.buf, int64(id)*PageSize); err != nil {
+				continue
+			}
+		}
+		delete(p.cache, id)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -56,15 +57,13 @@ func writeEncodeError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, httpError{"service: encode response: " + err.Error()})
 }
 
-// commitWriter sends the status line with the body's first Write and
-// drops the last trim bytes of that Write. json.Encoder.Encode calls
-// Write once, with its complete output, and only after encoding
-// succeeded, so a value that cannot be encoded leaves the response
-// uncommitted.
+// commitWriter sends the status line with the body's first Write.
+// json.Encoder.Encode calls Write once, with its complete output, and
+// only after encoding succeeded, so a value that cannot be encoded
+// leaves the response uncommitted.
 type commitWriter struct {
 	w         http.ResponseWriter
 	status    int
-	trim      int
 	committed bool
 }
 
@@ -73,54 +72,111 @@ func (c *commitWriter) Write(p []byte) (int, error) {
 		c.committed = true
 		c.w.Header().Set("Content-Type", "application/json")
 		c.w.WriteHeader(c.status)
-		p = p[:len(p)-c.trim]
 	}
-	_, err := c.w.Write(p)
-	return len(p), err
+	return c.w.Write(p)
 }
 
-// headCloser ends the indented encoding of a Response's head: the
-// closing brace and Encode's newline. The head is stored and sent
-// without it; the tail restores it.
+// headCloser ends the indented encoding of a Response: the closing brace
+// and Encode's newline. The head ends before it; the tail restores it.
 const headCloser = "\n}\n"
 
-// tailBufs recycles the buffers tails are appended into: bytes handed to
-// a ResponseWriter escape, so a stack array would move to the heap on
-// every request.
-var tailBufs = sync.Pool{New: func() any { return new([256]byte) }}
+// wireBuf is the scratch a /query body is appended into: the bytes, and
+// the field names each row sorts. Bytes handed to a ResponseWriter
+// escape, so the buffers are pooled: a warm encoding allocates nothing.
+type wireBuf struct {
+	b    []byte
+	keys []string
+}
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // writeResponse sends a successful /query answer as its head — the
 // memoized bytes of a cached result, a fresh encoding for any other —
 // followed by the per-request tail. The body is byte-identical to
-// writeJSON(w, http.StatusOK, resp).
+// writeJSON(w, http.StatusOK, resp), and like it commits no status
+// before the whole body is encoded.
 func writeResponse(w http.ResponseWriter, resp *Response) {
-	buf := tailBufs.Get().(*[256]byte)
-	defer tailBufs.Put(buf)
-	tail, err := resp.appendTail(buf[:0])
+	wb := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(wb)
+	var head []byte
+	var err error
+	if m := resp.wire; m != nil {
+		head, err = m.headFor(resp)
+		wb.b = wb.b[:0]
+	} else {
+		wb.b, err = resp.appendHead(wb.b[:0], &wb.keys)
+	}
+	if err == nil {
+		wb.b, err = resp.appendTail(wb.b)
+	}
 	if err != nil {
 		writeEncodeError(w, err)
 		return
 	}
-	if m := resp.wire; m != nil {
-		head, err := m.headFor(resp)
-		if err != nil {
-			writeEncodeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		// Write errors mean the client is gone: there is no one to tell.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Write errors mean the client is gone: there is no one to tell.
+	if head != nil {
 		_, _ = w.Write(head)
-	} else {
-		cw := commitWriter{w: w, status: http.StatusOK, trim: len(headCloser)}
-		if err := resp.encodeHead(&cw); err != nil {
-			if !cw.committed {
-				writeEncodeError(w, err)
+	}
+	_, _ = w.Write(wb.b)
+}
+
+// appendHead appends the part of the Response's indented encoding that is
+// the same on every delivery of one result: value, rows, plan and
+// fingerprint, up to headCloser.
+func (r *Response) appendHead(b []byte, keys *[]string) ([]byte, error) {
+	b = append(b, "{\n  \"value\": "...)
+	b = strconv.AppendInt(b, int64(r.Value), 10)
+	if len(r.Rows) > 0 {
+		b = append(b, ",\n  \"rows\": ["...)
+		for i, row := range r.Rows {
+			if i > 0 {
+				b = append(b, ',')
 			}
-			return
+			b = append(b, "\n    "...)
+			var err error
+			if b, err = row.appendJSON(b, keys); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, ",\n  \"plan\": "...)
+	b = appendJSONString(b, r.Plan)
+	b = append(b, ",\n  \"fingerprint\": "...)
+	return appendJSONString(b, r.Fingerprint), nil
+}
+
+// appendJSON appends the row as an element of the head's rows array:
+// fields sorted bytewise, as encoding/json orders a map's keys. keys is
+// the scratch the field names are sorted in.
+func (r Row) appendJSON(b []byte, keys *[]string) ([]byte, error) {
+	*keys = r.appendKeys((*keys)[:0])
+	b = append(b, '{')
+	for i, k := range *keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n      "...)
+		b = appendJSONString(b, k)
+		b = append(b, ": "...)
+		v, u, _ := r.value(k)
+		switch v.Kind {
+		case core.KindInt:
+			b = strconv.AppendInt(b, v.I, 10)
+		case core.KindFloat:
+			var err error
+			if b, err = appendJSONFloat(b, v.F); err != nil {
+				return b, err
+			}
+		case core.KindStr:
+			b = appendJSONString(b, v.S)
+		default:
+			b = strconv.AppendUint(b, u, 10)
 		}
 	}
-	_, _ = w.Write(tail)
+	return append(b, "\n    }"...), nil
 }
 
 // appendTail appends what follows the head in the indented encoding of
@@ -132,15 +188,15 @@ func (r *Response) appendTail(b []byte) ([]byte, error) {
 	var err error
 	b = append(b, ",\n  \"est_cost_sec\": "...)
 	if b, err = appendJSONFloat(b, r.EstCostSec); err != nil {
-		return nil, err
+		return b, err
 	}
 	b = append(b, ",\n  \"cache_aware_cost_sec\": "...)
 	if b, err = appendJSONFloat(b, r.CacheAwareCostSec); err != nil {
-		return nil, err
+		return b, err
 	}
 	b = append(b, ",\n  \"duration_ms\": "...)
 	if b, err = appendJSONFloat(b, r.DurationMS); err != nil {
-		return nil, err
+		return b, err
 	}
 	if r.Degraded {
 		b = append(b, ",\n  \"degraded\": true"...)
@@ -157,19 +213,73 @@ func (r *Response) appendTail(b []byte) ([]byte, error) {
 		b = append(b, "\n  ]"...)
 	}
 	if r.TraceID != "" {
-		id, _ := json.Marshal(r.TraceID) // a string always encodes
 		b = append(b, ",\n  \"trace_id\": "...)
-		b = append(b, id...)
+		b = appendJSONString(b, r.TraceID)
 	}
 	if r.TraceData != nil {
 		tr, err := json.MarshalIndent(r.TraceData, "  ", "  ")
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 		b = append(b, ",\n  \"trace\": "...)
 		b = append(b, tr...)
 	}
 	return append(b, headCloser...), nil
+}
+
+// appendJSONString appends s as encoding/json encodes a string: quoted,
+// with ", \ and control characters escaped, <, > and & escaped for
+// HTML, U+2028 and U+2029 escaped, and each byte of invalid UTF-8
+// replaced by \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // appendJSONFloat appends f as encoding/json encodes a float64: the

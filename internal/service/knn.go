@@ -101,12 +101,12 @@ func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float3
 }
 
 // knnRows merges the fragments' candidates by (distance, id), trims
-// them to the global k and materializes the neighbors as response rows:
-// the usual scalar projection plus a _dist column with the (exact)
-// distance. Each row is read from the collection of the fragment that
-// found it — the answering replica of the neighbor's home shard. Nil
-// fragments (missing shards) contribute nothing.
-func (s *Service) knnRows(frags []*shardFragment, k int) ([]map[string]any, error) {
+// them to the global k and returns the neighbors as response rows
+// carrying their (exact) distance. Each row is read from the collection
+// of the fragment that found it — the answering replica of the
+// neighbor's home shard. Nil fragments (missing shards) contribute
+// nothing.
+func (s *Service) knnRows(frags []*shardFragment, k int) ([]Row, error) {
 	var ns []core.VecNeighbor
 	for _, f := range frags {
 		if f != nil {
@@ -117,17 +117,13 @@ func (s *Service) knnRows(frags []*shardFragment, k int) ([]map[string]any, erro
 	if len(ns) > k {
 		ns = ns[:k]
 	}
-	ps := make([]*core.Patch, len(ns))
+	rows := make([]Row, len(ns))
 	for i, n := range ns {
 		p, err := frags[s.shards.ShardFor(n.ID)].col.Get(n.ID)
 		if err != nil {
 			return nil, err
 		}
-		ps[i] = p
-	}
-	rows := projectRows(ps)
-	for i := range rows {
-		rows[i]["_dist"] = ns[i].Dist
+		rows[i] = Row{p: p, dist: n.Dist, knn: true}
 	}
 	return rows, nil
 }

@@ -155,9 +155,8 @@ func TestKNNShardInvariance(t *testing.T) {
 		if r.Value != want[qi].Value {
 			t.Errorf("knn %d: N=3 value %d, unsharded %d", qi, r.Value, want[qi].Value)
 		}
-		if !reflect.DeepEqual(r.Rows, want[qi].Rows) {
-			t.Errorf("knn %d: N=3 rows diverge from unsharded\n  N=3: %v\n  N=1: %v",
-				qi, r.Rows, want[qi].Rows)
+		if got, ref := refRows(r.Rows), refRows(want[qi].Rows); !reflect.DeepEqual(got, ref) {
+			t.Errorf("knn %d: N=3 rows diverge from unsharded\n  N=3: %v\n  N=1: %v", qi, got, ref)
 		}
 	}
 }
@@ -178,16 +177,16 @@ func TestKNNRowsShape(t *testing.T) {
 	}
 	prev := -1.0
 	for i, row := range r.Rows {
-		d, ok := row["_dist"].(float64)
+		d, ok := rowField(row, "_dist").(float64)
 		if !ok {
-			t.Fatalf("row %d has no _dist: %v", i, row)
+			t.Fatalf("row %d has no _dist: %v", i, refRows(r.Rows)[i])
 		}
 		if d < prev {
 			t.Fatalf("rows not ascending by distance: %g after %g", d, prev)
 		}
 		prev = d
-		if _, ok := row["_id"]; !ok {
-			t.Fatalf("row %d lost its projection: %v", i, row)
+		if _, ok := row.Get("_id"); !ok {
+			t.Fatalf("row %d lost its projection: %v", i, refRows(r.Rows)[i])
 		}
 	}
 	// The query sits at cluster 2's center: every neighbor is a member.
@@ -200,7 +199,7 @@ func TestKNNRowsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcID := first.Rows[0]["_id"].(uint64)
+	srcID := rowField(first.Rows[0], "_id").(uint64)
 	r, err = svc.Query(ctx, Request{Collection: shardTestCol,
 		KNN: &KNNSpec{Field: "emb", K: 5, SourceID: srcID, Exact: true}})
 	if err != nil {
@@ -210,7 +209,7 @@ func TestKNNRowsShape(t *testing.T) {
 		t.Fatalf("source knn value %d, want 5", r.Value)
 	}
 	for _, row := range r.Rows {
-		if row["_id"].(uint64) == srcID {
+		if rowField(row, "_id").(uint64) == srcID {
 			t.Fatal("source patch returned as its own neighbor")
 		}
 	}
@@ -246,16 +245,16 @@ func TestKNNApproxScatter(t *testing.T) {
 	}
 	// Tie-tolerant recall: an approximate neighbor within the exact kth
 	// distance counts as found.
-	dk := exact.Rows[len(exact.Rows)-1]["_dist"].(float64)
+	dk := rowField(exact.Rows[len(exact.Rows)-1], "_dist").(float64)
 	hits := 0
 	for _, row := range approx.Rows {
-		if row["_dist"].(float64) <= dk {
+		if rowField(row, "_dist").(float64) <= dk {
 			hits++
 		}
 	}
 	if recall := float64(hits) / float64(len(exact.Rows)); recall < 0.9 {
 		t.Fatalf("approximate scatter recall %.2f below 0.9 (approx %v / exact %v)",
-			recall, approx.Rows, exact.Rows)
+			recall, refRows(approx.Rows), refRows(exact.Rows))
 	}
 }
 

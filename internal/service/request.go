@@ -1,11 +1,10 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -394,9 +393,9 @@ type Response struct {
 	// Value is the scalar answer: row count, pair count, cluster count,
 	// or matching-inference count, depending on the request shape.
 	Value int `json:"value"`
-	// Rows carries up to Limit projected result rows for plain filter
-	// queries (scalar metadata only).
-	Rows []map[string]any `json:"rows,omitempty"`
+	// Rows carries up to Limit result rows for plain filter queries, and
+	// the neighbors of a kNN query.
+	Rows []Row `json:"rows,omitempty"`
 
 	Plan        string `json:"plan"`
 	Fingerprint string `json:"fingerprint"`
@@ -429,23 +428,88 @@ type Response struct {
 	wire *wireMemo
 }
 
-// respHead is the part of a Response's wire form that is the same on
-// every delivery of one result: Response's leading fields, in order and
-// under the same tags, so its indented encoding up to the closing brace
-// is a prefix of the whole Response's.
-type respHead struct {
-	Value       int              `json:"value"`
-	Rows        []map[string]any `json:"rows,omitempty"`
-	Plan        string           `json:"plan"`
-	Fingerprint string           `json:"fingerprint"`
+// Row is one result row: a handle on the patch it projects, plus the
+// neighbor's distance in a kNN answer. Its fields, on the wire and
+// through Get, are the patch's scalar metadata, its identity and lineage
+// columns _id, _source and _frame, and _dist for a kNN neighbor; vector
+// and rect values are left out. A metadata field shadows the identity
+// and lineage column of its name, and _dist shadows metadata.
+type Row struct {
+	p    *core.Patch
+	dist float64
+	knn  bool
 }
 
-// encodeHead writes the indented encoding of the response's head to w,
-// with the settings writeJSON uses.
-func (r *Response) encodeHead(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(respHead{Value: r.Value, Rows: r.Rows, Plan: r.Plan, Fingerprint: r.Fingerprint})
+// rowBytes is a Row's footprint: the patch pointer, the distance and the
+// kNN flag.
+const rowBytes = 24
+
+// Get returns the row's field: _id and _frame as uint64, ints as int64,
+// floats as float64 and strings as string. ok is false for a field the
+// row does not carry.
+func (r Row) Get(field string) (any, bool) {
+	v, u, ok := r.value(field)
+	switch {
+	case !ok:
+		return nil, false
+	case v.Kind == core.KindInt:
+		return v.I, true
+	case v.Kind == core.KindFloat:
+		return v.F, true
+	case v.Kind == core.KindStr:
+		return v.S, true
+	}
+	return u, true
+}
+
+// value resolves field: a scalar v, or, when v has no kind, the unsigned
+// u of _id or _frame.
+func (r Row) value(field string) (v core.Value, u uint64, ok bool) {
+	if r.knn && field == "_dist" {
+		return core.FloatV(r.dist), 0, true
+	}
+	if mv, found := r.p.Meta[field]; found && wireKind(mv.Kind) {
+		return mv, 0, true
+	}
+	switch field {
+	case "_id":
+		return core.Value{}, uint64(r.p.ID), true
+	case "_frame":
+		return core.Value{}, r.p.Ref.Frame, true
+	case "_source":
+		return core.StrV(r.p.Ref.Source), 0, true
+	}
+	return core.Value{}, 0, false
+}
+
+// wireKind reports whether metadata of kind k is sent.
+func wireKind(k core.ValueKind) bool {
+	return k == core.KindInt || k == core.KindFloat || k == core.KindStr
+}
+
+// appendKeys appends the row's field names to keys, sorted bytewise.
+func (r Row) appendKeys(keys []string) []string {
+	keys = append(keys, "_frame", "_id", "_source")
+	if r.knn {
+		keys = append(keys, "_dist")
+	}
+	for k, v := range r.p.Meta {
+		switch {
+		case !wireKind(v.Kind), k == "_frame", k == "_id", k == "_source", r.knn && k == "_dist":
+			continue
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// MarshalJSON encodes the row as the object /query sends, indented for
+// its place in the rows array (encoding/json re-formats it to its own
+// indentation).
+func (r Row) MarshalJSON() ([]byte, error) {
+	var keys []string
+	return r.appendJSON(nil, &keys)
 }
 
 // wireMemo is a cached result's head, encoded at most once — on its
@@ -454,7 +518,7 @@ func (r *Response) encodeHead(w io.Writer) error {
 // head's bytes to the result-cache entry holding entry.
 type wireMemo struct {
 	once sync.Once
-	head []byte // the encoding minus headCloser; nil when encoding failed
+	head []byte // the head's exact-size bytes; nil when encoding failed
 	err  error
 
 	cache *Cache
@@ -465,63 +529,19 @@ type wireMemo struct {
 // headFor returns r's memoized head, encoding it on first use.
 func (m *wireMemo) headFor(r *Response) ([]byte, error) {
 	m.once.Do(func() {
-		var c headCapture
-		if m.err = r.encodeHead(&c); m.err == nil {
-			m.head = c
+		wb := wireBufs.Get().(*wireBuf)
+		defer wireBufs.Put(wb)
+		if wb.b, m.err = r.appendHead(wb.b[:0], &wb.keys); m.err == nil {
+			m.head = slices.Clone(wb.b)
 			m.cache.Charge(m.key, m.entry, int64(len(m.head)))
 		}
 	})
 	return m.head, m.err
 }
 
-// headCapture keeps an exact-size copy of one Encode output minus its
-// headCloser.
-type headCapture []byte
-
-func (h *headCapture) Write(p []byte) (int, error) {
-	*h = append([]byte(nil), p[:len(p)-len(headCloser)]...)
-	return len(p), nil
-}
-
-// sizeBytes estimates the response's cache footprint, including row
-// values (string metadata can dominate the fixed row overhead).
+// sizeBytes is the response's cache footprint: its fixed fields and one
+// handle per row. The rows' patches are resident in their collection's
+// row cache; the encoded head is charged when it is built.
 func (r *Response) sizeBytes() int64 {
-	size := int64(160) + int64(len(r.Plan)) + int64(len(r.Fingerprint))
-	for _, row := range r.Rows {
-		size += 48
-		for k, v := range row {
-			size += int64(len(k)) + valueBytes(v)
-		}
-	}
-	return size
-}
-
-// valueBytes estimates one row value's in-memory footprint: the
-// interface header plus its payload, recursing into containers. Flat
-// 8-byte accounting undercounts values wider than a machine word —
-// nested maps or slices surfaced via map[string]any, wide strings
-// inside them — letting wide rows occupy the LRU nearly for free and
-// evict honestly-accounted entries.
-func valueBytes(v any) int64 {
-	const header = 16 // interface value: type word + data word
-	switch x := v.(type) {
-	case nil:
-		return header
-	case string:
-		return header + 16 + int64(len(x)) // string header + bytes
-	case []any:
-		n := int64(header + 24) // slice header
-		for _, e := range x {
-			n += valueBytes(e)
-		}
-		return n
-	case map[string]any:
-		n := int64(header + 48) // map header + bucket overhead
-		for k, e := range x {
-			n += 16 + int64(len(k)) + valueBytes(e)
-		}
-		return n
-	default:
-		return header + 8 // scalar payload (int64, float64, bool, ...)
-	}
+	return 160 + int64(len(r.Plan)) + int64(len(r.Fingerprint)) + rowBytes*int64(len(r.Rows))
 }

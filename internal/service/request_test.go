@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestFingerprintIgnoresDeadOrderFields: execution returns before the
@@ -146,14 +148,14 @@ func TestRangeFilterResults(t *testing.T) {
 	if len(r.Rows) != 9 {
 		t.Fatalf("ordered range returned %d rows", len(r.Rows))
 	}
-	prev := r.Rows[0]["score"].(float64)
+	prev := rowField(r.Rows[0], "score").(float64)
 	for _, row := range r.Rows[1:] {
-		if got := row["score"].(float64); got > prev {
+		if got := rowField(row, "score").(float64); got > prev {
 			t.Fatalf("ordered range rows not descending: %g after %g", got, prev)
 		} else {
 			prev = got
 		}
-		if rank := row["rank"].(int64); rank < 2 || rank >= 5 {
+		if rank := rowField(row, "rank").(int64); rank < 2 || rank >= 5 {
 			t.Fatalf("row escapes range bound: rank %d", rank)
 		}
 	}
@@ -208,31 +210,35 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 		// Unsharded rows are snapshot-ordered on both paths: identical.
 		sr, _ := plain.Query(ctx, scan)
 		ir, _ := plain.Query(ctx, indexed)
-		if !reflect.DeepEqual(sr.Rows, ir.Rows) {
+		if !reflect.DeepEqual(refRows(sr.Rows), refRows(ir.Rows)) {
 			t.Errorf("%s[%v,%v): btree rows diverge from column scan", tc.field, tc.min, tc.max)
 		}
 	}
 }
 
-// TestResponseSizeBytesCountsWideValues: nested and wide values must
-// register their real footprint so wide rows cannot game LRU accounting.
+// TestResponseSizeBytesCountsWideValues: a row is charged as a handle —
+// its patch is resident in its collection — and its values through the
+// result's encoded head, so a wide row cannot occupy the result cache
+// nearly for free.
 func TestResponseSizeBytesCountsWideValues(t *testing.T) {
-	narrow := &Response{Rows: []map[string]any{{"a": int64(1)}}}
-	wide := &Response{Rows: []map[string]any{{
-		"a": map[string]any{
-			"x": strings.Repeat("v", 400),
-			"y": []any{1.0, 2.0, 3.0, strings.Repeat("w", 200)},
-		},
-	}}}
-	n, w := narrow.sizeBytes(), wide.sizeBytes()
-	if w <= n {
-		t.Fatalf("wide row accounted %d <= narrow %d", w, n)
+	rows := func(v core.Value) []Row {
+		return []Row{{p: &core.Patch{ID: 1, Meta: core.Metadata{"a": v}}}}
 	}
-	if w < 600 {
-		t.Fatalf("wide row accounted %d bytes; nested payload alone is >600", w)
+	narrow := &Response{Rows: rows(core.IntV(1))}
+	wide := &Response{Rows: rows(core.StrV(strings.Repeat("v", 600)))}
+	if n, w, want := narrow.sizeBytes(), wide.sizeBytes(), (&Response{}).sizeBytes()+rowBytes; n != want || w != want {
+		t.Fatalf("one-row responses charged %d and %d bytes before encoding, want %d (a handle)", n, w, want)
 	}
-	vec := &Response{Rows: []map[string]any{{"v": []any{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}}}}
-	if vec.sizeBytes() < narrow.sizeBytes()+8*16 {
-		t.Fatalf("slice value accounted %d bytes (flat-8 undercount)", vec.sizeBytes())
+	charged := func(r *Response) int64 {
+		c := NewCache(1<<20, 0)
+		c.Put("k", r, r.sizeBytes())
+		r.wire = &wireMemo{cache: c, key: "k", entry: r}
+		if _, err := r.wire.headFor(r); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().Bytes
+	}
+	if n, w := charged(narrow), charged(wide); w < n+600 {
+		t.Fatalf("encoded heads charged %d (wide) vs %d (narrow) bytes: the 600-byte value went uncounted", w, n)
 	}
 }

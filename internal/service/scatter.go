@@ -326,7 +326,10 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 				}
 			}
 		}
-		resp.Rows = projectRows(merged)
+		resp.Rows = make([]Row, len(merged))
+		for i, p := range merged {
+			resp.Rows[i] = Row{p: p}
+		}
 		if req.Limit > 0 {
 			planOps = append(planOps, fmt.Sprintf("limit(%d)", req.Limit))
 		}

@@ -769,7 +769,6 @@ const cacheLookupCostSec = 2e-6
 // the original's rows and wire memo.
 func cachedResponse(r *Response, s *Service) *Response {
 	out := *r
-	out.Rows = r.Rows // shared, treated as immutable
 	out.CacheHit = true
 	out.DurationMS = 0
 	out.CacheAwareCostSec = s.cost.CacheAwareCost(
@@ -806,31 +805,6 @@ func joinPlan(parts []string) string {
 		out += p
 	}
 	return out
-}
-
-// projectRows converts patches to JSON-friendly rows (scalar metadata
-// plus identity and lineage columns; vectors are elided).
-func projectRows(ps []*core.Patch) []map[string]any {
-	rows := make([]map[string]any, len(ps))
-	for i, p := range ps {
-		row := map[string]any{
-			"_id":     uint64(p.ID),
-			"_source": p.Ref.Source,
-			"_frame":  p.Ref.Frame,
-		}
-		for k, v := range p.Meta {
-			switch v.Kind {
-			case core.KindInt:
-				row[k] = v.I
-			case core.KindFloat:
-				row[k] = v.F
-			case core.KindStr:
-				row[k] = v.S
-			}
-		}
-		rows[i] = row
-	}
-	return rows
 }
 
 // clusterCount unions similarity pairs into identity clusters and counts

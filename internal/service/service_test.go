@@ -197,7 +197,7 @@ func TestQueryRowsOrderLimit(t *testing.T) {
 	}
 	var last int64 = -1
 	for _, row := range r.Rows {
-		fn := row["frameno"].(int64)
+		fn := rowField(row, "frameno").(int64)
 		if fn < last {
 			t.Fatalf("rows out of order: %d after %d", fn, last)
 		}

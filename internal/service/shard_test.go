@@ -296,7 +296,7 @@ func TestScatterTopKTiesAcrossShards(t *testing.T) {
 	}
 	sort.Float64s(all)
 	for i, row := range first.Rows {
-		got := row["score"].(float64)
+		got := rowField(row, "score").(float64)
 		if got != all[i] {
 			t.Fatalf("row %d score %g, want %g (merge not globally sorted)", i, got, all[i])
 		}

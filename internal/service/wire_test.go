@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,16 +46,18 @@ func encodeJSON(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// checkWire decodes a 200 /query body strictly into a Response and
-// requires the body to equal that Response's encoding/json form.
-func checkWire(t *testing.T, label string, code int, body []byte) *Response {
+// checkWire decodes a 200 /query body strictly, rows as maps and numbers
+// kept as written, and requires the body to equal the decoded value's
+// encoding/json form.
+func checkWire(t *testing.T, label string, code int, body []byte) *wireResponse {
 	t.Helper()
 	if code != http.StatusOK {
 		t.Fatalf("%s: HTTP %d: %s", label, code, body)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var r Response
+	dec.UseNumber()
+	var r wireResponse
 	if err := dec.Decode(&r); err != nil {
 		t.Fatalf("%s: %v in %s", label, err, body)
 	}
@@ -64,15 +67,18 @@ func checkWire(t *testing.T, label string, code int, body []byte) *Response {
 	return &r
 }
 
-// checkWriter requires writeResponse to send exactly writeJSON's bytes
-// for a Response obtained through the Go API (typed row values, no
-// decode round trip).
+// checkWriter requires writeResponse to send, for a Response obtained
+// through the Go API, exactly what writeJSON sends both for the Response
+// itself (rows through Row.MarshalJSON) and for its map-row reference.
 func checkWriter(t *testing.T, label string, r *Response) {
 	t.Helper()
 	got := httptest.NewRecorder()
 	writeResponse(got, r)
 	if want := encodeJSON(t, r); got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
 		t.Fatalf("%s: writeResponse sent %d %q, writeJSON sends %q", label, got.Code, got.Body.Bytes(), want)
+	}
+	if code, want := refBody(r); code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
+		t.Fatalf("%s: writeResponse sent %q, the map-row reference %d %q", label, got.Body.Bytes(), code, want)
 	}
 }
 
@@ -239,6 +245,141 @@ func FuzzAppendJSONFloat(f *testing.F) {
 	})
 }
 
+// FuzzAppendJSONString: appendJSONString writes json.Marshal's bytes for
+// every string, invalid UTF-8 included.
+func FuzzAppendJSONString(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte("prefix"), s); string(got) != "prefix"+string(want) {
+			t.Fatalf("%q: appended %q, json.Marshal gives %q", s, got, want)
+		}
+	})
+}
+
+// fuzzKeys are metadata names sorting before, among and after the
+// identity columns, colliding with them and with _dist, or needing
+// escapes.
+var fuzzKeys = []string{"", " ", "A", "Z", "^", "_", "_a", "_dist", "_frame", "_id", "_source", "_~",
+	"`", "a", "label", "score", "é", "<&>", "\u2028", "\xff", "k\x00", "\"q\""}
+
+// fuzzString draws a hostile string: the fuzzer's own, HTML and
+// separator characters, control bytes, invalid UTF-8 or random bytes.
+func fuzzString(r *rand.Rand, s string) string {
+	switch r.Intn(8) {
+	case 0:
+		return s
+	case 1:
+		b := make([]byte, r.Intn(12))
+		r.Read(b)
+		return string(b)
+	}
+	return fuzzStrings[r.Intn(len(fuzzStrings))]
+}
+
+var fuzzStrings = []string{"", "car", "a -> b", "<b>&amp;</b>", "\u2028x\u2029", "\xff\xfe\xed\xa0\x80",
+	"\x00\x01\x1f\b\f\n\r\t\"\\\x7f", "é日本\ufffd"}
+
+// fuzzFloat draws a float: signed zeros, exponent-form boundaries,
+// extremes, ordinary values, and rarely NaN or an infinity.
+func fuzzFloat(r *rand.Rand) float64 {
+	if r.Intn(48) == 0 {
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+	}
+	switch r.Intn(3) {
+	case 0:
+		return []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 9.99e-7, 1e20, 1e21, 5e-324,
+			math.MaxFloat64, -math.MaxFloat64, 0.1, 1 << 63}[r.Intn(12)]
+	case 1:
+		return r.NormFloat64() * math.Pow(10, float64(r.Intn(60)-30))
+	}
+	return float64(r.Intn(100)) / 4
+}
+
+// fuzzValue draws a metadata value of any kind, the unsent ones (no
+// kind, vec, rect) included.
+func fuzzValue(r *rand.Rand, s string) core.Value {
+	switch r.Intn(6) {
+	case 0:
+		return core.Value{}
+	case 1:
+		return core.IntV([]int64{0, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, r.Int63() - r.Int63()}[r.Intn(6)])
+	case 2:
+		return core.FloatV(fuzzFloat(r))
+	case 3:
+		return core.StrV(fuzzString(r, s))
+	case 4:
+		return core.VecV([]float32{float32(fuzzFloat(r)), 1})
+	}
+	return core.RectV(1, 2, 3, 4)
+}
+
+// fuzzResponse builds an uncached response over random patches.
+func fuzzResponse(r *rand.Rand, n int, knn bool, s string) *Response {
+	resp := &Response{Value: int(r.Int63() - r.Int63()), Rows: make([]Row, n),
+		Plan: fuzzString(r, s), Fingerprint: fuzzString(r, s)}
+	for i := range resp.Rows {
+		p := &core.Patch{ID: core.PatchID(r.Uint64()), Ref: core.Ref{Source: fuzzString(r, s), Frame: r.Uint64()},
+			Meta: core.Metadata{}}
+		for j := r.Intn(8); j > 0; j-- {
+			k := s
+			if r.Intn(4) > 0 {
+				k = fuzzKeys[r.Intn(len(fuzzKeys))]
+			}
+			p.Meta[k] = fuzzValue(r, s)
+		}
+		resp.Rows[i] = Row{p: p, knn: knn}
+		if knn {
+			resp.Rows[i].dist = fuzzFloat(r)
+		}
+	}
+	return resp
+}
+
+// sameField compares a Get value with a reference map value, NaN equal
+// to itself.
+func sameField(got, want any) bool {
+	if g, ok := got.(float64); ok {
+		w, ok := want.(float64)
+		return ok && math.Float64bits(g) == math.Float64bits(w)
+	}
+	return got == want
+}
+
+// FuzzRowWireMatchesEncodingJSON: over random patches, an uncached
+// /query body is byte-identical to the map-row reference's — or both
+// answer the same 500 — Row.MarshalJSON agrees with json.Marshal of the
+// reference maps, and Get returns exactly the maps' fields and values.
+func FuzzRowWireMatchesEncodingJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nrows uint8, knn bool, s string) {
+		resp := fuzzResponse(rand.New(rand.NewSource(seed)), int(nrows%24), knn, s)
+		got := httptest.NewRecorder()
+		writeResponse(got, resp)
+		code, want := refBody(resp)
+		if got.Code != code || !bytes.Equal(got.Body.Bytes(), want) {
+			t.Fatalf("writeResponse sent %d %q\nthe reference sends %d %q", got.Code, got.Body.Bytes(), code, want)
+		}
+
+		ref := refRows(resp.Rows)
+		gb, gerr := json.Marshal(resp.Rows)
+		wb, werr := json.Marshal(ref)
+		if (gerr != nil) != (werr != nil) || gerr == nil && !bytes.Equal(gb, wb) {
+			t.Fatalf("Row.MarshalJSON: %q (%v), the reference maps: %q (%v)", gb, gerr, wb, werr)
+		}
+		for i, row := range resp.Rows {
+			for _, k := range append(fuzzKeys, s) {
+				w, inRef := ref[i][k]
+				g, ok := row.Get(k)
+				if ok != inRef || ok && !sameField(g, w) {
+					t.Fatalf("row %d Get(%q) = %#v, %v; the reference map holds %#v, %v", i, k, g, ok, w, inRef)
+				}
+			}
+		}
+	})
+}
+
 // sinkWriter is a reusable ResponseWriter for allocation counts.
 type sinkWriter struct {
 	hdr    http.Header
@@ -284,6 +425,30 @@ func TestCachedHitAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, serve); allocs > maxCachedHitAllocs {
 		t.Fatalf("cached hit: %.0f allocations per request, want <= %d", allocs, maxCachedHitAllocs)
+	}
+}
+
+// TestUncachedResponseAllocsIndependentOfRows: a response without a
+// stored head is encoded row by row into a pooled buffer, so sending 20
+// rows allocates no more objects than sending one.
+func TestUncachedResponseAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	_, s := synthUnsharded(t, 120, Config{Workers: 1})
+	w := &sinkWriter{hdr: http.Header{}}
+	allocs := func(limit int) float64 {
+		r := mustQuery(t, s, Request{Collection: shardTestCol, OrderBy: "score", Limit: limit, NoCache: true})
+		if r.wire != nil || len(r.Rows) != limit {
+			t.Fatalf("want an uncached %d-row response, got %d rows (memo %v)", limit, len(r.Rows), r.wire != nil)
+		}
+		return testing.AllocsPerRun(200, func() {
+			w.status, w.body = 0, w.body[:0]
+			writeResponse(w, r)
+		})
+	}
+	if one, twenty := allocs(1), allocs(20); twenty != one {
+		t.Fatalf("uncached response: %.0f allocations for 1 row, %.0f for 20", one, twenty)
 	}
 }
 
