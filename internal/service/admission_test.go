@@ -3,18 +3,20 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
-// Admission suite: the adaptive cost-classed gate. Slow observed drain
-// shrinks the effective queue; past that watermark expensive classes
-// shed with a cost-aware Retry-After while cheap point lookups still
-// admit; appends pass a separate non-blocking gate so a wedged read
-// path can never deadlock writes.
+// Admission suite: queries wait in a FIFO of Config.QueueDepth and are
+// refused only when it is full; appends pass a separate non-blocking
+// gate of max(2, workers) slots, so a wedged read path can never
+// deadlock writes.
 
 // wedgeUntilFull launches stalled queries via launch until the worker
 // and at least one queue slot both hold one, retrying rejections — a
@@ -36,79 +38,6 @@ func wedgeUntilFull(t *testing.T, svc *Service, wg *sync.WaitGroup, launch func(
 			launch()
 		}()
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestAdmissionShedsExpensiveFirst: wedge a one-worker service with
-// stalled similarity joins until the drain estimator shrinks the
-// effective depth to the worker count, then probe with an expensive
-// join (shed, 429-class rejection) and a cheap point filter (admitted
-// and answered).
-func TestAdmissionShedsExpensiveFirst(t *testing.T) {
-	stallAll := fault.Config{Seed: 31, Rules: []fault.Rule{
-		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 400 * time.Millisecond},
-	}}
-	_, svc := synthReplicated(t, 1, 1, 60, Config{Workers: 1, QueueDepth: 8, Faults: stallAll})
-	ctx := context.Background()
-	join := Request{Collection: shardTestCol, NoCache: true,
-		SimJoin: &SimJoinSpec{Field: "emb", Eps: 0.2}}
-
-	// One stalled join completes (~400ms): the drain EWMA now says the
-	// pool clears ~0.6 tasks per targetQueueDelay, so the effective
-	// depth collapses to the worker count.
-	if _, err := svc.Query(ctx, join); err != nil {
-		t.Fatal(err)
-	}
-	if d := svc.Stats().EffectiveQueueDepth; d != 1 {
-		t.Fatalf("effective depth after slow drain = %d, want 1", d)
-	}
-
-	// Wedge: one join on the worker, one in the queue. Launch wedgers
-	// until both spots hold — a wedger arriving before the worker
-	// dequeues its predecessor is rejected and simply retried.
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wedgeUntilFull(t, svc, &wg, func() { _, _ = svc.Query(ctx, join) })
-
-	// The expensive probe is priced at the join class EWMA (far above
-	// the shed floor) and the queue is past its effective depth: shed,
-	// with room still left in the physical queue.
-	_, err := svc.Query(ctx, join)
-	var oe *OverloadError
-	if !errors.As(err, &oe) || !oe.Shed {
-		t.Fatalf("expensive join under pressure = %v, want cost-based shed", err)
-	}
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("OverloadError does not unwrap to ErrOverloaded: %v", err)
-	}
-	if oe.RetryAfter < time.Second {
-		t.Fatalf("shed Retry-After = %v, want >= 1s", oe.RetryAfter)
-	}
-	if oe.Class != classJoin {
-		t.Fatalf("shed class = %q, want %q", oe.Class, classJoin)
-	}
-
-	// A cheap point filter (2ms class seed, below the shed floor) still
-	// admits into the remaining physical queue and gets answered.
-	cheapDone := make(chan error, 1)
-	go func() {
-		_, err := svc.Query(ctx, Request{Collection: shardTestCol, NoCache: true,
-			Filter: &FilterSpec{Field: "label", Str: strp("car")}})
-		cheapDone <- err
-	}()
-	select {
-	case err := <-cheapDone:
-		if errors.Is(err, ErrOverloaded) {
-			t.Fatalf("cheap filter shed alongside the expensive join: %v", err)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cheap filter never drained")
-	}
-	if svc.Stats().AdmissionShed == 0 {
-		t.Fatal("admission_shed counter did not move")
 	}
 }
 
@@ -148,108 +77,101 @@ func TestAppendsNeverDeadlockBehindWedgedReads(t *testing.T) {
 	}
 }
 
-// TestAdmissionUnitBehavior pins the gate's arithmetic: effective depth
-// clamps, retry-after clamps, and the append gate's capacity.
+// TestAdmissionUnitBehavior pins the append gate's capacity: of eight
+// concurrent claims exactly max(2, workers) get a slot and the rest are
+// refused without blocking, and a released slot is reusable.
 func TestAdmissionUnitBehavior(t *testing.T) {
-	a := newAdmission(2, 64)
-	// No observations: no evidence to shrink on.
-	if d := a.effectiveDepth(); d != 64 {
-		t.Fatalf("cold effective depth = %d, want hard depth 64", d)
-	}
-	// Fast drain: depth grows past the hard cap and clamps to it.
-	for i := 0; i < 10; i++ {
-		a.observeDrain(100 * time.Microsecond)
-	}
-	if d := a.effectiveDepth(); d != 64 {
-		t.Fatalf("fast-drain effective depth = %d, want clamp at 64", d)
-	}
-	// Slow drain: depth collapses but never below the worker count.
-	for i := 0; i < 64; i++ {
-		a.observeDrain(10 * time.Second)
-	}
-	if d := a.effectiveDepth(); d != 2 {
-		t.Fatalf("slow-drain effective depth = %d, want worker floor 2", d)
-	}
-	// Retry-After scales with backlog and clamps to [1s, 60s].
-	if ra := a.retryAfter(0); ra < retryAfterMin {
-		t.Fatalf("retryAfter(0) = %v, below minimum", ra)
-	}
-	if ra := a.retryAfter(1 << 20); ra != retryAfterMax {
-		t.Fatalf("retryAfter(huge) = %v, want clamp at %v", ra, retryAfterMax)
-	}
-	// The append gate admits exactly appendLimit() concurrent commits,
-	// rejects the next without blocking, and frees on release.
-	var releases []func()
-	for i := 0; i < a.appendLimit(); i++ {
-		rel, err := a.admitAppend()
-		if err != nil {
-			t.Fatalf("append slot %d rejected: %v", i, err)
+	for _, workers := range []int{1, 4} {
+		_, svc := synthUnsharded(t, 10, Config{Workers: workers})
+		slots := max(2, workers)
+		var granted atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if svc.tryAppendSlot() {
+					granted.Add(1)
+				}
+			}()
 		}
-		releases = append(releases, rel)
-	}
-	if _, err := a.admitAppend(); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated append gate = %v, want overload", err)
-	}
-	releases[0]()
-	releases[0]() // double release is a no-op, not a double free
-	if rel, err := a.admitAppend(); err != nil {
-		t.Fatalf("released slot not reusable: %v", err)
-	} else {
-		rel()
-	}
-	for _, rel := range releases[1:] {
-		rel()
-	}
-}
-
-// TestPriceQueryFragmentFloorByFanOut: the widest-fragment p99 floors a
-// query's price only when it fans out over more than one shard. At
-// fan-out 1 — through either constructor — the quote stays the class
-// estimate, the price New has always given.
-func TestPriceQueryFragmentFloorByFanOut(t *testing.T) {
-	cfg := Config{Workers: 1}
-	_, plain := synthUnsharded(t, 30, cfg)
-	_, one := synthSharded(t, 1, 30, cfg)
-	_, three := synthSharded(t, 3, 30, cfg)
-	req := &Request{Collection: shardTestCol}
-	for _, c := range []struct {
-		name    string
-		svc     *Service
-		floored bool
-	}{{"New", plain, false}, {"NewSharded(1)", one, false}, {"NewSharded(3)", three, true}} {
-		for i := 0; i < hedgeMinSamples; i++ {
-			c.svc.tel.fragmentDur.Observe(1) // one-second fragments: far above the class seed
+		wg.Wait()
+		if got := granted.Load(); got != int64(slots) {
+			t.Fatalf("workers=%d: gate granted %d of 8 concurrent claims, want %d", workers, got, slots)
 		}
-		_, cost := c.svc.priceQuery(req, "")
-		if seed := classSeeds[classFilter]; !c.floored && cost != seed {
-			t.Errorf("%s: priced %gs, want the class estimate %gs", c.name, cost, seed)
-		} else if c.floored && cost < 0.5 {
-			t.Errorf("%s: priced %gs, want the ~1s fragment p99 floor", c.name, cost)
+		svc.releaseAppendSlot()
+		if !svc.tryAppendSlot() {
+			t.Fatalf("workers=%d: released slot not reusable", workers)
+		}
+		for i := 0; i < slots; i++ {
+			svc.releaseAppendSlot()
 		}
 	}
 }
 
-// TestCacheFamilyHitRate pins the per-family hit accounting that
-// admission's cache-aware discount reads.
-func TestCacheFamilyHitRate(t *testing.T) {
-	c := NewCache(1<<20, time.Minute)
-	c.Put("q:a:1", 1, 8)
-	c.Put("q:b:1", 1, 8)
-	// Family a: two hits, no misses. Family b: one hit, three misses.
-	c.Get("q:a:1")
-	c.Get("q:a:1")
-	c.Get("q:b:1")
-	c.Get("q:b:2")
-	c.Get("q:b:3")
-	c.Get("q:b:4")
-	if hr := c.FamilyHitRate("q:a:"); hr != 1 {
-		t.Fatalf("family a hit rate = %g, want 1", hr)
+// TestRejectionCountedOnce: a query refused at a full queue counts in
+// rejected only, and an append refused at the saturated append gate in
+// admission_shed only — in /stats and on /metrics alike.
+func TestRejectionCountedOnce(t *testing.T) {
+	stallAll := fault.Config{Seed: 41, Rules: []fault.Rule{
+		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 5 * time.Second},
+	}}
+	_, svc := synthReplicated(t, 1, 1, 30, Config{Workers: 1, QueueDepth: 1, Faults: stallAll})
+	ctx := context.Background()
+
+	// Wedge the worker, then the one queue slot, one stalled query at a
+	// time, so no wedger is ever rejected.
+	wedgeCtx, unwedge := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer unwedge()
+	for _, filled := range []func(Stats) bool{
+		func(st Stats) bool { return st.InFlight == 1 && st.QueueDepth == 0 },
+		func(st Stats) bool { return st.InFlight == 2 && st.QueueDepth == 1 },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = svc.Query(wedgeCtx, Request{Collection: shardTestCol, NoCache: true})
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for !filled(svc.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker + queue never filled: %+v", svc.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	if hr := c.FamilyHitRate("q:b:"); hr != 0.25 {
-		t.Fatalf("family b hit rate = %g, want 0.25", hr)
+
+	if _, err := svc.Query(ctx, Request{Collection: shardTestCol, NoCache: true}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("query over a full queue = %v, want ErrOverloaded", err)
 	}
-	// Unknown family falls back to the cache-wide rate (3 hits / 6 gets).
-	if hr := c.FamilyHitRate("q:zzz:"); hr != 0.5 {
-		t.Fatalf("unknown family fell back to %g, want cache-wide 0.5", hr)
+	held := 0
+	for svc.tryAppendSlot() {
+		held++
+	}
+	defer func() {
+		for ; held > 0; held-- {
+			svc.releaseAppendSlot()
+		}
+	}()
+	_, err := svc.Append(ctx, AppendRequest{Collection: shardTestCol, Patches: []PatchSpec{specFromPatch(synthPatch(30))}})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("append past a saturated gate = %v, want ErrOverloaded", err)
+	}
+
+	if st := svc.Stats(); st.Rejected != 1 || st.AdmissionShed != 1 {
+		t.Fatalf("stats rejected=%d admission_shed=%d, want 1 and 1", st.Rejected, st.AdmissionShed)
+	}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	exp, err := obs.CheckExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"deeplens_queries_rejected_total", "deeplens_admission_shed_total"} {
+		if v, ok := exp.Value(name, nil); !ok || v != 1 {
+			t.Fatalf("%s = %v (found=%v), want 1", name, v, ok)
+		}
 	}
 }

@@ -52,64 +52,6 @@ type Cache struct {
 	bytes int64
 
 	hits, misses, puts, evictions, expirations, invalidated int64
-
-	// families tracks hit/miss per key family (the key up to and
-	// including its last ':' — "q:<collection>:" for result keys), so
-	// admission can price a request by how often ITS collection hits
-	// rather than the cache-wide average. Bounded; see maxCacheFamilies.
-	families map[string]*familyStat
-}
-
-// familyStat is one key family's hit/miss record.
-type familyStat struct {
-	hits, misses int64
-}
-
-// maxCacheFamilies bounds the per-family stats map: past this many
-// distinct families new ones go untracked (FamilyHitRate returns the
-// cache-wide rate for them) rather than growing without bound.
-const maxCacheFamilies = 1024
-
-// familyOf derives a key's family: everything up to and including the
-// last ':' ("" when the key has none — those keys share one family).
-func familyOf(key string) string {
-	if i := strings.LastIndexByte(key, ':'); i >= 0 {
-		return key[:i+1]
-	}
-	return ""
-}
-
-func (c *Cache) noteFamilyLocked(key string, hit bool) {
-	fam := familyOf(key)
-	st, ok := c.families[fam]
-	if !ok {
-		if len(c.families) >= maxCacheFamilies {
-			return
-		}
-		st = &familyStat{}
-		c.families[fam] = st
-	}
-	if hit {
-		st.hits++
-	} else {
-		st.misses++
-	}
-}
-
-// FamilyHitRate returns the observed hit rate of one key family (e.g.
-// "q:traffic.dets:"), falling back to the cache-wide rate for families
-// with no record yet.
-func (c *Cache) FamilyHitRate(family string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.families[family]; ok && st.hits+st.misses > 0 {
-		return float64(st.hits) / float64(st.hits+st.misses)
-	}
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }
 
 // NewCache builds a cache holding at most capBytes of accounted value
@@ -119,12 +61,11 @@ func NewCache(capBytes int64, ttl time.Duration) *Cache {
 		capBytes = 1
 	}
 	return &Cache{
-		cap:      capBytes,
-		ttl:      ttl,
-		now:      time.Now,
-		ll:       list.New(),
-		index:    make(map[string]*list.Element),
-		families: make(map[string]*familyStat),
+		cap:   capBytes,
+		ttl:   ttl,
+		now:   time.Now,
+		ll:    list.New(),
+		index: make(map[string]*list.Element),
 	}
 }
 
@@ -135,7 +76,6 @@ func (c *Cache) Get(key string) (any, bool) {
 	el, ok := c.index[key]
 	if !ok {
 		c.misses++
-		c.noteFamilyLocked(key, false)
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
@@ -143,12 +83,10 @@ func (c *Cache) Get(key string) (any, bool) {
 		c.removeLocked(el)
 		c.expirations++
 		c.misses++
-		c.noteFamilyLocked(key, false)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	c.noteFamilyLocked(key, true)
 	return e.val, true
 }
 

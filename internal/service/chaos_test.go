@@ -108,13 +108,41 @@ func TestHedgedReadsSurviveStalledReplica(t *testing.T) {
 	if st.Replicas != 2 {
 		t.Fatalf("stats replicas = %d, want 2", st.Replicas)
 	}
-	// A fault-free service may hedge occasionally by design — once the
-	// histogram is warm the budget tracks 2x the live p99, so ~1% of
-	// fat-tail fragments race a hedge — but hedges must stay rare next
-	// to a service whose primaries are all stalled.
+	// A fault-free service may hedge occasionally by design — a fragment
+	// that outlives the 25ms default HedgeAfter races a hedge — but
+	// hedges must stay rare next to a service whose primaries are all
+	// stalled.
 	if hh := healthy.Stats().HedgedFragments; hh*10 > st.HedgedFragments {
 		t.Fatalf("fault-free twin hedged %d times vs %d under stalls (healthy budget too tight)",
 			hh, st.HedgedFragments)
+	}
+}
+
+// TestHedgeWaitsConfiguredBudget: the hedge budget is Config.HedgeAfter
+// however fast past fragments ran. A warm histogram of sub-millisecond
+// fragments must not pull it down below a 20ms stall on the primary.
+func TestHedgeWaitsConfiguredBudget(t *testing.T) {
+	const rows = 60
+	rules, err := fault.ParseRules("fragment-stall@0.0:1.0:20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, svc := synthReplicated(t, 1, 2, rows, Config{Workers: 1, HedgeAfter: 200 * time.Millisecond,
+		Faults: fault.Config{Seed: 43, Rules: rules}})
+	for i := 0; i < 40; i++ {
+		svc.tel.fragmentDur.Observe(200e-6)
+	}
+	if r := mustQuery(t, svc, Request{Collection: shardTestCol, NoCache: true}); r.Value != rows {
+		t.Fatalf("count = %d, want %d", r.Value, rows)
+	}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	exp, err := obs.CheckExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := exp.Value("deeplens_hedged_fragments_total", nil); !ok || v != 0 {
+		t.Fatalf("deeplens_hedged_fragments_total = %v (found=%v), want 0 inside a 200ms budget", v, ok)
 	}
 }
 
@@ -514,6 +542,27 @@ func TestHTTPOverloadAndTimeout(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 missing Retry-After")
+	}
+
+	// A saturated append gate -> 429 + Retry-After: 1.
+	held := 0
+	for svc.tryAppendSlot() {
+		held++
+	}
+	resp, err := http.Post(srv.URL+"/append", "application/json", bytes.NewBufferString(
+		`{"collection":"`+shardTestCol+`","patch":{"source":"synth","meta":{"label":"car"}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for ; held > 0; held-- {
+		svc.releaseAppendSlot()
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("append past a saturated gate = %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("append 429 Retry-After = %q, want 1", got)
 	}
 	wg.Wait()
 }

@@ -12,59 +12,23 @@ import (
 
 // Hedged, deadline-aware fragment execution. Every shard of a scatter
 // runs its fragment against one in-sync replica; if that attempt is
-// slower than the hedge budget (a live p99 of past fragment latencies,
-// seeded by Config.HedgeAfter until enough samples exist), a second
-// attempt launches on the next replica and the first response wins —
-// the loser's context is canceled so it stops scanning. A fragment
-// that fails outright gets one retry with jittered backoff before the
-// shard is declared missing.
+// still running after Config.HedgeAfter, a second attempt launches on
+// the next replica and the first response wins — the loser's context
+// is canceled so it stops scanning. A fragment that fails outright gets
+// one retry with jittered backoff before the shard is declared missing.
 //
 // The single-replica, no-fault-injection case takes a separate inline
 // path — no goroutine, no channel, no timer — because it has nothing to
 // hedge against and is what every query over an unreplicated backend
 // runs.
 
+// retryBaseDelay/retryJitter space the single error-retry so a
+// deterministic failure (full disk, poisoned block) isn't hammered
+// back-to-back, with jitter to de-correlate shards retrying at once.
 const (
-	// hedgeHeadroom scales the observed p99 into the hedge budget: an
-	// attempt twice as slow as the 99th percentile is presumed stuck.
-	hedgeHeadroom = 2.0
-	// hedgeMinSamples gates the p99-derived budget; below it the
-	// configured HedgeAfter floor applies (cold-start histograms are
-	// noise).
-	hedgeMinSamples = 32
-	// hedgeBudgetMin/Max clamp the derived budget: never hedge inside
-	// a millisecond (fragment startup costs that much), never wait
-	// more than a second to try the other replica.
-	hedgeBudgetMin = time.Millisecond
-	hedgeBudgetMax = time.Second
-	// retryBaseDelay/retryJitter space the single error-retry so a
-	// deterministic failure (full disk, poisoned block) isn't hammered
-	// back-to-back, with jitter to de-correlate shards retrying at once.
 	retryBaseDelay = 2 * time.Millisecond
 	retryJitter    = 2 * time.Millisecond
 )
-
-// hedgeBudget returns how long a fragment attempt may run before a
-// hedge launches, or 0 when hedging is disabled. Once the fragment
-// latency histogram has hedgeMinSamples observations the budget tracks
-// 2x its live p99 (clamped); before that it is the configured floor.
-func (s *Service) hedgeBudget() time.Duration {
-	if s.cfg.HedgeAfter <= 0 {
-		return 0
-	}
-	h := s.tel.fragmentDur
-	if h.Count() < hedgeMinSamples {
-		return s.cfg.HedgeAfter
-	}
-	b := time.Duration(h.Quantile(0.99) * hedgeHeadroom * float64(time.Second))
-	if b < hedgeBudgetMin {
-		b = hedgeBudgetMin
-	}
-	if b > hedgeBudgetMax {
-		b = hedgeBudgetMax
-	}
-	return b
-}
 
 // retryDelay returns the jittered backoff before the single fragment
 // error-retry.
@@ -132,7 +96,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 
 // hedgedFragment produces shard i's fragment from whichever in-sync
 // replica answers first. Policy: start on one replica; hedge to the
-// next after the budget elapses; on an error, retry once (jittered)
+// next after Config.HedgeAfter elapses; on an error, retry once (jittered)
 // on the next replica in line; first success wins and cancels the
 // loser. Returns the parent context's error verbatim when the query
 // was canceled or timed out.
@@ -190,7 +154,7 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 	outstanding := 1
 	launch()
 
-	budget := s.hedgeBudget()
+	budget := s.cfg.HedgeAfter // 0 when hedging is disabled
 	var hedgeC <-chan time.Time
 	if budget > 0 && len(replicas) > 1 {
 		ht := time.NewTimer(budget)

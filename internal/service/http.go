@@ -323,7 +323,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		writeResponse(w, resp)
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", retryAfterHeader(err))
+		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, httpError{err.Error()})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
@@ -361,7 +361,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// The write gate is saturated: same backpressure contract as
 		// /query, so load balancers slow the producer instead of the
 		// producer starving reads.
-		w.Header().Set("Retry-After", retryAfterHeader(err))
+		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, httpError{err.Error()})
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
@@ -394,20 +394,6 @@ func (s *Service) handleSlow(w http.ResponseWriter, r *http.Request) {
 		"threshold_ms": float64(s.cfg.SlowQueryThreshold.Microseconds()) / 1000,
 		"entries":      s.SlowQueries(),
 	})
-}
-
-// retryAfterHeader renders an overload rejection's cost-aware backoff
-// hint in whole seconds (minimum 1, the pre-typed-error contract).
-func retryAfterHeader(err error) string {
-	var oe *OverloadError
-	if errors.As(err, &oe) {
-		secs := int(oe.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		return strconv.Itoa(secs)
-	}
-	return "1"
 }
 
 // handleReady is the readiness probe: unlike /healthz (pure liveness),

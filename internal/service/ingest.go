@@ -100,16 +100,13 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 	}
 	// Appends commit inline on the caller's goroutine — they never enter
 	// the worker queue, so a write burst can't deadlock behind queued
-	// reads — but they pass the same admission gate via a concurrency
-	// cap: past it, reject immediately with a cost-aware Retry-After
-	// (HTTP 429) instead of letting unbounded writers pile in.
-	release, err := s.adm.admitAppend()
-	if err != nil {
-		s.tel.rejected.Inc()
+	// reads — but pass a concurrency cap of their own: past it, reject
+	// immediately (HTTP 429) instead of letting unbounded writers pile in.
+	if !s.tryAppendSlot() {
 		s.tel.admissionShed.Inc()
-		return nil, err
+		return nil, errAppendGateFull
 	}
-	defer release()
+	defer s.releaseAppendSlot()
 
 	sc, err := s.shards.Collection(req.Collection)
 	if err != nil {
@@ -140,7 +137,6 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 	s.noteAppended(req.Collection, len(ids))
 	dur := time.Since(start)
 	s.tel.appendDur.Observe(dur.Seconds())
-	s.adm.observe(classAppend, dur)
 	return &AppendResponse{
 		Collection: req.Collection,
 		Appended:   len(ids),

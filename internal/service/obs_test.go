@@ -425,8 +425,6 @@ type statsContract struct {
 	ResyncRows        int64             `json:"resync_rows"`
 	OutOfSyncReplicas int               `json:"out_of_sync_replicas"`
 	AdmissionShed     int64             `json:"admission_shed"`
-	QueueCostSec      float64           `json:"queue_cost_sec"`
-	EffQueueDepth     int               `json:"effective_queue_depth"`
 }
 
 // TestStatsJSONContract pins the /stats response shape: every field the
@@ -474,7 +472,7 @@ func TestStatsJSONContract(t *testing.T) {
 		"shards", "replicas", "shard_info", "scatter_queries", "scatter_tasks", "merge_time_ms",
 		"hedged_fragments", "fragment_retries", "degraded_queries", "replica_append_errors",
 		"replica_resyncs", "resync_rows", "out_of_sync_replicas",
-		"admission_shed", "queue_cost_sec", "effective_queue_depth",
+		"admission_shed",
 	} {
 		if _, ok := keys[want]; !ok {
 			t.Errorf("/stats dropped field %q", want)

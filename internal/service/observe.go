@@ -45,10 +45,8 @@ type telemetry struct {
 	fragmentRetries *obs.Counter
 	degradedQueries *obs.Counter
 
-	// admissionShed counts requests rejected by the adaptive gate while
-	// the queue still had physical room (expensive queries past the
-	// effective depth, appends past the write gate) — the deliberate
-	// load-shedding slice of rejected.
+	// admissionShed counts appends refused at the append gate; rejected
+	// counts queries refused at a full queue. No request counts in both.
 	admissionShed *obs.Counter
 
 	// Latency and shape distributions.
@@ -57,8 +55,7 @@ type telemetry struct {
 	queueWait *obs.Histogram // admission-queue wait, every executed task
 	batchWait *obs.Histogram // batcher submit->launch wait (traced queries)
 	fanout    *obs.Histogram // scatter wave width per scattered query
-	// fragmentDur feeds the hedge budget: its live p99 (with headroom)
-	// decides when a slow fragment is raced against another replica.
+	// fragmentDur records successful scatter fragment attempts.
 	fragmentDur *obs.Histogram
 }
 
@@ -86,14 +83,14 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		fragmentRetries: r.Counter("deeplens_fragment_retries_total", "Scatter fragment attempts retried after an error.", nil),
 		degradedQueries: r.Counter("deeplens_degraded_queries_total", "Queries answered partially (allow_partial with every replica of a shard down).", nil),
 
-		admissionShed: r.Counter("deeplens_admission_shed_total", "Requests shed by the adaptive admission gate (expensive queries past the effective depth, appends past the write gate).", nil),
+		admissionShed: r.Counter("deeplens_admission_shed_total", "Appends rejected by append-gate saturation.", nil),
 
 		queryDur:    r.Histogram("deeplens_query_duration_seconds", "Query wall time, admission to response.", nil, obs.DefaultLatencyBuckets),
 		appendDur:   r.Histogram("deeplens_append_duration_seconds", "Append request wall time.", nil, obs.DefaultLatencyBuckets),
 		queueWait:   r.Histogram("deeplens_queue_wait_seconds", "Admission-queue wait before a worker picks the task up.", nil, obs.DefaultLatencyBuckets),
 		batchWait:   r.Histogram("deeplens_batch_wait_seconds", "Kernel submit-to-launch wait in the batcher (traced queries only).", nil, obs.DefaultLatencyBuckets),
 		fanout:      r.Histogram("deeplens_scatter_fanout", "Scatter wave width (shards) per scattered query.", nil, obs.FanoutBuckets),
-		fragmentDur: r.Histogram("deeplens_fragment_duration_seconds", "Scatter fragment attempt wall time (successful attempts; feeds the hedge budget p99).", nil, obs.DefaultLatencyBuckets),
+		fragmentDur: r.Histogram("deeplens_fragment_duration_seconds", "Scatter fragment attempt wall time (successful attempts).", nil, obs.DefaultLatencyBuckets),
 	}
 	if cfg.TraceSample > 0 {
 		n := int64(1.0/cfg.TraceSample + 0.5)
@@ -131,10 +128,6 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		_, rows := s.shards.ResyncStats()
 		return float64(rows)
 	})
-	r.GaugeFunc("deeplens_admission_queue_cost_seconds", "Summed priced cost (estimated seconds of work) of the tasks currently queued.", nil,
-		func() float64 { return s.adm.QueuedCostSec() })
-	r.GaugeFunc("deeplens_admission_effective_depth", "Adaptive queue bound derived from the observed drain rate.", nil,
-		func() float64 { return float64(s.adm.effectiveDepth()) })
 
 	for _, c := range []struct {
 		label string

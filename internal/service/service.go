@@ -49,9 +49,11 @@ import (
 
 // Service errors.
 var (
-	// ErrOverloaded reports admission-queue overflow: the caller should
-	// back off and retry (HTTP 429).
+	// ErrOverloaded reports admission-queue overflow, or a saturated
+	// append gate: the caller should back off and retry (HTTP 429).
 	ErrOverloaded = errors.New("service: admission queue full")
+	// errAppendGateFull is the append gate's ErrOverloaded.
+	errAppendGateFull = fmt.Errorf("%w: append gate saturated", ErrOverloaded)
 	// ErrClosed reports a query against a closed service.
 	ErrClosed = errors.New("service: closed")
 	// ErrQueryTimeout reports a query that exceeded the server-side
@@ -132,11 +134,10 @@ type Config struct {
 	// fragments are cut slightly early and the shards that made it in
 	// time still answer.
 	QueryTimeout time.Duration
-	// HedgeAfter is the fragment latency budget before a scatter
-	// fragment is hedged to another in-sync replica (first response
-	// wins, loser canceled). Used until enough fragments have been
-	// observed to derive the budget from the live p99 (default 25ms;
-	// negative disables hedging). Only effective with > 1 replica.
+	// HedgeAfter is how long a scatter fragment attempt may run before
+	// the fragment is hedged to another in-sync replica (first response
+	// wins, loser canceled). Default 25ms; negative disables hedging.
+	// Only effective with > 1 replica.
 	HedgeAfter time.Duration
 	// ResyncInterval is the anti-entropy sweep cadence: how often the
 	// background repair loop checks for demoted replicas and re-syncs
@@ -219,15 +220,13 @@ func (c Config) withDefaults(shards int) Config {
 
 // task is one admitted query awaiting a worker.
 type task struct {
-	ctx   context.Context
-	req   *Request
-	key   string    // result-cache key ("" = uncacheable)
-	enq   time.Time // admission time (queue-wait telemetry)
-	class string    // admission class (filter/join/knn/infer)
-	cost  float64   // priced cost at admission, in estimated seconds
-	resp  *Response
-	err   error
-	done  chan struct{}
+	ctx  context.Context
+	req  *Request
+	key  string    // result-cache key ("" = uncacheable)
+	enq  time.Time // admission time (queue-wait telemetry)
+	resp *Response
+	err  error
+	done chan struct{}
 }
 
 // flight is an in-progress computation identical cold queries coalesce on.
@@ -282,9 +281,9 @@ type Service struct {
 	// and join paths (nil = disabled, one pointer compare per site).
 	inj *fault.Injector
 
-	// adm is the adaptive cost-classed admission gate fronting the
-	// worker queue and the inline append path.
-	adm *admission
+	// appendSlots is the append gate: one token per inline append
+	// commit in progress, max(2, Workers) at most.
+	appendSlots chan struct{}
 
 	// segCache is the tiered column store's byte-budgeted residency
 	// cache, installed on every backing DB when Config.ColumnMemBudget
@@ -360,7 +359,7 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		s.segCache = core.NewSegmentCache(budget)
 		sdb.SetSegmentCache(s.segCache)
 	}
-	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth)
+	s.appendSlots = make(chan struct{}, max(2, cfg.Workers))
 	s.tel = newTelemetry(s, cfg)
 	// Lease every device for the service's lifetime and front each with a
 	// kernel batcher. Workers are assigned round-robin: with Devices ==
@@ -615,36 +614,19 @@ func (s *Service) finishFlight(key string, fl *flight, resp *Response, err error
 	close(fl.done)
 }
 
-// enqueue runs the adaptive admission gate and, if the request passes,
-// places the task on the worker queue. Rejections are typed
-// *OverloadError (unwrapping to ErrOverloaded): a hard rejection when
-// the channel is physically full, a cost-based shed when the queue has
-// crossed its drain-rate-derived effective depth and this request
-// prices as expensive. Cheap requests keep admitting past the soft
-// watermark — under pressure the service degrades by shedding the work
-// that would hold the queue longest.
+// enqueue places the task on the worker queue, or rejects it with
+// ErrOverloaded when the queue is full: admission is a FIFO of
+// Config.QueueDepth.
 func (s *Service) enqueue(ctx context.Context, req *Request, key string) (*task, error) {
-	class, cost := s.priceQuery(req, key)
-	t := &task{
-		ctx: ctx, req: req, key: key, enq: time.Now(),
-		class: class, cost: cost, done: make(chan struct{}),
-	}
+	t := &task{ctx: ctx, req: req, key: key, enq: time.Now(), done: make(chan struct{})}
 	// The queue send and the in-flight increment happen under statsMu so
 	// Stats observes them as one event (a task is never visible in the
 	// queue without being counted in flight, or vice versa).
 	s.statsMu.Lock()
-	queued := len(s.queue)
-	if queued >= s.adm.effectiveDepth() && cost >= expensiveCostFloorSec {
-		s.statsMu.Unlock()
-		s.tel.rejected.Inc()
-		s.tel.admissionShed.Inc()
-		return nil, &OverloadError{RetryAfter: s.adm.retryAfter(queued), Class: class, Shed: true}
-	}
 	select {
 	case s.queue <- t:
 		n := s.inFlight.Add(1)
 		s.statsMu.Unlock()
-		s.adm.noteQueued(cost)
 		for {
 			peak := s.peakInFlight.Load()
 			if n <= peak || s.peakInFlight.CompareAndSwap(peak, n) {
@@ -656,9 +638,22 @@ func (s *Service) enqueue(ctx context.Context, req *Request, key string) (*task,
 	default:
 		s.statsMu.Unlock()
 		s.tel.rejected.Inc()
-		return nil, &OverloadError{RetryAfter: s.adm.retryAfter(queued), Class: class}
+		return nil, ErrOverloaded
 	}
 }
+
+// tryAppendSlot claims a slot in the append gate without blocking and
+// reports whether it got one; releaseAppendSlot frees it.
+func (s *Service) tryAppendSlot() bool {
+	select {
+	case s.appendSlots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (s *Service) releaseAppendSlot() { <-s.appendSlots }
 
 // admit enqueues the task and waits for its completion.
 func (s *Service) admit(ctx context.Context, req *Request, key string) (*Response, error) {
@@ -691,7 +686,6 @@ func (s *Service) run(w *worker) {
 }
 
 func (s *Service) process(w *worker, t *task) {
-	s.adm.noteDequeued(t.cost)
 	defer func() {
 		s.statsMu.Lock()
 		s.inFlight.Add(-1)
@@ -718,11 +712,6 @@ func (s *Service) process(w *worker, t *task) {
 		ctx = context.Background()
 	}
 	resp, err := s.execute(ctx, w, t.req)
-	// Feed the admission estimators from what execution actually cost, so
-	// the gate's class prices and drain rate track the live workload.
-	svc := time.Since(start)
-	s.adm.observe(t.class, svc)
-	s.adm.observeDrain(svc)
 	if err != nil {
 		ex.End()
 		s.tel.failed.Inc()
@@ -1003,12 +992,9 @@ type Stats struct {
 	ResyncRows        int64 `json:"resync_rows"`
 	OutOfSyncReplicas int   `json:"out_of_sync_replicas"`
 
-	// Adaptive admission: deliberate load sheds (the slice of Rejected
-	// taken while the queue still had room), the summed priced cost of
-	// the queued work, and the current drain-rate-derived queue bound.
-	AdmissionShed       int64   `json:"admission_shed"`
-	QueueCostSec        float64 `json:"queue_cost_sec"`
-	EffectiveQueueDepth int     `json:"effective_queue_depth"`
+	// AdmissionShed counts appends refused at the append gate (Rejected
+	// counts only queries refused at a full queue).
+	AdmissionShed int64 `json:"admission_shed"`
 }
 
 // Stats snapshots the service counters.
@@ -1097,9 +1083,7 @@ func (s *Service) Stats() Stats {
 		ResyncRows:        resyncRows,
 		OutOfSyncReplicas: len(s.shards.OutOfSyncReplicas()),
 
-		AdmissionShed:       s.tel.admissionShed.Value(),
-		QueueCostSec:        s.adm.QueuedCostSec(),
-		EffectiveQueueDepth: s.adm.effectiveDepth(),
+		AdmissionShed: s.tel.admissionShed.Value(),
 	}
 }
 
