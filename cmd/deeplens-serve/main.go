@@ -72,8 +72,6 @@ func run() error {
 		queue      = flag.Int("queue", 64, "admission queue depth")
 		device     = flag.String("device", "cpu", "execution backend: cpu, avx or gpu")
 		devices    = flag.Int("devices", 0, "physical devices backing the pool (0 = one per worker; fewer shares devices through the kernel batcher)")
-		batchMax   = flag.Int("batch-max", 0, "kernel batcher: flush at this many kernels (0 = default)")
-		batchWin   = flag.Duration("batch-window", 0, "kernel batcher: partial-batch flush deadline (0 = default)")
 		cacheMB    = flag.Int("cache-mb", 32, "result cache budget (MiB)")
 		colMemMB   = flag.Int("column-mem-budget", 0, "tiered column store: resident spilled-segment budget in MiB (0 disables tiering and keeps columns purely in memory; negative spills for restart-warm columns but never evicts)")
 		udfCacheMB = flag.Int("udf-cache-mb", 128, "UDF materialization cache budget (MiB)")
@@ -113,8 +111,6 @@ func run() error {
 		QueueDepth:       *queue,
 		Device:           kind,
 		Devices:          *devices,
-		BatchMaxKernels:  *batchMax,
-		BatchWindow:      *batchWin,
 		ResultCacheBytes: int64(*cacheMB) << 20,
 		ResultTTL:        *ttl,
 		UDFCacheBytes:    int64(*udfCacheMB) << 20,

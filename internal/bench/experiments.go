@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/balltree"
@@ -627,7 +626,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	clustersA := dropSmall(clusterMembers(filtered, pairsA), minClusterSize)
+	clustersA := dropSmall(core.Clusters(filtered, pairsA), minClusterSize)
 	durA := time.Since(startA)
 
 	// Plan B: Patch, Match, Filter.
@@ -636,7 +635,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	clustersAll := clusterMembers(all, pairsB)
+	clustersAll := core.Clusters(all, pairsB)
 	var clustersB [][]*core.Patch
 	for _, cl := range clustersAll {
 		hasPed := false
@@ -669,42 +668,6 @@ func dropSmall(clusters [][]*core.Patch, minSize int) [][]*core.Patch {
 			out = append(out, cl)
 		}
 	}
-	return out
-}
-
-// clusterMembers groups patches into similarity clusters (union-find over
-// match pairs) and returns the member lists.
-func clusterMembers(patches []*core.Patch, pairs []core.Tuple) [][]*core.Patch {
-	reps := core.DistinctClusters(patches, pairs)
-	_ = reps
-	parent := map[core.PatchID]core.PatchID{}
-	var find func(core.PatchID) core.PatchID
-	find = func(x core.PatchID) core.PatchID {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, p := range patches {
-		parent[p.ID] = p.ID
-	}
-	for _, pr := range pairs {
-		a, b := find(pr[0].ID), find(pr[1].ID)
-		if a != b {
-			parent[a] = b
-		}
-	}
-	groups := map[core.PatchID][]*core.Patch{}
-	for _, p := range patches {
-		r := find(p.ID)
-		groups[r] = append(groups[r], p)
-	}
-	out := make([][]*core.Patch, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].ID < out[j][0].ID })
 	return out
 }
 

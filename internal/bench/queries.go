@@ -297,7 +297,7 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		distinct := dropSmall(clusterMembers(peds, pairs), minClusterSize)
+		distinct := dropSmall(core.Clusters(peds, pairs), minClusterSize)
 		return QueryResult{Query: "q4", Plan: "materialized view + prebuilt ball-tree match",
 			Duration: time.Since(start), Value: len(distinct)}, nil
 	}
@@ -312,7 +312,7 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 	}
 	// Singleton clusters are one-off detection noise, not identities; q4
 	// drops them exactly as Table 1's plans do.
-	distinct := dropSmall(clusterMembers(peds, pairs), minClusterSize)
+	distinct := dropSmall(core.Clusters(peds, pairs), minClusterSize)
 	return QueryResult{Query: "q4", Plan: "scan filter + nested-loop match",
 		Duration: time.Since(start), Value: len(distinct)}, nil
 }

@@ -542,6 +542,44 @@ func TestDistinctClusters(t *testing.T) {
 	}
 }
 
+// TestClustersFirstAppearanceOrder: clusters come in the order of their
+// first member and keep members in input order; malformed pairs and
+// pairs reaching outside the set join nothing.
+func TestClustersFirstAppearanceOrder(t *testing.T) {
+	p := make([]*Patch, 7)
+	for i := range p {
+		p[i] = &Patch{ID: PatchID(10 - i)} // IDs descend: order is by position, not ID
+	}
+	outside := &Patch{ID: 99}
+	pairs := []Tuple{
+		{p[4], p[1]},
+		{p[2], p[5]},
+		{p[5], p[0]},
+		{p[3], outside}, // endpoint outside the set
+		{p[6], outside},
+		{p[3]},             // not a pair
+		{p[3], p[6], p[1]}, // not a pair
+	}
+	got := Clusters(p, pairs)
+	want := [][]*Patch{{p[0], p[2], p[5]}, {p[1], p[4]}, {p[3]}, {p[6]}}
+	if len(got) != len(want) {
+		t.Fatalf("%d clusters, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("cluster %d has %d members, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("cluster %d member %d = patch %d, want %d", i, j, got[i][j].ID, want[i][j].ID)
+			}
+		}
+	}
+	if reps := DistinctClusters(p, pairs); len(reps) != 4 || reps[1] != p[1] {
+		t.Fatalf("representatives %v, want the first member of each cluster", reps)
+	}
+}
+
 func TestBacktrace(t *testing.T) {
 	db := openDB(t)
 	base, _ := db.CreateCollection("frames", Schema{})

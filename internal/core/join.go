@@ -145,9 +145,10 @@ type SimilarityJoinOpts struct {
 	// DedupUnordered keeps only pairs with left.ID < right.ID (self-joins).
 	DedupUnordered bool
 	// Device overrides the database's device for batched kernels. The
-	// serving layer leases one device per worker and pins joins to it, so
-	// concurrent queries never oversubscribe a simulated accelerator. Nil
-	// uses the database's device.
+	// serving layer pins each join task to one of its batcher-fronted
+	// devices, so concurrent queries' kernels fuse instead of
+	// oversubscribing a simulated accelerator. Nil uses the database's
+	// device.
 	Device exec.Device
 }
 
@@ -453,38 +454,61 @@ func RangeThetaJoinSorted(left, right []*Patch, field string, gap float64) ([]Tu
 	return out, nil
 }
 
-// DistinctClusters groups patches into identity clusters by single-link
-// similarity (pairs within eps are the same identity) and returns one
-// representative per cluster — the deduplication step of q4. pairs must
-// list matching pairs (e.g. from a similarity self-join with
-// DedupUnordered).
-func DistinctClusters(patches []*Patch, pairs []Tuple) []*Patch {
-	parent := make(map[PatchID]PatchID, len(patches))
-	var find func(PatchID) PatchID
-	find = func(x PatchID) PatchID {
+// Clusters groups patches into identity clusters by single-link
+// similarity (the two patches of a matching pair are the same identity)
+// and returns each cluster's members. Clusters come in the order of
+// their first member, and members in patches order. Pairs that are not
+// length 2, or name a patch outside patches, are skipped. pairs
+// typically come from a similarity self-join with DedupUnordered.
+func Clusters(patches []*Patch, pairs []Tuple) [][]*Patch {
+	idx := make(map[PatchID]int, len(patches))
+	for i, p := range patches {
+		idx[p.ID] = i
+	}
+	parent := make([]int, len(patches))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, p := range patches {
-		parent[p.ID] = p.ID
-	}
 	for _, pr := range pairs {
-		a, b := find(pr[0].ID), find(pr[1].ID)
-		if a != b {
-			parent[a] = b
+		if len(pr) != 2 {
+			continue
+		}
+		a, aok := idx[pr[0].ID]
+		b, bok := idx[pr[1].ID]
+		if !aok || !bok {
+			continue
+		}
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[ra] = rb
 		}
 	}
-	seen := map[PatchID]bool{}
-	var out []*Patch
-	for _, p := range patches {
-		root := find(p.ID)
-		if !seen[root] {
-			seen[root] = true
-			out = append(out, p)
+	var out [][]*Patch
+	slot := make([]int, len(patches)) // root -> 1 + its cluster's index in out
+	for i, p := range patches {
+		r := find(i)
+		if slot[r] == 0 {
+			out = append(out, nil)
+			slot[r] = len(out)
 		}
+		out[slot[r]-1] = append(out[slot[r]-1], p)
+	}
+	return out
+}
+
+// DistinctClusters returns one representative per identity cluster (see
+// Clusters), the first member of each — the deduplication step of q4.
+func DistinctClusters(patches []*Patch, pairs []Tuple) []*Patch {
+	clusters := Clusters(patches, pairs)
+	out := make([]*Patch, len(clusters))
+	for i, cl := range clusters {
+		out[i] = cl[0]
 	}
 	return out
 }

@@ -160,9 +160,6 @@ func (b *Batcher) Kind() Kind { return b.dev.Kind() }
 // Launches < Kernels and a sub-linear Overhead).
 func (b *Batcher) Stats() Stats { return b.dev.Stats() }
 
-// Device returns the wrapped device.
-func (b *Batcher) Device() Device { return b.dev }
-
 // SetIdleProbe installs a check consulted before an idle flush: return
 // false while more submitters are imminent (a non-empty admission
 // queue), true when the registered submitters are all there is. Install

@@ -376,7 +376,6 @@ type statsContract struct {
 	Workers           int               `json:"workers"`
 	QueueCap          int               `json:"queue_cap"`
 	QueueDepth        int               `json:"queue_depth"`
-	QueueLen          int               `json:"queue_len"`
 	Sources           int               `json:"sources"`
 	Admitted          int64             `json:"admitted"`
 	Rejected          int64             `json:"rejected"`
@@ -459,7 +458,7 @@ func TestStatsJSONContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"uptime_sec", "workers", "queue_cap", "queue_depth", "queue_len", "sources",
+		"uptime_sec", "workers", "queue_cap", "queue_depth", "sources",
 		"admitted", "rejected", "coalesced", "completed", "failed",
 		"in_flight", "peak_in_flight",
 		"appends", "appended_rows", "column_extends", "extend_reuse_blocks", "extend_total_blocks",

@@ -203,12 +203,12 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		_, cached := s.shards.PagerStats()
 		return float64(cached)
 	})
-	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the device pool.", nil,
-		func() float64 { return float64(s.devPool.Stats().Kernels) })
+	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the service's devices.", nil,
+		func() float64 { return float64(s.deviceStats().Kernels) })
 	r.CounterFunc("deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", nil,
-		func() float64 { return float64(s.devPool.Stats().Launches) })
+		func() float64 { return float64(s.deviceStats().Launches) })
 	r.CounterFunc("deeplens_device_overhead_seconds_total", "Simulated launch + transfer overhead paid.", nil,
-		func() float64 { return s.devPool.Stats().Overhead.Seconds() })
+		func() float64 { return s.deviceStats().Overhead.Seconds() })
 	r.CounterFunc("deeplens_merge_seconds_total", "Cumulative scatter gather/merge wall time.", nil,
 		func() float64 { return float64(s.mergeNS.Load()) / 1e9 })
 	return t

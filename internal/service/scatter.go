@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -363,13 +364,13 @@ func gatherLabel(req *Request) string {
 // task count.
 func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) string {
 	if nsh == 1 {
-		return joinPlan(fragOps)
+		return strings.Join(fragOps, " -> ")
 	}
 	fan := fmt.Sprintf("%d", nsh)
 	if cross > 0 {
 		fan = fmt.Sprintf("%d+%d", nsh, cross)
 	}
-	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, joinPlan(fragOps), gather)
+	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, strings.Join(fragOps, " -> "), gather)
 }
 
 // filterFragment runs the plan's filter stage on replica r of shard i
@@ -475,12 +476,9 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 		}
 		dev := s.taskDev(w, t)
 		// Join tasks submit kernels: register with the device's batcher so
-		// its adaptive flush knows a submitter is mid-query (default flush
-		// policy only — an explicit BatchWindow is honored strictly).
-		if s.adaptive {
-			dev.BeginSubmitter()
-			defer dev.EndSubmitter()
-		}
+		// its idle flush knows a submitter is mid-query.
+		dev.BeginSubmitter()
+		defer dev.EndSubmitter()
 		sp := req.tr.Begin("join-task")
 		odev := s.observedDev(dev, req.tr)
 		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right], dim, hasIndex, dev, odev)
@@ -520,7 +518,13 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 			}
 			all = append(all, frag.rows...)
 		}
-		resp.Value = clusterCount(all, pairs, sj.MinCluster)
+		distinct := 0
+		for _, cl := range core.Clusters(all, pairs) {
+			if len(cl) >= sj.MinCluster {
+				distinct++
+			}
+		}
+		resp.Value = distinct
 		planOps = append(planOps, fmt.Sprintf("distinct(min=%d)", sj.MinCluster))
 		gather = fmt.Sprintf("gather-cluster(min=%d)", sj.MinCluster)
 	} else {

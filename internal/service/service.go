@@ -5,11 +5,10 @@
 //
 //   - a bounded worker pool with an admission queue, so N concurrent
 //     callers execute plans in parallel without oversubscribing the
-//     simulated devices (workers hold device leases; with Config.Devices
-//     below Workers, several workers share one device through a
-//     kernel-coalescing exec.Batcher that fuses concurrent queries'
-//     kernels into one launch, amortizing GPU launch overhead across
-//     requests);
+//     simulated devices (each device sits behind a kernel-coalescing
+//     exec.Batcher; with Config.Devices below Workers, several workers
+//     share one device and the batcher fuses their kernels into one
+//     launch, amortizing GPU launch overhead across requests);
 //   - an LRU+TTL result cache keyed by a canonical plan fingerprint
 //     (dataset version + operator tree + parameters) with byte
 //     accounting and hit/miss/eviction metrics;
@@ -85,26 +84,19 @@ type Config struct {
 	// QueueDepth bounds the admission queue beyond the workers
 	// (default 64). A full queue rejects with ErrOverloaded.
 	QueueDepth int
-	// Device is the execution backend each worker leases (default CPU).
+	// Device is the execution backend kind (default CPU).
 	Device exec.Kind
-	// Devices sets how many physical devices back the worker pool
-	// (default: one per worker, exclusive leases). Setting Devices below
-	// Workers shares each device among Workers/Devices workers through a
-	// kernel-coalescing exec.Batcher, which fuses concurrent queries'
-	// GEMM/pairwise kernels into one launch per flush window — the
-	// cross-request analog of within-query batching, amortizing the
-	// simulated GPU's launch overhead. Fusion buys nothing on CPU/AVX
-	// (the batcher passes through).
+	// Devices sets how many devices the service creates (default: one
+	// per worker). Each device sits behind one kernel-coalescing
+	// exec.Batcher, and workers are assigned to devices round-robin.
+	// Setting Devices below Workers shares each device among several
+	// workers, whose concurrent GEMM/pairwise kernels fuse into one
+	// launch — the cross-request analog of within-query batching,
+	// amortizing the simulated GPU's launch overhead. A batch launches
+	// when it is full, when its 50µs window expires, or as soon as every
+	// mid-query submitter is blocked and the admission queue is empty.
+	// Fusion buys nothing on CPU/AVX (the batcher passes through).
 	Devices int
-	// BatchMaxKernels and BatchWindow tune the per-device batcher's flush
-	// policy (zero values pick exec.BatcherConfig defaults). With the
-	// default window the service runs the batcher's adaptive flush:
-	// partial batches launch as soon as every mid-query submitter is
-	// blocked and the admission queue is empty, so a lightly-loaded
-	// service never pays the deadline wait. An explicit BatchWindow is
-	// honored strictly (pure size/deadline policy).
-	BatchMaxKernels int
-	BatchWindow     time.Duration
 	// ResultCacheBytes budgets the plan-keyed result cache (default 32 MiB).
 	ResultCacheBytes int64
 	// ResultTTL expires cached results (default 5m; negative disables
@@ -220,17 +212,17 @@ func (c Config) withDefaults(shards int) Config {
 
 // task is one admitted query awaiting a worker.
 type task struct {
-	ctx  context.Context
-	req  *Request
-	key  string    // result-cache key ("" = uncacheable)
-	enq  time.Time // admission time (queue-wait telemetry)
-	resp *Response
-	err  error
-	done chan struct{}
+	ctx context.Context
+	req *Request
+	enq time.Time // admission time (queue-wait telemetry)
+	fl  *flight   // the outcome, published by the worker that runs the task
 }
 
-// flight is an in-progress computation identical cold queries coalesce on.
+// flight is one task's outcome. A cacheable task's flight is registered
+// under its result-cache key until it lands, and identical cold queries
+// coalesce on it.
 type flight struct {
+	key  string // result-cache key ("" = uncacheable, not registered)
 	done chan struct{}
 	resp *Response
 	err  error
@@ -240,7 +232,7 @@ type flight struct {
 // plus memoized UDF models bound to it.
 type worker struct {
 	id  int
-	dev *exec.Batcher // kernel scheduler over the leased device
+	dev *exec.Batcher // kernel scheduler over the worker's device
 	det *vision.MemoDetector
 	emb *vision.MemoEmbedder
 	ocr *vision.MemoOCR
@@ -250,17 +242,15 @@ type worker struct {
 // DBs (scatter-gather execution; see NewSharded) — a single DB being
 // the one-shard case (see New).
 type Service struct {
-	shards   *core.Sharded // the backend; New wraps its DB as one shard
-	cfg      Config
-	cost     *core.CostModel
-	start    time.Time
-	adaptive bool // default flush window: track submitters for idle flush
+	shards *core.Sharded // the backend; New wraps its DB as one shard
+	cfg    Config
+	cost   *core.CostModel
+	start  time.Time
 
 	results *Cache // plan fingerprint -> *Response
 	udfMemo *Cache // image key -> inference output
 
-	devPool  *exec.Pool
-	batchers []*exec.Batcher // one kernel scheduler per leased device
+	batchers []*exec.Batcher // one kernel scheduler per device
 	queue    chan *task
 	quit     chan struct{}
 	wg       sync.WaitGroup
@@ -335,12 +325,10 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	s := &Service{
 		shards:   sdb,
 		cfg:      cfg,
-		adaptive: cfg.BatchWindow == 0,
 		cost:     core.DefaultCostModel(),
 		start:    time.Now(),
 		results:  NewCache(cfg.ResultCacheBytes, cfg.ResultTTL),
 		udfMemo:  NewCache(cfg.UDFCacheBytes, 0),
-		devPool:  exec.NewPool(cfg.Device, cfg.Devices),
 		queue:    make(chan *task, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sources:  make(map[string]FrameSource),
@@ -361,45 +349,32 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	}
 	s.appendSlots = make(chan struct{}, max(2, cfg.Workers))
 	s.tel = newTelemetry(s, cfg)
-	// Lease every device for the service's lifetime and front each with a
-	// kernel batcher. Workers are assigned round-robin: with Devices ==
-	// Workers this degenerates to PR-1's exclusive leases (a batch of one
-	// submitter); with fewer devices, co-resident workers' kernels fuse.
+	// One device per batcher for the service's lifetime; workers are
+	// assigned round-robin, so with fewer devices than workers the
+	// co-resident workers' kernels fuse.
 	s.batchers = make([]*exec.Batcher, cfg.Devices)
 	for i := range s.batchers {
-		bcfg := exec.BatcherConfig{MaxBatch: cfg.BatchMaxKernels, Window: cfg.BatchWindow}
-		if bcfg.MaxBatch == 0 {
-			// A blocked submitter holds at most one pending kernel, so a
-			// batch can never exceed the submitters sharing this device:
-			// default MaxBatch to exactly that count (round-robin gives
-			// device i one extra worker when i < Workers%Devices), so
-			// flush-on-size fires as soon as every co-worker's kernel has
-			// arrived instead of waiting out the window. With one worker
-			// per device that is an eager MaxBatch of 1 — PR-1's
-			// exclusive-lease behavior. Under scatter-gather each worker
-			// fans out up to nshards kernel-submitting fragments, so the
-			// per-device submitter bound scales by the shard count (capped:
-			// the adaptive idle flush releases partial batches early, but
-			// MaxBatch still bounds worst-case queuing delay).
-			if nshards > 1 {
-				// Sharded: total concurrent kernel-submitting fragments are
-				// bounded by Workers*shards, spread round-robin over the
-				// devices (Devices may exceed Workers here).
-				bcfg.MaxBatch = (cfg.Workers*nshards + cfg.Devices - 1) / cfg.Devices
-				if bcfg.MaxBatch > 16 {
-					bcfg.MaxBatch = 16
-				}
-			} else {
-				bcfg.MaxBatch = cfg.Workers / cfg.Devices
-				if i < cfg.Workers%cfg.Devices {
-					bcfg.MaxBatch++
-				}
-			}
-			if bcfg.MaxBatch < 1 {
-				bcfg.MaxBatch = 1
+		// A blocked submitter holds at most one pending kernel, so a batch
+		// can never exceed the submitters sharing this device: MaxBatch is
+		// exactly that count (round-robin gives device i one extra worker
+		// when i < Workers%Devices), so flush-on-size fires as soon as
+		// every co-worker's kernel has arrived instead of waiting out the
+		// window. With one worker per device that is an eager MaxBatch of
+		// 1. Under scatter-gather each worker fans out up to nshards
+		// kernel-submitting fragments, spread round-robin over the devices
+		// (Devices may exceed Workers here), so the bound scales by the
+		// shard count — capped: the idle flush releases partial batches
+		// early, but MaxBatch still bounds worst-case queuing delay.
+		var maxBatch int
+		if nshards > 1 {
+			maxBatch = min((cfg.Workers*nshards+cfg.Devices-1)/cfg.Devices, 16)
+		} else {
+			maxBatch = cfg.Workers / cfg.Devices
+			if i < cfg.Workers%cfg.Devices {
+				maxBatch++
 			}
 		}
-		s.batchers[i] = exec.NewBatcher(s.devPool.Acquire(), bcfg)
+		s.batchers[i] = exec.NewBatcher(exec.New(cfg.Device), exec.BatcherConfig{MaxBatch: max(maxBatch, 1)})
 		// Admitted-but-unclaimed tasks become submitters the moment a
 		// worker dequeues them: hold partial batches while the queue is
 		// non-empty so imminent kernels can still fuse.
@@ -429,17 +404,14 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Close drains the pool and releases every device lease. In-flight
-// waiters receive ErrClosed.
+// Close stops the workers and background loops. In-flight waiters
+// receive ErrClosed.
 func (s *Service) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(s.quit)
 	s.wg.Wait()
-	for _, b := range s.batchers {
-		s.devPool.Release(b.Device())
-	}
 }
 
 // RegisterSource makes a frame source available to inference sweeps
@@ -485,7 +457,7 @@ func (s *Service) fingerprintFor(req *Request) (string, error) {
 }
 
 // Query executes one request: result-cache lookup, in-flight coalescing,
-// bounded admission, parallel execution on a leased device. It blocks
+// bounded admission, parallel execution on a worker's device. It blocks
 // until the result is ready, ctx is done, or the service closes.
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	if s.closed.Load() {
@@ -530,116 +502,71 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 
 // doQuery is Query's cache/coalesce/admit pipeline.
 func (s *Service) doQuery(ctx context.Context, req *Request, tr *obs.Trace) (*Response, error) {
-	var key string
-	if !req.NoCache {
-		plan := tr.Begin("plan")
-		var err error
-		if key, err = s.fingerprintFor(req); err != nil {
-			plan.End()
-			return nil, err
-		}
-		if v, ok := s.results.Get(key); ok {
-			plan.Attr("cache", "hit").End()
-			resp := cachedResponse(v.(*Response), s)
-			plan.Attr("plan", resp.Plan)
-			return resp, nil
-		}
-		// Coalesce identical cold queries onto one execution.
-		s.flightMu.Lock()
-		if fl, ok := s.inflight[key]; ok {
-			s.flightMu.Unlock()
-			s.tel.coalesced.Inc()
-			plan.Attr("cache", "coalesced").End()
-			select {
-			case <-fl.done:
-				if fl.err != nil {
-					return nil, fl.err
-				}
-				resp := cachedResponse(fl.resp, s)
-				plan.Attr("plan", resp.Plan)
-				return resp, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-s.quit:
-				return nil, ErrClosed
-			}
-		}
-		fl := &flight{done: make(chan struct{})}
-		s.inflight[key] = fl
-		s.flightMu.Unlock()
-		plan.Attr("cache", "miss").End()
-		t, err := s.enqueue(ctx, req, key)
-		if err != nil {
-			s.finishFlight(key, fl, nil, err)
-			return nil, err
-		}
-		// The worker, not the leader's context, completes the flight: a
-		// leader that gives up must not fail coalesced waiters whose own
-		// contexts are still live.
-		go func() {
-			select {
-			case <-t.done:
-				s.finishFlight(key, fl, t.resp, t.err)
-			case <-s.quit:
-				s.finishFlight(key, fl, nil, ErrClosed)
-			}
-		}()
-		select {
-		case <-fl.done:
-			if fl.resp != nil {
-				plan.Attr("plan", fl.resp.Plan)
-			}
-			return fl.resp, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err() // the worker still completes it; result is cached
-		case <-s.quit:
-			return nil, ErrClosed
-		}
-	}
 	plan := tr.Begin("plan")
-	plan.Attr("cache", "bypass").End()
-	resp, err := s.admit(ctx, req, "")
+	resp, err := s.resolve(ctx, req, plan)
 	if err == nil {
 		plan.Attr("plan", resp.Plan)
 	}
 	return resp, err
 }
 
-// finishFlight publishes an in-flight computation's outcome exactly once.
-func (s *Service) finishFlight(key string, fl *flight, resp *Response, err error) {
-	fl.resp, fl.err = resp, err
-	s.flightMu.Lock()
-	delete(s.inflight, key)
-	s.flightMu.Unlock()
-	close(fl.done)
+// resolve answers req from the result cache, an identical in-flight
+// execution, or a new one. The plan span ends once the path is chosen.
+func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandle) (*Response, error) {
+	if req.NoCache {
+		plan.Attr("cache", "bypass").End()
+		return s.admit(ctx, req, &flight{done: make(chan struct{})})
+	}
+	key, err := s.fingerprintFor(req)
+	if err != nil {
+		plan.End()
+		return nil, err
+	}
+	for {
+		if v, ok := s.results.Get(key); ok {
+			plan.Attr("cache", "hit").End()
+			return cachedResponse(v.(*Response), s), nil
+		}
+		// Coalesce identical cold queries onto one execution.
+		s.flightMu.Lock()
+		fl, joined := s.inflight[key]
+		if !joined {
+			fl = &flight{key: key, done: make(chan struct{})}
+			s.inflight[key] = fl
+		}
+		s.flightMu.Unlock()
+		if !joined {
+			plan.Attr("cache", "miss").End()
+			// A leader that gives up stops waiting; the worker still
+			// publishes the flight to its waiters.
+			return s.admit(ctx, req, fl)
+		}
+		s.tel.coalesced.Inc()
+		plan.Attr("cache", "coalesced").End()
+		resp, err := s.await(ctx, fl)
+		if err == nil {
+			return cachedResponse(resp, s), nil
+		}
+		// The flight ran under its leader's context and failed on it (the
+		// leader hung up or hit its deadline). This waiter's own context is
+		// live, so it looks the key up again: a cache hit, a newer flight,
+		// or its own execution.
+		if ctx.Err() != nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return nil, err
+		}
+	}
 }
 
-// enqueue places the task on the worker queue, or rejects it with
-// ErrOverloaded when the queue is full: admission is a FIFO of
-// Config.QueueDepth.
-func (s *Service) enqueue(ctx context.Context, req *Request, key string) (*task, error) {
-	t := &task{ctx: ctx, req: req, key: key, enq: time.Now(), done: make(chan struct{})}
-	// The queue send and the in-flight increment happen under statsMu so
-	// Stats observes them as one event (a task is never visible in the
-	// queue without being counted in flight, or vice versa).
-	s.statsMu.Lock()
-	select {
-	case s.queue <- t:
-		n := s.inFlight.Add(1)
-		s.statsMu.Unlock()
-		for {
-			peak := s.peakInFlight.Load()
-			if n <= peak || s.peakInFlight.CompareAndSwap(peak, n) {
-				break
-			}
-		}
-		s.tel.admitted.Inc()
-		return t, nil
-	default:
-		s.statsMu.Unlock()
-		s.tel.rejected.Inc()
-		return nil, ErrOverloaded
+// finish publishes a flight's outcome exactly once, unregistering a
+// cacheable one first so later identical queries no longer join it.
+func (s *Service) finish(fl *flight, resp *Response, err error) {
+	fl.resp, fl.err = resp, err
+	if fl.key != "" {
+		s.flightMu.Lock()
+		delete(s.inflight, fl.key)
+		s.flightMu.Unlock()
 	}
+	close(fl.done)
 }
 
 // tryAppendSlot claims a slot in the append gate without blocking and
@@ -655,15 +582,40 @@ func (s *Service) tryAppendSlot() bool {
 
 func (s *Service) releaseAppendSlot() { <-s.appendSlots }
 
-// admit enqueues the task and waits for its completion.
-func (s *Service) admit(ctx context.Context, req *Request, key string) (*Response, error) {
-	t, err := s.enqueue(ctx, req, key)
-	if err != nil {
-		return nil, err
-	}
+// admit places a task publishing to fl on the worker queue and waits
+// for the outcome. Admission is a FIFO of Config.QueueDepth: a full
+// queue rejects the task with ErrOverloaded, published to fl as well.
+func (s *Service) admit(ctx context.Context, req *Request, fl *flight) (*Response, error) {
+	t := &task{ctx: ctx, req: req, enq: time.Now(), fl: fl}
+	// The queue send and the in-flight increment happen under statsMu so
+	// Stats observes them as one event (a task is never visible in the
+	// queue without being counted in flight, or vice versa).
+	s.statsMu.Lock()
 	select {
-	case <-t.done:
-		return t.resp, t.err
+	case s.queue <- t:
+		n := s.inFlight.Add(1)
+		s.statsMu.Unlock()
+		for {
+			peak := s.peakInFlight.Load()
+			if n <= peak || s.peakInFlight.CompareAndSwap(peak, n) {
+				break
+			}
+		}
+		s.tel.admitted.Inc()
+	default:
+		s.statsMu.Unlock()
+		s.tel.rejected.Inc()
+		s.finish(fl, nil, ErrOverloaded)
+		return nil, ErrOverloaded
+	}
+	return s.await(ctx, fl)
+}
+
+// await blocks until fl lands, ctx is done, or the service closes.
+func (s *Service) await(ctx context.Context, fl *flight) (*Response, error) {
+	select {
+	case <-fl.done:
+		return fl.resp, fl.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-s.quit:
@@ -671,8 +623,7 @@ func (s *Service) admit(ctx context.Context, req *Request, key string) (*Respons
 	}
 }
 
-// run is a worker's executor loop. The worker's device is a shared
-// batcher; its lease is released by Close, not here.
+// run is a worker's executor loop over its (possibly shared) batcher.
 func (s *Service) run(w *worker) {
 	defer s.wg.Done()
 	for {
@@ -685,21 +636,30 @@ func (s *Service) run(w *worker) {
 	}
 }
 
+// process runs one task and publishes its outcome to the task's flight.
 func (s *Service) process(w *worker, t *task) {
 	defer func() {
 		s.statsMu.Lock()
 		s.inFlight.Add(-1)
 		s.statsMu.Unlock()
 	}()
+	resp, err := s.runTask(w, t)
+	if err != nil {
+		s.tel.failed.Inc()
+	} else {
+		s.tel.completed.Inc()
+	}
+	s.finish(t.fl, resp, err)
+}
+
+// runTask executes one task and caches a cacheable result.
+func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 	// An uncacheable task whose caller already gave up has no one to
 	// deliver to and nothing to materialize — don't burn a device on it.
 	// Cacheable tasks still run: the result serves coalesced waiters and
 	// future fingerprint hits.
-	if t.key == "" && t.ctx != nil && t.ctx.Err() != nil {
-		s.tel.failed.Inc()
-		t.err = t.ctx.Err()
-		close(t.done)
-		return
+	if t.fl.key == "" && t.ctx.Err() != nil {
+		return nil, t.ctx.Err()
 	}
 	start := time.Now()
 	wait := start.Sub(t.enq)
@@ -707,17 +667,10 @@ func (s *Service) process(w *worker, t *task) {
 	tr := t.req.tr
 	tr.AddSpan("queue", t.enq, wait, nil)
 	ex := tr.Begin("execute")
-	ctx := t.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	resp, err := s.execute(ctx, w, t.req)
+	resp, err := s.execute(t.ctx, w, t.req)
 	if err != nil {
 		ex.End()
-		s.tel.failed.Inc()
-		t.err = err
-		close(t.done)
-		return
+		return nil, err
 	}
 	ex.AttrInt("worker", int64(w.id)).End()
 	ex.Attr("plan", resp.Plan)
@@ -726,7 +679,7 @@ func (s *Service) process(w *worker, t *task) {
 	// snapshotted later. If an append landed in between, the response may
 	// hold rows newer than its key: still a correct answer, but not that
 	// key's — it goes out like a no_cache response, unnamed and uncached.
-	key := t.key
+	key := t.fl.key
 	if key != "" {
 		if cur, err := s.fingerprintFor(t.req); err != nil || cur != key {
 			key = ""
@@ -744,9 +697,7 @@ func (s *Service) process(w *worker, t *task) {
 		s.results.Put(key, resp, resp.sizeBytes())
 		cs.End()
 	}
-	s.tel.completed.Inc()
-	t.resp = resp
-	close(t.done)
+	return resp, nil
 }
 
 // cacheLookupCostSec is the measured order-of-magnitude cost of one
@@ -771,12 +722,9 @@ func (s *Service) execute(ctx context.Context, w *worker, req *Request) (*Respon
 	if req.Infer != nil {
 		// The sweep may submit kernels for the whole request: register as
 		// a mid-query submitter so the batcher's idle flush knows when the
-		// device has gone quiet (adaptive policy only — an explicit
-		// BatchWindow is honored strictly).
-		if s.adaptive {
-			w.dev.BeginSubmitter()
-			defer w.dev.EndSubmitter()
-		}
+		// device has gone quiet.
+		w.dev.BeginSubmitter()
+		defer w.dev.EndSubmitter()
 		return s.executeInfer(ctx, w, req.Infer)
 	}
 	return s.executeScatter(ctx, w, req)
@@ -784,64 +732,6 @@ func (s *Service) execute(ctx context.Context, w *worker, req *Request) (*Respon
 
 // maxRows caps projected row output per response.
 const maxRows = 100
-
-func joinPlan(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " -> "
-		}
-		out += p
-	}
-	return out
-}
-
-// clusterCount unions similarity pairs into identity clusters and counts
-// those with at least minSize members (q4's dedup; minSize <= 1 keeps
-// singletons).
-func clusterCount(ps []*core.Patch, pairs []core.Tuple, minSize int) int {
-	idx := make(map[core.PatchID]int, len(ps))
-	for i, p := range ps {
-		idx[p.ID] = i
-	}
-	parent := make([]int, len(ps))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, pr := range pairs {
-		if len(pr) != 2 {
-			continue
-		}
-		a, aok := idx[pr[0].ID]
-		b, bok := idx[pr[1].ID]
-		if !aok || !bok {
-			continue
-		}
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	sizes := make(map[int]int)
-	for i := range parent {
-		sizes[find(i)]++
-	}
-	count := 0
-	for _, n := range sizes {
-		if n >= minSize {
-			count++
-		}
-	}
-	return count
-}
 
 // estInferPerFrameSec is the rough cold cost of one frame's inference
 // (backbone GEMMs dominate; calibrated against the reference container).
@@ -904,9 +794,8 @@ type Stats struct {
 	QueueCap int `json:"queue_cap"`
 	// QueueDepth is the admitted-but-unclaimed task count, snapshotted
 	// under the same lock as the in-flight counter so the pair is
-	// consistent. QueueLen mirrors it for backward compatibility.
+	// consistent.
 	QueueDepth int `json:"queue_depth"`
-	QueueLen   int `json:"queue_len"`
 	Sources    int `json:"sources"`
 
 	Admitted     int64 `json:"admitted"`
@@ -1003,7 +892,7 @@ func (s *Service) Stats() Stats {
 	nsrc := len(s.sources)
 	s.srcMu.RUnlock()
 	rc := s.results.Stats()
-	ds := s.devPool.Stats()
+	ds := s.deviceStats()
 	var bs exec.BatcherStats
 	for _, b := range s.batchers {
 		bs.Add(b.BatcherStats())
@@ -1021,7 +910,6 @@ func (s *Service) Stats() Stats {
 		Workers:    s.cfg.Workers,
 		QueueCap:   cap(s.queue),
 		QueueDepth: queueDepth,
-		QueueLen:   queueDepth,
 		Sources:    nsrc,
 
 		Admitted:     s.tel.admitted.Value(),
@@ -1054,15 +942,12 @@ func (s *Service) Stats() Stats {
 		UDFCache:      s.udfMemo.Stats(),
 		ResultHitRate: rc.HitRate(),
 
-		Device:           s.devPool.Kind().String(),
+		Device:           s.cfg.Device.String(),
 		Devices:          s.cfg.Devices,
 		DeviceKernels:    ds.Kernels,
 		DeviceLaunches:   ds.Launches,
 		DeviceFLOPs:      ds.FLOPs,
 		DeviceOverheadMS: float64(ds.Overhead.Microseconds()) / 1000,
-		// Device contention no longer shows up as pool waits (leases are
-		// held for the service lifetime); it shows up in Batcher flush
-		// counters and launch serialization instead.
 
 		Batcher:      bs,
 		FusionFactor: bs.FusionFactor(),
@@ -1085,6 +970,20 @@ func (s *Service) Stats() Stats {
 
 		AdmissionShed: s.tel.admissionShed.Value(),
 	}
+}
+
+// deviceStats sums the kernel counters of every device behind the
+// batchers (fusion shows as launches < kernels).
+func (s *Service) deviceStats() exec.Stats {
+	var agg exec.Stats
+	for _, b := range s.batchers {
+		d := b.Stats()
+		agg.Kernels += d.Kernels
+		agg.Launches += d.Launches
+		agg.FLOPs += d.FLOPs
+		agg.Overhead += d.Overhead
+	}
+	return agg
 }
 
 // Metrics returns the service's metrics registry (the source behind

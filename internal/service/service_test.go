@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/fault"
 )
 
 var (
@@ -358,7 +359,7 @@ func TestConcurrentQueriesSustainSixteenInFlight(t *testing.T) {
 		t.Fatalf("peak in-flight = %d, want >= %d", st.PeakInFlight, callers)
 	}
 	if got := gate.peakConcurrency(); got != 16 {
-		t.Fatalf("concurrent executions peaked at %d, want exactly the 16 leased workers", got)
+		t.Fatalf("concurrent executions peaked at %d, want exactly the 16 workers", got)
 	}
 	if st.Completed != callers {
 		t.Fatalf("completed = %d, want %d", st.Completed, callers)
@@ -452,6 +453,69 @@ func TestCoalescingRunsIdenticalColdQueriesOnce(t *testing.T) {
 	if st.Coalesced+st.ResultCache.Hits < callers-1 {
 		t.Fatalf("coalesced=%d + hits=%d, want >= %d",
 			st.Coalesced, st.ResultCache.Hits, callers-1)
+	}
+}
+
+// TestCoalescedWaiterOutlivesItsLeader: a waiter coalesced onto a
+// leader's flight is answered even when the leader hangs up, or hits its
+// own deadline, before the shared execution finishes. Every fragment
+// stalls 200ms, so the leader's context fails mid-execution.
+func TestCoalescedWaiterOutlivesItsLeader(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cancel    time.Duration // the leader hangs up after this long (0 = never)
+		timeoutMS int           // the leader's own deadline (0 = none)
+		leaderErr error
+	}{
+		{name: "leader canceled", cancel: 50 * time.Millisecond, leaderErr: context.Canceled},
+		{name: "leader deadline", timeoutMS: 80, leaderErr: ErrQueryTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, s := synthSharded(t, 1, 240, Config{Workers: 1, Faults: fault.Config{Seed: 1, Rules: []fault.Rule{
+				{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 200 * time.Millisecond},
+			}}})
+			req := Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "label", Str: strp("car")}}
+			key, err := s.fingerprintFor(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel > 0 {
+				time.AfterFunc(tc.cancel, cancel)
+			}
+			leaderReq := req
+			leaderReq.TimeoutMS = tc.timeoutMS
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, err := s.Query(ctx, leaderReq)
+				leaderErr <- err
+			}()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+				s.flightMu.Lock()
+				open := s.inflight[key] != nil
+				s.flightMu.Unlock()
+				if open {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("timed out waiting for the leader's flight")
+				}
+			}
+			r, err := s.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("waiter failed with its leader: %v", err)
+			}
+			if r.Value == 0 {
+				t.Fatal("waiter answered an empty count")
+			}
+			if err := <-leaderErr; !errors.Is(err, tc.leaderErr) {
+				t.Fatalf("leader error = %v, want %v", err, tc.leaderErr)
+			}
+			if c := s.Stats().Coalesced; c != 1 {
+				t.Fatalf("coalesced = %d, want 1 (the waiter must join the leader's flight)", c)
+			}
+		})
 	}
 }
 
@@ -675,17 +739,11 @@ func TestHTTPEndpoints(t *testing.T) {
 
 // TestSharedDeviceBatcherFusesAcrossWorkers: with fewer devices than
 // workers, concurrent queries' kernels route through the shared
-// exec.Batcher and (given a generous flush window) fuse into common
-// launches. Counts stay correct; /stats exposes the fusion record.
+// exec.Batcher and fuse into common launches under the service's one
+// batching policy. Counts stay correct; /stats exposes the fusion record.
 func TestSharedDeviceBatcherFusesAcrossWorkers(t *testing.T) {
 	e := getEnv(t)
-	s := newService(t, Config{
-		Workers:         4,
-		Devices:         1,
-		Device:          exec.GPU,
-		BatchMaxKernels: 4,
-		BatchWindow:     5 * time.Millisecond,
-	})
+	s := newService(t, Config{Workers: 4, Devices: 1, Device: exec.GPU})
 	s.RegisterSource("trafficcam", trafficSource{e.Traffic})
 
 	var wg sync.WaitGroup
@@ -730,6 +788,30 @@ func TestSharedDeviceBatcherFusesAcrossWorkers(t *testing.T) {
 	}
 	if st.FusionFactor <= 1 {
 		t.Fatalf("fusion factor %.2f, want > 1", st.FusionFactor)
+	}
+}
+
+// TestLoneSweepIsIdleFlushed: one infer sweep alone on a shared GPU
+// registers as the device's only submitter, so each of its kernels
+// launches the moment it queues — the idle flush — and never waits out
+// the batch window, nor fills a batch sized for two workers.
+func TestLoneSweepIsIdleFlushed(t *testing.T) {
+	e := getEnv(t)
+	s := newService(t, Config{Workers: 2, Devices: 1, Device: exec.GPU})
+	s.RegisterSource("trafficcam", trafficSource{e.Traffic})
+	r, err := s.Query(context.Background(), Request{
+		Infer:   &InferSpec{Source: "trafficcam", From: 0, To: 4, UDF: "embed"},
+		NoCache: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Value != 4 {
+		t.Fatalf("embedded %d frames, want 4", r.Value)
+	}
+	b := s.Stats().Batcher
+	if b.Launches == 0 || b.FlushIdle != b.Launches || b.FlushDeadline != 0 || b.FlushSize != 0 {
+		t.Fatalf("want every launch idle-flushed: %+v", b)
 	}
 }
 
