@@ -60,8 +60,8 @@ func (r Refresh) String() string {
 // and first brings the index current for it (see sync). One Index value
 // serves each (collection, field, kind) of a DB; its mutex serializes
 // maintenance with every probe (a B+ tree is not safe for concurrent
-// use: its inner-node cache is unsynchronized and its leaves are read in
-// place).
+// use: its inner-node cache is unsynchronized, and its leaves and the
+// hash index's buckets are read in place).
 type Index struct {
 	Kind  IndexKind
 	Col   string
@@ -79,6 +79,11 @@ type Index struct {
 	hash    *hashidx.Index
 	version uint64
 	covered []*Patch
+	// Hash postings, also guarded by mu: the tail chunk of each value
+	// (by sort key) whose tail is past chunk 0, and scratch for a
+	// posting chunk's hash key and ids.
+	tails    map[string]uint32
+	key, ids []byte
 }
 
 type idxDesc struct {
@@ -241,6 +246,7 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 		} else if idx.hash, err = hashidx.Create(idx.db.store.Pager()); err != nil {
 			return use, err
 		}
+		clear(idx.tails)
 	}
 	for _, p := range snap[from:] {
 		if err := idx.insert(p); err != nil {
@@ -307,41 +313,64 @@ func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error
 
 // insert adds p's entry. B+ tree: a composite (field value, patch id)
 // key, duplicate-tolerant, so prefix scans give equality and range
-// lookups. Hash: the id appended to the value's last posting chunk.
+// lookups. Hash: the id appended to the value's tail chunk, the first
+// with room. tails names it for values past chunk 0; a value it does not
+// name (every value of a reopened structure) walks from chunk 0 once.
+// The chunk is read into, and written back from, the scratch buffers, so
+// a steady-state insert allocates nothing.
 func (idx *Index) insert(p *Patch) error {
 	v, ok := p.Meta[idx.Field]
 	if !ok {
 		return fmt.Errorf("core: patch %d lacks field %q", p.ID, idx.Field)
 	}
-	sk, err := v.SortKey()
+	if idx.Kind == IdxBTree {
+		sk, err := v.SortKey()
+		if err != nil {
+			return err
+		}
+		return idx.bt.Put(binary.BigEndian.AppendUint64(compositePrefix(sk), uint64(p.ID)), nil)
+	}
+	sk, err := v.AppendSortKey(idx.key[:0])
 	if err != nil {
 		return err
 	}
-	if idx.Kind == IdxBTree {
-		return idx.bt.Put(binary.BigEndian.AppendUint64(compositePrefix(sk), uint64(p.ID)), nil)
-	}
-	var key, last []byte
-	if err := idx.postings(sk, func(k, ids []byte) { key, last = k, ids }); err != nil {
-		return err
-	}
-	return idx.hash.Put(key, binary.LittleEndian.AppendUint64(last, uint64(p.ID)))
-}
-
-// postings walks a value's posting list in the hash index — key =
-// sortkey || chunk number, each chunk holding up to postingChunk ids —
-// up to and including the first chunk with room (possibly absent).
-func (idx *Index) postings(sk []byte, fn func(key, ids []byte)) error {
-	for chunk := uint32(0); ; chunk++ {
-		key := binary.BigEndian.AppendUint32(bytes.Clone(sk), chunk)
-		ids, err := idx.hash.Get(key)
-		if err != nil && !errors.Is(err, hashidx.ErrNotFound) {
+	idx.key = sk
+	tail := idx.tails[string(sk)]
+	c := tail
+	for ; ; c++ {
+		if err := idx.readChunk(len(sk), c); err != nil {
 			return err
 		}
-		fn(key, ids)
-		if len(ids)/8 < postingChunk {
-			return nil
+		if len(idx.ids)/8 < postingChunk {
+			break
 		}
 	}
+	if c != tail {
+		if idx.tails == nil {
+			idx.tails = make(map[string]uint32)
+		}
+		idx.tails[string(sk)] = c
+	}
+	idx.ids = binary.LittleEndian.AppendUint64(idx.ids, uint64(p.ID))
+	return idx.hash.Put(idx.key, idx.ids)
+}
+
+// readChunk reads posting chunk c of the value whose sort key is
+// idx.key[:n] into idx.ids — empty when absent — and leaves the chunk's
+// hash key, sort key || chunk number, in idx.key. A value's chunks hold
+// postingChunk ids each but the last.
+func (idx *Index) readChunk(n int, c uint32) error {
+	idx.key = binary.BigEndian.AppendUint32(idx.key[:n], c)
+	ids, err := idx.hash.GetAppend(idx.ids[:0], idx.key)
+	switch {
+	case err == nil:
+		idx.ids = ids
+	case errors.Is(err, hashidx.ErrNotFound):
+		idx.ids = idx.ids[:0]
+	default:
+		return err
+	}
+	return nil
 }
 
 const postingChunk = 400
@@ -373,13 +402,20 @@ func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refre
 	case v.Kind == KindFloat && math.IsNaN(v.F): // NaN equals nothing, itself included
 		return idx.probe(snap, ver, func() ([]PatchID, error) { return nil, nil })
 	case idx.Kind == IdxHash:
-		return idx.probe(snap, ver, func() (out []PatchID, err error) {
-			err = idx.postings(sk, func(_, ids []byte) {
-				for off := 0; off+8 <= len(ids); off += 8 {
-					out = append(out, PatchID(binary.LittleEndian.Uint64(ids[off:])))
+		return idx.probe(snap, ver, func() ([]PatchID, error) {
+			var out []PatchID
+			idx.key = append(idx.key[:0], sk...)
+			for c := uint32(0); ; c++ {
+				if err := idx.readChunk(len(sk), c); err != nil {
+					return nil, err
 				}
-			})
-			return out, err
+				for off := 0; off+8 <= len(idx.ids); off += 8 {
+					out = append(out, PatchID(binary.LittleEndian.Uint64(idx.ids[off:])))
+				}
+				if len(idx.ids)/8 < postingChunk {
+					return out, nil
+				}
+			}
 		})
 	default:
 		// B+ tree: every composite key of the value, and no other, sorts

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -366,6 +367,132 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	checkAgainstScan(t, "reopened stale", indexAnswers(t, hash3, bt3, snap, ver), snap)
 	if e, r, _ := db3.ScalarIndexStats(); e != 0 || r != 2 {
 		t.Fatalf("reopen at another version: extends %d rebuilds %d, want 0/2", e, r)
+	}
+}
+
+// labelPatch is a row of lifecycleSchema with the given label.
+func labelPatch(label string) *Patch {
+	return &Patch{Ref: Ref{Source: "s"}, Meta: Metadata{"label": StrV(label)}}
+}
+
+// TestHashIndexExtendAllocsIndependentOfFill: extending a hash index by
+// 64 rows of existing values allocates the same bytes whether their
+// buckets are nearly empty (16 short posting lists share one page) or
+// nearly full (one 380-id chunk per page) — an insert reads its chunk in
+// place and writes it back through scratch, copying no bucket.
+func TestHashIndexExtendAllocsIndependentOfFill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	const values, step = 16, 64
+	label := func(i int) string { return fmt.Sprintf("v%02d", i%values) }
+	measure := func(perValue int) uint64 {
+		db := openDB(t)
+		col, _ := db.CreateCollection("c", lifecycleSchema())
+		n := values * perValue
+		for i := 0; i < n; i++ {
+			if err := col.Append(labelPatch(label(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hash, err := db.BuildIndex(col, "label", IdxHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extend := func() uint64 {
+			for i := 0; i < step; i++ {
+				if err := col.Append(labelPatch(label(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, ver, _ := col.Snapshot()
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			_, use, err := hash.lookupEq(snap, ver, StrV("absent"))
+			runtime.ReadMemStats(&b)
+			if err != nil || use != RefreshExtend {
+				t.Fatalf("probe after %d appended rows: %v, %v", step, use, err)
+			}
+			return b.TotalAlloc - a.TotalAlloc
+		}
+		extend() // sizes the scratch buffers
+		// The least of three: a collection between two runs drops pooled
+		// pages, which the next run allocates again.
+		return min(extend(), extend(), extend())
+	}
+	sparse, full := measure(1), measure(380)
+	if full > sparse+1024 {
+		t.Fatalf("a %d-row extend allocates %d B over nearly full buckets, %d B over nearly empty ones", step, full, sparse)
+	}
+}
+
+// TestHashInsertTouchesOneChunk: the index keeps each value's tail chunk,
+// so an insert into a value with 10 full posting chunks reads as many
+// pages as one into a value with 1. A reopened index learns a value's
+// tail from one walk, on its first insert.
+func TestHashInsertTouchesOneChunk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := db.CreateCollection("c", lifecycleSchema())
+	add := func(col *Collection, label string, n int) {
+		for ; n > 0; n-- {
+			if err := col.Append(labelPatch(label)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(col, "one", postingChunk+5)
+	add(col, "ten", 10*postingChunk+5)
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	// insertReads appends one row labelled label and returns the page
+	// reads of the probe that extends the index by it.
+	insertReads := func(db *DB, col *Collection, label string) int64 {
+		t.Helper()
+		hash, err := db.Index(col, "label", IdxHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(col, label, 1)
+		snap, ver, _ := col.Snapshot()
+		before := db.Store().Pager().Reads()
+		if _, use, err := hash.lookupEq(snap, ver, StrV("absent")); err != nil || use != RefreshExtend {
+			t.Fatalf("probe after appending %q: %v, %v", label, use, err)
+		}
+		reads := db.Store().Pager().Reads() - before
+		for _, l := range []string{"one", "ten"} {
+			ids, err := hash.LookupEq(snap, ver, StrV(l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scanIDs(snap, func(p *Patch) bool { return p.Meta["label"].S == l }); !reflect.DeepEqual(ids, want) {
+				t.Fatalf("after inserting %q: %q has %d ids, scan %d", label, l, len(ids), len(want))
+			}
+		}
+		return reads
+	}
+	if one, ten := insertReads(db, col, "one"), insertReads(db, col, "ten"); one != ten {
+		t.Fatalf("an insert reads %d pages behind 1 full chunk, %d behind 10", one, ten)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	col, _ = db.Collection("c")
+	walkOne, walkTen := insertReads(db, col, "one"), insertReads(db, col, "ten")
+	one, ten := insertReads(db, col, "one"), insertReads(db, col, "ten")
+	if one != ten || walkTen != walkOne+9 {
+		t.Fatalf("reopened: first inserts read %d pages behind 1 chunk and %d behind 10, then %d and %d",
+			walkOne, walkTen, one, ten)
 	}
 }
 

@@ -149,15 +149,17 @@ func (v Value) AsFloat() float64 {
 // Floats that compare equal share one key (-0 is +0), and every NaN
 // takes the canonical NaN's key, which sorts past +Inf.
 func (v Value) SortKey() ([]byte, error) {
+	return v.AppendSortKey(make([]byte, 0, 9+len(v.S)))
+}
+
+// AppendSortKey appends v's SortKey to dst and returns the extended
+// slice, so a caller with a reused buffer encodes keys without
+// allocating.
+func (v Value) AppendSortKey(dst []byte) ([]byte, error) {
 	switch v.Kind {
 	case KindInt:
-		var k [9]byte
-		k[0] = byte(KindInt)
-		binary.BigEndian.PutUint64(k[1:], uint64(v.I)^(1<<63)) // order-preserving for signed
-		return k[:], nil
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.I)^(1<<63)), nil // order-preserving for signed
 	case KindFloat:
-		var k [9]byte
-		k[0] = byte(KindFloat)
 		f := v.F
 		switch {
 		case f == 0:
@@ -171,10 +173,9 @@ func (v Value) SortKey() ([]byte, error) {
 		} else {
 			bits = ^bits
 		}
-		binary.BigEndian.PutUint64(k[1:], bits)
-		return k[:], nil
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), bits), nil
 	case KindStr:
-		return append([]byte{byte(KindStr)}, v.S...), nil
+		return append(append(dst, byte(KindStr)), v.S...), nil
 	default:
 		return nil, fmt.Errorf("core: %v values have no sort key", v.Kind)
 	}

@@ -2,11 +2,14 @@ package hashidx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +18,7 @@ import (
 
 func newIndex(t testing.TB) (*Index, *kv.Pager) {
 	t.Helper()
-	p, err := kv.OpenPager(filepath.Join(t.TempDir(), "h.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
+	p := newPager(t)
 	ix, err := Create(p)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +85,122 @@ func TestPutWarmBucketAllocatesNoPage(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= pageSize {
 		t.Fatalf("Put into a warm bucket allocates %d B, want < %d", per, pageSize)
 	}
+}
+
+// TestGetAppendReadsInPlace: a lookup walks the cached bucket page and
+// copies only the matched value, so GetAppend into a buffer with room
+// allocates nothing, hit or miss, and appends to the caller's buffer.
+func TestGetAppendReadsInPlace(t *testing.T) {
+	ix, _ := newIndex(t)
+	for i := 0; i < 2000; i++ { // several splits: many full buckets
+		if err := ix.Put([]byte(fmt.Sprintf("key-%d", i)), bytes.Repeat([]byte{byte(i)}, i%300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, pageSize)
+	key, want := []byte("key-299"), bytes.Repeat([]byte{299 % 256}, 299)
+	got, err := ix.GetAppend(append(buf[:0], "hdr"...), key)
+	if err != nil || !bytes.Equal(got[:3], []byte("hdr")) || !bytes.Equal(got[3:], want) {
+		t.Fatalf("GetAppend: %d bytes, err=%v", len(got), err)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("GetAppend did not use the caller's buffer")
+	}
+	missing := []byte("absent")
+	if n := testing.AllocsPerRun(50, func() { ix.GetAppend(buf[:0], key) }); n != 0 {
+		t.Fatalf("GetAppend of a present key allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { ix.GetAppend(buf[:0], missing) }); n != 0 {
+		t.Fatalf("GetAppend of an absent key allocates %.0f times", n)
+	}
+}
+
+// TestHash64IsFNV1a: bucket placement, and so every page of a persisted
+// index, depends on the hash; the inline loop must stay 64-bit FNV-1a.
+func TestHash64IsFNV1a(t *testing.T) {
+	for _, k := range []string{"", "a", "key-17", "\x00\xff\x80long key"} {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := hash64([]byte(k)), h.Sum64(); got != want {
+			t.Fatalf("hash64(%q) = %x, FNV-1a %x", k, got, want)
+		}
+	}
+}
+
+// overflowCounter counts the directory writes and frees a Flush issues.
+type overflowCounter struct {
+	*kv.Pager
+	writes, frees int
+}
+
+func (c *overflowCounter) WriteOverflow(val []byte) (uint64, error) {
+	c.writes++
+	return c.Pager.WriteOverflow(val)
+}
+
+func (c *overflowCounter) FreeOverflow(head uint64) error {
+	c.frees++
+	return c.Pager.FreeOverflow(head)
+}
+
+// TestFlushRewritesDirectoryOnlyAfterSplit: a Put + Flush that does not
+// split writes the meta page alone — the directory chain is neither
+// freed nor rewritten and the meta page names the same head — while a
+// split rewrites it; a reopen reads the directory either way.
+func TestFlushRewritesDirectoryOnlyAfterSplit(t *testing.T) {
+	p := newPager(t)
+	pc := &overflowCounter{Pager: p}
+	ix, err := Create(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirHead := func() uint64 {
+		buf, err := p.Read(ix.Meta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint64(buf[9:])
+	}
+	reopen := func(stage string) {
+		re, err := Open(p, ix.Meta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(re.dir, ix.dir) || re.Len() != ix.Len() {
+			t.Fatalf("%s: reopened %d slots and %d entries, want %d and %d", stage, len(re.dir), re.Len(), len(ix.dir), ix.Len())
+		}
+	}
+	if err := ix.Put([]byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	head, writes, frees := dirHead(), pc.writes, pc.frees
+	if err := ix.Put([]byte("b"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if dirHead() != head || pc.writes != writes || pc.frees != frees {
+		t.Fatalf("Flush without a split: directory head %d -> %d, %d overflow writes and %d frees",
+			head, dirHead(), pc.writes-writes, pc.frees-frees)
+	}
+	reopen("no split")
+	depth := ix.depth
+	for i := 0; ix.depth == depth; i++ {
+		if err := ix.Put([]byte(fmt.Sprintf("fill-%d", i)), make([]byte, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pc.writes == writes || pc.frees == frees {
+		t.Fatal("a split did not rewrite the directory")
+	}
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopen("split")
 }
 
 func TestReplace(t *testing.T) {
@@ -183,31 +298,6 @@ func TestPersistAcrossReopen(t *testing.T) {
 		v, err := ix2.Get([]byte(fmt.Sprintf("k%d", i)))
 		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("reopen Get(k%d) = %q, %v", i, v, err)
-		}
-	}
-}
-
-func TestScanVisitsAll(t *testing.T) {
-	ix, _ := newIndex(t)
-	want := map[string]string{}
-	for i := 0; i < 3000; i++ {
-		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
-		want[k] = v
-		ix.Put([]byte(k), []byte(v))
-	}
-	got := map[string]string{}
-	if err := ix.Scan(func(k, v []byte) bool {
-		got[string(k)] = string(v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("scan value for %s = %q, want %q", k, got[k], v)
 		}
 	}
 }
