@@ -101,8 +101,8 @@ func cfgFor(scale string) (dataset.Config, error) {
 
 // envAt builds (or reuses) the benchmark environment rooted at the db
 // file's directory. Ingest state is keyed by the db file itself: if it
-// already holds the collections, ETL is skipped by NewEnv failing on
-// CreateCollection — so ingest requires a fresh path.
+// already holds the collections, NewEnvAt skips the ETL and reuses them,
+// so ingest refuses an existing path rather than re-running it.
 func envAt(dbPath, scale string, dev exec.Kind) (*bench.Env, error) {
 	cfg, err := cfgFor(scale)
 	if err != nil {

@@ -73,7 +73,9 @@ func NewEnvAt(dbPath, dir string, cfg dataset.Config, dev exec.Device) (*Env, er
 	if _, err := db.Collection(ColTrafficDets); err == nil {
 		return e, nil // already ingested: reuse materialized collections
 	}
-	if err := e.runETL(dbTarget{db}); err != nil {
+	// A one-shard wrapper allocates exactly the ids and versions the DB
+	// would on its own.
+	if err := e.runETL(core.WrapSharded(db)); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -98,7 +100,7 @@ func NewShardedReplicaEnv(dir string, cfg dataset.Config, n, r int, dev exec.Dev
 	if _, err := sdb.Collection(ColTrafficDets); err == nil {
 		return e, nil // already ingested: reuse materialized shards
 	}
-	if err := e.runETL(shardTarget{sdb}); err != nil {
+	if err := e.runETL(sdb); err != nil {
 		sdb.Close()
 		return nil, err
 	}
@@ -131,40 +133,6 @@ func (e *Env) Close() error {
 	return e.DB.Close()
 }
 
-// ingestTarget abstracts where the ETL materializes: one DB or a
-// sharded set (patches routed to their home shards).
-type ingestTarget interface {
-	materialize(name string, schema core.Schema, it core.Iterator) error
-	create(name string, schema core.Schema) (patchAppender, error)
-	flush() error
-}
-
-// patchAppender is the slice of the collection API the ETL needs
-// (satisfied by *core.Collection and *core.ShardedCollection).
-type patchAppender interface{ Append(*core.Patch) error }
-
-type dbTarget struct{ db *core.DB }
-
-func (t dbTarget) materialize(name string, schema core.Schema, it core.Iterator) error {
-	_, err := t.db.Materialize(name, schema, it)
-	return err
-}
-func (t dbTarget) create(name string, schema core.Schema) (patchAppender, error) {
-	return t.db.CreateCollection(name, schema)
-}
-func (t dbTarget) flush() error { return t.db.Flush() }
-
-type shardTarget struct{ s *core.Sharded }
-
-func (t shardTarget) materialize(name string, schema core.Schema, it core.Iterator) error {
-	_, err := t.s.Materialize(name, schema, it)
-	return err
-}
-func (t shardTarget) create(name string, schema core.Schema) (patchAppender, error) {
-	return t.s.CreateCollection(name, schema)
-}
-func (t shardTarget) flush() error { return t.s.Flush() }
-
 // trafficFrames iterates rendered TrafficCam frames as whole-frame patches.
 func (e *Env) trafficFrames() core.Iterator {
 	t := 0
@@ -191,9 +159,9 @@ func framePatch(source string, frame uint64, img *codec.Image) *core.Patch {
 	}
 }
 
-// runETL executes every pipeline and materializes the outputs into
-// the given target (a single DB or a sharded set).
-func (e *Env) runETL(tg ingestTarget) error {
+// runETL executes every pipeline and materializes the outputs into s,
+// routing each patch to its home shard.
+func (e *Env) runETL(s *core.Sharded) error {
 	// TrafficCam: detect -> embed -> depth (pedestrian geometry).
 	start := time.Now()
 	dets := core.DetectGenerator(e.Det, e.trafficFrames())
@@ -204,7 +172,7 @@ func (e *Env) runETL(tg ingestTarget) error {
 		WithField(core.Field{Name: "depth", Kind: core.KindFloat})
 	dets = core.DropData(dets)
 	dets = ensureDepth(dets)
-	if err := tg.materialize(ColTrafficDets, trafficSchema, dets); err != nil {
+	if _, err := s.Materialize(ColTrafficDets, trafficSchema, dets); err != nil {
 		return fmt.Errorf("traffic ETL: %w", err)
 	}
 	e.ETLTime[ColTrafficDets] = time.Since(start)
@@ -229,12 +197,12 @@ func (e *Env) runETL(tg ingestTarget) error {
 			{Name: "emb", Kind: core.KindVec, VecDim: e.Emb.Dim()},
 		},
 	}
-	if err := tg.materialize(ColPCImages, pcSchema, pcIt); err != nil {
+	if _, err := s.Materialize(ColPCImages, pcSchema, pcIt); err != nil {
 		return fmt.Errorf("pc images ETL: %w", err)
 	}
 	words := core.OCRGenerator(e.DocOCR, core.FromImages("pc", imgs))
 	words = core.DropData(words)
-	if err := tg.materialize(ColPCWords, core.OCRSchema(), words); err != nil {
+	if _, err := s.Materialize(ColPCWords, core.OCRSchema(), words); err != nil {
 		return fmt.Errorf("pc words ETL: %w", err)
 	}
 	e.ETLTime[ColPCImages] = time.Since(start)
@@ -244,11 +212,11 @@ func (e *Env) runETL(tg ingestTarget) error {
 	start = time.Now()
 	fbSchema := core.DetectionSchema().
 		WithField(core.Field{Name: "clip", Kind: core.KindInt})
-	fbDets, err := tg.create(ColFBDets, fbSchema)
+	fbDets, err := s.CreateCollection(ColFBDets, fbSchema)
 	if err != nil {
 		return err
 	}
-	fbWords, err := tg.create(ColFBWords,
+	fbWords, err := s.CreateCollection(ColFBWords,
 		core.OCRSchema().WithField(core.Field{Name: "clip", Kind: core.KindInt}))
 	if err != nil {
 		return err
@@ -291,7 +259,7 @@ func (e *Env) runETL(tg ingestTarget) error {
 		}
 	}
 	e.ETLTime[ColFBDets] = time.Since(start)
-	return tg.flush()
+	return s.Flush()
 }
 
 // ensureDepth fills a zero depth for non-pedestrian detections whose bbox

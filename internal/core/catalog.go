@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // DB is a DeepLens database: a page file holding materialized patch
-// collections, persistent indexes, lineage state, and the catalog, plus
-// the execution device query operators run on.
+// collections, persistent indexes and the catalog, plus the execution
+// device query operators run on.
 //
 // The catalog is safe for concurrent use: readers (Collection, Device,
 // HasIndex, snapshot scans) take a shared lock while writers (create,
@@ -27,10 +28,9 @@ type DB struct {
 	nextID  uint64
 	nextVer atomic.Uint64 // collection-version counter (cache invalidation)
 
-	sys      *kv.Bucket // catalog + counters
-	patchLoc *kv.Bucket // patch id -> collection name (global lineage resolution)
-	cols     map[string]*Collection
-	indexes  map[string]*Index // descriptor key (indexKey) -> index
+	sys     *kv.Bucket // catalog + counters
+	cols    map[string]*Collection
+	indexes map[string]*Index // descriptor key (indexKey) -> index
 
 	// Incremental column-extension counters (see Collection.Columns):
 	// how many stale stores were upgraded in place rather than rebuilt,
@@ -82,13 +82,8 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		st.Close()
 		return nil, err
 	}
-	loc, err := st.Bucket("sys.patchloc")
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
 	db := &DB{
-		store: st, dev: dev, sys: sys, patchLoc: loc,
+		store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
 		indexes: make(map[string]*Index),
 		cost:    DefaultCostModel(),
@@ -262,21 +257,23 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	return c, nil
 }
 
-// Collections lists materialized collection names.
+// Collections lists materialized collection names in sorted order.
 func (db *DB) Collections() []string {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
 	names := make([]string, 0, len(db.cols))
 	for n := range db.cols {
 		names = append(names, n)
 	}
+	db.mu.RUnlock()
+	sort.Strings(names)
 	return names
 }
 
-// DropCollection removes a collection: its patches, lineage entries,
-// catalog descriptor, and any index descriptors. A later collection with
-// the same name gets a fresh version, so plan fingerprints keyed on
-// (name, version) can never alias stale cached results after re-ingest.
+// DropCollection removes a collection: its patches, spilled column
+// segments, catalog descriptor, and any index descriptors. A later
+// collection with the same name gets a fresh version, so plan
+// fingerprints keyed on (name, version) can never alias stale cached
+// results after re-ingest.
 func (db *DB) DropCollection(name string) error {
 	// The descriptor must disappear while the catalog lock is held:
 	// otherwise a concurrent Collection(name) between the map delete and
@@ -315,10 +312,6 @@ func (db *DB) DropCollection(name string) error {
 	}
 	for _, k := range keys {
 		if err := b.Delete(k); err != nil {
-			return err
-		}
-		// Lineage entries may already point elsewhere; missing is fine.
-		if err := db.patchLoc.Delete(k); err != nil && !errors.Is(err, kv.ErrNotFound) {
 			return err
 		}
 	}
@@ -388,27 +381,35 @@ func (db *DB) Materialize(name string, schema Schema, it Iterator) (*Collection,
 }
 
 // GetPatch resolves a patch id anywhere in the database (lineage chains
-// cross collections).
+// cross collections). Patch ids are database-unique, so it probes each
+// collection in name order and the first that holds the id answers.
 func (db *DB) GetPatch(id PatchID) (*Patch, error) {
-	v, err := db.patchLoc.Get(kv.U64Key(uint64(id)))
-	if err != nil {
-		return nil, fmt.Errorf("%w: patch %d", ErrNotFound, id)
+	for _, name := range db.Collections() {
+		col, err := db.Collection(name)
+		if errors.Is(err, ErrNotFound) {
+			continue // dropped since the listing
+		}
+		if err != nil {
+			return nil, err
+		}
+		p, err := col.Get(id)
+		if !errors.Is(err, ErrNotFound) {
+			return p, err
+		}
 	}
-	col, err := db.Collection(string(v))
-	if err != nil {
-		return nil, err
-	}
-	return col.Get(id)
+	return nil, fmt.Errorf("%w: patch %d", ErrNotFound, id)
 }
 
 // Backtrace follows a patch's lineage chain to its base (§5.1): the
 // returned slice starts at p's parent and ends at the patch with no
 // parent; the final Ref's Source/Frame identify the raw image.
-func (db *DB) Backtrace(p *Patch) ([]*Patch, error) {
+func (db *DB) Backtrace(p *Patch) ([]*Patch, error) { return backtrace(p, db.GetPatch) }
+
+// backtrace walks p's parent pointers, resolving each through get.
+func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 	var chain []*Patch
-	cur := p
-	for cur.Ref.Parent != 0 {
-		parent, err := db.GetPatch(cur.Ref.Parent)
+	for cur := p; cur.Ref.Parent != 0; {
+		parent, err := get(cur.Ref.Parent)
 		if err != nil {
 			return chain, err
 		}
@@ -526,9 +527,6 @@ func (c *Collection) Append(p *Patch) error {
 	if err := c.bucket.Put(kv.U64Key(uint64(p.ID)), p.Marshal()); err != nil {
 		return err
 	}
-	if err := c.db.patchLoc.Put(kv.U64Key(uint64(p.ID)), []byte(c.name)); err != nil {
-		return err
-	}
 	c.count++
 	c.version = c.db.nextVersion()
 	if c.cache != nil {
@@ -551,8 +549,11 @@ func (c *Collection) Get(id PatchID) (*Patch, error) {
 	}
 	c.mu.Unlock()
 	v, err := c.bucket.Get(kv.U64Key(uint64(id)))
-	if err != nil {
+	if errors.Is(err, kv.ErrNotFound) {
 		return nil, fmt.Errorf("%w: patch %d in %q", ErrNotFound, id, c.name)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return UnmarshalPatch(v)
 }

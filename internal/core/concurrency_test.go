@@ -114,7 +114,7 @@ func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
 
 // TestDropCollectionVersioning verifies re-ingest semantics: dropping and
 // re-creating a collection yields a strictly newer version, and the old
-// contents are gone from both the catalog and the lineage map.
+// contents are gone from both the catalog and lineage resolution.
 func TestDropCollectionVersioning(t *testing.T) {
 	db, err := Open(filepath.Join(t.TempDir(), "d.db"), exec.New(exec.CPU))
 	if err != nil {

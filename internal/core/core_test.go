@@ -580,30 +580,143 @@ func TestClustersFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
-func TestBacktrace(t *testing.T) {
-	db := openDB(t)
-	base, _ := db.CreateCollection("frames", Schema{})
-	framePatch := &Patch{Ref: Ref{Source: "video0", Frame: 7}}
-	base.Append(framePatch)
-	dets, _ := db.CreateCollection("dets", Schema{})
-	detPatch := &Patch{Ref: Ref{Source: "video0", Frame: 7, Parent: framePatch.ID}}
-	dets.Append(detPatch)
-	ocr, _ := db.CreateCollection("ocr", Schema{})
-	ocrPatch := &Patch{Ref: Ref{Source: "video0", Frame: 7, Parent: detPatch.ID}}
-	ocr.Append(ocrPatch)
+// lineageDB is what TestBacktrace drives on both an unsharded DB and a
+// sharded set.
+type lineageDB interface {
+	Collections() []string
+	GetPatch(PatchID) (*Patch, error)
+	Backtrace(*Patch) ([]*Patch, error)
+	DropCollection(string) error
+	Close() error
+}
 
-	chain, err := db.Backtrace(ocrPatch)
+// openLineageDB opens a DB at n == 1 and a sharded set otherwise,
+// returning the stores the rows land in and a collection constructor.
+func openLineageDB(t *testing.T, dir string, n int) (lineageDB, []*DB, func(string) (func(*Patch) error, error)) {
+	t.Helper()
+	if n == 1 {
+		db, err := Open(filepath.Join(dir, "dl.db"), exec.New(exec.CPU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, []*DB{db}, func(name string) (func(*Patch) error, error) {
+			c, err := db.CreateCollection(name, Schema{})
+			if err != nil {
+				return nil, err
+			}
+			return c.Append, nil
+		}
+	}
+	s, err := OpenSharded(dir, n, exec.New(exec.CPU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chain) != 2 {
-		t.Fatalf("chain length %d, want 2", len(chain))
+	return s, s.shards, func(name string) (func(*Patch) error, error) {
+		c, err := s.CreateCollection(name, Schema{})
+		if err != nil {
+			return nil, err
+		}
+		return c.Append, nil
 	}
-	if chain[0].ID != detPatch.ID || chain[1].ID != framePatch.ID {
-		t.Fatal("chain order wrong")
-	}
-	if chain[1].Ref.Parent != 0 {
-		t.Fatal("chain does not end at base")
+}
+
+// TestBacktrace builds a three-level lineage chain across three
+// collections and resolves it through the collections alone: every row
+// is stored once, the chain survives a reopen with cold caches, and a
+// dropped middle collection breaks it with ErrNotFound.
+func TestBacktrace(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			db, stores, create := openLineageDB(t, dir, n)
+			// Created out of name order; a few unrelated rows per level
+			// spread the chain's ids over the shards.
+			var chainIDs []PatchID
+			var parent PatchID
+			for _, name := range []string{"frames", "dets", "ocr"} {
+				appendTo, err := create(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					p := &Patch{Ref: Ref{Source: "video0", Frame: uint64(7 + i)}}
+					if i == 0 {
+						p.Ref.Parent = parent
+					}
+					if err := appendTo(p); err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						chainIDs = append(chainIDs, p.ID)
+						parent = p.ID
+					}
+				}
+			}
+			wantNames := []string{"dets", "frames", "ocr"}
+			checkNames := func(when string) {
+				if got := db.Collections(); fmt.Sprint(got) != fmt.Sprint(wantNames) {
+					t.Fatalf("%s: Collections() = %v, want %v", when, got, wantNames)
+				}
+			}
+			checkNames("before reopen")
+			for i, st := range stores {
+				names, err := st.Store().Buckets()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Strings(names)
+				want := []string{"col.dets", "col.frames", "col.ocr", "sys.catalog"}
+				if fmt.Sprint(names) != fmt.Sprint(want) {
+					t.Fatalf("store %d buckets = %v, want %v", i, names, want)
+				}
+			}
+			// leaf resolves the chain's last patch and backtraces it.
+			leaf := func() []*Patch {
+				p, err := db.GetPatch(chainIDs[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain, err := db.Backtrace(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return chain
+			}
+			want := leaf()
+			if len(want) != 2 || want[0].ID != chainIDs[1] || want[1].ID != chainIDs[0] {
+				t.Fatalf("chain %v, want ids %v then %v", want, chainIDs[1], chainIDs[0])
+			}
+			if want[1].Ref.Parent != 0 || want[1].Ref.Frame != 7 {
+				t.Fatal("chain does not end at base")
+			}
+
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, _, _ = openLineageDB(t, dir, n)
+			defer db.Close()
+			checkNames("after reopen")
+			got := leaf()
+			if len(got) != len(want) {
+				t.Fatalf("reopened chain length %d, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || got[i].Ref != want[i].Ref {
+					t.Fatalf("reopened chain[%d] = %+v, want %+v", i, got[i].Ref, want[i].Ref)
+				}
+			}
+
+			if err := db.DropCollection("dets"); err != nil {
+				t.Fatal(err)
+			}
+			p, err := db.GetPatch(chainIDs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chain, err := db.Backtrace(p); !errors.Is(err, ErrNotFound) || len(chain) != 0 {
+				t.Fatalf("Backtrace past a dropped collection = %d patches, %v; want ErrNotFound", len(chain), err)
+			}
+		})
 	}
 }
 

@@ -495,26 +495,15 @@ func (s *Sharded) Materialize(name string, schema Schema, it Iterator) (*Sharded
 	return sc, nil
 }
 
-// GetPatch resolves a patch id via its home shard's lineage table.
+// GetPatch resolves a patch id on its home shard's primary, which
+// probes that shard's collections (see DB.GetPatch).
 func (s *Sharded) GetPatch(id PatchID) (*Patch, error) {
 	return s.shards[s.ShardFor(id)].GetPatch(id)
 }
 
 // Backtrace follows a patch's lineage chain across shards (parents were
 // routed by their own ids, so each hop resolves on its home shard).
-func (s *Sharded) Backtrace(p *Patch) ([]*Patch, error) {
-	var chain []*Patch
-	cur := p
-	for cur.Ref.Parent != 0 {
-		parent, err := s.GetPatch(cur.Ref.Parent)
-		if err != nil {
-			return chain, err
-		}
-		chain = append(chain, parent)
-		cur = parent
-	}
-	return chain, nil
-}
+func (s *Sharded) Backtrace(p *Patch) ([]*Patch, error) { return backtrace(p, s.GetPatch) }
 
 // ColumnExtendStats sums incremental column-extension counters over
 // every replica DB: each replica extends its own stores for the
