@@ -500,6 +500,15 @@ func (c *Collection) Append(p *Patch) error {
 	if p.ID == 0 {
 		p.ID = c.db.NewPatchID()
 	}
+	if err := c.prepare(p); err != nil {
+		return err
+	}
+	return c.put(p, p.Marshal())
+}
+
+// prepare stamps p's lineage attributes and validates it against the
+// schema: everything Append does before the write.
+func (c *Collection) prepare(p *Patch) error {
 	if p.Meta == nil {
 		p.Meta = Metadata{}
 	}
@@ -517,6 +526,11 @@ func (c *Collection) Append(p *Patch) error {
 	if err := c.schema.ValidatePatch(p); err != nil {
 		return fmt.Errorf("collection %q: %w", c.name, err)
 	}
+	return nil
+}
+
+// put writes a prepared patch, raw being its Marshal encoding.
+func (c *Collection) put(p *Patch, raw []byte) error {
 	// The storage write and the count/version/cache update commit as one
 	// critical section: a cold Snapshot load that observed this patch's
 	// bucket write is guaranteed to also observe the version bump, so its
@@ -524,7 +538,7 @@ func (c *Collection) Append(p *Patch) error {
 	// would then double-insert into.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.bucket.Put(kv.U64Key(uint64(p.ID)), p.Marshal()); err != nil {
+	if err := c.bucket.Put(kv.U64Key(uint64(p.ID)), raw); err != nil {
 		return err
 	}
 	c.count++

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/tensor"
@@ -209,51 +211,76 @@ func (m Metadata) Keys() []string {
 // errCorrupt reports a malformed serialized patch.
 var errCorrupt = errors.New("core: corrupt serialized patch")
 
-// Marshal serializes a patch for storage.
+// Marshal serializes a patch for storage. It sizes the encoding first
+// and writes it into one allocation; the keys sort on the stack for
+// metadata of up to 16 fields.
 func (p *Patch) Marshal() []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
+	var arr [16]string
+	keys := arr[:0]
+	for k := range p.Meta {
+		keys = append(keys, k)
 	}
-	putStr := func(s string) {
-		putU(uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	putU(uint64(p.ID))
-	putStr(p.Ref.Source)
-	putU(p.Ref.Frame)
-	putU(uint64(p.Ref.Parent))
+	slices.Sort(keys)
+
+	n := uvarintLen(uint64(p.ID)) + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
+	dataLen := 0
 	if p.Data != nil {
-		d := p.Data.Marshal()
-		putU(uint64(len(d)))
-		buf = append(buf, d...)
-	} else {
-		putU(0)
+		dataLen = p.Data.MarshalSize()
 	}
-	putU(uint64(len(p.Meta)))
-	for _, k := range p.Meta.Keys() {
+	n += uvarintLen(uint64(dataLen)) + dataLen + uvarintLen(uint64(len(p.Meta)))
+	for _, k := range keys {
 		v := p.Meta[k]
-		putStr(k)
-		buf = append(buf, byte(v.Kind))
+		n += strLen(k) + 1
 		switch v.Kind {
 		case KindInt:
-			putU(uint64(v.I))
+			n += uvarintLen(uint64(v.I))
 		case KindFloat:
-			putU(math.Float64bits(v.F))
+			n += uvarintLen(math.Float64bits(v.F))
 		case KindStr:
-			putStr(v.S)
+			n += strLen(v.S)
 		case KindVec, KindRect:
-			putU(uint64(len(v.V)))
+			n += uvarintLen(uint64(len(v.V))) + 4*len(v.V)
+		}
+	}
+
+	buf := make([]byte, 0, n)
+	buf = binary.AppendUvarint(buf, uint64(p.ID))
+	buf = appendStr(buf, p.Ref.Source)
+	buf = binary.AppendUvarint(buf, p.Ref.Frame)
+	buf = binary.AppendUvarint(buf, uint64(p.Ref.Parent))
+	buf = binary.AppendUvarint(buf, uint64(dataLen))
+	if p.Data != nil {
+		buf = p.Data.AppendMarshal(buf)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(p.Meta)))
+	for _, k := range keys {
+		v := p.Meta[k]
+		buf = append(appendStr(buf, k), byte(v.Kind))
+		switch v.Kind {
+		case KindInt:
+			buf = binary.AppendUvarint(buf, uint64(v.I))
+		case KindFloat:
+			buf = binary.AppendUvarint(buf, math.Float64bits(v.F))
+		case KindStr:
+			buf = appendStr(buf, v.S)
+		case KindVec, KindRect:
+			buf = binary.AppendUvarint(buf, uint64(len(v.V)))
 			for _, f := range v.V {
-				var b [4]byte
-				binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
-				buf = append(buf, b[:]...)
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
 			}
 		}
 	}
 	return buf
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// strLen is the length of s's length-prefixed encoding.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
 // UnmarshalPatch parses a patch serialized by Marshal.

@@ -649,8 +649,10 @@ func (c *ShardedCollection) Len() int {
 // write the primary accepted. Demoted replicas are skipped entirely:
 // a demoted replica freezes at an exact prefix of the primary's commit
 // sequence (no holes), which is what lets ResyncReplica stream just
-// the missing suffix and verify it byte-for-byte. A single-shard,
-// single-replica append is exactly an unsharded Append.
+// the missing suffix and verify it byte-for-byte. The primary stamps,
+// validates and marshals the patch once; every replica stores those
+// bytes. A single-shard, single-replica append is exactly an unsharded
+// Append.
 func (c *ShardedCollection) Append(p *Patch) error {
 	if p.ID == 0 {
 		p.ID = c.s.NewPatchID()
@@ -659,21 +661,27 @@ func (c *ShardedCollection) Append(p *Patch) error {
 	inj := c.s.injector()
 	c.s.appendMu[home].Lock()
 	defer c.s.appendMu[home].Unlock()
-	for j, col := range c.cols[home] {
-		if j > 0 && !c.s.insync[home][j].Load() {
+	primary := c.cols[home][0]
+	err := inj.Fail(fault.AppendError, home, 0)
+	if err == nil {
+		err = primary.prepare(p)
+	}
+	if err != nil {
+		return err
+	}
+	raw := p.Marshal()
+	if err := primary.put(p, raw); err != nil {
+		return err
+	}
+	for j := 1; j < len(c.cols[home]); j++ {
+		if !c.s.insync[home][j].Load() {
 			continue
 		}
 		err := inj.Fail(fault.AppendError, home, j)
 		if err == nil {
-			err = col.Append(p)
+			err = c.cols[home][j].put(p, raw)
 		}
-		if err == nil {
-			continue
-		}
-		if j == 0 {
-			return err
-		}
-		if c.s.insync[home][j].CompareAndSwap(true, false) {
+		if err != nil && c.s.insync[home][j].CompareAndSwap(true, false) {
 			c.s.repErrs.Add(1)
 		}
 	}

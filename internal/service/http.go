@@ -346,14 +346,13 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, httpError{"POST a JSON append body"})
 		return
 	}
-	var req AppendRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	d := appendDecoders.Get().(*appendDecoder)
+	defer d.release()
+	if err := d.decode(r.Body); err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{"bad append body: " + err.Error()})
 		return
 	}
-	resp, err := s.Append(r.Context(), req)
+	resp, err := s.appendPatches(r.Context(), d.collection, d.count(), d.patches)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, resp)

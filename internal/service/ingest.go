@@ -85,17 +85,37 @@ func (r *AppendRequest) specs() []PatchSpec {
 // can leave a prefix committed (reported in the error). Every patch
 // routes to its hash-designated home shard via core.Sharded placement.
 func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendResponse, error) {
+	specs := req.specs()
+	return s.appendPatches(ctx, req.Collection, len(specs), func(schema core.Schema) ([]*core.Patch, error) {
+		patches := make([]*core.Patch, len(specs))
+		for i, sp := range specs {
+			p, err := sp.patch(schema)
+			if err != nil {
+				return nil, fmt.Errorf("service: append patch %d: %w", i, err)
+			}
+			patches[i] = p
+		}
+		return patches, nil
+	})
+}
+
+// appendPatches is the commit path both append adapters share: the
+// Go API's AppendRequest and /append's body decoder. It rejects in a
+// fixed order — closed service, canceled context, no collection or no
+// patches, a full append gate (429), an unknown collection (404) — and
+// only then calls build, which converts the n patches against the
+// collection's schema, and commits what it returns.
+func (s *Service) appendPatches(ctx context.Context, collection string, n int, build func(core.Schema) ([]*core.Patch, error)) (*AppendResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if req.Collection == "" {
+	if collection == "" {
 		return nil, errors.New("service: append needs a collection")
 	}
-	specs := req.specs()
-	if len(specs) == 0 {
+	if n == 0 {
 		return nil, errors.New("service: append needs a patch or a patches batch")
 	}
 	// Appends commit inline on the caller's goroutine — they never enter
@@ -108,19 +128,15 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 	}
 	defer s.releaseAppendSlot()
 
-	sc, err := s.shards.Collection(req.Collection)
+	sc, err := s.shards.Collection(collection)
 	if err != nil {
 		return nil, err
 	}
 
 	start := time.Now()
-	patches := make([]*core.Patch, len(specs))
-	for i, sp := range specs {
-		p, err := sp.patch(sc.Schema())
-		if err != nil {
-			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
-		}
-		patches[i] = p
+	patches, err := build(sc.Schema())
+	if err != nil {
+		return nil, err
 	}
 	ids := make([]uint64, 0, len(patches))
 	for i, p := range patches {
@@ -129,16 +145,16 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 			// not a bad request: wrap the sentinel so the HTTP layer can
 			// answer 500 (retryable server fault with a committed prefix)
 			// instead of 400.
-			s.noteAppended(req.Collection, len(ids))
+			s.noteAppended(collection, len(ids))
 			return nil, fmt.Errorf("%w: patch %d (after %d committed): %v", ErrAppendStorage, i, len(ids), err)
 		}
 		ids = append(ids, uint64(p.ID))
 	}
-	s.noteAppended(req.Collection, len(ids))
+	s.noteAppended(collection, len(ids))
 	dur := time.Since(start)
 	s.tel.appendDur.Observe(dur.Seconds())
 	return &AppendResponse{
-		Collection: req.Collection,
+		Collection: collection,
 		Appended:   len(ids),
 		IDs:        ids,
 		Version:    sc.Version(),
@@ -160,38 +176,93 @@ func (s *Service) noteAppended(collection string, n int) {
 	s.results.InvalidatePrefix("q:" + collection + ":")
 }
 
-// patch converts a spec against the collection schema. Lineage fields
-// _source/_frame are stamped here (Collection.Append re-stamps them
-// identically) so the pre-commit schema validation sees the same patch
-// the storage layer will.
+// patch converts a spec against the collection schema.
 func (sp PatchSpec) patch(schema core.Schema) (*core.Patch, error) {
 	p := &core.Patch{
 		Ref:  core.Ref{Source: sp.Source, Frame: sp.Frame, Parent: core.PatchID(sp.Parent)},
 		Meta: make(core.Metadata, len(sp.Meta)+2),
 	}
 	for k, v := range sp.Meta {
-		val, err := metaValue(schema, k, v)
+		val, err := metaValue(schema.FieldNamed(k), anyTok(v))
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", k, err)
 		}
 		p.Meta[k] = val
 	}
-	p.Meta["_source"] = core.StrV(p.Ref.Source)
-	p.Meta["_frame"] = core.IntV(int64(p.Ref.Frame))
-	if err := schema.ValidatePatch(p); err != nil {
+	if err := sealPatch(schema, p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// metaValue coerces one JSON metadata value to its core.Value, schema
-// kind first, JSON shape second.
-func metaValue(schema core.Schema, field string, v any) (core.Value, error) {
-	fd := schema.FieldNamed(field)
+// sealPatch finishes a patch either append adapter built from its
+// metadata. It rejects a frame that _frame, an int64, cannot hold: the
+// stamp would wrap it negative, and the row would read back and filter
+// under a frame it was never given. It stamps the lineage fields
+// _source/_frame (Collection.Append re-stamps them identically), so the
+// pre-commit schema validation sees the same patch the storage layer
+// will.
+func sealPatch(schema core.Schema, p *core.Patch) error {
+	if p.Ref.Frame > math.MaxInt64 {
+		return fmt.Errorf("frame %d is past the largest _frame, %d", p.Ref.Frame, int64(math.MaxInt64))
+	}
+	p.Meta["_source"] = core.StrV(p.Ref.Source)
+	p.Meta["_frame"] = core.IntV(int64(p.Ref.Frame))
+	return schema.ValidatePatch(p)
+}
+
+// tokKind is the JSON shape of a metaTok.
+type tokKind uint8
+
+const (
+	tokBad     tokKind = iota // a JSON value no metadata kind takes; s names its type
+	tokStr                    // a string, in s
+	tokNum                    // a number, in f
+	tokVec                    // an array of numbers, in v
+	tokBadElem                // an array whose element elem is no number; s names its type
+)
+
+// metaTok is one metadata value as JSON carried it, before the schema
+// gives it a kind: a scalar or a vector. Both append adapters produce
+// it — anyTok from a map[string]any value, the /append decoder from the
+// body's bytes — and metaValue coerces it, so the rules exist once.
+type metaTok struct {
+	kind tokKind
+	s    string
+	f    float64
+	v    []float32
+	elem int
+}
+
+// anyTok is the token of a value encoding/json decoded into an any.
+func anyTok(v any) metaTok {
 	switch x := v.(type) {
 	case string:
-		return core.StrV(x), nil
+		return metaTok{kind: tokStr, s: x}
 	case float64:
+		return metaTok{kind: tokNum, f: x}
+	case []any:
+		vec := make([]float32, len(x))
+		for i, e := range x {
+			f, ok := e.(float64)
+			if !ok {
+				return metaTok{kind: tokBadElem, elem: i, s: fmt.Sprintf("%T", e)}
+			}
+			vec[i] = float32(f)
+		}
+		return metaTok{kind: tokVec, v: vec}
+	}
+	return metaTok{kind: tokBad, s: fmt.Sprintf("%T", v)}
+}
+
+// metaValue coerces one metadata token to its core.Value, the declared
+// field fd's kind first (nil when undeclared), the JSON shape second.
+func metaValue(fd *core.Field, t metaTok) (core.Value, error) {
+	switch t.kind {
+	case tokStr:
+		return core.StrV(t.s), nil
+	case tokNum:
+		x := t.f
 		if fd != nil && fd.Kind == core.KindInt {
 			if x != math.Trunc(x) {
 				return core.Value{}, fmt.Errorf("declared int, got fractional %g", x)
@@ -213,23 +284,17 @@ func metaValue(schema core.Schema, field string, v any) (core.Value, error) {
 			return core.IntV(int64(x)), nil
 		}
 		return core.FloatV(x), nil
-	case []any:
-		vec := make([]float32, len(x))
-		for i, e := range x {
-			f, ok := e.(float64)
-			if !ok {
-				return core.Value{}, fmt.Errorf("vector element %d is %T, want number", i, e)
-			}
-			vec[i] = float32(f)
-		}
+	case tokVec:
 		if fd != nil && fd.Kind == core.KindRect {
-			if len(vec) != 4 {
-				return core.Value{}, fmt.Errorf("declared rect, got %d elements", len(vec))
+			if len(t.v) != 4 {
+				return core.Value{}, fmt.Errorf("declared rect, got %d elements", len(t.v))
 			}
-			return core.Value{Kind: core.KindRect, V: vec}, nil
+			return core.Value{Kind: core.KindRect, V: t.v}, nil
 		}
-		return core.VecV(vec), nil
+		return core.VecV(t.v), nil
+	case tokBadElem:
+		return core.Value{}, fmt.Errorf("vector element %d is %s, want number", t.elem, t.s)
 	default:
-		return core.Value{}, fmt.Errorf("unsupported JSON value %T", v)
+		return core.Value{}, fmt.Errorf("unsupported JSON value %s", t.s)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -413,39 +416,86 @@ func TestAppendPartialBatchRejectedAtomically(t *testing.T) {
 	}
 }
 
-// TestMetaValueCoercion pins the JSON-to-Value mapping.
+// TestMetaValueCoercion pins the JSON-to-Value mapping, through both
+// append adapters: the Go API's map[string]any values and the /append
+// decoder's tokens of the body's bytes.
 func TestMetaValueCoercion(t *testing.T) {
-	schema := synthSchema()
+	schema := synthSchema().WithField(core.Field{Name: "box", Kind: core.KindRect})
 	cases := []struct {
 		field string
-		in    any
+		json  string
 		want  core.Value
 		fail  bool
 	}{
-		{"label", "car", core.StrV("car"), false},
-		{"score", 2.5, core.FloatV(2.5), false},
-		{"rank", 3.0, core.IntV(3), false},
-		{"rank", 3.5, core.Value{}, true},    // fractional into declared int
-		{"rank", 1e19, core.Value{}, true},   // past MaxInt64: conversion would be garbage
-		{"rank", 9.1e15, core.Value{}, true}, // past 2^53: float64 no longer exact
-		{"emb", []any{1.0, 2.0}, core.VecV([]float32{1, 2}), false},
-		{"undeclared_int", 7.0, core.IntV(7), false},
-		{"undeclared_float", 7.25, core.FloatV(7.25), false},
-		{"label", true, core.Value{}, true},
-		{"emb", []any{"x"}, core.Value{}, true},
+		{"label", `"car"`, core.StrV("car"), false},
+		{"label", `"é😀"`, core.StrV("é😀"), false},
+		{"score", `2.5`, core.FloatV(2.5), false},
+		{"score", `-0`, core.FloatV(math.Copysign(0, -1)), false},
+		{"rank", `3`, core.IntV(3), false},
+		{"rank", `3.0`, core.IntV(3), false},
+		{"rank", `-0`, core.IntV(0), false},
+		{"rank", `9007199254740991`, core.IntV(1<<53 - 1), false},
+		{"rank", `9007199254740993`, core.Value{}, true}, // 2^53+1 reads as 2^53: no longer exact
+		{"rank", `3.5`, core.Value{}, true},              // fractional into declared int
+		{"rank", `1e19`, core.Value{}, true},             // past MaxInt64: conversion would be garbage
+		{"rank", `9.1e15`, core.Value{}, true},           // past 2^53: float64 no longer exact
+		{"emb", `[1, 2]`, core.VecV([]float32{1, 2}), false},
+		{"emb", `[]`, core.VecV([]float32{}), false},
+		{"emb", `[0.1, 1e39]`, core.VecV([]float32{0.1, float32(math.Inf(1))}), false},
+		{"box", `[1, 2, 3, 4]`, core.Value{Kind: core.KindRect, V: []float32{1, 2, 3, 4}}, false},
+		{"box", `[1, 2, 3]`, core.Value{}, true},
+		{"undeclared_int", `7`, core.IntV(7), false},
+		{"undeclared_float", `7.25`, core.FloatV(7.25), false},
+		{"undeclared_big", `1e300`, core.FloatV(1e300), false},
+		{"label", `true`, core.Value{}, true},
+		{"label", `null`, core.Value{}, true},
+		{"label", `{"a": 1}`, core.Value{}, true},
+		{"emb", `["x"]`, core.Value{}, true},
+		{"emb", `[1, [2]]`, core.Value{}, true},
+		{"emb", `[1, null]`, core.Value{}, true},
+	}
+	// valueBytes compares values bit for bit (-0 is not 0), and a nil
+	// vector as the empty one.
+	valueBytes := func(v core.Value) []byte {
+		return (&core.Patch{Meta: core.Metadata{"v": v}}).Marshal()
 	}
 	for _, tc := range cases {
-		got, err := metaValue(schema, tc.field, tc.in)
-		if tc.fail {
-			if err == nil {
-				t.Errorf("%s: %v accepted as %v", tc.field, tc.in, got)
-			}
-			continue
+		var v any
+		if err := json.Unmarshal([]byte(tc.json), &v); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
-			t.Errorf("%s: %v", tc.field, err)
-		} else if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: %v -> %+v, want %+v", tc.field, tc.in, got, tc.want)
+		fd := schema.FieldNamed(tc.field)
+		for _, path := range []string{"any", "body"} {
+			tok := anyTok(v)
+			if path == "body" {
+				tok = bodyTok(t, tc.field, tc.json)
+			}
+			got, err := metaValue(fd, tok)
+			switch {
+			case tc.fail && err == nil:
+				t.Errorf("%s path, %s: %s accepted as %+v", path, tc.field, tc.json, got)
+			case !tc.fail && err != nil:
+				t.Errorf("%s path, %s: %s: %v", path, tc.field, tc.json, err)
+			case !tc.fail && !bytes.Equal(valueBytes(got), valueBytes(tc.want)):
+				t.Errorf("%s path, %s: %s -> %+v, want %+v", path, tc.field, tc.json, got, tc.want)
+			}
 		}
 	}
+}
+
+// bodyTok decodes a one-member meta through the /append decoder and
+// returns the member's token as patches hands it to metaValue.
+func bodyTok(t *testing.T, field, value string) metaTok {
+	t.Helper()
+	d := appendDecoders.Get().(*appendDecoder)
+	defer d.release()
+	body := `{"patch":{"meta":{` + strconv.Quote(field) + `:` + value + `}}}`
+	if err := d.decode(strings.NewReader(body)); err != nil {
+		t.Fatalf("decode %s: %v", body, err)
+	}
+	f := d.fields[0]
+	if f.tok.kind == tokVec {
+		f.tok.v = append([]float32{}, d.vals[f.from:f.to]...)
+	}
+	return f.tok
 }

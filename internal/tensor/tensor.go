@@ -220,6 +220,11 @@ func PSNR(a, b *Tensor) float64 {
 
 // Marshal serializes t to a compact binary form.
 func (t *Tensor) Marshal() []byte {
+	return t.AppendMarshal(make([]byte, 0, t.MarshalSize()))
+}
+
+// MarshalSize is the length of t's Marshal encoding.
+func (t *Tensor) MarshalSize() int {
 	n := 2 + 4*len(t.Shape)
 	switch t.DType {
 	case U8:
@@ -227,21 +232,21 @@ func (t *Tensor) Marshal() []byte {
 	case F32:
 		n += 4 * len(t.F32s)
 	}
-	buf := make([]byte, n)
-	buf[0] = byte(t.DType)
-	buf[1] = byte(len(t.Shape))
-	off := 2
+	return n
+}
+
+// AppendMarshal appends t's Marshal encoding to buf.
+func (t *Tensor) AppendMarshal(buf []byte) []byte {
+	buf = append(buf, byte(t.DType), byte(len(t.Shape)))
 	for _, s := range t.Shape {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(s))
-		off += 4
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 	}
 	switch t.DType {
 	case U8:
-		copy(buf[off:], t.U8s)
+		buf = append(buf, t.U8s...)
 	case F32:
 		for _, v := range t.F32s {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-			off += 4
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 		}
 	}
 	return buf
