@@ -125,7 +125,6 @@ type DLVWriter struct {
 	gop    int
 	n      int
 	ref    *Image // reconstructed reference frame
-	bytes  int64
 }
 
 // NewDLVWriter starts a DLV stream. gop <= 0 selects DefaultGOP.
@@ -145,11 +144,8 @@ func NewDLVWriter(w io.Writer, width, height int, q Quality, gop int) (*DLVWrite
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &DLVWriter{w: w, width: width, height: height, q: q, qt: quantTable(q), gop: gop, bytes: int64(len(hdr))}, nil
+	return &DLVWriter{w: w, width: width, height: height, q: q, qt: quantTable(q), gop: gop}, nil
 }
-
-// BytesWritten reports the total encoded size so far (header included).
-func (e *DLVWriter) BytesWritten() int64 { return e.bytes }
 
 // WriteFrame appends one frame to the stream.
 func (e *DLVWriter) WriteFrame(img *Image) error {
@@ -186,7 +182,6 @@ func (e *DLVWriter) WriteFrame(img *Image) error {
 	if _, err := e.w.Write(payload); err != nil {
 		return err
 	}
-	e.bytes += int64(len(hdr) + len(payload))
 	e.n++
 	return nil
 }

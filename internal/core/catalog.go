@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,16 +18,19 @@ import (
 // collections, persistent indexes and the catalog, plus the execution
 // device query operators run on.
 //
-// The catalog is safe for concurrent use: readers (Collection, Device,
-// HasIndex, snapshot scans) take a shared lock while writers (create,
-// drop, device swap) take it exclusively, so a serving layer can run many
-// queries in parallel with occasional catalog mutations.
+// The catalog is safe for concurrent use: readers (Collection, HasIndex,
+// snapshot scans) take a shared lock while writers (create, drop) take it
+// exclusively, so a serving layer can run many queries in parallel with
+// occasional catalog mutations.
 type DB struct {
 	mu    sync.RWMutex
 	store *kv.Store
 	dev   exec.Device
 
-	nextID  uint64
+	// nextID is the patch-id allocator. It is atomic, not under mu: an
+	// append takes its id while it holds its collection's lock, and Flush
+	// takes mu before a collection's lock.
+	nextID  atomic.Uint64
 	nextVer atomic.Uint64 // collection-version counter (cache invalidation)
 
 	sys     *kv.Bucket // catalog + counters
@@ -89,7 +94,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
-		db.nextID = kv.ParseU64Key(v)
+		db.nextID.Store(kv.ParseU64Key(v))
 	}
 	if v, err := sys.Get([]byte("nextver")); err == nil {
 		db.nextVer.Store(kv.ParseU64Key(v))
@@ -131,18 +136,7 @@ func (db *DB) SegmentCache() *SegmentCache {
 }
 
 // Device returns the execution device the engine runs kernels on.
-func (db *DB) Device() exec.Device {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dev
-}
-
-// SetDevice swaps the execution device (the optimizer's placement choice).
-func (db *DB) SetDevice(dev exec.Device) {
-	db.mu.Lock()
-	db.dev = dev
-	db.mu.Unlock()
-}
+func (db *DB) Device() exec.Device { return db.dev }
 
 // nextVersion allocates a database-wide monotonic collection version.
 // Versions never repeat, even across drop/re-create of the same name, so
@@ -165,7 +159,7 @@ func (db *DB) Close() error {
 // collection's descriptor (count updates from direct Appends).
 func (db *DB) Flush() error {
 	db.mu.Lock()
-	if err := db.sys.Put([]byte("nextid"), kv.U64Key(db.nextID)); err != nil {
+	if err := db.sys.Put([]byte("nextid"), kv.U64Key(db.nextID.Load())); err != nil {
 		db.mu.Unlock()
 		return err
 	}
@@ -187,13 +181,7 @@ func (db *DB) Flush() error {
 }
 
 // NewPatchID allocates a database-unique patch id.
-func (db *DB) NewPatchID() PatchID {
-	db.mu.Lock()
-	db.nextID++
-	id := db.nextID
-	db.mu.Unlock()
-	return PatchID(id)
-}
+func (db *DB) NewPatchID() PatchID { return PatchID(db.nextID.Add(1)) }
 
 type colDesc struct {
 	Name    string `json:"name"`
@@ -422,25 +410,23 @@ func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 // Collection is a named materialized set of patches persisted in one kv
 // bucket, with an in-memory cache for repeated scans.
 //
-// Concurrent readers and writers are safe: Snapshot returns a stable view
-// (appends never mutate a handed-out snapshot's visible prefix) together
-// with the version it reflects.
+// Patch ids are issued at commit, under the collection's lock, so one
+// row order holds everywhere: ascending id, in the row cache, the bucket,
+// every index and after a reopen. Concurrent readers and writers are
+// safe: Snapshot returns a stable view (appends never mutate a handed-out
+// snapshot's visible prefix) together with the version it reflects.
 type Collection struct {
 	db     *DB
 	name   string
 	schema Schema
 	bucket *kv.Bucket
 
+	// mu guards the commit: the bucket write, count, version and the row
+	// cache, which is nil until loaded (see load).
 	mu      sync.Mutex
 	count   int
 	version uint64
 	cache   []*Patch
-	byID    map[PatchID]*Patch
-
-	// loadMu serializes cold-start cache loads so concurrent first
-	// readers run one bucket scan, not N, while c.mu stays free for
-	// appends and cache-hit readers (see Snapshot).
-	loadMu sync.Mutex
 
 	// colMu guards the columnar projection of the current snapshot
 	// (built lazily by Columns, invalidated by version movement).
@@ -493,17 +479,25 @@ func (c *Collection) saveDesc() error {
 	return c.db.sys.Put([]byte("col."+c.name), v)
 }
 
+// ErrIDOrder reports an append whose patch id is not above the last id
+// its collection holds: committing it would break the id order of rows.
+var ErrIDOrder = errors.New("core: patch id out of order")
+
 // Append validates, ids, and persists a patch. Lineage attributes _source
 // and _frame are auto-populated from Ref so indexes and queries work on
-// provenance natively (§5.1).
+// provenance natively (§5.1). A patch without an id gets the next one
+// inside the commit; one with an id not above the collection's last is
+// refused with ErrIDOrder.
 func (c *Collection) Append(p *Patch) error {
-	if p.ID == 0 {
-		p.ID = c.db.NewPatchID()
-	}
 	if err := c.prepare(p); err != nil {
 		return err
 	}
-	return c.put(p, p.Marshal())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p.ID == 0 {
+		p.ID = c.db.NewPatchID()
+	}
+	return c.putLocked(p, p.Marshal())
 }
 
 // prepare stamps p's lineage attributes and validates it against the
@@ -529,47 +523,44 @@ func (c *Collection) prepare(p *Patch) error {
 	return nil
 }
 
-// put writes a prepared patch, raw being its Marshal encoding.
+// put commits a prepared patch, raw being its Marshal encoding.
 func (c *Collection) put(p *Patch, raw []byte) error {
-	// The storage write and the count/version/cache update commit as one
-	// critical section: a cold Snapshot load that observed this patch's
-	// bucket write is guaranteed to also observe the version bump, so its
-	// raced-load version check can never install a cache that this append
-	// would then double-insert into.
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.putLocked(p, raw)
+}
+
+// putLocked is put under c.mu: the storage write and the count, version
+// and row-cache update commit as one critical section. The cache is
+// loaded first, to learn the last id.
+func (c *Collection) putLocked(p *Patch, raw []byte) error {
+	if err := c.load(); err != nil {
+		return err
+	}
+	if n := len(c.cache); n > 0 && p.ID <= c.cache[n-1].ID {
+		return fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, p.ID, c.cache[n-1].ID, c.name)
+	}
 	if err := c.bucket.Put(kv.U64Key(uint64(p.ID)), raw); err != nil {
 		return err
 	}
 	c.count++
 	c.version = c.db.nextVersion()
-	if c.cache != nil {
-		c.cache = append(c.cache, p)
-		c.byID[p.ID] = p
-	}
+	c.cache = append(c.cache, p)
 	return nil
 }
 
-// Get fetches one patch by id, serving from the in-memory cache when the
-// collection has been scanned (index joins fetch per match; disk reads
-// there would dominate query time).
+// Get fetches one patch by id: a binary search of the id-ordered row
+// cache, loaded on first use. A miss is ErrNotFound itself.
 func (c *Collection) Get(id PatchID) (*Patch, error) {
-	c.mu.Lock()
-	if c.byID != nil {
-		if p, ok := c.byID[id]; ok {
-			c.mu.Unlock()
-			return p, nil
-		}
-	}
-	c.mu.Unlock()
-	v, err := c.bucket.Get(kv.U64Key(uint64(id)))
-	if errors.Is(err, kv.ErrNotFound) {
-		return nil, fmt.Errorf("%w: patch %d in %q", ErrNotFound, id, c.name)
-	}
+	ps, _, err := c.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return UnmarshalPatch(v)
+	i, ok := slices.BinarySearchFunc(ps, id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return ps[i], nil
 }
 
 // Patches returns all patches, loading and caching them on first use.
@@ -578,76 +569,29 @@ func (c *Collection) Patches() ([]*Patch, error) {
 	return ps, err
 }
 
-// Snapshot atomically returns the collection's patches and the version
-// they reflect. The returned slice is immutable from the reader's point of
-// view: concurrent Appends grow the cache beyond the snapshot's length but
-// never mutate its visible prefix, so many queries can share one snapshot
-// while writers proceed (the catalog's copy-on-write read path).
+// Snapshot atomically returns the collection's patches, in id order, and
+// the version they reflect. The returned slice is immutable from the
+// reader's point of view: concurrent Appends grow the cache beyond the
+// snapshot's length but never mutate its visible prefix, so many queries
+// can share one snapshot while writers proceed (the catalog's
+// copy-on-write read path).
 func (c *Collection) Snapshot() ([]*Patch, uint64, error) {
 	c.mu.Lock()
-	if c.cache != nil {
-		ps, ver := c.cache, c.version
-		c.mu.Unlock()
-		return ps, ver, nil
+	defer c.mu.Unlock()
+	if err := c.load(); err != nil {
+		return nil, 0, err
 	}
-	c.mu.Unlock()
-
-	// Cold start: the first touch after open or InvalidateCache used to
-	// unmarshal the entire bucket while holding c.mu, stalling every
-	// reader (and all appends) behind one load. Instead, serialize
-	// loaders on loadMu, scan the bucket with c.mu free, and install
-	// double-checked: if the collection version moved during the unlocked
-	// scan (appends commit their bucket write and version bump atomically
-	// under c.mu), the scan may hold a torn prefix — retry, falling back
-	// to a fully locked scan under sustained write pressure.
-	c.loadMu.Lock()
-	defer c.loadMu.Unlock()
-	const coldLoadRetries = 3
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		if c.cache != nil { // populated while we waited on loadMu
-			ps, ver := c.cache, c.version
-			c.mu.Unlock()
-			return ps, ver, nil
-		}
-		verBefore := c.version
-		if attempt >= coldLoadRetries {
-			// Appends keep landing: scan while holding c.mu, which now
-			// excludes them entirely (Append's storage write is inside
-			// the same critical section).
-			out, byID, err := c.loadLocked()
-			if err != nil {
-				c.mu.Unlock()
-				return nil, 0, err
-			}
-			c.installLocked(out, byID)
-			ps, ver := c.cache, c.version
-			c.mu.Unlock()
-			return ps, ver, nil
-		}
-		c.mu.Unlock()
-
-		out, byID, err := c.loadLocked() // bucket has its own lock
-		if err != nil {
-			return nil, 0, err
-		}
-
-		c.mu.Lock()
-		if c.version == verBefore {
-			c.installLocked(out, byID)
-			ps, ver := c.cache, c.version
-			c.mu.Unlock()
-			return ps, ver, nil
-		}
-		c.mu.Unlock() // a write raced the scan: reload at the new version
-	}
+	return c.cache, c.version, nil
 }
 
-// loadLocked scans the backing bucket into a fresh cache slice. Despite
-// the name it only requires the bucket's own lock; callers optionally
-// hold c.mu to exclude concurrent appends.
-func (c *Collection) loadLocked() ([]*Patch, map[PatchID]*Patch, error) {
-	var out []*Patch
+// load fills the row cache from the bucket, in key (= id) order, unless
+// it is loaded; an empty collection's cache is loaded and empty. Callers
+// hold c.mu: the one load path, which appends wait out.
+func (c *Collection) load() error {
+	if c.cache != nil {
+		return nil
+	}
+	out := make([]*Patch, 0, c.count)
 	var scanErr error
 	err := c.bucket.Scan(nil, nil, func(_, v []byte) bool {
 		p, err := UnmarshalPatch(v)
@@ -658,24 +602,14 @@ func (c *Collection) loadLocked() ([]*Patch, map[PatchID]*Patch, error) {
 		out = append(out, p)
 		return true
 	})
-	if scanErr != nil {
-		return nil, nil, scanErr
+	if err == nil {
+		err = scanErr
 	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	byID := make(map[PatchID]*Patch, len(out))
-	for _, p := range out {
-		byID[p.ID] = p
-	}
-	return out, byID, nil
-}
-
-// installLocked publishes a loaded cache. Callers hold c.mu.
-func (c *Collection) installLocked(out []*Patch, byID map[PatchID]*Patch) {
-	c.cache = out
-	c.byID = byID
-	c.count = len(out)
+	c.cache, c.count = out, len(out)
+	return nil
 }
 
 // Scan returns an iterator over all patches.
@@ -691,7 +625,6 @@ func (c *Collection) Scan() Iterator {
 func (c *Collection) InvalidateCache() {
 	c.mu.Lock()
 	c.cache = nil
-	c.byID = nil
 	c.mu.Unlock()
 	c.InvalidateColumns()
 	c.InvalidateVectorIndexes()

@@ -357,7 +357,7 @@ func TestColumnarEmptyAndAllNull(t *testing.T) {
 
 // TestSnapshotColdLoadConcurrency: after InvalidateCache, concurrent
 // cold Snapshot loads racing appends must produce a duplicate-free cache
-// consistent with its version (the double-checked install).
+// consistent with its version (one load under the collection's lock).
 func TestSnapshotColdLoadConcurrency(t *testing.T) {
 	_, col := columnCollection(t, 400)
 	col.InvalidateCache()

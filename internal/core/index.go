@@ -298,17 +298,12 @@ func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error
 	if err != nil || len(snap) >= len(idx.covered) {
 		return ids, use, err
 	}
-	newer := make(map[PatchID]struct{}, len(idx.covered)-len(snap))
-	for _, p := range idx.covered[len(snap):] {
-		newer[p.ID] = struct{}{}
+	// Rows are id-ordered: the ones past snap are those above its last id.
+	var last PatchID
+	if len(snap) > 0 {
+		last = snap[len(snap)-1].ID
 	}
-	out := ids[:0]
-	for _, id := range ids {
-		if _, hidden := newer[id]; !hidden {
-			out = append(out, id)
-		}
-	}
-	return out, use, nil
+	return slices.DeleteFunc(ids, func(id PatchID) bool { return id > last }), use, nil
 }
 
 // insert adds p's entry. B+ tree: a composite (field value, patch id)
@@ -460,9 +455,9 @@ func (idx *Index) lookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]Patch
 // cannot serve the widening: the range runs as two probes against the
 // caller's snapshot, one per numeric kind, with the bounds converted
 // into each kind's key space. The id union is returned ascending, which
-// is snapshot order for append paths that allocate ids in commit order,
-// so the probe returns rows in the same order as the scans. The Refresh
-// is the first probe's; the second always hits.
+// is snapshot order (rows are id-ordered), so the probe returns rows in
+// the same order as the scans. The Refresh is the first probe's; the
+// second always hits.
 func (idx *Index) numericRange(snap []*Patch, ver uint64, lo, hi float64) ([]PatchID, Refresh, error) {
 	// Float probe: an inclusive -Inf low and an exclusive +Inf high are
 	// exactly the scan semantics at open sides (a stored +Inf fails

@@ -341,15 +341,6 @@ func GroupCount(in Iterator, field string) Iterator {
 	return NewSliceIterator(out)
 }
 
-// AggCount consumes the input and emits a single tuple {count: n}.
-func AggCount(in Iterator) Iterator {
-	n, err := Count(in)
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-	}
-	return NewSliceIterator([]Tuple{{&Patch{Meta: Metadata{"count": IntV(int64(n))}}}})
-}
-
 // VecField extracts the float32 vector under field, or the Data payload
 // when field is "".
 func VecField(p *Patch, field string) ([]float32, error) {

@@ -33,7 +33,7 @@ type Selection struct {
 	Keep   Keep      // what the selection was asked to keep
 	N      int       // the exact match count, whatever was kept
 	Sel    []int32   // scans: the kept rows of the snapshot, in Keep's order
-	IDs    []PatchID // index probes: every matching patch id, ascending
+	IDs    []PatchID // index probes: every matching patch id, ascending = snapshot order
 
 	// Column scans report their pruning record and what serving the
 	// store took.
@@ -58,9 +58,10 @@ const ctxCheckRows = 4096
 
 // Patches materializes the first max held rows (max < 0: all of them)
 // from the snapshot Select ran over: a scan's kept rows in their order,
-// an index probe's ids in snapshot order. Index probes pay one fetch per
-// id, checking ctx between blocks of them so a canceled caller (or a
-// hedge loser) stops promptly.
+// an index probe's ids ascending, which is snapshot order because rows
+// are id-ordered. Index probes pay one Get (a binary search) per id,
+// checking ctx between blocks of them so a canceled caller (or a hedge
+// loser) stops promptly.
 func (s *Selection) Patches(ctx context.Context, col *Collection, snap []*Patch, max int) ([]*Patch, error) {
 	n := len(s.Sel)
 	if s.Indexed() {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // selectIDs runs one selection over (snap, ver) and resolves it to ids in
@@ -177,15 +180,30 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 // taken before a later append (the reader-behind-index and the column
 // clipping cases). On each scan, and on the unfiltered walk, every
 // consumer must agree with the keep-everything answer (keepsAgree).
+// Then the database, its columns projected under the segment cache, is
+// closed and reopened under one: the reopened snapshot holds the same
+// rows in the same order, and every access path — rehydrated columns,
+// reopened hash and B-tree indexes — returns the row scan's ids and
+// first n rows over it.
 func FuzzSelectPathsAgree(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint16(7), -1.5, 2.25)
 	f.Add(int64(2), uint16(2100), uint16(130), math.Inf(-1), 0.0)
 	f.Add(int64(3), uint16(1030), uint16(0), -1e300, 1e300)
 	f.Add(int64(4), uint16(600), uint16(40), float64(1<<53+4), float64(1<<63))
+	f.Add(int64(5), uint16(2590), uint16(290), -2.0, 2.0) // two sealed segments and a tail
 	f.Fuzz(func(t *testing.T, seed int64, rows, later uint16, lo, hi float64) {
 		n, extra := int(rows%2600), int(later%300)
 		r := rand.New(rand.NewSource(seed))
-		db := openDB(t)
+		path := filepath.Join(t.TempDir(), "dl.db")
+		db, err := Open(path, exec.New(exec.CPU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if db != nil {
+				db.Close()
+			}
+		})
 		col, err := db.CreateCollection("fz", Schema{Fields: []Field{
 			{Name: "i", Kind: KindInt}, {Name: "f", Kind: KindFloat}, {Name: "s", Kind: KindStr},
 		}})
@@ -251,6 +269,43 @@ func FuzzSelectPathsAgree(f *testing.F) {
 				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterColumnScan, keep)
 			}
 			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
+		}
+
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = Open(path, exec.New(exec.CPU)); err != nil {
+			t.Fatal(err)
+		}
+		db.SetSegmentCache(NewSegmentCache(1))
+		if col, err = db.Collection("fz"); err != nil {
+			t.Fatal(err)
+		}
+		rsnap, rver, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !idsEqual(patchIDs(rsnap), patchIDs(snap)) {
+			t.Fatalf("reopened %d rows: not the %d rows before the close, in order", len(rsnap), len(snap))
+		}
+		for k, p := range preds {
+			rows := selectIDs(t, db, col, rsnap, rver, p, FilterScan)
+			if !reflect.DeepEqual(rows, want[1][k]) {
+				t.Fatalf("reopened %d rows, %+v: row scan %d ids, %d before the close", len(rsnap), p, len(rows), len(want[1][k]))
+			}
+			first := rows[:min(keep, len(rows))]
+			methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
+			if !p.Range {
+				methods = append(methods, FilterHashIndex)
+			}
+			for _, m := range methods {
+				if got := selectIDs(t, db, col, rsnap, rver, p, m); !reflect.DeepEqual(got, rows) {
+					t.Fatalf("reopened %d rows, %v %+v: %d ids, row scan %d", len(rsnap), m, p, len(got), len(rows))
+				}
+				if got := firstIDs(t, db, col, rsnap, rver, p, m, keep); !idsEqual(got, first) {
+					t.Fatalf("reopened %d rows, %v %+v first %d: %v, row scan %v", len(rsnap), m, p, keep, got, first)
+				}
+			}
 		}
 	})
 }

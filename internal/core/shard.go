@@ -75,8 +75,11 @@ type Sharded struct {
 	// replica commits the identical patch sequence in the identical
 	// order — the prefix property replica re-sync verifies against —
 	// and gives the repair engine's final catch-up round a point of
-	// mutual exclusion with concurrent writers.
+	// mutual exclusion with concurrent writers. An append takes its id
+	// and its shard's appendMu under idMu, which it releases once it
+	// holds appendMu: the shard's appends lock it in id order.
 	appendMu []sync.Mutex
+	idMu     sync.Mutex
 
 	// resyncing[shard][replica]: a repair of this replica is in flight
 	// (at most one at a time; /readyz reports these as not-ready).
@@ -642,35 +645,36 @@ func (c *ShardedCollection) Len() int {
 
 // Append ids the patch (shard 0 allocates) and routes it to every
 // in-sync replica of its home shard, primary first, serialized under
-// the shard's append lock. The write is primary-authoritative: a
-// primary failure fails the append before any secondary is touched,
-// and a secondary failure demotes that replica from the read set while
-// the append succeeds — so an in-sync replica can never be missing a
-// write the primary accepted. Demoted replicas are skipped entirely:
-// a demoted replica freezes at an exact prefix of the primary's commit
-// sequence (no holes), which is what lets ResyncReplica stream just
-// the missing suffix and verify it byte-for-byte. The primary stamps,
-// validates and marshals the patch once; every replica stores those
-// bytes. A single-shard, single-replica append is exactly an unsharded
-// Append.
+// the shard's append lock. The id and the lock are taken in one idMu
+// section, so a shard commits its patches in id order. The write is
+// primary-authoritative: a primary failure fails the append before any
+// secondary is touched, and a secondary failure demotes that replica
+// from the read set while the append succeeds — so an in-sync replica
+// can never be missing a write the primary accepted. Demoted replicas
+// are skipped entirely: a demoted replica freezes at an exact prefix of
+// the primary's commit sequence (no holes), which is what lets
+// ResyncReplica stream just the missing suffix and verify it
+// byte-for-byte. The patch is stamped, validated and marshaled once;
+// every replica stores those bytes. A single-shard, single-replica
+// append is exactly an unsharded Append.
 func (c *ShardedCollection) Append(p *Patch) error {
+	if err := c.cols[0][0].prepare(p); err != nil {
+		return err
+	}
+	c.s.idMu.Lock()
 	if p.ID == 0 {
 		p.ID = c.s.NewPatchID()
 	}
 	home := c.s.ShardFor(p.ID)
-	inj := c.s.injector()
 	c.s.appendMu[home].Lock()
+	c.s.idMu.Unlock()
 	defer c.s.appendMu[home].Unlock()
-	primary := c.cols[home][0]
-	err := inj.Fail(fault.AppendError, home, 0)
-	if err == nil {
-		err = primary.prepare(p)
-	}
-	if err != nil {
+	inj := c.s.injector()
+	if err := inj.Fail(fault.AppendError, home, 0); err != nil {
 		return err
 	}
 	raw := p.Marshal()
-	if err := primary.put(p, raw); err != nil {
+	if err := c.cols[home][0].put(p, raw); err != nil {
 		return err
 	}
 	for j := 1; j < len(c.cols[home]); j++ {

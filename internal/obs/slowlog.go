@@ -34,14 +34,6 @@ func NewSlowLog(threshold time.Duration, size int) *SlowLog {
 	return &SlowLog{threshold: threshold, entries: make([]SlowEntry, 0, size)}
 }
 
-// Threshold returns the configured slow threshold.
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Records reports whether Observe keeps a query of this duration, so a
 // caller can skip building the entry's description when it would not.
 // Nil-safe.

@@ -1,8 +1,6 @@
 package vision
 
 import (
-	"math/rand"
-
 	"repro/internal/codec"
 	"repro/internal/exec"
 	"repro/internal/nn"
@@ -219,17 +217,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// RandomJersey draws a 1-2 digit jersey number.
-func RandomJersey(rng *rand.Rand) string {
-	n := rng.Intn(90) + 10
-	if rng.Intn(3) == 0 {
-		n = rng.Intn(10)
-	}
-	digits := "0123456789"
-	if n < 10 {
-		return string(digits[n])
-	}
-	return string([]byte{digits[n/10], digits[n%10]})
 }

@@ -154,12 +154,6 @@ func RandomProject(vec []float32, outDim int) []float32 {
 	return out
 }
 
-// NearDupFeature is the whole-image matching feature: a 3x3 grid histogram
-// projected to 64 dimensions.
-func NearDupFeature(img *codec.Image) []float32 {
-	return RandomProject(GridHistogram(img, 3), 64)
-}
-
 // Embedder produces high-dimensional patch embeddings from the shared
 // convolutional backbone plus the color histogram — the "high-dimensional"
 // feature family of Figure 7. Embeddings of the same object under small
