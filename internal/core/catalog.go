@@ -35,24 +35,14 @@ type DB struct {
 
 	sys     *kv.Bucket // catalog + counters
 	cols    map[string]*Collection
-	indexes map[string]*Index // descriptor key (indexKey) -> index
+	indexes map[string]*indexCore // descriptor key (indexKey) -> index
 
-	// Incremental column-extension counters (see Collection.Columns):
-	// how many stale stores were upgraded in place rather than rebuilt,
-	// and the sealed-block reuse they achieved.
-	colExtends      atomic.Int64
-	colExtendReused atomic.Int64
-	colExtendTotal  atomic.Int64
-
-	// Vector-index maintenance counters (see Collection.VectorIndexAt):
-	// prefix-certified incremental extensions vs full builds.
-	idxExtends  atomic.Int64
-	idxRebuilds atomic.Int64
-
-	// Hash/B+ tree index maintenance counters (see Index.sync).
-	scalarExtends  atomic.Int64
-	scalarRebuilds atomic.Int64
-	scalarInserted atomic.Int64
+	// refresh counts accelerator maintenance, read as RefreshStats.
+	refresh struct {
+		colExtends, colReused, colTotal               atomic.Int64
+		vecExtends, vecRebuilds                       atomic.Int64
+		scalarExtends, scalarRebuilds, scalarInserted atomic.Int64
+	}
 
 	// cost is the planner's cost model: static constants, set once by
 	// Open.
@@ -65,12 +55,38 @@ type DB struct {
 	segCache atomic.Pointer[SegmentCache]
 }
 
-// ColumnExtendStats reports the live-ingest column-extension counters:
-// extends is the number of stale column stores upgraded incrementally,
-// reused/total the sealed-block reuse across those upgrades (reused ==
-// total except for the per-column partial tail blocks that re-projected).
-func (db *DB) ColumnExtendStats() (extends, reused, total int64) {
-	return db.colExtends.Load(), db.colExtendReused.Load(), db.colExtendTotal.Load()
+// RefreshStats is a DB's accelerator-maintenance record: what bringing
+// column stores, vector indexes and hash/B+ tree indexes current for
+// query snapshots took (see Refresh).
+type RefreshStats struct {
+	ColumnExtends      int64 // column stores extended by the appended rows
+	ColumnReusedBlocks int64 // sealed blocks those extensions carried over,
+	ColumnTotalBlocks  int64 // of the blocks they hold (the rest re-projected tails)
+	VectorExtends      int64 // vector indexes extended by the appended rows
+	VectorRebuilds     int64 // vector indexes built in full
+	ScalarExtends      int64 // hash/B+ tree probes that inserted only the appended rows
+	ScalarRebuilds     int64 // hash/B+ tree indexes built in full
+	ScalarInserted     int64 // rows those extensions and builds inserted
+}
+
+// RefreshStats reports the DB's accelerator-maintenance record.
+func (db *DB) RefreshStats() RefreshStats {
+	var s RefreshStats
+	db.addRefreshStats(&s)
+	return s
+}
+
+// addRefreshStats adds the DB's counters to s.
+func (db *DB) addRefreshStats(s *RefreshStats) {
+	r := &db.refresh
+	s.ColumnExtends += r.colExtends.Load()
+	s.ColumnReusedBlocks += r.colReused.Load()
+	s.ColumnTotalBlocks += r.colTotal.Load()
+	s.VectorExtends += r.vecExtends.Load()
+	s.VectorRebuilds += r.vecRebuilds.Load()
+	s.ScalarExtends += r.scalarExtends.Load()
+	s.ScalarRebuilds += r.scalarRebuilds.Load()
+	s.ScalarInserted += r.scalarInserted.Load()
 }
 
 // ErrNotFound reports a missing collection, patch or index.
@@ -90,7 +106,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	db := &DB{
 		store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
-		indexes: make(map[string]*Index),
+		indexes: make(map[string]*indexCore),
 		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
@@ -621,24 +637,6 @@ func (c *Collection) Scan() Iterator {
 	return FromPatches(ps)
 }
 
-// InvalidateCache drops the in-memory cache (tests and memory control).
-func (c *Collection) InvalidateCache() {
-	c.mu.Lock()
-	c.cache = nil
-	c.mu.Unlock()
-	c.InvalidateColumns()
-	c.InvalidateVectorIndexes()
-}
-
-// InvalidateColumns drops only the cached columnar projection (memory
-// control; the row cache stays warm). The next Columns call rebuilds
-// from scratch instead of extending.
-func (c *Collection) InvalidateColumns() {
-	c.colMu.Lock()
-	c.colStore = nil
-	c.colMu.Unlock()
-}
-
 // colSegBucket is the kv bucket holding a collection's spilled column
 // segments and manifest.
 func colSegBucket(name string) string { return "colseg." + name }
@@ -667,29 +665,25 @@ func (c *Collection) columnSpillHandle() *columnSpill {
 // Columns returns the columnar projection of the collection's current
 // snapshot, building it lazily and upgrading whenever the version has
 // moved — the same version-keyed invalidation the serving layer's result
-// cache uses, so appends can never serve a stale column. When the stale
-// store's snapshot is a prefix of the current one (the live-append case:
-// snapshots are prefix-stable and grow in place), the upgrade is an
-// incremental Extend that reuses every sealed block and re-projects only
-// the tail; otherwise (cache reload, first touch) it is a full build.
+// cache uses, so appends can never serve a stale column. The row cache
+// only grows, so the upgrade is an incremental Extend that reuses every
+// sealed block and re-projects only the tail; the first touch builds.
 // The returned store is immutable and safe to share across queries.
 func (c *Collection) Columns() (*ColumnStore, error) {
 	cs, _, err := c.ColumnsWithInfo()
 	return cs, err
 }
 
-// ColumnsInfo reports what one Columns call did: served the cached
-// store, extended it incrementally, or built from scratch — the
-// per-call view of the DB-level ColumnExtendStats aggregates, so trace
-// spans can attribute extension work to the query that paid for it.
+// ColumnsInfo reports what one Columns call did — the per-call view of
+// the DB's RefreshStats, so trace spans can attribute extension work to
+// the query that paid for it.
 type ColumnsInfo struct {
-	Built    bool        // full projection build
-	Extended bool        // incremental extend of the cached store
-	Extend   ExtendStats // populated when Extended
+	Refresh Refresh
+	Extend  ExtendStats // populated when Refresh is RefreshExtend
 }
 
 // ColumnsWithInfo is Columns reporting whether this call hit the
-// cached store, extended it, or rebuilt it.
+// cached store, extended it, or built it.
 func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 	var info ColumnsInfo
 	ps, ver, err := c.Snapshot()
@@ -706,46 +700,48 @@ func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 			}
 			next, st := prefix.Extend(ps, ver)
 			info.Extend = st
-			c.db.colExtends.Add(1)
-			c.db.colExtendReused.Add(int64(st.ReusedBlocks))
-			c.db.colExtendTotal.Add(int64(st.TotalBlocks))
+			r := &c.db.refresh
+			r.colExtends.Add(1)
+			r.colReused.Add(int64(st.ReusedBlocks))
+			r.colTotal.Add(int64(st.TotalBlocks))
 			return next, RefreshExtend, nil
 		})
-	info.Extended, info.Built = use == RefreshExtend, use == RefreshRebuild
+	info.Refresh = use
 	return cs, info, err
 }
 
 // versioned is what a collection's accelerator cache slot holds: an
-// immutable structure derived from one snapshot at one version. covers
-// answers (nil, 0) on a nil receiver — an empty slot, older than any
-// real version.
+// immutable structure derived from the first rows of the collection at
+// one version. covers answers (0, 0) on a nil receiver — an empty slot,
+// older than any real version.
 type versioned interface {
-	covers() ([]*Patch, uint64)
+	covers() (rows int, version uint64)
 }
 
 // refreshCached serves the accelerator cached in one slot — read and
 // written through get/set, both called under mu — current exactly as of
 // the caller's snapshot (snap, ver): the protocol the column store and
 // the vector indexes share. The cached value is returned while its
-// version matches. Otherwise derive makes the new one, from the cached
-// value when its snapshot is a certified prefix of snap (extend) and
-// from nil when not (build). derive runs with mu free — a full build is
-// O(snapshot), and holding the lock would stall every cache-hit reader
-// of the collection — so racing callers may duplicate work; the install
-// keeps one canonical value per version, adopting a raced winner's, and
-// only moves the slot forward: a reader whose snapshot raced behind an
-// append gets a private value without evicting the newer one.
+// version matches. Otherwise derive makes the new one: from the cached
+// value when snap holds at least the rows it covers (the row cache only
+// grows, so snap extends it by snap[rows:]), and from nil when the slot
+// is empty or snap is shorter — a reader behind the slot. derive runs
+// with mu free — a full build is O(snapshot), and holding the lock would
+// stall every cache-hit reader of the collection — so racing callers may
+// duplicate work; the install keeps one canonical value per version,
+// adopting a raced winner's, and only moves the slot forward: a reader
+// behind gets a private value without evicting the newer one.
 func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap []*Patch, ver uint64,
 	derive func(prefix T) (T, Refresh, error)) (T, Refresh, error) {
 	mu.Lock()
 	old := get()
 	mu.Unlock()
-	oldSnap, oldVer := old.covers()
+	rows, oldVer := old.covers()
 	if oldVer == ver {
 		return old, RefreshHit, nil
 	}
 	var prefix T
-	if oldVer != 0 && oldVer < ver && snapshotExtends(oldSnap, snap) {
+	if oldVer != 0 && rows <= len(snap) {
 		prefix = old
 	}
 	next, use, err := derive(prefix)
@@ -762,19 +758,4 @@ func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap 
 		set(next)
 	}
 	return next, use, nil
-}
-
-// snapshotExtends reports whether old is a prefix of next sharing the
-// same patch objects. Appends grow the cache slice in place (the visible
-// prefix never mutates), so element identity at the ends certifies the
-// whole prefix; a cache reload after InvalidateCache allocates fresh
-// Patch values and correctly fails the check, forcing a full build.
-func snapshotExtends(old, next []*Patch) bool {
-	if len(old) > len(next) {
-		return false
-	}
-	if len(old) == 0 {
-		return true
-	}
-	return old[0] == next[0] && old[len(old)-1] == next[len(old)-1]
 }

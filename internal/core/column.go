@@ -19,7 +19,7 @@ package core
 //
 // A store is built over one immutable snapshot and carries its version;
 // appends bump the collection version, so a reader comparing versions
-// rebuilds — exactly the invalidation discipline the serving layer's
+// upgrades — exactly the invalidation discipline the serving layer's
 // caches use (see Collection.Columns).
 //
 // Segments are the unit of sharing and of tiering. Because snapshots are
@@ -71,11 +71,11 @@ func newColumnStoreSpill(patches []*Patch, version uint64, sp *columnSpill) *Col
 // Version is the collection version the store's snapshot reflects.
 func (cs *ColumnStore) Version() uint64 { return cs.version }
 
-func (cs *ColumnStore) covers() ([]*Patch, uint64) {
+func (cs *ColumnStore) covers() (int, uint64) {
 	if cs == nil {
-		return nil, 0
+		return 0, 0
 	}
-	return cs.patches, cs.version
+	return len(cs.patches), cs.version
 }
 
 // Len is the snapshot row count.

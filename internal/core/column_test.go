@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // columnTestSchema declares scalar fields of every columnar kind. The
@@ -48,7 +51,14 @@ func columnPatch(i int) *Patch {
 
 func columnCollection(t testing.TB, rows int) (*DB, *Collection) {
 	t.Helper()
-	db := openDB(t)
+	return columnCollectionAt(t, filepath.Join(t.TempDir(), "dl.db"), rows)
+}
+
+// columnCollectionAt is columnCollection in the database file at path,
+// for tests that reopen it.
+func columnCollectionAt(t testing.TB, path string, rows int) (*DB, *Collection) {
+	t.Helper()
+	db := reopenDB(t, path)
 	col, err := db.CreateCollection("col.dets", columnTestSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +69,18 @@ func columnCollection(t testing.TB, rows int) (*DB, *Collection) {
 		}
 	}
 	return db, col
+}
+
+// reopenDB opens the database file at path, closing it when the test
+// ends.
+func reopenDB(t testing.TB, path string) *DB {
+	t.Helper()
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
 }
 
 func patchIDs(ps []*Patch) []PatchID {
@@ -314,14 +336,13 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 	if sel, _ := cs1.FilterEq("label", StrV("car")); len(sel) != n1 {
 		t.Fatalf("stale store changed its answer: %d vs %d", len(sel), n1)
 	}
-	// InvalidateCache drops the store; the next build still agrees.
-	col.InvalidateCache()
-	cs3, err := col.Columns()
+	// A fresh build over the same snapshot agrees.
+	snap, ver, err := col.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel3, _ := cs3.FilterEq("label", StrV("car")); len(sel3) != 2*n1 {
-		t.Fatalf("post-invalidate store matched %d rows, want %d", len(sel3), 2*n1)
+	if sel3, _ := NewColumnStore(snap, ver).FilterEq("label", StrV("car")); len(sel3) != 2*n1 {
+		t.Fatalf("fresh store matched %d rows, want %d", len(sel3), 2*n1)
 	}
 }
 
@@ -355,51 +376,64 @@ func TestColumnarEmptyAndAllNull(t *testing.T) {
 	}
 }
 
-// TestSnapshotColdLoadConcurrency: after InvalidateCache, concurrent
-// cold Snapshot loads racing appends must produce a duplicate-free cache
-// consistent with its version (one load under the collection's lock).
+// TestSnapshotColdLoadConcurrency: after a reopen, concurrent cold
+// Snapshot loads racing appends must produce a duplicate-free cache
+// consistent with its version (one load under the collection's lock),
+// and every appended row survives the next reopen.
 func TestSnapshotColdLoadConcurrency(t *testing.T) {
-	_, col := columnCollection(t, 400)
-	col.InvalidateCache()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, _ := columnCollectionAt(t, path, 400)
+	for round := 0; round < 4; round++ {
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = reopenDB(t, path)
+		col, err := db.Collection("col.dets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					ps, _, err := col.Snapshot()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					seen := make(map[PatchID]bool, len(ps))
+					for _, p := range ps {
+						if seen[p.ID] {
+							t.Errorf("duplicate patch %d in snapshot", p.ID)
+							return
+						}
+						seen[p.ID] = true
+					}
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				ps, _, err := col.Snapshot()
-				if err != nil {
+			for i := 400 + 10*round; i < 410+10*round; i++ {
+				if err := col.Append(columnPatch(i)); err != nil {
 					t.Error(err)
 					return
 				}
-				seen := make(map[PatchID]bool, len(ps))
-				for _, p := range ps {
-					if seen[p.ID] {
-						t.Errorf("duplicate patch %d in snapshot", p.ID)
-						return
-					}
-					seen[p.ID] = true
-				}
 			}
 		}()
+		wg.Wait()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 400; i < 440; i++ {
-			if err := col.Append(columnPatch(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if i%10 == 0 {
-				col.InvalidateCache()
-			}
-		}
-	}()
-	wg.Wait()
 
-	col.InvalidateCache()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	col, err := reopenDB(t, path).Collection("col.dets")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps, _, err := col.Snapshot()
 	if err != nil {
 		t.Fatal(err)

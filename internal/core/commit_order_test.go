@@ -179,13 +179,19 @@ func TestConcurrentAppendsCommitInIDOrder(t *testing.T) {
 	}
 
 	t.Run("collection", func(t *testing.T) {
-		db := openDB(t)
+		path := filepath.Join(t.TempDir(), "dl.db")
+		db := reopenDB(t, path)
 		col, err := db.CreateCollection("c", testSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
 		race(t, col.Append, 0)
-		col.InvalidateCache()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if col, err = reopenDB(t, path).Collection("c"); err != nil {
+			t.Fatal(err)
+		}
 		if _, _, err := col.Snapshot(); err != nil { // warm from the bucket
 			t.Fatal(err)
 		}

@@ -837,14 +837,6 @@ func TestPlaceDevice(t *testing.T) {
 	}
 }
 
-func TestCalibrateKeepsModelSane(t *testing.T) {
-	cm := DefaultCostModel()
-	cm.Calibrate()
-	if cm.CDist <= 0 || cm.CBuild <= 0 {
-		t.Fatalf("calibration produced %+v", cm)
-	}
-}
-
 func TestIndexNotFound(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("c", simpleSchema())

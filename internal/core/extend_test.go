@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -184,12 +185,12 @@ func TestExtendDoesNotMutateOldStore(t *testing.T) {
 
 // TestCollectionColumnsExtends: the catalog-level upgrade path — a query
 // after appends extends the cached store in place (sealed blocks reused,
-// counters recorded) instead of rebuilding, and a cache invalidation
-// falls back to a full build.
+// counters recorded) instead of rebuilding, and a reopened DB's first
+// Columns builds in full.
 func TestCollectionColumnsExtends(t *testing.T) {
 	const base = 3000 // 2 sealed blocks + 952-row tail
-	db, col := columnCollection(t, base)
-	defer db.Close()
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, col := columnCollectionAt(t, path, base)
 
 	cs0, err := col.Columns()
 	if err != nil {
@@ -214,13 +215,13 @@ func TestCollectionColumnsExtends(t *testing.T) {
 	if cs1 == cs0 || cs1.Len() != base+ColumnBlockSize {
 		t.Fatalf("stale store served after append (len %d)", cs1.Len())
 	}
-	extends, reused, total := db.ColumnExtendStats()
-	if extends != 1 {
-		t.Fatalf("extends = %d, want 1", extends)
+	rs := db.RefreshStats()
+	if rs.ColumnExtends != 1 {
+		t.Fatalf("extends = %d, want 1", rs.ColumnExtends)
 	}
 	// Two carried columns, each 2 sealed of 3 old blocks.
-	if reused != 4 || total != 6 {
-		t.Fatalf("block reuse %d/%d, want 4/6", reused, total)
+	if rs.ColumnReusedBlocks != 4 || rs.ColumnTotalBlocks != 6 {
+		t.Fatalf("block reuse %d/%d, want 4/6", rs.ColumnReusedBlocks, rs.ColumnTotalBlocks)
 	}
 	// Byte-identical to a fresh build over the same snapshot.
 	fresh := NewColumnStore(cs1.Patches(), cs1.Version())
@@ -236,20 +237,31 @@ func TestCollectionColumnsExtends(t *testing.T) {
 	if cs2 != cs1 {
 		t.Fatal("same-version Columns did not serve the cached store")
 	}
-	if e2, _, _ := db.ColumnExtendStats(); e2 != 1 {
+	if e2 := db.RefreshStats().ColumnExtends; e2 != 1 {
 		t.Fatalf("same-version Columns re-extended: %d", e2)
 	}
 
-	// After InvalidateColumns the prefix check cannot apply (no store):
-	// full rebuild, extend counters unchanged.
-	col.InvalidateColumns()
+	// A reopened DB holds no store: after an append its first Columns is
+	// a full build, counted as no extension.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopenDB(t, path)
+	col, err = db.Collection("col.dets")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := col.Append(columnPatch(base + ColumnBlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.Columns(); err != nil {
+	cs3, info, err := col.ColumnsWithInfo()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e3, _, _ := db.ColumnExtendStats(); e3 != 1 {
-		t.Fatalf("rebuild after InvalidateColumns counted as extend: %d", e3)
+	if info.Refresh != RefreshRebuild || cs3.Len() != base+ColumnBlockSize+1 {
+		t.Fatalf("reopened Columns: %v over %d rows, want a rebuild over %d", info.Refresh, cs3.Len(), base+ColumnBlockSize+1)
+	}
+	if e3 := db.RefreshStats().ColumnExtends; e3 != 0 {
+		t.Fatalf("rebuild after a reopen counted as extend: %d", e3)
 	}
 }

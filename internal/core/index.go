@@ -54,15 +54,23 @@ func (r Refresh) String() string {
 	return [...]string{"hit", "extend", "rebuild"}[r]
 }
 
-// Index is a hash or B+ tree secondary index over one metadata field of
-// a collection. Both are persistent (they live in the database's page
-// file) and maintained: every probe names the snapshot it executes over
-// and first brings the index current for it (see sync). One Index value
-// serves each (collection, field, kind) of a DB; its mutex serializes
-// maintenance with every probe (a B+ tree is not safe for concurrent
-// use: its inner-node cache is unsynchronized, and its leaves and the
-// hash index's buckets are read in place).
+// Index is a handle on a hash or B+ tree secondary index over one
+// metadata field of a collection. Both kinds are persistent (they live
+// in the database's page file) and maintained: every probe names the
+// snapshot it executes over and first brings the index current for it
+// (see sync). A handle binds the Collection value it was opened with,
+// whose snapshots its probes carry; the structure it shares is the DB's
+// one per (collection name, field, kind).
 type Index struct {
+	*indexCore
+	col *Collection
+}
+
+// indexCore is one index's structure. Its mutex serializes maintenance
+// with every probe (a B+ tree is not safe for concurrent use: its
+// inner-node cache is unsynchronized, and its leaves and the hash
+// index's buckets are read in place).
+type indexCore struct {
 	Kind  IndexKind
 	Col   string
 	Field string
@@ -70,15 +78,17 @@ type Index struct {
 	// subject).
 	BuildTime time.Duration
 
-	// Guarded by mu: the structure, the collection version it reflects
-	// (0 = nothing usable yet) and the exact snapshot slice it covers,
-	// compared with a prober's by element identity.
+	// Guarded by mu: the structure and what it covers — the first rows
+	// rows of the Collection of, at version (0 = nothing usable yet). of
+	// differs from a prober's collection when the name was dropped and
+	// re-created while an old handle was in use.
 	db      *DB
 	mu      sync.Mutex
 	bt      *btree.Tree
 	hash    *hashidx.Index
+	of      *Collection
+	rows    int
 	version uint64
-	covered []*Patch
 	// Hash postings, also guarded by mu: the tail chunk of each value
 	// (by sort key) whose tail is past chunk 0, and scratch for a
 	// posting chunk's hash key and ids.
@@ -128,7 +138,7 @@ func (db *DB) saveIndexDesc(d idxDesc) error {
 }
 
 // registered returns the in-memory index under key, or nil.
-func (db *DB) registered(key string) *Index {
+func (db *DB) registered(key string) *indexCore {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.indexes[key]
@@ -147,19 +157,20 @@ func (db *DB) EnsureIndex(col *Collection, field string, kind IndexKind) (*Index
 	return db.openIndex(col, field, kind, true)
 }
 
-// openIndex returns the one Index value serving (col, field, kind): the
-// registered one; else from the descriptor — reopened if the collection
-// still stands at the version it recorded and otherwise left for the
-// first probe to rebuild; else, with create, a new empty one.
+// openIndex returns a handle for col on the one structure serving (col's
+// name, field, kind): the registered one; else from the descriptor —
+// reopened if the collection still stands at the version it recorded and
+// otherwise left for the first probe to rebuild; else, with create, a
+// new empty one.
 func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bool) (*Index, error) {
 	if kind != IdxBTree && kind != IdxHash {
 		return nil, fmt.Errorf("core: unknown index kind %v", kind)
 	}
 	key := indexKey(col.Name(), field, kind)
-	if idx := db.registered(key); idx != nil {
-		return idx, nil
+	if ic := db.registered(key); ic != nil {
+		return &Index{ic, col}, nil
 	}
-	idx := &Index{Kind: kind, Col: col.Name(), Field: field, db: db}
+	ic := &indexCore{Kind: kind, Col: col.Name(), Field: field, db: db}
 	v, err := db.sys.Get([]byte(key))
 	switch {
 	case err != nil && !create:
@@ -177,25 +188,25 @@ func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bo
 		// Opened at another version the structure stays unusable (version
 		// 0) but attached, so the first probe's rebuild frees its pages.
 		if kind == IdxBTree {
-			idx.bt = btree.Open(db.store.Pager(), d.Root)
+			ic.bt = btree.Open(db.store.Pager(), d.Root)
 		} else {
-			idx.hash, err = hashidx.Open(db.store.Pager(), d.Root)
+			ic.hash, err = hashidx.Open(db.store.Pager(), d.Root)
 		}
 		switch {
 		case ver != d.Version:
 		case err != nil:
 			return nil, err
 		default:
-			idx.version, idx.covered = ver, snap
+			ic.of, ic.rows, ic.version = col, len(snap), ver
 		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if cur := db.indexes[key]; cur != nil {
-		return cur, nil // raced another opener: its value is the one everybody locks
+		return &Index{cur, col}, nil // raced another opener: its value is the one everybody locks
 	}
-	db.indexes[key] = idx
-	return idx, nil
+	db.indexes[key] = ic
+	return &Index{ic, col}, nil
 }
 
 // HasIndex reports whether an index exists without building it.
@@ -208,31 +219,23 @@ func (db *DB) HasIndex(col *Collection, field string, kind IndexKind) bool {
 	return err == nil
 }
 
-// ScalarIndexStats reports hash/B+ tree index maintenance across the
-// DB: probes that extended an index by its collection's appended rows,
-// full builds, and the rows both inserted.
-func (db *DB) ScalarIndexStats() (extends, rebuilds, inserted int64) {
-	return db.scalarExtends.Load(), db.scalarRebuilds.Load(), db.scalarInserted.Load()
-}
-
 // sync brings a hash or B+ tree index current for the snapshot (snap,
-// ver) and reports what that took; callers hold idx.mu. Hit: the version
-// matches, or snap is a prefix of the covered rows (a reader that raced
-// behind the index; probe drops the ids it cannot see). Extend: the
-// covered rows are a certified prefix of snap — only snap[covered:] is
-// inserted, by the loop a build runs, so the structure is the one a
-// fresh build over snap produces. Anything else rebuilds into a new
-// structure and, once the descriptor names it, frees the replaced one's
-// pages.
+// ver) of the handle's collection and reports what that took; callers
+// hold idx.mu. Over the same collection the row cache only grows, so
+// the covered rows certify themselves: hit when the version matches or
+// snap is shorter (a reader behind the index; probe drops the ids it
+// cannot see), else extend — only snap[rows:] is inserted, by the loop a
+// build runs, so the structure is the one a fresh build over snap
+// produces. Anything else (nothing usable, another collection) rebuilds
+// into a new structure and, once the descriptor names it, frees the
+// replaced one's pages.
 func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	use, from := RefreshRebuild, 0
-	if idx.version != 0 {
-		switch {
-		case ver == idx.version, len(snap) < len(idx.covered) && snapshotExtends(snap, idx.covered):
+	if idx.version != 0 && idx.of == idx.col {
+		if ver == idx.version || len(snap) < idx.rows {
 			return RefreshHit, nil
-		case snapshotExtends(idx.covered, snap):
-			use, from = RefreshExtend, len(idx.covered)
 		}
+		use, from = RefreshExtend, idx.rows
 	}
 	start := time.Now()
 	// A failure below leaves the structure half-written: version 0 makes
@@ -265,10 +268,11 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	if err := idx.db.saveIndexDesc(d); err != nil {
 		return use, err
 	}
-	idx.version, idx.covered = ver, snap
+	idx.of, idx.rows, idx.version = idx.col, len(snap), ver
+	r := &idx.db.refresh
 	if use == RefreshRebuild {
 		idx.BuildTime = time.Since(start)
-		idx.db.scalarRebuilds.Add(1)
+		r.scalarRebuilds.Add(1)
 		// Nothing refers to the replaced structure any more. A failed
 		// free only leaks its remaining pages; the new index serves.
 		switch {
@@ -278,9 +282,9 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 			_ = oldHash.Free()
 		}
 	} else {
-		idx.db.scalarExtends.Add(1)
+		r.scalarExtends.Add(1)
 	}
-	idx.db.scalarInserted.Add(int64(len(snap) - from))
+	r.scalarInserted.Add(int64(len(snap) - from))
 	return use, nil
 }
 
@@ -295,7 +299,7 @@ func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error
 		return nil, use, err
 	}
 	ids, err := look()
-	if err != nil || len(snap) >= len(idx.covered) {
+	if err != nil || len(snap) >= idx.rows {
 		return ids, use, err
 	}
 	// Rows are id-ordered: the ones past snap are those above its last id.

@@ -46,6 +46,13 @@ func appendLifecycle(t testing.TB, col *Collection, from, to int) {
 	}
 }
 
+// scalarStats is db's hash/B+ tree maintenance record: extends,
+// rebuilds and rows inserted.
+func scalarStats(db *DB) (extends, rebuilds, inserted int64) {
+	rs := db.RefreshStats()
+	return rs.ScalarExtends, rs.ScalarRebuilds, rs.ScalarInserted
+}
+
 // scanIDs is the reference: ids of snap's rows satisfying pred, in
 // snapshot order.
 func scanIDs(snap []*Patch, pred func(*Patch) bool) []PatchID {
@@ -169,9 +176,9 @@ func TestIndexExtendEqualsFreshBuildEqualsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, r0, n0 := db.ScalarIndexStats()
+		_, r0, n0 := scalarStats(db)
 		extended := indexAnswers(t, hash, bt, snap, ver)
-		e1, r1, n1 := db.ScalarIndexStats()
+		e1, r1, n1 := scalarStats(db)
 		wantExtends := int64(2)
 		if tc.n == tc.oldN {
 			wantExtends = 0
@@ -189,7 +196,7 @@ func TestIndexExtendEqualsFreshBuildEqualsScan(t *testing.T) {
 		if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
 			t.Fatal(err)
 		}
-		if _, r2, _ := db.ScalarIndexStats(); r2 != r1+2 {
+		if _, r2, _ := scalarStats(db); r2 != r1+2 {
 			t.Fatalf("BuildIndex over a live index did not rebuild: %d -> %d", r1, r2)
 		}
 		fresh := indexAnswers(t, hash, bt, snap, ver)
@@ -250,10 +257,11 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 
 // TestIndexReaderBehindAndCacheReload: a reader whose snapshot raced
 // behind the index is answered from it without the newer rows (no
-// maintenance), and a reloaded snapshot cache — fresh Patch objects, so
-// prefix certification fails — rebuilds.
+// maintenance), and a row cache reloaded by a reopen after the
+// collection moved past the persisted index rebuilds.
 func TestIndexReaderBehindAndCacheReload(t *testing.T) {
-	db := openDB(t)
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db := reopenDB(t, path)
 	col, _ := db.CreateCollection("c", lifecycleSchema())
 	appendLifecycle(t, col, 0, 500)
 	hash, _ := db.BuildIndex(col, "label", IdxHash)
@@ -263,19 +271,67 @@ func TestIndexReaderBehindAndCacheReload(t *testing.T) {
 	appendLifecycle(t, col, 500, 640)
 	snap, ver, _ := col.Snapshot()
 	checkAgainstScan(t, "current", indexAnswers(t, hash, bt, snap, ver), snap)
-	e0, r0, _ := db.ScalarIndexStats()
+	e0, r0, _ := scalarStats(db)
 	checkAgainstScan(t, "behind", indexAnswers(t, hash, bt, oldSnap, oldVer), oldSnap)
 	checkAgainstScan(t, "current again", indexAnswers(t, hash, bt, snap, ver), snap)
-	if e, r, _ := db.ScalarIndexStats(); e != e0 || r != r0 {
+	if e, r, _ := scalarStats(db); e != e0 || r != r0 {
 		t.Fatalf("a reader behind the index moved it: extends %d->%d rebuilds %d->%d", e0, e, r0, r)
 	}
 
-	col.InvalidateCache()
 	appendLifecycle(t, col, 640, 641)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopenDB(t, path)
+	col, _ = db.Collection("c")
+	hash, _ = db.Index(col, "label", IdxHash)
+	bt, _ = db.Index(col, "key", IdxBTree)
 	snap, ver, _ = col.Snapshot()
 	checkAgainstScan(t, "reloaded", indexAnswers(t, hash, bt, snap, ver), snap)
-	if e, r, _ := db.ScalarIndexStats(); e != e0 || r != r0+2 {
-		t.Fatalf("cache reload: extends %d->%d rebuilds %d->%d, want two rebuilds", e0, e, r0, r)
+	if e, r, _ := scalarStats(db); e != 0 || r != 2 {
+		t.Fatalf("cache reload: extends %d rebuilds %d, want two rebuilds", e, r)
+	}
+}
+
+// TestStaleHandleProbeRebuilds: indexes are registered by collection
+// name, so after a drop and re-create an old *Collection handle reaches
+// the re-created collection's indexes. Its probes carry a snapshot of
+// another Collection value — here one holding more rows than the index
+// covers — and rebuild over it, answering it exactly; the re-created
+// collection's next probes rebuild again and still equal its row scan.
+func TestStaleHandleProbeRebuilds(t *testing.T) {
+	db := openDB(t)
+	old, _ := db.CreateCollection("c", lifecycleSchema())
+	appendLifecycle(t, old, 0, 600)
+	oldSnap, oldVer, _ := old.Snapshot()
+	if err := db.DropCollection("c"); err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("c", lifecycleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendLifecycle(t, col, 1000, 1300)
+	hash, _ := db.EnsureIndex(col, "label", IdxHash)
+	bt, _ := db.EnsureIndex(col, "key", IdxBTree)
+	snap, ver, _ := col.Snapshot()
+	checkAgainstScan(t, "re-created", indexAnswers(t, hash, bt, snap, ver), snap)
+
+	oldHash, err := db.EnsureIndex(old, "label", IdxHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldBT, err := db.EnsureIndex(old, "key", IdxBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstScan(t, "old handle", indexAnswers(t, oldHash, oldBT, oldSnap, oldVer), oldSnap)
+
+	appendLifecycle(t, col, 1300, 1310)
+	snap, ver, _ = col.Snapshot()
+	checkAgainstScan(t, "re-created after the old handle", indexAnswers(t, hash, bt, snap, ver), snap)
+	if e, r, _ := scalarStats(db); e != 0 || r != 6 {
+		t.Fatalf("extends %d rebuilds %d, want 0/6: a build per index for each collection switch", e, r)
 	}
 }
 
@@ -338,7 +394,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	}
 	wg.Wait()
 	checkAgainstScan(t, "reopened", indexAnswers(t, hash, bt, snap, ver), snap)
-	if e, r, _ := db2.ScalarIndexStats(); e != 0 || r != 0 {
+	if e, r, _ := scalarStats(db2); e != 0 || r != 0 {
 		t.Fatalf("reopen at the persisted version maintained the index: extends %d rebuilds %d", e, r)
 	}
 	// The adopted structures extend like ones built in this process; then
@@ -347,7 +403,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	appendLifecycle(t, col2, 2000, 2010)
 	snap, ver, _ = col2.Snapshot()
 	checkAgainstScan(t, "reopened, extended", indexAnswers(t, hash, bt, snap, ver), snap)
-	if e, r, n := db2.ScalarIndexStats(); e != 2 || r != 0 || n != 20 {
+	if e, r, n := scalarStats(db2); e != 2 || r != 0 || n != 20 {
 		t.Fatalf("extend after reopen: extends %d rebuilds %d inserted %d, want 2/0/20", e, r, n)
 	}
 	appendLifecycle(t, col2, 2010, 2020)
@@ -365,7 +421,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	hash3, _ := db3.Index(col3, "label", IdxHash)
 	snap, ver, _ = col3.Snapshot()
 	checkAgainstScan(t, "reopened stale", indexAnswers(t, hash3, bt3, snap, ver), snap)
-	if e, r, _ := db3.ScalarIndexStats(); e != 0 || r != 2 {
+	if e, r, _ := scalarStats(db3); e != 0 || r != 2 {
 		t.Fatalf("reopen at another version: extends %d rebuilds %d, want 0/2", e, r)
 	}
 }
@@ -498,8 +554,8 @@ func TestHashInsertTouchesOneChunk(t *testing.T) {
 
 // TestIndexRebuildsFreeReplacedPages: a rebuild frees the structure it
 // replaces once the descriptor names the new one, so after the first
-// forced rebuild (which needs room for both) ten more — a snapshot-cache
-// reload and a one-row append each — do not grow the page file.
+// forced rebuild (which needs room for both) ten more — a one-row append
+// and a BuildIndex each — do not grow the page file.
 func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("c", lifecycleSchema())
@@ -509,8 +565,13 @@ func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
 	pager := db.Store().Pager()
 	var pages uint64
 	for round := 0; round <= 10; round++ {
-		col.InvalidateCache()
 		appendLifecycle(t, col, 3000+round, 3001+round)
+		if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
+			t.Fatal(err)
+		}
 		snap, ver, _ := col.Snapshot()
 		checkAgainstScan(t, "rebuilt", indexAnswers(t, hash, bt, snap, ver), snap)
 		if round == 0 {
@@ -519,7 +580,7 @@ func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
 			t.Errorf("rebuild %d: page file %d -> %d pages", round, pages, got)
 		}
 	}
-	if _, r, _ := db.ScalarIndexStats(); r != 2+2*11 {
+	if _, r, _ := scalarStats(db); r != 2+2*11 {
 		t.Fatalf("%d rebuilds, want %d", r, 2+2*11)
 	}
 }
@@ -556,7 +617,7 @@ func TestReopenAtAnotherVersionFreesPersistedIndex(t *testing.T) {
 		hash, _ := db.Index(col, "label", IdxHash)
 		snap, ver, _ := col.Snapshot()
 		checkAgainstScan(t, "reopened stale", indexAnswers(t, hash, bt, snap, ver), snap)
-		if _, r, _ := db.ScalarIndexStats(); r != 2 {
+		if _, r, _ := scalarStats(db); r != 2 {
 			t.Fatalf("cycle %d: %d rebuilds after reopen, want 2", cycle, r)
 		}
 		pages = append(pages, db.Store().Pager().NumPages())

@@ -41,9 +41,8 @@ func (m SimMethod) String() string {
 	}
 }
 
-// CostModel holds calibrated per-operation constants (seconds). The
-// defaults are measured on the reference container; Calibrate refines the
-// scalar-distance constant at runtime.
+// CostModel holds per-operation constants (seconds), measured once on
+// the reference container and static at runtime.
 type CostModel struct {
 	// CDist is the cost of one scalar distance component (per dimension).
 	CDist float64
@@ -83,35 +82,6 @@ func DefaultCostModel() *CostModel {
 		ProbeAlpha: 0.35,
 		DimPenalty: 0.02,
 		CFetch:     4e-6,
-	}
-}
-
-// Calibrate measures the scalar distance constant with a short microbench
-// and rescales the model's CPU-relative constants accordingly.
-func (cm *CostModel) Calibrate() {
-	const n, dim = 2000, 64
-	a := make([]float32, n*dim)
-	for i := range a {
-		a[i] = float32(i%97) * 0.01
-	}
-	start := time.Now()
-	var sink float32
-	for i := 0; i < n; i++ {
-		base := (i * dim) % (len(a) - dim)
-		var s float32
-		for d := 0; d < dim; d++ {
-			diff := a[base+d] - a[d]
-			s += diff * diff
-		}
-		sink += s
-	}
-	_ = sink
-	perComponent := time.Since(start).Seconds() / float64(n*dim)
-	if perComponent > 0 {
-		ratio := perComponent / cm.CDist
-		cm.CDist = perComponent
-		cm.CBuild *= ratio
-		cm.CDevFlop[exec.CPU] *= ratio
 	}
 }
 

@@ -17,11 +17,11 @@ package core
 //     snapshot (prefix stability), so nothing streamed here can be
 //     invalidated — the replica just ends the phase slightly behind
 //     again.
-//  2. Catch-up under the shard's append lock. Re-snapshot the primary,
-//     certify the new snapshot extends the phase-1 one (pointer
-//     identity at both ends, the ColumnStore.Extend certification
-//     idiom), append the remainder, verify the replica now matches the
-//     primary entry-for-entry, and CAS the replica back into the
+//  2. Catch-up under the shard's append lock. Re-snapshot the primary
+//     (its row cache only grows, so the new snapshot holds the phase-1
+//     rows followed by later appends), append the rows past the
+//     phase-1 count, verify the replica now matches the primary
+//     entry-for-entry, and CAS the replica back into the
 //     in-sync read set before releasing the lock. Writers blocked for
 //     only the tail, and the promoted replica has missed nothing.
 //
@@ -58,13 +58,13 @@ func samePatchBytes(a, b *Patch) bool {
 	return bytes.Equal(a.Marshal(), b.Marshal())
 }
 
-// resyncState carries one collection's certified phase-1 snapshots into
-// the locked catch-up round.
+// resyncState carries one collection's phase-1 progress into the locked
+// catch-up round.
 type resyncState struct {
 	name      string
 	primary   *Collection
 	replica   *Collection
-	certified []*Patch // primary snapshot phase 1 streamed from
+	certified int // rows of the primary snapshot phase 1 streamed from
 }
 
 // ResyncReplica repairs one demoted replica by streaming the primary's
@@ -131,7 +131,7 @@ func (s *Sharded) streamSuffix(ctx context.Context, shard, replica int, name str
 	if err != nil {
 		return st, 0, fmt.Errorf("core: resync shard %d replica %d: snapshot primary %q: %w", shard, replica, name, err)
 	}
-	st.certified = pps
+	st.certified = len(pps)
 	rps, _, err := st.replica.Snapshot()
 	if err != nil {
 		return st, 0, fmt.Errorf("core: resync shard %d replica %d: snapshot replica %q: %w", shard, replica, name, err)
@@ -165,11 +165,11 @@ func (s *Sharded) catchUp(ctx context.Context, shard, replica int, st resyncStat
 	if err != nil {
 		return 0, fmt.Errorf("core: resync shard %d replica %d: re-snapshot primary %q: %w", shard, replica, st.name, err)
 	}
-	if !snapshotExtends(st.certified, pps) {
-		return 0, fmt.Errorf("core: resync shard %d replica %d: %q snapshot no longer extends the certified prefix",
+	if len(pps) < st.certified {
+		return 0, fmt.Errorf("core: resync shard %d replica %d: %q snapshot shrank below the streamed prefix",
 			shard, replica, st.name)
 	}
-	rows, err := s.appendRange(ctx, shard, replica, st.replica, pps[len(st.certified):])
+	rows, err := s.appendRange(ctx, shard, replica, st.replica, pps[st.certified:])
 	if err != nil {
 		return rows, fmt.Errorf("core: resync shard %d replica %d: catch up %q: %w", shard, replica, st.name, err)
 	}

@@ -64,8 +64,8 @@ func TestSelectBTreeRangeExtendedEqualsFresh(t *testing.T) {
 		return out
 	}
 	extended := answers(snap, ver, FilterBTreeIndex)
-	if e, r, n := db.ScalarIndexStats(); e != 1 || r != 1 || n != 700 {
-		t.Fatalf("extends %d rebuilds %d inserted %d, want 1/1/700", e, r, n)
+	if rs := db.RefreshStats(); rs.ScalarExtends != 1 || rs.ScalarRebuilds != 1 || rs.ScalarInserted != 700 {
+		t.Fatalf("extends %d rebuilds %d inserted %d, want 1/1/700", rs.ScalarExtends, rs.ScalarRebuilds, rs.ScalarInserted)
 	}
 	if want := answers(snap, ver, FilterScan); !reflect.DeepEqual(extended, want) {
 		t.Fatalf("extended index ranges diverge from the row scan:\n got %v\nwant %v", extended, want)
@@ -175,13 +175,14 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 // FuzzSelectPathsAgree is the differential test over DB.Select: for a
 // seeded append sequence and equality/range predicates on every field,
 // the row scan, the column scan, the hash and B-tree probes and the
-// column scan over a tiered store at a one-byte budget must return the
-// same rows in the same order — for the current snapshot and for one
+// column scan over a tiered store at a one-byte budget (the database
+// reopened under it) must return the same rows in the same order — for
+// the current snapshot and for one
 // taken before a later append (the reader-behind-index and the column
 // clipping cases). On each scan, and on the unfiltered walk, every
 // consumer must agree with the keep-everything answer (keepsAgree).
 // Then the database, its columns projected under the segment cache, is
-// closed and reopened under one: the reopened snapshot holds the same
+// closed and reopened under one again: the reopened snapshot holds the same
 // rows in the same order, and every access path — rehydrated columns,
 // reopened hash and B-tree indexes — returns the row scan's ids and
 // first n rows over it.
@@ -258,9 +259,17 @@ func FuzzSelectPathsAgree(f *testing.F) {
 			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
 		}
 		// The same column scans over a tiered store that can keep no
-		// segment resident.
+		// segment resident, built by the first query after a reopen.
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = Open(path, exec.New(exec.CPU)); err != nil {
+			t.Fatal(err)
+		}
 		db.SetSegmentCache(NewSegmentCache(1))
-		col.InvalidateColumns()
+		if col, err = db.Collection("fz"); err != nil {
+			t.Fatal(err)
+		}
 		for v, vw := range views {
 			for k, p := range preds {
 				if got := selectIDs(t, db, col, vw.snap, vw.ver, p, FilterColumnScan); !reflect.DeepEqual(got, want[v][k]) {

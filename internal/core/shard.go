@@ -508,48 +508,17 @@ func (s *Sharded) GetPatch(id PatchID) (*Patch, error) {
 // routed by their own ids, so each hop resolves on its home shard).
 func (s *Sharded) Backtrace(p *Patch) ([]*Patch, error) { return backtrace(p, s.GetPatch) }
 
-// ColumnExtendStats sums incremental column-extension counters over
-// every replica DB: each replica extends its own stores for the
-// fragments it answers (see DB.ColumnExtendStats).
-func (s *Sharded) ColumnExtendStats() (extends, reused, total int64) {
+// RefreshStats sums the accelerator-maintenance record over every
+// replica DB: each replica maintains its own column stores and indexes
+// for the fragments it answers (see DB.RefreshStats).
+func (s *Sharded) RefreshStats() RefreshStats {
+	var sum RefreshStats
 	for _, reps := range s.reps {
 		for _, db := range reps {
-			e, r, t := db.ColumnExtendStats()
-			extends += e
-			reused += r
-			total += t
+			db.addRefreshStats(&sum)
 		}
 	}
-	return extends, reused, total
-}
-
-// IndexExtendStats sums vector-index maintenance counters over every
-// replica DB: each replica extends its own indexes for the fragments it
-// answers (see DB.IndexExtendStats).
-func (s *Sharded) IndexExtendStats() (extends, rebuilds int64) {
-	for _, reps := range s.reps {
-		for _, db := range reps {
-			e, r := db.IndexExtendStats()
-			extends += e
-			rebuilds += r
-		}
-	}
-	return extends, rebuilds
-}
-
-// ScalarIndexStats sums hash/B+ tree index maintenance over every
-// replica DB: each replica maintains its own indexes for the fragments
-// it answers (see DB.ScalarIndexStats).
-func (s *Sharded) ScalarIndexStats() (extends, rebuilds, inserted int64) {
-	for _, reps := range s.reps {
-		for _, db := range reps {
-			e, r, n := db.ScalarIndexStats()
-			extends += e
-			rebuilds += r
-			inserted += n
-		}
-	}
-	return extends, rebuilds, inserted
+	return sum
 }
 
 // PagerStats sums, over every replica DB's page file, the pages the file

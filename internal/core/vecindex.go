@@ -4,8 +4,8 @@ package core
 // per-collection, versioned nearest-neighbor index over one declared
 // vector field, maintained exactly like the columnar projection —
 // cached per (field, mode) on the collection, reused while the version
-// stands, incrementally extended when the previous snapshot is a
-// certified prefix of the current one, rebuilt otherwise. A stale index
+// stands, extended by the rows appended past the ones it covers, rebuilt
+// on first touch or when an extension cannot keep its shape. A stale index
 // can never serve a newer snapshot: the cached entry is keyed by the
 // version it was built over and only the exact-version match is
 // returned.
@@ -98,11 +98,7 @@ type VectorIndex struct {
 	mode    VecIndexMode
 	version uint64
 	dim     int
-
-	// patches is the exact snapshot the index covers; extension
-	// certification compares it against the next snapshot by element
-	// identity (see snapshotExtends).
-	patches []*Patch
+	rows    int // the snapshot rows covered: an extension indexes the ones past them
 
 	// Exact mode: a balltree over pts[:treeN] plus a linear tail
 	// pts[treeN:] of appended points not yet re-treed. An extension
@@ -125,7 +121,7 @@ type VectorIndex struct {
 // dimensionality disagrees with the first one seen, are skipped: both
 // the ball tree and the LSH tables index one dimensionality.
 func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
-	vi := &VectorIndex{field: field, mode: mode, version: version, patches: ps}
+	vi := &VectorIndex{field: field, mode: mode, version: version, rows: len(ps)}
 	for _, p := range ps {
 		if vec, ok := vecOf(p, field); ok {
 			if vi.dim == 0 {
@@ -165,8 +161,8 @@ func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode
 	return vi, nil
 }
 
-// Extend returns a new index covering ps — which must extend the
-// receiver's snapshot as a certified prefix — as of version. Readers
+// Extend returns a new index covering ps — which must hold the
+// receiver's rows followed by appended ones — as of version. Readers
 // holding the receiver stay consistent: nothing they read is written.
 // Exact mode appends to the linear tail and re-trees only when the tail
 // outgrows its bound; approximate mode shares the hyperplanes and
@@ -175,7 +171,7 @@ func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode
 // dimensionality change); the caller falls back to a full rebuild.
 func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error) {
 	var newPts []balltree.Point
-	for _, p := range ps[len(vi.patches):] {
+	for _, p := range ps[vi.rows:] {
 		if vec, ok := vecOf(p, vi.field); ok {
 			if vi.dim == 0 || len(vec) != vi.dim {
 				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
@@ -183,7 +179,7 @@ func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error)
 			newPts = append(newPts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
 		}
 	}
-	nx := &VectorIndex{field: vi.field, mode: vi.mode, version: version, dim: vi.dim, patches: ps}
+	nx := &VectorIndex{field: vi.field, mode: vi.mode, version: version, dim: vi.dim, rows: len(ps)}
 	switch vi.mode {
 	case VecExact:
 		nx.pts = vi.appendPts(newPts)
@@ -378,8 +374,8 @@ func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
 // passes the snapshot it is executing over, so index contents and query
 // visibility can never skew. The index is cached per (field, mode) and
 // maintained like the column store (see refreshCached): reused while
-// the version matches, incrementally extended when the cached snapshot
-// is a certified prefix of ps, rebuilt otherwise; the caller always
+// the version matches, extended by the rows ps holds past the cached
+// index's, built privately for a reader behind it; the caller always
 // receives an index at its own version.
 func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
 	key := field + "/" + mode.String()
@@ -397,38 +393,22 @@ func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode V
 			// appearing, a dimensionality change) falls back to a rebuild.
 			if prefix != nil {
 				if vi, err := prefix.Extend(ps, ver); err == nil {
-					c.db.idxExtends.Add(1)
+					c.db.refresh.vecExtends.Add(1)
 					return vi, RefreshExtend, nil
 				}
 			}
 			vi, err := NewVectorIndex(ps, ver, field, mode)
 			if err == nil {
-				c.db.idxRebuilds.Add(1)
+				c.db.refresh.vecRebuilds.Add(1)
 			}
 			return vi, RefreshRebuild, err
 		})
 	return vi, err
 }
 
-func (vi *VectorIndex) covers() ([]*Patch, uint64) {
+func (vi *VectorIndex) covers() (int, uint64) {
 	if vi == nil {
-		return nil, 0
+		return 0, 0
 	}
-	return vi.patches, vi.version
-}
-
-// InvalidateVectorIndexes drops the cached vector indexes (memory
-// control; the next VectorIndexAt rebuilds from scratch).
-func (c *Collection) InvalidateVectorIndexes() {
-	c.vecMu.Lock()
-	c.vecIdx = nil
-	c.vecMu.Unlock()
-}
-
-// IndexExtendStats reports the vector-index maintenance counters:
-// extends is the number of prefix-certified incremental extensions,
-// rebuilds the number of full builds (first touch, cache reload, or a
-// shape change an extension could not absorb).
-func (db *DB) IndexExtendStats() (extends, rebuilds int64) {
-	return db.idxExtends.Load(), db.idxRebuilds.Load()
+	return vi.rows, vi.version
 }

@@ -16,7 +16,13 @@ import (
 // Vector-index contract tests: exact mode byte-identical to the brute
 // scan (tie boundaries and extended-tail states included), approximate
 // mode recall-bounded against the brute golden, and the maintenance
-// counters distinguishing prefix-certified extensions from rebuilds.
+// counters distinguishing extensions by appended rows from rebuilds.
+
+// vecStats is db's vector-index maintenance record: extends, rebuilds.
+func vecStats(db *DB) (extends, rebuilds int64) {
+	rs := db.RefreshStats()
+	return rs.VectorExtends, rs.VectorRebuilds
+}
 
 // vecTestPatch generates row i of a clustered vector fixture: i%clusters
 // picks a well-separated center, a tiny deterministic jitter spreads the
@@ -293,8 +299,8 @@ func TestVectorIndexLSHRecall(t *testing.T) {
 }
 
 // TestVectorIndexMaintenanceCounters: version-stable reuse costs
-// nothing, prefix-certified appends extend, invalidation and first
-// touches rebuild.
+// nothing, appends extend, first touches rebuild, and a reader behind
+// the cached index builds a private one without evicting it.
 func TestVectorIndexMaintenanceCounters(t *testing.T) {
 	const dim, clusters = 8, 7
 	db, col := vecTestCollection(t, 100, dim, clusters)
@@ -310,17 +316,17 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 		}
 		return vi, snap
 	}
-	e0, r0 := db.IndexExtendStats()
+	e0, r0 := vecStats(db)
 
-	vi1, _ := at() // first touch: full build
-	if e, r := db.IndexExtendStats(); e != e0 || r != r0+1 {
+	vi1, snap1 := at() // first touch: full build
+	if e, r := vecStats(db); e != e0 || r != r0+1 {
 		t.Fatalf("first touch: extends %d rebuilds %d, want %d/%d", e, r, e0, r0+1)
 	}
 	vi2, _ := at() // same version: cache hit, no counter movement
 	if vi2 != vi1 {
 		t.Fatal("version-stable lookup did not return the cached index")
 	}
-	if e, r := db.IndexExtendStats(); e != e0 || r != r0+1 {
+	if e, r := vecStats(db); e != e0 || r != r0+1 {
 		t.Fatalf("cache hit moved counters: extends %d rebuilds %d", e, r)
 	}
 
@@ -329,18 +335,24 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vi3, snap3 := at() // prefix-certified append: incremental extension
-	if e, r := db.IndexExtendStats(); e != e0+1 || r != r0+1 {
+	vi3, snap3 := at() // append: incremental extension
+	if e, r := vecStats(db); e != e0+1 || r != r0+1 {
 		t.Fatalf("append: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+1)
 	}
 	if vi3.Len() != len(snap3) {
 		t.Fatalf("extended index covers %d of %d rows", vi3.Len(), len(snap3))
 	}
 
-	col.InvalidateVectorIndexes()
-	at() // cache dropped: full rebuild
-	if e, r := db.IndexExtendStats(); e != e0+1 || r != r0+2 {
-		t.Fatalf("post-invalidate: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+2)
+	behind, err := col.VectorIndexAt(snap1, vi1.version, "emb", VecExact) // reader behind: private build
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, r := vecStats(db); e != e0+1 || r != r0+2 || behind.Len() != len(snap1) {
+		t.Fatalf("reader behind: extends %d rebuilds %d over %d rows, want %d/%d over %d",
+			e, r, behind.Len(), e0+1, r0+2, len(snap1))
+	}
+	if vi4, _ := at(); vi4 != vi3 {
+		t.Fatal("a reader behind evicted the cached index")
 	}
 
 	// A second mode is its own cache entry and build.
@@ -351,7 +363,7 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 	if _, err := col.VectorIndexAt(snap, ver, "emb", VecApprox); err != nil {
 		t.Fatal(err)
 	}
-	if e, r := db.IndexExtendStats(); e != e0+1 || r != r0+3 {
+	if e, r := vecStats(db); e != e0+1 || r != r0+3 {
 		t.Fatalf("approx first touch: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+3)
 	}
 }

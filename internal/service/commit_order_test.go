@@ -33,15 +33,23 @@ func TestConcurrentAppendsKeepReplicasIDOrdered(t *testing.T) {
 				t.Fatal(err)
 			}
 			fillSynth(t, sc.Append, base)
+			// Reopen, then warm every replica's row cache from its bucket.
+			if err := sdb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if sdb, err = core.OpenShardedReplicas(dir, 3, r, exec.New(exec.CPU)); err != nil {
+				t.Fatal(err)
+			}
+			if sc, err = sdb.Collection(shardTestCol); err != nil {
+				t.Fatal(err)
+			}
 			svc, err := NewSharded(sdb, Config{Workers: writers}) // one append slot per writer
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := svc.Handler()
-			// Warm every replica's row cache from its bucket.
 			for i := 0; i < sc.Shards(); i++ {
 				for j := 0; j < r; j++ {
-					sc.Replica(i, j).InvalidateCache()
 					if _, _, err := sc.Replica(i, j).Snapshot(); err != nil {
 						t.Fatal(err)
 					}

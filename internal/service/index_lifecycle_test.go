@@ -99,27 +99,21 @@ func TestScalarIndexExtendsPerAppendRound(t *testing.T) {
 				probe(base+round*batch, "extend")
 				scanAndKNN()
 			}
-			extends, rebuilds, inserted := reader.ScalarIndexStats()
-			if rebuilds != 2 || extends != 2*rounds || inserted != 2*(base+rounds*batch) {
+			rs := reader.RefreshStats()
+			if rs.ScalarRebuilds != 2 || rs.ScalarExtends != 2*rounds || rs.ScalarInserted != 2*(base+rounds*batch) {
 				t.Fatalf("serving replica: extends %d rebuilds %d inserted %d, want %d/2/%d",
-					extends, rebuilds, inserted, 2*rounds, 2*(base+rounds*batch))
+					rs.ScalarExtends, rs.ScalarRebuilds, rs.ScalarInserted, 2*rounds, 2*(base+rounds*batch))
 			}
 			for _, db := range idle {
-				if e, r, n := db.ScalarIndexStats(); e+r+n != 0 {
-					t.Fatalf("replica that served no read maintained an index: %d/%d/%d", e, r, n)
-				}
-				ce, _, _ := db.ColumnExtendStats()
-				ie, ir := db.IndexExtendStats()
-				if ce+ie+ir != 0 {
-					t.Fatalf("replica that served no read maintained columns or a vector index: %d/%d/%d", ce, ie, ir)
+				if is := db.RefreshStats(); is != (core.RefreshStats{}) {
+					t.Fatalf("replica that served no read maintained columns or an index: %+v", is)
 				}
 			}
 			st := svc.Stats()
-			ce, _, _ := reader.ColumnExtendStats()
-			ie, ir := reader.IndexExtendStats()
-			if ce == 0 || ie == 0 || st.ColumnExtends != ce || st.IndexExtends != ie || st.IndexRebuilds != ir {
+			if rs.ColumnExtends == 0 || rs.VectorExtends == 0 || st.ColumnExtends != rs.ColumnExtends ||
+				st.IndexExtends != rs.VectorExtends || st.IndexRebuilds != rs.VectorRebuilds {
 				t.Fatalf("stats column_extends/index_extends/index_rebuilds = %d/%d/%d, serving replica %d/%d/%d",
-					st.ColumnExtends, st.IndexExtends, st.IndexRebuilds, ce, ie, ir)
+					st.ColumnExtends, st.IndexExtends, st.IndexRebuilds, rs.ColumnExtends, rs.VectorExtends, rs.VectorRebuilds)
 			}
 
 			// The same counts, summed over replicas, are the /metrics contract.
@@ -255,7 +249,7 @@ func TestAppendIndexedQueryHammer(t *testing.T) {
 			t.Fatalf("post-hammer %s: %d, want %d", r.Plan, r.Value, sh.want[base+extra])
 		}
 	}
-	if e, r, _ := db.ScalarIndexStats(); r != 2 || e == 0 {
-		t.Fatalf("hammer: extends %d rebuilds %d, want extends > 0 and only the two first-touch builds", e, r)
+	if rs := db.RefreshStats(); rs.ScalarRebuilds != 2 || rs.ScalarExtends == 0 {
+		t.Fatalf("hammer: extends %d rebuilds %d, want extends > 0 and only the two first-touch builds", rs.ScalarExtends, rs.ScalarRebuilds)
 	}
 }

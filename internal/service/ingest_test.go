@@ -323,7 +323,8 @@ func TestAppendRoutedShardInvariance(t *testing.T) {
 // TestAppendQueryExtendHammer races streaming appends against columnar
 // queries on an extension-warm store: under -race this is the torn-read
 // check for Extend; semantically every observed count must correspond
-// to a complete snapshot.
+// to a complete snapshot. The queries start once the first batch has
+// committed, so the first of them always finds a stale store to extend.
 func TestAppendQueryExtendHammer(t *testing.T) {
 	base := core.ColumnBlockSize + 200
 	extra := core.ColumnBlockSize
@@ -349,9 +350,13 @@ func TestAppendQueryExtendHammer(t *testing.T) {
 	// condition into a livelock. Bounded loops interleave freely on
 	// multicore and still terminate on one.
 	var wg sync.WaitGroup
+	var once sync.Once
+	committed := make(chan struct{})
+	release := func() { once.Do(func() { close(committed) }) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer release() // a failed first batch must not strand the queries
 		for i := base; i < base+extra; i += 32 {
 			req := AppendRequest{Collection: shardTestCol}
 			for j := i; j < i+32 && j < base+extra; j++ {
@@ -361,12 +366,14 @@ func TestAppendQueryExtendHammer(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			release()
 		}
 	}()
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-committed
 			for i := 0; i < 25; i++ {
 				req := reqs[(w+i)%len(reqs)]
 				r, err := svc.Query(ctx, req)

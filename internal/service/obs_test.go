@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
@@ -235,10 +236,10 @@ func TestSlowQueryLog(t *testing.T) {
 	s := obsFixture(t, 1, 120, Config{
 		Workers:            1,
 		SlowQueryThreshold: time.Nanosecond,
-		SlowLogEntries:     4,
 	})
 	str := "pedestrian"
-	for i := 0; i < 6; i++ {
+	const queries = slowLogEntries + 6
+	for i := 0; i < queries; i++ {
 		if _, err := s.Query(context.Background(), Request{
 			Collection: shardTestCol,
 			Filter:     &FilterSpec{Field: "label", Str: &str},
@@ -248,8 +249,8 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 	entries := s.SlowQueries()
-	if len(entries) != 4 {
-		t.Fatalf("slow log holds %d entries, want the newest 4", len(entries))
+	if len(entries) != slowLogEntries {
+		t.Fatalf("slow log holds %d entries, want the newest %d", len(entries), slowLogEntries)
 	}
 	for i, e := range entries {
 		if e.Query == "" || e.Fingerprint == "" {
@@ -259,9 +260,13 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Fatalf("entries not newest-first: %v after %v", e.Time, entries[i-1].Time)
 		}
 	}
-	// The newest entry is the limit=6 query.
-	if want := "limit(6)"; !strings.Contains(entries[0].Query, want) {
+	// The newest entry is the last query, the oldest kept the one the
+	// ring's bound reaches back to.
+	if want := fmt.Sprintf("limit(%d)", queries); !strings.Contains(entries[0].Query, want) {
 		t.Fatalf("newest entry %q does not mention %s", entries[0].Query, want)
+	}
+	if want := fmt.Sprintf("limit(%d)", queries-slowLogEntries+1); !strings.Contains(entries[len(entries)-1].Query, want) {
+		t.Fatalf("oldest entry %q does not mention %s", entries[len(entries)-1].Query, want)
 	}
 }
 

@@ -59,13 +59,17 @@ type telemetry struct {
 	fragmentDur *obs.Histogram
 }
 
+// slowLogEntries bounds the slow-query ring buffer served at
+// /debug/slow.
+const slowLogEntries = 64
+
 // newTelemetry builds the registry and registers every family. Gauges
 // close over the service and read live state at scrape time.
 func newTelemetry(s *Service, cfg Config) *telemetry {
 	r := obs.NewRegistry()
 	t := &telemetry{
 		reg:  r,
-		slow: obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogEntries),
+		slow: obs.NewSlowLog(cfg.SlowQueryThreshold, slowLogEntries),
 
 		admitted:       r.Counter("deeplens_queries_admitted_total", "Queries admitted to the worker queue.", nil),
 		rejected:       r.Counter("deeplens_queries_rejected_total", "Queries rejected by admission-queue overflow.", nil),
@@ -151,15 +155,14 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		return bs.FusionFactor()
 	})
 	r.GaugeFunc("deeplens_column_extend_reuse_ratio", "Sealed blocks reused / total blocks across incremental column extends.", nil, func() float64 {
-		_, reused, total := s.shards.ColumnExtendStats()
-		if total == 0 {
+		rs := s.shards.RefreshStats()
+		if rs.ColumnTotalBlocks == 0 {
 			return 0
 		}
-		return float64(reused) / float64(total)
+		return float64(rs.ColumnReusedBlocks) / float64(rs.ColumnTotalBlocks)
 	})
 	r.CounterFunc("deeplens_column_extends_total", "Incremental column-store extensions performed.", nil, func() float64 {
-		n, _, _ := s.shards.ColumnExtendStats()
-		return float64(n)
+		return float64(s.shards.RefreshStats().ColumnExtends)
 	})
 	r.CounterFunc("deeplens_segment_spills_total", "Sealed column segments written through the kv pager by the tiered column store.", nil, func() float64 {
 		return float64(s.segCache.Stats().Spills)
@@ -179,21 +182,17 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.GaugeFunc("deeplens_segment_resident_bytes", "Bytes of spilled column segments currently resident.", nil, func() float64 {
 		return float64(s.segCache.Stats().ResidentBytes)
 	})
-	r.CounterFunc("deeplens_index_extends_total", "Incremental vector-index extensions performed (prefix-certified appends).", nil, func() float64 {
-		n, _ := s.shards.IndexExtendStats()
-		return float64(n)
+	r.CounterFunc("deeplens_index_extends_total", "Incremental vector-index extensions performed (only the appended rows indexed).", nil, func() float64 {
+		return float64(s.shards.RefreshStats().VectorExtends)
 	})
 	r.CounterFunc("deeplens_index_rebuilds_total", "Full vector-index builds (first touch or a shape change an extension could not absorb).", nil, func() float64 {
-		_, n := s.shards.IndexExtendStats()
-		return float64(n)
+		return float64(s.shards.RefreshStats().VectorRebuilds)
 	})
 	r.CounterFunc("deeplens_scalar_index_extends_total", "Hash/B-tree index probes that inserted only the rows appended since the index was last current.", nil, func() float64 {
-		n, _, _ := s.shards.ScalarIndexStats()
-		return float64(n)
+		return float64(s.shards.RefreshStats().ScalarExtends)
 	})
-	r.CounterFunc("deeplens_scalar_index_rebuilds_total", "Hash/B-tree indexes built in full (first touch, snapshot cache reload, reopen at another version).", nil, func() float64 {
-		_, n, _ := s.shards.ScalarIndexStats()
-		return float64(n)
+	r.CounterFunc("deeplens_scalar_index_rebuilds_total", "Hash/B-tree indexes built in full (first touch, BuildIndex, reopen at another version).", nil, func() float64 {
+		return float64(s.shards.RefreshStats().ScalarRebuilds)
 	})
 	r.GaugeFunc("deeplens_store_pages", "Pages in the page files of every shard and replica store (meta pages included).", nil, func() float64 {
 		pages, _ := s.shards.PagerStats()

@@ -112,14 +112,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 		sp.AttrInt("rows_scanned", int64(f.Scan.RowsScanned))
 		sp.AttrInt("seg_loads", int64(f.Scan.SegLoads))
 		sp.AttrInt("seg_transient", int64(f.Scan.SegTransient))
-		switch {
-		case f.ColInfo.Extended:
-			sp.Attr("columns", "extended")
-		case f.ColInfo.Built:
-			sp.Attr("columns", "built")
-		default:
-			sp.Attr("columns", "cached")
-		}
+		sp.Attr("columns", f.ColInfo.Refresh.String())
 	}
 }
 

@@ -111,8 +111,6 @@ type Config struct {
 	// in-memory slow-query log served at /debug/slow (default 250ms;
 	// negative disables the log).
 	SlowQueryThreshold time.Duration
-	// SlowLogEntries bounds the slow-query ring buffer (default 64).
-	SlowLogEntries int
 	// TraceSample captures full span traces for this fraction of
 	// queries even without an explicit "trace": true request (0 = only
 	// explicit traces; 1 = every query). Sampled traces feed the
@@ -191,9 +189,6 @@ func (c Config) withDefaults(shards int) Config {
 		c.SlowQueryThreshold = 250 * time.Millisecond
 	case c.SlowQueryThreshold < 0:
 		c.SlowQueryThreshold = 0 // slow log disabled
-	}
-	if c.SlowLogEntries <= 0 {
-		c.SlowLogEntries = 64
 	}
 	switch {
 	case c.HedgeAfter == 0:
@@ -833,7 +828,7 @@ type Stats struct {
 
 	// ANN serving: knn queries executed (cold; cache hits excluded like
 	// every execution counter) and the vector-index maintenance record —
-	// prefix-certified incremental extensions vs full builds.
+	// incremental extensions by the appended rows vs full builds.
 	KNNQueries    int64 `json:"knn_queries"`
 	IndexExtends  int64 `json:"index_extends"`
 	IndexRebuilds int64 `json:"index_rebuilds"`
@@ -901,9 +896,8 @@ func (s *Service) Stats() Stats {
 	queueDepth := len(s.queue)
 	inFlight := s.inFlight.Load()
 	s.statsMu.Unlock()
-	extends, extReused, extTotal := s.shards.ColumnExtendStats()
+	rs := s.shards.RefreshStats()
 	resyncs, resyncRows := s.shards.ResyncStats()
-	idxExtends, idxRebuilds := s.shards.IndexExtendStats()
 	scs := s.segCache.Stats() // nil-safe: zero record when tiering is off
 	return Stats{
 		UptimeSec:  time.Since(s.start).Seconds(),
@@ -922,9 +916,9 @@ func (s *Service) Stats() Stats {
 
 		Appends:           s.tel.appends.Value(),
 		AppendedRows:      s.tel.appendedRows.Value(),
-		ColumnExtends:     extends,
-		ExtendReuseBlocks: extReused,
-		ExtendTotalBlocks: extTotal,
+		ColumnExtends:     rs.ColumnExtends,
+		ExtendReuseBlocks: rs.ColumnReusedBlocks,
+		ExtendTotalBlocks: rs.ColumnTotalBlocks,
 
 		SegmentSpills:         scs.Spills,
 		SegmentLoads:          scs.Loads,
@@ -935,8 +929,8 @@ func (s *Service) Stats() Stats {
 		ColumnMemBudget:       s.cfg.ColumnMemBudget,
 
 		KNNQueries:    s.tel.knnQueries.Value(),
-		IndexExtends:  idxExtends,
-		IndexRebuilds: idxRebuilds,
+		IndexExtends:  rs.VectorExtends,
+		IndexRebuilds: rs.VectorRebuilds,
 
 		ResultCache:   rc,
 		UDFCache:      s.udfMemo.Stats(),
