@@ -123,7 +123,7 @@ func run() error {
 	}
 	far := 0
 	for _, p := range ps {
-		if p.Meta["depth"].F > 5 {
+		if d, _ := p.Get("depth"); d.F > 5 {
 			far++
 		}
 	}

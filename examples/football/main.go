@@ -72,20 +72,18 @@ func run() error {
 			}
 			for _, dp := range detPatches {
 				dp.Meta["clip"] = core.IntV(int64(c))
-				pixels := dp.Data
+				withPixels := *dp
 				dp.Data = nil
 				if err := dets.Append(dp); err != nil {
 					return err
 				}
-				dp.Data = pixels
-				wordPatches, err := core.DrainPatches(core.OCRGenerator(ocr, core.NewSliceIterator([]core.Tuple{{dp}})))
+				withPixels.ID = dp.ID
+				wordPatches, err := core.DrainPatches(core.OCRGenerator(ocr, core.NewSliceIterator([]core.Tuple{{&withPixels}})))
 				if err != nil {
 					return err
 				}
-				dp.Data = nil
 				for _, wp := range wordPatches {
 					wp.Meta["clip"] = core.IntV(int64(c))
-					wp.Ref.Parent = dp.ID
 					wp.Data = nil
 					if err := words.Append(wp); err != nil {
 						return err
@@ -114,11 +112,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		bb := detPatch.Meta["bbox"].V
-		clip := w.Meta["clip"].I
-		traj[clip] = append(traj[clip], point{
-			frame: w.Meta["frameno"].I,
-			cx:    float64(bb[0]+bb[2]) / 2,
+		bb, _ := detPatch.Get("bbox")
+		clip, _ := w.Get("clip")
+		frame, _ := w.Get("frameno")
+		traj[clip.I] = append(traj[clip.I], point{
+			frame: frame.I,
+			cx:    float64(bb.V[0]+bb.V[2]) / 2,
 		})
 	}
 	for clip := int64(0); clip < int64(len(fb.Clips)); clip++ {

@@ -104,7 +104,8 @@ func run() error {
 		fmt.Printf("q5: %q not found in the corpus\n", target)
 		return nil
 	}
-	frame := hit[0][0].Meta["frameno"].I
+	fv, _ := hit[0][0].Get("frameno")
+	frame := fv.I
 	fmt.Printf("q5: first image containing %q is image %d", target, frame)
 	// Verify against generator ground truth.
 	for _, w := range pc.Images[frame].Words {

@@ -90,10 +90,12 @@ func run() error {
 	busiest, most := int64(-1), int64(0)
 	var total int64
 	for _, g := range groups {
-		n := g[0].Meta["count"].I
+		count, _ := g[0].Get("count")
+		group, _ := g[0].Get("group")
+		n := count.I
 		total += n
 		if n > most {
-			most, busiest = n, g[0].Meta["group"].I
+			most, busiest = n, group.I
 		}
 	}
 	fmt.Printf("cars per frame over %d frames: %d total, busiest frame %d (%d cars)\n",

@@ -233,28 +233,25 @@ func (e *Env) runETL(s *core.Sharded) error {
 			}
 			for _, dp := range detPatches {
 				dp.Meta["clip"] = core.IntV(int64(c))
-				// Keep pixels on the detection only until OCR has run.
-				wordIt := core.OCRGenerator(e.JerseyOCR, core.NewSliceIterator([]core.Tuple{{dp}}))
-				// Materialize the detection first so words' Parent resolves.
-				data := dp.Data
+				// Materialize the detection without its pixels first, so
+				// words' Parent resolves; OCR reads a copy that keeps them.
+				withPixels := *dp
 				dp.Data = nil
 				if err := fbDets.Append(dp); err != nil {
 					return err
 				}
-				dp.Data = data
-				wordPatches, err := core.DrainPatches(wordIt)
+				withPixels.ID = dp.ID
+				wordPatches, err := core.DrainPatches(core.OCRGenerator(e.JerseyOCR, core.NewSliceIterator([]core.Tuple{{&withPixels}})))
 				if err != nil {
 					return err
 				}
 				for _, wp := range wordPatches {
 					wp.Meta["clip"] = core.IntV(int64(c))
 					wp.Data = nil
-					wp.Ref.Parent = dp.ID
 					if err := fbWords.Append(wp); err != nil {
 						return err
 					}
 				}
-				dp.Data = nil
 			}
 		}
 	}
@@ -266,7 +263,7 @@ func (e *Env) runETL(s *core.Sharded) error {
 // geometry the depth model was not applied to, keeping the schema total.
 func ensureDepth(in core.Iterator) core.Iterator {
 	return core.Transform(in, func(t core.Tuple) ([]core.Tuple, error) {
-		if _, ok := t[0].Meta["depth"]; !ok {
+		if _, ok := t[0].Get("depth"); !ok {
 			t[0].Meta["depth"] = core.FloatV(0)
 		}
 		return []core.Tuple{t}, nil

@@ -618,7 +618,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	startA := time.Now()
 	var filtered []*core.Patch
 	for _, p := range all {
-		if p.Meta["label"].S == "pedestrian" && p.Meta["score"].F >= scoreThreshold {
+		if meta(p, "label").S == "pedestrian" && meta(p, "score").F >= scoreThreshold {
 			filtered = append(filtered, p)
 		}
 	}
@@ -640,7 +640,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	for _, cl := range clustersAll {
 		hasPed := false
 		for _, p := range cl {
-			if p.Meta["label"].S == "pedestrian" {
+			if meta(p, "label").S == "pedestrian" {
 				hasPed = true
 				break
 			}
@@ -679,8 +679,8 @@ func dropSmall(clusters [][]*core.Patch, minSize int) [][]*core.Patch {
 func (e *Env) q4ClusterAccuracy(clusters [][]*core.Patch) (recall, precision float64) {
 	// Ground-truth boxes per frame, pedestrians only.
 	gtIdentity := func(p *core.Patch) uint64 {
-		f := int(p.Meta["frameno"].I)
-		bb := p.Meta["bbox"].V
+		f := int(meta(p, "frameno").I)
+		bb := meta(p, "bbox").V
 		best := uint64(0)
 		bestIoU := 0.3
 		for _, gt := range e.Traffic.Scene.GroundTruth(f) {

@@ -282,8 +282,8 @@ func TestSynthesizedQ6Pipeline(t *testing.T) {
 		t.Fatal("synthesized pipeline produced no patches")
 	}
 	for _, p := range ps {
-		if _, ok := p.Meta["depth"]; !ok {
-			t.Fatalf("patch lacks depth: %v", p.Meta.Keys())
+		if _, ok := p.Get("depth"); !ok {
+			t.Fatalf("patch %d lacks depth", p.ID)
 		}
 	}
 }

@@ -499,11 +499,11 @@ func (c *Collection) saveDesc() error {
 // its collection holds: committing it would break the id order of rows.
 var ErrIDOrder = errors.New("core: patch id out of order")
 
-// Append validates, ids, and persists a patch. Lineage attributes _source
-// and _frame are auto-populated from Ref so indexes and queries work on
-// provenance natively (§5.1). A patch without an id gets the next one
-// inside the commit; one with an id not above the collection's last is
-// refused with ErrIDOrder.
+// Append seals, validates, ids, and persists a patch. A committed row
+// answers the lineage attributes _source and _frame from Ref, so
+// indexes and queries work on provenance natively (§5.1). A patch
+// without an id gets the next one inside the commit; one with an id not
+// above the collection's last is refused with ErrIDOrder.
 func (c *Collection) Append(p *Patch) error {
 	if err := c.prepare(p); err != nil {
 		return err
@@ -516,27 +516,41 @@ func (c *Collection) Append(p *Patch) error {
 	return c.putLocked(p, p.Marshal())
 }
 
-// prepare stamps p's lineage attributes and validates it against the
-// schema: everything Append does before the write.
+// prepare seals a builder patch and validates the committed form
+// against the schema: everything Append does before the write. A
+// builder that fails validation is left a builder. A sealed patch is
+// only validated: it may be a committed row that readers share.
 func (c *Collection) prepare(p *Patch) error {
-	if p.Meta == nil {
-		p.Meta = Metadata{}
+	s := p
+	if !p.sealed() {
+		s = &Patch{Ref: p.Ref, Data: p.Data}
+		s.Seal(metaPairs(p.Meta))
 	}
-	// Assign lineage only when absent or stale: a replicated write-all
-	// append routes the same *Patch through every replica's Append, and
-	// after the primary commits it the patch is already visible to
-	// concurrent snapshot readers — a secondary's re-assignment of an
-	// unchanged value would race those readers' Meta map accesses.
-	if v, ok := p.Meta["_source"]; !ok || v.Kind != KindStr || v.S != p.Ref.Source {
-		p.Meta["_source"] = StrV(p.Ref.Source)
-	}
-	if v, ok := p.Meta["_frame"]; !ok || v.Kind != KindInt || v.I != int64(p.Ref.Frame) {
-		p.Meta["_frame"] = IntV(int64(p.Ref.Frame))
-	}
-	if err := c.schema.ValidatePatch(p); err != nil {
+	if err := c.schema.ValidatePatch(s); err != nil {
 		return fmt.Errorf("collection %q: %w", c.name, err)
 	}
+	if s != p {
+		p.Meta, p.pairs = nil, s.pairs
+	}
 	return nil
+}
+
+// metaPairs lists m's entries but the lineage keys, which sealing drops,
+// in an array of exactly their number.
+func metaPairs(m Metadata) []Pair {
+	n := len(m)
+	for _, k := range [...]string{frameKey, sourceKey} {
+		if _, ok := m[k]; ok {
+			n--
+		}
+	}
+	pairs := make([]Pair, 0, n)
+	for k, v := range m {
+		if k != frameKey && k != sourceKey {
+			pairs = append(pairs, Pair{k, v})
+		}
+	}
+	return pairs
 }
 
 // put commits a prepared patch, raw being its Marshal encoding.
@@ -608,9 +622,10 @@ func (c *Collection) load() error {
 		return nil
 	}
 	out := make([]*Patch, 0, c.count)
+	d := patchDecoder{fields: c.schema.Fields}
 	var scanErr error
 	err := c.bucket.Scan(nil, nil, func(_, v []byte) bool {
-		p, err := UnmarshalPatch(v)
+		p, err := d.decode(v)
 		if err != nil {
 			scanErr = err
 			return false

@@ -3,7 +3,7 @@ package core
 // Columnar scan engine. The paper's query layer assumes selections and
 // top-k over patch metadata are cheap relative to vision UDFs; with the
 // row-at-a-time fallback every non-indexed filter pays an interface
-// iterator call, a Metadata map lookup and a predicate-closure invocation
+// iterator call, a metadata lookup and a predicate-closure invocation
 // per patch. The ColumnStore lazily projects hot metadata fields from a
 // collection snapshot into typed columnar form (int64 / float64 /
 // dictionary-encoded strings, plus a null bitmap), partitioned into
@@ -223,7 +223,7 @@ func (c *Column) rebuildSeg(sg *colSegment) *segData {
 	d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
 	d.alloc(c.kind, hi-lo)
 	for i := lo; i < hi; i++ {
-		v, ok := c.patches[i].Meta[c.field]
+		v, ok := c.patches[i].Get(c.field)
 		if !ok {
 			continue
 		}
@@ -403,7 +403,7 @@ func (c *Column) appendRows(from, n int) bool {
 		d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
 		d.alloc(c.kind, hi-lo)
 		for i := lo; i < hi; i++ {
-			v, ok := c.patches[i].Meta[c.field]
+			v, ok := c.patches[i].Get(c.field)
 			if !ok {
 				c.nnull++
 				sg.nnull++
@@ -746,7 +746,8 @@ func newTopKeep(cs *ColumnStore, snap []*Patch, field string, desc bool, k int) 
 	col := t.col
 	if col == nil {
 		t.heap.before = func(a, b topEntry) bool {
-			va, vb := snap[a.row].Meta[field], snap[b.row].Meta[field]
+			va, _ := snap[a.row].Get(field)
+			vb, _ := snap[b.row].Get(field)
 			if desc {
 				va, vb = vb, va
 			}

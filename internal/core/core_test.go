@@ -14,6 +14,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// metaVal is p's value under name, the zero Value when p lacks it.
+func metaVal(p *Patch, name string) Value {
+	v, _ := p.Get(name)
+	return v
+}
+
 func openDB(t testing.TB) *DB {
 	t.Helper()
 	db, err := Open(filepath.Join(t.TempDir(), "dl.db"), exec.New(exec.CPU))
@@ -48,8 +54,8 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 		t.Fatal("payload lost")
 	}
 	for k, v := range p.Meta {
-		if !got.Meta[k].Equal(v) {
-			t.Fatalf("meta %q lost: %+v vs %+v", k, got.Meta[k], v)
+		if !metaVal(got, k).Equal(v) {
+			t.Fatalf("meta %q lost: %+v vs %+v", k, metaVal(got, k), v)
 		}
 	}
 }
@@ -63,8 +69,8 @@ func TestPatchMarshalQuick(t *testing.T) {
 			return false
 		}
 		return got.ID == p.ID && got.Ref.Source == src &&
-			got.Meta["l"].Equal(p.Meta["l"]) && got.Meta["s"].Equal(p.Meta["s"]) &&
-			got.Meta["i"].Equal(p.Meta["i"])
+			metaVal(got, "l").Equal(metaVal(p, "l")) && metaVal(got, "s").Equal(metaVal(p, "s")) &&
+			metaVal(got, "i").Equal(metaVal(p, "i"))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -169,8 +175,8 @@ func TestCollectionAppendScanPersist(t *testing.T) {
 		t.Fatalf("reopen: %d patches", len(ps))
 	}
 	// Lineage attributes auto-populated.
-	if ps[0].Meta["_source"].S != "cam" {
-		t.Fatalf("lineage attribute missing: %+v", ps[0].Meta)
+	if metaVal(ps[0], "_source").S != "cam" {
+		t.Fatalf("lineage attribute missing: %+v", ps[0])
 	}
 }
 
@@ -243,12 +249,12 @@ func TestGroupCountAndOrderBy(t *testing.T) {
 		t.Fatalf("groups = %d, %v", len(groups), err)
 	}
 	for _, g := range groups {
-		if g[0].Meta["count"].I != 10 {
-			t.Fatalf("group count = %d", g[0].Meta["count"].I)
+		if metaVal(g[0], "count").I != 10 {
+			t.Fatalf("group count = %d", metaVal(g[0], "count").I)
 		}
 	}
 	ordered, _ := Drain(OrderBy(col.Scan(), "frameno", false))
-	if ordered[0][0].Meta["frameno"].I != 2 {
+	if metaVal(ordered[0][0], "frameno").I != 2 {
 		t.Fatal("descending order broken")
 	}
 }
@@ -269,10 +275,10 @@ func TestLimitAndProject(t *testing.T) {
 	if p.Data != nil {
 		t.Fatal("project kept payload")
 	}
-	if _, ok := p.Meta["frameno"]; ok {
+	if _, ok := p.Get("frameno"); ok {
 		t.Fatal("project kept dropped field")
 	}
-	if _, ok := p.Meta["label"]; !ok {
+	if _, ok := p.Get("label"); !ok {
 		t.Fatal("project lost kept field")
 	}
 }
@@ -454,7 +460,7 @@ func TestNestedLoopAndHashJoinAgree(t *testing.T) {
 		right.Append(mkPatch("pedestrian", int64(i%15)))
 	}
 	theta := func(a, b *Patch) bool {
-		return a.Meta["frameno"].I == b.Meta["frameno"].I
+		return metaVal(a, "frameno").I == metaVal(b, "frameno").I
 	}
 	nl, err := Drain(NestedLoopJoin(left.Scan(), right.Scan(), theta))
 	if err != nil {
@@ -507,7 +513,7 @@ func TestRangeThetaJoinSortedAgreesWithNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	nested, _ := Drain(NestedLoopJoin(FromPatches(ps), FromPatches(ps), func(a, b *Patch) bool {
-		return a.ID != b.ID && a.Meta["depth"].F > b.Meta["depth"].F+gap
+		return a.ID != b.ID && metaVal(a, "depth").F > metaVal(b, "depth").F+gap
 	}))
 	if len(sorted) != len(nested) {
 		t.Fatalf("sorted %d pairs, nested %d", len(sorted), len(nested))

@@ -205,7 +205,7 @@ func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
 			return nil, nil
 		}
 		offX, offY := 0.0, 0.0
-		if bb, ok := src.Meta["bbox"]; ok && len(bb.V) == 4 {
+		if bb, ok := src.Get("bbox"); ok && len(bb.V) == 4 {
 			offX, offY = float64(bb.V[0]), float64(bb.V[1])
 		}
 		words := ocr.Recognize(img)
@@ -228,14 +228,24 @@ func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
 	})
 }
 
+// editable returns t with its first patch as a builder a transformer
+// may add fields to: the patch itself when it is one, and otherwise a
+// copy in a copy of t, since a committed row is immutable.
+func editable(t Tuple) Tuple {
+	if b := t[0].Builder(); b != t[0] {
+		t = append(Tuple{b}, t[1:]...)
+	}
+	return t
+}
+
 // HistogramTransformer adds a "hist" color-histogram vector to each patch
 // (§4.1 Transformers; the low-dimensional matching feature).
 func HistogramTransformer(in Iterator) Iterator {
 	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		p := t[0]
-		img := TensorToImage(p.Data)
+		img := TensorToImage(t[0].Data)
 		if img != nil {
-			p.Meta["hist"] = VecV(vision.ColorHistogram(img))
+			t = editable(t)
+			t[0].Meta["hist"] = VecV(vision.ColorHistogram(img))
 		}
 		return []Tuple{t}, nil
 	})
@@ -247,10 +257,10 @@ func HistogramTransformer(in Iterator) Iterator {
 // Example 2 so multidimensional indexes stay effective).
 func GridHistogramTransformer(grid int, in Iterator) Iterator {
 	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		p := t[0]
-		img := TensorToImage(p.Data)
+		img := TensorToImage(t[0].Data)
 		if img != nil {
-			p.Meta["ghist"] = VecV(vision.RandomProject(vision.GridHistogram(img, grid), 64))
+			t = editable(t)
+			t[0].Meta["ghist"] = VecV(vision.RandomProject(vision.GridHistogram(img, grid), 64))
 		}
 		return []Tuple{t}, nil
 	})
@@ -316,6 +326,7 @@ func EmbedTransformer(e *vision.Embedder, in Iterator) Iterator {
 		}
 		embs := e.EmbedBatch(imgs)
 		for j, i := range idx {
+			batch[i] = editable(batch[i])
 			batch[i][0].Meta["emb"] = VecV(embs[j])
 		}
 		return nil
@@ -331,7 +342,7 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 		var idx []int
 		for i, t := range batch {
 			img := TensorToImage(t[0].Data)
-			bb, ok := t[0].Meta["bbox"]
+			bb, ok := t[0].Get("bbox")
 			if img != nil && ok && len(bb.V) == 4 {
 				imgs = append(imgs, img)
 				boxes = append(boxes, [4]int{int(bb.V[0]), int(bb.V[1]), int(bb.V[2]), int(bb.V[3])})
@@ -343,6 +354,7 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 		}
 		depths := dm.PredictBatch(imgs, boxes)
 		for j, i := range idx {
+			batch[i] = editable(batch[i])
 			batch[i][0].Meta["depth"] = FloatV(depths[j])
 		}
 		return nil
@@ -350,12 +362,16 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 }
 
 // DropData strips the dense payload (after featurization, queries that
-// only touch metadata don't need pixels; §4.1 compression).
+// only touch metadata don't need pixels; §4.1 compression). It emits
+// copies, so a committed row keeps its payload.
 func DropData(in Iterator) Iterator {
 	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		for _, p := range t {
-			p.Data = nil
+		out := make(Tuple, len(t))
+		for i, p := range t {
+			q := *p
+			q.Data = nil
+			out[i] = &q
 		}
-		return []Tuple{t}, nil
+		return []Tuple{out}, nil
 	})
 }

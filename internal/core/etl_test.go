@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -56,7 +57,7 @@ func TestLoadVideoPushdown(t *testing.T) {
 		if p.Ref.Frame != uint64(5+i) || p.Ref.Source != "vid" {
 			t.Fatalf("frame %d: ref %+v", i, p.Ref)
 		}
-		if p.Meta["frameno"].I != int64(5+i) {
+		if metaVal(p, "frameno").I != int64(5+i) {
 			t.Fatal("frameno metadata wrong")
 		}
 		if p.Data == nil || p.Data.Shape[0] != 72 || p.Data.Shape[1] != 128 {
@@ -102,6 +103,63 @@ func TestDetectGeneratorLineageAndSchema(t *testing.T) {
 	}
 }
 
+// TestTransformersLeaveCommittedRowsAlone: transformers fed a
+// collection's Scan emit the committed rows' data with their new
+// fields, and the committed rows themselves gain no field and keep
+// their payload.
+func TestTransformersLeaveCommittedRowsAlone(t *testing.T) {
+	sc := renderScene(3)
+	db := openDB(t)
+	schema := Schema{Data: Pixels(0, 0), Fields: []Field{{Name: "frameno", Kind: KindInt}}}
+	col, err := db.CreateCollection("pixels", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		img, _ := sc.Render(i)
+		p := &Patch{Ref: Ref{Source: "cam", Frame: uint64(i)}, Data: ImageToTensor(img),
+			Meta: Metadata{"frameno": IntV(int64(i)), "bbox": RectV(10, 30, 40, 60)}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := exec.New(exec.CPU)
+	rows, _ := col.Patches()
+	want := make([][]byte, len(rows))
+	for i, p := range rows {
+		want[i] = p.Marshal()
+	}
+	it := HistogramTransformer(col.Scan())
+	it = GridHistogramTransformer(3, it)
+	it = EmbedTransformer(vision.NewEmbedder(dev, 42), it)
+	it = DepthTransformer(vision.NewDepthModel(dev, sc.Horizon, sc.Focal, 42), it)
+	it = DropData(it)
+	out, err := DrainPatches(it)
+	if err != nil || len(out) != len(rows) {
+		t.Fatalf("%d patches, %v", len(out), err)
+	}
+	for i, p := range out {
+		if p.ID != rows[i].ID || p.Ref != rows[i].Ref || p.Data != nil {
+			t.Fatalf("output %d: id %d ref %+v payload %v", i, p.ID, p.Ref, p.Data != nil)
+		}
+		for _, k := range []string{"hist", "ghist", "emb", "depth", "frameno", "_source", "_frame"} {
+			if _, ok := p.Get(k); !ok {
+				t.Fatalf("output %d lacks %q", i, k)
+			}
+		}
+		got, err := col.Get(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := got.Get("hist"); ok {
+			t.Fatalf("row %d gained hist in its collection", p.ID)
+		}
+		if got.Data == nil || !bytes.Equal(got.Marshal(), want[i]) {
+			t.Fatalf("row %d changed in its collection", p.ID)
+		}
+	}
+}
+
 func TestTransformersAddFields(t *testing.T) {
 	sc := renderScene(3)
 	img, _ := sc.Render(0)
@@ -121,24 +179,24 @@ func TestTransformersAddFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ps[0]
-	if len(p.Meta["hist"].V) != vision.HistogramDim {
-		t.Fatalf("hist dim %d", len(p.Meta["hist"].V))
+	if len(metaVal(p, "hist").V) != vision.HistogramDim {
+		t.Fatalf("hist dim %d", len(metaVal(p, "hist").V))
 	}
-	if len(p.Meta["ghist"].V) != 64 {
-		t.Fatalf("ghist dim %d", len(p.Meta["ghist"].V))
+	if len(metaVal(p, "ghist").V) != 64 {
+		t.Fatalf("ghist dim %d", len(metaVal(p, "ghist").V))
 	}
-	if len(p.Meta["emb"].V) != emb.Dim() {
-		t.Fatalf("emb dim %d", len(p.Meta["emb"].V))
+	if len(metaVal(p, "emb").V) != emb.Dim() {
+		t.Fatalf("emb dim %d", len(metaVal(p, "emb").V))
 	}
-	if p.Meta["depth"].F <= 0 {
-		t.Fatalf("depth %f", p.Meta["depth"].F)
+	if metaVal(p, "depth").F <= 0 {
+		t.Fatalf("depth %f", metaVal(p, "depth").F)
 	}
 	// DropData strips the payload but keeps features.
 	dropped, _ := DrainPatches(DropData(NewSliceIterator([]Tuple{{p}})))
 	if dropped[0].Data != nil {
 		t.Fatal("DropData kept payload")
 	}
-	if len(dropped[0].Meta["emb"].V) == 0 {
+	if len(metaVal(dropped[0], "emb").V) == 0 {
 		t.Fatal("DropData lost features")
 	}
 }
@@ -158,9 +216,9 @@ func TestOCRGeneratorOffsetsIntoFrame(t *testing.T) {
 	}
 	found := false
 	for _, w := range ps {
-		if w.Meta["text"].S == "HI42" {
+		if metaVal(w, "text").S == "HI42" {
 			found = true
-			bb := w.Meta["bbox"].V
+			bb := metaVal(w, "bbox").V
 			if bb[0] < 20 || bb[1] < 10 {
 				t.Fatalf("word bbox not offset into frame coords: %v", bb)
 			}
@@ -183,7 +241,7 @@ func TestFromImages(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("%d patches", len(ps))
 	}
-	if ps[1].Meta["width"].I != 10 || ps[1].Meta["height"].I != 4 {
+	if metaVal(ps[1], "width").I != 10 || metaVal(ps[1], "height").I != 4 {
 		t.Fatalf("dims meta: %+v", ps[1].Meta)
 	}
 	if ps[0].Ref.Frame != 0 || ps[1].Ref.Frame != 1 {
@@ -225,7 +283,7 @@ func TestTileGenerator(t *testing.T) {
 	}
 	var area float64
 	for _, p := range ps {
-		bb := p.Meta["bbox"].V
+		bb := metaVal(p, "bbox").V
 		w := float64(bb[2] - bb[0])
 		h := float64(bb[3] - bb[1])
 		area += w * h

@@ -318,7 +318,7 @@ func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error
 // The chunk is read into, and written back from, the scratch buffers, so
 // a steady-state insert allocates nothing.
 func (idx *Index) insert(p *Patch) error {
-	v, ok := p.Meta[idx.Field]
+	v, ok := p.Get(idx.Field)
 	if !ok {
 		return fmt.Errorf("core: patch %d lacks field %q", p.ID, idx.Field)
 	}

@@ -107,14 +107,14 @@ func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[
 func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap []*Patch) {
 	t.Helper()
 	for _, l := range []string{"hot", "cold", "absent"} {
-		want := scanIDs(snap, func(p *Patch) bool { return p.Meta["label"].S == l })
+		want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").S == l })
 		if !reflect.DeepEqual(got["hash:"+l], want) {
 			t.Fatalf("%s: hash %q: %d ids, scan %d", stage, l, len(got["hash:"+l]), len(want))
 		}
 	}
 	for k := 0; k < 37; k += 6 {
 		for _, v := range []Value{IntV(int64(k)), FloatV(float64(k) + 0.5)} {
-			want := scanIDs(snap, func(p *Patch) bool { return p.Meta["key"].Equal(v) })
+			want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "key").Equal(v) })
 			if !reflect.DeepEqual(got["bteq:"+fmt.Sprint(v)], want) {
 				t.Fatalf("%s: btree eq %v: %v, scan %v", stage, v, got["bteq:"+fmt.Sprint(v)], want)
 			}
@@ -122,7 +122,7 @@ func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap
 	}
 	inRange := func(lo, hi Value) func(*Patch) bool {
 		return func(p *Patch) bool {
-			v := p.Meta["key"]
+			v := metaVal(p, "key")
 			if v.Kind != lo.Kind {
 				return false
 			}
@@ -375,7 +375,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	}
 	snap, ver, _ := col2.Snapshot()
 	lo, hi := IntV(5), IntV(30)
-	want := scanIDs(snap, func(p *Patch) bool { v := p.Meta["key"]; return v.Kind == KindInt && v.I >= 5 && v.I < 30 })
+	want := scanIDs(snap, func(p *Patch) bool { v := metaVal(p, "key"); return v.Kind == KindInt && v.I >= 5 && v.I < 30 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -525,7 +525,7 @@ func TestHashInsertTouchesOneChunk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := scanIDs(snap, func(p *Patch) bool { return p.Meta["label"].S == l }); !reflect.DeepEqual(ids, want) {
+			if want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").S == l }); !reflect.DeepEqual(ids, want) {
 				t.Fatalf("after inserting %q: %q has %d ids, scan %d", label, l, len(ids), len(want))
 			}
 		}

@@ -57,7 +57,7 @@ func HashEquiJoin(left, right Iterator, leftField, rightField string) Iterator {
 	}
 	table := map[string][]Tuple{}
 	for _, t := range rts {
-		v, ok := t[0].Meta[rightField]
+		v, ok := t[0].Get(rightField)
 		if !ok {
 			continue
 		}
@@ -80,7 +80,7 @@ func HashEquiJoin(left, right Iterator, leftField, rightField string) Iterator {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			v, has := t[0].Meta[leftField]
+			v, has := t[0].Get(leftField)
 			if !has {
 				continue
 			}
@@ -115,7 +115,7 @@ func IndexEquiJoin(db *DB, left Iterator, leftField string, rightCol *Collection
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			v, has := t[0].Meta[leftField]
+			v, has := t[0].Get(leftField)
 			if !has {
 				continue
 			}
@@ -366,12 +366,12 @@ func SimilarityJoinOnTheFly(left, right []*Patch, opts SimilarityJoinOpts) ([]Tu
 func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
 	var out []Tuple
 	for _, l := range left {
-		lb, ok := l.Meta[leftField]
+		lb, ok := l.Get(leftField)
 		if !ok || len(lb.V) != 4 {
 			continue
 		}
 		for _, r := range right {
-			rb, ok := r.Meta[rightField]
+			rb, ok := r.Get(rightField)
 			if !ok || len(rb.V) != 4 {
 				continue
 			}
@@ -391,14 +391,14 @@ func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tu
 func SpatialJoinOnTheFly(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
 	entries := make([]rtree.Entry, 0, len(right))
 	for i, r := range right {
-		if rb, ok := r.Meta[rightField]; ok && len(rb.V) == 4 {
+		if rb, ok := r.Get(rightField); ok && len(rb.V) == 4 {
 			entries = append(entries, rtree.Entry{Rect: rectOf(rb.V), ID: uint64(i)})
 		}
 	}
 	rt := rtree.BulkLoad(2, entries)
 	var out []Tuple
 	for _, l := range left {
-		lb, ok := l.Meta[leftField]
+		lb, ok := l.Get(leftField)
 		if !ok || len(lb.V) != 4 {
 			continue
 		}
@@ -428,7 +428,7 @@ func RangeThetaJoinSorted(left, right []*Patch, field string, gap float64) ([]Tu
 	}
 	rs := make([]entry, 0, len(right))
 	for _, r := range right {
-		v, ok := r.Meta[field]
+		v, ok := r.Get(field)
 		if !ok {
 			continue
 		}
@@ -437,7 +437,7 @@ func RangeThetaJoinSorted(left, right []*Patch, field string, gap float64) ([]Tu
 	sort.Slice(rs, func(i, j int) bool { return rs[i].v < rs[j].v })
 	var out []Tuple
 	for _, l := range left {
-		lv, ok := l.Meta[field]
+		lv, ok := l.Get(field)
 		if !ok {
 			continue
 		}

@@ -22,7 +22,7 @@ type Pred struct {
 // Match is the row predicate: p carries the field and its value
 // satisfies pr (a missing field never matches).
 func (pr *Pred) Match(p *Patch) bool {
-	mv, ok := p.Meta[pr.Field]
+	mv, ok := p.Get(pr.Field)
 	if !ok {
 		return false
 	}
@@ -100,7 +100,7 @@ func Project(in Iterator, fields ...string) Iterator {
 		out := make(Tuple, len(t))
 		for i, p := range t {
 			q := &Patch{ID: p.ID, Ref: p.Ref, Meta: Metadata{}}
-			for k, v := range p.Meta {
+			for k, v := range p.Range {
 				if keep[k] {
 					q.Meta[k] = v
 				}
@@ -135,8 +135,8 @@ func OrderBy(in Iterator, field string, asc bool) Iterator {
 		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
 	}
 	sort.SliceStable(ts, func(i, j int) bool {
-		vi := ts[i][0].Meta[field]
-		vj := ts[j][0].Meta[field]
+		vi, _ := ts[i][0].Get(field)
+		vj, _ := ts[j][0].Get(field)
 		if asc {
 			return vi.Less(vj)
 		}
@@ -161,7 +161,8 @@ func TopK(in Iterator, field string, asc bool, n int) Iterator {
 		n = 0
 	}
 	top := topKIndexes(len(ts), n, func(a, b int) bool {
-		va, vb := ts[a][0].Meta[field], ts[b][0].Meta[field]
+		va, _ := ts[a][0].Get(field)
+		vb, _ := ts[b][0].Get(field)
 		if asc {
 			if va.Less(vb) {
 				return true
@@ -200,7 +201,8 @@ func TopKPatches(ps []*Patch, field string, desc bool, k int) []*Patch {
 		return nil
 	}
 	top := topKIndexes(len(ps), k, func(a, b int) bool {
-		va, vb := ps[a].Meta[field], ps[b].Meta[field]
+		va, _ := ps[a].Get(field)
+		vb, _ := ps[b].Get(field)
 		if desc {
 			if vb.Less(va) {
 				return true
@@ -312,7 +314,7 @@ func GroupCount(in Iterator, field string) Iterator {
 	byKey := map[string]*group{}
 	var order []string
 	for _, t := range ts {
-		v, ok := t[0].Meta[field]
+		v, ok := t[0].Get(field)
 		if !ok {
 			continue
 		}

@@ -14,7 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/tensor"
 )
@@ -35,11 +35,156 @@ type Ref struct {
 
 // Patch is the unit of data (§2.2): a pointer to its origin, an
 // n-dimensional dense payload (pixels or features), and typed metadata.
+//
+// A patch has two forms. A builder is what producers fill in: its
+// metadata is the Meta map. Sealing (Seal, or Append, which seals a
+// builder before it commits it) turns it into a committed row, whose
+// metadata is a key-sorted slice of pairs and whose Meta is nil. A
+// committed row is immutable: collections, snapshots, indexes and
+// replicas share it. Its lineage attributes _source and _frame are not
+// stored among the pairs; Get and Range answer them from Ref. Read
+// metadata through Get and Range, which serve both forms.
 type Patch struct {
 	ID   PatchID
 	Ref  Ref
 	Data *tensor.Tensor
-	Meta Metadata
+	Meta Metadata // the builder's metadata; nil once sealed
+
+	// pairs is a sealed patch's metadata, sorted by key, without the
+	// lineage keys. It is nil exactly while the patch is a builder: a
+	// sealed patch without other metadata holds an empty, non-nil slice.
+	pairs []Pair
+}
+
+// Pair is one metadata entry: a key and its value.
+type Pair struct {
+	Key   string
+	Value Value
+}
+
+// Lineage attribute keys, in key order: a committed row answers them
+// from its Ref.
+const (
+	frameKey  = "_frame"
+	sourceKey = "_source"
+)
+
+// sealed reports whether p is a committed row rather than a builder.
+func (p *Patch) sealed() bool { return p.pairs != nil }
+
+// Get returns the metadata value under name.
+func (p *Patch) Get(name string) (Value, bool) {
+	if p.pairs == nil {
+		v, ok := p.Meta[name]
+		return v, ok
+	}
+	switch name {
+	case frameKey:
+		return IntV(int64(p.Ref.Frame)), true
+	case sourceKey:
+		return StrV(p.Ref.Source), true
+	}
+	// A binary search by index: a comparison function would copy each
+	// 80-byte pair it is handed.
+	lo, hi := 0, len(p.pairs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.pairs[m].Key < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(p.pairs) && p.pairs[lo].Key == name {
+		return p.pairs[lo].Value, true
+	}
+	return Value{}, false
+}
+
+// Range calls yield with each metadata entry in ascending key order,
+// until yield returns false. A committed row yields its lineage
+// attributes in their key positions.
+func (p *Patch) Range(yield func(string, Value) bool) {
+	var arr [16]Pair
+	for _, e := range p.entries(arr[:0]) {
+		if !yield(e.Key, e.Value) {
+			return
+		}
+	}
+}
+
+// entries appends the entries Range yields to dst, in its order.
+func (p *Patch) entries(dst []Pair) []Pair {
+	if p.pairs == nil {
+		start := len(dst)
+		for k, v := range p.Meta {
+			dst = append(dst, Pair{k, v})
+		}
+		sortPairs(dst[start:])
+		return dst
+	}
+	lineage := [2]Pair{{frameKey, IntV(int64(p.Ref.Frame))}, {sourceKey, StrV(p.Ref.Source)}}
+	l := 0
+	for i := range p.pairs {
+		for ; l < len(lineage) && lineage[l].Key < p.pairs[i].Key; l++ {
+			dst = append(dst, lineage[l])
+		}
+		dst = append(dst, p.pairs[i])
+	}
+	return append(dst, lineage[l:]...)
+}
+
+// sortPairs sorts ps by key, stably. A row has a handful of keys, which
+// an insertion sort orders fastest; a long row takes a merge sort.
+func sortPairs(ps []Pair) {
+	if len(ps) > 12 {
+		slices.SortStableFunc(ps, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
+		return
+	}
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].Key < ps[j-1].Key; j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+}
+
+// Seal makes p a committed row whose metadata is entries: sorted by
+// key, the first of a repeated key kept and the lineage keys dropped,
+// since Get answers them from Ref. Meta is set to nil. entries becomes
+// p's: the caller must not touch its array afterwards.
+func (p *Patch) Seal(entries []Pair) {
+	sortPairs(entries)
+	n := 0
+	for i := range entries {
+		k := entries[i].Key
+		if (i > 0 && k == entries[i-1].Key) || k == frameKey || k == sourceKey {
+			continue
+		}
+		if n != i {
+			entries[n] = entries[i]
+		}
+		n++
+	}
+	clear(entries[n:])
+	if entries == nil {
+		entries = []Pair{}
+	}
+	p.Meta, p.pairs = nil, entries[:n]
+}
+
+// Builder returns p itself while p is a builder, and otherwise a new
+// builder with p's id, lineage and payload whose Meta holds a copy of
+// every entry p's Range yields: how a transformer adds fields to a
+// committed row's data without touching the row.
+func (p *Patch) Builder() *Patch {
+	if p.pairs == nil {
+		return p
+	}
+	b := &Patch{ID: p.ID, Ref: p.Ref, Data: p.Data, Meta: make(Metadata, len(p.pairs)+2)}
+	for k, v := range p.Range {
+		b.Meta[k] = v.clone()
+	}
+	return b
 }
 
 // Tuple is a row flowing between operators: one patch per joined input.
@@ -183,54 +328,44 @@ func (v Value) AppendSortKey(dst []byte) ([]byte, error) {
 	}
 }
 
-// Metadata is a patch's key-value dictionary.
+// Metadata is a builder patch's key-value dictionary.
 type Metadata map[string]Value
 
 // Clone deep-copies m.
 func (m Metadata) Clone() Metadata {
 	out := make(Metadata, len(m))
 	for k, v := range m {
-		if v.V != nil {
-			v.V = append([]float32(nil), v.V...)
-		}
-		out[k] = v
+		out[k] = v.clone()
 	}
 	return out
 }
 
-// Keys returns the metadata keys in sorted order.
-func (m Metadata) Keys() []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// clone copies v with its own vector.
+func (v Value) clone() Value {
+	if v.V != nil {
+		v.V = append([]float32(nil), v.V...)
 	}
-	sort.Strings(keys)
-	return keys
+	return v
 }
 
 // errCorrupt reports a malformed serialized patch.
 var errCorrupt = errors.New("core: corrupt serialized patch")
 
-// Marshal serializes a patch for storage. It sizes the encoding first
-// and writes it into one allocation; the keys sort on the stack for
-// metadata of up to 16 fields.
+// Marshal serializes a patch for storage: its metadata in key order, a
+// committed row's lineage attributes included. It sizes the encoding
+// first and writes it into one allocation.
 func (p *Patch) Marshal() []byte {
-	var arr [16]string
-	keys := arr[:0]
-	for k := range p.Meta {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-
+	var arr [16]Pair
+	es := p.entries(arr[:0])
 	n := uvarintLen(uint64(p.ID)) + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
 	dataLen := 0
 	if p.Data != nil {
 		dataLen = p.Data.MarshalSize()
 	}
-	n += uvarintLen(uint64(dataLen)) + dataLen + uvarintLen(uint64(len(p.Meta)))
-	for _, k := range keys {
-		v := p.Meta[k]
-		n += strLen(k) + 1
+	n += uvarintLen(uint64(dataLen)) + dataLen + uvarintLen(uint64(len(es)))
+	for i := range es {
+		v := &es[i].Value
+		n += strLen(es[i].Key) + 1
 		switch v.Kind {
 		case KindInt:
 			n += uvarintLen(uint64(v.I))
@@ -252,10 +387,10 @@ func (p *Patch) Marshal() []byte {
 	if p.Data != nil {
 		buf = p.Data.AppendMarshal(buf)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Meta)))
-	for _, k := range keys {
-		v := p.Meta[k]
-		buf = append(appendStr(buf, k), byte(v.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(es)))
+	for i := range es {
+		v := &es[i].Value
+		buf = append(appendStr(buf, es[i].Key), byte(v.Kind))
 		switch v.Kind {
 		case KindInt:
 			buf = binary.AppendUvarint(buf, uint64(v.I))
@@ -283,118 +418,189 @@ func appendStr(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// UnmarshalPatch parses a patch serialized by Marshal.
+// UnmarshalPatch parses a patch serialized by Marshal into a committed
+// row.
 func UnmarshalPatch(buf []byte) (*Patch, error) {
-	pos := 0
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, errCorrupt
-		}
-		pos += n
-		return v, nil
+	var d patchDecoder
+	return d.decode(buf)
+}
+
+// patchDecoder parses stored patches into committed rows. One decoder
+// reads a whole collection on load, so its rows share strings: a key the
+// schema declares is the schema's own string, and a row whose source
+// equals the previous row's reuses that string.
+type patchDecoder struct {
+	fields  []Field
+	source  string
+	scratch []Pair // the row being decoded, copied out exactly sized
+	buf     []byte
+	pos     int
+}
+
+func (d *patchDecoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		return 0, errCorrupt
 	}
-	getStr := func() (string, error) {
-		l, err := getU()
-		if err != nil {
-			return "", err
-		}
-		if pos+int(l) > len(buf) {
-			return "", errCorrupt
-		}
-		s := string(buf[pos : pos+int(l)])
-		pos += int(l)
-		return s, nil
+	d.pos += n
+	return v, nil
+}
+
+// bytes reads a length-prefixed byte string, aliasing the input.
+func (d *patchDecoder) bytes() ([]byte, error) {
+	l, err := d.uvarint()
+	if err != nil {
+		return nil, err
 	}
-	p := &Patch{Meta: Metadata{}}
-	id, err := getU()
+	if l > uint64(len(d.buf)-d.pos) {
+		return nil, errCorrupt
+	}
+	b := d.buf[d.pos : d.pos+int(l)]
+	d.pos += int(l)
+	return b, nil
+}
+
+// key resolves a stored key to its string: a lineage key or a declared
+// field's name costs no allocation.
+func (d *patchDecoder) key(b []byte) string {
+	switch string(b) {
+	case frameKey:
+		return frameKey
+	case sourceKey:
+		return sourceKey
+	}
+	for i := range d.fields {
+		if d.fields[i].Name == string(b) {
+			return d.fields[i].Name
+		}
+	}
+	return string(b)
+}
+
+// decode parses buf. Keys must be stored in strictly ascending order,
+// as Marshal writes them; the stored lineage attributes must equal Ref
+// and are dropped, since a committed row answers them from Ref.
+func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
+	d.buf, d.pos = buf, 0
+	p := &Patch{}
+	id, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	p.ID = PatchID(id)
-	if p.Ref.Source, err = getStr(); err != nil {
+	src, err := d.bytes()
+	if err != nil {
 		return nil, err
 	}
-	if p.Ref.Frame, err = getU(); err != nil {
+	if string(src) != d.source {
+		d.source = string(src)
+	}
+	p.Ref.Source = d.source
+	if p.Ref.Frame, err = d.uvarint(); err != nil {
 		return nil, err
 	}
-	parent, err := getU()
+	parent, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	p.Ref.Parent = PatchID(parent)
-	dlen, err := getU()
+	data, err := d.bytes()
 	if err != nil {
 		return nil, err
 	}
-	if dlen > 0 {
-		if pos+int(dlen) > len(buf) {
-			return nil, errCorrupt
-		}
-		t, err := tensor.Unmarshal(buf[pos : pos+int(dlen)])
-		if err != nil {
+	if len(data) > 0 {
+		if p.Data, err = tensor.Unmarshal(data); err != nil {
 			return nil, err
 		}
-		p.Data = t
-		pos += int(dlen)
 	}
-	nmeta, err := getU()
+	nmeta, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
+	pairs := d.scratch[:0]
+	prev := ""
 	for i := uint64(0); i < nmeta; i++ {
-		k, err := getStr()
+		kb, err := d.bytes()
 		if err != nil {
 			return nil, err
 		}
-		if pos >= len(buf) {
+		if (i > 0 && string(kb) <= prev) || d.pos >= len(buf) {
 			return nil, errCorrupt
 		}
-		kind := ValueKind(buf[pos])
-		pos++
-		var v Value
-		v.Kind = kind
-		switch kind {
-		case KindInt:
-			u, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			v.I = int64(u)
-		case KindFloat:
-			u, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			v.F = math.Float64frombits(u)
-		case KindStr:
-			if v.S, err = getStr(); err != nil {
-				return nil, err
-			}
-		case KindVec, KindRect:
-			l, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			if pos+4*int(l) > len(buf) {
+		e := Pair{Key: d.key(kb)}
+		prev = e.Key
+		if e.Value, err = d.value(ValueKind(buf[d.pos])); err != nil {
+			return nil, err
+		}
+		switch e.Key {
+		case frameKey:
+			if e.Value.Kind != KindInt || e.Value.I != int64(p.Ref.Frame) {
 				return nil, errCorrupt
 			}
-			v.V = make([]float32, l)
-			for j := range v.V {
-				v.V[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[pos:]))
-				pos += 4
+		case sourceKey:
+			if e.Value.Kind != KindStr || e.Value.S != p.Ref.Source {
+				return nil, errCorrupt
 			}
 		default:
-			return nil, errCorrupt
+			pairs = append(pairs, e)
 		}
-		p.Meta[k] = v
 	}
+	p.pairs = make([]Pair, len(pairs))
+	copy(p.pairs, pairs)
+	clear(pairs)
+	d.scratch = pairs[:0]
 	return p, nil
 }
 
-// Clone deep-copies a patch (shared tensors are copied too).
+// value parses a value of kind k, whose kind byte is at d.pos.
+func (d *patchDecoder) value(k ValueKind) (Value, error) {
+	d.pos++
+	v := Value{Kind: k}
+	var err error
+	switch k {
+	case KindInt:
+		var u uint64
+		u, err = d.uvarint()
+		v.I = int64(u)
+	case KindFloat:
+		var u uint64
+		u, err = d.uvarint()
+		v.F = math.Float64frombits(u)
+	case KindStr:
+		var b []byte
+		b, err = d.bytes()
+		v.S = string(b)
+	case KindVec, KindRect:
+		var l uint64
+		if l, err = d.uvarint(); err != nil {
+			break
+		}
+		if l > uint64(len(d.buf)-d.pos)/4 {
+			return v, errCorrupt
+		}
+		v.V = make([]float32, l)
+		for j := range v.V {
+			v.V[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos:]))
+			d.pos += 4
+		}
+	default:
+		return v, errCorrupt
+	}
+	return v, err
+}
+
+// Clone deep-copies a patch (shared tensors are copied too), in its
+// form: a committed row's clone is sealed.
 func (p *Patch) Clone() *Patch {
-	c := &Patch{ID: p.ID, Ref: p.Ref, Meta: p.Meta.Clone()}
+	c := &Patch{ID: p.ID, Ref: p.Ref}
+	if p.pairs == nil {
+		c.Meta = p.Meta.Clone()
+	} else {
+		c.pairs = make([]Pair, len(p.pairs))
+		for i, e := range p.pairs {
+			c.pairs[i] = Pair{e.Key, e.Value.clone()}
+		}
+	}
 	if p.Data != nil {
 		c.Data = p.Data.Clone()
 	}

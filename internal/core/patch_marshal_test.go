@@ -3,15 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// refMarshal is Patch.Marshal as it was before it sized its output:
-// appends through closures, keys sorted by Metadata.Keys, the payload
+// refMarshal is Patch.Marshal of a builder as it was before it sized
+// its output and before committed rows kept their metadata as pairs:
+// appends through closures, the Meta map's keys sorted, the payload
 // marshaled separately. Marshal must write the same bytes.
 func refMarshal(p *Patch) []byte {
 	var buf []byte
@@ -36,7 +39,7 @@ func refMarshal(p *Patch) []byte {
 		putU(0)
 	}
 	putU(uint64(len(p.Meta)))
-	for _, k := range p.Meta.Keys() {
+	for _, k := range slices.Sorted(maps.Keys(p.Meta)) {
 		v := p.Meta[k]
 		putStr(k)
 		buf = append(buf, byte(v.Kind))
@@ -102,6 +105,9 @@ func randomPatch(rng *rand.Rand) *Patch {
 	return p
 }
 
+// TestPatchMarshalMatchesReference: a builder marshals to the
+// reference's bytes, and so does its sealed form, whose lineage
+// attributes come from Ref, against the builder with them stamped in.
 func TestPatchMarshalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -109,12 +115,23 @@ func TestPatchMarshalMatchesReference(t *testing.T) {
 		if got, want := p.Marshal(), refMarshal(p); !bytes.Equal(got, want) {
 			t.Fatalf("patch %d: Marshal wrote %x, reference %x", i, got, want)
 		}
+		stamped := p.Clone()
+		if stamped.Meta == nil {
+			stamped.Meta = Metadata{}
+		}
+		stamped.Meta["_source"] = StrV(p.Ref.Source)
+		stamped.Meta["_frame"] = IntV(int64(p.Ref.Frame))
+		sealed := p.Clone()
+		sealed.Seal(metaPairs(sealed.Meta))
+		if got, want := sealed.Marshal(), refMarshal(stamped); !bytes.Equal(got, want) {
+			t.Fatalf("sealed patch %d: Marshal wrote %x, reference %x", i, got, want)
+		}
 	}
 }
 
 // TestPatchMarshalAllocatesOnce: the encoding is sized before it is
 // written, so marshaling a patch with a payload and a few metadata
-// fields of every kind allocates exactly its output.
+// fields of every kind, builder or sealed, allocates exactly its output.
 func TestPatchMarshalAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -133,11 +150,15 @@ func TestPatchMarshalAllocatesOnce(t *testing.T) {
 			"_frame":  IntV(1 << 40),
 		},
 	}
-	var out []byte
-	if allocs := testing.AllocsPerRun(100, func() { out = p.Marshal() }); allocs != 1 {
-		t.Fatalf("Marshal: %.0f allocations, want 1", allocs)
-	}
-	if len(out) != cap(out) {
-		t.Fatalf("Marshal sized %d bytes, wrote %d", cap(out), len(out))
+	sealed := p.Clone()
+	sealed.Seal(metaPairs(sealed.Meta))
+	for _, q := range []*Patch{p, sealed} {
+		var out []byte
+		if allocs := testing.AllocsPerRun(100, func() { out = q.Marshal() }); allocs != 1 {
+			t.Fatalf("Marshal (sealed %v): %.0f allocations, want 1", q.sealed(), allocs)
+		}
+		if len(out) != cap(out) {
+			t.Fatalf("Marshal (sealed %v) sized %d bytes, wrote %d", q.sealed(), cap(out), len(out))
+		}
 	}
 }

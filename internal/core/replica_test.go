@@ -56,7 +56,7 @@ func TestReplicatedLayoutAndByteEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := range pp {
-			if pp[k].ID != rp[k].ID || !pp[k].Meta["label"].Equal(rp[k].Meta["label"]) {
+			if pp[k].ID != rp[k].ID || !metaVal(pp[k], "label").Equal(metaVal(rp[k], "label")) {
 				t.Fatalf("shard %d row %d diverges: %v vs %v", i, k, pp[k], rp[k])
 			}
 		}

@@ -1,0 +1,241 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/kv"
+	"repro/internal/tensor"
+)
+
+// rangePairs lists the entries p's Range yields, in its order.
+func rangePairs(p *Patch) []Pair {
+	var out []Pair
+	for k, v := range p.Range {
+		out = append(out, Pair{k, v})
+	}
+	return out
+}
+
+// sameValue compares two values bit for bit, so -0 differs from +0 and
+// a NaN equals itself.
+func sameValue(a, b Value) bool {
+	if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) ||
+		a.S != b.S || len(a.V) != len(b.V) {
+		return false
+	}
+	for i := range a.V {
+		if math.Float32bits(a.V[i]) != math.Float32bits(b.V[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePatch reports whether a and b carry the same id, lineage, payload
+// and metadata, and answer Get alike for every key either ranges over.
+func samePatch(a, b *Patch) error {
+	if a.ID != b.ID || a.Ref != b.Ref {
+		return fmt.Errorf("identity %d %+v, %d %+v", a.ID, a.Ref, b.ID, b.Ref)
+	}
+	if (a.Data == nil) != (b.Data == nil) || (a.Data != nil && !bytes.Equal(a.Data.Marshal(), b.Data.Marshal())) {
+		return fmt.Errorf("payloads differ")
+	}
+	pa, pb := rangePairs(a), rangePairs(b)
+	if len(pa) != len(pb) {
+		return fmt.Errorf("%d entries, %d", len(pa), len(pb))
+	}
+	for i := range pa {
+		if pa[i].Key != pb[i].Key || !sameValue(pa[i].Value, pb[i].Value) {
+			return fmt.Errorf("entry %d: %q=%+v, %q=%+v", i, pa[i].Key, pa[i].Value, pb[i].Key, pb[i].Value)
+		}
+		va, oka := a.Get(pa[i].Key)
+		vb, okb := b.Get(pa[i].Key)
+		if !oka || !okb || !sameValue(va, vb) || !sameValue(va, pa[i].Value) {
+			return fmt.Errorf("Get(%q): %+v %v, %+v %v", pa[i].Key, va, oka, vb, okb)
+		}
+	}
+	for _, k := range []string{"", "missing", "_frame0", "_sourc"} {
+		va, oka := a.Get(k)
+		vb, okb := b.Get(k)
+		if oka != okb || !sameValue(va, vb) {
+			return fmt.Errorf("Get(%q): %+v %v, %+v %v", k, va, oka, vb, okb)
+		}
+	}
+	return nil
+}
+
+// FuzzUnmarshalPatch: arbitrary bytes decode to an error, never a
+// panic, and whatever decodes is a committed row that re-marshals to
+// bytes decoding to an equal row.
+func FuzzUnmarshalPatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		p := randomPatch(rng)
+		f.Add(p.Marshal())
+		p.Seal(metaPairs(p.Meta))
+		f.Add(p.Marshal())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := UnmarshalPatch(raw)
+		if err != nil {
+			return
+		}
+		if !p.sealed() || p.Meta != nil {
+			t.Fatalf("decoded a builder: %+v", p)
+		}
+		again := p.Marshal()
+		q, err := UnmarshalPatch(again)
+		if err != nil {
+			t.Fatalf("re-marshaled %x does not decode: %v", again, err)
+		}
+		if err := samePatch(p, q); err != nil {
+			t.Fatalf("%x decodes to a different row: %v", again, err)
+		}
+		if b := q.Marshal(); !bytes.Equal(b, again) {
+			t.Fatalf("second marshal %x, first %x", b, again)
+		}
+	})
+}
+
+// TestReopenParity: rows with declared and undeclared keys on both sides
+// of the lineage keys, vec and rect values, -0 and NaN floats and pixel
+// payloads answer Get and Range the same before and after a reopen, and
+// each row marshals to exactly the bytes its bucket stores.
+func TestReopenParity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := Schema{Data: Pixels(0, 0), Fields: []Field{
+		{Name: "label", Kind: KindStr},
+		{Name: "score", Kind: KindFloat},
+		{Name: "emb", Kind: KindVec, VecDim: 3},
+	}}
+	col, err := db.CreateCollection("rows", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Inf(-1), 0.25}
+	for i := 0; i < 240; i++ {
+		p := &Patch{
+			Ref: Ref{Source: []string{"cam0", "cam1"}[i%2], Frame: uint64(i * 3), Parent: PatchID(i / 2)},
+			Meta: Metadata{
+				"label": StrV([]string{"car", "bus", ""}[i%3]),
+				"score": FloatV(floats[i%len(floats)]),
+				"emb":   VecV([]float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(i)}),
+			},
+		}
+		if i%2 == 0 {
+			p.Meta["Area"] = RectV(0, 1, float64(i), 4) // sorts before _frame
+			p.Meta["_g"] = IntV(int64(-i))              // between _frame and _source
+		}
+		if i%3 == 0 {
+			p.Meta["~tag"] = StrV(fmt.Sprint("t", i)) // after every other key
+		}
+		if i%5 == 0 {
+			p.Meta["_frame"] = IntV(-1) // a stale stamp: sealing drops it
+		}
+		if i%4 == 0 {
+			p.Data = tensor.FromU8([]uint8{1, 2, 3, 4, 5, byte(i)}, 1, 2, 3)
+		}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Meta != nil || !p.sealed() {
+			t.Fatalf("row %d is not sealed after Append", i)
+		}
+	}
+	before, _, err := col.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if col, err = db.Collection("rows"); err != nil {
+		t.Fatal(err)
+	}
+	after, _, err := col.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("reopened %d rows, committed %d", len(after), len(before))
+	}
+	for i, p := range after {
+		if err := samePatch(before[i], p); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if v, _ := p.Get("_frame"); v.I != int64(p.Ref.Frame) {
+			t.Fatalf("row %d: _frame %d, Ref.Frame %d", i, v.I, p.Ref.Frame)
+		}
+		stored, err := col.bucket.Get(kv.U64Key(uint64(p.ID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Marshal(), stored) || !bytes.Equal(before[i].Marshal(), stored) {
+			t.Fatalf("row %d marshals to bytes its bucket does not hold", i)
+		}
+	}
+}
+
+// TestCommittedRowBytes: a committed fixture-shaped row (three declared
+// fields, lineage from Ref) costs at most 400 bytes of live heap, not
+// counting the kv pages that hold its bytes.
+func TestCommittedRowBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const rows, limit = 20000, 400
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("cls%02d", i)
+	}
+	db := openDB(t)
+	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: []Field{
+		{Name: "label", Kind: KindStr},
+		{Name: "score", Kind: KindFloat},
+		{Name: "rank", Kind: KindInt},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The live heap less the page cache's buffers.
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc) - int64(db.Store().Pager().CachedPages())*kv.PageSize
+	}
+	rng := rand.New(rand.NewSource(1))
+	start := heap()
+	for i := 0; i < rows; i++ {
+		p := &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}, Meta: Metadata{
+			"label": StrV(labels[rng.Intn(len(labels))]),
+			"score": FloatV(rng.Float64()),
+			"rank":  IntV(int64(rng.Intn(1009))),
+		}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRow := float64(heap()-start) / rows
+	t.Logf("%.0f B of live heap per committed row", perRow)
+	if perRow > limit {
+		t.Fatalf("%.0f B of live heap per committed row, want at most %d", perRow, limit)
+	}
+	runtime.KeepAlive(col)
+}

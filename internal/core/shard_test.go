@@ -160,7 +160,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		t.Fatalf("sharded snapshot shape %d parts / %d rows, want 1 / %d", len(parts), len(parts[0]), len(pps))
 	}
 	for i := range pps {
-		if pps[i].ID != parts[0][i].ID || !pps[i].Meta["label"].Equal(parts[0][i].Meta["label"]) {
+		if pps[i].ID != parts[0][i].ID || !metaVal(pps[i], "label").Equal(metaVal(parts[0][i], "label")) {
 			t.Fatalf("snapshot row %d diverges: %v vs %v", i, pps[i], parts[0][i])
 		}
 	}

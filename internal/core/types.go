@@ -95,7 +95,7 @@ func (s Schema) ValidatePatch(p *Patch) error {
 		}
 	}
 	for _, f := range s.Fields {
-		v, ok := p.Meta[f.Name]
+		v, ok := p.Get(f.Name)
 		if !ok {
 			return fmt.Errorf("core: patch missing declared field %q", f.Name)
 		}

@@ -78,7 +78,7 @@ func vecOf(p *Patch, field string) ([]float32, bool) {
 		}
 		return nil, false
 	}
-	v, ok := p.Meta[field]
+	v, ok := p.Get(field)
 	if !ok || (v.Kind != KindVec && v.Kind != KindRect) {
 		return nil, false
 	}

@@ -284,7 +284,7 @@ func TestVectorIndexLSHRecall(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if d := VecDist(p.Meta["emb"].V, q); d != n.Dist {
+					if d := VecDist(metaVal(p, "emb").V, q); d != n.Dist {
 						t.Fatalf("q%d: neighbor %d reported dist %g, true dist %g", qi, n.ID, n.Dist, d)
 					}
 				}
@@ -374,7 +374,7 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 func scanRange(snap []*Patch, q []float32, eps float64) []VecNeighbor {
 	var out []VecNeighbor
 	for _, p := range snap {
-		v := p.Meta["emb"].V
+		v := metaVal(p, "emb").V
 		var s float64
 		for i := range v {
 			d := float64(v[i]) - float64(q[i])
@@ -489,7 +489,7 @@ func TestVectorIndexApproxDistancesExact(t *testing.T) {
 		}
 		vecs := make(map[PatchID][]float32, len(snap))
 		for _, p := range snap {
-			vecs[p.ID] = p.Meta["emb"].V
+			vecs[p.ID] = metaVal(p, "emb").V
 		}
 		same := func(what string, id PatchID, d float64, q []float32) {
 			t.Helper()

@@ -32,10 +32,12 @@ package service
 //     them unread.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode"
@@ -68,6 +70,7 @@ type appendDecoder struct {
 	specs  []wireSpec  // every spec "patch" and "patches" decoded into
 	fields []wireField // every meta member, in body order
 	slots  []int       // the "patches" elements' specs indexes
+	order  []int       // scratch: one spec's members, sorted by key
 	nslots int         // the "patches" length; slots past it are kept
 	patch  int         // the "patch" spec's index, or -1
 
@@ -134,7 +137,7 @@ func (d *appendDecoder) release() {
 // poolable reports whether every buffer of d is within maxPooledBytes.
 func (d *appendDecoder) poolable() bool {
 	return max(cap(d.body), cap(d.name), cap(d.text), capBytes(d.vals),
-		capBytes(d.specs), capBytes(d.fields), capBytes(d.slots)) <= maxPooledBytes
+		capBytes(d.specs), capBytes(d.fields), capBytes(d.slots), capBytes(d.order)) <= maxPooledBytes
 }
 
 // capBytes is the size of s's backing array.
@@ -163,34 +166,42 @@ func (d *appendDecoder) specAt(i int) *wireSpec {
 	return &d.specs[d.slots[i]]
 }
 
-// patches builds the decoded batch against schema. A row costs its
-// Patch (the batch's rows share one array), one presized Metadata and
-// its copied strings; one float32 array backs every vector of the
-// batch.
+// patches builds the decoded batch against schema as committed rows.
+// A row costs its copied strings; the batch's rows share one array of
+// Patches, one of metadata pairs and one float32 array for every
+// vector.
 func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
 	n := d.count()
 	vecs := make([]float32, len(d.vals))
 	copy(vecs, d.vals)
+	members := 0
+	for i := 0; i < n; i++ {
+		for fi := d.specAt(i).last; fi >= 0; fi = d.fields[fi].prev {
+			members++
+		}
+	}
+	pairs := make([]core.Pair, 0, members)
 	rows := make([]core.Patch, n)
 	out := make([]*core.Patch, n)
 	for i := range out {
 		sp := d.specAt(i)
 		p := &rows[i]
 		p.Ref = core.Ref{Source: sp.source, Frame: sp.frame, Parent: core.PatchID(sp.parent)}
-		fields := 0
+		// Newest member first, so the stable sort by key puts a repeated
+		// key's last value first: the one a decoded map keeps.
+		d.order = d.order[:0]
 		for fi := sp.last; fi >= 0; fi = d.fields[fi].prev {
-			fields++
+			d.order = append(d.order, fi)
 		}
-		p.Meta = make(core.Metadata, fields+2)
-		// Newest member first: a repeated key keeps its last value, as
-		// it does in a decoded map.
-		for fi := sp.last; fi >= 0; fi = d.fields[fi].prev {
-			f := &d.fields[fi]
-			key := d.text[f.key.from:f.key.to]
-			if _, seen := p.Meta[string(key)]; seen {
+		slices.SortStableFunc(d.order, func(a, b int) int { return bytes.Compare(d.key(a), d.key(b)) })
+		start := len(pairs)
+		for j, fi := range d.order {
+			key := d.key(fi)
+			if j > 0 && bytes.Equal(key, d.key(d.order[j-1])) {
 				continue
 			}
 			fd, name := schemaField(schema, key)
+			f := &d.fields[fi]
 			tok := f.tok
 			if tok.kind == tokVec {
 				tok.v = vecs[f.from:f.to:f.to]
@@ -199,14 +210,21 @@ func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
 			if err != nil {
 				return nil, fmt.Errorf("service: append patch %d: field %q: %w", i, name, err)
 			}
-			p.Meta[name] = v
+			pairs = append(pairs, core.Pair{Key: name, Value: v})
 		}
-		if err := sealPatch(schema, p); err != nil {
+		p.Seal(pairs[start:len(pairs):len(pairs)])
+		if err := checkPatch(schema, p); err != nil {
 			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
 		}
 		out[i] = p
 	}
 	return out, nil
+}
+
+// key is meta member fi's key, unquoted.
+func (d *appendDecoder) key(fi int) []byte {
+	k := d.fields[fi].key
+	return d.text[k.from:k.to]
 }
 
 // schemaField returns the field schema declares under key (nil when

@@ -90,7 +90,7 @@ func TestColumnarRowsShardCountInvariant(t *testing.T) {
 			}
 			if n == 1 {
 				// One shard must reproduce the unsharded rows exactly.
-				if !reflect.DeepEqual(refRows(want[i].Rows), refRows(r.Rows)) {
+				if !reflect.DeepEqual(refRows(asBuilders(want[i].Rows)), refRows(asBuilders(r.Rows))) {
 					t.Errorf("N=1 query %d: rows diverge from unsharded reference", i)
 				}
 			} else if !reflect.DeepEqual(keySeq(want[i], reqs[i].OrderBy), keySeq(r, reqs[i].OrderBy)) {
@@ -109,7 +109,7 @@ func TestColumnarRowsShardCountInvariant(t *testing.T) {
 func sortRows(ps []*core.Patch, field string, desc bool) []*core.Patch {
 	rows := append([]*core.Patch(nil), ps...)
 	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i].Meta[field], rows[j].Meta[field]
+		a, b := metaVal(rows[i], field), metaVal(rows[j], field)
 		if desc {
 			return b.Less(a)
 		}

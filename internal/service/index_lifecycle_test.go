@@ -27,9 +27,15 @@ func synthCount(rows int, match func(*core.Patch) bool) int {
 	return n
 }
 
-func isCar(p *core.Patch) bool { return p.Meta["label"].S == "car" }
+// metaVal is p's value under name, the zero Value when p lacks it.
+func metaVal(p *core.Patch, name string) core.Value {
+	v, _ := p.Get(name)
+	return v
+}
 
-func rankIn14(p *core.Patch) bool { r := p.Meta["rank"].I; return r >= 1 && r < 4 }
+func isCar(p *core.Patch) bool { return metaVal(p, "label").S == "car" }
+
+func rankIn14(p *core.Patch) bool { r := metaVal(p, "rank").I; return r >= 1 && r < 4 }
 
 func indexedCarReq() Request {
 	return Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "label", Str: strp("car"), UseIndex: true}}

@@ -176,38 +176,33 @@ func (s *Service) noteAppended(collection string, n int) {
 	s.results.InvalidatePrefix("q:" + collection + ":")
 }
 
-// patch converts a spec against the collection schema.
+// patch converts a spec against the collection schema into a committed
+// row.
 func (sp PatchSpec) patch(schema core.Schema) (*core.Patch, error) {
-	p := &core.Patch{
-		Ref:  core.Ref{Source: sp.Source, Frame: sp.Frame, Parent: core.PatchID(sp.Parent)},
-		Meta: make(core.Metadata, len(sp.Meta)+2),
-	}
+	p := &core.Patch{Ref: core.Ref{Source: sp.Source, Frame: sp.Frame, Parent: core.PatchID(sp.Parent)}}
+	pairs := make([]core.Pair, 0, len(sp.Meta))
 	for k, v := range sp.Meta {
 		val, err := metaValue(schema.FieldNamed(k), anyTok(v))
 		if err != nil {
 			return nil, fmt.Errorf("field %q: %w", k, err)
 		}
-		p.Meta[k] = val
+		pairs = append(pairs, core.Pair{Key: k, Value: val})
 	}
-	if err := sealPatch(schema, p); err != nil {
+	p.Seal(pairs)
+	if err := checkPatch(schema, p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// sealPatch finishes a patch either append adapter built from its
-// metadata. It rejects a frame that _frame, an int64, cannot hold: the
-// stamp would wrap it negative, and the row would read back and filter
-// under a frame it was never given. It stamps the lineage fields
-// _source/_frame (Collection.Append re-stamps them identically), so the
-// pre-commit schema validation sees the same patch the storage layer
-// will.
-func sealPatch(schema core.Schema, p *core.Patch) error {
+// checkPatch checks a row either append adapter built from its metadata.
+// It rejects a frame that _frame, an int64, cannot hold: the row would
+// read back and filter under a frame it was never given. It validates
+// the row against the schema before any row of the batch commits.
+func checkPatch(schema core.Schema, p *core.Patch) error {
 	if p.Ref.Frame > math.MaxInt64 {
 		return fmt.Errorf("frame %d is past the largest _frame, %d", p.Ref.Frame, int64(math.MaxInt64))
 	}
-	p.Meta["_source"] = core.StrV(p.Ref.Source)
-	p.Meta["_frame"] = core.IntV(int64(p.Ref.Frame))
 	return schema.ValidatePatch(p)
 }
 

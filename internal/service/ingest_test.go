@@ -25,8 +25,8 @@ import (
 // specFromPatch converts a synthetic patch into the JSON-shaped spec a
 // client would POST.
 func specFromPatch(p *core.Patch) PatchSpec {
-	meta := make(map[string]any, len(p.Meta))
-	for k, v := range p.Meta {
+	meta := map[string]any{}
+	for k, v := range p.Range {
 		switch v.Kind {
 		case core.KindInt:
 			meta[k] = float64(v.I)

@@ -28,7 +28,7 @@ func knnQueryVec(spec *KNNSpec, scol *core.ShardedCollection) ([]float32, error)
 	if err != nil {
 		return nil, fmt.Errorf("service: knn source patch %d: %w", spec.SourceID, err)
 	}
-	mv, ok := p.Meta[spec.Field]
+	mv, ok := p.Get(spec.Field)
 	if !ok || mv.Kind != core.KindVec {
 		return nil, fmt.Errorf("service: knn source patch %d has no vector field %q", spec.SourceID, spec.Field)
 	}

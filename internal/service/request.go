@@ -468,7 +468,7 @@ func (r Row) value(field string) (v core.Value, u uint64, ok bool) {
 	if r.knn && field == "_dist" {
 		return core.FloatV(r.dist), 0, true
 	}
-	if mv, found := r.p.Meta[field]; found && wireKind(mv.Kind) {
+	if mv, found := r.p.Get(field); found && wireKind(mv.Kind) {
 		return mv, 0, true
 	}
 	switch field {
@@ -493,7 +493,7 @@ func (r Row) appendKeys(keys []string) []string {
 	if r.knn {
 		keys = append(keys, "_dist")
 	}
-	for k, v := range r.p.Meta {
+	for k, v := range r.p.Range {
 		switch {
 		case !wireKind(v.Kind), k == "_frame", k == "_id", k == "_source", r.knn && k == "_dist":
 			continue

@@ -210,7 +210,7 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 		// Unsharded rows are snapshot-ordered on both paths: identical.
 		sr, _ := plain.Query(ctx, scan)
 		ir, _ := plain.Query(ctx, indexed)
-		if !reflect.DeepEqual(refRows(sr.Rows), refRows(ir.Rows)) {
+		if !reflect.DeepEqual(refRows(asBuilders(sr.Rows)), refRows(asBuilders(ir.Rows))) {
 			t.Errorf("%s[%v,%v): btree rows diverge from column scan", tc.field, tc.min, tc.max)
 		}
 	}

@@ -426,7 +426,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 	if dim == 0 {
 		for _, frag := range frags {
 			if frag != nil && len(frag.rows) > 0 {
-				if mv, ok := frag.rows[0].Meta[sj.Field]; ok {
+				if mv, ok := frag.rows[0].Get(sj.Field); ok {
 					dim = len(mv.V)
 				}
 				break
@@ -586,8 +586,8 @@ type rowHeap struct {
 
 func (h *rowHeap) Len() int { return len(h.streams) }
 func (h *rowHeap) Less(i, j int) bool {
-	a := h.streams[i].rows[h.streams[i].pos].Meta[h.field]
-	b := h.streams[j].rows[h.streams[j].pos].Meta[h.field]
+	a, _ := h.streams[i].rows[h.streams[i].pos].Get(h.field)
+	b, _ := h.streams[j].rows[h.streams[j].pos].Get(h.field)
 	if h.desc {
 		if b.Less(a) {
 			return true

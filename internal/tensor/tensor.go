@@ -277,7 +277,15 @@ func Unmarshal(buf []byte) (*Tensor, error) {
 		}
 		off += 4
 	}
-	n := Numel(shape)
+	// Every element takes at least a byte, so an extent product past the
+	// bytes that remain is corrupt; bounding it keeps it from overflowing.
+	n := 1
+	for _, d := range shape {
+		if d != 0 && n > (len(buf)-off)/d {
+			return nil, ErrCorrupt
+		}
+		n *= d
+	}
 	switch dt {
 	case U8:
 		if len(buf) != off+n {
