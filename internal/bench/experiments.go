@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -998,11 +997,3 @@ func u64le(key, uniq uint64) []byte {
 }
 
 func tmpDir() (string, error) { return os.MkdirTemp("", "dl-bench-") }
-
-// PrintRows writes any experiment's rows as an aligned table.
-func PrintRows(w io.Writer, header string, lines []string) {
-	fmt.Fprintln(w, header)
-	for _, l := range lines {
-		fmt.Fprintln(w, "  "+l)
-	}
-}

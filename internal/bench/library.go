@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/vision"
 )
@@ -117,14 +116,4 @@ func (e *Env) SynthesizeQ6Pipeline() (core.SynthesizedPipeline, error) {
 		NeedLabel:  "pedestrian",
 		NeedFields: []string{"depth"},
 	})
-}
-
-// EncodeFrames is a small convenience used by tests: DLV-encode rendered
-// traffic frames [0, n).
-func (e *Env) EncodeFrames(n int, q codec.Quality) ([]byte, error) {
-	frames := make([]*codec.Image, n)
-	for t := 0; t < n; t++ {
-		frames[t], _ = e.Traffic.Render(t)
-	}
-	return codec.EncodeDLV(frames, q, codec.DefaultGOP)
 }

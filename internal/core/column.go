@@ -676,7 +676,7 @@ func (cs *ColumnStore) Materialize(sel []int32) []*Patch {
 // TopK returns the selection of the k smallest (asc) or largest (desc)
 // rows by field, ordered exactly as a stable sort of the input would
 // order them (ties resolve in row order; null rows order before any
-// value ascending, after any value descending — Value.Less on the zero
+// value ascending, after any value descending — CompareBy's order for the zero
 // Value). sel is the candidate row set in row order; nil means all rows.
 // ok is false when the field has no column.
 func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int32, bool) {
@@ -746,23 +746,15 @@ func newTopKeep(cs *ColumnStore, snap []*Patch, field string, desc bool, k int) 
 	col := t.col
 	if col == nil {
 		t.heap.before = func(a, b topEntry) bool {
-			va, _ := snap[a.row].Get(field)
-			vb, _ := snap[b.row].Get(field)
-			if desc {
-				va, vb = vb, va
-			}
-			if va.Less(vb) {
-				return true
-			}
-			if vb.Less(va) {
-				return false
+			if c := CompareBy(snap[a.row], snap[b.row], field, desc); c != 0 {
+				return c < 0
 			}
 			return a.row < b.row
 		}
 		return t
 	}
 	t.rd.col = col
-	// Value.Less on the column values (null = zero Value, whose kind 0
+	// Value.Compare on the column values (null = zero Value, whose kind 0
 	// sorts below every real kind), ties in row order.
 	t.heap.before = func(a, b topEntry) bool {
 		if a.null || b.null {

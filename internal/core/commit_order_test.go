@@ -17,20 +17,14 @@ import (
 // order is refused.
 
 // firstIDs runs one selection with a first-n consumer over (snap, ver)
-// and materializes what it holds, as the serving layer does: an index
-// probe's first n ids, a scan's first n kept rows.
+// and materializes the first n rows it kept, as the serving layer does.
 func firstIDs(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod, n int) []PatchID {
 	t.Helper()
-	ctx := context.Background()
-	s, err := db.Select(ctx, col, snap, ver, pred, m, Keep{Kind: KeepFirst, N: n})
+	s, err := db.Select(context.Background(), col, snap, ver, pred, m, Keep{Kind: KeepFirst, N: n})
 	if err != nil {
 		t.Fatalf("%v %+v: %v", m, pred, err)
 	}
-	ps, err := s.Patches(ctx, col, snap, n)
-	if err != nil {
-		t.Fatalf("%v %+v: %v", m, pred, err)
-	}
-	return append([]PatchID{}, patchIDs(ps)...)
+	return append([]PatchID{}, patchIDs(s.Patches(snap, n))...)
 }
 
 // checkAscending fails unless snap's ids strictly ascend.

@@ -127,6 +127,19 @@ func Limit(in Iterator, n int) Iterator {
 	}, in.Close)
 }
 
+// CompareBy is the one row order every sort and top-k keeps: a and b
+// compared by their values of field (Value.Compare; a missing field
+// compares as the zero Value, before every real value), reversed when
+// desc. Callers break its ties themselves, in input order.
+func CompareBy(a, b *Patch, field string, desc bool) int {
+	va, _ := a.Get(field)
+	vb, _ := b.Get(field)
+	if desc {
+		return vb.Compare(va)
+	}
+	return va.Compare(vb)
+}
+
 // OrderBy sorts (materializing) by a comparable metadata field of the
 // first patch.
 func OrderBy(in Iterator, field string, asc bool) Iterator {
@@ -135,12 +148,7 @@ func OrderBy(in Iterator, field string, asc bool) Iterator {
 		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
 	}
 	sort.SliceStable(ts, func(i, j int) bool {
-		vi, _ := ts[i][0].Get(field)
-		vj, _ := ts[j][0].Get(field)
-		if asc {
-			return vi.Less(vj)
-		}
-		return vj.Less(vi)
+		return CompareBy(ts[i][0], ts[j][0], field, !asc) < 0
 	})
 	return NewSliceIterator(ts)
 }
@@ -161,22 +169,8 @@ func TopK(in Iterator, field string, asc bool, n int) Iterator {
 		n = 0
 	}
 	top := topKIndexes(len(ts), n, func(a, b int) bool {
-		va, _ := ts[a][0].Get(field)
-		vb, _ := ts[b][0].Get(field)
-		if asc {
-			if va.Less(vb) {
-				return true
-			}
-			if vb.Less(va) {
-				return false
-			}
-		} else {
-			if vb.Less(va) {
-				return true
-			}
-			if va.Less(vb) {
-				return false
-			}
+		if c := CompareBy(ts[a][0], ts[b][0], field, !asc); c != 0 {
+			return c < 0
 		}
 		return a < b
 	})
@@ -201,22 +195,8 @@ func TopKPatches(ps []*Patch, field string, desc bool, k int) []*Patch {
 		return nil
 	}
 	top := topKIndexes(len(ps), k, func(a, b int) bool {
-		va, _ := ps[a].Get(field)
-		vb, _ := ps[b].Get(field)
-		if desc {
-			if vb.Less(va) {
-				return true
-			}
-			if va.Less(vb) {
-				return false
-			}
-		} else {
-			if va.Less(vb) {
-				return true
-			}
-			if vb.Less(va) {
-				return false
-			}
+		if c := CompareBy(ps[a], ps[b], field, desc); c != 0 {
+			return c < 0
 		}
 		return a < b
 	})

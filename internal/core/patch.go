@@ -8,6 +8,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -263,21 +264,28 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Less orders comparable values (int/float/string); vec/rect are not
-// ordered and always return false.
-func (v Value) Less(o Value) bool {
+// Compare orders comparable values: -1 when v orders before o, +1 when
+// after, 0 when neither does. Kinds order by Kind, then ints, floats and
+// strings by value; vec/rect values, and a NaN against any float,
+// compare 0.
+func (v Value) Compare(o Value) int {
 	if v.Kind != o.Kind {
-		return v.Kind < o.Kind
+		return cmp.Compare(v.Kind, o.Kind)
 	}
 	switch v.Kind {
 	case KindInt:
-		return v.I < o.I
+		return cmp.Compare(v.I, o.I)
 	case KindFloat:
-		return v.F < o.F
+		switch {
+		case v.F < o.F:
+			return -1
+		case v.F > o.F:
+			return 1
+		}
 	case KindStr:
-		return v.S < o.S
+		return strings.Compare(v.S, o.S)
 	}
-	return false
+	return 0
 }
 
 // AsFloat widens numeric values; NaN for non-numeric.

@@ -1,6 +1,11 @@
 package core
 
-import "context"
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"slices"
+)
 
 // KeepKind names what a selection keeps of its matches.
 type KeepKind uint8
@@ -22,18 +27,15 @@ type Keep struct {
 	Desc  bool   // KeepTop: descending
 }
 
-// Selection is one DB.Select's matches over the caller's snapshot, in
-// the form its access path produces them, plus what the path's run
-// reports.
+// Selection is one DB.Select's matches over the caller's snapshot,
+// kept as its Keep asks, plus what the access path's run reports.
 type Selection struct {
 	// Method is the access path that ran: a column scan over a field the
 	// store cannot columnize reports the row scan it fell back to. 0 is
 	// no predicate: every row matched.
 	Method FilterMethod
-	Keep   Keep      // what the selection was asked to keep
-	N      int       // the exact match count, whatever was kept
-	Sel    []int32   // scans: the kept rows of the snapshot, in Keep's order
-	IDs    []PatchID // index probes: every matching patch id, ascending = snapshot order
+	N      int     // the exact match count, whatever was kept
+	Sel    []int32 // the kept rows of the snapshot, in Keep's order
 
 	// Column scans report their pruning record and what serving the
 	// store took.
@@ -44,56 +46,33 @@ type Selection struct {
 	Refresh Refresh
 }
 
-// Indexed reports whether the selection ran as an index probe (matches
-// in IDs) rather than a scan (kept rows in Sel).
+// Indexed reports whether the selection ran as an index probe rather
+// than a scan.
 func (s *Selection) Indexed() bool {
 	return s.Method == FilterHashIndex || s.Method == FilterBTreeIndex
 }
 
 // ctxCheckRows is the row stride between cancellation checks in scan
-// and fetch loops: frequent enough to abandon a dead query promptly,
-// sparse enough that the atomic ctx.Err() load never shows up in
-// profiles.
+// loops: frequent enough to abandon a dead query promptly, sparse
+// enough that the atomic ctx.Err() load never shows up in profiles.
 const ctxCheckRows = 4096
 
-// Patches materializes the first max held rows (max < 0: all of them)
-// from the snapshot Select ran over: a scan's kept rows in their order,
-// an index probe's ids ascending, which is snapshot order because rows
-// are id-ordered. Index probes pay one Get (a binary search) per id,
-// checking ctx between blocks of them so a canceled caller (or a hedge
-// loser) stops promptly.
-func (s *Selection) Patches(ctx context.Context, col *Collection, snap []*Patch, max int) ([]*Patch, error) {
-	n := len(s.Sel)
-	if s.Indexed() {
-		n = len(s.IDs)
+// Patches materializes the first max kept rows (max < 0: all of them),
+// in Keep's order, from the snapshot Select ran over.
+func (s *Selection) Patches(snap []*Patch, max int) []*Patch {
+	sel := s.Sel
+	if max >= 0 && max < len(sel) {
+		sel = sel[:max]
 	}
-	if max >= 0 && max < n {
-		n = max
+	out := make([]*Patch, len(sel))
+	for k, i := range sel {
+		out[k] = snap[i]
 	}
-	out := make([]*Patch, n)
-	if !s.Indexed() {
-		for k, i := range s.Sel[:n] {
-			out[k] = snap[i]
-		}
-		return out, nil
-	}
-	for k, id := range s.IDs[:n] {
-		if k%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		p, err := col.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = p
-	}
-	return out, nil
+	return out
 }
 
-// keeper folds a scan's matches, one ascending block at a time, into
-// what its Keep asks for, counting all of them.
+// keeper folds a selection's matches, one ascending block at a time,
+// into what its Keep asks for, counting all of them.
 type keeper struct {
 	keep Keep
 	n    int
@@ -101,8 +80,9 @@ type keeper struct {
 	top  *topKeep // KeepTop
 }
 
-// newKeeper returns keep's consumer for a scan over snap. A top-k orders
-// by cs's column for the field when there is one, else by snap's rows.
+// newKeeper returns keep's consumer for a selection over snap. A top-k
+// orders by cs's column for the field when there is one, else by snap's
+// rows.
 func newKeeper(keep Keep, cs *ColumnStore, snap []*Patch) keeper {
 	k := keeper{keep: keep}
 	if keep.Kind == KeepTop && keep.N > 0 {
@@ -145,8 +125,9 @@ func (k *keeper) result() (int, []int32) {
 //
 //   - FilterHashIndex / FilterBTreeIndex probe the field's index, created
 //     on first use and brought current for the snapshot by core. A range
-//     needs the B-tree and runs as its two-probe numeric range. Probes
-//     return every matching id whatever keep says.
+//     needs the B-tree and runs as its two-probe numeric range. The
+//     probe's ascending ids map to snapshot rows by a forward binary
+//     search (rows are id-ordered).
 //   - FilterColumnScan evaluates pred over the collection's columnar
 //     projection (zone maps skip blocks that cannot match, surviving
 //     blocks compare typed arrays, stopping at the snapshot's last row)
@@ -155,31 +136,13 @@ func (k *keeper) result() (int, []int32) {
 //     blocks of rows.
 //   - 0 takes no predicate: every row of the snapshot matches.
 //
-// A scan folds each block of matches into keep's consumer as it goes,
-// so it holds no more rows than it keeps: none for a count, the first N,
-// or a bounded top-N heap. Every path matches the rows Pred.Match
-// accepts, and N counts all of them. Select does not type-check pred
-// against the schema; planners do.
+// Every path folds its matches, one segment's block at a time, into
+// keep's consumer, so it holds no more rows than it keeps: none for a
+// count, the first N, or a bounded top-N heap. Every path matches the
+// rows Pred.Match accepts, and N counts all of them. Select does not
+// type-check pred against the schema; planners do.
 func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver uint64, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
-	s := Selection{Method: method, Keep: keep}
-	switch method {
-	case FilterHashIndex, FilterBTreeIndex:
-		kind := IdxHash
-		if method == FilterBTreeIndex {
-			kind = IdxBTree
-		}
-		idx, err := db.EnsureIndex(col, pred.Field, kind)
-		if err != nil {
-			return s, err
-		}
-		if pred.Range {
-			s.IDs, s.Refresh, err = idx.numericRange(snap, ver, pred.Lo, pred.Hi)
-		} else {
-			s.IDs, s.Refresh, err = idx.lookupEq(snap, ver, pred.V)
-		}
-		s.N = len(s.IDs)
-		return s, err
-	}
+	s := Selection{Method: method}
 	// A column scan, and a top-k ordered by a column, read the cached
 	// store. It may already reflect rows appended after the snapshot was
 	// taken; snapshots are prefix-stable, so stopping at the snapshot's
@@ -192,6 +155,46 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 		}
 	}
 	k := newKeeper(keep, cs, snap)
+	var blk [ColumnBlockSize]int32
+	if s.Indexed() {
+		kind := IdxHash
+		if method == FilterBTreeIndex {
+			kind = IdxBTree
+		}
+		idx, err := db.EnsureIndex(col, pred.Field, kind)
+		if err != nil {
+			return Selection{}, err
+		}
+		var ids []PatchID
+		if pred.Range {
+			ids, s.Refresh, err = idx.numericRange(snap, ver, pred.Lo, pred.Hi)
+		} else {
+			ids, s.Refresh, err = idx.lookupEq(snap, ver, pred.V)
+		}
+		if err != nil {
+			return Selection{}, err
+		}
+		// The ids ascend, so each one's row lies past the last one's; the
+		// rows fold one segment's block at a time.
+		c, r := 0, 0
+		for _, id := range ids {
+			j, ok := slices.BinarySearchFunc(snap[r:], id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
+			if !ok {
+				return Selection{}, fmt.Errorf("core: %v index on %q holds id %d, not in the snapshot", kind, pred.Field, id)
+			}
+			if r += j; c > 0 && r/ColumnBlockSize != int(blk[0])/ColumnBlockSize {
+				k.fold(blk[:c], nil, nil)
+				c = 0
+			}
+			blk[c] = int32(r)
+			c++
+		}
+		if c > 0 {
+			k.fold(blk[:c], nil, nil)
+		}
+		s.N, s.Sel = k.result()
+		return s, nil
+	}
 	if method == FilterColumnScan && cs != nil {
 		var ok bool
 		if s.Scan, ok = cs.scan(&pred, len(snap), &k); ok {
@@ -206,7 +209,6 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 	if !all {
 		s.Method = FilterScan
 	}
-	var blk [ColumnBlockSize]int32
 	for lo := 0; lo < len(snap); lo += ColumnBlockSize {
 		if lo%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -239,10 +241,9 @@ func (db *DB) ExecuteFilter(col *Collection, field string, v Value, method Filte
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.TODO()
-	s, err := db.Select(ctx, col, snap, ver, Pred{Field: field, V: v}, method, Keep{})
+	s, err := db.Select(context.TODO(), col, snap, ver, Pred{Field: field, V: v}, method, Keep{})
 	if err != nil {
 		return nil, err
 	}
-	return s.Patches(ctx, col, snap, -1)
+	return s.Patches(snap, -1), nil
 }

@@ -19,7 +19,7 @@ func selectIDs(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64,
 	if err != nil {
 		t.Fatalf("%v %+v: %v", m, pred, err)
 	}
-	ids := append([]PatchID{}, s.IDs...)
+	ids := []PatchID{}
 	for _, i := range s.Sel {
 		ids = append(ids, snap[i].ID)
 	}
@@ -139,10 +139,7 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 		if err != nil {
 			t.Fatalf("%v %+v keep %+v: %v", m, pred, keep, err)
 		}
-		ps, err := s.Patches(ctx, col, snap, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := s.Patches(snap, -1)
 		if keep.Kind == KeepAll {
 			return ps
 		}
@@ -179,8 +176,9 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 // reopened under it) must return the same rows in the same order — for
 // the current snapshot and for one
 // taken before a later append (the reader-behind-index and the column
-// clipping cases). On each scan, and on the unfiltered walk, every
-// consumer must agree with the keep-everything answer (keepsAgree).
+// clipping cases). On every path — scans and index probes alike — and
+// on the unfiltered walk, every consumer must agree with the
+// keep-everything answer (keepsAgree).
 // Then the database, its columns projected under the segment cache, is
 // closed and reopened under one again: the reopened snapshot holds the same
 // rows in the same order, and every access path — rehydrated columns,
@@ -254,7 +252,9 @@ func FuzzSelectPathsAgree(f *testing.F) {
 					}
 				}
 				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterScan, keep)
-				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterColumnScan, keep)
+				for _, m := range methods {
+					keepsAgree(t, db, col, vw.snap, vw.ver, p, m, keep)
+				}
 			}
 			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
 		}

@@ -319,17 +319,6 @@ type Dense struct {
 	B       []float32
 }
 
-// NewDense builds a dense layer with random weights from rng.
-func NewDense(in, out int, rng *rand.Rand) *Dense {
-	w := make([]float32, in*out)
-	scale := float32(1.0) / float32(in)
-	for i := range w {
-		w[i] = float32(rng.NormFloat64()) * scale * 3
-	}
-	b := make([]float32, out)
-	return &Dense{In: in, Out: out, W: w, B: b}
-}
-
 // Name implements Layer.
 func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out) }
 

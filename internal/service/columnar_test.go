@@ -111,39 +111,31 @@ func sortRows(ps []*core.Patch, field string, desc bool) []*core.Patch {
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := metaVal(rows[i], field), metaVal(rows[j], field)
 		if desc {
-			return b.Less(a)
+			return b.Compare(a) < 0
 		}
-		return a.Less(b)
+		return a.Compare(b) < 0
 	})
 	return rows
 }
 
-// TestTopKRowsMatchesSortTrim: a fragment's top-k must reproduce the
-// sortRows + trim pipeline exactly (heap fallback path, reached here
-// through a row-scan selection; the columnar path is pinned by
-// internal/core's golden tests).
+// TestTopKRowsMatchesSortTrim: the row top-k (core.TopKPatches) must
+// reproduce the sortRows + trim pipeline exactly, ties and missing
+// fields included. Its order, core.CompareBy, is the one a fragment's
+// row-valued top-k and the gather stage's merge compare by.
 func TestTopKRowsMatchesSortTrim(t *testing.T) {
 	ps := make([]*core.Patch, 150)
 	for i := range ps {
 		ps[i] = synthPatch(i)
 		ps[i].ID = core.PatchID(i + 1)
 	}
-	every := make([]int32, len(ps))
-	for i := range every {
-		every[i] = int32(i)
-	}
-	frag := &shardFragment{snap: ps, Selection: core.Selection{Method: core.FilterScan, Sel: every}}
-	for _, field := range []string{"score", "rank", "label"} {
+	for _, field := range []string{"score", "rank", "label", "absent"} {
 		for _, desc := range []bool{false, true} {
 			for _, k := range []int{1, 10, 150, 200} {
 				want := sortRows(ps, field, desc)
 				if len(want) > k {
 					want = want[:k]
 				}
-				got, err := frag.topK(context.Background(), field, desc, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := core.TopKPatches(ps, field, desc, k)
 				if len(want) != len(got) {
 					t.Fatalf("%s desc=%v k=%d: %d rows, want %d", field, desc, k, len(got), len(want))
 				}

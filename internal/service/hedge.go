@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -75,22 +74,10 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	} else {
 		err = s.filterFragment(ctx, plan, i, r, frag)
 	}
-	if err == nil {
-		switch plan.keep.Kind {
-		case core.KeepAll:
-			// Joins and clustering read every matched row.
-			frag.rows, err = frag.Patches(ctx, col, snap, -1)
-		case core.KeepTop:
-			// Shard-local top-limit instead of a full sort: the merge stage
-			// only ever consumes the first `limit` rows of each fragment.
-			frag.rows, err = frag.topK(ctx, req.OrderBy, req.Desc, plan.limit)
-		case core.KeepFirst:
-			frag.rows, err = frag.Patches(ctx, col, snap, plan.limit)
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
+	frag.rows = frag.Patches(snap, -1)
 	return frag, nil
 }
 

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,5 +260,61 @@ func TestAppendIndexedQueryHammer(t *testing.T) {
 	}
 	if rs := db.RefreshStats(); rs.ScalarRebuilds != 2 || rs.ScalarExtends == 0 {
 		t.Fatalf("hammer: extends %d rebuilds %d, want extends > 0 and only the two first-touch builds", rs.ScalarExtends, rs.ScalarRebuilds)
+	}
+}
+
+// TestIndexProbeKeepsWhatScanKeeps: a use_index filter keeps exactly what
+// the column scan keeps for every shape that keeps rows — order_by +
+// limit ascending and descending over tied values (also ordering by the
+// filtered field), a bare limit, and a count — over equality and range
+// filters, at one shard and at three. Each shard holds rows past one
+// column segment, so the probe's rows fold segment by segment.
+func TestIndexProbeKeepsWhatScanKeeps(t *testing.T) {
+	const rows = 3300
+	filters := []FilterSpec{
+		{Field: "label", Str: strp("car")},
+		{Field: "rank", Int: ip(3)},
+		{Field: "score", Float: fp(2)},
+		{Field: "score", Min: fp(1), Max: fp(3)},
+		{Field: "rank", Min: fp(1.5), Max: fp(4.5)},
+		{Field: "rank", Min: fp(2)},
+	}
+	shapes := []Request{
+		{OrderBy: "score", Limit: 7},
+		{OrderBy: "rank", Desc: true, Limit: 9},
+		{OrderBy: "label", Desc: true, Limit: 1100},
+		{OrderBy: "rank", Limit: 5},
+		{Limit: 6},
+		{},
+	}
+	for _, n := range []int{1, 3} {
+		_, svc := synthSharded(t, n, rows, Config{Workers: 2})
+		for _, f := range filters {
+			for _, shape := range shapes {
+				var got [2]*Response
+				var body [2][]byte
+				for i, useIndex := range []bool{false, true} {
+					req, filter := shape, f
+					filter.UseIndex = useIndex
+					req.Collection, req.Filter, req.NoCache = shardTestCol, &filter, true
+					got[i] = mustQuery(t, svc, req)
+					b, err := json.Marshal(got[i].Rows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body[i] = b
+				}
+				if got[0].Value != got[1].Value || !bytes.Equal(body[0], body[1]) {
+					t.Fatalf("N=%d filter %+v order_by=%q desc=%v limit=%d: use_index answers %d (%d rows, plan %q), the scan %d (%d rows, plan %q)",
+						n, f, shape.OrderBy, shape.Desc, shape.Limit, got[1].Value, len(got[1].Rows), got[1].Plan, got[0].Value, len(got[0].Rows), got[0].Plan)
+				}
+				if !strings.Contains(got[1].Plan, "-index(") {
+					t.Fatalf("N=%d filter %+v: use_index plan %q names no index probe", n, f, got[1].Plan)
+				}
+				if shape.Limit > 0 && len(got[0].Rows) == 0 && got[0].Value > 0 {
+					t.Fatalf("N=%d filter %+v limit %d: %d matches but no rows kept", n, f, shape.Limit, got[0].Value)
+				}
+			}
+		}
 	}
 }

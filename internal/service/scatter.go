@@ -45,13 +45,12 @@ type fragmentPlan struct {
 	pred  *core.Pred // resolved filter; nil = unfiltered
 	knnQ  []float32  // resolved kNN query vector; nil = not a kNN query
 	limit int        // effective row cap
-	keep  core.Keep  // what each fragment's scan keeps of its matches
+	keep  core.Keep  // what each fragment keeps of its matches
 }
 
-// shardFragment is one shard's partial result. The filter stage leaves
-// its matches in the form core's Select produces them — the rows a scan
-// kept, every id of an index probe — and only the rows the query
-// projects, joins or clusters become patches.
+// shardFragment is one shard's partial result: the rows core's Select
+// kept of its matches, whichever access path ran, and those rows as
+// patches.
 type shardFragment struct {
 	col  *core.Collection // the replica that answered
 	snap []*core.Patch    // its snapshot
@@ -63,23 +62,10 @@ type shardFragment struct {
 	cost float64
 
 	// rows is what the gather stage consumes: every match for joins and
-	// clustering, the sorted/trimmed top-limit for order/limit, nil for
+	// clustering, the sorted/trimmed top-limit for order/limit, none for
 	// counts. A kNN fragment leaves its local top-k in ns instead.
 	rows []*core.Patch
 	ns   []core.VecNeighbor
-}
-
-// topK is the fragment's ordered top-k, byte-identical to a stable sort
-// + trim of its matches (ties in snapshot order, missing fields order as
-// the zero Value). A scan's top-k consumer kept exactly these rows, in
-// order; an index probe's ids are fetched and run the bounded-heap row
-// top-k, which still avoids sorting rows that can never reach the limit.
-func (f *shardFragment) topK(ctx context.Context, field string, desc bool, k int) ([]*core.Patch, error) {
-	rows, err := f.Patches(ctx, f.col, f.snap, -1)
-	if err != nil || (f.Keep.Kind == core.KeepTop && !f.Indexed()) {
-		return rows, err
-	}
-	return core.TopKPatches(rows, field, desc, k), nil
 }
 
 // annotate attaches the fragment's work record to its trace span:
@@ -199,7 +185,7 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 
 	// Plan once: resolve and type-check the filter (or the kNN query
 	// vector) against the schema before fanning anything out. Requests
-	// cap at maxRows. A fragment's scan keeps only what the gather stage
+	// cap at maxRows. A fragment keeps only what the gather stage
 	// reads: every row for a join, the top limit for order_by, the first
 	// limit for a bare limit, and none for a count.
 	plan := &fragmentPlan{req: req, scol: scol, limit: req.Limit}
@@ -586,24 +572,11 @@ type rowHeap struct {
 
 func (h *rowHeap) Len() int { return len(h.streams) }
 func (h *rowHeap) Less(i, j int) bool {
-	a, _ := h.streams[i].rows[h.streams[i].pos].Get(h.field)
-	b, _ := h.streams[j].rows[h.streams[j].pos].Get(h.field)
-	if h.desc {
-		if b.Less(a) {
-			return true
-		}
-		if a.Less(b) {
-			return false
-		}
-	} else {
-		if a.Less(b) {
-			return true
-		}
-		if b.Less(a) {
-			return false
-		}
+	a, b := h.streams[i], h.streams[j]
+	if c := core.CompareBy(a.rows[a.pos], b.rows[b.pos], h.field, h.desc); c != 0 {
+		return c < 0
 	}
-	return h.streams[i].shard < h.streams[j].shard
+	return a.shard < b.shard
 }
 func (h *rowHeap) Swap(i, j int) { h.streams[i], h.streams[j] = h.streams[j], h.streams[i] }
 func (h *rowHeap) Push(x any)    { h.streams = append(h.streams, x.(*rowStream)) }

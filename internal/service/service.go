@@ -674,8 +674,11 @@ func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 	// snapshotted later. If an append landed in between, the response may
 	// hold rows newer than its key: still a correct answer, but not that
 	// key's — it goes out like a no_cache response, unnamed and uncached.
+	// The cache-store span times this check along with the insertion.
 	key := t.fl.key
+	var cs *obs.SpanHandle
 	if key != "" {
+		cs = tr.Begin("cache-store")
 		if cur, err := s.fingerprintFor(t.req); err != nil || cur != key {
 			key = ""
 		}
@@ -688,10 +691,9 @@ func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 	// would keep serving under a fingerprint that promises the full one.
 	if key != "" && !resp.Degraded {
 		resp.wire = &wireMemo{cache: s.results, key: key, entry: resp}
-		cs := tr.Begin("cache-store")
 		s.results.Put(key, resp, resp.sizeBytes())
-		cs.End()
 	}
+	cs.End()
 	return resp, nil
 }
 
