@@ -73,7 +73,7 @@ func run() error {
 		device     = flag.String("device", "cpu", "execution backend: cpu, avx or gpu")
 		devices    = flag.Int("devices", 0, "physical devices backing the pool (0 = one per worker; fewer shares devices through the kernel batcher)")
 		cacheMB    = flag.Int("cache-mb", 32, "result cache budget (MiB)")
-		colMemMB   = flag.Int("column-mem-budget", 0, "tiered column store: resident spilled-segment budget in MiB (0 disables tiering and keeps columns purely in memory; negative spills for restart-warm columns but never evicts)")
+		colMemMB   = flag.Int("column-mem-budget", 0, "tiered column store: MiB of decoded column segments kept resident; colder sealed segments stay as their in-memory encoding and decode on demand (0 or negative disables tiering and keeps every segment decoded)")
 		udfCacheMB = flag.Int("udf-cache-mb", 128, "UDF materialization cache budget (MiB)")
 		ttl        = flag.Duration("ttl", 5*time.Minute, "result cache TTL (0 = never expire)")
 		slowMS     = flag.Int("slow-query-ms", 250, "slow-query log threshold in milliseconds (negative disables GET /debug/slow)")
@@ -106,13 +106,17 @@ func run() error {
 	cfg.FootballClips = *clips
 	cfg.FootballClipLen = *clipLen
 
+	resultTTL := *ttl
+	if resultTTL == 0 {
+		resultTTL = -1 // Config reads 0 as its 5m default; negative never expires
+	}
 	svcCfg := service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		Device:           kind,
 		Devices:          *devices,
 		ResultCacheBytes: int64(*cacheMB) << 20,
-		ResultTTL:        *ttl,
+		ResultTTL:        resultTTL,
 		UDFCacheBytes:    int64(*udfCacheMB) << 20,
 		ModelSeed:        bench.ModelSeed,
 

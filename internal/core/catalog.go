@@ -48,10 +48,10 @@ type DB struct {
 	// Open.
 	cost *CostModel
 
-	// segCache, when installed, attaches a disk spill tier to every
-	// collection's column store: sealed segments persist into a
-	// per-collection bucket and the shared cache budgets the resident
-	// set. Nil (the default) keeps column stores purely in-memory.
+	// segCache, when installed, tiers every collection's column store:
+	// sealed segments keep their encoding in memory and the shared cache
+	// budgets how many stay decoded. Nil (the default) keeps column
+	// stores purely in-memory.
 	segCache atomic.Pointer[SegmentCache]
 }
 
@@ -133,12 +133,12 @@ func Open(path string, dev exec.Device) (*DB, error) {
 func (db *DB) Cost() *CostModel { return db.cost }
 
 // SetSegmentCache installs the shared column-segment cache, enabling
-// the tiered column store: sealed segments spill through the kv pager
-// and the cache byte-budgets how many stay resident. The serving layer
-// installs one cache across every replica DB so a single budget governs
-// the whole process. Nil caches are ignored. Install before the first
-// query: stores built without a spill tier stay in-memory until their
-// collection's version moves.
+// the tiered column store: sealed segments keep their encoding in
+// memory and the cache byte-budgets how many stay decoded. The serving
+// layer installs one cache across every replica DB so a single budget
+// governs the whole process. Nil caches are ignored. Install before the
+// first query: a store built without a cache, and the stores extended
+// from it, keep every segment decoded.
 func (db *DB) SetSegmentCache(sc *SegmentCache) {
 	if sc != nil {
 		db.segCache.Store(sc)
@@ -319,26 +319,6 @@ func (db *DB) DropCollection(name string) error {
 			return err
 		}
 	}
-	// Spilled column segments and their manifest: a re-created collection
-	// of the same name must never rehydrate the dropped one's columns.
-	if has, err := db.store.HasBucket(colSegBucket(name)); err == nil && has {
-		sb, err := db.store.Bucket(colSegBucket(name))
-		if err != nil {
-			return err
-		}
-		var segKeys [][]byte
-		if err := sb.Scan(nil, nil, func(k, _ []byte) bool {
-			segKeys = append(segKeys, append([]byte(nil), k...))
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, k := range segKeys {
-			if err := sb.Delete(k); err != nil && !errors.Is(err, kv.ErrNotFound) {
-				return err
-			}
-		}
-	}
 	// Index descriptors for this collection.
 	var idxKeys [][]byte
 	prefix := []byte("idx." + name + ".")
@@ -448,12 +428,6 @@ type Collection struct {
 	// (built lazily by Columns, invalidated by version movement).
 	colMu    sync.Mutex
 	colStore *ColumnStore
-
-	// spillMu guards the lazily created column spill handle — the
-	// collection's disk tier for sealed column segments, present only
-	// when the DB has a SegmentCache installed.
-	spillMu sync.Mutex
-	spillH  *columnSpill
 
 	// vecMu guards the cached vector indexes, keyed field + "/" + mode
 	// (built lazily by VectorIndexAt, maintained like colStore).
@@ -652,31 +626,6 @@ func (c *Collection) Scan() Iterator {
 	return FromPatches(ps)
 }
 
-// colSegBucket is the kv bucket holding a collection's spilled column
-// segments and manifest.
-func colSegBucket(name string) string { return "colseg." + name }
-
-// columnSpillHandle lazily creates the collection's disk tier for
-// sealed column segments. Returns nil — pure in-memory column stores —
-// when the DB has no segment cache installed or the bucket cannot open.
-func (c *Collection) columnSpillHandle() *columnSpill {
-	sc := c.db.SegmentCache()
-	if sc == nil {
-		return nil
-	}
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	if c.spillH != nil {
-		return c.spillH
-	}
-	b, err := c.db.store.Bucket(colSegBucket(c.name))
-	if err != nil {
-		return nil
-	}
-	c.spillH = &columnSpill{bucket: b, cache: sc}
-	return c.spillH
-}
-
 // Columns returns the columnar projection of the collection's current
 // snapshot, building it lazily and upgrading whenever the version has
 // moved — the same version-keyed invalidation the serving layer's result
@@ -711,7 +660,7 @@ func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 		ps, ver,
 		func(prefix *ColumnStore) (*ColumnStore, Refresh, error) {
 			if prefix == nil {
-				return newColumnStoreSpill(ps, ver, c.columnSpillHandle()), RefreshRebuild, nil
+				return newColumnStore(ps, ver, c.db.SegmentCache()), RefreshRebuild, nil
 			}
 			next, st := prefix.Extend(ps, ver)
 			info.Extend = st

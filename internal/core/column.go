@@ -30,11 +30,11 @@ package core
 // by pointer: no history memcpy at all, O(appended rows) re-projection
 // for the tail, and stale readers pin only the segments they still
 // reference. The same immutability makes sealed segments spillable: with
-// a spill tier attached (see segment.go) their bytes serialize through
-// internal/codec into a kv bucket, the resident summaries keep pruning
-// exact, and the scan kernels read surviving cold segments back through
-// a byte-budgeted cache — so a collection's column footprint is bounded
-// by the budget, not its history.
+// a segment cache attached (see segment.go) each keeps its compressed
+// encoding through internal/codec, the resident summaries keep pruning
+// exact, and the scan kernels decode surviving cold segments through a
+// byte-budgeted cache — so a collection's decoded column footprint is
+// bounded by the budget, not its history.
 
 import "sync"
 
@@ -49,7 +49,7 @@ const ColumnBlockSize = 1024
 type ColumnStore struct {
 	patches []*Patch
 	version uint64
-	spill   *columnSpill // nil: purely in-memory store
+	cache   *SegmentCache // nil: purely in-memory store
 
 	mu   sync.RWMutex
 	cols map[string]*Column
@@ -58,14 +58,14 @@ type ColumnStore struct {
 // NewColumnStore builds an empty in-memory store over a snapshot.
 // Columns project lazily on first access.
 func NewColumnStore(patches []*Patch, version uint64) *ColumnStore {
-	return newColumnStoreSpill(patches, version, nil)
+	return newColumnStore(patches, version, nil)
 }
 
-// newColumnStoreSpill builds a store whose sealed segments spill through
-// sp (nil keeps the store purely in-memory). The catalog attaches a
-// collection's spill handle here when the DB has a SegmentCache.
-func newColumnStoreSpill(patches []*Patch, version uint64, sp *columnSpill) *ColumnStore {
-	return &ColumnStore{patches: patches, version: version, spill: sp, cols: make(map[string]*Column)}
+// newColumnStore builds a store whose sealed segments spill to sc (nil
+// keeps the store purely in-memory). The catalog passes the DB's
+// SegmentCache here.
+func newColumnStore(patches []*Patch, version uint64, sc *SegmentCache) *ColumnStore {
+	return &ColumnStore{patches: patches, version: version, cache: sc, cols: make(map[string]*Column)}
 }
 
 // Version is the collection version the store's snapshot reflects.
@@ -103,14 +103,14 @@ type zoneMap struct {
 // only when every non-missing value shares one scalar kind (int, float
 // or string); mixed or vector-valued fields stay row-only. Sealed
 // segments are shared by pointer with older and newer stores over the
-// same collection, and — when a spill tier is attached — may have their
-// data dropped from memory and reloaded from disk on demand.
+// same collection, and — when a segment cache is attached — may have
+// their data dropped from memory and decoded again on demand.
 type Column struct {
 	kind    ValueKind
 	n       int
 	field   string
-	patches []*Patch // backing snapshot (rebuild source if a spilled segment is unreadable)
-	spill   *columnSpill
+	patches []*Patch // backing snapshot (rebuild source if a segment's encoding is unreadable)
+	cache   *SegmentCache
 	segs    []*colSegment
 	dict    []string
 	dictIdx map[string]uint32 // value -> code (built during projection)
@@ -134,26 +134,26 @@ func (c *Column) Blocks() int { return len(c.segs) }
 // for the next, and keeps values, never slices, past it.
 type segReader struct {
 	col *Column
-	scr *segScratch
+	scr *segData
 }
 
-// rows returns sg's row data, reading it back from the spill tier when
+// rows returns sg's row data, decoding it from its encoding when
 // evicted (st, when non-nil, counts those loads). For an in-memory
-// store this is one atomic load.
+// store this is two atomic loads.
 func (r *segReader) rows(sg *colSegment, st *ScanStats) *segData {
 	if r.scr != nil && scratchDead != nil {
 		scratchDead(r.scr)
 	}
 	d := sg.data.Load()
-	sp := r.col.spill
-	if sp == nil || !sg.ondisk.Load() {
+	enc := sg.enc.Load()
+	if enc == nil {
 		return d // never tracked by a cache: always resident
 	}
-	n := sp.cache.request(sg)
+	n := r.col.cache.request(sg)
 	if d != nil {
 		return d
 	}
-	return r.load(sg, n, st)
+	return r.load(sg, *enc, n, st)
 }
 
 // close returns the scratch, if the call needed one, to the pool.
@@ -166,45 +166,38 @@ func (r *segReader) close() {
 	}
 }
 
-// load reads an evicted segment, requested n times before, from the kv
-// bucket: into fresh arrays published on the segment when the cache
-// admits it, else into the scratch. Missing or corrupt bytes fall back
+// load decodes an evicted segment, requested n times before, from its
+// encoding enc: into fresh arrays published on the segment when the
+// cache admits it, else into the scratch. A corrupt encoding falls back
 // to re-projecting the rows from the resident snapshot (a counted fault).
-func (r *segReader) load(sg *colSegment, n uint64, st *ScanStats) *segData {
-	c, sp := r.col, r.col.spill
+func (r *segReader) load(sg *colSegment, enc []byte, n uint64, st *ScanStats) *segData {
+	c, sc := r.col, r.col.cache
 	if r.scr == nil {
-		r.scr = scratchPool.Get().(*segScratch)
+		r.scr = scratchPool.Get().(*segData)
 	}
-	scr := r.scr
 	size := segBytes(c.kind, sg.rows())
-	d, resident := &scr.d, sp.cache.admits(size, n)
+	d, resident := r.scr, sc.admits(size, n)
 	if resident {
 		d = new(segData)
 	}
-	scr.key = appendSegKey(scr.key[:0], c.field, sg.zone.lo/ColumnBlockSize)
-	raw, err := sp.bucket.GetAppend(scr.raw[:0], scr.key)
-	if err == nil {
-		scr.raw = raw
-		err = decodeSegDataInto(d, c.kind, sg.rows(), raw)
-	}
-	if err == nil {
-		sp.cache.loads.Add(1)
+	if err := decodeSegDataInto(d, c.kind, sg.rows(), enc); err == nil {
+		sc.loads.Add(1)
 	} else {
-		sp.cache.loadFaults.Add(1)
+		sc.loadFaults.Add(1)
 		d = c.rebuildSeg(sg)
 	}
 	if st != nil {
 		st.SegLoads++
 	}
 	if !resident {
-		sp.cache.transient.Add(1)
+		sc.transient.Add(1)
 		if st != nil {
 			st.SegTransient++
 		}
 		return d
 	}
 	if sg.data.CompareAndSwap(nil, d) {
-		sp.cache.insert(sg, size)
+		sc.insert(sg, size)
 		return d
 	}
 	if w := sg.data.Load(); w != nil {
@@ -214,7 +207,7 @@ func (r *segReader) load(sg *colSegment, n uint64, st *ScanStats) *segData {
 }
 
 // rebuildSeg re-projects a segment's rows from the resident snapshot —
-// the recovery path when a spilled segment's bytes are unreadable. A
+// the recovery path when a segment's encoding is unreadable. A
 // sealed prefix row can never introduce a new dictionary string (codes
 // assign in first-appearance order over the whole column), so the
 // rebuild is deterministic and lock-free.
@@ -251,7 +244,10 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	if cached {
 		return col, col != nil
 	}
-	col = cs.buildColumn(field)
+	if col = projectColumn(cs.patches, field); col != nil {
+		col.cache = cs.cache
+		cs.cache.spill(col)
+	}
 	cs.mu.Lock()
 	if prev, raced := cs.cols[field]; raced {
 		col = prev // another projector won; keep one canonical column
@@ -260,26 +256,6 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	}
 	cs.mu.Unlock()
 	return col, col != nil
-}
-
-// buildColumn produces field's column: from the spill manifest when the
-// disk tier already holds its sealed prefix (summaries load resident,
-// data stays cold), else by full projection — which then seeds the disk
-// tier for the next reopen.
-func (cs *ColumnStore) buildColumn(field string) *Column {
-	if cs.spill != nil {
-		if col, handled := cs.spill.rehydrate(field, cs.patches); handled {
-			return col
-		}
-	}
-	col := projectColumn(cs.patches, field)
-	if col != nil {
-		col.spill = cs.spill
-		if cs.spill != nil {
-			cs.spill.persist(col)
-		}
-	}
-	return col
 }
 
 // ExtendStats is one incremental extension's segment accounting: of the
@@ -304,7 +280,7 @@ type ExtendStats struct {
 // readers still holding it; columns never projected on the old store
 // stay lazy on the new one.
 func (cs *ColumnStore) Extend(newPatches []*Patch, newVersion uint64) (*ColumnStore, ExtendStats) {
-	next := newColumnStoreSpill(newPatches, newVersion, cs.spill)
+	next := newColumnStore(newPatches, newVersion, cs.cache)
 	oldN := len(cs.patches)
 	var st ExtendStats
 	cs.mu.RLock()
@@ -329,9 +305,7 @@ func (cs *ColumnStore) Extend(newPatches []*Patch, newVersion uint64) (*ColumnSt
 		sealed := oldN / ColumnBlockSize
 		st.ReusedBlocks += sealed
 		st.TotalBlocks += len(col.segs)
-		if cs.spill != nil {
-			cs.spill.persist(ext) // newly sealed tail segments spill
-		}
+		cs.cache.spill(ext) // newly sealed tail segments spill
 	}
 	return next, st
 }
@@ -349,7 +323,7 @@ func extendColumn(old *Column, field string, patches []*Patch, oldN int) *Column
 		n:          n,
 		field:      field,
 		patches:    patches,
-		spill:      old.spill,
+		cache:      old.cache,
 		dict:       old.dict,
 		dictIdx:    old.dictIdx,
 		sharedDict: true,
@@ -478,12 +452,12 @@ func (c *Column) addCode(s string) uint32 {
 // ScanStats reports one columnar predicate evaluation's pruning work:
 // how many zone-mapped segments the column holds, how many the zone maps
 // skipped, how many rows the surviving segments actually swept, and how
-// many cold segments had to be read back from the spill tier.
+// many cold segments had to be decoded from their encodings.
 type ScanStats struct {
 	Blocks       int // zone-mapped segments in the column
 	Pruned       int // segments skipped by zone-map/dictionary pruning
 	RowsScanned  int // rows swept in unpruned segments
-	SegLoads     int // evicted segments read back from the disk tier
+	SegLoads     int // evicted segments decoded from their encodings
 	SegTransient int // of SegLoads: read through the scratch, not admitted to the cache
 }
 
@@ -537,8 +511,8 @@ func (cs *ColumnStore) filterAll(pred Pred) ([]int32, ScanStats, bool) {
 // which the store may have outgrown — and folds each segment's matches
 // into k as one ascending block. Pruning tests run against the resident
 // zone maps before any segment data is touched, so a pruned segment is
-// never faulted in from disk. ok is false, with k untouched, when the
-// field has no column.
+// never decoded. ok is false, with k untouched, when the field has no
+// column.
 func (cs *ColumnStore) scan(pred *Pred, n int, k *keeper) (ScanStats, bool) {
 	var st ScanStats
 	col, ok := cs.Column(pred.Field)

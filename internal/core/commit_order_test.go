@@ -44,7 +44,7 @@ func checkAscending(t *testing.T, what string, snap []*Patch) {
 // commit order while the bucket and the indexes hold id order. The later
 // id commits; the earlier one is refused and nothing of it is stored.
 // Past two sealed segments, every access path then agrees with the row
-// scan, before and after a reopen that rehydrates the spilled columns.
+// scan, before and after a reopen that re-projects the tiered columns.
 func TestOutOfOrderCommitIsRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dl.db")
 	db, err := Open(path, exec.New(exec.CPU))

@@ -833,16 +833,6 @@ func TestPlanFilterStaticOrder(t *testing.T) {
 	}
 }
 
-func TestPlaceDevice(t *testing.T) {
-	cm := DefaultCostModel()
-	if dev := cm.PlaceDevice(1e4, 1e3, 1); dev == exec.GPU {
-		t.Fatal("tiny kernel placed on GPU")
-	}
-	if dev := cm.PlaceDevice(1e12, 1e8, 10); dev != exec.GPU {
-		t.Fatalf("huge kernel placed on %v", dev)
-	}
-}
-
 func TestIndexNotFound(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("c", simpleSchema())

@@ -265,24 +265,6 @@ func (cm *CostModel) CacheAwareCost(est, hitRate, lookup float64) float64 {
 	return lookup + (1-hitRate)*est
 }
 
-// PlaceDevice picks the device for a batched kernel of the given FLOP and
-// byte volume — the CPU/GPU balancing the paper calls the significant
-// challenge (§7.4.2).
-func (cm *CostModel) PlaceDevice(flops float64, bytesMoved float64, kernels int) exec.Kind {
-	best := exec.CPU
-	bestCost := math.Inf(1)
-	for _, dev := range []exec.Kind{exec.CPU, exec.AVX, exec.GPU} {
-		cost := flops*cm.CDevFlop[dev] + float64(kernels)*cm.DevOverhead[dev].Seconds()
-		if dev == exec.GPU {
-			cost += bytesMoved / 6e9
-		}
-		if cost < bestCost {
-			best, bestCost = dev, cost
-		}
-	}
-	return best
-}
-
 // FilterMethod is a physical implementation of a selection.
 type FilterMethod int
 
@@ -357,25 +339,4 @@ func (db *DB) PlanFilter(col *Collection, field string, v Value) (FilterMethod, 
 		return FilterColumnScan, nil
 	}
 	return FilterScan, nil
-}
-
-// PlanMode selects the optimizer's objective for plans whose order affects
-// result accuracy (§7.4.3, Table 1).
-type PlanMode int
-
-// Optimizer objectives.
-const (
-	// PerformanceFirst applies classical rewrites (filter pushdown) for
-	// the fastest plan.
-	PerformanceFirst PlanMode = iota
-	// AccuracyFirst suppresses rewrites that change the result's accuracy
-	// profile: match on all candidates, filter afterwards.
-	AccuracyFirst
-)
-
-func (m PlanMode) String() string {
-	if m == AccuracyFirst {
-		return "accuracy-first"
-	}
-	return "performance-first"
 }

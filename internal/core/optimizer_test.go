@@ -79,12 +79,6 @@ func TestPlanSmallJoinAvoidsOffload(t *testing.T) {
 	}
 }
 
-func TestPlanModeStrings(t *testing.T) {
-	if PerformanceFirst.String() != "performance-first" || AccuracyFirst.String() != "accuracy-first" {
-		t.Fatal("PlanMode strings wrong")
-	}
-}
-
 func TestFilterMethodStrings(t *testing.T) {
 	for m, want := range map[FilterMethod]string{
 		FilterScan:       "scan-filter",

@@ -13,8 +13,9 @@ import (
 
 // Tiered column-store tests: spill → evict → reload must be
 // byte-identical to the purely in-memory store, zone-pruned scans must
-// never touch the pager, reopened collections rehydrate from disk, and
-// Extend allocation stays O(new rows) regardless of history length.
+// never decode a segment, reopened collections re-project their columns
+// and persist none, and Extend allocation stays O(new rows) regardless of
+// history length.
 
 var tieredFields = []string{"label", "score", "rank", "sparse", "clustered"}
 
@@ -23,18 +24,18 @@ var tieredFields = []string{"label", "score", "rank", "sparse", "clustered"}
 // the in-memory store (or indexes the dictionary out of range) wherever
 // a byte-identity assertion looks.
 func init() {
-	scratchDead = func(s *segScratch) {
-		for i := range s.d.ints {
-			s.d.ints[i] = math.MinInt64 + 0x5a5a
+	scratchDead = func(d *segData) {
+		for i := range d.ints {
+			d.ints[i] = math.MinInt64 + 0x5a5a
 		}
-		for i := range s.d.floats {
-			s.d.floats[i] = -0x5a5ap300
+		for i := range d.floats {
+			d.floats[i] = -0x5a5ap300
 		}
-		for i := range s.d.codes {
-			s.d.codes[i] = math.MaxUint32
+		for i := range d.codes {
+			d.codes[i] = math.MaxUint32
 		}
-		for i := range s.d.nulls {
-			s.d.nulls[i] = math.MaxUint64 // every row "present"
+		for i := range d.nulls {
+			d.nulls[i] = math.MaxUint64 // every row "present"
 		}
 	}
 }
@@ -146,18 +147,14 @@ func TestZonePrunedScanTouchesNoPages(t *testing.T) {
 		t.Fatalf("zone-pruned scan performed %d pager reads, want 0", delta)
 	}
 
-	// A surviving predicate faults exactly its one segment back in. The
-	// clustered column RLE-compresses to a small inline blob, read from
-	// its leaf page in place; how many pager reads that takes depends on
-	// the tree's shape and its inner-node cache, not on pruning, so no
-	// pager assertion here — just the load count.
+	// A surviving predicate decodes exactly its one segment.
 	sel, st, _ = cs.FilterEqStats("clustered", IntV(2))
 	if len(sel) != ColumnBlockSize || st.SegLoads != 1 {
 		t.Fatalf("selective scan: %d rows, %d segment loads", len(sel), st.SegLoads)
 	}
 
-	// Sanity for the counter itself: float segments spill uncompressed
-	// (~8 KiB, an overflow chain), so reloading them must touch pages.
+	// Float segments encode uncompressed (~8 KiB each). Decoding them
+	// after an eviction reads their in-memory encodings and no page.
 	if _, ok := cs.Column("score"); !ok {
 		t.Fatal("score did not project")
 	}
@@ -166,22 +163,24 @@ func TestZonePrunedScanTouchesNoPages(t *testing.T) {
 	if _, rst, ok := cs.FilterRangeStats("score", 5.0, 5.05); !ok || rst.SegLoads == 0 {
 		t.Fatalf("range scan loaded no segments: %+v", rst)
 	}
-	if delta := pager.Reads() - before; delta == 0 {
-		t.Fatal("cold float segment load performed no pager reads")
+	if delta := pager.Reads() - before; delta != 0 {
+		t.Fatalf("cold float segment loads performed %d pager reads, want 0", delta)
 	}
 }
 
-// TestTieredStoreRehydratesOnReopen: a reopened collection rebuilds its
-// columns from the spill manifest — zero re-spills, summaries resident
-// before any data loads — and still answers byte-identically.
-func TestTieredStoreRehydratesOnReopen(t *testing.T) {
+// TestTieredStoreReprojectsOnReopen: a reopened tiered collection
+// projects its columns from the rows it loads and answers byte for byte
+// what an in-memory store over the rows before the close answers, before
+// and after a full eviction. No column copy persists: the store holds
+// the catalog and collection buckets and nothing else.
+func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	const rows = 3*ColumnBlockSize + 100
 	path := filepath.Join(t.TempDir(), "dl.db")
 	db, err := Open(path, exec.New(exec.CPU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetSegmentCache(NewSegmentCache(0))
+	db.SetSegmentCache(NewSegmentCache(24 << 10))
 	col, err := db.CreateCollection("col.dets", columnTestSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +197,10 @@ func TestTieredStoreRehydratesOnReopen(t *testing.T) {
 	for _, f := range tieredFields {
 		cs.Column(f)
 	}
+	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	mem := NewColumnStore(cs.Patches(), cs.Version())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestTieredStoreRehydratesOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	sc2 := NewSegmentCache(0)
+	sc2 := NewSegmentCache(24 << 10)
 	db2.SetSegmentCache(sc2)
 	col2, err := db2.Collection("col.dets")
 	if err != nil {
@@ -217,46 +220,43 @@ func TestTieredStoreRehydratesOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Summaries alone must answer a pruned scan: no loads yet.
-	if sel, st, ok := cs2.FilterEqStats("clustered", IntV(99)); !ok || len(sel) != 0 || st.SegLoads != 0 {
-		t.Fatalf("rehydrated pruned scan: %d rows, %d loads", len(sel), st.SegLoads)
+	if !idsEqual(patchIDs(cs2.Patches()), patchIDs(mem.Patches())) {
+		t.Fatalf("reopened %d rows: not the %d rows before the close, in order", cs2.Len(), mem.Len())
 	}
-	snap, ver, err := col2.Snapshot()
+	assertStoreMatchesMemory(t, cs2, mem)
+	sc2.EvictAll()
+	assertStoreMatchesMemory(t, cs2, mem)
+	st := sc2.Stats()
+	if st.Spills == 0 || st.Loads == 0 || st.LoadFaults != 0 {
+		t.Fatalf("reprojected store: %+v, want spills and loads and no faults", st)
+	}
+	names, err := db2.Store().Buckets()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStoreMatchesMemory(t, cs2, NewColumnStore(snap, ver))
-	st := sc2.Stats()
-	if st.Spills != 0 {
-		t.Fatalf("reopen re-spilled %d segments: rehydration fell back to full projection", st.Spills)
-	}
-	if st.Loads == 0 {
-		t.Fatal("rehydrated store answered full scans without loading any spilled segment")
-	}
-	if st.LoadFaults != 0 {
-		t.Fatalf("rehydrated store hit load faults: %+v", st)
+	for _, name := range names {
+		if name != "sys.catalog" && name != "col.col.dets" {
+			t.Errorf("store holds bucket %q beyond the catalog and collection buckets", name)
+		}
 	}
 }
 
-// TestCorruptSpilledSegmentRebuilds: an unreadable spilled segment is
-// rebuilt from the row snapshot — a counted fault, never a wrong answer.
+// TestCorruptSpilledSegmentRebuilds: a segment whose encoding is
+// unreadable is rebuilt from the row snapshot — a counted fault, never a
+// wrong answer.
 func TestCorruptSpilledSegmentRebuilds(t *testing.T) {
 	const rows = 2 * ColumnBlockSize
-	db, col, sc := tieredCollection(t, rows, 1<<20)
+	_, col, sc := tieredCollection(t, rows, 1<<20)
 	cs, err := col.Columns()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := NewColumnStore(cs.Patches(), cs.Version())
 	assertStoreMatchesMemory(t, cs, mem) // project + spill everything
-	b, err := db.Store().Bucket(colSegBucket("col.dets"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, f := range []string{"rank", "label"} {
-		if err := b.Put(segKey(f, 0), []byte("garbage")); err != nil {
-			t.Fatal(err)
-		}
+		c, _ := cs.Column(f)
+		garbage := []byte("garbage")
+		c.segs[0].enc.Store(&garbage)
 	}
 	sc.EvictAll()
 	assertStoreMatchesMemory(t, cs, mem)
@@ -536,7 +536,7 @@ func TestResidentSetFollowsWorkloadShift(t *testing.T) {
 	resident := func(field string) (n int) {
 		col, _ := cs.Column(field)
 		for _, sg := range col.segs {
-			if sg.ondisk.Load() && sg.data.Load() != nil {
+			if sg.enc.Load() != nil && sg.data.Load() != nil {
 				n++
 			}
 		}

@@ -181,7 +181,7 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 // keep-everything answer (keepsAgree).
 // Then the database, its columns projected under the segment cache, is
 // closed and reopened under one again: the reopened snapshot holds the same
-// rows in the same order, and every access path — rehydrated columns,
+// rows in the same order, and every access path — re-projected columns,
 // reopened hash and B-tree indexes — returns the row scan's ids and
 // first n rows over it.
 func FuzzSelectPathsAgree(f *testing.F) {

@@ -390,3 +390,142 @@ func TestFreeReturnsEveryPage(t *testing.T) {
 		}
 	}
 }
+
+// chainKeys are "k%d" keys whose FNV-1a hashes share their low maxGlobal
+// bits (found by brute force), so no split can separate them: once their
+// bucket reaches maxGlobal, every insert that overflows it goes through
+// chainInsert.
+var chainKeys = []string{"k0", "k1292703", "k1885051", "k2936637", "k3297405"}
+
+// freePages counts p's free pages by allocating until the file grows.
+// The pages stay allocated, so it is a test's last use of p.
+func freePages(t *testing.T, p *kv.Pager) uint64 {
+	t.Helper()
+	end := p.NumPages()
+	var free uint64
+	for {
+		id, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id >= end {
+			return free
+		}
+		free++
+	}
+}
+
+// TestOverflowChainAtMaxDepth drives a bucket at maxGlobal into an
+// overflow chain: a new page when the chain's pages are full, room on an
+// existing page after a walk, Get, replace (in place and past its page)
+// and Delete along the chain, a reopen of the page file through Open,
+// and a Free that returns every page.
+func TestOverflowChainAtMaxDepth(t *testing.T) {
+	const mask = 1<<maxGlobal - 1
+	for _, k := range chainKeys[1:] {
+		if hash64([]byte(k))&mask != hash64([]byte(chainKeys[0]))&mask {
+			t.Fatalf("%s does not share k0's low %d hash bits", k, maxGlobal)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "h.db")
+	p, err := kv.OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	put := func(k string, n int) {
+		t.Helper()
+		v := bytes.Repeat([]byte{byte(len(want) + n)}, n)
+		if err := ix.Put([]byte(k), v); err != nil {
+			t.Fatalf("Put(%s, %d bytes): %v", k, n, err)
+		}
+		want[k] = v
+	}
+	check := func(ix *Index, stage string) {
+		t.Helper()
+		if ix.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d", stage, ix.Len(), len(want))
+		}
+		for _, k := range chainKeys {
+			got, err := ix.Get([]byte(k))
+			if v, ok := want[k]; !ok && !errors.Is(err, ErrNotFound) || ok && (err != nil || !bytes.Equal(got, v)) {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v; want %d bytes", stage, k, len(got), err, len(v))
+			}
+		}
+	}
+	chain := func() (pages int) {
+		t.Helper()
+		for id := ix.dir[ix.slot(hash64([]byte(chainKeys[0])))]; id != 0; pages++ {
+			buf, err := p.Read(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = nextPage(buf)
+		}
+		return pages
+	}
+
+	put(chainKeys[0], 2000) // two 2 KB entries fill the head page
+	put(chainKeys[1], 2000)
+	put(chainKeys[2], 2000) // splits to maxGlobal, then chains a new page
+	if ix.depth != maxGlobal || chain() != 2 {
+		t.Fatalf("after the third key: depth %d, chain of %d pages; want %d and 2", ix.depth, chain(), maxGlobal)
+	}
+	put(chainKeys[3], 100) // walks past the full head into the second page's room
+	if chain() != 2 {
+		t.Fatalf("a key with room on the second page grew the chain to %d pages", chain())
+	}
+	put(chainKeys[4], 2000) // both pages full: a third
+	if chain() != 3 {
+		t.Fatalf("chain of %d pages, want 3", chain())
+	}
+	check(ix, "built")
+
+	put(chainKeys[3], 60)   // replace in place on the second page
+	put(chainKeys[2], 4000) // outgrows the second page: moves to a new fourth
+	if chain() != 4 {
+		t.Fatalf("after the growing replace: chain of %d pages, want 4", chain())
+	}
+	check(ix, "replaced")
+	for _, k := range []string{chainKeys[4], chainKeys[0]} {
+		if err := ix.Delete([]byte(k)); err != nil {
+			t.Fatalf("Delete(%s): %v", k, err)
+		}
+		delete(want, k)
+	}
+	if err := ix.Delete([]byte(chainKeys[4])); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Delete(%s) = %v, want ErrNotFound", chainKeys[4], err)
+	}
+	put(chainKeys[0], 500) // back into the head page's room
+	check(ix, "deleted")
+
+	meta := ix.Meta()
+	if err := ix.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = kv.OpenPager(path); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if ix, err = Open(p, meta); err != nil {
+		t.Fatal(err)
+	}
+	check(ix, "reopened")
+	put(chainKeys[4], 3000) // chains on the reopened index too
+	check(ix, "reopened and extended")
+
+	if err := ix.Free(); err != nil {
+		t.Fatal(err)
+	}
+	pages := p.NumPages() // page 0 is the pager's own meta page
+	if free := freePages(t, p); free != pages-1 {
+		t.Fatalf("Free left %d of the index's %d pages in use", pages-1-free, pages-1)
+	}
+}

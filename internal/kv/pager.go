@@ -48,8 +48,8 @@ type Pager struct {
 	rootDir uint64
 
 	// reads counts every page read served (cache hit or disk), so callers
-	// can assert access patterns — e.g. that a zone-map-pruned columnar
-	// scan never faults a spilled segment in from the page file.
+	// can assert access patterns — e.g. that a columnar scan over a
+	// tiered column store reads no page.
 	reads atomic.Int64
 }
 

@@ -59,20 +59,6 @@ func (s *Store) Bucket(name string) (*Bucket, error) {
 	return b, nil
 }
 
-// HasBucket reports whether a bucket exists without creating it.
-func (s *Store) HasBucket(name string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.buckets[name]; ok {
-		return true, nil
-	}
-	_, err := s.dir.Get([]byte(name))
-	if errors.Is(err, btree.ErrNotFound) {
-		return false, nil
-	}
-	return err == nil, err
-}
-
 // Buckets lists all bucket names in the directory plus any created in memory.
 func (s *Store) Buckets() ([]string, error) {
 	s.mu.Lock()

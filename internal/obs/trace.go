@@ -1,9 +1,9 @@
 // Package obs is DeepLens's dependency-light observability layer:
-// per-query traces (timed spans carried on context.Context), a metrics
-// registry of lock-cheap counters/gauges and fixed-bucket latency
-// histograms exported in Prometheus text format, a bounded in-memory
-// slow-query log, and the shared latency-summary helper the load
-// generator and benchmark tools derive percentiles from.
+// per-query traces (timed spans), a metrics registry of lock-cheap
+// counters/gauges and fixed-bucket latency histograms exported in
+// Prometheus text format, a bounded in-memory slow-query log, and the
+// shared latency-summary helper the load generator and benchmark tools
+// derive percentiles from.
 //
 // Everything is safe for concurrent use and nil-tolerant on the hot
 // path: a nil *Trace (tracing off) makes every span operation a no-op
@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"time"
@@ -188,24 +187,4 @@ func (h *SpanHandle) End() {
 		DurUS:   float64(dur.Nanoseconds()) / 1e3,
 		Attrs:   h.attrs,
 	})
-}
-
-// ctxKey keys the trace on a context.
-type ctxKey struct{}
-
-// WithTrace returns ctx carrying tr (a nil tr returns ctx unchanged).
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, tr)
-}
-
-// FromContext returns the context's trace, or nil when untraced.
-func FromContext(ctx context.Context) *Trace {
-	if ctx == nil {
-		return nil
-	}
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
 }

@@ -515,8 +515,11 @@ func TestHTTPOverloadAndTimeout(t *testing.T) {
 	}
 
 	// Overload -> 429 + Retry-After: wedge the single worker and the
-	// one queue slot with stalled queries, then probe.
+	// one queue slot with stalled queries, then probe. The second query
+	// is posted only once the worker holds the first: posted together,
+	// it could find the first still queued and be refused itself.
 	var wg sync.WaitGroup
+	deadline := time.Now().Add(5 * time.Second)
 	for _, label := range []string{"car", "bus"} {
 		wg.Add(1)
 		go func(label string) {
@@ -524,17 +527,16 @@ func TestHTTPOverloadAndTimeout(t *testing.T) {
 			post(`{"collection":"` + shardTestCol + `","no_cache":true,"timeout_ms":400,` +
 				`"filter":{"field":"label","str":"` + label + `"}}`)
 		}(label)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := svc.Stats()
-		if st.InFlight >= 1 && st.QueueDepth >= 1 {
-			break
+		for {
+			st := svc.Stats()
+			if label == "car" && st.InFlight == 1 && st.QueueDepth == 0 || label == "bus" && st.InFlight >= 1 && st.QueueDepth >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker + queue never filled (waiting after %s)", label)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker + queue never filled")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	resp = post(`{"collection":"` + shardTestCol + `","no_cache":true,"filter":{"field":"label","str":"pedestrian"}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -164,22 +164,22 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_column_extends_total", "Incremental column-store extensions performed.", nil, func() float64 {
 		return float64(s.shards.RefreshStats().ColumnExtends)
 	})
-	r.CounterFunc("deeplens_segment_spills_total", "Sealed column segments written through the kv pager by the tiered column store.", nil, func() float64 {
+	r.CounterFunc("deeplens_segment_spills_total", "Sealed column segments encoded in memory and handed to the tiered column store's segment cache.", nil, func() float64 {
 		return float64(s.segCache.Stats().Spills)
 	})
-	r.CounterFunc("deeplens_segment_loads_total", "Cold column segments read back from disk.", nil, func() float64 {
+	r.CounterFunc("deeplens_segment_loads_total", "Cold column segments decoded from their in-memory encoding.", nil, func() float64 {
 		return float64(s.segCache.Stats().Loads)
 	})
 	r.CounterFunc("deeplens_segment_transient_loads_total", "Cold column segment reads served from a kernel's scratch buffer instead of being admitted to the segment cache.", nil, func() float64 {
 		return float64(s.segCache.Stats().TransientLoads)
 	})
-	r.CounterFunc("deeplens_segment_load_faults_total", "Unreadable spilled segments rebuilt from the row snapshot.", nil, func() float64 {
+	r.CounterFunc("deeplens_segment_load_faults_total", "Column segments whose encoding failed to decode, rebuilt from the row snapshot.", nil, func() float64 {
 		return float64(s.segCache.Stats().LoadFaults)
 	})
 	r.CounterFunc("deeplens_segment_evictions_total", "Resident column segments dropped under memory-budget pressure.", nil, func() float64 {
 		return float64(s.segCache.Stats().Evictions)
 	})
-	r.GaugeFunc("deeplens_segment_resident_bytes", "Bytes of spilled column segments currently resident.", nil, func() float64 {
+	r.GaugeFunc("deeplens_segment_resident_bytes", "Bytes of decoded spilled column segments currently resident.", nil, func() float64 {
 		return float64(s.segCache.Stats().ResidentBytes)
 	})
 	r.CounterFunc("deeplens_index_extends_total", "Incremental vector-index extensions performed (only the appended rows indexed).", nil, func() float64 {

@@ -140,12 +140,12 @@ type Config struct {
 	// Zero value: no faults.
 	Faults fault.Config
 	// ColumnMemBudget enables the tiered column store: sealed column
-	// segments spill through the kv pager and at most this many bytes of
-	// them stay resident (LRU-evicted beyond it; zone maps and null
-	// summaries always stay in memory, so pruned scans never fault cold
-	// segments). Results are byte-identical to the in-memory store at
-	// any budget. 0 (default) keeps columns purely in memory; negative
-	// spills for restart-warm columns but never evicts.
+	// segments keep a compressed encoding in memory and at most this many
+	// bytes of them stay decoded (evicted beyond it and decoded again on
+	// demand; zone maps and null summaries always stay decoded, so pruned
+	// scans never decode cold segments). Results are byte-identical to
+	// the in-memory store at any budget. 0 or negative (default) keeps
+	// every segment decoded, with no encoding.
 	ColumnMemBudget int64
 }
 
@@ -252,7 +252,8 @@ type Service struct {
 	closed   atomic.Bool
 
 	srcMu   sync.RWMutex
-	sources map[string]FrameSource
+	sources map[string]registeredSource
+	srcGen  uint64 // registrations so far; guarded by srcMu
 
 	flightMu sync.Mutex
 	inflight map[string]*flight
@@ -326,20 +327,15 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		udfMemo:  NewCache(cfg.UDFCacheBytes, 0),
 		queue:    make(chan *task, cfg.QueueDepth),
 		quit:     make(chan struct{}),
-		sources:  make(map[string]FrameSource),
+		sources:  make(map[string]registeredSource),
 		inflight: make(map[string]*flight),
 	}
 	s.inj = fault.New(cfg.Faults)
 	sdb.SetFaults(s.inj)
 	// Tiered columns: one segment cache across every backing DB, so the
-	// budget bounds total column residency service-wide (negative budget
-	// = spill without eviction).
-	if cfg.ColumnMemBudget != 0 {
-		budget := cfg.ColumnMemBudget
-		if budget < 0 {
-			budget = 0
-		}
-		s.segCache = core.NewSegmentCache(budget)
+	// budget bounds total column residency service-wide.
+	if cfg.ColumnMemBudget > 0 {
+		s.segCache = core.NewSegmentCache(cfg.ColumnMemBudget)
 		sdb.SetSegmentCache(s.segCache)
 	}
 	s.appendSlots = make(chan struct{}, max(2, cfg.Workers))
@@ -409,18 +405,30 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
+// registeredSource is a frame source with its registration's
+// generation, which versions the sweeps cached over it.
+type registeredSource struct {
+	src FrameSource
+	gen uint64
+}
+
 // RegisterSource makes a frame source available to inference sweeps
-// under the given name.
+// under the given name. Registering a name again replaces its source,
+// and sweeps cached over the old one no longer hit.
 func (s *Service) RegisterSource(name string, src FrameSource) {
 	s.srcMu.Lock()
-	s.sources[name] = src
+	s.srcGen++
+	s.sources[name] = registeredSource{src: src, gen: s.srcGen}
 	s.srcMu.Unlock()
 }
 
-func (s *Service) source(name string) FrameSource {
+// source returns the named frame source and its registration's
+// generation (nil and 0 when none is registered).
+func (s *Service) source(name string) (FrameSource, uint64) {
 	s.srcMu.RLock()
 	defer s.srcMu.RUnlock()
-	return s.sources[name]
+	rs := s.sources[name]
+	return rs.src, rs.gen
 }
 
 // InvalidateCollection eagerly drops cached results over the named
@@ -440,7 +448,8 @@ func (s *Service) FlushCaches() {
 // catalog (collection version for queries, source identity for sweeps).
 func (s *Service) fingerprintFor(req *Request) (string, error) {
 	if req.Infer != nil {
-		return req.fingerprint(0, s.cfg.ModelSeed), nil
+		_, gen := s.source(req.Infer.Source)
+		return req.fingerprint(gen, s.cfg.ModelSeed), nil
 	}
 	scol, err := s.shards.Collection(req.Collection)
 	if err != nil {
@@ -736,7 +745,7 @@ const estInferPerFrameSec = 4e-3
 
 // executeInfer sweeps a memoized UDF over rendered frames.
 func (s *Service) executeInfer(ctx context.Context, w *worker, spec *InferSpec) (*Response, error) {
-	src := s.source(spec.Source)
+	src, _ := s.source(spec.Source)
 	if src == nil {
 		return nil, fmt.Errorf("service: unknown frame source %q", spec.Source)
 	}
@@ -816,8 +825,8 @@ type Stats struct {
 
 	// Tiered columns: the spilled-segment record (all zero when
 	// Config.ColumnMemBudget leaves tiering off). SegmentLoadFaults
-	// counts segments rebuilt from the row snapshot after an unreadable
-	// spill blob — never a failed query, always a counted repair.
+	// counts segments rebuilt from the row snapshot after an undecodable
+	// encoding — never a failed query, always a counted repair.
 	// SegmentTransientLoads is the part of SegmentLoads (and faults)
 	// served from a kernel's scratch without entering the cache.
 	SegmentSpills         int64 `json:"segment_spills"`

@@ -283,6 +283,50 @@ func TestInferSweepUDFMemoization(t *testing.T) {
 	}
 }
 
+// blankSource is a FrameSource of n blank 8x8 frames.
+type blankSource struct{ n int }
+
+func (b blankSource) Frames() int { return b.n }
+func (b blankSource) Render(int) (*codec.Image, error) {
+	return &codec.Image{W: 8, H: 8, Pix: make([]uint8, 8*8*3)}, nil
+}
+
+// TestReRegisteredSourceMissesCachedSweeps: registering a source under a
+// name already in use replaces it, so a sweep cached over the old source
+// must not answer for the new one. An 8-frame sweep over a 5-frame
+// replacement is out of range, and a sweep the new source can serve runs
+// cold.
+func TestReRegisteredSourceMissesCachedSweeps(t *testing.T) {
+	s := newService(t, Config{Workers: 1})
+	ctx := context.Background()
+	sweep := func(to int) Request {
+		return Request{Infer: &InferSpec{Source: "cam", From: 0, To: to, UDF: "embed"}}
+	}
+	s.RegisterSource("cam", blankSource{n: 10})
+	for i := 0; i < 2; i++ {
+		r, err := s.Query(ctx, sweep(8))
+		if err != nil || r.Value != 8 || r.CacheHit != (i == 1) {
+			t.Fatalf("sweep %d over 10 frames: %+v, %v", i, r, err)
+		}
+	}
+	short, err := s.Query(ctx, sweep(5))
+	if err != nil || short.Value != 5 {
+		t.Fatalf("5-frame sweep over 10 frames: %+v, %v", short, err)
+	}
+
+	s.RegisterSource("cam", blankSource{n: 5})
+	if r, err := s.Query(ctx, sweep(8)); err == nil {
+		t.Fatalf("8-frame sweep over the 5-frame replacement answered %d (cache_hit %v)", r.Value, r.CacheHit)
+	}
+	r, err := s.Query(ctx, sweep(5))
+	if err != nil || r.Value != 5 || r.CacheHit {
+		t.Fatalf("5-frame sweep over the replacement: %+v, %v; want 5 from a cold run", r, err)
+	}
+	if r.Fingerprint == short.Fingerprint {
+		t.Fatal("the replacement's sweep kept the old source's fingerprint")
+	}
+}
+
 // gateSource is a FrameSource whose renders block until released,
 // letting the test observe steady-state concurrency deterministically.
 type gateSource struct {
