@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -193,8 +194,8 @@ func TestReopenParity(t *testing.T) {
 }
 
 // TestCommittedRowBytes: a committed fixture-shaped row (three declared
-// fields, lineage from Ref) costs at most 400 bytes of live heap, not
-// counting the kv pages that hold its bytes.
+// fields, lineage from Ref) costs at most 400 bytes of live heap once the
+// rows are flushed, the kv pages that held its bytes until then included.
 func TestCommittedRowBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -213,12 +214,11 @@ func TestCommittedRowBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The live heap less the page cache's buffers.
 	heap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc) - int64(db.Store().Pager().CachedPages())*kv.PageSize
+		return int64(ms.HeapAlloc)
 	}
 	rng := rand.New(rand.NewSource(1))
 	start := heap()
@@ -232,10 +232,70 @@ func TestCommittedRowBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	perRow := float64(heap()-start) / rows
 	t.Logf("%.0f B of live heap per committed row", perRow)
 	if perRow > limit {
 		t.Fatalf("%.0f B of live heap per committed row, want at most %d", perRow, limit)
 	}
 	runtime.KeepAlive(col)
+}
+
+// TestFlushedCollectionReadsNoPage: once a loaded collection is flushed,
+// its pages live only in the file. The row cache and the column store
+// serve every read of its rows, so neither the pager's read count nor its
+// cache moves under Snapshot, Get, Columns or a column-scan Select.
+func TestFlushedCollectionReadsNoPage(t *testing.T) {
+	const rows = 20000
+	db := openDB(t)
+	col, err := db.CreateCollection("rows", Schema{Fields: []Field{
+		{Name: "label", Kind: KindStr},
+		{Name: "score", Kind: KindFloat},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{
+			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
+			"score": FloatV(float64(i%1000) / 1000),
+		}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pager := db.Store().Pager()
+	if c := pager.CachedPages(); c != 0 {
+		t.Fatalf("%d pages cached after Flush, want 0", c)
+	}
+	before := pager.Reads()
+	snap, ver, err := col.Snapshot()
+	if err != nil || len(snap) != rows {
+		t.Fatalf("Snapshot: %d rows, err=%v", len(snap), err)
+	}
+	if p, err := col.Get(snap[rows/2].ID); err != nil || p != snap[rows/2] {
+		t.Fatalf("Get: %v, err=%v", p, err)
+	}
+	if _, err := col.Columns(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.Select(context.Background(), col, snap, ver,
+		Pred{Field: "label", V: StrV("cls03")}, FilterColumnScan, Keep{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Method != FilterColumnScan || s.N != rows/16 {
+		t.Fatalf("Select ran %v and matched %d rows, want a column scan matching %d", s.Method, s.N, rows/16)
+	}
+	if d := pager.Reads() - before; d != 0 {
+		t.Fatalf("reads of a flushed collection read %d pages, want 0", d)
+	}
+	if c := pager.CachedPages(); c != 0 {
+		t.Fatalf("reads of a flushed collection cached %d pages, want 0", c)
+	}
 }

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -99,7 +100,8 @@ func (c Config) Enabled() bool { return len(c.Rules) > 0 }
 //	point@shard:prob         append-error@2:0.5
 //	point@shard.replica:prob fragment-stall@*.0:1:50
 //
-// shard and replica accept * (any). prob is in [0, 1].
+// shard and replica accept * (any). prob is in [0, 1] (NaN is not), and
+// stallMS must fit a time.Duration.
 func ParseRule(spec string) (Rule, error) {
 	r := Rule{Shard: Any, Replica: Any}
 	parts := strings.Split(spec, ":")
@@ -132,13 +134,13 @@ func ParseRule(spec string) (Rule, error) {
 			name, FragmentError, FragmentStall, AppendError, DeviceStall, ResyncError, ResyncStall)
 	}
 	prob, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || prob < 0 || prob > 1 {
+	if err != nil || !(prob >= 0 && prob <= 1) { // NaN fails both
 		return r, fmt.Errorf("fault: bad probability %q in %q (want [0,1])", parts[1], spec)
 	}
 	r.Prob = prob
 	if len(parts) == 3 {
-		ms, err := strconv.Atoi(parts[2])
-		if err != nil || ms < 0 {
+		ms, err := strconv.ParseInt(parts[2], 10, 64)
+		if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return r, fmt.Errorf("fault: bad stall duration %q in %q (want milliseconds)", parts[2], spec)
 		}
 		r.Stall = time.Duration(ms) * time.Millisecond

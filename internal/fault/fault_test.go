@@ -53,12 +53,48 @@ func TestParseRule(t *testing.T) {
 		"", "fragment-stall", "bogus-point:1", "fragment-stall:2",
 		"fragment-stall:x", "fragment-stall:1:-5", "fragment-stall@-1:1",
 		"fragment-stall@0.q:1", "fragment-stall:1:50:9",
+		"fragment-stall:NaN", "fragment-stall:1:9223372036855",
 	}
 	for _, spec := range bad {
 		if _, err := ParseRule(spec); err == nil {
 			t.Fatalf("ParseRule(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// FuzzParseRules: the -fault grammar accepts only rules the injector can
+// honor — a known failpoint, a probability in [0, 1], a stall that is not
+// negative, and scopes no lower than Any — and rejects the rest with an
+// error, never a panic. The committed corpus holds a NaN probability and
+// a stall that overflowed time.Duration to a negative one.
+func FuzzParseRules(f *testing.F) {
+	for _, spec := range []string{
+		"fragment-stall:0.2", "fragment-stall@*.0:1:25, append-error@2:0.5", "resync-stall:0.5:20",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, specs string) {
+		rules, err := ParseRules(specs)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			switch r.Point {
+			case FragmentError, FragmentStall, AppendError, DeviceStall, ResyncError, ResyncStall:
+			default:
+				t.Fatalf("%q: unknown failpoint %q accepted", specs, r.Point)
+			}
+			if !(r.Prob >= 0 && r.Prob <= 1) {
+				t.Fatalf("%q: probability %v accepted", specs, r.Prob)
+			}
+			if r.Stall < 0 {
+				t.Fatalf("%q: negative stall %v accepted", specs, r.Stall)
+			}
+			if r.Shard < Any || r.Replica < Any {
+				t.Fatalf("%q: scope %d.%d accepted", specs, r.Shard, r.Replica)
+			}
+		}
+	})
 }
 
 func TestParseRules(t *testing.T) {

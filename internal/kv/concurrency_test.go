@@ -8,7 +8,10 @@ import (
 )
 
 // TestConcurrentBucketAccess exercises the store's locking: concurrent
-// writers on separate buckets plus readers on a shared bucket.
+// writers on separate buckets plus readers on a shared bucket, while a
+// pager flusher writes back and drops the pages they touch. (It flushes
+// the pager, not the Store: Store.Flush reads each bucket's root without
+// the bucket's lock, so it must not race a Put.)
 func TestConcurrentBucketAccess(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "c.db"))
 	if err != nil {
@@ -47,14 +50,31 @@ func TestConcurrentBucketAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				if _, err := shared.Get(U64Key(uint64(i % 100))); err != nil {
-					errs <- err
+				if v, err := shared.Get(U64Key(uint64(i % 100))); err != nil || string(v) != "v" {
+					errs <- fmt.Errorf("shared Get(%d) = %q, %v", i%100, v, err)
 					return
 				}
 			}
 		}()
 	}
+	stop, flushed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Pager().Flush(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-flushed
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -65,6 +85,11 @@ func TestConcurrentBucketAccess(t *testing.T) {
 		n, err := b.Len()
 		if err != nil || n != 300 {
 			t.Fatalf("writer-%d len = %d, %v", w, n, err)
+		}
+		for i := 0; i < 300; i++ {
+			if v, err := b.Get(U64Key(uint64(i))); err != nil || string(v) != fmt.Sprintf("w%d-%d", w, i) {
+				t.Fatalf("writer-%d Get(%d) = %q, %v", w, i, v, err)
+			}
 		}
 	}
 }

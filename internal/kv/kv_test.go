@@ -405,3 +405,83 @@ func TestReadOverflowRejectsCorruptChains(t *testing.T) {
 		t.Fatalf("ReadOverflow of a looping chain: %v", err)
 	}
 }
+
+// TestFlushReleasesWrittenPages: Flush hands every page it writes back
+// to the file and keeps no clean copy, so a flushed store caches nothing
+// until it is read. Pages read from the file afterwards stay cached
+// across a Flush with nothing to write, and a slice Read returned before
+// a Flush keeps its contents after it, even once the page is rewritten.
+func TestFlushReleasesWrittenPages(t *testing.T) {
+	s := openTemp(t)
+	b, err := s.Bucket("rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(i int) []byte {
+		n := 40
+		if i%50 == 0 {
+			n = 3 * PageSize // an overflow chain
+		}
+		return bytes.Repeat([]byte{byte(i)}, n)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := b.Put(U64Key(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := s.Pager()
+	if p.CachedPages() == 0 {
+		t.Fatal("no dirty page cached before the Flush")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c := p.CachedPages(); c != 0 {
+		t.Fatalf("%d pages cached after a Flush, want 0", c)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := b.Get(U64Key(uint64(i))); err != nil || !bytes.Equal(got, val(i)) {
+			t.Fatalf("Get(%d) after a Flush: %d bytes, err=%v", i, len(got), err)
+		}
+	}
+	read := p.CachedPages()
+	if read == 0 {
+		t.Fatal("reads after the Flush cached no page")
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c := p.CachedPages(); c != read {
+		t.Fatalf("a Flush with nothing dirty left %d of %d read pages cached", c, read)
+	}
+
+	id, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte{0xA5}, PageSize)
+	if err := p.Write(id, old); err != nil {
+		t.Fatal(err)
+	}
+	held, err := p.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, old) {
+		t.Fatal("a slice Read returned changed across a Flush")
+	}
+	next := bytes.Repeat([]byte{0x5A}, PageSize)
+	if err := p.Write(id, next); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, old) {
+		t.Fatal("a Write after the Flush reused the buffer a Read returned before it")
+	}
+	if got, err := p.Read(id); err != nil || !bytes.Equal(got, next) {
+		t.Fatalf("Read after the rewrite does not return it (err=%v)", err)
+	}
+}

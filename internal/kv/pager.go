@@ -32,8 +32,13 @@ var (
 	ErrCorruptVal = errors.New("kv: corrupt overflow chain")
 )
 
-// Pager manages fixed-size pages in a single file with an in-memory
-// write-back cache. It is safe for concurrent use.
+// Pager manages fixed-size pages in a single file. In memory it keeps a
+// write-back buffer of dirty pages, held until eviction or a Flush writes
+// them to the file, and a read cache of pages read from the file; the two
+// share one cap of maxCache pages, kept by an approximate LRU. A page
+// that is written back is dropped, not kept as a clean copy: the layers
+// above (the row cache, the column store) already serve every read of
+// committed rows. It is safe for concurrent use.
 type Pager struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -113,9 +118,10 @@ func (p *Pager) readMeta() error {
 // Read returns the contents of page id. The returned slice is the cached
 // page buffer, not a copy: callers must not modify it (Write is the only
 // way to change a page). It keeps its contents until the page is next
-// written or freed — eviction drops a buffer from the cache but never
-// reuses it — so a caller that serializes its own writes of the page may
-// read the slice in place until then (the B+ tree reads leaves this way).
+// written or freed — eviction or a Flush drops a buffer from the cache
+// but never reuses it — so a caller that serializes its own writes of the
+// page may read the slice in place until then (the B+ tree reads leaves
+// this way).
 func (p *Pager) Read(id uint64) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -144,9 +150,10 @@ func (p *Pager) readLocked(id uint64) ([]byte, error) {
 }
 
 // Write stores buf (length PageSize) as the contents of page id. It
-// copies buf, so the caller may reuse it on return. A cached page is
-// overwritten in place: a slice an earlier Read returned for it sees the
-// new contents.
+// copies buf, so the caller may reuse it on return. A page still cached
+// is overwritten in place; one that eviction or a Flush dropped gets a
+// fresh buffer. So a slice an earlier Read returned may keep the old
+// contents: read the page again to see a write.
 func (p *Pager) Write(id uint64, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -273,7 +280,10 @@ func (p *Pager) CachedPages() int {
 	return len(p.cache)
 }
 
-// Flush writes all dirty cached pages and the meta page to the file.
+// Flush writes all dirty cached pages and the meta page to the file, and
+// drops each page it wrote from the cache, as eviction does: the next Read
+// of such a page goes to the file. Pages that were read from the file and
+// never written stay cached.
 func (p *Pager) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -289,7 +299,7 @@ func (p *Pager) flushLocked() error {
 			if _, err := p.f.WriteAt(cp.buf, int64(id)*PageSize); err != nil {
 				return err
 			}
-			cp.dirty = false
+			delete(p.cache, id)
 		}
 	}
 	if err := p.writeMeta(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -272,7 +273,8 @@ func TestSlowQueryLog(t *testing.T) {
 
 // TestMetricsEndpoint: GET /metrics must emit well-formed Prometheus
 // text (no duplicate series, complete histogram families) whose
-// counters agree with the queries this test ran.
+// counters agree with the queries this test ran, with the Go runtime's
+// heap and GC series set once a GC has run.
 func TestMetricsEndpoint(t *testing.T) {
 	s := obsFixture(t, 2, 200, Config{Workers: 2})
 	str := "car"
@@ -286,6 +288,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runtime.GC() // completes a cycle, so the Go runtime's heap and GC series are set
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
@@ -316,6 +319,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := exp.Value("deeplens_pager_cached_pages", nil); !ok || v <= 0 || v > float64(pages) {
 		t.Fatalf("deeplens_pager_cached_pages = %v (found=%v), want within (0, %d]", v, ok, pages)
+	}
+	for _, name := range []string{"deeplens_go_heap_live_bytes", "deeplens_go_gc_cycles_total", "deeplens_go_gc_cpu_seconds_total"} {
+		if v, ok := exp.Value(name, nil); !ok || !(v > 0) {
+			t.Fatalf("%s = %v (found=%v), want > 0 after a GC", name, v, ok)
+		}
 	}
 }
 

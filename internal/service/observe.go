@@ -9,6 +9,7 @@ package service
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -198,7 +199,7 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		pages, _ := s.shards.PagerStats()
 		return float64(pages)
 	})
-	r.GaugeFunc("deeplens_pager_cached_pages", "Page buffers resident in the pager caches of every shard and replica store.", nil, func() float64 {
+	r.GaugeFunc("deeplens_pager_cached_pages", "Page buffers in the pager caches of every shard and replica store: dirty pages awaiting write-back plus pages read from the file.", nil, func() float64 {
 		_, cached := s.shards.PagerStats()
 		return float64(cached)
 	})
@@ -210,7 +211,27 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		func() float64 { return s.deviceStats().Overhead.Seconds() })
 	r.CounterFunc("deeplens_merge_seconds_total", "Cumulative scatter gather/merge wall time.", nil,
 		func() float64 { return float64(s.mergeNS.Load()) / 1e9 })
+	r.GaugeFunc("deeplens_go_heap_live_bytes", "Heap bytes the last Go garbage collection marked live.", nil,
+		func() float64 { return goRuntimeMetric("/gc/heap/live:bytes") })
+	r.CounterFunc("deeplens_go_gc_cycles_total", "Completed Go garbage collection cycles.", nil,
+		func() float64 { return goRuntimeMetric("/gc/cycles/total:gc-cycles") })
+	r.CounterFunc("deeplens_go_gc_cpu_seconds_total", "Estimated CPU time the Go garbage collector spent.", nil,
+		func() float64 { return goRuntimeMetric("/cpu/classes/gc/total:cpu-seconds") })
 	return t
+}
+
+// goRuntimeMetric reads one runtime/metrics sample, which unlike
+// runtime.ReadMemStats does not stop the world.
+func goRuntimeMetric(name string) float64 {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	switch v := sample[0].Value; v.Kind() {
+	case metrics.KindUint64:
+		return float64(v.Uint64())
+	case metrics.KindFloat64:
+		return v.Float64()
+	}
+	return 0
 }
 
 // startTrace decides whether this query gets full span capture: an
