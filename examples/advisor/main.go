@@ -123,7 +123,7 @@ func run() error {
 	}
 	far := 0
 	for _, p := range ps {
-		if d, _ := p.Get("depth"); d.F > 5 {
+		if d, _ := p.Get("depth"); d.Float() > 5 {
 			far++
 		}
 	}

@@ -115,9 +115,10 @@ func run() error {
 		bb, _ := detPatch.Get("bbox")
 		clip, _ := w.Get("clip")
 		frame, _ := w.Get("frameno")
-		traj[clip.I] = append(traj[clip.I], point{
-			frame: frame.I,
-			cx:    float64(bb.V[0]+bb.V[2]) / 2,
+		box := bb.Vec()
+		traj[clip.Int()] = append(traj[clip.Int()], point{
+			frame: frame.Int(),
+			cx:    float64(box[0]+box[2]) / 2,
 		})
 	}
 	for clip := int64(0); clip < int64(len(fb.Clips)); clip++ {

@@ -105,7 +105,7 @@ func run() error {
 		return nil
 	}
 	fv, _ := hit[0][0].Get("frameno")
-	frame := fv.I
+	frame := fv.Int()
 	fmt.Printf("q5: first image containing %q is image %d", target, frame)
 	// Verify against generator ground truth.
 	for _, w := range pc.Images[frame].Words {

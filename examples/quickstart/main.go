@@ -92,10 +92,10 @@ func run() error {
 	for _, g := range groups {
 		count, _ := g[0].Get("count")
 		group, _ := g[0].Get("group")
-		n := count.I
+		n := count.Int()
 		total += n
 		if n > most {
-			most, busiest = n, group.I
+			most, busiest = n, group.Int()
 		}
 	}
 	fmt.Printf("cars per frame over %d frames: %d total, busiest frame %d (%d cars)\n",

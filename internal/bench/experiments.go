@@ -617,7 +617,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	startA := time.Now()
 	var filtered []*core.Patch
 	for _, p := range all {
-		if meta(p, "label").S == "pedestrian" && meta(p, "score").F >= scoreThreshold {
+		if meta(p, "label").Str() == "pedestrian" && meta(p, "score").Float() >= scoreThreshold {
 			filtered = append(filtered, p)
 		}
 	}
@@ -639,7 +639,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 	for _, cl := range clustersAll {
 		hasPed := false
 		for _, p := range cl {
-			if meta(p, "label").S == "pedestrian" {
+			if meta(p, "label").Str() == "pedestrian" {
 				hasPed = true
 				break
 			}
@@ -678,8 +678,8 @@ func dropSmall(clusters [][]*core.Patch, minSize int) [][]*core.Patch {
 func (e *Env) q4ClusterAccuracy(clusters [][]*core.Patch) (recall, precision float64) {
 	// Ground-truth boxes per frame, pedestrians only.
 	gtIdentity := func(p *core.Patch) uint64 {
-		f := int(meta(p, "frameno").I)
-		bb := meta(p, "bbox").V
+		f := int(meta(p, "frameno").Int())
+		bb := meta(p, "bbox").Vec()
 		best := uint64(0)
 		bestIoU := 0.3
 		for _, gt := range e.Traffic.Scene.GroundTruth(f) {

@@ -98,8 +98,8 @@ func (e *Env) Q1Accuracy() (recall, precision float64, err error) {
 	}
 	tp := 0
 	for _, pr := range pairs {
-		a := int(meta(pr[0], "frameno").I)
-		b := int(meta(pr[1], "frameno").I)
+		a := int(meta(pr[0], "frameno").Int())
+		b := int(meta(pr[1], "frameno").Int())
 		if a > b {
 			a, b = b, a
 		}
@@ -145,7 +145,7 @@ func (e *Env) Q2(useIndex bool) (QueryResult, error) {
 	}
 	frames := map[int64]bool{}
 	for _, p := range cars {
-		frames[meta(p, "frameno").I] = true
+		frames[meta(p, "frameno").Int()] = true
 	}
 	return QueryResult{Query: "q2", Plan: plan, Duration: time.Since(start), Value: len(frames)}, nil
 }
@@ -167,7 +167,7 @@ func (e *Env) Q2Accuracy() (accuracy float64, err error) {
 	}
 	pred := map[int]bool{}
 	for _, p := range cars {
-		pred[int(meta(p, "frameno").I)] = true
+		pred[int(meta(p, "frameno").Int())] = true
 	}
 	agree := 0
 	for t := 0; t < e.Traffic.Frames; t++ {
@@ -220,13 +220,13 @@ func (e *Env) Q3(useLineage bool) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	for _, w := range hits {
-		wb := meta(w, "bbox").V
+		wb := meta(w, "bbox").Vec()
 		for _, d := range detPs {
-			if meta(d, "clip").I != meta(w, "clip").I ||
-				meta(d, "frameno").I != meta(w, "frameno").I {
+			if meta(d, "clip").Int() != meta(w, "clip").Int() ||
+				meta(d, "frameno").Int() != meta(w, "frameno").Int() {
 				continue
 			}
-			db := meta(d, "bbox").V
+			db := meta(d, "bbox").Vec()
 			if wb[0] >= db[0]-1 && wb[1] >= db[1]-1 && wb[2] <= db[2]+1 && wb[3] <= db[3]+1 {
 				trajectory++
 				break
@@ -251,7 +251,7 @@ func (e *Env) Q3Accuracy() (float64, error) {
 	}
 	got := map[[2]int]bool{} // (clip, frame) tracked
 	for _, w := range hits {
-		got[[2]int{int(meta(w, "clip").I), int(meta(w, "frameno").I)}] = true
+		got[[2]int{int(meta(w, "clip").Int()), int(meta(w, "frameno").Int())}] = true
 	}
 	total, covered := 0, 0
 	for c := range e.Football.Clips {
@@ -359,7 +359,7 @@ func (e *Env) Q5(target string, useIndex bool) (QueryResult, error) {
 	}
 	frame := -1
 	if len(ts) > 0 {
-		frame = int(meta(ts[0][0], "frameno").I)
+		frame = int(meta(ts[0][0], "frameno").Int())
 	}
 	plan := "scan filter text + min frameno"
 	return QueryResult{Query: "q5", Plan: plan, Duration: time.Since(start), Value: frame}, nil
@@ -404,7 +404,7 @@ func (e *Env) Q6(useIndex bool) (QueryResult, error) {
 	}
 	byFrame := map[int64][]*core.Patch{}
 	for _, p := range peds {
-		f := meta(p, "frameno").I
+		f := meta(p, "frameno").Int()
 		byFrame[f] = append(byFrame[f], p)
 	}
 	pairs := 0
@@ -422,7 +422,7 @@ func (e *Env) Q6(useIndex bool) (QueryResult, error) {
 	for _, group := range byFrame {
 		for _, a := range group {
 			for _, b := range group {
-				if a.ID != b.ID && meta(a, "depth").F > meta(b, "depth").F+depthGap {
+				if a.ID != b.ID && meta(a, "depth").Float() > meta(b, "depth").Float()+depthGap {
 					pairs++
 				}
 			}

@@ -224,11 +224,11 @@ func (c *Column) rebuildSeg(sg *colSegment) *segData {
 		d.setPresent(j)
 		switch c.kind {
 		case KindInt:
-			d.ints[j] = v.I
+			d.ints[j] = v.Int()
 		case KindFloat:
-			d.floats[j] = v.F
+			d.floats[j] = v.Float()
 		case KindStr:
-			d.codes[j] = c.dictIdx[v.S]
+			d.codes[j] = c.dictIdx[v.Str()]
 		}
 	}
 	return d
@@ -398,11 +398,11 @@ func (c *Column) appendRows(from, n int) bool {
 			d.setPresent(j)
 			switch v.Kind {
 			case KindInt:
-				d.ints[j] = v.I
+				d.ints[j] = v.Int()
 			case KindFloat:
-				d.floats[j] = v.F
+				d.floats[j] = v.Float()
 			case KindStr:
-				d.codes[j] = c.addCode(v.S)
+				d.codes[j] = c.addCode(v.Str())
 			}
 		}
 		sg.computeZone(c.kind, d)
@@ -562,14 +562,14 @@ type matcher struct {
 // across kinds), a string absent from the dictionary, or a range over
 // strings (AsFloat yields NaN, which fails both bounds).
 func compileMatcher(pred *Pred, col *Column) (matcher, bool) {
-	m := matcher{kind: col.kind, rng: pred.Range, lo: pred.Lo, hi: pred.Hi, i: pred.V.I, f: pred.V.F}
+	m := matcher{kind: col.kind, rng: pred.Range, lo: pred.Lo, hi: pred.Hi, i: pred.V.Int(), f: pred.V.Float()}
 	switch {
 	case pred.Range:
 		return m, col.kind != KindStr
 	case pred.V.Kind != col.kind:
 		return m, false
 	case col.kind == KindStr:
-		code, ok := col.dictIdx[pred.V.S]
+		code, ok := col.dictIdx[pred.V.Str()]
 		m.code, m.codeSet = code, len(col.dict) <= 64 && code < 64
 		return m, ok
 	}

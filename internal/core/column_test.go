@@ -491,7 +491,7 @@ func ExampleColumnStore() {
 	sel, _ := cs.FilterEq("label", StrV("car"))
 	top, _ := cs.TopK(sel, "score", false, 1)
 	for _, p := range cs.Materialize(top) {
-		fmt.Println(p.ID, metaVal(p, "score").F)
+		fmt.Println(p.ID, metaVal(p, "score").Float())
 	}
 	// Output: 3 0.7
 }

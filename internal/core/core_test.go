@@ -175,7 +175,7 @@ func TestCollectionAppendScanPersist(t *testing.T) {
 		t.Fatalf("reopen: %d patches", len(ps))
 	}
 	// Lineage attributes auto-populated.
-	if metaVal(ps[0], "_source").S != "cam" {
+	if metaVal(ps[0], "_source").Str() != "cam" {
 		t.Fatalf("lineage attribute missing: %+v", ps[0])
 	}
 }
@@ -249,12 +249,12 @@ func TestGroupCountAndOrderBy(t *testing.T) {
 		t.Fatalf("groups = %d, %v", len(groups), err)
 	}
 	for _, g := range groups {
-		if metaVal(g[0], "count").I != 10 {
-			t.Fatalf("group count = %d", metaVal(g[0], "count").I)
+		if metaVal(g[0], "count").Int() != 10 {
+			t.Fatalf("group count = %d", metaVal(g[0], "count").Int())
 		}
 	}
 	ordered, _ := Drain(OrderBy(col.Scan(), "frameno", false))
-	if metaVal(ordered[0][0], "frameno").I != 2 {
+	if metaVal(ordered[0][0], "frameno").Int() != 2 {
 		t.Fatal("descending order broken")
 	}
 }
@@ -460,7 +460,7 @@ func TestNestedLoopAndHashJoinAgree(t *testing.T) {
 		right.Append(mkPatch("pedestrian", int64(i%15)))
 	}
 	theta := func(a, b *Patch) bool {
-		return metaVal(a, "frameno").I == metaVal(b, "frameno").I
+		return metaVal(a, "frameno").Int() == metaVal(b, "frameno").Int()
 	}
 	nl, err := Drain(NestedLoopJoin(left.Scan(), right.Scan(), theta))
 	if err != nil {
@@ -513,7 +513,7 @@ func TestRangeThetaJoinSortedAgreesWithNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	nested, _ := Drain(NestedLoopJoin(FromPatches(ps), FromPatches(ps), func(a, b *Patch) bool {
-		return a.ID != b.ID && metaVal(a, "depth").F > metaVal(b, "depth").F+gap
+		return a.ID != b.ID && metaVal(a, "depth").Float() > metaVal(b, "depth").Float()+gap
 	}))
 	if len(sorted) != len(nested) {
 		t.Fatalf("sorted %d pairs, nested %d", len(sorted), len(nested))

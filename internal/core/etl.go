@@ -205,8 +205,9 @@ func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
 			return nil, nil
 		}
 		offX, offY := 0.0, 0.0
-		if bb, ok := src.Get("bbox"); ok && len(bb.V) == 4 {
-			offX, offY = float64(bb.V[0]), float64(bb.V[1])
+		bb, _ := src.Get("bbox")
+		if box := bb.Vec(); len(box) == 4 {
+			offX, offY = float64(box[0]), float64(box[1])
 		}
 		words := ocr.Recognize(img)
 		outs := make([]Tuple, 0, len(words))
@@ -342,10 +343,10 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 		var idx []int
 		for i, t := range batch {
 			img := TensorToImage(t[0].Data)
-			bb, ok := t[0].Get("bbox")
-			if img != nil && ok && len(bb.V) == 4 {
+			bb, _ := t[0].Get("bbox")
+			if box := bb.Vec(); img != nil && len(box) == 4 {
 				imgs = append(imgs, img)
-				boxes = append(boxes, [4]int{int(bb.V[0]), int(bb.V[1]), int(bb.V[2]), int(bb.V[3])})
+				boxes = append(boxes, [4]int{int(box[0]), int(box[1]), int(box[2]), int(box[3])})
 				idx = append(idx, i)
 			}
 		}

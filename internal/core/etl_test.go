@@ -57,7 +57,7 @@ func TestLoadVideoPushdown(t *testing.T) {
 		if p.Ref.Frame != uint64(5+i) || p.Ref.Source != "vid" {
 			t.Fatalf("frame %d: ref %+v", i, p.Ref)
 		}
-		if metaVal(p, "frameno").I != int64(5+i) {
+		if metaVal(p, "frameno").Int() != int64(5+i) {
 			t.Fatal("frameno metadata wrong")
 		}
 		if p.Data == nil || p.Data.Shape[0] != 72 || p.Data.Shape[1] != 128 {
@@ -179,24 +179,24 @@ func TestTransformersAddFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ps[0]
-	if len(metaVal(p, "hist").V) != vision.HistogramDim {
-		t.Fatalf("hist dim %d", len(metaVal(p, "hist").V))
+	if len(metaVal(p, "hist").Vec()) != vision.HistogramDim {
+		t.Fatalf("hist dim %d", len(metaVal(p, "hist").Vec()))
 	}
-	if len(metaVal(p, "ghist").V) != 64 {
-		t.Fatalf("ghist dim %d", len(metaVal(p, "ghist").V))
+	if len(metaVal(p, "ghist").Vec()) != 64 {
+		t.Fatalf("ghist dim %d", len(metaVal(p, "ghist").Vec()))
 	}
-	if len(metaVal(p, "emb").V) != emb.Dim() {
-		t.Fatalf("emb dim %d", len(metaVal(p, "emb").V))
+	if len(metaVal(p, "emb").Vec()) != emb.Dim() {
+		t.Fatalf("emb dim %d", len(metaVal(p, "emb").Vec()))
 	}
-	if metaVal(p, "depth").F <= 0 {
-		t.Fatalf("depth %f", metaVal(p, "depth").F)
+	if metaVal(p, "depth").Float() <= 0 {
+		t.Fatalf("depth %f", metaVal(p, "depth").Float())
 	}
 	// DropData strips the payload but keeps features.
 	dropped, _ := DrainPatches(DropData(NewSliceIterator([]Tuple{{p}})))
 	if dropped[0].Data != nil {
 		t.Fatal("DropData kept payload")
 	}
-	if len(metaVal(dropped[0], "emb").V) == 0 {
+	if len(metaVal(dropped[0], "emb").Vec()) == 0 {
 		t.Fatal("DropData lost features")
 	}
 }
@@ -216,9 +216,9 @@ func TestOCRGeneratorOffsetsIntoFrame(t *testing.T) {
 	}
 	found := false
 	for _, w := range ps {
-		if metaVal(w, "text").S == "HI42" {
+		if metaVal(w, "text").Str() == "HI42" {
 			found = true
-			bb := metaVal(w, "bbox").V
+			bb := metaVal(w, "bbox").Vec()
 			if bb[0] < 20 || bb[1] < 10 {
 				t.Fatalf("word bbox not offset into frame coords: %v", bb)
 			}
@@ -241,7 +241,7 @@ func TestFromImages(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("%d patches", len(ps))
 	}
-	if metaVal(ps[1], "width").I != 10 || metaVal(ps[1], "height").I != 4 {
+	if metaVal(ps[1], "width").Int() != 10 || metaVal(ps[1], "height").Int() != 4 {
 		t.Fatalf("dims meta: %+v", ps[1].Meta)
 	}
 	if ps[0].Ref.Frame != 0 || ps[1].Ref.Frame != 1 {
@@ -283,7 +283,7 @@ func TestTileGenerator(t *testing.T) {
 	}
 	var area float64
 	for _, p := range ps {
-		bb := metaVal(p, "bbox").V
+		bb := metaVal(p, "bbox").Vec()
 		w := float64(bb[2] - bb[0])
 		h := float64(bb[3] - bb[1])
 		area += w * h

@@ -92,14 +92,15 @@ func (f *Fingerprinter) Value(key string, v Value) *Fingerprinter {
 	f.token('t', []byte{byte(v.Kind)})
 	switch v.Kind {
 	case KindInt:
-		f.Int("", v.I)
+		f.Int("", v.Int())
 	case KindFloat:
-		f.Float("", v.F)
+		f.Float("", v.Float())
 	case KindStr:
-		f.token('s', []byte(v.S))
+		f.token('s', []byte(v.Str()))
 	case KindVec, KindRect:
-		f.U64(uint64(len(v.V)))
-		for _, x := range v.V {
+		vec := v.Vec()
+		f.U64(uint64(len(vec)))
+		for _, x := range vec {
 			var b [4]byte
 			binary.BigEndian.PutUint32(b[:], math.Float32bits(x))
 			f.token('v', b[:])

@@ -398,7 +398,7 @@ func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refre
 		return nil, 0, err
 	}
 	switch {
-	case v.Kind == KindFloat && math.IsNaN(v.F): // NaN equals nothing, itself included
+	case v.Kind == KindFloat && math.IsNaN(v.Float()): // NaN equals nothing, itself included
 		return idx.probe(snap, ver, func() ([]PatchID, error) { return nil, nil })
 	case idx.Kind == IdxHash:
 		return idx.probe(snap, ver, func() ([]PatchID, error) {

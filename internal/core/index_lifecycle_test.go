@@ -107,7 +107,7 @@ func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[
 func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap []*Patch) {
 	t.Helper()
 	for _, l := range []string{"hot", "cold", "absent"} {
-		want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").S == l })
+		want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").Str() == l })
 		if !reflect.DeepEqual(got["hash:"+l], want) {
 			t.Fatalf("%s: hash %q: %d ids, scan %d", stage, l, len(got["hash:"+l]), len(want))
 		}
@@ -127,9 +127,9 @@ func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap
 				return false
 			}
 			if v.Kind == KindInt {
-				return v.I >= lo.I && v.I < hi.I
+				return v.Int() >= lo.Int() && v.Int() < hi.Int()
 			}
-			return v.F >= lo.F && v.F < hi.F
+			return v.Float() >= lo.Float() && v.Float() < hi.Float()
 		}
 	}
 	for _, r := range [][2]Value{
@@ -375,7 +375,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	}
 	snap, ver, _ := col2.Snapshot()
 	lo, hi := IntV(5), IntV(30)
-	want := scanIDs(snap, func(p *Patch) bool { v := metaVal(p, "key"); return v.Kind == KindInt && v.I >= 5 && v.I < 30 })
+	want := scanIDs(snap, func(p *Patch) bool { v := metaVal(p, "key"); return v.Kind == KindInt && v.Int() >= 5 && v.Int() < 30 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -525,7 +525,7 @@ func TestHashInsertTouchesOneChunk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").S == l }); !reflect.DeepEqual(ids, want) {
+			if want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").Str() == l }); !reflect.DeepEqual(ids, want) {
 				t.Fatalf("after inserting %q: %q has %d ids, scan %d", label, l, len(ids), len(want))
 			}
 		}

@@ -45,7 +45,7 @@ func TestFuncIteratorCloseIdempotent(t *testing.T) {
 func TestTransformFanOutAndDrop(t *testing.T) {
 	in := FromPatches(intPatches(4))
 	out := Transform(in, func(tp Tuple) ([]Tuple, error) {
-		i := metaVal(tp[0], "i").I
+		i := metaVal(tp[0], "i").Int()
 		if i%2 == 0 {
 			return nil, nil // drop evens
 		}
@@ -85,10 +85,10 @@ func TestBatchTransformBatchesAndOrders(t *testing.T) {
 		t.Fatalf("batch sizes %v", batchSizes)
 	}
 	for i, tp := range ts {
-		if metaVal(tp[0], "i").I != int64(i) {
+		if metaVal(tp[0], "i").Int() != int64(i) {
 			t.Fatalf("order broken at %d", i)
 		}
-		if metaVal(tp[0], "seen").I != 1 {
+		if metaVal(tp[0], "seen").Int() != 1 {
 			t.Fatalf("tuple %d not processed", i)
 		}
 	}

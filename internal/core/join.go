@@ -367,15 +367,15 @@ func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tu
 	var out []Tuple
 	for _, l := range left {
 		lb, ok := l.Get(leftField)
-		if !ok || len(lb.V) != 4 {
+		if !ok || len(lb.Vec()) != 4 {
 			continue
 		}
 		for _, r := range right {
 			rb, ok := r.Get(rightField)
-			if !ok || len(rb.V) != 4 {
+			if !ok || len(rb.Vec()) != 4 {
 				continue
 			}
-			if rectsIntersect(lb.V, rb.V) {
+			if rectsIntersect(lb.Vec(), rb.Vec()) {
 				out = append(out, Tuple{l, r})
 			}
 		}
@@ -391,18 +391,18 @@ func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tu
 func SpatialJoinOnTheFly(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
 	entries := make([]rtree.Entry, 0, len(right))
 	for i, r := range right {
-		if rb, ok := r.Get(rightField); ok && len(rb.V) == 4 {
-			entries = append(entries, rtree.Entry{Rect: rectOf(rb.V), ID: uint64(i)})
+		if rb, ok := r.Get(rightField); ok && len(rb.Vec()) == 4 {
+			entries = append(entries, rtree.Entry{Rect: rectOf(rb.Vec()), ID: uint64(i)})
 		}
 	}
 	rt := rtree.BulkLoad(2, entries)
 	var out []Tuple
 	for _, l := range left {
 		lb, ok := l.Get(leftField)
-		if !ok || len(lb.V) != 4 {
+		if !ok || len(lb.Vec()) != 4 {
 			continue
 		}
-		rt.SearchIntersect(rectOf(lb.V), func(e rtree.Entry) bool {
+		rt.SearchIntersect(rectOf(lb.Vec()), func(e rtree.Entry) bool {
 			out = append(out, Tuple{l, right[e.ID]})
 			return true
 		})

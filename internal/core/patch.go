@@ -15,7 +15,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -86,7 +88,7 @@ func (p *Patch) Get(name string) (Value, bool) {
 		return StrV(p.Ref.Source), true
 	}
 	// A binary search by index: a comparison function would copy each
-	// 80-byte pair it is handed.
+	// 40-byte pair it is handed.
 	lo, hi := 0, len(p.pairs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -220,22 +222,87 @@ func (k ValueKind) String() string {
 	}
 }
 
-// Value is a typed metadata value.
+// Value is a typed metadata value in three words: n holds an int's bits,
+// a float's Float64bits, or a string's or vector's length, and p points
+// at the string's bytes or the vector's first element (nil for a number
+// and a nil vector). p is a real pointer, so a value keeps its payload
+// alive. Read the payload through Int, Float, Str and Vec; each returns
+// its zero value on a kind it does not hold.
 type Value struct {
+	p    unsafe.Pointer
+	n    uint64
 	Kind ValueKind
-	I    int64
-	F    float64
-	S    string
-	V    []float32
 }
 
 // Convenience constructors.
-func IntV(v int64) Value     { return Value{Kind: KindInt, I: v} }
-func FloatV(v float64) Value { return Value{Kind: KindFloat, F: v} }
-func StrV(v string) Value    { return Value{Kind: KindStr, S: v} }
-func VecV(v []float32) Value { return Value{Kind: KindVec, V: v} }
+func IntV(v int64) Value     { return Value{n: uint64(v), Kind: KindInt} }
+func FloatV(v float64) Value { return Value{n: math.Float64bits(v), Kind: KindFloat} }
+func StrV(v string) Value {
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v)), Kind: KindStr}
+}
+
+// VecV wraps v without copying it. A nil v and an empty non-nil v each
+// read back as they were.
+func VecV(v []float32) Value { return sliceValue(KindVec, v) }
+
 func RectV(x1, y1, x2, y2 float64) Value {
-	return Value{Kind: KindRect, V: []float32{float32(x1), float32(y1), float32(x2), float32(y2)}}
+	return RectOf([]float32{float32(x1), float32(y1), float32(x2), float32(y2)})
+}
+
+// RectOf wraps a bounding box x1,y1,x2,y2 held in v, without copying it.
+func RectOf(v []float32) Value { return sliceValue(KindRect, v) }
+
+func sliceValue(k ValueKind, v []float32) Value {
+	return Value{p: unsafe.Pointer(unsafe.SliceData(v)), n: uint64(len(v)), Kind: k}
+}
+
+// Int returns an int value's integer, and 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// Float returns a float value's number, and 0 for any other kind.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
+
+// Str returns a string value's string, and "" for any other kind.
+func (v Value) Str() string {
+	if v.Kind != KindStr {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// Vec returns a vec or rect value's elements, and nil for any other
+// kind. The slice aliases the value's: its capacity is its length.
+func (v Value) Vec() []float32 {
+	if v.Kind != KindVec && v.Kind != KindRect {
+		return nil
+	}
+	return unsafe.Slice((*float32)(v.p), v.n)
+}
+
+// String formats v for people: an int, a float as %g, a string as it
+// is, and a vector or rect as [a b …].
+func (v Value) String() string {
+	switch v.Kind {
+	case KindInt:
+		return strconv.FormatInt(v.Int(), 10)
+	case KindFloat:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case KindStr:
+		return v.Str()
+	case KindVec, KindRect:
+		return fmt.Sprint(v.Vec())
+	}
+	return v.Kind.String()
 }
 
 // Equal compares two values of any kind.
@@ -245,21 +312,13 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.Kind {
 	case KindInt:
-		return v.I == o.I
+		return v.n == o.n
 	case KindFloat:
-		return v.F == o.F
+		return v.Float() == o.Float()
 	case KindStr:
-		return v.S == o.S
+		return v.Str() == o.Str()
 	case KindVec, KindRect:
-		if len(v.V) != len(o.V) {
-			return false
-		}
-		for i := range v.V {
-			if v.V[i] != o.V[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.Vec(), o.Vec())
 	}
 	return false
 }
@@ -274,16 +333,16 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.Kind {
 	case KindInt:
-		return cmp.Compare(v.I, o.I)
+		return cmp.Compare(v.Int(), o.Int())
 	case KindFloat:
-		switch {
-		case v.F < o.F:
+		switch a, b := v.Float(), o.Float(); {
+		case a < b:
 			return -1
-		case v.F > o.F:
+		case a > b:
 			return 1
 		}
 	case KindStr:
-		return strings.Compare(v.S, o.S)
+		return strings.Compare(v.Str(), o.Str())
 	}
 	return 0
 }
@@ -292,9 +351,9 @@ func (v Value) Compare(o Value) int {
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.I)
+		return float64(v.Int())
 	case KindFloat:
-		return v.F
+		return v.Float()
 	}
 	return math.NaN()
 }
@@ -304,7 +363,7 @@ func (v Value) AsFloat() float64 {
 // Floats that compare equal share one key (-0 is +0), and every NaN
 // takes the canonical NaN's key, which sorts past +Inf.
 func (v Value) SortKey() ([]byte, error) {
-	return v.AppendSortKey(make([]byte, 0, 9+len(v.S)))
+	return v.AppendSortKey(make([]byte, 0, 9+len(v.Str())))
 }
 
 // AppendSortKey appends v's SortKey to dst and returns the extended
@@ -313,9 +372,9 @@ func (v Value) SortKey() ([]byte, error) {
 func (v Value) AppendSortKey(dst []byte) ([]byte, error) {
 	switch v.Kind {
 	case KindInt:
-		return binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.I)^(1<<63)), nil // order-preserving for signed
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), v.n^(1<<63)), nil // order-preserving for signed
 	case KindFloat:
-		f := v.F
+		f := v.Float()
 		switch {
 		case f == 0:
 			f = 0
@@ -330,7 +389,7 @@ func (v Value) AppendSortKey(dst []byte) ([]byte, error) {
 		}
 		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), bits), nil
 	case KindStr:
-		return append(append(dst, byte(KindStr)), v.S...), nil
+		return append(append(dst, byte(KindStr)), v.Str()...), nil
 	default:
 		return nil, fmt.Errorf("core: %v values have no sort key", v.Kind)
 	}
@@ -348,10 +407,11 @@ func (m Metadata) Clone() Metadata {
 	return out
 }
 
-// clone copies v with its own vector.
+// clone copies v with its own vector. A nil vector stays nil and an
+// empty one stays empty.
 func (v Value) clone() Value {
-	if v.V != nil {
-		v.V = append([]float32(nil), v.V...)
+	if vec := v.Vec(); vec != nil {
+		return sliceValue(v.Kind, append(make([]float32, 0, len(vec)), vec...))
 	}
 	return v
 }
@@ -375,14 +435,12 @@ func (p *Patch) Marshal() []byte {
 		v := &es[i].Value
 		n += strLen(es[i].Key) + 1
 		switch v.Kind {
-		case KindInt:
-			n += uvarintLen(uint64(v.I))
-		case KindFloat:
-			n += uvarintLen(math.Float64bits(v.F))
+		case KindInt, KindFloat:
+			n += uvarintLen(v.n)
 		case KindStr:
-			n += strLen(v.S)
+			n += strLen(v.Str())
 		case KindVec, KindRect:
-			n += uvarintLen(uint64(len(v.V))) + 4*len(v.V)
+			n += uvarintLen(v.n) + 4*int(v.n)
 		}
 	}
 
@@ -400,15 +458,13 @@ func (p *Patch) Marshal() []byte {
 		v := &es[i].Value
 		buf = append(appendStr(buf, es[i].Key), byte(v.Kind))
 		switch v.Kind {
-		case KindInt:
-			buf = binary.AppendUvarint(buf, uint64(v.I))
-		case KindFloat:
-			buf = binary.AppendUvarint(buf, math.Float64bits(v.F))
+		case KindInt, KindFloat:
+			buf = binary.AppendUvarint(buf, v.n)
 		case KindStr:
-			buf = appendStr(buf, v.S)
+			buf = appendStr(buf, v.Str())
 		case KindVec, KindRect:
-			buf = binary.AppendUvarint(buf, uint64(len(v.V)))
-			for _, f := range v.V {
+			buf = binary.AppendUvarint(buf, v.n)
+			for _, f := range v.Vec() {
 				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
 			}
 		}
@@ -542,11 +598,11 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 		}
 		switch e.Key {
 		case frameKey:
-			if e.Value.Kind != KindInt || e.Value.I != int64(p.Ref.Frame) {
+			if e.Value.Kind != KindInt || e.Value.n != p.Ref.Frame {
 				return nil, errCorrupt
 			}
 		case sourceKey:
-			if e.Value.Kind != KindStr || e.Value.S != p.Ref.Source {
+			if e.Value.Kind != KindStr || e.Value.Str() != p.Ref.Source {
 				return nil, errCorrupt
 			}
 		default:
@@ -563,38 +619,29 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 // value parses a value of kind k, whose kind byte is at d.pos.
 func (d *patchDecoder) value(k ValueKind) (Value, error) {
 	d.pos++
-	v := Value{Kind: k}
-	var err error
 	switch k {
-	case KindInt:
-		var u uint64
-		u, err = d.uvarint()
-		v.I = int64(u)
-	case KindFloat:
-		var u uint64
-		u, err = d.uvarint()
-		v.F = math.Float64frombits(u)
+	case KindInt, KindFloat:
+		u, err := d.uvarint()
+		return Value{n: u, Kind: k}, err
 	case KindStr:
-		var b []byte
-		b, err = d.bytes()
-		v.S = string(b)
+		b, err := d.bytes()
+		return StrV(string(b)), err
 	case KindVec, KindRect:
-		var l uint64
-		if l, err = d.uvarint(); err != nil {
-			break
+		l, err := d.uvarint()
+		if err != nil {
+			return Value{}, err
 		}
 		if l > uint64(len(d.buf)-d.pos)/4 {
-			return v, errCorrupt
+			return Value{}, errCorrupt
 		}
-		v.V = make([]float32, l)
-		for j := range v.V {
-			v.V[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos:]))
+		vec := make([]float32, l)
+		for j := range vec {
+			vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos:]))
 			d.pos += 4
 		}
-	default:
-		return v, errCorrupt
+		return sliceValue(k, vec), nil
 	}
-	return v, err
+	return Value{}, errCorrupt
 }
 
 // Clone deep-copies a patch (shared tensors are copied too), in its

@@ -45,14 +45,14 @@ func refMarshal(p *Patch) []byte {
 		buf = append(buf, byte(v.Kind))
 		switch v.Kind {
 		case KindInt:
-			putU(uint64(v.I))
+			putU(uint64(v.Int()))
 		case KindFloat:
-			putU(math.Float64bits(v.F))
+			putU(math.Float64bits(v.Float()))
 		case KindStr:
-			putStr(v.S)
+			putStr(v.Str())
 		case KindVec, KindRect:
-			putU(uint64(len(v.V)))
-			for _, f := range v.V {
+			putU(uint64(len(v.Vec())))
+			for _, f := range v.Vec() {
 				var b [4]byte
 				binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
 				buf = append(buf, b[:]...)
@@ -93,10 +93,11 @@ func randomPatch(rng *rand.Rand) *Patch {
 		case 2:
 			v = StrV(str())
 		case 3:
-			v = VecV(make([]float32, rng.Intn(40)))
-			for j := range v.V {
-				v.V[j] = math.Float32frombits(rng.Uint32())
+			vec := make([]float32, rng.Intn(40))
+			for j := range vec {
+				vec[j] = math.Float32frombits(rng.Uint32())
 			}
+			v = VecV(vec)
 		case 4:
 			v = RectV(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 		}

@@ -27,12 +27,13 @@ func rangePairs(p *Patch) []Pair {
 // sameValue compares two values bit for bit, so -0 differs from +0 and
 // a NaN equals itself.
 func sameValue(a, b Value) bool {
-	if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) ||
-		a.S != b.S || len(a.V) != len(b.V) {
+	av, bv := a.Vec(), b.Vec()
+	if a.Kind != b.Kind || a.Int() != b.Int() || math.Float64bits(a.Float()) != math.Float64bits(b.Float()) ||
+		a.Str() != b.Str() || len(av) != len(bv) {
 		return false
 	}
-	for i := range a.V {
-		if math.Float32bits(a.V[i]) != math.Float32bits(b.V[i]) {
+	for i := range av {
+		if math.Float32bits(av[i]) != math.Float32bits(bv[i]) {
 			return false
 		}
 	}
@@ -180,8 +181,8 @@ func TestReopenParity(t *testing.T) {
 		if err := samePatch(before[i], p); err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
-		if v, _ := p.Get("_frame"); v.I != int64(p.Ref.Frame) {
-			t.Fatalf("row %d: _frame %d, Ref.Frame %d", i, v.I, p.Ref.Frame)
+		if v, _ := p.Get("_frame"); v.Int() != int64(p.Ref.Frame) {
+			t.Fatalf("row %d: _frame %d, Ref.Frame %d", i, v.Int(), p.Ref.Frame)
 		}
 		stored, err := col.bucket.Get(kv.U64Key(uint64(p.ID)))
 		if err != nil {
@@ -194,13 +195,13 @@ func TestReopenParity(t *testing.T) {
 }
 
 // TestCommittedRowBytes: a committed fixture-shaped row (three declared
-// fields, lineage from Ref) costs at most 400 bytes of live heap once the
+// fields, lineage from Ref) costs at most 240 bytes of live heap once the
 // rows are flushed, the kv pages that held its bytes until then included.
 func TestCommittedRowBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const rows, limit = 20000, 400
+	const rows, limit = 20000, 240
 	labels := make([]string, 16)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("cls%02d", i)

@@ -183,7 +183,7 @@ func TestSynthesizedPipelineBuilds(t *testing.T) {
 		t.Fatalf("pipeline emitted %d tuples, want 4", len(out))
 	}
 	for _, tp := range out {
-		if metaVal(tp[0], "marked").I != 1 {
+		if metaVal(tp[0], "marked").Int() != 1 {
 			t.Fatal("transformer did not run")
 		}
 	}

@@ -102,11 +102,11 @@ func (s Schema) ValidatePatch(p *Patch) error {
 		if v.Kind != f.Kind {
 			return fmt.Errorf("core: field %q has kind %v, schema declares %v", f.Name, v.Kind, f.Kind)
 		}
-		if f.Kind == KindStr && len(f.Domain) > 0 && !inDomain(v.S, f.Domain) {
-			return fmt.Errorf("core: field %q value %q outside closed domain %v", f.Name, v.S, f.Domain)
+		if f.Kind == KindStr && len(f.Domain) > 0 && !inDomain(v.Str(), f.Domain) {
+			return fmt.Errorf("core: field %q value %q outside closed domain %v", f.Name, v.Str(), f.Domain)
 		}
-		if f.Kind == KindVec && f.VecDim != 0 && len(v.V) != f.VecDim {
-			return fmt.Errorf("core: field %q vector dim %d, schema declares %d", f.Name, len(v.V), f.VecDim)
+		if f.Kind == KindVec && f.VecDim != 0 && len(v.Vec()) != f.VecDim {
+			return fmt.Errorf("core: field %q vector dim %d, schema declares %d", f.Name, len(v.Vec()), f.VecDim)
 		}
 	}
 	return nil
@@ -133,8 +133,8 @@ func (s Schema) ValidateFilterValue(field string, v Value) error {
 	if f.Kind != v.Kind {
 		return fmt.Errorf("core: filter constant kind %v, field %q has kind %v", v.Kind, field, f.Kind)
 	}
-	if f.Kind == KindStr && len(f.Domain) > 0 && !inDomain(v.S, f.Domain) {
-		return fmt.Errorf("core: filter value %q can never be produced: field %q domain is %v", v.S, field, f.Domain)
+	if f.Kind == KindStr && len(f.Domain) > 0 && !inDomain(v.Str(), f.Domain) {
+		return fmt.Errorf("core: filter value %q can never be produced: field %q domain is %v", v.Str(), field, f.Domain)
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func vecOf(p *Patch, field string) ([]float32, bool) {
 	if !ok || (v.Kind != KindVec && v.Kind != KindRect) {
 		return nil, false
 	}
-	return v.V, true
+	return v.Vec(), true
 }
 
 // VecNeighbor is one nearest-neighbor result: a patch id with its exact

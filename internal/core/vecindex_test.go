@@ -62,7 +62,7 @@ func vecTestCollection(t *testing.T, rows, dim, clusters int) (*DB, *Collection)
 }
 
 func vecTestQuery(qi, dim, clusters int) []float32 {
-	q := vecTestPatch(qi*7+3, dim, clusters).Meta["emb"].V
+	q := vecTestPatch(qi*7+3, dim, clusters).Meta["emb"].Vec()
 	out := append([]float32(nil), q...)
 	out[0] += 0.001 // off-grid: the query is near, not on, a stored point
 	return out
@@ -284,7 +284,7 @@ func TestVectorIndexLSHRecall(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if d := VecDist(metaVal(p, "emb").V, q); d != n.Dist {
+					if d := VecDist(metaVal(p, "emb").Vec(), q); d != n.Dist {
 						t.Fatalf("q%d: neighbor %d reported dist %g, true dist %g", qi, n.ID, n.Dist, d)
 					}
 				}
@@ -374,7 +374,7 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 func scanRange(snap []*Patch, q []float32, eps float64) []VecNeighbor {
 	var out []VecNeighbor
 	for _, p := range snap {
-		v := metaVal(p, "emb").V
+		v := metaVal(p, "emb").Vec()
 		var s float64
 		for i := range v {
 			d := float64(v[i]) - float64(q[i])
@@ -489,7 +489,7 @@ func TestVectorIndexApproxDistancesExact(t *testing.T) {
 		}
 		vecs := make(map[PatchID][]float32, len(snap))
 		for _, p := range snap {
-			vecs[p.ID] = metaVal(p, "emb").V
+			vecs[p.ID] = metaVal(p, "emb").Vec()
 		}
 		same := func(what string, id PatchID, d float64, q []float32) {
 			t.Helper()

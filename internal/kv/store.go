@@ -94,19 +94,24 @@ func (s *Store) saveRoot(name string, root uint64) error {
 	return nil
 }
 
-// Flush persists all dirty state to disk.
+// Flush persists all dirty state to disk. It saves each bucket's root
+// under the bucket's lock, taken before the store's as Put takes them,
+// so it never saves a root older than one a racing Put has saved.
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	for name, b := range s.buckets {
-		var v [8]byte
-		binary.LittleEndian.PutUint64(v[:], b.t.Root())
-		if err := s.dir.Put([]byte(name), v[:]); err != nil {
-			s.mu.Unlock()
+	buckets := make([]*Bucket, 0, len(s.buckets))
+	for _, b := range s.buckets {
+		buckets = append(buckets, b)
+	}
+	s.mu.Unlock()
+	for _, b := range buckets {
+		b.mu.Lock()
+		err := s.saveRoot(b.name, b.t.Root())
+		b.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
-	s.p.SetRootDir(s.dir.Root())
-	s.mu.Unlock()
 	return s.p.Flush()
 }
 

@@ -93,7 +93,7 @@ func refMetaValue(schema core.Schema, field string, v any) (core.Value, error) {
 			if len(vec) != 4 {
 				return core.Value{}, fmt.Errorf("declared rect, got %d elements", len(vec))
 			}
-			return core.Value{Kind: core.KindRect, V: vec}, nil
+			return core.RectOf(vec), nil
 		}
 		return core.VecV(vec), nil
 	default:

@@ -156,7 +156,7 @@ func TestAppendDecodeAllocsIndependentOfDim(t *testing.T) {
 				t.Fatal(err)
 			}
 			ps, err := d.patches(schema)
-			if err != nil || len(ps) != 64 || len(metaVal(ps[63], "emb").V) != dim {
+			if err != nil || len(ps) != 64 || len(metaVal(ps[63], "emb").Vec()) != dim {
 				t.Fatalf("dim %d: %d patches, %v", dim, len(ps), err)
 			}
 		})

@@ -164,14 +164,14 @@ func (r Row) appendJSON(b []byte, keys *[]string) ([]byte, error) {
 		v, u, _ := r.value(k)
 		switch v.Kind {
 		case core.KindInt:
-			b = strconv.AppendInt(b, v.I, 10)
+			b = strconv.AppendInt(b, v.Int(), 10)
 		case core.KindFloat:
 			var err error
-			if b, err = appendJSONFloat(b, v.F); err != nil {
+			if b, err = appendJSONFloat(b, v.Float()); err != nil {
 				return b, err
 			}
 		case core.KindStr:
-			b = appendJSONString(b, v.S)
+			b = appendJSONString(b, v.Str())
 		default:
 			b = strconv.AppendUint(b, u, 10)
 		}

@@ -36,9 +36,9 @@ func metaVal(p *core.Patch, name string) core.Value {
 	return v
 }
 
-func isCar(p *core.Patch) bool { return metaVal(p, "label").S == "car" }
+func isCar(p *core.Patch) bool { return metaVal(p, "label").Str() == "car" }
 
-func rankIn14(p *core.Patch) bool { r := metaVal(p, "rank").I; return r >= 1 && r < 4 }
+func rankIn14(p *core.Patch) bool { r := metaVal(p, "rank").Int(); return r >= 1 && r < 4 }
 
 func indexedCarReq() Request {
 	return Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "label", Str: strp("car"), UseIndex: true}}

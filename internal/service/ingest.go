@@ -284,7 +284,7 @@ func metaValue(fd *core.Field, t metaTok) (core.Value, error) {
 			if len(t.v) != 4 {
 				return core.Value{}, fmt.Errorf("declared rect, got %d elements", len(t.v))
 			}
-			return core.Value{Kind: core.KindRect, V: t.v}, nil
+			return core.RectOf(t.v), nil
 		}
 		return core.VecV(t.v), nil
 	case tokBadElem:

@@ -29,14 +29,14 @@ func specFromPatch(p *core.Patch) PatchSpec {
 	for k, v := range p.Range {
 		switch v.Kind {
 		case core.KindInt:
-			meta[k] = float64(v.I)
+			meta[k] = float64(v.Int())
 		case core.KindFloat:
-			meta[k] = v.F
+			meta[k] = v.Float()
 		case core.KindStr:
-			meta[k] = v.S
+			meta[k] = v.Str()
 		case core.KindVec, core.KindRect:
-			vec := make([]any, len(v.V))
-			for i, f := range v.V {
+			vec := make([]any, len(v.Vec()))
+			for i, f := range v.Vec() {
 				vec[i] = float64(f)
 			}
 			meta[k] = vec
@@ -449,7 +449,7 @@ func TestMetaValueCoercion(t *testing.T) {
 		{"emb", `[1, 2]`, core.VecV([]float32{1, 2}), false},
 		{"emb", `[]`, core.VecV([]float32{}), false},
 		{"emb", `[0.1, 1e39]`, core.VecV([]float32{0.1, float32(math.Inf(1))}), false},
-		{"box", `[1, 2, 3, 4]`, core.Value{Kind: core.KindRect, V: []float32{1, 2, 3, 4}}, false},
+		{"box", `[1, 2, 3, 4]`, core.RectOf([]float32{1, 2, 3, 4}), false},
 		{"box", `[1, 2, 3]`, core.Value{}, true},
 		{"undeclared_int", `7`, core.IntV(7), false},
 		{"undeclared_float", `7.25`, core.FloatV(7.25), false},

@@ -32,7 +32,7 @@ func knnQueryVec(spec *KNNSpec, scol *core.ShardedCollection) ([]float32, error)
 	if !ok || mv.Kind != core.KindVec {
 		return nil, fmt.Errorf("service: knn source patch %d has no vector field %q", spec.SourceID, spec.Field)
 	}
-	return mv.V, nil
+	return mv.Vec(), nil
 }
 
 // knnCheckDim validates the query field and vector against the schema:

@@ -271,6 +271,25 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestDescribeFilterConstant: the slow-query log shows a filter's
+// constant as the value it is, not as a struct dump.
+func TestDescribeFilterConstant(t *testing.T) {
+	str, n, f := "cls05", int64(-3), 0.25
+	for _, tc := range []struct {
+		filter FilterSpec
+		want   string
+	}{
+		{FilterSpec{Field: "label", Str: &str}, "c filter(label=cls05) limit(2)"},
+		{FilterSpec{Field: "rank", Int: &n}, "c filter(rank=-3) limit(2)"},
+		{FilterSpec{Field: "score", Float: &f}, "c filter(score=0.25) limit(2)"},
+	} {
+		r := Request{Collection: "c", Filter: &tc.filter, Limit: 2}
+		if got := r.describe(); got != tc.want {
+			t.Errorf("describe() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 // TestMetricsEndpoint: GET /metrics must emit well-formed Prometheus
 // text (no duplicate series, complete histogram families) whose
 // counters agree with the queries this test ran, with the Go runtime's

@@ -453,11 +453,11 @@ func (r Row) Get(field string) (any, bool) {
 	case !ok:
 		return nil, false
 	case v.Kind == core.KindInt:
-		return v.I, true
+		return v.Int(), true
 	case v.Kind == core.KindFloat:
-		return v.F, true
+		return v.Float(), true
 	case v.Kind == core.KindStr:
-		return v.S, true
+		return v.Str(), true
 	}
 	return u, true
 }

@@ -413,7 +413,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 		for _, frag := range frags {
 			if frag != nil && len(frag.rows) > 0 {
 				if mv, ok := frag.rows[0].Get(sj.Field); ok {
-					dim = len(mv.V)
+					dim = len(mv.Vec())
 				}
 				break
 			}

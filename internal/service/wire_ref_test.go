@@ -24,11 +24,11 @@ func projectRows(ps []*core.Patch) []map[string]any {
 		for k, v := range p.Meta {
 			switch v.Kind {
 			case core.KindInt:
-				row[k] = v.I
+				row[k] = v.Int()
 			case core.KindFloat:
-				row[k] = v.F
+				row[k] = v.Float()
 			case core.KindStr:
-				row[k] = v.S
+				row[k] = v.Str()
 			}
 		}
 		rows[i] = row
