@@ -8,7 +8,6 @@
 package balltree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -31,9 +30,10 @@ type node struct {
 
 // Tree is an immutable ball tree built over a point set.
 type Tree struct {
-	dim  int
-	root *node
-	size int
+	dim   int
+	root  *node
+	size  int
+	nodes int
 }
 
 // Dist returns the Euclidean distance between two equal-length vectors.
@@ -86,7 +86,9 @@ func Build(pts []Point) (*Tree, error) {
 		}
 	}
 	cp := append([]Point(nil), pts...)
-	return &Tree{dim: dim, root: build(cp), size: len(pts)}, nil
+	t := &Tree{dim: dim, size: len(pts)}
+	t.root = build(cp, &t.nodes)
+	return t, nil
 }
 
 func centroid(pts []Point, dim int) []float32 {
@@ -103,7 +105,8 @@ func centroid(pts []Point, dim int) []float32 {
 	return c
 }
 
-func build(pts []Point) *node {
+func build(pts []Point, nodes *int) *node {
+	*nodes++
 	dim := len(pts[0].Vec)
 	c := centroid(pts, dim)
 	var radius float64
@@ -151,8 +154,8 @@ func build(pts []Point) *node {
 	if i == 0 || i == len(pts) { // degenerate partition: split by halves
 		i = len(pts) / 2
 	}
-	n.left = build(pts[:i])
-	n.right = build(pts[i:])
+	n.left = build(pts[:i], nodes)
+	n.right = build(pts[i:], nodes)
 	return n
 }
 
@@ -161,6 +164,9 @@ func (t *Tree) Len() int { return t.size }
 
 // Dim returns the vector dimensionality (0 when empty).
 func (t *Tree) Dim() int { return t.dim }
+
+// Nodes returns the number of balls in the tree (0 when empty).
+func (t *Tree) Nodes() int { return t.nodes }
 
 // RangeSearch calls fn for every point within radius eps of q (inclusive).
 // fn returning false stops the search.
@@ -191,63 +197,35 @@ func rangeSearch(n *node, q []float32, eps float64, fn func(Point, float64) bool
 	return rangeSearch(n.right, q, eps, fn)
 }
 
-// Neighbor is a kNN result.
-type Neighbor struct {
-	Point Point
-	Dist  float64
-}
-
-// maxHeap over neighbor distances.
-type nnHeap []Neighbor
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// KNN returns the k nearest neighbors of q in increasing distance order.
-func (t *Tree) KNN(q []float32, k int) []Neighbor {
-	if t.root == nil || k <= 0 {
-		return nil
+// Nearest calls visit with each point, and its distance to q, of every
+// ball that may hold a point within bound() of q, closer child first.
+// bound is re-read at each ball. A ball is skipped only when dist(q,
+// centre) − radius exceeds bound() by more than a 1e-9 relative slack
+// against rounding, so no point tying bound() is pruned. Returns the
+// distances evaluated: at most Len() + Nodes(), one per point and centre.
+func (t *Tree) Nearest(q []float32, bound func() float64, visit func(Point, float64)) int {
+	if t.root == nil {
+		return 0
 	}
-	h := &nnHeap{}
-	knn(t.root, q, k, h)
-	out := make([]Neighbor, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Neighbor)
-	}
-	return out
+	return 1 + nearest(t.root, Dist(t.root.center, q), q, bound, visit)
 }
 
-func knn(n *node, q []float32, k int, h *nnHeap) {
-	dc := Dist(n.center, q)
-	if h.Len() == k && dc-n.radius > (*h)[0].Dist {
-		return
+// nearest walks n, whose centre is dc from q, and returns the distances
+// evaluated below that centre.
+func nearest(n *node, dc float64, q []float32, bound func() float64, visit func(Point, float64)) int {
+	if dc-n.radius > bound()*(1+1e-9) {
+		return 0
 	}
 	if n.pts != nil {
 		for _, p := range n.pts {
-			d := Dist(p.Vec, q)
-			if h.Len() < k {
-				heap.Push(h, Neighbor{Point: p, Dist: d})
-			} else if d < (*h)[0].Dist {
-				(*h)[0] = Neighbor{Point: p, Dist: d}
-				heap.Fix(h, 0)
-			}
+			visit(p, Dist(p.Vec, q))
 		}
-		return
+		return len(n.pts)
 	}
-	// Visit the child whose center is closer first for tighter pruning.
 	a, b := n.left, n.right
-	if Dist(a.center, q) > Dist(b.center, q) {
-		a, b = b, a
+	da, db := Dist(a.center, q), Dist(b.center, q)
+	if da > db {
+		a, b, da, db = b, a, db, da
 	}
-	knn(a, q, k, h)
-	knn(b, q, k, h)
+	return 2 + nearest(a, da, q, bound, visit) + nearest(b, db, q, bound, visit)
 }

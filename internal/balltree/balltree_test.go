@@ -3,6 +3,7 @@ package balltree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -50,8 +51,8 @@ func TestEmpty(t *testing.T) {
 		t.Fatal("callback on empty tree")
 		return true
 	})
-	if nn := tr.KNN([]float32{0}, 3); nn != nil {
-		t.Fatalf("KNN on empty tree = %v", nn)
+	if nn, evals := nearestK(tr, []float32{0}, 3); nn != nil || evals != 0 {
+		t.Fatalf("Nearest on empty tree = %v after %d evaluations", nn, evals)
 	}
 }
 
@@ -90,6 +91,49 @@ func TestRangeMatchesBruteAcrossDims(t *testing.T) {
 	}
 }
 
+// hit is one neighbor nearestK keeps.
+type hit struct {
+	d  float64
+	id uint64
+}
+
+func hitLess(a, b hit) bool { return a.d < b.d || a.d == b.d && a.id < b.id }
+
+// nearestK keeps the k nearest points Nearest visits in ascending
+// (distance, id) order, bounding the walk by the kth kept distance, and
+// returns them with Nearest's evaluation count.
+func nearestK(tr *Tree, q []float32, k int) (ns []hit, evals int) {
+	bound := func() float64 {
+		if len(ns) < k {
+			return math.Inf(1)
+		}
+		return ns[k-1].d
+	}
+	evals = tr.Nearest(q, bound, func(p Point, d float64) {
+		h := hit{d, p.ID}
+		i := sort.Search(len(ns), func(i int) bool { return hitLess(h, ns[i]) })
+		if i < k {
+			ns = slices.Insert(ns, i, h)
+			ns = ns[:min(len(ns), k)]
+		}
+	})
+	return ns, evals
+}
+
+// sortedHits is the reference: every point's distance to q, sorted by
+// (distance, id).
+func sortedHits(pts []Point, q []float32) []hit {
+	all := make([]hit, len(pts))
+	for i, p := range pts {
+		all[i] = hit{Dist(p.Vec, q), p.ID}
+	}
+	sort.Slice(all, func(i, j int) bool { return hitLess(all[i], all[j]) })
+	return all
+}
+
+// TestKNNMatchesBrute: a k-nearest walk over Nearest returns the first k
+// of the fully sorted distances, ids included, and evaluates at most one
+// distance per point and per ball.
 func TestKNNMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randPoints(rng, 2000, 8)
@@ -100,28 +144,12 @@ func TestKNNMatchesBrute(t *testing.T) {
 			q[d] = float32(rng.NormFloat64())
 		}
 		k := 1 + rng.Intn(10)
-		got := tr.KNN(q, k)
-		if len(got) != k {
-			t.Fatalf("KNN returned %d, want %d", len(got), k)
+		got, evals := nearestK(tr, q, k)
+		if want := sortedHits(pts, q)[:k]; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: k=%d nearest %v, want %v", trial, k, got, want)
 		}
-		// Reference: sort all by distance.
-		type dp struct {
-			d  float64
-			id uint64
-		}
-		all := make([]dp, len(pts))
-		for i, p := range pts {
-			all[i] = dp{Dist(p.Vec, q), p.ID}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-		for i := range got {
-			if math.Abs(got[i].Dist-all[i].d) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %g, want %g", trial, i, got[i].Dist, all[i].d)
-			}
-		}
-		// Increasing order.
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
-			t.Fatal("KNN result not sorted")
+		if limit := tr.Len() + tr.Nodes(); evals > limit {
+			t.Fatalf("trial %d: %d distance evaluations, want <= %d", trial, evals, limit)
 		}
 	}
 }
@@ -129,9 +157,9 @@ func TestKNNMatchesBrute(t *testing.T) {
 func TestKNNMoreThanN(t *testing.T) {
 	pts := randPoints(rand.New(rand.NewSource(1)), 5, 3)
 	tr, _ := Build(pts)
-	got := tr.KNN([]float32{0, 0, 0}, 50)
+	got, _ := nearestK(tr, []float32{0, 0, 0}, 50)
 	if len(got) != 5 {
-		t.Fatalf("KNN(k=50) over 5 points returned %d", len(got))
+		t.Fatalf("k=50 over 5 points returned %d", len(got))
 	}
 }
 
@@ -147,6 +175,12 @@ func TestIdenticalPoints(t *testing.T) {
 	got := treeRange(tr, []float32{1, 2, 3}, 0)
 	if len(got) != 500 {
 		t.Fatalf("identical points: found %d of 500", len(got))
+	}
+	// A forced leaf of identical points: every one ties, and the walk
+	// must offer them all so the least ids win.
+	nn, _ := nearestK(tr, []float32{1, 2, 3}, 7)
+	if want := sortedHits(pts, []float32{1, 2, 3})[:7]; !slices.Equal(nn, want) {
+		t.Fatalf("identical points: nearest 7 = %v, want %v", nn, want)
 	}
 }
 

@@ -41,6 +41,7 @@ type DB struct {
 	refresh struct {
 		colExtends, colReused, colTotal               atomic.Int64
 		vecExtends, vecRebuilds                       atomic.Int64
+		knnIndexEvals, knnScanEvals                   atomic.Int64
 		scalarExtends, scalarRebuilds, scalarInserted atomic.Int64
 	}
 
@@ -55,9 +56,9 @@ type DB struct {
 	segCache atomic.Pointer[SegmentCache]
 }
 
-// RefreshStats is a DB's accelerator-maintenance record: what bringing
-// column stores, vector indexes and hash/B+ tree indexes current for
-// query snapshots took (see Refresh).
+// RefreshStats is a DB's accelerator record: what bringing column
+// stores, vector indexes and hash/B+ tree indexes current for query
+// snapshots took (see Refresh), and the distances kNN probes evaluated.
 type RefreshStats struct {
 	ColumnExtends      int64 // column stores extended by the appended rows
 	ColumnReusedBlocks int64 // sealed blocks those extensions carried over,
@@ -67,6 +68,8 @@ type RefreshStats struct {
 	ScalarExtends      int64 // hash/B+ tree probes that inserted only the appended rows
 	ScalarRebuilds     int64 // hash/B+ tree indexes built in full
 	ScalarInserted     int64 // rows those extensions and builds inserted
+	KNNIndexEvals      int64 // distances exact vector-index probes evaluated
+	KNNScanEvals       int64 // distances brute kNN scans evaluated
 }
 
 // RefreshStats reports the DB's accelerator-maintenance record.
@@ -87,6 +90,8 @@ func (db *DB) addRefreshStats(s *RefreshStats) {
 	s.ScalarExtends += r.scalarExtends.Load()
 	s.ScalarRebuilds += r.scalarRebuilds.Load()
 	s.ScalarInserted += r.scalarInserted.Load()
+	s.KNNIndexEvals += r.knnIndexEvals.Load()
+	s.KNNScanEvals += r.knnScanEvals.Load()
 }
 
 // ErrNotFound reports a missing collection, patch or index.

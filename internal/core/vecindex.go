@@ -20,8 +20,10 @@ package core
 // approximation.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/balltree"
@@ -60,8 +62,8 @@ const (
 
 // exactTailMax bounds the un-treed append tail of an exact index: an
 // extension whose accumulated tail would exceed max(exactTailMax,
-// treeSize/4) re-trees instead, keeping probe cost O(log n + tail)
-// with a bounded tail.
+// treeSize/4) re-trees instead, so the tail stays a bounded share of
+// the points a probe offers.
 const exactTailMax = 256
 
 // VecDist is the vector-index distance metric (Euclidean). Every
@@ -114,6 +116,9 @@ type VectorIndex struct {
 
 	// Approximate mode.
 	lshI *lsh.Index
+
+	// evals, when set, counts exact probes' distance evaluations.
+	evals *atomic.Int64
 }
 
 // NewVectorIndex builds an index over field across the snapshot ps,
@@ -259,48 +264,25 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 		}
 		return out
 	}
-	// Exact: the balltree's own top-k breaks boundary ties by traversal
-	// order, not id. Candidates = tree top-k + the whole tail establish
-	// an upper bound dk on the true kth distance; re-collecting every
-	// tree point within (slightly inflated) dk and sorting by (dist, id)
-	// then yields the canonical top-k, tied boundary included.
-	cands := make([]VecNeighbor, 0, k+len(vi.pts)-vi.treeN)
-	if vi.ball != nil {
-		for _, n := range vi.ball.KNN(q, k) {
-			cands = append(cands, VecNeighbor{ID: PatchID(n.Point.ID), Dist: n.Dist})
-		}
-	}
+	// Exact: one bounded pass. The tree skips a ball only when it cannot
+	// hold a point tying the keeper's worst, so the kept set is the
+	// canonical top-k whatever order the points arrive in.
+	keep := newNeighborKeep(k, len(vi.pts))
 	tail := vi.pts[vi.treeN:]
 	for _, p := range tail {
-		cands = append(cands, VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
+		keep.offer(VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
 	}
-	SortNeighbors(cands)
-	if len(cands) < k {
-		// Fewer points than k: the candidates are the entire index, and
-		// sorting them is already canonical.
-		return cands
-	}
-	// At least k candidates: cands[k-1] bounds the true kth distance, but
-	// the tree may hold equal-distance points it broke ties against by
-	// traversal order — re-collect the full boundary before trimming.
-	dk := cands[k-1].Dist
-	if vi.ball != nil && vi.ball.Len() > 0 {
-		eps := dk * (1 + 1e-9) // absorb sqrt/square round-trip error at the boundary
-		out := make([]VecNeighbor, 0, k+len(tail))
-		vi.ball.RangeSearch(q, eps, func(p balltree.Point, d float64) bool {
-			out = append(out, VecNeighbor{ID: PatchID(p.ID), Dist: d})
-			return true
+	evals := len(tail)
+	if vi.ball != nil {
+		evals += vi.ball.Nearest(q, keep.bound, func(p balltree.Point, d float64) {
+			keep.offer(VecNeighbor{ID: PatchID(p.ID), Dist: d})
 		})
-		for _, p := range tail {
-			out = append(out, VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
-		}
-		SortNeighbors(out)
-		cands = out
 	}
-	if len(cands) > k {
-		cands = cands[:k]
+	if vi.evals != nil {
+		vi.evals.Add(int64(evals))
 	}
-	return cands
+	SortNeighbors(keep.h)
+	return keep.h
 }
 
 // RangeSearch calls fn for every indexed vector within eps of q
@@ -338,14 +320,35 @@ func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID,
 	}
 }
 
-// SortNeighbors orders neighbors canonically: ascending (distance, id).
-func SortNeighbors(ns []VecNeighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].ID < ns[j].ID
-	})
+// compareNeighbors is the one neighbor order: ascending (distance, id).
+func compareNeighbors(a, b VecNeighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// SortNeighbors orders neighbors canonically (see compareNeighbors).
+func SortNeighbors(ns []VecNeighbor) { slices.SortFunc(ns, compareNeighbors) }
+
+// neighborKeep keeps the k nearest of n candidates offered, under
+// compareNeighbors: a max-heap whose root is the worst one kept.
+type neighborKeep struct{ topHeap[VecNeighbor] }
+
+func newNeighborKeep(k, n int) *neighborKeep {
+	k = min(k, n)
+	return &neighborKeep{topHeap[VecNeighbor]{
+		k: k, h: make([]VecNeighbor, 0, k),
+		before: func(a, b VecNeighbor) bool { return compareNeighbors(a, b) < 0 },
+	}}
+}
+
+// bound is the worst kept distance, or +Inf while fewer than k are kept.
+func (t *neighborKeep) bound() float64 {
+	if len(t.h) < t.k {
+		return math.Inf(1)
+	}
+	return t.h[0].Dist
 }
 
 // BruteKNN is the reference scan exact mode must match byte for byte:
@@ -353,20 +356,32 @@ func SortNeighbors(ns []VecNeighbor) {
 // id), distances through VecDist. Rows without the field (or with a
 // dimensionality mismatch against the query) are skipped.
 func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
+	ns, _ := bruteKNN(ps, field, q, k)
+	return ns
+}
+
+// ScanKNN is BruteKNN counted into the database's RefreshStats.
+func (c *Collection) ScanKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
+	ns, evals := bruteKNN(ps, field, q, k)
+	c.db.refresh.knnScanEvals.Add(int64(evals))
+	return ns
+}
+
+// bruteKNN is BruteKNN, also returning the distances it evaluated.
+func bruteKNN(ps []*Patch, field string, q []float32, k int) ([]VecNeighbor, int) {
 	if k <= 0 {
-		return nil
+		return nil, 0
 	}
-	out := make([]VecNeighbor, 0, len(ps))
+	keep := newNeighborKeep(k, len(ps))
+	evals := 0
 	for _, p := range ps {
 		if vec, ok := vecOf(p, field); ok && len(vec) == len(q) {
-			out = append(out, VecNeighbor{ID: p.ID, Dist: VecDist(vec, q)})
+			keep.offer(VecNeighbor{ID: p.ID, Dist: VecDist(vec, q)})
+			evals++
 		}
 	}
-	SortNeighbors(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	SortNeighbors(keep.h)
+	return keep.h, evals
 }
 
 // VectorIndexAt returns a vector index over field in the given mode,
@@ -394,12 +409,14 @@ func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode V
 			if prefix != nil {
 				if vi, err := prefix.Extend(ps, ver); err == nil {
 					c.db.refresh.vecExtends.Add(1)
+					vi.evals = &c.db.refresh.knnIndexEvals
 					return vi, RefreshExtend, nil
 				}
 			}
 			vi, err := NewVectorIndex(ps, ver, field, mode)
 			if err == nil {
 				c.db.refresh.vecRebuilds.Add(1)
+				vi.evals = &c.db.refresh.knnIndexEvals
 			}
 			return vi, RefreshRebuild, err
 		})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -530,4 +531,153 @@ func TestVectorIndexApproxDistancesExact(t *testing.T) {
 		}
 	}
 	check("extended")
+}
+
+// sortedKNN is the fuzz reference, independent of the keeper that exact
+// probes and BruteKNN share: every row's distance, all of them sorted by
+// (distance, id), trimmed to k.
+func sortedKNN(ps []*Patch, q []float32, k int) []VecNeighbor {
+	var all []VecNeighbor
+	for _, p := range ps {
+		if v, ok := p.Get("emb"); ok && len(v.Vec()) == len(q) {
+			all = append(all, VecNeighbor{ID: p.ID, Dist: VecDist(v.Vec(), q)})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Dist != all[j].Dist {
+			return all[i].Dist < all[j].Dist
+		}
+		return all[i].ID < all[j].ID
+	})
+	return all[:min(k, len(all))]
+}
+
+// FuzzVectorIndexKNNMatchesSort: on small-integer coordinates, where
+// ties are the rule and span 1 makes every vector identical (a forced
+// leaf of equal points), exact KNN and BruteKNN both return the fully
+// sorted reference's first k, for k from 1 to past the row count and
+// for every split of the rows between the ball tree and the appended
+// tail (an extension past the tail bound re-trees). Ids are shuffled
+// against row order, and some rows lack the field.
+func FuzzVectorIndexKNNMatchesSort(f *testing.F) {
+	f.Add(int64(1), uint16(120), uint16(80), uint8(3), uint8(2), uint8(5))
+	f.Add(int64(2), uint16(300), uint16(0), uint8(1), uint8(0), uint8(9))   // all identical, tail only
+	f.Add(int64(3), uint16(40), uint16(40), uint8(7), uint8(3), uint8(200)) // k past n, tree only
+	f.Fuzz(func(t *testing.T, seed int64, rows, treed uint16, dimB, spanB, kB uint8) {
+		n := int(rows % 700)
+		split := int(treed) % (n + 1)
+		dim, span := 1+int(dimB%8), 1+int(spanB%4)
+		r := rand.New(rand.NewSource(seed))
+		vec := func() []float32 {
+			v := make([]float32, dim)
+			for d := range v {
+				v[d] = float32(r.Intn(span))
+			}
+			return v
+		}
+		ids := r.Perm(n)
+		ps := make([]*Patch, n)
+		for i := range ps {
+			p := &Patch{ID: PatchID(ids[i] + 1), Meta: Metadata{}}
+			if r.Intn(8) != 0 {
+				p.Meta["emb"] = VecV(vec())
+			}
+			ps[i] = p
+		}
+		vi, err := NewVectorIndex(ps[:split], 1, "emb", VecExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vi, err = vi.Extend(ps, 2); err != nil {
+			if vi, err = NewVectorIndex(ps, 2, "emb", VecExact); err != nil { // the tree held no vector
+				t.Fatal(err)
+			}
+		}
+		for qi := 0; qi < 4; qi++ {
+			q := vec()
+			k := 1 + (int(kB)+qi*7)%(n+4)
+			want := sortedKNN(ps, q, k)
+			if got := vi.KNN(q, k); !neighborsEqual(got, want) {
+				t.Fatalf("n=%d tree=%d k=%d: KNN %v, want %v", n, vi.treeN, k, got, want)
+			}
+			if got := BruteKNN(ps, "emb", q, k); !neighborsEqual(got, want) {
+				t.Fatalf("n=%d k=%d: BruteKNN %v, want %v", n, k, got, want)
+			}
+		}
+	})
+}
+
+// TestKNNDistanceEvalsCounted: on the benchmark's uniform 32-d shape,
+// one exact probe over n tree points and t tail points adds at most
+// n + t + (ball count) to the index counter, and a brute probe adds
+// exactly the rows carrying the field to the scan counter.
+func TestKNNDistanceEvalsCounted(t *testing.T) {
+	const dim, n, tail = 32, 3000, 200
+	db, err := Open(filepath.Join(t.TempDir(), "evals.db"), exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// emb is left undeclared, so a row may lack it.
+	col, err := db.CreateCollection("uniform", Schema{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	uniform := func() []float32 {
+		v := make([]float32, dim)
+		for d := range v {
+			v[d] = r.Float32()
+		}
+		return v
+	}
+	carrying := 0
+	add := func(rows int) {
+		for i := 0; i < rows; i++ {
+			p := &Patch{Meta: Metadata{}}
+			if i%10 != 9 {
+				p.Meta["emb"] = VecV(uniform())
+				carrying++
+			}
+			if err := col.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	probe := func() *VectorIndex {
+		snap, ver, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vi
+	}
+	add(n * 10 / 9)
+	probe()
+	add(tail * 10 / 9)
+	vi := probe()
+	if vi.treeN != n || len(vi.pts)-vi.treeN != tail {
+		t.Fatalf("index holds %d tree + %d tail points, want %d + %d", vi.treeN, len(vi.pts)-vi.treeN, n, tail)
+	}
+	for _, k := range []int{1, 10, 100} {
+		q := uniform()
+		rs0 := db.RefreshStats()
+		vi.KNN(q, k)
+		rs1 := db.RefreshStats()
+		index := rs1.KNNIndexEvals - rs0.KNNIndexEvals
+		if limit := int64(n + tail + vi.ball.Nodes()); index > limit || index < tail {
+			t.Fatalf("k=%d: exact probe added %d evaluations, want within [%d, %d]", k, index, tail, limit)
+		}
+		if rs1.KNNScanEvals != rs0.KNNScanEvals {
+			t.Fatalf("k=%d: exact probe moved the scan counter by %d", k, rs1.KNNScanEvals-rs0.KNNScanEvals)
+		}
+		snap, _, _ := col.Snapshot()
+		col.ScanKNN(snap, "emb", q, k)
+		if scan := db.RefreshStats().KNNScanEvals - rs1.KNNScanEvals; scan != int64(carrying) {
+			t.Fatalf("k=%d: brute probe added %d evaluations, want %d (rows carrying emb)", k, scan, carrying)
+		}
+	}
 }

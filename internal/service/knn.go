@@ -81,7 +81,7 @@ func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float3
 		}
 		ns = vi.KNN(q, k)
 	} else {
-		ns = core.BruteKNN(f.snap, spec.Field, q, k)
+		ns = f.col.ScanKNN(f.snap, spec.Field, q, k)
 	}
 	if spec.SourceID != 0 {
 		src := core.PatchID(spec.SourceID)

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // kNN serving tests: request validation and fingerprint semantics, the
@@ -300,6 +303,48 @@ func TestKNNStatsAndMaintenanceCounters(t *testing.T) {
 	}
 	if st2.KNNQueries != 2 {
 		t.Fatalf("knn_queries = %d after two cold executions, want 2", st2.KNNQueries)
+	}
+}
+
+// TestKNNDistanceEvalsMetric: /metrics exports the distances kNN probes
+// evaluate per method. A brute scan over the 120 synthetic rows, each
+// carrying emb, adds exactly 120; an exact index probe adds at least
+// one distance and is counted apart.
+func TestKNNDistanceEvalsMetric(t *testing.T) {
+	_, svc := synthUnsharded(t, 120, Config{Workers: 1})
+	evals := func() (index, scan float64) {
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		exp, err := obs.CheckExposition(rec.Body)
+		if err != nil {
+			t.Fatalf("/metrics is not valid exposition: %v", err)
+		}
+		index, ok1 := exp.Value("deeplens_knn_distance_evals_total", map[string]string{"method": "index"})
+		scan, ok2 := exp.Value("deeplens_knn_distance_evals_total", map[string]string{"method": "scan"})
+		if !ok1 || !ok2 {
+			t.Fatal("deeplens_knn_distance_evals_total{method=index|scan} is missing")
+		}
+		return index, scan
+	}
+	if index, scan := evals(); index != 0 || scan != 0 {
+		t.Fatalf("evaluations before any probe: index %v, scan %v", index, scan)
+	}
+	ctx := context.Background()
+	scanReq := Request{Collection: shardTestCol, NoCache: true,
+		KNN: &KNNSpec{Field: "emb", K: 5, Query: knnQ(1), Exact: true}}
+	if resp, err := svc.Query(ctx, scanReq); err != nil || !strings.HasPrefix(resp.Plan, "knn-scan") {
+		t.Fatalf("brute probe: plan %q, err %v", resp.Plan, err)
+	}
+	if index, scan := evals(); index != 0 || scan != 120 {
+		t.Fatalf("after a brute probe: index %v, scan %v; want 0, 120", index, scan)
+	}
+	indexReq := scanReq
+	indexReq.KNN = &KNNSpec{Field: "emb", K: 5, Query: knnQ(1), Exact: true, UseIndex: true}
+	if resp, err := svc.Query(ctx, indexReq); err != nil || !strings.HasPrefix(resp.Plan, "knn-index[exact]") {
+		t.Fatalf("index probe: plan %q, err %v", resp.Plan, err)
+	}
+	if index, scan := evals(); index < 1 || scan != 120 {
+		t.Fatalf("after an index probe: index %v, scan %v; want >= 1, 120", index, scan)
 	}
 }
 

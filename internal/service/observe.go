@@ -189,6 +189,13 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_index_rebuilds_total", "Full vector-index builds (first touch or a shape change an extension could not absorb).", nil, func() float64 {
 		return float64(s.shards.RefreshStats().VectorRebuilds)
 	})
+	const evalsHelp = "Vector distances evaluated by exact vector-index kNN probes (index) and brute kNN scans (scan)."
+	r.CounterFunc("deeplens_knn_distance_evals_total", evalsHelp, map[string]string{"method": "index"}, func() float64 {
+		return float64(s.shards.RefreshStats().KNNIndexEvals)
+	})
+	r.CounterFunc("deeplens_knn_distance_evals_total", evalsHelp, map[string]string{"method": "scan"}, func() float64 {
+		return float64(s.shards.RefreshStats().KNNScanEvals)
+	})
 	r.CounterFunc("deeplens_scalar_index_extends_total", "Hash/B-tree index probes that inserted only the rows appended since the index was last current.", nil, func() float64 {
 		return float64(s.shards.RefreshStats().ScalarExtends)
 	})
