@@ -419,12 +419,15 @@ func (v Value) clone() Value {
 // errCorrupt reports a malformed serialized patch.
 var errCorrupt = errors.New("core: corrupt serialized patch")
 
-// Marshal serializes a patch for storage: its metadata in key order, a
-// committed row's lineage attributes included. It sizes the encoding
-// first and writes it into one allocation.
+// Marshal serializes a patch for storage: the pairs of its sealed form
+// in key order, so never the lineage attributes, which Ref holds. It
+// sizes the encoding first and writes it into one allocation.
 func (p *Patch) Marshal() []byte {
-	var arr [16]Pair
-	es := p.entries(arr[:0])
+	es := p.pairs
+	if es == nil {
+		var arr [16]Pair
+		es = slices.DeleteFunc(p.entries(arr[:0]), func(e Pair) bool { return e.Key == frameKey || e.Key == sourceKey })
+	}
 	n := uvarintLen(uint64(p.ID)) + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
 	dataLen := 0
 	if p.Data != nil {
@@ -524,15 +527,9 @@ func (d *patchDecoder) bytes() ([]byte, error) {
 	return b, nil
 }
 
-// key resolves a stored key to its string: a lineage key or a declared
-// field's name costs no allocation.
+// key resolves a stored key to its string: a declared field's name
+// costs no allocation.
 func (d *patchDecoder) key(b []byte) string {
-	switch string(b) {
-	case frameKey:
-		return frameKey
-	case sourceKey:
-		return sourceKey
-	}
 	for i := range d.fields {
 		if d.fields[i].Name == string(b) {
 			return d.fields[i].Name
@@ -542,8 +539,8 @@ func (d *patchDecoder) key(b []byte) string {
 }
 
 // decode parses buf. Keys must be stored in strictly ascending order,
-// as Marshal writes them; the stored lineage attributes must equal Ref
-// and are dropped, since a committed row answers them from Ref.
+// as Marshal writes them. A row stored while Marshal wrote the lineage
+// attributes carries them: they must equal Ref, and are dropped.
 func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 	d.buf, d.pos = buf, 0
 	p := &Patch{}
@@ -582,31 +579,31 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 		return nil, err
 	}
 	pairs := d.scratch[:0]
-	prev := ""
+	var prev []byte
 	for i := uint64(0); i < nmeta; i++ {
 		kb, err := d.bytes()
 		if err != nil {
 			return nil, err
 		}
-		if (i > 0 && string(kb) <= prev) || d.pos >= len(buf) {
+		if (i > 0 && string(kb) <= string(prev)) || d.pos >= len(buf) {
 			return nil, errCorrupt
 		}
-		e := Pair{Key: d.key(kb)}
-		prev = e.Key
-		if e.Value, err = d.value(ValueKind(buf[d.pos])); err != nil {
+		prev = kb
+		v, err := d.value(ValueKind(buf[d.pos]))
+		if err != nil {
 			return nil, err
 		}
-		switch e.Key {
+		switch string(kb) {
 		case frameKey:
-			if e.Value.Kind != KindInt || e.Value.n != p.Ref.Frame {
+			if v.Kind != KindInt || v.n != p.Ref.Frame {
 				return nil, errCorrupt
 			}
 		case sourceKey:
-			if e.Value.Kind != KindStr || e.Value.Str() != p.Ref.Source {
+			if v.Kind != KindStr || v.Str() != p.Ref.Source {
 				return nil, errCorrupt
 			}
 		default:
-			pairs = append(pairs, e)
+			pairs = append(pairs, Pair{d.key(kb), v})
 		}
 	}
 	p.pairs = make([]Pair, len(pairs))

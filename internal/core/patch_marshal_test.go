@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
@@ -106,16 +107,18 @@ func randomPatch(rng *rand.Rand) *Patch {
 	return p
 }
 
-// TestPatchMarshalMatchesReference: a builder marshals to the
-// reference's bytes, and so does its sealed form, whose lineage
-// attributes come from Ref, against the builder with them stamped in.
+// TestPatchMarshalMatchesReference: a builder, with or without lineage
+// keys in its Meta, and its sealed form all marshal to the reference's
+// bytes for the builder without them. The reference's bytes for the
+// builder with Ref's lineage stamped in are the format rows were stored
+// in before Marshal left the lineage out: they decode to a row that
+// re-marshals to the new bytes, unless a stored lineage pair disagrees
+// with Ref.
 func TestPatchMarshalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		p := randomPatch(rng)
-		if got, want := p.Marshal(), refMarshal(p); !bytes.Equal(got, want) {
-			t.Fatalf("patch %d: Marshal wrote %x, reference %x", i, got, want)
-		}
+		want := refMarshal(p)
 		stamped := p.Clone()
 		if stamped.Meta == nil {
 			stamped.Meta = Metadata{}
@@ -124,8 +127,27 @@ func TestPatchMarshalMatchesReference(t *testing.T) {
 		stamped.Meta["_frame"] = IntV(int64(p.Ref.Frame))
 		sealed := p.Clone()
 		sealed.Seal(metaPairs(sealed.Meta))
-		if got, want := sealed.Marshal(), refMarshal(stamped); !bytes.Equal(got, want) {
-			t.Fatalf("sealed patch %d: Marshal wrote %x, reference %x", i, got, want)
+		for _, q := range []*Patch{p, stamped, sealed} {
+			if got := q.Marshal(); !bytes.Equal(got, want) {
+				t.Fatalf("patch %d (sealed %v, %d keys): Marshal wrote %x, reference %x", i, q.sealed(), len(q.Meta), got, want)
+			}
+		}
+		old, err := UnmarshalPatch(refMarshal(stamped))
+		if err != nil {
+			t.Fatalf("patch %d: the lineage-pairs format does not decode: %v", i, err)
+		}
+		if got := old.Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("patch %d: the lineage-pairs format re-marshals to %x, want %x", i, got, want)
+		}
+		// A stored lineage pair that disagrees with Ref is a corrupt row.
+		stale := stamped.Clone()
+		if i%2 == 0 {
+			stale.Meta["_frame"] = IntV(int64(p.Ref.Frame) + 1)
+		} else {
+			stale.Meta["_source"] = StrV(p.Ref.Source + "x")
+		}
+		if _, err := UnmarshalPatch(refMarshal(stale)); !errors.Is(err, errCorrupt) {
+			t.Fatalf("patch %d: a stale lineage pair decodes with error %v, want errCorrupt", i, err)
 		}
 	}
 }

@@ -244,6 +244,48 @@ func TestCommittedRowBytes(t *testing.T) {
 	runtime.KeepAlive(col)
 }
 
+// TestStoredRowBytes: a stored fixture-shaped row (three declared
+// fields, source "bench") carries its lineage once, in Ref, so it
+// marshals to at most 52 bytes, and a 66,667-row shard of them fits in
+// 1,100 pages. Both are counts: they do not depend on the host.
+func TestStoredRowBytes(t *testing.T) {
+	const rows, rowLimit, pageLimit = 66667, 52, 1100
+	db := openDB(t)
+	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: []Field{
+		{Name: "label", Kind: KindStr},
+		{Name: "score", Kind: KindFloat},
+		{Name: "rank", Kind: KindInt},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	maxRow, total := 0, 0
+	for i := 0; i < rows; i++ {
+		p := &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}, Meta: Metadata{
+			"label": StrV(fmt.Sprintf("cls%02d", rng.Intn(16))),
+			"score": FloatV(rng.Float64()),
+			"rank":  IntV(int64(rng.Intn(1009))),
+		}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		n := len(p.Marshal())
+		maxRow, total = max(maxRow, n), total+n
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pages := db.Store().Pager().NumPages()
+	t.Logf("%.1f B per stored row (at most %d), %d pages", float64(total)/rows, maxRow, pages)
+	if maxRow > rowLimit {
+		t.Errorf("a stored row takes %d B, want at most %d", maxRow, rowLimit)
+	}
+	if pages > pageLimit {
+		t.Errorf("%d rows take %d pages, want at most %d", rows, pages, pageLimit)
+	}
+}
+
 // TestFlushedCollectionReadsNoPage: once a loaded collection is flushed,
 // its pages live only in the file. The row cache and the column store
 // serve every read of its rows, so neither the pager's read count nor its
