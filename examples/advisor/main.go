@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/bench"
@@ -115,12 +116,12 @@ func run() error {
 	//    advised store and count deep pedestrians.
 	start := time.Now()
 	frames := core.LoadVideo("cam", store, core.FrameRange{Lo: 120, Hi: 180})
-	out := sp.Build(frames)
-	out = core.Select(out, core.FieldEq("label", core.StrV("pedestrian")))
-	ps, err := core.DrainPatches(out)
+	ps, err := core.DrainPatches(sp.Build(frames))
 	if err != nil {
 		return err
 	}
+	peds := core.Pred{Field: "label", V: core.StrV("pedestrian")}
+	ps = slices.DeleteFunc(ps, func(p *core.Patch) bool { return !peds.Match(p) })
 	far := 0
 	for _, p := range ps {
 		if d, _ := p.Get("depth"); d.Float() > 5 {

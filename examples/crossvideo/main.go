@@ -84,6 +84,7 @@ func run() error {
 	det := vision.NewDetector(db.Device(), 42)
 	emb := vision.NewEmbedder(db.Device(), 42)
 
+	cars := core.Pred{Field: "label", V: core.StrV("car")}
 	ingest := func(name string, sc *vision.Scene) (*core.Collection, error) {
 		t := 0
 		framesIt := core.NewFuncIterator(func() (core.Tuple, bool, error) {
@@ -100,7 +101,12 @@ func run() error {
 			return core.Tuple{p}, true, nil
 		}, nil)
 		it := core.DetectGenerator(det, framesIt)
-		it = core.Select(it, core.FieldEq("label", core.StrV("car")))
+		it = core.Transform(it, func(t core.Tuple) ([]core.Tuple, error) {
+			if !cars.Match(t[0]) {
+				return nil, nil
+			}
+			return []core.Tuple{t}, nil
+		})
 		it = core.EmbedTransformer(emb, it)
 		it = core.DropData(it)
 		schema := core.DetectionSchema().
@@ -130,12 +136,18 @@ func run() error {
 		return err
 	}
 
-	// Group matched pairs into cross-camera identities.
+	// Group matched pairs into cross-camera identities, and sample the
+	// first distinct (camA frame, camB frame) pairs in join order.
 	matchedA := map[core.PatchID]bool{}
-	frameHits := map[[2]uint64]bool{}
+	seen := map[[2]uint64]bool{}
+	var sample [][2]uint64
 	for _, pr := range pairs {
 		matchedA[pr[0].ID] = true
-		frameHits[[2]uint64{pr[0].Ref.Frame, pr[1].Ref.Frame}] = true
+		fh := [2]uint64{pr[0].Ref.Frame, pr[1].Ref.Frame}
+		if len(sample) < 5 && !seen[fh] {
+			seen[fh] = true
+			sample = append(sample, fh)
+		}
 	}
 	fmt.Printf("similarity join: %d cross-feed matches covering %d camA patches\n",
 		len(pairs), len(matchedA))
@@ -144,12 +156,8 @@ func run() error {
 		return fmt.Errorf("no cross-feed matches found")
 	}
 	fmt.Println("sample matched (camA frame, camB frame) pairs:")
-	n := 0
-	for fh := range frameHits {
+	for _, fh := range sample {
 		fmt.Printf("  camA@%d <-> camB@%d\n", fh[0], fh[1])
-		if n++; n >= 5 {
-			break
-		}
 	}
 	return nil
 }

@@ -97,8 +97,7 @@ func run() error {
 
 	// Query: jersey "7" words, joined to their generating detection via
 	// the lineage pointer; assemble a per-clip trajectory.
-	hits, err := core.DrainPatches(core.Select(words.Scan(),
-		core.FieldEq("text", core.StrV(fb.TargetJersey))))
+	hits, err := db.ExecuteFilter(words, "text", core.StrV(fb.TargetJersey), core.FilterColumnScan)
 	if err != nil {
 		return err
 	}

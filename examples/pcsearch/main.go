@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -95,16 +96,21 @@ func run() error {
 
 	// q5: first image containing a target string.
 	target := pc.Vocabulary[2]
-	hit, err := core.Drain(core.Limit(core.OrderBy(core.Select(words.Scan(),
-		core.FieldEq("text", core.StrV(target))), "frameno", true), 1))
+	snap, ver, err := words.Snapshot()
 	if err != nil {
 		return err
 	}
-	if len(hit) == 0 {
+	pred := core.Pred{Field: "text", V: core.StrV(target)}
+	first := core.Keep{Kind: core.KeepTop, N: 1, Field: "frameno"}
+	hit, err := db.Select(context.Background(), words, snap, ver, pred, core.FilterColumnScan, first)
+	if err != nil {
+		return err
+	}
+	if len(hit.Sel) == 0 {
 		fmt.Printf("q5: %q not found in the corpus\n", target)
 		return nil
 	}
-	fv, _ := hit[0][0].Get("frameno")
+	fv, _ := snap[hit.Sel[0]].Get("frameno")
 	frame := fv.Int()
 	fmt.Printf("q5: first image containing %q is image %d", target, frame)
 	// Verify against generator ground truth.

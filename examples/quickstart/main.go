@@ -82,8 +82,11 @@ func run() error {
 	fmt.Printf("materialized %d detection patches from frames [40,120)\n", col.Len())
 
 	// 4. Query: cars per frame — a filter plus a group-by over metadata.
-	it := core.Select(col.Scan(), core.FieldEq("label", core.StrV("car")))
-	groups, err := core.Drain(core.GroupCount(it, "frameno"))
+	cars, err := db.ExecuteFilter(col, "label", core.StrV("car"), core.FilterColumnScan)
+	if err != nil {
+		return err
+	}
+	groups, err := core.Drain(core.GroupCount(core.FromPatches(cars), "frameno"))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -196,7 +197,7 @@ func (e *Env) Q3(useLineage bool) (QueryResult, error) {
 	}
 	target := core.StrV(e.Football.TargetJersey)
 	start := time.Now()
-	hits, err := core.DrainPatches(core.Select(words.Scan(), core.FieldEq("text", target)))
+	hits, err := e.DB.ExecuteFilter(words, "text", target, core.FilterColumnScan)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -244,8 +245,7 @@ func (e *Env) Q3Accuracy() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	hits, err := core.DrainPatches(core.Select(words.Scan(),
-		core.FieldEq("text", core.StrV(e.Football.TargetJersey))))
+	hits, err := e.DB.ExecuteFilter(words, "text", core.StrV(e.Football.TargetJersey), core.FilterColumnScan)
 	if err != nil {
 		return 0, err
 	}
@@ -330,9 +330,12 @@ func (e *Env) pedestrianView(col *core.Collection) (*core.Collection, error) {
 	if v, err := e.DB.Collection(name); err == nil {
 		return v, nil
 	}
-	it := core.Select(col.Scan(), core.FieldEq("label", core.StrV("pedestrian")))
+	peds, err := e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterColumnScan)
+	if err != nil {
+		return nil, err
+	}
 	// Clone patches so ids stay unique across collections.
-	it = core.Transform(it, func(t core.Tuple) ([]core.Tuple, error) {
+	it := core.Transform(core.FromPatches(peds), func(t core.Tuple) ([]core.Tuple, error) {
 		q := t[0].Clone()
 		q.ID = 0 // reassign in the view
 		return []core.Tuple{{q}}, nil
@@ -351,15 +354,19 @@ func (e *Env) Q5(target string, useIndex bool) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	start := time.Now()
-	it := core.Select(words.Scan(), core.FieldEq("text", core.StrV(target)))
-	it = core.TopK(it, "frameno", true, 1) // order-by + limit fused: bounded heap, no full sort
-	ts, err := core.Drain(it)
+	snap, ver, err := words.Snapshot()
+	if err != nil {
+		return QueryResult{}, err
+	}
+	pred := core.Pred{Field: "text", V: core.StrV(target)}
+	first := core.Keep{Kind: core.KeepTop, N: 1, Field: "frameno"}
+	s, err := e.DB.Select(context.Background(), words, snap, ver, pred, core.FilterColumnScan, first)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	frame := -1
-	if len(ts) > 0 {
-		frame = int(meta(ts[0][0], "frameno").Int())
+	if len(s.Sel) > 0 {
+		frame = int(meta(snap[s.Sel[0]], "frameno").Int())
 	}
 	plan := "scan filter text + min frameno"
 	return QueryResult{Query: "q5", Plan: plan, Duration: time.Since(start), Value: frame}, nil

@@ -622,15 +622,6 @@ func (c *Collection) load() error {
 	return nil
 }
 
-// Scan returns an iterator over all patches.
-func (c *Collection) Scan() Iterator {
-	ps, err := c.Patches()
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-	}
-	return FromPatches(ps)
-}
-
 // Columns returns the columnar projection of the collection's current
 // snapshot, building it lazily and upgrading whenever the version has
 // moved — the same version-keyed invalidation the serving layer's result

@@ -2,9 +2,8 @@ package core
 
 // Columnar scan engine. The paper's query layer assumes selections and
 // top-k over patch metadata are cheap relative to vision UDFs; with the
-// row-at-a-time fallback every non-indexed filter pays an interface
-// iterator call, a metadata lookup and a predicate-closure invocation
-// per patch. The ColumnStore lazily projects hot metadata fields from a
+// row-at-a-time fallback every non-indexed filter pays a metadata lookup
+// and a Pred.Match per patch. The ColumnStore lazily projects hot metadata fields from a
 // collection snapshot into typed columnar form (int64 / float64 /
 // dictionary-encoded strings, plus a null bitmap), partitioned into
 // fixed-size immutable segments carrying zone maps (min/max for numerics,
@@ -13,7 +12,7 @@ package core
 // segments the zone map proves empty, and hand each segment's matches to
 // a consumer that keeps only what the query reads (see Keep); top-k
 // runs directly over the arrays. Results are byte-identical to the
-// row-at-a-time operators by construction: matches are emitted in row
+// row scan by construction: matches are emitted in row
 // (snapshot) order, and top-k reproduces the stable sort's (value, row)
 // order.
 //
@@ -487,7 +486,7 @@ func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats,
 }
 
 // FilterRange evaluates lo <= field < hi (numeric widening, matching
-// FieldRange) into a selection list in row order. ok is false when the
+// Pred.Match) into a selection list in row order. ok is false when the
 // field has no column. String columns return an empty selection, like
 // the row predicate (AsFloat yields NaN, which fails both bounds).
 func (cs *ColumnStore) FilterRange(field string, lo, hi float64) ([]int32, bool) {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -180,9 +180,12 @@ func TestColumnarRangeMatrix(t *testing.T) {
 		if !ok {
 			t.Fatalf("field %s lost its column", tc.field)
 		}
-		want, err := DrainPatches(Select(FromPatches(snap), FieldRange(tc.field, tc.lo, tc.hi)))
-		if err != nil {
-			t.Fatal(err)
+		pred := Pred{Field: tc.field, Range: true, Lo: tc.lo, Hi: tc.hi}
+		var want []*Patch
+		for _, p := range snap {
+			if pred.Match(p) {
+				want = append(want, p)
+			}
 		}
 		if !idsEqual(patchIDs(want), patchIDs(cs.Materialize(sel))) {
 			t.Fatalf("range %s [%g,%g): columnar %d != row %d",
@@ -214,37 +217,17 @@ func TestColumnarTopKGolden(t *testing.T) {
 				if !idsEqual(patchIDs(want), patchIDs(cs.Materialize(top))) {
 					t.Fatalf("topk(%s, desc=%v, k=%d) diverged from stable sort", field, desc, k)
 				}
-				heapRow := TopKPatches(snap, field, desc, k)
-				if !idsEqual(patchIDs(want), patchIDs(heapRow)) {
-					t.Fatalf("row heap topk(%s, desc=%v, k=%d) diverged from stable sort", field, desc, k)
-				}
 			}
 		}
 	}
 }
 
-// referenceTopK is the semantics both top-k implementations must match:
-// stable sort, then trim.
+// referenceTopK is the top-k a stable sort defines: a copy of ps sorted
+// stably by CompareBy, trimmed to k. Inputs with NaN use heapTopK.
 func referenceTopK(ps []*Patch, field string, desc bool, k int) []*Patch {
-	ts := make([]Tuple, len(ps))
-	for i, p := range ps {
-		ts[i] = Tuple{p}
-	}
-	sorted, err := Drain(OrderBy(NewSliceIterator(ts), field, !desc))
-	if err != nil {
-		panic(err)
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]*Patch, k)
-	for i := 0; i < k; i++ {
-		out[i] = sorted[i][0]
-	}
-	return out
+	sorted := slices.Clone(ps)
+	slices.SortStableFunc(sorted, func(a, b *Patch) int { return CompareBy(a, b, field, desc) })
+	return sorted[:max(0, min(k, len(sorted)))]
 }
 
 // TestColumnarTopKSelected: top-k over a filter's selection list equals
@@ -440,44 +423,6 @@ func TestSnapshotColdLoadConcurrency(t *testing.T) {
 	}
 	if len(ps) != 440 {
 		t.Fatalf("final snapshot has %d rows, want 440", len(ps))
-	}
-}
-
-// TestTopKOperatorEqualsOrderByLimit: the fused iterator operator is
-// byte-identical to OrderBy -> Limit for random inputs.
-func TestTopKOperatorEqualsOrderByLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := rng.Intn(300)
-		ps := make([]*Patch, n)
-		for i := range ps {
-			ps[i] = &Patch{
-				ID:   PatchID(i + 1),
-				Meta: Metadata{"v": IntV(int64(rng.Intn(20)))}, // heavy ties
-			}
-			if rng.Intn(5) == 0 {
-				delete(ps[i].Meta, "v") // nulls
-			}
-		}
-		k := rng.Intn(n + 3)
-		asc := rng.Intn(2) == 0
-		want, err := Drain(Limit(OrderBy(FromPatches(ps), "v", asc), k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Drain(TopK(FromPatches(ps), "v", asc, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if want[i][0].ID != got[i][0].ID {
-				t.Fatalf("trial %d row %d: id %d, want %d (n=%d k=%d asc=%v)",
-					trial, i, got[i][0].ID, want[i][0].ID, n, k, asc)
-			}
-		}
 	}
 }
 

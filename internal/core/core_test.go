@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -228,13 +229,23 @@ func TestSelectAndCount(t *testing.T) {
 		label := []string{"car", "pedestrian", "player"}[i%3]
 		col.Append(mkPatch(label, int64(i)))
 	}
-	n, err := Count(Select(col.Scan(), FieldEq("label", StrV("car"))))
-	if err != nil || n != 30 {
-		t.Fatalf("count = %d, %v", n, err)
+	snap, ver, err := col.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	n, _ = Count(Select(col.Scan(), FieldRange("frameno", 10, 20)))
-	if n != 10 {
-		t.Fatalf("range count = %d", n)
+	for _, m := range []FilterMethod{FilterScan, FilterColumnScan} {
+		for _, tc := range []struct {
+			pred Pred
+			want int
+		}{
+			{Pred{Field: "label", V: StrV("car")}, 30},
+			{Pred{Field: "frameno", Range: true, Lo: 10, Hi: 20}, 10},
+		} {
+			s, err := db.Select(context.Background(), col, snap, ver, tc.pred, m, Keep{Kind: KeepCount})
+			if err != nil || s.N != tc.want || len(s.Sel) != 0 {
+				t.Fatalf("%v %+v: count = %d (kept %d), %v; want %d", m, tc.pred, s.N, len(s.Sel), err, tc.want)
+			}
+		}
 	}
 }
 
@@ -244,7 +255,8 @@ func TestGroupCountAndOrderBy(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		col.Append(mkPatch("car", int64(i%3)))
 	}
-	groups, err := Drain(GroupCount(col.Scan(), "frameno"))
+	ps, _ := col.Patches()
+	groups, err := Drain(GroupCount(FromPatches(ps), "frameno"))
 	if err != nil || len(groups) != 3 {
 		t.Fatalf("groups = %d, %v", len(groups), err)
 	}
@@ -252,34 +264,6 @@ func TestGroupCountAndOrderBy(t *testing.T) {
 		if metaVal(g[0], "count").Int() != 10 {
 			t.Fatalf("group count = %d", metaVal(g[0], "count").Int())
 		}
-	}
-	ordered, _ := Drain(OrderBy(col.Scan(), "frameno", false))
-	if metaVal(ordered[0][0], "frameno").Int() != 2 {
-		t.Fatal("descending order broken")
-	}
-}
-
-func TestLimitAndProject(t *testing.T) {
-	db := openDB(t)
-	col, _ := db.CreateCollection("dets", simpleSchema())
-	for i := 0; i < 20; i++ {
-		p := mkPatch("car", int64(i))
-		p.Data = tensor.NewU8(4, 4, 3)
-		col.Append(p)
-	}
-	ts, err := Drain(Limit(Project(col.Scan(), "label"), 5))
-	if err != nil || len(ts) != 5 {
-		t.Fatalf("limit+project: %d, %v", len(ts), err)
-	}
-	p := ts[0][0]
-	if p.Data != nil {
-		t.Fatal("project kept payload")
-	}
-	if _, ok := p.Get("frameno"); ok {
-		t.Fatal("project kept dropped field")
-	}
-	if _, ok := p.Get("label"); !ok {
-		t.Fatal("project lost kept field")
 	}
 }
 
@@ -451,52 +435,6 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	}
 }
 
-func TestNestedLoopAndHashJoinAgree(t *testing.T) {
-	db := openDB(t)
-	left, _ := db.CreateCollection("l", simpleSchema())
-	right, _ := db.CreateCollection("r", simpleSchema())
-	for i := 0; i < 60; i++ {
-		left.Append(mkPatch("car", int64(i%10)))
-		right.Append(mkPatch("pedestrian", int64(i%15)))
-	}
-	theta := func(a, b *Patch) bool {
-		return metaVal(a, "frameno").Int() == metaVal(b, "frameno").Int()
-	}
-	nl, err := Drain(NestedLoopJoin(left.Scan(), right.Scan(), theta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := Drain(HashEquiJoin(left.Scan(), right.Scan(), "frameno", "frameno"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nl) == 0 || len(nl) != len(hj) {
-		t.Fatalf("nested=%d hash=%d", len(nl), len(hj))
-	}
-}
-
-func TestIndexEquiJoinAgrees(t *testing.T) {
-	db := openDB(t)
-	left, _ := db.CreateCollection("l", simpleSchema())
-	right, _ := db.CreateCollection("r", simpleSchema())
-	for i := 0; i < 80; i++ {
-		left.Append(mkPatch("car", int64(i%8)))
-		right.Append(mkPatch("player", int64(i%12)))
-	}
-	idx, err := db.BuildIndex(right, "frameno", IdxHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ij, err := Drain(IndexEquiJoin(db, left.Scan(), "frameno", right, idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, _ := Drain(HashEquiJoin(left.Scan(), right.Scan(), "frameno", "frameno"))
-	if len(ij) != len(hj) {
-		t.Fatalf("index join %d rows, hash join %d", len(ij), len(hj))
-	}
-}
-
 func TestRangeThetaJoinSortedAgreesWithNested(t *testing.T) {
 	db := openDB(t)
 	sch := Schema{Fields: []Field{{Name: "depth", Kind: KindFloat}}}
@@ -512,11 +450,16 @@ func TestRangeThetaJoinSortedAgreesWithNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, _ := Drain(NestedLoopJoin(FromPatches(ps), FromPatches(ps), func(a, b *Patch) bool {
-		return a.ID != b.ID && metaVal(a, "depth").Float() > metaVal(b, "depth").Float()+gap
-	}))
-	if len(sorted) != len(nested) {
-		t.Fatalf("sorted %d pairs, nested %d", len(sorted), len(nested))
+	nested := 0
+	for _, a := range ps {
+		for _, b := range ps {
+			if a.ID != b.ID && metaVal(a, "depth").Float() > metaVal(b, "depth").Float()+gap {
+				nested++
+			}
+		}
+	}
+	if len(sorted) != nested {
+		t.Fatalf("sorted %d pairs, nested %d", len(sorted), nested)
 	}
 }
 

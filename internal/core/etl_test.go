@@ -129,7 +129,7 @@ func TestTransformersLeaveCommittedRowsAlone(t *testing.T) {
 	for i, p := range rows {
 		want[i] = p.Marshal()
 	}
-	it := HistogramTransformer(col.Scan())
+	it := HistogramTransformer(FromPatches(rows))
 	it = GridHistogramTransformer(3, it)
 	it = EmbedTransformer(vision.NewEmbedder(dev, 42), it)
 	it = DepthTransformer(vision.NewDepthModel(dev, sc.Horizon, sc.Focal, 42), it)

@@ -17,8 +17,8 @@ import (
 
 // IndexKind selects a single-attribute access method (§3.2's hash and B+
 // tree). The multidimensional access methods are VectorIndex's modes
-// (ball tree exact, LSH approximate) and the join-local R-tree of
-// SpatialJoinOnTheFly.
+// (ball tree exact, LSH approximate). The R-tree (internal/rtree) is
+// timed by Figure 6's index-build experiment and backs no core operator.
 type IndexKind int
 
 // Supported index kinds. The values are persisted in index descriptors.

@@ -65,51 +65,3 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 		t.Fatal("hash range lookup allowed")
 	}
 }
-
-// TestSpatialJoinOnTheFlyMatchesNested: the R-tree join returns exactly
-// the all-pairs intersection join's pairs, rows without a rect on either
-// side included.
-func TestSpatialJoinOnTheFlyMatchesNested(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var lps, rps []*Patch
-	for i := 0; i < 150; i++ {
-		l, r := mkSpatialPatch(rng, int64(i)), mkSpatialPatch(rng, int64(i))
-		l.ID, r.ID = PatchID(2*i+1), PatchID(2*i+2)
-		if i%10 == 0 {
-			delete(l.Meta, "bbox")
-			delete(r.Meta, "bbox")
-		}
-		lps, rps = append(lps, l), append(rps, r)
-	}
-	nested, err := SpatialJoinNested(lps, rps, "bbox", "bbox")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fly, err := SpatialJoinOnTheFly(lps, rps, "bbox", "bbox")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nested) == 0 {
-		t.Fatal("vacuous: no intersecting pairs")
-	}
-	key := func(ts []Tuple) map[[2]PatchID]bool {
-		m := map[[2]PatchID]bool{}
-		for _, tp := range ts {
-			m[[2]PatchID{tp[0].ID, tp[1].ID}] = true
-		}
-		return m
-	}
-	nk, fk := key(nested), key(fly)
-	if len(nk) != len(nested) || len(fk) != len(fly) || len(nk) != len(fk) {
-		t.Fatalf("nested %d pairs (%d distinct), on-the-fly %d (%d distinct)",
-			len(nested), len(nk), len(fly), len(fk))
-	}
-	for p := range nk {
-		if !fk[p] {
-			t.Fatalf("on-the-fly join missing pair %v", p)
-		}
-	}
-	if out, _ := SpatialJoinOnTheFly(lps, nil, "bbox", "bbox"); len(out) != 0 {
-		t.Fatalf("empty right side joined %d pairs", len(out))
-	}
-}

@@ -100,19 +100,3 @@ func DrainPatches(it Iterator) ([]*Patch, error) {
 	}
 	return out, nil
 }
-
-// Count consumes an iterator, returning the tuple count.
-func Count(it Iterator) (int, error) {
-	defer it.Close()
-	n := 0
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
-	}
-}

@@ -102,18 +102,6 @@ func TestBatchTransformError(t *testing.T) {
 	}
 }
 
-func TestCountAndLimitCompose(t *testing.T) {
-	n, err := Count(Limit(FromPatches(intPatches(100)), 7))
-	if err != nil || n != 7 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-	// Limit larger than stream.
-	n, _ = Count(Limit(FromPatches(intPatches(3)), 10))
-	if n != 3 {
-		t.Fatalf("over-limit count = %d", n)
-	}
-}
-
 func TestDrainPatchesSkipsEmptyTuples(t *testing.T) {
 	ts := []Tuple{{intPatches(1)[0]}, {}, {intPatches(1)[0]}}
 	ps, err := DrainPatches(NewSliceIterator(ts))

@@ -6,133 +6,8 @@ import (
 
 	"repro/internal/balltree"
 	"repro/internal/exec"
-	"repro/internal/rtree"
 	"repro/internal/tensor"
 )
-
-// Theta is an arbitrary join predicate over one patch from each side.
-type Theta func(l, r *Patch) bool
-
-// NestedLoopJoin compares all pairs (the generic θ-join of §5); the right
-// side is materialized. Output tuples concatenate left and right patches.
-func NestedLoopJoin(left, right Iterator, theta Theta) Iterator {
-	rts, err := Drain(right)
-	if err != nil {
-		return errIter(err)
-	}
-	var cur Tuple
-	var ri int
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			if cur == nil {
-				t, ok, err := left.Next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				cur = t
-				ri = 0
-			}
-			for ri < len(rts) {
-				r := rts[ri]
-				ri++
-				if theta(cur[0], r[0]) {
-					return append(append(Tuple{}, cur...), r...), true, nil
-				}
-			}
-			cur = nil
-		}
-	}, left.Close)
-}
-
-func errIter(err error) Iterator {
-	return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-}
-
-// HashEquiJoin joins on equality of one metadata field, building an
-// in-memory hash table on the right side.
-func HashEquiJoin(left, right Iterator, leftField, rightField string) Iterator {
-	rts, err := Drain(right)
-	if err != nil {
-		return errIter(err)
-	}
-	table := map[string][]Tuple{}
-	for _, t := range rts {
-		v, ok := t[0].Get(rightField)
-		if !ok {
-			continue
-		}
-		sk, err := v.SortKey()
-		if err != nil {
-			continue
-		}
-		table[string(sk)] = append(table[string(sk)], t)
-	}
-	var matches []Tuple
-	var cur Tuple
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			if len(matches) > 0 {
-				r := matches[0]
-				matches = matches[1:]
-				return append(append(Tuple{}, cur...), r...), true, nil
-			}
-			t, ok, err := left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			v, has := t[0].Get(leftField)
-			if !has {
-				continue
-			}
-			sk, err := v.SortKey()
-			if err != nil {
-				continue
-			}
-			cur = t
-			matches = append([]Tuple(nil), table[string(sk)]...)
-		}
-	}, left.Close)
-}
-
-// IndexEquiJoin probes a persistent equality index on the right
-// collection for each left tuple (the paper's index join). The join runs
-// over the right collection's snapshot as of the call; the index is
-// brought current for it, however long ago it was built.
-func IndexEquiJoin(db *DB, left Iterator, leftField string, rightCol *Collection, idx *Index) Iterator {
-	snap, ver, err := rightCol.Snapshot()
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, left.Close)
-	}
-	var pending []Tuple
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			if len(pending) > 0 {
-				t := pending[0]
-				pending = pending[1:]
-				return t, true, nil
-			}
-			t, ok, err := left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			v, has := t[0].Get(leftField)
-			if !has {
-				continue
-			}
-			ids, err := idx.LookupEq(snap, ver, v)
-			if err != nil {
-				return nil, false, err
-			}
-			for _, id := range ids {
-				r, err := rightCol.Get(id)
-				if err != nil {
-					return nil, false, err
-				}
-				pending = append(pending, append(append(Tuple{}, t...), r))
-			}
-		}
-	}, left.Close)
-}
 
 // SimilarityJoinOpts configures a feature-matching join.
 type SimilarityJoinOpts struct {
@@ -359,63 +234,6 @@ func SimilarityJoinOnTheFly(left, right []*Patch, opts SimilarityJoinOpts) ([]Tu
 		})
 	}
 	return out, nil
-}
-
-// SpatialJoinNested is the baseline bbox-intersection join: all pairs of
-// patches whose rect fields overlap.
-func SpatialJoinNested(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
-	var out []Tuple
-	for _, l := range left {
-		lb, ok := l.Get(leftField)
-		if !ok || len(lb.Vec()) != 4 {
-			continue
-		}
-		for _, r := range right {
-			rb, ok := r.Get(rightField)
-			if !ok || len(rb.Vec()) != 4 {
-				continue
-			}
-			if rectsIntersect(lb.Vec(), rb.Vec()) {
-				out = append(out, Tuple{l, r})
-			}
-		}
-	}
-	return out, nil
-}
-
-// SpatialJoinOnTheFly is the R-tree counterpart of SimilarityJoinOnTheFly
-// — the paper's "containment and intersection" use of the
-// multidimensional index (§3.2): bulk-load an in-memory R-tree over the
-// right side's rects, then probe it with every left rect. Its pair set
-// is SpatialJoinNested's.
-func SpatialJoinOnTheFly(left, right []*Patch, leftField, rightField string) ([]Tuple, error) {
-	entries := make([]rtree.Entry, 0, len(right))
-	for i, r := range right {
-		if rb, ok := r.Get(rightField); ok && len(rb.Vec()) == 4 {
-			entries = append(entries, rtree.Entry{Rect: rectOf(rb.Vec()), ID: uint64(i)})
-		}
-	}
-	rt := rtree.BulkLoad(2, entries)
-	var out []Tuple
-	for _, l := range left {
-		lb, ok := l.Get(leftField)
-		if !ok || len(lb.Vec()) != 4 {
-			continue
-		}
-		rt.SearchIntersect(rectOf(lb.Vec()), func(e rtree.Entry) bool {
-			out = append(out, Tuple{l, right[e.ID]})
-			return true
-		})
-	}
-	return out, nil
-}
-
-func rectOf(v []float32) rtree.Rect {
-	return rtree.BBox2D(float64(v[0]), float64(v[1]), float64(v[2]), float64(v[3]))
-}
-
-func rectsIntersect(a, b []float32) bool {
-	return a[0] <= b[2] && b[0] <= a[2] && a[1] <= b[3] && b[1] <= a[3]
 }
 
 // RangeThetaJoinSorted evaluates l.field > r.field + gap by sorting the

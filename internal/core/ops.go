@@ -5,9 +5,6 @@ import (
 	"sort"
 )
 
-// Predicate evaluates a tuple.
-type Predicate func(Tuple) bool
-
 // Pred is a selection predicate on one metadata field: equality with V
 // (Value.Equal), or (Range) the half-open numeric range Lo <= field < Hi,
 // where ints compare as floats and non-numerics fail both bounds. Every
@@ -31,34 +28,6 @@ func (pr *Pred) Match(p *Patch) bool {
 		return f >= pr.Lo && f < pr.Hi
 	}
 	return mv.Equal(pr.V)
-}
-
-// FieldEq builds a predicate on one metadata field of the tuple's first
-// patch.
-func FieldEq(field string, v Value) Predicate {
-	pr := Pred{Field: field, V: v}
-	return func(t Tuple) bool { return pr.Match(t[0]) }
-}
-
-// FieldRange builds lo <= field < hi on the first patch (numeric fields).
-func FieldRange(field string, lo, hi float64) Predicate {
-	pr := Pred{Field: field, Range: true, Lo: lo, Hi: hi}
-	return func(t Tuple) bool { return pr.Match(t[0]) }
-}
-
-// Select filters tuples by pred (§5's Select operator).
-func Select(in Iterator, pred Predicate) Iterator {
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			t, ok, err := in.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			if pred(t) {
-				return t, true, nil
-			}
-		}
-	}, in.Close)
 }
 
 // Transform maps each tuple through fn (patch generators and transformers
@@ -86,47 +55,6 @@ func Transform(in Iterator, fn func(Tuple) ([]Tuple, error)) Iterator {
 	}, in.Close)
 }
 
-// Project keeps only the named metadata fields (plus lineage attributes)
-// and drops the dense payload — the classic width reducer before
-// materialization.
-func Project(in Iterator, fields ...string) Iterator {
-	keep := make(map[string]bool, len(fields)+2)
-	for _, f := range fields {
-		keep[f] = true
-	}
-	keep["_source"] = true
-	keep["_frame"] = true
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		out := make(Tuple, len(t))
-		for i, p := range t {
-			q := &Patch{ID: p.ID, Ref: p.Ref, Meta: Metadata{}}
-			for k, v := range p.Range {
-				if keep[k] {
-					q.Meta[k] = v
-				}
-			}
-			out[i] = q
-		}
-		return []Tuple{out}, nil
-	})
-}
-
-// Limit stops after n tuples.
-func Limit(in Iterator, n int) Iterator {
-	emitted := 0
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		if emitted >= n {
-			return nil, false, nil
-		}
-		t, ok, err := in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		emitted++
-		return t, true, nil
-	}, in.Close)
-}
-
 // CompareBy is the one row order every sort and top-k keeps: a and b
 // compared by their values of field (Value.Compare; a missing field
 // compares as the zero Value, before every real value), reversed when
@@ -138,73 +66,6 @@ func CompareBy(a, b *Patch, field string, desc bool) int {
 		return vb.Compare(va)
 	}
 	return va.Compare(vb)
-}
-
-// OrderBy sorts (materializing) by a comparable metadata field of the
-// first patch.
-func OrderBy(in Iterator, field string, asc bool) Iterator {
-	ts, err := Drain(in)
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-	}
-	sort.SliceStable(ts, func(i, j int) bool {
-		return CompareBy(ts[i][0], ts[j][0], field, !asc) < 0
-	})
-	return NewSliceIterator(ts)
-}
-
-// TopK is OrderBy immediately followed by Limit(n), computed with a
-// bounded heap: O(len·log n) compares and O(n) extra memory instead of a
-// full materializing sort. The emitted tuples are exactly the first n of
-// OrderBy's stable output (ties resolve in input order).
-func TopK(in Iterator, field string, asc bool, n int) Iterator {
-	ts, err := Drain(in)
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-	}
-	if n > len(ts) {
-		n = len(ts)
-	}
-	if n < 0 {
-		n = 0
-	}
-	top := topKIndexes(len(ts), n, func(a, b int) bool {
-		if c := CompareBy(ts[a][0], ts[b][0], field, !asc); c != 0 {
-			return c < 0
-		}
-		return a < b
-	})
-	out := make([]Tuple, n)
-	for i, idx := range top {
-		out[i] = ts[idx]
-	}
-	return NewSliceIterator(out)
-}
-
-// TopKPatches returns the first k patches of a stable sort of ps by
-// field (ties in input order), in sorted order, without sorting the
-// whole input: a bounded heap keeps the best k seen. k >= len(ps)
-// degenerates to a full stable sort of a copy; ps is never mutated.
-// Patches missing the field order as the zero Value (before every real
-// value ascending, after descending), matching the sort comparator.
-func TopKPatches(ps []*Patch, field string, desc bool, k int) []*Patch {
-	if k > len(ps) {
-		k = len(ps)
-	}
-	if k <= 0 {
-		return nil
-	}
-	top := topKIndexes(len(ps), k, func(a, b int) bool {
-		if c := CompareBy(ps[a], ps[b], field, desc); c != 0 {
-			return c < 0
-		}
-		return a < b
-	})
-	out := make([]*Patch, k)
-	for i, idx := range top {
-		out[i] = ps[idx]
-	}
-	return out
 }
 
 // topHeap keeps the k smallest values offered so far under the strict
@@ -266,22 +127,9 @@ func (t *topHeap[T]) sorted() []T {
 	return t.h
 }
 
-// topKIndexes selects the k smallest of [0, n) under the strict total
-// order `before` and returns them sorted.
-func topKIndexes(n, k int, before func(a, b int) bool) []int {
-	if k <= 0 {
-		return nil
-	}
-	top := topHeap[int]{k: k, h: make([]int, 0, k), before: before}
-	for i := 0; i < n; i++ {
-		top.offer(i)
-	}
-	return top.sorted()
-}
-
 // GroupCount groups by a metadata field and emits one synthetic patch per
-// group with fields {group, count} — the aggregation q2 needs ("count per
-// frame number").
+// group with fields {group, count}, in group sort-key order — Example 1's
+// "cars per frame" (examples/quickstart).
 func GroupCount(in Iterator, field string) Iterator {
 	ts, err := Drain(in)
 	if err != nil {

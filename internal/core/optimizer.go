@@ -296,9 +296,9 @@ func (m FilterMethod) String() string {
 }
 
 // Per-row scan cost constants (seconds), measured on the reference
-// container: the iterator path pays an interface call, a metadata map
-// lookup and a predicate closure per patch; the columnar path pays one
-// typed array compare, with zone maps skipping whole blocks.
+// container: the row scan (FilterScan) pays a metadata lookup and a
+// Pred.Match per patch; the columnar path pays one typed array compare,
+// with zone maps skipping whole blocks.
 const (
 	CRowScanSec = 2e-8
 	CColScanSec = 2e-9

@@ -1,8 +1,9 @@
 // Package core implements DeepLens's data model and query processing
 // engine: unordered collections of image patches with typed key-value
-// metadata, Volcano-style iterator operators (select, project, joins,
-// aggregation), materialization with secondary indexes, tuple-level
-// lineage, and a cost-based physical planner. This is the paper's primary
+// metadata, Volcano-style iterators for ETL (generators, transformers,
+// aggregation), one selection executor (DB.Select) over rows, columns or
+// an index, similarity and range joins, materialization with secondary
+// indexes, tuple-level lineage, and a cost-based physical planner. This is the paper's primary
 // contribution (§2-§5): a "narrow waist" that decouples how patches are
 // generated (decoding, neural inference, OCR) from how they are queried.
 package core

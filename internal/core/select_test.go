@@ -127,8 +127,8 @@ func fuzzRow(r *rand.Rand, i int) *Patch {
 // keepsAgree checks every consumer of one selection against its
 // keep-everything answer: each reports the answer's length as N, a count
 // keeps no rows, first-n keeps the answer's first n rows, and top-n by
-// any field — ties, NaNs and missing values included — keeps the row
-// operator's top-n of the answer's rows.
+// any field — ties, NaNs and missing values included — keeps heapTopK's
+// top-n of the answer's rows.
 func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod, n int) {
 	t.Helper()
 	ctx := context.Background()
@@ -161,12 +161,37 @@ func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64
 	for _, field := range []string{"i", "f", "s", "m", "n"} {
 		for _, desc := range []bool{false, true} {
 			got := run(Keep{Kind: KeepTop, N: n, Field: field, Desc: desc})
-			if want := TopKPatches(all, field, desc, n); !idsEqual(patchIDs(got), patchIDs(want)) {
+			if want := heapTopK(all, field, desc, n); !idsEqual(patchIDs(got), patchIDs(want)) {
 				t.Fatalf("%d rows, %v %+v top %d by %s desc=%v: %v, want %v",
 					len(snap), m, pred, n, field, desc, patchIDs(got), patchIDs(want))
 			}
 		}
 	}
+}
+
+// heapTopK is the first k of ps under CompareBy, ties in input order,
+// kept by a bounded heap over ps. NaN makes CompareBy non-transitive, and
+// then no sort defines that answer (referenceTopK's stable sort is one
+// arrangement of many); the heap's depends only on its candidates, and
+// every path must give the same one.
+func heapTopK(ps []*Patch, field string, desc bool, k int) []*Patch {
+	if k = min(k, len(ps)); k <= 0 {
+		return nil
+	}
+	top := topHeap[int]{k: k, before: func(a, b int) bool {
+		if c := CompareBy(ps[a], ps[b], field, desc); c != 0 {
+			return c < 0
+		}
+		return a < b
+	}}
+	for i := range ps {
+		top.offer(i)
+	}
+	out := make([]*Patch, 0, k)
+	for _, i := range top.sorted() {
+		out = append(out, ps[i])
+	}
+	return out
 }
 
 // FuzzSelectPathsAgree is the differential test over DB.Select: for a

@@ -3,12 +3,9 @@ package service
 import (
 	"context"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // Columnar serving-path tests. The scatter/golden matrix in
@@ -99,52 +96,6 @@ func TestColumnarRowsShardCountInvariant(t *testing.T) {
 			}
 			if r.Value != want[i].Value {
 				t.Errorf("N=%d query %d: value %d, want %d", n, i, r.Value, want[i].Value)
-			}
-		}
-	}
-}
-
-// sortRows returns a stably sorted copy of ps by the metadata field: the
-// reference semantics the fragments' bounded top-k must reproduce.
-func sortRows(ps []*core.Patch, field string, desc bool) []*core.Patch {
-	rows := append([]*core.Patch(nil), ps...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := metaVal(rows[i], field), metaVal(rows[j], field)
-		if desc {
-			return b.Compare(a) < 0
-		}
-		return a.Compare(b) < 0
-	})
-	return rows
-}
-
-// TestTopKRowsMatchesSortTrim: the row top-k (core.TopKPatches) must
-// reproduce the sortRows + trim pipeline exactly, ties and missing
-// fields included. Its order, core.CompareBy, is the one a fragment's
-// row-valued top-k and the gather stage's merge compare by.
-func TestTopKRowsMatchesSortTrim(t *testing.T) {
-	ps := make([]*core.Patch, 150)
-	for i := range ps {
-		ps[i] = synthPatch(i)
-		ps[i].ID = core.PatchID(i + 1)
-	}
-	for _, field := range []string{"score", "rank", "label", "absent"} {
-		for _, desc := range []bool{false, true} {
-			for _, k := range []int{1, 10, 150, 200} {
-				want := sortRows(ps, field, desc)
-				if len(want) > k {
-					want = want[:k]
-				}
-				got := core.TopKPatches(ps, field, desc, k)
-				if len(want) != len(got) {
-					t.Fatalf("%s desc=%v k=%d: %d rows, want %d", field, desc, k, len(got), len(want))
-				}
-				for i := range want {
-					if want[i].ID != got[i].ID {
-						t.Fatalf("%s desc=%v k=%d row %d: id %d, want %d",
-							field, desc, k, i, got[i].ID, want[i].ID)
-					}
-				}
 			}
 		}
 	}
