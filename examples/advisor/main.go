@@ -116,7 +116,7 @@ func run() error {
 	//    advised store and count deep pedestrians.
 	start := time.Now()
 	frames := core.LoadVideo("cam", store, core.FrameRange{Lo: 120, Hi: 180})
-	ps, err := core.DrainPatches(sp.Build(frames))
+	ps, err := core.Collect(sp.Build(frames))
 	if err != nil {
 		return err
 	}

@@ -86,26 +86,25 @@ func run() error {
 
 	cars := core.Pred{Field: "label", V: core.StrV("car")}
 	ingest := func(name string, sc *vision.Scene) (*core.Collection, error) {
-		t := 0
-		framesIt := core.NewFuncIterator(func() (core.Tuple, bool, error) {
-			if t >= frames {
-				return nil, false, nil
+		framesIt := func(yield func(*core.Patch, error) bool) {
+			for t := 0; t < frames; t++ {
+				img, _ := sc.Render(t)
+				p := &core.Patch{
+					Ref:  core.Ref{Source: name, Frame: uint64(t)},
+					Data: core.ImageToTensor(img),
+					Meta: core.Metadata{"frameno": core.IntV(int64(t))},
+				}
+				if !yield(p, nil) {
+					return
+				}
 			}
-			img, _ := sc.Render(t)
-			p := &core.Patch{
-				Ref:  core.Ref{Source: name, Frame: uint64(t)},
-				Data: core.ImageToTensor(img),
-				Meta: core.Metadata{"frameno": core.IntV(int64(t))},
-			}
-			t++
-			return core.Tuple{p}, true, nil
-		}, nil)
+		}
 		it := core.DetectGenerator(det, framesIt)
-		it = core.Transform(it, func(t core.Tuple) ([]core.Tuple, error) {
-			if !cars.Match(t[0]) {
+		it = core.Transform(it, func(p *core.Patch) ([]*core.Patch, error) {
+			if !cars.Match(p) {
 				return nil, nil
 			}
-			return []core.Tuple{t}, nil
+			return []*core.Patch{p}, nil
 		})
 		it = core.EmbedTransformer(emb, it)
 		it = core.DropData(it)

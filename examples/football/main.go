@@ -66,7 +66,7 @@ func run() error {
 				Data: core.ImageToTensor(img),
 				Meta: core.Metadata{"frameno": core.IntV(int64(t))},
 			}
-			detPatches, err := core.DrainPatches(core.DetectGenerator(det, core.NewSliceIterator([]core.Tuple{{frame}})))
+			detPatches, err := core.Collect(core.DetectGenerator(det, core.FromPatches([]*core.Patch{frame})))
 			if err != nil {
 				return err
 			}
@@ -78,7 +78,7 @@ func run() error {
 					return err
 				}
 				withPixels.ID = dp.ID
-				wordPatches, err := core.DrainPatches(core.OCRGenerator(ocr, core.NewSliceIterator([]core.Tuple{{&withPixels}})))
+				wordPatches, err := core.Collect(core.OCRGenerator(ocr, core.FromPatches([]*core.Patch{&withPixels})))
 				if err != nil {
 					return err
 				}

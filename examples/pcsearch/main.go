@@ -80,7 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pairs, err := core.SimilarityJoinVecIndexed(ps, images, idx, core.SimilarityJoinOpts{
+	pairs, _, err := core.SimilarityJoinVecIndexed(ps, images, idx, core.SimilarityJoinOpts{
 		LeftField: "ghist", RightField: "ghist", Eps: 0.066, DedupUnordered: true})
 	if err != nil {
 		return err

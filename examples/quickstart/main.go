@@ -86,15 +86,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	groups, err := core.Drain(core.GroupCount(core.FromPatches(cars), "frameno"))
-	if err != nil {
-		return err
-	}
+	groups := core.GroupCount(cars, "frameno")
 	busiest, most := int64(-1), int64(0)
 	var total int64
 	for _, g := range groups {
-		count, _ := g[0].Get("count")
-		group, _ := g[0].Get("group")
+		count, _ := g.Get("count")
+		group, _ := g.Get("group")
 		n := count.Int()
 		total += n
 		if n > most {

@@ -169,20 +169,27 @@ func (t *Tree) Dim() int { return t.dim }
 func (t *Tree) Nodes() int { return t.nodes }
 
 // RangeSearch calls fn for every point within radius eps of q (inclusive).
-// fn returning false stops the search.
-func (t *Tree) RangeSearch(q []float32, eps float64, fn func(Point, float64) bool) {
+// fn returning false stops the search. Returns the distances evaluated,
+// one per ball centre and point tested: at most Len() + Nodes().
+func (t *Tree) RangeSearch(q []float32, eps float64, fn func(Point, float64) bool) int {
 	if t.root == nil {
-		return
+		return 0
 	}
-	rangeSearch(t.root, q, eps, fn)
+	evals := 0
+	rangeSearch(t.root, q, eps, fn, &evals)
+	return evals
 }
 
-func rangeSearch(n *node, q []float32, eps float64, fn func(Point, float64) bool) bool {
+// rangeSearch reports n's matches to fn, adding the distances it
+// evaluates to evals; false means fn stopped the search.
+func rangeSearch(n *node, q []float32, eps float64, fn func(Point, float64) bool, evals *int) bool {
+	*evals++
 	if _, ok := DistWithin(n.center, q, n.radius+eps); !ok {
 		return true // ball cannot contain any match
 	}
 	if n.pts != nil {
 		for _, p := range n.pts {
+			*evals++
 			if d, ok := DistWithin(p.Vec, q, eps); ok {
 				if !fn(p, d) {
 					return false
@@ -191,10 +198,10 @@ func rangeSearch(n *node, q []float32, eps float64, fn func(Point, float64) bool
 		}
 		return true
 	}
-	if !rangeSearch(n.left, q, eps, fn) {
+	if !rangeSearch(n.left, q, eps, fn, evals) {
 		return false
 	}
-	return rangeSearch(n.right, q, eps, fn)
+	return rangeSearch(n.right, q, eps, fn, evals)
 }
 
 // Nearest calls visit with each point, and its distance to q, of every

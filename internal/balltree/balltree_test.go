@@ -47,10 +47,12 @@ func TestEmpty(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	tr.RangeSearch([]float32{0}, 1, func(Point, float64) bool {
+	if evals := tr.RangeSearch([]float32{0}, 1, func(Point, float64) bool {
 		t.Fatal("callback on empty tree")
 		return true
-	})
+	}); evals != 0 {
+		t.Fatalf("RangeSearch on empty tree evaluated %d distances", evals)
+	}
 	if nn, evals := nearestK(tr, []float32{0}, 3); nn != nil || evals != 0 {
 		t.Fatalf("Nearest on empty tree = %v after %d evaluations", nn, evals)
 	}
@@ -181,6 +183,35 @@ func TestIdenticalPoints(t *testing.T) {
 	nn, _ := nearestK(tr, []float32{1, 2, 3}, 7)
 	if want := sortedHits(pts, []float32{1, 2, 3})[:7]; !slices.Equal(nn, want) {
 		t.Fatalf("identical points: nearest 7 = %v, want %v", nn, want)
+	}
+}
+
+// TestRangeSearchCountsEvaluations: RangeSearch reports one evaluation
+// per ball centre and point it tests — every one when eps covers the
+// tree, only the root's centre when the query is far from every point,
+// and between the matches and Len() + Nodes() otherwise.
+func TestRangeSearchCountsEvaluations(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := randPoints(rng, 2000, 8)
+	tr, _ := Build(pts)
+	all := func(Point, float64) bool { return true }
+	if evals := tr.RangeSearch(make([]float32, 8), 1e6, all); evals != tr.Len()+tr.Nodes() {
+		t.Fatalf("covering range evaluated %d distances, want %d", evals, tr.Len()+tr.Nodes())
+	}
+	far := make([]float32, 8)
+	far[0] = 1e6
+	if evals := tr.RangeSearch(far, 1, all); evals != 1 {
+		t.Fatalf("far query evaluated %d distances, want 1", evals)
+	}
+	for trial := 0; trial < 20; trial++ {
+		q := pts[rng.Intn(len(pts))].Vec
+		eps := 0.5 + rng.Float64()*2
+		matches := len(bruteRange(pts, q, eps))
+		evals := tr.RangeSearch(q, eps, all)
+		if evals < matches || evals > tr.Len()+tr.Nodes() {
+			t.Fatalf("trial %d: %d evaluations for %d matches, tree of %d points and %d balls",
+				trial, evals, matches, tr.Len(), tr.Nodes())
+		}
 	}
 }
 

@@ -133,18 +133,16 @@ func (e *Env) Close() error {
 	return e.DB.Close()
 }
 
-// trafficFrames iterates rendered TrafficCam frames as whole-frame patches.
-func (e *Env) trafficFrames() core.Iterator {
-	t := 0
-	return core.NewFuncIterator(func() (core.Tuple, bool, error) {
-		if t >= e.Traffic.Frames {
-			return nil, false, nil
+// trafficFrames streams rendered TrafficCam frames as whole-frame patches.
+func (e *Env) trafficFrames() core.Stream {
+	return func(yield func(*core.Patch, error) bool) {
+		for t := 0; t < e.Traffic.Frames; t++ {
+			img, _ := e.Traffic.Render(t)
+			if !yield(framePatch("trafficcam", uint64(t), img), nil) {
+				return
+			}
 		}
-		img, _ := e.Traffic.Render(t)
-		p := framePatch("trafficcam", uint64(t), img)
-		t++
-		return core.Tuple{p}, true, nil
-	}, nil)
+	}
 }
 
 func framePatch(source string, frame uint64, img *codec.Image) *core.Patch {
@@ -226,8 +224,7 @@ func (e *Env) runETL(s *core.Sharded) error {
 		for t := 0; t < e.Football.ClipLen; t++ {
 			img, _ := clip.Render(t)
 			frame := framePatch(source, uint64(t), img)
-			detIt := core.DetectGenerator(e.Det, core.NewSliceIterator([]core.Tuple{{frame}}))
-			detPatches, err := core.DrainPatches(detIt)
+			detPatches, err := core.Collect(core.DetectGenerator(e.Det, core.FromPatches([]*core.Patch{frame})))
 			if err != nil {
 				return err
 			}
@@ -241,7 +238,7 @@ func (e *Env) runETL(s *core.Sharded) error {
 					return err
 				}
 				withPixels.ID = dp.ID
-				wordPatches, err := core.DrainPatches(core.OCRGenerator(e.JerseyOCR, core.NewSliceIterator([]core.Tuple{{&withPixels}})))
+				wordPatches, err := core.Collect(core.OCRGenerator(e.JerseyOCR, core.FromPatches([]*core.Patch{&withPixels})))
 				if err != nil {
 					return err
 				}
@@ -261,11 +258,11 @@ func (e *Env) runETL(s *core.Sharded) error {
 
 // ensureDepth fills a zero depth for non-pedestrian detections whose bbox
 // geometry the depth model was not applied to, keeping the schema total.
-func ensureDepth(in core.Iterator) core.Iterator {
-	return core.Transform(in, func(t core.Tuple) ([]core.Tuple, error) {
-		if _, ok := t[0].Get("depth"); !ok {
-			t[0].Meta["depth"] = core.FloatV(0)
+func ensureDepth(in core.Stream) core.Stream {
+	return core.Transform(in, func(p *core.Patch) ([]*core.Patch, error) {
+		if _, ok := p.Get("depth"); !ok {
+			p.Meta["depth"] = core.FloatV(0)
 		}
-		return []core.Tuple{t}, nil
+		return []*core.Patch{p}, nil
 	})
 }

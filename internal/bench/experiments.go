@@ -778,7 +778,7 @@ func AblationLSH(e *Env) ([]AblationLSHRow, error) {
 		return nil, err
 	}
 	start = time.Now()
-	approx, err := core.SimilarityJoinVecIndexed(peds, col, vi, opts)
+	approx, _, err := core.SimilarityJoinVecIndexed(peds, col, vi, opts)
 	if err != nil {
 		return nil, err
 	}

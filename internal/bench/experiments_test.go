@@ -79,10 +79,40 @@ func TestFig4And5Shapes(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("fig4 rows = %d", len(rows))
 	}
-	// The image-matching and lineage queries must benefit; q5 must not
-	// meaningfully. (Factors grow with scale — the paper reports 612x at
-	// full scale; this guards the direction at test scale.) Single runs
-	// are microsecond-scale on a warm env, so take min-of-N to de-noise.
+	// The image-matching and lineage queries must benefit. (Factors grow
+	// with scale — the paper reports 612x at full scale; this guards the
+	// direction at test scale.) The matching queries' benefit is the
+	// distances their tuned plan skips, counted, so it holds on any host
+	// load; their wall-clock speedups are only logged.
+	evals := func(fn func(bool) (QueryResult, error)) (nested, tuned int) {
+		t.Helper()
+		base, err := fn(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := fn(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Value != fast.Value {
+			t.Fatalf("%s: tuned answer %d, nested %d", base.Query, fast.Value, base.Value)
+		}
+		return base.DistEvals, fast.DistEvals
+	}
+	for _, c := range []struct {
+		name  string
+		fn    func(bool) (QueryResult, error)
+		ratio float64
+	}{{"q1", e.Q1, 0.75}, {"q4", e.Q4, 0.5}} {
+		nested, tuned := evals(c.fn)
+		t.Logf("%s distance evaluations: nested %d, tuned %d", c.name, nested, tuned)
+		if nested == 0 || float64(tuned) > c.ratio*float64(nested) {
+			t.Fatalf("%s tuned plan evaluated %d distances, above %.2fx the nested loop's %d",
+				c.name, tuned, c.ratio, nested)
+		}
+	}
+	// Single runs are microsecond-scale on a warm env, so take min-of-N
+	// to de-noise.
 	minSpeedup := func(fn func(bool) (QueryResult, error)) float64 {
 		t.Helper()
 		best := func(tuned bool) float64 {
@@ -101,17 +131,9 @@ func TestFig4And5Shapes(t *testing.T) {
 		return best(false) / best(true)
 	}
 	if raceEnabled {
-		t.Log("race detector: running plans for correctness, skipping wall-clock speedup assertions")
-		if _, err := e.Q4(true); err != nil {
-			t.Fatal(err)
-		}
+		t.Log("race detector: skipping wall-clock speedups")
 	} else {
-		if sp := minSpeedup(e.Q4); sp < 1.2 {
-			t.Fatalf("q4 speedup %.1fx below 1.2x", sp)
-		}
-		if sp := minSpeedup(e.Q1); sp < 1.2 {
-			t.Fatalf("q1 speedup %.1fx below 1.2x", sp)
-		}
+		t.Logf("wall-clock speedups: q4 %.1fx, q1 %.1fx", minSpeedup(e.Q4), minSpeedup(e.Q1))
 		if sp := minSpeedup(e.Q3); sp < 1.2 {
 			t.Fatalf("q3 speedup %.1fx below 1.2x", sp)
 		}
@@ -276,7 +298,7 @@ func TestSynthesizedQ6Pipeline(t *testing.T) {
 	// patches with depth out.
 	img, _ := e.Traffic.Render(30)
 	frame := framePatch("synth", 30, img)
-	ps, err := core.DrainPatches(sp.Build(core.NewSliceIterator([]core.Tuple{{frame}})))
+	ps, err := core.Collect(sp.Build(core.FromPatches([]*core.Patch{frame})))
 	if err != nil {
 		t.Fatal(err)
 	}

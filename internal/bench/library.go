@@ -33,21 +33,21 @@ func (e *Env) NewLibrary() (*core.Library, error) {
 			// the vision test suite.
 			Precision: 0.90, Recall: 0.85,
 			PerPatch: detLat,
-			Build:    func(in core.Iterator) core.Iterator { return core.DetectGenerator(e.Det, in) },
+			Build:    func(in core.Stream) core.Stream { return core.DetectGenerator(e.Det, in) },
 		},
 		{
 			Name: "doc-ocr", Kind: core.KindGenerator,
 			Produces:  []string{"text", "score", "bbox", "frameno"},
 			Precision: 0.95, Recall: 0.85,
 			PerPatch: ocrLat,
-			Build:    func(in core.Iterator) core.Iterator { return core.OCRGenerator(e.DocOCR, in) },
+			Build:    func(in core.Stream) core.Stream { return core.OCRGenerator(e.DocOCR, in) },
 		},
 		{
 			Name: "jersey-ocr", Kind: core.KindGenerator,
 			Produces:  []string{"text", "score", "bbox", "frameno"},
 			Precision: 0.90, Recall: 0.70,
 			PerPatch: jerseyLat,
-			Build:    func(in core.Iterator) core.Iterator { return core.OCRGenerator(e.JerseyOCR, in) },
+			Build:    func(in core.Stream) core.Stream { return core.OCRGenerator(e.JerseyOCR, in) },
 		},
 		{
 			Name: "histogram", Kind: core.KindTransformer,
@@ -59,7 +59,7 @@ func (e *Env) NewLibrary() (*core.Library, error) {
 			Name: "grid-histogram", Kind: core.KindTransformer,
 			Produces: []string{"ghist"},
 			PerPatch: ghistLat,
-			Build: func(in core.Iterator) core.Iterator {
+			Build: func(in core.Stream) core.Stream {
 				return core.GridHistogramTransformer(3, in)
 			},
 		},
@@ -67,7 +67,7 @@ func (e *Env) NewLibrary() (*core.Library, error) {
 			Name: "embedder", Kind: core.KindTransformer,
 			Produces: []string{"emb"},
 			PerPatch: embLat,
-			Build: func(in core.Iterator) core.Iterator {
+			Build: func(in core.Stream) core.Stream {
 				return core.EmbedTransformer(e.Emb, in)
 			},
 		},
@@ -76,7 +76,7 @@ func (e *Env) NewLibrary() (*core.Library, error) {
 			Produces: []string{"depth"},
 			Requires: []string{"bbox"},
 			PerPatch: depthLat,
-			Build: func(in core.Iterator) core.Iterator {
+			Build: func(in core.Stream) core.Stream {
 				return core.DepthTransformer(e.Depth, in)
 			},
 		},

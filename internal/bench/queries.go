@@ -22,6 +22,9 @@ type QueryResult struct {
 	// Value is the query's answer (count, pair count, trajectory length,
 	// frame index — query dependent).
 	Value int
+	// DistEvals counts the vector distances q1 and q4 evaluate: n(n−1)/2
+	// for the nested loop, the index probes' RangeSearch counts tuned.
+	DistEvals int
 }
 
 // Matching thresholds, tuned once against the generators and shared by
@@ -62,8 +65,9 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	start := time.Now()
 	var pairs []core.Tuple
 	plan := "nested-loop all-pairs"
+	evals := len(ps) * (len(ps) - 1) / 2
 	if useIndex {
-		pairs, err = core.SimilarityJoinVecIndexed(ps, col, vi, opts)
+		pairs, evals, err = core.SimilarityJoinVecIndexed(ps, col, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -74,7 +78,8 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 	}
-	return QueryResult{Query: "q1", Plan: plan, Duration: time.Since(start), Value: len(pairs)}, nil
+	return QueryResult{Query: "q1", Plan: plan, Duration: time.Since(start), Value: len(pairs),
+		DistEvals: evals}, nil
 }
 
 // Q1Accuracy evaluates q1's pairs against the generator's planted
@@ -299,13 +304,13 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 			return QueryResult{}, err
 		}
 		start := time.Now()
-		pairs, err := core.SimilarityJoinVecIndexed(peds, view, vi, opts)
+		pairs, evals, err := core.SimilarityJoinVecIndexed(peds, view, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}
 		distinct := dropSmall(core.Clusters(peds, pairs), minClusterSize)
 		return QueryResult{Query: "q4", Plan: "materialized view + prebuilt ball-tree match",
-			Duration: time.Since(start), Value: len(distinct)}, nil
+			Duration: time.Since(start), Value: len(distinct), DistEvals: evals}, nil
 	}
 	start := time.Now()
 	peds, err := e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterScan)
@@ -320,7 +325,7 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 	// drops them exactly as Table 1's plans do.
 	distinct := dropSmall(core.Clusters(peds, pairs), minClusterSize)
 	return QueryResult{Query: "q4", Plan: "scan filter + nested-loop match",
-		Duration: time.Since(start), Value: len(distinct)}, nil
+		Duration: time.Since(start), Value: len(distinct), DistEvals: len(peds) * (len(peds) - 1) / 2}, nil
 }
 
 // pedestrianView returns (materializing on first use) the filtered view
@@ -335,10 +340,10 @@ func (e *Env) pedestrianView(col *core.Collection) (*core.Collection, error) {
 		return nil, err
 	}
 	// Clone patches so ids stay unique across collections.
-	it := core.Transform(core.FromPatches(peds), func(t core.Tuple) ([]core.Tuple, error) {
-		q := t[0].Clone()
+	it := core.Transform(core.FromPatches(peds), func(p *core.Patch) ([]*core.Patch, error) {
+		q := p.Clone()
 		q.ID = 0 // reassign in the view
-		return []core.Tuple{{q}}, nil
+		return []*core.Patch{q}, nil
 	})
 	return e.DB.Materialize(name, col.Schema(), it)
 }

@@ -342,25 +342,18 @@ func (db *DB) DropCollection(name string) error {
 	return nil
 }
 
-// Materialize drains it into a new collection (paper §4.1 Materialize).
-func (db *DB) Materialize(name string, schema Schema, it Iterator) (*Collection, error) {
+// Materialize drains s into a new collection (paper §4.1 Materialize).
+func (db *DB) Materialize(name string, schema Schema, s Stream) (*Collection, error) {
 	c, err := db.CreateCollection(name, schema)
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	for {
-		t, ok, err := it.Next()
+	for p, err := range s {
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		for _, p := range t {
-			if err := c.Append(p); err != nil {
-				return nil, err
-			}
+		if err := c.Append(p); err != nil {
+			return nil, err
 		}
 	}
 	if err := c.saveDesc(); err != nil {

@@ -256,13 +256,13 @@ func TestGroupCountAndOrderBy(t *testing.T) {
 		col.Append(mkPatch("car", int64(i%3)))
 	}
 	ps, _ := col.Patches()
-	groups, err := Drain(GroupCount(FromPatches(ps), "frameno"))
-	if err != nil || len(groups) != 3 {
-		t.Fatalf("groups = %d, %v", len(groups), err)
+	groups := GroupCount(ps, "frameno")
+	if len(groups) != 3 {
+		t.Fatalf("groups = %d", len(groups))
 	}
 	for _, g := range groups {
-		if metaVal(g[0], "count").Int() != 10 {
-			t.Fatalf("group count = %d", metaVal(g[0], "count").Int())
+		if metaVal(g, "count").Int() != 10 {
+			t.Fatalf("group count = %d", metaVal(g, "count").Int())
 		}
 	}
 }
@@ -406,7 +406,7 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := SimilarityJoinVecIndexed(ps, col, vi, opts)
+	indexed, _, err := SimilarityJoinVecIndexed(ps, col, vi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +492,8 @@ func TestDistinctClusters(t *testing.T) {
 }
 
 // TestClustersFirstAppearanceOrder: clusters come in the order of their
-// first member and keep members in input order; malformed pairs and
-// pairs reaching outside the set join nothing.
+// first member and keep members in input order; pairs reaching outside
+// the set join nothing.
 func TestClustersFirstAppearanceOrder(t *testing.T) {
 	p := make([]*Patch, 7)
 	for i := range p {
@@ -506,8 +506,6 @@ func TestClustersFirstAppearanceOrder(t *testing.T) {
 		{p[5], p[0]},
 		{p[3], outside}, // endpoint outside the set
 		{p[6], outside},
-		{p[3]},             // not a pair
-		{p[3], p[6], p[1]}, // not a pair
 	}
 	got := Clusters(p, pairs)
 	want := [][]*Patch{{p[0], p[2], p[5]}, {p[1], p[4]}, {p[3]}, {p[6]}}

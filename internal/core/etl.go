@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the Visual ETL layer (§4): patch generators turn raw frames
-// into patch collections; transformers featurize or annotate patches. All
-// stages are ordinary iterator operators, so any intermediate result can
-// be materialized and indexed.
+// into patch collections; transformers featurize or annotate patches. Every
+// stage takes and returns a Stream, so any intermediate result can be
+// materialized and indexed.
 
 // FrameRange is the optional temporal filter of the Load API (§3.1).
 type FrameRange struct {
@@ -21,68 +21,73 @@ type FrameRange struct {
 // temporal filter into the storage format when it supports it (the scan
 // semantics differ per format: the Frame File seeks, the Encoded File
 // decodes its whole prefix, the Segmented File seeks to the covering
-// clip). The iterator's patches carry pixel payloads and frameno metadata.
-func LoadVideo(source string, st video.Store, filter FrameRange) Iterator {
+// clip). The stream's patches carry pixel payloads and frameno metadata.
+// A goroutine decodes up to 16 frames ahead of the consumer; a consumer
+// that stops ranging stops the scan, and the stream returns only once
+// that goroutine has exited.
+func LoadVideo(source string, st video.Store, filter FrameRange) Stream {
 	hi := filter.Hi
 	if hi == 0 {
 		hi = ^uint64(0)
 	}
-	ch := make(chan *Patch, 16)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		err := st.Scan(filter.Lo, hi, func(f video.Frame) bool {
-			ch <- &Patch{
-				Ref:  Ref{Source: source, Frame: f.Number},
-				Data: imageToTensor(f.Image),
-				Meta: Metadata{
-					"frameno": IntV(int64(f.Number)),
-					"width":   IntV(int64(f.Image.W)),
-					"height":  IntV(int64(f.Image.H)),
-				},
+	return func(yield func(*Patch, error) bool) {
+		// 16 frames of read-ahead keep decoding overlapped with the
+		// consumer's per-frame inference.
+		ch := make(chan *Patch, 16)
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		var err error
+		go func() {
+			defer close(done)
+			defer close(ch)
+			err = st.Scan(filter.Lo, hi, func(f video.Frame) bool {
+				select {
+				case ch <- wholeFrame(source, f.Number, f.Image):
+					return true
+				case <-stop:
+					return false
+				}
+			})
+		}()
+		defer func() {
+			close(stop)
+			<-done
+		}()
+		for p := range ch {
+			if !yield(p, nil) {
+				return
 			}
-			return true
-		})
-		errc <- err
-	}()
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		p, ok := <-ch
-		if !ok {
-			if err := <-errc; err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
 		}
-		return Tuple{p}, true, nil
-	}, func() error {
-		// Drain so the producer goroutine exits.
-		for range ch {
+		if err != nil {
+			yield(nil, err)
 		}
-		return nil
-	})
+	}
 }
 
 // FromImages wraps an in-memory image list (the PC corpus) as whole-image
 // patches of the named source.
-func FromImages(source string, imgs []*codec.Image) Iterator {
-	i := 0
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		if i >= len(imgs) {
-			return nil, false, nil
+func FromImages(source string, imgs []*codec.Image) Stream {
+	return func(yield func(*Patch, error) bool) {
+		for i, img := range imgs {
+			if !yield(wholeFrame(source, uint64(i), img), nil) {
+				return
+			}
 		}
-		img := imgs[i]
-		p := &Patch{
-			Ref:  Ref{Source: source, Frame: uint64(i)},
-			Data: imageToTensor(img),
-			Meta: Metadata{
-				"frameno": IntV(int64(i)),
-				"width":   IntV(int64(img.W)),
-				"height":  IntV(int64(img.H)),
-			},
-		}
-		i++
-		return Tuple{p}, true, nil
-	}, nil)
+	}
+}
+
+// wholeFrame is frame n of source as a whole-frame patch: its pixels,
+// and its frameno, width and height.
+func wholeFrame(source string, n uint64, img *codec.Image) *Patch {
+	return &Patch{
+		Ref:  Ref{Source: source, Frame: n},
+		Data: imageToTensor(img),
+		Meta: Metadata{
+			"frameno": IntV(int64(n)),
+			"width":   IntV(int64(img.W)),
+			"height":  IntV(int64(img.H)),
+		},
+	}
 }
 
 func imageToTensor(img *codec.Image) *tensor.Tensor {
@@ -105,14 +110,13 @@ func TensorToImage(t *tensor.Tensor) *codec.Image {
 // tiled subimages, or even subimages extracted by an object detection
 // neural network"). Edge tiles are clipped to the frame. Lineage points at
 // the frame patch.
-func TileGenerator(tileW, tileH int, in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		frame := t[0]
+func TileGenerator(tileW, tileH int, in Stream) Stream {
+	return Transform(in, func(frame *Patch) ([]*Patch, error) {
 		img := TensorToImage(frame.Data)
 		if img == nil {
 			return nil, nil
 		}
-		var outs []Tuple
+		var outs []*Patch
 		for y := 0; y < img.H; y += tileH {
 			for x := 0; x < img.W; x += tileW {
 				x2, y2 := x+tileW, y+tileH
@@ -123,14 +127,14 @@ func TileGenerator(tileW, tileH int, in Iterator) Iterator {
 					y2 = img.H
 				}
 				crop := img.Crop(x, y, x2, y2)
-				outs = append(outs, Tuple{{
+				outs = append(outs, &Patch{
 					Ref:  Ref{Source: frame.Ref.Source, Frame: frame.Ref.Frame, Parent: frame.ID},
 					Data: imageToTensor(crop),
 					Meta: Metadata{
 						"bbox":    RectV(float64(x), float64(y), float64(x2), float64(y2)),
 						"frameno": IntV(int64(frame.Ref.Frame)),
 					},
-				}})
+				})
 			}
 		}
 		return outs, nil
@@ -154,18 +158,17 @@ func DetectionSchema() Schema {
 // DetectGenerator runs the object detector over whole-frame patches and
 // emits one patch per detection, cropped to the bounding box, with lineage
 // back to the frame patch (§4.1 Patch Generators).
-func DetectGenerator(det *vision.Detector, in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		frame := t[0]
+func DetectGenerator(det *vision.Detector, in Stream) Stream {
+	return Transform(in, func(frame *Patch) ([]*Patch, error) {
 		img := TensorToImage(frame.Data)
 		if img == nil {
 			return nil, nil
 		}
 		dets := det.Detect(img)
-		outs := make([]Tuple, 0, len(dets))
+		outs := make([]*Patch, 0, len(dets))
 		for _, d := range dets {
 			crop := img.Crop(d.X1, d.Y1, d.X2, d.Y2)
-			outs = append(outs, Tuple{{
+			outs = append(outs, &Patch{
 				Ref:  Ref{Source: frame.Ref.Source, Frame: frame.Ref.Frame, Parent: frame.ID},
 				Data: imageToTensor(crop),
 				Meta: Metadata{
@@ -174,7 +177,7 @@ func DetectGenerator(det *vision.Detector, in Iterator) Iterator {
 					"bbox":    RectV(float64(d.X1), float64(d.Y1), float64(d.X2), float64(d.Y2)),
 					"frameno": IntV(int64(frame.Ref.Frame)),
 				},
-			}})
+			})
 		}
 		return outs, nil
 	})
@@ -197,9 +200,8 @@ func OCRSchema() Schema {
 // recognized word. When the input is a detection patch (has a bbox), the
 // word's bbox is offset into frame coordinates and lineage points at the
 // detection patch.
-func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		src := t[0]
+func OCRGenerator(ocr *vision.OCR, in Stream) Stream {
+	return Transform(in, func(src *Patch) ([]*Patch, error) {
 		img := TensorToImage(src.Data)
 		if img == nil {
 			return nil, nil
@@ -210,10 +212,10 @@ func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
 			offX, offY = float64(box[0]), float64(box[1])
 		}
 		words := ocr.Recognize(img)
-		outs := make([]Tuple, 0, len(words))
+		outs := make([]*Patch, 0, len(words))
 		for _, w := range words {
 			crop := img.Crop(w.X1, w.Y1, w.X2, w.Y2)
-			outs = append(outs, Tuple{{
+			outs = append(outs, &Patch{
 				Ref:  Ref{Source: src.Ref.Source, Frame: src.Ref.Frame, Parent: src.ID},
 				Data: imageToTensor(crop),
 				Meta: Metadata{
@@ -223,32 +225,23 @@ func OCRGenerator(ocr *vision.OCR, in Iterator) Iterator {
 						offX+float64(w.X2), offY+float64(w.Y2)),
 					"frameno": IntV(int64(src.Ref.Frame)),
 				},
-			}})
+			})
 		}
 		return outs, nil
 	})
 }
 
-// editable returns t with its first patch as a builder a transformer
-// may add fields to: the patch itself when it is one, and otherwise a
-// copy in a copy of t, since a committed row is immutable.
-func editable(t Tuple) Tuple {
-	if b := t[0].Builder(); b != t[0] {
-		t = append(Tuple{b}, t[1:]...)
-	}
-	return t
-}
-
 // HistogramTransformer adds a "hist" color-histogram vector to each patch
-// (§4.1 Transformers; the low-dimensional matching feature).
-func HistogramTransformer(in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		img := TensorToImage(t[0].Data)
-		if img != nil {
-			t = editable(t)
-			t[0].Meta["hist"] = VecV(vision.ColorHistogram(img))
+// (§4.1 Transformers; the low-dimensional matching feature). Like every
+// transformer it adds fields to p.Builder(), so a committed row it reads
+// is left as it was.
+func HistogramTransformer(in Stream) Stream {
+	return Transform(in, func(p *Patch) ([]*Patch, error) {
+		if img := TensorToImage(p.Data); img != nil {
+			p = p.Builder()
+			p.Meta["hist"] = VecV(vision.ColorHistogram(img))
 		}
-		return []Tuple{t}, nil
+		return []*Patch{p}, nil
 	})
 }
 
@@ -256,68 +249,64 @@ func HistogramTransformer(in Iterator) Iterator {
 // grid histogram projected to 64 dimensions (the whole-image
 // near-duplicate feature q1 matches on; low-dimensional per the paper's
 // Example 2 so multidimensional indexes stay effective).
-func GridHistogramTransformer(grid int, in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		img := TensorToImage(t[0].Data)
-		if img != nil {
-			t = editable(t)
-			t[0].Meta["ghist"] = VecV(vision.RandomProject(vision.GridHistogram(img, grid), 64))
+func GridHistogramTransformer(grid int, in Stream) Stream {
+	return Transform(in, func(p *Patch) ([]*Patch, error) {
+		if img := TensorToImage(p.Data); img != nil {
+			p = p.Builder()
+			p.Meta["ghist"] = VecV(vision.RandomProject(vision.GridHistogram(img, grid), 64))
 		}
-		return []Tuple{t}, nil
+		return []*Patch{p}, nil
 	})
 }
 
-// transformBatchSize is the tuple batch transformers accumulate before
+// transformBatchSize is the patch batch transformers accumulate before
 // one fused model invocation.
 const transformBatchSize = 32
 
-// BatchTransform buffers up to size tuples and maps them through fn
-// together — how transformers batch their model inference.
-func BatchTransform(in Iterator, size int, fn func([]Tuple) error) Iterator {
-	var pending []Tuple
-	done := false
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			if len(pending) > 0 {
-				t := pending[0]
-				pending = pending[1:]
-				return t, true, nil
-			}
-			if done {
-				return nil, false, nil
-			}
-			batch := make([]Tuple, 0, size)
-			for len(batch) < size {
-				t, ok, err := in.Next()
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					done = true
-					break
-				}
-				batch = append(batch, t)
-			}
-			if len(batch) == 0 {
-				return nil, false, nil
-			}
+// BatchTransform buffers up to size patches and maps them through fn
+// together — how transformers batch their model inference. fn may
+// replace a batch entry; the stream yields the batch as fn leaves it.
+func BatchTransform(in Stream, size int, fn func([]*Patch) error) Stream {
+	return func(yield func(*Patch, error) bool) {
+		batch := make([]*Patch, 0, size)
+		flush := func() bool {
 			if err := fn(batch); err != nil {
-				return nil, false, err
+				yield(nil, err)
+				return false
 			}
-			pending = batch
+			for _, p := range batch {
+				if !yield(p, nil) {
+					return false
+				}
+			}
+			batch = batch[:0]
+			return true
 		}
-	}, in.Close)
+		for p, err := range in {
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			batch = append(batch, p)
+			if len(batch) == size && !flush() {
+				return
+			}
+		}
+		if len(batch) > 0 {
+			flush()
+		}
+	}
 }
 
 // EmbedTransformer adds an "emb" backbone embedding to each patch (the
 // high-dimensional matching feature; burns the NN inference the ETL phase
-// is dominated by). Inference is batched across tuples.
-func EmbedTransformer(e *vision.Embedder, in Iterator) Iterator {
-	return BatchTransform(in, transformBatchSize, func(batch []Tuple) error {
+// is dominated by). Inference is batched across patches.
+func EmbedTransformer(e *vision.Embedder, in Stream) Stream {
+	return BatchTransform(in, transformBatchSize, func(batch []*Patch) error {
 		var imgs []*codec.Image
 		var idx []int
-		for i, t := range batch {
-			if img := TensorToImage(t[0].Data); img != nil {
+		for i, p := range batch {
+			if img := TensorToImage(p.Data); img != nil {
 				imgs = append(imgs, img)
 				idx = append(idx, i)
 			}
@@ -327,23 +316,23 @@ func EmbedTransformer(e *vision.Embedder, in Iterator) Iterator {
 		}
 		embs := e.EmbedBatch(imgs)
 		for j, i := range idx {
-			batch[i] = editable(batch[i])
-			batch[i][0].Meta["emb"] = VecV(embs[j])
+			batch[i] = batch[i].Builder()
+			batch[i].Meta["emb"] = VecV(embs[j])
 		}
 		return nil
 	})
 }
 
 // DepthTransformer adds a "depth" prediction to each patch using its bbox
-// geometry and pixels. Inference is batched across tuples.
-func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
-	return BatchTransform(in, transformBatchSize, func(batch []Tuple) error {
+// geometry and pixels. Inference is batched across patches.
+func DepthTransformer(dm *vision.DepthModel, in Stream) Stream {
+	return BatchTransform(in, transformBatchSize, func(batch []*Patch) error {
 		var imgs []*codec.Image
 		var boxes [][4]int
 		var idx []int
-		for i, t := range batch {
-			img := TensorToImage(t[0].Data)
-			bb, _ := t[0].Get("bbox")
+		for i, p := range batch {
+			img := TensorToImage(p.Data)
+			bb, _ := p.Get("bbox")
 			if box := bb.Vec(); img != nil && len(box) == 4 {
 				imgs = append(imgs, img)
 				boxes = append(boxes, [4]int{int(box[0]), int(box[1]), int(box[2]), int(box[3])})
@@ -355,8 +344,8 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 		}
 		depths := dm.PredictBatch(imgs, boxes)
 		for j, i := range idx {
-			batch[i] = editable(batch[i])
-			batch[i][0].Meta["depth"] = FloatV(depths[j])
+			batch[i] = batch[i].Builder()
+			batch[i].Meta["depth"] = FloatV(depths[j])
 		}
 		return nil
 	})
@@ -365,14 +354,10 @@ func DepthTransformer(dm *vision.DepthModel, in Iterator) Iterator {
 // DropData strips the dense payload (after featurization, queries that
 // only touch metadata don't need pixels; §4.1 compression). It emits
 // copies, so a committed row keeps its payload.
-func DropData(in Iterator) Iterator {
-	return Transform(in, func(t Tuple) ([]Tuple, error) {
-		out := make(Tuple, len(t))
-		for i, p := range t {
-			q := *p
-			q.Data = nil
-			out[i] = &q
-		}
-		return []Tuple{out}, nil
+func DropData(in Stream) Stream {
+	return Transform(in, func(p *Patch) ([]*Patch, error) {
+		q := *p
+		q.Data = nil
+		return []*Patch{&q}, nil
 	})
 }

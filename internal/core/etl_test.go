@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -46,7 +48,7 @@ func TestLoadVideoPushdown(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := DrainPatches(LoadVideo("vid", ff, FrameRange{Lo: 5, Hi: 12}))
+	ps, err := Collect(LoadVideo("vid", ff, FrameRange{Lo: 5, Hi: 12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +66,86 @@ func TestLoadVideoPushdown(t *testing.T) {
 			t.Fatalf("payload shape %v", p.Data.Shape)
 		}
 	}
-	// Early close does not deadlock the producer goroutine.
-	it := LoadVideo("vid", ff, FrameRange{})
-	if _, _, err := it.Next(); err != nil {
-		t.Fatal(err)
+	// An early stop does not deadlock the producer goroutine.
+	for _, err := range LoadVideo("vid", ff, FrameRange{}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
 	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// countingStore is an in-memory video.Store of n tiny frames that counts
+// the frames its Scan hands out, records whether Scan has returned, and
+// fails with err after failAt frames when err is set.
+type countingStore struct {
+	video.Store
+	n, failAt uint64
+	err       error
+	handed    atomic.Int64
+	returned  atomic.Bool
+}
+
+func (s *countingStore) Scan(lo, hi uint64, fn func(video.Frame) bool) error {
+	defer s.returned.Store(true)
+	img := &codec.Image{W: 2, H: 2, Pix: make([]uint8, 12)}
+	for i := lo; i < hi && i < s.n; i++ {
+		if s.err != nil && i == s.failAt {
+			return s.err
+		}
+		s.handed.Add(1)
+		if !fn(video.Frame{Number: i, Image: img}) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// TestLoadVideoEarlyStop: a consumer that stops ranging stops the scan.
+// The store hands out at most the frames consumed, the 16-frame
+// read-ahead and the one in flight, and the stream returns only after
+// its scan goroutine has exited.
+func TestLoadVideoEarlyStop(t *testing.T) {
+	st := &countingStore{n: 64}
+	got := 0
+	for p, err := range LoadVideo("vid", st, FrameRange{}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Ref.Frame != uint64(got) {
+			t.Fatalf("patch %d is frame %d", got, p.Ref.Frame)
+		}
+		if got++; got == 2 {
+			break
+		}
+	}
+	if !st.returned.Load() {
+		t.Fatal("stream returned before its scan finished")
+	}
+	if n := st.handed.Load(); n > 2+16+1 {
+		t.Fatalf("store handed out %d of 64 frames after 2 were consumed", n)
+	}
+}
+
+// TestLoadVideoScanError: the frames before a failed scan stream out,
+// then the scan's error.
+func TestLoadVideoScanError(t *testing.T) {
+	boom := errors.New("boom")
+	st := &countingStore{n: 64, failAt: 5, err: boom}
+	n := 0
+	var last error
+	for p, err := range LoadVideo("vid", st, FrameRange{}) {
+		if err != nil {
+			last = err
+			continue
+		}
+		if p.Ref.Frame != uint64(n) {
+			t.Fatalf("patch %d is frame %d", n, p.Ref.Frame)
+		}
+		n++
+	}
+	if n != 5 || !errors.Is(last, boom) {
+		t.Fatalf("%d frames then %v, want 5 then boom", n, last)
 	}
 }
 
@@ -80,7 +155,7 @@ func TestDetectGeneratorLineageAndSchema(t *testing.T) {
 	frame := &Patch{ID: 77, Ref: Ref{Source: "cam", Frame: 0}, Data: ImageToTensor(img),
 		Meta: Metadata{"frameno": IntV(0)}}
 	det := vision.NewDetector(exec.New(exec.CPU), 42)
-	ps, err := DrainPatches(DetectGenerator(det, NewSliceIterator([]Tuple{{frame}})))
+	ps, err := Collect(DetectGenerator(det, FromPatches([]*Patch{frame})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +209,7 @@ func TestTransformersLeaveCommittedRowsAlone(t *testing.T) {
 	it = EmbedTransformer(vision.NewEmbedder(dev, 42), it)
 	it = DepthTransformer(vision.NewDepthModel(dev, sc.Horizon, sc.Focal, 42), it)
 	it = DropData(it)
-	out, err := DrainPatches(it)
+	out, err := Collect(it)
 	if err != nil || len(out) != len(rows) {
 		t.Fatalf("%d patches, %v", len(out), err)
 	}
@@ -169,12 +244,11 @@ func TestTransformersAddFields(t *testing.T) {
 	emb := vision.NewEmbedder(dev, 42)
 	dm := vision.NewDepthModel(dev, sc.Horizon, sc.Focal, 42)
 
-	it := NewSliceIterator([]Tuple{{frame}})
-	it = HistogramTransformer(it)
+	it := HistogramTransformer(FromPatches([]*Patch{frame}))
 	it = GridHistogramTransformer(3, it)
 	it = EmbedTransformer(emb, it)
 	it = DepthTransformer(dm, it)
-	ps, err := DrainPatches(it)
+	ps, err := Collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +266,7 @@ func TestTransformersAddFields(t *testing.T) {
 		t.Fatalf("depth %f", metaVal(p, "depth").Float())
 	}
 	// DropData strips the payload but keeps features.
-	dropped, _ := DrainPatches(DropData(NewSliceIterator([]Tuple{{p}})))
+	dropped, _ := Collect(DropData(FromPatches([]*Patch{p})))
 	if dropped[0].Data != nil {
 		t.Fatal("DropData kept payload")
 	}
@@ -210,7 +284,7 @@ func TestOCRGeneratorOffsetsIntoFrame(t *testing.T) {
 	vision.DrawString(img, "HI42", 4, 4, 2, [3]uint8{10, 10, 10})
 	patch := &Patch{ID: 5, Ref: Ref{Source: "doc", Frame: 3}, Data: ImageToTensor(img),
 		Meta: Metadata{"bbox": RectV(20, 10, 100, 40), "frameno": IntV(3)}}
-	ps, err := DrainPatches(OCRGenerator(vision.NewDocumentOCR(), NewSliceIterator([]Tuple{{patch}})))
+	ps, err := Collect(OCRGenerator(vision.NewDocumentOCR(), FromPatches([]*Patch{patch})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +308,7 @@ func TestOCRGeneratorOffsetsIntoFrame(t *testing.T) {
 
 func TestFromImages(t *testing.T) {
 	imgs := []*codec.Image{codec.NewImage(8, 6), codec.NewImage(10, 4)}
-	ps, err := DrainPatches(FromImages("corpus", imgs))
+	ps, err := Collect(FromImages("corpus", imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +347,7 @@ func TestTileGenerator(t *testing.T) {
 	}
 	frame := &Patch{ID: 9, Ref: Ref{Source: "v", Frame: 4}, Data: ImageToTensor(img),
 		Meta: Metadata{"frameno": IntV(4)}}
-	ps, err := DrainPatches(TileGenerator(32, 32, NewSliceIterator([]Tuple{{frame}})))
+	ps, err := Collect(TileGenerator(32, 32, FromPatches([]*Patch{frame})))
 	if err != nil {
 		t.Fatal(err)
 	}

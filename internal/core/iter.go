@@ -1,102 +1,33 @@
 package core
 
-// Iterator is the Volcano-style tuple iterator every operator implements
-// (§2.2: "operators in the system implement iterators over tuples of
-// Patch objects").
-type Iterator interface {
-	// Next returns the next tuple; ok=false at end of stream.
-	Next() (t Tuple, ok bool, err error)
-	// Close releases resources; idempotent.
-	Close() error
-}
+import "iter"
 
-// sliceIter iterates an in-memory tuple slice.
-type sliceIter struct {
-	tuples []Tuple
-	pos    int
-}
+// Stream is what every ETL stage takes and returns (§2.2: generators and
+// transformers are iterators over patches, and Materialize drains one).
+// A stage yields its patches in order; an error is yielded once, with a
+// nil patch, and ends the stream. A consumer that stops ranging stops
+// the stage and every stage upstream of it.
+type Stream = iter.Seq2[*Patch, error]
 
-// NewSliceIterator wraps tuples in an Iterator.
-func NewSliceIterator(tuples []Tuple) Iterator { return &sliceIter{tuples: tuples} }
-
-// FromPatches wraps single-patch tuples in an Iterator.
-func FromPatches(patches []*Patch) Iterator {
-	ts := make([]Tuple, len(patches))
-	for i, p := range patches {
-		ts[i] = Tuple{p}
+// FromPatches streams patches in order.
+func FromPatches(patches []*Patch) Stream {
+	return func(yield func(*Patch, error) bool) {
+		for _, p := range patches {
+			if !yield(p, nil) {
+				return
+			}
+		}
 	}
-	return NewSliceIterator(ts)
 }
 
-func (s *sliceIter) Next() (Tuple, bool, error) {
-	if s.pos >= len(s.tuples) {
-		return nil, false, nil
-	}
-	t := s.tuples[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-func (s *sliceIter) Close() error { return nil }
-
-// funcIter adapts a pull function to an Iterator.
-type funcIter struct {
-	next   func() (Tuple, bool, error)
-	closer func() error
-	closed bool
-}
-
-// NewFuncIterator builds an Iterator from a pull function and optional
-// closer.
-func NewFuncIterator(next func() (Tuple, bool, error), closer func() error) Iterator {
-	return &funcIter{next: next, closer: closer}
-}
-
-func (f *funcIter) Next() (Tuple, bool, error) {
-	if f.closed {
-		return nil, false, nil
-	}
-	return f.next()
-}
-
-func (f *funcIter) Close() error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.closer != nil {
-		return f.closer()
-	}
-	return nil
-}
-
-// Drain consumes an iterator into a slice and closes it.
-func Drain(it Iterator) ([]Tuple, error) {
-	defer it.Close()
-	var out []Tuple
-	for {
-		t, ok, err := it.Next()
+// Collect drains s into a slice, or returns the error s yields.
+func Collect(s Stream) ([]*Patch, error) {
+	var out []*Patch
+	for p, err := range s {
 		if err != nil {
-			return out, err
+			return nil, err
 		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, t)
-	}
-}
-
-// DrainPatches consumes a single-patch-tuple iterator into a patch slice.
-func DrainPatches(it Iterator) ([]*Patch, error) {
-	ts, err := Drain(it)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Patch, 0, len(ts))
-	for _, t := range ts {
-		if len(t) > 0 {
-			out = append(out, t[0])
-		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -14,98 +14,141 @@ func intPatches(n int) []*Patch {
 	return ps
 }
 
-func TestSliceIteratorAndDrain(t *testing.T) {
-	it := FromPatches(intPatches(5))
-	ts, err := Drain(it)
-	if err != nil || len(ts) != 5 {
-		t.Fatalf("Drain: %d, %v", len(ts), err)
-	}
-	// Drained iterator yields nothing further.
-	_, ok, _ := it.Next()
-	if ok {
-		t.Fatal("iterator alive after Drain")
+// failAfter streams ps, then yields err.
+func failAfter(ps []*Patch, err error) Stream {
+	return func(yield func(*Patch, error) bool) {
+		for p := range FromPatches(ps) {
+			if !yield(p, nil) {
+				return
+			}
+		}
+		yield(nil, err)
 	}
 }
 
-func TestFuncIteratorCloseIdempotent(t *testing.T) {
-	closed := 0
-	it := NewFuncIterator(func() (Tuple, bool, error) { return nil, false, nil },
-		func() error { closed++; return nil })
-	it.Close()
-	it.Close()
-	if closed != 1 {
-		t.Fatalf("closer ran %d times", closed)
+func TestFromPatchesAndCollect(t *testing.T) {
+	ps := intPatches(5)
+	got, err := Collect(FromPatches(ps))
+	if err != nil || len(got) != 5 {
+		t.Fatalf("Collect: %d, %v", len(got), err)
 	}
-	// After close, Next returns exhausted.
-	if _, ok, _ := it.Next(); ok {
-		t.Fatal("closed iterator yielded")
+	for i := range ps {
+		if got[i] != ps[i] {
+			t.Fatalf("patch %d out of order", i)
+		}
+	}
+	// A stream ranges afresh each time.
+	if again, _ := Collect(FromPatches(ps)); len(again) != 5 {
+		t.Fatalf("second range: %d patches", len(again))
+	}
+	boom := errors.New("boom")
+	if got, err := Collect(failAfter(ps, boom)); !errors.Is(err, boom) || got != nil {
+		t.Fatalf("Collect over a failing stream: %d patches, %v", len(got), err)
 	}
 }
 
 func TestTransformFanOutAndDrop(t *testing.T) {
 	in := FromPatches(intPatches(4))
-	out := Transform(in, func(tp Tuple) ([]Tuple, error) {
-		i := metaVal(tp[0], "i").Int()
+	out := Transform(in, func(p *Patch) ([]*Patch, error) {
+		i := metaVal(p, "i").Int()
 		if i%2 == 0 {
 			return nil, nil // drop evens
 		}
-		// Fan odd tuples out three ways.
-		return []Tuple{tp, tp, tp}, nil
+		// Fan odd patches out three ways.
+		return []*Patch{p, p, p}, nil
 	})
-	ts, err := Drain(out)
-	if err != nil || len(ts) != 6 {
-		t.Fatalf("fan-out drain: %d, %v", len(ts), err)
+	ps, err := Collect(out)
+	if err != nil || len(ps) != 6 {
+		t.Fatalf("fan-out collect: %d, %v", len(ps), err)
 	}
 }
 
 func TestTransformPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	in := FromPatches(intPatches(3))
-	out := Transform(in, func(Tuple) ([]Tuple, error) { return nil, boom })
-	if _, err := Drain(out); !errors.Is(err, boom) {
+	out := Transform(in, func(*Patch) ([]*Patch, error) { return nil, boom })
+	if _, err := Collect(out); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+	// An upstream error passes through without reaching fn.
+	calls := 0
+	out = Transform(failAfter(intPatches(2), boom), func(p *Patch) ([]*Patch, error) {
+		calls++
+		return []*Patch{p}, nil
+	})
+	if _, err := Collect(out); !errors.Is(err, boom) || calls != 2 {
+		t.Fatalf("err = %v after %d calls, want boom after 2", err, calls)
+	}
+}
+
+// TestEarlyStopReachesUpstream: a consumer that stops ranging stops every
+// stage above it; no stage pulls another patch.
+func TestEarlyStopReachesUpstream(t *testing.T) {
+	pulled := 0
+	src := func(yield func(*Patch, error) bool) {
+		for _, p := range intPatches(100) {
+			pulled++
+			if !yield(p, nil) {
+				return
+			}
+		}
+	}
+	fan := Transform(src, func(p *Patch) ([]*Patch, error) { return []*Patch{p, p}, nil })
+	batched := BatchTransform(fan, 4, func([]*Patch) error { return nil })
+	n := 0
+	for _, err := range batched {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n++; n == 3 {
+			break
+		}
+	}
+	if pulled != 2 {
+		t.Fatalf("source yielded %d patches for one batch of 4, want 2", pulled)
 	}
 }
 
 func TestBatchTransformBatchesAndOrders(t *testing.T) {
 	in := FromPatches(intPatches(10))
 	var batchSizes []int
-	out := BatchTransform(in, 4, func(batch []Tuple) error {
+	out := BatchTransform(in, 4, func(batch []*Patch) error {
 		batchSizes = append(batchSizes, len(batch))
-		for _, tp := range batch {
-			tp[0].Meta["seen"] = IntV(1)
+		for _, p := range batch {
+			p.Meta["seen"] = IntV(1)
 		}
 		return nil
 	})
-	ts, err := Drain(out)
-	if err != nil || len(ts) != 10 {
-		t.Fatalf("drain: %d, %v", len(ts), err)
+	ps, err := Collect(out)
+	if err != nil || len(ps) != 10 {
+		t.Fatalf("collect: %d, %v", len(ps), err)
 	}
 	if fmt.Sprint(batchSizes) != "[4 4 2]" {
 		t.Fatalf("batch sizes %v", batchSizes)
 	}
-	for i, tp := range ts {
-		if metaVal(tp[0], "i").Int() != int64(i) {
+	for i, p := range ps {
+		if metaVal(p, "i").Int() != int64(i) {
 			t.Fatalf("order broken at %d", i)
 		}
-		if metaVal(tp[0], "seen").Int() != 1 {
-			t.Fatalf("tuple %d not processed", i)
+		if metaVal(p, "seen").Int() != 1 {
+			t.Fatalf("patch %d not processed", i)
 		}
 	}
 }
 
 func TestBatchTransformError(t *testing.T) {
 	boom := errors.New("boom")
-	out := BatchTransform(FromPatches(intPatches(3)), 2, func([]Tuple) error { return boom })
-	if _, err := Drain(out); !errors.Is(err, boom) {
+	out := BatchTransform(FromPatches(intPatches(3)), 2, func([]*Patch) error { return boom })
+	if _, err := Collect(out); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestDrainPatchesSkipsEmptyTuples(t *testing.T) {
-	ts := []Tuple{{intPatches(1)[0]}, {}, {intPatches(1)[0]}}
-	ps, err := DrainPatches(NewSliceIterator(ts))
-	if err != nil || len(ps) != 2 {
-		t.Fatalf("%d, %v", len(ps), err)
+	// An upstream error ends the stream; the partial batch is not mapped.
+	var batchSizes []int
+	out = BatchTransform(failAfter(intPatches(3), boom), 2, func(b []*Patch) error {
+		batchSizes = append(batchSizes, len(b))
+		return nil
+	})
+	if _, err := Collect(out); !errors.Is(err, boom) || fmt.Sprint(batchSizes) != "[2]" {
+		t.Fatalf("err = %v, batches %v; want boom after [2]", err, batchSizes)
 	}
 }

@@ -153,16 +153,18 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 // index on the right collection, extended incrementally on append
 // instead of rebuilt per version. With an exact-mode index the pair set
 // is identical to the all-pairs methods; an approximate-mode index
-// returns a subset of it.
-func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, error) {
+// returns a subset of it. It also returns the distances the probes
+// evaluated (the sum of RangeSearch's counts).
+func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, int, error) {
 	var out []Tuple
 	var ferr error
+	evals := 0
 	for _, l := range left {
 		lv, err := VecField(l, opts.LeftField)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		vi.RangeSearch(lv, opts.Eps, func(id PatchID, _ float64) bool {
+		evals += vi.RangeSearch(lv, opts.Eps, func(id PatchID, _ float64) bool {
 			if opts.ExcludeSelf && l.ID == id {
 				return true
 			}
@@ -178,10 +180,10 @@ func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorInd
 			return true
 		})
 		if ferr != nil {
-			return nil, ferr
+			return nil, 0, ferr
 		}
 	}
-	return out, nil
+	return out, evals, nil
 }
 
 // SimilarityJoinOnTheFly implements §5's "On-The-Fly Index Similarity
@@ -237,7 +239,7 @@ func SimilarityJoinOnTheFly(left, right []*Patch, opts SimilarityJoinOpts) ([]Tu
 }
 
 // RangeThetaJoinSorted evaluates l.field > r.field + gap by sorting the
-// right side and binary-searching per left tuple — the accelerated plan
+// right side and binary-searching per left patch — the accelerated plan
 // for q6's depth comparison. Results match the nested-loop θ-join.
 func RangeThetaJoinSorted(left, right []*Patch, field string, gap float64) ([]Tuple, error) {
 	type entry struct {
@@ -275,9 +277,9 @@ func RangeThetaJoinSorted(left, right []*Patch, field string, gap float64) ([]Tu
 // Clusters groups patches into identity clusters by single-link
 // similarity (the two patches of a matching pair are the same identity)
 // and returns each cluster's members. Clusters come in the order of
-// their first member, and members in patches order. Pairs that are not
-// length 2, or name a patch outside patches, are skipped. pairs
-// typically come from a similarity self-join with DedupUnordered.
+// their first member, and members in patches order. Pairs that name a
+// patch outside patches are skipped. pairs typically come from a
+// similarity self-join with DedupUnordered.
 func Clusters(patches []*Patch, pairs []Tuple) [][]*Patch {
 	idx := make(map[PatchID]int, len(patches))
 	for i, p := range patches {
@@ -295,9 +297,6 @@ func Clusters(patches []*Patch, pairs []Tuple) [][]*Patch {
 		return x
 	}
 	for _, pr := range pairs {
-		if len(pr) != 2 {
-			continue
-		}
 		a, aok := idx[pr[0].ID]
 		b, bok := idx[pr[1].ID]
 		if !aok || !bok {

@@ -30,29 +30,28 @@ func (pr *Pred) Match(p *Patch) bool {
 	return mv.Equal(pr.V)
 }
 
-// Transform maps each tuple through fn (patch generators and transformers
-// are Transform instances over single-patch tuples). fn returning an empty
-// slice drops the input; returning several fans out.
-func Transform(in Iterator, fn func(Tuple) ([]Tuple, error)) Iterator {
-	var pending []Tuple
-	return NewFuncIterator(func() (Tuple, bool, error) {
-		for {
-			if len(pending) > 0 {
-				t := pending[0]
-				pending = pending[1:]
-				return t, true, nil
-			}
-			t, ok, err := in.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			outs, err := fn(t)
+// Transform maps each patch through fn (patch generators and
+// transformers are Transform instances). fn returning no patches drops
+// the input; returning several fans out.
+func Transform(in Stream, fn func(*Patch) ([]*Patch, error)) Stream {
+	return func(yield func(*Patch, error) bool) {
+		for p, err := range in {
 			if err != nil {
-				return nil, false, err
+				yield(nil, err)
+				return
 			}
-			pending = outs
+			outs, err := fn(p)
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			for _, q := range outs {
+				if !yield(q, nil) {
+					return
+				}
+			}
 		}
-	}, in.Close)
+	}
 }
 
 // CompareBy is the one row order every sort and top-k keeps: a and b
@@ -127,22 +126,18 @@ func (t *topHeap[T]) sorted() []T {
 	return t.h
 }
 
-// GroupCount groups by a metadata field and emits one synthetic patch per
-// group with fields {group, count}, in group sort-key order — Example 1's
-// "cars per frame" (examples/quickstart).
-func GroupCount(in Iterator, field string) Iterator {
-	ts, err := Drain(in)
-	if err != nil {
-		return NewFuncIterator(func() (Tuple, bool, error) { return nil, false, err }, nil)
-	}
+// GroupCount groups patches by a metadata field and returns one
+// synthetic patch per group with fields {group, count}, in group
+// sort-key order — Example 1's "cars per frame" (examples/quickstart).
+func GroupCount(patches []*Patch, field string) []*Patch {
 	type group struct {
 		val Value
 		n   int64
 	}
 	byKey := map[string]*group{}
 	var order []string
-	for _, t := range ts {
-		v, ok := t[0].Get(field)
+	for _, p := range patches {
+		v, ok := p.Get(field)
 		if !ok {
 			continue
 		}
@@ -160,15 +155,15 @@ func GroupCount(in Iterator, field string) Iterator {
 		g.n++
 	}
 	sort.Strings(order)
-	out := make([]Tuple, 0, len(order))
+	out := make([]*Patch, 0, len(order))
 	for _, k := range order {
 		g := byKey[k]
-		out = append(out, Tuple{&Patch{Meta: Metadata{
+		out = append(out, &Patch{Meta: Metadata{
 			"group": g.val,
 			"count": IntV(g.n),
-		}}})
+		}})
 	}
-	return NewSliceIterator(out)
+	return out
 }
 
 // VecField extracts the float32 vector under field, or the Data payload

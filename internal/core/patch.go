@@ -1,11 +1,12 @@
 // Package core implements DeepLens's data model and query processing
 // engine: unordered collections of image patches with typed key-value
-// metadata, Volcano-style iterators for ETL (generators, transformers,
-// aggregation), one selection executor (DB.Select) over rows, columns or
-// an index, similarity and range joins, materialization with secondary
-// indexes, tuple-level lineage, and a cost-based physical planner. This is the paper's primary
-// contribution (§2-§5): a "narrow waist" that decouples how patches are
-// generated (decoding, neural inference, OCR) from how they are queried.
+// metadata, ETL stages as Go iterators over patches (generators,
+// transformers, Materialize), one selection executor (DB.Select) over
+// rows, columns or an index, similarity and range joins, materialization
+// with secondary indexes, tuple-level lineage, and a cost-based physical
+// planner. This is the paper's primary contribution (§2-§5): a "narrow
+// waist" that decouples how patches are generated (decoding, neural
+// inference, OCR) from how they are queried.
 package core
 
 import (
@@ -191,8 +192,8 @@ func (p *Patch) Builder() *Patch {
 	return b
 }
 
-// Tuple is a row flowing between operators: one patch per joined input.
-type Tuple []*Patch
+// Tuple is a join pair: the left patch and the right patch it matched.
+type Tuple [2]*Patch
 
 // ValueKind types a metadata value.
 type ValueKind uint8

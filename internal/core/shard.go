@@ -466,26 +466,19 @@ func (s *Sharded) DropCollection(name string) error {
 	return first
 }
 
-// Materialize drains an iterator into a new sharded collection, routing
+// Materialize drains a stream into a new sharded collection, routing
 // every patch to its home shard (the sharded analog of DB.Materialize).
-func (s *Sharded) Materialize(name string, schema Schema, it Iterator) (*ShardedCollection, error) {
+func (s *Sharded) Materialize(name string, schema Schema, in Stream) (*ShardedCollection, error) {
 	sc, err := s.CreateCollection(name, schema)
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	for {
-		t, ok, err := it.Next()
+	for p, err := range in {
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		for _, p := range t {
-			if err := sc.Append(p); err != nil {
-				return nil, err
-			}
+		if err := sc.Append(p); err != nil {
+			return nil, err
 		}
 	}
 	for _, rs := range sc.cols {

@@ -201,11 +201,11 @@ func TestShardedMaterializeAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var tuples []Tuple
+	var ps []*Patch
 	for i := 0; i < 64; i++ {
-		tuples = append(tuples, Tuple{shardTestPatch(i)})
+		ps = append(ps, shardTestPatch(i))
 	}
-	sc, err := s.Materialize("mat", shardTestSchema(), NewSliceIterator(tuples))
+	sc, err := s.Materialize("mat", shardTestSchema(), FromPatches(ps))
 	if err != nil {
 		t.Fatal(err)
 	}

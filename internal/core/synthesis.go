@@ -41,8 +41,8 @@ type Component struct {
 	Precision, Recall float64
 	// PerPatch is the measured per-input latency.
 	PerPatch time.Duration
-	// Build wires the component into an iterator pipeline.
-	Build func(Iterator) Iterator
+	// Build wires the component into a stream pipeline.
+	Build func(Stream) Stream
 }
 
 // Library is the registry the synthesizer draws from.
@@ -98,8 +98,8 @@ type SynthesizedPipeline struct {
 	Explain string
 }
 
-// Build wires the synthesized pipeline over an input iterator.
-func (sp SynthesizedPipeline) Build(in Iterator) Iterator {
+// Build wires the synthesized pipeline over an input stream.
+func (sp SynthesizedPipeline) Build(in Stream) Stream {
 	out := sp.Generator.Build(in)
 	for _, t := range sp.Transformers {
 		out = t.Build(out)

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func passthrough(in Iterator) Iterator { return in }
+func passthrough(in Stream) Stream { return in }
 
 // testLibrary registers a small component zoo mirroring the paper's
 // example: a general-purpose detector, a specialized car detector, an OCR
@@ -153,18 +153,18 @@ func TestSynthesizedPipelineBuilds(t *testing.T) {
 	gen := Component{
 		Name: "fanout", Kind: KindGenerator,
 		Labels: []string{"car"}, Produces: []string{"label"},
-		Build: func(in Iterator) Iterator {
-			return Transform(in, func(tp Tuple) ([]Tuple, error) {
-				return []Tuple{tp, tp}, nil // two patches per input
+		Build: func(in Stream) Stream {
+			return Transform(in, func(p *Patch) ([]*Patch, error) {
+				return []*Patch{p, p}, nil // two patches per input
 			})
 		},
 	}
 	tr := Component{
 		Name: "mark", Kind: KindTransformer, Produces: []string{"marked"},
-		Build: func(in Iterator) Iterator {
-			return Transform(in, func(tp Tuple) ([]Tuple, error) {
-				tp[0].Meta["marked"] = IntV(1)
-				return []Tuple{tp}, nil
+		Build: func(in Stream) Stream {
+			return Transform(in, func(p *Patch) ([]*Patch, error) {
+				p.Meta["marked"] = IntV(1)
+				return []*Patch{p}, nil
 			})
 		},
 	}
@@ -175,15 +175,15 @@ func TestSynthesizedPipelineBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := FromPatches([]*Patch{{Meta: Metadata{}}, {Meta: Metadata{}}})
-	out, err := Drain(sp.Build(in))
+	out, err := Collect(sp.Build(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 4 {
-		t.Fatalf("pipeline emitted %d tuples, want 4", len(out))
+		t.Fatalf("pipeline emitted %d patches, want 4", len(out))
 	}
-	for _, tp := range out {
-		if metaVal(tp[0], "marked").Int() != 1 {
+	for _, p := range out {
+		if metaVal(p, "marked").Int() != 1 {
 			t.Fatal("transformer did not run")
 		}
 	}

@@ -288,17 +288,18 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 // RangeSearch calls fn for every indexed vector within eps of q
 // (inclusive). Exact mode visits every true match; approximate mode
 // only those in the candidate union. fn returning false stops the
-// search. Visit order is unspecified.
-func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID, dist float64) bool) {
+// search. Visit order is unspecified. Returns the distances evaluated
+// (balls, tail rows or candidates, each tested once).
+func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID, dist float64) bool) int {
 	if vi.mode == VecApprox {
-		vi.lshI.RangeSearch(q, eps, func(p lsh.Point, d float64) bool {
+		return vi.lshI.RangeSearch(q, eps, func(p lsh.Point, d float64) bool {
 			return fn(PatchID(p.ID), d)
 		})
-		return
 	}
 	stopped := false
+	evals := 0
 	if vi.ball != nil {
-		vi.ball.RangeSearch(q, eps, func(p balltree.Point, d float64) bool {
+		evals = vi.ball.RangeSearch(q, eps, func(p balltree.Point, d float64) bool {
 			if !fn(PatchID(p.ID), d) {
 				stopped = true
 				return false
@@ -307,17 +308,19 @@ func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID,
 		})
 	}
 	if stopped {
-		return
+		return evals
 	}
 	// The tail applies the tree's membership test, so a row at the eps
 	// boundary matches the same way before and after a re-tree.
 	for _, p := range vi.pts[vi.treeN:] {
+		evals++
 		if d, ok := balltree.DistWithin(p.Vec, q, eps); ok {
 			if !fn(PatchID(p.ID), d) {
-				return
+				return evals
 			}
 		}
 	}
+	return evals
 }
 
 // compareNeighbors is the one neighbor order: ascending (distance, id).

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/balltree"
 	"repro/internal/exec"
 )
 
@@ -438,8 +439,17 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		// Early stop: every prefix of the walk, across the tree/tail seam.
+		// The count is the tree's evaluations plus one per tail row.
 		q := vecTestQuery(0, dim, clusters)
+		all := func(PatchID, float64) bool { return true }
+		treeEvals := 0
+		if vi.ball != nil {
+			treeEvals = vi.ball.RangeSearch(q, 4, func(balltree.Point, float64) bool { return true })
+		}
+		if evals, tail := vi.RangeSearch(q, 4, all), len(vi.pts)-vi.treeN; evals != treeEvals+tail {
+			t.Fatalf("%s: RangeSearch evaluated %d distances, tree %d + tail %d", stage, evals, treeEvals, tail)
+		}
+		// Early stop: every prefix of the walk, across the tree/tail seam.
 		n := len(scanRange(snap, q, 4))
 		if n < 2 {
 			t.Fatalf("%s: vacuous early-stop check (%d rows)", stage, n)

@@ -165,8 +165,11 @@ func (ix *Index) Candidates(q []float32) []Point {
 
 // RangeSearch reports indexed points within eps of q, verified exactly
 // against the candidate set. fn returning false stops the search.
-func (ix *Index) RangeSearch(q []float32, eps float64, fn func(Point, float64) bool) {
+// Returns the distances evaluated, one per candidate tested.
+func (ix *Index) RangeSearch(q []float32, eps float64, fn func(Point, float64) bool) int {
+	evals := 0
 	for _, p := range ix.Candidates(q) {
+		evals++
 		var s float64
 		for i := range p.Vec {
 			d := float64(p.Vec[i]) - float64(q[i])
@@ -174,8 +177,9 @@ func (ix *Index) RangeSearch(q []float32, eps float64, fn func(Point, float64) b
 		}
 		if s <= eps*eps {
 			if !fn(p, math.Sqrt(s)) {
-				return
+				return evals
 			}
 		}
 	}
+	return evals
 }

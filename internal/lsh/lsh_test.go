@@ -67,7 +67,8 @@ func TestNoFalseAcceptsAfterVerification(t *testing.T) {
 	}
 	q := make([]float32, 8)
 	eps := 1.0
-	ix.RangeSearch(q, eps, func(p Point, d float64) bool {
+	// One evaluation per candidate: every candidate is verified exactly.
+	evals := ix.RangeSearch(q, eps, func(p Point, d float64) bool {
 		if d > eps {
 			t.Fatalf("verified result at distance %g > eps %g", d, eps)
 		}
@@ -82,6 +83,9 @@ func TestNoFalseAcceptsAfterVerification(t *testing.T) {
 		}
 		return true
 	})
+	if n := len(ix.Candidates(q)); evals != n {
+		t.Fatalf("RangeSearch evaluated %d distances over %d candidates", evals, n)
+	}
 }
 
 func TestRecallOnClusteredData(t *testing.T) {

@@ -543,7 +543,7 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, r
 		if ierr != nil {
 			return ierr
 		}
-		task.pairs, err = core.SimilarityJoinVecIndexed(left, rf.col, vi, opts)
+		task.pairs, _, err = core.SimilarityJoinVecIndexed(left, rf.col, vi, opts)
 	case core.SimOnTheFly:
 		task.pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
 	case core.SimBatched:
