@@ -72,15 +72,15 @@ func run() error {
 
 	// q1: near-duplicates via a ball-tree index on the matching feature
 	// (the collection's exact-mode vector index).
-	ps, ver, err := images.Snapshot()
+	snap, err := images.Current()
 	if err != nil {
 		return err
 	}
-	idx, err := images.VectorIndexAt(ps, ver, "ghist", core.VecExact)
+	idx, err := snap.VectorIndex("ghist", core.VecExact)
 	if err != nil {
 		return err
 	}
-	pairs, _, err := core.SimilarityJoinVecIndexed(ps, images, idx, core.SimilarityJoinOpts{
+	pairs, _, err := core.SimilarityJoinVecIndexed(snap.Patches(), idx, core.SimilarityJoinOpts{
 		LeftField: "ghist", RightField: "ghist", Eps: 0.066, DedupUnordered: true})
 	if err != nil {
 		return err
@@ -96,13 +96,13 @@ func run() error {
 
 	// q5: first image containing a target string.
 	target := pc.Vocabulary[2]
-	snap, ver, err := words.Snapshot()
+	snap, err = words.Current()
 	if err != nil {
 		return err
 	}
 	pred := core.Pred{Field: "text", V: core.StrV(target)}
 	first := core.Keep{Kind: core.KeepTop, N: 1, Field: "frameno"}
-	hit, err := db.Select(context.Background(), words, snap, ver, pred, core.FilterColumnScan, first)
+	hit, err := snap.Select(context.Background(), pred, core.FilterColumnScan, first)
 	if err != nil {
 		return err
 	}
@@ -110,7 +110,7 @@ func run() error {
 		fmt.Printf("q5: %q not found in the corpus\n", target)
 		return nil
 	}
-	fv, _ := snap[hit.Sel[0]].Get("frameno")
+	fv, _ := snap.Row(int(hit.Sel[0])).Get("frameno")
 	frame := fv.Int()
 	fmt.Printf("q5: first image containing %q is image %d", target, frame)
 	// Verify against generator ground truth.

@@ -253,7 +253,7 @@ func TestBatchedServiceKernelsMatchUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patches, _, err := col.Snapshot()
+	patches, err := col.Patches()
 	if err != nil {
 		t.Fatal(err)
 	}

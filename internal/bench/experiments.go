@@ -282,12 +282,12 @@ func Fig5Pipeline(e *Env) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps, ver, err := pcCol.Snapshot()
+	snap, err := pcCol.Current()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if _, err := core.NewVectorIndex(ps, ver, "ghist", core.VecExact); err != nil {
+	if _, err := core.NewVectorIndex(snap, "ghist", core.VecExact); err != nil {
 		return nil, err
 	}
 	idxCost["q1"] = time.Since(start)
@@ -769,16 +769,16 @@ func AblationLSH(e *Env) ([]AblationLSHRow, error) {
 		exactSet[[2]core.PatchID{p[0].ID, p[1].ID}] = true
 	}
 
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		return nil, err
 	}
-	vi, err := col.VectorIndexAt(snap, ver, "emb", core.VecApprox)
+	vi, err := snap.VectorIndex("emb", core.VecApprox)
 	if err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	approx, _, err := core.SimilarityJoinVecIndexed(peds, col, vi, opts)
+	approx, _, err := core.SimilarityJoinVecIndexed(peds, vi, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -48,17 +48,18 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	ps, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		return QueryResult{}, err
 	}
+	ps := snap.Patches()
 	opts := core.SimilarityJoinOpts{LeftField: "ghist", RightField: "ghist",
 		Eps: epsNearDup, DedupUnordered: true}
 	// Index construction is physical design, amortized across queries
 	// (§7.2 separates it from query time; Figure 5 adds it back).
 	var vi *core.VectorIndex
 	if useIndex {
-		if vi, err = col.VectorIndexAt(ps, ver, "ghist", core.VecExact); err != nil {
+		if vi, err = snap.VectorIndex("ghist", core.VecExact); err != nil {
 			return QueryResult{}, err
 		}
 	}
@@ -67,7 +68,7 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	plan := "nested-loop all-pairs"
 	evals := len(ps) * (len(ps) - 1) / 2
 	if useIndex {
-		pairs, evals, err = core.SimilarityJoinVecIndexed(ps, col, vi, opts)
+		pairs, evals, err = core.SimilarityJoinVecIndexed(ps, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -295,16 +296,17 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		peds, ver, err := view.Snapshot()
+		snap, err := view.Current()
 		if err != nil {
 			return QueryResult{}, err
 		}
-		vi, err := view.VectorIndexAt(peds, ver, "emb", core.VecExact)
+		vi, err := snap.VectorIndex("emb", core.VecExact)
 		if err != nil {
 			return QueryResult{}, err
 		}
 		start := time.Now()
-		pairs, evals, err := core.SimilarityJoinVecIndexed(peds, view, vi, opts)
+		peds := snap.Patches()
+		pairs, evals, err := core.SimilarityJoinVecIndexed(peds, vi, opts)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -359,19 +361,19 @@ func (e *Env) Q5(target string, useIndex bool) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	start := time.Now()
-	snap, ver, err := words.Snapshot()
+	snap, err := words.Current()
 	if err != nil {
 		return QueryResult{}, err
 	}
 	pred := core.Pred{Field: "text", V: core.StrV(target)}
 	first := core.Keep{Kind: core.KeepTop, N: 1, Field: "frameno"}
-	s, err := e.DB.Select(context.Background(), words, snap, ver, pred, core.FilterColumnScan, first)
+	s, err := snap.Select(context.Background(), pred, core.FilterColumnScan, first)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	frame := -1
 	if len(s.Sel) > 0 {
-		frame = int(meta(snap[s.Sel[0]], "frameno").Int())
+		frame = int(meta(snap.Row(int(s.Sel[0])), "frameno").Int())
 	}
 	plan := "scan filter text + min frameno"
 	return QueryResult{Query: "q5", Plan: plan, Duration: time.Since(start), Value: frame}, nil

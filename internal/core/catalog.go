@@ -35,7 +35,7 @@ type DB struct {
 
 	sys     *kv.Bucket // catalog + counters
 	cols    map[string]*Collection
-	indexes map[string]*indexCore // descriptor key (indexKey) -> index
+	indexes map[string]*Index // descriptor key (indexKey) -> index
 
 	// refresh counts accelerator maintenance, read as RefreshStats.
 	refresh struct {
@@ -111,7 +111,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	db := &DB{
 		store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
-		indexes: make(map[string]*indexCore),
+		indexes: make(map[string]*Index),
 		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
@@ -407,8 +407,8 @@ func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 // Patch ids are issued at commit, under the collection's lock, so one
 // row order holds everywhere: ascending id, in the row cache, the bucket,
 // every index and after a reopen. Concurrent readers and writers are
-// safe: Snapshot returns a stable view (appends never mutate a handed-out
-// snapshot's visible prefix) together with the version it reflects.
+// safe: Current returns a Snapshot, the rows committed so far and the
+// version they reflect, and no later append changes what it holds.
 type Collection struct {
 	db     *DB
 	name   string
@@ -428,7 +428,7 @@ type Collection struct {
 	colStore *ColumnStore
 
 	// vecMu guards the cached vector indexes, keyed field + "/" + mode
-	// (built lazily by VectorIndexAt, maintained like colStore).
+	// (built lazily by Snapshot.VectorIndex, maintained like colStore).
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
 }
@@ -551,39 +551,85 @@ func (c *Collection) putLocked(p *Patch, raw []byte) error {
 	return nil
 }
 
-// Get fetches one patch by id: a binary search of the id-ordered row
-// cache, loaded on first use. A miss is ErrNotFound itself.
+// Get fetches one patch by id from the current snapshot (see
+// Snapshot.Get).
 func (c *Collection) Get(id PatchID) (*Patch, error) {
-	ps, _, err := c.Snapshot()
+	s, err := c.Current()
 	if err != nil {
 		return nil, err
 	}
-	i, ok := slices.BinarySearchFunc(ps, id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return ps[i], nil
+	return s.Get(id)
 }
 
 // Patches returns all patches, loading and caching them on first use.
 func (c *Collection) Patches() ([]*Patch, error) {
-	ps, _, err := c.Snapshot()
-	return ps, err
+	s, err := c.Current()
+	return s.rows, err
 }
 
-// Snapshot atomically returns the collection's patches, in id order, and
-// the version they reflect. The returned slice is immutable from the
-// reader's point of view: concurrent Appends grow the cache beyond the
-// snapshot's length but never mutate its visible prefix, so many queries
-// can share one snapshot while writers proceed (the catalog's
-// copy-on-write read path).
-func (c *Collection) Snapshot() ([]*Patch, uint64, error) {
+// Current returns the collection's snapshot as of its last commit,
+// loading the row cache on first use.
+func (c *Collection) Current() (Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.load(); err != nil {
-		return nil, 0, err
+		return Snapshot{}, err
 	}
-	return c.cache, c.version, nil
+	return Snapshot{c, c.cache, c.version}, nil
+}
+
+// Snapshot is Current as a bare row slice and version, for the
+// benchmark harness.
+func (c *Collection) Snapshot() ([]*Patch, uint64, error) {
+	s, err := c.Current()
+	return s.rows, s.version, err
+}
+
+// Snapshot is a stable view of a collection: the rows committed as of
+// one version, in id order. Concurrent appends grow the row cache past
+// a snapshot's rows but never change them, so many queries can share
+// one snapshot while writers proceed, and a (name, version) pair names
+// exactly the rows it holds. The zero Snapshot is empty and older than
+// any real version.
+type Snapshot struct {
+	col     *Collection
+	rows    []*Patch
+	version uint64
+}
+
+// Len returns the snapshot's row count.
+func (s Snapshot) Len() int { return len(s.rows) }
+
+// Row returns row i.
+func (s Snapshot) Row(i int) *Patch { return s.rows[i] }
+
+// Patches returns the rows, which the caller must not modify.
+func (s Snapshot) Patches() []*Patch { return s.rows }
+
+// Materialize resolves selected rows to their patches, in sel's order.
+func (s Snapshot) Materialize(sel []int32) []*Patch {
+	out := make([]*Patch, len(sel))
+	for i, r := range sel {
+		out[i] = s.rows[r]
+	}
+	return out
+}
+
+// Get fetches one patch by id: a binary search of the id-ordered rows.
+// A miss is ErrNotFound itself.
+func (s Snapshot) Get(id PatchID) (*Patch, error) {
+	i, ok := s.find(id, 0)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return s.rows[i], nil
+}
+
+// find returns the row at or past from that holds id, searching the
+// id-ordered rows.
+func (s Snapshot) find(id PatchID, from int) (int, bool) {
+	i, ok := slices.BinarySearchFunc(s.rows[from:], id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
+	return from + i, ok
 }
 
 // load fills the row cache from the bucket, in key (= id) order, unless
@@ -639,19 +685,19 @@ type ColumnsInfo struct {
 // cached store, extended it, or built it.
 func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 	var info ColumnsInfo
-	ps, ver, err := c.Snapshot()
+	snap, err := c.Current()
 	if err != nil {
 		return nil, info, err
 	}
 	cs, use, err := refreshCached(&c.colMu,
 		func() *ColumnStore { return c.colStore },
 		func(cs *ColumnStore) { c.colStore = cs },
-		ps, ver,
+		snap,
 		func(prefix *ColumnStore) (*ColumnStore, Refresh, error) {
 			if prefix == nil {
-				return newColumnStore(ps, ver, c.db.SegmentCache()), RefreshRebuild, nil
+				return newColumnStore(snap, c.db.SegmentCache()), RefreshRebuild, nil
 			}
-			next, st := prefix.Extend(ps, ver)
+			next, st := prefix.Extend(snap)
 			info.Extend = st
 			r := &c.db.refresh
 			r.colExtends.Add(1)
@@ -664,37 +710,37 @@ func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 }
 
 // versioned is what a collection's accelerator cache slot holds: an
-// immutable structure derived from the first rows of the collection at
-// one version. covers answers (0, 0) on a nil receiver — an empty slot,
-// older than any real version.
+// immutable structure derived from one snapshot, which covers returns.
+// A nil receiver covers the zero Snapshot — an empty slot, older than
+// any real version.
 type versioned interface {
-	covers() (rows int, version uint64)
+	covers() Snapshot
 }
 
 // refreshCached serves the accelerator cached in one slot — read and
 // written through get/set, both called under mu — current exactly as of
-// the caller's snapshot (snap, ver): the protocol the column store and
-// the vector indexes share. The cached value is returned while its
-// version matches. Otherwise derive makes the new one: from the cached
-// value when snap holds at least the rows it covers (the row cache only
-// grows, so snap extends it by snap[rows:]), and from nil when the slot
-// is empty or snap is shorter — a reader behind the slot. derive runs
-// with mu free — a full build is O(snapshot), and holding the lock would
-// stall every cache-hit reader of the collection — so racing callers may
-// duplicate work; the install keeps one canonical value per version,
-// adopting a raced winner's, and only moves the slot forward: a reader
-// behind gets a private value without evicting the newer one.
-func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap []*Patch, ver uint64,
+// the caller's snapshot: the protocol the column store and the vector
+// indexes share. The cached value is returned while its version
+// matches. Otherwise derive makes the new one: from the cached value
+// when snap holds at least the rows it covers (the row cache only
+// grows, so snap extends them), and from nil when the slot is empty or
+// snap is shorter — a reader behind the slot. derive runs with mu free
+// — a full build is O(snapshot), and holding the lock would stall every
+// cache-hit reader of the collection — so racing callers may duplicate
+// work; the install keeps one canonical value per version, adopting a
+// raced winner's, and only moves the slot forward: a reader behind gets
+// a private value without evicting the newer one.
+func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap Snapshot,
 	derive func(prefix T) (T, Refresh, error)) (T, Refresh, error) {
 	mu.Lock()
 	old := get()
 	mu.Unlock()
-	rows, oldVer := old.covers()
-	if oldVer == ver {
+	at := old.covers()
+	if at.version == snap.version {
 		return old, RefreshHit, nil
 	}
 	var prefix T
-	if oldVer != 0 && rows <= len(snap) {
+	if at.version != 0 && at.Len() <= snap.Len() {
 		prefix = old
 	}
 	next, use, err := derive(prefix)
@@ -704,10 +750,10 @@ func refreshCached[T versioned](mu *sync.Mutex, get func() T, set func(T), snap 
 	mu.Lock()
 	defer mu.Unlock()
 	cur := get()
-	switch _, curVer := cur.covers(); {
-	case curVer == ver:
+	switch curVer := cur.covers().version; {
+	case curVer == snap.version:
 		next = cur
-	case curVer < ver:
+	case curVer < snap.version:
 		set(next)
 	}
 	return next, use, nil

@@ -46,43 +46,27 @@ const ColumnBlockSize = 1024
 // Columns materialize lazily per field on first use and are cached; the
 // store itself is immutable once built and safe for concurrent use.
 type ColumnStore struct {
-	patches []*Patch
-	version uint64
-	cache   *SegmentCache // nil: purely in-memory store
+	at    Snapshot
+	cache *SegmentCache // nil: purely in-memory store
 
 	mu   sync.RWMutex
 	cols map[string]*Column
 }
 
-// NewColumnStore builds an empty in-memory store over a snapshot.
-// Columns project lazily on first access.
-func NewColumnStore(patches []*Patch, version uint64) *ColumnStore {
-	return newColumnStore(patches, version, nil)
-}
-
-// newColumnStore builds a store whose sealed segments spill to sc (nil
-// keeps the store purely in-memory). The catalog passes the DB's
+// newColumnStore builds an empty store over a snapshot whose sealed
+// segments spill to sc (nil keeps the store purely in-memory). Columns
+// project lazily on first access. The catalog passes the DB's
 // SegmentCache here.
-func newColumnStore(patches []*Patch, version uint64, sc *SegmentCache) *ColumnStore {
-	return &ColumnStore{patches: patches, version: version, cache: sc, cols: make(map[string]*Column)}
+func newColumnStore(at Snapshot, sc *SegmentCache) *ColumnStore {
+	return &ColumnStore{at: at, cache: sc, cols: make(map[string]*Column)}
 }
 
-// Version is the collection version the store's snapshot reflects.
-func (cs *ColumnStore) Version() uint64 { return cs.version }
-
-func (cs *ColumnStore) covers() (int, uint64) {
+func (cs *ColumnStore) covers() Snapshot {
 	if cs == nil {
-		return 0, 0
+		return Snapshot{}
 	}
-	return len(cs.patches), cs.version
+	return cs.at
 }
-
-// Len is the snapshot row count.
-func (cs *ColumnStore) Len() int { return len(cs.patches) }
-
-// Patches exposes the backing snapshot (row i of every column describes
-// patches[i]).
-func (cs *ColumnStore) Patches() []*Patch { return cs.patches }
 
 // zoneMap summarizes one segment of a column for predicate pruning.
 type zoneMap struct {
@@ -243,7 +227,7 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	if cached {
 		return col, col != nil
 	}
-	if col = projectColumn(cs.patches, field); col != nil {
+	if col = projectColumn(cs.at.rows, field); col != nil {
 		col.cache = cs.cache
 		cs.cache.spill(col)
 	}
@@ -273,14 +257,14 @@ type ExtendStats struct {
 // Collection.Columns checks it). Every column already projected here is
 // carried forward: sealed (full) segments are shared by pointer — no
 // copy of any kind — and only rows from the old tail segment's start
-// onward re-project, so the result is indistinguishable from
-// NewColumnStore over newPatches with the same columns accessed, at
-// O(appended rows) cost. The receiver is not mutated and stays valid for
-// readers still holding it; columns never projected on the old store
-// stay lazy on the new one.
-func (cs *ColumnStore) Extend(newPatches []*Patch, newVersion uint64) (*ColumnStore, ExtendStats) {
-	next := newColumnStore(newPatches, newVersion, cs.cache)
-	oldN := len(cs.patches)
+// onward re-project, so the result is indistinguishable from a fresh
+// store over at with the same columns accessed, at O(appended rows)
+// cost. The receiver is not mutated and stays valid for readers still
+// holding it; columns never projected on the old store stay lazy on the
+// new one.
+func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
+	next := newColumnStore(at, cs.cache)
+	oldN := cs.at.Len()
 	var st ExtendStats
 	cs.mu.RLock()
 	carried := make(map[string]*Column, len(cs.cols))
@@ -295,7 +279,7 @@ func (cs *ColumnStore) Extend(newPatches []*Patch, newVersion uint64) (*ColumnSt
 	}
 	cs.mu.RUnlock()
 	for field, col := range carried {
-		ext := extendColumn(col, field, newPatches, oldN)
+		ext := extendColumn(col, field, at.rows, oldN)
 		next.cols[field] = ext // nil: the suffix broke columnizability
 		if ext == nil {
 			continue
@@ -502,7 +486,7 @@ func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, 
 
 func (cs *ColumnStore) filterAll(pred Pred) ([]int32, ScanStats, bool) {
 	var k keeper
-	st, ok := cs.scan(&pred, len(cs.patches), &k)
+	st, ok := cs.scan(&pred, cs.at.Len(), &k)
 	return k.sel, st, ok
 }
 
@@ -636,13 +620,7 @@ func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, d *seg
 
 // Materialize resolves a selection list to its patches, preserving row
 // order (the same patches, same order, the row scan would produce).
-func (cs *ColumnStore) Materialize(sel []int32) []*Patch {
-	out := make([]*Patch, len(sel))
-	for i, idx := range sel {
-		out[i] = cs.patches[idx]
-	}
-	return out
-}
+func (cs *ColumnStore) Materialize(sel []int32) []*Patch { return cs.at.Materialize(sel) }
 
 // --------------------------------------------------------------- top-k ----
 
@@ -658,12 +636,12 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 	}
 	n := len(sel)
 	if sel == nil {
-		n = len(cs.patches)
+		n = cs.at.Len()
 	}
 	if k = min(k, n); k <= 0 {
 		return []int32{}, true
 	}
-	t := newTopKeep(cs, nil, field, desc, k)
+	t := newTopKeep(cs, Snapshot{}, field, desc, k)
 	var blk [ColumnBlockSize]int32
 	for lo := 0; lo < n; {
 		// One block per segment: the next segment's rows, or sel's
@@ -711,7 +689,7 @@ type topEntry struct {
 // ordering as the zero Value (before every value ascending, after every
 // value descending). It orders by cs's column for field when there is
 // one, else by the rows of snap.
-func newTopKeep(cs *ColumnStore, snap []*Patch, field string, desc bool, k int) *topKeep {
+func newTopKeep(cs *ColumnStore, snap Snapshot, field string, desc bool, k int) *topKeep {
 	t := &topKeep{heap: topHeap[topEntry]{k: k, h: make([]topEntry, 0, k)}}
 	if cs != nil {
 		t.col, _ = cs.Column(field)
@@ -719,7 +697,7 @@ func newTopKeep(cs *ColumnStore, snap []*Patch, field string, desc bool, k int) 
 	col := t.col
 	if col == nil {
 		t.heap.before = func(a, b topEntry) bool {
-			if c := CompareBy(snap[a.row], snap[b.row], field, desc); c != 0 {
+			if c := CompareBy(snap.rows[a.row], snap.rows[b.row], field, desc); c != 0 {
 				return c < 0
 			}
 			return a.row < b.row

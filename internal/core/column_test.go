@@ -83,6 +83,10 @@ func reopenDB(t testing.TB, path string) *DB {
 	return db
 }
 
+// snapshotOf is a snapshot of rows at version ver that belongs to no
+// collection: enough for a store or an index built in isolation.
+func snapshotOf(rows []*Patch, ver uint64) Snapshot { return Snapshot{rows: rows, version: ver} }
+
 func patchIDs(ps []*Patch) []PatchID {
 	ids := make([]PatchID, len(ps))
 	for i, p := range ps {
@@ -163,7 +167,7 @@ func TestColumnarRangeMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, _ := col.Snapshot()
+	snap, _ := col.Patches()
 	for _, tc := range []struct {
 		field  string
 		lo, hi float64
@@ -205,7 +209,7 @@ func TestColumnarTopKGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, _ := col.Snapshot()
+	snap, _ := col.Patches()
 	for _, field := range []string{"rank", "score", "label", "sparse"} {
 		for _, desc := range []bool{false, true} {
 			for _, k := range []int{0, 1, 7, 100, rows, rows + 5} {
@@ -308,7 +312,7 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs2.Version() == cs1.Version() {
+	if cs2.at.version == cs1.at.version {
 		t.Fatal("append did not move the column store version")
 	}
 	sel2, _ := cs2.FilterEq("label", StrV("car"))
@@ -320,11 +324,11 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 		t.Fatalf("stale store changed its answer: %d vs %d", len(sel), n1)
 	}
 	// A fresh build over the same snapshot agrees.
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel3, _ := NewColumnStore(snap, ver).FilterEq("label", StrV("car")); len(sel3) != 2*n1 {
+	if sel3, _ := newColumnStore(snap, nil).FilterEq("label", StrV("car")); len(sel3) != 2*n1 {
 		t.Fatalf("fresh store matched %d rows, want %d", len(sel3), 2*n1)
 	}
 }
@@ -360,7 +364,7 @@ func TestColumnarEmptyAndAllNull(t *testing.T) {
 }
 
 // TestSnapshotColdLoadConcurrency: after a reopen, concurrent cold
-// Snapshot loads racing appends must produce a duplicate-free cache
+// snapshot loads racing appends must produce a duplicate-free cache
 // consistent with its version (one load under the collection's lock),
 // and every appended row survives the next reopen.
 func TestSnapshotColdLoadConcurrency(t *testing.T) {
@@ -381,7 +385,7 @@ func TestSnapshotColdLoadConcurrency(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					ps, _, err := col.Snapshot()
+					ps, err := col.Patches()
 					if err != nil {
 						t.Error(err)
 						return
@@ -417,7 +421,7 @@ func TestSnapshotColdLoadConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _, err := col.Snapshot()
+	ps, err := col.Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +436,7 @@ func ExampleColumnStore() {
 		{ID: 2, Meta: Metadata{"label": StrV("bus"), "score": FloatV(0.4)}},
 		{ID: 3, Meta: Metadata{"label": StrV("car"), "score": FloatV(0.7)}},
 	}
-	cs := NewColumnStore(ps, 1)
+	cs := newColumnStore(snapshotOf(ps, 1), nil)
 	sel, _ := cs.FilterEq("label", StrV("car"))
 	top, _ := cs.TopK(sel, "score", false, 1)
 	for _, p := range cs.Materialize(top) {

@@ -16,15 +16,15 @@ import (
 // every index and after a reopen — and a commit that would break that
 // order is refused.
 
-// firstIDs runs one selection with a first-n consumer over (snap, ver)
-// and materializes the first n rows it kept, as the serving layer does.
-func firstIDs(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod, n int) []PatchID {
+// firstIDs runs one selection with a first-n consumer over snap and
+// materializes the rows it kept, as the serving layer does.
+func firstIDs(t *testing.T, snap Snapshot, pred Pred, m FilterMethod, n int) []PatchID {
 	t.Helper()
-	s, err := db.Select(context.Background(), col, snap, ver, pred, m, Keep{Kind: KeepFirst, N: n})
+	s, err := snap.Select(context.Background(), pred, m, Keep{Kind: KeepFirst, N: n})
 	if err != nil {
 		t.Fatalf("%v %+v: %v", m, pred, err)
 	}
-	return append([]PatchID{}, patchIDs(s.Patches(snap, n))...)
+	return append([]PatchID{}, patchIDs(snap.Materialize(s.Sel))...)
 }
 
 // checkAscending fails unless snap's ids strictly ascend.
@@ -67,7 +67,7 @@ func TestOutOfOrderCommitIsRefused(t *testing.T) {
 	if err := col.Append(row(db.NewPatchID())); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := col.Snapshot(); err != nil { // load the row cache
+	if _, err := col.Patches(); err != nil { // load the row cache
 		t.Fatal(err)
 	}
 	stored := 0
@@ -95,41 +95,41 @@ func TestOutOfOrderCommitIsRefused(t *testing.T) {
 
 	all := Pred{Field: "rank", Range: true, Lo: -1, Hi: 10}
 	three := Pred{Field: "rank", V: IntV(3)}
-	agree := func(what string, db *DB, col *Collection) []PatchID {
+	agree := func(what string, col *Collection) []PatchID {
 		t.Helper()
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAscending(t, what, snap)
+		checkAscending(t, what, snap.Patches())
 		for _, p := range []Pred{all, three} {
-			want := firstIDs(t, db, col, snap, ver, p, FilterScan, 2)
+			want := firstIDs(t, snap, p, FilterScan, 2)
 			methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
 			if !p.Range {
 				methods = append(methods, FilterHashIndex)
 			}
 			for _, m := range methods {
-				if got := firstIDs(t, db, col, snap, ver, p, m, 2); !reflect.DeepEqual(got, want) {
+				if got := firstIDs(t, snap, p, m, 2); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: %v %+v first 2: %v, row scan %v", what, m, p, got, want)
 				}
 			}
 		}
-		s, err := db.Select(context.Background(), col, snap, ver, three, FilterColumnScan, Keep{})
+		s, err := snap.Select(context.Background(), three, FilterColumnScan, Keep{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wrong := 0
 		for _, r := range s.Sel {
-			if !three.Match(snap[r]) {
+			if !three.Match(snap.Row(int(r))) {
 				wrong++
 			}
 		}
 		if wrong > 0 {
 			t.Errorf("%s: column scan for rank=3 returned %d rows, %d of them with another rank", what, len(s.Sel), wrong)
 		}
-		return patchIDs(snap)
+		return patchIDs(snap.Patches())
 	}
-	before := agree("loaded", db, col)
+	before := agree("loaded", col)
 	if _, err := col.Columns(); err != nil { // every sealed segment spilled
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestOutOfOrderCommitIsRefused(t *testing.T) {
 	if col, err = db.Collection("ord"); err != nil {
 		t.Fatal(err)
 	}
-	if after := agree("reopened", db, col); !reflect.DeepEqual(after, before) {
+	if after := agree("reopened", col); !reflect.DeepEqual(after, before) {
 		t.Errorf("reopened rows are not the rows before the close, in order")
 	}
 }
@@ -186,11 +186,11 @@ func TestConcurrentAppendsCommitInIDOrder(t *testing.T) {
 		if col, err = reopenDB(t, path).Collection("c"); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := col.Snapshot(); err != nil { // warm from the bucket
+		if _, err := col.Patches(); err != nil { // warm from the bucket
 			t.Fatal(err)
 		}
 		race(t, col.Append, writers*each)
-		snap, _, _ := col.Snapshot()
+		snap, _ := col.Patches()
 		if len(snap) != 2*writers*each {
 			t.Fatalf("%d rows, want %d", len(snap), 2*writers*each)
 		}
@@ -211,7 +211,7 @@ func TestConcurrentAppendsCommitInIDOrder(t *testing.T) {
 		ids := make([][]PatchID, sc.Shards())
 		for i := range ids {
 			for j := 0; j < sdb.Replicas(); j++ {
-				snap, _, err := sc.Replica(i, j).Snapshot()
+				snap, err := sc.Replica(i, j).Patches()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestConcurrentAppendsCommitInIDOrder(t *testing.T) {
 		}
 		for i := range ids {
 			for j := 0; j < sdb.Replicas(); j++ {
-				snap, _, err := sc.Replica(i, j).Snapshot()
+				snap, err := sc.Replica(i, j).Patches()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func TestCollectionGetAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, _, _ := col.Snapshot()
+	snap, _ := col.Patches()
 	hit, miss := snap[1234].ID, snap[1234].ID+1
 	var p *Patch
 	var hitErr, missErr error

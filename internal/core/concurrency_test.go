@@ -73,21 +73,21 @@ func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
 			var lastLen int
 			var lastVer uint64
 			for i := 0; i < 200; i++ {
-				ps, ver, err := col.Snapshot()
+				snap, err := col.Current()
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(ps) < lastLen {
-					errs <- fmt.Errorf("snapshot shrank: %d -> %d", lastLen, len(ps))
+				if snap.Len() < lastLen {
+					errs <- fmt.Errorf("snapshot shrank: %d -> %d", lastLen, snap.Len())
 					return
 				}
-				if ver < lastVer {
-					errs <- fmt.Errorf("version went backwards: %d -> %d", lastVer, ver)
+				if snap.version < lastVer {
+					errs <- fmt.Errorf("version went backwards: %d -> %d", lastVer, snap.version)
 					return
 				}
-				lastLen, lastVer = len(ps), ver
-				for _, p := range ps[:min(len(ps), 10)] {
+				lastLen, lastVer = snap.Len(), snap.version
+				for _, p := range snap.rows[:min(snap.Len(), 10)] {
 					if _, err := col.Get(p.ID); err != nil {
 						errs <- err
 						return

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -229,7 +230,7 @@ func TestSelectAndCount(t *testing.T) {
 		label := []string{"car", "pedestrian", "player"}[i%3]
 		col.Append(mkPatch(label, int64(i)))
 	}
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestSelectAndCount(t *testing.T) {
 			{Pred{Field: "label", V: StrV("car")}, 30},
 			{Pred{Field: "frameno", Range: true, Lo: 10, Hi: 20}, 10},
 		} {
-			s, err := db.Select(context.Background(), col, snap, ver, tc.pred, m, Keep{Kind: KeepCount})
+			s, err := snap.Select(context.Background(), tc.pred, m, Keep{Kind: KeepCount})
 			if err != nil || s.N != tc.want || len(s.Sel) != 0 {
 				t.Fatalf("%v %+v: count = %d (kept %d), %v; want %d", m, tc.pred, s.N, len(s.Sel), err, tc.want)
 			}
@@ -276,14 +277,14 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 		col.Append(p)
 		want[int64(i%25)] = append(want[int64(i%25)], p.ID)
 	}
-	snap, ver, _ := col.Snapshot()
+	snap, _ := col.Current()
 	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
 		idx, err := db.BuildIndex(col, "frameno", kind)
 		if err != nil {
 			t.Fatalf("%v build: %v", kind, err)
 		}
 		for f, ids := range want {
-			got, err := idx.LookupEq(snap, ver, IntV(f))
+			got, err := idx.LookupEq(snap, IntV(f))
 			if err != nil {
 				t.Fatalf("%v lookup: %v", kind, err)
 			}
@@ -300,7 +301,7 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 			}
 		}
 		// Missing key.
-		got, err := idx.LookupEq(snap, ver, IntV(999))
+		got, err := idx.LookupEq(snap, IntV(999))
 		if err != nil || len(got) != 0 {
 			t.Fatalf("%v missing key: %v, %v", kind, got, err)
 		}
@@ -318,8 +319,8 @@ func TestBTreeIndexRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := IntV(20), IntV(30)
-	snap, ver, _ := col.Snapshot()
-	ids, err := idx.LookupRange(snap, ver, &lo, &hi)
+	snap, _ := col.Current()
+	ids, err := idx.LookupRange(snap, &lo, &hi)
 	if err != nil || len(ids) != 10 {
 		t.Fatalf("range: %d ids, %v", len(ids), err)
 	}
@@ -344,7 +345,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	db2, _ := Open(path, exec.New(exec.CPU))
 	defer db2.Close()
 	col2, _ := db2.Collection("dets")
-	snap, ver, _ := col2.Snapshot()
+	snap, _ := col2.Current()
 	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
 		if !db2.HasIndex(col2, "frameno", kind) {
 			t.Fatalf("%v index descriptor lost", kind)
@@ -353,7 +354,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, err := idx.LookupEq(snap, ver, IntV(3))
+		ids, err := idx.LookupEq(snap, IntV(3))
 		if err != nil || len(ids) != 10 {
 			t.Fatalf("%v reopen lookup: %d, %v", kind, len(ids), err)
 		}
@@ -387,7 +388,8 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		col.Append(mkVecPatch(rng, dim, int64(i)))
 	}
-	ps, ver, _ := col.Snapshot()
+	snap, _ := col.Current()
+	ps := snap.Patches()
 	opts := SimilarityJoinOpts{LeftField: "emb", RightField: "emb", Eps: 3.5, DedupUnordered: true}
 
 	nested, err := SimilarityJoinNested(ps, ps, opts)
@@ -402,35 +404,96 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vi, err := col.VectorIndexAt(ps, ver, "emb", VecExact)
+	vi, err := snap.VectorIndex("emb", VecExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, _, err := SimilarityJoinVecIndexed(ps, col, vi, opts)
+	indexed, _, err := SimilarityJoinVecIndexed(ps, vi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := func(ts []Tuple) []string {
-		out := make([]string, len(ts))
-		for i, tp := range ts {
-			out[i] = fmt.Sprintf("%d-%d", tp[0].ID, tp[1].ID)
-		}
-		sort.Strings(out)
-		return out
-	}
-	nk := key(nested)
+	nk := pairKeys(nested)
 	if len(nk) == 0 {
 		t.Fatal("no pairs at eps=3.5; test is vacuous")
 	}
 	for name, other := range map[string][]Tuple{"batched": batched, "onthefly": fly, "indexed": indexed} {
-		ok := key(other)
-		if len(ok) != len(nk) {
-			t.Fatalf("%s: %d pairs, nested found %d", name, len(ok), len(nk))
+		if ok := pairKeys(other); !reflect.DeepEqual(ok, nk) {
+			t.Fatalf("%s: %d pairs differ from nested's %d", name, len(ok), len(nk))
 		}
-		for i := range nk {
-			if ok[i] != nk[i] {
-				t.Fatalf("%s: pair mismatch at %d: %s vs %s", name, i, ok[i], nk[i])
-			}
+	}
+}
+
+// pairKeys lists a join's pairs as sorted "left-right" id strings.
+func pairKeys(ts []Tuple) []string {
+	out := make([]string, len(ts))
+	for i, tp := range ts {
+		out[i] = fmt.Sprintf("%d-%d", tp[0].ID, tp[1].ID)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSimilarityJoinVecIndexedOverSnapshotBehind: an exact index built
+// over a snapshot joins against that snapshot's rows only, after
+// near-duplicates of its rows are appended and a newer index is
+// extended from it — for a self-join of the old rows and for probes
+// from every current row alike.
+func TestSimilarityJoinVecIndexedOverSnapshotBehind(t *testing.T) {
+	db := openDB(t)
+	const dim, n = 16, 300
+	col, _ := db.CreateCollection("vecs", vecSchema(dim))
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < n; i++ {
+		if err := col.Append(mkVecPatch(rng, dim, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, err := col.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi, err := old.VectorIndex("emb", VecExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 3 { // a near-duplicate of every third row
+		v := append([]float32(nil), metaVal(old.Row(i), "emb").Vec()...)
+		v[0] += 0.01
+		dup := &Patch{Ref: Ref{Source: "s", Frame: uint64(n + i)}, Meta: Metadata{"emb": VecV(v), "frameno": IntV(int64(n + i))}}
+		if err := col.Append(dup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := col.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.VectorIndex("emb", VecExact); err != nil { // extends the cached index
+		t.Fatal(err)
+	}
+	if db.RefreshStats().VectorExtends != 1 || vi.Len() != n {
+		t.Fatalf("extends %d, old index over %d rows, want 1 and %d", db.RefreshStats().VectorExtends, vi.Len(), n)
+	}
+	for _, tc := range []struct {
+		left []*Patch
+		opts SimilarityJoinOpts
+	}{
+		{old.Patches(), SimilarityJoinOpts{LeftField: "emb", RightField: "emb", Eps: 3.5, DedupUnordered: true}},
+		{cur.Patches(), SimilarityJoinOpts{LeftField: "emb", RightField: "emb", Eps: 0.05, ExcludeSelf: true}},
+	} {
+		want, err := SimilarityJoinNested(tc.left, old.Patches(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := SimilarityJoinVecIndexed(tc.left, vi, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%d left rows at eps=%g: no pairs, test is vacuous", len(tc.left), tc.opts.Eps)
+		}
+		if g, w := pairKeys(got), pairKeys(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%d left rows at eps=%g: %d indexed pairs, nested over the old rows %d", len(tc.left), tc.opts.Eps, len(g), len(w))
 		}
 	}
 }

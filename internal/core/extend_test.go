@@ -104,17 +104,17 @@ func TestExtendByteIdenticalToFreshBuild(t *testing.T) {
 		{ColumnBlockSize + 1, ColumnBlockSize + 1 + 2*ColumnBlockSize + 5}, // multi-block append
 	} {
 		ps := extendPatches(tc.n, tc.oldN)
-		old := NewColumnStore(ps[:tc.oldN], 1)
+		old := newColumnStore(snapshotOf(ps[:tc.oldN], 1), nil)
 		for _, f := range fields {
 			old.Column(f) // project (or record nil) on the old store
 		}
-		ext, st := old.Extend(ps, 2)
-		fresh := NewColumnStore(ps, 2)
+		ext, st := old.Extend(snapshotOf(ps, 2))
+		fresh := newColumnStore(snapshotOf(ps, 2), nil)
 		for _, f := range fields {
 			columnsEqual(t, f, ext, fresh)
 		}
-		if ext.Version() != 2 || ext.Len() != tc.n {
-			t.Fatalf("extended store identity: version %d len %d", ext.Version(), ext.Len())
+		if ext.at.version != 2 || ext.at.Len() != tc.n {
+			t.Fatalf("extended store identity: version %d len %d", ext.at.version, ext.at.Len())
 		}
 		// Sealed-block accounting: every carried column reuses exactly the
 		// full blocks of the old snapshot.
@@ -163,10 +163,10 @@ func TestExtendByteIdenticalToFreshBuild(t *testing.T) {
 func TestExtendDoesNotMutateOldStore(t *testing.T) {
 	const oldN = ColumnBlockSize + 100
 	ps := extendPatches(oldN+2*ColumnBlockSize, oldN)
-	old := NewColumnStore(ps[:oldN], 1)
+	old := newColumnStore(snapshotOf(ps[:oldN], 1), nil)
 	before, _ := old.FilterEq("label", StrV("car"))
 	beforeDict := append([]int32(nil), before...)
-	if _, st := old.Extend(ps, 2); st.Columns == 0 {
+	if _, st := old.Extend(snapshotOf(ps, 2)); st.Columns == 0 {
 		t.Fatal("no columns carried")
 	}
 	after, _ := old.FilterEq("label", StrV("car"))
@@ -178,8 +178,8 @@ func TestExtendDoesNotMutateOldStore(t *testing.T) {
 	} else if sel, _ := old.FilterEq("label", StrV("zeppelin")); len(sel) != 0 {
 		t.Fatal("old store's dictionary leaked a suffix-only code")
 	}
-	if old.Len() != oldN {
-		t.Fatalf("old store length changed: %d", old.Len())
+	if old.at.Len() != oldN {
+		t.Fatalf("old store length changed: %d", old.at.Len())
 	}
 }
 
@@ -212,8 +212,8 @@ func TestCollectionColumnsExtends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs1 == cs0 || cs1.Len() != base+ColumnBlockSize {
-		t.Fatalf("stale store served after append (len %d)", cs1.Len())
+	if cs1 == cs0 || cs1.at.Len() != base+ColumnBlockSize {
+		t.Fatalf("stale store served after append (len %d)", cs1.at.Len())
 	}
 	rs := db.RefreshStats()
 	if rs.ColumnExtends != 1 {
@@ -224,7 +224,7 @@ func TestCollectionColumnsExtends(t *testing.T) {
 		t.Fatalf("block reuse %d/%d, want 4/6", rs.ColumnReusedBlocks, rs.ColumnTotalBlocks)
 	}
 	// Byte-identical to a fresh build over the same snapshot.
-	fresh := NewColumnStore(cs1.Patches(), cs1.Version())
+	fresh := newColumnStore(cs1.at, nil)
 	for _, f := range []string{"label", "rank", "score"} {
 		columnsEqual(t, f, cs1, fresh)
 	}
@@ -258,8 +258,8 @@ func TestCollectionColumnsExtends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Refresh != RefreshRebuild || cs3.Len() != base+ColumnBlockSize+1 {
-		t.Fatalf("reopened Columns: %v over %d rows, want a rebuild over %d", info.Refresh, cs3.Len(), base+ColumnBlockSize+1)
+	if info.Refresh != RefreshRebuild || cs3.at.Len() != base+ColumnBlockSize+1 {
+		t.Fatalf("reopened Columns: %v over %d rows, want a rebuild over %d", info.Refresh, cs3.at.Len(), base+ColumnBlockSize+1)
 	}
 	if e3 := db.RefreshStats().ColumnExtends; e3 != 0 {
 		t.Fatalf("rebuild after a reopen counted as extend: %d", e3)

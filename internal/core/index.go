@@ -54,23 +54,15 @@ func (r Refresh) String() string {
 	return [...]string{"hit", "extend", "rebuild"}[r]
 }
 
-// Index is a handle on a hash or B+ tree secondary index over one
-// metadata field of a collection. Both kinds are persistent (they live
-// in the database's page file) and maintained: every probe names the
-// snapshot it executes over and first brings the index current for it
-// (see sync). A handle binds the Collection value it was opened with,
-// whose snapshots its probes carry; the structure it shares is the DB's
-// one per (collection name, field, kind).
+// Index is a hash or B+ tree secondary index over one metadata field of
+// a collection, the DB's one per (collection name, field, kind). Both
+// kinds are persistent (they live in the database's page file) and
+// maintained: every probe names the snapshot it executes over and first
+// brings the index current for it (see sync). Its mutex serializes
+// maintenance with every probe (a B+ tree is not safe for concurrent
+// use: its inner-node cache is unsynchronized, and its leaves and the
+// hash index's buckets are read in place).
 type Index struct {
-	*indexCore
-	col *Collection
-}
-
-// indexCore is one index's structure. Its mutex serializes maintenance
-// with every probe (a B+ tree is not safe for concurrent use: its
-// inner-node cache is unsynchronized, and its leaves and the hash
-// index's buckets are read in place).
-type indexCore struct {
 	Kind  IndexKind
 	Col   string
 	Field string
@@ -78,17 +70,15 @@ type indexCore struct {
 	// subject).
 	BuildTime time.Duration
 
-	// Guarded by mu: the structure and what it covers — the first rows
-	// rows of the Collection of, at version (0 = nothing usable yet). of
-	// differs from a prober's collection when the name was dropped and
-	// re-created while an old handle was in use.
-	db      *DB
-	mu      sync.Mutex
-	bt      *btree.Tree
-	hash    *hashidx.Index
-	of      *Collection
-	rows    int
-	version uint64
+	// Guarded by mu: the structure and the snapshot it covers (the zero
+	// Snapshot: nothing usable yet). Its collection differs from a
+	// prober's when the name was dropped and re-created while the old
+	// collection was in use.
+	db   *DB
+	mu   sync.Mutex
+	bt   *btree.Tree
+	hash *hashidx.Index
+	at   Snapshot
 	// Hash postings, also guarded by mu: the tail chunk of each value
 	// (by sort key) whose tail is past chunk 0, and scratch for a
 	// posting chunk's hash key and ids.
@@ -116,14 +106,14 @@ func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index,
 	if err != nil {
 		return nil, err
 	}
-	patches, version, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		return nil, err
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	idx.version = 0
-	if _, err := idx.sync(patches, version); err != nil {
+	idx.at = Snapshot{}
+	if _, err := idx.sync(snap); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -138,7 +128,7 @@ func (db *DB) saveIndexDesc(d idxDesc) error {
 }
 
 // registered returns the in-memory index under key, or nil.
-func (db *DB) registered(key string) *indexCore {
+func (db *DB) registered(key string) *Index {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.indexes[key]
@@ -157,20 +147,19 @@ func (db *DB) EnsureIndex(col *Collection, field string, kind IndexKind) (*Index
 	return db.openIndex(col, field, kind, true)
 }
 
-// openIndex returns a handle for col on the one structure serving (col's
-// name, field, kind): the registered one; else from the descriptor —
-// reopened if the collection still stands at the version it recorded and
-// otherwise left for the first probe to rebuild; else, with create, a
-// new empty one.
+// openIndex returns the one index serving (col's name, field, kind): the
+// registered one; else from the descriptor — reopened if the collection
+// still stands at the version it recorded and otherwise left for the
+// first probe to rebuild; else, with create, a new empty one.
 func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bool) (*Index, error) {
 	if kind != IdxBTree && kind != IdxHash {
 		return nil, fmt.Errorf("core: unknown index kind %v", kind)
 	}
 	key := indexKey(col.Name(), field, kind)
-	if ic := db.registered(key); ic != nil {
-		return &Index{ic, col}, nil
+	if idx := db.registered(key); idx != nil {
+		return idx, nil
 	}
-	ic := &indexCore{Kind: kind, Col: col.Name(), Field: field, db: db}
+	idx := &Index{Kind: kind, Col: col.Name(), Field: field, db: db}
 	v, err := db.sys.Get([]byte(key))
 	switch {
 	case err != nil && !create:
@@ -181,32 +170,33 @@ func (db *DB) openIndex(col *Collection, field string, kind IndexKind, create bo
 		if err := json.Unmarshal(v, &d); err != nil {
 			return nil, err
 		}
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			return nil, err
 		}
-		// Opened at another version the structure stays unusable (version
-		// 0) but attached, so the first probe's rebuild frees its pages.
+		// Opened at another version the structure stays unusable (the zero
+		// snapshot) but attached, so the first probe's rebuild frees its
+		// pages.
 		if kind == IdxBTree {
-			ic.bt = btree.Open(db.store.Pager(), d.Root)
+			idx.bt = btree.Open(db.store.Pager(), d.Root)
 		} else {
-			ic.hash, err = hashidx.Open(db.store.Pager(), d.Root)
+			idx.hash, err = hashidx.Open(db.store.Pager(), d.Root)
 		}
 		switch {
-		case ver != d.Version:
+		case snap.version != d.Version:
 		case err != nil:
 			return nil, err
 		default:
-			ic.of, ic.rows, ic.version = col, len(snap), ver
+			idx.at = snap
 		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if cur := db.indexes[key]; cur != nil {
-		return &Index{cur, col}, nil // raced another opener: its value is the one everybody locks
+		return cur, nil // raced another opener: its value is the one everybody locks
 	}
-	db.indexes[key] = ic
-	return &Index{ic, col}, nil
+	db.indexes[key] = idx
+	return idx, nil
 }
 
 // HasIndex reports whether an index exists without building it.
@@ -219,28 +209,27 @@ func (db *DB) HasIndex(col *Collection, field string, kind IndexKind) bool {
 	return err == nil
 }
 
-// sync brings a hash or B+ tree index current for the snapshot (snap,
-// ver) of the handle's collection and reports what that took; callers
-// hold idx.mu. Over the same collection the row cache only grows, so
-// the covered rows certify themselves: hit when the version matches or
-// snap is shorter (a reader behind the index; probe drops the ids it
-// cannot see), else extend — only snap[rows:] is inserted, by the loop a
-// build runs, so the structure is the one a fresh build over snap
-// produces. Anything else (nothing usable, another collection) rebuilds
-// into a new structure and, once the descriptor names it, frees the
-// replaced one's pages.
-func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
+// sync brings a hash or B+ tree index current for snap and reports what
+// that took; callers hold idx.mu. Over the same collection the row cache
+// only grows, so the covered rows certify themselves: hit when the
+// version matches or snap is shorter (a reader behind the index; probe
+// drops the ids it cannot see), else extend — only the rows past the
+// covered ones are inserted, by the loop a build runs, so the structure
+// is the one a fresh build over snap produces. Anything else (nothing
+// usable, another collection) rebuilds into a new structure and, once
+// the descriptor names it, frees the replaced one's pages.
+func (idx *Index) sync(snap Snapshot) (Refresh, error) {
 	use, from := RefreshRebuild, 0
-	if idx.version != 0 && idx.of == idx.col {
-		if ver == idx.version || len(snap) < idx.rows {
+	if idx.at.version != 0 && idx.at.col == snap.col {
+		if snap.version == idx.at.version || snap.Len() < idx.at.Len() {
 			return RefreshHit, nil
 		}
-		use, from = RefreshExtend, idx.rows
+		use, from = RefreshExtend, idx.at.Len()
 	}
 	start := time.Now()
-	// A failure below leaves the structure half-written: version 0 makes
-	// the next probe rebuild rather than trust it.
-	idx.version = 0
+	// A failure below leaves the structure half-written: the zero
+	// snapshot makes the next probe rebuild rather than trust it.
+	idx.at = Snapshot{}
 	oldBT, oldHash := idx.bt, idx.hash
 	if use == RefreshRebuild {
 		var err error
@@ -251,12 +240,12 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 		}
 		clear(idx.tails)
 	}
-	for _, p := range snap[from:] {
+	for _, p := range snap.rows[from:] {
 		if err := idx.insert(p); err != nil {
 			return use, err
 		}
 	}
-	d := idxDesc{Kind: idx.Kind, Col: idx.Col, Field: idx.Field, Version: ver}
+	d := idxDesc{Kind: idx.Kind, Col: idx.Col, Field: idx.Field, Version: snap.version}
 	if idx.Kind == IdxBTree {
 		d.Root = idx.bt.Root()
 	} else {
@@ -268,7 +257,7 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	if err := idx.db.saveIndexDesc(d); err != nil {
 		return use, err
 	}
-	idx.of, idx.rows, idx.version = idx.col, len(snap), ver
+	idx.at = snap
 	r := &idx.db.refresh
 	if use == RefreshRebuild {
 		idx.BuildTime = time.Since(start)
@@ -284,28 +273,28 @@ func (idx *Index) sync(snap []*Patch, ver uint64) (Refresh, error) {
 	} else {
 		r.scalarExtends.Add(1)
 	}
-	r.scalarInserted.Add(int64(len(snap) - from))
+	r.scalarInserted.Add(int64(snap.Len() - from))
 	return use, nil
 }
 
-// probe runs look against the index made current for (snap, ver), all
-// under the index mutex, and returns exactly the ids visible in snap
-// together with what making the index current took.
-func (idx *Index) probe(snap []*Patch, ver uint64, look func() ([]PatchID, error)) ([]PatchID, Refresh, error) {
+// probe runs look against the index made current for snap, all under
+// the index mutex, and returns exactly the ids visible in snap together
+// with what making the index current took.
+func (idx *Index) probe(snap Snapshot, look func() ([]PatchID, error)) ([]PatchID, Refresh, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	use, err := idx.sync(snap, ver)
+	use, err := idx.sync(snap)
 	if err != nil {
 		return nil, use, err
 	}
 	ids, err := look()
-	if err != nil || len(snap) >= idx.rows {
+	if err != nil || snap.Len() >= idx.at.Len() {
 		return ids, use, err
 	}
 	// Rows are id-ordered: the ones past snap are those above its last id.
 	var last PatchID
-	if len(snap) > 0 {
-		last = snap[len(snap)-1].ID
+	if n := snap.Len(); n > 0 {
+		last = snap.rows[n-1].ID
 	}
 	return slices.DeleteFunc(ids, func(id PatchID) bool { return id > last }), use, nil
 }
@@ -384,24 +373,24 @@ func compositePatchID(k []byte) PatchID {
 }
 
 // LookupEq returns the ids of the patches in snap with field == v, after
-// bringing the index current for (snap, ver) — the snapshot the caller
-// executes over, so index contents and query visibility can never skew.
-func (idx *Index) LookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, error) {
-	ids, _, err := idx.lookupEq(snap, ver, v)
+// bringing the index current for snap — the snapshot the caller executes
+// over, so index contents and query visibility can never skew.
+func (idx *Index) LookupEq(snap Snapshot, v Value) ([]PatchID, error) {
+	ids, _, err := idx.lookupEq(snap, v)
 	return ids, err
 }
 
 // lookupEq is LookupEq reporting what bringing the index current took.
-func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refresh, error) {
+func (idx *Index) lookupEq(snap Snapshot, v Value) ([]PatchID, Refresh, error) {
 	sk, err := v.SortKey()
 	if err != nil {
 		return nil, 0, err
 	}
 	switch {
 	case v.Kind == KindFloat && math.IsNaN(v.Float()): // NaN equals nothing, itself included
-		return idx.probe(snap, ver, func() ([]PatchID, error) { return nil, nil })
+		return idx.probe(snap, func() ([]PatchID, error) { return nil, nil })
 	case idx.Kind == IdxHash:
-		return idx.probe(snap, ver, func() ([]PatchID, error) {
+		return idx.probe(snap, func() ([]PatchID, error) {
 			var out []PatchID
 			idx.key = append(idx.key[:0], sk...)
 			for c := uint32(0); ; c++ {
@@ -421,21 +410,21 @@ func (idx *Index) lookupEq(snap []*Patch, ver uint64, v Value) ([]PatchID, Refre
 		// between its prefix and the prefix followed by an id past the
 		// largest.
 		prefix := compositePrefix(sk)
-		return idx.scan(snap, ver, prefix, append(bytes.Clone(prefix), bytes.Repeat([]byte{0xFF}, 9)...))
+		return idx.scan(snap, prefix, append(bytes.Clone(prefix), bytes.Repeat([]byte{0xFF}, 9)...))
 	}
 }
 
 // LookupRange returns the ids of the patches in snap with lo <= field <
-// hi (B+ tree only; nil bounds are unbounded), current for (snap, ver)
-// like LookupEq.
-func (idx *Index) LookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]PatchID, error) {
-	ids, _, err := idx.lookupRange(snap, ver, lo, hi)
+// hi (B+ tree only; nil bounds are unbounded), current for snap like
+// LookupEq.
+func (idx *Index) LookupRange(snap Snapshot, lo, hi *Value) ([]PatchID, error) {
+	ids, _, err := idx.lookupRange(snap, lo, hi)
 	return ids, err
 }
 
 // lookupRange is LookupRange reporting what bringing the index current
 // took.
-func (idx *Index) lookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]PatchID, Refresh, error) {
+func (idx *Index) lookupRange(snap Snapshot, lo, hi *Value) ([]PatchID, Refresh, error) {
 	if idx.Kind != IdxBTree {
 		return nil, 0, fmt.Errorf("core: %v index does not support range lookup", idx.Kind)
 	}
@@ -449,7 +438,7 @@ func (idx *Index) lookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]Patch
 			keys[i] = compositePrefix(sk)
 		}
 	}
-	return idx.scan(snap, ver, keys[0], keys[1])
+	return idx.scan(snap, keys[0], keys[1])
 }
 
 // numericRange resolves the half-open range [lo, hi) against a B+ tree
@@ -462,13 +451,13 @@ func (idx *Index) lookupRange(snap []*Patch, ver uint64, lo, hi *Value) ([]Patch
 // is snapshot order (rows are id-ordered), so the probe returns rows in
 // the same order as the scans. The Refresh is the first probe's; the
 // second always hits.
-func (idx *Index) numericRange(snap []*Patch, ver uint64, lo, hi float64) ([]PatchID, Refresh, error) {
+func (idx *Index) numericRange(snap Snapshot, lo, hi float64) ([]PatchID, Refresh, error) {
 	// Float probe: an inclusive -Inf low and an exclusive +Inf high are
 	// exactly the scan semantics at open sides (a stored +Inf fails
 	// v < +Inf; NaN keys sort past +Inf and are excluded with it). NaN
 	// bounds and empty intervals match nothing.
 	fLo, fHi := FloatV(lo), FloatV(hi)
-	ids, use, err := idx.lookupRange(snap, ver, &fLo, &fHi)
+	ids, use, err := idx.lookupRange(snap, &fLo, &fHi)
 	if err != nil || !(lo < hi) {
 		return nil, use, err
 	}
@@ -480,7 +469,7 @@ func (idx *Index) numericRange(snap []*Patch, ver uint64, lo, hi float64) ([]Pat
 		if iHi, ok := intCeil(hi); ok {
 			intHi = IntV(iHi)
 		}
-		got, _, err := idx.lookupRange(snap, ver, &intLo, &intHi)
+		got, _, err := idx.lookupRange(snap, &intLo, &intHi)
 		if err != nil {
 			return nil, use, err
 		}
@@ -512,8 +501,8 @@ func intCeil(x float64) (int64, bool) {
 }
 
 // scan is the B+ tree probe: the ids under keys in [lo, hi), key order.
-func (idx *Index) scan(snap []*Patch, ver uint64, lo, hi []byte) ([]PatchID, Refresh, error) {
-	return idx.probe(snap, ver, func() (out []PatchID, err error) {
+func (idx *Index) scan(snap Snapshot, lo, hi []byte) ([]PatchID, Refresh, error) {
+	return idx.probe(snap, func() (out []PatchID, err error) {
 		err = idx.bt.Scan(lo, hi, func(k, _ []byte) bool {
 			out = append(out, compositePatchID(k))
 			return true

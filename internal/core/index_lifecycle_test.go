@@ -55,9 +55,9 @@ func scalarStats(db *DB) (extends, rebuilds, inserted int64) {
 
 // scanIDs is the reference: ids of snap's rows satisfying pred, in
 // snapshot order.
-func scanIDs(snap []*Patch, pred func(*Patch) bool) []PatchID {
+func scanIDs(snap Snapshot, pred func(*Patch) bool) []PatchID {
 	var out []PatchID
-	for _, p := range snap {
+	for _, p := range snap.rows {
 		if pred(p) {
 			out = append(out, p.ID)
 		}
@@ -65,14 +65,14 @@ func scanIDs(snap []*Patch, pred func(*Patch) bool) []PatchID {
 	return out
 }
 
-// indexAnswers runs the probe set against both indexes over (snap, ver):
+// indexAnswers runs the probe set against both indexes over snap:
 // every distinct label through the hash index, every key value through
 // B+ tree equality, and a few B+ tree ranges in each numeric key region.
-func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[string][]PatchID {
+func indexAnswers(t *testing.T, hash, bt *Index, snap Snapshot) map[string][]PatchID {
 	t.Helper()
 	out := map[string][]PatchID{}
 	for _, l := range []string{"hot", "cold", "absent"} {
-		ids, err := hash.LookupEq(snap, ver, StrV(l))
+		ids, err := hash.LookupEq(snap, StrV(l))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[
 	}
 	for k := 0; k < 37; k += 6 {
 		for _, v := range []Value{IntV(int64(k)), FloatV(float64(k) + 0.5)} {
-			ids, err := bt.LookupEq(snap, ver, v)
+			ids, err := bt.LookupEq(snap, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[
 		{FloatV(2.5), FloatV(20)}, {FloatV(-1), FloatV(100)},
 	} {
 		lo, hi := r[0], r[1]
-		ids, err := bt.LookupRange(snap, ver, &lo, &hi)
+		ids, err := bt.LookupRange(snap, &lo, &hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func indexAnswers(t *testing.T, hash, bt *Index, snap []*Patch, ver uint64) map[
 // checkAgainstScan compares the equality answers with the scan exactly
 // (posting lists and same-key B+ tree entries are in id order, which is
 // snapshot order here) and the range answers as sets.
-func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap []*Patch) {
+func checkAgainstScan(t *testing.T, stage string, got map[string][]PatchID, snap Snapshot) {
 	t.Helper()
 	for _, l := range []string{"hot", "cold", "absent"} {
 		want := scanIDs(snap, func(p *Patch) bool { return metaVal(p, "label").Str() == l })
@@ -172,12 +172,12 @@ func TestIndexExtendEqualsFreshBuildEqualsScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendLifecycle(t, col, tc.oldN, tc.n)
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, r0, n0 := scalarStats(db)
-		extended := indexAnswers(t, hash, bt, snap, ver)
+		extended := indexAnswers(t, hash, bt, snap)
 		e1, r1, n1 := scalarStats(db)
 		wantExtends := int64(2)
 		if tc.n == tc.oldN {
@@ -199,7 +199,7 @@ func TestIndexExtendEqualsFreshBuildEqualsScan(t *testing.T) {
 		if _, r2, _ := scalarStats(db); r2 != r1+2 {
 			t.Fatalf("BuildIndex over a live index did not rebuild: %d -> %d", r1, r2)
 		}
-		fresh := indexAnswers(t, hash, bt, snap, ver)
+		fresh := indexAnswers(t, hash, bt, snap)
 		if !reflect.DeepEqual(extended, fresh) {
 			t.Fatalf("%d->%d: extended index answers diverge from a fresh build", tc.oldN, tc.n)
 		}
@@ -247,7 +247,7 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 
 	// The join index answers each distinct left frameno with every row of
 	// the grown collection that carries it.
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +259,12 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 			continue
 		}
 		probed[v.Int()] = true
-		ids, err := joinIdx.LookupEq(snap, ver, v)
+		ids, err := joinIdx.LookupEq(snap, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pred, want := Pred{Field: "frameno", V: v}, 0
-		for _, p := range snap {
+		for _, p := range snap.rows {
 			if pred.Match(p) {
 				want++
 			}
@@ -286,14 +286,14 @@ func TestIndexReaderBehindAndCacheReload(t *testing.T) {
 	appendLifecycle(t, col, 0, 500)
 	hash, _ := db.BuildIndex(col, "label", IdxHash)
 	bt, _ := db.BuildIndex(col, "key", IdxBTree)
-	oldSnap, oldVer, _ := col.Snapshot()
+	oldSnap, _ := col.Current()
 
 	appendLifecycle(t, col, 500, 640)
-	snap, ver, _ := col.Snapshot()
-	checkAgainstScan(t, "current", indexAnswers(t, hash, bt, snap, ver), snap)
+	snap, _ := col.Current()
+	checkAgainstScan(t, "current", indexAnswers(t, hash, bt, snap), snap)
 	e0, r0, _ := scalarStats(db)
-	checkAgainstScan(t, "behind", indexAnswers(t, hash, bt, oldSnap, oldVer), oldSnap)
-	checkAgainstScan(t, "current again", indexAnswers(t, hash, bt, snap, ver), snap)
+	checkAgainstScan(t, "behind", indexAnswers(t, hash, bt, oldSnap), oldSnap)
+	checkAgainstScan(t, "current again", indexAnswers(t, hash, bt, snap), snap)
 	if e, r, _ := scalarStats(db); e != e0 || r != r0 {
 		t.Fatalf("a reader behind the index moved it: extends %d->%d rebuilds %d->%d", e0, e, r0, r)
 	}
@@ -306,8 +306,8 @@ func TestIndexReaderBehindAndCacheReload(t *testing.T) {
 	col, _ = db.Collection("c")
 	hash, _ = db.Index(col, "label", IdxHash)
 	bt, _ = db.Index(col, "key", IdxBTree)
-	snap, ver, _ = col.Snapshot()
-	checkAgainstScan(t, "reloaded", indexAnswers(t, hash, bt, snap, ver), snap)
+	snap, _ = col.Current()
+	checkAgainstScan(t, "reloaded", indexAnswers(t, hash, bt, snap), snap)
 	if e, r, _ := scalarStats(db); e != 0 || r != 2 {
 		t.Fatalf("cache reload: extends %d rebuilds %d, want two rebuilds", e, r)
 	}
@@ -323,7 +323,7 @@ func TestStaleHandleProbeRebuilds(t *testing.T) {
 	db := openDB(t)
 	old, _ := db.CreateCollection("c", lifecycleSchema())
 	appendLifecycle(t, old, 0, 600)
-	oldSnap, oldVer, _ := old.Snapshot()
+	oldSnap, _ := old.Current()
 	if err := db.DropCollection("c"); err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +334,8 @@ func TestStaleHandleProbeRebuilds(t *testing.T) {
 	appendLifecycle(t, col, 1000, 1300)
 	hash, _ := db.EnsureIndex(col, "label", IdxHash)
 	bt, _ := db.EnsureIndex(col, "key", IdxBTree)
-	snap, ver, _ := col.Snapshot()
-	checkAgainstScan(t, "re-created", indexAnswers(t, hash, bt, snap, ver), snap)
+	snap, _ := col.Current()
+	checkAgainstScan(t, "re-created", indexAnswers(t, hash, bt, snap), snap)
 
 	oldHash, err := db.EnsureIndex(old, "label", IdxHash)
 	if err != nil {
@@ -345,11 +345,11 @@ func TestStaleHandleProbeRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstScan(t, "old handle", indexAnswers(t, oldHash, oldBT, oldSnap, oldVer), oldSnap)
+	checkAgainstScan(t, "old handle", indexAnswers(t, oldHash, oldBT, oldSnap), oldSnap)
 
 	appendLifecycle(t, col, 1300, 1310)
-	snap, ver, _ = col.Snapshot()
-	checkAgainstScan(t, "re-created after the old handle", indexAnswers(t, hash, bt, snap, ver), snap)
+	snap, _ = col.Current()
+	checkAgainstScan(t, "re-created after the old handle", indexAnswers(t, hash, bt, snap), snap)
 	if e, r, _ := scalarStats(db); e != 0 || r != 6 {
 		t.Fatalf("extends %d rebuilds %d, want 0/6: a build per index for each collection switch", e, r)
 	}
@@ -393,7 +393,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ver, _ := col2.Snapshot()
+	snap, _ := col2.Current()
 	lo, hi := IntV(5), IntV(30)
 	want := scanIDs(snap, func(p *Patch) bool { v := metaVal(p, "key"); return v.Kind == KindInt && v.Int() >= 5 && v.Int() < 30 })
 	var wg sync.WaitGroup
@@ -401,7 +401,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids, err := bt.LookupRange(snap, ver, &lo, &hi)
+			ids, err := bt.LookupRange(snap, &lo, &hi)
 			if err != nil {
 				t.Error(err)
 				return
@@ -413,7 +413,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	checkAgainstScan(t, "reopened", indexAnswers(t, hash, bt, snap, ver), snap)
+	checkAgainstScan(t, "reopened", indexAnswers(t, hash, bt, snap), snap)
 	if e, r, _ := scalarStats(db2); e != 0 || r != 0 {
 		t.Fatalf("reopen at the persisted version maintained the index: extends %d rebuilds %d", e, r)
 	}
@@ -421,8 +421,8 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	// the collection moves on unprobed, so the next open finds descriptors
 	// of an older version.
 	appendLifecycle(t, col2, 2000, 2010)
-	snap, ver, _ = col2.Snapshot()
-	checkAgainstScan(t, "reopened, extended", indexAnswers(t, hash, bt, snap, ver), snap)
+	snap, _ = col2.Current()
+	checkAgainstScan(t, "reopened, extended", indexAnswers(t, hash, bt, snap), snap)
 	if e, r, n := scalarStats(db2); e != 2 || r != 0 || n != 20 {
 		t.Fatalf("extend after reopen: extends %d rebuilds %d inserted %d, want 2/0/20", e, r, n)
 	}
@@ -439,8 +439,8 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 	col3, _ := db3.Collection("c")
 	bt3, _ := db3.Index(col3, "key", IdxBTree)
 	hash3, _ := db3.Index(col3, "label", IdxHash)
-	snap, ver, _ = col3.Snapshot()
-	checkAgainstScan(t, "reopened stale", indexAnswers(t, hash3, bt3, snap, ver), snap)
+	snap, _ = col3.Current()
+	checkAgainstScan(t, "reopened stale", indexAnswers(t, hash3, bt3, snap), snap)
 	if e, r, _ := scalarStats(db3); e != 0 || r != 2 {
 		t.Fatalf("reopen at another version: extends %d rebuilds %d, want 0/2", e, r)
 	}
@@ -481,10 +481,10 @@ func TestHashIndexExtendAllocsIndependentOfFill(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap, ver, _ := col.Snapshot()
+			snap, _ := col.Current()
 			var a, b runtime.MemStats
 			runtime.ReadMemStats(&a)
-			_, use, err := hash.lookupEq(snap, ver, StrV("absent"))
+			_, use, err := hash.lookupEq(snap, StrV("absent"))
 			runtime.ReadMemStats(&b)
 			if err != nil || use != RefreshExtend {
 				t.Fatalf("probe after %d appended rows: %v, %v", step, use, err)
@@ -534,14 +534,14 @@ func TestHashInsertTouchesOneChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		add(col, label, 1)
-		snap, ver, _ := col.Snapshot()
+		snap, _ := col.Current()
 		before := db.Store().Pager().Reads()
-		if _, use, err := hash.lookupEq(snap, ver, StrV("absent")); err != nil || use != RefreshExtend {
+		if _, use, err := hash.lookupEq(snap, StrV("absent")); err != nil || use != RefreshExtend {
 			t.Fatalf("probe after appending %q: %v, %v", label, use, err)
 		}
 		reads := db.Store().Pager().Reads() - before
 		for _, l := range []string{"one", "ten"} {
-			ids, err := hash.LookupEq(snap, ver, StrV(l))
+			ids, err := hash.LookupEq(snap, StrV(l))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -592,8 +592,8 @@ func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
 		if _, err := db.BuildIndex(col, "key", IdxBTree); err != nil {
 			t.Fatal(err)
 		}
-		snap, ver, _ := col.Snapshot()
-		checkAgainstScan(t, "rebuilt", indexAnswers(t, hash, bt, snap, ver), snap)
+		snap, _ := col.Current()
+		checkAgainstScan(t, "rebuilt", indexAnswers(t, hash, bt, snap), snap)
 		if round == 0 {
 			pages = pager.NumPages()
 		} else if got := pager.NumPages(); got != pages {
@@ -635,8 +635,8 @@ func TestReopenAtAnotherVersionFreesPersistedIndex(t *testing.T) {
 		col, _ = db.Collection("c")
 		bt, _ := db.Index(col, "key", IdxBTree)
 		hash, _ := db.Index(col, "label", IdxHash)
-		snap, ver, _ := col.Snapshot()
-		checkAgainstScan(t, "reopened stale", indexAnswers(t, hash, bt, snap, ver), snap)
+		snap, _ := col.Current()
+		checkAgainstScan(t, "reopened stale", indexAnswers(t, hash, bt, snap), snap)
 		if _, r, _ := scalarStats(db); r != 2 {
 			t.Fatalf("cycle %d: %d rebuilds after reopen, want 2", cycle, r)
 		}

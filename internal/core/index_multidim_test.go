@@ -59,9 +59,9 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ver, _ := ints.Snapshot()
+	snap, _ := ints.Current()
 	lo := IntV(1)
-	if _, err := hash.LookupRange(snap, ver, &lo, nil); err == nil {
+	if _, err := hash.LookupRange(snap, &lo, nil); err == nil {
 		t.Fatal("hash range lookup allowed")
 	}
 }

@@ -149,13 +149,14 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 	return out, nil
 }
 
-// SimilarityJoinVecIndexed probes the maintained per-collection vector
-// index on the right collection, extended incrementally on append
-// instead of rebuilt per version. With an exact-mode index the pair set
-// is identical to the all-pairs methods; an approximate-mode index
-// returns a subset of it. It also returns the distances the probes
-// evaluated (the sum of RangeSearch's counts).
-func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, int, error) {
+// SimilarityJoinVecIndexed probes a maintained vector index (see
+// Snapshot.VectorIndex), extended incrementally on append instead of
+// rebuilt per version; the right rows are those of the index's own
+// snapshot. With an exact-mode index the pair set is identical to the
+// all-pairs methods over those rows; an approximate-mode index returns
+// a subset of it. It also returns the distances the probes evaluated
+// (the sum of RangeSearch's counts).
+func SimilarityJoinVecIndexed(left []*Patch, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, int, error) {
 	var out []Tuple
 	var ferr error
 	evals := 0
@@ -171,7 +172,7 @@ func SimilarityJoinVecIndexed(left []*Patch, rightCol *Collection, vi *VectorInd
 			if opts.DedupUnordered && l.ID >= id {
 				return true
 			}
-			r, err := rightCol.Get(id)
+			r, err := vi.at.Get(id)
 			if err != nil {
 				ferr = err
 				return false

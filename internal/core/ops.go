@@ -8,7 +8,7 @@ import (
 // Pred is a selection predicate on one metadata field: equality with V
 // (Value.Equal), or (Range) the half-open numeric range Lo <= field < Hi,
 // where ints compare as floats and non-numerics fail both bounds. Every
-// access path DB.Select runs answers exactly the rows Match accepts.
+// access path Snapshot.Select runs answers exactly the rows Match accepts.
 type Pred struct {
 	Field  string
 	Range  bool

@@ -1,7 +1,7 @@
 // Package core implements DeepLens's data model and query processing
 // engine: unordered collections of image patches with typed key-value
 // metadata, ETL stages as Go iterators over patches (generators,
-// transformers, Materialize), one selection executor (DB.Select) over
+// transformers, Materialize), one selection executor (Snapshot.Select) over
 // rows, columns or an index, similarity and range joins, materialization
 // with secondary indexes, tuple-level lineage, and a cost-based physical
 // planner. This is the paper's primary contribution (§2-§5): a "narrow

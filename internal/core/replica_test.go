@@ -47,11 +47,11 @@ func TestReplicatedLayoutAndByteEquivalence(t *testing.T) {
 		if prim.Version() != rep.Version() {
 			t.Fatalf("shard %d: primary version %d, replica version %d", i, prim.Version(), rep.Version())
 		}
-		pp, _, err := prim.Snapshot()
+		pp, err := prim.Patches()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, _, err := rep.Snapshot()
+		rp, err := rep.Patches()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,12 +127,12 @@ func (s *Sharded) streamSuffix(ctx context.Context, shard, replica int, name str
 		return st, 0, fmt.Errorf("core: resync shard %d replica %d: open %q: %w", shard, replica, name, err)
 	}
 	st = resyncState{name: name, primary: sc.cols[shard][0], replica: sc.cols[shard][replica]}
-	pps, _, err := st.primary.Snapshot()
+	pps, err := st.primary.Patches()
 	if err != nil {
 		return st, 0, fmt.Errorf("core: resync shard %d replica %d: snapshot primary %q: %w", shard, replica, name, err)
 	}
 	st.certified = len(pps)
-	rps, _, err := st.replica.Snapshot()
+	rps, err := st.replica.Patches()
 	if err != nil {
 		return st, 0, fmt.Errorf("core: resync shard %d replica %d: snapshot replica %q: %w", shard, replica, name, err)
 	}
@@ -161,7 +161,7 @@ func (s *Sharded) streamSuffix(ctx context.Context, shard, replica int, name str
 // snapshot and verifies the replica now matches the primary
 // entry-for-entry. Caller holds the shard's append lock.
 func (s *Sharded) catchUp(ctx context.Context, shard, replica int, st resyncState) (int, error) {
-	pps, _, err := st.primary.Snapshot()
+	pps, err := st.primary.Patches()
 	if err != nil {
 		return 0, fmt.Errorf("core: resync shard %d replica %d: re-snapshot primary %q: %w", shard, replica, st.name, err)
 	}
@@ -173,7 +173,7 @@ func (s *Sharded) catchUp(ctx context.Context, shard, replica int, st resyncStat
 	if err != nil {
 		return rows, fmt.Errorf("core: resync shard %d replica %d: catch up %q: %w", shard, replica, st.name, err)
 	}
-	rps, _, err := st.replica.Snapshot()
+	rps, err := st.replica.Patches()
 	if err != nil {
 		return rows, fmt.Errorf("core: resync shard %d replica %d: verify %q: %w", shard, replica, st.name, err)
 	}

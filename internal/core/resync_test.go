@@ -36,11 +36,11 @@ func resyncFixture(t *testing.T, shards, replicas, rows int) (*Sharded, *Sharded
 // snapshots to its primary for every shard it covers.
 func requireReplicaMatchesPrimary(t *testing.T, sc *ShardedCollection, shard, replica int) {
 	t.Helper()
-	pp, _, err := sc.Replica(shard, 0).Snapshot()
+	pp, err := sc.Replica(shard, 0).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, _, err := sc.Replica(shard, replica).Snapshot()
+	rp, err := sc.Replica(shard, replica).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTornResyncStaysDemoted(t *testing.T) {
 	}
 	// A torn repair may have streamed some rows, but never past the
 	// primary, and what landed must still be a byte-exact prefix.
-	partial, _, err := sc.Replica(0, 1).Snapshot()
+	partial, err := sc.Replica(0, 1).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTornResyncStaysDemoted(t *testing.T) {
 		t.Fatalf("torn repair left %d rows (frozen %d, primary %d)",
 			len(partial), frozen, sc.Replica(0, 0).Len())
 	}
-	pp, _, err := sc.Replica(0, 0).Snapshot()
+	pp, err := sc.Replica(0, 0).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestReopenParity(t *testing.T) {
 			t.Fatalf("row %d is not sealed after Append", i)
 		}
 	}
-	before, _, err := col.Snapshot()
+	before, err := col.Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReopenParity(t *testing.T) {
 	if col, err = db.Collection("rows"); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := col.Snapshot()
+	after, err := col.Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestStoredRowBytes(t *testing.T) {
 // TestFlushedCollectionReadsNoPage: once a loaded collection is flushed,
 // its pages live only in the file. The row cache and the column store
 // serve every read of its rows, so neither the pager's read count nor its
-// cache moves under Snapshot, Get, Columns or a column-scan Select.
+// cache moves under Current, Get, Columns or a column-scan Select.
 func TestFlushedCollectionReadsNoPage(t *testing.T) {
 	const rows = 20000
 	db := openDB(t)
@@ -317,17 +317,17 @@ func TestFlushedCollectionReadsNoPage(t *testing.T) {
 		t.Fatalf("%d pages cached after Flush, want 0", c)
 	}
 	before := pager.Reads()
-	snap, ver, err := col.Snapshot()
-	if err != nil || len(snap) != rows {
-		t.Fatalf("Snapshot: %d rows, err=%v", len(snap), err)
+	snap, err := col.Current()
+	if err != nil || snap.Len() != rows {
+		t.Fatalf("Current: %d rows, err=%v", snap.Len(), err)
 	}
-	if p, err := col.Get(snap[rows/2].ID); err != nil || p != snap[rows/2] {
+	if p, err := col.Get(snap.rows[rows/2].ID); err != nil || p != snap.rows[rows/2] {
 		t.Fatalf("Get: %v, err=%v", p, err)
 	}
 	if _, err := col.Columns(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.Select(context.Background(), col, snap, ver,
+	s, err := snap.Select(context.Background(),
 		Pred{Field: "label", V: StrV("cls03")}, FilterColumnScan, Keep{})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestTieredStoreByteIdenticalAfterEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewColumnStore(cs.Patches(), cs.Version())
+	mem := newColumnStore(cs.at, nil)
 	assertStoreMatchesMemory(t, cs, mem)
 	if st := sc.Stats(); st.Spills == 0 {
 		t.Fatalf("no segments spilled under a %d-byte budget: %+v", sc.Budget(), st)
@@ -200,7 +200,7 @@ func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
 		t.Fatal(err)
 	}
-	mem := NewColumnStore(cs.Patches(), cs.Version())
+	mem := newColumnStore(cs.at, nil)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idsEqual(patchIDs(cs2.Patches()), patchIDs(mem.Patches())) {
-		t.Fatalf("reopened %d rows: not the %d rows before the close, in order", cs2.Len(), mem.Len())
+	if !idsEqual(patchIDs(cs2.at.Patches()), patchIDs(mem.at.Patches())) {
+		t.Fatalf("reopened %d rows: not the %d rows before the close, in order", cs2.at.Len(), mem.at.Len())
 	}
 	assertStoreMatchesMemory(t, cs2, mem)
 	sc2.EvictAll()
@@ -251,7 +251,7 @@ func TestCorruptSpilledSegmentRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewColumnStore(cs.Patches(), cs.Version())
+	mem := newColumnStore(cs.at, nil)
 	assertStoreMatchesMemory(t, cs, mem) // project + spill everything
 	for _, f := range []string{"rank", "label"} {
 		c, _ := cs.Column(f)
@@ -300,12 +300,12 @@ func TestExtendAllocsIndependentOfHistory(t *testing.T) {
 			ps[i] = columnPatch(i)
 			ps[i].ID = PatchID(i + 1)
 		}
-		cs := NewColumnStore(ps[:n], 1)
+		cs := newColumnStore(snapshotOf(ps[:n], 1), nil)
 		for _, f := range tieredFields {
 			cs.Column(f)
 		}
 		return testing.AllocsPerRun(20, func() {
-			cs.Extend(ps, 2)
+			cs.Extend(snapshotOf(ps, 2))
 		})
 	}
 	small, large := measure(1), measure(64)
@@ -347,8 +347,8 @@ func TestTieredConcurrentAppendScan(t *testing.T) {
 					return
 				}
 				sel, _ := cs.FilterEq("label", StrV("car"))
-				if len(sel) > cs.Len() {
-					t.Errorf("selection larger than snapshot: %d > %d", len(sel), cs.Len())
+				if len(sel) > cs.at.Len() {
+					t.Errorf("selection larger than snapshot: %d > %d", len(sel), cs.at.Len())
 					return
 				}
 				cs.TopK(nil, "score", true, 10)
@@ -369,10 +369,10 @@ func TestTieredConcurrentAppendScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Len() != base+extra {
-		t.Fatalf("final snapshot %d rows, want %d", cs.Len(), base+extra)
+	if cs.at.Len() != base+extra {
+		t.Fatalf("final snapshot %d rows, want %d", cs.at.Len(), base+extra)
 	}
-	assertStoreMatchesMemory(t, cs, NewColumnStore(cs.Patches(), cs.Version()))
+	assertStoreMatchesMemory(t, cs, newColumnStore(cs.at, nil))
 }
 
 // overBudgetStore builds a tiered collection whose float column "score"
@@ -392,7 +392,7 @@ func overBudgetStore(t testing.TB, fields ...string) (cs, mem *ColumnStore, sc *
 			t.Fatalf("%s did not project", f)
 		}
 	}
-	return cs, NewColumnStore(cs.Patches(), cs.Version()), sc
+	return cs, newColumnStore(cs.at, nil), sc
 }
 
 // scanCycle is one pass of the budgeted workload: a range filter over
@@ -492,7 +492,8 @@ func TestColumnScanKeepsAllocateOnlyKeptRows(t *testing.T) {
 	for i := range ps {
 		ps[i] = columnPatch(i)
 	}
-	cs := NewColumnStore(ps, 1)
+	snap := snapshotOf(ps, 1)
+	cs := newColumnStore(snap, nil)
 	for _, pred := range []Pred{{Field: "label", V: StrV("car")}, {Field: "score", Range: true, Lo: 1, Hi: 3}} {
 		for _, keep := range []Keep{
 			{Kind: KeepCount},
@@ -501,7 +502,7 @@ func TestColumnScanKeepsAllocateOnlyKeptRows(t *testing.T) {
 			{Kind: KeepTop, N: 10, Field: "rank", Desc: true},
 		} {
 			scan := func() int {
-				k := newKeeper(keep, cs, ps)
+				k := newKeeper(keep, cs, snap)
 				cs.scan(&pred, rows, &k)
 				n, _ := k.result()
 				return n
@@ -592,7 +593,7 @@ func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				mem := NewColumnStore(cs.Patches(), cs.Version())
+				mem := newColumnStore(cs.at, nil)
 				eq, _ := cs.FilterEq("label", StrV("bike"))
 				meq, _ := mem.FilterEq("label", StrV("bike"))
 				rg, _ := cs.FilterRange("score", float64(w), float64(w)+1.5)
@@ -605,7 +606,7 @@ func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
 				mgrp, _ := mem.TopK(nil, "rank", w%2 != 0, 25)
 				if !reflect.DeepEqual(eq, meq) || !reflect.DeepEqual(rg, mrg) || !reflect.DeepEqual(top, mtop) ||
 					!reflect.DeepEqual(ltop, mltop) || !reflect.DeepEqual(grp, mgrp) {
-					t.Errorf("scanner %d pass %d diverges from memory at %d rows", w, i, cs.Len())
+					t.Errorf("scanner %d pass %d diverges from memory at %d rows", w, i, cs.at.Len())
 					return
 				}
 			}
@@ -619,5 +620,5 @@ func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStoreMatchesMemory(t, cs, NewColumnStore(cs.Patches(), cs.Version()))
+	assertStoreMatchesMemory(t, cs, newColumnStore(cs.at, nil))
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 )
 
 // KeepKind names what a selection keeps of its matches.
@@ -27,8 +25,8 @@ type Keep struct {
 	Desc  bool   // KeepTop: descending
 }
 
-// Selection is one DB.Select's matches over the caller's snapshot,
-// kept as its Keep asks, plus what the access path's run reports.
+// Selection is one Snapshot.Select's matches, kept as its Keep asks,
+// plus what the access path's run reports.
 type Selection struct {
 	// Method is the access path that ran: a column scan over a field the
 	// store cannot columnize reports the row scan it fell back to. 0 is
@@ -57,20 +55,6 @@ func (s *Selection) Indexed() bool {
 // enough that the atomic ctx.Err() load never shows up in profiles.
 const ctxCheckRows = 4096
 
-// Patches materializes the first max kept rows (max < 0: all of them),
-// in Keep's order, from the snapshot Select ran over.
-func (s *Selection) Patches(snap []*Patch, max int) []*Patch {
-	sel := s.Sel
-	if max >= 0 && max < len(sel) {
-		sel = sel[:max]
-	}
-	out := make([]*Patch, len(sel))
-	for k, i := range sel {
-		out[k] = snap[i]
-	}
-	return out
-}
-
 // keeper folds a selection's matches, one ascending block at a time,
 // into what its Keep asks for, counting all of them.
 type keeper struct {
@@ -83,10 +67,10 @@ type keeper struct {
 // newKeeper returns keep's consumer for a selection over snap. A top-k
 // orders by cs's column for the field when there is one, else by snap's
 // rows.
-func newKeeper(keep Keep, cs *ColumnStore, snap []*Patch) keeper {
+func newKeeper(keep Keep, cs *ColumnStore, snap Snapshot) keeper {
 	k := keeper{keep: keep}
 	if keep.Kind == KeepTop && keep.N > 0 {
-		k.top = newTopKeep(cs, snap, keep.Field, keep.Desc, min(keep.N, len(snap)))
+		k.top = newTopKeep(cs, snap, keep.Field, keep.Desc, min(keep.N, snap.Len()))
 	}
 	return k
 }
@@ -118,16 +102,15 @@ func (k *keeper) result() (int, []int32) {
 	return k.n, k.sel
 }
 
-// Select runs pred over the caller's snapshot (snap, ver) of col with
-// the given access path — the one selection implementation behind
-// ExecuteFilter and the serving layer's fragments — and keeps of the
-// matches what keep asks for:
+// Select runs pred over the snapshot with the given access path — the
+// one selection implementation behind ExecuteFilter and the serving
+// layer's fragments — and keeps of the matches what keep asks for:
 //
-//   - FilterHashIndex / FilterBTreeIndex probe the field's index, created
-//     on first use and brought current for the snapshot by core. A range
-//     needs the B-tree and runs as its two-probe numeric range. The
-//     probe's ascending ids map to snapshot rows by a forward binary
-//     search (rows are id-ordered).
+//   - FilterHashIndex / FilterBTreeIndex probe the field's index in the
+//     collection's DB, created on first use and brought current for the
+//     snapshot. A range needs the B-tree and runs as its two-probe
+//     numeric range. The probe's ascending ids map to snapshot rows by a
+//     forward binary search (rows are id-ordered).
 //   - FilterColumnScan evaluates pred over the collection's columnar
 //     projection (zone maps skip blocks that cannot match, surviving
 //     blocks compare typed arrays, stopping at the snapshot's last row)
@@ -141,7 +124,7 @@ func (k *keeper) result() (int, []int32) {
 // count, the first N, or a bounded top-N heap. Every path matches the
 // rows Pred.Match accepts, and N counts all of them. Select does not
 // type-check pred against the schema; planners do.
-func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver uint64, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
+func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
 	s := Selection{Method: method}
 	// A column scan, and a top-k ordered by a column, read the cached
 	// store. It may already reflect rows appended after the snapshot was
@@ -150,7 +133,7 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 	var cs *ColumnStore
 	var info ColumnsInfo
 	if method == FilterColumnScan || keep.Kind == KeepTop {
-		if c, in, err := col.ColumnsWithInfo(); err == nil && c.Len() >= len(snap) {
+		if c, in, err := snap.col.ColumnsWithInfo(); err == nil && c.at.Len() >= snap.Len() {
 			cs, info = c, in
 		}
 	}
@@ -161,15 +144,15 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 		if method == FilterBTreeIndex {
 			kind = IdxBTree
 		}
-		idx, err := db.EnsureIndex(col, pred.Field, kind)
+		idx, err := snap.col.db.EnsureIndex(snap.col, pred.Field, kind)
 		if err != nil {
 			return Selection{}, err
 		}
 		var ids []PatchID
 		if pred.Range {
-			ids, s.Refresh, err = idx.numericRange(snap, ver, pred.Lo, pred.Hi)
+			ids, s.Refresh, err = idx.numericRange(snap, pred.Lo, pred.Hi)
 		} else {
-			ids, s.Refresh, err = idx.lookupEq(snap, ver, pred.V)
+			ids, s.Refresh, err = idx.lookupEq(snap, pred.V)
 		}
 		if err != nil {
 			return Selection{}, err
@@ -178,11 +161,11 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 		// rows fold one segment's block at a time.
 		c, r := 0, 0
 		for _, id := range ids {
-			j, ok := slices.BinarySearchFunc(snap[r:], id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
-			if !ok {
+			var ok bool
+			if r, ok = snap.find(id, r); !ok {
 				return Selection{}, fmt.Errorf("core: %v index on %q holds id %d, not in the snapshot", kind, pred.Field, id)
 			}
-			if r += j; c > 0 && r/ColumnBlockSize != int(blk[0])/ColumnBlockSize {
+			if c > 0 && r/ColumnBlockSize != int(blk[0])/ColumnBlockSize {
 				k.fold(blk[:c], nil, nil)
 				c = 0
 			}
@@ -197,7 +180,7 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 	}
 	if method == FilterColumnScan && cs != nil {
 		var ok bool
-		if s.Scan, ok = cs.scan(&pred, len(snap), &k); ok {
+		if s.Scan, ok = cs.scan(&pred, snap.Len(), &k); ok {
 			s.ColInfo = info
 			s.N, s.Sel = k.result()
 			return s, nil
@@ -209,19 +192,19 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 	if !all {
 		s.Method = FilterScan
 	}
-	for lo := 0; lo < len(snap); lo += ColumnBlockSize {
+	for lo := 0; lo < snap.Len(); lo += ColumnBlockSize {
 		if lo%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return Selection{}, err
 			}
 		}
 		if all && (keep.Kind == KeepCount || keep.Kind == KeepFirst && len(k.sel) >= keep.N) {
-			k.n = len(snap) // the rest can only add to the count
+			k.n = snap.Len() // the rest can only add to the count
 			break
 		}
-		hi, c := min(lo+ColumnBlockSize, len(snap)), 0
+		hi, c := min(lo+ColumnBlockSize, snap.Len()), 0
 		for r := lo; r < hi; r++ {
-			if all || pred.Match(snap[r]) {
+			if all || pred.Match(snap.rows[r]) {
 				blk[c] = int32(r)
 				c++
 			}
@@ -237,13 +220,13 @@ func (db *DB) Select(ctx context.Context, col *Collection, snap []*Patch, ver ui
 // ExecuteFilter runs an equality selection with the given access path
 // over col's current snapshot and materializes the matches.
 func (db *DB) ExecuteFilter(col *Collection, field string, v Value, method FilterMethod) ([]*Patch, error) {
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		return nil, err
 	}
-	s, err := db.Select(context.TODO(), col, snap, ver, Pred{Field: field, V: v}, method, Keep{})
+	s, err := snap.Select(context.TODO(), Pred{Field: field, V: v}, method, Keep{})
 	if err != nil {
 		return nil, err
 	}
-	return s.Patches(snap, -1), nil
+	return snap.Materialize(s.Sel), nil
 }

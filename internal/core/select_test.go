@@ -11,17 +11,17 @@ import (
 	"repro/internal/exec"
 )
 
-// selectIDs runs one selection over (snap, ver) and resolves it to ids in
+// selectIDs runs one selection over snap and resolves it to ids in
 // snapshot order (never nil, so empty answers compare equal).
-func selectIDs(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod) []PatchID {
+func selectIDs(t *testing.T, snap Snapshot, pred Pred, m FilterMethod) []PatchID {
 	t.Helper()
-	s, err := db.Select(context.Background(), col, snap, ver, pred, m, Keep{})
+	s, err := snap.Select(context.Background(), pred, m, Keep{})
 	if err != nil {
 		t.Fatalf("%v %+v: %v", m, pred, err)
 	}
 	ids := []PatchID{}
 	for _, i := range s.Sel {
-		ids = append(ids, snap[i].ID)
+		ids = append(ids, snap.Row(int(i)).ID)
 	}
 	return ids
 }
@@ -51,32 +51,32 @@ func TestSelectBTreeRangeExtendedEqualsFresh(t *testing.T) {
 	if _, err := db.BuildIndex(col, "v", IdxBTree); err != nil {
 		t.Fatal(err)
 	}
-	behind, behindVer, _ := col.Snapshot()
+	behind, _ := col.Current()
 	add(300, 700)
-	snap, ver, _ := col.Snapshot()
+	snap, _ := col.Current()
 
 	ranges := [][2]float64{{-3.5, 7}, {-20, 21}, {0, 0.5}, {4, 4}, {-1e300, 1e300}, {6.75, 6.76}}
-	answers := func(snap []*Patch, ver uint64, m FilterMethod) [][]PatchID {
+	answers := func(snap Snapshot, m FilterMethod) [][]PatchID {
 		var out [][]PatchID
 		for _, r := range ranges {
-			out = append(out, selectIDs(t, db, col, snap, ver, Pred{Field: "v", Range: true, Lo: r[0], Hi: r[1]}, m))
+			out = append(out, selectIDs(t, snap, Pred{Field: "v", Range: true, Lo: r[0], Hi: r[1]}, m))
 		}
 		return out
 	}
-	extended := answers(snap, ver, FilterBTreeIndex)
+	extended := answers(snap, FilterBTreeIndex)
 	if rs := db.RefreshStats(); rs.ScalarExtends != 1 || rs.ScalarRebuilds != 1 || rs.ScalarInserted != 700 {
 		t.Fatalf("extends %d rebuilds %d inserted %d, want 1/1/700", rs.ScalarExtends, rs.ScalarRebuilds, rs.ScalarInserted)
 	}
-	if want := answers(snap, ver, FilterScan); !reflect.DeepEqual(extended, want) {
+	if want := answers(snap, FilterScan); !reflect.DeepEqual(extended, want) {
 		t.Fatalf("extended index ranges diverge from the row scan:\n got %v\nwant %v", extended, want)
 	}
-	if got, want := answers(behind, behindVer, FilterBTreeIndex), answers(behind, behindVer, FilterScan); !reflect.DeepEqual(got, want) {
+	if got, want := answers(behind, FilterBTreeIndex), answers(behind, FilterScan); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reader behind the index: ranges diverge from the row scan over its snapshot")
 	}
 	if _, err := db.BuildIndex(col, "v", IdxBTree); err != nil {
 		t.Fatal(err)
 	}
-	if fresh := answers(snap, ver, FilterBTreeIndex); !reflect.DeepEqual(extended, fresh) {
+	if fresh := answers(snap, FilterBTreeIndex); !reflect.DeepEqual(extended, fresh) {
 		t.Fatal("extended index ranges diverge from a fresh build")
 	}
 }
@@ -129,41 +129,41 @@ func fuzzRow(r *rand.Rand, i int) *Patch {
 // keeps no rows, first-n keeps the answer's first n rows, and top-n by
 // any field — ties, NaNs and missing values included — keeps heapTopK's
 // top-n of the answer's rows.
-func keepsAgree(t *testing.T, db *DB, col *Collection, snap []*Patch, ver uint64, pred Pred, m FilterMethod, n int) {
+func keepsAgree(t *testing.T, snap Snapshot, pred Pred, m FilterMethod, n int) {
 	t.Helper()
 	ctx := context.Background()
 	var all []*Patch
 	run := func(keep Keep) []*Patch {
 		t.Helper()
-		s, err := db.Select(ctx, col, snap, ver, pred, m, keep)
+		s, err := snap.Select(ctx, pred, m, keep)
 		if err != nil {
 			t.Fatalf("%v %+v keep %+v: %v", m, pred, keep, err)
 		}
-		ps := s.Patches(snap, -1)
+		ps := snap.Materialize(s.Sel)
 		if keep.Kind == KeepAll {
 			return ps
 		}
 		if s.N != len(all) {
-			t.Fatalf("%d rows, %v %+v keep %+v: N=%d, %d matches", len(snap), m, pred, keep, s.N, len(all))
+			t.Fatalf("%d rows, %v %+v keep %+v: N=%d, %d matches", snap.Len(), m, pred, keep, s.N, len(all))
 		}
 		return ps
 	}
 	all = run(Keep{})
-	if m == 0 && len(all) != len(snap) {
-		t.Fatalf("no predicate: %d of %d rows", len(all), len(snap))
+	if m == 0 && len(all) != snap.Len() {
+		t.Fatalf("no predicate: %d of %d rows", len(all), snap.Len())
 	}
 	if got := run(Keep{Kind: KeepCount}); len(got) != 0 {
 		t.Fatalf("%v %+v: count kept %d rows", m, pred, len(got))
 	}
 	if got, want := run(Keep{Kind: KeepFirst, N: n}), all[:min(n, len(all))]; !idsEqual(patchIDs(got), patchIDs(want)) {
-		t.Fatalf("%d rows, %v %+v first %d: %v, want %v", len(snap), m, pred, n, patchIDs(got), patchIDs(want))
+		t.Fatalf("%d rows, %v %+v first %d: %v, want %v", snap.Len(), m, pred, n, patchIDs(got), patchIDs(want))
 	}
 	for _, field := range []string{"i", "f", "s", "m", "n"} {
 		for _, desc := range []bool{false, true} {
 			got := run(Keep{Kind: KeepTop, N: n, Field: field, Desc: desc})
 			if want := heapTopK(all, field, desc, n); !idsEqual(patchIDs(got), patchIDs(want)) {
 				t.Fatalf("%d rows, %v %+v top %d by %s desc=%v: %v, want %v",
-					len(snap), m, pred, n, field, desc, patchIDs(got), patchIDs(want))
+					snap.Len(), m, pred, n, field, desc, patchIDs(got), patchIDs(want))
 			}
 		}
 	}
@@ -194,7 +194,7 @@ func heapTopK(ps []*Patch, field string, desc bool, k int) []*Patch {
 	return out
 }
 
-// FuzzSelectPathsAgree is the differential test over DB.Select: for a
+// FuzzSelectPathsAgree is the differential test over Snapshot.Select: for a
 // seeded append sequence and equality/range predicates on every field,
 // the row scan, the column scan, the hash and B-tree probes and the
 // column scan over a tiered store at a one-byte budget (the database
@@ -242,9 +242,9 @@ func FuzzSelectPathsAgree(f *testing.F) {
 			}
 		}
 		add(0, n)
-		behind, behindVer, _ := col.Snapshot()
+		behind, _ := col.Current()
 		add(n, n+extra)
-		snap, ver, _ := col.Snapshot()
+		snap, _ := col.Current()
 
 		preds := []Pred{
 			{Field: "i", V: IntV(fuzzInt(r))}, {Field: "i", V: FloatV(0)},
@@ -257,31 +257,27 @@ func FuzzSelectPathsAgree(f *testing.F) {
 				Pred{Field: field, Range: true, Lo: fuzzFloat(r), Hi: fuzzFloat(r)})
 		}
 		keep := 1 + r.Intn(40) // the first-n and top-n row count
-		type view struct {
-			snap []*Patch
-			ver  uint64
-		}
-		views := []view{{behind, behindVer}, {snap, ver}}
+		views := []Snapshot{behind, snap}
 		want := make([][][]PatchID, len(views))
 		for v, vw := range views {
 			for _, p := range preds {
-				rows := selectIDs(t, db, col, vw.snap, vw.ver, p, FilterScan)
+				rows := selectIDs(t, vw, p, FilterScan)
 				want[v] = append(want[v], rows)
 				methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
 				if !p.Range {
 					methods = append(methods, FilterHashIndex)
 				}
 				for _, m := range methods {
-					if got := selectIDs(t, db, col, vw.snap, vw.ver, p, m); !reflect.DeepEqual(got, rows) {
-						t.Fatalf("%d/%d rows, %v %+v: %d ids, row scan %d", len(vw.snap), len(snap), m, p, len(got), len(rows))
+					if got := selectIDs(t, vw, p, m); !reflect.DeepEqual(got, rows) {
+						t.Fatalf("%d/%d rows, %v %+v: %d ids, row scan %d", vw.Len(), snap.Len(), m, p, len(got), len(rows))
 					}
 				}
-				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterScan, keep)
+				keepsAgree(t, vw, p, FilterScan, keep)
 				for _, m := range methods {
-					keepsAgree(t, db, col, vw.snap, vw.ver, p, m, keep)
+					keepsAgree(t, vw, p, m, keep)
 				}
 			}
-			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
+			keepsAgree(t, vw, Pred{}, 0, keep)
 		}
 		// The same column scans over a tiered store that can keep no
 		// segment resident, built by the first query after a reopen.
@@ -295,14 +291,19 @@ func FuzzSelectPathsAgree(f *testing.F) {
 		if col, err = db.Collection("fz"); err != nil {
 			t.Fatal(err)
 		}
+		cur, err := col.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v, vw := range views {
+			vw = Snapshot{col, cur.rows[:vw.Len()], vw.version} // the view's rows, read through the reopened collection
 			for k, p := range preds {
-				if got := selectIDs(t, db, col, vw.snap, vw.ver, p, FilterColumnScan); !reflect.DeepEqual(got, want[v][k]) {
-					t.Fatalf("tiered %d/%d rows, %+v: %d ids, row scan %d", len(vw.snap), len(snap), p, len(got), len(want[v][k]))
+				if got := selectIDs(t, vw, p, FilterColumnScan); !reflect.DeepEqual(got, want[v][k]) {
+					t.Fatalf("tiered %d/%d rows, %+v: %d ids, row scan %d", vw.Len(), snap.Len(), p, len(got), len(want[v][k]))
 				}
-				keepsAgree(t, db, col, vw.snap, vw.ver, p, FilterColumnScan, keep)
+				keepsAgree(t, vw, p, FilterColumnScan, keep)
 			}
-			keepsAgree(t, db, col, vw.snap, vw.ver, Pred{}, 0, keep)
+			keepsAgree(t, vw, Pred{}, 0, keep)
 		}
 
 		if err := db.Close(); err != nil {
@@ -315,17 +316,17 @@ func FuzzSelectPathsAgree(f *testing.F) {
 		if col, err = db.Collection("fz"); err != nil {
 			t.Fatal(err)
 		}
-		rsnap, rver, err := col.Snapshot()
+		rsnap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !idsEqual(patchIDs(rsnap), patchIDs(snap)) {
-			t.Fatalf("reopened %d rows: not the %d rows before the close, in order", len(rsnap), len(snap))
+		if !idsEqual(patchIDs(rsnap.rows), patchIDs(snap.rows)) {
+			t.Fatalf("reopened %d rows: not the %d rows before the close, in order", rsnap.Len(), snap.Len())
 		}
 		for k, p := range preds {
-			rows := selectIDs(t, db, col, rsnap, rver, p, FilterScan)
+			rows := selectIDs(t, rsnap, p, FilterScan)
 			if !reflect.DeepEqual(rows, want[1][k]) {
-				t.Fatalf("reopened %d rows, %+v: row scan %d ids, %d before the close", len(rsnap), p, len(rows), len(want[1][k]))
+				t.Fatalf("reopened %d rows, %+v: row scan %d ids, %d before the close", rsnap.Len(), p, len(rows), len(want[1][k]))
 			}
 			first := rows[:min(keep, len(rows))]
 			methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
@@ -333,11 +334,11 @@ func FuzzSelectPathsAgree(f *testing.F) {
 				methods = append(methods, FilterHashIndex)
 			}
 			for _, m := range methods {
-				if got := selectIDs(t, db, col, rsnap, rver, p, m); !reflect.DeepEqual(got, rows) {
-					t.Fatalf("reopened %d rows, %v %+v: %d ids, row scan %d", len(rsnap), m, p, len(got), len(rows))
+				if got := selectIDs(t, rsnap, p, m); !reflect.DeepEqual(got, rows) {
+					t.Fatalf("reopened %d rows, %v %+v: %d ids, row scan %d", rsnap.Len(), m, p, len(got), len(rows))
 				}
-				if got := firstIDs(t, db, col, rsnap, rver, p, m, keep); !idsEqual(got, first) {
-					t.Fatalf("reopened %d rows, %v %+v first %d: %v, row scan %v", len(rsnap), m, p, keep, got, first)
+				if got := firstIDs(t, rsnap, p, m, keep); !idsEqual(got, first) {
+					t.Fatalf("reopened %d rows, %v %+v first %d: %v, row scan %v", rsnap.Len(), m, p, keep, got, first)
 				}
 			}
 		}

@@ -701,26 +701,3 @@ func compositeVersion(vs []uint64) uint64 {
 	}
 	return h
 }
-
-// Snapshot atomically snapshots every partition's primary and returns
-// the per-shard patch slices together with the composite version they
-// reflect. Each part carries the same stable-prefix guarantee as
-// Collection.Snapshot; the composite is computed from the versions the
-// per-shard snapshots actually returned, so it identifies exactly the
-// visible contents.
-func (c *ShardedCollection) Snapshot() ([][]*Patch, uint64, error) {
-	parts := make([][]*Patch, len(c.cols))
-	vs := make([]uint64, len(c.cols))
-	for i, rs := range c.cols {
-		ps, v, err := rs[0].Snapshot()
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: snapshot shard %d of %q: %w", i, c.name, err)
-		}
-		parts[i] = ps
-		vs[i] = v
-	}
-	if len(vs) == 1 {
-		return parts, vs[0], nil
-	}
-	return parts, compositeVersion(vs), nil
-}

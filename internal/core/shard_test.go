@@ -148,20 +148,20 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	if pc.Version() != sc.Version() {
 		t.Fatalf("versions diverge: plain %d, sharded composite %d", pc.Version(), sc.Version())
 	}
-	pps, _, err := pc.Snapshot()
+	pps, err := pc.Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, _, err := sc.Snapshot()
+	sps, err := sc.Replica(0, 0).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 1 || len(parts[0]) != len(pps) {
-		t.Fatalf("sharded snapshot shape %d parts / %d rows, want 1 / %d", len(parts), len(parts[0]), len(pps))
+	if sc.Shards() != 1 || len(sps) != len(pps) {
+		t.Fatalf("sharded snapshot shape %d shards / %d rows, want 1 / %d", sc.Shards(), len(sps), len(pps))
 	}
 	for i := range pps {
-		if pps[i].ID != parts[0][i].ID || !metaVal(pps[i], "label").Equal(metaVal(parts[0][i], "label")) {
-			t.Fatalf("snapshot row %d diverges: %v vs %v", i, pps[i], parts[0][i])
+		if pps[i].ID != sps[i].ID || !metaVal(pps[i], "label").Equal(metaVal(sps[i], "label")) {
+			t.Fatalf("snapshot row %d diverges: %v vs %v", i, pps[i], sps[i])
 		}
 	}
 }

@@ -96,11 +96,10 @@ type VecNeighbor struct {
 
 // VectorIndex indexes one vector field of one collection snapshot.
 type VectorIndex struct {
-	field   string
-	mode    VecIndexMode
-	version uint64
-	dim     int
-	rows    int // the snapshot rows covered: an extension indexes the ones past them
+	field string
+	mode  VecIndexMode
+	dim   int
+	at    Snapshot // the rows covered: an extension indexes the ones past them
 
 	// Exact mode: a balltree over pts[:treeN] plus a linear tail
 	// pts[treeN:] of appended points not yet re-treed. An extension
@@ -121,13 +120,13 @@ type VectorIndex struct {
 	evals *atomic.Int64
 }
 
-// NewVectorIndex builds an index over field across the snapshot ps,
-// recorded as of version. Rows without the field, and rows whose vector
-// dimensionality disagrees with the first one seen, are skipped: both
-// the ball tree and the LSH tables index one dimensionality.
-func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
-	vi := &VectorIndex{field: field, mode: mode, version: version, rows: len(ps)}
-	for _, p := range ps {
+// NewVectorIndex builds an index over field across the snapshot's rows.
+// Rows without the field, and rows whose vector dimensionality
+// disagrees with the first one seen, are skipped: both the ball tree
+// and the LSH tables index one dimensionality.
+func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex, error) {
+	vi := &VectorIndex{field: field, mode: mode, at: at}
+	for _, p := range at.rows {
 		if vec, ok := vecOf(p, field); ok {
 			if vi.dim == 0 {
 				vi.dim = len(vec)
@@ -166,17 +165,17 @@ func NewVectorIndex(ps []*Patch, version uint64, field string, mode VecIndexMode
 	return vi, nil
 }
 
-// Extend returns a new index covering ps — which must hold the
-// receiver's rows followed by appended ones — as of version. Readers
-// holding the receiver stay consistent: nothing they read is written.
-// Exact mode appends to the linear tail and re-trees only when the tail
+// Extend returns a new index covering at — which must hold the
+// receiver's rows followed by appended ones. Readers holding the
+// receiver stay consistent: nothing they read is written. Exact mode
+// appends to the linear tail and re-trees only when the tail
 // outgrows its bound; approximate mode shares the hyperplanes and
 // copies only the bucket maps. Returns an error when the extension
 // cannot preserve the index shape (first vectors appearing, or a
 // dimensionality change); the caller falls back to a full rebuild.
-func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error) {
+func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 	var newPts []balltree.Point
-	for _, p := range ps[vi.rows:] {
+	for _, p := range at.rows[vi.at.Len():] {
 		if vec, ok := vecOf(p, vi.field); ok {
 			if vi.dim == 0 || len(vec) != vi.dim {
 				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
@@ -184,7 +183,7 @@ func (vi *VectorIndex) Extend(ps []*Patch, version uint64) (*VectorIndex, error)
 			newPts = append(newPts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
 		}
 	}
-	nx := &VectorIndex{field: vi.field, mode: vi.mode, version: version, dim: vi.dim, rows: len(ps)}
+	nx := &VectorIndex{field: vi.field, mode: vi.mode, dim: vi.dim, at: at}
 	switch vi.mode {
 	case VecExact:
 		nx.pts = vi.appendPts(newPts)
@@ -363,10 +362,11 @@ func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
 	return ns
 }
 
-// ScanKNN is BruteKNN counted into the database's RefreshStats.
-func (c *Collection) ScanKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
-	ns, evals := bruteKNN(ps, field, q, k)
-	c.db.refresh.knnScanEvals.Add(int64(evals))
+// ScanKNN is BruteKNN over the snapshot's rows, counted into the
+// database's RefreshStats.
+func (s Snapshot) ScanKNN(field string, q []float32, k int) []VecNeighbor {
+	ns, evals := bruteKNN(s.rows, field, q, k)
+	s.col.db.refresh.knnScanEvals.Add(int64(evals))
 	return ns
 }
 
@@ -387,16 +387,15 @@ func bruteKNN(ps []*Patch, field string, q []float32, k int) ([]VecNeighbor, int
 	return keep.h, evals
 }
 
-// VectorIndexAt returns a vector index over field in the given mode,
-// current exactly as of the caller's snapshot (ps, ver) — the caller
-// passes the snapshot it is executing over, so index contents and query
-// visibility can never skew. The index is cached per (field, mode) and
-// maintained like the column store (see refreshCached): reused while
-// the version matches, extended by the rows ps holds past the cached
-// index's, built privately for a reader behind it; the caller always
-// receives an index at its own version.
-func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
-	key := field + "/" + mode.String()
+// VectorIndex returns a vector index over field in the given mode,
+// current exactly as of the snapshot — the one the caller executes
+// over, so index contents and query visibility can never skew. The
+// index is cached per (field, mode) on the collection and maintained
+// like the column store (see refreshCached): reused while the version
+// matches, extended by the rows the snapshot holds past the cached
+// index's, built privately for a reader behind it.
+func (s Snapshot) VectorIndex(field string, mode VecIndexMode) (*VectorIndex, error) {
+	c, key := s.col, field+"/"+mode.String()
 	vi, _, err := refreshCached(&c.vecMu,
 		func() *VectorIndex { return c.vecIdx[key] },
 		func(vi *VectorIndex) {
@@ -405,18 +404,18 @@ func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode V
 			}
 			c.vecIdx[key] = vi
 		},
-		ps, ver,
+		s,
 		func(prefix *VectorIndex) (*VectorIndex, Refresh, error) {
 			// An extension that cannot keep the index shape (first vectors
 			// appearing, a dimensionality change) falls back to a rebuild.
 			if prefix != nil {
-				if vi, err := prefix.Extend(ps, ver); err == nil {
+				if vi, err := prefix.Extend(s); err == nil {
 					c.db.refresh.vecExtends.Add(1)
 					vi.evals = &c.db.refresh.knnIndexEvals
 					return vi, RefreshExtend, nil
 				}
 			}
-			vi, err := NewVectorIndex(ps, ver, field, mode)
+			vi, err := NewVectorIndex(s, field, mode)
 			if err == nil {
 				c.db.refresh.vecRebuilds.Add(1)
 				vi.evals = &c.db.refresh.knnIndexEvals
@@ -426,9 +425,15 @@ func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode V
 	return vi, err
 }
 
-func (vi *VectorIndex) covers() (int, uint64) {
+// VectorIndexAt is Snapshot.VectorIndex over the rows ps at version
+// ver, for the benchmark harness.
+func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
+	return Snapshot{c, ps, ver}.VectorIndex(field, mode)
+}
+
+func (vi *VectorIndex) covers() Snapshot {
 	if vi == nil {
-		return 0, 0
+		return Snapshot{}
 	}
-	return vi.rows, vi.version
+	return vi.at
 }

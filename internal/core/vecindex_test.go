@@ -90,23 +90,23 @@ func TestVectorIndexExactMatchesBrute(t *testing.T) {
 	_, col := vecTestCollection(t, 500, dim, clusters)
 	check := func(stage string) {
 		t.Helper()
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		vi, err := snap.VectorIndex("emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vi.version != ver || vi.Len() != len(snap) {
+		if vi.at.version != snap.version || vi.Len() != snap.Len() {
 			t.Fatalf("%s: index at version %d/%d rows, snapshot %d/%d",
-				stage, vi.version, vi.Len(), ver, len(snap))
+				stage, vi.at.version, vi.Len(), snap.version, snap.Len())
 		}
 		for qi := 0; qi < 12; qi++ {
 			q := vecTestQuery(qi, dim, clusters)
-			for _, k := range []int{1, 3, 10, 25, len(snap) + 5} {
+			for _, k := range []int{1, 3, 10, 25, snap.Len() + 5} {
 				got := vi.KNN(q, k)
-				want := BruteKNN(snap, "emb", q, k)
+				want := BruteKNN(snap.rows, "emb", q, k)
 				if !neighborsEqual(got, want) {
 					t.Fatalf("%s: q%d k=%d: index %v != brute %v", stage, qi, k, got, want)
 				}
@@ -155,7 +155,7 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 	const dim, clusters, base = 8, 7, 600
 	for round := 0; round < 4; round++ {
 		snap0 := vecTestRows(0, base, 1, dim, clusters)
-		vi0, err := NewVectorIndex(snap0, 1, "emb", VecExact)
+		vi0, err := NewVectorIndex(snapshotOf(snap0, 1), "emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,14 +175,14 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				vi, err := vi0.Extend(snaps[s], uint64(2+s))
+				vi, err := vi0.Extend(snapshotOf(snaps[s], uint64(2+s)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				// And once more off the sibling itself.
 				next := append(snaps[s][:len(snaps[s]):len(snaps[s])], vecTestRows(0, 25, 30_000+s*1000, dim, clusters)...)
-				if _, err := vi.Extend(next, uint64(4+s)); err != nil {
+				if _, err := vi.Extend(snapshotOf(next, uint64(4+s))); err != nil {
 					t.Error(err)
 				}
 				ext[s] = vi
@@ -221,7 +221,7 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	}
 	const dim, clusters, base, step, steps = 8, 7, 12_000, 64, 32
 	ps := vecTestRows(0, base+step*steps, 1, dim, clusters)
-	vi, err := NewVectorIndex(ps[:base], 1, "emb", VecExact)
+	vi, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb", VecExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	var a, b runtime.MemStats
 	for i := range per {
 		runtime.ReadMemStats(&a)
-		if vi, err = vi.Extend(ps[:base+step*(i+1)], uint64(i+2)); err != nil {
+		if vi, err = vi.Extend(snapshotOf(ps[:base+step*(i+1)], uint64(i+2))); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&b)
@@ -258,18 +258,18 @@ func TestVectorIndexLSHRecall(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("n%d_d%d", tc.rows, tc.dim), func(t *testing.T) {
 			_, col := vecTestCollection(t, tc.rows, tc.dim, tc.clusters)
-			snap, ver, err := col.Snapshot()
+			snap, err := col.Current()
 			if err != nil {
 				t.Fatal(err)
 			}
-			vi, err := col.VectorIndexAt(snap, ver, "emb", VecApprox)
+			vi, err := snap.VectorIndex("emb", VecApprox)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hits, want := 0, 0
 			for qi := 0; qi < queries; qi++ {
 				q := vecTestQuery(qi, tc.dim, tc.clusters)
-				golden := BruteKNN(snap, "emb", q, k)
+				golden := BruteKNN(snap.rows, "emb", q, k)
 				if len(golden) == 0 {
 					continue
 				}
@@ -306,13 +306,13 @@ func TestVectorIndexLSHRecall(t *testing.T) {
 func TestVectorIndexMaintenanceCounters(t *testing.T) {
 	const dim, clusters = 8, 7
 	db, col := vecTestCollection(t, 100, dim, clusters)
-	at := func() (*VectorIndex, []*Patch) {
+	at := func() (*VectorIndex, Snapshot) {
 		t.Helper()
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		vi, err := snap.VectorIndex("emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,28 +341,28 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 	if e, r := vecStats(db); e != e0+1 || r != r0+1 {
 		t.Fatalf("append: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+1)
 	}
-	if vi3.Len() != len(snap3) {
-		t.Fatalf("extended index covers %d of %d rows", vi3.Len(), len(snap3))
+	if vi3.Len() != snap3.Len() {
+		t.Fatalf("extended index covers %d of %d rows", vi3.Len(), snap3.Len())
 	}
 
-	behind, err := col.VectorIndexAt(snap1, vi1.version, "emb", VecExact) // reader behind: private build
+	behind, err := snap1.VectorIndex("emb", VecExact) // reader behind: private build
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, r := vecStats(db); e != e0+1 || r != r0+2 || behind.Len() != len(snap1) {
+	if e, r := vecStats(db); e != e0+1 || r != r0+2 || behind.Len() != snap1.Len() {
 		t.Fatalf("reader behind: extends %d rebuilds %d over %d rows, want %d/%d over %d",
-			e, r, behind.Len(), e0+1, r0+2, len(snap1))
+			e, r, behind.Len(), e0+1, r0+2, snap1.Len())
 	}
 	if vi4, _ := at(); vi4 != vi3 {
 		t.Fatal("a reader behind evicted the cached index")
 	}
 
 	// A second mode is its own cache entry and build.
-	snap, ver, err := col.Snapshot()
+	snap, err := col.Current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.VectorIndexAt(snap, ver, "emb", VecApprox); err != nil {
+	if _, err := snap.VectorIndex("emb", VecApprox); err != nil {
 		t.Fatal(err)
 	}
 	if e, r := vecStats(db); e != e0+1 || r != r0+3 {
@@ -410,25 +410,25 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 	_, col := vecTestCollection(t, 500, dim, clusters)
 	check := func(stage string, wantTail bool) {
 		t.Helper()
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		vi, err := snap.VectorIndex("emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tail := len(vi.pts) - vi.treeN; (tail > 0) != wantTail || len(vi.pts) != len(snap) {
-			t.Fatalf("%s: %d rows with a %d-row tail, snapshot %d", stage, len(vi.pts), tail, len(snap))
+		if tail := len(vi.pts) - vi.treeN; (tail > 0) != wantTail || len(vi.pts) != snap.Len() {
+			t.Fatalf("%s: %d rows with a %d-row tail, snapshot %d", stage, len(vi.pts), tail, snap.Len())
 		}
 		for qi := 0; qi < 12; qi++ {
 			q := vecTestQuery(qi, dim, clusters)
 			epss := []float64{0, 0.01, 0.5, 4}
-			for _, n := range BruteKNN(snap, "emb", q, 200) {
+			for _, n := range BruteKNN(snap.rows, "emb", q, 200) {
 				epss = append(epss, n.Dist) // boundary: a row at exactly eps
 			}
 			for _, eps := range epss {
-				got, want := rangeAll(vi, q, eps), scanRange(snap, q, eps)
+				got, want := rangeAll(vi, q, eps), scanRange(snap.rows, q, eps)
 				if len(got) != len(want) {
 					t.Fatalf("%s: q%d eps=%g: %d rows, scan %d", stage, qi, eps, len(got), len(want))
 				}
@@ -450,7 +450,7 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 			t.Fatalf("%s: RangeSearch evaluated %d distances, tree %d + tail %d", stage, evals, treeEvals, tail)
 		}
 		// Early stop: every prefix of the walk, across the tree/tail seam.
-		n := len(scanRange(snap, q, 4))
+		n := len(scanRange(snap.rows, q, 4))
 		if n < 2 {
 			t.Fatalf("%s: vacuous early-stop check (%d rows)", stage, n)
 		}
@@ -490,16 +490,16 @@ func TestVectorIndexApproxDistancesExact(t *testing.T) {
 	_, col := vecTestCollection(t, 1200, dim, clusters)
 	check := func(stage string) {
 		t.Helper()
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := col.VectorIndexAt(snap, ver, "emb", VecApprox)
+		vi, err := snap.VectorIndex("emb", VecApprox)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs := make(map[PatchID][]float32, len(snap))
-		for _, p := range snap {
+		vecs := make(map[PatchID][]float32, snap.Len())
+		for _, p := range snap.rows {
 			vecs[p.ID] = metaVal(p, "emb").Vec()
 		}
 		same := func(what string, id PatchID, d float64, q []float32) {
@@ -520,7 +520,7 @@ func TestVectorIndexApproxDistancesExact(t *testing.T) {
 				same("KNN", n.ID, n.Dist, q)
 				knn++
 			}
-			eps := BruteKNN(snap, "emb", q, 25)[24].Dist
+			eps := BruteKNN(snap.rows, "emb", q, 25)[24].Dist
 			vi.RangeSearch(q, eps, func(id PatchID, d float64) bool {
 				if d > eps {
 					t.Fatalf("%s: RangeSearch row %d at %v beyond eps %v", stage, id, d, eps)
@@ -594,12 +594,12 @@ func FuzzVectorIndexKNNMatchesSort(f *testing.F) {
 			}
 			ps[i] = p
 		}
-		vi, err := NewVectorIndex(ps[:split], 1, "emb", VecExact)
+		vi, err := NewVectorIndex(snapshotOf(ps[:split], 1), "emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vi, err = vi.Extend(ps, 2); err != nil {
-			if vi, err = NewVectorIndex(ps, 2, "emb", VecExact); err != nil { // the tree held no vector
+		if vi, err = vi.Extend(snapshotOf(ps, 2)); err != nil {
+			if vi, err = NewVectorIndex(snapshotOf(ps, 2), "emb", VecExact); err != nil { // the tree held no vector
 				t.Fatal(err)
 			}
 		}
@@ -655,11 +655,11 @@ func TestKNNDistanceEvalsCounted(t *testing.T) {
 		}
 	}
 	probe := func() *VectorIndex {
-		snap, ver, err := col.Snapshot()
+		snap, err := col.Current()
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := col.VectorIndexAt(snap, ver, "emb", VecExact)
+		vi, err := snap.VectorIndex("emb", VecExact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,8 +684,8 @@ func TestKNNDistanceEvalsCounted(t *testing.T) {
 		if rs1.KNNScanEvals != rs0.KNNScanEvals {
 			t.Fatalf("k=%d: exact probe moved the scan counter by %d", k, rs1.KNNScanEvals-rs0.KNNScanEvals)
 		}
-		snap, _, _ := col.Snapshot()
-		col.ScanKNN(snap, "emb", q, k)
+		snap, _ := col.Current()
+		snap.ScanKNN("emb", q, k)
 		if scan := db.RefreshStats().KNNScanEvals - rs1.KNNScanEvals; scan != int64(carrying) {
 			t.Fatalf("k=%d: brute probe added %d evaluations, want %d (rows carrying emb)", k, scan, carrying)
 		}

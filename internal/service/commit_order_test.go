@@ -50,7 +50,7 @@ func TestConcurrentAppendsKeepReplicasIDOrdered(t *testing.T) {
 			h := svc.Handler()
 			for i := 0; i < sc.Shards(); i++ {
 				for j := 0; j < r; j++ {
-					if _, _, err := sc.Replica(i, j).Snapshot(); err != nil {
+					if _, err := sc.Replica(i, j).Current(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -113,7 +113,7 @@ func replicaIDs(t *testing.T, sdb *core.Sharded, r int, what string) [][][]core.
 	out := make([][][]core.PatchID, sc.Shards())
 	for i := range out {
 		for j := 0; j < r; j++ {
-			snap, _, err := sc.Replica(i, j).Snapshot()
+			snap, err := sc.Replica(i, j).Patches()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,23 +61,22 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	if err := s.inj.Stall(ctx, fault.FragmentStall, i, r); err != nil {
 		return nil, err
 	}
-	col := plan.scol.Replica(i, r)
-	snap, ver, err := col.Snapshot()
+	snap, err := plan.scol.Replica(i, r).Current()
 	if err != nil {
 		return nil, err
 	}
-	frag := &shardFragment{col: col, snap: snap, ver: ver}
+	frag := &shardFragment{snap: snap}
 	req := plan.req
 	if req.KNN != nil {
 		// Planned and probed on this replica's own snapshot and index.
 		err = frag.knnProbe(s.cost, req.KNN, plan.knnQ)
 	} else {
-		err = s.filterFragment(ctx, plan, i, r, frag)
+		err = s.filterFragment(ctx, plan, frag)
 	}
 	if err != nil {
 		return nil, err
 	}
-	frag.rows = frag.Patches(snap, -1)
+	frag.rows = snap.Materialize(frag.Sel)
 	return frag, nil
 }
 

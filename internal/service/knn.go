@@ -67,7 +67,7 @@ func knnLabel(plan core.KNNPlan, spec *KNNSpec) string {
 // source-patch query probes one extra neighbor and drops the source
 // itself, so the source never appears in its own result.
 func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float32) error {
-	plan := cost.PlanKNN(len(f.snap), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
+	plan := cost.PlanKNN(f.snap.Len(), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
 	f.op, f.cost = knnLabel(plan, spec), plan.EstCost
 	k := spec.K
 	if spec.SourceID != 0 {
@@ -75,13 +75,13 @@ func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float3
 	}
 	var ns []core.VecNeighbor
 	if plan.Method == core.KNNIndex {
-		vi, err := f.col.VectorIndexAt(f.snap, f.ver, spec.Field, plan.Mode)
+		vi, err := f.snap.VectorIndex(spec.Field, plan.Mode)
 		if err != nil {
 			return err
 		}
 		ns = vi.KNN(q, k)
 	} else {
-		ns = f.col.ScanKNN(f.snap, spec.Field, q, k)
+		ns = f.snap.ScanKNN(spec.Field, q, k)
 	}
 	if spec.SourceID != 0 {
 		src := core.PatchID(spec.SourceID)
@@ -102,8 +102,8 @@ func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float3
 
 // knnRows merges the fragments' candidates by (distance, id), trims
 // them to the global k and returns the neighbors as response rows
-// carrying their (exact) distance. Each row is read from the collection
-// of the fragment that found it — the answering replica of the
+// carrying their (exact) distance. Each row is read from the snapshot
+// of the fragment that found it — the answering replica's, of the
 // neighbor's home shard. Nil fragments (missing shards) contribute
 // nothing.
 func (s *Service) knnRows(frags []*shardFragment, k int) ([]Row, error) {
@@ -119,7 +119,7 @@ func (s *Service) knnRows(frags []*shardFragment, k int) ([]Row, error) {
 	}
 	rows := make([]Row, len(ns))
 	for i, n := range ns {
-		p, err := frags[s.shards.ShardFor(n.ID)].col.Get(n.ID)
+		p, err := frags[s.shards.ShardFor(n.ID)].snap.Get(n.ID)
 		if err != nil {
 			return nil, err
 		}

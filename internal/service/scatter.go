@@ -52,9 +52,7 @@ type fragmentPlan struct {
 // kept of its matches, whichever access path ran, and those rows as
 // patches.
 type shardFragment struct {
-	col  *core.Collection // the replica that answered
-	snap []*core.Patch    // its snapshot
-	ver  uint64           // and the version the snapshot reflects
+	snap core.Snapshot // the answering replica's snapshot
 
 	// The filter stage's result; Method 0 = unfiltered, every row matches.
 	core.Selection
@@ -78,7 +76,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 		return
 	}
 	sp.AttrInt("shard", int64(shard))
-	sp.AttrInt("rows", int64(len(f.snap)))
+	sp.AttrInt("rows", int64(f.snap.Len()))
 	if plan.knnQ != nil {
 		sp.AttrInt("candidates", int64(len(f.ns)))
 	} else {
@@ -352,7 +350,7 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, strings.Join(fragOps, " -> "), gather)
 }
 
-// filterFragment runs the plan's filter stage on replica r of shard i
+// filterFragment runs the plan's filter stage on the fragment's snapshot
 // through core's one selection path, keeping what the plan keeps. It
 // only picks the method: use_index asks for the replica-local hash index
 // (B-tree for ranges), created on first use and kept current by core;
@@ -360,7 +358,7 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 // scan for fields the store cannot columnize. The path that ran fixes
 // the plan operator and the static cost. An unfiltered query selects
 // every row.
-func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
+func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *shardFragment) error {
 	var pred core.Pred
 	var method core.FilterMethod
 	if plan.pred != nil {
@@ -373,12 +371,12 @@ func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, i, r i
 		}
 	}
 	var err error
-	if frag.Selection, err = s.shards.ReplicaDB(i, r).Select(ctx, frag.col, frag.snap, frag.ver, pred, method, plan.keep); err != nil {
+	if frag.Selection, err = frag.snap.Select(ctx, pred, method, plan.keep); err != nil {
 		return err
 	}
 	if plan.pred != nil {
 		frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
-		frag.cost = s.cost.FilterCost(frag.Method, len(frag.snap), frag.N)
+		frag.cost = s.cost.FilterCost(frag.Method, frag.snap.Len(), frag.N)
 	}
 	return nil
 }
@@ -539,11 +537,11 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, r
 		// snapshot, exact mode: join results must be byte-identical to the
 		// scan-based methods, and rows appended since the fragment ran
 		// must not join.
-		vi, ierr := rf.col.VectorIndexAt(rf.snap, rf.ver, sj.Field, core.VecExact)
+		vi, ierr := rf.snap.VectorIndex(sj.Field, core.VecExact)
 		if ierr != nil {
 			return ierr
 		}
-		task.pairs, _, err = core.SimilarityJoinVecIndexed(left, rf.col, vi, opts)
+		task.pairs, _, err = core.SimilarityJoinVecIndexed(left, vi, opts)
 	case core.SimOnTheFly:
 		task.pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
 	case core.SimBatched:
