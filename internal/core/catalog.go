@@ -225,7 +225,7 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: schema, bucket: b, version: db.nextVersion()}
+	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), bucket: b, version: db.nextVersion()}
 	if err := c.saveDesc(); err != nil {
 		return nil, err
 	}
@@ -258,7 +258,7 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: d.Schema, bucket: b, count: d.Count, version: d.Version}
+	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), bucket: b, count: d.Count, version: d.Version}
 	if c.version == 0 {
 		c.version = db.nextVersion() // pre-versioning database file
 	}
@@ -413,6 +413,7 @@ type Collection struct {
 	db     *DB
 	name   string
 	schema Schema
+	codec  *rowCodec // stores every row of the schema, and loads it
 	bucket *kv.Bucket
 
 	// mu guards the commit: the bucket write, count, version and the row
@@ -477,7 +478,8 @@ var ErrIDOrder = errors.New("core: patch id out of order")
 // without an id gets the next one inside the commit; one with an id not
 // above the collection's last is refused with ErrIDOrder.
 func (c *Collection) Append(p *Patch) error {
-	if err := c.prepare(p); err != nil {
+	raw, err := c.prepare(p)
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -485,26 +487,32 @@ func (c *Collection) Append(p *Patch) error {
 	if p.ID == 0 {
 		p.ID = c.db.NewPatchID()
 	}
-	return c.putLocked(p, p.Marshal())
+	return c.putLocked(p, raw)
 }
 
-// prepare seals a builder patch and validates the committed form
-// against the schema: everything Append does before the write. A
-// builder that fails validation is left a builder. A sealed patch is
-// only validated: it may be a committed row that readers share.
-func (c *Collection) prepare(p *Patch) error {
+// prepare seals a builder patch, validates the committed form against
+// the schema and encodes it: everything Append does before the commit,
+// since the stored bytes do not hold the id. A builder that fails is
+// left a builder. A sealed patch is only validated and encoded: it may
+// be a committed row that readers share.
+func (c *Collection) prepare(p *Patch) ([]byte, error) {
 	s := p
 	if !p.sealed() {
 		s = &Patch{Ref: p.Ref, Data: p.Data}
 		s.Seal(metaPairs(p.Meta))
 	}
-	if err := c.schema.ValidatePatch(s); err != nil {
-		return fmt.Errorf("collection %q: %w", c.name, err)
+	err := c.schema.ValidatePatch(s)
+	var raw []byte
+	if err == nil {
+		raw, err = c.codec.encode(s)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("collection %q: %w", c.name, err)
 	}
 	if s != p {
 		p.Meta, p.pairs = nil, s.pairs
 	}
-	return nil
+	return raw, nil
 }
 
 // metaPairs lists m's entries but the lineage keys, which sealing drops,
@@ -525,7 +533,7 @@ func metaPairs(m Metadata) []Pair {
 	return pairs
 }
 
-// put commits a prepared patch, raw being its Marshal encoding.
+// put commits a prepared patch, raw being the encoding prepare returned.
 func (c *Collection) put(p *Patch, raw []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -640,10 +648,14 @@ func (c *Collection) load() error {
 		return nil
 	}
 	out := make([]*Patch, 0, c.count)
-	d := patchDecoder{fields: c.schema.Fields}
+	d := patchDecoder{codec: c.codec}
 	var scanErr error
-	err := c.bucket.Scan(nil, nil, func(_, v []byte) bool {
-		p, err := d.decode(v)
+	err := c.bucket.Scan(nil, nil, func(k, v []byte) bool {
+		if len(k) != 8 {
+			scanErr = errCorrupt
+			return false
+		}
+		p, err := d.decode(PatchID(kv.ParseU64Key(k)), v)
 		if err != nil {
 			scanErr = err
 			return false

@@ -45,7 +45,7 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 			"bbox":  RectV(1, 2, 3, 4),
 		},
 	}
-	got, err := UnmarshalPatch(p.Marshal())
+	got, err := UnmarshalPatch(p.ID, p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPatchMarshalQuick(t *testing.T) {
 	f := func(id uint64, frame uint64, src string, label string, score float64, iv int64) bool {
 		p := &Patch{ID: PatchID(id), Ref: Ref{Source: src, Frame: frame},
 			Meta: Metadata{"l": StrV(label), "s": FloatV(score), "i": IntV(iv)}}
-		got, err := UnmarshalPatch(p.Marshal())
+		got, err := UnmarshalPatch(p.ID, p.Marshal())
 		if err != nil {
 			return false
 		}
@@ -83,7 +83,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	p := &Patch{ID: 1, Meta: Metadata{"k": StrV("v")}}
 	raw := p.Marshal()
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := UnmarshalPatch(raw[:cut]); err == nil {
+		if _, err := UnmarshalPatch(p.ID, raw[:cut]); err == nil {
 			// Some prefixes parse as valid shorter patches only if all
 			// fields complete; a cut mid-structure must error. Allow valid
 			// prefix only if it equals a full encoding, which cannot

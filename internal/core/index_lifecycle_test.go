@@ -575,17 +575,22 @@ func TestHashInsertTouchesOneChunk(t *testing.T) {
 // TestIndexRebuildsFreeReplacedPages: a rebuild frees the structure it
 // replaces once the descriptor names the new one, so after the first
 // forced rebuild (which needs room for both) ten more — a one-row append
-// and a BuildIndex each — do not grow the page file.
+// and a BuildIndex each — grow the page file only by what the appended
+// rows take: exactly as much as the same appends grow a twin database
+// that holds no index.
 func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
-	db := openDB(t)
+	db, twin := openDB(t), openDB(t)
 	col, _ := db.CreateCollection("c", lifecycleSchema())
+	twinCol, _ := twin.CreateCollection("c", lifecycleSchema())
 	appendLifecycle(t, col, 0, 3000)
+	appendLifecycle(t, twinCol, 0, 3000)
 	hash, _ := db.BuildIndex(col, "label", IdxHash)
 	bt, _ := db.BuildIndex(col, "key", IdxBTree)
-	pager := db.Store().Pager()
-	var pages uint64
+	pager, twinPager := db.Store().Pager(), twin.Store().Pager()
+	var pages, twinPages uint64
 	for round := 0; round <= 10; round++ {
 		appendLifecycle(t, col, 3000+round, 3001+round)
+		appendLifecycle(t, twinCol, 3000+round, 3001+round)
 		if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
 			t.Fatal(err)
 		}
@@ -595,9 +600,9 @@ func TestIndexRebuildsFreeReplacedPages(t *testing.T) {
 		snap, _ := col.Current()
 		checkAgainstScan(t, "rebuilt", indexAnswers(t, hash, bt, snap), snap)
 		if round == 0 {
-			pages = pager.NumPages()
-		} else if got := pager.NumPages(); got != pages {
-			t.Errorf("rebuild %d: page file %d -> %d pages", round, pages, got)
+			pages, twinPages = pager.NumPages(), twinPager.NumPages()
+		} else if got, rows := pager.NumPages()-pages, twinPager.NumPages()-twinPages; got != rows {
+			t.Errorf("rebuild %d: page file grew %d pages, its rows %d", round, got, rows)
 		}
 	}
 	if _, r, _ := scalarStats(db); r != 2+2*11 {

@@ -89,21 +89,29 @@ func (p *Patch) Get(name string) (Value, bool) {
 	case sourceKey:
 		return StrV(p.Ref.Source), true
 	}
-	// A binary search by index: a comparison function would copy each
-	// 40-byte pair it is handed.
-	lo, hi := 0, len(p.pairs)
+	if i := findPair(p.pairs, name); i >= 0 {
+		return p.pairs[i].Value, true
+	}
+	return Value{}, false
+}
+
+// findPair returns the index of key in ps, which is sorted by key, or -1.
+// It searches by index: a comparison function would copy each 40-byte
+// pair it is handed.
+func findPair(ps []Pair, key string) int {
+	lo, hi := 0, len(ps)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if p.pairs[m].Key < name {
+		if ps[m].Key < key {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	if lo < len(p.pairs) && p.pairs[lo].Key == name {
-		return p.pairs[lo].Value, true
+	if lo < len(ps) && ps[lo].Key == key {
+		return lo
 	}
-	return Value{}, false
+	return -1
 }
 
 // Range calls yield with each metadata entry in ascending key order,
@@ -421,36 +429,122 @@ func (v Value) clone() Value {
 // errCorrupt reports a malformed serialized patch.
 var errCorrupt = errors.New("core: corrupt serialized patch")
 
-// Marshal serializes a patch for storage: the pairs of its sealed form
-// in key order, so never the lineage attributes, which Ref holds. It
-// sizes the encoding first and writes it into one allocation.
+// rowMarker is the first byte of a row stored by schema position. A row
+// stored in the keyed form, as every row was before, begins with its
+// id's uvarint instead, and ids start at 1, so that byte is never 0.
+const rowMarker = 0x00
+
+// rowCodec serializes the committed rows of one schema. A stored row is
+//
+//	[rowMarker][source][frame][parent][payload][declared values][n][n pairs]
+//
+// The declared values come in schema order without key or kind, since
+// ValidatePatch guarantees each is present with its declared kind: a
+// float as the 8 little-endian bytes of its Float64bits (so -0 and NaN
+// keep their bits), a vector whose field fixes VecDim as its elements
+// alone, and any other value as a pair writes it. The n pairs are the
+// undeclared entries in key order, each a key, a kind byte and a value.
+// The id is not stored, since it is the row's B-tree key, and neither
+// are the lineage attributes, which Ref holds.
+type rowCodec struct {
+	fields []Field // stored by position, in schema order: no lineage key, no repeat
+	order  []int   // the indices of fields in ascending name order
+}
+
+// schemaFree is the codec of a schema that declares no field.
+var schemaFree rowCodec
+
+// newRowCodec derives the codec of the rows s validates. A declared
+// lineage key is answered from Ref, and a repeated name validates the
+// value its first declaration does, so neither takes a position.
+func newRowCodec(s Schema) *rowCodec {
+	c := &rowCodec{}
+	for _, f := range s.Fields {
+		if f.Name != frameKey && f.Name != sourceKey && !slices.ContainsFunc(c.fields, func(g Field) bool { return g.Name == f.Name }) {
+			c.fields = append(c.fields, f)
+		}
+	}
+	c.order = make([]int, len(c.fields))
+	for i := range c.order {
+		c.order[i] = i
+	}
+	slices.SortFunc(c.order, func(a, b int) int { return strings.Compare(c.fields[a].Name, c.fields[b].Name) })
+	return c
+}
+
+// fixedDim reports whether f's vectors are stored without their length.
+func fixedDim(f *Field) bool { return f.Kind == KindVec && f.VecDim > 0 }
+
+// fits reports whether v has f's kind and, for a fixed-dim vector, its
+// dimension: what a declared value must satisfy to be stored, or loaded.
+func fits(f *Field, v *Value) bool {
+	return v.Kind == f.Kind && (!fixedDim(f) || v.n == uint64(f.VecDim))
+}
+
+// Marshal serializes p as a collection whose schema declares no field
+// stores it: every entry but the lineage attributes as a keyed pair.
 func (p *Patch) Marshal() []byte {
+	buf, _ := schemaFree.encode(p)
+	return buf
+}
+
+// encode serializes p, builder or committed row, in c's stored form. It
+// sizes the encoding first and writes it into one allocation. A declared
+// field that p lacks, or holds with another kind or dimension, is an
+// error: Append validates a row before it encodes it.
+func (c *rowCodec) encode(p *Patch) ([]byte, error) {
 	es := p.pairs
 	if es == nil {
 		var arr [16]Pair
 		es = slices.DeleteFunc(p.entries(arr[:0]), func(e Pair) bool { return e.Key == frameKey || e.Key == sourceKey })
 	}
-	n := uvarintLen(uint64(p.ID)) + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
+	n := 1 + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
 	dataLen := 0
 	if p.Data != nil {
 		dataLen = p.Data.MarshalSize()
 	}
-	n += uvarintLen(uint64(dataLen)) + dataLen + uvarintLen(uint64(len(es)))
-	for i := range es {
-		v := &es[i].Value
-		n += strLen(es[i].Key) + 1
-		switch v.Kind {
-		case KindInt, KindFloat:
-			n += uvarintLen(v.n)
-		case KindStr:
-			n += strLen(v.Str())
-		case KindVec, KindRect:
-			n += uvarintLen(v.n) + 4*int(v.n)
-		}
+	n += uvarintLen(uint64(dataLen)) + dataLen
+	// at[i] is the index in es of declared field i, found by one merge
+	// of the key-sorted entries with the declared names in key order. A
+	// schema of more than 16 fields pays one more allocation for it.
+	var arr [16]int
+	at := arr[:]
+	if len(c.fields) > len(arr) {
+		at = make([]int, len(c.fields))
 	}
+	k := 0
+	for _, i := range c.order {
+		f := &c.fields[i]
+		for k < len(es) && es[k].Key < f.Name {
+			k++
+		}
+		if k == len(es) || es[k].Key != f.Name {
+			return nil, fmt.Errorf("core: patch missing declared field %q", f.Name)
+		}
+		switch v := &es[k].Value; {
+		case v.Kind != f.Kind:
+			return nil, fmt.Errorf("core: field %q has kind %v, schema declares %v", f.Name, v.Kind, f.Kind)
+		case !fits(f, v):
+			return nil, fmt.Errorf("core: field %q vector dim %d, schema declares %d", f.Name, v.n, f.VecDim)
+		}
+		n += declaredLen(f, &es[k].Value)
+		at[i] = k
+		k++
+	}
+	// The declared entries are at[c.order[0]] < at[c.order[1]] < …, so
+	// one cursor over c.order skips them in a walk of es.
+	undeclared := len(es) - len(c.fields)
+	for i, j := 0, 0; i < len(es); i++ {
+		if j < len(c.order) && at[c.order[j]] == i {
+			j++
+			continue
+		}
+		n += strLen(es[i].Key) + 1 + valueLen(&es[i].Value)
+	}
+	n += uvarintLen(uint64(undeclared))
 
 	buf := make([]byte, 0, n)
-	buf = binary.AppendUvarint(buf, uint64(p.ID))
+	buf = append(buf, rowMarker)
 	buf = appendStr(buf, p.Ref.Source)
 	buf = binary.AppendUvarint(buf, p.Ref.Frame)
 	buf = binary.AppendUvarint(buf, uint64(p.Ref.Parent))
@@ -458,21 +552,72 @@ func (p *Patch) Marshal() []byte {
 	if p.Data != nil {
 		buf = p.Data.AppendMarshal(buf)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(es)))
-	for i := range es {
-		v := &es[i].Value
-		buf = append(appendStr(buf, es[i].Key), byte(v.Kind))
-		switch v.Kind {
-		case KindInt, KindFloat:
-			buf = binary.AppendUvarint(buf, v.n)
-		case KindStr:
-			buf = appendStr(buf, v.Str())
-		case KindVec, KindRect:
-			buf = binary.AppendUvarint(buf, v.n)
-			for _, f := range v.Vec() {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
-			}
+	for i := range c.fields {
+		buf = appendDeclared(buf, &c.fields[i], &es[at[i]].Value)
+	}
+	buf = binary.AppendUvarint(buf, uint64(undeclared))
+	for i, j := 0, 0; i < len(es); i++ {
+		if j < len(c.order) && at[c.order[j]] == i {
+			j++
+			continue
 		}
+		v := &es[i].Value
+		buf = appendValue(append(appendStr(buf, es[i].Key), byte(v.Kind)), v)
+	}
+	return buf, nil
+}
+
+// valueLen is the length of v's encoding in a pair, after its kind byte.
+func valueLen(v *Value) int {
+	switch v.Kind {
+	case KindInt, KindFloat:
+		return uvarintLen(v.n)
+	case KindStr:
+		return strLen(v.Str())
+	case KindVec, KindRect:
+		return uvarintLen(v.n) + 4*int(v.n)
+	}
+	return 0
+}
+
+// appendValue appends v's encoding in a pair, after its kind byte.
+func appendValue(buf []byte, v *Value) []byte {
+	switch v.Kind {
+	case KindInt, KindFloat:
+		return binary.AppendUvarint(buf, v.n)
+	case KindStr:
+		return appendStr(buf, v.Str())
+	case KindVec, KindRect:
+		return appendFloats(binary.AppendUvarint(buf, v.n), v.Vec())
+	}
+	return buf
+}
+
+// declaredLen is the length of v's encoding as field f's declared value.
+func declaredLen(f *Field, v *Value) int {
+	switch {
+	case f.Kind == KindFloat:
+		return 8
+	case fixedDim(f):
+		return 4 * f.VecDim
+	}
+	return valueLen(v)
+}
+
+// appendDeclared appends v's encoding as field f's declared value.
+func appendDeclared(buf []byte, f *Field, v *Value) []byte {
+	switch {
+	case f.Kind == KindFloat:
+		return binary.LittleEndian.AppendUint64(buf, v.n)
+	case fixedDim(f):
+		return appendFloats(buf, v.Vec())
+	}
+	return appendValue(buf, v)
+}
+
+func appendFloats(buf []byte, vec []float32) []byte {
+	for _, f := range vec {
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
 	}
 	return buf
 }
@@ -487,21 +632,30 @@ func appendStr(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// UnmarshalPatch parses a patch serialized by Marshal into a committed
-// row.
-func UnmarshalPatch(buf []byte) (*Patch, error) {
-	var d patchDecoder
-	return d.decode(buf)
+// UnmarshalPatch parses the bytes Marshal wrote for the row with the
+// given id into a committed row.
+func UnmarshalPatch(id PatchID, buf []byte) (*Patch, error) {
+	d := patchDecoder{codec: &schemaFree}
+	return d.decode(id, buf)
 }
 
-// patchDecoder parses stored patches into committed rows. One decoder
-// reads a whole collection on load, so its rows share strings: a key the
-// schema declares is the schema's own string, and a row whose source
-// equals the previous row's reuses that string.
+// patchDecoder parses the stored rows of one codec into committed rows.
+// One decoder reads a whole collection on load, so its rows share
+// strings: a declared key is the schema's own string, and a row whose
+// source equals the previous row's reuses that string.
+//
+// It reads two forms: the positional one rowCodec writes, and the keyed
+// one rows were stored in before, which begins with the id's uvarint and
+// holds every entry as a pair. A keyed row stored while Marshal still
+// wrote the lineage attributes carries them among its pairs: they must
+// equal Ref, and are dropped. A keyed row's id must be its key's, and in
+// either form every declared field must be present with its kind and
+// dimension, as ValidatePatch promised when the row was appended.
 type patchDecoder struct {
-	fields  []Field
+	codec   *rowCodec
 	source  string
-	scratch []Pair // the row being decoded, copied out exactly sized
+	decl    []Value // a positional row's declared values, in schema order
+	scratch []Pair  // the row's pairs, copied out exactly sized
 	buf     []byte
 	pos     int
 }
@@ -529,28 +683,35 @@ func (d *patchDecoder) bytes() ([]byte, error) {
 	return b, nil
 }
 
-// key resolves a stored key to its string: a declared field's name
-// costs no allocation.
-func (d *patchDecoder) key(b []byte) string {
-	for i := range d.fields {
-		if d.fields[i].Name == string(b) {
-			return d.fields[i].Name
+// key resolves a stored key to its string and declared position (-1 for
+// an undeclared key): a declared field's name costs no allocation.
+func (d *patchDecoder) key(b []byte) (string, int) {
+	fs := d.codec.fields
+	for i := range fs {
+		if fs[i].Name == string(b) {
+			return fs[i].Name, i
 		}
 	}
-	return string(b)
+	return string(b), -1
 }
 
-// decode parses buf. Keys must be stored in strictly ascending order,
-// as Marshal writes them. A row stored while Marshal wrote the lineage
-// attributes carries them: they must equal Ref, and are dropped.
-func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
+// decode parses buf, the stored row with the given id. Pair keys must be
+// stored in strictly ascending order, as encode writes them.
+func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 	d.buf, d.pos = buf, 0
-	p := &Patch{}
-	id, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	keyed := len(buf) == 0 || buf[0] != rowMarker
+	if keyed {
+		stored, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if stored != uint64(id) {
+			return nil, errCorrupt
+		}
+	} else {
+		d.pos++
 	}
-	p.ID = PatchID(id)
+	p := &Patch{ID: id}
 	src, err := d.bytes()
 	if err != nil {
 		return nil, err
@@ -576,6 +737,17 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 			return nil, err
 		}
 	}
+	c := d.codec
+	decl := d.decl[:0]
+	if !keyed {
+		for i := range c.fields {
+			v, err := d.declared(&c.fields[i])
+			if err != nil {
+				return nil, err
+			}
+			decl = append(decl, v)
+		}
+	}
 	nmeta, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -591,7 +763,9 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 			return nil, errCorrupt
 		}
 		prev = kb
-		v, err := d.value(ValueKind(buf[d.pos]))
+		k := ValueKind(buf[d.pos])
+		d.pos++
+		v, err := d.value(k)
 		if err != nil {
 			return nil, err
 		}
@@ -605,19 +779,59 @@ func (d *patchDecoder) decode(buf []byte) (*Patch, error) {
 				return nil, errCorrupt
 			}
 		default:
-			pairs = append(pairs, Pair{d.key(kb), v})
+			key, pos := d.key(kb)
+			if pos >= 0 && !keyed {
+				return nil, errCorrupt // a declared value stored twice
+			}
+			pairs = append(pairs, Pair{key, v})
 		}
 	}
-	p.pairs = make([]Pair, len(pairs))
-	copy(p.pairs, pairs)
+	if keyed {
+		for i := range c.fields {
+			if k := findPair(pairs, c.fields[i].Name); k < 0 || !fits(&c.fields[i], &pairs[k].Value) {
+				return nil, errCorrupt
+			}
+		}
+		p.pairs = make([]Pair, len(pairs))
+		copy(p.pairs, pairs)
+	} else {
+		// Merge the declared values into the pairs, in key order.
+		p.pairs = make([]Pair, 0, len(decl)+len(pairs))
+		j := 0
+		for _, i := range c.order {
+			name := c.fields[i].Name
+			for ; j < len(pairs) && pairs[j].Key < name; j++ {
+				p.pairs = append(p.pairs, pairs[j])
+			}
+			p.pairs = append(p.pairs, Pair{name, decl[i]})
+		}
+		p.pairs = append(p.pairs, pairs[j:]...)
+	}
 	clear(pairs)
 	d.scratch = pairs[:0]
+	clear(decl)
+	d.decl = decl[:0]
 	return p, nil
 }
 
-// value parses a value of kind k, whose kind byte is at d.pos.
+// declared parses field f's declared value.
+func (d *patchDecoder) declared(f *Field) (Value, error) {
+	switch {
+	case f.Kind == KindFloat:
+		if len(d.buf)-d.pos < 8 {
+			return Value{}, errCorrupt
+		}
+		u := binary.LittleEndian.Uint64(d.buf[d.pos:])
+		d.pos += 8
+		return Value{n: u, Kind: KindFloat}, nil
+	case fixedDim(f):
+		return d.floats(KindVec, uint64(f.VecDim))
+	}
+	return d.value(f.Kind)
+}
+
+// value parses a pair's value of kind k.
 func (d *patchDecoder) value(k ValueKind) (Value, error) {
-	d.pos++
 	switch k {
 	case KindInt, KindFloat:
 		u, err := d.uvarint()
@@ -630,17 +844,22 @@ func (d *patchDecoder) value(k ValueKind) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if l > uint64(len(d.buf)-d.pos)/4 {
-			return Value{}, errCorrupt
-		}
-		vec := make([]float32, l)
-		for j := range vec {
-			vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos:]))
-			d.pos += 4
-		}
-		return sliceValue(k, vec), nil
+		return d.floats(k, l)
 	}
 	return Value{}, errCorrupt
+}
+
+// floats parses l float32s into a value of kind k.
+func (d *patchDecoder) floats(k ValueKind, l uint64) (Value, error) {
+	if l > uint64(len(d.buf)-d.pos)/4 {
+		return Value{}, errCorrupt
+	}
+	vec := make([]float32, l)
+	for j := range vec {
+		vec[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos:]))
+		d.pos += 4
+	}
+	return sliceValue(k, vec), nil
 }
 
 // Clone deep-copies a patch (shared tensors are copied too), in its

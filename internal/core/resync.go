@@ -44,15 +44,16 @@ import (
 // and cancellation checks.
 const resyncChunk = 64
 
-// samePatchBytes reports whether two patches serialize identically.
-// Replicated appends share patch pointers across replicas, so the
+// samePatchBytes reports whether two patches have the same id and
+// serialize identically (the bytes do not hold the id, the B-tree key
+// does). Replicated appends share patch pointers across replicas, so the
 // common case is a pointer compare; marshaling only happens when a
 // replica was cold-loaded from its own store.
 func samePatchBytes(a, b *Patch) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil {
+	if a == nil || b == nil || a.ID != b.ID {
 		return false
 	}
 	return bytes.Equal(a.Marshal(), b.Marshal())

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,4 +280,42 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 		t.Fatalf("in-sync after hammer = %v, want both", got)
 	}
 	requireReplicaMatchesPrimary(t, sc, 0, 1)
+}
+
+// TestResyncRefusesReplicaRowWithOtherID: stored bytes do not hold the
+// id, so verification compares ids too. A replica row that differs from
+// the primary's only by its id fails samePatchBytes, and a repair over
+// it refuses to promote the replica.
+func TestResyncRefusesReplicaRowWithOtherID(t *testing.T) {
+	s, sc := resyncFixture(t, 1, 2, 8)
+	s.Demote(0, 1)
+	if err := sc.Append(shardTestPatch(8)); err != nil {
+		t.Fatal(err)
+	}
+	pp, err := sc.Replica(0, 0).Patches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := pp[len(pp)-1]
+	twin := last.Clone()
+	if !samePatchBytes(last, twin) {
+		t.Fatal("a row and its clone differ")
+	}
+	twin.ID += 1000
+	if !bytes.Equal(twin.Marshal(), last.Marshal()) {
+		t.Fatal("a row's bytes depend on its id")
+	}
+	if samePatchBytes(last, twin) || samePatchBytes(twin, last) {
+		t.Fatalf("rows %d and %d compare equal", last.ID, twin.ID)
+	}
+	// The twin lands on the frozen replica outside the Sharded layer.
+	if err := sc.Replica(0, 1).Append(twin); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ResyncReplica(context.Background(), 0, 1); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("resync over a row with another id = %v, want diverged", err)
+	}
+	if got := s.InSyncReplicas(0); len(got) != 1 {
+		t.Fatalf("in-sync after refused resync = %v, want primary only", got)
+	}
 }

@@ -73,35 +73,70 @@ func samePatch(a, b *Patch) error {
 	return nil
 }
 
-// FuzzUnmarshalPatch: arbitrary bytes decode to an error, never a
-// panic, and whatever decodes is a committed row that re-marshals to
-// bytes decoding to an equal row.
+// fuzzFields declares a field of every kind a row stores by position:
+// FuzzUnmarshalPatch decodes under them as well as schema-free.
+var fuzzFields = []Field{
+	{Name: "i", Kind: KindInt},
+	{Name: "f", Kind: KindFloat},
+	{Name: "s", Kind: KindStr},
+	{Name: "v", Kind: KindVec, VecDim: 2},
+	{Name: "w", Kind: KindVec},
+	{Name: "r", Kind: KindRect},
+}
+
+// FuzzUnmarshalPatch: arbitrary bytes stored under id 1 decode, schema-
+// free and under fuzzFields, to an error, never a panic, and whatever
+// decodes is a committed row whose encoding decodes to an equal row and
+// encodes again to the same bytes. The seeds hold rows in the keyed and
+// the positional form, with and without a value for every fuzzFields.
 func FuzzUnmarshalPatch(f *testing.F) {
+	declared := newRowCodec(Schema{Fields: fuzzFields})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
 		p := randomPatch(rng)
+		p.ID = 1
+		f.Add(refMarshal(p))
 		f.Add(p.Marshal())
-		p.Seal(metaPairs(p.Meta))
-		f.Add(p.Marshal())
+		if p.Meta == nil {
+			p.Meta = Metadata{}
+		}
+		p.Meta["i"] = IntV(int64(-i))
+		p.Meta["f"] = FloatV([]float64{math.Copysign(0, -1), math.NaN(), 0.25}[i%3])
+		p.Meta["s"] = StrV(fmt.Sprint("s", i))
+		p.Meta["v"] = VecV([]float32{float32(i), -1})
+		p.Meta["w"] = VecV(make([]float32, i))
+		p.Meta["r"] = RectV(0, 1, 2, float64(i))
+		f.Add(refMarshal(p))
+		raw, err := declared.encode(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		p, err := UnmarshalPatch(raw)
-		if err != nil {
-			return
-		}
-		if !p.sealed() || p.Meta != nil {
-			t.Fatalf("decoded a builder: %+v", p)
-		}
-		again := p.Marshal()
-		q, err := UnmarshalPatch(again)
-		if err != nil {
-			t.Fatalf("re-marshaled %x does not decode: %v", again, err)
-		}
-		if err := samePatch(p, q); err != nil {
-			t.Fatalf("%x decodes to a different row: %v", again, err)
-		}
-		if b := q.Marshal(); !bytes.Equal(b, again) {
-			t.Fatalf("second marshal %x, first %x", b, again)
+		for _, c := range []*rowCodec{&schemaFree, declared} {
+			d := patchDecoder{codec: c}
+			p, err := d.decode(1, raw)
+			if err != nil {
+				continue
+			}
+			if !p.sealed() || p.Meta != nil || p.ID != 1 {
+				t.Fatalf("decoded a builder or another id: %+v", p)
+			}
+			again, err := c.encode(p)
+			if err != nil {
+				t.Fatalf("decoded row does not encode under %d fields: %v", len(c.fields), err)
+			}
+			q, err := d.decode(1, again)
+			if err != nil {
+				t.Fatalf("re-encoded %x does not decode: %v", again, err)
+			}
+			if err := samePatch(p, q); err != nil {
+				t.Fatalf("%x decodes to a different row: %v", again, err)
+			}
+			if b, err := c.encode(q); err != nil || !bytes.Equal(b, again) {
+				t.Fatalf("second encoding %x (%v), first %x", b, err, again)
+			}
 		}
 	})
 }
@@ -109,7 +144,8 @@ func FuzzUnmarshalPatch(f *testing.F) {
 // TestReopenParity: rows with declared and undeclared keys on both sides
 // of the lineage keys, vec and rect values, -0 and NaN floats and pixel
 // payloads answer Get and Range the same before and after a reopen, and
-// each row marshals to exactly the bytes its bucket stores.
+// the collection's codec encodes each row to exactly the bytes its bucket
+// stores.
 func TestReopenParity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dl.db")
 	db, err := Open(path, exec.New(exec.CPU))
@@ -188,8 +224,10 @@ func TestReopenParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(p.Marshal(), stored) || !bytes.Equal(before[i].Marshal(), stored) {
-			t.Fatalf("row %d marshals to bytes its bucket does not hold", i)
+		for _, q := range []*Patch{p, before[i]} {
+			if raw, err := col.codec.encode(q); err != nil || !bytes.Equal(raw, stored) {
+				t.Fatalf("row %d encodes to bytes its bucket does not hold (%v)", i, err)
+			}
 		}
 	}
 }
@@ -245,11 +283,12 @@ func TestCommittedRowBytes(t *testing.T) {
 }
 
 // TestStoredRowBytes: a stored fixture-shaped row (three declared
-// fields, source "bench") carries its lineage once, in Ref, so it
-// marshals to at most 52 bytes, and a 66,667-row shard of them fits in
-// 1,100 pages. Both are counts: they do not depend on the host.
+// fields, source "bench") carries its lineage once, in Ref, its id only
+// in its key and its declared fields by position, so its bucket holds at
+// most 29 bytes for it, and a 66,667-row shard of them fits in 720
+// pages. Both are counts: they do not depend on the host.
 func TestStoredRowBytes(t *testing.T) {
-	const rows, rowLimit, pageLimit = 66667, 52, 1100
+	const rows, rowLimit, pageLimit = 66667, 29, 720
 	db := openDB(t)
 	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: []Field{
 		{Name: "label", Kind: KindStr},
@@ -260,7 +299,6 @@ func TestStoredRowBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	maxRow, total := 0, 0
 	for i := 0; i < rows; i++ {
 		p := &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}, Meta: Metadata{
 			"label": StrV(fmt.Sprintf("cls%02d", rng.Intn(16))),
@@ -270,14 +308,22 @@ func TestStoredRowBytes(t *testing.T) {
 		if err := col.Append(p); err != nil {
 			t.Fatal(err)
 		}
-		n := len(p.Marshal())
-		maxRow, total = max(maxRow, n), total+n
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	maxRow, total, n := 0, 0, 0
+	if err := col.bucket.Scan(nil, nil, func(_, v []byte) bool {
+		maxRow, total, n = max(maxRow, len(v)), total+len(v), n+1
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != rows {
+		t.Fatalf("the bucket holds %d rows, want %d", n, rows)
+	}
 	pages := db.Store().Pager().NumPages()
-	t.Logf("%.1f B per stored row (at most %d), %d pages", float64(total)/rows, maxRow, pages)
+	t.Logf("%.2f B per stored row (at most %d), %d pages", float64(total)/rows, maxRow, pages)
 	if maxRow > rowLimit {
 		t.Errorf("a stored row takes %d B, want at most %d", maxRow, rowLimit)
 	}

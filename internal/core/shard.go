@@ -616,11 +616,12 @@ func (c *ShardedCollection) Len() int {
 // are skipped entirely: a demoted replica freezes at an exact prefix of
 // the primary's commit sequence (no holes), which is what lets
 // ResyncReplica stream just the missing suffix and verify it
-// byte-for-byte. The patch is stamped, validated and marshaled once;
+// byte-for-byte. The patch is sealed, validated and encoded once;
 // every replica stores those bytes. A single-shard, single-replica
 // append is exactly an unsharded Append.
 func (c *ShardedCollection) Append(p *Patch) error {
-	if err := c.cols[0][0].prepare(p); err != nil {
+	raw, err := c.cols[0][0].prepare(p)
+	if err != nil {
 		return err
 	}
 	c.s.idMu.Lock()
@@ -635,7 +636,6 @@ func (c *ShardedCollection) Append(p *Patch) error {
 	if err := inj.Fail(fault.AppendError, home, 0); err != nil {
 		return err
 	}
-	raw := p.Marshal()
 	if err := c.cols[home][0].put(p, raw); err != nil {
 		return err
 	}

@@ -188,7 +188,7 @@ func TestNilAndEmptyVectors(t *testing.T) {
 	check("sealed clone", sealed.Clone(), both)
 	check("builder of sealed", sealed.Builder(), both)
 
-	decoded, err := UnmarshalPatch(raw)
+	decoded, err := UnmarshalPatch(b.ID, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
