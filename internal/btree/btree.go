@@ -34,7 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+
+	"repro/internal/warmpool"
 )
 
 // Pager is the page-file interface the tree runs on. *kv.Pager satisfies it.
@@ -343,7 +344,7 @@ func (t *Tree) descend(key []byte) (leaf, error) {
 // pagePool recycles whole-page buffers: Pager.Write copies the page into
 // its cache, so a buffer is free again the moment Write returns and a Put
 // need not allocate a page of its own.
-var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+var pagePool warmpool.Pool[[pageSize]byte]
 
 // leafScratch is putLeaf's working space: the edited leaf, which runs
 // past a page by up to one entry until it is split, and its entry offsets.
@@ -352,12 +353,12 @@ type leafScratch struct {
 	offs [2*pageSize/entryHeader + 1]uint16
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
+var scratchPool warmpool.Pool[leafScratch]
 
 // storeNode serializes inner node n into its page.
 func (t *Tree) storeNode(n *node) error {
 	t.cacheNode(n)
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	clear(page[:]) // bytes past the last entry are written too
 	buf := page[:]
@@ -477,7 +478,7 @@ func (t *Tree) put(id uint64, key, val []byte, rightmost bool, depth int) ([]byt
 // or both halves of its split when it no longer fits. rightmost reports
 // that l is the last leaf of the tree.
 func (t *Tree) putLeaf(l leaf, key, val []byte, rightmost bool) ([]byte, uint64, error) {
-	sc := scratchPool.Get().(*leafScratch)
+	sc := scratchPool.Get()
 	defer scratchPool.Put(sc)
 	p, found, err := l.seek(key, sc.offs[:], true)
 	if err != nil {
@@ -563,7 +564,7 @@ func (t *Tree) splitLeaf(id uint64, sc *leafScratch, size, nk, mid int) ([]byte,
 	cut := int(offs[mid])
 	sep := bytes.Clone(w.key(cut))
 
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	r := page[:]
 	r[0] = typeLeaf
@@ -651,7 +652,7 @@ func (t *Tree) Delete(key []byte) error {
 			return err
 		}
 	}
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	w := page[:]
 	o := copy(w, l.buf[:p.off])

@@ -21,7 +21,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+
+	"repro/internal/warmpool"
 )
 
 // Pager is the page-file interface the index runs on; *kv.Pager satisfies it.
@@ -176,7 +177,7 @@ func (ix *Index) saveMeta() error {
 		}
 		ix.dirHead, ix.dirDirty = head, false
 	}
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	clear(page[:])
 	buf := page[:]
@@ -236,10 +237,10 @@ func readBucket(p Pager, id uint64) (*bucket, error) {
 // pagePool recycles whole-page buffers: Pager.Write copies the page, so
 // a buffer is free again the moment Write returns and a bucket write
 // need not allocate a page of its own.
-var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+var pagePool warmpool.Pool[[pageSize]byte]
 
 func writeBucket(p Pager, id uint64, b *bucket) error {
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	encodeBucket(page, b)
 	return p.Write(id, page[:])
@@ -316,7 +317,7 @@ func (ix *Index) splice(id uint64, buf []byte, s span, key, val []byte, put bool
 	case s.at == s.used:
 		n++
 	}
-	page := pagePool.Get().(*[pageSize]byte)
+	page := pagePool.Get()
 	defer pagePool.Put(page)
 	out := page[:]
 	off := copy(out, buf[:s.at])

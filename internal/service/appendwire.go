@@ -39,13 +39,13 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/warmpool"
 )
 
 // maxNestingDepth is encoding/json's limit on nested arrays and objects.
@@ -56,7 +56,7 @@ const maxNestingDepth = 10000
 // that request cannot pin its memory.
 const maxPooledBytes = 1 << 20
 
-var appendDecoders = sync.Pool{New: func() any { return new(appendDecoder) }}
+var appendDecoders warmpool.Pool[appendDecoder]
 
 // appendDecoder holds one /append body and what parsing it found.
 type appendDecoder struct {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func fuzzSchemas() []core.Schema {
 func checkAppendParity(t *testing.T, body []byte) {
 	t.Helper()
 	req, rerr := refDecodeAppend(body)
-	d := appendDecoders.Get().(*appendDecoder)
+	d := appendDecoders.Get()
 	defer d.release()
 	derr := d.decode(bytes.NewReader(body))
 	if (rerr != nil) != (derr != nil) {
@@ -111,6 +112,27 @@ func TestAppendDecoderPoolBound(t *testing.T) {
 	}
 }
 
+// TestAppendDecoderReusedAfterCollections: the decoder a request
+// released is the one the next request gets, however many collections
+// ran between them, so an append's allocations do not hang on GC timing.
+func TestAppendDecoderReusedAfterCollections(t *testing.T) {
+	d := appendDecoders.Get()
+	if err := d.decode(strings.NewReader(`{"collection":"c","patch":{"meta":{"k":[1,2,3]}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	d.release()
+	runtime.GC()
+	runtime.GC()
+	got := appendDecoders.Get()
+	defer got.release()
+	if got != d {
+		t.Fatal("a released decoder was not handed out again after two collections")
+	}
+	if cap(got.body) == 0 || cap(got.vals) == 0 {
+		t.Fatalf("the reused decoder lost its buffers: body cap %d, vals cap %d", cap(got.body), cap(got.vals))
+	}
+}
+
 // appendBatchBody is a 64-row /append body with dim-element vectors.
 func appendBatchBody(dim int) []byte {
 	var b strings.Builder
@@ -150,7 +172,7 @@ func TestAppendDecodeAllocsIndependentOfDim(t *testing.T) {
 		rd := bytes.NewReader(body)
 		return testing.AllocsPerRun(50, func() {
 			rd.Reset(body)
-			d := appendDecoders.Get().(*appendDecoder)
+			d := appendDecoders.Get()
 			defer d.release()
 			if err := d.decode(rd); err != nil {
 				t.Fatal(err)

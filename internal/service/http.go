@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"reflect"
 	"strconv"
-	"sync"
 	"time"
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/warmpool"
 )
 
 // Handler returns the service's HTTP JSON API:
@@ -88,7 +88,7 @@ type wireBuf struct {
 	keys []string
 }
 
-var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+var wireBufs warmpool.Pool[wireBuf]
 
 // writeResponse sends a successful /query answer as its head — the
 // memoized bytes of a cached result, a fresh encoding for any other —
@@ -96,12 +96,16 @@ var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
 // writeJSON(w, http.StatusOK, resp), and like it commits no status
 // before the whole body is encoded.
 func writeResponse(w http.ResponseWriter, resp *Response) {
-	wb := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(wb)
 	var head []byte
 	var err error
 	if m := resp.wire; m != nil {
+		// Before this request takes its own wireBuf: a first headFor
+		// encodes into one, and one request holds one at a time.
 		head, err = m.headFor(resp)
+	}
+	wb := wireBufs.Get()
+	defer wireBufs.Put(wb)
+	if resp.wire != nil {
 		wb.b = wb.b[:0]
 	} else {
 		wb.b, err = resp.appendHead(wb.b[:0], &wb.keys)
@@ -346,7 +350,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, httpError{"POST a JSON append body"})
 		return
 	}
-	d := appendDecoders.Get().(*appendDecoder)
+	d := appendDecoders.Get()
 	defer d.release()
 	if err := d.decode(r.Body); err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{"bad append body: " + err.Error()})

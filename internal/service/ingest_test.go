@@ -502,7 +502,7 @@ func TestMetaValueCoercion(t *testing.T) {
 // returns the member's token as patches hands it to metaValue.
 func bodyTok(t *testing.T, field, value string) metaTok {
 	t.Helper()
-	d := appendDecoders.Get().(*appendDecoder)
+	d := appendDecoders.Get()
 	defer d.release()
 	body := `{"patch":{"meta":{` + strconv.Quote(field) + `:` + value + `}}}`
 	if err := d.decode(strings.NewReader(body)); err != nil {

@@ -529,7 +529,7 @@ type wireMemo struct {
 // headFor returns r's memoized head, encoding it on first use.
 func (m *wireMemo) headFor(r *Response) ([]byte, error) {
 	m.once.Do(func() {
-		wb := wireBufs.Get().(*wireBuf)
+		wb := wireBufs.Get()
 		defer wireBufs.Put(wb)
 		if wb.b, m.err = r.appendHead(wb.b[:0], &wb.keys); m.err == nil {
 			m.head = slices.Clone(wb.b)
