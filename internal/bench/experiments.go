@@ -228,6 +228,9 @@ type Fig4Row struct {
 	Speedup   float64
 	BasePlan  string
 	TunedPlan string
+	// Columns is what each arm's column store took on the clock (q3
+	// and q5 scan one): RefreshHit when it was built before.
+	Columns [2]core.Refresh
 }
 
 // Fig4Indexes reproduces Figure 4 on an ingested environment.
@@ -243,6 +246,7 @@ func Fig4Indexes(e *Env) ([]Fig4Row, error) {
 		rows = append(rows, Fig4Row{
 			Query: q, Baseline: pair[0].Duration, Tuned: pair[1].Duration,
 			Speedup: sp, BasePlan: pair[0].Plan, TunedPlan: pair[1].Plan,
+			Columns: [2]core.Refresh{pair[0].Columns, pair[1].Columns},
 		})
 	}
 	return rows, nil

@@ -79,6 +79,13 @@ func TestFig4And5Shapes(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("fig4 rows = %d", len(rows))
 	}
+	// q3 and q5 scan a column store: each arm is timed once, so both
+	// must find it built, or the first pays the projection on the clock.
+	for _, r := range rows {
+		if (r.Query == "q3" || r.Query == "q5") && r.Columns != [2]core.Refresh{core.RefreshHit, core.RefreshHit} {
+			t.Fatalf("%s arms' column stores %v on the clock, want both hits", r.Query, r.Columns)
+		}
+	}
 	// The image-matching and lineage queries must benefit. (Factors grow
 	// with scale — the paper reports 612x at full scale; this guards the
 	// direction at test scale.) The matching queries' benefit is the

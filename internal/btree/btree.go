@@ -45,6 +45,10 @@ import (
 // contents until the tree next writes or frees the page.
 type Pager interface {
 	Read(id uint64) ([]byte, error)
+	// ReadInto is Read, but a page it does not find cached it reads
+	// into dst, a page-sized buffer the caller reuses, and leaves
+	// uncached.
+	ReadInto(dst []byte, id uint64) ([]byte, error)
 	Write(id uint64, buf []byte) error
 	Alloc() (uint64, error)
 	Free(id uint64) error
@@ -262,11 +266,19 @@ func (l leaf) seek(key []byte, offs []uint16, whole bool) (pos, bool, error) {
 
 // load returns page id as a decoded inner node — from the cache, or
 // decoded and cached — or, for a leaf, the page read in place (nil node).
-func (t *Tree) load(id uint64) (*node, leaf, error) {
+// With a non-nil dst, a page the pager has not cached is read into dst
+// and stays uncached.
+func (t *Tree) load(id uint64, dst []byte) (*node, leaf, error) {
 	if n, ok := t.nodes[id]; ok {
 		return n, leaf{}, nil
 	}
-	buf, err := t.p.Read(id)
+	var buf []byte
+	var err error
+	if dst != nil {
+		buf, err = t.p.ReadInto(dst, id)
+	} else {
+		buf, err = t.p.Read(id)
+	}
 	if err != nil {
 		return nil, leaf{}, err
 	}
@@ -328,11 +340,12 @@ func (t *Tree) cacheNode(n *node) {
 	t.nodes[n.id] = n
 }
 
-// descend walks from the root to the leaf that holds, or would hold, key.
-func (t *Tree) descend(key []byte) (leaf, error) {
+// descend walks from the root to the leaf that holds, or would hold, key,
+// reading uncached pages into dst when it is non-nil (see load).
+func (t *Tree) descend(key, dst []byte) (leaf, error) {
 	id := t.root
 	for depth := 0; depth < maxDepth; depth++ {
-		n, l, err := t.load(id)
+		n, l, err := t.load(id, dst)
 		if err != nil || n == nil {
 			return l, err
 		}
@@ -386,7 +399,7 @@ func (t *Tree) GetAppend(dst, key []byte) ([]byte, error) {
 	if t.root == 0 {
 		return nil, ErrNotFound
 	}
-	l, err := t.descend(key)
+	l, err := t.descend(key, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +469,7 @@ func (t *Tree) put(id uint64, key, val []byte, rightmost bool, depth int) ([]byt
 	if depth == maxDepth {
 		return nil, 0, corrupt(id, "tree deeper than maxDepth")
 	}
-	n, l, err := t.load(id)
+	n, l, err := t.load(id, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -634,7 +647,7 @@ func (t *Tree) Delete(key []byte) error {
 	if t.root == 0 {
 		return ErrNotFound
 	}
-	l, err := t.descend(key)
+	l, err := t.descend(key, nil)
 	if err != nil {
 		return err
 	}
@@ -679,7 +692,7 @@ func (t *Tree) free(id uint64, depth int) error {
 	if depth == maxDepth {
 		return corrupt(id, "tree deeper than maxDepth")
 	}
-	n, l, err := t.load(id)
+	n, l, err := t.load(id, nil)
 	if err != nil {
 		return err
 	}
@@ -712,6 +725,7 @@ type Cursor struct {
 	t   *Tree
 	p   pos
 	err error
+	buf []byte // when non-nil, the page uncached pages are read into (see load)
 	// Brent's cycle check on the sibling chain: a corrupt link back to
 	// an earlier leaf ends the walk with an error instead of looping.
 	mark        uint64
@@ -729,7 +743,7 @@ func (c *Cursor) seek(key []byte) {
 	if c.t.root == 0 {
 		return
 	}
-	l, err := c.t.descend(key)
+	l, err := c.t.descend(key, c.buf)
 	if err == nil {
 		var offs [maxEntries + 1]uint16
 		c.p, _, err = l.seek(key, offs[:], false)
@@ -758,7 +772,7 @@ func (c *Cursor) settle() {
 		if c.hops++; c.hops == c.power {
 			c.mark, c.power, c.hops = next, 2*c.power, 0
 		}
-		n, l, err := c.t.load(next)
+		n, l, err := c.t.load(next, c.buf)
 		if err == nil && n != nil {
 			err = corrupt(next, "leaf chain reaches an inner node")
 		}
@@ -807,7 +821,18 @@ func (c *Cursor) Next() {
 // Iteration stops early when fn returns false. The key passed to fn is
 // valid only during the call; the value is a copy.
 func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	c := Cursor{t: t}
+	return t.scan(lo, hi, fn, nil)
+}
+
+// ScanUncached is Scan reading the pages the pager has not cached into
+// one reused buffer, and leaving them uncached: for a caller that reads
+// the range once. The key passed to fn is valid only during the call.
+func (t *Tree) ScanUncached(lo, hi []byte, fn func(k, v []byte) bool) error {
+	return t.scan(lo, hi, fn, make([]byte, pageSize))
+}
+
+func (t *Tree) scan(lo, hi []byte, fn func(k, v []byte) bool, buf []byte) error {
+	c := Cursor{t: t, buf: buf}
 	for c.seek(lo); c.Valid(); c.Next() {
 		if hi != nil && bytes.Compare(c.Key(), hi) >= 0 {
 			break

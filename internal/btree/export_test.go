@@ -22,7 +22,7 @@ func (t *Tree) CheckPages() error {
 		if depth == maxDepth {
 			return corrupt(id, "too deep")
 		}
-		n, l, err := t.load(id)
+		n, l, err := t.load(id, nil)
 		if err != nil {
 			return err
 		}

@@ -37,6 +37,11 @@ type DB struct {
 	cols    map[string]*Collection
 	indexes map[string]*Index // descriptor key (indexKey) -> index
 
+	// codecs gives every collection of one layout the same codec. The
+	// DBs of a sharded database share it, so the rows a sharded append
+	// seals are read by position on every shard and replica.
+	codecs *codecSet
+
 	// refresh counts accelerator maintenance, read as RefreshStats.
 	refresh struct {
 		colExtends, colReused, colTotal               atomic.Int64
@@ -54,6 +59,27 @@ type DB struct {
 	// budgets how many stay decoded. Nil (the default) keeps column
 	// stores purely in-memory.
 	segCache atomic.Pointer[SegmentCache]
+}
+
+// codecSet interns row codecs by layout.
+type codecSet struct {
+	mu     sync.Mutex
+	codecs []*rowCodec
+}
+
+// of returns the codec of schema's rows: the one the set holds for its
+// layout, or a new one it then holds.
+func (cs *codecSet) of(schema Schema) *rowCodec {
+	c := newRowCodec(schema)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for _, o := range cs.codecs {
+		if o.sameLayout(c) {
+			return o
+		}
+	}
+	cs.codecs = append(cs.codecs, c)
+	return c
 }
 
 // RefreshStats is a DB's accelerator record: what bringing column
@@ -112,6 +138,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
 		indexes: make(map[string]*Index),
+		codecs:  &codecSet{},
 		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
@@ -225,7 +252,7 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), bucket: b, version: db.nextVersion()}
+	c := &Collection{db: db, name: name, schema: schema, codec: db.codecs.of(schema), bucket: b, version: db.nextVersion()}
 	if err := c.saveDesc(); err != nil {
 		return nil, err
 	}
@@ -258,7 +285,7 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), bucket: b, count: d.Count, version: d.Version}
+	c := &Collection{db: db, name: name, schema: d.Schema, codec: db.codecs.of(d.Schema), bucket: b, count: d.Count, version: d.Version}
 	if c.version == 0 {
 		c.version = db.nextVersion() // pre-versioning database file
 	}
@@ -490,48 +517,36 @@ func (c *Collection) Append(p *Patch) error {
 	return c.putLocked(p, raw)
 }
 
-// prepare seals a builder patch, validates the committed form against
-// the schema and encodes it: everything Append does before the commit,
-// since the stored bytes do not hold the id. A builder that fails is
-// left a builder. A sealed patch is only validated and encoded: it may
-// be a committed row that readers share.
+// prepare seals a builder patch in the collection's layout, validates
+// the committed form against the schema and encodes it: everything
+// Append does before the commit, since the stored bytes do not hold the
+// id. A builder that fails is left a builder. A sealed patch is only
+// validated and encoded: it may be a committed row that readers share.
 func (c *Collection) prepare(p *Patch) ([]byte, error) {
-	s := p
-	if !p.sealed() {
-		s = &Patch{Ref: p.Ref, Data: p.Data}
-		s.Seal(metaPairs(p.Meta))
+	meta := p.Meta
+	built := !p.sealed()
+	if built && !c.codec.sealMeta(p) {
+		// Meta does not fit the schema: seal it without one, so that
+		// ValidatePatch below says why.
+		p.Seal(p.entries(nil))
 	}
-	err := c.schema.ValidatePatch(s)
+	err := c.schema.ValidatePatch(p)
 	var raw []byte
 	if err == nil {
-		raw, err = c.codec.encode(s)
+		raw, err = c.codec.encode(p)
 	}
 	if err != nil {
+		if built {
+			p.Meta, p.codec, p.decl, p.pairs = meta, nil, nil, nil
+		}
 		return nil, fmt.Errorf("collection %q: %w", c.name, err)
-	}
-	if s != p {
-		p.Meta, p.pairs = nil, s.pairs
 	}
 	return raw, nil
 }
 
-// metaPairs lists m's entries but the lineage keys, which sealing drops,
-// in an array of exactly their number.
-func metaPairs(m Metadata) []Pair {
-	n := len(m)
-	for _, k := range [...]string{frameKey, sourceKey} {
-		if _, ok := m[k]; ok {
-			n--
-		}
-	}
-	pairs := make([]Pair, 0, n)
-	for k, v := range m {
-		if k != frameKey && k != sourceKey {
-			pairs = append(pairs, Pair{k, v})
-		}
-	}
-	return pairs
-}
+// Sealer returns a Sealer of rows in the collection's layout, with slots
+// for rows rows.
+func (c *Collection) Sealer(rows int) *Sealer { return newSealer(c.schema, c.codec, rows) }
 
 // put commits a prepared patch, raw being the encoding prepare returned.
 func (c *Collection) put(p *Patch, raw []byte) error {
@@ -608,6 +623,15 @@ type Snapshot struct {
 // Len returns the snapshot's row count.
 func (s Snapshot) Len() int { return len(s.rows) }
 
+// codec returns the layout of the snapshot's collection, nil for the
+// zero Snapshot.
+func (s Snapshot) codec() *rowCodec {
+	if s.col == nil {
+		return nil
+	}
+	return s.col.codec
+}
+
 // Row returns row i.
 func (s Snapshot) Row(i int) *Patch { return s.rows[i] }
 
@@ -642,15 +666,18 @@ func (s Snapshot) find(id PatchID, from int) (int, bool) {
 
 // load fills the row cache from the bucket, in key (= id) order, unless
 // it is loaded; an empty collection's cache is loaded and empty. Callers
-// hold c.mu: the one load path, which appends wait out.
+// hold c.mu: the one load path, which appends wait out. The rows it
+// decodes are the cache, so the scan leaves the pages it reads uncached,
+// and the rows take their declared values from slot arrays of loadBatch
+// rows each.
 func (c *Collection) load() error {
 	if c.cache != nil {
 		return nil
 	}
 	out := make([]*Patch, 0, c.count)
-	d := patchDecoder{codec: c.codec}
+	d := patchDecoder{codec: c.codec, batch: loadBatch}
 	var scanErr error
-	err := c.bucket.Scan(nil, nil, func(k, v []byte) bool {
+	err := c.bucket.ScanUncached(nil, nil, func(k, v []byte) bool {
 		if len(k) != 8 {
 			scanErr = errCorrupt
 			return false
@@ -672,6 +699,9 @@ func (c *Collection) load() error {
 	c.cache, c.count = out, len(out)
 	return nil
 }
+
+// loadBatch is how many loaded rows share one slot array.
+const loadBatch = 64
 
 // Columns returns the columnar projection of the collection's current
 // snapshot, building it lazily and upgrading whenever the version has

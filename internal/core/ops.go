@@ -169,7 +169,8 @@ func GroupCount(patches []*Patch, field string) []*Patch {
 // VecField extracts the float32 vector under field, or the Data payload
 // when field is "".
 func VecField(p *Patch, field string) ([]float32, error) {
-	vec, ok := vecOf(p, field)
+	rd := byName(field)
+	vec, ok := vecOf(p, &rd)
 	if !ok {
 		return nil, fmt.Errorf("core: patch %d has no vector under %q", p.ID, field)
 	}

@@ -42,24 +42,40 @@ type Ref struct {
 // n-dimensional dense payload (pixels or features), and typed metadata.
 //
 // A patch has two forms. A builder is what producers fill in: its
-// metadata is the Meta map. Sealing (Seal, or Append, which seals a
-// builder before it commits it) turns it into a committed row, whose
-// metadata is a key-sorted slice of pairs and whose Meta is nil. A
-// committed row is immutable: collections, snapshots, indexes and
-// replicas share it. Its lineage attributes _source and _frame are not
-// stored among the pairs; Get and Range answer them from Ref. Read
-// metadata through Get and Range, which serve both forms.
+// metadata is the Meta map. Sealing (Seal, a Sealer, or Append, which
+// seals a builder before it commits it) turns it into a committed row,
+// whose Meta is nil. A committed row holds the values of its schema's
+// declared fields by position, without their keys or kinds, and every
+// other entry as a key-sorted pair. It is immutable: collections,
+// snapshots, indexes and replicas share it. Its lineage attributes
+// _source and _frame are not stored with its metadata; Get and Range
+// answer them from Ref. Read metadata through Get and Range, which
+// serve both forms.
 type Patch struct {
 	ID   PatchID
 	Ref  Ref
 	Data *tensor.Tensor
 	Meta Metadata // the builder's metadata; nil once sealed
 
-	// pairs is a sealed patch's metadata, sorted by key, without the
-	// lineage keys. It is nil exactly while the patch is a builder: a
-	// sealed patch without other metadata holds an empty, non-nil slice.
+	// codec is the schema layout a committed row holds its metadata in,
+	// and nil exactly while the patch is a builder. decl points at the
+	// values of the codec's declared fields, in schema order, and pairs
+	// holds the other entries, sorted by key, without the lineage keys.
+	// A row sealed without a schema has the schemaFree codec: no
+	// declared value, every entry a pair.
+	codec *rowCodec
+	decl  *slot
 	pairs []Pair
 }
+
+// slot is a committed row's declared value: a Value without its kind,
+// which the row's codec fixes by position.
+type slot struct {
+	p unsafe.Pointer
+	n uint64
+}
+
+func (v Value) slot() slot { return slot{v.p, v.n} }
 
 // Pair is one metadata entry: a key and its value.
 type Pair struct {
@@ -75,11 +91,20 @@ const (
 )
 
 // sealed reports whether p is a committed row rather than a builder.
-func (p *Patch) sealed() bool { return p.pairs != nil }
+func (p *Patch) sealed() bool { return p.codec != nil }
+
+// declared returns a committed row's declared values, in schema order.
+func (p *Patch) declared() []slot { return unsafe.Slice(p.decl, len(p.codec.fields)) }
+
+// at returns a committed row's value of declared field i.
+func (p *Patch) at(i int) Value {
+	s := p.declared()[i]
+	return Value{p: s.p, n: s.n, Kind: p.codec.fields[i].Kind}
+}
 
 // Get returns the metadata value under name.
 func (p *Patch) Get(name string) (Value, bool) {
-	if p.pairs == nil {
+	if p.codec == nil {
 		v, ok := p.Meta[name]
 		return v, ok
 	}
@@ -88,6 +113,9 @@ func (p *Patch) Get(name string) (Value, bool) {
 		return IntV(int64(p.Ref.Frame)), true
 	case sourceKey:
 		return StrV(p.Ref.Source), true
+	}
+	if i := p.codec.pos(name); i >= 0 {
+		return p.at(i), true
 	}
 	if i := findPair(p.pairs, name); i >= 0 {
 		return p.pairs[i].Value, true
@@ -114,6 +142,35 @@ func findPair(ps []Pair, key string) int {
 	return -1
 }
 
+// fieldReader reads one field of many rows: by position from the rows
+// of one codec, the layout of the collection they were read from, and
+// by name from any other row.
+type fieldReader struct {
+	name  string
+	codec *rowCodec
+	pos   int // name's position in codec, or -1
+}
+
+// reader returns the reader of field name, which is declared in c or
+// not. A nil c reads every row by name.
+func (c *rowCodec) reader(name string) fieldReader {
+	if c == nil {
+		return byName(name)
+	}
+	return fieldReader{name: name, codec: c, pos: c.pos(name)}
+}
+
+// byName returns the reader of field name that reads every row by name.
+func byName(name string) fieldReader { return fieldReader{name: name, pos: -1} }
+
+// get returns p's value of the field, as p.Get does.
+func (r *fieldReader) get(p *Patch) (Value, bool) {
+	if p.codec == r.codec && r.pos >= 0 {
+		return p.at(r.pos), true
+	}
+	return p.Get(r.name)
+}
+
 // Range calls yield with each metadata entry in ascending key order,
 // until yield returns false. A committed row yields its lineage
 // attributes in their key positions.
@@ -126,9 +183,12 @@ func (p *Patch) Range(yield func(string, Value) bool) {
 	}
 }
 
-// entries appends the entries Range yields to dst, in its order.
+// entries appends the entries Range yields to dst, in its order: for a
+// committed row, a merge of its declared values in name order, its
+// pairs and its lineage attributes.
 func (p *Patch) entries(dst []Pair) []Pair {
-	if p.pairs == nil {
+	c := p.codec
+	if c == nil {
 		start := len(dst)
 		for k, v := range p.Meta {
 			dst = append(dst, Pair{k, v})
@@ -137,14 +197,25 @@ func (p *Patch) entries(dst []Pair) []Pair {
 		return dst
 	}
 	lineage := [2]Pair{{frameKey, IntV(int64(p.Ref.Frame))}, {sourceKey, StrV(p.Ref.Source)}}
-	l := 0
-	for i := range p.pairs {
-		for ; l < len(lineage) && lineage[l].Key < p.pairs[i].Key; l++ {
-			dst = append(dst, lineage[l])
+	d, u, l := 0, 0, 0
+	for d < len(c.order) || u < len(p.pairs) || l < len(lineage) {
+		var e Pair
+		switch {
+		case d < len(c.order) && (u == len(p.pairs) || c.fields[c.order[d]].Name < p.pairs[u].Key) &&
+			(l == len(lineage) || c.fields[c.order[d]].Name < lineage[l].Key):
+			i := c.order[d]
+			e = Pair{c.fields[i].Name, p.at(i)}
+			d++
+		case u < len(p.pairs) && (l == len(lineage) || p.pairs[u].Key < lineage[l].Key):
+			e = p.pairs[u]
+			u++
+		default:
+			e = lineage[l]
+			l++
 		}
-		dst = append(dst, p.pairs[i])
+		dst = append(dst, e)
 	}
-	return append(dst, lineage[l:]...)
+	return dst
 }
 
 // sortPairs sorts ps by key, stably. A row has a handful of keys, which
@@ -161,11 +232,10 @@ func sortPairs(ps []Pair) {
 	}
 }
 
-// Seal makes p a committed row whose metadata is entries: sorted by
-// key, the first of a repeated key kept and the lineage keys dropped,
-// since Get answers them from Ref. Meta is set to nil. entries becomes
-// p's: the caller must not touch its array afterwards.
-func (p *Patch) Seal(entries []Pair) {
+// sortEntries sorts entries by key in place, keeps the first of a
+// repeated key and drops the lineage keys, and returns what it kept.
+// The array past the kept entries is cleared.
+func sortEntries(entries []Pair) []Pair {
 	sortPairs(entries)
 	n := 0
 	for i := range entries {
@@ -179,10 +249,130 @@ func (p *Patch) Seal(entries []Pair) {
 		n++
 	}
 	clear(entries[n:])
-	if entries == nil {
-		entries = []Pair{}
+	return entries[:n]
+}
+
+// Seal makes p a committed row without a schema, whose metadata is
+// entries: sorted by key, the first of a repeated key kept and the
+// lineage keys dropped, since Get answers them from Ref. Meta is set to
+// nil. entries becomes p's: the caller must not touch its array
+// afterwards. A Sealer seals a row in its collection's layout instead.
+func (p *Patch) Seal(entries []Pair) {
+	p.Meta, p.codec, p.decl, p.pairs = nil, &schemaFree, nil, sortEntries(entries)
+}
+
+// Sealer seals rows in the layout of one collection's schema, the form
+// the collection's rows take when it loads them: the value of each
+// declared field in a slot, without key or kind, and only the other
+// entries as pairs. The rows of one Sealer take their slots from one
+// array. A Sealer is not safe for concurrent use.
+type Sealer struct {
+	schema Schema
+	codec  *rowCodec
+	slab   []slot // slots no row has taken yet
+}
+
+// NewSealer returns a Sealer for rows of schema, with slots for rows
+// rows, whose rows no collection reads by position: a collection's own
+// Sealer seals the rows it reads fastest.
+func NewSealer(schema Schema, rows int) *Sealer {
+	return newSealer(schema, newRowCodec(schema), rows)
+}
+
+func newSealer(schema Schema, c *rowCodec, rows int) *Sealer {
+	return &Sealer{schema: schema, codec: c, slab: make([]slot, rows*len(c.fields))}
+}
+
+// Schema returns the schema s seals rows of.
+func (s *Sealer) Schema() Schema { return s.schema }
+
+// Seal makes p a committed row whose metadata is entries, keyed as
+// Patch.Seal keeps them, in s's layout when entries hold every declared
+// field with its kind (and a fixed-dim vector with its dimension).
+// Otherwise p is sealed without a schema, and the schema's ValidatePatch
+// says what it lacks. Seal sorts entries in place, but their array stays
+// the caller's: p copies what it keeps.
+func (s *Sealer) Seal(p *Patch, entries []Pair) {
+	es := sortEntries(entries)
+	c := s.codec
+	nf := len(c.fields)
+	if len(s.slab) < nf {
+		s.slab = make([]slot, nf)
 	}
-	p.Meta, p.pairs = nil, entries[:n]
+	decl := s.slab[:nf:nf]
+	found := 0
+	for i := range es {
+		if k := c.pos(es[i].Key); k >= 0 {
+			if !fits(&c.fields[k], &es[i].Value) {
+				break
+			}
+			decl[k] = es[i].Value.slot()
+			found++
+		}
+	}
+	if found != nf {
+		clear(decl)
+		p.Seal(slices.Clone(es))
+		return
+	}
+	s.slab = s.slab[nf:]
+	var pairs []Pair
+	if len(es) > nf {
+		pairs = make([]Pair, 0, len(es)-nf)
+		for i := range es {
+			if c.pos(es[i].Key) < 0 {
+				pairs = append(pairs, es[i])
+			}
+		}
+	}
+	p.Meta, p.codec, p.decl, p.pairs = nil, c, nil, pairs
+	if nf > 0 {
+		p.decl = &decl[0]
+	}
+}
+
+// sealMeta seals the builder p in c's layout, straight from its Meta:
+// its declared values into one slot array and its other entries but
+// the lineage keys into pairs. It reports false, leaving p a builder,
+// when Meta lacks a declared field or holds one with another kind or
+// fixed dimension.
+func (c *rowCodec) sealMeta(p *Patch) bool {
+	nf := len(c.fields)
+	var decl []slot
+	if nf > 0 {
+		decl = make([]slot, nf)
+	}
+	found, rest := 0, 0
+	for k, v := range p.Meta {
+		switch i := c.pos(k); {
+		case i >= 0:
+			if !fits(&c.fields[i], &v) {
+				return false
+			}
+			decl[i] = v.slot()
+			found++
+		case k != frameKey && k != sourceKey:
+			rest++
+		}
+	}
+	if found != nf {
+		return false
+	}
+	var pairs []Pair
+	if rest > 0 {
+		pairs = make([]Pair, 0, rest)
+		for k, v := range p.Meta {
+			if k != frameKey && k != sourceKey && c.pos(k) < 0 {
+				pairs = append(pairs, Pair{k, v})
+			}
+		}
+		sortPairs(pairs)
+	}
+	p.Meta, p.codec, p.decl, p.pairs = nil, c, nil, pairs
+	if nf > 0 {
+		p.decl = &decl[0]
+	}
+	return true
 }
 
 // Builder returns p itself while p is a builder, and otherwise a new
@@ -190,10 +380,10 @@ func (p *Patch) Seal(entries []Pair) {
 // every entry p's Range yields: how a transformer adds fields to a
 // committed row's data without touching the row.
 func (p *Patch) Builder() *Patch {
-	if p.pairs == nil {
+	if p.codec == nil {
 		return p
 	}
-	b := &Patch{ID: p.ID, Ref: p.Ref, Data: p.Data, Meta: make(Metadata, len(p.pairs)+2)}
+	b := &Patch{ID: p.ID, Ref: p.Ref, Data: p.Data, Meta: make(Metadata, len(p.codec.fields)+len(p.pairs)+2)}
 	for k, v := range p.Range {
 		b.Meta[k] = v.clone()
 	}
@@ -434,7 +624,8 @@ var errCorrupt = errors.New("core: corrupt serialized patch")
 // id's uvarint instead, and ids start at 1, so that byte is never 0.
 const rowMarker = 0x00
 
-// rowCodec serializes the committed rows of one schema. A stored row is
+// rowCodec is the layout of the committed rows of one schema, in memory
+// and stored. A stored row is
 //
 //	[rowMarker][source][frame][parent][payload][declared values][n][n pairs]
 //
@@ -445,9 +636,10 @@ const rowMarker = 0x00
 // alone, and any other value as a pair writes it. The n pairs are the
 // undeclared entries in key order, each a key, a kind byte and a value.
 // The id is not stored, since it is the row's B-tree key, and neither
-// are the lineage attributes, which Ref holds.
+// are the lineage attributes, which Ref holds. In memory a row holds
+// the declared values in slots of the same order (see Patch).
 type rowCodec struct {
-	fields []Field // stored by position, in schema order: no lineage key, no repeat
+	fields []Field // held by position, in schema order: no lineage key, no repeat
 	order  []int   // the indices of fields in ascending name order
 }
 
@@ -472,11 +664,37 @@ func newRowCodec(s Schema) *rowCodec {
 	return c
 }
 
+// sameLayout reports whether c and o hold rows alike: the same names,
+// kinds and fixed dimensions, in the same positions.
+func (c *rowCodec) sameLayout(o *rowCodec) bool {
+	return slices.EqualFunc(c.fields, o.fields, func(f, g Field) bool {
+		return f.Name == g.Name && f.Kind == g.Kind && f.VecDim == g.VecDim
+	})
+}
+
+// pos returns the position of the declared field name, or -1.
+func (c *rowCodec) pos(name string) int {
+	o := c.order
+	lo, hi := 0, len(o)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.fields[o[m]].Name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(o) && c.fields[o[lo]].Name == name {
+		return o[lo]
+	}
+	return -1
+}
+
 // fixedDim reports whether f's vectors are stored without their length.
 func fixedDim(f *Field) bool { return f.Kind == KindVec && f.VecDim > 0 }
 
 // fits reports whether v has f's kind and, for a fixed-dim vector, its
-// dimension: what a declared value must satisfy to be stored, or loaded.
+// dimension: what a declared value must satisfy to be held by position.
 func fits(f *Field, v *Value) bool {
 	return v.Kind == f.Kind && (!fixedDim(f) || v.n == uint64(f.VecDim))
 }
@@ -493,10 +711,11 @@ func (p *Patch) Marshal() []byte {
 // field that p lacks, or holds with another kind or dimension, is an
 // error: Append validates a row before it encodes it.
 func (c *rowCodec) encode(p *Patch) ([]byte, error) {
-	es := p.pairs
-	if es == nil {
-		var arr [16]Pair
-		es = slices.DeleteFunc(p.entries(arr[:0]), func(e Pair) bool { return e.Key == frameKey || e.Key == sourceKey })
+	var declArr [16]slot
+	var restArr [16]Pair
+	decl, rest, err := c.split(p, declArr[:0], restArr[:0])
+	if err != nil {
+		return nil, err
 	}
 	n := 1 + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
 	dataLen := 0
@@ -504,44 +723,13 @@ func (c *rowCodec) encode(p *Patch) ([]byte, error) {
 		dataLen = p.Data.MarshalSize()
 	}
 	n += uvarintLen(uint64(dataLen)) + dataLen
-	// at[i] is the index in es of declared field i, found by one merge
-	// of the key-sorted entries with the declared names in key order. A
-	// schema of more than 16 fields pays one more allocation for it.
-	var arr [16]int
-	at := arr[:]
-	if len(c.fields) > len(arr) {
-		at = make([]int, len(c.fields))
+	for i := range c.fields {
+		n += declaredLen(&c.fields[i], decl[i])
 	}
-	k := 0
-	for _, i := range c.order {
-		f := &c.fields[i]
-		for k < len(es) && es[k].Key < f.Name {
-			k++
-		}
-		if k == len(es) || es[k].Key != f.Name {
-			return nil, fmt.Errorf("core: patch missing declared field %q", f.Name)
-		}
-		switch v := &es[k].Value; {
-		case v.Kind != f.Kind:
-			return nil, fmt.Errorf("core: field %q has kind %v, schema declares %v", f.Name, v.Kind, f.Kind)
-		case !fits(f, v):
-			return nil, fmt.Errorf("core: field %q vector dim %d, schema declares %d", f.Name, v.n, f.VecDim)
-		}
-		n += declaredLen(f, &es[k].Value)
-		at[i] = k
-		k++
+	n += uvarintLen(uint64(len(rest)))
+	for i := range rest {
+		n += strLen(rest[i].Key) + 1 + valueLen(&rest[i].Value)
 	}
-	// The declared entries are at[c.order[0]] < at[c.order[1]] < …, so
-	// one cursor over c.order skips them in a walk of es.
-	undeclared := len(es) - len(c.fields)
-	for i, j := 0, 0; i < len(es); i++ {
-		if j < len(c.order) && at[c.order[j]] == i {
-			j++
-			continue
-		}
-		n += strLen(es[i].Key) + 1 + valueLen(&es[i].Value)
-	}
-	n += uvarintLen(uint64(undeclared))
 
 	buf := make([]byte, 0, n)
 	buf = append(buf, rowMarker)
@@ -553,18 +741,42 @@ func (c *rowCodec) encode(p *Patch) ([]byte, error) {
 		buf = p.Data.AppendMarshal(buf)
 	}
 	for i := range c.fields {
-		buf = appendDeclared(buf, &c.fields[i], &es[at[i]].Value)
+		buf = appendDeclared(buf, &c.fields[i], decl[i])
 	}
-	buf = binary.AppendUvarint(buf, uint64(undeclared))
-	for i, j := 0, 0; i < len(es); i++ {
-		if j < len(c.order) && at[c.order[j]] == i {
-			j++
-			continue
-		}
-		v := &es[i].Value
-		buf = appendValue(append(appendStr(buf, es[i].Key), byte(v.Kind)), v)
+	buf = binary.AppendUvarint(buf, uint64(len(rest)))
+	for i := range rest {
+		v := &rest[i].Value
+		buf = appendValue(append(appendStr(buf, rest[i].Key), byte(v.Kind)), v)
 	}
 	return buf, nil
+}
+
+// split returns p's metadata in c's layout: the values of c's declared
+// fields in schema order, and every other entry but the lineage keys in
+// key order. A committed row of c holds exactly these. Any other patch
+// is read by name, appending to decl and rest: a declared field it
+// lacks, or holds with another kind or dimension, is an error.
+func (c *rowCodec) split(p *Patch, decl []slot, rest []Pair) ([]slot, []Pair, error) {
+	if p.codec == c {
+		return p.declared(), p.pairs, nil
+	}
+	for i := range c.fields {
+		f := &c.fields[i]
+		v, ok := p.Get(f.Name)
+		switch {
+		case !ok:
+			return nil, nil, fmt.Errorf("core: patch missing declared field %q", f.Name)
+		case v.Kind != f.Kind:
+			return nil, nil, fmt.Errorf("core: field %q has kind %v, schema declares %v", f.Name, v.Kind, f.Kind)
+		case !fits(f, &v):
+			return nil, nil, fmt.Errorf("core: field %q vector dim %d, schema declares %d", f.Name, v.n, f.VecDim)
+		}
+		decl = append(decl, v.slot())
+	}
+	rest = slices.DeleteFunc(p.entries(rest), func(e Pair) bool {
+		return e.Key == frameKey || e.Key == sourceKey || c.pos(e.Key) >= 0
+	})
+	return decl, rest, nil
 }
 
 // valueLen is the length of v's encoding in a pair, after its kind byte.
@@ -593,26 +805,28 @@ func appendValue(buf []byte, v *Value) []byte {
 	return buf
 }
 
-// declaredLen is the length of v's encoding as field f's declared value.
-func declaredLen(f *Field, v *Value) int {
+// declaredLen is the length of s's encoding as field f's declared value.
+func declaredLen(f *Field, s slot) int {
 	switch {
 	case f.Kind == KindFloat:
 		return 8
 	case fixedDim(f):
 		return 4 * f.VecDim
 	}
-	return valueLen(v)
+	v := Value{p: s.p, n: s.n, Kind: f.Kind}
+	return valueLen(&v)
 }
 
-// appendDeclared appends v's encoding as field f's declared value.
-func appendDeclared(buf []byte, f *Field, v *Value) []byte {
+// appendDeclared appends s's encoding as field f's declared value.
+func appendDeclared(buf []byte, f *Field, s slot) []byte {
+	v := Value{p: s.p, n: s.n, Kind: f.Kind}
 	switch {
 	case f.Kind == KindFloat:
 		return binary.LittleEndian.AppendUint64(buf, v.n)
 	case fixedDim(f):
 		return appendFloats(buf, v.Vec())
 	}
-	return appendValue(buf, v)
+	return appendValue(buf, &v)
 }
 
 func appendFloats(buf []byte, vec []float32) []byte {
@@ -639,10 +853,11 @@ func UnmarshalPatch(id PatchID, buf []byte) (*Patch, error) {
 	return d.decode(id, buf)
 }
 
-// patchDecoder parses the stored rows of one codec into committed rows.
-// One decoder reads a whole collection on load, so its rows share
-// strings: a declared key is the schema's own string, and a row whose
-// source equals the previous row's reuses that string.
+// patchDecoder parses the stored rows of one codec into committed rows
+// of that codec. One decoder reads a whole collection on load, so its
+// rows share strings and slot arrays: a declared key is the schema's
+// own string, a row whose source equals the previous row's reuses that
+// string, and each slot array holds the declared values of batch rows.
 //
 // It reads two forms: the positional one rowCodec writes, and the keyed
 // one rows were stored in before, which begins with the id's uvarint and
@@ -653,9 +868,10 @@ func UnmarshalPatch(id PatchID, buf []byte) (*Patch, error) {
 // dimension, as ValidatePatch promised when the row was appended.
 type patchDecoder struct {
 	codec   *rowCodec
+	batch   int // rows each slot array holds (one when 0)
 	source  string
-	decl    []Value // a positional row's declared values, in schema order
-	scratch []Pair  // the row's pairs, copied out exactly sized
+	slab    []slot // slots no row has taken yet
+	scratch []Pair // the row's pairs, copied out exactly sized
 	buf     []byte
 	pos     int
 }
@@ -738,14 +954,18 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 		}
 	}
 	c := d.codec
-	decl := d.decl[:0]
+	nf := len(c.fields)
+	if len(d.slab) < nf {
+		d.slab = make([]slot, nf*max(d.batch, 1))
+	}
+	decl := d.slab[:nf:nf]
 	if !keyed {
 		for i := range c.fields {
 			v, err := d.declared(&c.fields[i])
 			if err != nil {
 				return nil, err
 			}
-			decl = append(decl, v)
+			decl[i] = v.slot()
 		}
 	}
 	nmeta, err := d.uvarint()
@@ -753,6 +973,7 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 		return nil, err
 	}
 	pairs := d.scratch[:0]
+	found := 0
 	var prev []byte
 	for i := uint64(0); i < nmeta; i++ {
 		kb, err := d.bytes()
@@ -779,38 +1000,31 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 				return nil, errCorrupt
 			}
 		default:
-			key, pos := d.key(kb)
-			if pos >= 0 && !keyed {
-				return nil, errCorrupt // a declared value stored twice
+			switch key, pos := d.key(kb); {
+			case pos < 0:
+				pairs = append(pairs, Pair{key, v})
+			case !keyed || !fits(&c.fields[pos], &v):
+				return nil, errCorrupt // a declared value stored twice, or breaking its schema
+			default:
+				decl[pos] = v.slot()
+				found++
 			}
-			pairs = append(pairs, Pair{key, v})
 		}
 	}
-	if keyed {
-		for i := range c.fields {
-			if k := findPair(pairs, c.fields[i].Name); k < 0 || !fits(&c.fields[i], &pairs[k].Value) {
-				return nil, errCorrupt
-			}
-		}
+	if keyed && found != nf {
+		return nil, errCorrupt
+	}
+	p.codec = c
+	if nf > 0 {
+		p.decl = &decl[0]
+		d.slab = d.slab[nf:]
+	}
+	if len(pairs) > 0 {
 		p.pairs = make([]Pair, len(pairs))
 		copy(p.pairs, pairs)
-	} else {
-		// Merge the declared values into the pairs, in key order.
-		p.pairs = make([]Pair, 0, len(decl)+len(pairs))
-		j := 0
-		for _, i := range c.order {
-			name := c.fields[i].Name
-			for ; j < len(pairs) && pairs[j].Key < name; j++ {
-				p.pairs = append(p.pairs, pairs[j])
-			}
-			p.pairs = append(p.pairs, Pair{name, decl[i]})
-		}
-		p.pairs = append(p.pairs, pairs[j:]...)
 	}
 	clear(pairs)
 	d.scratch = pairs[:0]
-	clear(decl)
-	d.decl = decl[:0]
 	return p, nil
 }
 
@@ -863,15 +1077,24 @@ func (d *patchDecoder) floats(k ValueKind, l uint64) (Value, error) {
 }
 
 // Clone deep-copies a patch (shared tensors are copied too), in its
-// form: a committed row's clone is sealed.
+// form: a committed row's clone is sealed in the same layout.
 func (p *Patch) Clone() *Patch {
-	c := &Patch{ID: p.ID, Ref: p.Ref}
-	if p.pairs == nil {
+	c := &Patch{ID: p.ID, Ref: p.Ref, codec: p.codec}
+	if p.codec == nil {
 		c.Meta = p.Meta.Clone()
 	} else {
-		c.pairs = make([]Pair, len(p.pairs))
-		for i, e := range p.pairs {
-			c.pairs[i] = Pair{e.Key, e.Value.clone()}
+		if nf := len(p.codec.fields); nf > 0 {
+			decl := make([]slot, nf)
+			for i := range decl {
+				decl[i] = p.at(i).clone().slot()
+			}
+			c.decl = &decl[0]
+		}
+		if len(p.pairs) > 0 {
+			c.pairs = make([]Pair, len(p.pairs))
+			for i, e := range p.pairs {
+				c.pairs[i] = Pair{e.Key, e.Value.clone()}
+			}
 		}
 	}
 	if p.Data != nil {

@@ -329,8 +329,9 @@ func TestStoredRowBreakingSchemaIsCorrupt(t *testing.T) {
 
 // TestPatchMarshalAllocatesOnce: the encoding is sized before it is
 // written, so encoding a patch with a payload and a few metadata fields
-// of every kind, builder or sealed, schema-free or under a schema that
-// declares a field of every kind, allocates exactly its output.
+// of every kind, builder or sealed (without a schema or in the layout
+// of one), schema-free or under a schema that declares a field of every
+// kind, allocates exactly its output.
 func TestPatchMarshalAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -361,8 +362,12 @@ func TestPatchMarshalAllocatesOnce(t *testing.T) {
 		{Name: "hist", Kind: KindVec},
 		{Name: "bbox", Kind: KindRect},
 	}})
+	laid := p.Clone() // sealed in declared's layout
+	if !declared.sealMeta(laid) {
+		t.Fatal("the patch does not fit its schema")
+	}
 	for _, c := range []*rowCodec{&schemaFree, declared} {
-		for _, q := range []*Patch{p, sealed} {
+		for _, q := range []*Patch{p, sealed, laid} {
 			var out []byte
 			if allocs := testing.AllocsPerRun(100, func() { out, _ = c.encode(q) }); allocs != 1 {
 				t.Fatalf("encode (%d declared, sealed %v): %.0f allocations, want 1", len(c.fields), q.sealed(), allocs)

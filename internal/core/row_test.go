@@ -8,12 +8,26 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/kv"
 	"repro/internal/tensor"
 )
+
+// metaPairs lists m's entries but the lineage keys, which sealing drops,
+// in an array of exactly their number: what Seal takes to commit a
+// builder's metadata without a schema.
+func metaPairs(m Metadata) []Pair {
+	pairs := make([]Pair, 0, len(m))
+	for k, v := range m {
+		if k != frameKey && k != sourceKey {
+			pairs = append(pairs, Pair{k, v})
+		}
+	}
+	return pairs
+}
 
 // rangePairs lists the entries p's Range yields, in its order.
 func rangePairs(p *Patch) []Pair {
@@ -232,24 +246,13 @@ func TestReopenParity(t *testing.T) {
 	}
 }
 
-// TestCommittedRowBytes: a committed fixture-shaped row (three declared
-// fields, lineage from Ref) costs at most 240 bytes of live heap once the
-// rows are flushed, the kv pages that held its bytes until then included.
-func TestCommittedRowBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation sizes")
-	}
-	const rows, limit = 20000, 240
-	labels := make([]string, 16)
-	for i := range labels {
-		labels[i] = fmt.Sprintf("cls%02d", i)
-	}
+// committedRowBytes appends rows builders to a new collection of
+// fields, flushes it, and returns the live heap each committed row
+// costs, the kv pages that held its bytes until the flush included.
+func committedRowBytes(t *testing.T, fields []Field, rows int, meta func(i int, rng *rand.Rand) Metadata) float64 {
+	t.Helper()
 	db := openDB(t)
-	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: []Field{
-		{Name: "label", Kind: KindStr},
-		{Name: "score", Kind: KindFloat},
-		{Name: "rank", Kind: KindInt},
-	}})
+	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: fields})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +265,7 @@ func TestCommittedRowBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	start := heap()
 	for i := 0; i < rows; i++ {
-		p := &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}, Meta: Metadata{
-			"label": StrV(labels[rng.Intn(len(labels))]),
-			"score": FloatV(rng.Float64()),
-			"rank":  IntV(int64(rng.Intn(1009))),
-		}}
+		p := &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}, Meta: meta(i, rng)}
 		if err := col.Append(p); err != nil {
 			t.Fatal(err)
 		}
@@ -274,12 +273,75 @@ func TestCommittedRowBytes(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	perRow := float64(heap()-start) / rows
+	perRow := float64(heap()-start) / float64(rows)
+	runtime.KeepAlive(col)
+	return perRow
+}
+
+// fixtureFields are the benchmark fixture's three declared fields.
+var fixtureFields = []Field{
+	{Name: "label", Kind: KindStr},
+	{Name: "score", Kind: KindFloat},
+	{Name: "rank", Kind: KindInt},
+}
+
+// fixtureMeta is a fixture-shaped row's metadata.
+func fixtureMeta(labels []string, rng *rand.Rand) Metadata {
+	return Metadata{
+		"label": StrV(labels[rng.Intn(len(labels))]),
+		"score": FloatV(rng.Float64()),
+		"rank":  IntV(int64(rng.Intn(1009))),
+	}
+}
+
+// TestCommittedRowBytes: a committed fixture-shaped row (three declared
+// fields, lineage from Ref) costs at most 160 bytes of live heap once the
+// rows are flushed: a Patch, three 16-byte slots for its declared values
+// and its pointer in the row cache. Before rows held their declared
+// values by position it cost 216.
+func TestCommittedRowBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const rows, limit = 20000, 160
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("cls%02d", i)
+	}
+	perRow := committedRowBytes(t, fixtureFields, rows, func(_ int, rng *rand.Rand) Metadata { return fixtureMeta(labels, rng) })
 	t.Logf("%.0f B of live heap per committed row", perRow)
 	if perRow > limit {
 		t.Fatalf("%.0f B of live heap per committed row, want at most %d", perRow, limit)
 	}
-	runtime.KeepAlive(col)
+}
+
+// TestCommittedVectorRowBytes: a committed row of the ingest_live shape
+// (the fixture's fields and a declared 32-d embedding) costs at most 176
+// bytes of live heap besides its vector's own 128-byte array. Before rows
+// held their declared values by position it cost 248.
+func TestCommittedVectorRowBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const rows, dim, limit = 20000, 32, 176
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("cls%02d", i)
+	}
+	fields := append(slices.Clone(fixtureFields), Field{Name: "emb", Kind: KindVec, VecDim: dim})
+	perRow := committedRowBytes(t, fields, rows, func(_ int, rng *rand.Rand) Metadata {
+		m := fixtureMeta(labels, rng)
+		emb := make([]float32, dim)
+		for j := range emb {
+			emb[j] = rng.Float32()
+		}
+		m["emb"] = VecV(emb)
+		return m
+	}) - 4*dim
+	t.Logf("%.0f B of live heap per committed row besides its vector", perRow)
+	if perRow > limit {
+		t.Fatalf("%.0f B of live heap per committed row besides its vector, want at most %d", perRow, limit)
+	}
 }
 
 // TestStoredRowBytes: a stored fixture-shaped row (three declared
@@ -386,5 +448,58 @@ func TestFlushedCollectionReadsNoPage(t *testing.T) {
 	}
 	if c := pager.CachedPages(); c != 0 {
 		t.Fatalf("reads of a flushed collection cached %d pages, want 0", c)
+	}
+}
+
+// TestReopenedLoadCachesNoLeaf: a reopened collection's first load reads
+// its rows through the pager without caching the pages it reads, so the
+// pager caches no more than the catalog and the bucket directory took,
+// not one page per leaf; and the loaded rows read as committed.
+func TestReopenedLoadCachesNoLeaf(t *testing.T) {
+	const rows = 20000
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("rows", Schema{Fields: fixtureFields})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{
+			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
+			"score": FloatV(float64(i%1000) / 1000),
+			"rank":  IntV(int64(i % 1009)),
+		}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := col.Patches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopenDB(t, path)
+	pager := db.Store().Pager()
+	if col, err = db.Collection("rows"); err != nil {
+		t.Fatal(err)
+	}
+	opened := pager.CachedPages()
+	after, err := col.Patches()
+	if err != nil || len(after) != rows {
+		t.Fatalf("reopened %d rows, %v", len(after), err)
+	}
+	for i := range after {
+		if err := samePatch(before[i], after[i]); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	if cached := pager.CachedPages(); cached > opened+4 {
+		t.Fatalf("loading %d rows from a %d-page file cached %d pages (%d after the open), want at most 4 more",
+			rows, pager.NumPages(), cached, opened)
 	}
 }

@@ -158,6 +158,9 @@ func OpenShardedReplicas(dir string, n, r int, dev exec.Device) (*Sharded, error
 				s.closeOpened()
 				return nil, fmt.Errorf("core: open shard %d replica %d: %w", i, j, err)
 			}
+			if i+j > 0 {
+				db.codecs = s.reps[0][0].codecs
+			}
 			s.reps[i][j] = db
 		}
 		s.shards[i] = s.reps[i][0]
@@ -216,6 +219,7 @@ func newSharded(dir string, n, r int) *Sharded {
 func WrapSharded(shards ...*DB) *Sharded {
 	s := newSharded("", len(shards), 1)
 	for i, db := range shards {
+		db.codecs = shards[0].codecs
 		s.shards[i] = db
 		s.reps[i][0] = db
 	}
@@ -584,6 +588,10 @@ func (c *ShardedCollection) Name() string { return c.name }
 
 // Schema returns the collection's schema.
 func (c *ShardedCollection) Schema() Schema { return c.schema }
+
+// Sealer returns a Sealer of rows in the collection's layout, which
+// every shard and replica shares, with slots for rows rows.
+func (c *ShardedCollection) Sealer(rows int) *Sealer { return c.cols[0][0].Sealer(rows) }
 
 // Shards returns the partition count.
 func (c *ShardedCollection) Shards() int { return len(c.cols) }

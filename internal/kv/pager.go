@@ -129,24 +129,46 @@ func (p *Pager) Read(id uint64) ([]byte, error) {
 }
 
 func (p *Pager) readLocked(id uint64) ([]byte, error) {
+	buf, cached, err := p.readInto(nil, id)
+	if err == nil && !cached {
+		p.insertCache(id, buf, false)
+	}
+	return buf, err
+}
+
+// ReadInto returns page id as Read does while the page is cached (dirty,
+// or read by another caller), and otherwise reads it from the file into
+// dst, PageSize bytes the caller reuses, without caching it: how a scan
+// that reads each page once leaves the cache as it found it.
+func (p *Pager) ReadInto(dst []byte, id uint64) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	buf, _, err := p.readInto(dst, id)
+	return buf, err
+}
+
+// readInto returns page id's cached buffer, or reads the page into dst
+// (a new page when nil), reporting which.
+func (p *Pager) readInto(dst []byte, id uint64) (buf []byte, cached bool, err error) {
 	if p.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	if id == 0 || id >= p.npages {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrBadPage, id, p.npages)
+		return nil, false, fmt.Errorf("%w: %d (have %d)", ErrBadPage, id, p.npages)
 	}
 	p.reads.Add(1)
 	if cp, ok := p.cache[id]; ok {
 		p.clock++
 		cp.used = p.clock
-		return cp.buf, nil
+		return cp.buf, true, nil
 	}
-	buf := make([]byte, PageSize)
-	if _, err := p.f.ReadAt(buf, int64(id)*PageSize); err != nil {
-		return nil, err
+	if len(dst) != PageSize {
+		dst = make([]byte, PageSize)
 	}
-	p.insertCache(id, buf, false)
-	return buf, nil
+	if _, err := p.f.ReadAt(dst, int64(id)*PageSize); err != nil {
+		return nil, false, err
+	}
+	return dst, false, nil
 }
 
 // Write stores buf (length PageSize) as the contents of page id. It

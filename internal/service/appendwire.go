@@ -71,6 +71,7 @@ type appendDecoder struct {
 	fields []wireField // every meta member, in body order
 	slots  []int       // the "patches" elements' specs indexes
 	order  []int       // scratch: one spec's members, sorted by key
+	pairs  []core.Pair // scratch: one spec's metadata, for its Sealer
 	nslots int         // the "patches" length; slots past it are kept
 	patch  int         // the "patch" spec's index, or -1
 
@@ -128,6 +129,7 @@ func readAll(b []byte, r io.Reader) ([]byte, error) {
 func (d *appendDecoder) release() {
 	clear(d.specs)
 	clear(d.fields)
+	clear(d.pairs[:cap(d.pairs)])
 	d.collection, d.lastStr = "", ""
 	if d.poolable() {
 		appendDecoders.Put(d)
@@ -137,7 +139,7 @@ func (d *appendDecoder) release() {
 // poolable reports whether every buffer of d is within maxPooledBytes.
 func (d *appendDecoder) poolable() bool {
 	return max(cap(d.body), cap(d.name), cap(d.text), capBytes(d.vals),
-		capBytes(d.specs), capBytes(d.fields), capBytes(d.slots), capBytes(d.order)) <= maxPooledBytes
+		capBytes(d.specs), capBytes(d.fields), capBytes(d.slots), capBytes(d.order), capBytes(d.pairs)) <= maxPooledBytes
 }
 
 // capBytes is the size of s's backing array.
@@ -166,21 +168,15 @@ func (d *appendDecoder) specAt(i int) *wireSpec {
 	return &d.specs[d.slots[i]]
 }
 
-// patches builds the decoded batch against schema as committed rows.
-// A row costs its copied strings; the batch's rows share one array of
-// Patches, one of metadata pairs and one float32 array for every
-// vector.
-func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
+// build seals the decoded batch as committed rows through s, against
+// its schema. A row costs its copied strings; the batch's rows share
+// one array of Patches, the slot array of s and one float32 array for
+// every vector.
+func (d *appendDecoder) build(s *core.Sealer) ([]*core.Patch, error) {
+	schema := s.Schema()
 	n := d.count()
 	vecs := make([]float32, len(d.vals))
 	copy(vecs, d.vals)
-	members := 0
-	for i := 0; i < n; i++ {
-		for fi := d.specAt(i).last; fi >= 0; fi = d.fields[fi].prev {
-			members++
-		}
-	}
-	pairs := make([]core.Pair, 0, members)
 	rows := make([]core.Patch, n)
 	out := make([]*core.Patch, n)
 	for i := range out {
@@ -194,7 +190,7 @@ func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
 			d.order = append(d.order, fi)
 		}
 		slices.SortStableFunc(d.order, func(a, b int) int { return bytes.Compare(d.key(a), d.key(b)) })
-		start := len(pairs)
+		pairs := d.pairs[:0]
 		for j, fi := range d.order {
 			key := d.key(fi)
 			if j > 0 && bytes.Equal(key, d.key(d.order[j-1])) {
@@ -212,7 +208,8 @@ func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
 			}
 			pairs = append(pairs, core.Pair{Key: name, Value: v})
 		}
-		p.Seal(pairs[start:len(pairs):len(pairs)])
+		d.pairs = pairs
+		s.Seal(p, pairs)
 		if err := checkPatch(schema, p); err != nil {
 			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
 		}

@@ -8,12 +8,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 )
 
 // fuzzSchemas are the schemas every body the differential fuzzer
@@ -260,5 +262,73 @@ func TestAppendRejectsFrameBeyondInt64(t *testing.T) {
 	}
 	if got := mustQuery(t, svc, Request{Collection: shardTestCol, NoCache: true}).Value; got != 11 {
 		t.Fatalf("%d rows after the appends, want 11", got)
+	}
+}
+
+// TestAppendedRowBytes: a fixture-shaped row (three declared fields)
+// committed through /append costs at most 176 bytes of live heap once
+// the rows are flushed: its share of the batch's array of Patches, of
+// the slot array its declared values take (the collection's Sealer
+// gives a batch one), its copied label and its pointer in the row cache.
+// Before /append sealed against the collection's layout, the batch's
+// rows held their metadata as keyed pairs, at ~216 bytes a row.
+func TestAppendedRowBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const batches, limit = 200, 176
+	db, err := core.Open(filepath.Join(t.TempDir(), "rows.db"), exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateCollection("c", core.Schema{Fields: []core.Field{
+		{Name: "label", Kind: core.KindStr},
+		{Name: "score", Kind: core.KindFloat},
+		{Name: "rank", Kind: core.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(db, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	post := func(b int) {
+		var body strings.Builder
+		body.WriteString(`{"collection":"c","patches":[`)
+		for i := 0; i < 64; i++ {
+			if i > 0 {
+				body.WriteByte(',')
+			}
+			fmt.Fprintf(&body, `{"source":"cam","frame":%d,"meta":{"label":"cls%02d","score":0.%d,"rank":%d}}`, b*64+i, (b+i)%16, i, b%1009)
+		}
+		body.WriteString(`]}`)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/append", strings.NewReader(body.String())))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", b, rec.Code, rec.Body)
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	post(0) // loads the collection and warms the pools
+	start := heap()
+	for b := 1; b <= batches; b++ {
+		post(b)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(heap()-start) / (batches * 64)
+	runtime.KeepAlive(svc)
+	t.Logf("%.0f B of live heap per row committed through /append", perRow)
+	if perRow > limit {
+		t.Fatalf("%.0f B of live heap per row committed through /append, want at most %d", perRow, limit)
 	}
 }

@@ -356,7 +356,7 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, httpError{"bad append body: " + err.Error()})
 		return
 	}
-	resp, err := s.appendPatches(r.Context(), d.collection, d.count(), d.patches)
+	resp, err := s.appendPatches(r.Context(), d.collection, d.count(), d.build)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, resp)

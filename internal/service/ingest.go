@@ -86,10 +86,10 @@ func (r *AppendRequest) specs() []PatchSpec {
 // routes to its hash-designated home shard via core.Sharded placement.
 func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendResponse, error) {
 	specs := req.specs()
-	return s.appendPatches(ctx, req.Collection, len(specs), func(schema core.Schema) ([]*core.Patch, error) {
+	return s.appendPatches(ctx, req.Collection, len(specs), func(sl *core.Sealer) ([]*core.Patch, error) {
 		patches := make([]*core.Patch, len(specs))
 		for i, sp := range specs {
-			p, err := sp.patch(schema)
+			p, err := sp.patch(sl)
 			if err != nil {
 				return nil, fmt.Errorf("service: append patch %d: %w", i, err)
 			}
@@ -103,9 +103,9 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 // Go API's AppendRequest and /append's body decoder. It rejects in a
 // fixed order — closed service, canceled context, no collection or no
 // patches, a full append gate (429), an unknown collection (404) — and
-// only then calls build, which converts the n patches against the
-// collection's schema, and commits what it returns.
-func (s *Service) appendPatches(ctx context.Context, collection string, n int, build func(core.Schema) ([]*core.Patch, error)) (*AppendResponse, error) {
+// only then calls build, which seals the n patches through a Sealer of
+// the collection's, against its schema, and commits what it returns.
+func (s *Service) appendPatches(ctx context.Context, collection string, n int, build func(*core.Sealer) ([]*core.Patch, error)) (*AppendResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -134,7 +134,7 @@ func (s *Service) appendPatches(ctx context.Context, collection string, n int, b
 	}
 
 	start := time.Now()
-	patches, err := build(sc.Schema())
+	patches, err := build(sc.Sealer(n))
 	if err != nil {
 		return nil, err
 	}
@@ -177,8 +177,9 @@ func (s *Service) noteAppended(collection string, n int) {
 }
 
 // patch converts a spec against the collection schema into a committed
-// row.
-func (sp PatchSpec) patch(schema core.Schema) (*core.Patch, error) {
+// row, which s seals.
+func (sp PatchSpec) patch(s *core.Sealer) (*core.Patch, error) {
+	schema := s.Schema()
 	p := &core.Patch{Ref: core.Ref{Source: sp.Source, Frame: sp.Frame, Parent: core.PatchID(sp.Parent)}}
 	pairs := make([]core.Pair, 0, len(sp.Meta))
 	for k, v := range sp.Meta {
@@ -188,7 +189,7 @@ func (sp PatchSpec) patch(schema core.Schema) (*core.Patch, error) {
 		}
 		pairs = append(pairs, core.Pair{Key: k, Value: val})
 	}
-	p.Seal(pairs)
+	s.Seal(p, pairs)
 	if err := checkPatch(schema, p); err != nil {
 		return nil, err
 	}

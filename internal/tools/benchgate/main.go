@@ -1,14 +1,19 @@
-// Command benchgate gates a short benchmark run on counts. It compares
+// Command benchgate gates short benchmark runs on counts. It compares
 // the --out document of a fresh run with the CI-length runs committed in
-// the newest BENCH_<n>.json beside BENCHMARK.json, at the bounds
-// BENCHMARK.json declares, for alloc_kb_per_op, heap_live_mb and
-// disk_bytes_per_row only: timings are never gated. A run fails a
-// (workload, metric) pair when it is worse than the committed runs'
-// median by more than the bound. A pair whose committed runs spread by
-// more than half its bound is printed as ungated, with its spread.
+// the newest BENCH_<n>.json beside BENCHMARK.json. An untraced run is
+// gated on alloc_kb_per_op, heap_live_mb and disk_bytes_per_row, at the
+// bounds BENCHMARK.json declares, against the committed "ci" runs. A
+// traced run (--trace 1) is gated on five per-layer counts (tracedMetrics),
+// at the alloc_kb_per_op bound, against the committed "ci_traced" runs.
+// Timings are never gated. A run fails a (workload, metric) pair when it
+// is worse than the committed runs' median by more than the bound; a
+// count the committed runs all read 0 fails at any nonzero value. A pair
+// whose committed runs spread by more than half its bound is printed as
+// ungated, with its spread.
 //
 //	bash benchmark/run.sh --seconds 1 --out run.json
-//	go run ./internal/tools/benchgate run.json
+//	bash benchmark/run.sh --seconds 1 --trace 1 --out traced.json
+//	go run ./internal/tools/benchgate run.json traced.json
 package main
 
 import (
@@ -17,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,8 +30,23 @@ import (
 	"strings"
 )
 
-// gatedMetrics are the host-independent counts the gate compares.
+// gatedMetrics are the host-independent end-to-end counts the gate
+// compares in an untraced run.
 var gatedMetrics = []string{"alloc_kb_per_op", "heap_live_mb", "disk_bytes_per_row"}
+
+// tracedMetrics are the per-layer counts the gate compares in a traced
+// run, each at the bound of tracedBound.
+var tracedMetrics = []string{
+	"core.segment_loads_per_op",
+	"core.rows_scanned_per_op",
+	"kv.pager_reads_per_op",
+	"service.result_cache_invalidated_per_append",
+	"service.resp_bytes_per_op",
+}
+
+// tracedBound names the end-to-end metric whose bound the traced counts
+// take: like it, they count work per operation.
+const tracedBound = "alloc_kb_per_op"
 
 // bound is one end-to-end metric of BENCHMARK.json.
 type bound struct {
@@ -37,6 +58,7 @@ type bound struct {
 // document is the part of a benchmark --out document the gate reads.
 type document struct {
 	Seconds   float64    `json:"seconds"`
+	Trace     bool       `json:"trace"`
 	Workloads []workload `json:"workloads"`
 }
 
@@ -50,10 +72,11 @@ type workload struct {
 }
 
 // trajectory is the part of a committed BENCH_<n>.json the gate reads:
-// the change's CI-length runs.
+// the change's CI-length runs, untraced and traced.
 type trajectory struct {
 	Change struct {
-		CI []document `json:"ci"`
+		CI       []document `json:"ci"`
+		CITraced []document `json:"ci_traced"`
 	} `json:"change"`
 }
 
@@ -83,24 +106,38 @@ func (v verdict) String() string {
 func main() {
 	root := flag.String("root", ".", "directory holding BENCHMARK.json and the committed BENCH_<n>.json files")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-root DIR] RUN.json")
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate [-root DIR] RUN.json...")
 		os.Exit(2)
 	}
-	if err := run(*root, flag.Arg(0), os.Stdout); err != nil {
+	if err := run(*root, flag.Args(), os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// run gates the document at runPath against the newest trajectory under
-// root, printing a line per pair to w.
-func run(root, runPath string, w io.Writer) error {
+// run gates the documents at runPaths against the newest trajectory
+// under root, each by its kind, printing a line per pair to w.
+func run(root string, runPaths []string, w io.Writer) error {
 	var spec struct {
 		EndToEnd []bound `json:"end_to_end"`
 	}
 	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &spec); err != nil {
 		return err
+	}
+	var bounds, traced []bound
+	for _, b := range spec.EndToEnd {
+		if slices.Contains(gatedMetrics, b.Name) {
+			bounds = append(bounds, b)
+		}
+		if b.Name == tracedBound {
+			for _, m := range tracedMetrics {
+				traced = append(traced, bound{Name: m, Better: "lower", Bound: b.Bound})
+			}
+		}
+	}
+	if len(bounds) != len(gatedMetrics) || len(traced) != len(tracedMetrics) {
+		return fmt.Errorf("BENCHMARK.json bounds %d of the %d gated metrics %v", len(bounds), len(gatedMetrics), gatedMetrics)
 	}
 	basePath, err := newest(root)
 	if err != nil {
@@ -110,33 +147,31 @@ func run(root, runPath string, w io.Writer) error {
 	if err := readJSON(basePath, &traj); err != nil {
 		return err
 	}
-	var doc document
-	if err := readJSON(runPath, &doc); err != nil {
-		return err
-	}
-	var bounds []bound
-	for _, b := range spec.EndToEnd {
-		if slices.Contains(gatedMetrics, b.Name) {
-			bounds = append(bounds, b)
+	failed, pairs := 0, 0
+	for _, runPath := range runPaths {
+		var doc document
+		if err := readJSON(runPath, &doc); err != nil {
+			return err
 		}
-	}
-	if len(bounds) != len(gatedMetrics) {
-		return fmt.Errorf("BENCHMARK.json bounds %d of the %d gated metrics %v", len(bounds), len(gatedMetrics), gatedMetrics)
-	}
-	fmt.Fprintf(w, "benchgate: %s against %d committed runs of %s\n", runPath, len(traj.Change.CI), filepath.Base(basePath))
-	vs, err := gate(bounds, traj.Change.CI, doc)
-	if err != nil {
-		return err
-	}
-	failed := 0
-	for _, v := range vs {
-		fmt.Fprintln(w, v)
-		if v.failed {
-			failed++
+		bs, base, kind := bounds, traj.Change.CI, "ci"
+		if doc.Trace {
+			bs, base, kind = traced, traj.Change.CITraced, "ci_traced"
 		}
+		fmt.Fprintf(w, "benchgate: %s against %d committed %s runs of %s\n", runPath, len(base), kind, filepath.Base(basePath))
+		vs, err := gate(bs, base, doc)
+		if err != nil {
+			return fmt.Errorf("%s: %w", runPath, err)
+		}
+		for _, v := range vs {
+			fmt.Fprintln(w, v)
+			if v.failed {
+				failed++
+			}
+		}
+		pairs += len(vs)
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d pairs worse than their bound: commit a new baseline, and say why in CHANGES.md", failed, len(vs))
+		return fmt.Errorf("%d of %d pairs worse than their bound: commit a new baseline, and say why in CHANGES.md", failed, pairs)
 	}
 	return nil
 }
@@ -177,11 +212,14 @@ func readJSON(path string, v any) error {
 // comparable.
 func gate(bounds []bound, base []document, run document) ([]verdict, error) {
 	if len(base) == 0 {
-		return nil, errors.New("the newest trajectory holds no CI-length run")
+		return nil, errors.New("the newest trajectory holds no CI-length run of its kind")
 	}
 	for _, d := range base {
 		if d.Seconds != run.Seconds {
 			return nil, fmt.Errorf("the run is %g s long, a committed run %g s", run.Seconds, d.Seconds)
+		}
+		if d.Trace != run.Trace {
+			return nil, fmt.Errorf("the run is traced %v, a committed run %v", run.Trace, d.Trace)
 		}
 	}
 	var out []verdict
@@ -217,18 +255,24 @@ func gate(bounds []bound, base []document, run document) ([]verdict, error) {
 	return out, nil
 }
 
-// judge reads one pair: got against the median of vals.
+// judge reads one pair: got against the median of vals. Against a zero
+// median, a run that moves at all the wrong way is infinitely worse.
 func judge(name string, b bound, vals []float64, got float64) verdict {
 	slices.Sort(vals)
 	v := verdict{workload: name, metric: b.Name, got: got, bound: b.Bound}
 	n := len(vals)
 	v.base = (vals[(n-1)/2] + vals[n/2]) / 2
-	if v.base != 0 {
-		v.spread = (vals[n-1] - vals[0]) / v.base
-		v.worse = (got - v.base) / v.base
-		if b.Better == "higher" {
-			v.worse = -v.worse
-		}
+	switch {
+	case v.base != 0:
+		v.spread = (vals[n-1] - vals[0]) / math.Abs(v.base)
+		v.worse = (got - v.base) / math.Abs(v.base)
+	case vals[0] != vals[n-1]:
+		v.spread = math.Inf(1)
+	case got != 0:
+		v.worse = math.Copysign(math.Inf(1), got)
+	}
+	if b.Better == "higher" {
+		v.worse = -v.worse
 	}
 	v.gated = v.spread <= b.Bound/2
 	v.failed = v.gated && v.worse > b.Bound

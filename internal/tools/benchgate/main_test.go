@@ -186,7 +186,7 @@ func TestRunGatesAgainstNewestTrajectory(t *testing.T) {
 	runPath := filepath.Join(root, "run.json")
 	var out strings.Builder
 	writeJSON(t, runPath, docJSON(1, baseValues(29.9), 0))
-	if err := run(root, runPath, &out); err != nil {
+	if err := run(root, []string{runPath}, &out); err != nil {
 		t.Fatalf("identical run: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "ungated") || strings.Contains(out.String(), "FAIL") {
@@ -194,10 +194,129 @@ func TestRunGatesAgainstNewestTrajectory(t *testing.T) {
 	}
 	out.Reset()
 	writeJSON(t, runPath, docJSON(1, doctor(baseValues(29.9), "scan_inmem", "disk_bytes_per_row", 1.5), 0))
-	if err := run(root, runPath, &out); err == nil || !strings.Contains(out.String(), "FAIL") {
+	if err := run(root, []string{runPath}, &out); err == nil || !strings.Contains(out.String(), "FAIL") {
 		t.Fatalf("a run 50%% worse on disk passed: %v\n%s", err, out.String())
 	}
 	if _, err := newest(t.TempDir()); err == nil {
 		t.Fatal("newest found a trajectory in an empty directory")
+	}
+}
+
+// tracedValues is one committed traced run's per-layer counts.
+func tracedValues(rows float64) values {
+	return values{
+		"scan_inmem": {"core.segment_loads_per_op": 0, "core.rows_scanned_per_op": rows, "kv.pager_reads_per_op": 0,
+			"service.result_cache_invalidated_per_append": 0, "service.resp_bytes_per_op": 2024, "core.filter_scan_us": 900},
+		"ingest_live": {"core.segment_loads_per_op": 0, "core.rows_scanned_per_op": 15584, "kv.pager_reads_per_op": 29.6,
+			"service.result_cache_invalidated_per_append": 7, "service.resp_bytes_per_op": 1521.6, "core.filter_scan_us": 80},
+	}
+}
+
+// tracedDoc is a traced --out document of v.
+func tracedDoc(t *testing.T, v values, failed int) document {
+	m := docJSON(1, v, failed)
+	m["trace"] = true
+	return toDoc(t, m)
+}
+
+// TestGateTracedCounts: a traced run is gated on its five per-layer
+// counts, at the alloc_kb_per_op bound, against the committed traced
+// runs: a count worse by more than the bound fails, a count the
+// committed runs all read 0 fails at any nonzero value, a count whose
+// committed runs spread is ungated, and a timing is never gated. A
+// traced run is not comparable with untraced committed runs.
+func TestGateTracedCounts(t *testing.T) {
+	var traced []bound
+	for _, m := range tracedMetrics {
+		traced = append(traced, bound{Name: m, Better: "lower", Bound: 0.06})
+	}
+	base := []document{tracedDoc(t, tracedValues(200000), 0), tracedDoc(t, tracedValues(200000), 0), tracedDoc(t, tracedValues(200000), 0)}
+	noisy := []document{tracedDoc(t, tracedValues(190000), 0), tracedDoc(t, tracedValues(200000), 0), tracedDoc(t, tracedValues(215000), 0)}
+	mid := tracedValues(200000)
+	for _, tc := range []struct {
+		name string
+		base []document
+		run  values
+		fail string // the one failing pair, workload/metric
+	}{
+		{"identical", base, mid, ""},
+		{"pager reads 10% worse", base, doctor(mid, "ingest_live", "kv.pager_reads_per_op", 1.10), "ingest_live/kv.pager_reads_per_op"},
+		{"pager reads 5% worse", base, doctor(mid, "ingest_live", "kv.pager_reads_per_op", 1.05), ""},
+		{"invalidations 2x", base, doctor(mid, "ingest_live", "service.result_cache_invalidated_per_append", 2), "ingest_live/service.result_cache_invalidated_per_append"},
+		{"resp bytes 7% worse", base, doctor(mid, "scan_inmem", "service.resp_bytes_per_op", 1.07), "scan_inmem/service.resp_bytes_per_op"},
+		{"rows scanned halved", base, doctor(mid, "scan_inmem", "core.rows_scanned_per_op", 0.5), ""},
+		{"filter scan 10x slower", base, doctor(mid, "scan_inmem", "core.filter_scan_us", 10), ""},
+		{"noisy rows scanned 50% worse", noisy, doctor(mid, "scan_inmem", "core.rows_scanned_per_op", 1.5), ""},
+	} {
+		vs, err := gate(traced, tc.base, tracedDoc(t, tc.run, 0))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(vs) != 10 {
+			t.Fatalf("%s: %d verdicts, want 10", tc.name, len(vs))
+		}
+		for _, v := range vs {
+			pair := v.workload + "/" + v.metric
+			if v.failed != (pair == tc.fail) {
+				t.Errorf("%s: %v", tc.name, v)
+			}
+		}
+	}
+	fromZero := tracedValues(200000)
+	fromZero["scan_inmem"]["core.segment_loads_per_op"] = 0.5
+	vs, err := gate(traced, base, tracedDoc(t, fromZero, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
+		if v.failed != (v.workload == "scan_inmem" && v.metric == "core.segment_loads_per_op") {
+			t.Errorf("segment loads 0 -> 0.5: %v", v)
+		}
+	}
+	if _, err := gate(traced, base, toDoc(t, docJSON(1, mid, 0))); err == nil {
+		t.Error("an untraced run gated against traced committed runs")
+	}
+	if _, err := gate(traced, base, tracedDoc(t, mid, 1)); err == nil {
+		t.Error("a traced run with a failed operation gated")
+	}
+}
+
+// TestRunGatesTracedRunAgainstTracedBaseline: run gates each document by
+// its kind, an untraced one against "ci" and a traced one against
+// "ci_traced", and fails when either has a pair past its bound.
+func TestRunGatesTracedRunAgainstTracedBaseline(t *testing.T) {
+	root := t.TempDir()
+	spec, err := os.ReadFile(filepath.Join("..", "..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "BENCHMARK.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tracedJSON := func(v values) map[string]any {
+		m := docJSON(1, v, 0)
+		m["trace"] = true
+		return m
+	}
+	var ci, ciTraced []any
+	for _, a := range []float64{28.3, 29.9, 31.5} {
+		ci = append(ci, docJSON(1, baseValues(a), 0))
+		ciTraced = append(ciTraced, tracedJSON(tracedValues(200000)))
+	}
+	writeJSON(t, filepath.Join(root, "BENCH_49.json"), map[string]any{"change": map[string]any{"ci": ci, "ci_traced": ciTraced}})
+	untraced, tracedPath := filepath.Join(root, "run.json"), filepath.Join(root, "traced.json")
+	writeJSON(t, untraced, docJSON(1, baseValues(29.9), 0))
+	writeJSON(t, tracedPath, tracedJSON(tracedValues(200000)))
+	var out strings.Builder
+	if err := run(root, []string{untraced, tracedPath}, &out); err != nil {
+		t.Fatalf("identical runs: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "ci_traced") || !strings.Contains(out.String(), "kv.pager_reads_per_op") {
+		t.Fatalf("the traced run was not gated on its counts:\n%s", out.String())
+	}
+	out.Reset()
+	writeJSON(t, tracedPath, tracedJSON(doctor(tracedValues(200000), "ingest_live", "kv.pager_reads_per_op", 1.2)))
+	if err := run(root, []string{untraced, tracedPath}, &out); err == nil || !strings.Contains(out.String(), "FAIL") {
+		t.Fatalf("a traced run 20%% worse on pager reads passed: %v\n%s", err, out.String())
 	}
 }
