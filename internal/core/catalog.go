@@ -544,10 +544,6 @@ func (c *Collection) prepare(p *Patch) ([]byte, error) {
 	return raw, nil
 }
 
-// Sealer returns a Sealer of rows in the collection's layout, with slots
-// for rows rows.
-func (c *Collection) Sealer(rows int) *Sealer { return newSealer(c.schema, c.codec, rows) }
-
 // put commits a prepared patch, raw being the encoding prepare returned.
 func (c *Collection) put(p *Patch, raw []byte) error {
 	c.mu.Lock()

@@ -591,7 +591,9 @@ func (c *ShardedCollection) Schema() Schema { return c.schema }
 
 // Sealer returns a Sealer of rows in the collection's layout, which
 // every shard and replica shares, with slots for rows rows.
-func (c *ShardedCollection) Sealer(rows int) *Sealer { return c.cols[0][0].Sealer(rows) }
+func (c *ShardedCollection) Sealer(rows int) *Sealer {
+	return newSealer(c.schema, c.cols[0][0].codec, rows)
+}
 
 // Shards returns the partition count.
 func (c *ShardedCollection) Shards() int { return len(c.cols) }
