@@ -525,10 +525,10 @@ func (c *Collection) Append(p *Patch) error {
 func (c *Collection) prepare(p *Patch) ([]byte, error) {
 	meta := p.Meta
 	built := !p.sealed()
-	if built && !c.codec.sealMeta(p) {
-		// Meta does not fit the schema: seal it without one, so that
-		// ValidatePatch below says why.
-		p.Seal(p.entries(nil))
+	if built {
+		var arr [16]Pair
+		s := Sealer{codec: c.codec}
+		s.Seal(p, p.entries(arr[:0]))
 	}
 	err := c.schema.ValidatePatch(p)
 	var raw []byte

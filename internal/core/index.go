@@ -300,14 +300,14 @@ func (idx *Index) probe(snap Snapshot, look func() ([]PatchID, error)) ([]PatchI
 	return slices.DeleteFunc(ids, func(id PatchID) bool { return id > last }), use, nil
 }
 
-// insert adds p's entry, its value of the field read through field. B+
-// tree: a composite (field value, patch id)
-// key, duplicate-tolerant, so prefix scans give equality and range
-// lookups. Hash: the id appended to the value's tail chunk, the first
-// with room. tails names it for values past chunk 0; a value it does not
-// name (every value of a reopened structure) walks from chunk 0 once.
-// The chunk is read into, and written back from, the scratch buffers, so
-// a steady-state insert allocates nothing.
+// insert adds p's entry, reading p's value through field. B+ tree: a
+// composite (field value, patch id) key, duplicate-tolerant, so prefix
+// scans give equality and range lookups. Hash: the id appended to the
+// value's tail chunk, the first with room. tails names it for values
+// past chunk 0; a value it does not name (every value of a reopened
+// structure) walks from chunk 0 once. The chunk is read into, and
+// written back from, the scratch buffers, so a steady-state insert
+// allocates nothing.
 func (idx *Index) insert(p *Patch, field *fieldReader) error {
 	v, ok := field.get(p)
 	if !ok {

@@ -331,50 +331,6 @@ func (s *Sealer) Seal(p *Patch, entries []Pair) {
 	}
 }
 
-// sealMeta seals the builder p in c's layout, straight from its Meta:
-// its declared values into one slot array and its other entries but
-// the lineage keys into pairs. It reports false, leaving p a builder,
-// when Meta lacks a declared field or holds one with another kind or
-// fixed dimension.
-func (c *rowCodec) sealMeta(p *Patch) bool {
-	nf := len(c.fields)
-	var decl []slot
-	if nf > 0 {
-		decl = make([]slot, nf)
-	}
-	found, rest := 0, 0
-	for k, v := range p.Meta {
-		switch i := c.pos(k); {
-		case i >= 0:
-			if !fits(&c.fields[i], &v) {
-				return false
-			}
-			decl[i] = v.slot()
-			found++
-		case k != frameKey && k != sourceKey:
-			rest++
-		}
-	}
-	if found != nf {
-		return false
-	}
-	var pairs []Pair
-	if rest > 0 {
-		pairs = make([]Pair, 0, rest)
-		for k, v := range p.Meta {
-			if k != frameKey && k != sourceKey && c.pos(k) < 0 {
-				pairs = append(pairs, Pair{k, v})
-			}
-		}
-		sortPairs(pairs)
-	}
-	p.Meta, p.codec, p.decl, p.pairs = nil, c, nil, pairs
-	if nf > 0 {
-		p.decl = &decl[0]
-	}
-	return true
-}
-
 // Builder returns p itself while p is a builder, and otherwise a new
 // builder with p's id, lineage and payload whose Meta holds a copy of
 // every entry p's Range yields: how a transformer adds fields to a

@@ -363,7 +363,8 @@ func TestPatchMarshalAllocatesOnce(t *testing.T) {
 		{Name: "bbox", Kind: KindRect},
 	}})
 	laid := p.Clone() // sealed in declared's layout
-	if !declared.sealMeta(laid) {
+	newSealer(Schema{}, declared, 1).Seal(laid, metaPairs(laid.Meta))
+	if laid.codec != declared {
 		t.Fatal("the patch does not fit its schema")
 	}
 	for _, c := range []*rowCodec{&schemaFree, declared} {

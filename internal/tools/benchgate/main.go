@@ -90,7 +90,7 @@ type verdict struct {
 }
 
 func (v verdict) String() string {
-	head := fmt.Sprintf("%-13s %-19s", v.workload, v.metric)
+	head := fmt.Sprintf("%-13s %-44s", v.workload, v.metric)
 	if !v.gated {
 		return fmt.Sprintf("%s ungated: committed runs spread %.1f%%, above half its %.0f%% bound (run %.4g, median %.4g)",
 			head, 100*v.spread, 100*v.bound, v.got, v.base)
