@@ -37,11 +37,6 @@ type DB struct {
 	cols    map[string]*Collection
 	indexes map[string]*Index // descriptor key (indexKey) -> index
 
-	// codecs gives every collection of one layout the same codec. The
-	// DBs of a sharded database share it, so the rows a sharded append
-	// seals are read by position on every shard and replica.
-	codecs *codecSet
-
 	// refresh counts accelerator maintenance, read as RefreshStats.
 	refresh struct {
 		colExtends, colReused, colTotal               atomic.Int64
@@ -59,27 +54,6 @@ type DB struct {
 	// budgets how many stay decoded. Nil (the default) keeps column
 	// stores purely in-memory.
 	segCache atomic.Pointer[SegmentCache]
-}
-
-// codecSet interns row codecs by layout.
-type codecSet struct {
-	mu     sync.Mutex
-	codecs []*rowCodec
-}
-
-// of returns the codec of schema's rows: the one the set holds for its
-// layout, or a new one it then holds.
-func (cs *codecSet) of(schema Schema) *rowCodec {
-	c := newRowCodec(schema)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for _, o := range cs.codecs {
-		if o.sameLayout(c) {
-			return o
-		}
-	}
-	cs.codecs = append(cs.codecs, c)
-	return c
 }
 
 // RefreshStats is a DB's accelerator record: what bringing column
@@ -138,7 +112,6 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
 		indexes: make(map[string]*Index),
-		codecs:  &codecSet{},
 		cost:    DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
@@ -252,7 +225,7 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: schema, codec: db.codecs.of(schema), bucket: b, version: db.nextVersion()}
+	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), bucket: b, version: db.nextVersion()}
 	if err := c.saveDesc(); err != nil {
 		return nil, err
 	}
@@ -285,7 +258,7 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: d.Schema, codec: db.codecs.of(d.Schema), bucket: b, count: d.Count, version: d.Version}
+	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), bucket: b, count: d.Count, version: d.Version}
 	if c.version == 0 {
 		c.version = db.nextVersion() // pre-versioning database file
 	}
@@ -618,15 +591,6 @@ type Snapshot struct {
 
 // Len returns the snapshot's row count.
 func (s Snapshot) Len() int { return len(s.rows) }
-
-// codec returns the layout of the snapshot's collection, nil for the
-// zero Snapshot.
-func (s Snapshot) codec() *rowCodec {
-	if s.col == nil {
-		return nil
-	}
-	return s.col.codec
-}
 
 // Row returns row i.
 func (s Snapshot) Row(i int) *Patch { return s.rows[i] }

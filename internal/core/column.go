@@ -91,7 +91,7 @@ type zoneMap struct {
 type Column struct {
 	kind    ValueKind
 	n       int
-	field   fieldReader
+	field   string
 	patches []*Patch // backing snapshot (rebuild source if a segment's encoding is unreadable)
 	cache   *SegmentCache
 	segs    []*colSegment
@@ -199,7 +199,7 @@ func (c *Column) rebuildSeg(sg *colSegment) *segData {
 	d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
 	d.alloc(c.kind, hi-lo)
 	for i := lo; i < hi; i++ {
-		v, ok := c.field.get(c.patches[i])
+		v, ok := c.patches[i].Get(c.field)
 		if !ok {
 			continue
 		}
@@ -227,7 +227,7 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	if cached {
 		return col, col != nil
 	}
-	if col = projectColumn(cs.at, field); col != nil {
+	if col = projectColumn(cs.at.rows, field); col != nil {
 		col.cache = cs.cache
 		cs.cache.spill(col)
 	}
@@ -279,7 +279,7 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 	}
 	cs.mu.RUnlock()
 	for field, col := range carried {
-		ext := extendColumn(col, at.rows, oldN)
+		ext := extendColumn(col, field, at.rows, oldN)
 		next.cols[field] = ext // nil: the suffix broke columnizability
 		if ext == nil {
 			continue
@@ -298,13 +298,13 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 // re-project. Returns nil when a suffix row makes the field
 // non-columnizable (vector/rect value or a kind mismatch) — the same
 // verdict a fresh projection over the full snapshot would reach.
-func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
+func extendColumn(old *Column, field string, patches []*Patch, oldN int) *Column {
 	n := len(patches)
 	sealed := oldN / ColumnBlockSize
 	col := &Column{
 		kind:       old.kind,
 		n:          n,
-		field:      old.field,
+		field:      field,
 		patches:    patches,
 		cache:      old.cache,
 		dict:       old.dict,
@@ -322,14 +322,14 @@ func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
 	return col
 }
 
-// projectColumn builds the segmented projection of one field of at's
-// rows, or nil when the field is not columnizable.
-func projectColumn(at Snapshot, field string) *Column {
-	n := at.Len()
+// projectColumn builds the segmented projection of one field, or nil
+// when the field is not columnizable.
+func projectColumn(patches []*Patch, field string) *Column {
+	n := len(patches)
 	col := &Column{
 		n:       n,
-		field:   at.codec().reader(field),
-		patches: at.rows,
+		field:   field,
+		patches: patches,
 		dictIdx: make(map[string]uint32),
 		segs:    make([]*colSegment, 0, (n+ColumnBlockSize-1)/ColumnBlockSize),
 	}
@@ -360,7 +360,7 @@ func (c *Column) appendRows(from, n int) bool {
 		d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
 		d.alloc(c.kind, hi-lo)
 		for i := lo; i < hi; i++ {
-			v, ok := c.field.get(c.patches[i])
+			v, ok := c.patches[i].Get(c.field)
 			if !ok {
 				c.nnull++
 				sg.nnull++

@@ -240,9 +240,8 @@ func (idx *Index) sync(snap Snapshot) (Refresh, error) {
 		}
 		clear(idx.tails)
 	}
-	field := snap.codec().reader(idx.Field)
 	for _, p := range snap.rows[from:] {
-		if err := idx.insert(p, &field); err != nil {
+		if err := idx.insert(p); err != nil {
 			return use, err
 		}
 	}
@@ -300,16 +299,15 @@ func (idx *Index) probe(snap Snapshot, look func() ([]PatchID, error)) ([]PatchI
 	return slices.DeleteFunc(ids, func(id PatchID) bool { return id > last }), use, nil
 }
 
-// insert adds p's entry, reading p's value through field. B+ tree: a
-// composite (field value, patch id) key, duplicate-tolerant, so prefix
-// scans give equality and range lookups. Hash: the id appended to the
-// value's tail chunk, the first with room. tails names it for values
-// past chunk 0; a value it does not name (every value of a reopened
-// structure) walks from chunk 0 once. The chunk is read into, and
-// written back from, the scratch buffers, so a steady-state insert
-// allocates nothing.
-func (idx *Index) insert(p *Patch, field *fieldReader) error {
-	v, ok := field.get(p)
+// insert adds p's entry. B+ tree: a composite (field value, patch id)
+// key, duplicate-tolerant, so prefix scans give equality and range
+// lookups. Hash: the id appended to the value's tail chunk, the first
+// with room. tails names it for values past chunk 0; a value it does not
+// name (every value of a reopened structure) walks from chunk 0 once.
+// The chunk is read into, and written back from, the scratch buffers, so
+// a steady-state insert allocates nothing.
+func (idx *Index) insert(p *Patch) error {
+	v, ok := p.Get(idx.Field)
 	if !ok {
 		return fmt.Errorf("core: patch %d lacks field %q", p.ID, idx.Field)
 	}

@@ -169,8 +169,7 @@ func GroupCount(patches []*Patch, field string) []*Patch {
 // VecField extracts the float32 vector under field, or the Data payload
 // when field is "".
 func VecField(p *Patch, field string) ([]float32, error) {
-	rd := byName(field)
-	vec, ok := vecOf(p, &rd)
+	vec, ok := vecOf(p, field)
 	if !ok {
 		return nil, fmt.Errorf("core: patch %d has no vector under %q", p.ID, field)
 	}

@@ -142,35 +142,6 @@ func findPair(ps []Pair, key string) int {
 	return -1
 }
 
-// fieldReader reads one field of many rows: by position from the rows
-// of one codec, the layout of the collection they were read from, and
-// by name from any other row.
-type fieldReader struct {
-	name  string
-	codec *rowCodec
-	pos   int // name's position in codec, or -1
-}
-
-// reader returns the reader of field name, which is declared in c or
-// not. A nil c reads every row by name.
-func (c *rowCodec) reader(name string) fieldReader {
-	if c == nil {
-		return byName(name)
-	}
-	return fieldReader{name: name, codec: c, pos: c.pos(name)}
-}
-
-// byName returns the reader of field name that reads every row by name.
-func byName(name string) fieldReader { return fieldReader{name: name, pos: -1} }
-
-// get returns p's value of the field, as p.Get does.
-func (r *fieldReader) get(p *Patch) (Value, bool) {
-	if p.codec == r.codec && r.pos >= 0 {
-		return p.at(r.pos), true
-	}
-	return p.Get(r.name)
-}
-
 // Range calls yield with each metadata entry in ascending key order,
 // until yield returns false. A committed row yields its lineage
 // attributes in their key positions.
@@ -270,13 +241,6 @@ type Sealer struct {
 	schema Schema
 	codec  *rowCodec
 	slab   []slot // slots no row has taken yet
-}
-
-// NewSealer returns a Sealer for rows of schema, with slots for rows
-// rows, whose rows no collection reads by position: a collection's own
-// Sealer seals the rows it reads fastest.
-func NewSealer(schema Schema, rows int) *Sealer {
-	return newSealer(schema, newRowCodec(schema), rows)
 }
 
 func newSealer(schema Schema, c *rowCodec, rows int) *Sealer {
@@ -618,14 +582,6 @@ func newRowCodec(s Schema) *rowCodec {
 	}
 	slices.SortFunc(c.order, func(a, b int) int { return strings.Compare(c.fields[a].Name, c.fields[b].Name) })
 	return c
-}
-
-// sameLayout reports whether c and o hold rows alike: the same names,
-// kinds and fixed dimensions, in the same positions.
-func (c *rowCodec) sameLayout(o *rowCodec) bool {
-	return slices.EqualFunc(c.fields, o.fields, func(f, g Field) bool {
-		return f.Name == g.Name && f.Kind == g.Kind && f.VecDim == g.VecDim
-	})
 }
 
 // pos returns the position of the declared field name, or -1.

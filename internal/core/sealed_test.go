@@ -131,12 +131,6 @@ func FuzzSealedRowForms(f *testing.F) {
 			if ok != wok || !sameValue(got, want) {
 				t.Fatalf("Get(%q): positional %+v %v, schema-free %+v %v", n, got, ok, want, wok)
 			}
-			rd := c.reader(n)
-			for _, p := range []*Patch{pos, free} {
-				if got, ok := rd.get(p); ok != wok || !sameValue(got, want) {
-					t.Fatalf("reader(%q) of the %v row: %+v %v, want %+v %v", n, p == pos, got, ok, want, wok)
-				}
-			}
 		}
 		pr, fr := rangePairs(pos), rangePairs(free)
 		if len(pr) != len(fr) {

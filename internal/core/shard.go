@@ -158,9 +158,6 @@ func OpenShardedReplicas(dir string, n, r int, dev exec.Device) (*Sharded, error
 				s.closeOpened()
 				return nil, fmt.Errorf("core: open shard %d replica %d: %w", i, j, err)
 			}
-			if i+j > 0 {
-				db.codecs = s.reps[0][0].codecs
-			}
 			s.reps[i][j] = db
 		}
 		s.shards[i] = s.reps[i][0]
@@ -219,7 +216,6 @@ func newSharded(dir string, n, r int) *Sharded {
 func WrapSharded(shards ...*DB) *Sharded {
 	s := newSharded("", len(shards), 1)
 	for i, db := range shards {
-		db.codecs = shards[0].codecs
 		s.shards[i] = db
 		s.reps[i][0] = db
 	}
@@ -589,8 +585,9 @@ func (c *ShardedCollection) Name() string { return c.name }
 // Schema returns the collection's schema.
 func (c *ShardedCollection) Schema() Schema { return c.schema }
 
-// Sealer returns a Sealer of rows in the collection's layout, which
-// every shard and replica shares, with slots for rows rows.
+// Sealer returns a Sealer of rows in the layout of the collection's
+// first shard, with slots for rows rows. Every shard's layout is alike:
+// another shard encodes such a row by reading its fields by name.
 func (c *ShardedCollection) Sealer(rows int) *Sealer {
 	return newSealer(c.schema, c.cols[0][0].codec, rows)
 }

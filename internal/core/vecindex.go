@@ -72,15 +72,15 @@ const exactTailMax = 256
 // byte-identical to the scan it replaces.
 func VecDist(a, b []float32) float64 { return balltree.Dist(a, b) }
 
-// vecOf extracts the indexable vector of a field ("" = the Data payload).
-func vecOf(p *Patch, field *fieldReader) ([]float32, bool) {
-	if field.name == "" {
+// vecOf extracts the indexable vector for a field ("" = the Data payload).
+func vecOf(p *Patch, field string) ([]float32, bool) {
+	if field == "" {
 		if p.Data != nil && p.Data.F32s != nil {
 			return p.Data.F32s, true
 		}
 		return nil, false
 	}
-	v, ok := field.get(p)
+	v, ok := p.Get(field)
 	if !ok || (v.Kind != KindVec && v.Kind != KindRect) {
 		return nil, false
 	}
@@ -126,9 +126,8 @@ type VectorIndex struct {
 // and the LSH tables index one dimensionality.
 func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex, error) {
 	vi := &VectorIndex{field: field, mode: mode, at: at}
-	rd := at.codec().reader(field)
 	for _, p := range at.rows {
-		if vec, ok := vecOf(p, &rd); ok {
+		if vec, ok := vecOf(p, field); ok {
 			if vi.dim == 0 {
 				vi.dim = len(vec)
 			}
@@ -176,9 +175,8 @@ func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex,
 // dimensionality change); the caller falls back to a full rebuild.
 func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 	var newPts []balltree.Point
-	rd := at.codec().reader(vi.field)
 	for _, p := range at.rows[vi.at.Len():] {
-		if vec, ok := vecOf(p, &rd); ok {
+		if vec, ok := vecOf(p, vi.field); ok {
 			if vi.dim == 0 || len(vec) != vi.dim {
 				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
 			}
@@ -360,27 +358,27 @@ func (t *neighborKeep) bound() float64 {
 // id), distances through VecDist. Rows without the field (or with a
 // dimensionality mismatch against the query) are skipped.
 func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
-	ns, _ := bruteKNN(ps, byName(field), q, k)
+	ns, _ := bruteKNN(ps, field, q, k)
 	return ns
 }
 
 // ScanKNN is BruteKNN over the snapshot's rows, counted into the
 // database's RefreshStats.
 func (s Snapshot) ScanKNN(field string, q []float32, k int) []VecNeighbor {
-	ns, evals := bruteKNN(s.rows, s.codec().reader(field), q, k)
+	ns, evals := bruteKNN(s.rows, field, q, k)
 	s.col.db.refresh.knnScanEvals.Add(int64(evals))
 	return ns
 }
 
 // bruteKNN is BruteKNN, also returning the distances it evaluated.
-func bruteKNN(ps []*Patch, field fieldReader, q []float32, k int) ([]VecNeighbor, int) {
+func bruteKNN(ps []*Patch, field string, q []float32, k int) ([]VecNeighbor, int) {
 	if k <= 0 {
 		return nil, 0
 	}
 	keep := newNeighborKeep(k, len(ps))
 	evals := 0
 	for _, p := range ps {
-		if vec, ok := vecOf(p, &field); ok && len(vec) == len(q) {
+		if vec, ok := vecOf(p, field); ok && len(vec) == len(q) {
 			keep.offer(VecNeighbor{ID: p.ID, Dist: VecDist(vec, q)})
 			evals++
 		}
