@@ -151,7 +151,7 @@ func query(dbPath, scale string, dev exec.Kind, q string, tuned bool) error {
 	case "q4":
 		res, err = e.Q4(tuned)
 	case "q5":
-		res, err = e.Q5(e.PC.Vocabulary[0], tuned)
+		res, err = e.Q5(e.PC.Vocabulary[0])
 	case "q6":
 		res, err = e.Q6(tuned)
 	default:

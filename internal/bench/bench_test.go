@@ -190,7 +190,7 @@ func TestQ5FindsPlantedString(t *testing.T) {
 	if target == "" {
 		t.Skip("no words at this scale")
 	}
-	res, err := e.Q5(target, false)
+	res, err := e.Q5(target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,6 +231,9 @@ type Fig4Row struct {
 	// Columns is what each arm's column store took on the clock (q3
 	// and q5 scan one): RefreshHit when it was built before.
 	Columns [2]core.Refresh
+	// RowsScanned is each arm's column-scan row count (q5's, whose arms
+	// run one plan: its speedup is noise around 1x).
+	RowsScanned [2]int
 }
 
 // Fig4Indexes reproduces Figure 4 on an ingested environment.
@@ -246,7 +249,8 @@ func Fig4Indexes(e *Env) ([]Fig4Row, error) {
 		rows = append(rows, Fig4Row{
 			Query: q, Baseline: pair[0].Duration, Tuned: pair[1].Duration,
 			Speedup: sp, BasePlan: pair[0].Plan, TunedPlan: pair[1].Plan,
-			Columns: [2]core.Refresh{pair[0].Columns, pair[1].Columns},
+			Columns:     [2]core.Refresh{pair[0].Columns, pair[1].Columns},
+			RowsScanned: [2]int{pair[0].RowsScanned, pair[1].RowsScanned},
 		})
 	}
 	return rows, nil
@@ -561,7 +565,7 @@ func Fig8Devices(cfg dataset.Config, devices []exec.Kind) ([]Fig8Row, error) {
 			case "q3":
 				r, err = e.Q3(true)
 			case "q5":
-				r, err = e.Q5(e.PC.Vocabulary[0], true)
+				r, err = e.Q5(e.PC.Vocabulary[0])
 			case "q6":
 				r, err = e.Q6(true)
 			}

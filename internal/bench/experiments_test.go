@@ -85,6 +85,11 @@ func TestFig4And5Shapes(t *testing.T) {
 		if (r.Query == "q3" || r.Query == "q5") && r.Columns != [2]core.Refresh{core.RefreshHit, core.RefreshHit} {
 			t.Fatalf("%s arms' column stores %v on the clock, want both hits", r.Query, r.Columns)
 		}
+		// q5 has one plan (the paper's ~1x): its arms must do the same
+		// work, counted in rows, not timed.
+		if r.Query == "q5" && (r.RowsScanned[0] == 0 || r.RowsScanned[0] != r.RowsScanned[1]) {
+			t.Fatalf("q5 arms scanned %v rows, want one nonzero count", r.RowsScanned)
+		}
 	}
 	// The image-matching and lineage queries must benefit. (Factors grow
 	// with scale — the paper reports 612x at full scale; this guards the

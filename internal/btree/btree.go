@@ -40,9 +40,11 @@ import (
 
 // Pager is the page-file interface the tree runs on. *kv.Pager satisfies it.
 // Write must copy buf before returning (the tree reuses it), and
-// ReadOverflow appends the value to dst. The tree reads the slice Read
-// returns in place without modifying it, so that slice must keep its
-// contents until the tree next writes or frees the page.
+// ReadOverflow appends the value to dst, reading the chain's pages as
+// Read does when page is nil and as ReadInto does into page otherwise.
+// The tree reads the slice Read returns in place without modifying it,
+// so that slice must keep its contents until the tree next writes or
+// frees the page.
 type Pager interface {
 	Read(id uint64) ([]byte, error)
 	// ReadInto is Read, but a page it does not find cached it reads
@@ -53,7 +55,7 @@ type Pager interface {
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
+	ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -411,17 +413,18 @@ func (t *Tree) GetAppend(dst, key []byte) ([]byte, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	return t.value(dst, &l, p.off)
+	return t.value(dst, &l, p.off, nil)
 }
 
 // value appends the value of l's checked entry at off to dst,
-// materializing overflow chains.
-func (t *Tree) value(dst []byte, l *leaf, off int) ([]byte, error) {
+// materializing overflow chains. With a non-nil page, chain pages the
+// pager has not cached are read into page and stay uncached.
+func (t *Tree) value(dst []byte, l *leaf, off int, page []byte) ([]byte, error) {
 	b := l.buf
 	vm := binary.LittleEndian.Uint32(b[off+2:])
 	v := off + entryHeader + int(binary.LittleEndian.Uint16(b[off:]))
 	if vm&ovflFlag != 0 {
-		return t.p.ReadOverflow(dst, binary.LittleEndian.Uint64(b[v:]), int(vm&^ovflFlag))
+		return t.p.ReadOverflow(dst, binary.LittleEndian.Uint64(b[v:]), int(vm&^ovflFlag), page)
 	}
 	return append(dst, b[v:v+int(vm)]...), nil
 }
@@ -725,7 +728,9 @@ type Cursor struct {
 	t   *Tree
 	p   pos
 	err error
-	buf []byte // when non-nil, the page uncached pages are read into (see load)
+	// When non-nil, buf is the page uncached leaves are read into (see
+	// load), and ovfl the page uncached overflow pages are (see value).
+	buf, ovfl []byte
 	// Brent's cycle check on the sibling chain: a corrupt link back to
 	// an earlier leaf ends the walk with an error instead of looping.
 	mark        uint64
@@ -805,7 +810,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Key() []byte { return c.p.l.key(c.p.off) }
 
 // Value returns the current value, materializing overflow chains.
-func (c *Cursor) Value() ([]byte, error) { return c.t.value(nil, &c.p.l, c.p.off) }
+func (c *Cursor) Value() ([]byte, error) { return c.t.value(nil, &c.p.l, c.p.off, c.ovfl) }
 
 // Next advances to the next entry in key order.
 func (c *Cursor) Next() {
@@ -821,18 +826,20 @@ func (c *Cursor) Next() {
 // Iteration stops early when fn returns false. The key passed to fn is
 // valid only during the call; the value is a copy.
 func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return t.scan(lo, hi, fn, nil)
+	return t.scan(lo, hi, fn, nil, nil)
 }
 
-// ScanUncached is Scan reading the pages the pager has not cached into
-// one reused buffer, and leaving them uncached: for a caller that reads
-// the range once. The key passed to fn is valid only during the call.
+// ScanUncached is Scan reading the pages the pager has not cached —
+// leaves and overflow chains — into two reused buffers, and leaving them
+// uncached: for a caller that reads the range once. The key passed to fn
+// is valid only during the call.
 func (t *Tree) ScanUncached(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return t.scan(lo, hi, fn, make([]byte, pageSize))
+	buf := make([]byte, 2*pageSize)
+	return t.scan(lo, hi, fn, buf[:pageSize:pageSize], buf[pageSize:])
 }
 
-func (t *Tree) scan(lo, hi []byte, fn func(k, v []byte) bool, buf []byte) error {
-	c := Cursor{t: t, buf: buf}
+func (t *Tree) scan(lo, hi []byte, fn func(k, v []byte) bool, buf, ovfl []byte) error {
+	c := Cursor{t: t, buf: buf, ovfl: ovfl}
 	for c.seek(lo); c.Valid(); c.Next() {
 		if hi != nil && bytes.Compare(c.Key(), hi) >= 0 {
 			break

@@ -1,15 +1,15 @@
 package codec
 
-// Column-segment array codecs. The tiered column store serializes sealed
-// 1024-row segments into kv pages; these encoders produce losslessly
-// round-tripping, self-describing blobs for each array shape a segment
-// holds: int64 values, float64 values, uint32 dictionary codes, and the
-// uint64 null-bitmap words. Integers and codes pick the smallest of a
-// raw, run-length, or (ints only) bit-packed layout — appended metadata
-// is often constant or slowly varying per block, where RLE and narrow
-// packing win 10-100x — while floats and bitmaps stay raw so every bit
-// pattern (NaN payloads, -0.0) survives byte-exactly. Decode(Encode(x))
-// is x for every input; nothing here is lossy.
+// Column-segment array codecs. The tiered column store keeps each sealed
+// 1024-row segment's encoding in memory as its cold tier; these encoders
+// produce losslessly round-tripping, self-describing blobs for each
+// array shape a segment holds: int64 values, float64 values and uint32
+// dictionary codes. Integers and codes pick the smallest of a raw,
+// run-length, or (ints only) bit-packed layout — appended metadata is
+// often constant or slowly varying per block, where RLE and narrow
+// packing win 10-100x — while floats stay raw so every bit pattern (NaN
+// payloads, -0.0) survives byte-exactly. Decode(Encode(x)) is x for
+// every input; nothing here is lossy.
 
 import (
 	"encoding/binary"
@@ -305,34 +305,6 @@ func DecodeCodesInto(dst []uint32, b []byte) ([]uint32, error) {
 		}
 	default:
 		return nil, fmt.Errorf("%w: code layout tag %d", ErrCorrupt, tag)
-	}
-	return out, nil
-}
-
-// EncodeBitmap encodes null-bitmap words raw (they are already dense).
-func EncodeBitmap(v []uint64) []byte {
-	out := segHeader(segRaw, len(v))
-	for _, x := range v {
-		out = binary.LittleEndian.AppendUint64(out, x)
-	}
-	return out
-}
-
-// DecodeBitmap decodes an EncodeBitmap blob into a fresh array.
-func DecodeBitmap(b []byte) ([]uint64, error) { return DecodeBitmapInto(nil, b) }
-
-// DecodeBitmapInto is DecodeBitmap reusing dst (see DecodeIntsInto).
-func DecodeBitmapInto(dst []uint64, b []byte) ([]uint64, error) {
-	tag, n, rest, err := segCount(b)
-	if err != nil {
-		return nil, err
-	}
-	if tag != segRaw || len(rest) != n*8 {
-		return nil, fmt.Errorf("%w: bitmap payload", ErrCorrupt)
-	}
-	out := sized(dst, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(rest[i*8:])
 	}
 	return out, nil
 }

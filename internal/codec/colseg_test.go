@@ -105,17 +105,6 @@ func TestCodeSegRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBitmapSegRoundTrip(t *testing.T) {
-	in := []uint64{0, ^uint64(0), 0xDEADBEEF, 1 << 63}
-	got, err := DecodeBitmap(EncodeBitmap(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip mismatch: %v != %v", got, in)
-	}
-}
-
 func TestSegDecodeCorrupt(t *testing.T) {
 	blob := EncodeInts([]int64{1, 2, 3, 4})
 	if _, err := DecodeInts(blob[:len(blob)-1]); err == nil {

@@ -3,9 +3,9 @@ package core
 // Columnar scan engine. The paper's query layer assumes selections and
 // top-k over patch metadata are cheap relative to vision UDFs; with the
 // row-at-a-time fallback every non-indexed filter pays a metadata lookup
-// and a Pred.Match per patch. The ColumnStore lazily projects hot metadata fields from a
-// collection snapshot into typed columnar form (int64 / float64 /
-// dictionary-encoded strings, plus a null bitmap), partitioned into
+// and a Pred.Match per patch. The ColumnStore lazily projects the
+// collection's declared scalar fields from a snapshot into typed columnar
+// form (int64 / float64 / dictionary-encoded strings), partitioned into
 // fixed-size immutable segments carrying zone maps (min/max for numerics,
 // a small distinct-set for low-cardinality strings). Vectorized kernels
 // evaluate equality and range predicates segment-at-a-time, skipping
@@ -23,9 +23,9 @@ package core
 //
 // Segments are the unit of sharing and of tiering. Because snapshots are
 // prefix-stable and segments are fixed-size, an older store's sealed
-// (full) segments — typed arrays, zone maps, dictionary codes, null
-// bitmaps — are exactly what a fresh build over the longer snapshot would
-// produce for those rows. Extend therefore carries sealed segments over
+// (full) segments — typed arrays, zone maps, dictionary codes — are
+// exactly what a fresh build over the longer snapshot would produce for
+// those rows. Extend therefore carries sealed segments over
 // by pointer: no history memcpy at all, O(appended rows) re-projection
 // for the tail, and stale readers pin only the segments they still
 // reference. The same immutability makes sealed segments spillable: with
@@ -35,7 +35,10 @@ package core
 // byte-budgeted cache — so a collection's decoded column footprint is
 // bounded by the budget, not its history.
 
-import "sync"
+import (
+	"maps"
+	"sync"
+)
 
 // ColumnBlockSize is the number of rows per zone-mapped segment. Small
 // enough that a selective predicate skips real work on clustered data,
@@ -71,22 +74,21 @@ func (cs *ColumnStore) covers() Snapshot {
 // zoneMap summarizes one segment of a column for predicate pruning.
 type zoneMap struct {
 	lo, hi int // row range [lo, hi)
-	// Numeric bounds over non-null rows (valid when !allNull).
+	// Numeric bounds over the segment's rows.
 	minI, maxI int64
 	minF, maxF float64
 	// codeSet is a presence bitset of dictionary codes < 64 in this segment
 	// (string columns; valid while the dictionary holds at most 64 codes).
 	codeSet uint64
-	allNull bool
 }
 
 // Column is one metadata field projected over the snapshot: a sequence
-// of fixed-size immutable segments, each a typed array plus a local null
-// bitmap, summarized by an always-resident zone map. A column projects
-// only when every non-missing value shares one scalar kind (int, float
-// or string); mixed or vector-valued fields stay row-only. Sealed
-// segments are shared by pointer with older and newer stores over the
-// same collection, and — when a segment cache is attached — may have
+// of fixed-size immutable segments, each a typed array summarized by an
+// always-resident zone map. A column is a field the snapshot's schema
+// declares as int, float or string, in that kind: every committed row
+// holds it, so every row has a value. Any other field stays row-only.
+// Sealed segments are shared by pointer with older and newer stores over
+// the same collection, and — when a segment cache is attached — may have
 // their data dropped from memory and decoded again on demand.
 type Column struct {
 	kind    ValueKind
@@ -100,7 +102,6 @@ type Column struct {
 	// sharedDict marks dict/dictIdx as borrowed from an older column;
 	// the first genuinely new string clones both before appending.
 	sharedDict bool
-	nnull      int // number of null (missing) rows
 }
 
 // Kind reports the column's uniform value kind.
@@ -190,47 +191,31 @@ func (r *segReader) load(sg *colSegment, enc []byte, n uint64, st *ScanStats) *s
 }
 
 // rebuildSeg re-projects a segment's rows from the resident snapshot —
-// the recovery path when a segment's encoding is unreadable. A
-// sealed prefix row can never introduce a new dictionary string (codes
-// assign in first-appearance order over the whole column), so the
-// rebuild is deterministic and lock-free.
+// the recovery path when a segment's encoding is unreadable. It is
+// deterministic and lock-free (see fill).
 func (c *Column) rebuildSeg(sg *colSegment) *segData {
-	lo, hi := sg.zone.lo, sg.zone.hi
-	d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
-	d.alloc(c.kind, hi-lo)
-	for i := lo; i < hi; i++ {
-		v, ok := c.patches[i].Get(c.field)
-		if !ok {
-			continue
-		}
-		j := i - lo
-		d.setPresent(j)
-		switch c.kind {
-		case KindInt:
-			d.ints[j] = v.Int()
-		case KindFloat:
-			d.floats[j] = v.Float()
-		case KindStr:
-			d.codes[j] = c.dictIdx[v.Str()]
-		}
-	}
+	d := newSegData(c.kind, sg.rows())
+	c.fill(d, sg.zone.lo, sg.zone.hi)
 	return d
 }
 
 // Column returns the projection of field, building and caching it on
-// first use. ok is false when the field cannot be columnized (no
-// non-missing values, vector/rect values, or mixed scalar kinds).
+// first use. ok is false when the snapshot's schema does not declare
+// field as int, float or string.
 func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	cs.mu.RLock()
 	col, cached := cs.cols[field]
 	cs.mu.RUnlock()
 	if cached {
-		return col, col != nil
+		return col, true
 	}
-	if col = projectColumn(cs.at.rows, field); col != nil {
-		col.cache = cs.cache
-		cs.cache.spill(col)
+	f := cs.at.col.schema.FieldNamed(field)
+	if f == nil || f.Kind != KindInt && f.Kind != KindFloat && f.Kind != KindStr {
+		return nil, false
 	}
+	col = projectColumn(cs.at.rows, field, f.Kind)
+	col.cache = cs.cache
+	cs.cache.spill(col)
 	cs.mu.Lock()
 	if prev, raced := cs.cols[field]; raced {
 		col = prev // another projector won; keep one canonical column
@@ -238,7 +223,7 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 		cs.cols[field] = col
 	}
 	cs.mu.Unlock()
-	return col, col != nil
+	return col, true
 }
 
 // ExtendStats is one incremental extension's segment accounting: of the
@@ -267,26 +252,13 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 	oldN := cs.at.Len()
 	var st ExtendStats
 	cs.mu.RLock()
-	carried := make(map[string]*Column, len(cs.cols))
-	for field, col := range cs.cols {
-		// nil marks a field that was not columnizable over the old
-		// snapshot. A mixed-kind or vector field stays that way, but an
-		// all-null prefix can become columnizable once appended rows carry
-		// values — leave those fields lazy so the new store re-projects.
-		if col != nil {
-			carried[field] = col
-		}
-	}
+	carried := maps.Clone(cs.cols)
 	cs.mu.RUnlock()
 	for field, col := range carried {
-		ext := extendColumn(col, field, at.rows, oldN)
-		next.cols[field] = ext // nil: the suffix broke columnizability
-		if ext == nil {
-			continue
-		}
+		ext := extendColumn(col, at.rows, oldN)
+		next.cols[field] = ext
 		st.Columns++
-		sealed := oldN / ColumnBlockSize
-		st.ReusedBlocks += sealed
+		st.ReusedBlocks += oldN / ColumnBlockSize
 		st.TotalBlocks += len(col.segs)
 		cs.cache.spill(ext) // newly sealed tail segments spill
 	}
@@ -295,16 +267,14 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 
 // extendColumn grows one projected column over the appended suffix rows:
 // sealed segments share by pointer, the old tail segment's rows onward
-// re-project. Returns nil when a suffix row makes the field
-// non-columnizable (vector/rect value or a kind mismatch) — the same
-// verdict a fresh projection over the full snapshot would reach.
-func extendColumn(old *Column, field string, patches []*Patch, oldN int) *Column {
+// re-project.
+func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
 	n := len(patches)
 	sealed := oldN / ColumnBlockSize
 	col := &Column{
 		kind:       old.kind,
 		n:          n,
-		field:      field,
+		field:      old.field,
 		patches:    patches,
 		cache:      old.cache,
 		dict:       old.dict,
@@ -313,97 +283,57 @@ func extendColumn(old *Column, field string, patches []*Patch, oldN int) *Column
 		segs:       make([]*colSegment, 0, (n+ColumnBlockSize-1)/ColumnBlockSize),
 	}
 	col.segs = append(col.segs, old.segs[:sealed]...)
-	for _, sg := range col.segs {
-		col.nnull += sg.nnull
-	}
-	if !col.appendRows(sealed*ColumnBlockSize, n) {
-		return nil
-	}
+	col.appendRows(sealed*ColumnBlockSize, n)
 	return col
 }
 
-// projectColumn builds the segmented projection of one field, or nil
-// when the field is not columnizable.
-func projectColumn(patches []*Patch, field string) *Column {
+// projectColumn builds the segmented projection of one field, declared
+// with kind.
+func projectColumn(patches []*Patch, field string, kind ValueKind) *Column {
 	n := len(patches)
 	col := &Column{
+		kind:    kind,
 		n:       n,
 		field:   field,
 		patches: patches,
 		dictIdx: make(map[string]uint32),
 		segs:    make([]*colSegment, 0, (n+ColumnBlockSize-1)/ColumnBlockSize),
 	}
-	if !col.appendRows(0, n) {
-		return nil
-	}
-	if col.kind == 0 {
-		return nil // every row null: nothing to scan
-	}
+	col.appendRows(0, n)
 	return col
 }
 
 // appendRows projects rows [from, n) of c.patches into fresh segments
-// appended to c.segs (from must be ColumnBlockSize-aligned). Dictionary
-// codes assign in first-appearance order, so projecting rows in
-// ascending order reproduces a fresh full projection's codes exactly;
-// a dictionary borrowed from an older column clones copy-on-write
-// before the first genuinely new string. Returns false when a row makes
-// the field non-columnizable (vector/rect value or scalar kind
-// mismatch) — the verdict a fresh projection would reach.
-func (c *Column) appendRows(from, n int) bool {
+// appended to c.segs (from must be ColumnBlockSize-aligned).
+func (c *Column) appendRows(from, n int) {
 	for lo := from; lo < n; lo += ColumnBlockSize {
-		hi := lo + ColumnBlockSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+ColumnBlockSize, n)
 		sg := &colSegment{zone: zoneMap{lo: lo, hi: hi}, sealed: hi-lo == ColumnBlockSize}
-		d := &segData{nulls: make([]uint64, (hi-lo+63)/64)}
-		d.alloc(c.kind, hi-lo)
-		for i := lo; i < hi; i++ {
-			v, ok := c.patches[i].Get(c.field)
-			if !ok {
-				c.nnull++
-				sg.nnull++
-				continue
-			}
-			switch v.Kind {
-			case KindInt, KindFloat, KindStr:
-			default:
-				return false // vectors/rects are not columnar
-			}
-			if c.kind == 0 {
-				c.setKind(v.Kind)
-				d.alloc(c.kind, hi-lo)
-			} else if v.Kind != c.kind {
-				return false // mixed kinds: row path only
-			}
-			j := i - lo
-			d.setPresent(j)
-			switch v.Kind {
-			case KindInt:
-				d.ints[j] = v.Int()
-			case KindFloat:
-				d.floats[j] = v.Float()
-			case KindStr:
-				d.codes[j] = c.addCode(v.Str())
-			}
-		}
+		d := newSegData(c.kind, hi-lo)
+		c.fill(d, lo, hi)
 		sg.computeZone(c.kind, d)
 		sg.data.Store(d)
 		c.segs = append(c.segs, sg)
 	}
-	return true
 }
 
-// setKind records the kind discovered at the first non-null row and
-// retro-allocates typed arrays on the all-null segments built before it.
-// Only reachable during a fresh projection, so every earlier segment's
-// data is private to this builder.
-func (c *Column) setKind(k ValueKind) {
-	c.kind = k
-	for _, sg := range c.segs {
-		if d := sg.data.Load(); d != nil {
-			d.alloc(k, sg.rows())
+// fill reads rows [lo, hi) of the field into d, one segment's arrays.
+// Dictionary codes assign in first-appearance order, so projecting rows
+// in ascending order reproduces a fresh full projection's codes exactly;
+// a dictionary borrowed from an older column clones copy-on-write
+// before the first genuinely new string. A row already projected never
+// adds a code, so re-filling a segment (rebuildSeg) only reads the
+// dictionary and needs no lock.
+func (c *Column) fill(d *segData, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v, _ := c.patches[i].Get(c.field)
+		switch j := i - lo; c.kind {
+		case KindInt:
+			d.ints[j] = v.Int()
+		case KindFloat:
+			d.floats[j] = v.Float()
+		case KindStr:
+			d.codes[j] = c.addCode(v.Str())
 		}
 	}
 }
@@ -453,33 +383,20 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.SegTransient += o.SegTransient
 }
 
-// FilterEq evaluates field == v into a selection index list in row
-// order, skipping segments whose zone map proves no row can match. ok is
-// false when the field has no column (caller falls back to the row scan)
-// — a kind mismatch between the column and the constant is a valid
-// (empty) result, mirroring Value.Equal.
-func (cs *ColumnStore) FilterEq(field string, v Value) ([]int32, bool) {
-	sel, _, ok := cs.FilterEqStats(field, v)
-	return sel, ok
-}
-
-// FilterEqStats is FilterEq reporting per-call pruning statistics: the
-// column scan over every row of the store, keeping every match.
+// FilterEqStats evaluates field == v over every row of the store into a
+// selection index list in row order, skipping segments whose zone map
+// proves no row can match, and reports the scan's pruning statistics. ok
+// is false when the field has no column (caller falls back to the row
+// scan) — a kind mismatch between the column and the constant is a
+// valid (empty) result, mirroring Value.Equal.
 func (cs *ColumnStore) FilterEqStats(field string, v Value) ([]int32, ScanStats, bool) {
 	return cs.filterAll(Pred{Field: field, V: v})
 }
 
-// FilterRange evaluates lo <= field < hi (numeric widening, matching
-// Pred.Match) into a selection list in row order. ok is false when the
-// field has no column. String columns return an empty selection, like
-// the row predicate (AsFloat yields NaN, which fails both bounds).
-func (cs *ColumnStore) FilterRange(field string, lo, hi float64) ([]int32, bool) {
-	sel, _, ok := cs.FilterRangeStats(field, lo, hi)
-	return sel, ok
-}
-
-// FilterRangeStats is FilterRange reporting per-call pruning
-// statistics (see FilterEqStats).
+// FilterRangeStats evaluates lo <= field < hi (numeric widening,
+// matching Pred.Match) like FilterEqStats. String columns return an
+// empty selection, like the row predicate (AsFloat yields NaN, which
+// fails both bounds).
 func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, ScanStats, bool) {
 	return cs.filterAll(Pred{Field: field, Range: true, Lo: lo, Hi: hi})
 }
@@ -563,8 +480,6 @@ func compileMatcher(pred *Pred, col *Column) (matcher, bool) {
 // matches.
 func (m *matcher) skip(z *zoneMap) bool {
 	switch {
-	case z.allNull:
-		return true
 	case m.rng && m.kind == KindInt:
 		return float64(z.maxI) < m.lo || float64(z.minI) >= m.hi
 	case m.rng:
@@ -582,24 +497,24 @@ func (m *matcher) skip(z *zoneMap) bool {
 func (m *matcher) match(blk *[ColumnBlockSize]int32, d *segData, base, rows int) int {
 	switch {
 	case m.rng && m.kind == KindInt:
-		return matchRange(blk, d.ints[:rows], d, base, m.lo, m.hi)
+		return matchRange(blk, d.ints[:rows], base, m.lo, m.hi)
 	case m.rng:
-		return matchRange(blk, d.floats[:rows], d, base, m.lo, m.hi)
+		return matchRange(blk, d.floats[:rows], base, m.lo, m.hi)
 	case m.kind == KindInt:
-		return matchEq(blk, d.ints[:rows], d, base, m.i)
+		return matchEq(blk, d.ints[:rows], base, m.i)
 	case m.kind == KindFloat:
-		return matchEq(blk, d.floats[:rows], d, base, m.f)
+		return matchEq(blk, d.floats[:rows], base, m.f)
 	}
-	return matchEq(blk, d.codes[:rows], d, base, m.code)
+	return matchEq(blk, d.codes[:rows], base, m.code)
 }
 
 // The match kernels, one instance per array type: a typed-array sweep
 // with no switch inside, rows addressed locally (global row = base + j).
 
-func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, d *segData, base int, v T) int {
+func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, base int, v T) int {
 	c := 0
 	for j, x := range vals {
-		if x == v && !d.null(j) {
+		if x == v {
 			blk[c] = int32(base + j)
 			c++
 		}
@@ -607,10 +522,10 @@ func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, 
 	return c
 }
 
-func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, d *segData, base int, lo, hi float64) int {
+func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, base int, lo, hi float64) int {
 	c := 0
 	for j, x := range vals {
-		if f := float64(x); f >= lo && f < hi && !d.null(j) {
+		if f := float64(x); f >= lo && f < hi {
 			blk[c] = int32(base + j)
 			c++
 		}
@@ -626,10 +541,9 @@ func (cs *ColumnStore) Materialize(sel []int32) []*Patch { return cs.at.Material
 
 // TopK returns the selection of the k smallest (asc) or largest (desc)
 // rows by field, ordered exactly as a stable sort of the input would
-// order them (ties resolve in row order; null rows order before any
-// value ascending, after any value descending — CompareBy's order for the zero
-// Value). sel is the candidate row set in row order; nil means all rows.
-// ok is false when the field has no column.
+// order them (ties resolve in row order). sel is the candidate row set
+// in row order; nil means all rows. ok is false when the field has no
+// column.
 func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int32, bool) {
 	if _, ok := cs.Column(field); !ok {
 		return nil, false
@@ -678,17 +592,16 @@ type topKeep struct {
 // topEntry is one top-k candidate: its row and, with a column, its sort
 // value.
 type topEntry struct {
-	row  int32
-	null bool
-	i    int64 // int value, or dictionary code
-	f    float64
+	row int32
+	i   int64 // int value, or dictionary code
+	f   float64
 }
 
 // newTopKeep returns the consumer keeping the k (> 0) first rows of a
-// stable sort by field: ties in row order, null or missing values
-// ordering as the zero Value (before every value ascending, after every
-// value descending). It orders by cs's column for field when there is
-// one, else by the rows of snap.
+// stable sort by field, ties in row order. It orders by cs's column for
+// field when there is one, else by the rows of snap (CompareBy: missing
+// values order as the zero Value, before every value ascending, after
+// every value descending).
 func newTopKeep(cs *ColumnStore, snap Snapshot, field string, desc bool, k int) *topKeep {
 	t := &topKeep{heap: topHeap[topEntry]{k: k, h: make([]topEntry, 0, k)}}
 	if cs != nil {
@@ -705,16 +618,8 @@ func newTopKeep(cs *ColumnStore, snap Snapshot, field string, desc bool, k int) 
 		return t
 	}
 	t.rd.col = col
-	// Value.Compare on the column values (null = zero Value, whose kind 0
-	// sorts below every real kind), ties in row order.
+	// Value.Compare on the column values, ties in row order.
 	t.heap.before = func(a, b topEntry) bool {
-		if a.null || b.null {
-			if a.null != b.null {
-				// One null: ascending puts the null first, descending last.
-				return a.null != desc
-			}
-			return a.row < b.row // both null: row order
-		}
 		var less, greater bool
 		switch col.kind {
 		case KindInt:
@@ -759,8 +664,6 @@ func (t *topKeep) offer(rows []int32, pc *Column, pd *segData) {
 	for _, r := range rows {
 		e := topEntry{row: r}
 		switch j := int(r) - base; {
-		case d.null(j):
-			e.null = true
 		case kind == KindInt:
 			e.i = d.ints[j]
 		case kind == KindFloat:

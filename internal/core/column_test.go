@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -10,9 +11,10 @@ import (
 	"repro/internal/exec"
 )
 
-// columnTestSchema declares scalar fields of every columnar kind. The
-// "extra" fields below stay undeclared so rows can omit them (nulls):
-// declared fields must be present on every patch by schema validation.
+// columnTestSchema declares scalar fields of every columnar kind, each
+// a column. The other fields columnPatch sets stay undeclared, so rows
+// can omit them or vary their kind, and they have no column: declared
+// fields must be present on every patch by schema validation.
 func columnTestSchema() Schema {
 	return Schema{
 		Data: Pixels(0, 0),
@@ -20,14 +22,15 @@ func columnTestSchema() Schema {
 			{Name: "label", Kind: KindStr},
 			{Name: "score", Kind: KindFloat},
 			{Name: "rank", Kind: KindInt},
+			{Name: "clustered", Kind: KindInt},
 		},
 	}
 }
 
 // columnPatch generates deterministic row i. Every third row carries the
-// undeclared "sparse" int field (null elsewhere); "mixed" alternates
-// kinds (never columnizable); "clustered" is block-clustered so zone
-// maps genuinely prune.
+// undeclared "sparse" int field (missing elsewhere); the undeclared
+// "mixed" alternates kinds; the declared "clustered" is block-clustered
+// so zone maps genuinely prune.
 func columnPatch(i int) *Patch {
 	p := &Patch{
 		Ref: Ref{Source: "col", Frame: uint64(i)},
@@ -83,9 +86,67 @@ func reopenDB(t testing.TB, path string) *DB {
 	return db
 }
 
-// snapshotOf is a snapshot of rows at version ver that belongs to no
-// collection: enough for a store or an index built in isolation.
-func snapshotOf(rows []*Patch, ver uint64) Snapshot { return Snapshot{rows: rows, version: ver} }
+// schemaOnly is a collection with columnTestSchema and no database
+// behind it: the collection of every snapshotOf.
+var schemaOnly = &Collection{schema: columnTestSchema()}
+
+// snapshotOf is a snapshot of rows at version ver with columnTestSchema
+// and no database: enough for a store or an index built in isolation.
+func snapshotOf(rows []*Patch, ver uint64) Snapshot {
+	return Snapshot{col: schemaOnly, rows: rows, version: ver}
+}
+
+// assertRowScanFallback checks that fields have no column in snap's
+// store and that a column-scan Select on each returns the row scan's
+// selection, reported as the row scan: for equality and range
+// predicates, and as a top-k order-by. snap belongs to a collection in a
+// database.
+func assertRowScanFallback(t *testing.T, snap Snapshot, fields ...string) {
+	t.Helper()
+	cs, err := snap.col.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, f := range fields {
+		if _, ok := cs.Column(f); ok {
+			t.Fatalf("field %s has a column", f)
+		}
+		for _, q := range []struct {
+			pred Pred
+			keep Keep
+		}{
+			{Pred{Field: f, V: IntV(0)}, Keep{}},
+			{Pred{Field: f, V: StrV("odd")}, Keep{}},
+			{Pred{Field: f, Range: true, Lo: 0, Hi: 7}, Keep{}},
+			{Pred{Field: "rank", Range: true, Lo: 0, Hi: 13}, Keep{Kind: KeepTop, N: 17, Field: f}},
+			{Pred{Field: "rank", Range: true, Lo: 0, Hi: 13}, Keep{Kind: KeepTop, N: 17, Field: f, Desc: true}},
+		} {
+			rows, err := snap.Select(ctx, q.pred, FilterScan, q.keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols, err := snap.Select(ctx, q.pred, FilterColumnScan, q.keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.keep.Kind == KeepTop {
+				// The filter, on a column, matches every row; the
+				// order-by's rows compare.
+				want := referenceTopK(snap.rows, f, q.keep.Desc, q.keep.N)
+				if !idsEqual(patchIDs(want), patchIDs(snap.Materialize(cols.Sel))) {
+					t.Fatalf("top-k by %s (desc=%v) diverged from stable sort", f, q.keep.Desc)
+				}
+			} else if cols.Method != FilterScan {
+				t.Fatalf("%+v on %s ran as %v, want the row scan", q.pred, f, cols.Method)
+			}
+			if rows.N != cols.N || !slices.Equal(rows.Sel, cols.Sel) {
+				t.Fatalf("%+v keep %+v on %s: column scan %d rows != row scan %d rows (or order differs)",
+					q.pred, q.keep, f, cols.N, rows.N)
+			}
+		}
+	}
+}
 
 func patchIDs(ps []*Patch) []PatchID {
 	ids := make([]PatchID, len(ps))
@@ -108,9 +169,10 @@ func idsEqual(a, b []PatchID) bool {
 }
 
 // TestColumnarEqMatrix is the golden equivalence matrix: for every
-// columnar kind (str/int/float) and the sparse (nullable) field, the
-// columnar filter must return exactly the row scan's patches in exactly
-// its order — and where an index applies, the same set again.
+// columnar kind (str/int/float) and the undeclared fields that fall back
+// to the row scan, the columnar filter must return exactly the row
+// scan's patches in exactly its order — and where an index applies, the
+// same set again.
 func TestColumnarEqMatrix(t *testing.T) {
 	const rows = 3 * ColumnBlockSize / 2 // spans a block boundary
 	db, col := columnCollection(t, rows)
@@ -122,9 +184,9 @@ func TestColumnarEqMatrix(t *testing.T) {
 		{"label", []Value{StrV("car"), StrV("van"), StrV("tricycle")}}, // last: not in dictionary
 		{"rank", []Value{IntV(0), IntV(12), IntV(99)}},                 // last: pruned by every zone map
 		{"score", []Value{FloatV(0), FloatV(9.6), FloatV(123.4)}},
-		{"sparse", []Value{IntV(0), IntV(6), IntV(42)}},   // nullable field
+		{"sparse", []Value{IntV(0), IntV(6), IntV(42)}},   // undeclared, often missing: falls back
 		{"clustered", []Value{IntV(0), IntV(1), IntV(5)}}, // block-clustered
-		{"mixed", []Value{IntV(2), StrV("odd")}},          // not columnizable: falls back
+		{"mixed", []Value{IntV(2), StrV("odd")}},          // undeclared, two kinds: falls back
 	}
 	for _, tc := range cases {
 		for _, v := range tc.vals {
@@ -159,7 +221,9 @@ func TestColumnarEqMatrix(t *testing.T) {
 	}
 }
 
-// TestColumnarRangeMatrix pins FilterRange against the row predicate.
+// TestColumnarRangeMatrix pins FilterRangeStats against the row
+// predicate; an undeclared field has no column and its range runs as the
+// row scan.
 func TestColumnarRangeMatrix(t *testing.T) {
 	const rows = ColumnBlockSize + 37
 	_, col := columnCollection(t, rows)
@@ -177,10 +241,9 @@ func TestColumnarRangeMatrix(t *testing.T) {
 		{"score", 50, 40}, // empty interval
 		{"rank", 3, 7},
 		{"rank", 100, 200}, // pruned everywhere
-		{"sparse", 0, 7},   // nullable
 		{"label", 0, 10},   // string column: never matches, like AsFloat=NaN
 	} {
-		sel, ok := cs.FilterRange(tc.field, tc.lo, tc.hi)
+		sel, _, ok := cs.FilterRangeStats(tc.field, tc.lo, tc.hi)
 		if !ok {
 			t.Fatalf("field %s lost its column", tc.field)
 		}
@@ -196,12 +259,17 @@ func TestColumnarRangeMatrix(t *testing.T) {
 				tc.field, tc.lo, tc.hi, len(sel), len(want))
 		}
 	}
+	if _, _, ok := cs.FilterRangeStats("sparse", 0, 7); ok {
+		t.Fatal("undeclared sparse has a column")
+	}
+	assertRowScanFallback(t, cs.at, "sparse", "mixed")
 }
 
 // TestColumnarTopKGolden: the columnar heap must reproduce the stable
-// sort's order exactly, including ties (low-cardinality rank) and nulls
-// (sparse), ascending and descending, across k values straddling the
-// input size.
+// sort's order exactly, including ties (low-cardinality rank),
+// ascending and descending, across k values straddling the input size.
+// The undeclared sparse field, missing from most rows, has no column:
+// its top-k orders the rows themselves.
 func TestColumnarTopKGolden(t *testing.T) {
 	const rows = 2*ColumnBlockSize + 11
 	_, col := columnCollection(t, rows)
@@ -210,7 +278,7 @@ func TestColumnarTopKGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, _ := col.Patches()
-	for _, field := range []string{"rank", "score", "label", "sparse"} {
+	for _, field := range []string{"rank", "score", "label", "clustered"} {
 		for _, desc := range []bool{false, true} {
 			for _, k := range []int{0, 1, 7, 100, rows, rows + 5} {
 				top, ok := cs.TopK(nil, field, desc, k)
@@ -224,6 +292,10 @@ func TestColumnarTopKGolden(t *testing.T) {
 			}
 		}
 	}
+	if _, ok := cs.TopK(nil, "sparse", false, 7); ok {
+		t.Fatal("undeclared sparse has a column")
+	}
+	assertRowScanFallback(t, cs.at, "sparse")
 }
 
 // referenceTopK is the top-k a stable sort defines: a copy of ps sorted
@@ -243,7 +315,7 @@ func TestColumnarTopKSelected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, ok := cs.FilterEq("label", StrV("bike"))
+	sel, _, ok := cs.FilterEqStats("label", StrV("bike"))
 	if !ok {
 		t.Fatal("label lost its column")
 	}
@@ -275,7 +347,7 @@ func TestColumnarZoneMapPruning(t *testing.T) {
 		t.Fatalf("blocks = %d, want 4", c.Blocks())
 	}
 	// Every row of block 2 and only block 2.
-	sel, _ := cs.FilterEq("clustered", IntV(2))
+	sel, _, _ := cs.FilterEqStats("clustered", IntV(2))
 	if len(sel) != ColumnBlockSize {
 		t.Fatalf("clustered==2 matched %d rows, want %d", len(sel), ColumnBlockSize)
 	}
@@ -283,10 +355,10 @@ func TestColumnarZoneMapPruning(t *testing.T) {
 		t.Fatalf("selection [%d, %d] not confined to block 2", sel[0], sel[len(sel)-1])
 	}
 	// All-pruned: no zone map admits 99.
-	if sel, _ := cs.FilterEq("clustered", IntV(99)); len(sel) != 0 {
+	if sel, _, _ := cs.FilterEqStats("clustered", IntV(99)); len(sel) != 0 {
 		t.Fatalf("all-pruned predicate matched %d rows", len(sel))
 	}
-	if sel, _ := cs.FilterRange("clustered", 100, 200); len(sel) != 0 {
+	if sel, _, _ := cs.FilterRangeStats("clustered", 100, 200); len(sel) != 0 {
 		t.Fatalf("all-pruned range matched %d rows", len(sel))
 	}
 }
@@ -300,7 +372,7 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel1, _ := cs1.FilterEq("label", StrV("car"))
+	sel1, _, _ := cs1.FilterEqStats("label", StrV("car"))
 	n1 := len(sel1)
 
 	for i := 100; i < 200; i++ {
@@ -315,12 +387,12 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 	if cs2.at.version == cs1.at.version {
 		t.Fatal("append did not move the column store version")
 	}
-	sel2, _ := cs2.FilterEq("label", StrV("car"))
+	sel2, _, _ := cs2.FilterEqStats("label", StrV("car"))
 	if len(sel2) != 2*n1 {
 		t.Fatalf("rebuilt store matched %d rows, want %d", len(sel2), 2*n1)
 	}
 	// The old store still answers over its own 100-row snapshot.
-	if sel, _ := cs1.FilterEq("label", StrV("car")); len(sel) != n1 {
+	if sel, _, _ := cs1.FilterEqStats("label", StrV("car")); len(sel) != n1 {
 		t.Fatalf("stale store changed its answer: %d vs %d", len(sel), n1)
 	}
 	// A fresh build over the same snapshot agrees.
@@ -328,13 +400,15 @@ func TestColumnarVersionInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel3, _ := newColumnStore(snap, nil).FilterEq("label", StrV("car")); len(sel3) != 2*n1 {
+	if sel3, _, _ := newColumnStore(snap, nil).FilterEqStats("label", StrV("car")); len(sel3) != 2*n1 {
 		t.Fatalf("fresh store matched %d rows, want %d", len(sel3), 2*n1)
 	}
 }
 
-// TestColumnarEmptyAndAllNull: un-columnizable shapes must report
-// ok=false, never a wrong answer.
+// TestColumnarEmptyAndAllNull: an empty collection's declared field is
+// an empty column, and a field no row holds or one whose kind varies —
+// neither declared — has none and runs as the row scan, never a wrong
+// answer.
 func TestColumnarEmptyAndAllNull(t *testing.T) {
 	db := openDB(t)
 	col, err := db.CreateCollection("empty", columnTestSchema())
@@ -345,22 +419,97 @@ func TestColumnarEmptyAndAllNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cs.FilterEq("label", StrV("car")); ok {
-		t.Fatal("empty collection produced a column")
+	if sel, st, ok := cs.FilterEqStats("label", StrV("car")); !ok || len(sel) != 0 || st.Blocks != 0 {
+		t.Fatalf("empty collection's label: %d rows over %d blocks, ok=%v; want an empty column", len(sel), st.Blocks, ok)
 	}
-	// All-null (undeclared, never set) and vector-valued fields.
+	assertRowScanFallback(t, cs.at, "nosuch", "mixed")
 	for i := 0; i < 10; i++ {
 		if err := col.Append(columnPatch(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs, _ = col.Columns()
-	if _, ok := cs.Column("nosuch"); ok {
-		t.Fatal("all-null field produced a column")
+	assertRowScanFallback(t, cs.at, "nosuch", "mixed")
+}
+
+// TestColumnsAreDeclaredScalars: a store projects exactly the fields its
+// schema declares as int, float or string, each in its declared kind, on
+// an empty collection too. A declared vector or rect field and an
+// undeclared field have no column. Stores racing to project one field
+// keep one column.
+func TestColumnsAreDeclaredScalars(t *testing.T) {
+	schema := Schema{
+		Data: Pixels(0, 0),
+		Fields: []Field{
+			{Name: "label", Kind: KindStr},
+			{Name: "score", Kind: KindFloat},
+			{Name: "rank", Kind: KindInt},
+			{Name: "emb", Kind: KindVec, VecDim: 2},
+			{Name: "box", Kind: KindRect},
+		},
 	}
-	if _, ok := cs.Column("mixed"); ok {
-		t.Fatal("mixed-kind field produced a column")
+	scalars, others := schema.Fields[:3], []string{"emb", "box", "extra"}
+	db := openDB(t)
+	col, err := db.CreateCollection("scalars", schema)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check := func(rows int) {
+		t.Helper()
+		snap, err := col.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := newColumnStore(snap, nil)
+		got := make([][]*Column, 4)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, f := range scalars {
+					c, _ := cs.Column(f.Name)
+					got[w] = append(got[w], c)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, f := range scalars {
+			c, ok := cs.Column(f.Name)
+			if !ok || c.Kind() != f.Kind || c.Blocks() != (rows+ColumnBlockSize-1)/ColumnBlockSize {
+				t.Fatalf("%d rows: declared %s: column %v, want kind %v over %d rows", rows, f.Name, ok, f.Kind, rows)
+			}
+			for w := range got {
+				if got[w][i] != c {
+					t.Fatalf("%d rows: racing projections of %s kept two columns", rows, f.Name)
+				}
+			}
+		}
+		for _, f := range others {
+			if _, ok := cs.Column(f); ok {
+				t.Fatalf("%d rows: %s has a column", rows, f)
+			}
+		}
+	}
+	check(0)
+	const rows = ColumnBlockSize + 3
+	for i := 0; i < rows; i++ {
+		err := col.Append(&Patch{
+			Ref: Ref{Source: "scalars", Frame: uint64(i)},
+			Meta: Metadata{
+				"label": StrV([]string{"car", "bus"}[i%2]),
+				"score": FloatV(float64(i) / 4),
+				"rank":  IntV(int64(i % 5)),
+				"emb":   VecV([]float32{float32(i), 1}),
+				"box":   RectV(0, 0, float64(i), 1),
+				"extra": IntV(int64(i)),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(rows)
 }
 
 // TestSnapshotColdLoadConcurrency: after a reopen, concurrent cold
@@ -437,7 +586,7 @@ func ExampleColumnStore() {
 		{ID: 3, Meta: Metadata{"label": StrV("car"), "score": FloatV(0.7)}},
 	}
 	cs := newColumnStore(snapshotOf(ps, 1), nil)
-	sel, _ := cs.FilterEq("label", StrV("car"))
+	sel, _, _ := cs.FilterEqStats("label", StrV("car"))
 	top, _ := cs.TopK(sel, "score", false, 1)
 	for _, p := range cs.Materialize(top) {
 		fmt.Println(p.ID, metaVal(p, "score").Float())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -8,14 +9,13 @@ import (
 
 // Incremental column extension tests: Extend must be indistinguishable
 // from a fresh projection over the longer snapshot — arrays, dictionary
-// codes, null bitmaps and zone maps byte for byte — while reusing every
-// sealed block of the old store.
+// codes and zone maps byte for byte — while reusing every sealed block
+// of the old store.
 
 // extendPatches builds a deterministic snapshot with an interesting
 // suffix: rows >= split introduce a dictionary string the prefix never
-// saw, populate the prefix-all-null "late" field, and flip the "flip"
-// field from int to string (breaking columnizability exactly as a fresh
-// build would discover).
+// saw, populate the undeclared "late" field the prefix lacks, and flip
+// the undeclared "flip" field from int to string.
 func extendPatches(n, split int) []*Patch {
 	ps := make([]*Patch, n)
 	for i := 0; i < n; i++ {
@@ -36,8 +36,8 @@ func extendPatches(n, split int) []*Patch {
 }
 
 // columnsEqual compares one field's projection between two stores,
-// including the ok verdict: column identity (kind, length, null count,
-// dictionary contents and code assignment) and every segment's summary
+// including the ok verdict: column identity (kind, length, dictionary
+// contents and code assignment) and every segment's summary
 // and row data byte for byte. Segments carry atomic data pointers (and
 // may be shared between the stores), so the comparison is semantic
 // rather than reflect.DeepEqual over the whole Column.
@@ -46,14 +46,14 @@ func columnsEqual(t *testing.T, field string, a, b *ColumnStore) {
 	ca, oka := a.Column(field)
 	cb, okb := b.Column(field)
 	if oka != okb {
-		t.Fatalf("field %s: columnizable %v vs %v", field, oka, okb)
+		t.Fatalf("field %s: has a column %v vs %v", field, oka, okb)
 	}
 	if !oka {
 		return
 	}
-	if ca.kind != cb.kind || ca.n != cb.n || ca.nnull != cb.nnull {
-		t.Fatalf("field %s: identity diverges: kind %d/%d n %d/%d nnull %d/%d",
-			field, ca.kind, cb.kind, ca.n, cb.n, ca.nnull, cb.nnull)
+	if ca.kind != cb.kind || ca.n != cb.n {
+		t.Fatalf("field %s: identity diverges: kind %d/%d n %d/%d",
+			field, ca.kind, cb.kind, ca.n, cb.n)
 	}
 	if !reflect.DeepEqual(ca.dict, cb.dict) || !reflect.DeepEqual(ca.dictIdx, cb.dictIdx) {
 		t.Fatalf("field %s: dictionary diverges:\n  a: %v\n  b: %v", field, ca.dict, cb.dict)
@@ -63,22 +63,22 @@ func columnsEqual(t *testing.T, field string, a, b *ColumnStore) {
 	}
 	for si := range ca.segs {
 		sa, sb := ca.segs[si], cb.segs[si]
-		if sa.zone != sb.zone || sa.nnull != sb.nnull || sa.sealed != sb.sealed {
-			t.Fatalf("field %s: segment %d summary diverges:\n  a: %+v nnull=%d sealed=%v\n  b: %+v nnull=%d sealed=%v",
-				field, si, sa.zone, sa.nnull, sa.sealed, sb.zone, sb.nnull, sb.sealed)
+		if sa.zone != sb.zone || sa.sealed != sb.sealed {
+			t.Fatalf("field %s: segment %d summary diverges:\n  a: %+v sealed=%v\n  b: %+v sealed=%v",
+				field, si, sa.zone, sa.sealed, sb.zone, sb.sealed)
 		}
 		// One reader per side: a cold segment's data may live in the
 		// reader's scratch, where only the column kind's array is current.
 		ra, rb := segReader{col: ca}, segReader{col: cb}
 		da, db := ra.rows(sa, nil), rb.rows(sb, nil)
-		same := reflect.DeepEqual(da.nulls, db.nulls)
+		var same bool
 		switch ca.kind {
 		case KindInt:
-			same = same && reflect.DeepEqual(da.ints, db.ints)
+			same = reflect.DeepEqual(da.ints, db.ints)
 		case KindFloat:
-			same = same && reflect.DeepEqual(da.floats, db.floats)
+			same = reflect.DeepEqual(da.floats, db.floats)
 		case KindStr:
-			same = same && reflect.DeepEqual(da.codes, db.codes)
+			same = reflect.DeepEqual(da.codes, db.codes)
 		}
 		if !same {
 			t.Fatalf("field %s: segment %d data diverges:\n  a: %+v\n  b: %+v", field, si, da, db)
@@ -90,12 +90,15 @@ func columnsEqual(t *testing.T, field string, a, b *ColumnStore) {
 
 // TestExtendByteIdenticalToFreshBuild pins the golden contract at the
 // store level across block-boundary alignments: mid-block and
-// block-aligned old tails, dictionary growth, nullable fields, a field
-// that becomes columnizable only through the suffix, and one that stops
-// being columnizable because of it.
+// block-aligned old tails and dictionary growth in the declared columns.
+// The undeclared fields — one the prefix lacks, one that changes kind in
+// the suffix, one that alternates kinds, one most rows lack — have no
+// column on either store, and Select runs them as the row scan.
 func TestExtendByteIdenticalToFreshBuild(t *testing.T) {
-	fields := []string{"label", "score", "rank", "sparse", "clustered", "late", "flip", "mixed"}
-	for _, tc := range []struct{ oldN, n int }{
+	declared := []string{"label", "score", "rank", "clustered"}
+	undeclared := []string{"sparse", "late", "flip", "mixed"}
+	db := openDB(t)
+	for ci, tc := range []struct{ oldN, n int }{
 		{2*ColumnBlockSize + ColumnBlockSize/2, 4 * ColumnBlockSize},       // mid-block tail
 		{2 * ColumnBlockSize, 3*ColumnBlockSize + 7},                       // block-aligned old tail
 		{ColumnBlockSize / 2, ColumnBlockSize/2 + 3},                       // single partial block
@@ -104,46 +107,65 @@ func TestExtendByteIdenticalToFreshBuild(t *testing.T) {
 		{ColumnBlockSize + 1, ColumnBlockSize + 1 + 2*ColumnBlockSize + 5}, // multi-block append
 	} {
 		ps := extendPatches(tc.n, tc.oldN)
-		old := newColumnStore(snapshotOf(ps[:tc.oldN], 1), nil)
-		for _, f := range fields {
-			old.Column(f) // project (or record nil) on the old store
+		col, err := db.CreateCollection(fmt.Sprintf("ext.%d", ci), columnTestSchema())
+		if err != nil {
+			t.Fatal(err)
 		}
-		ext, st := old.Extend(snapshotOf(ps, 2))
-		fresh := newColumnStore(snapshotOf(ps, 2), nil)
-		for _, f := range fields {
+		appendRows := func(rows []*Patch) Snapshot {
+			for _, p := range rows {
+				if err := col.Append(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := col.Current()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap
+		}
+		old := newColumnStore(appendRows(ps[:tc.oldN]), nil)
+		for _, f := range append(declared, undeclared...) {
+			old.Column(f) // project the declared fields on the old store
+		}
+		snap := appendRows(ps[tc.oldN:])
+		ext, st := old.Extend(snap)
+		fresh := newColumnStore(snap, nil)
+		for _, f := range declared {
+			if _, ok := ext.Column(f); !ok {
+				t.Fatalf("oldN=%d: declared %s has no column", tc.oldN, f)
+			}
 			columnsEqual(t, f, ext, fresh)
 		}
-		if ext.at.version != 2 || ext.at.Len() != tc.n {
+		for _, f := range undeclared {
+			if _, ok := ext.Column(f); ok {
+				t.Fatalf("oldN=%d: undeclared %s has a column", tc.oldN, f)
+			}
+			columnsEqual(t, f, ext, fresh)
+		}
+		assertRowScanFallback(t, snap, undeclared...)
+		if ext.at.version != snap.version || ext.at.Len() != tc.n {
 			t.Fatalf("extended store identity: version %d len %d", ext.at.version, ext.at.Len())
 		}
-		// Sealed-block accounting: every carried column reuses exactly the
-		// full blocks of the old snapshot.
+		// Sealed-block accounting: every declared column carries over and
+		// reuses exactly the full blocks of the old snapshot.
 		sealed := tc.oldN / ColumnBlockSize
 		oldBlocks := (tc.oldN + ColumnBlockSize - 1) / ColumnBlockSize
-		if tc.oldN > 0 {
-			// label/score/rank/sparse/clustered project; flip carried but
-			// broken by the suffix when rows straddle the split; late/mixed
-			// are nil on the old store.
-			if st.Columns < 5 {
-				t.Fatalf("oldN=%d: carried %d columns, want >= 5", tc.oldN, st.Columns)
-			}
-			if st.ReusedBlocks != st.Columns*sealed || st.TotalBlocks != st.Columns*oldBlocks {
-				t.Fatalf("oldN=%d: reuse %d/%d blocks over %d columns, want %d/%d",
-					tc.oldN, st.ReusedBlocks, st.TotalBlocks, st.Columns, st.Columns*sealed, st.Columns*oldBlocks)
-			}
+		if st.Columns != len(declared) || st.ReusedBlocks != st.Columns*sealed || st.TotalBlocks != st.Columns*oldBlocks {
+			t.Fatalf("oldN=%d: carried %d columns reusing %d/%d blocks, want %d reusing %d/%d",
+				tc.oldN, st.Columns, st.ReusedBlocks, st.TotalBlocks, len(declared), len(declared)*sealed, len(declared)*oldBlocks)
 		}
 		// Query-level agreement over the extended store.
 		for _, v := range []Value{StrV("car"), StrV("zeppelin"), StrV("tricycle")} {
-			se, oke := ext.FilterEq("label", v)
-			sf, okf := fresh.FilterEq("label", v)
+			se, _, oke := ext.FilterEqStats("label", v)
+			sf, _, okf := fresh.FilterEqStats("label", v)
 			if oke != okf || !reflect.DeepEqual(se, sf) {
-				t.Fatalf("oldN=%d FilterEq(label, %v) diverges", tc.oldN, v)
+				t.Fatalf("oldN=%d FilterEqStats(label, %v) diverges", tc.oldN, v)
 			}
 		}
-		re, _ := ext.FilterRange("score", 2.5, 7.5)
-		rf, _ := fresh.FilterRange("score", 2.5, 7.5)
+		re, _, _ := ext.FilterRangeStats("score", 2.5, 7.5)
+		rf, _, _ := fresh.FilterRangeStats("score", 2.5, 7.5)
 		if !reflect.DeepEqual(re, rf) {
-			t.Fatalf("oldN=%d FilterRange diverges", tc.oldN)
+			t.Fatalf("oldN=%d FilterRangeStats diverges", tc.oldN)
 		}
 		te, _ := ext.TopK(nil, "score", true, 25)
 		tf, _ := fresh.TopK(nil, "score", true, 25)
@@ -164,18 +186,18 @@ func TestExtendDoesNotMutateOldStore(t *testing.T) {
 	const oldN = ColumnBlockSize + 100
 	ps := extendPatches(oldN+2*ColumnBlockSize, oldN)
 	old := newColumnStore(snapshotOf(ps[:oldN], 1), nil)
-	before, _ := old.FilterEq("label", StrV("car"))
+	before, _, _ := old.FilterEqStats("label", StrV("car"))
 	beforeDict := append([]int32(nil), before...)
 	if _, st := old.Extend(snapshotOf(ps, 2)); st.Columns == 0 {
 		t.Fatal("no columns carried")
 	}
-	after, _ := old.FilterEq("label", StrV("car"))
+	after, _, _ := old.FilterEqStats("label", StrV("car"))
 	if !reflect.DeepEqual(beforeDict, after) {
 		t.Fatal("Extend mutated the old store's selection results")
 	}
-	if _, ok := old.FilterEq("label", StrV("zeppelin")); !ok {
+	if sel, _, ok := old.FilterEqStats("label", StrV("zeppelin")); !ok {
 		t.Fatal("old store lost its label column")
-	} else if sel, _ := old.FilterEq("label", StrV("zeppelin")); len(sel) != 0 {
+	} else if len(sel) != 0 {
 		t.Fatal("old store's dictionary leaked a suffix-only code")
 	}
 	if old.at.Len() != oldN {

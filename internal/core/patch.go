@@ -584,20 +584,13 @@ func newRowCodec(s Schema) *rowCodec {
 	return c
 }
 
-// pos returns the position of the declared field name, or -1.
+// pos returns the position of the declared field name, or -1: a scan,
+// since a schema declares a handful of fields.
 func (c *rowCodec) pos(name string) int {
-	o := c.order
-	lo, hi := 0, len(o)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c.fields[o[m]].Name < name {
-			lo = m + 1
-		} else {
-			hi = m
+	for i := range c.fields {
+		if c.fields[i].Name == name {
+			return i
 		}
-	}
-	if lo < len(o) && c.fields[o[lo]].Name == name {
-		return o[lo]
 	}
 	return -1
 }

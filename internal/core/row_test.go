@@ -476,6 +476,49 @@ func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	assertReopenedLoadCachesNothing(t, db, path, "rows")
+}
+
+// TestReopenedLoadCachesNoOverflowPage: rows whose payloads overflow the
+// leaf into chains of pages load after a reopen without caching those
+// chains either.
+func TestReopenedLoadCachesNoOverflowPage(t *testing.T) {
+	const rows = 500
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db, err := Open(path, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("frames", Schema{Data: Pixels(32, 32), Fields: fixtureFields})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < rows; i++ {
+		px := tensor.NewU8(32, 32, 3) // 3 KiB: past the 1 KiB inline limit
+		rng.Read(px.U8s)
+		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Data: px, Meta: Metadata{
+			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
+			"score": FloatV(float64(i) / rows),
+			"rank":  IntV(int64(i)),
+		}}
+		if err := col.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertReopenedLoadCachesNothing(t, db, path, "frames")
+}
+
+// assertReopenedLoadCachesNothing closes db, the database at path,
+// reopens it and loads collection name: the rows must read as they did
+// before the close, and the load may cache at most 4 pages beyond those
+// the open cached.
+func assertReopenedLoadCachesNothing(t *testing.T, db *DB, path, name string) {
+	t.Helper()
+	col, err := db.Collection(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before, err := col.Patches()
 	if err != nil {
 		t.Fatal(err)
@@ -485,13 +528,13 @@ func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 	}
 	db = reopenDB(t, path)
 	pager := db.Store().Pager()
-	if col, err = db.Collection("rows"); err != nil {
+	if col, err = db.Collection(name); err != nil {
 		t.Fatal(err)
 	}
 	opened := pager.CachedPages()
 	after, err := col.Patches()
-	if err != nil || len(after) != rows {
-		t.Fatalf("reopened %d rows, %v", len(after), err)
+	if err != nil || len(after) != len(before) {
+		t.Fatalf("reopened %d of %d rows, %v", len(after), len(before), err)
 	}
 	for i := range after {
 		if err := samePatch(before[i], after[i]); err != nil {
@@ -500,6 +543,33 @@ func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 	}
 	if cached := pager.CachedPages(); cached > opened+4 {
 		t.Fatalf("loading %d rows from a %d-page file cached %d pages (%d after the open), want at most 4 more",
-			rows, pager.NumPages(), cached, opened)
+			len(after), pager.NumPages(), cached, opened)
+	}
+}
+
+// BenchmarkPatchGet reads every field of 50k committed rows through Get:
+// the three fixture fields, held by position, and one undeclared field.
+func BenchmarkPatchGet(b *testing.B) {
+	const rows = 50_000
+	schema := Schema{Fields: fixtureFields}
+	s := newSealer(schema, newRowCodec(schema), rows)
+	rng := rand.New(rand.NewSource(1))
+	labels := []string{"car", "bus", "bike", "truck"}
+	ps := make([]*Patch, rows)
+	for i := range ps {
+		m := fixtureMeta(labels, rng)
+		m["extra"] = IntV(int64(i))
+		ps[i] = &Patch{Ref: Ref{Source: "bench", Frame: uint64(i)}}
+		s.Seal(ps[i], metaPairs(m))
+	}
+	fields := []string{"label", "score", "rank", "extra"}
+	for b.Loop() {
+		for _, p := range ps {
+			for _, f := range fields {
+				if _, ok := p.Get(f); !ok {
+					b.Fatalf("row %d lacks %s", p.Ref.Frame, f)
+				}
+			}
+		}
 	}
 }

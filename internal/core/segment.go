@@ -6,7 +6,7 @@ package core
 // memcpy). With a SegmentCache installed, each sealed segment also keeps
 // its compressed encoding (encodeSegData, through internal/codec) in
 // memory: that encoding is the cold tier. The segment *summaries* — zone
-// maps and null counts — always stay resident, so zone-pruned scans never
+// maps — always stay resident, so zone-pruned scans never
 // decode a cold segment, while the decoded row data lives behind an
 // atomic pointer that the byte-budgeted cache may drop once the encoding
 // is set. Readers mid-scan hold the *segData they loaded, so an eviction
@@ -20,7 +20,6 @@ package core
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,38 +27,29 @@ import (
 	"repro/internal/codec"
 )
 
-// segData is one segment's row data: a typed array for the column kind
-// plus the local presence bitmap (bit set = value present). Rows address
-// locally: global row i lives at i - seg.zone.lo. Every segData is an
-// independent allocation — never a sub-slice of a store-wide array — so
-// evicting one segment genuinely frees its bytes.
+// segData is one segment's row data: a typed array for the column kind,
+// one value per row. Rows address locally: global row i lives at i -
+// seg.zone.lo. Every segData is an independent allocation — never a
+// sub-slice of a store-wide array — so evicting one segment genuinely
+// frees its bytes.
 type segData struct {
 	ints   []int64
 	floats []float64
 	codes  []uint32
-	nulls  []uint64
 }
 
-func (d *segData) null(j int) bool  { return d.nulls[j>>6]&(1<<(uint(j)&63)) == 0 }
-func (d *segData) setPresent(j int) { d.nulls[j>>6] |= 1 << (uint(j) & 63) }
-
-// alloc sizes the typed array for kind if not already allocated (the
-// kind of an all-null prefix is discovered mid-projection).
-func (d *segData) alloc(kind ValueKind, rows int) {
+// newSegData allocates a segment's array of rows values of kind.
+func newSegData(kind ValueKind, rows int) *segData {
+	d := new(segData)
 	switch kind {
 	case KindInt:
-		if d.ints == nil {
-			d.ints = make([]int64, rows)
-		}
+		d.ints = make([]int64, rows)
 	case KindFloat:
-		if d.floats == nil {
-			d.floats = make([]float64, rows)
-		}
+		d.floats = make([]float64, rows)
 	case KindStr:
-		if d.codes == nil {
-			d.codes = make([]uint32, rows)
-		}
+		d.codes = make([]uint32, rows)
 	}
+	return d
 }
 
 // segBytes is the cache-accounting size of a segment's arrays, known
@@ -69,18 +59,17 @@ func segBytes(kind ValueKind, rows int) int64 {
 	if kind == KindStr {
 		width = 4
 	}
-	return int64(width*rows + 8*((rows+63)/64) + 64)
+	return int64(width*rows + 64)
 }
 
 // colSegment is one zone-mapped block of a column. The summary fields
-// (zone, nnull, sealed) are immutable after the segment is built and
+// (zone, sealed) are immutable after the segment is built and
 // always memory-resident; data may be dropped by the segment cache once
 // enc is set, and decodes from enc on demand. Sealed (full-size)
 // segments are shared by pointer across every ColumnStore generation
 // that covers their rows.
 type colSegment struct {
 	zone   zoneMap // includes the [lo, hi) row range
-	nnull  int     // missing rows within the segment
 	sealed bool    // full ColumnBlockSize rows: shareable and spillable
 	// enc is data's encoding, set once when the segment spills (see
 	// SegmentCache.spill). Nil: data is never evicted.
@@ -94,47 +83,43 @@ func (sg *colSegment) rows() int { return sg.zone.hi - sg.zone.lo }
 // computeZone fills the segment's zone map from its data.
 func (sg *colSegment) computeZone(kind ValueKind, d *segData) {
 	z := &sg.zone
-	z.allNull = true
-	for j := 0; j < sg.rows(); j++ {
-		if d.null(j) {
-			continue
-		}
-		switch kind {
-		case KindInt:
-			v := d.ints[j]
-			if z.allNull || v < z.minI {
-				z.minI = v
-			}
-			if z.allNull || v > z.maxI {
-				z.maxI = v
-			}
-		case KindFloat:
-			v := d.floats[j]
-			if z.allNull || v < z.minF {
-				z.minF = v
-			}
-			if z.allNull || v > z.maxF {
-				z.maxF = v
-			}
-		case KindStr:
-			if code := d.codes[j]; code < 64 {
+	switch kind {
+	case KindInt:
+		z.minI, z.maxI = bounds(d.ints)
+	case KindFloat:
+		z.minF, z.maxF = bounds(d.floats)
+	case KindStr:
+		for _, code := range d.codes {
+			if code < 64 {
 				z.codeSet |= 1 << code
 			}
 		}
-		z.allNull = false
 	}
+}
+
+// bounds returns the least and greatest of vals, seeded by the first
+// value: a later NaN compares false both ways and never moves them.
+func bounds[T int64 | float64](vals []T) (lo, hi T) {
+	for j, v := range vals {
+		if j == 0 || v < lo {
+			lo = v
+		}
+		if j == 0 || v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
 }
 
 // ------------------------------------------------------ segment blobs ----
 
 // segBlobVersion versions the segment encoding.
-const segBlobVersion = 1
+const segBlobVersion = 2
 
-// encodeSegData serializes a segment's arrays: a 6-byte header (version,
-// kind, bitmap length), the null bitmap, then the typed array via the
-// codec package's losslessly round-tripping segment encoders.
+// encodeSegData serializes a segment's array: a 2-byte header (version,
+// kind), then the typed array via the codec package's losslessly
+// round-tripping segment encoders.
 func encodeSegData(kind ValueKind, d *segData) []byte {
-	bm := codec.EncodeBitmap(d.nulls)
 	var typed []byte
 	switch kind {
 	case KindInt:
@@ -144,32 +129,17 @@ func encodeSegData(kind ValueKind, d *segData) []byte {
 	case KindStr:
 		typed = codec.EncodeCodes(d.codes)
 	}
-	out := make([]byte, 0, 6+len(bm)+len(typed))
-	out = append(out, segBlobVersion, byte(kind))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(bm)))
-	out = append(out, bm...)
-	out = append(out, typed...)
-	return out
+	return append([]byte{segBlobVersion, byte(kind)}, typed...)
 }
 
 // decodeSegDataInto reverses encodeSegData into d, reusing d's arrays
 // when they are large enough, and validates the header against the
 // expected kind and row count. decode(encode(d)) == d byte-for-byte.
 func decodeSegDataInto(d *segData, kind ValueKind, rows int, b []byte) (err error) {
-	if len(b) < 6 || b[0] != segBlobVersion || ValueKind(b[1]) != kind {
+	if len(b) < 2 || b[0] != segBlobVersion || ValueKind(b[1]) != kind {
 		return fmt.Errorf("core: segment blob header mismatch")
 	}
-	bl := int(binary.LittleEndian.Uint32(b[2:]))
-	if bl < 0 || len(b) < 6+bl {
-		return fmt.Errorf("core: segment blob bitmap length")
-	}
-	if d.nulls, err = codec.DecodeBitmapInto(d.nulls, b[6:6+bl]); err != nil {
-		return err
-	}
-	if len(d.nulls) != (rows+63)/64 {
-		return fmt.Errorf("core: segment bitmap rows mismatch")
-	}
-	typed := b[6+bl:]
+	typed := b[2:]
 	switch kind {
 	case KindInt:
 		if d.ints, err = codec.DecodeIntsInto(d.ints, typed); err == nil && len(d.ints) != rows {

@@ -17,7 +17,7 @@ import (
 // and persist none, and Extend allocation stays O(new rows) regardless of
 // history length.
 
-var tieredFields = []string{"label", "score", "rank", "sparse", "clustered"}
+var tieredFields = []string{"label", "score", "rank", "clustered"}
 
 // Every test in the package runs with dead scratches poisoned: a kernel
 // reading a transient segment after its inner loop then diverges from
@@ -33,9 +33,6 @@ func init() {
 		}
 		for i := range d.codes {
 			d.codes[i] = math.MaxUint32
-		}
-		for i := range d.nulls {
-			d.nulls[i] = math.MaxUint64 // every row "present"
 		}
 	}
 }
@@ -67,15 +64,15 @@ func assertStoreMatchesMemory(t *testing.T, cs, mem *ColumnStore) {
 	for _, f := range tieredFields {
 		columnsEqual(t, f, cs, mem)
 	}
-	se, _ := cs.FilterEq("label", StrV("car"))
-	sm, _ := mem.FilterEq("label", StrV("car"))
+	se, _, _ := cs.FilterEqStats("label", StrV("car"))
+	sm, _, _ := mem.FilterEqStats("label", StrV("car"))
 	if !reflect.DeepEqual(se, sm) {
-		t.Fatalf("FilterEq diverges: %d vs %d rows", len(se), len(sm))
+		t.Fatalf("FilterEqStats diverges: %d vs %d rows", len(se), len(sm))
 	}
-	re, _ := cs.FilterRange("score", 1.5, 6.25)
-	rm, _ := mem.FilterRange("score", 1.5, 6.25)
+	re, _, _ := cs.FilterRangeStats("score", 1.5, 6.25)
+	rm, _, _ := mem.FilterRangeStats("score", 1.5, 6.25)
 	if !reflect.DeepEqual(re, rm) {
-		t.Fatalf("FilterRange diverges: %d vs %d rows", len(re), len(rm))
+		t.Fatalf("FilterRangeStats diverges: %d vs %d rows", len(re), len(rm))
 	}
 	te, _ := cs.TopK(nil, "score", true, 50)
 	tm, _ := mem.TopK(nil, "score", true, 50)
@@ -346,13 +343,13 @@ func TestTieredConcurrentAppendScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sel, _ := cs.FilterEq("label", StrV("car"))
+				sel, _, _ := cs.FilterEqStats("label", StrV("car"))
 				if len(sel) > cs.at.Len() {
 					t.Errorf("selection larger than snapshot: %d > %d", len(sel), cs.at.Len())
 					return
 				}
 				cs.TopK(nil, "score", true, 10)
-				cs.FilterRange("rank", math.Inf(-1), math.Inf(1))
+				cs.FilterRangeStats("rank", math.Inf(-1), math.Inf(1))
 			}
 		}()
 	}
@@ -594,10 +591,10 @@ func TestConcurrentBudgetedScansUnderAppends(t *testing.T) {
 					return
 				}
 				mem := newColumnStore(cs.at, nil)
-				eq, _ := cs.FilterEq("label", StrV("bike"))
-				meq, _ := mem.FilterEq("label", StrV("bike"))
-				rg, _ := cs.FilterRange("score", float64(w), float64(w)+1.5)
-				mrg, _ := mem.FilterRange("score", float64(w), float64(w)+1.5)
+				eq, _, _ := cs.FilterEqStats("label", StrV("bike"))
+				meq, _, _ := mem.FilterEqStats("label", StrV("bike"))
+				rg, _, _ := cs.FilterRangeStats("score", float64(w), float64(w)+1.5)
+				mrg, _, _ := mem.FilterRangeStats("score", float64(w), float64(w)+1.5)
 				top, _ := cs.TopK(rg, "rank", w%2 == 0, 25)
 				mtop, _ := mem.TopK(mrg, "rank", w%2 == 0, 25)
 				ltop, _ := cs.TopK(nil, "label", true, 7)

@@ -186,8 +186,9 @@ func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod,
 			return s, nil
 		}
 	}
-	// The row scan, the fallback for fields with no column (mixed kinds,
-	// vectors, all-null), and the unfiltered walk.
+	// The row scan, the fallback for fields with no column (any field the
+	// schema does not declare as int, float or string), and the
+	// unfiltered walk.
 	all := method == 0
 	if !all {
 		s.Method = FilterScan

@@ -37,7 +37,7 @@ type Pager interface {
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
+	ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -102,7 +102,7 @@ func Open(p Pager, meta uint64) (*Index, error) {
 	ix.nitems = int(binary.LittleEndian.Uint64(buf[1:]))
 	ix.dirHead = binary.LittleEndian.Uint64(buf[9:])
 	total := int(binary.LittleEndian.Uint32(buf[17:]))
-	raw, err := p.ReadOverflow(nil, ix.dirHead, total)
+	raw, err := p.ReadOverflow(nil, ix.dirHead, total, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -407,8 +407,10 @@ func (p *Pager) WriteOverflow(val []byte) (uint64, error) {
 // ReadOverflow appends the value stored by WriteOverflow to dst and
 // returns the extended slice (dst may be nil). The bytes are copied out
 // of the page cache, so a caller that passes a reused buffer reads an
-// overflow value without allocating.
-func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error) {
+// overflow value without allocating. With a nil page, the chain's pages
+// are read as Read reads them, and cached; otherwise as ReadInto reads
+// them into page, so those not cached stay uncached.
+func (p *Pager) ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error) {
 	// A chain has fewer pages than the file: a corrupt length must fail
 	// here, before it sizes the buffer.
 	if total < 0 || uint64(total) > p.NumPages()*overflowCap {
@@ -418,7 +420,13 @@ func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
 	out := slices.Grow(dst, total)
 	id := head
 	for id != 0 {
-		buf, err := p.Read(id)
+		var buf []byte
+		var err error
+		if page != nil {
+			buf, err = p.ReadInto(page, id)
+		} else {
+			buf, err = p.Read(id)
+		}
 		if err != nil {
 			return nil, err
 		}

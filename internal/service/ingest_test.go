@@ -124,7 +124,7 @@ func TestAppendThenQueryExtends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"label", "score"} {
-		se, _ := cs.FilterEq(field, core.StrV("car"))
+		se, _, _ := cs.FilterEqStats(field, core.StrV("car"))
 		sr, err := snap.Select(ctx, core.Pred{Field: field, V: core.StrV("car")}, core.FilterScan, core.Keep{})
 		if err != nil || !reflect.DeepEqual(se, sr.Sel) {
 			t.Fatalf("extended %s selection diverges from the row scan (%v)", field, err)
