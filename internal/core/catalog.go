@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -14,9 +17,10 @@ import (
 	"repro/internal/kv"
 )
 
-// DB is a DeepLens database: a page file holding materialized patch
-// collections, persistent indexes and the catalog, plus the execution
-// device query operators run on.
+// DB is a DeepLens database: a page file holding the catalog and the
+// persistent indexes, one row log beside it per materialized patch
+// collection (see rowlog.go), and the execution device query operators
+// run on.
 //
 // The catalog is safe for concurrent use: readers (Collection, HasIndex,
 // snapshot scans) take a shared lock while writers (create, drop) take it
@@ -24,6 +28,7 @@ import (
 // occasional catalog mutations.
 type DB struct {
 	mu    sync.RWMutex
+	path  string // the page file's; row logs are named after it
 	store *kv.Store
 	dev   exec.Device
 
@@ -109,7 +114,7 @@ func Open(path string, dev exec.Device) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		store: st, dev: dev, sys: sys,
+		path: path, store: st, dev: dev, sys: sys,
 		cols:    make(map[string]*Collection),
 		indexes: make(map[string]*Index),
 		cost:    DefaultCostModel(),
@@ -120,11 +125,16 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	if v, err := sys.Get([]byte("nextver")); err == nil {
 		db.nextVer.Store(kv.ParseU64Key(v))
 	}
-	// Load collection descriptors.
+	// Load collection descriptors. A descriptor can be saved before the
+	// version counter is, so the counter resumes past every version one
+	// names: a new row log never takes a live log's key.
 	if err := sys.Scan([]byte("col."), []byte("col/"), func(k, v []byte) bool {
 		var d colDesc
 		if json.Unmarshal(v, &d) == nil {
 			db.cols[d.Name] = nil // lazily opened
+			if m := max(d.Version, d.Log); m > db.nextVer.Load() {
+				db.nextVer.Store(m)
+			}
 		}
 		return true
 	}); err != nil {
@@ -167,17 +177,31 @@ func (db *DB) nextVersion() uint64 { return db.nextVer.Add(1) }
 // Store exposes the underlying kv store (for persistent indexes).
 func (db *DB) Store() *kv.Store { return db.store }
 
-// Close flushes and closes the database.
+// Close flushes and closes the database, and every open collection's
+// row log.
 func (db *DB) Close() error {
-	if err := db.Flush(); err != nil {
-		db.store.Close()
-		return err
+	err := db.Flush()
+	db.mu.Lock()
+	for _, c := range db.cols {
+		if c == nil {
+			continue
+		}
+		c.mu.Lock()
+		if cerr := c.log.close(); err == nil {
+			err = cerr
+		}
+		c.mu.Unlock()
 	}
-	return db.store.Close()
+	db.mu.Unlock()
+	if cerr := db.store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Flush persists all dirty state without closing, including every open
-// collection's descriptor (count updates from direct Appends).
+// Flush persists all dirty state without closing: every open
+// collection's tail block, synced with its row log, and descriptor
+// (count updates from direct Appends).
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	if err := db.sys.Put([]byte("nextid"), kv.U64Key(db.nextID.Load())); err != nil {
@@ -192,7 +216,13 @@ func (db *DB) Flush() error {
 		if c == nil {
 			continue
 		}
-		if err := c.saveDesc(); err != nil {
+		c.mu.Lock()
+		err := c.log.sync()
+		if err == nil {
+			err = c.saveDescLocked()
+		}
+		c.mu.Unlock()
+		if err != nil {
 			db.mu.Unlock()
 			return err
 		}
@@ -209,6 +239,10 @@ type colDesc struct {
 	Schema  Schema `json:"schema"`
 	Count   int    `json:"count"`
 	Version uint64 `json:"version,omitempty"`
+	// Log is the key of the collection's row log (rowLogPath). It is 0
+	// for a collection stored in the page-file format, whose rows are
+	// in the bucket col.<name> until its first load migrates them.
+	Log uint64 `json:"log,omitempty"`
 }
 
 // CreateCollection registers a new (empty) materialized collection.
@@ -221,12 +255,15 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if _, err := db.sys.Get([]byte("col." + name)); err == nil {
 		return nil, fmt.Errorf("core: collection %q already exists on disk", name)
 	}
-	b, err := db.store.Bucket("col." + name)
+	v := db.nextVersion()
+	log, err := createRowLog(rowLogPath(db.path, v))
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), bucket: b, version: db.nextVersion()}
+	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), logKey: v, version: v,
+		log: log, cache: []*Patch{}}
 	if err := c.saveDesc(); err != nil {
+		c.log.close()
 		return nil, err
 	}
 	db.cols[name] = c
@@ -254,11 +291,7 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	if err := json.Unmarshal(v, &d); err != nil {
 		return nil, err
 	}
-	b, err := db.store.Bucket("col." + name)
-	if err != nil {
-		return nil, err
-	}
-	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), bucket: b, count: d.Count, version: d.Version}
+	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version}
 	if c.version == 0 {
 		c.version = db.nextVersion() // pre-versioning database file
 	}
@@ -278,11 +311,11 @@ func (db *DB) Collections() []string {
 	return names
 }
 
-// DropCollection removes a collection: its patches, spilled column
-// segments, catalog descriptor, and any index descriptors. A later
-// collection with the same name gets a fresh version, so plan
-// fingerprints keyed on (name, version) can never alias stale cached
-// results after re-ingest.
+// DropCollection removes a collection: its row log (or, stored in the
+// page-file format, its bucket), catalog descriptor, and any index
+// descriptors. A later collection with the same name gets a fresh
+// version and row log, so plan fingerprints keyed on (name, version) can
+// never alias stale cached results after re-ingest.
 func (db *DB) DropCollection(name string) error {
 	// The descriptor must disappear while the catalog lock is held:
 	// otherwise a concurrent Collection(name) between the map delete and
@@ -290,10 +323,17 @@ func (db *DB) DropCollection(name string) error {
 	// and resurrect it into db.cols.
 	db.mu.Lock()
 	c := db.cols[name]
-	_, descErr := db.sys.Get([]byte("col." + name))
+	v, descErr := db.sys.Get([]byte("col." + name))
 	if c == nil && descErr != nil {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: collection %q", ErrNotFound, name)
+	}
+	var d colDesc
+	if descErr == nil {
+		if err := json.Unmarshal(v, &d); err != nil {
+			db.mu.Unlock()
+			return err
+		}
 	}
 	delete(db.cols, name)
 	for k, idx := range db.indexes {
@@ -308,19 +348,23 @@ func (db *DB) DropCollection(name string) error {
 		}
 	}
 	db.mu.Unlock()
-	b, err := db.store.Bucket("col." + name)
-	if err != nil {
-		return err
+	key := d.Log
+	if c != nil {
+		c.mu.Lock()
+		key = c.logKey
+		c.log.close()
+		c.mu.Unlock()
 	}
-	var keys [][]byte
-	if err := b.Scan(nil, nil, func(k, _ []byte) bool {
-		keys = append(keys, append([]byte(nil), k...))
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if err := b.Delete(k); err != nil {
+	if key != 0 {
+		if err := os.Remove(rowLogPath(db.path, key)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	} else {
+		b, err := db.store.Bucket("col." + name)
+		if err != nil {
+			return err
+		}
+		if err := b.Free(); err != nil {
 			return err
 		}
 	}
@@ -401,11 +445,11 @@ func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 	return chain, nil
 }
 
-// Collection is a named materialized set of patches persisted in one kv
-// bucket, with an in-memory cache for repeated scans.
+// Collection is a named materialized set of patches persisted in one
+// row log (see rowlog.go), whose rows it holds in memory once loaded.
 //
 // Patch ids are issued at commit, under the collection's lock, so one
-// row order holds everywhere: ascending id, in the row cache, the bucket,
+// row order holds everywhere: ascending id, in the row cache, the log,
 // every index and after a reopen. Concurrent readers and writers are
 // safe: Current returns a Snapshot, the rows committed so far and the
 // version they reflect, and no later append changes what it holds.
@@ -414,11 +458,14 @@ type Collection struct {
 	name   string
 	schema Schema
 	codec  *rowCodec // stores every row of the schema, and loads it
-	bucket *kv.Bucket
 
-	// mu guards the commit: the bucket write, count, version and the row
-	// cache, which is nil until loaded (see load).
+	// mu guards the commit: the log append, count, version and the row
+	// cache, which is nil until loaded (see load). The log is open once
+	// the cache is loaded; logKey names it (0 until a collection stored
+	// in the page-file format is migrated).
 	mu      sync.Mutex
+	logKey  uint64
+	log     rowLog
 	count   int
 	version uint64
 	cache   []*Patch
@@ -459,9 +506,13 @@ func (c *Collection) Version() uint64 {
 
 func (c *Collection) saveDesc() error {
 	c.mu.Lock()
-	d := colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version}
-	c.mu.Unlock()
-	v, err := json.Marshal(d)
+	defer c.mu.Unlock()
+	return c.saveDescLocked()
+}
+
+// saveDescLocked is saveDesc under c.mu.
+func (c *Collection) saveDescLocked() error {
+	v, err := json.Marshal(colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey})
 	if err != nil {
 		return err
 	}
@@ -524,7 +575,7 @@ func (c *Collection) put(p *Patch, raw []byte) error {
 	return c.putLocked(p, raw)
 }
 
-// putLocked is put under c.mu: the storage write and the count, version
+// putLocked is put under c.mu: the log append and the count, version
 // and row-cache update commit as one critical section. The cache is
 // loaded first, to learn the last id.
 func (c *Collection) putLocked(p *Patch, raw []byte) error {
@@ -534,7 +585,7 @@ func (c *Collection) putLocked(p *Patch, raw []byte) error {
 	if n := len(c.cache); n > 0 && p.ID <= c.cache[n-1].ID {
 		return fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, p.ID, c.cache[n-1].ID, c.name)
 	}
-	if err := c.bucket.Put(kv.U64Key(uint64(p.ID)), raw); err != nil {
+	if err := c.log.append(p.ID, raw); err != nil {
 		return err
 	}
 	c.count++
@@ -624,25 +675,83 @@ func (s Snapshot) find(id PatchID, from int) (int, bool) {
 	return from + i, ok
 }
 
-// load fills the row cache from the bucket, in key (= id) order, unless
-// it is loaded; an empty collection's cache is loaded and empty. Callers
-// hold c.mu: the one load path, which appends wait out. The rows it
-// decodes are the cache, so the scan leaves the pages it reads uncached,
-// and the rows take their declared values from slot arrays of loadBatch
-// rows each.
+// load fills the row cache from the row log, in id order, and opens the
+// log for appends, unless the cache is loaded; an empty collection's
+// cache is loaded and empty. Callers hold c.mu: the one load path, which
+// appends wait out. A damaged block fails the load with errCorrupt. The
+// rows take their declared values from slot arrays of loadBatch rows
+// each, and the decoder copies what they hold out of the read buffers.
 func (c *Collection) load() error {
 	if c.cache != nil {
 		return nil
 	}
+	if c.logKey == 0 {
+		return c.migrate()
+	}
+	f, err := os.OpenFile(rowLogPath(c.db.path, c.logKey), os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	out := make([]*Patch, 0, c.count)
+	d := patchDecoder{codec: c.codec, batch: loadBatch}
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, st.Size()), 64<<10)
+	err = readRowLog(r, st.Size(), func(id PatchID, row []byte) error {
+		p, err := d.decode(id, row)
+		if err != nil {
+			return err
+		}
+		out = append(out, p)
+		return nil
+	})
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("collection %q: %w", c.name, err)
+	}
+	c.log = rowLog{f: f, size: st.Size()}
+	if n := len(out); n > 0 {
+		c.log.last = out[n-1].ID
+	}
+	c.cache, c.count = out, len(out)
+	return nil
+}
+
+// migrate is load for a collection stored in the page-file format: it
+// reads the rows from the bucket col.<name> once, copies each one's
+// stored bytes verbatim into a new row log, syncs the log, saves the
+// descriptor naming it, and only then frees the bucket's pages. The
+// bucket is read through one reused page buffer, so the read leaves the
+// pager's cache as it found it, and the flushes write back and drop the
+// pages the free dirtied. Until the descriptor is saved, a failure
+// leaves the collection in the page-file format.
+func (c *Collection) migrate() error {
+	b, err := c.db.store.Bucket("col." + c.name)
+	if err != nil {
+		return err
+	}
+	key := c.db.nextVersion()
+	path := rowLogPath(c.db.path, key)
+	log, err := createRowLog(path)
+	if err != nil {
+		return err
+	}
 	out := make([]*Patch, 0, c.count)
 	d := patchDecoder{codec: c.codec, batch: loadBatch}
 	var scanErr error
-	err := c.bucket.ScanUncached(nil, nil, func(k, v []byte) bool {
+	err = b.ScanUncached(nil, nil, func(k, v []byte) bool {
 		if len(k) != 8 {
 			scanErr = errCorrupt
 			return false
 		}
-		p, err := d.decode(PatchID(kv.ParseU64Key(k)), v)
+		id := PatchID(kv.ParseU64Key(k))
+		p, err := d.decode(id, v)
+		if err == nil {
+			err = log.append(id, v)
+		}
 		if err != nil {
 			scanErr = err
 			return false
@@ -653,11 +762,30 @@ func (c *Collection) load() error {
 	if err == nil {
 		err = scanErr
 	}
+	if err == nil {
+		err = log.sync()
+	}
+	if err == nil {
+		c.logKey, c.count = key, len(out)
+		if err = c.saveDescLocked(); err != nil {
+			c.logKey = 0
+		}
+	}
 	if err != nil {
+		log.close()
+		os.Remove(path)
+		return fmt.Errorf("collection %q: %w", c.name, err)
+	}
+	c.log, c.cache = log, out
+	// The descriptor naming the log reaches the file before any page of
+	// the bucket is freed.
+	if err := c.db.store.Flush(); err != nil {
 		return err
 	}
-	c.cache, c.count = out, len(out)
-	return nil
+	if err := b.Free(); err != nil {
+		return err
+	}
+	return c.db.store.Flush()
 }
 
 // loadBatch is how many loaded rows share one slot array.

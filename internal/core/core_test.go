@@ -675,7 +675,7 @@ func TestBacktrace(t *testing.T) {
 					t.Fatal(err)
 				}
 				sort.Strings(names)
-				want := []string{"col.dets", "col.frames", "col.ocr", "sys.catalog"}
+				want := []string{"sys.catalog"} // rows are in row logs; no lineage side table
 				if fmt.Sprint(names) != fmt.Sprint(want) {
 					t.Fatalf("store %d buckets = %v, want %v", i, names, want)
 				}

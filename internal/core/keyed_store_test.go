@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/kv"
 	"repro/internal/tensor"
 )
 
@@ -105,10 +104,10 @@ func keyedRows(from PatchID, dets int) []lineageRow {
 }
 
 // TestKeyedStoreReadsIdentically pins the stored row format: a store
-// whose rows are all in the keyed form reopens and reads back exactly
-// what was written. New rows land in the same buckets in the positional
-// form, shorter than their keyed twins, and after a second reopen both
-// kinds of row read back alike.
+// whose rows are all in the keyed form, in the page-file format, reopens
+// and reads back exactly what was written. New rows land in the same
+// row logs in the positional form, shorter than their keyed twins, and
+// after a second reopen both kinds of row read back alike.
 func TestKeyedStoreReadsIdentically(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "keyed_rows.db"))
 	if err != nil {
@@ -122,17 +121,15 @@ func TestKeyedStoreReadsIdentically(t *testing.T) {
 	db := reopenDB(t, path)
 	checkLineageRows(t, db, old)
 
-	// Each old row is stored keyed, id first; the codec's encoding of
-	// the loaded row is shorter and decodes to the same row.
+	// Each old row is stored keyed, id first, and the load that
+	// migrated it into the row log copied those bytes; the codec's
+	// encoding of the loaded row is shorter and decodes to the same row.
 	for _, r := range old {
 		col, err := db.Collection(r.col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := col.bucket.Get(kv.U64Key(uint64(r.p.ID)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := storedRows(t, col)[r.p.ID]
 		if !bytes.Equal(stored, refMarshal(r.p)) {
 			t.Fatalf("row %d: stored %x, want the keyed form %x", r.p.ID, stored, refMarshal(r.p))
 		}
@@ -185,10 +182,7 @@ func TestKeyedStoreReadsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := col.bucket.Get(kv.U64Key(uint64(r.p.ID)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := storedRows(t, col)[r.p.ID]
 		want, err := col.codec.encode(r.p)
 		if err != nil {
 			t.Fatal(err)

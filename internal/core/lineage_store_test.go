@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/kv"
 	"repro/internal/tensor"
 )
 
@@ -184,10 +183,7 @@ func TestStoreWithLineagePairsReadsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := col.bucket.Get(kv.U64Key(uint64(r.p.ID)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := storedRows(t, col)[r.p.ID]
 		loaded, err := col.Get(r.p.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -235,10 +231,7 @@ func TestStoreWithLineagePairsReadsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := col.bucket.Get(kv.U64Key(uint64(r.p.ID)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := storedRows(t, col)[r.p.ID]
 		want, err := col.codec.encode(r.p)
 		if err != nil {
 			t.Fatal(err)

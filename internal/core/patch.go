@@ -555,8 +555,8 @@ const rowMarker = 0x00
 // keep their bits), a vector whose field fixes VecDim as its elements
 // alone, and any other value as a pair writes it. The n pairs are the
 // undeclared entries in key order, each a key, a kind byte and a value.
-// The id is not stored, since it is the row's B-tree key, and neither
-// are the lineage attributes, which Ref holds. In memory a row holds
+// The id is not stored, since the row log's framing holds it, and
+// neither are the lineage attributes, which Ref holds. In memory a row holds
 // the declared values in slots of the same order (see Patch).
 type rowCodec struct {
 	fields []Field // held by position, in schema order: no lineage key, no repeat

@@ -45,8 +45,8 @@ import (
 const resyncChunk = 64
 
 // samePatchBytes reports whether two patches have the same id and
-// serialize identically (the bytes do not hold the id, the B-tree key
-// does). Replicated appends share patch pointers across replicas, so the
+// serialize identically (the bytes do not hold the id, the row log's
+// framing does). Replicated appends share patch pointers across replicas, so the
 // common case is a pointer compare; marshaling only happens when a
 // replica was cold-loaded from its own store.
 func samePatchBytes(a, b *Patch) bool {

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -227,6 +229,7 @@ func TestReopenParity(t *testing.T) {
 	if len(after) != len(before) {
 		t.Fatalf("reopened %d rows, committed %d", len(after), len(before))
 	}
+	logged := storedRows(t, col)
 	for i, p := range after {
 		if err := samePatch(before[i], p); err != nil {
 			t.Fatalf("row %d: %v", i, err)
@@ -234,13 +237,10 @@ func TestReopenParity(t *testing.T) {
 		if v, _ := p.Get("_frame"); v.Int() != int64(p.Ref.Frame) {
 			t.Fatalf("row %d: _frame %d, Ref.Frame %d", i, v.Int(), p.Ref.Frame)
 		}
-		stored, err := col.bucket.Get(kv.U64Key(uint64(p.ID)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := logged[p.ID]
 		for _, q := range []*Patch{p, before[i]} {
 			if raw, err := col.codec.encode(q); err != nil || !bytes.Equal(raw, stored) {
-				t.Fatalf("row %d encodes to bytes its bucket does not hold (%v)", i, err)
+				t.Fatalf("row %d encodes to bytes its row log does not hold (%v)", i, err)
 			}
 		}
 	}
@@ -346,11 +346,12 @@ func TestCommittedVectorRowBytes(t *testing.T) {
 
 // TestStoredRowBytes: a stored fixture-shaped row (three declared
 // fields, source "bench") carries its lineage once, in Ref, its id only
-// in its key and its declared fields by position, so its bucket holds at
-// most 29 bytes for it, and a 66,667-row shard of them fits in 720
-// pages. Both are counts: they do not depend on the host.
+// as a delta in its row log's framing and its declared fields by
+// position, so it takes at most 29 bytes, and a 66,667-row shard of them
+// takes at most 32 bytes a row in its row log, framing and block
+// headers included. Both are counts: they do not depend on the host.
 func TestStoredRowBytes(t *testing.T) {
-	const rows, rowLimit, pageLimit = 66667, 29, 720
+	const rows, rowLimit, logLimit = 66667, 29, 32
 	db := openDB(t)
 	col, err := db.CreateCollection("bench", Schema{Data: Pixels(0, 0), Fields: []Field{
 		{Name: "label", Kind: KindStr},
@@ -374,23 +375,25 @@ func TestStoredRowBytes(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	maxRow, total, n := 0, 0, 0
-	if err := col.bucket.Scan(nil, nil, func(_, v []byte) bool {
-		maxRow, total, n = max(maxRow, len(v)), total+len(v), n+1
-		return true
-	}); err != nil {
+	maxRow, total := 0, 0
+	stored := storedRows(t, col)
+	for _, v := range stored {
+		maxRow, total = max(maxRow, len(v)), total+len(v)
+	}
+	if len(stored) != rows {
+		t.Fatalf("the row log holds %d rows, want %d", len(stored), rows)
+	}
+	st, err := os.Stat(rowLogPath(db.path, col.logKey))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != rows {
-		t.Fatalf("the bucket holds %d rows, want %d", n, rows)
-	}
-	pages := db.Store().Pager().NumPages()
-	t.Logf("%.2f B per stored row (at most %d), %d pages", float64(total)/rows, maxRow, pages)
+	perRow := float64(st.Size()) / rows
+	t.Logf("%.2f B per stored row (at most %d), %.2f B per row in the log", float64(total)/rows, maxRow, perRow)
 	if maxRow > rowLimit {
 		t.Errorf("a stored row takes %d B, want at most %d", maxRow, rowLimit)
 	}
-	if pages > pageLimit {
-		t.Errorf("%d rows take %d pages, want at most %d", rows, pages, pageLimit)
+	if perRow > logLimit {
+		t.Errorf("%d rows take %.2f B each in the row log, want at most %d", rows, perRow, logLimit)
 	}
 }
 
@@ -451,99 +454,114 @@ func TestFlushedCollectionReadsNoPage(t *testing.T) {
 	}
 }
 
-// TestReopenedLoadCachesNoLeaf: a reopened collection's first load reads
-// its rows through the pager without caching the pages it reads, so the
-// pager caches no more than the catalog and the bucket directory took,
-// not one page per leaf; and the loaded rows read as committed.
+// TestReopenedLoadCachesNoLeaf: the first load of a collection stored in
+// the page-file format reads its rows through the pager without caching
+// the pages it reads while it migrates them to a row log, so the pager
+// caches no more than the catalog and the bucket directory took, not
+// one page per leaf; and the loaded rows read as stored.
 func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 	const rows = 20000
-	path := filepath.Join(t.TempDir(), "dl.db")
-	db, err := Open(path, exec.New(exec.CPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := db.CreateCollection("rows", Schema{Fields: fixtureFields})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{
+	ps := make([]*Patch, rows)
+	for i := range ps {
+		ps[i] = &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{
 			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
 			"score": FloatV(float64(i%1000) / 1000),
 			"rank":  IntV(int64(i % 1009)),
 		}}
-		if err := col.Append(p); err != nil {
-			t.Fatal(err)
-		}
 	}
-	assertReopenedLoadCachesNothing(t, db, path, "rows")
+	assertMigrationCachesNothing(t, "rows", Schema{Fields: fixtureFields}, ps)
 }
 
 // TestReopenedLoadCachesNoOverflowPage: rows whose payloads overflow the
-// leaf into chains of pages load after a reopen without caching those
-// chains either.
+// leaf into chains of pages migrate without caching those chains either.
 func TestReopenedLoadCachesNoOverflowPage(t *testing.T) {
 	const rows = 500
-	path := filepath.Join(t.TempDir(), "dl.db")
-	db, err := Open(path, exec.New(exec.CPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := db.CreateCollection("frames", Schema{Data: Pixels(32, 32), Fields: fixtureFields})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < rows; i++ {
+	ps := make([]*Patch, rows)
+	for i := range ps {
 		px := tensor.NewU8(32, 32, 3) // 3 KiB: past the 1 KiB inline limit
 		rng.Read(px.U8s)
-		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Data: px, Meta: Metadata{
+		ps[i] = &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Data: px, Meta: Metadata{
 			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
 			"score": FloatV(float64(i) / rows),
 			"rank":  IntV(int64(i)),
 		}}
-		if err := col.Append(p); err != nil {
-			t.Fatal(err)
-		}
 	}
-	assertReopenedLoadCachesNothing(t, db, path, "frames")
+	assertMigrationCachesNothing(t, "frames", Schema{Data: Pixels(32, 32), Fields: fixtureFields}, ps)
 }
 
-// assertReopenedLoadCachesNothing closes db, the database at path,
-// reopens it and loads collection name: the rows must read as they did
-// before the close, and the load may cache at most 4 pages beyond those
-// the open cached.
-func assertReopenedLoadCachesNothing(t *testing.T, db *DB, path, name string) {
+// writePageFormat writes a database at path holding the collection name
+// as the page-file format stored it: each of rows, builders that take
+// ids in order, encoded under its id's 8-byte key in the bucket
+// col.<name>, and a descriptor that names no row log.
+func writePageFormat(t *testing.T, path, name string, schema Schema, rows []*Patch) {
 	t.Helper()
-	col, err := db.Collection(name)
+	db, err := Open(path, exec.New(exec.CPU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := col.Patches()
+	b, err := db.Store().Bucket("col." + name)
 	if err != nil {
+		t.Fatal(err)
+	}
+	codec := newRowCodec(schema)
+	for _, p := range rows {
+		p.ID = db.NewPatchID()
+		raw, err := codec.encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Put(kv.U64Key(uint64(p.ID)), raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	desc, err := json.Marshal(colDesc{Name: name, Schema: schema, Count: len(rows), Version: db.nextVersion()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.sys.Put([]byte("col."+name), desc); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db = reopenDB(t, path)
+}
+
+// assertMigrationCachesNothing writes rows as a page-format collection
+// name of schema, reopens the database and loads the collection: the
+// rows must read as written, the load may cache at most 4 pages beyond
+// those the open cached, and it leaves the rows in a row log and none in
+// the bucket.
+func assertMigrationCachesNothing(t *testing.T, name string, schema Schema, rows []*Patch) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dl.db")
+	writePageFormat(t, path, name, schema, rows)
+	db := reopenDB(t, path)
 	pager := db.Store().Pager()
-	if col, err = db.Collection(name); err != nil {
+	col, err := db.Collection(name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	opened := pager.CachedPages()
 	after, err := col.Patches()
-	if err != nil || len(after) != len(before) {
-		t.Fatalf("reopened %d of %d rows, %v", len(after), len(before), err)
+	if err != nil || len(after) != len(rows) {
+		t.Fatalf("reopened %d of %d rows, %v", len(after), len(rows), err)
 	}
 	for i := range after {
-		if err := samePatch(before[i], after[i]); err != nil {
+		if err := samePatch(committedForm(rows[i]), after[i]); err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
 	}
 	if cached := pager.CachedPages(); cached > opened+4 {
 		t.Fatalf("loading %d rows from a %d-page file cached %d pages (%d after the open), want at most 4 more",
 			len(after), pager.NumPages(), cached, opened)
+	}
+	b, err := db.Store().Bucket("col." + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := b.Len(); err != nil || n != 0 || col.logKey == 0 {
+		t.Fatalf("after the load the bucket holds %d rows (%v), row log key %d", n, err, col.logKey)
 	}
 }
 

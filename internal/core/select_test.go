@@ -104,9 +104,9 @@ func fuzzFloat(r *rand.Rand) float64 {
 }
 
 // fuzzRow generates row i of the seeded append sequence: declared int,
-// float and string fields, an undeclared field that mixes ints and
-// floats (never columnizable, so the column scan falls back to rows) and
-// an undeclared float field half the rows lack (nulls in its column).
+// float and string fields, and two undeclared fields, which have no
+// column, so a filter or order-by on either runs as the row scan: one
+// that mixes ints and floats, and a float field half the rows lack.
 func fuzzRow(r *rand.Rand, i int) *Patch {
 	m := IntV(fuzzInt(r))
 	if r.Intn(2) == 0 {

@@ -1,9 +1,12 @@
 // Package kv implements the embedded page-based storage engine DeepLens
 // uses wherever the original prototype used BerkeleyDB: the Frame File,
-// materialized patch collections, and persistent single-dimensional
-// indexes. A Store is a single file of fixed-size pages with a meta page,
-// a free list, and a directory of named buckets; each bucket is an on-disk
-// B+ tree (see internal/btree) rooted at a page in this file.
+// the catalog, and persistent single-dimensional indexes. Materialized
+// patch collections keep their rows in row logs of their own (see
+// internal/core); a collection stored before that keeps them in a bucket
+// until its first load migrates them out. A Store is a single file of
+// fixed-size pages with a meta page, a free list, and a directory of
+// named buckets; each bucket is an on-disk B+ tree (see internal/btree)
+// rooted at a page in this file.
 package kv
 
 import (

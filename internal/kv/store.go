@@ -149,6 +149,17 @@ func (b *Bucket) Put(key, val []byte) error {
 	return nil
 }
 
+// Free returns every page of the bucket's tree to the pager and leaves
+// the bucket empty.
+func (b *Bucket) Free() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.t.Free(); err != nil {
+		return err
+	}
+	return b.s.saveRoot(b.name, 0)
+}
+
 // Get returns the value under key, or ErrNotFound.
 func (b *Bucket) Get(key []byte) ([]byte, error) { return b.GetAppend(nil, key) }
 
