@@ -31,7 +31,9 @@ import (
 	"os"
 )
 
-// blockSize is the size at which a tail block is written.
+// blockSize is the size at which a tail block is written. A stored row
+// takes at least 6 B and its framing 2, so a block holds at most 512
+// rows besides an oversized one: its 16-bit row count never overflows.
 const blockSize = 4096
 
 // blockHeader is the size of a block's header.
@@ -40,10 +42,6 @@ const blockHeader = 16
 // maxLogID is the largest id a row log holds: a header holds its first
 // id in 48 bits.
 const maxLogID = 1<<48 - 1
-
-// maxBlockRows is the most rows one block holds: its header counts them
-// in 16 bits.
-const maxBlockRows = 1<<16 - 1
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -93,7 +91,7 @@ func (l *rowLog) append(id PatchID, raw []byte) error {
 		delta = 0
 	}
 	n := uvarintLen(uint64(len(raw))) + uvarintLen(delta) + len(raw)
-	if l.count > 0 && (len(l.block)+n > blockSize || l.count == maxBlockRows) {
+	if l.count > 0 && len(l.block)+n > blockSize {
 		if err := l.writeTail(); err != nil {
 			return err
 		}
@@ -195,7 +193,7 @@ func readRowLog(r io.Reader, size int64, fn func(id PatchID, row []byte) error) 
 			return errCorrupt
 		}
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return readErr(err)
+			return err
 		}
 		size -= blockHeader
 		n := int64(binary.LittleEndian.Uint32(hdr[4:]))
@@ -210,7 +208,7 @@ func readRowLog(r io.Reader, size int64, fn func(id PatchID, row []byte) error) 
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
-			return readErr(err)
+			return err
 		}
 		crc := crc32.Update(crc32.Checksum(hdr[4:], castagnoli), castagnoli, body)
 		if crc != binary.LittleEndian.Uint32(hdr[:]) {
@@ -255,13 +253,4 @@ func frameRows(body []byte, first PatchID, count int, ids []PatchID, rows [][]by
 		return nil, nil, errCorrupt
 	}
 	return ids, rows, nil
-}
-
-// readErr maps a read that ended early to errCorrupt: the log was
-// shorter than its size said.
-func readErr(err error) error {
-	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-		return errCorrupt
-	}
-	return err
 }

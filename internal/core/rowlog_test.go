@@ -107,37 +107,21 @@ func (g *genStore) close() error {
 	return g.sdb.Close()
 }
 
-// appender returns the collection name's Append, creating it when asked.
-func (g *genStore) appender(name string, create bool) func(*Patch) error {
+// appender returns collection name's Append.
+func (g *genStore) appender(name string) func(*Patch) error {
 	g.t.Helper()
-	var err error
-	var app func(*Patch) error
-	switch {
-	case g.db != nil && create:
-		var c *Collection
-		if c, err = g.db.CreateCollection(name, logSchema); err == nil {
-			app = c.Append
+	if g.db != nil {
+		c, err := g.db.Collection(name)
+		if err != nil {
+			g.t.Fatal(err)
 		}
-	case g.db != nil:
-		var c *Collection
-		if c, err = g.db.Collection(name); err == nil {
-			app = c.Append
-		}
-	case create:
-		var c *ShardedCollection
-		if c, err = g.sdb.CreateCollection(name, logSchema); err == nil {
-			app = c.Append
-		}
-	default:
-		var c *ShardedCollection
-		if c, err = g.sdb.Collection(name); err == nil {
-			app = c.Append
-		}
+		return c.Append
 	}
+	c, err := g.sdb.Collection(name)
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	return app
+	return c.Append
 }
 
 func (g *genStore) materialize(name string, rows []*Patch) error {
@@ -198,7 +182,10 @@ func runReopenGenerator(t *testing.T, shards int, seed int64) {
 	g := &genStore{t: t, dir: t.TempDir(), shards: shards}
 	g.open()
 	names := []string{"live"}
-	live := g.appender("live", true)
+	if err := g.materialize("live", nil); err != nil {
+		t.Fatal(err)
+	}
+	live := g.appender("live")
 	frame := 0
 	next := func() *Patch { frame++; return logRow(rng, frame) }
 	reopen := func() {
@@ -216,7 +203,7 @@ func runReopenGenerator(t *testing.T, shards int, seed int64) {
 				assertSameSnapshot(t, fmt.Sprintf("%s shard %d", name, s), before[name][s], after[s])
 			}
 		}
-		live = g.appender("live", false)
+		live = g.appender("live")
 	}
 	for step := 0; step < 60; step++ {
 		switch r := rng.Intn(20); {
