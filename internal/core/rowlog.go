@@ -120,7 +120,9 @@ func (l *rowLog) append(id PatchID, raw []byte) error {
 }
 
 // writeTail writes the tail as one block and empties it. A failed write
-// is cut from the file, so the log never holds a torn block it wrote.
+// is cut from the file, so the log never holds a torn block it wrote; if
+// the cut fails too, the log is closed, since later blocks would land
+// behind the torn one.
 func (l *rowLog) writeTail() error {
 	b := l.block
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(b)-blockHeader))
@@ -129,7 +131,11 @@ func (l *rowLog) writeTail() error {
 	binary.LittleEndian.PutUint32(b[12:], uint32(l.first>>16))
 	binary.LittleEndian.PutUint32(b[0:], crc32.Checksum(b[4:], castagnoli))
 	if _, err := l.f.Write(b); err != nil {
-		l.f.Truncate(l.size)
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.f.Close()
+			l.f = nil
+			return errors.Join(err, terr)
+		}
 		return err
 	}
 	l.size += int64(len(b))

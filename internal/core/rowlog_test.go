@@ -269,9 +269,9 @@ func assertSameSnapshot(t *testing.T, what string, want, got Snapshot) {
 	}
 }
 
-// writeLog appends rows to a new collection of a database in dir,
-// writing a block at each index in flushAt, and returns the database's
-// path and the collection's log path, closed.
+// writeLog appends copies of rows to a new collection of a database in
+// dir, writing a block at each index in flushAt, and returns the
+// database's path and the collection's log path, closed.
 func writeLog(t testing.TB, dir string, rows []*Patch, flushAt ...int) (string, string) {
 	t.Helper()
 	path := filepath.Join(dir, "dl.db")
@@ -291,7 +291,7 @@ func writeLog(t testing.TB, dir string, rows []*Patch, flushAt ...int) (string, 
 				}
 			}
 		}
-		if err := col.Append(p); err != nil {
+		if err := col.Append(p.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,8 +365,8 @@ func TestRowLogOversizedRowOwnsBlock(t *testing.T) {
 	}
 	var counts []int
 	for off := 0; off < len(buf); {
-		counts = append(counts, int(buf[off+8]))
-		off += blockHeader + int(uint32(buf[off+4])|uint32(buf[off+5])<<8|uint32(buf[off+6])<<16)
+		counts = append(counts, int(binary.LittleEndian.Uint16(buf[off+8:])))
+		off += blockHeader + int(binary.LittleEndian.Uint32(buf[off+4:]))
 	}
 	if fmt.Sprint(counts) != "[2 1 2]" {
 		t.Fatalf("blocks hold %v rows, want [2 1 2]", counts)
@@ -378,17 +378,6 @@ func TestRowLogOversizedRowOwnsBlock(t *testing.T) {
 	}); err != nil || fmt.Sprint(ids) != "[1 2 3 4 5]" {
 		t.Fatalf("read ids %v, err %v", ids, err)
 	}
-}
-
-// writeLogFile is writeLog in a new directory, returning the log's path.
-func writeLogFile(t testing.TB, rows []*Patch, flushAt ...int) string {
-	t.Helper()
-	clones := make([]*Patch, len(rows))
-	for i, p := range rows {
-		clones[i] = p.Clone()
-	}
-	_, logPath := writeLog(t, t.TempDir(), clones, flushAt...)
-	return logPath
 }
 
 // dirBytes sums the sizes of the files in dir.
@@ -497,10 +486,14 @@ func FuzzRowLog(f *testing.F) {
 	}
 	// Small logs keep the fuzzer's minimization short: three blocks of
 	// two rows, and a row larger than a block between two small ones.
-	small, _ := os.ReadFile(writeLogFile(f, rows[:6], 2, 4))
+	_, small := writeLog(f, f.TempDir(), rows, 2, 4)
 	rows[4].Data = tensor.NewU8(35, 40, 3) // 4200 B
-	oversized, _ := os.ReadFile(writeLogFile(f, rows[3:6]))
-	for _, buf := range [][]byte{small, oversized} {
+	_, oversized := writeLog(f, f.TempDir(), rows[3:])
+	for _, path := range []string{small, oversized} {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(buf, false)
 		f.Add(buf, true)
 		f.Add(buf[:len(buf)/2], false)
@@ -511,7 +504,7 @@ func FuzzRowLog(f *testing.F) {
 			data = bytes.Clone(data)
 			for off := 0; off+blockHeader <= len(data); {
 				end := off + blockHeader + int(binary.LittleEndian.Uint32(data[off+4:]))
-				if end < off || end > len(data) {
+				if end > len(data) {
 					break
 				}
 				binary.LittleEndian.PutUint32(data[off:], crc32.Checksum(data[off+4:end], castagnoli))
