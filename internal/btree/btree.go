@@ -1,5 +1,6 @@
-// Package btree implements the on-disk B+ tree used for DeepLens buckets
-// and single-dimensional indexes (the paper's BerkeleyDB B+ trees). Keys
+// Package btree implements the on-disk B+ tree behind the kv store's
+// buckets (the paper's BerkeleyDB B+ trees); Figure 6's index-build
+// experiment also times it as a single-attribute index. Keys
 // and values are byte strings; keys are ordered by bytes.Compare. Values
 // larger than an inline threshold are spilled to overflow-page chains via
 // the backing pager. Leaves are chained for ordered range scans, which is
@@ -40,22 +41,16 @@ import (
 
 // Pager is the page-file interface the tree runs on. *kv.Pager satisfies it.
 // Write must copy buf before returning (the tree reuses it), and
-// ReadOverflow appends the value to dst, reading the chain's pages as
-// Read does when page is nil and as ReadInto does into page otherwise.
-// The tree reads the slice Read returns in place without modifying it,
-// so that slice must keep its contents until the tree next writes or
-// frees the page.
+// ReadOverflow appends the value to dst. The tree reads the slice Read
+// returns in place without modifying it, so that slice must keep its
+// contents until the tree next writes or frees the page.
 type Pager interface {
 	Read(id uint64) ([]byte, error)
-	// ReadInto is Read, but a page it does not find cached it reads
-	// into dst, a page-sized buffer the caller reuses, and leaves
-	// uncached.
-	ReadInto(dst []byte, id uint64) ([]byte, error)
 	Write(id uint64, buf []byte) error
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error)
+	ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -268,19 +263,11 @@ func (l leaf) seek(key []byte, offs []uint16, whole bool) (pos, bool, error) {
 
 // load returns page id as a decoded inner node — from the cache, or
 // decoded and cached — or, for a leaf, the page read in place (nil node).
-// With a non-nil dst, a page the pager has not cached is read into dst
-// and stays uncached.
-func (t *Tree) load(id uint64, dst []byte) (*node, leaf, error) {
+func (t *Tree) load(id uint64) (*node, leaf, error) {
 	if n, ok := t.nodes[id]; ok {
 		return n, leaf{}, nil
 	}
-	var buf []byte
-	var err error
-	if dst != nil {
-		buf, err = t.p.ReadInto(dst, id)
-	} else {
-		buf, err = t.p.Read(id)
-	}
+	buf, err := t.p.Read(id)
 	if err != nil {
 		return nil, leaf{}, err
 	}
@@ -342,12 +329,11 @@ func (t *Tree) cacheNode(n *node) {
 	t.nodes[n.id] = n
 }
 
-// descend walks from the root to the leaf that holds, or would hold, key,
-// reading uncached pages into dst when it is non-nil (see load).
-func (t *Tree) descend(key, dst []byte) (leaf, error) {
+// descend walks from the root to the leaf that holds, or would hold, key.
+func (t *Tree) descend(key []byte) (leaf, error) {
 	id := t.root
 	for depth := 0; depth < maxDepth; depth++ {
-		n, l, err := t.load(id, dst)
+		n, l, err := t.load(id)
 		if err != nil || n == nil {
 			return l, err
 		}
@@ -401,7 +387,7 @@ func (t *Tree) GetAppend(dst, key []byte) ([]byte, error) {
 	if t.root == 0 {
 		return nil, ErrNotFound
 	}
-	l, err := t.descend(key, nil)
+	l, err := t.descend(key)
 	if err != nil {
 		return nil, err
 	}
@@ -413,18 +399,17 @@ func (t *Tree) GetAppend(dst, key []byte) ([]byte, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	return t.value(dst, &l, p.off, nil)
+	return t.value(dst, &l, p.off)
 }
 
 // value appends the value of l's checked entry at off to dst,
-// materializing overflow chains. With a non-nil page, chain pages the
-// pager has not cached are read into page and stay uncached.
-func (t *Tree) value(dst []byte, l *leaf, off int, page []byte) ([]byte, error) {
+// materializing overflow chains.
+func (t *Tree) value(dst []byte, l *leaf, off int) ([]byte, error) {
 	b := l.buf
 	vm := binary.LittleEndian.Uint32(b[off+2:])
 	v := off + entryHeader + int(binary.LittleEndian.Uint16(b[off:]))
 	if vm&ovflFlag != 0 {
-		return t.p.ReadOverflow(dst, binary.LittleEndian.Uint64(b[v:]), int(vm&^ovflFlag), page)
+		return t.p.ReadOverflow(dst, binary.LittleEndian.Uint64(b[v:]), int(vm&^ovflFlag))
 	}
 	return append(dst, b[v:v+int(vm)]...), nil
 }
@@ -472,7 +457,7 @@ func (t *Tree) put(id uint64, key, val []byte, rightmost bool, depth int) ([]byt
 	if depth == maxDepth {
 		return nil, 0, corrupt(id, "tree deeper than maxDepth")
 	}
-	n, l, err := t.load(id, nil)
+	n, l, err := t.load(id)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -650,7 +635,7 @@ func (t *Tree) Delete(key []byte) error {
 	if t.root == 0 {
 		return ErrNotFound
 	}
-	l, err := t.descend(key, nil)
+	l, err := t.descend(key)
 	if err != nil {
 		return err
 	}
@@ -695,7 +680,7 @@ func (t *Tree) free(id uint64, depth int) error {
 	if depth == maxDepth {
 		return corrupt(id, "tree deeper than maxDepth")
 	}
-	n, l, err := t.load(id, nil)
+	n, l, err := t.load(id)
 	if err != nil {
 		return err
 	}
@@ -728,9 +713,6 @@ type Cursor struct {
 	t   *Tree
 	p   pos
 	err error
-	// When non-nil, buf is the page uncached leaves are read into (see
-	// load), and ovfl the page uncached overflow pages are (see value).
-	buf, ovfl []byte
 	// Brent's cycle check on the sibling chain: a corrupt link back to
 	// an earlier leaf ends the walk with an error instead of looping.
 	mark        uint64
@@ -748,7 +730,7 @@ func (c *Cursor) seek(key []byte) {
 	if c.t.root == 0 {
 		return
 	}
-	l, err := c.t.descend(key, c.buf)
+	l, err := c.t.descend(key)
 	if err == nil {
 		var offs [maxEntries + 1]uint16
 		c.p, _, err = l.seek(key, offs[:], false)
@@ -777,7 +759,7 @@ func (c *Cursor) settle() {
 		if c.hops++; c.hops == c.power {
 			c.mark, c.power, c.hops = next, 2*c.power, 0
 		}
-		n, l, err := c.t.load(next, c.buf)
+		n, l, err := c.t.load(next)
 		if err == nil && n != nil {
 			err = corrupt(next, "leaf chain reaches an inner node")
 		}
@@ -810,7 +792,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Key() []byte { return c.p.l.key(c.p.off) }
 
 // Value returns the current value, materializing overflow chains.
-func (c *Cursor) Value() ([]byte, error) { return c.t.value(nil, &c.p.l, c.p.off, c.ovfl) }
+func (c *Cursor) Value() ([]byte, error) { return c.t.value(nil, &c.p.l, c.p.off) }
 
 // Next advances to the next entry in key order.
 func (c *Cursor) Next() {
@@ -826,20 +808,7 @@ func (c *Cursor) Next() {
 // Iteration stops early when fn returns false. The key passed to fn is
 // valid only during the call; the value is a copy.
 func (t *Tree) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
-	return t.scan(lo, hi, fn, nil, nil)
-}
-
-// ScanUncached is Scan reading the pages the pager has not cached —
-// leaves and overflow chains — into two reused buffers, and leaving them
-// uncached: for a caller that reads the range once. The key passed to fn
-// is valid only during the call.
-func (t *Tree) ScanUncached(lo, hi []byte, fn func(k, v []byte) bool) error {
-	buf := make([]byte, 2*pageSize)
-	return t.scan(lo, hi, fn, buf[:pageSize:pageSize], buf[pageSize:])
-}
-
-func (t *Tree) scan(lo, hi []byte, fn func(k, v []byte) bool, buf, ovfl []byte) error {
-	c := Cursor{t: t, buf: buf, ovfl: ovfl}
+	c := Cursor{t: t}
 	for c.seek(lo); c.Valid(); c.Next() {
 		if hi != nil && bytes.Compare(c.Key(), hi) >= 0 {
 			break

@@ -22,7 +22,7 @@ func (t *Tree) CheckPages() error {
 		if depth == maxDepth {
 			return corrupt(id, "too deep")
 		}
-		n, l, err := t.load(id, nil)
+		n, l, err := t.load(id)
 		if err != nil {
 			return err
 		}

@@ -17,10 +17,11 @@ import (
 	"repro/internal/kv"
 )
 
-// DB is a DeepLens database: a page file holding the catalog and the
-// persistent indexes, one row log beside it per materialized patch
-// collection (see rowlog.go), and the execution device query operators
-// run on.
+// DB is a DeepLens database: a page file holding the catalog, one row
+// log beside it per materialized patch collection (see rowlog.go), and
+// the execution device query operators run on. Everything else a query
+// uses — columns, their segments' sort orders (the hash and B+ tree
+// indexes), vector indexes — is built in memory from the rows.
 //
 // The catalog is safe for concurrent use: readers (Collection, HasIndex,
 // snapshot scans) take a shared lock while writers (create, drop) take it
@@ -38,16 +39,15 @@ type DB struct {
 	nextID  atomic.Uint64
 	nextVer atomic.Uint64 // collection-version counter (cache invalidation)
 
-	sys     *kv.Bucket // catalog + counters
-	cols    map[string]*Collection
-	indexes map[string]*Index // descriptor key (indexKey) -> index
+	sys  *kv.Bucket // catalog + counters
+	cols map[string]*Collection
 
 	// refresh counts accelerator maintenance, read as RefreshStats.
 	refresh struct {
-		colExtends, colReused, colTotal               atomic.Int64
-		vecExtends, vecRebuilds                       atomic.Int64
-		knnIndexEvals, knnScanEvals                   atomic.Int64
-		scalarExtends, scalarRebuilds, scalarInserted atomic.Int64
+		colExtends, colReused, colTotal atomic.Int64
+		vecExtends, vecRebuilds         atomic.Int64
+		knnIndexEvals, knnScanEvals     atomic.Int64
+		scalarSorted                    atomic.Int64
 	}
 
 	// cost is the planner's cost model: static constants, set once by
@@ -62,17 +62,16 @@ type DB struct {
 }
 
 // RefreshStats is a DB's accelerator record: what bringing column
-// stores, vector indexes and hash/B+ tree indexes current for query
-// snapshots took (see Refresh), and the distances kNN probes evaluated.
+// stores and vector indexes current for query snapshots took (see
+// Refresh), the segment orders hash and B+ tree probes sorted, and the
+// distances kNN probes evaluated.
 type RefreshStats struct {
 	ColumnExtends      int64 // column stores extended by the appended rows
 	ColumnReusedBlocks int64 // sealed blocks those extensions carried over,
 	ColumnTotalBlocks  int64 // of the blocks they hold (the rest re-projected tails)
 	VectorExtends      int64 // vector indexes extended by the appended rows
 	VectorRebuilds     int64 // vector indexes built in full
-	ScalarExtends      int64 // hash/B+ tree probes that inserted only the appended rows
-	ScalarRebuilds     int64 // hash/B+ tree indexes built in full
-	ScalarInserted     int64 // rows those extensions and builds inserted
+	ScalarSorted       int64 // sealed column segments sorted for hash/B+ tree probes
 	KNNIndexEvals      int64 // distances exact vector-index probes evaluated
 	KNNScanEvals       int64 // distances brute kNN scans evaluated
 }
@@ -92,14 +91,12 @@ func (db *DB) addRefreshStats(s *RefreshStats) {
 	s.ColumnTotalBlocks += r.colTotal.Load()
 	s.VectorExtends += r.vecExtends.Load()
 	s.VectorRebuilds += r.vecRebuilds.Load()
-	s.ScalarExtends += r.scalarExtends.Load()
-	s.ScalarRebuilds += r.scalarRebuilds.Load()
-	s.ScalarInserted += r.scalarInserted.Load()
+	s.ScalarSorted += r.scalarSorted.Load()
 	s.KNNIndexEvals += r.knnIndexEvals.Load()
 	s.KNNScanEvals += r.knnScanEvals.Load()
 }
 
-// ErrNotFound reports a missing collection, patch or index.
+// ErrNotFound reports a missing collection or patch.
 var ErrNotFound = errors.New("core: not found")
 
 // Open opens (or creates) a database at path on the given device.
@@ -115,9 +112,8 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	}
 	db := &DB{
 		path: path, store: st, dev: dev, sys: sys,
-		cols:    make(map[string]*Collection),
-		indexes: make(map[string]*Index),
-		cost:    DefaultCostModel(),
+		cols: make(map[string]*Collection),
+		cost: DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
 		db.nextID.Store(kv.ParseU64Key(v))
@@ -174,7 +170,7 @@ func (db *DB) Device() exec.Device { return db.dev }
 // a (name, version) pair is a stable cache-key component.
 func (db *DB) nextVersion() uint64 { return db.nextVer.Add(1) }
 
-// Store exposes the underlying kv store (for persistent indexes).
+// Store exposes the underlying kv store (the catalog's page file).
 func (db *DB) Store() *kv.Store { return db.store }
 
 // Close flushes and closes the database, and every open collection's
@@ -243,6 +239,8 @@ type colDesc struct {
 	// for a collection stored in the page-file format, whose rows are
 	// in the bucket col.<name> until its first load migrates them.
 	Log uint64 `json:"log,omitempty"`
+	// Indexes are the declared hash and B+ tree indexes (see BuildIndex).
+	Indexes []string `json:"indexes,omitempty"`
 }
 
 // CreateCollection registers a new (empty) materialized collection.
@@ -291,7 +289,8 @@ func (db *DB) Collection(name string) (*Collection, error) {
 	if err := json.Unmarshal(v, &d); err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version}
+	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version,
+		indexes: d.Indexes}
 	if c.version == 0 {
 		c.version = db.nextVersion() // pre-versioning database file
 	}
@@ -312,8 +311,8 @@ func (db *DB) Collections() []string {
 }
 
 // DropCollection removes a collection: its row log (or, stored in the
-// page-file format, its bucket), catalog descriptor, and any index
-// descriptors. A later collection with the same name gets a fresh
+// page-file format, its bucket) and its catalog descriptor, which holds
+// its index declarations. A later collection with the same name gets a fresh
 // version and row log, so plan fingerprints keyed on (name, version) can
 // never alias stale cached results after re-ingest.
 func (db *DB) DropCollection(name string) error {
@@ -336,11 +335,6 @@ func (db *DB) DropCollection(name string) error {
 		}
 	}
 	delete(db.cols, name)
-	for k, idx := range db.indexes {
-		if idx.Col == name {
-			delete(db.indexes, k)
-		}
-	}
 	if descErr == nil {
 		if err := db.sys.Delete([]byte("col." + name)); err != nil {
 			db.mu.Unlock()
@@ -364,24 +358,7 @@ func (db *DB) DropCollection(name string) error {
 		if err != nil {
 			return err
 		}
-		if err := b.Free(); err != nil {
-			return err
-		}
-	}
-	// Index descriptors for this collection.
-	var idxKeys [][]byte
-	prefix := []byte("idx." + name + ".")
-	end := []byte("idx." + name + "/")
-	if err := db.sys.Scan(prefix, end, func(k, _ []byte) bool {
-		idxKeys = append(idxKeys, append([]byte(nil), k...))
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, k := range idxKeys {
-		if err := db.sys.Delete(k); err != nil && !errors.Is(err, kv.ErrNotFound) {
-			return err
-		}
+		return b.Free()
 	}
 	return nil
 }
@@ -450,7 +427,7 @@ func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 //
 // Patch ids are issued at commit, under the collection's lock, so one
 // row order holds everywhere: ascending id, in the row cache, the log,
-// every index and after a reopen. Concurrent readers and writers are
+// the columns and after a reopen. Concurrent readers and writers are
 // safe: Current returns a Snapshot, the rows committed so far and the
 // version they reflect, and no later append changes what it holds.
 type Collection struct {
@@ -462,13 +439,15 @@ type Collection struct {
 	// mu guards the commit: the log append, count, version and the row
 	// cache, which is nil until loaded (see load). The log is open once
 	// the cache is loaded; logKey names it (0 until a collection stored
-	// in the page-file format is migrated).
+	// in the page-file format is migrated). It also guards the declared
+	// indexes (indexDecl names), saved with the descriptor.
 	mu      sync.Mutex
 	logKey  uint64
 	log     rowLog
 	count   int
 	version uint64
 	cache   []*Patch
+	indexes []string
 
 	// colMu guards the columnar projection of the current snapshot
 	// (built lazily by Columns, invalidated by version movement).
@@ -512,7 +491,7 @@ func (c *Collection) saveDesc() error {
 
 // saveDescLocked is saveDesc under c.mu.
 func (c *Collection) saveDescLocked() error {
-	v, err := json.Marshal(colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey})
+	v, err := json.Marshal(colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey, Indexes: c.indexes})
 	if err != nil {
 		return err
 	}
@@ -661,18 +640,11 @@ func (s Snapshot) Materialize(sel []int32) []*Patch {
 // Get fetches one patch by id: a binary search of the id-ordered rows.
 // A miss is ErrNotFound itself.
 func (s Snapshot) Get(id PatchID) (*Patch, error) {
-	i, ok := s.find(id, 0)
+	i, ok := slices.BinarySearchFunc(s.rows, id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
 	if !ok {
 		return nil, ErrNotFound
 	}
 	return s.rows[i], nil
-}
-
-// find returns the row at or past from that holds id, searching the
-// id-ordered rows.
-func (s Snapshot) find(id PatchID, from int) (int, bool) {
-	i, ok := slices.BinarySearchFunc(s.rows[from:], id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
-	return from + i, ok
 }
 
 // load fills the row cache from the row log, in id order, and opens the
@@ -723,11 +695,10 @@ func (c *Collection) load() error {
 // migrate is load for a collection stored in the page-file format: it
 // reads the rows from the bucket col.<name> once, copies each one's
 // stored bytes verbatim into a new row log, syncs the log, saves the
-// descriptor naming it, and only then frees the bucket's pages. The
-// bucket is read through one reused page buffer, so the read leaves the
-// pager's cache as it found it, and the flushes write back and drop the
-// pages the free dirtied. Until the descriptor is saved, a failure
-// leaves the collection in the page-file format.
+// descriptor naming it, and only then frees the bucket's pages. The free
+// drops the bucket's pages from the pager's cache, and the flushes
+// write back the pages it dirtied. Until the descriptor is saved, a
+// failure leaves the collection in the page-file format.
 func (c *Collection) migrate() error {
 	b, err := c.db.store.Bucket("col." + c.name)
 	if err != nil {
@@ -742,7 +713,7 @@ func (c *Collection) migrate() error {
 	out := make([]*Patch, 0, c.count)
 	d := patchDecoder{codec: c.codec, batch: loadBatch}
 	var scanErr error
-	err = b.ScanUncached(nil, nil, func(k, v []byte) bool {
+	err = b.Scan(nil, nil, func(k, v []byte) bool {
 		if len(k) != 8 {
 			scanErr = errCorrupt
 			return false

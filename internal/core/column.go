@@ -34,9 +34,20 @@ package core
 // exact, and the scan kernels decode surviving cold segments through a
 // byte-budgeted cache — so a collection's decoded column footprint is
 // bounded by the budget, not its history.
+//
+// The hash and B+ tree indexes are part of the column too: a sealed
+// segment's first index probe sorts its rows by (value, row) and keeps
+// the order — 2 bytes a row, resident when the segment's data is evicted,
+// shared by Extend with the segment. A probe runs the scan's steps
+// with a binary search of that order where the scan sweeps the segment
+// (see scan).
 
 import (
+	"cmp"
 	"maps"
+	"math/bits"
+	"slices"
+	"sort"
 	"sync"
 )
 
@@ -364,14 +375,17 @@ func (c *Column) addCode(s string) uint32 {
 
 // ScanStats reports one columnar predicate evaluation's pruning work:
 // how many zone-mapped segments the column holds, how many the zone maps
-// skipped, how many rows the surviving segments actually swept, and how
-// many cold segments had to be decoded from their encodings.
+// skipped, how many rows the surviving segments actually swept (an index
+// probe counts the hits it read of a sorted segment), how many cold
+// segments had to be decoded from their encodings, and how many segment
+// orders the call sorted.
 type ScanStats struct {
 	Blocks       int // zone-mapped segments in the column
 	Pruned       int // segments skipped by zone-map/dictionary pruning
 	RowsScanned  int // rows swept in unpruned segments
 	SegLoads     int // evicted segments decoded from their encodings
 	SegTransient int // of SegLoads: read through the scratch, not admitted to the cache
+	Sorted       int // sealed segments whose sort order the call built
 }
 
 // Add accumulates o into s (aggregating the fragments of one query).
@@ -381,6 +395,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.RowsScanned += o.RowsScanned
 	s.SegLoads += o.SegLoads
 	s.SegTransient += o.SegTransient
+	s.Sorted += o.Sorted
 }
 
 // FilterEqStats evaluates field == v over every row of the store into a
@@ -403,7 +418,7 @@ func (cs *ColumnStore) FilterRangeStats(field string, lo, hi float64) ([]int32, 
 
 func (cs *ColumnStore) filterAll(pred Pred) ([]int32, ScanStats, bool) {
 	var k keeper
-	st, ok := cs.scan(&pred, cs.at.Len(), &k)
+	st, ok := cs.scan(&pred, cs.at.Len(), &k, false)
 	return k.sel, st, ok
 }
 
@@ -411,9 +426,11 @@ func (cs *ColumnStore) filterAll(pred Pred) ([]int32, ScanStats, bool) {
 // which the store may have outgrown — and folds each segment's matches
 // into k as one ascending block. Pruning tests run against the resident
 // zone maps before any segment data is touched, so a pruned segment is
-// never decoded. ok is false, with k untouched, when the field has no
-// column.
-func (cs *ColumnStore) scan(pred *Pred, n int, k *keeper) (ScanStats, bool) {
+// never decoded. With indexed, a sealed segment inside the snapshot is
+// binary-searched through its sort order instead of swept; the rest —
+// the unsealed tail, and rows past the snapshot — are swept either way.
+// ok is false, with k untouched, when the field has no column.
+func (cs *ColumnStore) scan(pred *Pred, n int, k *keeper, indexed bool) (ScanStats, bool) {
 	var st ScanStats
 	col, ok := cs.Column(pred.Field)
 	if !ok {
@@ -435,14 +452,70 @@ func (cs *ColumnStore) scan(pred *Pred, n int, k *keeper) (ScanStats, bool) {
 			st.Pruned++
 			continue
 		}
-		rows := min(z.hi, n) - z.lo
-		st.RowsScanned += rows
 		d := rd.rows(sg, &st)
-		if c := m.match(&blk, d, z.lo, rows); c > 0 {
+		var c int
+		if indexed && sg.sealed && z.hi <= n {
+			c = m.probe(&blk, d, col.order(sg, d, &st), z.lo)
+			st.RowsScanned += c
+		} else {
+			rows := min(z.hi, n) - z.lo
+			st.RowsScanned += rows
+			c = m.match(&blk, d, z.lo, rows)
+		}
+		if c > 0 {
 			k.fold(blk[:c], col, d)
 		}
 	}
 	return st, true
+}
+
+// order returns sealed segment sg's sort order: its row offsets sorted
+// by (value, row) — strings by dictionary code, floats as cmp.Compare
+// orders them (NaNs first, -0 equal to +0). The first caller sorts d,
+// the segment's data, and publishes the order like a loader publishes
+// data; a racing sorter adopts the winner's, so st counts each order
+// once.
+func (c *Column) order(sg *colSegment, d *segData, st *ScanStats) []uint16 {
+	if o := sg.ord.Load(); o != nil {
+		return *o
+	}
+	var o []uint16
+	switch c.kind {
+	case KindInt:
+		o = sortedOffsets(d.ints)
+	case KindFloat:
+		o = sortedOffsets(d.floats)
+	default:
+		o = sortedOffsets(d.codes)
+	}
+	if !sg.ord.CompareAndSwap(nil, &o) {
+		return *sg.ord.Load()
+	}
+	st.Sorted++
+	return o
+}
+
+// sortSealed sorts every sealed segment that has no order yet and
+// returns how many it sorted.
+func (c *Column) sortSealed() int {
+	var st ScanStats
+	rd := segReader{col: c}
+	defer rd.close()
+	for _, sg := range c.segs {
+		if sg.sealed && sg.ord.Load() == nil {
+			c.order(sg, rd.rows(sg, &st), &st)
+		}
+	}
+	return st.Sorted
+}
+
+func sortedOffsets[T cmp.Ordered](vals []T) []uint16 {
+	o := make([]uint16, len(vals))
+	for j := range o {
+		o[j] = uint16(j)
+	}
+	slices.SortFunc(o, func(a, b uint16) int { return cmp.Or(cmp.Compare(vals[a], vals[b]), cmp.Compare(a, b)) })
+	return o
 }
 
 // matcher is a predicate compiled against one column: which match kernel
@@ -508,8 +581,25 @@ func (m *matcher) match(blk *[ColumnBlockSize]int32, d *segData, base, rows int)
 	return matchEq(blk, d.codes[:rows], base, m.code)
 }
 
+// probe is match for a sealed segment through its sort order ord.
+func (m *matcher) probe(blk *[ColumnBlockSize]int32, d *segData, ord []uint16, base int) int {
+	switch {
+	case m.rng && m.kind == KindInt:
+		return probeRange(blk, d.ints, ord, base, m.lo, m.hi)
+	case m.rng:
+		return probeRange(blk, d.floats, ord, base, m.lo, m.hi)
+	case m.kind == KindInt:
+		return probeEq(blk, d.ints, ord, base, m.i)
+	case m.kind == KindFloat:
+		return probeEq(blk, d.floats, ord, base, m.f)
+	}
+	return probeEq(blk, d.codes, ord, base, m.code)
+}
+
 // The match kernels, one instance per array type: a typed-array sweep
 // with no switch inside, rows addressed locally (global row = base + j).
+// The probe kernels find the same rows by binary search of a sealed
+// segment's order.
 
 func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, base int, v T) int {
 	c := 0
@@ -527,6 +617,48 @@ func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, base i
 	for j, x := range vals {
 		if f := float64(x); f >= lo && f < hi {
 			blk[c] = int32(base + j)
+			c++
+		}
+	}
+	return c
+}
+
+// probeEq writes the run of ord whose values cmp.Compare equal to v —
+// exactly the x == v of matchEq, but for a NaN v, which equals nothing.
+// Ties keep row order, so the run is ascending.
+func probeEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, ord []uint16, base int, v T) int {
+	if v != v {
+		return 0
+	}
+	lo := sort.Search(len(ord), func(i int) bool { return cmp.Compare(vals[ord[i]], v) >= 0 })
+	hi := sort.Search(len(ord), func(i int) bool { return cmp.Compare(vals[ord[i]], v) > 0 })
+	for c, j := range ord[lo:hi] {
+		blk[c] = int32(base + int(j))
+	}
+	return hi - lo
+}
+
+// probeRange writes the rows matchRange keeps: past the NaNs that sort
+// first and match no bound, float64(x) >= lo and float64(x) < hi each
+// flip once along the order, since the int widening never decreases.
+// The run between the flips is in value order; a bitmap puts it back
+// in row order.
+func probeRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, ord []uint16, base int, lo, hi float64) int {
+	nan := sort.Search(len(ord), func(i int) bool { x := vals[ord[i]]; return x == x })
+	rest := ord[nan:]
+	from := sort.Search(len(rest), func(i int) bool { return float64(vals[rest[i]]) >= lo })
+	to := sort.Search(len(rest), func(i int) bool { return !(float64(vals[rest[i]]) < hi) })
+	if from >= to {
+		return 0
+	}
+	var set [ColumnBlockSize / 64]uint64
+	for _, j := range rest[from:to] {
+		set[j/64] |= 1 << (j % 64)
+	}
+	c := 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			blk[c] = int32(base + 64*w + bits.TrailingZeros64(word))
 			c++
 		}
 	}

@@ -164,6 +164,43 @@ func TestDropCollectionVersioning(t *testing.T) {
 	}
 }
 
+// TestDropKeepsOtherCollectionsIndexes: dropping collection "a" leaves
+// the index of "a.b", whose name has "a" and a dot as its prefix,
+// declared — in process and after a reopen.
+func TestDropKeepsOtherCollectionsIndexes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.db")
+	db := reopenDB(t, path)
+	if _, err := db.CreateCollection("a", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	ab, err := db.CreateCollection("a.b", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ab.Append(testPatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.BuildIndex(ab, "label", IdxHash); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropCollection("a"); err != nil {
+		t.Fatal(err)
+	}
+	if !db.HasIndex(ab, "label", IdxHash) {
+		t.Fatal("dropping a undeclared a.b's index")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopenDB(t, path)
+	if ab, err = db.Collection("a.b"); err != nil {
+		t.Fatal(err)
+	}
+	if !db.HasIndex(ab, "label", IdxHash) {
+		t.Fatal("a.b's index declaration lost across the reopen after dropping a")
+	}
+}
+
 // TestVersionPersistsAcrossReopen checks that versions are durable: a
 // flushed database reopened from disk reports the same version, and the
 // global counter never reissues old values.

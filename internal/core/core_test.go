@@ -272,38 +272,28 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("dets", simpleSchema())
 	want := map[int64][]PatchID{}
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3000; i++ {
 		p := mkPatch("car", int64(i%25))
 		col.Append(p)
 		want[int64(i%25)] = append(want[int64(i%25)], p.ID)
 	}
 	snap, _ := col.Current()
 	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
-		idx, err := db.BuildIndex(col, "frameno", kind)
-		if err != nil {
+		if _, err := db.BuildIndex(col, "frameno", kind); err != nil {
 			t.Fatalf("%v build: %v", kind, err)
 		}
+		m := FilterHashIndex
+		if kind == IdxBTree {
+			m = FilterBTreeIndex
+		}
 		for f, ids := range want {
-			got, err := idx.LookupEq(snap, IntV(f))
-			if err != nil {
-				t.Fatalf("%v lookup: %v", kind, err)
-			}
-			sortIDs(got)
-			w := append([]PatchID(nil), ids...)
-			sortIDs(w)
-			if len(got) != len(w) {
-				t.Fatalf("%v lookup(%d): %d ids, want %d", kind, f, len(got), len(w))
-			}
-			for i := range w {
-				if got[i] != w[i] {
-					t.Fatalf("%v lookup(%d) mismatch", kind, f)
-				}
+			if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(f)}, m); !reflect.DeepEqual(got, ids) {
+				t.Fatalf("%v lookup(%d): %d ids, want %d", kind, f, len(got), len(ids))
 			}
 		}
 		// Missing key.
-		got, err := idx.LookupEq(snap, IntV(999))
-		if err != nil || len(got) != 0 {
-			t.Fatalf("%v missing key: %v, %v", kind, got, err)
+		if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(999)}, m); len(got) != 0 {
+			t.Fatalf("%v missing key: %v", kind, got)
 		}
 	}
 }
@@ -311,27 +301,27 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 func TestBTreeIndexRange(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("dets", simpleSchema())
-	for i := 0; i < 100; i++ {
-		col.Append(mkPatch("car", int64(i)))
+	for i := 0; i < 2100; i++ {
+		col.Append(mkPatch("car", int64(i%100)))
 	}
-	idx, err := db.BuildIndex(col, "frameno", IdxBTree)
-	if err != nil {
+	if _, err := db.BuildIndex(col, "frameno", IdxBTree); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := IntV(20), IntV(30)
 	snap, _ := col.Current()
-	ids, err := idx.LookupRange(snap, &lo, &hi)
-	if err != nil || len(ids) != 10 {
-		t.Fatalf("range: %d ids, %v", len(ids), err)
+	if ids := selectIDs(t, snap, Pred{Field: "frameno", Range: true, Lo: 20, Hi: 30}, FilterBTreeIndex); len(ids) != 210 {
+		t.Fatalf("range: %d ids, want 210", len(ids))
 	}
 }
 
+// TestIndexPersistsAcrossReopen: index declarations are part of the
+// collection's descriptor, and the reopened collection's probes answer
+// from its re-projected columns.
 func TestIndexPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dl.db")
 	db, _ := Open(path, exec.New(exec.CPU))
 	col, _ := db.CreateCollection("dets", simpleSchema())
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 2100; i++ {
 		col.Append(mkPatch("car", int64(i%10)))
 	}
 	if _, err := db.BuildIndex(col, "frameno", IdxHash); err != nil {
@@ -346,17 +336,16 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	defer db2.Close()
 	col2, _ := db2.Collection("dets")
 	snap, _ := col2.Current()
-	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
+	for _, m := range []FilterMethod{FilterHashIndex, FilterBTreeIndex} {
+		kind := IdxHash
+		if m == FilterBTreeIndex {
+			kind = IdxBTree
+		}
 		if !db2.HasIndex(col2, "frameno", kind) {
-			t.Fatalf("%v index descriptor lost", kind)
+			t.Fatalf("%v index declaration lost", kind)
 		}
-		idx, err := db2.Index(col2, "frameno", kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, err := idx.LookupEq(snap, IntV(3))
-		if err != nil || len(ids) != 10 {
-			t.Fatalf("%v reopen lookup: %d, %v", kind, len(ids), err)
+		if ids := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(3)}, m); len(ids) != 210 {
+			t.Fatalf("%v reopen lookup: %d ids, want 210", kind, len(ids))
 		}
 	}
 }
@@ -837,11 +826,16 @@ func TestPlanFilterStaticOrder(t *testing.T) {
 	}
 }
 
+// TestIndexNotFound: an index never built is not declared, and one
+// over a field with no column cannot be built.
 func TestIndexNotFound(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("c", simpleSchema())
-	if _, err := db.Index(col, "label", IdxHash); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing index err = %v", err)
+	if db.HasIndex(col, "label", IdxHash) {
+		t.Fatal("an index never built is declared")
+	}
+	if _, err := db.BuildIndex(col, "undeclared", IdxHash); err == nil || db.HasIndex(col, "undeclared", IdxHash) {
+		t.Fatalf("index over a field with no column: %v", err)
 	}
 }
 

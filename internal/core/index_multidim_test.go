@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -28,9 +30,9 @@ func mkSpatialPatch(rng *rand.Rand, frame int64) *Patch {
 	}
 }
 
-// TestIndexKindMismatchErrors: core.Index is hash and B+ tree only —
-// every entry point refuses any other kind (the multidimensional access
-// methods live in VectorIndex and the join-local R-tree) — and a hash
+// TestIndexKindMismatchErrors: BuildIndex takes the hash and B+ tree
+// kinds only — the multidimensional access methods live in VectorIndex
+// and the join-local R-tree — over a field with a column, and a hash
 // index refuses range lookups.
 func TestIndexKindMismatchErrors(t *testing.T) {
 	db := openDB(t)
@@ -39,15 +41,9 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		col.Append(mkSpatialPatch(rng, int64(i)))
 	}
-	for _, kind := range []IndexKind{0, IdxHash + 1, IdxHash + 2, IdxHash + 3} {
+	for _, kind := range []IndexKind{0, IdxBTree, IdxHash, IdxHash + 1, IdxHash + 2, IdxHash + 3} {
 		if _, err := db.BuildIndex(col, "emb", kind); err == nil {
-			t.Fatalf("BuildIndex accepted %v", kind)
-		}
-		if _, err := db.EnsureIndex(col, "emb", kind); err == nil {
-			t.Fatalf("EnsureIndex accepted %v", kind)
-		}
-		if _, err := db.Index(col, "emb", kind); err == nil {
-			t.Fatalf("Index accepted %v", kind)
+			t.Fatalf("BuildIndex accepted %v over a vector field", kind)
 		}
 	}
 	sch := Schema{Fields: []Field{{Name: "n", Kind: KindInt}}}
@@ -55,13 +51,14 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ints.Append(&Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{"n": IntV(int64(i))}})
 	}
-	hash, err := db.BuildIndex(ints, "n", IdxHash)
-	if err != nil {
+	if _, err := db.BuildIndex(ints, "n", IdxHash+1); err == nil {
+		t.Fatal("BuildIndex accepted an unknown kind")
+	}
+	if _, err := db.BuildIndex(ints, "n", IdxHash); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := ints.Current()
-	lo := IntV(1)
-	if _, err := hash.LookupRange(snap, &lo, nil); err == nil {
+	if _, err := snap.Select(context.Background(), Pred{Field: "n", Range: true, Lo: 1, Hi: math.Inf(1)}, FilterHashIndex, Keep{}); err == nil {
 		t.Fatal("hash range lookup allowed")
 	}
 }

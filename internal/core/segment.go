@@ -76,6 +76,9 @@ type colSegment struct {
 	enc  atomic.Pointer[[]byte]
 	data atomic.Pointer[segData]
 	req  atomic.Uint64 // aged request count (see SegmentCache.request)
+	// ord is a sealed segment's sort order, set once by the first index
+	// probe (see Column.order). It stays resident when data is evicted.
+	ord atomic.Pointer[[]uint16]
 }
 
 func (sg *colSegment) rows() int { return sg.zone.hi - sg.zone.lo }

@@ -500,7 +500,7 @@ func TestColumnScanKeepsAllocateOnlyKeptRows(t *testing.T) {
 		} {
 			scan := func() int {
 				k := newKeeper(keep, cs, snap)
-				cs.scan(&pred, rows, &k)
+				cs.scan(&pred, rows, &k, false)
 				n, _ := k.result()
 				return n
 			}

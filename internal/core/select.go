@@ -35,13 +35,10 @@ type Selection struct {
 	N      int     // the exact match count, whatever was kept
 	Sel    []int32 // the kept rows of the snapshot, in Keep's order
 
-	// Column scans report their pruning record and what serving the
-	// store took.
+	// Column scans and index probes report their pruning record and
+	// what serving the store took.
 	Scan    ScanStats
 	ColInfo ColumnsInfo
-
-	// Index probes report what bringing the index current took.
-	Refresh Refresh
 }
 
 // Indexed reports whether the selection ran as an index probe rather
@@ -106,15 +103,14 @@ func (k *keeper) result() (int, []int32) {
 // one selection implementation behind ExecuteFilter and the serving
 // layer's fragments — and keeps of the matches what keep asks for:
 //
-//   - FilterHashIndex / FilterBTreeIndex probe the field's index in the
-//     collection's DB, created on first use and brought current for the
-//     snapshot. A range needs the B-tree and runs as its two-probe
-//     numeric range. The probe's ascending ids map to snapshot rows by a
-//     forward binary search (rows are id-ordered).
 //   - FilterColumnScan evaluates pred over the collection's columnar
 //     projection (zone maps skip blocks that cannot match, surviving
 //     blocks compare typed arrays, stopping at the snapshot's last row)
 //     and falls back to the row scan when the field has no column.
+//   - FilterHashIndex / FilterBTreeIndex run the column scan with each
+//     surviving sealed segment binary-searched through its sort order,
+//     sorted on first use (see ColumnStore.scan). A range needs the
+//     B-tree kind. Both kinds fall back like the column scan.
 //   - FilterScan tests every row with Pred.Match, checking ctx between
 //     blocks of rows.
 //   - 0 takes no predicate: every row of the snapshot matches.
@@ -130,57 +126,24 @@ func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod,
 	// store. It may already reflect rows appended after the snapshot was
 	// taken; snapshots are prefix-stable, so stopping at the snapshot's
 	// row count is exact.
+	if method == FilterHashIndex && pred.Range {
+		return Selection{}, fmt.Errorf("core: %v index does not support range lookup", IdxHash)
+	}
+	columnar := method == FilterColumnScan || s.Indexed()
 	var cs *ColumnStore
 	var info ColumnsInfo
-	if method == FilterColumnScan || keep.Kind == KeepTop {
+	if columnar || keep.Kind == KeepTop {
 		if c, in, err := snap.col.ColumnsWithInfo(); err == nil && c.at.Len() >= snap.Len() {
 			cs, info = c, in
 		}
 	}
 	k := newKeeper(keep, cs, snap)
-	var blk [ColumnBlockSize]int32
-	if s.Indexed() {
-		kind := IdxHash
-		if method == FilterBTreeIndex {
-			kind = IdxBTree
-		}
-		idx, err := snap.col.db.EnsureIndex(snap.col, pred.Field, kind)
-		if err != nil {
-			return Selection{}, err
-		}
-		var ids []PatchID
-		if pred.Range {
-			ids, s.Refresh, err = idx.numericRange(snap, pred.Lo, pred.Hi)
-		} else {
-			ids, s.Refresh, err = idx.lookupEq(snap, pred.V)
-		}
-		if err != nil {
-			return Selection{}, err
-		}
-		// The ids ascend, so each one's row lies past the last one's; the
-		// rows fold one segment's block at a time.
-		c, r := 0, 0
-		for _, id := range ids {
-			var ok bool
-			if r, ok = snap.find(id, r); !ok {
-				return Selection{}, fmt.Errorf("core: %v index on %q holds id %d, not in the snapshot", kind, pred.Field, id)
-			}
-			if c > 0 && r/ColumnBlockSize != int(blk[0])/ColumnBlockSize {
-				k.fold(blk[:c], nil, nil)
-				c = 0
-			}
-			blk[c] = int32(r)
-			c++
-		}
-		if c > 0 {
-			k.fold(blk[:c], nil, nil)
-		}
-		s.N, s.Sel = k.result()
-		return s, nil
-	}
-	if method == FilterColumnScan && cs != nil {
+	if columnar && cs != nil {
 		var ok bool
-		if s.Scan, ok = cs.scan(&pred, snap.Len(), &k); ok {
+		if s.Scan, ok = cs.scan(&pred, snap.Len(), &k, s.Indexed()); ok {
+			if s.Scan.Sorted > 0 {
+				snap.col.db.refresh.scalarSorted.Add(int64(s.Scan.Sorted))
+			}
 			s.ColInfo = info
 			s.N, s.Sel = k.result()
 			return s, nil
@@ -193,6 +156,7 @@ func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod,
 	if !all {
 		s.Method = FilterScan
 	}
+	var blk [ColumnBlockSize]int32
 	for lo := 0; lo < snap.Len(); lo += ColumnBlockSize {
 		if lo%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {

@@ -1,8 +1,9 @@
 // Package hashidx implements a persistent extendible hash index over the
-// kv pager, the DeepLens analog of BerkeleyDB's hash access method. It
-// serves equality lookups on discrete metadata (labels, string keys,
-// lineage pointers) where ordering is not needed; compared with the B+
-// tree it builds faster and probes in O(1) page reads.
+// kv pager, the DeepLens analog of BerkeleyDB's hash access method, for
+// equality lookups where ordering is not needed; compared with the B+
+// tree it builds faster and probes in O(1) page reads. Figure 6's
+// index-build experiment times it. The query engine's hash index is a
+// column's per-segment sort order instead (see internal/core).
 //
 // Layout: a meta page records the global depth and the head of an
 // overflow-chain-serialized directory (bucket page ids). Bucket pages hold
@@ -37,7 +38,7 @@ type Pager interface {
 	Alloc() (uint64, error)
 	Free(id uint64) error
 	WriteOverflow(val []byte) (uint64, error)
-	ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error)
+	ReadOverflow(dst []byte, head uint64, total int) ([]byte, error)
 	FreeOverflow(head uint64) error
 }
 
@@ -102,7 +103,7 @@ func Open(p Pager, meta uint64) (*Index, error) {
 	ix.nitems = int(binary.LittleEndian.Uint64(buf[1:]))
 	ix.dirHead = binary.LittleEndian.Uint64(buf[9:])
 	total := int(binary.LittleEndian.Uint32(buf[17:]))
-	raw, err := p.ReadOverflow(nil, ix.dirHead, total, nil)
+	raw, err := p.ReadOverflow(nil, ix.dirHead, total)
 	if err != nil {
 		return nil, err
 	}

@@ -172,7 +172,7 @@ func TestOverflowRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WriteOverflow(%d): %v", n, err)
 		}
-		got, err := p.ReadOverflow(nil, head, n, nil)
+		got, err := p.ReadOverflow(nil, head, n)
 		if err != nil || !bytes.Equal(got, val) {
 			t.Fatalf("ReadOverflow(%d) mismatch (err=%v)", n, err)
 		}
@@ -390,7 +390,7 @@ func TestReadOverflowRejectsCorruptChains(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := p.ReadOverflow(nil, head, 1<<30, nil); !errors.Is(err, ErrCorruptVal) {
+	if _, err := p.ReadOverflow(nil, head, 1<<30); !errors.Is(err, ErrCorruptVal) {
 		t.Fatalf("ReadOverflow of a 1 GiB length in a %d-page file: %v", p.NumPages(), err)
 	}
 	if runtime.ReadMemStats(&after); after.TotalAlloc-before.TotalAlloc > 1<<20 {
@@ -401,7 +401,7 @@ func TestReadOverflowRejectsCorruptChains(t *testing.T) {
 	if err := p.Write(head, loop); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ReadOverflow(nil, head, 3*overflowCap, nil); !errors.Is(err, ErrCorruptVal) {
+	if _, err := p.ReadOverflow(nil, head, 3*overflowCap); !errors.Is(err, ErrCorruptVal) {
 		t.Fatalf("ReadOverflow of a looping chain: %v", err)
 	}
 }

@@ -1,9 +1,9 @@
 // Package kv implements the embedded page-based storage engine DeepLens
-// uses wherever the original prototype used BerkeleyDB: the Frame File,
-// the catalog, and persistent single-dimensional indexes. Materialized
-// patch collections keep their rows in row logs of their own (see
-// internal/core); a collection stored before that keeps them in a bucket
-// until its first load migrates them out. A Store is a single file of
+// uses wherever the original prototype used BerkeleyDB: the Frame File
+// and the catalog. Materialized patch collections keep their rows in row
+// logs of their own, and their indexes in their columns (see
+// internal/core); a collection stored before that keeps its rows in a
+// bucket until its first load migrates them out. A Store is a single file of
 // fixed-size pages with a meta page, a free list, and a directory of
 // named buckets; each bucket is an on-disk B+ tree (see internal/btree)
 // rooted at a page in this file.
@@ -132,46 +132,24 @@ func (p *Pager) Read(id uint64) ([]byte, error) {
 }
 
 func (p *Pager) readLocked(id uint64) ([]byte, error) {
-	buf, cached, err := p.readInto(nil, id)
-	if err == nil && !cached {
-		p.insertCache(id, buf, false)
-	}
-	return buf, err
-}
-
-// ReadInto returns page id as Read does while the page is cached (dirty,
-// or read by another caller), and otherwise reads it from the file into
-// dst, PageSize bytes the caller reuses, without caching it: how a scan
-// that reads each page once leaves the cache as it found it.
-func (p *Pager) ReadInto(dst []byte, id uint64) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	buf, _, err := p.readInto(dst, id)
-	return buf, err
-}
-
-// readInto returns page id's cached buffer, or reads the page into dst
-// (a new page when nil), reporting which.
-func (p *Pager) readInto(dst []byte, id uint64) (buf []byte, cached bool, err error) {
 	if p.closed {
-		return nil, false, ErrClosed
+		return nil, ErrClosed
 	}
 	if id == 0 || id >= p.npages {
-		return nil, false, fmt.Errorf("%w: %d (have %d)", ErrBadPage, id, p.npages)
+		return nil, fmt.Errorf("%w: %d (have %d)", ErrBadPage, id, p.npages)
 	}
 	p.reads.Add(1)
 	if cp, ok := p.cache[id]; ok {
 		p.clock++
 		cp.used = p.clock
-		return cp.buf, true, nil
+		return cp.buf, nil
 	}
-	if len(dst) != PageSize {
-		dst = make([]byte, PageSize)
+	buf := make([]byte, PageSize)
+	if _, err := p.f.ReadAt(buf, int64(id)*PageSize); err != nil {
+		return nil, err
 	}
-	if _, err := p.f.ReadAt(dst, int64(id)*PageSize); err != nil {
-		return nil, false, err
-	}
-	return dst, false, nil
+	p.insertCache(id, buf, false)
+	return buf, nil
 }
 
 // Write stores buf (length PageSize) as the contents of page id. It
@@ -410,10 +388,8 @@ func (p *Pager) WriteOverflow(val []byte) (uint64, error) {
 // ReadOverflow appends the value stored by WriteOverflow to dst and
 // returns the extended slice (dst may be nil). The bytes are copied out
 // of the page cache, so a caller that passes a reused buffer reads an
-// overflow value without allocating. With a nil page, the chain's pages
-// are read as Read reads them, and cached; otherwise as ReadInto reads
-// them into page, so those not cached stay uncached.
-func (p *Pager) ReadOverflow(dst []byte, head uint64, total int, page []byte) ([]byte, error) {
+// overflow value without allocating.
+func (p *Pager) ReadOverflow(dst []byte, head uint64, total int) ([]byte, error) {
 	// A chain has fewer pages than the file: a corrupt length must fail
 	// here, before it sizes the buffer.
 	if total < 0 || uint64(total) > p.NumPages()*overflowCap {
@@ -423,13 +399,7 @@ func (p *Pager) ReadOverflow(dst []byte, head uint64, total int, page []byte) ([
 	out := slices.Grow(dst, total)
 	id := head
 	for id != 0 {
-		var buf []byte
-		var err error
-		if page != nil {
-			buf, err = p.ReadInto(page, id)
-		} else {
-			buf, err = p.Read(id)
-		}
+		buf, err := p.Read(id)
 		if err != nil {
 			return nil, err
 		}

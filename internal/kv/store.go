@@ -200,15 +200,6 @@ func (b *Bucket) Scan(lo, hi []byte, fn func(k, v []byte) bool) error {
 	return b.t.Scan(lo, hi, fn)
 }
 
-// ScanUncached is Scan for a caller that reads the range once, such as
-// a collection's first load: the pages the scan reads are not cached,
-// only pages cached already are read from the cache.
-func (b *Bucket) ScanUncached(lo, hi []byte, fn func(k, v []byte) bool) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.t.ScanUncached(lo, hi, fn)
-}
-
 // Len counts entries (O(n)).
 func (b *Bucket) Len() (int, error) {
 	b.mu.Lock()

@@ -196,11 +196,8 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 	r.CounterFunc("deeplens_knn_distance_evals_total", evalsHelp, map[string]string{"method": "scan"}, func() float64 {
 		return float64(s.shards.RefreshStats().KNNScanEvals)
 	})
-	r.CounterFunc("deeplens_scalar_index_extends_total", "Hash/B-tree index probes that inserted only the rows appended since the index was last current.", nil, func() float64 {
-		return float64(s.shards.RefreshStats().ScalarExtends)
-	})
-	r.CounterFunc("deeplens_scalar_index_rebuilds_total", "Hash/B-tree indexes built in full (first touch, BuildIndex, reopen at another version).", nil, func() float64 {
-		return float64(s.shards.RefreshStats().ScalarRebuilds)
+	r.CounterFunc("deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for hash/B-tree index probes (once each; the order outlives the segment's data).", nil, func() float64 {
+		return float64(s.shards.RefreshStats().ScalarSorted)
 	})
 	r.GaugeFunc("deeplens_store_pages", "Pages in the page files of every shard and replica store (meta pages included).", nil, func() float64 {
 		pages, _ := s.shards.PagerStats()

@@ -69,8 +69,9 @@ type shardFragment struct {
 // annotate attaches the fragment's work record to its trace span:
 // which shard ran, how many rows it held and matched (for kNN: how many
 // candidates it passes to the gather stage), the access path, and —
-// when the filter ran columnar — the zone-map pruning and
-// column-extension outcome. No-op on untraced queries (nil handle).
+// when the filter ran columnar, as a column scan or an index probe —
+// the zone-map pruning and column-extension outcome. No-op on untraced
+// queries (nil handle).
 func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard int) {
 	if sp == nil {
 		return
@@ -87,10 +88,7 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 		path = f.op
 	}
 	sp.Attr("path", path)
-	if f.Indexed() {
-		sp.Attr("index", f.Refresh.String())
-	}
-	if f.Method == core.FilterColumnScan {
+	if f.Method == core.FilterColumnScan || f.Indexed() {
 		sp.AttrInt("blocks", int64(f.Scan.Blocks))
 		sp.AttrInt("blocks_pruned", int64(f.Scan.Pruned))
 		sp.AttrInt("rows_scanned", int64(f.Scan.RowsScanned))
@@ -352,10 +350,11 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 
 // filterFragment runs the plan's filter stage on the fragment's snapshot
 // through core's one selection path, keeping what the plan keeps. It
-// only picks the method: use_index asks for the replica-local hash index
-// (B-tree for ranges), created on first use and kept current by core;
-// anything else runs the columnar scan, which core falls back to the row
-// scan for fields the store cannot columnize. The path that ran fixes
+// only picks the method: use_index asks for the hash index (B-tree for
+// ranges), which core answers from the sort orders of the replica's
+// sealed column segments, sorting each on first use; anything else runs
+// the columnar scan. Both fall back to the row scan for fields the store
+// cannot columnize. The path that ran fixes
 // the plan operator and the static cost. An unfiltered query selects
 // every row.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *shardFragment) error {
