@@ -696,9 +696,10 @@ func (c *Collection) load() error {
 // reads the rows from the bucket col.<name> once, copies each one's
 // stored bytes verbatim into a new row log, syncs the log, saves the
 // descriptor naming it, and only then frees the bucket's pages. The free
-// drops the bucket's pages from the pager's cache, and the flushes
-// write back the pages it dirtied. Until the descriptor is saved, a
-// failure leaves the collection in the page-file format.
+// dirties every page of the tree and the flush after it drops them, so
+// the load leaves the pager's cache as the open left it. Until the
+// descriptor is saved, a failure leaves the collection in the page-file
+// format.
 func (c *Collection) migrate() error {
 	b, err := c.db.store.Bucket("col." + c.name)
 	if err != nil {
@@ -808,6 +809,22 @@ func (c *Collection) ColumnsWithInfo() (*ColumnStore, ColumnsInfo, error) {
 		})
 	info.Refresh = use
 	return cs, info, err
+}
+
+// Refresh is the outcome of serving an accelerator (column store or
+// vector index) current as of one snapshot: the three arms of the
+// certify → extend → rebuild lifecycle.
+type Refresh int
+
+// Lifecycle outcomes.
+const (
+	RefreshHit     Refresh = iota // already current for the caller's snapshot
+	RefreshExtend                 // covered a certified prefix: only the appended rows were added
+	RefreshRebuild                // certification failed: built from the whole snapshot
+)
+
+func (r Refresh) String() string {
+	return [...]string{"hit", "extend", "rebuild"}[r]
 }
 
 // versioned is what a collection's accelerator cache slot holds: an

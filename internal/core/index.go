@@ -33,30 +33,10 @@ func (k IndexKind) String() string {
 	}
 }
 
-// Refresh is the outcome of serving an accelerator (column store or
-// vector index) current as of one snapshot: the three arms of the
-// certify → extend → rebuild lifecycle.
-type Refresh int
-
-// Lifecycle outcomes.
-const (
-	RefreshHit     Refresh = iota // already current for the caller's snapshot
-	RefreshExtend                 // covered a certified prefix: only the appended rows were added
-	RefreshRebuild                // certification failed: built from the whole snapshot
-)
-
-func (r Refresh) String() string {
-	return [...]string{"hit", "extend", "rebuild"}[r]
-}
-
-// Index records one BuildIndex call: the declared index and what
-// sorting its column's sealed segments took.
+// Index records what one BuildIndex call took.
 type Index struct {
-	Kind  IndexKind
-	Col   string
-	Field string
 	// BuildTime is the cost of making every sealed segment's order
-	// ready (Figure 5's and Figure 6's subject).
+	// ready (Figure 5's subject).
 	BuildTime time.Duration
 }
 
@@ -83,8 +63,7 @@ func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index,
 		return nil, fmt.Errorf("core: %s.%s has no column to index", col.Name(), field)
 	}
 	db.refresh.scalarSorted.Add(int64(c.sortSealed()))
-	idx := &Index{Kind: kind, Col: col.Name(), Field: field, BuildTime: time.Since(start)}
-	return idx, col.declareIndex(indexDecl(field, kind))
+	return &Index{BuildTime: time.Since(start)}, col.declareIndex(indexDecl(field, kind))
 }
 
 // HasIndex reports whether BuildIndex declared the index on col.

@@ -121,14 +121,14 @@ func (k *keeper) result() (int, []int32) {
 // rows Pred.Match accepts, and N counts all of them. Select does not
 // type-check pred against the schema; planners do.
 func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
-	s := Selection{Method: method}
-	// A column scan, and a top-k ordered by a column, read the cached
-	// store. It may already reflect rows appended after the snapshot was
-	// taken; snapshots are prefix-stable, so stopping at the snapshot's
-	// row count is exact.
 	if method == FilterHashIndex && pred.Range {
 		return Selection{}, fmt.Errorf("core: %v index does not support range lookup", IdxHash)
 	}
+	s := Selection{Method: method}
+	// A column scan or index probe, and a top-k ordered by a column, read
+	// the cached store. It may already reflect rows appended after the
+	// snapshot was taken; snapshots are prefix-stable, so stopping at the
+	// snapshot's row count is exact.
 	columnar := method == FilterColumnScan || s.Indexed()
 	var cs *ColumnStore
 	var info ColumnsInfo

@@ -3,10 +3,10 @@
 // and the catalog. Materialized patch collections keep their rows in row
 // logs of their own, and their indexes in their columns (see
 // internal/core); a collection stored before that keeps its rows in a
-// bucket until its first load migrates them out. A Store is a single file of
-// fixed-size pages with a meta page, a free list, and a directory of
-// named buckets; each bucket is an on-disk B+ tree (see internal/btree)
-// rooted at a page in this file.
+// bucket until its first load migrates them out. A Store is a single
+// file of fixed-size pages with a meta page, a free list, and a
+// directory of named buckets; each bucket is an on-disk B+ tree (see
+// internal/btree) rooted at a page in this file.
 package kv
 
 import (
