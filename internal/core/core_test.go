@@ -838,7 +838,3 @@ func TestIndexNotFound(t *testing.T) {
 		t.Fatalf("index over a field with no column: %v", err)
 	}
 }
-
-func sortIDs(ids []PatchID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
