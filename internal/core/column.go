@@ -45,6 +45,7 @@ package core
 import (
 	"cmp"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -627,7 +628,7 @@ func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, base i
 // exactly the x == v of matchEq, but for a NaN v, which equals nothing.
 // Ties keep row order, so the run is ascending.
 func probeEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, ord []uint16, base int, v T) int {
-	if v != v {
+	if math.IsNaN(float64(v)) {
 		return 0
 	}
 	lo := sort.Search(len(ord), func(i int) bool { return cmp.Compare(vals[ord[i]], v) >= 0 })
@@ -644,7 +645,7 @@ func probeEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, 
 // The run between the flips is in value order; a bitmap puts it back
 // in row order.
 func probeRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, ord []uint16, base int, lo, hi float64) int {
-	nan := sort.Search(len(ord), func(i int) bool { x := vals[ord[i]]; return x == x })
+	nan := sort.Search(len(ord), func(i int) bool { return !math.IsNaN(float64(vals[ord[i]])) })
 	rest := ord[nan:]
 	from := sort.Search(len(rest), func(i int) bool { return float64(vals[rest[i]]) >= lo })
 	to := sort.Search(len(rest), func(i int) bool { return !(float64(vals[rest[i]]) < hi) })
