@@ -286,9 +286,9 @@ func runFig7() error {
 		return err
 	}
 	w := table()
-	fmt.Fprintln(w, "dim\tbuild size\tprobe side\tjoin time")
+	fmt.Fprintln(w, "dim\tbuild size\tprobe side\tjoin time\tevals/probe")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%v\n", r.Dim, r.BuildSize, r.Probe, r.Join)
+		fmt.Fprintf(w, "%d\t%d\t%d\t%v\t%.1f\n", r.Dim, r.BuildSize, r.Probe, r.Join, float64(r.Evals)/float64(r.Probe))
 	}
 	return w.Flush()
 }

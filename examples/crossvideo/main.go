@@ -3,14 +3,15 @@
 //
 // Two cameras watch different streets; some car identities drive past
 // both. Each feed is detected and embedded independently; the cross-feed
-// similarity join matches embeddings with the on-the-fly ball-tree index
-// (built over the smaller relation), and the optimizer's cost model is
-// shown choosing a physical plan.
+// similarity join matches embeddings with the physical method the
+// optimizer prices cheapest on the database's device, and that method
+// runs.
 //
 //	go run ./examples/crossvideo
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -122,14 +123,17 @@ func run() error {
 	}
 	fmt.Printf("camA: %d car patches, camB: %d car patches\n", colA.Len(), colB.Len())
 
-	// The optimizer picks the physical join; show its reasoning.
-	cm := core.DefaultCostModel()
-	plan := cm.PlanSimilarityJoin(colA.Len(), colB.Len(), emb.Dim(), false)
-	fmt.Printf("optimizer chose %s on %s (est %.4fs)\n", plan.Method, plan.Device, plan.EstCost)
-
-	psA, _ := colA.Patches()
-	psB, _ := colB.Patches()
-	pairs, err := core.SimilarityJoinOnTheFly(psA, psB, core.SimilarityJoinOpts{
+	// The optimizer picks the physical join over the two snapshots, for
+	// the device this database runs; the chosen method runs.
+	snapA, errA := colA.Current()
+	snapB, errB := colB.Current()
+	if err := errors.Join(errA, errB); err != nil {
+		return err
+	}
+	kind := db.Device().Kind()
+	plan := snapB.PlanSimilarityJoin("emb", snapA.Len(), snapB.Patches(), false, kind)
+	fmt.Printf("optimizer chose %s on %s (est %.4fs)\n", plan.Method, kind, plan.EstCost)
+	pairs, err := snapB.SimilarityJoin(plan.Method, snapA.Patches(), snapB.Patches(), core.SimilarityJoinOpts{
 		LeftField: "emb", RightField: "emb", Eps: 0.12})
 	if err != nil {
 		return err

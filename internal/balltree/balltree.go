@@ -34,6 +34,7 @@ type Tree struct {
 	root  *node
 	size  int
 	nodes int
+	evals int // distances Build evaluated
 }
 
 // Dist returns the Euclidean distance between two equal-length vectors.
@@ -87,7 +88,7 @@ func Build(pts []Point) (*Tree, error) {
 	}
 	cp := append([]Point(nil), pts...)
 	t := &Tree{dim: dim, size: len(pts)}
-	t.root = build(cp, &t.nodes)
+	t.root = t.build(cp)
 	return t, nil
 }
 
@@ -105,30 +106,29 @@ func centroid(pts []Point, dim int) []float32 {
 	return c
 }
 
-func build(pts []Point, nodes *int) *node {
-	*nodes++
+// build returns the ball over pts, counting its balls and the distances
+// it evaluates into t.
+func (t *Tree) build(pts []Point) *node {
+	t.nodes++
 	dim := len(pts[0].Vec)
 	c := centroid(pts, dim)
+	// The radius is the farthest point from the centroid, which also
+	// seeds the left ball of a split; the farthest point from that seed
+	// seeds the right ball.
 	var radius float64
-	for _, p := range pts {
-		if d := Dist(c, p.Vec); d > radius {
-			radius = d
+	var l int
+	for i, p := range pts {
+		if d := Dist(c, p.Vec); d >= radius {
+			radius, l = d, i
 		}
 	}
+	t.evals += len(pts)
 	n := &node{center: c, radius: radius}
 	if len(pts) <= leafSize {
 		n.pts = pts
 		return n
 	}
-	// Split: farthest point from centroid seeds the left ball; farthest
-	// point from that seed seeds the right ball.
-	var l int
-	var ld float64
-	for i, p := range pts {
-		if d := Dist(c, p.Vec); d >= ld {
-			ld, l = d, i
-		}
-	}
+	t.evals += len(pts)
 	var r int
 	var rd float64
 	for i, p := range pts {
@@ -144,6 +144,7 @@ func build(pts []Point, nodes *int) *node {
 	// Partition in place by closer seed, keeping both sides non-empty.
 	i, j := 0, len(pts)-1
 	for i <= j {
+		t.evals += 2
 		if Dist(lv, pts[i].Vec) <= Dist(rv, pts[i].Vec) {
 			i++
 		} else {
@@ -154,8 +155,8 @@ func build(pts []Point, nodes *int) *node {
 	if i == 0 || i == len(pts) { // degenerate partition: split by halves
 		i = len(pts) / 2
 	}
-	n.left = build(pts[:i], nodes)
-	n.right = build(pts[i:], nodes)
+	n.left = t.build(pts[:i])
+	n.right = t.build(pts[i:])
 	return n
 }
 
@@ -167,6 +168,10 @@ func (t *Tree) Dim() int { return t.dim }
 
 // Nodes returns the number of balls in the tree (0 when empty).
 func (t *Tree) Nodes() int { return t.nodes }
+
+// BuildEvals returns the distances Build evaluated: one per point per
+// ball for its radius, and three more per point of a ball it split.
+func (t *Tree) BuildEvals() int { return t.evals }
 
 // RangeSearch calls fn for every point within radius eps of q (inclusive).
 // fn returning false stops the search. Returns the distances evaluated,

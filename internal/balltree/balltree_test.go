@@ -215,6 +215,20 @@ func TestRangeSearchCountsEvaluations(t *testing.T) {
 	}
 }
 
+// TestBuildEvalsCounts: a leaf costs one evaluation per point (its
+// radius and left seed); a split ball four (those, the right seed and
+// the partition's two).
+func TestBuildEvalsCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	if tr, _ := Build(randPoints(rng, leafSize, 8)); tr.BuildEvals() != leafSize {
+		t.Fatalf("leaf build evaluated %d distances, want %d", tr.BuildEvals(), leafSize)
+	}
+	// 17 distinct points split once into two leaves.
+	if tr, _ := Build(randPoints(rng, leafSize+1, 8)); tr.Nodes() != 3 || tr.BuildEvals() != 5*(leafSize+1) {
+		t.Fatalf("one split: %d balls, %d evaluations, want 3 and %d", tr.Nodes(), tr.BuildEvals(), 5*(leafSize+1))
+	}
+}
+
 func TestEarlyStop(t *testing.T) {
 	pts := randPoints(rand.New(rand.NewSource(2)), 1000, 4)
 	tr, _ := Build(pts)

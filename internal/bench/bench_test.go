@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -24,9 +26,37 @@ func tinyCfg() dataset.Config {
 
 var (
 	sharedEnv     *Env
+	sharedEnvDir  string
 	sharedEnvErr  error
 	sharedEnvOnce sync.Once
 )
+
+// TestMain runs the tests under a private TMPDIR and fails the run if an
+// experiment leaves a dl-bench-* directory there; the shared
+// environment's directory is removed first.
+func TestMain(m *testing.M) { os.Exit(runTests(m)) }
+
+func runTests(m *testing.M) int {
+	tmp, err := os.MkdirTemp("", "bench-tests-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(tmp)
+	os.Setenv("TMPDIR", tmp)
+	code := m.Run()
+	if sharedEnv != nil {
+		sharedEnv.Close()
+	}
+	if sharedEnvDir != "" {
+		os.RemoveAll(sharedEnvDir)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "dl-bench-*")); len(left) > 0 {
+		fmt.Fprintf(os.Stderr, "tests left temporary directories behind: %v\n", left)
+		return max(code, 1)
+	}
+	return code
+}
 
 // newTestEnv returns a process-shared environment: the ETL phase is
 // expensive, and every query here is read-only (or idempotently
@@ -34,12 +64,11 @@ var (
 func newTestEnv(t *testing.T) *Env {
 	t.Helper()
 	sharedEnvOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "dl-bench-test")
-		if err != nil {
-			sharedEnvErr = err
+		sharedEnvDir, sharedEnvErr = os.MkdirTemp("", "dl-bench-test")
+		if sharedEnvErr != nil {
 			return
 		}
-		sharedEnv, sharedEnvErr = NewEnv(dir, tinyCfg(), exec.New(exec.CPU))
+		sharedEnv, sharedEnvErr = NewEnv(sharedEnvDir, tinyCfg(), exec.New(exec.CPU))
 	})
 	if sharedEnvErr != nil {
 		t.Fatal(sharedEnvErr)

@@ -156,6 +156,7 @@ func Fig3Formats(cfg dataset.Config, window int, dev exec.Device) ([]Fig3Row, er
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	st, err := kv.Open(filepath.Join(dir, "fig3.db"))
 	if err != nil {
 		return nil, err
@@ -355,6 +356,7 @@ func Fig6IndexBuild(sizes []int, seed int64) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer os.RemoveAll(dir)
 
 		// Hash.
 		p, err := kv.OpenPager(filepath.Join(dir, "hash.db"))
@@ -427,18 +429,22 @@ func Fig6IndexBuild(sizes []int, seed int64) ([]Fig6Row, error) {
 
 // ------------------------------------------------------------- Figure 7 ----
 
-// Fig7Row is one ball-tree join timing at a given build size and dim.
+// Fig7Row is one ball-tree join at a given build size and dim: its
+// time, and the distances its probes evaluated (the sum of RangeSearch's
+// counts).
 type Fig7Row struct {
 	BuildSize int
 	Dim       int
 	Probe     int
 	Join      time.Duration
+	Evals     int
 }
 
-// Fig7BallTreeJoin reproduces Figure 7: ball-tree join execution time as
-// a function of the indexed relation's size, in low- and high-dimensional
-// feature spaces. Data is a Gaussian-mixture (clustered, like patch
-// features); the probe side is fixed.
+// Fig7BallTreeJoin reproduces Figure 7: ball-tree join execution time,
+// and the distances it evaluates, as a function of the indexed
+// relation's size, in low- and high-dimensional feature spaces. Data is
+// a Gaussian-mixture (clustered, like patch features); the probe side is
+// fixed.
 func Fig7BallTreeJoin(sizes []int, dims []int, probeN int, seed int64) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for _, dim := range dims {
@@ -474,14 +480,11 @@ func Fig7BallTreeJoin(sizes []int, dims []int, probeN int, seed int64) ([]Fig7Ro
 				return nil, err
 			}
 			start := time.Now()
-			matches := 0
+			evals := 0
 			for _, q := range probes {
-				bt.RangeSearch(q.Vec, eps, func(balltree.Point, float64) bool {
-					matches++
-					return true
-				})
+				evals += bt.RangeSearch(q.Vec, eps, func(balltree.Point, float64) bool { return true })
 			}
-			rows = append(rows, Fig7Row{BuildSize: n, Dim: dim, Probe: probeN, Join: time.Since(start)})
+			rows = append(rows, Fig7Row{BuildSize: n, Dim: dim, Probe: probeN, Join: time.Since(start), Evals: evals})
 		}
 	}
 	return rows, nil
@@ -510,6 +513,7 @@ func Fig8Devices(cfg dataset.Config, devices []exec.Kind) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer os.RemoveAll(dir)
 		etlStart := time.Now()
 		e, err := NewEnv(dir, cfg, dev)
 		if err != nil {
@@ -828,6 +832,7 @@ func AblationSegment(cfg dataset.Config, clipLens []uint64, window int) ([]Ablat
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	st, err := kv.Open(filepath.Join(dir, "seg.db"))
 	if err != nil {
 		return nil, err
@@ -1004,4 +1009,6 @@ func u64le(key, uniq uint64) []byte {
 	return out
 }
 
+// tmpDir makes an experiment's scratch directory; the experiment removes
+// it when it returns.
 func tmpDir() (string, error) { return os.MkdirTemp("", "dl-bench-") }

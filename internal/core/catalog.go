@@ -50,10 +50,6 @@ type DB struct {
 		scalarSorted                    atomic.Int64
 	}
 
-	// cost is the planner's cost model: static constants, set once by
-	// Open.
-	cost *CostModel
-
 	// segCache, when installed, tiers every collection's column store:
 	// sealed segments keep their encoding in memory and the shared cache
 	// budgets how many stay decoded. Nil (the default) keeps column
@@ -113,7 +109,6 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	db := &DB{
 		path: path, store: st, dev: dev, sys: sys,
 		cols: make(map[string]*Collection),
-		cost: DefaultCostModel(),
 	}
 	if v, err := sys.Get([]byte("nextid")); err == nil {
 		db.nextID.Store(kv.ParseU64Key(v))
@@ -140,8 +135,8 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	return db, nil
 }
 
-// Cost returns the DB's cost model (never nil for an opened DB).
-func (db *DB) Cost() *CostModel { return db.cost }
+// Cost returns the statistic-free kNN planner (see CostModel).
+func (db *DB) Cost() *CostModel { return &CostModel{} }
 
 // SetSegmentCache installs the shared column-segment cache, enabling
 // the tiered column store: sealed segments keep their encoding in
@@ -458,6 +453,10 @@ type Collection struct {
 	// (built lazily by Snapshot.VectorIndex, maintained like colStore).
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
+
+	// treeStats caches the tree statistics: treeStatKey -> treeStat,
+	// each written once (see Snapshot.treeStat).
+	treeStats sync.Map
 }
 
 // Name returns the collection name.

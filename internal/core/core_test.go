@@ -719,26 +719,6 @@ func TestBacktrace(t *testing.T) {
 	}
 }
 
-func TestOptimizerSimJoinChoices(t *testing.T) {
-	cm := DefaultCostModel()
-	// Tiny join: nested or batched CPU beats GPU (launch overhead).
-	small := cm.PlanSimilarityJoin(20, 20, 64, false)
-	if small.Device == exec.GPU {
-		t.Fatalf("tiny join placed on GPU: %+v", small)
-	}
-	// Huge join: index or GPU should win over scalar nested loop.
-	big := cm.PlanSimilarityJoin(20000, 20000, 64, false)
-	if big.Method == SimNested {
-		t.Fatalf("huge join planned as scalar nested loop: %s", big.Explain)
-	}
-	// With a maintained vector index on a large build side, indexed should
-	// be competitive.
-	withIdx := cm.PlanSimilarityJoin(1000, 100000, 64, true)
-	if withIdx.Method == SimNested {
-		t.Fatalf("indexed available but nested chosen: %s", withIdx.Explain)
-	}
-}
-
 func TestOptimizerFilterPath(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("dets", simpleSchema())
@@ -767,17 +747,16 @@ func TestOptimizerFilterPath(t *testing.T) {
 // per-fetch constants — deterministic functions of the plan and the
 // snapshot, so replicas quote byte-identical est_cost_sec.
 func TestFilterCostStatic(t *testing.T) {
-	cm := DefaultCostModel()
 	for _, tc := range []struct {
 		m    FilterMethod
 		want float64
 	}{
 		{FilterColumnScan, 1000 * CColScanSec},
 		{FilterScan, 1000 * CRowScanSec},
-		{FilterHashIndex, 10 * cm.CFetch},
-		{FilterBTreeIndex, 10 * cm.CFetch},
+		{FilterHashIndex, 10 * fetchSec},
+		{FilterBTreeIndex, 10 * fetchSec},
 	} {
-		if got := cm.FilterCost(tc.m, 1000, 10); math.Abs(got-tc.want) > 1e-15 {
+		if got := FilterCost(tc.m, 1000, 10); math.Abs(got-tc.want) > 1e-15 {
 			t.Fatalf("%v cost = %g, want %g", tc.m, got, tc.want)
 		}
 	}

@@ -58,11 +58,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 func TestCacheAwareCost(t *testing.T) {
-	cm := DefaultCostModel()
 	const est, lookup = 2.0, 1e-6
-	cold := cm.CacheAwareCost(est, 0, lookup)
-	warm := cm.CacheAwareCost(est, 1, lookup)
-	half := cm.CacheAwareCost(est, 0.5, lookup)
+	cold := CacheAwareCost(est, 0, lookup)
+	warm := CacheAwareCost(est, 1, lookup)
+	half := CacheAwareCost(est, 0.5, lookup)
 	if cold <= est-1e-9 || cold > est+lookup+1e-9 {
 		t.Fatalf("cold cost = %g, want ~%g", cold, est+lookup)
 	}
@@ -73,10 +72,10 @@ func TestCacheAwareCost(t *testing.T) {
 		t.Fatalf("half-warm cost %g not between %g and %g", half, warm, cold)
 	}
 	// Out-of-range hit rates clamp instead of producing negative costs.
-	if got := cm.CacheAwareCost(est, 1.5, lookup); got < 0 {
+	if got := CacheAwareCost(est, 1.5, lookup); got < 0 {
 		t.Fatalf("clamped cost = %g, want >= 0", got)
 	}
-	if got := cm.CacheAwareCost(est, -1, lookup); got > est+lookup+1e-9 {
+	if got := CacheAwareCost(est, -1, lookup); got > est+lookup+1e-9 {
 		t.Fatalf("clamped cost = %g, want <= %g", got, est+lookup)
 	}
 }

@@ -27,6 +27,29 @@ type SimilarityJoinOpts struct {
 	Device exec.Device
 }
 
+// SimilarityJoin runs method m (see PlanSimilarityJoin) over left and
+// right, rows of the snapshot s. The join-index method probes s's exact
+// vector index — so right must be all of s's rows, and the pairs are the
+// ones the scan-based methods find — and batched kernels run on
+// opts.Device, or else s's database's device.
+func (s Snapshot) SimilarityJoin(m SimMethod, left, right []*Patch, opts SimilarityJoinOpts) ([]Tuple, error) {
+	switch m {
+	case SimVecIndexed:
+		vi, err := s.VectorIndex(opts.RightField, VecExact)
+		if err != nil {
+			return nil, err
+		}
+		pairs, _, err := SimilarityJoinVecIndexed(left, vi, opts)
+		return pairs, err
+	case SimOnTheFly:
+		return SimilarityJoinOnTheFly(left, right, opts)
+	case SimBatched:
+		return SimilarityJoinBatched(s.col.db, left, right, opts)
+	default:
+		return SimilarityJoinNested(left, right, opts)
+	}
+}
+
 // SimilarityJoinNested is the baseline all-pairs implementation: for every
 // left patch, scan every right patch and compare distances one by one —
 // what DeepLens runs when no index exists.
@@ -67,6 +90,10 @@ func SimilarityJoinNested(left, right []*Patch, opts SimilarityJoinOpts) ([]Tupl
 	}
 	return out, nil
 }
+
+// joinBlock is the left rows SimilarityJoinBatched computes distances for
+// per kernel.
+const joinBlock = 256
 
 // SimilarityJoinBatched is the vectorized all-pairs implementation: the
 // full distance matrix is computed with one device kernel per left block —
@@ -116,18 +143,11 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 	var out []Tuple
 	// Block the left side to bound the distance-matrix size; one pooled
 	// tile is reused across every block (and across calls).
-	const block = 256
-	n := block
-	if len(left) < n {
-		n = len(left)
-	}
+	n := min(joinBlock, len(left))
 	dists := tensor.GetScratch(n * len(right))
 	defer tensor.PutScratch(dists)
-	for lo := 0; lo < len(left); lo += block {
-		hi := lo + block
-		if hi > len(left) {
-			hi = len(left)
-		}
+	for lo := 0; lo < len(left); lo += joinBlock {
+		hi := min(lo+joinBlock, len(left))
 		m := hi - lo
 		dev.PairwiseSqDist(lx[lo*dim:hi*dim], ry, m, len(right), dim, dists[:m*len(right)])
 		for i := 0; i < m; i++ {

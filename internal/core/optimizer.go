@@ -3,22 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/exec"
 )
 
-// This file is the visual query optimizer (§5.1 future work, §7.4): a
-// cost-based physical planner over the engine's alternative operator
-// implementations. The paper's central observations are encoded here:
-// non-linear index-join costs (Figure 7), device placement with
-// launch/transfer overheads (Figure 8), and the accuracy implications of
-// plan order (Table 1), which the planner surfaces rather than hides.
+// This file is the visual query optimizer (§5.1 future work, §7.4). A
+// plan is priced in the work it counts — distance evaluations (each dim
+// components wide), patches fetched and kernel launches — on the device
+// that runs it; the exact ball tree from evaluations measured on the
+// shard's own data (treeStat), since its pruning depends on how the
+// points cluster (Figure 7). Replicas quote byte-identical costs.
 
 // SimMethod is a physical implementation of the similarity join.
 type SimMethod int
 
-// Similarity-join physical operators.
+// Similarity-join physical operators, in the order the planner breaks
+// cost ties.
 const (
 	SimNested     SimMethod = iota + 1 // all pairs, scalar
 	SimBatched                         // all pairs, device-batched distance matrix
@@ -41,86 +41,42 @@ func (m SimMethod) String() string {
 	}
 }
 
-// CostModel holds per-operation constants (seconds), measured once on
-// the reference container and static at runtime.
-type CostModel struct {
-	// CDist is the cost of one scalar distance component (per dimension).
-	CDist float64
-	// CDevFlop is the per-FLOP cost on each device for batched kernels.
-	CDevFlop map[exec.Kind]float64
-	// DevOverhead is the per-kernel fixed cost on each device.
-	DevOverhead map[exec.Kind]time.Duration
-	// CBuild scales ball-tree construction (per element per dim per log n).
-	CBuild float64
-	// ProbeAlpha captures the super-logarithmic growth of ball-tree probes
-	// as the indexed relation grows (Figure 7's non-linearity): probe cost
-	// multiplies by (n/1000)^ProbeAlpha beyond 1000 elements.
-	ProbeAlpha float64
-	// DimPenalty inflates ball-tree probe cost per dimension beyond 8
-	// (pruning weakens in high dimensions).
-	DimPenalty float64
-	// CFetch is the cost of fetching one patch by id during index joins.
-	CFetch float64
-}
+// The weights that turn counted work into est_cost_sec compare units
+// across devices, never two paths that count the same unit on the same
+// device: their counts decide, a tie going to the first method.
+// distDimSec is one distance component on each device (scalar paths run
+// on the host, at the CPU rate); a GPU kernel also pays the launch and
+// transfer exec.New(exec.GPU) charges.
+var distDimSec = [...]float64{exec.CPU: 1.2e-9, exec.AVX: 4.5e-10, exec.GPU: 1.2e-10}
 
-// DefaultCostModel returns constants calibrated against the reference
-// environment.
-func DefaultCostModel() *CostModel {
-	return &CostModel{
-		CDist: 1.2e-9,
-		CDevFlop: map[exec.Kind]float64{
-			exec.CPU: 6e-10,
-			exec.AVX: 1.5e-10,
-			exec.GPU: 4e-11,
-		},
-		DevOverhead: map[exec.Kind]time.Duration{
-			exec.CPU: 0,
-			exec.AVX: 2 * time.Microsecond,
-			exec.GPU: 200 * time.Microsecond,
-		},
-		CBuild:     2.5e-9,
-		ProbeAlpha: 0.35,
-		DimPenalty: 0.02,
-		CFetch:     4e-6,
-	}
-}
+// fetchSec is one patch fetched by id.
+const fetchSec = 4e-6
 
-// simCost estimates the wall time of one similarity-join method.
-// nL/nR are the relation sizes, dim the vector dimensionality.
-func (cm *CostModel) simCost(m SimMethod, dev exec.Kind, nL, nR, dim int) float64 {
-	nf := float64(nL)
-	mf := float64(nR)
-	df := float64(dim)
+// simCost prices joining nL left rows against nR right rows of
+// dimensionality dim with method m, batched kernels running on dev and
+// tree probes priced by st.
+func simCost(m SimMethod, nL, nR, dim int, st treeStat, dev exec.Kind) float64 {
+	nf, mf, df := float64(nL), float64(nR), float64(dim)
+	host := df * distDimSec[exec.CPU]
 	switch m {
 	case SimNested:
-		return nf * mf * df * cm.CDist
+		return nf * mf * host
 	case SimBatched:
-		flops := 3 * nf * mf * df
-		kernels := math.Ceil(nf / 256)
-		bytesMoved := 4 * (nf*df + mf*df + nf*mf)
-		transfer := 0.0
+		cost := nf * mf * df * distDimSec[dev]
 		if dev == exec.GPU {
-			transfer = bytesMoved / 6e9
+			// One launch per left block, each moving the block, the right
+			// side and its distance tile.
+			gpu := exec.DefaultGPUProfile()
+			kernels := math.Ceil(nf / joinBlock)
+			bytes := 4 * (nf*df + kernels*mf*df + nf*mf)
+			cost += kernels*gpu.LaunchLatency.Seconds() + bytes/gpu.BytesPerSecond
 		}
-		return flops*cm.CDevFlop[dev] + kernels*cm.DevOverhead[dev].Seconds() + transfer
-	case SimOnTheFly, SimVecIndexed:
-		build, probe := mf, nf
-		if m == SimOnTheFly && nf < mf {
-			build, probe = nf, mf
-		}
-		buildCost := 0.0
-		if m == SimOnTheFly {
-			buildCost = cm.CBuild * build * df * math.Log2(build+2)
-		}
-		// Probe: log(build) balls visited, inflated non-linearly with size
-		// and dimension (Figure 7).
-		inflate := 1.0
-		if build > 1000 {
-			inflate = math.Pow(build/1000, cm.ProbeAlpha)
-		}
-		dimInflate := 1 + cm.DimPenalty*math.Max(0, df-8)
-		perProbe := cm.CDist * df * 32 * math.Log2(build+2) * inflate * dimInflate
-		return buildCost + probe*perProbe + probe*cm.CFetch
+		return cost
+	case SimOnTheFly:
+		build, probe := min(nf, mf), max(nf, mf)
+		return (build*st.build + probe*st.probe*build) * host
+	case SimVecIndexed:
+		return nf * st.probe * mf * host
 	}
 	return math.Inf(1)
 }
@@ -128,43 +84,34 @@ func (cm *CostModel) simCost(m SimMethod, dev exec.Kind, nL, nR, dim int) float6
 // SimJoinPlan is the optimizer's physical choice for a similarity join.
 type SimJoinPlan struct {
 	Method  SimMethod
-	Device  exec.Kind
 	EstCost float64
-	// Explain records the costs of every alternative considered.
-	Explain string
 }
 
-// PlanSimilarityJoin picks the cheapest physical operator for a
-// similarity join of the given shape. hasIndex reports an exact-mode
-// VectorIndex over the right side's join field: it probes like the
-// on-the-fly ball tree — the same Figure 7 non-linearity — but is
-// maintained across appends, so its build cost never lands on the query
-// being planned.
-func (cm *CostModel) PlanSimilarityJoin(nL, nR, dim int, hasIndex bool) SimJoinPlan {
-	type cand struct {
-		m   SimMethod
-		dev exec.Kind
+// PlanSimilarityJoin picks the cheapest method for joining nL left rows
+// against the right rows on their vectors under field, with batched
+// kernels on dev. The receiver is the right rows' snapshot: its k=1 tree
+// statistic prices the tree probes. hasIndex allows the snapshot's
+// maintained exact index, whose build is not charged to the query.
+func (s Snapshot) PlanSimilarityJoin(field string, nL int, right []*Patch, hasIndex bool, dev exec.Kind) SimJoinPlan {
+	dim := 0
+	if pts := fieldPoints(right, field, 1); pts != nil {
+		dim = len(pts[0].Vec)
 	}
-	cands := []cand{
-		{SimNested, exec.CPU},
-		{SimBatched, exec.CPU},
-		{SimBatched, exec.AVX},
-		{SimBatched, exec.GPU},
-		{SimOnTheFly, exec.CPU},
-	}
+	return planSimilarityJoin(nL, len(right), dim, s.treeStat(field, 1), hasIndex, dev)
+}
+
+// planSimilarityJoin picks the cheapest method under simCost.
+func planSimilarityJoin(nL, nR, dim int, st treeStat, hasIndex bool, dev exec.Kind) SimJoinPlan {
+	last := SimOnTheFly
 	if hasIndex {
-		cands = append(cands, cand{SimVecIndexed, exec.CPU})
+		last = SimVecIndexed
 	}
 	best := SimJoinPlan{EstCost: math.Inf(1)}
-	explain := ""
-	for _, c := range cands {
-		cost := cm.simCost(c.m, c.dev, nL, nR, dim)
-		explain += fmt.Sprintf("%s@%s=%.4fs ", c.m, c.dev, cost)
-		if cost < best.EstCost {
-			best = SimJoinPlan{Method: c.m, Device: c.dev, EstCost: cost}
+	for m := SimNested; m <= last; m++ {
+		if cost := simCost(m, nL, nR, dim, st, dev); cost < best.EstCost {
+			best = SimJoinPlan{Method: m, EstCost: cost}
 		}
 	}
-	best.Explain = explain
 	return best
 }
 
@@ -206,46 +153,47 @@ type KNNPlan struct {
 	// recall-bounded).
 	Mode    VecIndexMode
 	EstCost float64
-	// Explain records the costs of every alternative considered.
-	Explain string
 }
 
-// PlanKNN picks the physical path for a k-nearest-neighbor query over n
-// indexed vectors of dimensionality dim. exact forces results identical
-// to the brute-force scan; recallFloor sets the minimum acceptable
-// recall (0 = no floor) — above what the LSH shape promises, the
-// planner stays exact. forceIndex pins the index path regardless of
-// cost (the physical knob mirroring FilterSpec.UseIndex).
-func (cm *CostModel) PlanKNN(n, dim, k int, exact bool, recallFloor float64, forceIndex bool) KNNPlan {
-	nf, df, kf := float64(n), float64(dim), float64(k)
-	// Wider result sets keep more balls live during the descent.
-	frontier := 1 + math.Log2(kf+1)
-	inflate := 1.0
-	if n > 1000 {
-		inflate = math.Pow(nf/1000, cm.ProbeAlpha)
-	}
-	dimInflate := 1 + cm.DimPenalty*math.Max(0, df-8)
-	scanCost := nf*df*cm.CDist + kf*cm.CFetch
-	exactCost := cm.CDist*df*32*math.Log2(nf+2)*inflate*dimInflate*frontier + kf*cm.CFetch
-	hashCost := float64(vecLSHTables*vecLSHBits) * df * cm.CDist
-	approxCost := hashCost + knnCandFrac*nf*df*cm.CDist + kf*cm.CFetch
+// PlanKNN picks the physical path for a k-nearest-neighbor query over
+// the snapshot's vectors under field, of dimensionality dim. exact
+// forces results identical to the brute-force scan; recallFloor sets the
+// minimum acceptable recall (0 = no floor) — above what the LSH shape
+// promises, the planner stays exact. forceIndex pins the index path
+// regardless of cost (the physical knob mirroring FilterSpec.UseIndex).
+// The exact tree is priced from the shard's tree statistic at k.
+func (s Snapshot) PlanKNN(field string, dim, k int, exact bool, recallFloor float64, forceIndex bool) KNNPlan {
+	return planKNN(s.Len(), dim, k, exact, recallFloor, forceIndex, s.treeStat(field, k).probe)
+}
 
-	allowApprox := !exact && recallFloor <= ANNDefaultRecall
+// CostModel is the kNN planner with no data statistic: it prices the
+// exact tree as a scan. The benchmark harness times it as core.plan.
+type CostModel struct{}
+
+// PlanKNN is Snapshot.PlanKNN over n vectors, with the tree priced as a
+// scan.
+func (*CostModel) PlanKNN(n, dim, k int, exact bool, recallFloor float64, forceIndex bool) KNNPlan {
+	return planKNN(n, dim, k, exact, recallFloor, forceIndex, scanStat.probe)
+}
+
+// planKNN prices the kNN paths over n rows, an exact tree probe
+// evaluating treeFrac·n distances, and picks the cheapest the request
+// allows (the scan on a tie).
+func planKNN(n, dim, k int, exact bool, recallFloor float64, forceIndex bool, treeFrac float64) KNNPlan {
+	nf, df, kf := float64(n), float64(dim), float64(k)
+	c := distDimSec[exec.CPU]
+	scanCost := nf*df*c + kf*fetchSec
+	exactCost := treeFrac*nf*df*c + kf*fetchSec
+	hashCost := float64(vecLSHTables*vecLSHBits) * df * c
+	approxCost := hashCost + knnCandFrac*nf*df*c + kf*fetchSec
+
 	best := KNNPlan{Method: KNNScan, EstCost: scanCost}
-	if forceIndex {
+	if forceIndex || exactCost < best.EstCost {
 		best = KNNPlan{Method: KNNIndex, Mode: VecExact, EstCost: exactCost}
 	}
-	explain := fmt.Sprintf("knn-scan=%.6fs knn-index[exact]=%.6fs ", scanCost, exactCost)
-	if exactCost < best.EstCost {
-		best = KNNPlan{Method: KNNIndex, Mode: VecExact, EstCost: exactCost}
+	if !exact && recallFloor <= ANNDefaultRecall && approxCost < best.EstCost {
+		best = KNNPlan{Method: KNNIndex, Mode: VecApprox, EstCost: approxCost}
 	}
-	if allowApprox {
-		explain += fmt.Sprintf("knn-index[approx]=%.6fs ", approxCost)
-		if approxCost < best.EstCost {
-			best = KNNPlan{Method: KNNIndex, Mode: VecApprox, EstCost: approxCost}
-		}
-	}
-	best.Explain = explain
 	return best
 }
 
@@ -255,14 +203,8 @@ func (cm *CostModel) PlanKNN(n, dim, k int, exact bool, recallFloor float64, for
 // hit rate in, so reported plan costs reflect cross-query reuse — a plan
 // that looks expensive cold can be effectively free behind a warm cache,
 // which is the paper's materialization argument restated as a cost.
-func (cm *CostModel) CacheAwareCost(est, hitRate, lookup float64) float64 {
-	if hitRate < 0 {
-		hitRate = 0
-	}
-	if hitRate > 1 {
-		hitRate = 1
-	}
-	return lookup + (1-hitRate)*est
+func CacheAwareCost(est, hitRate, lookup float64) float64 {
+	return lookup + (1-min(max(hitRate, 0), 1))*est
 }
 
 // FilterMethod is a physical implementation of a selection.
@@ -306,13 +248,10 @@ const (
 
 // FilterCost estimates a selection's cost over n rows with the given
 // access path (matched is the expected output size for index fetches).
-// Deliberately static: response cost estimates must be deterministic
-// functions of the plan and snapshot (replicas answering the same query
-// return byte-identical responses).
-func (cm *CostModel) FilterCost(method FilterMethod, n, matched int) float64 {
+func FilterCost(method FilterMethod, n, matched int) float64 {
 	switch method {
 	case FilterHashIndex, FilterBTreeIndex:
-		return float64(matched) * cm.CFetch
+		return float64(matched) * fetchSec
 	case FilterColumnScan:
 		return float64(n) * CColScanSec
 	default:

@@ -1,33 +1,26 @@
 package core
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/exec"
 )
 
-// TestSimCostMonotone checks the cost model's sanity properties: cost is
-// non-decreasing in relation sizes and dimensionality for every method.
+// TestSimCostMonotone: every method's price is non-negative and
+// non-decreasing in both relation sizes and the dimensionality, on every
+// device, whatever the tree statistic.
 func TestSimCostMonotone(t *testing.T) {
-	cm := DefaultCostModel()
-	methods := []SimMethod{SimNested, SimBatched, SimOnTheFly, SimVecIndexed}
-	f := func(nL, nR, dim uint16) bool {
+	f := func(nL, nR, dim uint16, probe, build uint8) bool {
 		l, r, d := int(nL%5000)+1, int(nR%5000)+1, int(dim%256)+1
-		for _, m := range methods {
-			base := cm.simCost(m, exec.CPU, l, r, d)
-			if base < 0 {
-				return false
-			}
-			if cm.simCost(m, exec.CPU, l*2, r, d) < base {
-				return false
-			}
-			if cm.simCost(m, exec.CPU, l, r*2, d) < base {
-				return false
-			}
-			if cm.simCost(m, exec.CPU, l, r, d*2) < base {
-				return false
+		st := treeStat{probe: float64(probe) / 128, build: float64(build)}
+		for dev := exec.CPU; dev <= exec.GPU; dev++ {
+			for m := SimNested; m <= SimVecIndexed; m++ {
+				base := simCost(m, l, r, d, st, dev)
+				if base < 0 || simCost(m, l*2, r, d, st, dev) < base ||
+					simCost(m, l, r*2, d, st, dev) < base || simCost(m, l, r, d*2, st, dev) < base {
+					return false
+				}
 			}
 		}
 		return true
@@ -37,45 +30,35 @@ func TestSimCostMonotone(t *testing.T) {
 	}
 }
 
-// TestSimCostNonLinearity: doubling the ball-tree build side beyond the
-// inflation knee should more than double probe-side cost growth (Figure 7's
-// non-linearity is encoded in the model).
-func TestSimCostNonLinearity(t *testing.T) {
-	cm := DefaultCostModel()
-	small := cm.simCost(SimVecIndexed, exec.CPU, 1000, 2000, 64)
-	big := cm.simCost(SimVecIndexed, exec.CPU, 1000, 64000, 64)
-	if big <= small {
-		t.Fatalf("indexed cost did not grow with build side: %g vs %g", small, big)
-	}
-	// Pure log growth would give factor log(64000)/log(2000) ~ 1.45; the
-	// non-linear inflation should push it past 2.
-	if big/small < 2 {
-		t.Fatalf("non-linearity too weak: factor %.2f", big/small)
-	}
-}
-
-// TestPlanPrefersIndexAtScale: for large clustered joins with an index
-// available, the planner must not pick the scalar nested loop.
-func TestPlanPrefersIndexAtScale(t *testing.T) {
-	cm := DefaultCostModel()
-	for _, n := range []int{10000, 50000, 200000} {
-		p := cm.PlanSimilarityJoin(n, n, 128, true)
-		if p.Method == SimNested {
-			t.Fatalf("n=%d: picked nested loop (%s)", n, p.Explain)
+// TestOptimizerSimJoinChoices: a plan is priced for the device that runs
+// it. On the CPU the batched kernel counts the scalar loop's evaluations
+// on the same device, so the tie goes to the nested loop; an
+// accelerator's cheaper evaluations win a large join, and its launch
+// latency loses a tiny one. A tree the data prunes well beats both, and
+// the maintained index beats the on-the-fly tree, whose build it does
+// not pay; a shard priced as a scan never takes a tree.
+func TestOptimizerSimJoinChoices(t *testing.T) {
+	pruned := treeStat{probe: 0.05, build: 30}
+	for _, tc := range []struct {
+		nL, nR, dim int
+		st          treeStat
+		hasIndex    bool
+		dev         exec.Kind
+		want        SimMethod
+	}{
+		{2000, 2000, 64, scanStat, false, exec.CPU, SimNested},
+		{2000, 2000, 64, scanStat, true, exec.CPU, SimNested},
+		{2000, 2000, 64, scanStat, false, exec.AVX, SimBatched},
+		{20000, 20000, 64, scanStat, false, exec.GPU, SimBatched},
+		{8, 8, 16, scanStat, false, exec.GPU, SimNested},
+		{2000, 2000, 64, pruned, false, exec.CPU, SimOnTheFly},
+		{2000, 2000, 64, pruned, true, exec.CPU, SimVecIndexed},
+	} {
+		p := planSimilarityJoin(tc.nL, tc.nR, tc.dim, tc.st, tc.hasIndex, tc.dev)
+		if p.Method != tc.want || p.EstCost <= 0 {
+			t.Errorf("%d×%d dim %d %+v index=%v on %v: %v at %g, want %v",
+				tc.nL, tc.nR, tc.dim, tc.st, tc.hasIndex, tc.dev, p.Method, p.EstCost, tc.want)
 		}
-	}
-}
-
-// TestPlanSmallJoinAvoidsOffload: tiny joins must stay on CPU regardless
-// of index availability (launch overhead dominates).
-func TestPlanSmallJoinAvoidsOffload(t *testing.T) {
-	cm := DefaultCostModel()
-	p := cm.PlanSimilarityJoin(8, 8, 16, false)
-	if p.Device == exec.GPU {
-		t.Fatalf("tiny join offloaded: %+v", p)
-	}
-	if p.EstCost <= 0 {
-		t.Fatalf("estimate %f", p.EstCost)
 	}
 }
 
@@ -92,55 +75,31 @@ func TestFilterMethodStrings(t *testing.T) {
 	}
 }
 
-func TestExplainListsAllCandidates(t *testing.T) {
-	cm := DefaultCostModel()
-	p := cm.PlanSimilarityJoin(100, 100, 64, true)
-	for _, want := range []string{"nested-loop", "batched-all-pairs", "on-the-fly-balltree", "join-index"} {
-		if !contains(p.Explain, want) {
-			t.Fatalf("explain missing %q: %s", want, p.Explain)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// TestPlanKNNStatic: the kNN planner prices from the static formulas
-// alone — a cold exact query over a large relation takes the exact
-// index, forceIndex pins the index, an exact request never takes the
-// approx mode, and EstCost is the winner's static formula.
+// TestPlanKNNStatic: the kNN planner's rules — a tree priced as a scan
+// loses the tie to the scan, forceIndex pins the index, an exact request
+// never takes the approx mode, nor does one above its recall — and the
+// statistic-free CostModel prices the tree as a scan.
 func TestPlanKNNStatic(t *testing.T) {
-	cm := DefaultCostModel()
 	const n, dim, k = 200000, 64, 10
-	p := cm.PlanKNN(n, dim, k, true, 0, false)
-	if p.Method != KNNIndex || p.Mode != VecExact {
-		t.Fatalf("exact plan = %v/%v, want index/exact", p.Method, p.Mode)
+	if p := planKNN(n, dim, k, true, 0, false, 0.5); p.Method != KNNIndex || p.Mode != VecExact {
+		t.Fatalf("exact plan over a pruning tree = %v/%v, want index/exact", p.Method, p.Mode)
 	}
-	inflate := math.Pow(float64(n)/1000, cm.ProbeAlpha)
-	dimInflate := 1 + cm.DimPenalty*float64(dim-8)
-	want := cm.CDist*dim*32*math.Log2(n+2)*inflate*dimInflate*(1+math.Log2(k+1)) + k*cm.CFetch
-	if math.Abs(p.EstCost-want) > 1e-15 {
-		t.Fatalf("EstCost = %g, want the static formula %g", p.EstCost, want)
+	if p := planKNN(n, dim, k, true, 0, false, 1); p.Method != KNNScan {
+		t.Fatalf("exact plan over a tree priced as a scan = %v, want knn-scan", p.Method)
 	}
-	// A tiny relation: the scan is cheaper, unless forceIndex pins the index.
-	if p := cm.PlanKNN(4, dim, k, true, 0, false); p.Method != KNNScan {
-		t.Fatalf("tiny exact plan = %v, want knn-scan", p.Method)
-	}
-	if p := cm.PlanKNN(4, dim, k, true, 0, true); p.Method != KNNIndex || p.Mode != VecExact {
+	if p := planKNN(n, dim, k, true, 0, true, 1.2); p.Method != KNNIndex || p.Mode != VecExact {
 		t.Fatalf("forceIndex plan = %v/%v, want index/exact", p.Method, p.Mode)
 	}
-	// Approx is the cheapest path here, so the exact plan above shows an
+	// Approx is the cheapest path here, so the exact plans above show an
 	// exact request never takes it; nor does one above its recall.
-	if p := cm.PlanKNN(n, dim, k, false, 0, false); p.Method != KNNIndex || p.Mode != VecApprox {
+	if p := planKNN(n, dim, k, false, 0, false, 0.5); p.Method != KNNIndex || p.Mode != VecApprox {
 		t.Fatalf("approximate plan = %v/%v, want index/approx", p.Method, p.Mode)
 	}
-	if p := cm.PlanKNN(n, dim, k, false, 0.99, false); p.Mode == VecApprox {
+	if p := planKNN(n, dim, k, false, 0.99, false, 0.5); p.Mode == VecApprox {
 		t.Fatal("approx mode chosen above its recall")
+	}
+	var cm CostModel
+	if p, q := cm.PlanKNN(n, dim, k, true, 0, false), planKNN(n, dim, k, true, 0, false, 1); p != q {
+		t.Fatalf("CostModel plan %+v, want the scan-priced %+v", p, q)
 	}
 }

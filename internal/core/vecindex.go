@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -125,16 +126,9 @@ type VectorIndex struct {
 // disagrees with the first one seen, are skipped: both the ball tree
 // and the LSH tables index one dimensionality.
 func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex, error) {
-	vi := &VectorIndex{field: field, mode: mode, at: at}
-	for _, p := range at.rows {
-		if vec, ok := vecOf(p, field); ok {
-			if vi.dim == 0 {
-				vi.dim = len(vec)
-			}
-			if len(vec) == vi.dim {
-				vi.pts = append(vi.pts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
-			}
-		}
+	vi := &VectorIndex{field: field, mode: mode, at: at, pts: fieldPoints(at.rows, field, at.Len())}
+	if len(vi.pts) > 0 {
+		vi.dim = len(vi.pts[0].Vec)
 	}
 	switch mode {
 	case VecExact:
@@ -163,6 +157,20 @@ func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex,
 		return nil, fmt.Errorf("core: unknown vector index mode %v", mode)
 	}
 	return vi, nil
+}
+
+// fieldPoints returns the points of the first limit rows carrying field
+// at the first one's dimensionality: the rows a vector index holds.
+func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
+	var pts []balltree.Point
+	for _, p := range rows {
+		if vec, ok := vecOf(p, field); ok && (pts == nil || len(vec) == len(pts[0].Vec)) {
+			if pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)}); len(pts) == limit {
+				break
+			}
+		}
+	}
+	return pts
 }
 
 // Extend returns a new index covering at — which must hold the
@@ -436,4 +444,58 @@ func (vi *VectorIndex) covers() Snapshot {
 		return Snapshot{}
 	}
 	return vi.at
+}
+
+// treeStat describes an exact ball tree over one vector field of a
+// shard, measured on the shard's own rows: probe is the distances one
+// exact probe evaluates, as a fraction of the points; build the
+// distances the tree's construction evaluates per point. It prices the
+// exact kNN path and the tree joins.
+type treeStat struct{ probe, build float64 }
+
+// scanStat prices the tree as a scan, with no build counted.
+var scanStat = treeStat{probe: 1}
+
+// A treeStat is measured on the first treeSampleRows rows carrying the
+// field, probed at treeSampleProbes fixed-stride points of the sample.
+// Rows are immutable and every snapshot extends the one before it, so
+// the statistic is the same on every replica of the shard and after
+// every reopen, and is computed once.
+const (
+	treeSampleRows   = 1024
+	treeSampleProbes = 64
+)
+
+// treeStatKey names a cached statistic: a field, and k rounded up to a
+// power of two so the cache stays bounded.
+type treeStatKey struct {
+	field string
+	k     int
+}
+
+// treeStat returns the tree statistic of field at k, cached on the
+// collection; it is scanStat until the shard holds treeSampleRows rows
+// carrying the field. The sample's probes run through VectorIndex.KNN.
+func (s Snapshot) treeStat(field string, k int) treeStat {
+	if s.Len() < treeSampleRows {
+		return scanStat
+	}
+	key := treeStatKey{field, 1 << bits.Len(uint(max(k, 1)-1))}
+	if st, ok := s.col.treeStats.Load(key); ok {
+		return st.(treeStat)
+	}
+	pts := fieldPoints(s.rows, field, treeSampleRows)
+	if len(pts) < treeSampleRows {
+		return scanStat
+	}
+	t, _ := balltree.Build(pts) // one dimensionality: cannot fail
+	var evals atomic.Int64
+	vi := &VectorIndex{mode: VecExact, pts: pts, treeN: len(pts), ball: t, evals: &evals}
+	for i := range treeSampleProbes {
+		vi.KNN(pts[i*len(pts)/treeSampleProbes].Vec, key.k)
+	}
+	n := float64(len(pts))
+	st := treeStat{probe: float64(evals.Load()) / treeSampleProbes / n, build: float64(t.BuildEvals()) / n}
+	s.col.treeStats.Store(key, st)
+	return st
 }

@@ -774,18 +774,13 @@ func TestDegradedHTTPResponseShape(t *testing.T) {
 // the vector index at its fragment's own snapshot. A device stall holds
 // the join task after the fragment has run while an append lands rows
 // within eps of existing ones; the pair count must stay the join over
-// the pre-append rows.
+// the pre-append rows. The shard is large enough to sample its tree, and
+// the synthetic rows' 7 clusters make the index join the cheapest.
 func TestJoinTaskReadsFragmentSnapshot(t *testing.T) {
-	const rows = 600
+	const rows = 1200
 	_, svc := synthUnsharded(t, rows, Config{Workers: 1, Faults: fault.Config{Seed: 31, Rules: []fault.Rule{
 		{Point: fault.DeviceStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 200 * time.Millisecond},
 	}}})
-	// Price the batched kernels and index fetches out, so the planner
-	// picks the index join at this size.
-	cm := *svc.cost
-	cm.CDevFlop = map[exec.Kind]float64{exec.CPU: 1, exec.AVX: 1, exec.GPU: 1}
-	cm.CFetch = 0
-	svc.cost = &cm
 	req := Request{Collection: shardTestCol, NoCache: true, SimJoin: &SimJoinSpec{Field: "emb", Eps: 0.2, UseIndex: true}}
 	want := mustQuery(t, svc, req)
 	if !strings.Contains(want.Plan, "join-index") {

@@ -69,7 +69,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	req := plan.req
 	if req.KNN != nil {
 		// Planned and probed on this replica's own snapshot and index.
-		err = frag.knnProbe(s.cost, req.KNN, plan.knnQ)
+		err = frag.knnProbe(req.KNN, plan.knnQ)
 	} else {
 		err = s.filterFragment(ctx, plan, frag)
 	}

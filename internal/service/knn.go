@@ -5,7 +5,7 @@ package service
 // resolves and type-checks the query vector; each shard's fragment then
 // runs like a filter's — hedged, retried and degradable (see hedge.go)
 // — planning over the answering replica's own snapshot (brute scan vs
-// exact ball tree vs approximate LSH, by size/dimensionality/recall
+// exact ball tree vs approximate LSH, by counted work and recall
 // target) and answering its local top-k from that replica's versioned
 // VectorIndex. The gather stage sorts the candidates by (distance, id)
 // — every path, the approximate one included, reports exact distances —
@@ -66,8 +66,8 @@ func knnLabel(plan core.KNNPlan, spec *KNNSpec) string {
 // the local top-k in f.ns and the plan record in f.op and f.cost. A
 // source-patch query probes one extra neighbor and drops the source
 // itself, so the source never appears in its own result.
-func (f *shardFragment) knnProbe(cost *core.CostModel, spec *KNNSpec, q []float32) error {
-	plan := cost.PlanKNN(f.snap.Len(), len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
+func (f *shardFragment) knnProbe(spec *KNNSpec, q []float32) error {
+	plan := f.snap.PlanKNN(spec.Field, len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
 	f.op, f.cost = knnLabel(plan, spec), plan.EstCost
 	k := spec.K
 	if spec.SourceID != 0 {

@@ -404,7 +404,7 @@ type Response struct {
 
 	// EstCostSec is the optimizer's cold estimate for the chosen plan;
 	// CacheAwareCostSec folds in the result cache's observed hit rate
-	// (CostModel.CacheAwareCost), so a hot plan reports near-zero.
+	// (core.CacheAwareCost), so a hot plan reports near-zero.
 	EstCostSec        float64 `json:"est_cost_sec"`
 	CacheAwareCostSec float64 `json:"cache_aware_cost_sec"`
 

@@ -375,7 +375,7 @@ func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *
 	}
 	if plan.pred != nil {
 		frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
-		frag.cost = s.cost.FilterCost(frag.Method, frag.snap.Len(), frag.N)
+		frag.cost = core.FilterCost(frag.Method, frag.snap.Len(), frag.N)
 	}
 	return nil
 }
@@ -398,24 +398,9 @@ type joinTask struct {
 // no tasks, and the degraded pair set covers only the surviving shards.
 // resp and planOps arrive carrying the fragments' cost and filter stage.
 func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentPlan, frags []*shardFragment, resp *Response, planOps []string) (*Response, error) {
-	req, scol, sj := plan.req, plan.scol, plan.req.SimJoin
+	req, sj := plan.req, plan.req.SimJoin
 	nsh := len(frags)
 
-	// Vector dimensionality, from the schema or the first surviving row.
-	dim := 0
-	if fd := scol.Schema().FieldNamed(sj.Field); fd != nil {
-		dim = fd.VecDim
-	}
-	if dim == 0 {
-		for _, frag := range frags {
-			if frag != nil && len(frag.rows) > 0 {
-				if mv, ok := frag.rows[0].Get(sj.Field); ok {
-					dim = len(mv.Vec())
-				}
-				break
-			}
-		}
-	}
 	// A shard-local vector index can only serve an unfiltered join.
 	hasIndex := sj.UseIndex && req.Filter == nil
 
@@ -457,7 +442,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 		defer dev.EndSubmitter()
 		sp := req.tr.Begin("join-task")
 		odev := s.observedDev(dev, req.tr)
-		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right], dim, hasIndex, dev, odev)
+		err := s.runJoin(task, sj, frags[task.left].rows, frags[task.right], hasIndex, dev, odev)
 		sp.End()
 		if err == nil {
 			sp.AttrInt("left", int64(task.left)).
@@ -520,34 +505,19 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 // cross-shard pair materializes exactly once, which together with the
 // deduped local self-joins reproduces a single partition's
 // DedupUnordered pair set.
-func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, rf *shardFragment, dim int, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
-	right := rf.rows
-	sp := s.cost.PlanSimilarityJoin(len(left), len(right), dim, hasIndex)
+func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, rf *shardFragment, hasIndex bool, dev *exec.Batcher, odev exec.Device) error {
+	// Priced for the task's device, which runs the batched kernels; the
+	// other methods run on the host.
+	sp := rf.snap.PlanSimilarityJoin(sj.Field, len(left), rf.rows, hasIndex, dev.Kind())
 	task.cost = sp.EstCost
 	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
-	opts := core.SimilarityJoinOpts{
+	// The join index is the replica's maintained one at the fragment's
+	// own snapshot: rows appended since the fragment ran must not join.
+	var err error
+	task.pairs, err = rf.snap.SimilarityJoin(sp.Method, left, rf.rows, core.SimilarityJoinOpts{
 		LeftField: sj.Field, RightField: sj.Field,
 		Eps: sj.Eps, DedupUnordered: task.left == task.right, Device: odev,
-	}
-	var err error
-	switch sp.Method {
-	case core.SimVecIndexed:
-		// The replica's maintained vector index at the fragment's own
-		// snapshot, exact mode: join results must be byte-identical to the
-		// scan-based methods, and rows appended since the fragment ran
-		// must not join.
-		vi, ierr := rf.snap.VectorIndex(sj.Field, core.VecExact)
-		if ierr != nil {
-			return ierr
-		}
-		task.pairs, _, err = core.SimilarityJoinVecIndexed(left, vi, opts)
-	case core.SimOnTheFly:
-		task.pairs, err = core.SimilarityJoinOnTheFly(left, right, opts)
-	case core.SimBatched:
-		task.pairs, err = core.SimilarityJoinBatched(s.shards.Shard(task.right), left, right, opts)
-	default:
-		task.pairs, err = core.SimilarityJoinNested(left, right, opts)
-	}
+	})
 	return err
 }
 

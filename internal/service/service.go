@@ -17,7 +17,7 @@
 //     queries: inference is computed once, reused forever;
 //   - in-flight request coalescing (identical cold queries run once);
 //   - cache-aware plan costing: reported costs fold in the observed hit
-//     rate via CostModel.CacheAwareCost;
+//     rate via core.CacheAwareCost;
 //   - one scatter-gather executor over a horizontally partitioned
 //     backend (NewSharded over core.Sharded; New serves a plain DB as
 //     its one-shard case): the plan is made once, its fragment runs on
@@ -239,7 +239,6 @@ type worker struct {
 type Service struct {
 	shards *core.Sharded // the backend; New wraps its DB as one shard
 	cfg    Config
-	cost   *core.CostModel
 	start  time.Time
 
 	results *Cache // plan fingerprint -> *Response
@@ -321,7 +320,6 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	s := &Service{
 		shards:   sdb,
 		cfg:      cfg,
-		cost:     core.DefaultCostModel(),
 		start:    time.Now(),
 		results:  NewCache(cfg.ResultCacheBytes, cfg.ResultTTL),
 		udfMemo:  NewCache(cfg.UDFCacheBytes, 0),
@@ -693,7 +691,7 @@ func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 		}
 	}
 	resp.Fingerprint = key
-	resp.CacheAwareCostSec = s.cost.CacheAwareCost(
+	resp.CacheAwareCostSec = core.CacheAwareCost(
 		resp.EstCostSec, s.results.Stats().HitRate(), cacheLookupCostSec)
 	// Degraded (partial) responses are never cached: the missing shards
 	// may be back for the very next query, and a cached partial answer
@@ -717,7 +715,7 @@ func cachedResponse(r *Response, s *Service) *Response {
 	out := *r
 	out.CacheHit = true
 	out.DurationMS = 0
-	out.CacheAwareCostSec = s.cost.CacheAwareCost(
+	out.CacheAwareCostSec = core.CacheAwareCost(
 		r.EstCostSec, s.results.Stats().HitRate(), cacheLookupCostSec)
 	return &out
 }

@@ -477,9 +477,11 @@ func TestShardedServiceRejectsNil(t *testing.T) {
 // join task runs on its worker's own batcher, so two workers joining
 // concurrently use both devices instead of serializing on device 0. A
 // device-stall fault holds the first join on its worker long enough
-// that the second query must be claimed by the other worker.
+// that the second query must be claimed by the other worker. The
+// devices are AVX, whose batched kernel the planner prices below the
+// host's nested loop, so each join runs on its device.
 func TestJoinTaskKeepsWorkerDeviceAtFanOutOne(t *testing.T) {
-	cfg := Config{Workers: 2, Devices: 2, Faults: fault.Config{Seed: 1, Rules: []fault.Rule{
+	cfg := Config{Workers: 2, Devices: 2, Device: exec.AVX, Faults: fault.Config{Seed: 1, Rules: []fault.Rule{
 		{Point: fault.DeviceStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 300 * time.Millisecond}}}}
 	_, plain := synthUnsharded(t, 120, cfg)
 	_, sharded := synthSharded(t, 1, 120, cfg)
