@@ -33,8 +33,8 @@ func TestSimCostMonotone(t *testing.T) {
 // TestOptimizerSimJoinChoices: a plan is priced for the device that runs
 // it. On the CPU the batched kernel counts the scalar loop's evaluations
 // on the same device, so the tie goes to the nested loop; an
-// accelerator's cheaper evaluations win a large join, and its launch
-// latency loses a tiny one. A tree the data prunes well beats both, and
+// accelerator's cheaper evaluations win a large join. A tree the data
+// prunes well beats both, and
 // the maintained index beats the on-the-fly tree, whose build it does
 // not pay; a shard priced as a scan never takes a tree.
 func TestOptimizerSimJoinChoices(t *testing.T) {
@@ -50,7 +50,6 @@ func TestOptimizerSimJoinChoices(t *testing.T) {
 		{2000, 2000, 64, scanStat, true, exec.CPU, SimNested},
 		{2000, 2000, 64, scanStat, false, exec.AVX, SimBatched},
 		{20000, 20000, 64, scanStat, false, exec.GPU, SimBatched},
-		{8, 8, 16, scanStat, false, exec.GPU, SimNested},
 		{2000, 2000, 64, pruned, false, exec.CPU, SimOnTheFly},
 		{2000, 2000, 64, pruned, true, exec.CPU, SimVecIndexed},
 	} {
@@ -58,6 +57,19 @@ func TestOptimizerSimJoinChoices(t *testing.T) {
 		if p.Method != tc.want || p.EstCost <= 0 {
 			t.Errorf("%d×%d dim %d %+v index=%v on %v: %v at %g, want %v",
 				tc.nL, tc.nR, tc.dim, tc.st, tc.hasIndex, tc.dev, p.Method, p.EstCost, tc.want)
+		}
+	}
+}
+
+// TestPlanSmallJoinAvoidsOffload: a tiny join on a GPU device stays on the
+// host whether or not an index is kept, since the launch latency outweighs
+// the few evaluations it would save.
+func TestPlanSmallJoinAvoidsOffload(t *testing.T) {
+	for _, hasIndex := range []bool{false, true} {
+		p := planSimilarityJoin(8, 8, 16, scanStat, hasIndex, exec.GPU)
+		if p.Method != SimNested || p.EstCost <= 0 {
+			t.Fatalf("8×8 join on the GPU, index=%v: %v at %g, want %v",
+				hasIndex, p.Method, p.EstCost, SimNested)
 		}
 	}
 }
