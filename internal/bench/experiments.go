@@ -235,6 +235,8 @@ type Fig4Row struct {
 	// RowsScanned is each arm's column-scan row count (q5's, whose arms
 	// run one plan: its speedup is noise around 1x).
 	RowsScanned [2]int
+	// RowsExamined is each arm's detection-row count (q3's).
+	RowsExamined [2]int
 }
 
 // Fig4Indexes reproduces Figure 4 on an ingested environment.
@@ -250,8 +252,9 @@ func Fig4Indexes(e *Env) ([]Fig4Row, error) {
 		rows = append(rows, Fig4Row{
 			Query: q, Baseline: pair[0].Duration, Tuned: pair[1].Duration,
 			Speedup: sp, BasePlan: pair[0].Plan, TunedPlan: pair[1].Plan,
-			Columns:     [2]core.Refresh{pair[0].Columns, pair[1].Columns},
-			RowsScanned: [2]int{pair[0].RowsScanned, pair[1].RowsScanned},
+			Columns:      [2]core.Refresh{pair[0].Columns, pair[1].Columns},
+			RowsScanned:  [2]int{pair[0].RowsScanned, pair[1].RowsScanned},
+			RowsExamined: [2]int{pair[0].RowsExamined, pair[1].RowsExamined},
 		})
 	}
 	return rows, nil
@@ -508,80 +511,92 @@ type Fig8Row struct {
 func Fig8Devices(cfg dataset.Config, devices []exec.Kind) ([]Fig8Row, error) {
 	var rows []Fig8Row
 	for _, kind := range devices {
-		dev := exec.New(kind)
-		dir, err := tmpDir()
+		devRows, err := fig8Device(cfg, kind)
 		if err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(dir)
-		etlStart := time.Now()
-		e, err := NewEnv(dir, cfg, dev)
-		if err != nil {
-			return nil, err
-		}
-		_ = etlStart
-		etlFor := map[string]time.Duration{
-			"q1": e.ETLTime[ColPCImages],
-			"q2": e.ETLTime[ColTrafficDets],
-			"q3": e.ETLTime[ColFBDets],
-			"q4": e.ETLTime[ColTrafficDets],
-			"q5": e.ETLTime[ColPCImages],
-			"q6": e.ETLTime[ColTrafficDets],
-		}
-		// Query time: q1 and q4 use the batched all-pairs matcher on this
-		// device; the others use their tuned plans (device-independent).
-		qt := map[string]time.Duration{}
-		pcCol, err := e.DB.Collection(ColPCImages)
-		if err != nil {
-			return nil, err
-		}
-		pcPs, _ := pcCol.Patches()
-		start := time.Now()
-		if _, err := core.SimilarityJoinBatched(e.DB, pcPs, pcPs, core.SimilarityJoinOpts{
-			LeftField: "emb", RightField: "emb", Eps: epsNearDup, DedupUnordered: true}); err != nil {
-			return nil, err
-		}
-		qt["q1"] = time.Since(start)
+		rows = append(rows, devRows...)
+	}
+	return rows, nil
+}
 
-		trCol, err := e.DB.Collection(ColTrafficDets)
-		if err != nil {
-			return nil, err
-		}
-		peds, err := e.DB.ExecuteFilter(trCol, "label", core.StrV("pedestrian"), core.FilterScan)
-		if err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		pairs, err := core.SimilarityJoinBatched(e.DB, peds, peds, core.SimilarityJoinOpts{
-			LeftField: "emb", RightField: "emb", Eps: epsSameIdentity, DedupUnordered: true})
-		if err != nil {
-			return nil, err
-		}
-		core.DistinctClusters(peds, pairs)
-		qt["q4"] = time.Since(start)
+// fig8Device runs Figure 8's queries on one device, in an environment
+// it removes on every return.
+func fig8Device(cfg dataset.Config, kind exec.Kind) ([]Fig8Row, error) {
+	dir, err := tmpDir()
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	e, err := NewEnv(dir, cfg, exec.New(kind))
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	etlFor := map[string]time.Duration{
+		"q1": e.ETLTime[ColPCImages],
+		"q2": e.ETLTime[ColTrafficDets],
+		"q3": e.ETLTime[ColFBDets],
+		"q4": e.ETLTime[ColTrafficDets],
+		"q5": e.ETLTime[ColPCImages],
+		"q6": e.ETLTime[ColTrafficDets],
+	}
+	// Query time: q1 and q4 use the batched all-pairs matcher on this
+	// device; the others use their tuned plans (device-independent).
+	qt := map[string]time.Duration{}
+	pcCol, err := e.DB.Collection(ColPCImages)
+	if err != nil {
+		return nil, err
+	}
+	pcPs, err := pcCol.Patches()
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if _, err := core.SimilarityJoinBatched(e.DB, pcPs, pcPs, core.SimilarityJoinOpts{
+		LeftField: "emb", RightField: "emb", Eps: epsNearDup, DedupUnordered: true}); err != nil {
+		return nil, err
+	}
+	qt["q1"] = time.Since(start)
 
-		for _, q := range []string{"q2", "q3", "q5", "q6"} {
-			var r QueryResult
-			var err error
-			switch q {
-			case "q2":
-				r, err = e.Q2(true)
-			case "q3":
-				r, err = e.Q3(true)
-			case "q5":
-				r, err = e.Q5(e.PC.Vocabulary[0])
-			case "q6":
-				r, err = e.Q6(true)
-			}
-			if err != nil {
-				return nil, err
-			}
-			qt[q] = r.Duration
+	trCol, err := e.DB.Collection(ColTrafficDets)
+	if err != nil {
+		return nil, err
+	}
+	peds, err := e.DB.ExecuteFilter(trCol, "label", core.StrV("pedestrian"), core.FilterScan)
+	if err != nil {
+		return nil, err
+	}
+	start = time.Now()
+	pairs, err := core.SimilarityJoinBatched(e.DB, peds, peds, core.SimilarityJoinOpts{
+		LeftField: "emb", RightField: "emb", Eps: epsSameIdentity, DedupUnordered: true})
+	if err != nil {
+		return nil, err
+	}
+	core.DistinctClusters(peds, pairs)
+	qt["q4"] = time.Since(start)
+
+	for _, q := range []string{"q2", "q3", "q5", "q6"} {
+		var r QueryResult
+		var err error
+		switch q {
+		case "q2":
+			r, err = e.Q2(true)
+		case "q3":
+			r, err = e.Q3(true)
+		case "q5":
+			r, err = e.Q5(e.PC.Vocabulary[0])
+		case "q6":
+			r, err = e.Q6(true)
 		}
-		for _, q := range []string{"q1", "q2", "q3", "q4", "q5", "q6"} {
-			rows = append(rows, Fig8Row{Query: q, Device: kind, ETL: etlFor[q], Query_: qt[q]})
+		if err != nil {
+			return nil, err
 		}
-		e.Close()
+		qt[q] = r.Duration
+	}
+	var rows []Fig8Row
+	for _, q := range []string{"q1", "q2", "q3", "q4", "q5", "q6"} {
+		rows = append(rows, Fig8Row{Query: q, Device: kind, ETL: etlFor[q], Query_: qt[q]})
 	}
 	return rows, nil
 }

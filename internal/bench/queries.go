@@ -30,6 +30,10 @@ type QueryResult struct {
 	Columns core.Refresh
 	// RowsScanned counts the rows q5's column scan swept.
 	RowsScanned int
+	// RowsExamined counts the detection rows q3 examines: one GetPatch
+	// per hit on the lineage arm, the rows compared up to each match on
+	// the rescan arm.
+	RowsExamined int
 }
 
 // Matching thresholds, tuned once against the generators and shared by
@@ -216,19 +220,21 @@ func (e *Env) Q3(useLineage bool) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	trajectory := 0
+	trajectory, examined := 0, 0
 	if useLineage {
 		// Tuned: lineage pointer resolves the generating detection in O(1).
 		for _, w := range hits {
 			if w.Ref.Parent == 0 {
 				continue
 			}
+			examined++
 			if _, err := e.DB.GetPatch(w.Ref.Parent); err == nil {
 				trajectory++
 			}
 		}
 		dur := time.Since(start)
-		return QueryResult{Query: "q3", Plan: "lineage-pointer join", Duration: dur, Value: trajectory, Columns: cols.Refresh}, nil
+		return QueryResult{Query: "q3", Plan: "lineage-pointer join", Duration: dur, Value: trajectory,
+			Columns: cols.Refresh, RowsExamined: examined}, nil
 	}
 	// Baseline: nested-loop rematch on (clip, frame, containment).
 	detPs, err := dets.Patches()
@@ -238,6 +244,7 @@ func (e *Env) Q3(useLineage bool) (QueryResult, error) {
 	for _, w := range hits {
 		wb := meta(w, "bbox").Vec()
 		for _, d := range detPs {
+			examined++
 			if meta(d, "clip").Int() != meta(w, "clip").Int() ||
 				meta(d, "frameno").Int() != meta(w, "frameno").Int() {
 				continue
@@ -249,7 +256,8 @@ func (e *Env) Q3(useLineage bool) (QueryResult, error) {
 			}
 		}
 	}
-	return QueryResult{Query: "q3", Plan: "rescan base detections", Duration: time.Since(start), Value: trajectory, Columns: cols.Refresh}, nil
+	return QueryResult{Query: "q3", Plan: "rescan base detections", Duration: time.Since(start), Value: trajectory,
+		Columns: cols.Refresh, RowsExamined: examined}, nil
 }
 
 // Q3Accuracy measures how much of the target's ground-truth trajectory

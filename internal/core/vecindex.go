@@ -457,10 +457,12 @@ type treeStat struct{ probe, build float64 }
 var scanStat = treeStat{probe: 1}
 
 // A treeStat is measured on the first treeSampleRows rows carrying the
-// field, probed at treeSampleProbes fixed-stride points of the sample.
-// Rows are immutable and every snapshot extends the one before it, so
-// the statistic is the same on every replica of the shard and after
-// every reopen, and is computed once.
+// field: treeSampleProbes fixed-stride rows of the sample probe a tree
+// over the others. They are held out because a probe at one of the
+// tree's own points meets it at distance zero first and prunes harder
+// than a query does. Rows are immutable and every snapshot extends the
+// one before it, so the statistic is the same on every replica of the
+// shard and after every reopen, and is computed once.
 const (
 	treeSampleRows   = 1024
 	treeSampleProbes = 64
@@ -488,13 +490,21 @@ func (s Snapshot) treeStat(field string, k int) treeStat {
 	if len(pts) < treeSampleRows {
 		return scanStat
 	}
-	t, _ := balltree.Build(pts) // one dimensionality: cannot fail
-	var evals atomic.Int64
-	vi := &VectorIndex{mode: VecExact, pts: pts, treeN: len(pts), ball: t, evals: &evals}
-	for i := range treeSampleProbes {
-		vi.KNN(pts[i*len(pts)/treeSampleProbes].Vec, key.k)
+	var probes, tree []balltree.Point
+	for i, p := range pts {
+		if i%(treeSampleRows/treeSampleProbes) == 0 {
+			probes = append(probes, p)
+		} else {
+			tree = append(tree, p)
+		}
 	}
-	n := float64(len(pts))
+	t, _ := balltree.Build(tree) // one dimensionality: cannot fail
+	var evals atomic.Int64
+	vi := &VectorIndex{mode: VecExact, pts: tree, treeN: len(tree), ball: t, evals: &evals}
+	for _, p := range probes {
+		vi.KNN(p.Vec, key.k)
+	}
+	n := float64(len(tree))
 	st := treeStat{probe: float64(evals.Load()) / treeSampleProbes / n, build: float64(t.BuildEvals()) / n}
 	s.col.treeStats.Store(key, st)
 	return st

@@ -146,7 +146,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
@@ -154,8 +153,6 @@ const (
 type series struct {
 	labels string // pre-rendered `{k="v",...}` or ""
 	ctr    *Counter
-	gauge  func() float64
-	ctrF   func() float64 // function-backed counter (derived totals)
 	hist   *Histogram
 }
 
@@ -177,14 +174,21 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	index    map[string]*family
+	collect  func(Emit)
 }
+
+// Emit writes one series of a snapshot family: its family name, HELP
+// text, TYPE ("counter" or "gauge"), labels (nil for none) and value.
+type Emit func(name, help, typ string, labels map[string]string, v float64)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*family)}
 }
 
-func (r *Registry) get(name, help string, kind metricKind, labels map[string]string) *series {
+// get returns the series of name with labels, creating the family and
+// the series (its counter, or its histogram with buckets) on first use.
+func (r *Registry) get(name, help string, kind metricKind, labels map[string]string, buckets []float64) *series {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -200,6 +204,11 @@ func (r *Registry) get(name, help string, kind metricKind, labels map[string]str
 	s := f.index[key]
 	if s == nil {
 		s = &series{labels: key}
+		if kind == kindCounter {
+			s.ctr = &Counter{}
+		} else {
+			s.hist = newHistogram(buckets)
+		}
 		f.series = append(f.series, s)
 		f.index[key] = s
 	}
@@ -209,44 +218,24 @@ func (r *Registry) get(name, help string, kind metricKind, labels map[string]str
 // Counter returns the counter named name with the given labels,
 // creating it on first use. labels may be nil.
 func (r *Registry) Counter(name, help string, labels map[string]string) *Counter {
-	s := r.get(name, help, kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.ctr == nil && s.ctrF == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	return r.get(name, help, kindCounter, labels, nil).ctr
 }
 
-// CounterFunc registers a counter whose value is read from fn at
-// scrape time — for totals already tracked elsewhere (device kernel
-// counts, nanosecond accumulators exported as seconds).
-func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() float64) {
-	s := r.get(name, help, kindCounter, labels)
+// Collect sets the registry's snapshot hook: WritePrometheus calls fn
+// once per render, after the registered families, and fn emits every
+// series whose value is read from live state, all from one snapshot.
+// A family's series are emitted one after another; its HELP and TYPE
+// lines are written before the first.
+func (r *Registry) Collect(fn func(Emit)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.ctrF = fn
-	s.ctr = nil
-}
-
-// GaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn func() float64) {
-	s := r.get(name, help, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.gauge = fn
+	r.collect = fn
 }
 
 // Histogram returns the fixed-bucket histogram named name, creating it
 // with the given bucket upper bounds on first use.
 func (r *Registry) Histogram(name, help string, labels map[string]string, buckets []float64) *Histogram {
-	s := r.get(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
-		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	return r.get(name, help, kindHistogram, labels, buckets).hist
 }
 
 // renderLabels renders a deterministic `{k="v",...}` suffix (sorted by
@@ -282,77 +271,81 @@ func mergeLabel(rendered, key, val string) string {
 	return rendered[:len(rendered)-1] + "," + pair + "}"
 }
 
-// WritePrometheus renders every family in text exposition format.
+// writeHeader writes a family's HELP (when set) and TYPE lines.
+func writeHeader(w io.Writer, name, help, typ string) error {
+	if help != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	return err
+}
+
+// WritePrometheus renders every family in text exposition format: the
+// registered counters and histograms, then the snapshot hook's series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
+	collect := r.collect
 	r.mu.Unlock()
 
 	for _, f := range fams {
 		typ := "counter"
-		switch f.kind {
-		case kindGauge:
-			typ = "gauge"
-		case kindHistogram:
+		if f.kind == kindHistogram {
 			typ = "histogram"
 		}
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ); err != nil {
+		if err := writeHeader(w, f.name, f.help, typ); err != nil {
 			return err
 		}
 		for _, s := range f.series {
-			switch f.kind {
-			case kindCounter:
-				v := 0.0
-				if s.ctrF != nil {
-					v = s.ctrF()
-				} else if s.ctr != nil {
-					v = float64(s.ctr.Value())
-				}
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v)); err != nil {
+			if f.kind == kindCounter {
+				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(float64(s.ctr.Value()))); err != nil {
 					return err
 				}
-			case kindGauge:
-				v := 0.0
-				if s.gauge != nil {
-					v = s.gauge()
-				}
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v)); err != nil {
-					return err
-				}
-			case kindHistogram:
-				h := s.hist
-				if h == nil {
-					continue
-				}
-				var cum int64
-				for i, bound := range h.bounds {
-					cum += h.buckets[i].Load()
-					lbl := mergeLabel(s.labels, "le", formatFloat(bound))
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, lbl, cum); err != nil {
-						return err
-					}
-				}
-				cum += h.buckets[len(h.bounds)].Load()
-				lbl := mergeLabel(s.labels, "le", "+Inf")
+				continue
+			}
+			h := s.hist
+			var cum int64
+			for i, bound := range h.bounds {
+				cum += h.buckets[i].Load()
+				lbl := mergeLabel(s.labels, "le", formatFloat(bound))
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, lbl, cum); err != nil {
 					return err
 				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, s.labels, formatFloat(h.Sum())); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, s.labels, cum); err != nil {
-					return err
-				}
+			}
+			cum += h.buckets[len(h.bounds)].Load()
+			lbl := mergeLabel(s.labels, "le", "+Inf")
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, lbl, cum); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, s.labels, formatFloat(h.Sum())); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, s.labels, cum); err != nil {
+				return err
 			}
 		}
 	}
-	return nil
+	if collect == nil {
+		return nil
+	}
+	var err error
+	last := ""
+	collect(func(name, help, typ string, labels map[string]string, v float64) {
+		if err != nil {
+			return
+		}
+		if name != last {
+			last = name
+			if err = writeHeader(w, name, help, typ); err != nil {
+				return
+			}
+		}
+		_, err = fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(labels), formatFloat(v))
+	})
+	return err
 }
 
 // formatFloat renders a value the way Prometheus expects: integers

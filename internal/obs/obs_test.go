@@ -150,7 +150,11 @@ func TestRegistryPrometheusRoundTrip(t *testing.T) {
 	c := r.Counter("deeplens_queries_total", "Total queries.", nil)
 	c.Add(42)
 	r.Counter("deeplens_cache_ops_total", "Cache ops.", map[string]string{"cache": "result", "op": "hit"}).Add(7)
-	r.GaugeFunc("deeplens_queue_depth", "Current depth.", nil, func() float64 { return 3 })
+	r.Collect(func(emit Emit) {
+		emit("deeplens_queue_depth", "Current depth.", "gauge", nil, 3)
+		emit("deeplens_evals_total", "Evaluations.", "counter", map[string]string{"method": "index"}, 5)
+		emit("deeplens_evals_total", "Evaluations.", "counter", map[string]string{"method": "scan"}, 6)
+	})
 	h := r.Histogram("deeplens_query_duration_seconds", "Latency.", nil, []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -177,6 +181,12 @@ func TestRegistryPrometheusRoundTrip(t *testing.T) {
 	}
 	if v, ok := exp.Value("deeplens_queue_depth", nil); !ok || v != 3 {
 		t.Fatalf("gauge = %g, %v", v, ok)
+	}
+	if v, ok := exp.Value("deeplens_evals_total", map[string]string{"method": "scan"}); !ok || v != 6 || exp.Types["deeplens_evals_total"] != "counter" {
+		t.Fatalf("snapshot counter = %g, %v, type %q", v, ok, exp.Types["deeplens_evals_total"])
+	}
+	if n := strings.Count(text, "# TYPE deeplens_evals_total"); n != 1 {
+		t.Fatalf("snapshot family has %d TYPE lines, want 1", n)
 	}
 	if v, ok := exp.Value("deeplens_query_duration_seconds_count", nil); !ok || v != 3 {
 		t.Fatalf("hist count = %g, %v", v, ok)

@@ -20,7 +20,8 @@ import (
 //	POST /append     — live-ingest an AppendRequest (single patch or a
 //	                   frame-at-a-time batch), returns an AppendResponse
 //	GET  /stats      — serving + cache + device + ingest counters (JSON)
-//	GET  /metrics    — the same state as Prometheus text exposition
+//	GET  /metrics    — the registered counters and histograms, and one
+//	                   Stats snapshot, as Prometheus text exposition
 //	GET  /debug/slow — recent slow queries, newest first (JSON)
 //	GET  /healthz    — liveness probe
 //	GET  /readyz     — readiness probe: 503 with per-shard detail while

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -346,6 +348,63 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+const metricsSurfaceFile = "testdata/metrics_surface.txt"
+
+// TestMetricsSurface pins /metrics as a surface: every family's HELP
+// and TYPE line and every series' name and label set, with values
+// stripped and lines sorted, on a 2-shard, 2-replica, tiered service
+// after one kNN query (go test ./internal/service -run MetricsSurface
+// -update rewrites the file).
+func TestMetricsSurface(t *testing.T) {
+	_, s := synthReplicated(t, 2, 2, 3*1024, Config{Workers: 2, ColumnMemBudget: 32 << 10})
+	if _, err := s.Query(context.Background(), Request{
+		Collection: shardTestCol,
+		KNN:        &KNNSpec{Field: "emb", K: 3, Query: knnQ(1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(metricsSurfaceFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(metricsSurfaceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("/metrics surface changed:\n%s", lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines only one of want and got holds.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var out []string
+	for _, l := range w {
+		if !slices.Contains(g, l) {
+			out = append(out, "- "+l)
+		}
+	}
+	for _, l := range g {
+		if !slices.Contains(w, l) {
+			out = append(out, "+ "+l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
 // TestDebugSlowAndHealthz: the slow-log endpoint serves JSON and the
 // liveness probe reports uptime without building a Stats snapshot.
 func TestDebugSlowAndHealthz(t *testing.T) {
@@ -431,6 +490,14 @@ type statsContract struct {
 	KNNQueries        int64             `json:"knn_queries"`
 	IndexExtends      int64             `json:"index_extends"`
 	IndexRebuilds     int64             `json:"index_rebuilds"`
+	KNNEvalsIndex     int64             `json:"knn_distance_evals_index"`
+	KNNEvalsScan      int64             `json:"knn_distance_evals_scan"`
+	ScalarSorted      int64             `json:"scalar_segments_sorted"`
+	StorePages        int64             `json:"store_pages"`
+	PagerCachedPages  int64             `json:"pager_cached_pages"`
+	GoHeapLiveBytes   int64             `json:"go_heap_live_bytes"`
+	GoGCCycles        int64             `json:"go_gc_cycles"`
+	GoGCCPUSeconds    float64           `json:"go_gc_cpu_seconds"`
 	ResultCache       CacheStats        `json:"result_cache"`
 	UDFCache          CacheStats        `json:"udf_cache"`
 	ResultHitRate     float64           `json:"result_hit_rate"`
@@ -497,6 +564,9 @@ func TestStatsJSONContract(t *testing.T) {
 		"segment_spills", "segment_loads", "segment_transient_loads", "segment_load_faults",
 		"segment_evictions", "segment_resident_bytes", "column_mem_budget",
 		"knn_queries", "index_extends", "index_rebuilds",
+		"knn_distance_evals_index", "knn_distance_evals_scan", "scalar_segments_sorted",
+		"store_pages", "pager_cached_pages",
+		"go_heap_live_bytes", "go_gc_cycles", "go_gc_cpu_seconds",
 		"result_cache", "udf_cache", "result_hit_rate",
 		"device", "devices", "device_kernels", "device_launches", "device_flops", "device_overhead_ms",
 		"batcher", "fusion_factor",

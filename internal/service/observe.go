@@ -3,9 +3,10 @@ package service
 // Service-side observability wiring: the metrics registry behind GET
 // /metrics, per-query trace plumbing, and the slow-query log behind
 // GET /debug/slow. The serving counters live here as registry-backed
-// obs.Counters (one atomic add each, same cost as the raw atomics they
-// replaced), so the Prometheus surface and the /stats JSON snapshot
-// read the same source and cannot drift.
+// obs.Counters (one atomic add each), which Stats reads back. Every
+// other /metrics series is a row of snapshotMetrics, read from one
+// Stats snapshot per scrape, so /metrics and /stats derive each value
+// once and cannot drift.
 
 import (
 	"fmt"
@@ -64,8 +65,9 @@ type telemetry struct {
 // /debug/slow.
 const slowLogEntries = 64
 
-// newTelemetry builds the registry and registers every family. Gauges
-// close over the service and read live state at scrape time.
+// newTelemetry builds the registry, registers the counters and
+// histograms, and installs the snapshot hook that renders
+// snapshotMetrics from one s.Stats() per scrape.
 func newTelemetry(s *Service, cfg Config) *telemetry {
 	r := obs.NewRegistry()
 	t := &telemetry{
@@ -105,137 +107,110 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		t.sampleEvery = n
 	}
 
-	r.GaugeFunc("deeplens_uptime_seconds", "Seconds since the service started.", nil,
-		func() float64 { return time.Since(s.start).Seconds() })
-	r.GaugeFunc("deeplens_workers", "Executor pool size.", nil,
-		func() float64 { return float64(s.cfg.Workers) })
-	r.GaugeFunc("deeplens_queue_capacity", "Admission queue capacity.", nil,
-		func() float64 { return float64(cap(s.queue)) })
-	r.GaugeFunc("deeplens_queue_depth", "Admitted-but-unclaimed tasks.", nil,
-		func() float64 { return float64(len(s.queue)) })
-	r.GaugeFunc("deeplens_in_flight", "Tasks admitted and not yet finished.", nil,
-		func() float64 { return float64(s.inFlight.Load()) })
-	r.GaugeFunc("deeplens_peak_in_flight", "High-water mark of in-flight tasks.", nil,
-		func() float64 { return float64(s.peakInFlight.Load()) })
-	r.GaugeFunc("deeplens_shards", "Backing partition count.", nil,
-		func() float64 { return float64(s.shards.NumShards()) })
-	r.GaugeFunc("deeplens_replicas", "Per-shard replica count.", nil,
-		func() float64 { return float64(s.shards.Replicas()) })
-	r.CounterFunc("deeplens_replica_append_errors_total", "Secondary-replica append failures absorbed (each demotes the replica from the read set).", nil,
-		func() float64 { return float64(s.shards.ReplicaAppendErrors()) })
-	r.GaugeFunc("deeplens_out_of_sync_replicas", "Replicas currently demoted from the read set.", nil,
-		func() float64 { return float64(len(s.shards.OutOfSyncReplicas())) })
-	r.CounterFunc("deeplens_replica_resyncs_total", "Completed replica repairs (each re-promoted a demoted replica into the read set).", nil, func() float64 {
-		n, _ := s.shards.ResyncStats()
-		return float64(n)
-	})
-	r.CounterFunc("deeplens_resync_rows_total", "Patches streamed to demoted replicas by repairs.", nil, func() float64 {
-		_, rows := s.shards.ResyncStats()
-		return float64(rows)
-	})
-
-	for _, c := range []struct {
-		label string
-		cache *Cache
-	}{{"result", s.results}, {"udf", s.udfMemo}} {
-		cache := c.cache
-		lbl := map[string]string{"cache": c.label}
-		r.GaugeFunc("deeplens_cache_hit_rate", "Cache hits / (hits + misses).", lbl,
-			func() float64 { return cache.Stats().HitRate() })
-		r.GaugeFunc("deeplens_cache_bytes", "Accounted bytes held.", lbl,
-			func() float64 { return float64(cache.Stats().Bytes) })
-		r.GaugeFunc("deeplens_cache_entries", "Live entries.", lbl,
-			func() float64 { return float64(cache.Stats().Entries) })
-	}
-
-	r.GaugeFunc("deeplens_batcher_fusion_factor", "Mean kernels per fused launch (1 = no fusion).", nil, func() float64 {
-		var bs exec.BatcherStats
-		for _, b := range s.batchers {
-			bs.Add(b.BatcherStats())
+	r.Collect(func(emit obs.Emit) {
+		st := s.Stats()
+		for _, m := range snapshotMetrics {
+			emit(m.name, m.help, m.typ, m.labels, m.value(&st))
 		}
-		return bs.FusionFactor()
 	})
-	r.GaugeFunc("deeplens_column_extend_reuse_ratio", "Sealed blocks reused / total blocks across incremental column extends.", nil, func() float64 {
-		rs := s.shards.RefreshStats()
-		if rs.ColumnTotalBlocks == 0 {
-			return 0
-		}
-		return float64(rs.ColumnReusedBlocks) / float64(rs.ColumnTotalBlocks)
-	})
-	r.CounterFunc("deeplens_column_extends_total", "Incremental column-store extensions performed.", nil, func() float64 {
-		return float64(s.shards.RefreshStats().ColumnExtends)
-	})
-	r.CounterFunc("deeplens_segment_spills_total", "Sealed column segments encoded in memory and handed to the tiered column store's segment cache.", nil, func() float64 {
-		return float64(s.segCache.Stats().Spills)
-	})
-	r.CounterFunc("deeplens_segment_loads_total", "Cold column segments decoded from their in-memory encoding.", nil, func() float64 {
-		return float64(s.segCache.Stats().Loads)
-	})
-	r.CounterFunc("deeplens_segment_transient_loads_total", "Cold column segment reads served from a kernel's scratch buffer instead of being admitted to the segment cache.", nil, func() float64 {
-		return float64(s.segCache.Stats().TransientLoads)
-	})
-	r.CounterFunc("deeplens_segment_load_faults_total", "Column segments whose encoding failed to decode, rebuilt from the row snapshot.", nil, func() float64 {
-		return float64(s.segCache.Stats().LoadFaults)
-	})
-	r.CounterFunc("deeplens_segment_evictions_total", "Resident column segments dropped under memory-budget pressure.", nil, func() float64 {
-		return float64(s.segCache.Stats().Evictions)
-	})
-	r.GaugeFunc("deeplens_segment_resident_bytes", "Bytes of decoded spilled column segments currently resident.", nil, func() float64 {
-		return float64(s.segCache.Stats().ResidentBytes)
-	})
-	r.CounterFunc("deeplens_index_extends_total", "Incremental vector-index extensions performed (only the appended rows indexed).", nil, func() float64 {
-		return float64(s.shards.RefreshStats().VectorExtends)
-	})
-	r.CounterFunc("deeplens_index_rebuilds_total", "Full vector-index builds (first touch or a shape change an extension could not absorb).", nil, func() float64 {
-		return float64(s.shards.RefreshStats().VectorRebuilds)
-	})
-	const evalsHelp = "Vector distances evaluated by exact vector-index kNN probes (index) and brute kNN scans (scan)."
-	r.CounterFunc("deeplens_knn_distance_evals_total", evalsHelp, map[string]string{"method": "index"}, func() float64 {
-		return float64(s.shards.RefreshStats().KNNIndexEvals)
-	})
-	r.CounterFunc("deeplens_knn_distance_evals_total", evalsHelp, map[string]string{"method": "scan"}, func() float64 {
-		return float64(s.shards.RefreshStats().KNNScanEvals)
-	})
-	r.CounterFunc("deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for hash/B-tree index probes (once each; the order outlives the segment's data).", nil, func() float64 {
-		return float64(s.shards.RefreshStats().ScalarSorted)
-	})
-	r.GaugeFunc("deeplens_store_pages", "Pages in the page files of every shard and replica store (meta pages included).", nil, func() float64 {
-		pages, _ := s.shards.PagerStats()
-		return float64(pages)
-	})
-	r.GaugeFunc("deeplens_pager_cached_pages", "Page buffers in the pager caches of every shard and replica store: dirty pages awaiting write-back plus pages read from the file.", nil, func() float64 {
-		_, cached := s.shards.PagerStats()
-		return float64(cached)
-	})
-	r.CounterFunc("deeplens_device_kernels_total", "Kernels executed across the service's devices.", nil,
-		func() float64 { return float64(s.deviceStats().Kernels) })
-	r.CounterFunc("deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", nil,
-		func() float64 { return float64(s.deviceStats().Launches) })
-	r.CounterFunc("deeplens_device_overhead_seconds_total", "Simulated launch + transfer overhead paid.", nil,
-		func() float64 { return s.deviceStats().Overhead.Seconds() })
-	r.CounterFunc("deeplens_merge_seconds_total", "Cumulative scatter gather/merge wall time.", nil,
-		func() float64 { return float64(s.mergeNS.Load()) / 1e9 })
-	r.GaugeFunc("deeplens_go_heap_live_bytes", "Heap bytes the last Go garbage collection marked live.", nil,
-		func() float64 { return goRuntimeMetric("/gc/heap/live:bytes") })
-	r.CounterFunc("deeplens_go_gc_cycles_total", "Completed Go garbage collection cycles.", nil,
-		func() float64 { return goRuntimeMetric("/gc/cycles/total:gc-cycles") })
-	r.CounterFunc("deeplens_go_gc_cpu_seconds_total", "Estimated CPU time the Go garbage collector spent.", nil,
-		func() float64 { return goRuntimeMetric("/cpu/classes/gc/total:cpu-seconds") })
 	return t
 }
 
-// goRuntimeMetric reads one runtime/metrics sample, which unlike
+// snapshotMetric is one /metrics series read from the Stats snapshot:
+// its family name, HELP text, TYPE, labels, and the value's accessor.
+// A family's series are adjacent, and only the first carries the HELP
+// text.
+type snapshotMetric struct {
+	name, help, typ string
+	labels          map[string]string
+	value           func(*Stats) float64
+}
+
+const counter, gauge = "counter", "gauge"
+
+var resultCache, udfCache = map[string]string{"cache": "result"}, map[string]string{"cache": "udf"}
+
+// snapshotMetrics lists every /metrics series that is not a registered
+// counter or histogram. One scrape takes one Stats snapshot and renders
+// all of them from it.
+var snapshotMetrics = []snapshotMetric{
+	{"deeplens_uptime_seconds", "Seconds since the service started.", gauge, nil, func(s *Stats) float64 { return s.UptimeSec }},
+	{"deeplens_workers", "Executor pool size.", gauge, nil, func(s *Stats) float64 { return float64(s.Workers) }},
+	{"deeplens_queue_capacity", "Admission queue capacity.", gauge, nil, func(s *Stats) float64 { return float64(s.QueueCap) }},
+	{"deeplens_queue_depth", "Admitted-but-unclaimed tasks.", gauge, nil, func(s *Stats) float64 { return float64(s.QueueDepth) }},
+	{"deeplens_in_flight", "Tasks admitted and not yet finished.", gauge, nil, func(s *Stats) float64 { return float64(s.InFlight) }},
+	{"deeplens_peak_in_flight", "High-water mark of in-flight tasks.", gauge, nil, func(s *Stats) float64 { return float64(s.PeakInFlight) }},
+	{"deeplens_shards", "Backing partition count.", gauge, nil, func(s *Stats) float64 { return float64(s.Shards) }},
+	{"deeplens_replicas", "Per-shard replica count.", gauge, nil, func(s *Stats) float64 { return float64(s.Replicas) }},
+	{"deeplens_replica_append_errors_total", "Secondary-replica append failures absorbed (each demotes the replica from the read set).", counter, nil,
+		func(s *Stats) float64 { return float64(s.ReplicaAppendErrors) }},
+	{"deeplens_out_of_sync_replicas", "Replicas currently demoted from the read set.", gauge, nil, func(s *Stats) float64 { return float64(s.OutOfSyncReplicas) }},
+	{"deeplens_replica_resyncs_total", "Completed replica repairs (each re-promoted a demoted replica into the read set).", counter, nil,
+		func(s *Stats) float64 { return float64(s.ReplicaResyncs) }},
+	{"deeplens_resync_rows_total", "Patches streamed to demoted replicas by repairs.", counter, nil, func(s *Stats) float64 { return float64(s.ResyncRows) }},
+	{"deeplens_cache_hit_rate", "Cache hits / (hits + misses).", gauge, resultCache, func(s *Stats) float64 { return s.ResultCache.HitRate() }},
+	{"deeplens_cache_hit_rate", "", gauge, udfCache, func(s *Stats) float64 { return s.UDFCache.HitRate() }},
+	{"deeplens_cache_bytes", "Accounted bytes held.", gauge, resultCache, func(s *Stats) float64 { return float64(s.ResultCache.Bytes) }},
+	{"deeplens_cache_bytes", "", gauge, udfCache, func(s *Stats) float64 { return float64(s.UDFCache.Bytes) }},
+	{"deeplens_cache_entries", "Live entries.", gauge, resultCache, func(s *Stats) float64 { return float64(s.ResultCache.Entries) }},
+	{"deeplens_cache_entries", "", gauge, udfCache, func(s *Stats) float64 { return float64(s.UDFCache.Entries) }},
+	{"deeplens_batcher_fusion_factor", "Mean kernels per fused launch (1 = no fusion).", gauge, nil, func(s *Stats) float64 { return s.FusionFactor }},
+	{"deeplens_column_extend_reuse_ratio", "Sealed blocks reused / total blocks across incremental column extends.", gauge, nil, func(s *Stats) float64 {
+		if s.ExtendTotalBlocks == 0 {
+			return 0
+		}
+		return float64(s.ExtendReuseBlocks) / float64(s.ExtendTotalBlocks)
+	}},
+	{"deeplens_column_extends_total", "Incremental column-store extensions performed.", counter, nil, func(s *Stats) float64 { return float64(s.ColumnExtends) }},
+	{"deeplens_segment_spills_total", "Sealed column segments encoded in memory and handed to the tiered column store's segment cache.", counter, nil,
+		func(s *Stats) float64 { return float64(s.SegmentSpills) }},
+	{"deeplens_segment_loads_total", "Cold column segments decoded from their in-memory encoding.", counter, nil, func(s *Stats) float64 { return float64(s.SegmentLoads) }},
+	{"deeplens_segment_transient_loads_total", "Cold column segment reads served from a kernel's scratch buffer instead of being admitted to the segment cache.", counter, nil,
+		func(s *Stats) float64 { return float64(s.SegmentTransientLoads) }},
+	{"deeplens_segment_load_faults_total", "Column segments whose encoding failed to decode, rebuilt from the row snapshot.", counter, nil,
+		func(s *Stats) float64 { return float64(s.SegmentLoadFaults) }},
+	{"deeplens_segment_evictions_total", "Resident column segments dropped under memory-budget pressure.", counter, nil,
+		func(s *Stats) float64 { return float64(s.SegmentEvictions) }},
+	{"deeplens_segment_resident_bytes", "Bytes of decoded spilled column segments currently resident.", gauge, nil,
+		func(s *Stats) float64 { return float64(s.SegmentResidentBytes) }},
+	{"deeplens_index_extends_total", "Incremental vector-index extensions performed (only the appended rows indexed).", counter, nil,
+		func(s *Stats) float64 { return float64(s.IndexExtends) }},
+	{"deeplens_index_rebuilds_total", "Full vector-index builds (first touch or a shape change an extension could not absorb).", counter, nil,
+		func(s *Stats) float64 { return float64(s.IndexRebuilds) }},
+	{"deeplens_knn_distance_evals_total", "Vector distances evaluated by exact vector-index kNN probes (index) and brute kNN scans (scan).", counter,
+		map[string]string{"method": "index"}, func(s *Stats) float64 { return float64(s.KNNDistanceEvalsIndex) }},
+	{"deeplens_knn_distance_evals_total", "", counter, map[string]string{"method": "scan"}, func(s *Stats) float64 { return float64(s.KNNDistanceEvalsScan) }},
+	{"deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for hash/B-tree index probes (once each; the order outlives the segment's data).", counter, nil,
+		func(s *Stats) float64 { return float64(s.ScalarSegmentsSorted) }},
+	{"deeplens_store_pages", "Pages in the catalog page files of every shard and replica store (meta pages included); rows live in the row logs beside them.", gauge, nil,
+		func(s *Stats) float64 { return float64(s.StorePages) }},
+	{"deeplens_pager_cached_pages", "Catalog page buffers in the pager caches of every shard and replica store: dirty pages awaiting write-back plus pages read from the file.", gauge, nil,
+		func(s *Stats) float64 { return float64(s.PagerCachedPages) }},
+	{"deeplens_device_kernels_total", "Kernels executed across the service's devices.", counter, nil, func(s *Stats) float64 { return float64(s.DeviceKernels) }},
+	{"deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", counter, nil, func(s *Stats) float64 { return float64(s.DeviceLaunches) }},
+	{"deeplens_device_overhead_seconds_total", "Simulated launch + transfer overhead paid.", counter, nil, func(s *Stats) float64 { return s.DeviceOverheadMS / 1e3 }},
+	{"deeplens_merge_seconds_total", "Cumulative scatter gather/merge wall time.", counter, nil, func(s *Stats) float64 { return s.MergeTimeMS / 1e3 }},
+	{"deeplens_go_heap_live_bytes", "Heap bytes the last Go garbage collection marked live.", gauge, nil, func(s *Stats) float64 { return float64(s.GoHeapLiveBytes) }},
+	{"deeplens_go_gc_cycles_total", "Completed Go garbage collection cycles.", counter, nil, func(s *Stats) float64 { return float64(s.GoGCCycles) }},
+	{"deeplens_go_gc_cpu_seconds_total", "Estimated CPU time the Go garbage collector spent.", counter, nil, func(s *Stats) float64 { return s.GoGCCPUSeconds }},
+}
+
+// goRuntimeStats reads the Go runtime's live heap, completed GC cycles
+// and GC CPU time in one runtime/metrics read, which unlike
 // runtime.ReadMemStats does not stop the world.
-func goRuntimeMetric(name string) float64 {
-	sample := []metrics.Sample{{Name: name}}
-	metrics.Read(sample)
-	switch v := sample[0].Value; v.Kind() {
-	case metrics.KindUint64:
-		return float64(v.Uint64())
-	case metrics.KindFloat64:
-		return v.Float64()
+func goRuntimeStats() (heapLive, gcCycles int64, gcCPUSec float64) {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() == metrics.KindUint64 {
+		heapLive = int64(s[0].Value.Uint64())
 	}
-	return 0
+	if s[1].Value.Kind() == metrics.KindUint64 {
+		gcCycles = int64(s[1].Value.Uint64())
+	}
+	if s[2].Value.Kind() == metrics.KindFloat64 {
+		gcCPUSec = s[2].Value.Float64()
+	}
+	return heapLive, gcCycles, gcCPUSec
 }
 
 // startTrace decides whether this query gets full span capture: an

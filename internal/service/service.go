@@ -272,16 +272,17 @@ type Service struct {
 
 	// segCache is the tiered column store's byte-budgeted residency
 	// cache, installed on every backing DB when Config.ColumnMemBudget
-	// enables tiering (nil otherwise). /stats and /metrics read its
-	// spill/load/eviction counters.
+	// enables tiering (nil otherwise). Stats reads its spill, load and
+	// eviction counters.
 	segCache *core.SegmentCache
 
 	inFlight, peakInFlight atomic.Int64
 
 	// statsMu makes (queue depth, in-flight count) observable as one
 	// consistent pair: enqueue/dequeue update the in-flight counter while
-	// holding it, and Stats reads both under it. Without this, /stats
-	// could report a task as neither queued nor in flight (or both).
+	// holding it, and Stats reads both under it. Without this, /stats or
+	// /metrics could report a task as neither queued nor in flight (or
+	// both).
 	statsMu sync.Mutex
 
 	mergeNS atomic.Int64 // cumulative scatter gather/merge wall time
@@ -841,6 +842,24 @@ type Stats struct {
 	KNNQueries    int64 `json:"knn_queries"`
 	IndexExtends  int64 `json:"index_extends"`
 	IndexRebuilds int64 `json:"index_rebuilds"`
+	// The vector distances exact index probes and brute kNN scans
+	// evaluated, and the sealed column segments sorted for scalar index
+	// probes (once each).
+	KNNDistanceEvalsIndex int64 `json:"knn_distance_evals_index"`
+	KNNDistanceEvalsScan  int64 `json:"knn_distance_evals_scan"`
+	ScalarSegmentsSorted  int64 `json:"scalar_segments_sorted"`
+
+	// Storage: the pages of every shard and replica store's catalog page
+	// file (rows live in the row logs beside it), and the page buffers
+	// their pager caches hold.
+	StorePages       int64 `json:"store_pages"`
+	PagerCachedPages int64 `json:"pager_cached_pages"`
+
+	// The Go runtime: heap bytes the last collection marked live,
+	// completed collections, and the CPU time they spent.
+	GoHeapLiveBytes int64   `json:"go_heap_live_bytes"`
+	GoGCCycles      int64   `json:"go_gc_cycles"`
+	GoGCCPUSeconds  float64 `json:"go_gc_cpu_seconds"`
 
 	ResultCache   CacheStats `json:"result_cache"`
 	UDFCache      CacheStats `json:"udf_cache"`
@@ -890,16 +909,23 @@ type Stats struct {
 	AdmissionShed int64 `json:"admission_shed"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters. It is the one place a serving
+// value is derived: /stats serves the snapshot as JSON, and a /metrics
+// scrape renders its gauges and derived counters from one call.
 func (s *Service) Stats() Stats {
 	s.srcMu.RLock()
 	nsrc := len(s.sources)
 	s.srcMu.RUnlock()
 	rc := s.results.Stats()
-	ds := s.deviceStats()
 	var bs exec.BatcherStats
+	var ds exec.Stats // every device's kernel counters: fusion shows as launches < kernels
 	for _, b := range s.batchers {
 		bs.Add(b.BatcherStats())
+		d := b.Stats()
+		ds.Kernels += d.Kernels
+		ds.Launches += d.Launches
+		ds.FLOPs += d.FLOPs
+		ds.Overhead += d.Overhead
 	}
 	s.statsMu.Lock()
 	queueDepth := len(s.queue)
@@ -908,6 +934,8 @@ func (s *Service) Stats() Stats {
 	rs := s.shards.RefreshStats()
 	resyncs, resyncRows := s.shards.ResyncStats()
 	scs := s.segCache.Stats() // nil-safe: zero record when tiering is off
+	pages, cached := s.shards.PagerStats()
+	heapLive, gcCycles, gcCPU := goRuntimeStats()
 	return Stats{
 		UptimeSec:  time.Since(s.start).Seconds(),
 		Workers:    s.cfg.Workers,
@@ -941,6 +969,17 @@ func (s *Service) Stats() Stats {
 		IndexExtends:  rs.VectorExtends,
 		IndexRebuilds: rs.VectorRebuilds,
 
+		KNNDistanceEvalsIndex: rs.KNNIndexEvals,
+		KNNDistanceEvalsScan:  rs.KNNScanEvals,
+		ScalarSegmentsSorted:  rs.ScalarSorted,
+
+		StorePages:       int64(pages),
+		PagerCachedPages: int64(cached),
+
+		GoHeapLiveBytes: heapLive,
+		GoGCCycles:      gcCycles,
+		GoGCCPUSeconds:  gcCPU,
+
 		ResultCache:   rc,
 		UDFCache:      s.udfMemo.Stats(),
 		ResultHitRate: rc.HitRate(),
@@ -950,7 +989,7 @@ func (s *Service) Stats() Stats {
 		DeviceKernels:    ds.Kernels,
 		DeviceLaunches:   ds.Launches,
 		DeviceFLOPs:      ds.FLOPs,
-		DeviceOverheadMS: float64(ds.Overhead.Microseconds()) / 1000,
+		DeviceOverheadMS: float64(ds.Overhead) / 1e6,
 
 		Batcher:      bs,
 		FusionFactor: bs.FusionFactor(),
@@ -973,20 +1012,6 @@ func (s *Service) Stats() Stats {
 
 		AdmissionShed: s.tel.admissionShed.Value(),
 	}
-}
-
-// deviceStats sums the kernel counters of every device behind the
-// batchers (fusion shows as launches < kernels).
-func (s *Service) deviceStats() exec.Stats {
-	var agg exec.Stats
-	for _, b := range s.batchers {
-		d := b.Stats()
-		agg.Kernels += d.Kernels
-		agg.Launches += d.Launches
-		agg.FLOPs += d.FLOPs
-		agg.Overhead += d.Overhead
-	}
-	return agg
 }
 
 // Metrics returns the service's metrics registry (the source behind
