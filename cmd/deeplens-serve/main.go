@@ -6,9 +6,14 @@
 //
 // It is a server only; the repository's load and latency measurement is
 // the benchmark/ module, which drives this same handler over HTTP.
+//
+// On SIGINT or SIGTERM it stops accepting requests, lets those in flight
+// finish, flushes and closes the store, and removes the data directory
+// when it made one (no -dir).
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,8 +21,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/bench"
@@ -90,12 +97,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Caught from here on, so a signal during ingest still ends in the
+	// shutdown below, which runs every deferred close.
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if *dir == "" {
 		d, err := os.MkdirTemp("", "deeplens-serve")
 		if err != nil {
 			return err
 		}
 		*dir = d
+		defer os.RemoveAll(d) // deferred first, so it runs after the store closes
 	} else if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
@@ -191,7 +203,18 @@ func run() error {
 
 	log.Printf("serving on %s (%d workers on %d %s devices, queue %d, pprof at /debug/pprof/)",
 		*addr, *workers, svc.Stats().Devices, kind, *queue)
-	return http.ListenAndServe(*addr, mux)
+	srv := &http.Server{Addr: *addr, Handler: mux}
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err
+	case <-sig.Done():
+	}
+	log.Printf("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }
 
 // checkDirLayout reconciles the -shards flag with the -dir's on-disk

@@ -33,8 +33,8 @@ type DB struct {
 	store *kv.Store
 	dev   exec.Device
 
-	// nextID is the patch-id allocator. It is atomic, not under mu: an
-	// append takes its id while it holds its collection's lock, and Flush
+	// nextID is the patch-id allocator. It is atomic, not under mu: a
+	// commit takes its ids while it holds its collection's lock, and Flush
 	// takes mu before a collection's lock.
 	nextID  atomic.Uint64
 	nextVer atomic.Uint64 // collection-version counter (cache invalidation)
@@ -192,7 +192,7 @@ func (db *DB) Close() error {
 
 // Flush persists all dirty state without closing: every open
 // collection's tail block, synced with its row log, and descriptor
-// (count updates from direct Appends).
+// (count updates from appends).
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	if err := db.sys.Put([]byte("nextid"), kv.U64Key(db.nextID.Load())); err != nil {
@@ -255,7 +255,7 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	}
 	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), logKey: v, version: v,
 		log: log, cache: []*Patch{}}
-	if err := c.saveDesc(); err != nil {
+	if err := c.saveDescLocked(); err != nil { // c is not shared yet
 		c.log.close()
 		return nil, err
 	}
@@ -364,18 +364,24 @@ func (db *DB) Materialize(name string, schema Schema, s Stream) (*Collection, er
 	if err != nil {
 		return nil, err
 	}
-	for p, err := range s {
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Append(p); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.saveDesc(); err != nil {
+	if err := drain(s, c.AppendBatch); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// commitChunk is the rows per AppendBatch of Materialize and resync.
+const commitChunk = 64
+
+// drain commits s's rows through appendBatch, commitChunk at a time.
+func drain(s Stream, appendBatch func([]*Patch) (int, error)) error {
+	ps, err := Collect(s)
+	for chunk := range slices.Chunk(ps, commitChunk) {
+		if err == nil {
+			_, err = appendBatch(chunk)
+		}
+	}
+	return err
 }
 
 // GetPatch resolves a patch id anywhere in the database (lineage chains
@@ -482,13 +488,7 @@ func (c *Collection) Version() uint64 {
 	return c.version
 }
 
-func (c *Collection) saveDesc() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saveDescLocked()
-}
-
-// saveDescLocked is saveDesc under c.mu.
+// saveDescLocked saves the collection's descriptor, under c.mu.
 func (c *Collection) saveDescLocked() error {
 	v, err := json.Marshal(colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey, Indexes: c.indexes})
 	if err != nil {
@@ -501,75 +501,93 @@ func (c *Collection) saveDescLocked() error {
 // its collection holds: committing it would break the id order of rows.
 var ErrIDOrder = errors.New("core: patch id out of order")
 
-// Append seals, validates, ids, and persists a patch. A committed row
-// answers the lineage attributes _source and _frame from Ref, so
-// indexes and queries work on provenance natively (§5.1). A patch
-// without an id gets the next one inside the commit; one with an id not
-// above the collection's last is refused with ErrIDOrder.
+// ErrInvalidPatch reports an appended row its collection's schema
+// refuses: a bad row, not a storage fault. Nothing of its batch commits.
+var ErrInvalidPatch = errors.New("core: invalid patch")
+
+// Append is AppendBatch of the one patch p.
 func (c *Collection) Append(p *Patch) error {
-	raw, err := c.prepare(p)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p.ID == 0 {
-		p.ID = c.db.NewPatchID()
-	}
-	return c.putLocked(p, raw)
+	_, err := c.AppendBatch([]*Patch{p})
+	return err
 }
 
-// prepare seals a builder patch in the collection's layout, validates
-// the committed form against the schema and encodes it: everything
-// Append does before the commit, since the stored bytes do not hold the
-// id. A builder that fails is left a builder. A sealed patch is only
-// validated and encoded: it may be a committed row that readers share.
-func (c *Collection) prepare(p *Patch) ([]byte, error) {
-	meta := p.Meta
-	built := !p.sealed()
-	if built {
-		var arr [16]Pair
-		s := Sealer{codec: c.codec}
-		s.Seal(p, p.entries(arr[:0]))
-	}
-	err := c.schema.ValidatePatch(p)
-	var raw []byte
-	if err == nil {
-		raw, err = c.codec.encode(p)
-	}
+// AppendBatch seals, validates, ids and persists ps as one commit, one
+// version, and returns how many rows committed. A patch without an id
+// gets the next one inside the commit; the ids must ascend above the
+// collection's last, or the batch is refused with ErrIDOrder.
+func (c *Collection) AppendBatch(ps []*Patch) (int, error) {
+	rows, err := c.prepare(ps)
 	if err != nil {
+		return 0, err
+	}
+	return c.commit(rows)
+}
+
+// prepRow is a patch prepare sealed and validated, and its stored form.
+type prepRow struct {
+	p   *Patch
+	raw []byte
+}
+
+// prepare seals each builder of ps in the collection's layout, then
+// validates and encodes it (the stored bytes do not hold the id). A row
+// that fails is ErrInvalidPatch naming its index, and is left a builder
+// if it was one. A sealed patch may be a committed row readers share.
+func (c *Collection) prepare(ps []*Patch) ([]prepRow, error) {
+	rows := make([]prepRow, len(ps))
+	for i, p := range ps {
+		meta, built := p.Meta, !p.sealed()
 		if built {
-			p.Meta, p.codec, p.decl, p.pairs = meta, nil, nil, nil
+			var arr [16]Pair
+			s := Sealer{codec: c.codec}
+			s.Seal(p, p.entries(arr[:0]))
 		}
-		return nil, fmt.Errorf("collection %q: %w", c.name, err)
+		err := c.schema.ValidatePatch(p)
+		if err == nil {
+			rows[i].raw, err = c.codec.encode(p)
+		}
+		if err != nil {
+			if built {
+				p.Meta, p.codec, p.decl, p.pairs = meta, nil, nil, nil
+			}
+			return nil, fmt.Errorf("%w: collection %q, patch %d: %w", ErrInvalidPatch, c.name, i, err)
+		}
+		rows[i].p = p
 	}
-	return raw, nil
+	return rows, nil
 }
 
-// put commits a prepared patch, raw being the encoding prepare returned.
-func (c *Collection) put(p *Patch, raw []byte) error {
+// commit appends prepared rows under one hold of c.mu: one load (for
+// the last id), ids, one order check, the log appends and one version.
+// A log append that fails commits the rows before it.
+func (c *Collection) commit(rows []prepRow) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(p, raw)
-}
-
-// putLocked is put under c.mu: the log append and the count, version
-// and row-cache update commit as one critical section. The cache is
-// loaded first, to learn the last id.
-func (c *Collection) putLocked(p *Patch, raw []byte) error {
 	if err := c.load(); err != nil {
-		return err
+		return 0, err
 	}
-	if n := len(c.cache); n > 0 && p.ID <= c.cache[n-1].ID {
-		return fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, p.ID, c.cache[n-1].ID, c.name)
+	last := c.log.last // the cache's last id
+	for _, r := range rows {
+		if r.p.ID == 0 {
+			r.p.ID = c.db.NewPatchID()
+		}
+		if r.p.ID <= last {
+			return 0, fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, r.p.ID, last, c.name)
+		}
+		last = r.p.ID
 	}
-	if err := c.log.append(p.ID, raw); err != nil {
-		return err
+	var err error
+	for _, r := range rows {
+		if err = c.log.append(r.p.ID, r.raw); err != nil {
+			break
+		}
+		c.cache = append(c.cache, r.p)
 	}
-	c.count++
-	c.version = c.db.nextVersion()
-	c.cache = append(c.cache, p)
-	return nil
+	n := len(c.cache) - c.count
+	if n > 0 {
+		c.count, c.version = len(c.cache), c.db.nextVersion()
+	}
+	return n, err
 }
 
 // Get fetches one patch by id from the current snapshot (see

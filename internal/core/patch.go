@@ -614,7 +614,7 @@ func (p *Patch) Marshal() []byte {
 // encode serializes p, builder or committed row, in c's stored form. It
 // sizes the encoding first and writes it into one allocation. A declared
 // field that p lacks, or holds with another kind or dimension, is an
-// error: Append validates a row before it encodes it.
+// error: AppendBatch validates a row before it encodes it.
 func (c *rowCodec) encode(p *Patch) ([]byte, error) {
 	var declArr [16]slot
 	var restArr [16]Pair

@@ -36,13 +36,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 )
-
-// resyncChunk is how many patches a repair streams between failpoint
-// and cancellation checks.
-const resyncChunk = 64
 
 // samePatchBytes reports whether two patches have the same id and
 // serialize identically (the bytes do not hold the id, the row log's
@@ -191,11 +188,11 @@ func (s *Sharded) catchUp(ctx context.Context, shard, replica int, st resyncStat
 	return rows, nil
 }
 
-// appendRange streams patches to a replica collection in resyncChunk
-// batches, evaluating the resync failpoints and ctx between chunks.
+// appendRange streams patches to a replica collection, commitChunk rows
+// per AppendBatch, evaluating the resync failpoints and ctx before each.
 func (s *Sharded) appendRange(ctx context.Context, shard, replica int, rcol *Collection, ps []*Patch) (int, error) {
 	rows := 0
-	for off := 0; off < len(ps); off += resyncChunk {
+	for chunk := range slices.Chunk(ps, commitChunk) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return rows, err
@@ -208,15 +205,10 @@ func (s *Sharded) appendRange(ctx context.Context, shard, replica int, rcol *Col
 		if err := inj.Stall(ctx, fault.ResyncStall, shard, replica); err != nil {
 			return rows, err
 		}
-		end := off + resyncChunk
-		if end > len(ps) {
-			end = len(ps)
-		}
-		for _, p := range ps[off:end] {
-			if err := rcol.Append(p); err != nil {
-				return rows, err
-			}
-			rows++
+		n, err := rcol.AppendBatch(chunk)
+		rows += n
+		if err != nil {
+			return rows, err
 		}
 	}
 	return rows, nil

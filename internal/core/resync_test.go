@@ -142,7 +142,7 @@ func TestTornResyncStaysDemoted(t *testing.T) {
 	}
 	// Grow the lag past one chunk so a mid-stream tear leaves a strict
 	// partial repair.
-	for i := 50; i < 50+3*resyncChunk; i++ {
+	for i := 50; i < 50+3*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestResyncRejectsBadCoordinates(t *testing.T) {
 func TestResyncHonorsCancel(t *testing.T) {
 	s, sc := resyncFixture(t, 1, 2, 10)
 	s.Demote(0, 1)
-	for i := 10; i < 10+2*resyncChunk; i++ {
+	for i := 10; i < 10+2*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -233,10 +233,10 @@ func TestResyncHonorsCancel(t *testing.T) {
 // Run with -race; the catch-up round under the shard append lock is
 // what keeps this sound.
 func TestAppendDuringResyncHammer(t *testing.T) {
-	s, sc := resyncFixture(t, 1, 2, resyncChunk)
+	s, sc := resyncFixture(t, 1, 2, commitChunk)
 	s.Demote(0, 1)
 	// Build a multi-chunk lag while the replica is frozen.
-	for i := resyncChunk; i < 3*resyncChunk; i++ {
+	for i := commitChunk; i < 3*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -273,8 +273,8 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resync under append load: %v", err)
 	}
-	if rows < 2*resyncChunk {
-		t.Fatalf("resync streamed %d rows, want >= %d", rows, 2*resyncChunk)
+	if rows < 2*commitChunk {
+		t.Fatalf("resync streamed %d rows, want >= %d", rows, 2*commitChunk)
 	}
 	if got := s.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after hammer = %v, want both", got)

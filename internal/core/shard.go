@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,9 +76,9 @@ type Sharded struct {
 	// replica commits the identical patch sequence in the identical
 	// order — the prefix property replica re-sync verifies against —
 	// and gives the repair engine's final catch-up round a point of
-	// mutual exclusion with concurrent writers. An append takes its id
-	// and its shard's appendMu under idMu, which it releases once it
-	// holds appendMu: the shard's appends lock it in id order.
+	// mutual exclusion with concurrent writers. A batch takes its ids
+	// and its shards' appendMu under idMu, which it releases once it
+	// holds them: each shard's batches lock it in id order.
 	appendMu []sync.Mutex
 	idMu     sync.Mutex
 
@@ -473,20 +474,8 @@ func (s *Sharded) Materialize(name string, schema Schema, in Stream) (*ShardedCo
 	if err != nil {
 		return nil, err
 	}
-	for p, err := range in {
-		if err != nil {
-			return nil, err
-		}
-		if err := sc.Append(p); err != nil {
-			return nil, err
-		}
-	}
-	for _, rs := range sc.cols {
-		for _, c := range rs {
-			if err := c.saveDesc(); err != nil {
-				return nil, err
-			}
-		}
+	if err := drain(in, sc.AppendBatch); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
@@ -612,53 +601,69 @@ func (c *ShardedCollection) Len() int {
 	return n
 }
 
-// Append ids the patch (shard 0 allocates) and routes it to every
-// in-sync replica of its home shard, primary first, serialized under
-// the shard's append lock. The id and the lock are taken in one idMu
-// section, so a shard commits its patches in id order. The write is
-// primary-authoritative: a primary failure fails the append before any
-// secondary is touched, and a secondary failure demotes that replica
-// from the read set while the append succeeds — so an in-sync replica
-// can never be missing a write the primary accepted. Demoted replicas
-// are skipped entirely: a demoted replica freezes at an exact prefix of
-// the primary's commit sequence (no holes), which is what lets
-// ResyncReplica stream just the missing suffix and verify it
-// byte-for-byte. The patch is sealed, validated and encoded once;
-// every replica stores those bytes. A single-shard, single-replica
-// append is exactly an unsharded Append.
+// Append is AppendBatch of the one patch p.
 func (c *ShardedCollection) Append(p *Patch) error {
-	raw, err := c.cols[0][0].prepare(p)
+	_, err := c.AppendBatch([]*Patch{p})
+	return err
+}
+
+// AppendBatch commits ps as one commit per home shard and returns how
+// many rows committed. It prepares ps before anything commits, then,
+// under idMu, ids them in batch order and locks the touched shards in
+// ascending order. Each shard's part goes to every in-sync replica,
+// primary first: a primary failure stops the batch, leaving the earlier
+// shards' parts committed; a failed secondary is demoted, frozen at a
+// prefix of the primary's rows that ResyncReplica streams the rest to.
+func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
+	rows, err := c.cols[0][0].prepare(ps)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	c.s.idMu.Lock()
-	if p.ID == 0 {
-		p.ID = c.s.NewPatchID()
-	}
-	home := c.s.ShardFor(p.ID)
-	c.s.appendMu[home].Lock()
-	c.s.idMu.Unlock()
-	defer c.s.appendMu[home].Unlock()
-	inj := c.s.injector()
-	if err := inj.Fail(fault.AppendError, home, 0); err != nil {
-		return err
-	}
-	if err := c.cols[home][0].put(p, raw); err != nil {
-		return err
-	}
-	for j := 1; j < len(c.cols[home]); j++ {
-		if !c.s.insync[home][j].Load() {
-			continue
+	s := c.s
+	home := func(r prepRow) int { return s.ShardFor(r.p.ID) }
+	s.idMu.Lock()
+	for _, r := range rows {
+		if r.p.ID == 0 {
+			r.p.ID = s.NewPatchID()
 		}
-		err := inj.Fail(fault.AppendError, home, j)
+	}
+	slices.SortStableFunc(rows, func(a, b prepRow) int { return home(a) - home(b) })
+	for i, r := range rows {
+		if i == 0 || home(r) != home(rows[i-1]) {
+			s.appendMu[home(r)].Lock()
+		}
+	}
+	s.idMu.Unlock()
+	committed, inj := 0, s.injector()
+	for len(rows) > 0 {
+		k, n := home(rows[0]), 1
+		for n < len(rows) && home(rows[n]) == k {
+			n++
+		}
 		if err == nil {
-			err = c.cols[home][j].put(p, raw)
+			err = inj.Fail(fault.AppendError, k, 0)
 		}
-		if err != nil && c.s.insync[home][j].CompareAndSwap(true, false) {
-			c.s.repErrs.Add(1)
+		if err == nil {
+			var m int
+			m, err = c.cols[k][0].commit(rows[:n])
+			for j := 1; j < len(c.cols[k]) && m > 0; j++ {
+				if !s.insync[k][j].Load() {
+					continue
+				}
+				rerr := inj.Fail(fault.AppendError, k, j)
+				if rerr == nil {
+					_, rerr = c.cols[k][j].commit(rows[:m])
+				}
+				if rerr != nil && s.insync[k][j].CompareAndSwap(true, false) {
+					s.repErrs.Add(1)
+				}
+			}
+			committed += m
 		}
+		s.appendMu[k].Unlock()
+		rows = rows[n:]
 	}
-	return nil
+	return committed, err
 }
 
 // Get routes a point lookup to the patch's home shard (primary).

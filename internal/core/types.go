@@ -68,11 +68,14 @@ func (s Schema) WithField(f Field) Schema {
 	return out
 }
 
-// ValidatePatch checks p against the schema: payload dtype/shape and every
-// declared metadata field's kind, domain and dimension. Undeclared
-// metadata keys are permitted (schemas are open, like the paper's
-// dictionaries); declared keys must be present and well-typed.
+// ValidatePatch checks p against the schema: a frame the int64 _frame
+// holds, payload dtype/shape and every declared field's kind, domain
+// and dimension. Undeclared metadata keys are permitted (schemas are
+// open, like the paper's dictionaries); declared keys must be present.
 func (s Schema) ValidatePatch(p *Patch) error {
+	if int64(p.Ref.Frame) < 0 {
+		return fmt.Errorf("core: frame %d is past the largest _frame, 2^63-1", p.Ref.Frame)
+	}
 	if p.Data != nil {
 		if p.Data.DType != s.Data.DType {
 			return fmt.Errorf("core: payload dtype %v, schema wants %v", p.Data.DType, s.Data.DType)

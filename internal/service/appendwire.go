@@ -168,10 +168,10 @@ func (d *appendDecoder) specAt(i int) *wireSpec {
 	return &d.specs[d.slots[i]]
 }
 
-// build seals the decoded batch as committed rows through s, against
-// its schema. A row costs its copied strings; the batch's rows share
-// one array of Patches, the slot array of s and one float32 array for
-// every vector.
+// build seals the decoded batch as committed rows through s, for
+// AppendBatch to validate. A row costs its copied strings; the batch's
+// rows share one array of Patches, the slot array of s and one float32
+// array for every vector.
 func (d *appendDecoder) build(s *core.Sealer) ([]*core.Patch, error) {
 	schema := s.Schema()
 	n := d.count()
@@ -210,9 +210,6 @@ func (d *appendDecoder) build(s *core.Sealer) ([]*core.Patch, error) {
 		}
 		d.pairs = pairs
 		s.Seal(p, pairs)
-		if err := checkPatch(schema, p); err != nil {
-			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
-		}
 		out[i] = p
 	}
 	return out, nil

@@ -33,13 +33,23 @@ func TestMain(m *testing.M) {
 
 // patches builds the decoded batch against schema, as the commit path
 // builds it against a collection's: through the Sealer of a collection
-// of schema.
+// of schema, then validating every row, as AppendBatch does before it
+// commits any.
 func (d *appendDecoder) patches(schema core.Schema) ([]*core.Patch, error) {
 	col, err := sealerCollection(schema)
 	if err != nil {
 		return nil, err
 	}
-	return d.build(col.Sealer(d.count()))
+	ps, err := d.build(col.Sealer(d.count()))
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range ps {
+		if err := schema.ValidatePatch(p); err != nil {
+			return nil, fmt.Errorf("service: append patch %d: %w", i, err)
+		}
+	}
+	return ps, nil
 }
 
 // sealerCollection returns the collection of schema, creating the

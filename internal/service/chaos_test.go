@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -821,5 +822,85 @@ func TestJoinTaskReadsFragmentSnapshot(t *testing.T) {
 	// Non-vacuous: over the post-append rows the join does grow.
 	if after := mustQuery(t, svc, req); after.Value <= want.Value {
 		t.Fatalf("post-append join = %d pairs, want more than %d", after.Value, want.Value)
+	}
+}
+
+// TestAppendBatchStorageFaults: a 64-row /append on 3 shards x 2
+// replicas under a certain append fault on shard 1. On its primary the
+// request is a 500: shard 0, committed first, holds its whole part,
+// shards 1 and 2 none of theirs, and the error's committed count is the
+// rows visible. On its secondary the batch commits, the replica is
+// demoted, and a resync streams the part it missed (through
+// AppendBatch) and promotes it.
+func TestAppendBatchStorageFaults(t *testing.T) {
+	const initial, batch = 60, 64
+	for _, replica := range []int{0, 1} {
+		sdb, svc := synthReplicated(t, 3, 2, initial, Config{Workers: 2, ResyncInterval: -1})
+		sc, err := sdb.Collection(shardTestCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdb.SetFaults(fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
+			{Point: fault.AppendError, Shard: 1, Replica: replica, Prob: 1},
+		}}))
+		// The batch takes the 64 ids after this one, so each shard's part
+		// is known before it commits.
+		last := sdb.NewPatchID()
+		var part, before [3][2]int
+		req := AppendRequest{Collection: shardTestCol}
+		for i := 0; i < batch; i++ {
+			req.Patches = append(req.Patches, specFromPatch(synthPatch(initial+i)))
+			part[sdb.ShardFor(last+core.PatchID(i)+1)][0]++
+		}
+		for k := range part {
+			if part[k][0] == 0 {
+				t.Fatalf("shard %d takes no row of the batch; the test is vacuous", k)
+			}
+			part[k][1] = part[k][0]
+			for j := range before[k] {
+				before[k][j] = sc.Replica(k, j).Len()
+			}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/append", bytes.NewReader(body)))
+		want := part // what each replica gains
+		if replica == 0 {
+			want[1], want[2] = [2]int{}, [2]int{}
+			msg := fmt.Sprintf("%d of %d patches committed", part[0][0], batch)
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), msg) {
+				t.Fatalf("primary fault: status %d, body %s; want 500 saying %q", rec.Code, rec.Body, msg)
+			}
+		} else {
+			want[1][1] = 0
+			if rec.Code != http.StatusOK {
+				t.Fatalf("secondary fault: status %d, body %s; want 200", rec.Code, rec.Body)
+			}
+		}
+		for k := range want {
+			for j := range want[k] {
+				if got := sc.Replica(k, j).Len() - before[k][j]; got != want[k][j] {
+					t.Errorf("replica %d fault: shard %d replica %d gained %d rows of its %d-row part, want %d",
+						replica, k, j, got, part[k][j], want[k][j])
+				}
+			}
+		}
+		if replica == 0 {
+			continue
+		}
+		if got := sdb.InSyncReplicas(1); len(got) != 1 {
+			t.Fatalf("shard 1 in sync %v after its secondary failed, want the primary only", got)
+		}
+		sdb.SetFaults(nil)
+		if n, err := sdb.ResyncReplica(context.Background(), 1, 1); err != nil || n != part[1][1] {
+			t.Fatalf("resync streamed %d rows (%v), want the missed part's %d", n, err, part[1][1])
+		}
+		if got := sdb.InSyncReplicas(1); len(got) != 2 || sc.Replica(1, 1).Len() != sc.Replica(1, 0).Len() {
+			t.Fatalf("after the resync shard 1 in sync %v, replica %d rows, primary %d",
+				got, sc.Replica(1, 1).Len(), sc.Replica(1, 0).Len())
+		}
 	}
 }

@@ -370,16 +370,16 @@ func (s *Service) handleAppend(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrClosed):
 		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
 	case errors.Is(err, ErrAppendStorage):
-		// Server-side fault after validation (a prefix may be committed;
-		// the message says how much): retryable, unlike a 400.
+		// A storage fault after validation (the message says how many
+		// rows committed): retryable, unlike a 400.
 		writeJSON(w, http.StatusInternalServerError, httpError{err.Error()})
 	case errors.Is(err, core.ErrNotFound):
 		writeJSON(w, http.StatusNotFound, httpError{err.Error()})
 	case errors.Is(err, r.Context().Err()):
 		writeJSON(w, http.StatusRequestTimeout, httpError{err.Error()})
 	default:
-		// Schema violations and malformed specs: the ingest-time type
-		// checking mirroring /query's plan-time 400s.
+		// Schema violations (core.ErrInvalidPatch) and malformed specs:
+		// the ingest-time type checking mirroring /query's plan-time 400s.
 		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
 	}
 }

@@ -164,10 +164,10 @@ func TestAppendIndexedQueryHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One collection in the DB: every appended row advances the version by
-	// exactly one, so a version names a row count.
+	// One collection in the DB: every appended batch commits whole and
+	// advances the version by exactly one, so a version names a row count.
 	v0 := col.Version()
-	rowsAt := func(v uint64) int { return base + int(v-v0) }
+	rowsAt := func(v uint64) int { return base + batch*int(v-v0) }
 
 	type shape struct {
 		req   Request
@@ -189,7 +189,7 @@ func TestAppendIndexedQueryHammer(t *testing.T) {
 		if err := req.validate(); err != nil {
 			t.Fatal(err)
 		}
-		for v := v0; v <= v0+extra; v++ {
+		for v := v0; v <= v0+extra/batch; v++ {
 			sh.rows[req.fingerprint(v, svc.cfg.ModelSeed)] = rowsAt(v)
 		}
 		mustQuery(t, svc, sh.req) // first touch: the hammer exercises appends past it

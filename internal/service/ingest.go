@@ -23,11 +23,10 @@ import (
 	"repro/internal/core"
 )
 
-// ErrAppendStorage reports a storage-layer failure while committing an
-// already-validated append batch. Patches before the failing one are
-// committed (the error text says how many); the HTTP layer maps it to a
-// 500 so clients and load balancers treat it as a retryable server
-// fault rather than a malformed request.
+// ErrAppendStorage reports a storage failure while committing a
+// validated append batch; the parts of the shards before the failing one
+// are committed (the error says how many rows). The HTTP layer maps it
+// to a 500: a retryable server fault, not a malformed request.
 var ErrAppendStorage = errors.New("service: append storage failure")
 
 // AppendRequest appends patches to a materialized collection: a single
@@ -59,8 +58,8 @@ type PatchSpec struct {
 // AppendResponse reports one append request's outcome.
 type AppendResponse struct {
 	Collection string `json:"collection"`
-	// Appended is the number of patches committed (on error, patches
-	// before the failing one may have committed; the error names it).
+	// Appended is the number of patches committed (on a storage error,
+	// some may have committed; the error says how many).
 	Appended int `json:"appended"`
 	// IDs are the allocated patch ids, in append order.
 	IDs []uint64 `json:"ids"`
@@ -79,11 +78,11 @@ func (r *AppendRequest) specs() []PatchSpec {
 	return append([]PatchSpec{*r.Patch}, r.Patches...)
 }
 
-// Append validates, converts and commits the request's patches. The
-// whole batch is schema-checked before the first write, so a malformed
-// spec rejects the batch without partial commit; only a storage failure
-// can leave a prefix committed (reported in the error). Every patch
-// routes to its hash-designated home shard via core.Sharded placement.
+// Append converts, validates and commits the request's patches as one
+// batch: a malformed spec rejects it without partial commit, each shard
+// commits its part whole, and only a storage failure can leave some
+// shards' parts committed (reported in the error). Every patch routes to
+// its hash-designated home shard via core.Sharded placement.
 func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendResponse, error) {
 	specs := req.specs()
 	return s.appendPatches(ctx, req.Collection, len(specs), func(sl *core.Sealer) ([]*core.Patch, error) {
@@ -104,7 +103,7 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 // fixed order — closed service, canceled context, no collection or no
 // patches, a full append gate (429), an unknown collection (404) — and
 // only then calls build, which seals the n patches through a Sealer of
-// the collection's, against its schema, and commits what it returns.
+// the collection's, and commits them as one AppendBatch.
 func (s *Service) appendPatches(ctx context.Context, collection string, n int, build func(*core.Sealer) ([]*core.Patch, error)) (*AppendResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -138,19 +137,18 @@ func (s *Service) appendPatches(ctx context.Context, collection string, n int, b
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]uint64, 0, len(patches))
-	for i, p := range patches {
-		if err := sc.Append(p); err != nil {
-			// The batch pre-validated, so this is a storage-layer fault,
-			// not a bad request: wrap the sentinel so the HTTP layer can
-			// answer 500 (retryable server fault with a committed prefix)
-			// instead of 400.
-			s.noteAppended(collection, len(ids))
-			return nil, fmt.Errorf("%w: patch %d (after %d committed): %v", ErrAppendStorage, i, len(ids), err)
-		}
-		ids = append(ids, uint64(p.ID))
+	committed, err := sc.AppendBatch(patches)
+	s.noteAppended(collection, committed)
+	switch {
+	case errors.Is(err, core.ErrInvalidPatch):
+		return nil, err
+	case err != nil: // a storage fault: HTTP 500, retryable
+		return nil, fmt.Errorf("%w: %d of %d patches committed: %v", ErrAppendStorage, committed, len(patches), err)
 	}
-	s.noteAppended(collection, len(ids))
+	ids := make([]uint64, len(patches))
+	for i, p := range patches {
+		ids[i] = uint64(p.ID)
+	}
 	dur := time.Since(start)
 	s.tel.appendDur.Observe(dur.Seconds())
 	return &AppendResponse{
@@ -190,21 +188,7 @@ func (sp PatchSpec) patch(s *core.Sealer) (*core.Patch, error) {
 		pairs = append(pairs, core.Pair{Key: k, Value: val})
 	}
 	s.Seal(p, pairs)
-	if err := checkPatch(schema, p); err != nil {
-		return nil, err
-	}
 	return p, nil
-}
-
-// checkPatch checks a row either append adapter built from its metadata.
-// It rejects a frame that _frame, an int64, cannot hold: the row would
-// read back and filter under a frame it was never given. It validates
-// the row against the schema before any row of the batch commits.
-func checkPatch(schema core.Schema, p *core.Patch) error {
-	if p.Ref.Frame > math.MaxInt64 {
-		return fmt.Errorf("frame %d is past the largest _frame, %d", p.Ref.Frame, int64(math.MaxInt64))
-	}
-	return schema.ValidatePatch(p)
 }
 
 // tokKind is the JSON shape of a metaTok.
