@@ -35,6 +35,12 @@ import (
 	"repro/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that trickles header bytes cannot hold a
+// connection open indefinitely. Bodies are not bounded: an /append
+// batch may stream for longer.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -203,7 +209,7 @@ func run() error {
 
 	log.Printf("serving on %s (%d workers on %d %s devices, queue %d, pprof at /debug/pprof/)",
 		*addr, *workers, svc.Stats().Devices, kind, *queue)
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	served := make(chan error, 1)
 	go func() { served <- srv.ListenAndServe() }()
 	select {

@@ -22,7 +22,7 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	base := func() *Fingerprinter {
+	base := func() Fingerprinter {
 		return NewFingerprinter("query").Col("c", 1).Str("f", "label")
 	}
 	ref := base().Sum()
@@ -77,5 +77,36 @@ func TestCacheAwareCost(t *testing.T) {
 	}
 	if got := CacheAwareCost(est, -1, lookup); got > est+lookup+1e-9 {
 		t.Fatalf("clamped cost = %g, want <= %g", got, est+lookup)
+	}
+}
+
+// TestFingerprinterAllocs: a fingerprint whose tokens fit the caller's
+// buffer, every token kind included, allocates nothing to build or sum.
+func TestFingerprinterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	buf := make([]byte, 0, 512)
+	vec := []float32{1, 2, 3, 4}
+	var sum [64]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		sum = StartFingerprint(buf, "query").
+			Col("traffic.dets", 7).
+			Str("filter.field", "label").
+			Value("filter.eq", StrV("pedestrian")).
+			Value("knn.query", VecV(vec)).
+			Float("simjoin.eps", 0.15).
+			Int("limit", 10).
+			U64(3).
+			HexSum()
+	})
+	if allocs != 0 {
+		t.Fatalf("fingerprint over a caller's buffer: %.0f allocations, want 0", allocs)
+	}
+	want := NewFingerprinter("query").Col("traffic.dets", 7).Str("filter.field", "label").
+		Value("filter.eq", StrV("pedestrian")).Value("knn.query", VecV(vec)).
+		Float("simjoin.eps", 0.15).Int("limit", 10).U64(3).Sum()
+	if string(sum[:]) != string(want) {
+		t.Fatalf("HexSum %s, Sum %s", sum[:], want)
 	}
 }

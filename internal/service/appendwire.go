@@ -1,13 +1,21 @@
 package service
 
-// The /append body decoder. handleAppend reads a body once into a
-// pooled appendDecoder, which parses it in one pass into wire specs:
-// numbers parsed, string values copied, meta keys kept unquoted in a
-// pooled arena and every vector element in one pooled run. Nothing is
-// typed yet, because "collection" may come after "patches". Once the
-// commit path has looked the collection up, patches builds the batch
-// against its schema through metaValue, the coercion Service.Append's
-// map[string]any specs go through too.
+// The JSON reader both request bodies are read with, and the /append
+// body decoder built on it. wireReader is the lexer: a body read once
+// into a pooled buffer, then member names, strings, numbers, literals
+// and skipped values, each checked as encoding/json checks it, under
+// encoding/json's nesting limit. appendDecoder and queryDecoder
+// (querywire.go) embed it, so /append and /query parse with one set of
+// rules.
+//
+// handleAppend reads a body once into a pooled appendDecoder, which
+// parses it in one pass into wire specs: numbers parsed, string values
+// copied, meta keys kept unquoted in a pooled arena and every vector
+// element in one pooled run. Nothing is typed yet, because
+// "collection" may come after "patches". Once the commit path has
+// looked the collection up, patches builds the batch against its schema
+// through metaValue, the coercion Service.Append's map[string]any specs
+// go through too.
 //
 // The contract is parity with the decode /append ran before: a
 // json.Decoder with DisallowUnknownFields into an AppendRequest, then
@@ -58,13 +66,29 @@ const maxPooledBytes = 1 << 20
 
 var appendDecoders warmpool.Pool[appendDecoder]
 
-// appendDecoder holds one /append body and what parsing it found.
-type appendDecoder struct {
+// wireReader is the JSON lexer both request bodies are read with: the
+// body, the read position and nesting depth, and the scratch a member
+// name or string is unquoted into. Its value readers follow
+// encoding/json's rules for the Go type they decode into.
+type wireReader struct {
 	body  []byte
 	pos   int
 	depth int
+	name  []byte // scratch: the member name or string being read
+}
 
-	name   []byte      // scratch: the member name or string being read
+// load reads rd to its end as the body and rewinds to its start.
+func (r *wireReader) load(rd io.Reader) error {
+	r.pos, r.depth = 0, 0
+	var err error
+	r.body, err = readAll(r.body[:0], rd)
+	return err
+}
+
+// appendDecoder holds one /append body and what parsing it found.
+type appendDecoder struct {
+	wireReader
+
 	text   []byte      // meta keys, unquoted; wireField.key indexes it
 	vals   []float32   // every vector element, in body order
 	specs  []wireSpec  // every spec "patch" and "patches" decoded into
@@ -99,9 +123,8 @@ type wireField struct {
 type span struct{ from, to int }
 
 // decode reads r to its end and parses it as an append body.
-func (d *appendDecoder) decode(r io.Reader) error {
-	var err error
-	if d.body, err = readAll(d.body[:0], r); err != nil {
+func (d *appendDecoder) decode(rd io.Reader) error {
+	if err := d.load(rd); err != nil {
 		return err
 	}
 	return d.parse()
@@ -235,7 +258,6 @@ func schemaField(schema core.Schema, key []byte) (*core.Field, string) {
 
 // parse decodes d.body from its start.
 func (d *appendDecoder) parse() error {
-	d.pos, d.depth = 0, 0
 	d.text, d.vals = d.text[:0], d.vals[:0]
 	d.specs, d.fields, d.slots = d.specs[:0], d.fields[:0], d.slots[:0]
 	d.nslots, d.patch = 0, -1
@@ -261,7 +283,7 @@ func (d *appendDecoder) request() error {
 		}
 		switch {
 		case fieldIs(d.name, "collection"):
-			err = d.stringValue(&d.collection)
+			err = d.stringValue(&d.collection, &d.lastStr)
 		case fieldIs(d.name, "patch"):
 			err = d.patchValue()
 		case fieldIs(d.name, "patches"):
@@ -341,7 +363,7 @@ func (d *appendDecoder) spec(si int) error {
 		sp := &d.specs[si]
 		switch {
 		case fieldIs(d.name, "source"):
-			err = d.stringValue(&sp.source)
+			err = d.stringValue(&sp.source, &d.lastStr)
 		case fieldIs(d.name, "frame"):
 			err = d.uintValue(&sp.frame)
 		case fieldIs(d.name, "parent"):
@@ -437,78 +459,79 @@ func (d *appendDecoder) vector(f *wireField) error {
 
 // skip reads any JSON value, checked as encoding/json checks one it
 // decodes into an any, and returns that any's %T.
-func (d *appendDecoder) skip() (string, error) {
-	switch c := d.peek(); {
+func (r *wireReader) skip() (string, error) {
+	switch c := r.peek(); {
 	case c == '"':
 		var err error
-		d.name, err = d.str(d.name[:0])
+		r.name, err = r.str(r.name[:0])
 		return "string", err
 	case c == '-' || isDigit(c):
-		_, err := d.float()
+		_, err := r.float()
 		return "float64", err
 	case c == '[':
-		more, err := d.open(']')
+		more, err := r.open(']')
 		for more && err == nil {
-			if _, err = d.skip(); err == nil {
-				more, err = d.more(']')
+			if _, err = r.skip(); err == nil {
+				more, err = r.more(']')
 			}
 		}
 		return "[]interface {}", err
 	case c == '{':
-		more, err := d.open('}')
+		more, err := r.open('}')
 		for more && err == nil {
-			if d.name, err = d.member(d.name[:0]); err == nil {
-				if _, err = d.skip(); err == nil {
-					more, err = d.more('}')
+			if r.name, err = r.member(r.name[:0]); err == nil {
+				if _, err = r.skip(); err == nil {
+					more, err = r.more('}')
 				}
 			}
 		}
 		return "map[string]interface {}", err
 	case c == 't':
-		return "bool", d.literal("true")
+		return "bool", r.literal("true")
 	case c == 'f':
-		return "bool", d.literal("false")
+		return "bool", r.literal("false")
 	case c == 'n':
-		return "<nil>", d.literal("null")
+		return "<nil>", r.literal("null")
 	}
-	return "", d.errorf("want a JSON value")
+	return "", r.errorf("want a JSON value")
 }
 
 // stringValue decodes a string member's value into *dst; null leaves
-// it as it was.
-func (d *appendDecoder) stringValue(dst *string) error {
-	switch d.peek() {
+// it as it was. *last is the string the member last decoded to: an
+// equal value reuses it rather than copying the bytes again.
+func (r *wireReader) stringValue(dst, last *string) error {
+	switch r.peek() {
 	case '"':
 		var err error
-		if d.name, err = d.str(d.name[:0]); err != nil {
+		if r.name, err = r.str(r.name[:0]); err != nil {
 			return err
 		}
-		if string(d.name) != d.lastStr {
-			d.lastStr = string(d.name)
+		if string(r.name) != *last {
+			*last = string(r.name)
 		}
-		*dst = d.lastStr
+		*dst = *last
 		return nil
 	case 'n':
-		return d.literal("null")
+		return r.literal("null")
 	}
-	return d.errorf("want a string")
+	return r.errorf("want a string")
 }
 
 // uintValue decodes an unsigned integer member's value into *dst, as
 // encoding/json decodes into a uint64: digits only, at most
 // MaxUint64; null leaves it as it was.
-func (d *appendDecoder) uintValue(dst *uint64) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
+func (r *wireReader) uintValue(dst *uint64) error {
+	if r.peek() == 'n' {
+		return r.literal("null")
 	}
-	lit, err := d.number()
+	lit, err := r.number()
 	if err != nil {
 		return err
 	}
 	var u uint64
 	for _, c := range lit {
 		if !isDigit(c) || u > (math.MaxUint64-uint64(c-'0'))/10 {
-			return d.errorf("number %s is not a uint64", lit)
+			return r.errorf("number %s is not a uint64", lit)
 		}
 		u = u*10 + uint64(c-'0')
 	}
@@ -518,85 +541,85 @@ func (d *appendDecoder) uintValue(dst *uint64) error {
 
 // float reads a number as encoding/json decodes one into an any: a
 // float64, and an error past its range.
-func (d *appendDecoder) float() (float64, error) {
-	lit, err := d.number()
+func (r *wireReader) float() (float64, error) {
+	lit, err := r.number()
 	if err != nil {
 		return 0, err
 	}
 	x, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
-		return 0, d.errorf("number %s does not fit a float64", lit)
+		return 0, r.errorf("number %s does not fit a float64", lit)
 	}
 	return x, nil
 }
 
 // number reads a JSON number and returns its text.
-func (d *appendDecoder) number() ([]byte, error) {
-	start := d.pos
-	if d.peek() == '-' {
-		d.pos++
+func (r *wireReader) number() ([]byte, error) {
+	start := r.pos
+	if r.peek() == '-' {
+		r.pos++
 	}
-	switch c := d.peek(); {
+	switch c := r.peek(); {
 	case c == '0':
-		d.pos++
+		r.pos++
 	case '1' <= c && c <= '9':
-		d.digits()
+		r.digits()
 	default:
-		return nil, d.errorf("want a number")
+		return nil, r.errorf("want a number")
 	}
-	if d.peek() == '.' {
-		d.pos++
-		if !isDigit(d.peek()) {
-			return nil, d.errorf("want a digit after the decimal point")
+	if r.peek() == '.' {
+		r.pos++
+		if !isDigit(r.peek()) {
+			return nil, r.errorf("want a digit after the decimal point")
 		}
-		d.digits()
+		r.digits()
 	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.pos++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.pos++
+	if c := r.peek(); c == 'e' || c == 'E' {
+		r.pos++
+		if c := r.peek(); c == '+' || c == '-' {
+			r.pos++
 		}
-		if !isDigit(d.peek()) {
-			return nil, d.errorf("want a digit in the exponent")
+		if !isDigit(r.peek()) {
+			return nil, r.errorf("want a digit in the exponent")
 		}
-		d.digits()
+		r.digits()
 	}
-	return d.body[start:d.pos], nil
+	return r.body[start:r.pos], nil
 }
 
-func (d *appendDecoder) digits() {
-	for isDigit(d.peek()) {
-		d.pos++
+func (r *wireReader) digits() {
+	for isDigit(r.peek()) {
+		r.pos++
 	}
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// str reads the quoted string at d.pos and appends it, unquoted, to
+// str reads the quoted string at w.pos and appends it, unquoted, to
 // dst: escapes resolved, and a lone surrogate or a byte of invalid
 // UTF-8 replaced by U+FFFD.
-func (d *appendDecoder) str(dst []byte) ([]byte, error) {
-	b := d.body
-	i := d.pos + 1
+func (w *wireReader) str(dst []byte) ([]byte, error) {
+	b := w.body
+	i := w.pos + 1
 	for {
 		start := i
 		for i < len(b) && b[i] >= ' ' && b[i] != '"' && b[i] != '\\' && b[i] < utf8.RuneSelf {
 			i++
 		}
 		dst = append(dst, b[start:i]...)
-		d.pos = i
+		w.pos = i
 		if i == len(b) {
-			return dst, d.errorf("unterminated string")
+			return dst, w.errorf("unterminated string")
 		}
 		switch c := b[i]; {
 		case c == '"':
-			d.pos = i + 1
+			w.pos = i + 1
 			return dst, nil
 		case c < ' ':
-			return dst, d.errorf("control character in string")
+			return dst, w.errorf("control character in string")
 		case c == '\\':
 			if i+1 == len(b) {
-				return dst, d.errorf("unterminated string")
+				return dst, w.errorf("unterminated string")
 			}
 			i += 2
 			switch e := b[i-1]; e {
@@ -615,7 +638,7 @@ func (d *appendDecoder) str(dst []byte) ([]byte, error) {
 			case 'u':
 				r, ok := hex4(b[i:])
 				if !ok {
-					return dst, d.errorf("invalid \\u escape")
+					return dst, w.errorf("invalid \\u escape")
 				}
 				i += 4
 				if utf16.IsSurrogate(r) {
@@ -634,7 +657,7 @@ func (d *appendDecoder) str(dst []byte) ([]byte, error) {
 				}
 				dst = utf8.AppendRune(dst, r)
 			default:
-				return dst, d.errorf("invalid escape \\%c", e)
+				return dst, w.errorf("invalid escape \\%c", e)
 			}
 		default:
 			r, size := utf8.DecodeRune(b[i:])
@@ -710,17 +733,17 @@ func foldRune(r rune) rune {
 	}
 }
 
-// open consumes the '{' or '[' at d.pos and reports whether a member or
+// open consumes the '{' or '[' at r.pos and reports whether a member or
 // element follows; an empty object or array is consumed whole.
-func (d *appendDecoder) open(close byte) (bool, error) {
-	d.pos++
-	if d.depth++; d.depth > maxNestingDepth {
-		return false, d.errorf("exceeded max depth")
+func (r *wireReader) open(close byte) (bool, error) {
+	r.pos++
+	if r.depth++; r.depth > maxNestingDepth {
+		return false, r.errorf("exceeded max depth")
 	}
-	d.ws()
-	if d.peek() == close {
-		d.pos++
-		d.depth--
+	r.ws()
+	if r.peek() == close {
+		r.pos++
+		r.depth--
 		return false, nil
 	}
 	return true, nil
@@ -728,73 +751,73 @@ func (d *appendDecoder) open(close byte) (bool, error) {
 
 // member reads a member name, appending it unquoted to dst, and the ':'
 // after it.
-func (d *appendDecoder) member(dst []byte) ([]byte, error) {
-	if d.peek() != '"' {
-		return dst, d.errorf("want a member name")
+func (r *wireReader) member(dst []byte) ([]byte, error) {
+	if r.peek() != '"' {
+		return dst, r.errorf("want a member name")
 	}
-	dst, err := d.str(dst)
+	dst, err := r.str(dst)
 	if err != nil {
 		return dst, err
 	}
-	d.ws()
-	if d.peek() != ':' {
-		return dst, d.errorf("want ':' after a member name")
+	r.ws()
+	if r.peek() != ':' {
+		return dst, r.errorf("want ':' after a member name")
 	}
-	d.pos++
-	d.ws()
+	r.pos++
+	r.ws()
 	return dst, nil
 }
 
 // more consumes the ',' or the close after a member or element and
 // reports whether another follows.
-func (d *appendDecoder) more(close byte) (bool, error) {
-	d.ws()
-	switch d.peek() {
+func (r *wireReader) more(close byte) (bool, error) {
+	r.ws()
+	switch r.peek() {
 	case ',':
-		d.pos++
-		d.ws()
+		r.pos++
+		r.ws()
 		return true, nil
 	case close:
-		d.pos++
-		d.depth--
+		r.pos++
+		r.depth--
 		return false, nil
 	}
-	return false, d.errorf("want ',' or '%c'", close)
+	return false, r.errorf("want ',' or '%c'", close)
 }
 
 // literal consumes the JSON literal word: true, false or null.
-func (d *appendDecoder) literal(word string) error {
-	if !d.at(word) {
-		return d.errorf("invalid literal")
+func (r *wireReader) literal(word string) error {
+	if !r.at(word) {
+		return r.errorf("invalid literal")
 	}
-	d.pos += len(word)
+	r.pos += len(word)
 	return nil
 }
 
-// at reports whether the body continues with s at d.pos.
-func (d *appendDecoder) at(s string) bool {
-	return len(d.body)-d.pos >= len(s) && string(d.body[d.pos:d.pos+len(s)]) == s
+// at reports whether the body continues with s at r.pos.
+func (r *wireReader) at(s string) bool {
+	return len(r.body)-r.pos >= len(s) && string(r.body[r.pos:r.pos+len(s)]) == s
 }
 
-func (d *appendDecoder) ws() {
-	for d.pos < len(d.body) {
-		switch d.body[d.pos] {
+func (r *wireReader) ws() {
+	for r.pos < len(r.body) {
+		switch r.body[r.pos] {
 		case ' ', '\t', '\n', '\r':
-			d.pos++
+			r.pos++
 		default:
 			return
 		}
 	}
 }
 
-// peek is the byte at d.pos, or 0 past the end of the body.
-func (d *appendDecoder) peek() byte {
-	if d.pos < len(d.body) {
-		return d.body[d.pos]
+// peek is the byte at r.pos, or 0 past the end of the body.
+func (r *wireReader) peek() byte {
+	if r.pos < len(r.body) {
+		return r.body[r.pos]
 	}
 	return 0
 }
 
-func (d *appendDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("%s at offset %d", fmt.Sprintf(format, args...), d.pos)
+func (r *wireReader) errorf(format string, args ...any) error {
+	return fmt.Errorf("%s at offset %d", fmt.Sprintf(format, args...), r.pos)
 }

@@ -73,8 +73,20 @@ func NewCache(capBytes int64, ttl time.Duration) *Cache {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
+	return c.useLocked(c.index[key])
+}
+
+// GetBytes is Get for a key held as bytes: the probe builds no string.
+func (c *Cache) GetBytes(key []byte) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.useLocked(c.index[string(key)])
+}
+
+// useLocked counts a probe that found el (nil on a miss) and returns its
+// value, unless it has expired.
+func (c *Cache) useLocked(el *list.Element) (any, bool) {
+	if el == nil {
 		c.misses++
 		return nil, false
 	}

@@ -58,6 +58,11 @@ func writeEncodeError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, httpError{"service: encode response: " + err.Error()})
 }
 
+// jsonContentType is the Content-Type header value of every JSON
+// response, shared so that setting it allocates nothing. Header().Set
+// would build a new one-element slice per response.
+var jsonContentType = []string{"application/json"}
+
 // commitWriter sends the status line with the body's first Write.
 // json.Encoder.Encode calls Write once, with its complete output, and
 // only after encoding succeeded, so a value that cannot be encoded
@@ -71,7 +76,7 @@ type commitWriter struct {
 func (c *commitWriter) Write(p []byte) (int, error) {
 	if !c.committed {
 		c.committed = true
-		c.w.Header().Set("Content-Type", "application/json")
+		c.w.Header()["Content-Type"] = jsonContentType
 		c.w.WriteHeader(c.status)
 	}
 	return c.w.Write(p)
@@ -118,7 +123,7 @@ func writeResponse(w http.ResponseWriter, resp *Response) {
 		writeEncodeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	// Write errors mean the client is gone: there is no one to tell.
 	if head != nil {
@@ -316,14 +321,13 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, httpError{"POST a JSON request body"})
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	d := queryDecoders.Get()
+	defer d.release()
+	if err := d.decode(r.Body); err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{"bad request body: " + err.Error()})
 		return
 	}
-	resp, err := s.Query(r.Context(), req)
+	resp, err := s.query(r.Context(), &d.req)
 	switch {
 	case err == nil:
 		writeResponse(w, resp)

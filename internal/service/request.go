@@ -209,6 +209,35 @@ type InferSpec struct {
 	Text   string `json:"text,omitempty"`
 }
 
+// clone deep-copies the request: its specs, their pointed-to constants
+// and the knn query vector. Strings are immutable and shared.
+func (r *Request) clone() *Request {
+	c := *r
+	if f := r.Filter; f != nil {
+		cf := *f
+		cf.Str, cf.Int, cf.Float = clonePtr(f.Str), clonePtr(f.Int), clonePtr(f.Float)
+		cf.Min, cf.Max = clonePtr(f.Min), clonePtr(f.Max)
+		c.Filter = &cf
+	}
+	c.SimJoin = clonePtr(r.SimJoin)
+	if q := r.KNN; q != nil {
+		cq := *q
+		cq.Query = slices.Clone(q.Query)
+		c.KNN = &cq
+	}
+	c.Infer = clonePtr(r.Infer)
+	return &c
+}
+
+// clonePtr returns a pointer to a copy of *p, or nil for a nil p.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
+}
+
 // validate checks structural request sanity (schema checks happen at
 // plan time against the live catalog).
 func (r *Request) validate() error {
@@ -293,15 +322,18 @@ func (r *Request) validate() error {
 	return nil
 }
 
+// appendKey builds the request's result-cache key in buf's storage. The
 // fingerprint canonicalizes the request's *logical* content plus the
 // dataset version. Physical knobs (UseIndex) are deliberately excluded:
 // all physical plans compute the same result, so they share one cache
-// entry. The returned key embeds the collection/source name in clear so
-// prefix invalidation can purge per-dataset entries.
-func (r *Request) fingerprint(version uint64, modelSeed int64) string {
+// entry. Its tokens are appended to buf, hashed, and overwritten by the
+// key "q:<name>:<hex digest>", which embeds the collection/source name
+// in clear so prefix invalidation can purge per-dataset entries. A buf
+// with room for the tokens allocates nothing.
+func (r *Request) appendKey(buf []byte, version uint64, modelSeed int64) []byte {
 	if r.Infer != nil {
 		i := r.Infer
-		fp := core.NewFingerprinter("infer").
+		f := core.StartFingerprint(buf, "infer").
 			Str("source", i.Source).
 			Int("from", int64(i.From)).
 			Int("to", int64(i.To)).
@@ -309,11 +341,10 @@ func (r *Request) fingerprint(version uint64, modelSeed int64) string {
 			Str("label", i.Label).
 			Str("text", i.Text).
 			Int("seed", modelSeed).
-			U64(version).
-			Sum()
-		return "q:" + i.Source + ":" + string(fp)
+			U64(version)
+		return cacheKey(f, i.Source)
 	}
-	f := core.NewFingerprinter("query").Col(r.Collection, version)
+	f := core.StartFingerprint(buf, "query").Col(r.Collection, version)
 	if q := r.KNN; q != nil {
 		// All logical knn content: the field, k, metric (canonicalized),
 		// the query vector or source patch, and the exactness contract.
@@ -323,38 +354,38 @@ func (r *Request) fingerprint(version uint64, modelSeed int64) string {
 		if metric == "" {
 			metric = "l2"
 		}
-		f.Str("knn.field", q.Field).
+		f = f.Str("knn.field", q.Field).
 			Int("knn.k", int64(q.K)).
 			Str("knn.metric", metric)
 		if len(q.Query) > 0 {
-			f.Value("knn.query", core.VecV(q.Query))
+			f = f.Value("knn.query", core.VecV(q.Query))
 		} else {
-			f.Int("knn.source", int64(q.SourceID))
+			f = f.Int("knn.source", int64(q.SourceID))
 		}
 		if q.Exact {
-			f.Int("knn.exact", 1)
+			f = f.Int("knn.exact", 1)
 		}
 		if q.RecallFloor > 0 {
-			f.Float("knn.recall_floor", q.RecallFloor)
+			f = f.Float("knn.recall_floor", q.RecallFloor)
 		}
 		if r.AllowPartial {
-			f.Int("allow_partial", 1)
+			f = f.Int("allow_partial", 1)
 		}
-		return "q:" + r.Collection + ":" + string(f.Sum())
+		return cacheKey(f, r.Collection)
 	}
 	if r.Filter != nil {
-		f.Str("filter.field", r.Filter.Field)
+		f = f.Str("filter.field", r.Filter.Field)
 		if r.Filter.isRange() {
 			// Named tokens keep an absent bound distinct from any set one.
 			if r.Filter.Min != nil {
-				f.Float("filter.min", *r.Filter.Min)
+				f = f.Float("filter.min", *r.Filter.Min)
 			}
 			if r.Filter.Max != nil {
-				f.Float("filter.max", *r.Filter.Max)
+				f = f.Float("filter.max", *r.Filter.Max)
 			}
 		} else {
 			v, _ := r.Filter.value()
-			f.Value("filter.eq", v)
+			f = f.Value("filter.eq", v)
 		}
 	}
 	// Canonicalize before folding the output shape: similarity-join (and
@@ -364,29 +395,39 @@ func (r *Request) fingerprint(version uint64, modelSeed int64) string {
 	orderBy, desc, limit := r.OrderBy, r.Desc, r.Limit
 	if r.SimJoin != nil {
 		orderBy, desc, limit = "", false, 0
-		f.Str("sim.field", r.SimJoin.Field).
+		f = f.Str("sim.field", r.SimJoin.Field).
 			Float("sim.eps", r.SimJoin.Eps).
 			Int("sim.mincluster", int64(r.SimJoin.MinCluster))
 	}
 	if r.Distinct {
-		f.Int("distinct", 1)
+		f = f.Int("distinct", 1)
 	}
 	if r.AllowPartial {
 		// A partial-tolerant request may legitimately return a different
 		// (degraded) answer; never share a cache entry with strict ones.
-		f.Int("allow_partial", 1)
+		f = f.Int("allow_partial", 1)
 	}
 	if orderBy != "" {
 		d := int64(0)
 		if desc {
 			d = 1
 		}
-		f.Str("order", orderBy).Int("desc", d)
+		f = f.Str("order", orderBy).Int("desc", d)
 	}
 	if limit > 0 {
-		f.Int("limit", int64(limit))
+		f = f.Int("limit", int64(limit))
 	}
-	return "q:" + r.Collection + ":" + string(f.Sum())
+	return cacheKey(f, r.Collection)
+}
+
+// cacheKey sums f and overwrites its tokens with the key
+// "q:<name>:<hex digest>".
+func cacheKey(f core.Fingerprinter, name string) []byte {
+	sum := f.HexSum()
+	key := append(f.Buffer()[:0], "q:"...)
+	key = append(key, name...)
+	key = append(key, ':')
+	return append(key, sum[:]...)
 }
 
 // Response is one query's answer plus its serving metadata.

@@ -217,10 +217,11 @@ type task struct {
 // under its result-cache key until it lands, and identical cold queries
 // coalesce on it.
 type flight struct {
-	key  string // result-cache key ("" = uncacheable, not registered)
-	done chan struct{}
-	resp *Response
-	err  error
+	key     string // result-cache key ("" = uncacheable, not registered)
+	version uint64 // the dataset version key was computed at
+	done    chan struct{}
+	resp    *Response
+	err     error
 }
 
 // worker is one executor: a (possibly shared, batcher-fronted) device
@@ -443,26 +444,38 @@ func (s *Service) FlushCaches() {
 	s.udfMemo.Flush()
 }
 
-// fingerprintFor resolves the request's cache key against the live
-// catalog (collection version for queries, source identity for sweeps).
-func (s *Service) fingerprintFor(req *Request) (string, error) {
+// versionOf is the dataset version the request's cache key folds in:
+// the collection's version for queries, the source's registration
+// generation for sweeps.
+func (s *Service) versionOf(req *Request) (uint64, error) {
 	if req.Infer != nil {
 		_, gen := s.source(req.Infer.Source)
-		return req.fingerprint(gen, s.cfg.ModelSeed), nil
+		return gen, nil
 	}
 	scol, err := s.shards.Collection(req.Collection)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	// The composite version folds every shard's version (and is the
 	// shard's own at one shard), so a write to any shard invalidates.
-	return req.fingerprint(scol.Version(), s.cfg.ModelSeed), nil
+	return scol.Version(), nil
 }
+
+// keyScratch is the room a cache key is built in on the stack: a
+// filter request's fingerprint tokens fit, a knn query vector's may
+// not.
+const keyScratch = 512
 
 // Query executes one request: result-cache lookup, in-flight coalescing,
 // bounded admission, parallel execution on a worker's device. It blocks
 // until the result is ready, ctx is done, or the service closes.
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
+	return s.query(ctx, &req)
+}
+
+// query is Query over a request the caller may reuse once it returns:
+// every task it queues runs on a clone.
+func (s *Service) query(ctx context.Context, req *Request) (*Response, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -490,9 +503,9 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	// tr is nil for untraced queries; every span operation on it is a
 	// no-op branch, keeping the hot path's instrumentation cost at two
 	// clock reads plus one histogram observe.
-	tr := s.tel.startTrace(&req)
+	tr := s.tel.startTrace(req)
 	req.tr = tr
-	resp, err := s.doQuery(ctx, &req, tr)
+	resp, err := s.doQuery(ctx, req, tr)
 	if err != nil {
 		if timeout > 0 && parent.Err() == nil &&
 			(errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded)) {
@@ -500,7 +513,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 		}
 		return nil, err
 	}
-	return s.tel.finishQuery(resp, &req, tr, time.Since(start)), nil
+	return s.tel.finishQuery(resp, req, tr, time.Since(start)), nil
 }
 
 // doQuery is Query's cache/coalesce/admit pipeline.
@@ -520,21 +533,29 @@ func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandl
 		plan.Attr("cache", "bypass").End()
 		return s.admit(ctx, req, &flight{done: make(chan struct{})})
 	}
-	key, err := s.fingerprintFor(req)
+	version, err := s.versionOf(req)
 	if err != nil {
 		plan.End()
 		return nil, err
 	}
+	// A hit probes the cache with the key's bytes; the key string is made
+	// only for a miss, which registers and stores under it.
+	var scratch [keyScratch]byte
+	kb := req.appendKey(scratch[:0], version, s.cfg.ModelSeed)
+	key := ""
 	for {
-		if v, ok := s.results.Get(key); ok {
+		if v, ok := s.results.GetBytes(kb); ok {
 			plan.Attr("cache", "hit").End()
 			return cachedResponse(v.(*Response), s), nil
+		}
+		if key == "" {
+			key = string(kb)
 		}
 		// Coalesce identical cold queries onto one execution.
 		s.flightMu.Lock()
 		fl, joined := s.inflight[key]
 		if !joined {
-			fl = &flight{key: key, done: make(chan struct{})}
+			fl = &flight{key: key, version: version, done: make(chan struct{})}
 			s.inflight[key] = fl
 		}
 		s.flightMu.Unlock()
@@ -589,7 +610,9 @@ func (s *Service) releaseAppendSlot() { <-s.appendSlots }
 // for the outcome. Admission is a FIFO of Config.QueueDepth: a full
 // queue rejects the task with ErrOverloaded, published to fl as well.
 func (s *Service) admit(ctx context.Context, req *Request, fl *flight) (*Response, error) {
-	t := &task{ctx: ctx, req: req, enq: time.Now(), fl: fl}
+	// The task may outlive the caller, whose request a pooled decoder
+	// reuses once the handler returns: the task runs on its own copy.
+	t := &task{ctx: ctx, req: req.clone(), enq: time.Now(), fl: fl}
 	// The queue send and the in-flight increment happen under statsMu so
 	// Stats observes them as one event (a task is never visible in the
 	// queue without being counted in flight, or vice versa).
@@ -678,16 +701,17 @@ func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 	ex.AttrInt("worker", int64(w.id)).End()
 	ex.Attr("plan", resp.Plan)
 	resp.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-	// The key names the dataset version it was computed at; the fragments
-	// snapshotted later. If an append landed in between, the response may
-	// hold rows newer than its key: still a correct answer, but not that
-	// key's — it goes out like a no_cache response, unnamed and uncached.
-	// The cache-store span times this check along with the insertion.
+	// The key names the dataset version it was computed at, which the
+	// flight records; the fragments snapshotted later. If an append
+	// landed in between, the response may hold rows newer than its key:
+	// still a correct answer, but not that key's — it goes out like a
+	// no_cache response, unnamed and uncached. The cache-store span times
+	// this check along with the insertion.
 	key := t.fl.key
 	var cs *obs.SpanHandle
 	if key != "" {
 		cs = tr.Begin("cache-store")
-		if cur, err := s.fingerprintFor(t.req); err != nil || cur != key {
+		if cur, err := s.versionOf(t.req); err != nil || cur != t.fl.version {
 			key = ""
 		}
 	}
