@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/balltree"
 	"repro/internal/bench"
+	"repro/internal/bench/lshablation"
 	"repro/internal/btree"
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -183,7 +184,7 @@ func BenchmarkAblationLSH(b *testing.B) {
 	e := sharedEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationLSH(e); err != nil {
+		if _, err := lshablation.Run(e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/bench"
+	"repro/internal/bench/lshablation"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 )
@@ -326,7 +327,7 @@ func runTable1(e *bench.Env) error {
 
 func runAblationLSH(e *bench.Env) error {
 	fmt.Println("\n## Ablation: exact ball tree vs approximate LSH on q4 matching (paper §7.3 future work)")
-	rows, err := bench.AblationLSH(e)
+	rows, err := lshablation.Run(e)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	idx, err := snap.VectorIndex("ghist", core.VecExact)
+	idx, err := snap.VectorIndex("ghist")
 	if err != nil {
 		return err
 	}

@@ -299,7 +299,7 @@ func Fig5Pipeline(e *Env) ([]Fig5Row, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if _, err := core.NewVectorIndex(snap, "ghist", core.VecExact); err != nil {
+	if _, err := core.NewVectorIndex(snap, "ghist"); err != nil {
 		return nil, err
 	}
 	idxCost["q1"] = time.Since(start)
@@ -569,7 +569,7 @@ func fig8Device(cfg dataset.Config, kind exec.Kind) ([]Fig8Row, error) {
 	}
 	start = time.Now()
 	pairs, err := core.SimilarityJoinBatched(e.DB, peds, peds, core.SimilarityJoinOpts{
-		LeftField: "emb", RightField: "emb", Eps: epsSameIdentity, DedupUnordered: true})
+		LeftField: "emb", RightField: "emb", Eps: EpsSameIdentity, DedupUnordered: true})
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +638,7 @@ func Table1Plans(e *Env) ([]Table1Row, error) {
 		return nil, err
 	}
 	opts := core.SimilarityJoinOpts{LeftField: "emb", RightField: "emb",
-		Eps: epsSameIdentity, DedupUnordered: true}
+		Eps: EpsSameIdentity, DedupUnordered: true}
 
 	// Plan A: Patch, Filter, Match.
 	startA := time.Now()
@@ -761,70 +761,6 @@ func (e *Env) q4ClusterAccuracy(clusters [][]*core.Patch) (recall, precision flo
 }
 
 // ------------------------------------------------------------ Ablations ----
-
-// AblationLSHRow compares exact ball-tree matching to approximate LSH on
-// the q4 matching step (§7.3's suggestion).
-type AblationLSHRow struct {
-	Method   string
-	Pairs    int
-	Recall   float64 // of the exact pair set
-	Duration time.Duration
-}
-
-// AblationLSH runs the q4 matching step with an on-the-fly exact ball
-// tree and with the collection's approximate-mode vector index (the LSH
-// index the server serves), reporting speed and pair recall.
-func AblationLSH(e *Env) ([]AblationLSHRow, error) {
-	col, err := e.DB.Collection(ColTrafficDets)
-	if err != nil {
-		return nil, err
-	}
-	peds, err := e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterScan)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.SimilarityJoinOpts{LeftField: "emb", RightField: "emb",
-		Eps: epsSameIdentity, DedupUnordered: true}
-	start := time.Now()
-	exact, err := core.SimilarityJoinOnTheFly(peds, peds, opts)
-	if err != nil {
-		return nil, err
-	}
-	exactDur := time.Since(start)
-	exactSet := map[[2]core.PatchID]bool{}
-	for _, p := range exact {
-		exactSet[[2]core.PatchID{p[0].ID, p[1].ID}] = true
-	}
-
-	snap, err := col.Current()
-	if err != nil {
-		return nil, err
-	}
-	vi, err := snap.VectorIndex("emb", core.VecApprox)
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	approx, _, err := core.SimilarityJoinVecIndexed(peds, vi, opts)
-	if err != nil {
-		return nil, err
-	}
-	lshDur := time.Since(start)
-	hit := 0
-	for _, p := range approx {
-		if exactSet[[2]core.PatchID{p[0].ID, p[1].ID}] {
-			hit++
-		}
-	}
-	lshRecall := 1.0
-	if len(exactSet) > 0 {
-		lshRecall = float64(hit) / float64(len(exactSet))
-	}
-	return []AblationLSHRow{
-		{Method: "balltree (exact)", Pairs: len(exact), Recall: 1, Duration: exactDur},
-		{Method: "lsh (approx)", Pairs: len(approx), Recall: lshRecall, Duration: lshDur},
-	}, nil
-}
 
 // AblationSegmentRow sweeps the segmented file's clip length (§7.1's
 // manually tuned granularity).

@@ -258,35 +258,6 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	e := newTestEnv(t)
-	lshRows, err := AblationLSH(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lshRows) != 2 || lshRows[1].Recall < 0.3 {
-		t.Fatalf("lsh ablation %+v", lshRows)
-	}
-	segRows, err := AblationSegment(tinyCfg(), []uint64{8, 64}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segRows) != 2 {
-		t.Fatalf("segment ablation rows = %d", len(segRows))
-	}
-	// Longer clips compress better (fewer I-frames).
-	if segRows[1].Bytes >= segRows[0].Bytes {
-		t.Fatalf("clip 64 (%d B) not smaller than clip 8 (%d B)", segRows[1].Bytes, segRows[0].Bytes)
-	}
-	bsRows, err := AblationBuildSide(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bsRows) != 2 || bsRows[0].Pairs != bsRows[1].Pairs {
-		t.Fatalf("build-side ablation %+v", bsRows)
-	}
-}
-
 func TestAblationKDTreeShape(t *testing.T) {
 	rows, err := AblationKDTree([]int{4, 64}, 3000, 200, 1)
 	if err != nil {

@@ -41,8 +41,9 @@ type QueryResult struct {
 const (
 	// q1: near-duplicate threshold on whole-image embeddings.
 	epsNearDup = 0.066
-	// q4: same-pedestrian threshold on detection embeddings.
-	epsSameIdentity = 0.15
+	// EpsSameIdentity is q4's same-pedestrian threshold on detection
+	// embeddings.
+	EpsSameIdentity = 0.15
 	// q6: required depth separation for "behind".
 	depthGap = 1.0
 )
@@ -68,7 +69,7 @@ func (e *Env) Q1(useIndex bool) (QueryResult, error) {
 	// (§7.2 separates it from query time; Figure 5 adds it back).
 	var vi *core.VectorIndex
 	if useIndex {
-		if vi, err = snap.VectorIndex("ghist", core.VecExact); err != nil {
+		if vi, err = snap.VectorIndex("ghist"); err != nil {
 			return QueryResult{}, err
 		}
 	}
@@ -303,7 +304,7 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 		return QueryResult{}, err
 	}
 	opts := core.SimilarityJoinOpts{LeftField: "emb", RightField: "emb",
-		Eps: epsSameIdentity, DedupUnordered: true}
+		Eps: EpsSameIdentity, DedupUnordered: true}
 	if useIndex {
 		// Tuned physical design (amortized, as in Figure 4): materialize
 		// the pedestrian view and build a ball tree (its exact-mode vector
@@ -317,7 +318,7 @@ func (e *Env) Q4(useIndex bool) (QueryResult, error) {
 		if err != nil {
 			return QueryResult{}, err
 		}
-		vi, err := snap.VectorIndex("emb", core.VecExact)
+		vi, err := snap.VectorIndex("emb")
 		if err != nil {
 			return QueryResult{}, err
 		}

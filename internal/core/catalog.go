@@ -455,8 +455,8 @@ type Collection struct {
 	colMu    sync.Mutex
 	colStore *ColumnStore
 
-	// vecMu guards the cached vector indexes, keyed field + "/" + mode
-	// (built lazily by Snapshot.VectorIndex, maintained like colStore).
+	// vecMu guards the cached vector indexes, keyed by field (built
+	// lazily by Snapshot.VectorIndex, maintained like colStore).
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
 

@@ -393,7 +393,7 @@ func TestSimilarityJoinMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vi, err := snap.VectorIndex("emb", VecExact)
+	vi, err := snap.VectorIndex("emb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSimilarityJoinVecIndexedOverSnapshotBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vi, err := old.VectorIndex("emb", VecExact)
+	vi, err := old.VectorIndex("emb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestSimilarityJoinVecIndexedOverSnapshotBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cur.VectorIndex("emb", VecExact); err != nil { // extends the cached index
+	if _, err := cur.VectorIndex("emb"); err != nil { // extends the cached index
 		t.Fatal(err)
 	}
 	if db.RefreshStats().VectorExtends != 1 || vi.Len() != n {

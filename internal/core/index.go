@@ -10,7 +10,7 @@ import (
 // tree). Both kinds probe one structure: the sort order each sealed
 // segment of the field's column keeps (see Column.order), binary-searched
 // for an equality run or a range's bounds. The multidimensional access
-// methods are VectorIndex's modes (ball tree exact, LSH approximate).
+// method is VectorIndex's exact ball tree.
 // The page-file B+ tree and hash index (internal/btree,
 // internal/hashidx) and the R-tree (internal/rtree) are timed by Figure
 // 6's index-build experiment and back no core operator.

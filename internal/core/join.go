@@ -35,7 +35,7 @@ type SimilarityJoinOpts struct {
 func (s Snapshot) SimilarityJoin(m SimMethod, left, right []*Patch, opts SimilarityJoinOpts) ([]Tuple, error) {
 	switch m {
 	case SimVecIndexed:
-		vi, err := s.VectorIndex(opts.RightField, VecExact)
+		vi, err := s.VectorIndex(opts.RightField)
 		if err != nil {
 			return nil, err
 		}
@@ -172,10 +172,9 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 // SimilarityJoinVecIndexed probes a maintained vector index (see
 // Snapshot.VectorIndex), extended incrementally on append instead of
 // rebuilt per version; the right rows are those of the index's own
-// snapshot. With an exact-mode index the pair set is identical to the
-// all-pairs methods over those rows; an approximate-mode index returns
-// a subset of it. It also returns the distances the probes evaluated
-// (the sum of RangeSearch's counts).
+// snapshot. The pair set is identical to the all-pairs methods over
+// those rows. It also returns the distances the probes evaluated (the
+// sum of RangeSearch's counts).
 func SimilarityJoinVecIndexed(left []*Patch, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, int, error) {
 	var out []Tuple
 	var ferr error

@@ -135,35 +135,20 @@ func (m KNNMethod) String() string {
 	}
 }
 
-// ANNDefaultRecall is the recall the approximate index shape
-// (vecLSHTables x vecLSHBits) is tuned to deliver on clustered
-// embedding workloads; a request with a recall floor above it forces
-// the exact path.
-const ANNDefaultRecall = 0.95
-
-// knnCandFrac estimates the fraction of the relation an LSH probe
-// verifies exactly (expected candidate-union size / n).
-const knnCandFrac = 0.05
-
-// KNNPlan is the optimizer's physical choice for a kNN query.
+// KNNPlan is the optimizer's physical choice for a kNN query. Both
+// methods return the brute-force answer.
 type KNNPlan struct {
-	Method KNNMethod
-	// Mode is the index access mode when Method == KNNIndex: exact
-	// (balltree, brute-force-identical results) or approx (LSH,
-	// recall-bounded).
-	Mode    VecIndexMode
+	Method  KNNMethod
 	EstCost float64
 }
 
 // PlanKNN picks the physical path for a k-nearest-neighbor query over
-// the snapshot's vectors under field, of dimensionality dim. exact
-// forces results identical to the brute-force scan; recallFloor sets the
-// minimum acceptable recall (0 = no floor) — above what the LSH shape
-// promises, the planner stays exact. forceIndex pins the index path
+// the snapshot's vectors under field, of dimensionality dim: the scan or
+// the exact tree, whichever evaluates fewer distances, the tree priced
+// from the shard's tree statistic at k. forceIndex pins the index path
 // regardless of cost (the physical knob mirroring FilterSpec.UseIndex).
-// The exact tree is priced from the shard's tree statistic at k.
-func (s Snapshot) PlanKNN(field string, dim, k int, exact bool, recallFloor float64, forceIndex bool) KNNPlan {
-	return planKNN(s.Len(), dim, k, exact, recallFloor, forceIndex, s.treeStat(field, k).probe)
+func (s Snapshot) PlanKNN(field string, dim, k int, forceIndex bool) KNNPlan {
+	return planKNN(s.Len(), dim, k, forceIndex, s.treeStat(field, k).probe)
 }
 
 // CostModel is the kNN planner with no data statistic: it prices the
@@ -171,30 +156,22 @@ func (s Snapshot) PlanKNN(field string, dim, k int, exact bool, recallFloor floa
 type CostModel struct{}
 
 // PlanKNN is Snapshot.PlanKNN over n vectors, with the tree priced as a
-// scan.
+// scan. Every plan is exact, so exact and recallFloor are ignored.
 func (*CostModel) PlanKNN(n, dim, k int, exact bool, recallFloor float64, forceIndex bool) KNNPlan {
-	return planKNN(n, dim, k, exact, recallFloor, forceIndex, scanStat.probe)
+	return planKNN(n, dim, k, forceIndex, scanStat.probe)
 }
 
-// planKNN prices the kNN paths over n rows, an exact tree probe
-// evaluating treeFrac·n distances, and picks the cheapest the request
-// allows (the scan on a tie).
-func planKNN(n, dim, k int, exact bool, recallFloor float64, forceIndex bool, treeFrac float64) KNNPlan {
+// planKNN prices the scan and an exact tree probe evaluating treeFrac·n
+// distances over n rows, and picks the cheaper (the scan on a tie).
+func planKNN(n, dim, k int, forceIndex bool, treeFrac float64) KNNPlan {
 	nf, df, kf := float64(n), float64(dim), float64(k)
 	c := distDimSec[exec.CPU]
 	scanCost := nf*df*c + kf*fetchSec
 	exactCost := treeFrac*nf*df*c + kf*fetchSec
-	hashCost := float64(vecLSHTables*vecLSHBits) * df * c
-	approxCost := hashCost + knnCandFrac*nf*df*c + kf*fetchSec
-
-	best := KNNPlan{Method: KNNScan, EstCost: scanCost}
-	if forceIndex || exactCost < best.EstCost {
-		best = KNNPlan{Method: KNNIndex, Mode: VecExact, EstCost: exactCost}
+	if forceIndex || exactCost < scanCost {
+		return KNNPlan{Method: KNNIndex, EstCost: exactCost}
 	}
-	if !exact && recallFloor <= ANNDefaultRecall && approxCost < best.EstCost {
-		best = KNNPlan{Method: KNNIndex, Mode: VecApprox, EstCost: approxCost}
-	}
-	return best
+	return KNNPlan{Method: KNNScan, EstCost: scanCost}
 }
 
 // CacheAwareCost folds a result cache in front of a plan into its

@@ -87,31 +87,27 @@ func TestFilterMethodStrings(t *testing.T) {
 	}
 }
 
-// TestPlanKNNStatic: the kNN planner's rules — a tree priced as a scan
-// loses the tie to the scan, forceIndex pins the index, an exact request
-// never takes the approx mode, nor does one above its recall — and the
-// statistic-free CostModel prices the tree as a scan.
+// TestPlanKNNStatic: the kNN planner's rules — a pruning tree beats the
+// scan, a tree priced as a scan loses the tie to it, forceIndex pins the
+// index — and the statistic-free CostModel prices the tree as a scan
+// whatever exactness or recall floor it is handed.
 func TestPlanKNNStatic(t *testing.T) {
 	const n, dim, k = 200000, 64, 10
-	if p := planKNN(n, dim, k, true, 0, false, 0.5); p.Method != KNNIndex || p.Mode != VecExact {
-		t.Fatalf("exact plan over a pruning tree = %v/%v, want index/exact", p.Method, p.Mode)
+	if p := planKNN(n, dim, k, false, 0.5); p.Method != KNNIndex {
+		t.Fatalf("plan over a pruning tree = %v, want knn-index", p.Method)
 	}
-	if p := planKNN(n, dim, k, true, 0, false, 1); p.Method != KNNScan {
-		t.Fatalf("exact plan over a tree priced as a scan = %v, want knn-scan", p.Method)
+	if p := planKNN(n, dim, k, false, 1); p.Method != KNNScan {
+		t.Fatalf("plan over a tree priced as a scan = %v, want knn-scan", p.Method)
 	}
-	if p := planKNN(n, dim, k, true, 0, true, 1.2); p.Method != KNNIndex || p.Mode != VecExact {
-		t.Fatalf("forceIndex plan = %v/%v, want index/exact", p.Method, p.Mode)
-	}
-	// Approx is the cheapest path here, so the exact plans above show an
-	// exact request never takes it; nor does one above its recall.
-	if p := planKNN(n, dim, k, false, 0, false, 0.5); p.Method != KNNIndex || p.Mode != VecApprox {
-		t.Fatalf("approximate plan = %v/%v, want index/approx", p.Method, p.Mode)
-	}
-	if p := planKNN(n, dim, k, false, 0.99, false, 0.5); p.Mode == VecApprox {
-		t.Fatal("approx mode chosen above its recall")
+	if p := planKNN(n, dim, k, true, 1.2); p.Method != KNNIndex {
+		t.Fatalf("forceIndex plan = %v, want knn-index", p.Method)
 	}
 	var cm CostModel
-	if p, q := cm.PlanKNN(n, dim, k, true, 0, false), planKNN(n, dim, k, true, 0, false, 1); p != q {
-		t.Fatalf("CostModel plan %+v, want the scan-priced %+v", p, q)
+	for _, exact := range []bool{false, true} {
+		for _, floor := range []float64{0, 0.5, 0.99} {
+			if p, q := cm.PlanKNN(n, dim, k, exact, floor, false), planKNN(n, dim, k, false, 1); p != q {
+				t.Fatalf("CostModel plan (exact %v, floor %g) %+v, want the scan-priced %+v", exact, floor, p, q)
+			}
+		}
 	}
 }

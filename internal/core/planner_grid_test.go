@@ -89,12 +89,12 @@ func TestPlanKNNGridCounts(t *testing.T) {
 			snaps := appendVecs(t, col, gridVecs(rng, sizes[len(sizes)-1], dim, centres), sizes...)
 			qs := gridVecs(rng, queries, dim, centres)
 			for i, snap := range snaps {
-				vi, err := snap.VectorIndex("emb", VecExact)
+				vi, err := snap.VectorIndex("emb")
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 10, 64} {
-					plan := snap.PlanKNN("emb", dim, k, true, 0, false)
+					plan := snap.PlanKNN("emb", dim, k, false)
 					before := db.RefreshStats()
 					for _, q := range qs {
 						vi.KNN(q, k)
@@ -204,7 +204,7 @@ func TestPlanJoinGridCounts(t *testing.T) {
 		for _, nR := range sides {
 			var vi *VectorIndex
 			if nR == shard {
-				if vi, err = rsnap.VectorIndex("emb", VecExact); err != nil {
+				if vi, err = rsnap.VectorIndex("emb"); err != nil {
 					t.Fatal(err)
 				}
 			}

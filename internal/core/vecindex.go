@@ -1,23 +1,21 @@
 package core
 
-// VectorIndex is the ANN physical path's core structure: a
+// VectorIndex is the kNN physical path's core structure: a
 // per-collection, versioned nearest-neighbor index over one declared
 // vector field, maintained exactly like the columnar projection —
-// cached per (field, mode) on the collection, reused while the version
-// stands, extended by the rows appended past the ones it covers, rebuilt
-// on first touch or when an extension cannot keep its shape. A stale index
+// cached per field on the collection, reused while the version stands,
+// extended by the rows appended past the ones it covers, rebuilt on
+// first touch or when an extension cannot keep its shape. A stale index
 // can never serve a newer snapshot: the cached entry is keyed by the
 // version it was built over and only the exact-version match is
 // returned.
 //
-// Two modes share the interface. Exact mode is balltree-backed and
-// returns precisely the brute-force answer (k nearest by Euclidean
-// distance, ties broken by ascending patch id — the byte-identity
-// contract the serving layer's golden tests pin). Approximate mode is
-// LSH-backed: probes verify candidates with exact distances, so
-// reported distances are always true, but a neighbor sharing no hash
-// bucket with the query is missed — recall, not precision, is the
-// approximation.
+// The index is a ball tree over the rows it was built on plus a linear
+// tail of rows appended since, and returns precisely the brute-force
+// answer (k nearest by Euclidean distance, ties broken by ascending
+// patch id — the byte-identity contract the serving layer's golden
+// tests pin). Approximate matching (LSH) is not a serving path; it
+// survives only as the paper's ablation in internal/bench/lshablation.
 
 import (
 	"cmp"
@@ -28,37 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/balltree"
-	"repro/internal/lsh"
-)
-
-// VecIndexMode selects the vector-index access method.
-type VecIndexMode int
-
-// Vector index modes.
-const (
-	VecExact  VecIndexMode = iota + 1 // balltree: results identical to brute force
-	VecApprox                         // LSH: recall-bounded approximation, exact distances
-)
-
-func (m VecIndexMode) String() string {
-	switch m {
-	case VecExact:
-		return "exact"
-	case VecApprox:
-		return "approx"
-	default:
-		return fmt.Sprintf("vecmode(%d)", int(m))
-	}
-}
-
-// LSH shape for approximate vector indexes: few hash bits keep buckets
-// populous (recall over precision), multiple tables patch the residual
-// misses. Probes verify candidates exactly, so low precision costs only
-// distance computations, never wrong answers.
-const (
-	vecLSHTables = 8
-	vecLSHBits   = 12
-	vecLSHSeed   = 42
 )
 
 // exactTailMax bounds the un-treed append tail of an exact index: an
@@ -69,7 +36,7 @@ const exactTailMax = 256
 
 // VecDist is the vector-index distance metric (Euclidean). Every
 // consumer of the index — brute-force reference paths included — must
-// compute distances through this one function so exact mode stays
+// compute distances through this one function so the index stays
 // byte-identical to the scan it replaces.
 func VecDist(a, b []float32) float64 { return balltree.Dist(a, b) }
 
@@ -98,14 +65,13 @@ type VecNeighbor struct {
 // VectorIndex indexes one vector field of one collection snapshot.
 type VectorIndex struct {
 	field string
-	mode  VecIndexMode
 	dim   int
 	at    Snapshot // the rows covered: an extension indexes the ones past them
 
-	// Exact mode: a balltree over pts[:treeN] plus a linear tail
-	// pts[treeN:] of appended points not yet re-treed. An extension
-	// shares pts' prefix and only ever writes past len(pts), so readers
-	// of an older index never see their slice mutate (see appendPts).
+	// A balltree over pts[:treeN] plus a linear tail pts[treeN:] of
+	// appended points not yet re-treed. An extension shares pts' prefix
+	// and only ever writes past len(pts), so readers of an older index
+	// never see their slice mutate (see appendPts).
 	pts   []balltree.Point
 	treeN int
 	ball  *balltree.Tree
@@ -114,48 +80,24 @@ type VectorIndex struct {
 	// append into the spare capacity of pts; any later one copies.
 	extended atomic.Bool
 
-	// Approximate mode.
-	lshI *lsh.Index
-
-	// evals, when set, counts exact probes' distance evaluations.
+	// evals, when set, counts probes' distance evaluations.
 	evals *atomic.Int64
 }
 
 // NewVectorIndex builds an index over field across the snapshot's rows.
 // Rows without the field, and rows whose vector dimensionality
-// disagrees with the first one seen, are skipped: both the ball tree
-// and the LSH tables index one dimensionality.
-func NewVectorIndex(at Snapshot, field string, mode VecIndexMode) (*VectorIndex, error) {
-	vi := &VectorIndex{field: field, mode: mode, at: at, pts: fieldPoints(at.rows, field, at.Len())}
+// disagrees with the first one seen, are skipped: the ball tree indexes
+// one dimensionality.
+func NewVectorIndex(at Snapshot, field string) (*VectorIndex, error) {
+	vi := &VectorIndex{field: field, at: at, pts: fieldPoints(at.rows, field, at.Len())}
 	if len(vi.pts) > 0 {
 		vi.dim = len(vi.pts[0].Vec)
 	}
-	switch mode {
-	case VecExact:
-		t, err := balltree.Build(vi.pts)
-		if err != nil {
-			return nil, err
-		}
-		vi.ball = t
-		vi.treeN = len(vi.pts)
-	case VecApprox:
-		dim := vi.dim
-		if dim == 0 {
-			dim = 1 // empty index; Extend rebuilds when vectors appear
-		}
-		ix, err := lsh.New(dim, vecLSHTables, vecLSHBits, vecLSHSeed)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range vi.pts {
-			if err := ix.Insert(lsh.Point(p)); err != nil {
-				return nil, err
-			}
-		}
-		vi.lshI = ix
-	default:
-		return nil, fmt.Errorf("core: unknown vector index mode %v", mode)
+	t, err := balltree.Build(vi.pts)
+	if err != nil {
+		return nil, err
 	}
+	vi.ball, vi.treeN = t, len(vi.pts)
 	return vi, nil
 }
 
@@ -175,12 +117,11 @@ func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
 
 // Extend returns a new index covering at — which must hold the
 // receiver's rows followed by appended ones. Readers holding the
-// receiver stay consistent: nothing they read is written. Exact mode
-// appends to the linear tail and re-trees only when the tail
-// outgrows its bound; approximate mode shares the hyperplanes and
-// copies only the bucket maps. Returns an error when the extension
-// cannot preserve the index shape (first vectors appearing, or a
-// dimensionality change); the caller falls back to a full rebuild.
+// receiver stay consistent: nothing they read is written. It appends
+// to the linear tail and re-trees only when the tail outgrows its
+// bound. Returns an error when the extension cannot preserve the index
+// shape (first vectors appearing, or a dimensionality change); the
+// caller falls back to a full rebuild.
 func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 	var newPts []balltree.Point
 	for _, p := range at.rows[vi.at.Len():] {
@@ -191,29 +132,16 @@ func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 			newPts = append(newPts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
 		}
 	}
-	nx := &VectorIndex{field: vi.field, mode: vi.mode, dim: vi.dim, at: at}
-	switch vi.mode {
-	case VecExact:
-		nx.pts = vi.appendPts(newPts)
-		nx.ball, nx.treeN = vi.ball, vi.treeN
-		if tail := len(nx.pts) - nx.treeN; tail > exactTailMax && tail*4 > nx.treeN {
-			// Build partitions a copy of its input, never the prefix older
-			// indexes share.
-			t, err := balltree.Build(nx.pts)
-			if err != nil {
-				return nil, err
-			}
-			nx.ball, nx.treeN = t, len(nx.pts)
-		}
-	case VecApprox:
-		ext, err := vi.lshI.Extend(toLSHPoints(newPts))
+	nx := &VectorIndex{field: vi.field, dim: vi.dim, at: at,
+		pts: vi.appendPts(newPts), ball: vi.ball, treeN: vi.treeN}
+	if tail := len(nx.pts) - nx.treeN; tail > exactTailMax && tail*4 > nx.treeN {
+		// Build partitions a copy of its input, never the prefix older
+		// indexes share.
+		t, err := balltree.Build(nx.pts)
 		if err != nil {
 			return nil, err
 		}
-		nx.pts = vi.appendPts(newPts)
-		nx.lshI = ext
-	default:
-		return nil, fmt.Errorf("core: unknown vector index mode %v", vi.mode)
+		nx.ball, nx.treeN = t, len(nx.pts)
 	}
 	return nx, nil
 }
@@ -230,50 +158,25 @@ func (vi *VectorIndex) appendPts(add []balltree.Point) []balltree.Point {
 	return append(vi.pts[:len(vi.pts):len(vi.pts)], add...)
 }
 
-func toLSHPoints(pts []balltree.Point) []lsh.Point {
-	out := make([]lsh.Point, len(pts))
-	for i, p := range pts {
-		out[i] = lsh.Point(p)
-	}
-	return out
-}
-
 // Field returns the indexed vector field.
 func (vi *VectorIndex) Field() string { return vi.field }
 
-// Mode returns the access method.
-func (vi *VectorIndex) Mode() VecIndexMode { return vi.mode }
-
 // Len returns the number of indexed vectors.
-func (vi *VectorIndex) Len() int {
-	if vi.mode == VecApprox {
-		return vi.lshI.Len()
-	}
-	return len(vi.pts)
-}
+func (vi *VectorIndex) Len() int { return len(vi.pts) }
 
 // Dim returns the indexed dimensionality (0 when no vectors were seen).
 func (vi *VectorIndex) Dim() int { return vi.dim }
 
 // KNN returns the k nearest indexed vectors to q in ascending
-// (distance, id) order. Exact mode returns precisely the brute-force
-// answer under that ordering; approximate mode returns the best of the
-// LSH candidate union (possibly fewer than k).
+// (distance, id) order: precisely the brute-force answer under that
+// ordering.
 func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 	if k <= 0 {
 		return nil
 	}
-	if vi.mode == VecApprox {
-		ns := vi.lshI.KNN(q, k)
-		out := make([]VecNeighbor, len(ns))
-		for i, n := range ns {
-			out[i] = VecNeighbor{ID: PatchID(n.Point.ID), Dist: n.Dist}
-		}
-		return out
-	}
-	// Exact: one bounded pass. The tree skips a ball only when it cannot
-	// hold a point tying the keeper's worst, so the kept set is the
-	// canonical top-k whatever order the points arrive in.
+	// One bounded pass. The tree skips a ball only when it cannot hold a
+	// point tying the keeper's worst, so the kept set is the canonical
+	// top-k whatever order the points arrive in.
 	keep := newNeighborKeep(k, len(vi.pts))
 	tail := vi.pts[vi.treeN:]
 	for _, p := range tail {
@@ -293,16 +196,10 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 }
 
 // RangeSearch calls fn for every indexed vector within eps of q
-// (inclusive). Exact mode visits every true match; approximate mode
-// only those in the candidate union. fn returning false stops the
-// search. Visit order is unspecified. Returns the distances evaluated
-// (balls, tail rows or candidates, each tested once).
+// (inclusive), every true match. fn returning false stops the search.
+// Visit order is unspecified. Returns the distances evaluated (balls
+// and tail rows, each tested once).
 func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID, dist float64) bool) int {
-	if vi.mode == VecApprox {
-		return vi.lshI.RangeSearch(q, eps, func(p lsh.Point, d float64) bool {
-			return fn(PatchID(p.ID), d)
-		})
-	}
 	stopped := false
 	evals := 0
 	if vi.ball != nil {
@@ -361,7 +258,7 @@ func (t *neighborKeep) bound() float64 {
 	return t.h[0].Dist
 }
 
-// BruteKNN is the reference scan exact mode must match byte for byte:
+// BruteKNN is the reference scan the index must match byte for byte:
 // the k nearest vectors under field across ps, ascending (distance,
 // id), distances through VecDist. Rows without the field (or with a
 // dimensionality mismatch against the query) are skipped.
@@ -395,22 +292,22 @@ func bruteKNN(ps []*Patch, field string, q []float32, k int) ([]VecNeighbor, int
 	return keep.h, evals
 }
 
-// VectorIndex returns a vector index over field in the given mode,
-// current exactly as of the snapshot — the one the caller executes
-// over, so index contents and query visibility can never skew. The
-// index is cached per (field, mode) on the collection and maintained
-// like the column store (see refreshCached): reused while the version
-// matches, extended by the rows the snapshot holds past the cached
-// index's, built privately for a reader behind it.
-func (s Snapshot) VectorIndex(field string, mode VecIndexMode) (*VectorIndex, error) {
-	c, key := s.col, field+"/"+mode.String()
+// VectorIndex returns a vector index over field, current exactly as of
+// the snapshot — the one the caller executes over, so index contents
+// and query visibility can never skew. The index is cached per field on
+// the collection and maintained like the column store (see
+// refreshCached): reused while the version matches, extended by the
+// rows the snapshot holds past the cached index's, built privately for
+// a reader behind it.
+func (s Snapshot) VectorIndex(field string) (*VectorIndex, error) {
+	c := s.col
 	vi, _, err := refreshCached(&c.vecMu,
-		func() *VectorIndex { return c.vecIdx[key] },
+		func() *VectorIndex { return c.vecIdx[field] },
 		func(vi *VectorIndex) {
 			if c.vecIdx == nil {
 				c.vecIdx = make(map[string]*VectorIndex)
 			}
-			c.vecIdx[key] = vi
+			c.vecIdx[field] = vi
 		},
 		s,
 		func(prefix *VectorIndex) (*VectorIndex, Refresh, error) {
@@ -423,7 +320,7 @@ func (s Snapshot) VectorIndex(field string, mode VecIndexMode) (*VectorIndex, er
 					return vi, RefreshExtend, nil
 				}
 			}
-			vi, err := NewVectorIndex(s, field, mode)
+			vi, err := NewVectorIndex(s, field)
 			if err == nil {
 				c.db.refresh.vecRebuilds.Add(1)
 				vi.evals = &c.db.refresh.knnIndexEvals
@@ -433,10 +330,17 @@ func (s Snapshot) VectorIndex(field string, mode VecIndexMode) (*VectorIndex, er
 	return vi, err
 }
 
+// VecIndexMode names a vector index's access method in the benchmark
+// harness's VectorIndexAt calls; VecExact is its only value.
+type VecIndexMode int
+
+// VecExact is the ball-tree index, whose answers equal the brute scan's.
+const VecExact VecIndexMode = 1
+
 // VectorIndexAt is Snapshot.VectorIndex over the rows ps at version
-// ver, for the benchmark harness.
-func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, mode VecIndexMode) (*VectorIndex, error) {
-	return Snapshot{c, ps, ver}.VectorIndex(field, mode)
+// ver, for the benchmark harness. The mode is ignored.
+func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, _ VecIndexMode) (*VectorIndex, error) {
+	return Snapshot{c, ps, ver}.VectorIndex(field)
 }
 
 func (vi *VectorIndex) covers() Snapshot {
@@ -500,7 +404,7 @@ func (s Snapshot) treeStat(field string, k int) treeStat {
 	}
 	t, _ := balltree.Build(tree) // one dimensionality: cannot fail
 	var evals atomic.Int64
-	vi := &VectorIndex{mode: VecExact, pts: tree, treeN: len(tree), ball: t, evals: &evals}
+	vi := &VectorIndex{pts: tree, treeN: len(tree), ball: t, evals: &evals}
 	for _, p := range probes {
 		vi.KNN(p.Vec, key.k)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -15,10 +14,10 @@ import (
 	"repro/internal/exec"
 )
 
-// Vector-index contract tests: exact mode byte-identical to the brute
-// scan (tie boundaries and extended-tail states included), approximate
-// mode recall-bounded against the brute golden, and the maintenance
-// counters distinguishing extensions by appended rows from rebuilds.
+// Vector-index contract tests: the index byte-identical to the brute
+// scan (tie boundaries and extended-tail states included), and the
+// maintenance counters distinguishing extensions by appended rows from
+// rebuilds.
 
 // vecStats is db's vector-index maintenance record: extends, rebuilds.
 func vecStats(db *DB) (extends, rebuilds int64) {
@@ -94,7 +93,7 @@ func TestVectorIndexExactMatchesBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := snap.VectorIndex("emb", VecExact)
+		vi, err := snap.VectorIndex("emb")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +154,7 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 	const dim, clusters, base = 8, 7, 600
 	for round := 0; round < 4; round++ {
 		snap0 := vecTestRows(0, base, 1, dim, clusters)
-		vi0, err := NewVectorIndex(snapshotOf(snap0, 1), "emb", VecExact)
+		vi0, err := NewVectorIndex(snapshotOf(snap0, 1), "emb")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +220,7 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	}
 	const dim, clusters, base, step, steps = 8, 7, 12_000, 64, 32
 	ps := vecTestRows(0, base+step*steps, 1, dim, clusters)
-	vi, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb", VecExact)
+	vi, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,62 +243,6 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	}
 }
 
-// TestVectorIndexLSHRecall: the approximate mode's recall against the
-// brute golden stays at or above the default floor across
-// dimensionalities and collection sizes. Recall is tie-tolerant: any
-// returned neighbor no farther than the golden kth distance counts.
-func TestVectorIndexLSHRecall(t *testing.T) {
-	const k, queries = 10, 20
-	for _, tc := range []struct{ rows, dim, clusters int }{
-		{500, 8, 7},
-		{2000, 8, 24},
-		{1200, 32, 16},
-		{3000, 32, 48},
-	} {
-		t.Run(fmt.Sprintf("n%d_d%d", tc.rows, tc.dim), func(t *testing.T) {
-			_, col := vecTestCollection(t, tc.rows, tc.dim, tc.clusters)
-			snap, err := col.Current()
-			if err != nil {
-				t.Fatal(err)
-			}
-			vi, err := snap.VectorIndex("emb", VecApprox)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hits, want := 0, 0
-			for qi := 0; qi < queries; qi++ {
-				q := vecTestQuery(qi, tc.dim, tc.clusters)
-				golden := BruteKNN(snap.rows, "emb", q, k)
-				if len(golden) == 0 {
-					continue
-				}
-				dk := golden[len(golden)-1].Dist
-				want += len(golden)
-				for _, n := range vi.KNN(q, k) {
-					if n.Dist > dk {
-						t.Fatalf("q%d: approx neighbor %d reports dist %g beyond its own rank window %g while claiming top-%d",
-							qi, n.ID, n.Dist, dk, k)
-					}
-					hits++
-					// Approximate distances must still be exact.
-					p, err := col.Get(n.ID)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := VecDist(metaVal(p, "emb").Vec(), q); d != n.Dist {
-						t.Fatalf("q%d: neighbor %d reported dist %g, true dist %g", qi, n.ID, n.Dist, d)
-					}
-				}
-			}
-			recall := float64(hits) / float64(want)
-			t.Logf("n=%d d=%d: measured recall %.3f", tc.rows, tc.dim, recall)
-			if recall < ANNDefaultRecall {
-				t.Fatalf("recall %.3f below the %.2f floor", recall, ANNDefaultRecall)
-			}
-		})
-	}
-}
-
 // TestVectorIndexMaintenanceCounters: version-stable reuse costs
 // nothing, appends extend, first touches rebuild, and a reader behind
 // the cached index builds a private one without evicting it.
@@ -312,7 +255,7 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := snap.VectorIndex("emb", VecExact)
+		vi, err := snap.VectorIndex("emb")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +288,7 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 		t.Fatalf("extended index covers %d of %d rows", vi3.Len(), snap3.Len())
 	}
 
-	behind, err := snap1.VectorIndex("emb", VecExact) // reader behind: private build
+	behind, err := snap1.VectorIndex("emb") // reader behind: private build
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,17 +300,6 @@ func TestVectorIndexMaintenanceCounters(t *testing.T) {
 		t.Fatal("a reader behind evicted the cached index")
 	}
 
-	// A second mode is its own cache entry and build.
-	snap, err := col.Current()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.VectorIndex("emb", VecApprox); err != nil {
-		t.Fatal(err)
-	}
-	if e, r := vecStats(db); e != e0+1 || r != r0+3 {
-		t.Fatalf("approx first touch: extends %d rebuilds %d, want %d/%d", e, r, e0+1, r0+3)
-	}
 }
 
 // scanRange is the reference RangeSearch answer: every row of snap whose
@@ -414,7 +346,7 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := snap.VectorIndex("emb", VecExact)
+		vi, err := snap.VectorIndex("emb")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,69 +412,6 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 	check("re-treed", false)
 }
 
-// TestVectorIndexApproxDistancesExact: approximate mode computes its
-// distances inline (inside lsh), yet KNN and RangeSearch report exactly
-// VecDist's bits, fresh and extended — the property that lets a sharded
-// kNN gather merge approximate fragments by distance without
-// re-verifying them.
-func TestVectorIndexApproxDistancesExact(t *testing.T) {
-	const dim, clusters = 32, 16
-	_, col := vecTestCollection(t, 1200, dim, clusters)
-	check := func(stage string) {
-		t.Helper()
-		snap, err := col.Current()
-		if err != nil {
-			t.Fatal(err)
-		}
-		vi, err := snap.VectorIndex("emb", VecApprox)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecs := make(map[PatchID][]float32, snap.Len())
-		for _, p := range snap.rows {
-			vecs[p.ID] = metaVal(p, "emb").Vec()
-		}
-		same := func(what string, id PatchID, d float64, q []float32) {
-			t.Helper()
-			if want := VecDist(vecs[id], q); math.Float64bits(d) != math.Float64bits(want) {
-				t.Fatalf("%s: %s reports row %d at %v, VecDist %v", stage, what, id, d, want)
-			}
-		}
-		knn, ranged := 0, 0
-		for qi := 0; qi < 12; qi++ {
-			// Jitter every dimension so distances are not float32 values
-			// (an off-grid shift in one dimension alone can leave them so).
-			q := vecTestQuery(qi, dim, clusters)
-			for d := range q {
-				q[d] += float32((d*7+qi)%5-2) * 0.0123
-			}
-			for _, n := range vi.KNN(q, 25) {
-				same("KNN", n.ID, n.Dist, q)
-				knn++
-			}
-			eps := BruteKNN(snap.rows, "emb", q, 25)[24].Dist
-			vi.RangeSearch(q, eps, func(id PatchID, d float64) bool {
-				if d > eps {
-					t.Fatalf("%s: RangeSearch row %d at %v beyond eps %v", stage, id, d, eps)
-				}
-				same("RangeSearch", id, d, q)
-				ranged++
-				return true
-			})
-		}
-		if knn == 0 || ranged == 0 {
-			t.Fatalf("%s: vacuous (%d KNN rows, %d RangeSearch rows)", stage, knn, ranged)
-		}
-	}
-	check("fresh build")
-	for i := 1200; i < 1300; i++ {
-		if err := col.Append(vecTestPatch(i, dim, clusters)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("extended")
-}
-
 // sortedKNN is the fuzz reference, independent of the keeper that exact
 // probes and BruteKNN share: every row's distance, all of them sorted by
 // (distance, id), trimmed to k.
@@ -594,12 +463,12 @@ func FuzzVectorIndexKNNMatchesSort(f *testing.F) {
 			}
 			ps[i] = p
 		}
-		vi, err := NewVectorIndex(snapshotOf(ps[:split], 1), "emb", VecExact)
+		vi, err := NewVectorIndex(snapshotOf(ps[:split], 1), "emb")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if vi, err = vi.Extend(snapshotOf(ps, 2)); err != nil {
-			if vi, err = NewVectorIndex(snapshotOf(ps, 2), "emb", VecExact); err != nil { // the tree held no vector
+			if vi, err = NewVectorIndex(snapshotOf(ps, 2), "emb"); err != nil { // the tree held no vector
 				t.Fatal(err)
 			}
 		}
@@ -659,7 +528,7 @@ func TestKNNDistanceEvalsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vi, err := snap.VectorIndex("emb", VecExact)
+		vi, err := snap.VectorIndex("emb")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,16 @@
 // Package lsh implements random-hyperplane locality-sensitive hashing, the
 // approximate alternative to exact multidimensional indexing that the
 // paper's §7.3 suggests ("for others, locality sensitive hashing or similar
-// approximations may suffice"). DeepLens exposes it as an ablation against
-// the ball tree on the image-matching queries: cheaper to build and probe,
-// at some recall cost.
+// approximations may suffice"). DeepLens uses it only in an ablation
+// against the ball tree on the image-matching join
+// (internal/bench/lshablation): it may miss pairs, so the engine never
+// serves from it.
 package lsh
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Point is an indexed vector with a caller-assigned identifier.
@@ -28,7 +28,6 @@ type Index struct {
 	nBits   int
 	planes  [][][]float32 // [table][bit][dim]
 	tables  []map[uint64][]Point
-	size    int
 }
 
 // New creates an index for dim-dimensional vectors with nTables hash
@@ -56,9 +55,6 @@ func New(dim, nTables, nBits int, seed int64) (*Index, error) {
 	return ix, nil
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return ix.size }
-
 func (ix *Index) signature(table int, v []float32) uint64 {
 	var sig uint64
 	for b, plane := range ix.planes[table] {
@@ -82,67 +78,7 @@ func (ix *Index) Insert(p Point) error {
 		sig := ix.signature(t, p.Vec)
 		ix.tables[t][sig] = append(ix.tables[t][sig], p)
 	}
-	ix.size++
 	return nil
-}
-
-// Extend returns a new index over the same hyperplanes holding the
-// receiver's points plus pts. The receiver is never mutated: bucket maps
-// are copied with capacity-clamped slices, so inserts into the extension
-// can never scribble on backing arrays a concurrent reader of the old
-// index is still scanning.
-func (ix *Index) Extend(pts []Point) (*Index, error) {
-	nx := &Index{dim: ix.dim, nTables: ix.nTables, nBits: ix.nBits, planes: ix.planes, size: ix.size}
-	nx.tables = make([]map[uint64][]Point, ix.nTables)
-	for t, tab := range ix.tables {
-		m := make(map[uint64][]Point, len(tab))
-		for sig, b := range tab {
-			m[sig] = b[:len(b):len(b)]
-		}
-		nx.tables[t] = m
-	}
-	for _, p := range pts {
-		if err := nx.Insert(p); err != nil {
-			return nil, err
-		}
-	}
-	return nx, nil
-}
-
-// Neighbor is a KNN result: an indexed point with its exact distance.
-type Neighbor struct {
-	Point Point
-	Dist  float64
-}
-
-// KNN returns the k nearest candidates to q in ascending (distance, id)
-// order, exact-verified over the candidate union. Approximate: a true
-// neighbor sharing no bucket with q in any table is missed, so fewer
-// than k results can come back even when the index holds more points.
-func (ix *Index) KNN(q []float32, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	cands := ix.Candidates(q)
-	out := make([]Neighbor, 0, len(cands))
-	for _, p := range cands {
-		var s float64
-		for i := range p.Vec {
-			d := float64(p.Vec[i]) - float64(q[i])
-			s += d * d
-		}
-		out = append(out, Neighbor{Point: p, Dist: math.Sqrt(s)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Point.ID < out[j].Point.ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // Candidates returns the deduplicated union of bucket contents for q

@@ -123,12 +123,6 @@ func refKey(r *Request, version uint64, modelSeed int64) string {
 		} else {
 			f.int("knn.source", int64(q.SourceID))
 		}
-		if q.Exact {
-			f.int("knn.exact", 1)
-		}
-		if q.RecallFloor > 0 {
-			f.float("knn.recall_floor", q.RecallFloor)
-		}
 		if r.AllowPartial {
 			f.int("allow_partial", 1)
 		}

@@ -5,12 +5,12 @@ package service
 // resolves and type-checks the query vector; each shard's fragment then
 // runs like a filter's — hedged, retried and degradable (see hedge.go)
 // — planning over the answering replica's own snapshot (brute scan vs
-// exact ball tree vs approximate LSH, by counted work and recall
-// target) and answering its local top-k from that replica's versioned
-// VectorIndex. The gather stage sorts the candidates by (distance, id)
-// — every path, the approximate one included, reports exact distances —
-// and trims to the global k. With one shard the fragment is the whole
-// plan and the merge is the identity.
+// exact ball tree, by counted work) and answering its local top-k from
+// that replica's versioned VectorIndex. Both paths return the scan's
+// answer with exact distances, so the gather stage sorts the
+// candidates by (distance, id) and trims to the global k: every kNN
+// answer is the brute-force one. With one shard the fragment is the
+// whole plan and the merge is the identity.
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ func knnCheckDim(schema core.Schema, field string, q []float32) error {
 // knnLabel renders the physical plan operator.
 func knnLabel(plan core.KNNPlan, spec *KNNSpec) string {
 	if plan.Method == core.KNNIndex {
-		return fmt.Sprintf("knn-index[%s](%s, k=%d)", plan.Mode, spec.Field, spec.K)
+		return fmt.Sprintf("knn-index[exact](%s, k=%d)", spec.Field, spec.K)
 	}
 	return fmt.Sprintf("knn-scan(%s, k=%d)", spec.Field, spec.K)
 }
@@ -67,7 +67,7 @@ func knnLabel(plan core.KNNPlan, spec *KNNSpec) string {
 // source-patch query probes one extra neighbor and drops the source
 // itself, so the source never appears in its own result.
 func (f *shardFragment) knnProbe(spec *KNNSpec, q []float32) error {
-	plan := f.snap.PlanKNN(spec.Field, len(q), spec.K, spec.Exact, spec.RecallFloor, spec.UseIndex)
+	plan := f.snap.PlanKNN(spec.Field, len(q), spec.K, spec.UseIndex)
 	f.op, f.cost = knnLabel(plan, spec), plan.EstCost
 	k := spec.K
 	if spec.SourceID != 0 {
@@ -75,7 +75,7 @@ func (f *shardFragment) knnProbe(spec *KNNSpec, q []float32) error {
 	}
 	var ns []core.VecNeighbor
 	if plan.Method == core.KNNIndex {
-		vi, err := f.snap.VectorIndex(spec.Field, plan.Mode)
+		vi, err := f.snap.VectorIndex(spec.Field)
 		if err != nil {
 			return err
 		}

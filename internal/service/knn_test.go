@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -10,13 +12,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // kNN serving tests: request validation and fingerprint semantics, the
-// N=1 golden contract against the unsharded path, exact-mode shard
-// invariance, the approximate scatter path's plan decoration and
-// recall, and the append-vs-knn race hammer.
+// N=1 golden contract against the unsharded path, shard invariance,
+// every request form's answer at N=3 equal to the brute scan, and the
+// append-vs-knn race hammer.
 
 // knnQ returns a query vector sitting at synthPatch cluster c's center,
 // nudged off-grid so the query is near, not on, a stored point.
@@ -90,8 +93,6 @@ func TestKNNFingerprintSemantics(t *testing.T) {
 		"k":      mk(func(s *KNNSpec) { s.K = 6 }),
 		"query":  mk(func(s *KNNSpec) { s.Query = knnQ(3) }),
 		"field":  mk(func(s *KNNSpec) { s.Field = "emb2" }),
-		"exact":  mk(func(s *KNNSpec) { s.Exact = true }),
-		"recall": mk(func(s *KNNSpec) { s.RecallFloor = 0.5 }),
 		"source": mk(func(s *KNNSpec) { s.Query = nil; s.SourceID = 7 }),
 	}
 	for name, req := range distinct {
@@ -99,11 +100,13 @@ func TestKNNFingerprintSemantics(t *testing.T) {
 			t.Errorf("%s variant collides with the base fingerprint", name)
 		}
 	}
-	// The explicit default metric and execution-only knobs must not
-	// fragment the cache key.
+	// The explicit default metric, the execution-only knob and the
+	// accuracy bounds every answer meets must not fragment the cache key.
 	for name, req := range map[string]Request{
 		"metric l2": mk(func(s *KNNSpec) { s.Metric = "l2" }),
 		"use_index": mk(func(s *KNNSpec) { s.UseIndex = true }),
+		"exact":     mk(func(s *KNNSpec) { s.Exact = true }),
+		"recall":    mk(func(s *KNNSpec) { s.RecallFloor = 0.5 }),
 	} {
 		if base.fingerprint(3, 42) != req.fingerprint(3, 42) {
 			t.Errorf("%s fragments the fingerprint", name)
@@ -133,9 +136,8 @@ func TestKNNGoldenN1(t *testing.T) {
 
 // TestKNNShardInvariance: kNN answers — values AND rows — are
 // shard-count invariant across the whole matrix: every fragment reports
-// exact distances, LSH candidacy is a per-point property under the
-// fixed hyperplane seed, so per-shard local top-k merges to exactly the
-// unsharded answer.
+// its shard's exact top-k, so the per-shard local top-k merges to
+// exactly the unsharded answer.
 func TestKNNShardInvariance(t *testing.T) {
 	const rows = 240
 	cfg := Config{Workers: 2}
@@ -218,46 +220,79 @@ func TestKNNRowsShape(t *testing.T) {
 	}
 }
 
-// TestKNNApproxScatter: at a size where the planner picks LSH, the
-// sharded plan surfaces the approximate fragments and the plain
-// gather-knn merge, and the answer's recall against the exact result
-// holds the default floor.
-func TestKNNApproxScatter(t *testing.T) {
+// TestKNNEveryFormIsBrute: at N=3 a default request, a recall-floored
+// one, a forced-index one and an exact one share one fingerprint and
+// return byte-identical rows, and those rows are BruteKNN's answer over
+// every shard's rows: no request form reaches an approximate path.
+func TestKNNEveryFormIsBrute(t *testing.T) {
 	const rows, k = 600, 10
-	cfg := Config{Workers: 2}
-	_, sharded := synthSharded(t, 3, rows, cfg)
-	ctx := context.Background()
-	approx, err := sharded.Query(ctx, Request{Collection: shardTestCol,
-		KNN: &KNNSpec{Field: "emb", K: k, Query: knnQ(4)}})
+	sdb, sharded := synthSharded(t, 3, rows, Config{Workers: 2})
+	q := knnQ(4)
+	forms := map[string]KNNSpec{
+		"default":      {Field: "emb", K: k, Query: q},
+		"recall_floor": {Field: "emb", K: k, Query: q, RecallFloor: 0.5},
+		"use_index":    {Field: "emb", K: k, Query: q, UseIndex: true},
+		"exact":        {Field: "emb", K: k, Query: q, Exact: true},
+	}
+	sc, err := sdb.Collection(shardTestCol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(approx.Plan, "knn-index[approx]") {
-		t.Fatalf("plan %q does not surface the approximate index path", approx.Plan)
+	var all []*core.Patch
+	for i := range sc.Shards() {
+		snap, err := sc.Shard(i).Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, snap.Patches()...)
 	}
-	if !strings.HasSuffix(approx.Plan, "gather-knn") {
-		t.Fatalf("plan %q does not end in the gather-knn merge", approx.Plan)
+	brute := core.BruteKNN(all, "emb", q, k)
+	if len(brute) != k {
+		t.Fatalf("brute answer holds %d of %d neighbors", len(brute), k)
 	}
-	exact, err := sharded.Query(ctx, Request{Collection: shardTestCol,
-		KNN: &KNNSpec{Field: "emb", K: k, Query: knnQ(4), Exact: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(exact.Plan, "knn-") {
-		t.Fatalf("exact plan %q lost the knn label", exact.Plan)
-	}
-	// Tie-tolerant recall: an approximate neighbor within the exact kth
-	// distance counts as found.
-	dk := rowField(exact.Rows[len(exact.Rows)-1], "_dist").(float64)
-	hits := 0
-	for _, row := range approx.Rows {
-		if rowField(row, "_dist").(float64) <= dk {
-			hits++
+	var wantKey string
+	var wantRows []byte
+	plans := map[string]bool{}
+	for name, spec := range forms {
+		req := Request{Collection: shardTestCol, KNN: &spec}
+		key, err := sharded.fingerprintFor(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.NoCache = true // each form executes its own plan
+		r := mustQuery(t, sharded, req)
+		plans[r.Plan] = true
+		if !strings.HasSuffix(r.Plan, "gather-knn") {
+			t.Fatalf("%s: plan %q does not end in the gather-knn merge", name, r.Plan)
+		}
+		if len(r.Rows) != k {
+			t.Fatalf("%s: %d rows, want %d", name, len(r.Rows), k)
+		}
+		for i, row := range r.Rows {
+			id, d := core.PatchID(rowField(row, "_id").(uint64)), rowField(row, "_dist").(float64)
+			if id != brute[i].ID || math.Float64bits(d) != math.Float64bits(brute[i].Dist) {
+				t.Fatalf("%s: row %d is (%d, %v), BruteKNN (%d, %v)", name, i, id, d, brute[i].ID, brute[i].Dist)
+			}
+		}
+		b, err := json.Marshal(r.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRows == nil {
+			wantKey, wantRows = key, b
+			continue
+		}
+		if key != wantKey {
+			t.Errorf("%s: fingerprint %s, another form's %s", name, key, wantKey)
+		}
+		if !bytes.Equal(b, wantRows) {
+			t.Errorf("%s: rows\n  %s\nanother form's\n  %s", name, b, wantRows)
 		}
 	}
-	if recall := float64(hits) / float64(len(exact.Rows)); recall < 0.9 {
-		t.Fatalf("approximate scatter recall %.2f below 0.9 (approx %v / exact %v)",
-			recall, refRows(asBuilders(approx.Rows)), refRows(asBuilders(exact.Rows)))
+	// The default request scans and the forced one probes the tree: the
+	// identity above spans both paths.
+	if len(plans) < 2 {
+		t.Fatalf("every form ran one plan %v: the comparison covers one path", plans)
 	}
 }
 

@@ -62,8 +62,9 @@ func startBlocker(t *testing.T, s *Service, req Request) <-chan *Response {
 // the decoder it released while the worker reaches that task. The task
 // was admitted with its own copy, so it stores nothing under another
 // request's key, and the stalled query's result is stored under its own
-// key with its own rows. (A task whose caller timed out runs under that
-// caller's expired context, so it never stores a result of its own.)
+// key with its own rows. A task whose caller timed out is dropped when
+// the worker reaches it: it waits in no queue span, runs no fragment and
+// stores no result.
 // Run under -race, the test also shows no worker read of the decoder's
 // Request racing the hits' writes.
 func TestPooledRequestNotReachedByWorker(t *testing.T) {
@@ -94,6 +95,7 @@ func TestPooledRequestNotReachedByWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waits, tasks := s.tel.queueWait.Count(), s.tel.scatterTasks.Value()
 	armFragmentStall(s, 300*time.Millisecond)
 	blocker := startBlocker(t, s, blockerReq)
 
@@ -145,6 +147,11 @@ func TestPooledRequestNotReachedByWorker(t *testing.T) {
 	}
 	if _, ok := s.results.Get(timedOutKey); ok {
 		t.Fatal("the timed-out query's task stored a result")
+	}
+	// The dead task returned before its queue span: only the blocker
+	// waited in the queue, fanned out and stalled.
+	if w, n, f := s.tel.queueWait.Count()-waits, s.tel.scatterTasks.Value()-tasks, s.inj.Fired(fault.FragmentStall); w != 1 || n != 1 || f != 1 {
+		t.Fatalf("after the blocker and the timed-out task: %d queue waits, %d scatter tasks, %d stalled fragments; want 1 each (the blocker's)", w, n, f)
 	}
 	if got := s.results.Len(); got != hits+1 {
 		t.Fatalf("result cache holds %d entries, want the %d hits and the stalled query", got, hits+1)

@@ -164,9 +164,9 @@ type SimJoinSpec struct {
 // closest to a query vector under Euclidean distance, ascending, ties
 // broken by patch id. The query vector is given inline (Query) or named
 // by an existing patch (SourceID, which is excluded from its own
-// result). The optimizer picks the physical method — brute-force scan,
-// exact ball-tree index, or approximate LSH index — bounded by Exact
-// and RecallFloor.
+// result). The optimizer picks the physical method — brute-force scan
+// or the exact ball-tree index — and both return the same rows, so
+// every answer is exact and meets any Exact or RecallFloor asked for.
 type KNNSpec struct {
 	Field string `json:"field"`
 	K     int    `json:"k"`
@@ -182,13 +182,13 @@ type KNNSpec struct {
 	// served and the empty string means l2.
 	Metric string `json:"metric,omitempty"`
 
-	// Exact demands results byte-identical to the brute-force scan: the
-	// planner may still use the exact index, never the approximate one.
+	// Exact demands results byte-identical to the brute-force scan,
+	// which every kNN answer already is. Accepted for the wire; it
+	// changes no plan and is not folded into the fingerprint.
 	Exact bool `json:"exact,omitempty"`
-	// RecallFloor is the minimum acceptable expected recall in [0, 1].
-	// Above what the approximate index promises, the planner stays
-	// exact. Zero means no floor. Logical — it changes which results are
-	// admissible — so it IS folded into the fingerprint.
+	// RecallFloor is the minimum acceptable recall, in [0, 1] (outside
+	// it the request is rejected). Every answer has recall 1, so any
+	// floor is met; like Exact it is not folded into the fingerprint.
 	RecallFloor float64 `json:"recall_floor,omitempty"`
 	// UseIndex pins the vector-index path regardless of estimated cost.
 	// Purely physical, excluded from the fingerprint.
@@ -347,9 +347,9 @@ func (r *Request) appendKey(buf []byte, version uint64, modelSeed int64) []byte 
 	f := core.StartFingerprint(buf, "query").Col(r.Collection, version)
 	if q := r.KNN; q != nil {
 		// All logical knn content: the field, k, metric (canonicalized),
-		// the query vector or source patch, and the exactness contract.
-		// UseIndex is physical (exact plans agree byte-for-byte; approx
-		// admissibility is governed by Exact/RecallFloor, not the knob).
+		// and the query vector or source patch. Exact, RecallFloor and
+		// UseIndex change no answer (every plan returns the brute scan's
+		// rows), so none of them splits the key.
 		metric := q.Metric
 		if metric == "" {
 			metric = "l2"
@@ -361,12 +361,6 @@ func (r *Request) appendKey(buf []byte, version uint64, modelSeed int64) []byte 
 			f = f.Value("knn.query", core.VecV(q.Query))
 		} else {
 			f = f.Int("knn.source", int64(q.SourceID))
-		}
-		if q.Exact {
-			f = f.Int("knn.exact", 1)
-		}
-		if q.RecallFloor > 0 {
-			f = f.Float("knn.recall_floor", q.RecallFloor)
 		}
 		if r.AllowPartial {
 			f = f.Int("allow_partial", 1)

@@ -680,12 +680,12 @@ func (s *Service) process(w *worker, t *task) {
 
 // runTask executes one task and caches a cacheable result.
 func (s *Service) runTask(w *worker, t *task) (*Response, error) {
-	// An uncacheable task whose caller already gave up has no one to
-	// deliver to and nothing to materialize — don't burn a device on it.
-	// Cacheable tasks still run: the result serves coalesced waiters and
-	// future fingerprint hits.
-	if t.fl.key == "" && t.ctx.Err() != nil {
-		return nil, t.ctx.Err()
+	// A task runs under its caller's context, so once that is done every
+	// execute path fails on it before any work: return at once, opening
+	// no span and touching no store. Coalesced waiters of a cacheable
+	// task see the context error and look the key up again.
+	if err := t.ctx.Err(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	wait := start.Sub(t.enq)
