@@ -88,7 +88,6 @@ func run() error {
 		cacheMB    = flag.Int("cache-mb", 32, "result cache budget (MiB)")
 		colMemMB   = flag.Int("column-mem-budget", 0, "tiered column store: MiB of decoded column segments kept resident; colder sealed segments stay as their in-memory encoding and decode on demand (0 or negative disables tiering and keeps every segment decoded)")
 		udfCacheMB = flag.Int("udf-cache-mb", 128, "UDF materialization cache budget (MiB)")
-		ttl        = flag.Duration("ttl", 5*time.Minute, "result cache TTL (0 = never expire)")
 		slowMS     = flag.Int("slow-query-ms", 250, "slow-query log threshold in milliseconds (negative disables GET /debug/slow)")
 		traceSmp   = flag.Float64("trace-sample", 0, "background trace sampling rate in (0,1]: capture spans for ~1 in 1/rate queries that did not ask for a trace (0 = off)")
 
@@ -124,17 +123,12 @@ func run() error {
 	cfg.FootballClips = *clips
 	cfg.FootballClipLen = *clipLen
 
-	resultTTL := *ttl
-	if resultTTL == 0 {
-		resultTTL = -1 // Config reads 0 as its 5m default; negative never expires
-	}
 	svcCfg := service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		Device:           kind,
 		Devices:          *devices,
 		ResultCacheBytes: int64(*cacheMB) << 20,
-		ResultTTL:        resultTTL,
 		UDFCacheBytes:    int64(*udfCacheMB) << 20,
 		ModelSeed:        bench.ModelSeed,
 

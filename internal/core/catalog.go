@@ -2,8 +2,8 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,21 +17,20 @@ import (
 	"repro/internal/kv"
 )
 
-// DB is a DeepLens database: a page file holding the catalog, one row
-// log beside it per materialized patch collection (see rowlog.go), and
-// the execution device query operators run on. Everything else a query
-// uses — columns, their segments' sort orders (the hash and B+ tree
-// indexes), vector indexes — is built in memory from the rows.
+// DB is a DeepLens database: a catalog file (see catalogfile.go), one
+// row log beside it per materialized patch collection (see rowlog.go),
+// and the execution device query operators run on. Everything else a
+// query uses — columns, their segments' sort orders (the hash and B+
+// tree indexes), vector indexes — is built in memory from the rows.
 //
 // The catalog is safe for concurrent use: readers (Collection, HasIndex,
 // snapshot scans) take a shared lock while writers (create, drop) take it
 // exclusively, so a serving layer can run many queries in parallel with
 // occasional catalog mutations.
 type DB struct {
-	mu    sync.RWMutex
-	path  string // the page file's; row logs are named after it
-	store *kv.Store
-	dev   exec.Device
+	mu   sync.RWMutex
+	path string // the catalog file's; row logs are named after it
+	dev  exec.Device
 
 	// nextID is the patch-id allocator. It is atomic, not under mu: a
 	// commit takes its ids while it holds its collection's lock, and Flush
@@ -39,8 +38,9 @@ type DB struct {
 	nextID  atomic.Uint64
 	nextVer atomic.Uint64 // collection-version counter (cache invalidation)
 
-	sys  *kv.Bucket // catalog + counters
-	cols map[string]*Collection
+	cols    map[string]*Collection
+	saved   []byte    // the catalog file as last read or written, under mu
+	scratch *kv.Store // Store's, under mu
 
 	// refresh counts accelerator maintenance, read as RefreshStats.
 	refresh struct {
@@ -95,44 +95,52 @@ func (db *DB) addRefreshStats(s *RefreshStats) {
 // ErrNotFound reports a missing collection or patch.
 var ErrNotFound = errors.New("core: not found")
 
-// Open opens (or creates) a database at path on the given device.
+// Open opens (or creates) a database at path on the given device. A
+// page file at path is imported (see importPageFile); the open then
+// removes what a crash left beside the catalog (see sweep).
 func Open(path string, dev exec.Device) (*DB, error) {
-	st, err := kv.Open(path)
-	if err != nil {
+	db := &DB{path: path, dev: dev, cols: make(map[string]*Collection)}
+	raw, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		err = nil // a new database: its first Flush writes the catalog
+	case err != nil:
 		return nil, err
-	}
-	sys, err := st.Bucket("sys.catalog")
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	db := &DB{
-		path: path, store: st, dev: dev, sys: sys,
-		cols: make(map[string]*Collection),
-	}
-	if v, err := sys.Get([]byte("nextid")); err == nil {
-		db.nextID.Store(kv.ParseU64Key(v))
-	}
-	if v, err := sys.Get([]byte("nextver")); err == nil {
-		db.nextVer.Store(kv.ParseU64Key(v))
-	}
-	// Load collection descriptors. A descriptor can be saved before the
-	// version counter is, so the counter resumes past every version one
-	// names: a new row log never takes a live log's key.
-	if err := sys.Scan([]byte("col."), []byte("col/"), func(k, v []byte) bool {
-		var d colDesc
-		if json.Unmarshal(v, &d) == nil {
-			db.cols[d.Name] = nil // lazily opened
-			if m := max(d.Version, d.Log); m > db.nextVer.Load() {
-				db.nextVer.Store(m)
-			}
+	case isPageFile(raw):
+		err = db.importPageFile()
+	default:
+		var cat catalog
+		if cat, err = decodeCatalog(raw); err == nil {
+			db.install(cat)
+			db.saved = raw
 		}
-		return true
-	}); err != nil {
-		st.Close()
-		return nil, err
+	}
+	if err == nil {
+		err = db.sweep()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: open %s: %w", path, err)
 	}
 	return db, nil
+}
+
+// install opens cat's collections, unloaded, and resumes its counters.
+// The version counter resumes past every version and log key a
+// descriptor names, so a new row log never takes a live log's key.
+func (db *DB) install(cat catalog) {
+	db.nextID.Store(cat.NextID)
+	db.nextVer.Store(cat.NextVer)
+	for _, d := range cat.Cols {
+		db.nextVer.Store(max(db.nextVer.Load(), d.Version, d.Log))
+	}
+	for _, d := range cat.Cols {
+		c := &Collection{db: db, name: d.Name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version,
+			indexes: d.Indexes}
+		if c.version == 0 {
+			c.version = db.nextVersion() // a page file from before versioning
+		}
+		db.cols[d.Name] = c
+	}
 }
 
 // Cost returns the statistic-free kNN planner (see CostModel).
@@ -165,61 +173,76 @@ func (db *DB) Device() exec.Device { return db.dev }
 // a (name, version) pair is a stable cache-key component.
 func (db *DB) nextVersion() uint64 { return db.nextVer.Add(1) }
 
-// Store exposes the underlying kv store (the catalog's page file).
-func (db *DB) Store() *kv.Store { return db.store }
-
-// Close flushes and closes the database, and every open collection's
-// row log.
-func (db *DB) Close() error {
-	err := db.Flush()
+// Store is a scratch kv store beside the catalog, opened on first call
+// and deleted by Close, for the benchmark harness's kv probes. Nothing
+// in the database reads or writes it. Its signature is the harness's,
+// which takes no error, so a failed open panics.
+func (db *DB) Store() *kv.Store {
 	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.scratch == nil {
+		var err error
+		os.Remove(db.path + ".scratch")
+		if db.scratch, err = kv.Open(db.path + ".scratch"); err != nil {
+			panic(fmt.Errorf("core: open scratch store: %w", err))
+		}
+	}
+	return db.scratch
+}
+
+// Close flushes the database and closes every loaded collection's row
+// log.
+func (db *DB) Close() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	err := db.flushLocked()
 	for _, c := range db.cols {
-		if c == nil {
-			continue
-		}
 		c.mu.Lock()
-		if cerr := c.log.close(); err == nil {
-			err = cerr
-		}
+		err = cmp.Or(err, c.log.close())
 		c.mu.Unlock()
 	}
-	db.mu.Unlock()
-	if cerr := db.store.Close(); err == nil {
-		err = cerr
+	if db.scratch != nil {
+		db.scratch.Close()
+		os.Remove(db.path + ".scratch")
+		db.scratch = nil
 	}
 	return err
 }
 
-// Flush persists all dirty state without closing: every open
-// collection's tail block, synced with its row log, and descriptor
-// (count updates from appends).
+// Flush persists all dirty state without closing: every loaded
+// collection's tail block, synced with its row log, and then the
+// catalog.
 func (db *DB) Flush() error {
 	db.mu.Lock()
-	if err := db.sys.Put([]byte("nextid"), kv.U64Key(db.nextID.Load())); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	if err := db.sys.Put([]byte("nextver"), kv.U64Key(db.nextVer.Load())); err != nil {
-		db.mu.Unlock()
-		return err
-	}
+	defer db.mu.Unlock()
+	return db.flushLocked()
+}
+
+// flushLocked syncs every row log and then replaces the catalog file
+// with one that describes the collections as synced, unless the file
+// already holds it. Callers hold db.mu.
+func (db *DB) flushLocked() error {
+	cols := make([]colDesc, 0, len(db.cols))
 	for _, c := range db.cols {
-		if c == nil {
-			continue
-		}
 		c.mu.Lock()
 		err := c.log.sync()
-		if err == nil {
-			err = c.saveDescLocked()
-		}
+		cols = append(cols, colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey, Indexes: c.indexes})
 		c.mu.Unlock()
 		if err != nil {
-			db.mu.Unlock()
 			return err
 		}
 	}
-	db.mu.Unlock()
-	return db.store.Flush()
+	slices.SortFunc(cols, func(a, b colDesc) int { return cmp.Compare(a.Name, b.Name) })
+	// The counters are read after the syncs, past every id and version
+	// the synced logs hold.
+	raw, err := encodeCatalog(catalog{NextID: db.nextID.Load(), NextVer: db.nextVer.Load(), Cols: cols})
+	if err != nil || bytes.Equal(raw, db.saved) {
+		return err
+	}
+	if err = replaceFile(db.path, raw); err == nil {
+		db.saved = raw
+	}
+	return err
 }
 
 // NewPatchID allocates a database-unique patch id.
@@ -230,9 +253,9 @@ type colDesc struct {
 	Schema  Schema `json:"schema"`
 	Count   int    `json:"count"`
 	Version uint64 `json:"version,omitempty"`
-	// Log is the key of the collection's row log (rowLogPath). It is 0
-	// for a collection stored in the page-file format, whose rows are
-	// in the bucket col.<name> until its first load migrates them.
+	// Log is the key of the collection's row log (rowLogPath). A page
+	// file's descriptor of a collection whose rows are still in its
+	// bucket col.<name> holds 0.
 	Log uint64 `json:"log,omitempty"`
 	// Indexes are the declared hash and B+ tree indexes (see BuildIndex).
 	Indexes []string `json:"indexes,omitempty"`
@@ -245,9 +268,6 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if _, ok := db.cols[name]; ok {
 		return nil, fmt.Errorf("core: collection %q already exists", name)
 	}
-	if _, err := db.sys.Get([]byte("col." + name)); err == nil {
-		return nil, fmt.Errorf("core: collection %q already exists on disk", name)
-	}
 	v := db.nextVersion()
 	log, err := createRowLog(rowLogPath(db.path, v))
 	if err != nil {
@@ -255,10 +275,6 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	}
 	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), logKey: v, version: v,
 		log: log, cache: []*Patch{}}
-	if err := c.saveDescLocked(); err != nil { // c is not shared yet
-		c.log.close()
-		return nil, err
-	}
 	db.cols[name] = c
 	return c, nil
 }
@@ -266,31 +282,11 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 // Collection opens an existing collection by name.
 func (db *DB) Collection(name string) (*Collection, error) {
 	db.mu.RLock()
-	if c, ok := db.cols[name]; ok && c != nil {
-		db.mu.RUnlock()
+	defer db.mu.RUnlock()
+	if c, ok := db.cols[name]; ok {
 		return c, nil
 	}
-	db.mu.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if c, ok := db.cols[name]; ok && c != nil { // raced another opener
-		return c, nil
-	}
-	v, err := db.sys.Get([]byte("col." + name))
-	if err != nil {
-		return nil, fmt.Errorf("%w: collection %q", ErrNotFound, name)
-	}
-	var d colDesc
-	if err := json.Unmarshal(v, &d); err != nil {
-		return nil, err
-	}
-	c := &Collection{db: db, name: name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version,
-		indexes: d.Indexes}
-	if c.version == 0 {
-		c.version = db.nextVersion() // pre-versioning database file
-	}
-	db.cols[name] = c
-	return c, nil
+	return nil, fmt.Errorf("%w: collection %q", ErrNotFound, name)
 }
 
 // Collections lists materialized collection names in sorted order.
@@ -305,55 +301,32 @@ func (db *DB) Collections() []string {
 	return names
 }
 
-// DropCollection removes a collection: its row log (or, stored in the
-// page-file format, its bucket) and its catalog descriptor, which holds
-// its index declarations. A later collection with the same name gets a fresh
-// version and row log, so plan fingerprints keyed on (name, version) can
-// never alias stale cached results after re-ingest.
+// DropCollection removes a collection: its catalog descriptor, which
+// holds its index declarations, and then its row log. A later
+// collection with the same name gets a fresh version and row log, so
+// plan fingerprints keyed on (name, version) can never alias stale
+// cached results after re-ingest.
 func (db *DB) DropCollection(name string) error {
-	// The descriptor must disappear while the catalog lock is held:
-	// otherwise a concurrent Collection(name) between the map delete and
-	// the descriptor delete would re-open the half-dropped collection
-	// and resurrect it into db.cols.
 	db.mu.Lock()
-	c := db.cols[name]
-	v, descErr := db.sys.Get([]byte("col." + name))
-	if c == nil && descErr != nil {
+	c, ok := db.cols[name]
+	if !ok {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: collection %q", ErrNotFound, name)
 	}
-	var d colDesc
-	if descErr == nil {
-		if err := json.Unmarshal(v, &d); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-	}
+	// The catalog without the collection is on disk before its log goes,
+	// so no reopen finds a descriptor whose log is gone.
 	delete(db.cols, name)
-	if descErr == nil {
-		if err := db.sys.Delete([]byte("col." + name)); err != nil {
-			db.mu.Unlock()
-			return err
-		}
+	if err := db.flushLocked(); err != nil {
+		db.cols[name] = c
+		db.mu.Unlock()
+		return err
 	}
 	db.mu.Unlock()
-	key := d.Log
-	if c != nil {
-		c.mu.Lock()
-		key = c.logKey
-		c.log.close()
-		c.mu.Unlock()
-	}
-	if key != 0 {
-		if err := os.Remove(rowLogPath(db.path, key)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	} else {
-		b, err := db.store.Bucket("col." + name)
-		if err != nil {
-			return err
-		}
-		return b.Free()
+	c.mu.Lock()
+	c.log.close()
+	c.mu.Unlock()
+	if err := removeFile(rowLogPath(db.path, c.logKey)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
 	return nil
 }
@@ -439,8 +412,7 @@ type Collection struct {
 
 	// mu guards the commit: the log append, count, version and the row
 	// cache, which is nil until loaded (see load). The log is open once
-	// the cache is loaded; logKey names it (0 until a collection stored
-	// in the page-file format is migrated). It also guards the declared
+	// the cache is loaded; logKey names it. It also guards the declared
 	// indexes (indexDecl names), saved with the descriptor.
 	mu      sync.Mutex
 	logKey  uint64
@@ -486,15 +458,6 @@ func (c *Collection) Version() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.version
-}
-
-// saveDescLocked saves the collection's descriptor, under c.mu.
-func (c *Collection) saveDescLocked() error {
-	v, err := json.Marshal(colDesc{Name: c.name, Schema: c.schema, Count: c.count, Version: c.version, Log: c.logKey, Indexes: c.indexes})
-	if err != nil {
-		return err
-	}
-	return c.db.sys.Put([]byte("col."+c.name), v)
 }
 
 // ErrIDOrder reports an append whose patch id is not above the last id
@@ -674,9 +637,6 @@ func (c *Collection) load() error {
 	if c.cache != nil {
 		return nil
 	}
-	if c.logKey == 0 {
-		return c.migrate()
-	}
 	f, err := os.OpenFile(rowLogPath(c.db.path, c.logKey), os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return err
@@ -707,74 +667,6 @@ func (c *Collection) load() error {
 	}
 	c.cache, c.count = out, len(out)
 	return nil
-}
-
-// migrate is load for a collection stored in the page-file format: it
-// reads the rows from the bucket col.<name> once, copies each one's
-// stored bytes verbatim into a new row log, syncs the log, saves the
-// descriptor naming it, and only then frees the bucket's pages. The free
-// dirties every page of the tree and the flush after it drops them, so
-// the load leaves the pager's cache as the open left it. Until the
-// descriptor is saved, a failure leaves the collection in the page-file
-// format.
-func (c *Collection) migrate() error {
-	b, err := c.db.store.Bucket("col." + c.name)
-	if err != nil {
-		return err
-	}
-	key := c.db.nextVersion()
-	path := rowLogPath(c.db.path, key)
-	log, err := createRowLog(path)
-	if err != nil {
-		return err
-	}
-	out := make([]*Patch, 0, c.count)
-	d := patchDecoder{codec: c.codec, batch: loadBatch}
-	var scanErr error
-	err = b.Scan(nil, nil, func(k, v []byte) bool {
-		if len(k) != 8 {
-			scanErr = errCorrupt
-			return false
-		}
-		id := PatchID(kv.ParseU64Key(k))
-		p, err := d.decode(id, v)
-		if err == nil {
-			err = log.append(id, v)
-		}
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		out = append(out, p)
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err == nil {
-		err = log.sync()
-	}
-	if err == nil {
-		c.logKey, c.count = key, len(out)
-		if err = c.saveDescLocked(); err != nil {
-			c.logKey = 0
-		}
-	}
-	if err != nil {
-		log.close()
-		os.Remove(path)
-		return fmt.Errorf("collection %q: %w", c.name, err)
-	}
-	c.log, c.cache = log, out
-	// The descriptor naming the log reaches the file before any page of
-	// the bucket is freed.
-	if err := c.db.store.Flush(); err != nil {
-		return err
-	}
-	if err := b.Free(); err != nil {
-		return err
-	}
-	return c.db.store.Flush()
 }
 
 // loadBatch is how many loaded rows share one slot array.

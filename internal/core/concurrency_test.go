@@ -32,13 +32,16 @@ func testPatch(i int) *Patch {
 
 // TestCatalogConcurrentReadersDuringWrites exercises the catalog's shared
 // read path under live appends: snapshot scans, id gets, catalog listing
-// and device reads race a writer goroutine. Run with -race.
+// and device reads race a writer goroutine, and a flusher that replaces
+// the catalog file while it creates and drops a side collection. A
+// reopen then finds every appended row and no side collection. Run with
+// -race.
 func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
-	db, err := Open(filepath.Join(t.TempDir(), "c.db"), exec.New(exec.CPU))
+	path := filepath.Join(t.TempDir(), "c.db")
+	db, err := Open(path, exec.New(exec.CPU))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	col, err := db.CreateCollection("live", testSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +64,26 @@ func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
 		defer wg.Done()
 		for i := 50; i < 50+writes; i++ {
 			if err := col.Append(testPatch(i)); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // flusher: catalog replaces and drops race the appends
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			side, err := db.CreateCollection("side", testSchema())
+			if err == nil {
+				err = side.Append(testPatch(i))
+			}
+			if err == nil {
+				err = db.Flush()
+			}
+			if err == nil {
+				err = db.DropCollection("side")
+			}
+			if err != nil {
 				errs <- err
 				return
 			}
@@ -109,6 +132,16 @@ func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
 	}
 	if got := col.Len(); got != 50+writes {
 		t.Fatalf("final count = %d, want %d", got, 50+writes)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopenDB(t, path)
+	if got := db.Collections(); len(got) != 1 || got[0] != "live" {
+		t.Fatalf("reopened collections %v, want [live]", got)
+	}
+	if col, err := db.Collection("live"); err != nil || col.Len() != 50+writes {
+		t.Fatalf("reopened live: %v", err)
 	}
 }
 

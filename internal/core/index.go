@@ -63,7 +63,8 @@ func (db *DB) BuildIndex(col *Collection, field string, kind IndexKind) (*Index,
 		return nil, fmt.Errorf("core: %s.%s has no column to index", col.Name(), field)
 	}
 	db.refresh.scalarSorted.Add(int64(c.sortSealed()))
-	return &Index{BuildTime: time.Since(start)}, col.declareIndex(indexDecl(field, kind))
+	col.declareIndex(indexDecl(field, kind))
+	return &Index{BuildTime: time.Since(start)}, nil
 }
 
 // HasIndex reports whether BuildIndex declared the index on col.
@@ -73,14 +74,12 @@ func (db *DB) HasIndex(col *Collection, field string, kind IndexKind) bool {
 	return slices.Contains(col.indexes, indexDecl(field, kind))
 }
 
-// declareIndex adds decl to the collection's declared indexes and saves
-// the descriptor when it is new.
-func (c *Collection) declareIndex(decl string) error {
+// declareIndex adds decl to the collection's declared indexes, which
+// the next Flush saves with its descriptor, when it is new.
+func (c *Collection) declareIndex(decl string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if slices.Contains(c.indexes, decl) {
-		return nil
+	if !slices.Contains(c.indexes, decl) {
+		c.indexes = append(c.indexes, decl)
 	}
-	c.indexes = append(c.indexes, decl)
-	return c.saveDescLocked()
 }

@@ -104,10 +104,11 @@ func keyedRows(from PatchID, dets int) []lineageRow {
 }
 
 // TestKeyedStoreReadsIdentically pins the stored row format: a store
-// whose rows are all in the keyed form, in the page-file format, reopens
-// and reads back exactly what was written. New rows land in the same
-// row logs in the positional form, shorter than their keyed twins, and
-// after a second reopen both kinds of row read back alike.
+// whose rows are all in the keyed form, in the page-file format, is
+// imported at its open and reads back exactly what was written. New rows
+// land in the same row logs in the positional form, shorter than their
+// keyed twins, and after a second reopen, which imports nothing, both
+// kinds of row read back alike.
 func TestKeyedStoreReadsIdentically(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "keyed_rows.db"))
 	if err != nil {
@@ -120,9 +121,10 @@ func TestKeyedStoreReadsIdentically(t *testing.T) {
 	old := keyedRows(0, 160)
 	db := reopenDB(t, path)
 	checkLineageRows(t, db, old)
+	imported := assertImportedOnce(t, db, nil)
 
-	// Each old row is stored keyed, id first, and the load that
-	// migrated it into the row log copied those bytes; the codec's
+	// Each old row is stored keyed, id first, and the import that
+	// copied it into the row log copied those bytes; the codec's
 	// encoding of the loaded row is shorter and decodes to the same row.
 	for _, r := range old {
 		col, err := db.Collection(r.col)
@@ -177,6 +179,7 @@ func TestKeyedStoreReadsIdentically(t *testing.T) {
 
 	db = reopenDB(t, path)
 	checkLineageRows(t, db, all)
+	assertImportedOnce(t, db, imported)
 	for _, r := range added {
 		col, err := db.Collection(r.col)
 		if err != nil {

@@ -106,6 +106,28 @@ func committedForm(p *Patch) *Patch {
 	return c
 }
 
+// assertImportedOnce checks that db, opened on a page file, replaced it
+// with its catalog and one row log per collection, and returns the logs.
+// Given the logs an earlier open imported, it checks that this open
+// imported nothing: the logs are the same files, grown only by appends.
+func assertImportedOnce(t *testing.T, db *DB, imported map[string][]byte) map[string][]byte {
+	t.Helper()
+	assertCatalogAndLogs(t, db, len(db.Collections()))
+	logs := rowLogFiles(t, filepath.Dir(db.path))
+	if imported == nil {
+		return logs
+	}
+	for name, raw := range imported {
+		if !bytes.HasPrefix(logs[name], raw) {
+			t.Fatalf("%s is not the imported log grown by appends", name)
+		}
+	}
+	if len(logs) != len(imported) {
+		t.Fatalf("%d row logs after the second open, %d after the import", len(logs), len(imported))
+	}
+	return logs
+}
+
 // checkLineageRows checks that db holds want, row for row: Get returns
 // each row as written, every collection loads in ascending id order, and
 // each derived row's parent resolves through GetPatch.
@@ -160,9 +182,10 @@ func checkLineageRows(t *testing.T, db *DB, want []lineageRow) {
 
 // TestStoreWithLineagePairsReadsIdentically pins the row format: a store
 // written while Marshal stored each row's _source and _frame among its
-// pairs reopens and reads back exactly what was written, takes new rows
-// in the collection's stored form, without those pairs, beside the old
-// ones, and reads both alike after a second reopen.
+// pairs is imported at its open and reads back exactly what was
+// written, takes new rows in the collection's stored form, without
+// those pairs, beside the old ones, and reads both alike after a second
+// reopen, which imports nothing.
 func TestStoreWithLineagePairsReadsIdentically(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "lineage_pairs.db"))
 	if err != nil {
@@ -175,6 +198,7 @@ func TestStoreWithLineagePairsReadsIdentically(t *testing.T) {
 	old := lineagePairsRows(0, 240)
 	db := reopenDB(t, path)
 	checkLineageRows(t, db, old)
+	imported := assertImportedOnce(t, db, nil)
 
 	// The old rows' bytes carry the lineage pairs; a new-format twin of
 	// each leaves them out, and still serializes as the loaded row does.
@@ -226,6 +250,7 @@ func TestStoreWithLineagePairsReadsIdentically(t *testing.T) {
 
 	db = reopenDB(t, path)
 	checkLineageRows(t, db, all)
+	assertImportedOnce(t, db, imported)
 	for _, r := range added {
 		col, err := db.Collection(r.col)
 		if err != nil {

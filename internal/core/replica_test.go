@@ -29,7 +29,11 @@ func TestReplicatedLayoutAndByteEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Replica directories sit beside the primaries.
+	// Replica directories sit beside the primaries, each holding its
+	// catalog once flushed.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		for _, sub := range []string{replicaDirName(i, 0), replicaDirName(i, 1)} {
 			if _, err := os.Stat(filepath.Join(dir, sub, "deeplens.db")); err != nil {

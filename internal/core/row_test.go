@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -397,68 +396,10 @@ func TestStoredRowBytes(t *testing.T) {
 	}
 }
 
-// TestFlushedCollectionReadsNoPage: once a loaded collection is flushed,
-// its pages live only in the file. The row cache and the column store
-// serve every read of its rows, so neither the pager's read count nor its
-// cache moves under Current, Get, Columns or a column-scan Select.
-func TestFlushedCollectionReadsNoPage(t *testing.T) {
-	const rows = 20000
-	db := openDB(t)
-	col, err := db.CreateCollection("rows", Schema{Fields: []Field{
-		{Name: "label", Kind: KindStr},
-		{Name: "score", Kind: KindFloat},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		p := &Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{
-			"label": StrV(fmt.Sprintf("cls%02d", i%16)),
-			"score": FloatV(float64(i%1000) / 1000),
-		}}
-		if err := col.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	pager := db.Store().Pager()
-	if c := pager.CachedPages(); c != 0 {
-		t.Fatalf("%d pages cached after Flush, want 0", c)
-	}
-	before := pager.Reads()
-	snap, err := col.Current()
-	if err != nil || snap.Len() != rows {
-		t.Fatalf("Current: %d rows, err=%v", snap.Len(), err)
-	}
-	if p, err := col.Get(snap.rows[rows/2].ID); err != nil || p != snap.rows[rows/2] {
-		t.Fatalf("Get: %v, err=%v", p, err)
-	}
-	if _, err := col.Columns(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := snap.Select(context.Background(),
-		Pred{Field: "label", V: StrV("cls03")}, FilterColumnScan, Keep{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Method != FilterColumnScan || s.N != rows/16 {
-		t.Fatalf("Select ran %v and matched %d rows, want a column scan matching %d", s.Method, s.N, rows/16)
-	}
-	if d := pager.Reads() - before; d != 0 {
-		t.Fatalf("reads of a flushed collection read %d pages, want 0", d)
-	}
-	if c := pager.CachedPages(); c != 0 {
-		t.Fatalf("reads of a flushed collection cached %d pages, want 0", c)
-	}
-}
-
-// TestReopenedLoadCachesNoLeaf: the first load of a collection stored in
-// the page-file format reads its rows through the pager without caching
-// the pages it reads while it migrates them to a row log, so the pager
-// caches no more than the catalog and the bucket directory took, not
-// one page per leaf; and the loaded rows read as stored.
+// TestReopenedLoadCachesNoLeaf: a 20k-row collection stored in the
+// page-file format is imported at the open, so the database keeps no
+// page of the file: the rows read as stored, and the directory holds the
+// catalog and their row log, not the page file.
 func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 	const rows = 20000
 	ps := make([]*Patch, rows)
@@ -469,11 +410,11 @@ func TestReopenedLoadCachesNoLeaf(t *testing.T) {
 			"rank":  IntV(int64(i % 1009)),
 		}}
 	}
-	assertMigrationCachesNothing(t, "rows", Schema{Fields: fixtureFields}, ps)
+	assertImported(t, "rows", Schema{Fields: fixtureFields}, ps)
 }
 
 // TestReopenedLoadCachesNoOverflowPage: rows whose payloads overflow the
-// leaf into chains of pages migrate without caching those chains either.
+// leaf into chains of pages import as the others do.
 func TestReopenedLoadCachesNoOverflowPage(t *testing.T) {
 	const rows = 500
 	rng := rand.New(rand.NewSource(1))
@@ -487,62 +428,66 @@ func TestReopenedLoadCachesNoOverflowPage(t *testing.T) {
 			"rank":  IntV(int64(i)),
 		}}
 	}
-	assertMigrationCachesNothing(t, "frames", Schema{Data: Pixels(32, 32), Fields: fixtureFields}, ps)
+	assertImported(t, "frames", Schema{Data: Pixels(32, 32), Fields: fixtureFields}, ps)
 }
 
-// writePageFormat writes a database at path holding the collection name
+// writePageFormat writes a page file at path holding the collection name
 // as the page-file format stored it: each of rows, builders that take
-// ids in order, encoded under its id's 8-byte key in the bucket
-// col.<name>, and a descriptor that names no row log.
+// ids 1, 2, ... in order, encoded under its id's 8-byte key in the bucket
+// col.<name>, and a descriptor that names no row log. Beside it lie what
+// older stores left behind and nothing reads: a colseg.<name> bucket and
+// an index descriptor.
 func writePageFormat(t *testing.T, path, name string, schema Schema, rows []*Patch) {
 	t.Helper()
-	db, err := Open(path, exec.New(exec.CPU))
+	st, err := kv.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.Store().Bucket("col." + name)
-	if err != nil {
-		t.Fatal(err)
+	put := func(bucket, key string, val []byte) {
+		b, err := st.Bucket(bucket)
+		if err == nil {
+			err = b.Put([]byte(key), val)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	codec := newRowCodec(schema)
-	for _, p := range rows {
-		p.ID = db.NewPatchID()
+	for i, p := range rows {
+		p.ID = PatchID(i + 1)
 		raw, err := codec.encode(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Put(kv.U64Key(uint64(p.ID)), raw); err != nil {
-			t.Fatal(err)
-		}
+		put("col."+name, string(kv.U64Key(uint64(p.ID))), raw)
+		put("colseg."+name, fmt.Sprint(i), bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	desc, err := json.Marshal(colDesc{Name: name, Schema: schema, Count: len(rows), Version: db.nextVersion()})
+	desc, err := json.Marshal(colDesc{Name: name, Schema: schema, Count: len(rows), Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.sys.Put([]byte("col."+name), desc); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	put("sys.catalog", "col."+name, desc)
+	put("sys.catalog", "idx."+name+".label.hash", []byte("{}"))
+	put("sys.catalog", "nextid", kv.U64Key(uint64(len(rows))))
+	put("sys.catalog", "nextver", kv.U64Key(1))
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// assertMigrationCachesNothing writes rows as a page-format collection
-// name of schema, reopens the database and loads the collection: the
-// rows must read as written, the load may cache at most 4 pages beyond
-// those the open cached, and it leaves the rows in a row log and none in
-// the bucket.
-func assertMigrationCachesNothing(t *testing.T, name string, schema Schema, rows []*Patch) {
+// assertImported writes rows as a page-format collection name of schema
+// and reopens the database, which imports it: the rows read as written,
+// and the directory holds the catalog and one row log.
+func assertImported(t *testing.T, name string, schema Schema, rows []*Patch) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "dl.db")
 	writePageFormat(t, path, name, schema, rows)
 	db := reopenDB(t, path)
-	pager := db.Store().Pager()
+	assertCatalogAndLogs(t, db, 1)
 	col, err := db.Collection(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened := pager.CachedPages()
 	after, err := col.Patches()
 	if err != nil || len(after) != len(rows) {
 		t.Fatalf("reopened %d of %d rows, %v", len(after), len(rows), err)
@@ -551,17 +496,6 @@ func assertMigrationCachesNothing(t *testing.T, name string, schema Schema, rows
 		if err := samePatch(committedForm(rows[i]), after[i]); err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
-	}
-	if cached := pager.CachedPages(); cached > opened+4 {
-		t.Fatalf("loading %d rows from a %d-page file cached %d pages (%d after the open), want at most 4 more",
-			len(after), pager.NumPages(), cached, opened)
-	}
-	b, err := db.Store().Bucket("col." + name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := b.Len(); err != nil || n != 0 || col.logKey == 0 {
-		t.Fatalf("after the load the bucket holds %d rows (%v), row log key %d", n, err, col.logKey)
 	}
 }
 

@@ -50,7 +50,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var errLogClosed = errors.New("core: collection is closed")
 
 // rowLogPath is the row log of the collection whose log key is key, in
-// the database whose page file is at dbPath. The key is a version the
+// the database whose catalog is at dbPath. The key is a version the
 // database allocated once, so the name never depends on the collection's
 // name and never repeats across a drop and a re-create.
 func rowLogPath(dbPath string, key uint64) string {

@@ -116,12 +116,13 @@ func TestTieredStoreByteIdenticalAfterEvict(t *testing.T) {
 }
 
 // TestZonePrunedScanTouchesNoPages: after eviction, a predicate every
-// zone map refutes completes with zero pager reads — the resident
+// zone map refutes completes with no segment load — the resident
 // summaries alone answer it — while an unpruned predicate faults
-// exactly the surviving segments back in.
+// exactly the surviving segments back in, from their in-memory
+// encodings.
 func TestZonePrunedScanTouchesNoPages(t *testing.T) {
 	const rows = 4 * ColumnBlockSize
-	db, col, sc := tieredCollection(t, rows, 1<<20)
+	_, col, sc := tieredCollection(t, rows, 1<<20)
 	cs, err := col.Columns()
 	if err != nil {
 		t.Fatal(err)
@@ -130,18 +131,12 @@ func TestZonePrunedScanTouchesNoPages(t *testing.T) {
 		t.Fatal("clustered did not project")
 	}
 	sc.EvictAll()
-	pager := db.Store().Pager()
-
-	before := pager.Reads()
 	sel, st, ok := cs.FilterEqStats("clustered", IntV(99))
 	if !ok || len(sel) != 0 {
 		t.Fatalf("all-pruned predicate matched %d rows", len(sel))
 	}
 	if st.Pruned != st.Blocks || st.SegLoads != 0 {
 		t.Fatalf("pruned scan stats: %+v", st)
-	}
-	if delta := pager.Reads() - before; delta != 0 {
-		t.Fatalf("zone-pruned scan performed %d pager reads, want 0", delta)
 	}
 
 	// A surviving predicate decodes exactly its one segment.
@@ -151,25 +146,21 @@ func TestZonePrunedScanTouchesNoPages(t *testing.T) {
 	}
 
 	// Float segments encode uncompressed (~8 KiB each). Decoding them
-	// after an eviction reads their in-memory encodings and no page.
+	// after an eviction reads their in-memory encodings.
 	if _, ok := cs.Column("score"); !ok {
 		t.Fatal("score did not project")
 	}
 	sc.EvictAll()
-	before = pager.Reads()
 	if _, rst, ok := cs.FilterRangeStats("score", 5.0, 5.05); !ok || rst.SegLoads == 0 {
 		t.Fatalf("range scan loaded no segments: %+v", rst)
-	}
-	if delta := pager.Reads() - before; delta != 0 {
-		t.Fatalf("cold float segment loads performed %d pager reads, want 0", delta)
 	}
 }
 
 // TestTieredStoreReprojectsOnReopen: a reopened tiered collection
 // projects its columns from the rows it loads and answers byte for byte
 // what an in-memory store over the rows before the close answers, before
-// and after a full eviction. No column copy persists: the store holds
-// the catalog and collection buckets and nothing else.
+// and after a full eviction. No column copy persists: the directory
+// holds the catalog and the collection's row log and nothing else.
 func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	const rows = 3*ColumnBlockSize + 100
 	path := filepath.Join(t.TempDir(), "dl.db")
@@ -227,15 +218,7 @@ func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	if st.Spills == 0 || st.Loads == 0 || st.LoadFaults != 0 {
 		t.Fatalf("reprojected store: %+v, want spills and loads and no faults", st)
 	}
-	names, err := db2.Store().Buckets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if name != "sys.catalog" && name != "col.col.dets" {
-			t.Errorf("store holds bucket %q beyond the catalog and collection buckets", name)
-		}
-	}
+	assertCatalogAndLogs(t, db2, 1)
 }
 
 // TestCorruptSpilledSegmentRebuilds: a segment whose encoding is

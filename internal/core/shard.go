@@ -503,19 +503,6 @@ func (s *Sharded) RefreshStats() RefreshStats {
 	return sum
 }
 
-// PagerStats sums, over every replica DB's page file, the pages the file
-// holds (meta page included) and the page buffers resident in its cache.
-func (s *Sharded) PagerStats() (pages uint64, cached int) {
-	for _, reps := range s.reps {
-		for _, db := range reps {
-			p := db.store.Pager()
-			pages += p.NumPages()
-			cached += p.CachedPages()
-		}
-	}
-	return pages, cached
-}
-
 // ShardInfo is one shard's storage snapshot (served by /stats).
 type ShardInfo struct {
 	Shard int `json:"shard"`

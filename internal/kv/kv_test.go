@@ -241,10 +241,6 @@ func TestStoreReopen(t *testing.T) {
 			t.Fatalf("reopen Get(%d) = %q, %v", i, v, err)
 		}
 	}
-	names, err := s2.Buckets()
-	if err != nil || len(names) != 1 || names[0] != "payloads" {
-		t.Fatalf("Buckets = %v, %v", names, err)
-	}
 }
 
 func TestBucketScanOrderedByU64Key(t *testing.T) {

@@ -59,28 +59,6 @@ func (s *Store) Bucket(name string) (*Bucket, error) {
 	return b, nil
 }
 
-// Buckets lists all bucket names in the directory plus any created in memory.
-func (s *Store) Buckets() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := make(map[string]bool)
-	var names []string
-	err := s.dir.Scan(nil, nil, func(k, _ []byte) bool {
-		seen[string(k)] = true
-		names = append(names, string(k))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	for n := range s.buckets {
-		if !seen[n] {
-			names = append(names, n)
-		}
-	}
-	return names, nil
-}
-
 // saveRoot records a bucket's (possibly changed) tree root in the directory.
 func (s *Store) saveRoot(name string, root uint64) error {
 	s.mu.Lock()
@@ -132,9 +110,6 @@ type Bucket struct {
 	t    *btree.Tree
 }
 
-// Name returns the bucket's name.
-func (b *Bucket) Name() string { return b.name }
-
 // Put stores val under key, replacing any existing value.
 func (b *Bucket) Put(key, val []byte) error {
 	b.mu.Lock()
@@ -147,17 +122,6 @@ func (b *Bucket) Put(key, val []byte) error {
 		return b.s.saveRoot(b.name, b.t.Root())
 	}
 	return nil
-}
-
-// Free returns every page of the bucket's tree to the pager and leaves
-// the bucket empty.
-func (b *Bucket) Free() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.t.Free(); err != nil {
-		return err
-	}
-	return b.s.saveRoot(b.name, 0)
 }
 
 // Get returns the value under key, or ErrNotFound.
@@ -177,17 +141,6 @@ func (b *Bucket) GetAppend(dst, key []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bucket %q key %x", ErrNotFound, b.name, key)
 	}
 	return v, err
-}
-
-// Delete removes key; missing keys are reported as ErrNotFound.
-func (b *Bucket) Delete(key []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	err := b.t.Delete(key)
-	if errors.Is(err, btree.ErrNotFound) {
-		return fmt.Errorf("%w: bucket %q key %x", ErrNotFound, b.name, key)
-	}
-	return err
 }
 
 // Scan calls fn over entries with key in [lo, hi) in key order; nil bounds

@@ -28,6 +28,10 @@ func TestMain(m *testing.M) {
 	if sealers.dir != "" {
 		os.RemoveAll(sealers.dir)
 	}
+	if testEnv != nil {
+		testEnv.Close()
+		os.RemoveAll(testEnv.Dir)
+	}
 	os.Exit(code)
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-	"time"
 )
 
 // CacheStats is a cache's cumulative activity record, exposed via /stats.
@@ -13,7 +12,6 @@ type CacheStats struct {
 	Misses      int64 `json:"misses"`
 	Puts        int64 `json:"puts"`
 	Evictions   int64 `json:"evictions"`   // capacity pressure
-	Expirations int64 `json:"expirations"` // TTL lapses observed on Get
 	Invalidated int64 `json:"invalidated"` // explicit prefix invalidation
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
@@ -30,40 +28,36 @@ func (s CacheStats) HitRate() float64 {
 }
 
 type cacheEntry struct {
-	key     string
-	val     any
-	bytes   int64
-	expires time.Time // zero = never
+	key   string
+	val   any
+	bytes int64
 }
 
-// Cache is a thread-safe LRU cache with byte-budget accounting and
-// optional TTL expiry. It backs both the plan-keyed result cache and the
-// UDF materialization cache (it satisfies vision.MemoCache). Entries are
-// evicted least-recently-used when the byte budget is exceeded; expired
-// entries are dropped lazily on access.
+// Cache is a thread-safe LRU cache with byte-budget accounting. It backs
+// both the plan-keyed result cache and the UDF materialization cache (it
+// satisfies vision.MemoCache). Entries are evicted least-recently-used
+// when the byte budget is exceeded. Nothing expires by age: every key
+// names the version or generation its value was computed at, so an old
+// entry can only serve the same bytes again.
 type Cache struct {
 	mu  sync.Mutex
 	cap int64
-	ttl time.Duration // zero = no expiry
-	now func() time.Time
 
 	ll    *list.List // front = most recently used; values are *cacheEntry
 	index map[string]*list.Element
 	bytes int64
 
-	hits, misses, puts, evictions, expirations, invalidated int64
+	hits, misses, puts, evictions, invalidated int64
 }
 
 // NewCache builds a cache holding at most capBytes of accounted value
-// bytes; entries older than ttl expire (ttl <= 0 disables expiry).
-func NewCache(capBytes int64, ttl time.Duration) *Cache {
+// bytes.
+func NewCache(capBytes int64) *Cache {
 	if capBytes < 1 {
 		capBytes = 1
 	}
 	return &Cache{
 		cap:   capBytes,
-		ttl:   ttl,
-		now:   time.Now,
 		ll:    list.New(),
 		index: make(map[string]*list.Element),
 	}
@@ -84,22 +78,15 @@ func (c *Cache) GetBytes(key []byte) (any, bool) {
 }
 
 // useLocked counts a probe that found el (nil on a miss) and returns its
-// value, unless it has expired.
+// value.
 func (c *Cache) useLocked(el *list.Element) (any, bool) {
 	if el == nil {
 		c.misses++
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(el)
-		c.expirations++
-		c.misses++
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return e.val, true
+	return el.Value.(*cacheEntry).val, true
 }
 
 // Put stores val under key with the given size estimate, evicting LRU
@@ -115,17 +102,13 @@ func (c *Cache) Put(key string, val any, bytes int64) {
 	if bytes > c.cap {
 		return
 	}
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes += bytes - e.bytes
-		e.val, e.bytes, e.expires = val, bytes, expires
+		e.val, e.bytes = val, bytes
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&cacheEntry{key: key, val: val, bytes: bytes, expires: expires})
+		el := c.ll.PushFront(&cacheEntry{key: key, val: val, bytes: bytes})
 		c.index[key] = el
 		c.bytes += bytes
 	}
@@ -215,14 +198,7 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Puts: c.puts,
-		Evictions: c.evictions, Expirations: c.expirations, Invalidated: c.invalidated,
+		Evictions: c.evictions, Invalidated: c.invalidated,
 		Entries: c.ll.Len(), Bytes: c.bytes, CapBytes: c.cap,
 	}
-}
-
-// setClock injects a fake clock (tests).
-func (c *Cache) setClock(now func() time.Time) {
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
 }

@@ -3,11 +3,10 @@ package service
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestCacheLRUEvictionUnderPressure(t *testing.T) {
-	c := NewCache(100, 0)
+	c := NewCache(100)
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i, 10)
 	}
@@ -39,40 +38,8 @@ func TestCacheLRUEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := NewCache(1<<20, time.Minute)
-	c.setClock(func() time.Time { return now })
-	c.Put("k", "v", 10)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired early")
-	}
-	now = now.Add(2 * time.Second) // past the refreshed deadline? no: TTL counts from Put
-	// The Get above did not extend TTL; entry is now 61s old.
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("expired entry still served")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", st.Expirations)
-	}
-	if st.Entries != 0 {
-		t.Fatalf("entries = %d after expiry, want 0", st.Entries)
-	}
-	// Re-putting refreshes the deadline.
-	c.Put("k", "v2", 10)
-	now = now.Add(30 * time.Second)
-	if v, ok := c.Get("k"); !ok || v.(string) != "v2" {
-		t.Fatalf("re-put entry = %v, %v", v, ok)
-	}
-}
-
 func TestCacheUpdateAccounting(t *testing.T) {
-	c := NewCache(100, 0)
+	c := NewCache(100)
 	c.Put("k", "a", 30)
 	c.Put("k", "b", 50) // replace, not duplicate
 	st := c.Stats()
@@ -87,7 +54,7 @@ func TestCacheUpdateAccounting(t *testing.T) {
 // TestCacheCharge: Charge grows only the entry that still holds the
 // charged value, then evicts LRU entries down to the budget.
 func TestCacheCharge(t *testing.T) {
-	c := NewCache(100, 0)
+	c := NewCache(100)
 	a, b, stale := new(int), new(int), new(int)
 	c.Put("a", a, 40)
 	c.Put("b", b, 40)
@@ -107,7 +74,7 @@ func TestCacheCharge(t *testing.T) {
 }
 
 func TestCacheInvalidatePrefix(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	c.Put("q:traffic.dets:abc", 1, 10)
 	c.Put("q:traffic.dets:def", 2, 10)
 	c.Put("q:pc.images:abc", 3, 10)
@@ -126,7 +93,7 @@ func TestCacheInvalidatePrefix(t *testing.T) {
 }
 
 func TestCacheFlushKeepsCounters(t *testing.T) {
-	c := NewCache(1<<20, 0)
+	c := NewCache(1 << 20)
 	c.Put("a", 1, 10)
 	c.Get("a")
 	c.Get("miss")

@@ -101,7 +101,7 @@ var wireBufs warmpool.Pool[wireBuf]
 // followed by the per-request tail. The body is byte-identical to
 // writeJSON(w, http.StatusOK, resp), and like it commits no status
 // before the whole body is encoded.
-func writeResponse(w http.ResponseWriter, resp *Response) {
+func writeResponse(w http.ResponseWriter, resp *Response, t hitTail) {
 	var head []byte
 	var err error
 	if m := resp.wire; m != nil {
@@ -117,7 +117,7 @@ func writeResponse(w http.ResponseWriter, resp *Response) {
 		wb.b, err = resp.appendHead(wb.b[:0], &wb.keys)
 	}
 	if err == nil {
-		wb.b, err = resp.appendTail(wb.b)
+		wb.b, err = resp.appendTail(wb.b, t)
 	}
 	if err != nil {
 		writeEncodeError(w, err)
@@ -190,22 +190,26 @@ func (r Row) appendJSON(b []byte, keys *[]string) ([]byte, error) {
 }
 
 // appendTail appends what follows the head in the indented encoding of
-// the whole Response: cache_hit, the two costs, duration_ms, the
-// degraded and trace fields when set, and headCloser.
-func (r *Response) appendTail(b []byte) ([]byte, error) {
+// the whole Response, delivered with t: cache_hit, the two costs,
+// duration_ms, the degraded and trace fields when set, and headCloser.
+func (r *Response) appendTail(b []byte, t hitTail) ([]byte, error) {
+	hit, cost, dur := r.CacheHit, r.CacheAwareCostSec, r.DurationMS
+	if t.hit {
+		hit, cost, dur = true, t.costSec, 0
+	}
 	b = append(b, ",\n  \"cache_hit\": "...)
-	b = strconv.AppendBool(b, r.CacheHit)
+	b = strconv.AppendBool(b, hit)
 	var err error
 	b = append(b, ",\n  \"est_cost_sec\": "...)
 	if b, err = appendJSONFloat(b, r.EstCostSec); err != nil {
 		return b, err
 	}
 	b = append(b, ",\n  \"cache_aware_cost_sec\": "...)
-	if b, err = appendJSONFloat(b, r.CacheAwareCostSec); err != nil {
+	if b, err = appendJSONFloat(b, cost); err != nil {
 		return b, err
 	}
 	b = append(b, ",\n  \"duration_ms\": "...)
-	if b, err = appendJSONFloat(b, r.DurationMS); err != nil {
+	if b, err = appendJSONFloat(b, dur); err != nil {
 		return b, err
 	}
 	if r.Degraded {
@@ -327,10 +331,10 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, httpError{"bad request body: " + err.Error()})
 		return
 	}
-	resp, err := s.query(r.Context(), &d.req)
+	resp, t, err := s.query(r.Context(), &d.req)
 	switch {
 	case err == nil:
-		writeResponse(w, resp)
+		writeResponse(w, resp, t)
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, httpError{err.Error()})

@@ -331,16 +331,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := exp.Value("deeplens_cache_hit_rate", map[string]string{"cache": "result"}); !ok {
 		t.Fatal("deeplens_cache_hit_rate{cache=\"result\"} is missing")
 	}
-	var pages uint64
-	for i := 0; i < s.shards.NumShards(); i++ {
-		pages += s.shards.Shard(i).Store().Pager().NumPages()
-	}
-	if v, ok := exp.Value("deeplens_store_pages", nil); !ok || v != float64(pages) {
-		t.Fatalf("deeplens_store_pages = %v (found=%v), want %d", v, ok, pages)
-	}
-	if v, ok := exp.Value("deeplens_pager_cached_pages", nil); !ok || v <= 0 || v > float64(pages) {
-		t.Fatalf("deeplens_pager_cached_pages = %v (found=%v), want within (0, %d]", v, ok, pages)
-	}
 	for _, name := range []string{"deeplens_go_heap_live_bytes", "deeplens_go_gc_cycles_total", "deeplens_go_gc_cpu_seconds_total"} {
 		if v, ok := exp.Value(name, nil); !ok || !(v > 0) {
 			t.Fatalf("%s = %v (found=%v), want > 0 after a GC", name, v, ok)
@@ -493,8 +483,6 @@ type statsContract struct {
 	KNNEvalsIndex     int64             `json:"knn_distance_evals_index"`
 	KNNEvalsScan      int64             `json:"knn_distance_evals_scan"`
 	ScalarSorted      int64             `json:"scalar_segments_sorted"`
-	StorePages        int64             `json:"store_pages"`
-	PagerCachedPages  int64             `json:"pager_cached_pages"`
 	GoHeapLiveBytes   int64             `json:"go_heap_live_bytes"`
 	GoGCCycles        int64             `json:"go_gc_cycles"`
 	GoGCCPUSeconds    float64           `json:"go_gc_cpu_seconds"`
@@ -565,7 +553,6 @@ func TestStatsJSONContract(t *testing.T) {
 		"segment_evictions", "segment_resident_bytes", "column_mem_budget",
 		"knn_queries", "index_extends", "index_rebuilds",
 		"knn_distance_evals_index", "knn_distance_evals_scan", "scalar_segments_sorted",
-		"store_pages", "pager_cached_pages",
 		"go_heap_live_bytes", "go_gc_cycles", "go_gc_cpu_seconds",
 		"result_cache", "udf_cache", "result_hit_rate",
 		"device", "devices", "device_kernels", "device_launches", "device_flops", "device_overhead_ms",

@@ -182,10 +182,6 @@ var snapshotMetrics = []snapshotMetric{
 	{"deeplens_knn_distance_evals_total", "", counter, map[string]string{"method": "scan"}, func(s *Stats) float64 { return float64(s.KNNDistanceEvalsScan) }},
 	{"deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for hash/B-tree index probes (once each; the order outlives the segment's data).", counter, nil,
 		func(s *Stats) float64 { return float64(s.ScalarSegmentsSorted) }},
-	{"deeplens_store_pages", "Pages in the catalog page files of every shard and replica store (meta pages included); rows live in the row logs beside them.", gauge, nil,
-		func(s *Stats) float64 { return float64(s.StorePages) }},
-	{"deeplens_pager_cached_pages", "Catalog page buffers in the pager caches of every shard and replica store: dirty pages awaiting write-back plus pages read from the file.", gauge, nil,
-		func(s *Stats) float64 { return float64(s.PagerCachedPages) }},
 	{"deeplens_device_kernels_total", "Kernels executed across the service's devices.", counter, nil, func(s *Stats) float64 { return float64(s.DeviceKernels) }},
 	{"deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", counter, nil, func(s *Stats) float64 { return float64(s.DeviceLaunches) }},
 	{"deeplens_device_overhead_seconds_total", "Simulated launch + transfer overhead paid.", counter, nil, func(s *Stats) float64 { return s.DeviceOverheadMS / 1e3 }},

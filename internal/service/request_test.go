@@ -230,7 +230,7 @@ func TestResponseSizeBytesCountsWideValues(t *testing.T) {
 		t.Fatalf("one-row responses charged %d and %d bytes before encoding, want %d (a handle)", n, w, want)
 	}
 	charged := func(r *Response) int64 {
-		c := NewCache(1<<20, 0)
+		c := NewCache(1 << 20)
 		c.Put("k", r, r.sizeBytes())
 		r.wire = &wireMemo{cache: c, key: "k", entry: r}
 		if _, err := r.wire.headFor(r); err != nil {

@@ -9,7 +9,7 @@
 //     exec.Batcher; with Config.Devices below Workers, several workers
 //     share one device and the batcher fuses their kernels into one
 //     launch, amortizing GPU launch overhead across requests);
-//   - an LRU+TTL result cache keyed by a canonical plan fingerprint
+//   - an LRU result cache keyed by a canonical plan fingerprint
 //     (dataset version + operator tree + parameters) with byte
 //     accounting and hit/miss/eviction metrics;
 //   - a UDF materialization cache memoizing per-frame inference outputs
@@ -99,9 +99,6 @@ type Config struct {
 	Devices int
 	// ResultCacheBytes budgets the plan-keyed result cache (default 32 MiB).
 	ResultCacheBytes int64
-	// ResultTTL expires cached results (default 5m; negative disables
-	// expiry).
-	ResultTTL time.Duration
 	// UDFCacheBytes budgets the inference materialization cache
 	// (default 128 MiB).
 	UDFCacheBytes int64
@@ -171,12 +168,6 @@ func (c Config) withDefaults(shards int) Config {
 	}
 	if c.ResultCacheBytes <= 0 {
 		c.ResultCacheBytes = 32 << 20
-	}
-	switch {
-	case c.ResultTTL == 0:
-		c.ResultTTL = 5 * time.Minute
-	case c.ResultTTL < 0:
-		c.ResultTTL = 0 // never expire
 	}
 	if c.UDFCacheBytes <= 0 {
 		c.UDFCacheBytes = 128 << 20
@@ -323,8 +314,8 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		shards:   sdb,
 		cfg:      cfg,
 		start:    time.Now(),
-		results:  NewCache(cfg.ResultCacheBytes, cfg.ResultTTL),
-		udfMemo:  NewCache(cfg.UDFCacheBytes, 0),
+		results:  NewCache(cfg.ResultCacheBytes),
+		udfMemo:  NewCache(cfg.UDFCacheBytes),
 		queue:    make(chan *task, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sources:  make(map[string]registeredSource),
@@ -470,17 +461,25 @@ const keyScratch = 512
 // bounded admission, parallel execution on a worker's device. It blocks
 // until the result is ready, ctx is done, or the service closes.
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
-	return s.query(ctx, &req)
+	resp, t, err := s.query(ctx, &req)
+	if t.hit { // a caller-private copy, sharing the rows and wire memo
+		out := *resp
+		t.apply(&out)
+		resp = &out
+	}
+	return resp, err
 }
 
 // query is Query over a request the caller may reuse once it returns:
-// every task it queues runs on a clone.
-func (s *Service) query(ctx context.Context, req *Request) (*Response, error) {
+// every task it queues runs on a clone. A hit, from the cache or an
+// identical flight, returns the shared response, which the caller must
+// not modify, with the hitTail to deliver it with.
+func (s *Service) query(ctx context.Context, req *Request) (*Response, hitTail, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return nil, hitTail{}, ErrClosed
 	}
 	if err := req.validate(); err != nil {
-		return nil, err
+		return nil, hitTail{}, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -505,38 +504,37 @@ func (s *Service) query(ctx context.Context, req *Request) (*Response, error) {
 	// clock reads plus one histogram observe.
 	tr := s.tel.startTrace(req)
 	req.tr = tr
-	resp, err := s.doQuery(ctx, req, tr)
+	plan := tr.Begin("plan")
+	resp, t, err := s.resolve(ctx, req, plan)
 	if err != nil {
 		if timeout > 0 && parent.Err() == nil &&
 			(errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded)) {
-			return nil, ErrQueryTimeout
+			return nil, t, ErrQueryTimeout
 		}
-		return nil, err
+		return nil, t, err
 	}
-	return s.tel.finishQuery(resp, req, tr, time.Since(start)), nil
+	plan.Attr("plan", resp.Plan)
+	out := s.tel.finishQuery(resp, req, tr, time.Since(start))
+	if t.hit && req.Trace {
+		t.apply(out) // finishQuery's private copy
+		t = hitTail{}
+	}
+	return out, t, nil
 }
 
-// doQuery is Query's cache/coalesce/admit pipeline.
-func (s *Service) doQuery(ctx context.Context, req *Request, tr *obs.Trace) (*Response, error) {
-	plan := tr.Begin("plan")
-	resp, err := s.resolve(ctx, req, plan)
-	if err == nil {
-		plan.Attr("plan", resp.Plan)
-	}
-	return resp, err
-}
-
-// resolve answers req from the result cache, an identical in-flight
-// execution, or a new one. The plan span ends once the path is chosen.
-func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandle) (*Response, error) {
+// resolve answers req from the result cache or an identical in-flight
+// execution, both shared and delivered as hits, or a new one. The plan
+// span ends once the path is chosen.
+func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandle) (*Response, hitTail, error) {
 	if req.NoCache {
 		plan.Attr("cache", "bypass").End()
-		return s.admit(ctx, req, &flight{done: make(chan struct{})})
+		resp, err := s.admit(ctx, req, &flight{done: make(chan struct{})})
+		return resp, hitTail{}, err
 	}
 	version, err := s.versionOf(req)
 	if err != nil {
 		plan.End()
-		return nil, err
+		return nil, hitTail{}, err
 	}
 	// A hit probes the cache with the key's bytes; the key string is made
 	// only for a miss, which registers and stores under it.
@@ -546,7 +544,7 @@ func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandl
 	for {
 		if v, ok := s.results.GetBytes(kb); ok {
 			plan.Attr("cache", "hit").End()
-			return cachedResponse(v.(*Response), s), nil
+			return v.(*Response), s.hitTail(v.(*Response)), nil
 		}
 		if key == "" {
 			key = string(kb)
@@ -563,20 +561,21 @@ func (s *Service) resolve(ctx context.Context, req *Request, plan *obs.SpanHandl
 			plan.Attr("cache", "miss").End()
 			// A leader that gives up stops waiting; the worker still
 			// publishes the flight to its waiters.
-			return s.admit(ctx, req, fl)
+			resp, err := s.admit(ctx, req, fl)
+			return resp, hitTail{}, err
 		}
 		s.tel.coalesced.Inc()
 		plan.Attr("cache", "coalesced").End()
 		resp, err := s.await(ctx, fl)
 		if err == nil {
-			return cachedResponse(resp, s), nil
+			return resp, s.hitTail(resp), nil
 		}
 		// The flight ran under its leader's context and failed on it (the
 		// leader hung up or hit its deadline). This waiter's own context is
 		// live, so it looks the key up again: a cache hit, a newer flight,
 		// or its own execution.
 		if ctx.Err() != nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return nil, err
+			return nil, hitTail{}, err
 		}
 	}
 }
@@ -733,16 +732,22 @@ func (s *Service) runTask(w *worker, t *task) (*Response, error) {
 // result-cache probe (fingerprint + map + LRU bump).
 const cacheLookupCostSec = 2e-6
 
-// cachedResponse returns a caller-private copy of a cached response,
-// marked as a hit and re-costed at the current hit rate. The copy shares
-// the original's rows and wire memo.
-func cachedResponse(r *Response, s *Service) *Response {
-	out := *r
-	out.CacheHit = true
-	out.DurationMS = 0
-	out.CacheAwareCostSec = core.CacheAwareCost(
-		r.EstCostSec, s.results.Stats().HitRate(), cacheLookupCostSec)
-	return &out
+// hitTail is what a hit on a shared response delivers in place of its
+// own cache_hit, cache_aware_cost_sec and duration_ms: true, costSec and
+// 0. The zero hitTail delivers the response's own.
+type hitTail struct {
+	hit     bool
+	costSec float64
+}
+
+// hitTail is a hit on r, re-costed at the current hit rate.
+func (s *Service) hitTail(r *Response) hitTail {
+	return hitTail{true, core.CacheAwareCost(r.EstCostSec, s.results.Stats().HitRate(), cacheLookupCostSec)}
+}
+
+// apply sets t's fields on a response private to the caller.
+func (t hitTail) apply(r *Response) {
+	r.CacheHit, r.CacheAwareCostSec, r.DurationMS = true, t.costSec, 0
 }
 
 // ---------------------------------------------------------- execution ----
@@ -873,12 +878,6 @@ type Stats struct {
 	KNNDistanceEvalsScan  int64 `json:"knn_distance_evals_scan"`
 	ScalarSegmentsSorted  int64 `json:"scalar_segments_sorted"`
 
-	// Storage: the pages of every shard and replica store's catalog page
-	// file (rows live in the row logs beside it), and the page buffers
-	// their pager caches hold.
-	StorePages       int64 `json:"store_pages"`
-	PagerCachedPages int64 `json:"pager_cached_pages"`
-
 	// The Go runtime: heap bytes the last collection marked live,
 	// completed collections, and the CPU time they spent.
 	GoHeapLiveBytes int64   `json:"go_heap_live_bytes"`
@@ -958,7 +957,6 @@ func (s *Service) Stats() Stats {
 	rs := s.shards.RefreshStats()
 	resyncs, resyncRows := s.shards.ResyncStats()
 	scs := s.segCache.Stats() // nil-safe: zero record when tiering is off
-	pages, cached := s.shards.PagerStats()
 	heapLive, gcCycles, gcCPU := goRuntimeStats()
 	return Stats{
 		UptimeSec:  time.Since(s.start).Seconds(),
@@ -996,9 +994,6 @@ func (s *Service) Stats() Stats {
 		KNNDistanceEvalsIndex: rs.KNNIndexEvals,
 		KNNDistanceEvalsScan:  rs.KNNScanEvals,
 		ScalarSegmentsSorted:  rs.ScalarSorted,
-
-		StorePages:       int64(pages),
-		PagerCachedPages: int64(cached),
 
 		GoHeapLiveBytes: heapLive,
 		GoGCCycles:      gcCycles,

@@ -27,7 +27,8 @@ var (
 	envErr  error
 )
 
-// getEnv lazily ingests one small shared benchmark environment.
+// getEnv lazily ingests one small shared benchmark environment, which
+// TestMain closes and removes.
 func getEnv(t *testing.T) *bench.Env {
 	t.Helper()
 	envOnce.Do(func() {

@@ -85,7 +85,7 @@ func asBuilders(rows []Row) []Row {
 func checkWriter(t *testing.T, label string, r *Response) {
 	t.Helper()
 	got := httptest.NewRecorder()
-	writeResponse(got, r)
+	writeResponse(got, r, hitTail{})
 	if want := encodeJSON(t, r); got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
 		t.Fatalf("%s: writeResponse sent %d %q, writeJSON sends %q", label, got.Code, got.Body.Bytes(), want)
 	}
@@ -370,7 +370,7 @@ func FuzzRowWireMatchesEncodingJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nrows uint8, knn bool, s string) {
 		resp := fuzzResponse(rand.New(rand.NewSource(seed)), int(nrows%24), knn, s)
 		got := httptest.NewRecorder()
-		writeResponse(got, resp)
+		writeResponse(got, resp, hitTail{})
 		code, want := refBody(resp)
 		if got.Code != code || !bytes.Equal(got.Body.Bytes(), want) {
 			t.Fatalf("writeResponse sent %d %q\nthe reference sends %d %q", got.Code, got.Body.Bytes(), code, want)
@@ -458,7 +458,7 @@ func TestUncachedResponseAllocsIndependentOfRows(t *testing.T) {
 		}
 		return testing.AllocsPerRun(200, func() {
 			w.status, w.body = 0, w.body[:0]
-			writeResponse(w, r)
+			writeResponse(w, r, hitTail{})
 		})
 	}
 	if one, twenty := allocs(1), allocs(20); twenty != one {
