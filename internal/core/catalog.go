@@ -121,7 +121,29 @@ func Open(path string, dev exec.Device) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open %s: %w", path, err)
 	}
+	db.resume()
 	return db, nil
+}
+
+// resume takes each collection's row count from its row log and lifts
+// the id counter past the log's last id: a log takes blocks between two
+// flushes, which the catalog does not count. A log the walk cannot read
+// to its end keeps the catalog's count, and its load fails.
+func (db *DB) resume() {
+	for _, c := range db.cols {
+		rows, last, err := scanRowLog(rowLogPath(db.path, c.logKey))
+		db.liftNextID(uint64(last))
+		if err == nil {
+			c.count = rows
+		}
+	}
+}
+
+// liftNextID raises the id counter to at least id, so every id it
+// draws afterwards is above id.
+func (db *DB) liftNextID(id uint64) {
+	for cur := db.nextID.Load(); id > cur && !db.nextID.CompareAndSwap(cur, id); cur = db.nextID.Load() {
+	}
 }
 
 // install opens cat's collections, unloaded, and resumes its counters.
@@ -483,7 +505,8 @@ func (c *Collection) AppendBatch(ps []*Patch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.commit(rows)
+	_, n, err := c.commit(rows, -1)
+	return n, err
 }
 
 // prepRow is a patch prepare sealed and validated, and its stored form.
@@ -520,14 +543,24 @@ func (c *Collection) prepare(ps []*Patch) ([]prepRow, error) {
 	return rows, nil
 }
 
+// errBehind reports a replica commit refused because the replica does
+// not hold the rows its primary committed the part after.
+var errBehind = errors.New("core: replica behind its primary")
+
 // commit appends prepared rows under one hold of c.mu: one load (for
 // the last id), ids, one order check, the log appends and one version.
-// A log append that fails commits the rows before it.
-func (c *Collection) commit(rows []prepRow) (int, error) {
+// It returns the row count it committed after and how many rows it
+// committed. With at >= 0 it commits only after exactly at rows, and
+// is errBehind otherwise. A log append that fails commits the rows
+// before it.
+func (c *Collection) commit(rows []prepRow, at int) (from, n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.load(); err != nil {
-		return 0, err
+		return 0, 0, err
+	}
+	if from = c.count; at >= 0 && at != from {
+		return from, 0, errBehind
 	}
 	last := c.log.last // the cache's last id
 	for _, r := range rows {
@@ -535,22 +568,20 @@ func (c *Collection) commit(rows []prepRow) (int, error) {
 			r.p.ID = c.db.NewPatchID()
 		}
 		if r.p.ID <= last {
-			return 0, fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, r.p.ID, last, c.name)
+			return from, 0, fmt.Errorf("%w: %d after %d in %q", ErrIDOrder, r.p.ID, last, c.name)
 		}
 		last = r.p.ID
 	}
-	var err error
 	for _, r := range rows {
 		if err = c.log.append(r.p.ID, r.raw); err != nil {
 			break
 		}
 		c.cache = append(c.cache, r.p)
 	}
-	n := len(c.cache) - c.count
-	if n > 0 {
+	if n = len(c.cache) - from; n > 0 {
 		c.count, c.version = len(c.cache), c.db.nextVersion()
 	}
-	return n, err
+	return from, n, err
 }
 
 // Get fetches one patch by id from the current snapshot (see

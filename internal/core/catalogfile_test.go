@@ -46,23 +46,13 @@ func assertCatalogAndLogs(t testing.TB, db *DB, logs int) {
 	}
 }
 
-// copyDir copies the files of dir into a new directory: what a crash
-// at this point would leave on disk.
+// copyDir copies the files of dir, and of its subdirectories, into a
+// new directory: what a crash at this point would leave on disk.
 func copyDir(t *testing.T, dir string) string {
 	t.Helper()
 	dst := t.TempDir()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	if err := os.CopyFS(dst, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range ents {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	return dst
 }

@@ -64,7 +64,7 @@ func TestReplicatedLayoutAndByteEquivalence(t *testing.T) {
 				t.Fatalf("shard %d row %d diverges: %v vs %v", i, k, pp[k], rp[k])
 			}
 		}
-		if got := s.InSyncReplicas(i); len(got) != 2 {
+		if got := sc.InSyncReplicas(i); len(got) != 2 {
 			t.Fatalf("shard %d in-sync = %v, want both", i, got)
 		}
 	}
@@ -165,10 +165,10 @@ func TestSecondaryAppendFailureDemotesReplica(t *testing.T) {
 	if hit0 == 0 {
 		t.Fatal("no appends routed to shard 0; test is vacuous")
 	}
-	if got := s.InSyncReplicas(0); len(got) != 1 || got[0] != 0 {
+	if got := sc.InSyncReplicas(0); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("shard 0 in-sync = %v, want primary only", got)
 	}
-	if got := s.InSyncReplicas(1); len(got) != 2 {
+	if got := sc.InSyncReplicas(1); len(got) != 2 {
 		t.Fatalf("shard 1 in-sync = %v, want both", got)
 	}
 	if s.ReplicaAppendErrors() == 0 {
@@ -208,7 +208,7 @@ func TestPrimaryAppendFailureFailsAppend(t *testing.T) {
 		t.Fatalf("failed append left rows: primary %d, replica %d",
 			sc.Replica(0, 0).Len(), sc.Replica(0, 1).Len())
 	}
-	if got := s.InSyncReplicas(0); len(got) != 2 {
+	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after primary-failed append = %v, want both", got)
 	}
 }

@@ -34,6 +34,14 @@ func resyncFixture(t *testing.T, shards, replicas, rows int) (*Sharded, *Sharded
 	return s, sc
 }
 
+// freeze arms a certain append failure on one secondary, so every later
+// append leaves it behind its primary.
+func freeze(s *Sharded, shard, replica int) {
+	s.SetFaults(fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.AppendError, Shard: shard, Replica: replica, Prob: 1},
+	}}))
+}
+
 // requireReplicaMatchesPrimary asserts the replica serves byte-identical
 // snapshots to its primary for every shard it covers.
 func requireReplicaMatchesPrimary(t *testing.T, sc *ShardedCollection, shard, replica int) {
@@ -59,8 +67,9 @@ func requireReplicaMatchesPrimary(t *testing.T, sc *ShardedCollection, shard, re
 func TestResyncRepairsDemotedReplica(t *testing.T) {
 	s, sc := resyncFixture(t, 2, 2, 60)
 
-	// Demote shard 0's secondary via a certain injected append failure,
-	// then keep appending: the frozen replica must receive nothing.
+	// Leave shard 0's secondary behind via a certain injected append
+	// failure, then keep appending: the frozen replica must receive
+	// nothing.
 	s.SetFaults(fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
 		{Point: fault.AppendError, Shard: 0, Replica: 1, Prob: 1},
 	}}))
@@ -81,8 +90,9 @@ func TestResyncRepairsDemotedReplica(t *testing.T) {
 	if frozen >= sc.Replica(0, 0).Len() {
 		t.Fatalf("demoted replica len %d not behind primary %d", frozen, sc.Replica(0, 0).Len())
 	}
-	// A demoted replica is out of the append fan-out: only the first
-	// failed append should have fired the failpoint for shard 0.
+	// A replica behind its primary takes no append, even once the
+	// fault is disarmed: committing would leave a hole in its rows.
+	s.SetFaults(nil)
 	for i := 180; i < 200; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
@@ -91,8 +101,9 @@ func TestResyncRepairsDemotedReplica(t *testing.T) {
 	if got := sc.Replica(0, 1).Len(); got != frozen {
 		t.Fatalf("demoted replica grew %d -> %d; must be frozen", frozen, got)
 	}
-	if lags := s.OutOfSyncReplicas(); len(lags) != 1 || lags[0] != (ReplicaLag{Shard: 0, Replica: 1}) {
-		t.Fatalf("OutOfSyncReplicas = %+v, want shard 0 replica 1", lags)
+	want := ReplicaLag{Shard: 0, Replica: 1, Rows: sc.Replica(0, 0).Len() - frozen}
+	if lags := s.OutOfSyncReplicas(); len(lags) != 1 || lags[0] != want {
+		t.Fatalf("OutOfSyncReplicas = %+v, want %+v", lags, want)
 	}
 
 	// Heal the fault and repair: the replica must rejoin with
@@ -105,7 +116,7 @@ func TestResyncRepairsDemotedReplica(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("resync streamed no rows over a lagging replica")
 	}
-	if got := s.InSyncReplicas(0); len(got) != 2 {
+	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("shard 0 in-sync after resync = %v, want both", got)
 	}
 	if lags := s.OutOfSyncReplicas(); len(lags) != 0 {
@@ -137,9 +148,7 @@ func TestResyncRepairsDemotedReplica(t *testing.T) {
 
 func TestTornResyncStaysDemoted(t *testing.T) {
 	s, sc := resyncFixture(t, 1, 2, 50)
-	if !s.Demote(0, 1) {
-		t.Fatal("Demote(0,1) reported no transition")
-	}
+	freeze(s, 0, 1)
 	// Grow the lag past one chunk so a mid-stream tear leaves a strict
 	// partial repair.
 	for i := 50; i < 50+3*commitChunk; i++ {
@@ -157,11 +166,11 @@ func TestTornResyncStaysDemoted(t *testing.T) {
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn resync error = %v, want injected", err)
 	}
-	if got := s.InSyncReplicas(0); len(got) != 1 {
+	if got := sc.InSyncReplicas(0); len(got) != 1 {
 		t.Fatalf("in-sync after torn resync = %v, want primary only", got)
 	}
-	if lags := s.OutOfSyncReplicas(); len(lags) != 1 || lags[0].Resyncing {
-		t.Fatalf("OutOfSyncReplicas after torn resync = %+v, want one idle lag", lags)
+	if lags := s.OutOfSyncReplicas(); len(lags) != 1 {
+		t.Fatalf("OutOfSyncReplicas after torn resync = %+v, want one lag", lags)
 	}
 	// A torn repair may have streamed some rows, but never past the
 	// primary, and what landed must still be a byte-exact prefix.
@@ -191,7 +200,7 @@ func TestTornResyncStaysDemoted(t *testing.T) {
 	if _, err := s.ResyncReplica(context.Background(), 0, 1); err != nil {
 		t.Fatalf("healed resync: %v", err)
 	}
-	if got := s.InSyncReplicas(0); len(got) != 2 {
+	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after healed resync = %v, want both", got)
 	}
 	requireReplicaMatchesPrimary(t, sc, 0, 1)
@@ -204,14 +213,11 @@ func TestResyncRejectsBadCoordinates(t *testing.T) {
 			t.Fatalf("ResyncReplica(%d, %d) accepted bad coordinates", c[0], c[1])
 		}
 	}
-	if s.Demote(0, 0) {
-		t.Fatal("primary demotion must be refused")
-	}
 }
 
 func TestResyncHonorsCancel(t *testing.T) {
 	s, sc := resyncFixture(t, 1, 2, 10)
-	s.Demote(0, 1)
+	freeze(s, 0, 1)
 	for i := 10; i < 10+2*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
@@ -222,7 +228,7 @@ func TestResyncHonorsCancel(t *testing.T) {
 	if _, err := s.ResyncReplica(ctx, 0, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled resync = %v, want context.Canceled", err)
 	}
-	if got := s.InSyncReplicas(0); len(got) != 1 {
+	if got := sc.InSyncReplicas(0); len(got) != 1 {
 		t.Fatalf("in-sync after canceled resync = %v, want primary only", got)
 	}
 }
@@ -234,7 +240,7 @@ func TestResyncHonorsCancel(t *testing.T) {
 // what keeps this sound.
 func TestAppendDuringResyncHammer(t *testing.T) {
 	s, sc := resyncFixture(t, 1, 2, commitChunk)
-	s.Demote(0, 1)
+	freeze(s, 0, 1)
 	// Build a multi-chunk lag while the replica is frozen.
 	for i := commitChunk; i < 3*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
@@ -276,7 +282,7 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 	if rows < 2*commitChunk {
 		t.Fatalf("resync streamed %d rows, want >= %d", rows, 2*commitChunk)
 	}
-	if got := s.InSyncReplicas(0); len(got) != 2 {
+	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after hammer = %v, want both", got)
 	}
 	requireReplicaMatchesPrimary(t, sc, 0, 1)
@@ -285,18 +291,21 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 // TestResyncRefusesReplicaRowWithOtherID: stored bytes do not hold the
 // id, so verification compares ids too. A replica row that differs from
 // the primary's only by its id fails samePatchBytes, and a repair over
-// it refuses to promote the replica.
+// it refuses to append to the replica. The primary gains two rows, so
+// the replica stays a row behind with the twin in place of the first.
 func TestResyncRefusesReplicaRowWithOtherID(t *testing.T) {
 	s, sc := resyncFixture(t, 1, 2, 8)
-	s.Demote(0, 1)
-	if err := sc.Append(shardTestPatch(8)); err != nil {
-		t.Fatal(err)
+	freeze(s, 0, 1)
+	for i := 8; i < 10; i++ {
+		if err := sc.Append(shardTestPatch(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pp, err := sc.Replica(0, 0).Patches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := pp[len(pp)-1]
+	last := pp[len(pp)-2]
 	twin := last.Clone()
 	if !samePatchBytes(last, twin) {
 		t.Fatal("a row and its clone differ")
@@ -315,7 +324,7 @@ func TestResyncRefusesReplicaRowWithOtherID(t *testing.T) {
 	if _, err := s.ResyncReplica(context.Background(), 0, 1); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("resync over a row with another id = %v, want diverged", err)
 	}
-	if got := s.InSyncReplicas(0); len(got) != 1 {
+	if got := sc.InSyncReplicas(0); len(got) != 1 {
 		t.Fatalf("in-sync after refused resync = %v, want primary only", got)
 	}
 }

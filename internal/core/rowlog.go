@@ -202,9 +202,7 @@ func readRowLog(r io.Reader, size int64, fn func(id PatchID, row []byte) error) 
 			return err
 		}
 		size -= blockHeader
-		n := int64(binary.LittleEndian.Uint32(hdr[4:]))
-		count := int(binary.LittleEndian.Uint16(hdr[8:]))
-		first := PatchID(binary.LittleEndian.Uint16(hdr[10:])) | PatchID(binary.LittleEndian.Uint32(hdr[12:]))<<16
+		n, count, first := parseBlockHeader(hdr[:])
 		if n > size || count == 0 || first <= last {
 			return errCorrupt
 		}
@@ -234,6 +232,58 @@ func readRowLog(r io.Reader, size int64, fn func(id PatchID, row []byte) error) 
 		last = ids[count-1]
 	}
 	return nil
+}
+
+// parseBlockHeader reads a block header's body length, row count and
+// first id.
+func parseBlockHeader(hdr []byte) (n int64, count int, first PatchID) {
+	n = int64(binary.LittleEndian.Uint32(hdr[4:]))
+	count = int(binary.LittleEndian.Uint16(hdr[8:]))
+	first = PatchID(binary.LittleEndian.Uint16(hdr[10:])) | PatchID(binary.LittleEndian.Uint32(hdr[12:]))<<16
+	return n, count, first
+}
+
+// scanRowLog counts the rows of the row log at path and finds its last
+// id by walking its block headers, reading and framing only the last
+// block's body. A block the walk cannot frame ends it with errCorrupt;
+// the count and id returned are those of the blocks before it.
+func scanRowLog(path string) (rows int, last PatchID, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	var hdr [blockHeader]byte
+	for off, size := int64(0), st.Size(); off < size; {
+		if size-off < blockHeader {
+			return rows, last, errCorrupt
+		}
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			return rows, last, err
+		}
+		off += blockHeader
+		n, count, first := parseBlockHeader(hdr[:])
+		if n > size-off || count == 0 || first <= last {
+			return rows, last, errCorrupt
+		}
+		if off+n == size {
+			body := make([]byte, n)
+			if _, err := f.ReadAt(body, off); err != nil {
+				return rows, last, err
+			}
+			ids, _, err := frameRows(body, first, count, nil, nil)
+			if err != nil || crc32.Update(crc32.Checksum(hdr[4:], castagnoli), castagnoli, body) != binary.LittleEndian.Uint32(hdr[:]) {
+				return rows, last, errCorrupt
+			}
+			first = ids[count-1]
+		}
+		rows, last, off = rows+count, first, off+n
+	}
+	return rows, last, nil
 }
 
 // frameRows splits a block's body into its count rows and their ids,

@@ -24,13 +24,16 @@ import (
 // fragments across the shards and merges at the gather stage.
 //
 // Each shard may additionally carry R replicas: independent DB instances
-// fed the identical append sequence, so any in-sync replica serves the
-// same bytes as the primary. Writes are primary-authoritative — the
-// primary (replica 0) must accept the append or the whole write fails;
-// a secondary that fails is demoted from the read set (out of sync)
-// while the append still succeeds. Reads therefore never observe a
-// missed write, and the serving layer is free to hedge a slow fragment
-// to any in-sync replica.
+// fed the identical append sequence. A replica is in sync for a
+// collection exactly when it holds as many rows as the primary: every
+// commit goes to the primary first and to a replica only if the replica
+// held the rows the primary committed it after, so equal counts mean
+// equal rows. Writes are primary-authoritative — the primary (replica 0)
+// must accept the append or the whole write fails; a secondary that
+// fails falls behind while the append still succeeds, and stays behind,
+// across restarts too, until ResyncReplica appends what it missed.
+// Reads therefore never observe a missed write, and the serving layer
+// is free to hedge a slow fragment to any in-sync replica.
 //
 // With one shard and one replica the layer is a pass-through: IDs,
 // versions and per-collection contents are byte-identical to a plain DB
@@ -66,27 +69,20 @@ type Sharded struct {
 	reps   [][]*DB // [shard][replica]
 	nrep   int
 
-	// insync[shard][replica]: replica serves reads. The primary
-	// (replica 0) is always in sync; a secondary that misses an append
-	// is demoted until a re-sync repairs it (ResyncReplica).
-	insync  [][]atomic.Bool
 	repErrs atomic.Int64 // secondary append failures observed
 
 	// appendMu[shard] serializes routed appends per shard, so every
 	// replica commits the identical patch sequence in the identical
 	// order — the prefix property replica re-sync verifies against —
-	// and gives the repair engine's final catch-up round a point of
-	// mutual exclusion with concurrent writers. A batch takes its ids
-	// and its shards' appendMu under idMu, which it releases once it
-	// holds them: each shard's batches lock it in id order.
+	// and holds them off while ResyncReplica repairs a replica. A batch
+	// takes its ids and its shards' appendMu under idMu, which it
+	// releases once it holds them: each shard's batches lock it in id
+	// order.
 	appendMu []sync.Mutex
 	idMu     sync.Mutex
 
-	// resyncing[shard][replica]: a repair of this replica is in flight
-	// (at most one at a time; /readyz reports these as not-ready).
-	resyncing  [][]atomic.Bool
-	resyncs    atomic.Int64 // completed repairs that re-promoted a replica
-	resyncRows atomic.Int64 // patches streamed to replicas by repairs
+	resyncs    atomic.Int64 // completed repairs that appended rows
+	resyncRows atomic.Int64 // patches appended to replicas by repairs
 
 	// inj is an atomic pointer because SetFaults may disarm rules at
 	// runtime (chaos tests healing a fault) while the anti-entropy loop
@@ -163,6 +159,7 @@ func OpenShardedReplicas(dir string, n, r int, dev exec.Device) (*Sharded, error
 		}
 		s.shards[i] = s.reps[i][0]
 	}
+	s.liftIDs()
 	// Persist the topology only once every shard opened: a failed first
 	// open must not strand a meta file that blocks a retry at a
 	// different count.
@@ -191,24 +188,27 @@ func replicaDirName(shard, replica int) string {
 
 func newSharded(dir string, n, r int) *Sharded {
 	s := &Sharded{
-		dir:       dir,
-		shards:    make([]*DB, n),
-		reps:      make([][]*DB, n),
-		nrep:      r,
-		insync:    make([][]atomic.Bool, n),
-		appendMu:  make([]sync.Mutex, n),
-		resyncing: make([][]atomic.Bool, n),
-		cols:      make(map[string]*ShardedCollection),
+		dir:      dir,
+		shards:   make([]*DB, n),
+		reps:     make([][]*DB, n),
+		nrep:     r,
+		appendMu: make([]sync.Mutex, n),
+		cols:     make(map[string]*ShardedCollection),
 	}
 	for i := range s.reps {
 		s.reps[i] = make([]*DB, r)
-		s.insync[i] = make([]atomic.Bool, r)
-		s.resyncing[i] = make([]atomic.Bool, r)
-		for j := range s.insync[i] {
-			s.insync[i][j].Store(true)
-		}
 	}
 	return s
+}
+
+// liftIDs lifts shard 0's primary's id counter, which draws every id,
+// past every id any replica DB's counter or row logs hold.
+func (s *Sharded) liftIDs() {
+	for _, rs := range s.reps {
+		for _, db := range rs {
+			s.shards[0].liftNextID(db.nextID.Load())
+		}
+	}
 }
 
 // WrapSharded presents already-open DB instances as one sharded database
@@ -220,6 +220,7 @@ func WrapSharded(shards ...*DB) *Sharded {
 		s.shards[i] = db
 		s.reps[i][0] = db
 	}
+	s.liftIDs()
 	return s
 }
 
@@ -267,62 +268,52 @@ func (s *Sharded) Shard(i int) *DB { return s.shards[i] }
 // ReplicaDB returns replica j of shard i (j=0 is the primary).
 func (s *Sharded) ReplicaDB(i, j int) *DB { return s.reps[i][j] }
 
-// InSyncReplicas returns the replica indices of shard i currently
-// serving reads, in replica order. The primary (0) is always present.
-func (s *Sharded) InSyncReplicas(i int) []int {
-	rs := make([]int, 0, s.nrep)
-	for j := 0; j < s.nrep; j++ {
-		if s.insync[i][j].Load() {
-			rs = append(rs, j)
-		}
-	}
-	return rs
-}
-
 // ReplicaAppendErrors returns how many secondary-replica append failures
-// have been absorbed (each demotes the failing replica).
+// have been absorbed (each leaves the failing replica behind).
 func (s *Sharded) ReplicaAppendErrors() int64 { return s.repErrs.Load() }
 
-// Demote removes a secondary replica from the read set (ops/test hook;
-// the append path demotes automatically on a failed secondary write).
-// It reports whether the replica transitioned from in-sync. The primary
-// (replica 0) cannot be demoted.
-func (s *Sharded) Demote(shard, replica int) bool {
-	if shard < 0 || shard >= len(s.shards) || replica <= 0 || replica >= s.nrep {
-		return false
-	}
-	return s.insync[shard][replica].CompareAndSwap(true, false)
-}
-
-// ReplicaLag identifies one replica needing (or undergoing) repair.
+// ReplicaLag identifies one replica out of sync with its primary.
 type ReplicaLag struct {
 	Shard   int `json:"shard"`
 	Replica int `json:"replica"`
-	// Resyncing reports a repair currently in flight for this replica.
-	Resyncing bool `json:"resyncing,omitempty"`
+	// Rows is how many rows the replica's collections are behind the
+	// primary's (or ahead, for a replica written outside this layer).
+	Rows int `json:"rows"`
 }
 
-// OutOfSyncReplicas lists every replica currently demoted from the read
-// set, in (shard, replica) order — the anti-entropy loop's work list and
-// the /readyz detail. Empty means every replica serves reads.
+// OutOfSyncReplicas lists every secondary whose row count differs from
+// its primary's in some collection, in (shard, replica) order — the
+// anti-entropy loop's work list and the /readyz detail. Empty means
+// every replica serves reads.
 func (s *Sharded) OutOfSyncReplicas() []ReplicaLag {
 	var lags []ReplicaLag
-	for i := range s.insync {
+	for i := range s.reps {
 		for j := 1; j < s.nrep; j++ {
-			if !s.insync[i][j].Load() {
-				lags = append(lags, ReplicaLag{
-					Shard:     i,
-					Replica:   j,
-					Resyncing: s.resyncing[i][j].Load(),
-				})
+			if rows := s.lag(i, j); rows != 0 {
+				lags = append(lags, ReplicaLag{Shard: i, Replica: j, Rows: rows})
 			}
 		}
 	}
 	return lags
 }
 
-// ResyncStats returns how many repairs have re-promoted a replica and
-// how many patches those repairs streamed in total.
+// lag sums, over the collections, how far replica j's row count is from
+// its primary's on shard i.
+func (s *Sharded) lag(i, j int) int {
+	rows := 0
+	for _, name := range s.Collections() {
+		p, perr := s.reps[i][0].Collection(name)
+		r, rerr := s.reps[i][j].Collection(name)
+		if perr == nil && rerr == nil {
+			d := p.Len() - r.Len()
+			rows += max(d, -d)
+		}
+	}
+	return rows
+}
+
+// ResyncStats returns how many repairs have appended rows to a replica
+// and how many patches those repairs appended in total.
 func (s *Sharded) ResyncStats() (resyncs, rows int64) {
 	return s.resyncs.Load(), s.resyncRows.Load()
 }
@@ -513,12 +504,9 @@ type ShardInfo struct {
 	Versions uint64 `json:"versions"`
 	// Replicas is the shard's configured replica count.
 	Replicas int `json:"replicas"`
-	// OutOfSync lists replicas demoted from the read set after a missed
-	// append (empty when all replicas serve reads).
+	// OutOfSync lists replicas whose row counts differ from the
+	// primary's (empty when all replicas serve reads).
 	OutOfSync []int `json:"out_of_sync,omitempty"`
-	// Resyncing lists replicas with a repair currently in flight (always
-	// a subset of OutOfSync: promotion happens only after repair).
-	Resyncing []int `json:"resyncing,omitempty"`
 }
 
 // ShardInfos snapshots per-shard row counts, version counters and
@@ -533,12 +521,9 @@ func (s *Sharded) ShardInfos() []ShardInfo {
 				info.Rows += c.Len()
 			}
 		}
-		for j := 0; j < s.nrep; j++ {
-			if !s.insync[i][j].Load() {
+		for j := 1; j < s.nrep; j++ {
+			if s.lag(i, j) != 0 {
 				info.OutOfSync = append(info.OutOfSync, j)
-			}
-			if s.resyncing[i][j].Load() {
-				info.Resyncing = append(info.Resyncing, j)
 			}
 		}
 		infos[i] = info
@@ -575,9 +560,29 @@ func (c *ShardedCollection) Shards() int { return len(c.cols) }
 func (c *ShardedCollection) Shard(i int) *Collection { return c.cols[i][0] }
 
 // Replica returns replica j of partition i (j=0 is the primary). The
-// caller is responsible for consulting Sharded.InSyncReplicas before
-// serving reads from a secondary.
+// caller is responsible for consulting InSyncReplicas before serving
+// reads from a secondary.
 func (c *ShardedCollection) Replica(i, j int) *Collection { return c.cols[i][j] }
+
+// primaryOnly is the read set of an unreplicated partition.
+var primaryOnly = []int{0}
+
+// InSyncReplicas returns the replicas of partition i that hold as many
+// rows as its primary, in replica order, the primary (0) first. The
+// caller must not modify the slice.
+func (c *ShardedCollection) InSyncReplicas(i int) []int {
+	rs := c.cols[i]
+	if len(rs) == 1 {
+		return primaryOnly
+	}
+	n, in := rs[0].Len(), make([]int, 1, len(rs))
+	for j := 1; j < len(rs); j++ {
+		if rs[j].Len() == n {
+			in = append(in, j)
+		}
+	}
+	return in
+}
 
 // Len sums the partitions' patch counts (primaries).
 func (c *ShardedCollection) Len() int {
@@ -597,10 +602,11 @@ func (c *ShardedCollection) Append(p *Patch) error {
 // AppendBatch commits ps as one commit per home shard and returns how
 // many rows committed. It prepares ps before anything commits, then,
 // under idMu, ids them in batch order and locks the touched shards in
-// ascending order. Each shard's part goes to every in-sync replica,
-// primary first: a primary failure stops the batch, leaving the earlier
-// shards' parts committed; a failed secondary is demoted, frozen at a
-// prefix of the primary's rows that ResyncReplica streams the rest to.
+// ascending order. Each shard's part goes to the primary and then to
+// every replica that, once loaded, holds the rows the primary committed
+// it after: a primary failure stops the batch, leaving the earlier
+// shards' parts committed; a failed secondary falls behind, frozen at a
+// prefix of the primary's rows that ResyncReplica appends the rest to.
 func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
 	rows, err := c.cols[0][0].prepare(ps)
 	if err != nil {
@@ -631,17 +637,14 @@ func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
 			err = inj.Fail(fault.AppendError, k, 0)
 		}
 		if err == nil {
-			var m int
-			m, err = c.cols[k][0].commit(rows[:n])
+			var from, m int
+			from, m, err = c.cols[k][0].commit(rows[:n], -1)
 			for j := 1; j < len(c.cols[k]) && m > 0; j++ {
-				if !s.insync[k][j].Load() {
-					continue
-				}
 				rerr := inj.Fail(fault.AppendError, k, j)
 				if rerr == nil {
-					_, rerr = c.cols[k][j].commit(rows[:m])
+					_, _, rerr = c.cols[k][j].commit(rows[:m], from)
 				}
-				if rerr != nil && s.insync[k][j].CompareAndSwap(true, false) {
+				if rerr != nil && !errors.Is(rerr, errBehind) {
 					s.repErrs.Add(1)
 				}
 			}
@@ -665,8 +668,8 @@ func (c *ShardedCollection) Get(id PatchID) (*Patch, error) {
 // composite IS the shard version (fingerprints match an unsharded DB
 // fed the same operations); with more it is an FNV-1a fold of the
 // ordered shard versions. Versions always come from primaries —
-// replicas fed the same appends advance in lockstep, and a demoted
-// replica is no longer read.
+// replicas fed the same appends advance in lockstep, and a replica
+// behind its primary is not read.
 func (c *ShardedCollection) Version() uint64 {
 	if len(c.cols) == 1 {
 		return c.cols[0][0].Version()

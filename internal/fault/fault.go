@@ -2,7 +2,7 @@
 // serving stack: named failpoints compiled into the shard, scatter and
 // append paths fire injected errors or stalls with configured
 // probability, so chaos tests and CI can exercise every recovery branch
-// (hedged reads, fragment retries, replica demotion, graceful
+// (hedged reads, fragment retries, lagging replicas, graceful
 // degradation) without real hardware failures.
 //
 // Design constraints, in order:
@@ -50,17 +50,18 @@ const (
 	FragmentStall Point = "fragment-stall"
 	// AppendError fails one replica's write during a routed append.
 	// On the primary replica the whole append fails; on a secondary the
-	// replica is demoted from the read set (core.Sharded semantics).
+	// replica falls behind and leaves the read set (core.Sharded
+	// semantics).
 	AppendError Point = "append-error"
 	// DeviceStall delays a similarity-join task before it submits
 	// kernels, modeling a slow device queue.
 	DeviceStall Point = "device-stall"
 	// ResyncError fails a replica re-sync mid-stream on (shard, replica):
-	// the repair aborts, leaving the replica demoted with whatever valid
+	// the repair stops, leaving the replica behind with whatever valid
 	// prefix it had reached (torn-repair chaos testing).
 	ResyncError Point = "resync-error"
 	// ResyncStall delays a replica re-sync batch, modeling a slow repair
-	// stream (the anti-entropy loop's backoff trigger).
+	// (appends to the shard wait it out).
 	ResyncStall Point = "resync-stall"
 )
 

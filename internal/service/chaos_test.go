@@ -415,10 +415,10 @@ func TestQueryCancellation(t *testing.T) {
 
 // TestAppendDuringReplicaFailureHammer: appends race scattered queries
 // while a flaky secondary replica drops writes. Appends and queries
-// must all succeed (primary-authoritative write-all demotes the broken
-// replica instead of failing), the demoted replica leaves the read
-// set, and the quiesced count is exact. Run under -race this is the
-// memory-model check for the insync/demotion machinery.
+// must all succeed (primary-authoritative write-all leaves the broken
+// replica behind instead of failing), the lagging replica leaves the
+// read set, and the quiesced count is exact. Run under -race this is
+// the memory-model check for the count-based read set.
 func TestAppendDuringReplicaFailureHammer(t *testing.T) {
 	const initial, appends = 60, 120
 	flakySecondary := fault.Config{Seed: 13, Rules: []fault.Rule{
@@ -469,7 +469,7 @@ func TestAppendDuringReplicaFailureHammer(t *testing.T) {
 	}
 	demoted := 0
 	for i := 0; i < 3; i++ {
-		if len(sdb.InSyncReplicas(i)) == 1 {
+		if len(sc.InSyncReplicas(i)) == 1 {
 			demoted++
 		}
 	}
@@ -735,6 +735,79 @@ func TestTornResyncReadyzHeals(t *testing.T) {
 	}
 }
 
+// TestRestartedLaggingReplicaNotServed: a replica that missed rows
+// before a restart is still out of sync after it. With the primary
+// stalled, a hedged count must wait for the primary rather than answer
+// from the short replica, and /readyz stays 503 until ResyncReplica
+// repairs it.
+func TestRestartedLaggingReplicaNotServed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "replicated")
+	sdb, err := core.OpenShardedReplicas(dir, 1, 2, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sdb.CreateCollection(shardTestCol, synthSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSynth(t, sc.Append, 100)
+	sdb.SetFaults(fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
+		{Point: fault.AppendError, Shard: fault.Any, Replica: 1, Prob: 1},
+	}}))
+	for i := 100; i < 150; i++ {
+		if err := sc.Append(synthPatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sdb, err = core.OpenShardedReplicas(dir, 1, 2, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sdb.Close() })
+	svc, err := NewSharded(sdb, Config{Workers: 2, HedgeAfter: 5 * time.Millisecond, ResyncInterval: -1,
+		Faults: fault.Config{Seed: 1, Rules: []fault.Rule{
+			{Point: fault.FragmentStall, Shard: fault.Any, Replica: 0, Prob: 1, Stall: 200 * time.Millisecond},
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	cars := Request{Collection: shardTestCol, Filter: &FilterSpec{Field: "label", Str: strp("car")}, NoCache: true}
+	if r := mustQuery(t, svc, cars); r.Value != 50 {
+		t.Fatalf("car count after restart = %d, want the primary's 50", r.Value)
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz with a lagging replica = %d, want 503", code)
+	}
+	if n, err := sdb.ResyncReplica(context.Background(), 0, 1); err != nil || n != 50 {
+		t.Fatalf("resync appended %d rows (%v), want 50", n, err)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz after the repair = %d, want 200", code)
+	}
+	if r := mustQuery(t, svc, cars); r.Value != 50 {
+		t.Fatalf("car count after the repair = %d, want 50", r.Value)
+	}
+	if svc.Stats().HedgedFragments == 0 {
+		t.Fatal("the stalled primary produced no hedge; the test is vacuous")
+	}
+}
+
 // deadShard fails every fragment attempt on every replica of one shard.
 func deadShard(seed int64, shard int) fault.Config {
 	return fault.Config{Seed: seed, Rules: []fault.Rule{
@@ -891,14 +964,14 @@ func TestAppendBatchStorageFaults(t *testing.T) {
 		if replica == 0 {
 			continue
 		}
-		if got := sdb.InSyncReplicas(1); len(got) != 1 {
+		if got := sc.InSyncReplicas(1); len(got) != 1 {
 			t.Fatalf("shard 1 in sync %v after its secondary failed, want the primary only", got)
 		}
 		sdb.SetFaults(nil)
 		if n, err := sdb.ResyncReplica(context.Background(), 1, 1); err != nil || n != part[1][1] {
 			t.Fatalf("resync streamed %d rows (%v), want the missed part's %d", n, err, part[1][1])
 		}
-		if got := sdb.InSyncReplicas(1); len(got) != 2 || sc.Replica(1, 1).Len() != sc.Replica(1, 0).Len() {
+		if got := sc.InSyncReplicas(1); len(got) != 2 || sc.Replica(1, 1).Len() != sc.Replica(1, 0).Len() {
 			t.Fatalf("after the resync shard 1 in sync %v, replica %d rows, primary %d",
 				got, sc.Replica(1, 1).Len(), sc.Replica(1, 0).Len())
 		}

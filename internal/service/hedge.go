@@ -88,7 +88,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 // was canceled or timed out.
 func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int) (*shardFragment, error) {
 	req := plan.req
-	replicas := s.shards.InSyncReplicas(i)
+	replicas := plan.scol.InSyncReplicas(i)
 	sp := req.tr.Begin("fragment")
 
 	// Inline path: a single healthy replica and no fault injection has

@@ -1,15 +1,15 @@
 package service
 
 // The anti-entropy loop: the service-side driver that turns
-// core.Sharded's replica re-sync engine into self-healing. Every
-// ResyncInterval it sweeps the out-of-sync list and repairs each
-// demoted replica via core's two-phase suffix stream. A replica whose
+// core.Sharded's replica re-sync into self-healing. Every
+// ResyncInterval it sweeps the out-of-sync list — the replicas whose row
+// counts differ from their primaries', after a missed append or a
+// restart alike — and repairs each via ResyncReplica. A replica whose
 // repair fails (injected resync-error faults, real storage trouble)
 // backs off exponentially with jitter — a wedged replica must not turn
 // the loop into a hot retry spin — and re-enters the normal cadence on
 // its next success. The loop owns no correctness: ResyncReplica is
-// safe to call at any time, refuses concurrent repairs of the same
-// replica, and promotes only byte-verified state.
+// safe to call at any time and appends only to a verified prefix.
 
 import (
 	"context"
@@ -56,9 +56,6 @@ func (s *Service) runAntiEntropy(interval time.Duration) {
 		}
 		now := time.Now()
 		for _, lag := range s.shards.OutOfSyncReplicas() {
-			if lag.Resyncing {
-				continue
-			}
 			k := replicaKey{lag.Shard, lag.Replica}
 			if t, ok := next[k]; ok && now.Before(t) {
 				continue

@@ -127,9 +127,10 @@ type Config struct {
 	// Only effective with > 1 replica.
 	HedgeAfter time.Duration
 	// ResyncInterval is the anti-entropy sweep cadence: how often the
-	// background repair loop checks for demoted replicas and re-syncs
-	// them (default 200ms; negative disables the loop). Failed repairs
-	// back off exponentially per replica regardless of the cadence.
+	// background repair loop checks for replicas behind their primary
+	// and re-syncs them (default 200ms; negative disables the loop).
+	// Failed repairs back off exponentially per replica regardless of
+	// the cadence.
 	// Only effective with a replicated sharded backend.
 	ResyncInterval time.Duration
 	// Faults arms the deterministic fault-injection failpoints in the
@@ -376,7 +377,7 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		go s.run(w)
 	}
 	// Self-healing: with replicated shards, the anti-entropy loop
-	// repairs demoted replicas in the background so a fault's blast
+	// repairs lagging replicas in the background so a fault's blast
 	// radius is one repair interval of reduced hedge headroom, not a
 	// restart.
 	if sdb.Replicas() > 1 && cfg.ResyncInterval > 0 {
@@ -912,17 +913,17 @@ type Stats struct {
 
 	// Fault tolerance: per-shard replica count, the hedged-read and
 	// retry activity record, partial (degraded) responses served, and
-	// secondary-replica append failures absorbed (each demotes the
-	// failing replica from the read set).
+	// secondary-replica append failures absorbed (each leaves the
+	// failing replica behind, out of the read set).
 	Replicas            int   `json:"replicas"`
 	HedgedFragments     int64 `json:"hedged_fragments"`
 	FragmentRetries     int64 `json:"fragment_retries"`
 	DegradedQueries     int64 `json:"degraded_queries"`
 	ReplicaAppendErrors int64 `json:"replica_append_errors"`
 
-	// Self-healing: completed replica repairs, the rows they streamed,
-	// and how many replicas are currently out of the read set (the
-	// /readyz gate; zero when the fleet is fully healed).
+	// Self-healing: completed replica repairs, the rows they appended,
+	// and how many replicas currently hold other row counts than their
+	// primaries (the /readyz gate; zero when the fleet is fully healed).
 	ReplicaResyncs    int64 `json:"replica_resyncs"`
 	ResyncRows        int64 `json:"resync_rows"`
 	OutOfSyncReplicas int   `json:"out_of_sync_replicas"`
