@@ -6,23 +6,23 @@ package core
 // ShardedCollection.AppendBatch), so a replica that missed a commit
 // stays frozen at an exact prefix of its primary's commit sequence, and
 // a restart does not change that: the counts come from the row logs.
-// Repair is therefore one pass under the shard's append lock: for each
-// collection whose counts differ, verify the replica's rows are a
-// byte-exact prefix of the primary's and append the rest, in chunks.
-// Once the counts are equal the replica is in sync; there is no
-// promotion step.
+// Repair therefore takes no lock: it reads the replica, then the
+// primary, checks the replica rows not yet checked are a byte-exact
+// prefix of the primary's, and appends the next chunk with the
+// conditional commit a batch uses, re-reading when a batch got there
+// first. Once the counts are equal the replica is in sync.
 //
 // Any failure — injected via the resync-error/resync-stall failpoints
 // or real — stops the repair. Stopping is always safe: the replica only
 // ever gained patches the primary had committed, in the primary's
 // order, so it still holds a valid (longer) prefix and the next repair
-// resumes from there. Appends to the shard wait while a repair runs.
+// resumes from there. No append waits for a repair.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/fault"
 )
@@ -46,13 +46,12 @@ func samePatchBytes(a, b *Patch) bool {
 // collection and returns the number of patches it appended. Repairing
 // an in-sync replica is a no-op. On error the replica keeps the rows
 // appended so far, still a prefix of the primary's, and a later attempt
-// resumes from there.
+// resumes from there. No append waits for it, and appends that outpace
+// it keep it catching up until ctx is done.
 func (s *Sharded) ResyncReplica(ctx context.Context, shard, replica int) (int, error) {
 	if shard < 0 || shard >= len(s.shards) || replica <= 0 || replica >= s.nrep {
 		return 0, fmt.Errorf("core: resync shard %d replica %d: no such secondary", shard, replica)
 	}
-	s.appendMu[shard].Lock()
-	defer s.appendMu[shard].Unlock()
 	rows := 0
 	for _, name := range s.Collections() {
 		n, err := s.resyncCollection(ctx, shard, replica, name)
@@ -69,41 +68,24 @@ func (s *Sharded) ResyncReplica(ctx context.Context, shard, replica int) (int, e
 }
 
 // resyncCollection appends to the replica's copy of one collection the
-// primary's rows past its own, once it has checked that the rows it
-// holds are a byte-exact prefix of the primary's. Anything else means
+// primary's rows past its own, checking first that the rows it holds
+// are a byte-exact prefix of the primary's. Anything else means
 // divergence (a replica fed writes outside the Sharded layer), which
-// appending cannot repair. Caller holds the shard's append lock.
+// appending cannot repair. The replica is read before the primary, so
+// one that has not diverged is never seen ahead of it.
 func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name string) (int, error) {
 	prim, err := s.reps[shard][0].Collection(name)
 	if err != nil {
 		return 0, err
 	}
 	rcol, err := s.reps[shard][replica].Collection(name)
-	if err != nil || rcol.Len() == prim.Len() {
-		return 0, err
-	}
-	pps, err := prim.Patches()
 	if err != nil {
 		return 0, err
 	}
-	rps, err := rcol.Patches()
-	if err != nil {
-		return 0, err
-	}
-	if len(rps) > len(pps) {
-		return 0, fmt.Errorf("replica holds %d rows, primary %d — diverged", len(rps), len(pps))
-	}
-	for i, rp := range rps {
-		if !samePatchBytes(rp, pps[i]) {
-			return 0, fmt.Errorf("row %d differs from primary — diverged", i)
-		}
-	}
-	rows := 0
-	for chunk := range slices.Chunk(pps[len(rps):], commitChunk) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return rows, err
-			}
+	rows, checked := 0, 0
+	for rcol.Len() != prim.Len() {
+		if err := ctx.Err(); err != nil {
+			return rows, err
 		}
 		inj := s.injector()
 		if err := inj.Fail(fault.ResyncError, shard, replica); err != nil {
@@ -112,9 +94,31 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 		if err := inj.Stall(ctx, fault.ResyncStall, shard, replica); err != nil {
 			return rows, err
 		}
-		n, err := rcol.AppendBatch(chunk)
-		rows += n
+		rs, err := rcol.Current()
 		if err != nil {
+			return rows, err
+		}
+		ps, err := prim.Current()
+		if err != nil {
+			return rows, err
+		}
+		have := rs.Len()
+		if have > ps.Len() {
+			return rows, fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
+		}
+		for i := checked; i < have; i++ {
+			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
+				return rows, fmt.Errorf("row %d differs from primary — diverged", i)
+			}
+		}
+		checked = have
+		chunk, err := rcol.prepare(ps.rows[have:min(have+commitChunk, ps.Len())])
+		if err != nil {
+			return rows, err
+		}
+		_, n, err := rcol.commit(chunk, have)
+		rows += n
+		if err != nil && !errors.Is(err, errBehind) {
 			return rows, err
 		}
 	}

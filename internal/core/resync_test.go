@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,16 +235,21 @@ func TestResyncHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestAppendDuringResyncHammer races live appends against a repair
-// (stall-widened so the unlocked phase overlaps real writes) and
-// requires the promoted replica to match the primary byte-for-byte.
-// Run with -race; the catch-up round under the shard append lock is
-// what keeps this sound.
+// TestAppendDuringResyncHammer races live batch appends over two
+// shards against a repair of shard 0's replica (stall-widened so
+// batches land mid-repair) and requires the repaired replica to match
+// the primary byte-for-byte. Run with -race. The repair holds no lock:
+// conditional commits keep it sound, since a batch commits to the
+// replica only when it is level with the primary and the repair only at
+// the count it read, so neither lands rows the other already wrote. The
+// writer pauses between batches so the stalled repair copies rows
+// faster than they arrive and levels the replica while batches still
+// race it.
 func TestAppendDuringResyncHammer(t *testing.T) {
-	s, sc := resyncFixture(t, 1, 2, commitChunk)
+	s, sc := resyncFixture(t, 2, 2, commitChunk)
 	freeze(s, 0, 1)
 	// Build a multi-chunk lag while the replica is frozen.
-	for i := commitChunk; i < 3*commitChunk; i++ {
+	for i := commitChunk; sc.Replica(0, 0).Len()-sc.Replica(0, 1).Len() < 2*commitChunk; i++ {
 		if err := sc.Append(shardTestPatch(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -258,22 +265,33 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		i := 10_000
-		for {
+		for i := 10_000; ; i += 32 {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := sc.Append(shardTestPatch(i)); err != nil {
+			batch := make([]*Patch, 32)
+			for k := range batch {
+				batch[k] = shardTestPatch(i + k)
+			}
+			if _, err := sc.AppendBatch(batch); err != nil {
 				t.Errorf("append during resync: %v", err)
 				return
 			}
-			i++
+			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 
 	rows, err := s.ResyncReplica(context.Background(), 0, 1)
+	// Keep repairing, unstalled, while batches land, as the anti-entropy
+	// loop does when it reads a batch's counts between its primary and
+	// replica commits: the repair then races the batch for the same
+	// rows, and only one of their commits may land them.
+	s.SetFaults(nil)
+	for end := time.Now().Add(100 * time.Millisecond); err == nil && time.Now().Before(end); {
+		_, err = s.ResyncReplica(context.Background(), 0, 1)
+	}
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -284,6 +302,94 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 	}
 	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after hammer = %v, want both", got)
+	}
+	requireReplicaMatchesPrimary(t, sc, 0, 1)
+}
+
+// TestAppendNeverWaitsForRepair: a repair holds no lock an append
+// waits on. While a repair of shard 0's replica is stalled mid-stream,
+// a batch touching both shards and a one-row append homed on each shard
+// all return promptly; the repair, cancelled and run again, then levels
+// the replica.
+func TestAppendNeverWaitsForRepair(t *testing.T) {
+	s, sc := resyncFixture(t, 2, 2, 20)
+	freeze(s, 0, 1)
+	next := 20
+	for sc.Replica(0, 0).Len()-sc.Replica(0, 1).Len() <= commitChunk {
+		if err := sc.Append(shardTestPatch(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	inj := fault.New(fault.Config{Seed: 3, Rules: []fault.Rule{
+		{Point: fault.ResyncStall, Shard: 0, Replica: 1, Prob: 1, Stall: 10 * time.Second},
+	}})
+	s.SetFaults(inj)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	// Registered after the fixture's Close, so it runs before it.
+	t.Cleanup(func() { cancel(); wg.Wait() })
+	repaired := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, err := s.ResyncReplica(ctx, 0, 1)
+		repaired <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); inj.Fired(fault.ResyncStall) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the repair never reached its stall")
+		}
+	}
+
+	within := func(what string, ps []*Patch) {
+		t.Helper()
+		done := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sc.AppendBatch(ps)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still waiting after 2s on a stalled repair", what)
+		}
+	}
+	batch := make([]*Patch, commitChunk)
+	for i := range batch {
+		batch[i] = shardTestPatch(next)
+		next++
+	}
+	within("a 64-row batch", batch)
+	if !slices.ContainsFunc(batch, func(p *Patch) bool { return s.ShardFor(p.ID) != s.ShardFor(batch[0].ID) }) {
+		t.Fatal("the batch touched one shard; test is vacuous")
+	}
+	for k := 0; k < s.NumShards(); k++ {
+		p := shardTestPatch(next)
+		next++
+		for p.ID = s.NewPatchID(); s.ShardFor(p.ID) != k; p.ID = s.NewPatchID() {
+		}
+		within(fmt.Sprintf("a one-row append homed on shard %d", k), []*Patch{p})
+	}
+	select {
+	case err := <-repaired:
+		t.Fatalf("the repair returned %v before its stall ended", err)
+	default:
+	}
+
+	cancel()
+	if err := <-repaired; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled repair = %v, want context.Canceled", err)
+	}
+	s.SetFaults(nil)
+	if _, err := s.ResyncReplica(context.Background(), 0, 1); err != nil {
+		t.Fatalf("repair with faults off: %v", err)
 	}
 	requireReplicaMatchesPrimary(t, sc, 0, 1)
 }

@@ -62,7 +62,8 @@ var ErrShardMismatch = errors.New("core: shard count mismatch")
 // optionally backed by R replicas. All writes must go through the
 // Sharded layer (or a ShardedCollection), which allocates globally
 // unique patch ids and routes each patch to every replica of its home
-// shard.
+// shard. One append lock orders every batch on every shard; a replica
+// repair holds no lock an append waits on.
 type Sharded struct {
 	dir    string
 	shards []*DB   // primaries, shards[i] == reps[i][0]
@@ -71,15 +72,12 @@ type Sharded struct {
 
 	repErrs atomic.Int64 // secondary append failures observed
 
-	// appendMu[shard] serializes routed appends per shard, so every
-	// replica commits the identical patch sequence in the identical
-	// order — the prefix property replica re-sync verifies against —
-	// and holds them off while ResyncReplica repairs a replica. A batch
-	// takes its ids and its shards' appendMu under idMu, which it
-	// releases once it holds them: each shard's batches lock it in id
-	// order.
-	appendMu []sync.Mutex
-	idMu     sync.Mutex
+	// appendMu orders every batch: held from drawing its ids through
+	// every shard part's commits, so each shard's replicas commit one
+	// id-ordered sequence, the prefix ResyncReplica relies on. A repair
+	// never takes it; its commits, like a batch's to a secondary, land
+	// only on the count they follow.
+	appendMu sync.Mutex
 
 	resyncs    atomic.Int64 // completed repairs that appended rows
 	resyncRows atomic.Int64 // patches appended to replicas by repairs
@@ -188,12 +186,11 @@ func replicaDirName(shard, replica int) string {
 
 func newSharded(dir string, n, r int) *Sharded {
 	s := &Sharded{
-		dir:      dir,
-		shards:   make([]*DB, n),
-		reps:     make([][]*DB, n),
-		nrep:     r,
-		appendMu: make([]sync.Mutex, n),
-		cols:     make(map[string]*ShardedCollection),
+		dir:    dir,
+		shards: make([]*DB, n),
+		reps:   make([][]*DB, n),
+		nrep:   r,
+		cols:   make(map[string]*ShardedCollection),
 	}
 	for i := range s.reps {
 		s.reps[i] = make([]*DB, r)
@@ -601,12 +598,12 @@ func (c *ShardedCollection) Append(p *Patch) error {
 
 // AppendBatch commits ps as one commit per home shard and returns how
 // many rows committed. It prepares ps before anything commits, then,
-// under idMu, ids them in batch order and locks the touched shards in
-// ascending order. Each shard's part goes to the primary and then to
-// every replica that, once loaded, holds the rows the primary committed
-// it after: a primary failure stops the batch, leaving the earlier
-// shards' parts committed; a failed secondary falls behind, frozen at a
-// prefix of the primary's rows that ResyncReplica appends the rest to.
+// under appendMu, ids them in batch order and commits each shard's
+// part, in ascending shard order, to the primary and then to every
+// replica that, once loaded, holds the rows the primary committed it
+// after: a primary failure stops the batch, leaving the earlier shards'
+// parts committed; a failed secondary falls behind, frozen at a prefix
+// of the primary's rows that ResyncReplica appends the rest to.
 func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
 	rows, err := c.cols[0][0].prepare(ps)
 	if err != nil {
@@ -614,43 +611,34 @@ func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
 	}
 	s := c.s
 	home := func(r prepRow) int { return s.ShardFor(r.p.ID) }
-	s.idMu.Lock()
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	for _, r := range rows {
 		if r.p.ID == 0 {
 			r.p.ID = s.NewPatchID()
 		}
 	}
 	slices.SortStableFunc(rows, func(a, b prepRow) int { return home(a) - home(b) })
-	for i, r := range rows {
-		if i == 0 || home(r) != home(rows[i-1]) {
-			s.appendMu[home(r)].Lock()
-		}
-	}
-	s.idMu.Unlock()
 	committed, inj := 0, s.injector()
-	for len(rows) > 0 {
+	for len(rows) > 0 && err == nil {
 		k, n := home(rows[0]), 1
 		for n < len(rows) && home(rows[n]) == k {
 			n++
 		}
-		if err == nil {
-			err = inj.Fail(fault.AppendError, k, 0)
-		}
-		if err == nil {
-			var from, m int
+		var from, m int
+		if err = inj.Fail(fault.AppendError, k, 0); err == nil {
 			from, m, err = c.cols[k][0].commit(rows[:n], -1)
-			for j := 1; j < len(c.cols[k]) && m > 0; j++ {
-				rerr := inj.Fail(fault.AppendError, k, j)
-				if rerr == nil {
-					_, _, rerr = c.cols[k][j].commit(rows[:m], from)
-				}
-				if rerr != nil && !errors.Is(rerr, errBehind) {
-					s.repErrs.Add(1)
-				}
-			}
-			committed += m
 		}
-		s.appendMu[k].Unlock()
+		for j := 1; j < len(c.cols[k]) && m > 0; j++ {
+			rerr := inj.Fail(fault.AppendError, k, j)
+			if rerr == nil {
+				_, _, rerr = c.cols[k][j].commit(rows[:m], from)
+			}
+			if rerr != nil && !errors.Is(rerr, errBehind) {
+				s.repErrs.Add(1)
+			}
+		}
+		committed += m
 		rows = rows[n:]
 	}
 	return committed, err

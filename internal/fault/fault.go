@@ -61,7 +61,7 @@ const (
 	// prefix it had reached (torn-repair chaos testing).
 	ResyncError Point = "resync-error"
 	// ResyncStall delays a replica re-sync batch, modeling a slow repair
-	// (appends to the shard wait it out).
+	// (appends carry on meanwhile).
 	ResyncStall Point = "resync-stall"
 )
 

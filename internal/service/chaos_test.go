@@ -487,10 +487,12 @@ func TestAppendDuringReplicaFailureHammer(t *testing.T) {
 
 // TestHTTPOverloadAndTimeout pins the HTTP error contract for the two
 // retryable failures: admission overflow maps to 429 and a query that
-// exceeds its deadline maps to 504, both with Retry-After.
+// exceeds its deadline maps to 504, both with Retry-After. Every
+// fragment stalls for longer than the test runs, so the queries that
+// wedge the worker and the queue end only when the test cancels them.
 func TestHTTPOverloadAndTimeout(t *testing.T) {
 	stallAll := fault.Config{Seed: 17, Rules: []fault.Rule{
-		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: 600 * time.Millisecond},
+		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: time.Minute},
 	}}
 	_, svc := synthReplicated(t, 1, 1, 60, Config{Workers: 1, QueueDepth: 1, Faults: stallAll})
 	srv := httptest.NewServer(svc.Handler())
@@ -519,15 +521,24 @@ func TestHTTPOverloadAndTimeout(t *testing.T) {
 	// one queue slot with stalled queries, then probe. The second query
 	// is posted only once the worker holds the first: posted together,
 	// it could find the first still queued and be refused itself.
+	wedged, release := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer release()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, label := range []string{"car", "bus"} {
+		req, err := http.NewRequestWithContext(wedged, http.MethodPost, srv.URL+"/query", strings.NewReader(
+			`{"collection":"`+shardTestCol+`","no_cache":true,"filter":{"field":"label","str":"`+label+`"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(label string) {
+		go func() {
 			defer wg.Done()
-			post(`{"collection":"` + shardTestCol + `","no_cache":true,"timeout_ms":400,` +
-				`"filter":{"field":"label","str":"` + label + `"}}`)
-		}(label)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
 		for {
 			st := svc.Stats()
 			if label == "car" && st.InFlight == 1 && st.QueueDepth == 0 || label == "bus" && st.InFlight >= 1 && st.QueueDepth >= 1 {
@@ -567,7 +578,6 @@ func TestHTTPOverloadAndTimeout(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Fatalf("append 429 Retry-After = %q, want 1", got)
 	}
-	wg.Wait()
 }
 
 // TestAutoResyncAfterReplicaKill: every secondary replica drops every
