@@ -610,7 +610,11 @@ func openLineageDB(t *testing.T, dir string, n int) (lineageDB, []*DB, func(stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, s.shards, func(name string) (func(*Patch) error, error) {
+	dbs := make([]*DB, s.NumShards())
+	for i := range dbs {
+		dbs[i] = s.Shard(i)
+	}
+	return s, dbs, func(name string) (func(*Patch) error, error) {
 		c, err := s.CreateCollection(name, Schema{})
 		if err != nil {
 			return nil, err

@@ -6,23 +6,18 @@ package core
 // ShardedCollection.AppendBatch), so a replica that missed a commit
 // stays frozen at an exact prefix of its primary's commit sequence, and
 // a restart does not change that: the counts come from the row logs.
-// Repair therefore takes no lock: it reads the replica, then the
-// primary, checks the replica rows not yet checked are a byte-exact
-// prefix of the primary's, and appends the next chunk with the
-// conditional commit a batch uses, re-reading when a batch got there
-// first. Once the counts are equal the replica is in sync.
-//
-// Any failure — injected via the resync-error/resync-stall failpoints
-// or real — stops the repair. Stopping is always safe: the replica only
-// ever gained patches the primary had committed, in the primary's
-// order, so it still holds a valid (longer) prefix and the next repair
-// resumes from there. No append waits for a repair.
+// Repair is therefore an append of the primary's rows past the
+// replica's. Any failure — injected via the resync-error/resync-stall
+// failpoints or real — stops it, which is always safe: the replica only
+// gained rows the primary committed, in its order, and the next repair
+// resumes from that longer prefix.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 )
@@ -44,12 +39,9 @@ func samePatchBytes(a, b *Patch) bool {
 
 // ResyncReplica brings one secondary level with its primary in every
 // collection and returns the number of patches it appended. Repairing
-// an in-sync replica is a no-op. On error the replica keeps the rows
-// appended so far, still a prefix of the primary's, and a later attempt
-// resumes from there. No append waits for it, and appends that outpace
-// it keep it catching up until ctx is done.
+// an in-sync replica is a no-op.
 func (s *Sharded) ResyncReplica(ctx context.Context, shard, replica int) (int, error) {
-	if shard < 0 || shard >= len(s.shards) || replica <= 0 || replica >= s.nrep {
+	if shard < 0 || shard >= len(s.reps) || replica <= 0 || replica >= s.nrep {
 		return 0, fmt.Errorf("core: resync shard %d replica %d: no such secondary", shard, replica)
 	}
 	rows := 0
@@ -68,11 +60,11 @@ func (s *Sharded) ResyncReplica(ctx context.Context, shard, replica int) (int, e
 }
 
 // resyncCollection appends to the replica's copy of one collection the
-// primary's rows past its own, checking first that the rows it holds
-// are a byte-exact prefix of the primary's. Anything else means
-// divergence (a replica fed writes outside the Sharded layer), which
-// appending cannot repair. The replica is read before the primary, so
-// one that has not diverged is never seen ahead of it.
+// primary's rows past its own. Rounds copy a chunk without a lock while
+// the replica gains on the primary. The last, once it is within a chunk
+// or no nearer than the round before, holds appendMu, so the primary
+// cannot grow, and copies the rest: the repair ends level, and appends
+// wait only for that copy, never for a stall.
 func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name string) (int, error) {
 	prim, err := s.reps[shard][0].Collection(name)
 	if err != nil {
@@ -82,7 +74,40 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 	if err != nil {
 		return 0, err
 	}
-	rows, checked := 0, 0
+	rows, checked, lag := 0, 0, math.MaxInt
+	// round reads the replica, then the primary (so one that has not
+	// diverged is never seen ahead), checks the replica's new rows are
+	// the primary's, and commits up to max rows past them at the
+	// replica's count, or none if another repair got there first.
+	round := func(max int) error {
+		rs, err := rcol.Current()
+		if err != nil {
+			return err
+		}
+		ps, err := prim.Current()
+		if err != nil {
+			return err
+		}
+		have := rs.Len()
+		if have > ps.Len() {
+			return fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
+		}
+		for i := checked; i < have; i++ {
+			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
+				return fmt.Errorf("row %d differs from primary — diverged", i)
+			}
+		}
+		checked = have
+		chunk, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
+		if err != nil {
+			return err
+		}
+		_, n, err := rcol.commit(chunk, have)
+		if rows += n; errors.Is(err, errBehind) {
+			return nil
+		}
+		return err
+	}
 	for rcol.Len() != prim.Len() {
 		if err := ctx.Err(); err != nil {
 			return rows, err
@@ -94,31 +119,17 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 		if err := inj.Stall(ctx, fault.ResyncStall, shard, replica); err != nil {
 			return rows, err
 		}
-		rs, err := rcol.Current()
-		if err != nil {
-			return rows, err
+		prev := lag
+		lag = prim.Len() - rcol.Len()
+		last := lag <= commitChunk || lag >= prev
+		if last {
+			s.appendMu.Lock()
+			err = round(math.MaxInt)
+			s.appendMu.Unlock()
+		} else {
+			err = round(commitChunk)
 		}
-		ps, err := prim.Current()
-		if err != nil {
-			return rows, err
-		}
-		have := rs.Len()
-		if have > ps.Len() {
-			return rows, fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
-		}
-		for i := checked; i < have; i++ {
-			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
-				return rows, fmt.Errorf("row %d differs from primary — diverged", i)
-			}
-		}
-		checked = have
-		chunk, err := rcol.prepare(ps.rows[have:min(have+commitChunk, ps.Len())])
-		if err != nil {
-			return rows, err
-		}
-		_, n, err := rcol.commit(chunk, have)
-		rows += n
-		if err != nil && !errors.Is(err, errBehind) {
+		if err != nil || last {
 			return rows, err
 		}
 	}

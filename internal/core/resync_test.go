@@ -235,16 +235,14 @@ func TestResyncHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestAppendDuringResyncHammer races live batch appends over two
-// shards against a repair of shard 0's replica (stall-widened so
-// batches land mid-repair) and requires the repaired replica to match
-// the primary byte-for-byte. Run with -race. The repair holds no lock:
-// conditional commits keep it sound, since a batch commits to the
-// replica only when it is level with the primary and the repair only at
-// the count it read, so neither lands rows the other already wrote. The
-// writer pauses between batches so the stalled repair copies rows
-// faster than they arrive and levels the replica while batches still
-// race it.
+// TestAppendDuringResyncHammer races live batch appends, each spanning
+// both shards, against a repair (stall-widened so its unlocked rounds
+// overlap real writes) and requires the repaired replica to match the
+// primary byte-for-byte. Run with -race. Conditional commits, not a
+// lock, keep the unlocked rounds sound: a batch commits to the replica
+// only when it is level with the primary, so it never lands rows the
+// repair is copying. The repair's last round holds the append lock,
+// which is what lets it level a replica the writer outpaces.
 func TestAppendDuringResyncHammer(t *testing.T) {
 	s, sc := resyncFixture(t, 2, 2, commitChunk)
 	freeze(s, 0, 1)
@@ -279,19 +277,10 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 				t.Errorf("append during resync: %v", err)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 
 	rows, err := s.ResyncReplica(context.Background(), 0, 1)
-	// Keep repairing, unstalled, while batches land, as the anti-entropy
-	// loop does when it reads a batch's counts between its primary and
-	// replica commits: the repair then races the batch for the same
-	// rows, and only one of their commits may land them.
-	s.SetFaults(nil)
-	for end := time.Now().Add(100 * time.Millisecond); err == nil && time.Now().Before(end); {
-		_, err = s.ResyncReplica(context.Background(), 0, 1)
-	}
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -302,6 +291,44 @@ func TestAppendDuringResyncHammer(t *testing.T) {
 	}
 	if got := sc.InSyncReplicas(0); len(got) != 2 {
 		t.Fatalf("in-sync after hammer = %v, want both", got)
+	}
+	requireReplicaMatchesPrimary(t, sc, 0, 1)
+}
+
+// TestConcurrentRepairsCopyEachRowOnce: two repairs of one replica run
+// side by side, their rounds lined up by the same stall. Each commits
+// at the count it read, so of two commits of the same rows only one
+// lands: together they append exactly the rows the replica lacked, and
+// neither fails.
+func TestConcurrentRepairsCopyEachRowOnce(t *testing.T) {
+	s, sc := resyncFixture(t, 1, 2, commitChunk)
+	freeze(s, 0, 1)
+	for i := commitChunk; i < 9*commitChunk; i++ {
+		if err := sc.Append(shardTestPatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetFaults(fault.New(fault.Config{Seed: 5, Rules: []fault.Rule{
+		{Point: fault.ResyncStall, Shard: 0, Replica: 1, Prob: 1, Stall: 2 * time.Millisecond},
+	}}))
+	var rows [2]int
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[k], errs[k] = s.ResyncReplica(context.Background(), 0, 1)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent repair: %v", err)
+		}
+	}
+	if got := rows[0] + rows[1]; got != 8*commitChunk {
+		t.Fatalf("repairs appended %d rows (%v), want %d", got, rows, 8*commitChunk)
 	}
 	requireReplicaMatchesPrimary(t, sc, 0, 1)
 }

@@ -62,21 +62,17 @@ var ErrShardMismatch = errors.New("core: shard count mismatch")
 // optionally backed by R replicas. All writes must go through the
 // Sharded layer (or a ShardedCollection), which allocates globally
 // unique patch ids and routes each patch to every replica of its home
-// shard. One append lock orders every batch on every shard; a replica
-// repair holds no lock an append waits on.
+// shard.
 type Sharded struct {
-	dir    string
-	shards []*DB   // primaries, shards[i] == reps[i][0]
-	reps   [][]*DB // [shard][replica]
-	nrep   int
+	dir  string
+	reps [][]*DB // [shard][replica]; reps[i][0] is shard i's primary
+	nrep int
 
 	repErrs atomic.Int64 // secondary append failures observed
 
-	// appendMu orders every batch: held from drawing its ids through
-	// every shard part's commits, so each shard's replicas commit one
-	// id-ordered sequence, the prefix ResyncReplica relies on. A repair
-	// never takes it; its commits, like a batch's to a secondary, land
-	// only on the count they follow.
+	// appendMu orders every batch, from drawing its ids through every
+	// shard part's commits, so each shard's replicas commit one
+	// id-ordered sequence. A repair takes it only to copy its last rows.
 	appendMu sync.Mutex
 
 	resyncs    atomic.Int64 // completed repairs that appended rows
@@ -155,7 +151,6 @@ func OpenShardedReplicas(dir string, n, r int, dev exec.Device) (*Sharded, error
 			}
 			s.reps[i][j] = db
 		}
-		s.shards[i] = s.reps[i][0]
 	}
 	s.liftIDs()
 	// Persist the topology only once every shard opened: a failed first
@@ -186,11 +181,10 @@ func replicaDirName(shard, replica int) string {
 
 func newSharded(dir string, n, r int) *Sharded {
 	s := &Sharded{
-		dir:    dir,
-		shards: make([]*DB, n),
-		reps:   make([][]*DB, n),
-		nrep:   r,
-		cols:   make(map[string]*ShardedCollection),
+		dir:  dir,
+		reps: make([][]*DB, n),
+		nrep: r,
+		cols: make(map[string]*ShardedCollection),
 	}
 	for i := range s.reps {
 		s.reps[i] = make([]*DB, r)
@@ -203,7 +197,7 @@ func newSharded(dir string, n, r int) *Sharded {
 func (s *Sharded) liftIDs() {
 	for _, rs := range s.reps {
 		for _, db := range rs {
-			s.shards[0].liftNextID(db.nextID.Load())
+			s.reps[0][0].liftNextID(db.nextID.Load())
 		}
 	}
 }
@@ -214,7 +208,6 @@ func (s *Sharded) liftIDs() {
 func WrapSharded(shards ...*DB) *Sharded {
 	s := newSharded("", len(shards), 1)
 	for i, db := range shards {
-		s.shards[i] = db
 		s.reps[i][0] = db
 	}
 	s.liftIDs()
@@ -253,14 +246,14 @@ func (s *Sharded) closeOpened() {
 }
 
 // NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
+func (s *Sharded) NumShards() int { return len(s.reps) }
 
 // Replicas returns the per-shard replica count.
 func (s *Sharded) Replicas() int { return s.nrep }
 
 // Shard returns shard i's primary DB (shard-local index builds and
 // read-only introspection; writes must go through the Sharded layer).
-func (s *Sharded) Shard(i int) *DB { return s.shards[i] }
+func (s *Sharded) Shard(i int) *DB { return s.reps[i][0] }
 
 // ReplicaDB returns replica j of shard i (j=0 is the primary).
 func (s *Sharded) ReplicaDB(i, j int) *DB { return s.reps[i][j] }
@@ -330,14 +323,14 @@ func shardHash(id PatchID) uint64 {
 // ShardFor returns the home shard of a patch id — the deterministic
 // partitioner every write and point lookup routes through.
 func (s *Sharded) ShardFor(id PatchID) int {
-	return int(shardHash(id) % uint64(len(s.shards)))
+	return int(shardHash(id) % uint64(len(s.reps)))
 }
 
 // NewPatchID allocates a database-wide unique patch id. Shard 0's
 // primary is the designated allocator, so ids never collide across
 // shards and a one-shard database allocates exactly the sequence an
 // unsharded DB would.
-func (s *Sharded) NewPatchID() PatchID { return s.shards[0].NewPatchID() }
+func (s *Sharded) NewPatchID() PatchID { return s.reps[0][0].NewPatchID() }
 
 // Close flushes and closes every replica of every shard, returning the
 // first error.
@@ -405,7 +398,7 @@ func (s *Sharded) CreateCollection(name string, schema Schema) (*ShardedCollecti
 // never hears about, and a view of the dropped handle must not outlive
 // it.
 func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
-	live, err := s.shards[0].Collection(name)
+	live, err := s.reps[0][0].Collection(name)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +429,7 @@ func (s *Sharded) Collection(name string) (*ShardedCollection, error) {
 
 // Collections lists collection names (the combined catalog; every shard
 // holds the same set, shard 0's primary is authoritative).
-func (s *Sharded) Collections() []string { return s.shards[0].Collections() }
+func (s *Sharded) Collections() []string { return s.reps[0][0].Collections() }
 
 // DropCollection removes the collection from every replica of every
 // shard.
@@ -471,7 +464,7 @@ func (s *Sharded) Materialize(name string, schema Schema, in Stream) (*ShardedCo
 // GetPatch resolves a patch id on its home shard's primary, which
 // probes that shard's collections (see DB.GetPatch).
 func (s *Sharded) GetPatch(id PatchID) (*Patch, error) {
-	return s.shards[s.ShardFor(id)].GetPatch(id)
+	return s.reps[s.ShardFor(id)][0].GetPatch(id)
 }
 
 // Backtrace follows a patch's lineage chain across shards (parents were
@@ -509,9 +502,10 @@ type ShardInfo struct {
 // ShardInfos snapshots per-shard row counts, version counters and
 // replica health (rows and versions come from the primary).
 func (s *Sharded) ShardInfos() []ShardInfo {
-	infos := make([]ShardInfo, len(s.shards))
+	infos := make([]ShardInfo, len(s.reps))
 	names := s.Collections()
-	for i, db := range s.shards {
+	for i, rs := range s.reps {
+		db := rs[0]
 		info := ShardInfo{Shard: i, Versions: db.nextVer.Load(), Replicas: s.nrep}
 		for _, name := range names {
 			if c, err := db.Collection(name); err == nil {
