@@ -599,29 +599,39 @@ func (m *matcher) probe(blk *[ColumnBlockSize]int32, d *segData, ord []uint16, b
 
 // The match kernels, one instance per array type: a typed-array sweep
 // with no switch inside, rows addressed locally (global row = base + j).
-// The probe kernels find the same rows by binary search of a sealed
+// They are branch-free: every row writes its global row at blk[c], and c
+// advances by the predicate's 0 or 1 (b2i, a SETcc), so random data costs
+// no mispredicted jumps. A range tests both bounds without &&'s jump, and
+// the mask on c (c <= j < ColumnBlockSize) drops blk's bounds check. The
+// probe kernels find the same rows by binary search of a sealed
 // segment's order.
 
 func matchEq[T int64 | float64 | uint32](blk *[ColumnBlockSize]int32, vals []T, base int, v T) int {
 	c := 0
-	for j, x := range vals {
-		if x == v {
-			blk[c] = int32(base + j)
-			c++
-		}
+	for j, x := range vals[:min(len(vals), ColumnBlockSize)] {
+		blk[c&(ColumnBlockSize-1)] = int32(base + j)
+		c += b2i(x == v)
 	}
 	return c
 }
 
 func matchRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, base int, lo, hi float64) int {
 	c := 0
-	for j, x := range vals {
-		if f := float64(x); f >= lo && f < hi {
-			blk[c] = int32(base + j)
-			c++
-		}
+	for j, x := range vals[:min(len(vals), ColumnBlockSize)] {
+		f := float64(x)
+		blk[c&(ColumnBlockSize-1)] = int32(base + j)
+		c += b2i(f >= lo) & b2i(f < hi)
 	}
 	return c
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc, no jump.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // probeEq writes the run of ord whose values cmp.Compare equal to v —

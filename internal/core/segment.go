@@ -21,6 +21,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -100,16 +101,26 @@ func (sg *colSegment) computeZone(kind ValueKind, d *segData) {
 	}
 }
 
-// bounds returns the least and greatest of vals, seeded by the first
-// value: a later NaN compares false both ways and never moves them.
+// bounds returns the least and greatest of vals, NaNs left out: a NaN
+// matches no equality or range, so it must not widen a zone (seeded by a
+// NaN, every comparison in matcher.skip would be false). An all-NaN vals
+// gets lo = +Inf and hi = −Inf, which every equality and range skips.
 func bounds[T int64 | float64](vals []T) (lo, hi T) {
-	for j, v := range vals {
-		if j == 0 || v < lo {
+	seen := false
+	for _, v := range vals {
+		if v != v {
+			continue
+		}
+		if !seen || v < lo {
 			lo = v
 		}
-		if j == 0 || v > hi {
+		if !seen || v > hi {
 			hi = v
 		}
+		seen = true
+	}
+	if !seen && len(vals) > 0 { // floats only: an int is never NaN
+		return T(math.Inf(1)), T(math.Inf(-1))
 	}
 	return lo, hi
 }
