@@ -89,9 +89,9 @@ func (sg *colSegment) computeZone(kind ValueKind, d *segData) {
 	z := &sg.zone
 	switch kind {
 	case KindInt:
-		z.minI, z.maxI = bounds(d.ints)
+		z.minI, z.maxI = bounds(d.ints, math.MaxInt64, math.MinInt64)
 	case KindFloat:
-		z.minF, z.maxF = bounds(d.floats)
+		z.minF, z.maxF = bounds(d.floats, math.Inf(1), math.Inf(-1))
 	case KindStr:
 		for _, code := range d.codes {
 			if code < 64 {
@@ -101,26 +101,19 @@ func (sg *colSegment) computeZone(kind ValueKind, d *segData) {
 	}
 }
 
-// bounds returns the least and greatest of vals, NaNs left out: a NaN
-// matches no equality or range, so it must not widen a zone (seeded by a
-// NaN, every comparison in matcher.skip would be false). An all-NaN vals
-// gets lo = +Inf and hi = −Inf, which every equality and range skips.
-func bounds[T int64 | float64](vals []T) (lo, hi T) {
-	seen := false
+// bounds widens the empty range lo > hi the caller passes to the least
+// and greatest of vals. A NaN compares false both ways and never moves
+// them: it matches no equality or range, so it must not widen a zone.
+// An all-NaN float segment keeps +Inf and −Inf, which every equality
+// and range skips.
+func bounds[T int64 | float64](vals []T, lo, hi T) (T, T) {
 	for _, v := range vals {
-		if v != v {
-			continue
-		}
-		if !seen || v < lo {
+		if v < lo {
 			lo = v
 		}
-		if !seen || v > hi {
+		if v > hi {
 			hi = v
 		}
-		seen = true
-	}
-	if !seen && len(vals) > 0 { // floats only: an int is never NaN
-		return T(math.Inf(1)), T(math.Inf(-1))
 	}
 	return lo, hi
 }
