@@ -42,12 +42,12 @@ func kernelPatches(n int) []*Patch {
 // bounds, lo == hi and lo > hi.
 func TestMatchKernelsAgreeWithPred(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	bounds := []float64{nan, -inf, inf, math.Copysign(0, -1), 0, 0.5, -1, 1 << 53, -1 << 53,
+	edges := []float64{nan, -inf, inf, math.Copysign(0, -1), 0, 0.5, -1, 1 << 53, -1 << 53,
 		1<<53 + 2, math.MinInt64, math.MaxInt64, 1e300}
 	var preds []Pred
 	for _, f := range []string{"i", "f"} {
-		for _, lo := range bounds {
-			for _, hi := range bounds {
+		for _, lo := range edges {
+			for _, hi := range edges {
 				preds = append(preds, Pred{Field: f, Range: true, Lo: lo, Hi: hi})
 			}
 		}
