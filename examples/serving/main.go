@@ -68,7 +68,7 @@ func run() error {
 		name string
 		req  service.Request
 	}{
-		{"count pedestrians (hash index)", service.Request{
+		{"count pedestrians (sorted index)", service.Request{
 			Collection: bench.ColTrafficDets,
 			Filter:     &service.FilterSpec{Field: "label", Str: str("pedestrian"), UseIndex: true},
 		}},

@@ -307,7 +307,7 @@ func Fig5Pipeline(e *Env) ([]Fig5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if idx, err := e.DB.BuildIndex(trCol, "label", core.IdxHash); err == nil {
+	if idx, err := e.DB.BuildIndex(trCol, "label", core.IdxSorted); err == nil {
 		idxCost["q2"] = idx.BuildTime
 		idxCost["q4"] = idx.BuildTime
 		idxCost["q6"] = idx.BuildTime

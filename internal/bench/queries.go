@@ -137,8 +137,8 @@ func (e *Env) Q1Accuracy() (recall, precision float64, err error) {
 
 // --------------------------------------------------------------- q2 ----
 
-// Q2 counts frames with at least one vehicle. The tuned plan uses a hash
-// index on the label; the baseline scans.
+// Q2 counts frames with at least one vehicle. The tuned plan probes the
+// sorted index on the label; the baseline scans.
 func (e *Env) Q2(useIndex bool) (QueryResult, error) {
 	col, err := e.DB.Collection(ColTrafficDets)
 	if err != nil {
@@ -147,13 +147,13 @@ func (e *Env) Q2(useIndex bool) (QueryResult, error) {
 	method := core.FilterScan
 	plan := "scan filter label=car + distinct frameno"
 	if useIndex {
-		method = core.FilterHashIndex
-		if !e.DB.HasIndex(col, "label", core.IdxHash) {
-			if _, err := e.DB.BuildIndex(col, "label", core.IdxHash); err != nil {
+		method = core.FilterIndex
+		if !e.DB.HasIndex(col, "label") {
+			if _, err := e.DB.BuildIndex(col, "label", core.IdxSorted); err != nil {
 				return QueryResult{}, err
 			}
 		}
-		plan = "hash-index label=car + distinct frameno"
+		plan = "sorted-segments label=car + distinct frameno"
 	}
 	start := time.Now()
 	cars, err := e.DB.ExecuteFilter(col, "label", core.StrV("car"), method)
@@ -423,15 +423,15 @@ func (e *Env) Q6(useIndex bool) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	if useIndex && !e.DB.HasIndex(col, "label", core.IdxHash) {
-		if _, err := e.DB.BuildIndex(col, "label", core.IdxHash); err != nil {
+	if useIndex && !e.DB.HasIndex(col, "label") {
+		if _, err := e.DB.BuildIndex(col, "label", core.IdxSorted); err != nil {
 			return QueryResult{}, err
 		}
 	}
 	start := time.Now()
 	var peds []*core.Patch
 	if useIndex {
-		peds, err = e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterHashIndex)
+		peds, err = e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterIndex)
 	} else {
 		peds, err = e.DB.ExecuteFilter(col, "label", core.StrV("pedestrian"), core.FilterScan)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,8 +21,8 @@ import (
 // DB is a DeepLens database: a catalog file (see catalogfile.go), one
 // row log beside it per materialized patch collection (see rowlog.go),
 // and the execution device query operators run on. Everything else a
-// query uses — columns, their segments' sort orders (the hash and B+
-// tree indexes), vector indexes — is built in memory from the rows.
+// query uses — columns, their segments' sort orders (the sorted index),
+// vector indexes — is built in memory from the rows.
 //
 // The catalog is safe for concurrent use: readers (Collection, HasIndex,
 // snapshot scans) take a shared lock while writers (create, drop) take it
@@ -59,7 +60,7 @@ type DB struct {
 
 // RefreshStats is a DB's accelerator record: what bringing column
 // stores and vector indexes current for query snapshots took (see
-// Refresh), the segment orders hash and B+ tree probes sorted, and the
+// Refresh), the segment orders index probes sorted, and the
 // distances kNN probes evaluated.
 type RefreshStats struct {
 	ColumnExtends      int64 // column stores extended by the appended rows
@@ -67,7 +68,7 @@ type RefreshStats struct {
 	ColumnTotalBlocks  int64 // of the blocks they hold (the rest re-projected tails)
 	VectorExtends      int64 // vector indexes extended by the appended rows
 	VectorRebuilds     int64 // vector indexes built in full
-	ScalarSorted       int64 // sealed column segments sorted for hash/B+ tree probes
+	ScalarSorted       int64 // sealed column segments sorted for index probes
 	KNNIndexEvals      int64 // distances exact vector-index probes evaluated
 	KNNScanEvals       int64 // distances brute kNN scans evaluated
 }
@@ -149,6 +150,8 @@ func (db *DB) liftNextID(id uint64) {
 // install opens cat's collections, unloaded, and resumes its counters.
 // The version counter resumes past every version and log key a
 // descriptor names, so a new row log never takes a live log's key.
+// The next Flush saves an old catalog's index declarations in the
+// current form.
 func (db *DB) install(cat catalog) {
 	db.nextID.Store(cat.NextID)
 	db.nextVer.Store(cat.NextVer)
@@ -156,8 +159,12 @@ func (db *DB) install(cat catalog) {
 		db.nextVer.Store(max(db.nextVer.Load(), d.Version, d.Log))
 	}
 	for _, d := range cat.Cols {
-		c := &Collection{db: db, name: d.Name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version,
-			indexes: d.Indexes}
+		c := &Collection{db: db, name: d.Name, schema: d.Schema, codec: newRowCodec(d.Schema), logKey: d.Log, count: d.Count, version: d.Version}
+		// A declaration saved before the one sorted kind names its
+		// kind after the field ("f/hash", "f/btree"): both declare f.
+		for _, decl := range d.Indexes {
+			c.declareIndex(strings.TrimSuffix(strings.TrimSuffix(decl, "/hash"), "/btree"))
+		}
 		if c.version == 0 {
 			c.version = db.nextVersion() // a page file from before versioning
 		}
@@ -279,7 +286,7 @@ type colDesc struct {
 	// file's descriptor of a collection whose rows are still in its
 	// bucket col.<name> holds 0.
 	Log uint64 `json:"log,omitempty"`
-	// Indexes are the declared hash and B+ tree indexes (see BuildIndex).
+	// Indexes are the fields with a declared sorted index (see BuildIndex).
 	Indexes []string `json:"indexes,omitempty"`
 }
 
@@ -435,7 +442,7 @@ type Collection struct {
 	// mu guards the commit: the log append, count, version and the row
 	// cache, which is nil until loaded (see load). The log is open once
 	// the cache is loaded; logKey names it. It also guards the declared
-	// indexes (indexDecl names), saved with the descriptor.
+	// indexes (BuildIndex's fields), saved with the descriptor.
 	mu      sync.Mutex
 	logKey  uint64
 	log     rowLog

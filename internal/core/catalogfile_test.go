@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -111,7 +112,7 @@ func TestCatalogFileLayout(t *testing.T) {
 		appendLogRows(t, col, 0, 300)
 	}
 	a, _ := db.Collection("a")
-	if _, err := db.BuildIndex(a, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(a, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -142,16 +143,82 @@ func TestCatalogFileLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cat.NextID != 600 || len(cat.Cols) != 2 || cat.Cols[0].Name != "a" || cat.Cols[1].Name != "b" ||
-		cat.Cols[0].Count != 300 || !slices.Equal(cat.Cols[0].Indexes, []string{indexDecl("label", IdxHash)}) {
+		cat.Cols[0].Count != 300 || !slices.Equal(cat.Cols[0].Indexes, []string{"label"}) {
 		t.Fatalf("catalog %+v", cat)
 	}
 	db = reopenDB(t, path)
 	a, err = db.Collection("a")
-	if err != nil || a.Len() != 300 || !db.HasIndex(a, "label", IdxHash) {
+	if err != nil || a.Len() != 300 || !db.HasIndex(a, "label") {
 		t.Fatalf("reopened a: %v", err)
 	}
 	if _, err := db.Collection("c"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Collection(c) = %v, want ErrNotFound", err)
+	}
+}
+
+// savedIndexes reads the index declarations of the catalog file at
+// path, one list per collection.
+func savedIndexes(t *testing.T, path string) [][]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := decodeCatalog(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]string
+	for _, c := range cat.Cols {
+		out = append(out, c.Indexes)
+	}
+	return out
+}
+
+// TestCatalogReadsOldIndexKinds: a catalog saved while an index had a
+// hash or a B+ tree kind declares "field/hash" or "field/btree". It
+// opens as the one sorted index over each field, which the planner
+// picks, and the next Flush saves one bare declaration per field.
+func TestCatalogReadsOldIndexKinds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dl.db")
+	db := reopenDB(t, path)
+	col, err := db.CreateCollection("c", lifecycleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendLifecycle(t, col, 0, 100)
+	old := []string{"label/hash", "label/btree", "f/btree"}
+	for _, decl := range old {
+		col.declareIndex(decl)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := savedIndexes(t, path); !reflect.DeepEqual(got, [][]string{old}) {
+		t.Fatalf("saved declarations %q, want %q", got, old)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = reopenDB(t, path)
+	col, err = db.Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.HasIndex(col, "label") || !db.HasIndex(col, "f") || db.HasIndex(col, "key") {
+		t.Fatal("reopened declarations: want label and f indexed, key not")
+	}
+	for field, v := range map[string]Value{"label": StrV("hot"), "f": FloatV(0.5)} {
+		if m, err := db.PlanFilter(col, field, v); err != nil || m != FilterIndex {
+			t.Fatalf("plan on %s = %v, %v; want %v", field, m, err, FilterIndex)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := savedIndexes(t, path), [][]string{{"label", "f"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("declarations after the next Flush %q, want %q", got, want)
 	}
 }
 

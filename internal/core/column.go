@@ -35,7 +35,7 @@ package core
 // byte-budgeted cache — so a collection's decoded column footprint is
 // bounded by the budget, not its history.
 //
-// The hash and B+ tree indexes are part of the column too: a sealed
+// The sorted index is part of the column too: a sealed
 // segment's first index probe sorts its rows by (value, row) and keeps
 // the order — 2 bytes a row, resident when the segment's data is evicted,
 // shared by Extend with the segment. A probe runs the scan's steps

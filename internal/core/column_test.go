@@ -208,16 +208,16 @@ func TestColumnarEqMatrix(t *testing.T) {
 	// Index agreement on the str field (order differs between access
 	// paths only if the index is broken: both emit in ascending ID
 	// order for a single-collection ingest).
-	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
-	idxPath, err := db.ExecuteFilter(col, "label", StrV("bus"), FilterHashIndex)
+	idxPath, err := db.ExecuteFilter(col, "label", StrV("bus"), FilterIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	colPath, _ := db.ExecuteFilter(col, "label", StrV("bus"), FilterColumnScan)
 	if !idsEqual(patchIDs(idxPath), patchIDs(colPath)) {
-		t.Fatalf("hash index %d rows != columnar %d rows", len(idxPath), len(colPath))
+		t.Fatalf("index probe %d rows != columnar %d rows", len(idxPath), len(colPath))
 	}
 }
 

@@ -104,10 +104,7 @@ func TestOutOfOrderCommitIsRefused(t *testing.T) {
 		checkAscending(t, what, snap.Patches())
 		for _, p := range []Pred{all, three} {
 			want := firstIDs(t, snap, p, FilterScan, 2)
-			methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
-			if !p.Range {
-				methods = append(methods, FilterHashIndex)
-			}
+			methods := []FilterMethod{FilterColumnScan, FilterIndex}
 			for _, m := range methods {
 				if got := firstIDs(t, snap, p, m, 2); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: %v %+v first 2: %v, row scan %v", what, m, p, got, want)

@@ -164,7 +164,7 @@ func TestDropCollectionVersioning(t *testing.T) {
 	}
 	v1 := col.Version()
 	oldID := p.ID
-	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,7 +185,7 @@ func TestDropCollectionVersioning(t *testing.T) {
 	if v2 := col2.Version(); v2 <= v1 {
 		t.Fatalf("re-created collection version %d not newer than %d", v2, v1)
 	}
-	if db.HasIndex(col2, "label", IdxHash) {
+	if db.HasIndex(col2, "label") {
 		t.Fatal("index descriptor survived the drop")
 	}
 	if got := col2.Len(); got != 0 {
@@ -213,13 +213,13 @@ func TestDropKeepsOtherCollectionsIndexes(t *testing.T) {
 	if err := ab.Append(testPatch(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BuildIndex(ab, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(ab, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DropCollection("a"); err != nil {
 		t.Fatal(err)
 	}
-	if !db.HasIndex(ab, "label", IdxHash) {
+	if !db.HasIndex(ab, "label") {
 		t.Fatal("dropping a undeclared a.b's index")
 	}
 	if err := db.Close(); err != nil {
@@ -229,7 +229,7 @@ func TestDropKeepsOtherCollectionsIndexes(t *testing.T) {
 	if ab, err = db.Collection("a.b"); err != nil {
 		t.Fatal(err)
 	}
-	if !db.HasIndex(ab, "label", IdxHash) {
+	if !db.HasIndex(ab, "label") {
 		t.Fatal("a.b's index declaration lost across the reopen after dropping a")
 	}
 }

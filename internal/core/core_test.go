@@ -278,23 +278,17 @@ func TestHashAndBTreeIndexLookup(t *testing.T) {
 		want[int64(i%25)] = append(want[int64(i%25)], p.ID)
 	}
 	snap, _ := col.Current()
-	for _, kind := range []IndexKind{IdxHash, IdxBTree} {
-		if _, err := db.BuildIndex(col, "frameno", kind); err != nil {
-			t.Fatalf("%v build: %v", kind, err)
+	if _, err := db.BuildIndex(col, "frameno", IdxSorted); err != nil {
+		t.Fatal(err)
+	}
+	for f, ids := range want {
+		if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(f)}, FilterIndex); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("lookup(%d): %d ids, want %d", f, len(got), len(ids))
 		}
-		m := FilterHashIndex
-		if kind == IdxBTree {
-			m = FilterBTreeIndex
-		}
-		for f, ids := range want {
-			if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(f)}, m); !reflect.DeepEqual(got, ids) {
-				t.Fatalf("%v lookup(%d): %d ids, want %d", kind, f, len(got), len(ids))
-			}
-		}
-		// Missing key.
-		if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(999)}, m); len(got) != 0 {
-			t.Fatalf("%v missing key: %v", kind, got)
-		}
+	}
+	// Missing key.
+	if got := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(999)}, FilterIndex); len(got) != 0 {
+		t.Fatalf("missing key: %v", got)
 	}
 }
 
@@ -304,11 +298,11 @@ func TestBTreeIndexRange(t *testing.T) {
 	for i := 0; i < 2100; i++ {
 		col.Append(mkPatch("car", int64(i%100)))
 	}
-	if _, err := db.BuildIndex(col, "frameno", IdxBTree); err != nil {
+	if _, err := db.BuildIndex(col, "frameno", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := col.Current()
-	if ids := selectIDs(t, snap, Pred{Field: "frameno", Range: true, Lo: 20, Hi: 30}, FilterBTreeIndex); len(ids) != 210 {
+	if ids := selectIDs(t, snap, Pred{Field: "frameno", Range: true, Lo: 20, Hi: 30}, FilterIndex); len(ids) != 210 {
 		t.Fatalf("range: %d ids, want 210", len(ids))
 	}
 }
@@ -324,10 +318,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	for i := 0; i < 2100; i++ {
 		col.Append(mkPatch("car", int64(i%10)))
 	}
-	if _, err := db.BuildIndex(col, "frameno", IdxHash); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.BuildIndex(col, "frameno", IdxBTree); err != nil {
+	if _, err := db.BuildIndex(col, "frameno", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -336,17 +327,11 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	defer db2.Close()
 	col2, _ := db2.Collection("dets")
 	snap, _ := col2.Current()
-	for _, m := range []FilterMethod{FilterHashIndex, FilterBTreeIndex} {
-		kind := IdxHash
-		if m == FilterBTreeIndex {
-			kind = IdxBTree
-		}
-		if !db2.HasIndex(col2, "frameno", kind) {
-			t.Fatalf("%v index declaration lost", kind)
-		}
-		if ids := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(3)}, m); len(ids) != 210 {
-			t.Fatalf("%v reopen lookup: %d ids, want 210", kind, len(ids))
-		}
+	if !db2.HasIndex(col2, "frameno") {
+		t.Fatal("index declaration lost")
+	}
+	if ids := selectIDs(t, snap, Pred{Field: "frameno", V: IntV(3)}, FilterIndex); len(ids) != 210 {
+		t.Fatalf("reopen lookup: %d ids, want 210", len(ids))
 	}
 }
 
@@ -728,15 +713,15 @@ func TestOptimizerFilterPath(t *testing.T) {
 	if err != nil || m != FilterColumnScan {
 		t.Fatalf("no-index plan = %v, %v", m, err)
 	}
-	db.BuildIndex(col, "label", IdxHash)
+	db.BuildIndex(col, "label", IdxSorted)
 	m, _ = db.PlanFilter(col, "label", StrV("car"))
-	if m != FilterHashIndex {
-		t.Fatalf("hash available but plan = %v", m)
+	if m != FilterIndex {
+		t.Fatalf("index available but plan = %v", m)
 	}
 	// Execution agreement across every physical method.
 	scan, _ := db.ExecuteFilter(col, "label", StrV("car"), FilterScan)
 	columnar, _ := db.ExecuteFilter(col, "label", StrV("car"), FilterColumnScan)
-	indexed, _ := db.ExecuteFilter(col, "label", StrV("car"), FilterHashIndex)
+	indexed, _ := db.ExecuteFilter(col, "label", StrV("car"), FilterIndex)
 	if len(scan) != len(indexed) || len(scan) != len(columnar) || len(scan) != 50 {
 		t.Fatalf("scan %d vs columnar %d vs indexed %d", len(scan), len(columnar), len(indexed))
 	}
@@ -752,8 +737,7 @@ func TestFilterCostStatic(t *testing.T) {
 	}{
 		{FilterColumnScan, 1000 * CColScanSec},
 		{FilterScan, 1000 * CRowScanSec},
-		{FilterHashIndex, 10 * fetchSec},
-		{FilterBTreeIndex, 10 * fetchSec},
+		{FilterIndex, 10 * fetchSec},
 	} {
 		if got := FilterCost(tc.m, 1000, 10); math.Abs(got-tc.want) > 1e-15 {
 			t.Fatalf("%v cost = %g, want %g", tc.m, got, tc.want)
@@ -762,8 +746,8 @@ func TestFilterCostStatic(t *testing.T) {
 }
 
 // TestPlanFilterStaticOrder: the planner's preference order is fixed —
-// hash index, then B-tree index, then the columnar scan for scalar
-// constants, then the row scan.
+// a declared index, then the columnar scan for scalar constants, then
+// the row scan.
 func TestPlanFilterStaticOrder(t *testing.T) {
 	db := openDB(t)
 	col, err := db.CreateCollection("dets", Schema{Fields: []Field{{Name: "label", Kind: KindStr}, {Name: "emb", Kind: KindVec}}})
@@ -790,17 +774,11 @@ func TestPlanFilterStaticOrder(t *testing.T) {
 	if m := plan("label", StrV("car")); m != FilterColumnScan {
 		t.Fatalf("no-index plan = %v, want column-scan", m)
 	}
-	if _, err := db.BuildIndex(col, "label", IdxBTree); err != nil {
+	if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
-	if m := plan("label", StrV("car")); m != FilterBTreeIndex {
-		t.Fatalf("btree-only plan = %v, want btree-index", m)
-	}
-	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
-		t.Fatal(err)
-	}
-	if m := plan("label", StrV("car")); m != FilterHashIndex {
-		t.Fatalf("hash+btree plan = %v, want hash-index", m)
+	if m := plan("label", StrV("car")); m != FilterIndex {
+		t.Fatalf("indexed plan = %v, want sorted-segments", m)
 	}
 }
 
@@ -809,10 +787,10 @@ func TestPlanFilterStaticOrder(t *testing.T) {
 func TestIndexNotFound(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("c", simpleSchema())
-	if db.HasIndex(col, "label", IdxHash) {
+	if db.HasIndex(col, "label") {
 		t.Fatal("an index never built is declared")
 	}
-	if _, err := db.BuildIndex(col, "undeclared", IdxHash); err == nil || db.HasIndex(col, "undeclared", IdxHash) {
+	if _, err := db.BuildIndex(col, "undeclared", IdxSorted); err == nil || db.HasIndex(col, "undeclared") {
 		t.Fatalf("index over a field with no column: %v", err)
 	}
 }

@@ -10,14 +10,14 @@ import (
 	"testing"
 )
 
-// Hash/B+ tree index tests. An index is the sort order of each sealed
+// Sorted index tests. An index is the sort order of each sealed
 // column segment: built once per segment, shared by every later store
 // that carries the segment, and answering exactly what the row scan
 // answers — for the current snapshot, a reader behind it, a reopened
 // database and a stale collection handle.
 
 // lifecycleSchema declares a string, an int and a float field: every
-// index kind probes a column.
+// indexed field has a column.
 func lifecycleSchema() Schema {
 	return Schema{Fields: []Field{{Name: "label", Kind: KindStr}, {Name: "key", Kind: KindInt}, {Name: "f", Kind: KindFloat}}}
 }
@@ -50,63 +50,53 @@ func appendLifecycle(t testing.TB, col *Collection, from, to int) {
 	}
 }
 
-// buildLifecycleIndexes declares the hash index on label and the B+ tree
-// indexes on key and f.
+// lifecycleFields are the indexed fields: label, key and f.
+var lifecycleFields = []string{"label", "key", "f"}
+
+// buildLifecycleIndexes declares the sorted index on every lifecycle
+// field.
 func buildLifecycleIndexes(t testing.TB, db *DB, col *Collection) {
 	t.Helper()
-	for _, ix := range []struct {
-		field string
-		kind  IndexKind
-	}{{"label", IdxHash}, {"key", IdxBTree}, {"f", IdxBTree}} {
-		if _, err := db.BuildIndex(col, ix.field, ix.kind); err != nil {
+	for _, field := range lifecycleFields {
+		if _, err := db.BuildIndex(col, field, IdxSorted); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// probe is one index lookup: a predicate and the index kind serving it.
-type probe struct {
-	pred   Pred
-	method FilterMethod
-}
-
-// lifecycleProbes is the probe set: every label and a spread of keys
-// through the hash index, the same keys and f values (-0 and NaN
-// included) through B+ tree equality, and B+ tree ranges over both
+// lifecycleProbes is the probe set: equality on every label, a spread
+// of keys and f values (-0 and NaN included), and ranges over both
 // numeric columns, NaN and empty bounds included.
-func lifecycleProbes() []probe {
-	var ps []probe
+func lifecycleProbes() []Pred {
+	var ps []Pred
 	for _, l := range []string{"hot", "cold", "absent"} {
-		ps = append(ps, probe{Pred{Field: "label", V: StrV(l)}, FilterHashIndex})
+		ps = append(ps, Pred{Field: "label", V: StrV(l)})
 	}
 	for k := 0; k < 37; k += 6 {
-		ps = append(ps,
-			probe{Pred{Field: "key", V: IntV(int64(k))}, FilterHashIndex},
-			probe{Pred{Field: "key", V: IntV(int64(k))}, FilterBTreeIndex},
-			probe{Pred{Field: "f", V: FloatV(float64(k) + 0.5)}, FilterBTreeIndex})
+		ps = append(ps, Pred{Field: "key", V: IntV(int64(k))}, Pred{Field: "f", V: FloatV(float64(k) + 0.5)})
 	}
 	for _, v := range []float64{0, math.NaN(), 100} {
-		ps = append(ps, probe{Pred{Field: "f", V: FloatV(v)}, FilterHashIndex})
+		ps = append(ps, Pred{Field: "f", V: FloatV(v)})
 	}
 	for _, r := range [][2]float64{{3, 11}, {0, 37}, {36, 36}, {2.5, 20}, {-1, 100}, {math.Inf(-1), 0.5}, {math.NaN(), 5}, {5, math.NaN()}} {
 		for _, field := range []string{"key", "f"} {
-			ps = append(ps, probe{Pred{Field: field, Range: true, Lo: r[0], Hi: r[1]}, FilterBTreeIndex})
+			ps = append(ps, Pred{Field: field, Range: true, Lo: r[0], Hi: r[1]})
 		}
 	}
 	return ps
 }
 
-// indexAnswers runs the probe set over snap, through the indexes or,
-// with scan, through the row scan.
+// indexAnswers runs the probe set over snap, through the sorted index
+// or, with scan, through the row scan.
 func indexAnswers(t *testing.T, snap Snapshot, scan bool) map[string][]PatchID {
 	t.Helper()
 	out := map[string][]PatchID{}
+	m := FilterIndex
+	if scan {
+		m = FilterScan
+	}
 	for _, p := range lifecycleProbes() {
-		m := p.method
-		if scan {
-			m = FilterScan
-		}
-		out[fmt.Sprintf("%v %+v", p.method, p.pred)] = selectIDs(t, snap, p.pred, m)
+		out[fmt.Sprintf("%+v", p)] = selectIDs(t, snap, p, m)
 	}
 	return out
 }
@@ -194,8 +184,8 @@ func TestSegmentOrdersSortedOnceAndShared(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			appendLifecycle(t, col, 1000+64*round, 1000+64*(round+1))
 			snap, _ := col.Current()
-			selectIDs(t, snap, Pred{Field: "label", V: StrV("hot")}, FilterHashIndex)
-			selectIDs(t, snap, Pred{Field: "key", Range: true, Lo: 3, Hi: 9}, FilterBTreeIndex)
+			selectIDs(t, snap, Pred{Field: "label", V: StrV("hot")}, FilterIndex)
+			selectIDs(t, snap, Pred{Field: "key", Range: true, Lo: 3, Hi: 9}, FilterIndex)
 			sealed := snap.Len() / ColumnBlockSize
 			if got := sortedSegments(db); got != int64(2*sealed) {
 				t.Fatalf("budget %d, round %d: %d segments sorted, %d sealed in each of 2 columns", budget, round, got, sealed)
@@ -251,13 +241,13 @@ func TestEqProbeAllocsIndependentOfSize(t *testing.T) {
 		}
 		snap, _ := col.Current()
 		pred := Pred{Field: "key", V: IntV(500)}
-		if got := len(selectIDs(t, snap, pred, FilterHashIndex)); got != 8 { // sorts every segment
+		if got := len(selectIDs(t, snap, pred, FilterIndex)); got != 8 { // sorts every segment
 			t.Fatalf("%d rows: %d hits, want 8", n, got)
 		}
 		probe := func() uint64 {
 			var a, b runtime.MemStats
 			runtime.ReadMemStats(&a)
-			s, err := snap.Select(t.Context(), pred, FilterHashIndex, Keep{})
+			s, err := snap.Select(t.Context(), pred, FilterIndex, Keep{})
 			runtime.ReadMemStats(&b)
 			if err != nil || s.N != 8 {
 				t.Fatalf("probe: %d hits, %v", s.N, err)
@@ -294,7 +284,7 @@ func TestEqProbeScansHitsAndTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := snap.Select(ctx, pred, FilterHashIndex, Keep{Kind: KeepCount})
+	idx, err := snap.Select(ctx, pred, FilterIndex, Keep{Kind: KeepCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +307,10 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 		col.Append(mkPatch("car", int64(i%12)))
 		left.Append(mkPatch("player", int64(i%8)))
 	}
-	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BuildIndex(col, "frameno", IdxHash); err != nil {
+	if _, err := db.BuildIndex(col, "frameno", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	for i := 50; i < 60; i++ {
@@ -328,7 +318,7 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 	}
 
 	m, err := db.PlanFilter(col, "label", StrV("car"))
-	if err != nil || m != FilterHashIndex {
+	if err != nil || m != FilterIndex {
 		t.Fatalf("plan = %v, %v", m, err)
 	}
 	indexed, err := db.ExecuteFilter(col, "label", StrV("car"), m)
@@ -358,7 +348,7 @@ func TestStaleIndexPlansSeeAppends(t *testing.T) {
 		}
 		probed[v.Int()] = true
 		pred := Pred{Field: "frameno", V: v}
-		ids, want := selectIDs(t, snap, pred, FilterHashIndex), selectIDs(t, snap, pred, FilterScan)
+		ids, want := selectIDs(t, snap, pred, FilterIndex), selectIDs(t, snap, pred, FilterScan)
 		if len(want) == 0 || !reflect.DeepEqual(ids, want) {
 			t.Fatalf("frameno %d: index join %d rows over the grown collection, scan %d", v.Int(), len(ids), len(want))
 		}
@@ -397,7 +387,7 @@ func TestIndexReaderBehindAndCacheReload(t *testing.T) {
 	}
 	db = reopenDB(t, path)
 	col, _ = db.Collection("c")
-	if !db.HasIndex(col, "label", IdxHash) || !db.HasIndex(col, "f", IdxBTree) {
+	if !db.HasIndex(col, "label") || !db.HasIndex(col, "f") {
 		t.Fatal("index declarations lost across the reopen")
 	}
 	snap, _ = col.Current()
@@ -454,12 +444,9 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 
 	db2 := reopenDB(t, path)
 	col2, _ := db2.Collection("c")
-	for _, ix := range []struct {
-		field string
-		kind  IndexKind
-	}{{"label", IdxHash}, {"key", IdxBTree}, {"f", IdxBTree}} {
-		if !db2.HasIndex(col2, ix.field, ix.kind) {
-			t.Fatalf("%v index on %s not declared after the reopen", ix.kind, ix.field)
+	for _, field := range lifecycleFields {
+		if !db2.HasIndex(col2, field) {
+			t.Fatalf("index on %s not declared after the reopen", field)
 		}
 	}
 	snap, _ := col2.Current()
@@ -470,7 +457,7 @@ func TestReopenedIndexKeepsVersionAndServesConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ids := selectIDs(t, snap, pred, FilterBTreeIndex); !reflect.DeepEqual(ids, want) {
+			if ids := selectIDs(t, snap, pred, FilterIndex); !reflect.DeepEqual(ids, want) {
 				t.Errorf("concurrent range probe: %d ids, scan %d", len(ids), len(want))
 			}
 		}()

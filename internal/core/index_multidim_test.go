@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -30,10 +28,9 @@ func mkSpatialPatch(rng *rand.Rand, frame int64) *Patch {
 	}
 }
 
-// TestIndexKindMismatchErrors: BuildIndex takes the hash and B+ tree
-// kinds only — the multidimensional access methods live in VectorIndex
-// and the join-local R-tree — over a field with a column, and a hash
-// index refuses range lookups.
+// TestIndexKindMismatchErrors: BuildIndex takes the sorted kind only —
+// the multidimensional access methods live in VectorIndex and the
+// join-local R-tree — over a field with a column.
 func TestIndexKindMismatchErrors(t *testing.T) {
 	db := openDB(t)
 	col, _ := db.CreateCollection("m", rectSchema())
@@ -41,7 +38,7 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		col.Append(mkSpatialPatch(rng, int64(i)))
 	}
-	for _, kind := range []IndexKind{0, IdxBTree, IdxHash, IdxHash + 1, IdxHash + 2, IdxHash + 3} {
+	for _, kind := range []IndexKind{0, IdxSorted, IdxSorted + 1, IdxSorted + 2, IdxSorted + 3} {
 		if _, err := db.BuildIndex(col, "emb", kind); err == nil {
 			t.Fatalf("BuildIndex accepted %v over a vector field", kind)
 		}
@@ -51,14 +48,10 @@ func TestIndexKindMismatchErrors(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ints.Append(&Patch{Ref: Ref{Source: "s", Frame: uint64(i)}, Meta: Metadata{"n": IntV(int64(i))}})
 	}
-	if _, err := db.BuildIndex(ints, "n", IdxHash+1); err == nil {
+	if _, err := db.BuildIndex(ints, "n", IdxSorted+1); err == nil {
 		t.Fatal("BuildIndex accepted an unknown kind")
 	}
-	if _, err := db.BuildIndex(ints, "n", IdxHash); err != nil {
+	if _, err := db.BuildIndex(ints, "n", IdxSorted); err != nil {
 		t.Fatal(err)
-	}
-	snap, _ := ints.Current()
-	if _, err := snap.Select(context.Background(), Pred{Field: "n", Range: true, Lo: 1, Hi: math.Inf(1)}, FilterHashIndex, Keep{}); err == nil {
-		t.Fatal("hash range lookup allowed")
 	}
 }

@@ -190,8 +190,9 @@ type FilterMethod int
 // Selection physical operators.
 const (
 	FilterScan FilterMethod = iota + 1
-	FilterHashIndex
-	FilterBTreeIndex
+	// FilterIndex probes the sorted index: the column scan with each
+	// surviving sealed segment binary-searched through its sort order.
+	FilterIndex
 	// FilterColumnScan evaluates the predicate block-at-a-time over the
 	// collection's columnar projection (zone-map pruning + vectorized
 	// compare), falling back to the row scan when the field has no
@@ -203,10 +204,8 @@ func (m FilterMethod) String() string {
 	switch m {
 	case FilterScan:
 		return "scan-filter"
-	case FilterHashIndex:
-		return "hash-index"
-	case FilterBTreeIndex:
-		return "btree-index"
+	case FilterIndex:
+		return "sorted-segments"
 	case FilterColumnScan:
 		return "column-scan"
 	default:
@@ -227,7 +226,7 @@ const (
 // access path (matched is the expected output size for index fetches).
 func FilterCost(method FilterMethod, n, matched int) float64 {
 	switch method {
-	case FilterHashIndex, FilterBTreeIndex:
+	case FilterIndex:
 		return float64(matched) * fetchSec
 	case FilterColumnScan:
 		return float64(n) * CColScanSec
@@ -238,8 +237,8 @@ func FilterCost(method FilterMethod, n, matched int) float64 {
 
 // PlanFilter chooses the access path for an equality selection, after
 // validating the predicate against the schema (plan-time type checking,
-// §4.2), by a fixed preference order: hash index, then B-tree index,
-// then the columnar scan for scalar constants (declared fields are
+// §4.2), by a fixed preference order: a declared index, then the
+// columnar scan for scalar constants (declared fields are
 // kind-uniform by schema validation, so the projection always succeeds
 // and strictly dominates the row scan), then the row scan.
 func (db *DB) PlanFilter(col *Collection, field string, v Value) (FilterMethod, error) {
@@ -247,10 +246,8 @@ func (db *DB) PlanFilter(col *Collection, field string, v Value) (FilterMethod, 
 		return 0, err
 	}
 	switch {
-	case db.HasIndex(col, field, IdxHash):
-		return FilterHashIndex, nil
-	case db.HasIndex(col, field, IdxBTree):
-		return FilterBTreeIndex, nil
+	case db.HasIndex(col, field):
+		return FilterIndex, nil
 	case v.Kind == KindInt, v.Kind == KindFloat, v.Kind == KindStr:
 		return FilterColumnScan, nil
 	}

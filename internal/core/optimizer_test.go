@@ -77,8 +77,7 @@ func TestPlanSmallJoinAvoidsOffload(t *testing.T) {
 func TestFilterMethodStrings(t *testing.T) {
 	for m, want := range map[FilterMethod]string{
 		FilterScan:       "scan-filter",
-		FilterHashIndex:  "hash-index",
-		FilterBTreeIndex: "btree-index",
+		FilterIndex:      "sorted-segments",
 		FilterColumnScan: "column-scan",
 	} {
 		if m.String() != want {

@@ -436,7 +436,7 @@ func TestDropDeletesRowLog(t *testing.T) {
 				t.Fatalf("round %d: collection %q logs to %s", round, name, logPath)
 			}
 			seen[logPath] = true
-			if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+			if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -185,7 +185,7 @@ func TestTieredStoreReprojectsOnReopen(t *testing.T) {
 	for _, f := range tieredFields {
 		cs.Column(f)
 	}
-	if _, err := db.BuildIndex(col, "label", IdxHash); err != nil {
+	if _, err := db.BuildIndex(col, "label", IdxSorted); err != nil {
 		t.Fatal(err)
 	}
 	mem := newColumnStore(cs.at, nil)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // KeepKind names what a selection keeps of its matches.
 type KeepKind uint8
@@ -44,7 +41,7 @@ type Selection struct {
 // Indexed reports whether the selection ran as an index probe rather
 // than a scan.
 func (s *Selection) Indexed() bool {
-	return s.Method == FilterHashIndex || s.Method == FilterBTreeIndex
+	return s.Method == FilterIndex
 }
 
 // ctxCheckRows is the row stride between cancellation checks in scan
@@ -107,10 +104,10 @@ func (k *keeper) result() (int, []int32) {
 //     projection (zone maps skip blocks that cannot match, surviving
 //     blocks compare typed arrays, stopping at the snapshot's last row)
 //     and falls back to the row scan when the field has no column.
-//   - FilterHashIndex / FilterBTreeIndex run the column scan with each
-//     surviving sealed segment binary-searched through its sort order,
-//     sorted on first use (see ColumnStore.scan). A range needs the
-//     B-tree kind. Both kinds fall back like the column scan.
+//   - FilterIndex runs the column scan with each surviving sealed
+//     segment binary-searched through its sort order, sorted on first
+//     use (see ColumnStore.scan), for an equality or a range. It falls
+//     back like the column scan.
 //   - FilterScan tests every row with Pred.Match, checking ctx between
 //     blocks of rows.
 //   - 0 takes no predicate: every row of the snapshot matches.
@@ -121,9 +118,6 @@ func (k *keeper) result() (int, []int32) {
 // rows Pred.Match accepts, and N counts all of them. Select does not
 // type-check pred against the schema; planners do.
 func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod, keep Keep) (Selection, error) {
-	if method == FilterHashIndex && pred.Range {
-		return Selection{}, fmt.Errorf("core: %v index does not support range lookup", IdxHash)
-	}
 	s := Selection{Method: method}
 	// A column scan or index probe, and a top-k ordered by a column, read
 	// the cached store. It may already reflect rows appended after the

@@ -49,7 +49,7 @@ func TestSelectBTreeRangeExtendedEqualsFresh(t *testing.T) {
 	}
 	add(col, 0, 1500)
 	for _, field := range []string{"i", "f"} {
-		if _, err := db.BuildIndex(col, field, IdxBTree); err != nil {
+		if _, err := db.BuildIndex(col, field, IdxSorted); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,14 +67,14 @@ func TestSelectBTreeRangeExtendedEqualsFresh(t *testing.T) {
 		}
 		return out
 	}
-	extended := answers(snap, FilterBTreeIndex)
+	extended := answers(snap, FilterIndex)
 	if got := db.RefreshStats().ScalarSorted; got != 4 {
 		t.Fatalf("%d segments sorted, want 2 in each of 2 columns", got)
 	}
 	if want := answers(snap, FilterScan); !reflect.DeepEqual(extended, want) {
 		t.Fatalf("extended index ranges diverge from the row scan:\n got %v\nwant %v", extended, want)
 	}
-	if got, want := answers(behind, FilterBTreeIndex), answers(behind, FilterScan); !reflect.DeepEqual(got, want) {
+	if got, want := answers(behind, FilterIndex), answers(behind, FilterScan); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reader behind the store: ranges diverge from the row scan over its snapshot")
 	}
 	fdb := openDB(t)
@@ -84,14 +84,14 @@ func TestSelectBTreeRangeExtendedEqualsFresh(t *testing.T) {
 	}
 	add(fcol, 0, 2700)
 	fsnap, _ := fcol.Current()
-	if fresh := answers(fsnap, FilterBTreeIndex); !reflect.DeepEqual(extended, fresh) {
+	if fresh := answers(fsnap, FilterIndex); !reflect.DeepEqual(extended, fresh) {
 		t.Fatal("extended index ranges diverge from a fresh build")
 	}
 }
 
 // fuzzInt draws the int domain: mostly a small range (so equality hits),
 // sometimes the int64 edges and ints past 2^53 that widen to a float
-// rounded up onto a representable neighbour (a bound the B-tree's int
+// rounded up onto a representable neighbour (a bound the index's int
 // probe must place exactly like the row predicate's widening does).
 func fuzzInt(r *rand.Rand) int64 {
 	if r.Intn(16) == 0 {
@@ -204,7 +204,7 @@ func heapTopK(ps []*Patch, field string, desc bool, k int) []*Patch {
 
 // FuzzSelectPathsAgree is the differential test over Snapshot.Select: for a
 // seeded append sequence and equality/range predicates on every field,
-// the row scan, the column scan, the hash and B-tree probes and the
+// the row scan, the column scan, the index probe and the
 // column scan over a tiered store at a one-byte budget (the database
 // reopened under it) must return the same rows in the same order — for
 // the current snapshot and for one
@@ -215,7 +215,7 @@ func heapTopK(ps []*Patch, field string, desc bool, k int) []*Patch {
 // Then the database, its columns projected under the segment cache, is
 // closed and reopened under one again: the reopened snapshot holds the same
 // rows in the same order, and every access path — re-projected columns,
-// reopened hash and B-tree indexes — returns the row scan's ids and
+// the reopened index's re-sorted segments — returns the row scan's ids and
 // first n rows over it.
 func FuzzSelectPathsAgree(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint16(7), -1.5, 2.25)
@@ -271,10 +271,7 @@ func FuzzSelectPathsAgree(f *testing.F) {
 			for _, p := range preds {
 				rows := selectIDs(t, vw, p, FilterScan)
 				want[v] = append(want[v], rows)
-				methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
-				if !p.Range {
-					methods = append(methods, FilterHashIndex)
-				}
+				methods := []FilterMethod{FilterColumnScan, FilterIndex}
 				for _, m := range methods {
 					if got := selectIDs(t, vw, p, m); !reflect.DeepEqual(got, rows) {
 						t.Fatalf("%d/%d rows, %v %+v: %d ids, row scan %d", vw.Len(), snap.Len(), m, p, len(got), len(rows))
@@ -337,10 +334,7 @@ func FuzzSelectPathsAgree(f *testing.F) {
 				t.Fatalf("reopened %d rows, %+v: row scan %d ids, %d before the close", rsnap.Len(), p, len(rows), len(want[1][k]))
 			}
 			first := rows[:min(keep, len(rows))]
-			methods := []FilterMethod{FilterColumnScan, FilterBTreeIndex}
-			if !p.Range {
-				methods = append(methods, FilterHashIndex)
-			}
+			methods := []FilterMethod{FilterColumnScan, FilterIndex}
 			for _, m := range methods {
 				if got := selectIDs(t, rsnap, p, m); !reflect.DeepEqual(got, rows) {
 					t.Fatalf("reopened %d rows, %v %+v: %d ids, row scan %d", rsnap.Len(), m, p, len(got), len(rows))

@@ -314,7 +314,7 @@ func TestIndexProbeKeepsWhatScanKeeps(t *testing.T) {
 					t.Fatalf("N=%d filter %+v order_by=%q desc=%v limit=%d: use_index answers %d (%d rows, plan %q), the scan %d (%d rows, plan %q)",
 						n, f, shape.OrderBy, shape.Desc, shape.Limit, got[1].Value, len(got[1].Rows), got[1].Plan, got[0].Value, len(got[0].Rows), got[0].Plan)
 				}
-				if !strings.Contains(got[1].Plan, "-index(") {
+				if !strings.Contains(got[1].Plan, "sorted-segments(") {
 					t.Fatalf("N=%d filter %+v: use_index plan %q names no index probe", n, f, got[1].Plan)
 				}
 				if shape.Limit > 0 && len(got[0].Rows) == 0 && got[0].Value > 0 {

@@ -180,7 +180,7 @@ var snapshotMetrics = []snapshotMetric{
 	{"deeplens_knn_distance_evals_total", "Vector distances evaluated by exact vector-index kNN probes (index) and brute kNN scans (scan).", counter,
 		map[string]string{"method": "index"}, func(s *Stats) float64 { return float64(s.KNNDistanceEvalsIndex) }},
 	{"deeplens_knn_distance_evals_total", "", counter, map[string]string{"method": "scan"}, func(s *Stats) float64 { return float64(s.KNNDistanceEvalsScan) }},
-	{"deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for hash/B-tree index probes (once each; the order outlives the segment's data).", counter, nil,
+	{"deeplens_scalar_index_segments_sorted_total", "Sealed column segments sorted for index probes (once each; the order outlives the segment's data).", counter, nil,
 		func(s *Stats) float64 { return float64(s.ScalarSegmentsSorted) }},
 	{"deeplens_device_kernels_total", "Kernels executed across the service's devices.", counter, nil, func(s *Stats) float64 { return float64(s.DeviceKernels) }},
 	{"deeplens_device_launches_total", "Device launches issued (fusion shows as launches < kernels).", counter, nil, func(s *Stats) float64 { return float64(s.DeviceLaunches) }},

@@ -85,10 +85,10 @@ type FilterSpec struct {
 	// be a declared numeric field.
 	Min *float64 `json:"min,omitempty"`
 	Max *float64 `json:"max,omitempty"`
-	// UseIndex requests the indexed access path — a hash index for
-	// equality, a B-tree for ranges — which binary-searches the sort
-	// orders of the sealed column segments, sorted on first use. Purely
-	// physical: it never changes the result.
+	// UseIndex requests the sorted index, for an equality or a range,
+	// which binary-searches the sort orders of the sealed column
+	// segments, sorted on first use. Purely physical: it never changes
+	// the result.
 	UseIndex bool `json:"use_index,omitempty"`
 }
 

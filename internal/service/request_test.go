@@ -161,7 +161,7 @@ func TestRangeFilterResults(t *testing.T) {
 	}
 }
 
-// TestBTreeRangeFilterMatchesColumnScan: the B-tree range path is a
+// TestBTreeRangeFilterMatchesColumnScan: the sorted index's range path is a
 // physical-plan swap — same rows and counts as the column scan under
 // every bound shape, with its own plan label, sharded and unsharded.
 func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
@@ -198,12 +198,12 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 				t.Fatalf("%s indexed %s: %v", label, tc.field, err)
 			}
 			if ir.Value != sr.Value {
-				t.Errorf("%s %s: btree value %d, column scan %d", label, tc.field, ir.Value, sr.Value)
+				t.Errorf("%s %s: indexed value %d, column scan %d", label, tc.field, ir.Value, sr.Value)
 			}
-			if !strings.Contains(ir.Plan, "btree-index("+tc.field+")") {
-				t.Errorf("%s %s: indexed plan %q lacks the btree-index label", label, tc.field, ir.Plan)
+			if !strings.Contains(ir.Plan, "sorted-segments("+tc.field+")") {
+				t.Errorf("%s %s: indexed plan %q lacks the sorted-segments label", label, tc.field, ir.Plan)
 			}
-			if strings.Contains(sr.Plan, "btree-index") {
+			if strings.Contains(sr.Plan, "sorted-segments") {
 				t.Errorf("%s %s: scan plan %q took the index path uninvited", label, tc.field, sr.Plan)
 			}
 		}
@@ -211,7 +211,7 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 		sr, _ := plain.Query(ctx, scan)
 		ir, _ := plain.Query(ctx, indexed)
 		if !reflect.DeepEqual(refRows(asBuilders(sr.Rows)), refRows(asBuilders(ir.Rows))) {
-			t.Errorf("%s[%v,%v): btree rows diverge from column scan", tc.field, tc.min, tc.max)
+			t.Errorf("%s[%v,%v): indexed rows diverge from column scan", tc.field, tc.min, tc.max)
 		}
 	}
 }

@@ -350,23 +350,19 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 
 // filterFragment runs the plan's filter stage on the fragment's snapshot
 // through core's one selection path, keeping what the plan keeps. It
-// only picks the method: use_index asks for the hash index (B-tree for
-// ranges), which core answers from the sort orders of the replica's
-// sealed column segments, sorting each on first use; anything else runs
-// the columnar scan. Both fall back to the row scan for fields the store
-// cannot columnize. The path that ran fixes
-// the plan operator and the static cost. An unfiltered query selects
-// every row.
+// only picks the method: use_index asks for the sorted index, which core
+// answers from the sort orders of the replica's sealed column segments,
+// sorting each on first use; anything else runs the columnar scan. Both
+// fall back to the row scan for fields the store cannot columnize. The
+// path that ran fixes the plan operator and the static cost. An
+// unfiltered query selects every row.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *shardFragment) error {
 	var pred core.Pred
 	var method core.FilterMethod
 	if plan.pred != nil {
 		pred, method = *plan.pred, core.FilterColumnScan
 		if plan.req.Filter.UseIndex {
-			method = core.FilterHashIndex
-			if pred.Range {
-				method = core.FilterBTreeIndex
-			}
+			method = core.FilterIndex
 		}
 	}
 	var err error
