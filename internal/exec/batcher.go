@@ -11,6 +11,8 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,10 +89,13 @@ type kernelRecord struct {
 	batch int
 }
 
-// pendingBatch accumulates shape-compatible kernels until a flush.
+// pendingBatch accumulates shape-compatible kernels until a flush. seq
+// is the submission number of its first kernel: an idle flush launches
+// the batches it drains oldest first.
 type pendingBatch struct {
 	reqs  []fusedReq
 	timer *time.Timer
+	seq   int64
 }
 
 // Batcher is a kernel-coalescing scheduler over one Device. It implements
@@ -125,11 +130,14 @@ type Batcher struct {
 	// the batcher is shared between goroutines.
 	idleProbe func() bool
 
-	// launchMu serializes fused launches, preserving the cost model's
-	// fidelity when many workers share one simulated device: a real GPU
-	// serializes kernel launches on a stream, and overlapping two
-	// busy-wait charges would under-count wall time.
-	launchMu sync.Mutex
+	// launchSem (one token) serializes fused launches, preserving the
+	// cost model's fidelity when many workers share one simulated device:
+	// a real GPU serializes kernel launches on a stream, and overlapping
+	// two charges would under-count wall time. It is a channel, not a
+	// mutex, so a launch queued behind a sleeping charge is durably
+	// blocked inside a testing/synctest bubble and synthetic time can
+	// advance.
+	launchSem chan struct{}
 
 	submitted     atomic.Int64
 	fusedKernels  atomic.Int64
@@ -146,7 +154,8 @@ type Batcher struct {
 // NewBatcher wraps dev in a kernel-coalescing scheduler. For devices
 // without launch overhead (CPU, AVX) every call passes straight through.
 func NewBatcher(dev Device, cfg BatcherConfig) *Batcher {
-	b := &Batcher{dev: dev, cfg: cfg.withDefaults(), pending: make(map[batchKey]*pendingBatch)}
+	b := &Batcher{dev: dev, cfg: cfg.withDefaults(), pending: make(map[batchKey]*pendingBatch),
+		launchSem: make(chan struct{}, 1)}
 	if fd, ok := dev.(fusedDevice); ok {
 		b.fd = fd
 	}
@@ -251,11 +260,11 @@ func (b *Batcher) pairwise(x, y []float32, lenX, lenY, dim int, out []float32, r
 // submitter that filled it) or when the Window deadline set by its first
 // kernel fires (flushed by the timer goroutine).
 func (b *Batcher) submit(key batchKey, req fusedReq) {
-	b.submitted.Add(1)
+	seq := b.submitted.Add(1)
 	b.mu.Lock()
 	pb, ok := b.pending[key]
 	if !ok {
-		pb = &pendingBatch{}
+		pb = &pendingBatch{seq: seq}
 		b.pending[key] = pb
 		if b.cfg.MaxBatch > 1 {
 			pb.timer = time.AfterFunc(b.cfg.Window, func() { b.flushDeadlined(key, pb) })
@@ -319,6 +328,7 @@ func (b *Batcher) idleBatchesLocked() []*pendingBatch {
 		b.takeLocked(key, pb)
 		out = append(out, pb)
 	}
+	slices.SortFunc(out, func(x, y *pendingBatch) int { return cmp.Compare(x.seq, y.seq) })
 	return out
 }
 
@@ -356,9 +366,9 @@ func (b *Batcher) launch(pb *pendingBatch) {
 			r.rec.batch = len(pb.reqs)
 		}
 	}
-	b.launchMu.Lock()
+	b.launchSem <- struct{}{}
 	b.fd.launchFused(total, fns)
-	b.launchMu.Unlock()
+	<-b.launchSem
 	b.launches.Add(1)
 	b.fusedKernels.Add(int64(len(pb.reqs)))
 	b.stacks.Add(nstacks)

@@ -11,10 +11,10 @@
 //     *Injector and every method is nil-receiver-safe, so the disabled
 //     path is one pointer compare.
 //   - Deterministic: outcomes derive from a seeded counter-based PRNG
-//     (splitmix64 over seed x failpoint x invocation ordinal), so a
-//     single-threaded test replays the same fault schedule every run.
-//     Concurrent call sites still get a seed-stable sequence of
-//     decisions; only their interleaving varies.
+//     (splitmix64 over seed x failpoint x shard x replica x that site's
+//     invocation ordinal), so each (failpoint, shard, replica) site
+//     replays the same fault schedule every run, however concurrent
+//     call sites interleave.
 //   - Targetable: a rule can scope itself to one shard and/or one
 //     replica, so a test can stall "replica 0 of every shard" or kill
 //     "both replicas of shard 1" precisely.
@@ -32,6 +32,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -182,9 +183,15 @@ func ParseRules(specs string) ([]Rule, error) {
 type Injector struct {
 	seed  uint64
 	rules []Rule
-	seq   atomic.Uint64
 	fired [6]atomic.Int64 // per-point fired counters, indexed by pointIdx
+
+	mu  sync.Mutex
+	seq map[site]uint64 // draws so far at each site
 }
+
+// site is one failpoint call-site coordinate; each draws its own
+// ordinal sequence.
+type site struct{ point, shard, replica int }
 
 func pointIdx(p Point) int {
 	switch p {
@@ -209,7 +216,7 @@ func New(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Injector{seed: uint64(cfg.Seed), rules: cfg.Rules}
+	return &Injector{seed: uint64(cfg.Seed), rules: cfg.Rules, seq: make(map[site]uint64)}
 }
 
 // Enabled reports whether any rule is armed.
@@ -234,10 +241,17 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// draw returns a deterministic uniform in [0, 1) for this invocation.
-func (in *Injector) draw(p Point) float64 {
-	n := in.seq.Add(1)
-	h := splitmix64(in.seed ^ splitmix64(n) ^ uint64(pointIdx(p))<<56)
+// draw returns a deterministic uniform in [0, 1) for this invocation
+// of site (p, shard, replica): the site's n-th draw is the same whatever
+// other sites drew meanwhile.
+func (in *Injector) draw(p Point, shard, replica int) float64 {
+	k := site{pointIdx(p), shard, replica}
+	in.mu.Lock()
+	in.seq[k]++
+	n := in.seq[k]
+	in.mu.Unlock()
+	coord := splitmix64(uint64(uint32(shard))<<32 | uint64(uint32(replica)))
+	h := splitmix64(in.seed ^ splitmix64(n^coord) ^ uint64(k.point)<<56)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -258,7 +272,7 @@ func (in *Injector) match(p Point, shard, replica int) *Rule {
 		if r.Replica != Any && r.Replica != replica {
 			continue
 		}
-		if r.Prob >= 1 || in.draw(p) < r.Prob {
+		if r.Prob >= 1 || in.draw(p, shard, replica) < r.Prob {
 			return r
 		}
 	}

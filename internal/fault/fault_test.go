@@ -201,6 +201,71 @@ func TestDeterministicSequence(t *testing.T) {
 	}
 }
 
+// TestDrawsFollowSiteNotInterleaving: each (point, shard, replica) site
+// draws from its own ordinal sequence, so the same per-site calls fire
+// on the same calls however the sites interleave — three concurrent
+// fragments of one scatter get one schedule whichever runs first.
+func TestDrawsFollowSiteNotInterleaving(t *testing.T) {
+	type call struct {
+		p              Point
+		shard, replica int
+	}
+	var sites []call
+	for shard := 0; shard < 3; shard++ {
+		for replica := 0; replica < 2; replica++ {
+			sites = append(sites, call{FragmentStall, shard, replica}, call{FragmentError, shard, replica})
+		}
+	}
+	const perSite = 40
+	run := func(order []call) map[call][]bool {
+		in := New(Config{Seed: 42, Rules: []Rule{
+			{Point: FragmentError, Shard: Any, Replica: Any, Prob: 0.2},
+			{Point: FragmentStall, Shard: Any, Replica: Any, Prob: 0.2, Stall: time.Nanosecond},
+		}})
+		out := make(map[call][]bool)
+		for _, c := range order {
+			var fired bool
+			if c.p == FragmentError {
+				fired = in.Fail(c.p, c.shard, c.replica) != nil
+			} else {
+				before := in.Fired(c.p)
+				if err := in.Stall(context.Background(), c.p, c.shard, c.replica); err != nil {
+					t.Fatal(err)
+				}
+				fired = in.Fired(c.p) > before
+			}
+			out[c] = append(out[c], fired)
+		}
+		return out
+	}
+	// Round-robin over the sites, against each site's calls in one run
+	// with the sites in reverse order.
+	var interleaved, grouped []call
+	for i := 0; i < perSite; i++ {
+		interleaved = append(interleaved, sites...)
+	}
+	for i := len(sites) - 1; i >= 0; i-- {
+		for j := 0; j < perSite; j++ {
+			grouped = append(grouped, sites[i])
+		}
+	}
+	a, b := run(interleaved), run(grouped)
+	total := 0
+	for _, c := range sites {
+		for i := range a[c] {
+			if a[c][i] != b[c][i] {
+				t.Fatalf("%v call %d fired=%v interleaved, %v grouped", c, i, a[c][i], b[c][i])
+			}
+			if a[c][i] {
+				total++
+			}
+		}
+	}
+	if total == 0 || total == len(sites)*perSite {
+		t.Fatalf("degenerate fire count %d/%d at p=0.2", total, len(sites)*perSite)
+	}
+}
+
 func TestStallDelaysThenContinues(t *testing.T) {
 	in := New(Config{Seed: 1, Rules: []Rule{
 		{Point: FragmentStall, Shard: Any, Replica: Any, Prob: 1, Stall: 30 * time.Millisecond},

@@ -30,8 +30,8 @@ const (
 )
 
 // retryDelay returns the jittered backoff before the single fragment
-// error-retry.
-func retryDelay() time.Duration {
+// error-retry. A variable so the retry ablation can pin it.
+var retryDelay = func() time.Duration {
 	return retryBaseDelay + time.Duration(rand.Int64N(int64(retryJitter)))
 }
 

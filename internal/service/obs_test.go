@@ -233,6 +233,34 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
+// TestTinyTraceSampleTracesNothing: a rate whose 1-in-N stride is past
+// MaxInt64 samples no query, rather than wrapping to a stride of 1.
+func TestTinyTraceSampleTracesNothing(t *testing.T) {
+	s := obsFixture(t, 1, 60, Config{
+		Workers:            1,
+		TraceSample:        1e-20,
+		SlowQueryThreshold: time.Nanosecond,
+	})
+	str := "car"
+	for i := 0; i < 3; i++ {
+		if _, err := s.Query(context.Background(), Request{
+			Collection: shardTestCol,
+			Filter:     &FilterSpec{Field: "label", Str: &str},
+			Limit:      1 + i,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range s.SlowQueries() {
+		if e.Trace != nil {
+			t.Fatalf("TraceSample 1e-20 traced query %q", e.Fingerprint)
+		}
+	}
+	if n := s.tel.traced.Value(); n != 0 {
+		t.Fatalf("deeplens_traced_queries_total = %d at TraceSample 1e-20, want 0", n)
+	}
+}
+
 // TestSlowQueryLog: the ring keeps the newest entries, newest first,
 // each carrying the request description and fingerprint.
 func TestSlowQueryLog(t *testing.T) {

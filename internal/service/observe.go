@@ -10,6 +10,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"runtime/metrics"
 	"sync/atomic"
 	"time"
@@ -99,12 +100,11 @@ func newTelemetry(s *Service, cfg Config) *telemetry {
 		fanout:      r.Histogram("deeplens_scatter_fanout", "Scatter wave width (shards) per scattered query.", nil, obs.FanoutBuckets),
 		fragmentDur: r.Histogram("deeplens_fragment_duration_seconds", "Scatter fragment attempt wall time (successful attempts).", nil, obs.DefaultLatencyBuckets),
 	}
-	if cfg.TraceSample > 0 {
-		n := int64(1.0/cfg.TraceSample + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		t.sampleEvery = n
+	// A stride past MaxInt64 would convert to a negative int64 that the
+	// clamp to 1 turns into tracing every query: such a rate samples
+	// nothing.
+	if stride := 1.0/cfg.TraceSample + 0.5; cfg.TraceSample > 0 && stride < math.MaxInt64 {
+		t.sampleEvery = max(int64(stride), 1)
 	}
 
 	r.Collect(func(emit obs.Emit) {

@@ -25,6 +25,15 @@ const (
 	resyncBackoffMax = 30 * time.Second
 )
 
+// repairBackoff, when false, retries a failed repair on the next sweep
+// like any other lagging replica: the fixed-cadence arm of the backoff
+// ablation. repairJitter draws the jitter added to a failed replica's
+// delay d. Both are variables so the ablation can pin them.
+var (
+	repairBackoff = true
+	repairJitter  = func(d time.Duration) time.Duration { return time.Duration(rand.Int64N(int64(d/2) + 1)) }
+)
+
 // replicaKey identifies one replica's backoff state.
 type replicaKey struct{ shard, replica int }
 
@@ -61,6 +70,9 @@ func (s *Service) runAntiEntropy(interval time.Duration) {
 				continue
 			}
 			if _, err := s.shards.ResyncReplica(ctx, lag.Shard, lag.Replica); err != nil {
+				if !repairBackoff {
+					continue
+				}
 				// Exponential backoff with jitter: double the delay (from
 				// one interval) and scatter attempts across [1x, 1.5x] so
 				// replicas failing in lockstep don't retry in lockstep.
@@ -74,7 +86,7 @@ func (s *Service) runAntiEntropy(interval time.Duration) {
 					d = resyncBackoffMax
 				}
 				backoff[k] = d
-				next[k] = now.Add(d + time.Duration(rand.Int64N(int64(d/2)+1)))
+				next[k] = now.Add(d + repairJitter(d))
 				continue
 			}
 			delete(backoff, k)
