@@ -67,7 +67,9 @@ type flushRun struct {
 // partial batches while the queue is non-empty. Kernels alternate
 // between two GEMM shapes, as a network's layers do.
 func runFlushArm(tasks []ablationTask, k int, register, probe bool) flushRun {
-	var run flushRun
+	// The result leaves the bubble on a channel made outside it: the
+	// race detector sees no ordering from synctest.Run's return.
+	out := make(chan flushRun, 1)
 	synctest.Run(func() {
 		b := NewBatcher(NewGPU(GPUProfile{LaunchLatency: ablationLaunch, BytesPerSecond: 6e9}),
 			BatcherConfig{MaxBatch: k, Window: ablationWindow})
@@ -122,11 +124,12 @@ func runFlushArm(tasks []ablationTask, k int, register, probe bool) flushRun {
 		wg.Wait()
 
 		st := b.BatcherStats()
-		run.launches, run.fusion = st.Launches, st.FusionFactor()
+		run := flushRun{launches: st.Launches, fusion: st.FusionFactor()}
 		run.waitMean, run.waitP99 = meanP99(waits)
 		run.taskMean, run.taskP99 = meanP99(spans)
+		out <- run
 	})
-	return run
+	return <-out
 }
 
 // meanP99 returns the mean and the nearest-rank 99th percentile.
@@ -152,11 +155,24 @@ func TestIdleFlushAblation(t *testing.T) {
 	var tab strings.Builder
 	tab.WriteString("| k | arm | launches | fusion | wait mean | wait p99 | task mean | task p99 |\n|---|---|---|---|---|---|---|---|\n")
 	for _, k := range []int{1, 2, 4, 8} {
-		for _, arm := range arms {
+		runs := make([]flushRun, len(arms))
+		for i, arm := range arms {
 			r := runFlushArm(tasks, k, arm.register, arm.probe)
+			runs[i] = r
 			fmt.Fprintf(&tab, "| %d | %s | %d | %.3f | %v | %v | %v | %v |\n", k, arm.name, r.launches, r.fusion,
 				r.waitMean.Round(time.Microsecond), r.waitP99.Round(time.Microsecond),
 				r.taskMean.Round(time.Microsecond), r.taskP99.Round(time.Microsecond))
+		}
+		// The wins: once the workers keep up (k >= 4), the idle flush
+		// finishes tasks sooner than waiting out the window; while tasks
+		// queue (k = 2, 4), the probe fuses more kernels per launch than
+		// the idle flush alone.
+		off, idle, probe := runs[0], runs[1], runs[2]
+		if k >= 4 && idle.taskMean >= off.taskMean {
+			t.Errorf("k=%d: idle flush task mean %v, off %v", k, idle.taskMean, off.taskMean)
+		}
+		if (k == 2 || k == 4) && probe.launches >= idle.launches {
+			t.Errorf("k=%d: probe launches %d, idle flush alone %d", k, probe.launches, idle.launches)
 		}
 	}
 	t.Log("idle flush, 200 tasks x 6 kernels, launch 3ms, window 5ms\n" + tab.String())

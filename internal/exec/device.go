@@ -295,9 +295,12 @@ func (d *gpuDevice) Stats() Stats {
 }
 
 // charge blocks for the simulated launch + transfer cost of a kernel
-// moving nbytes across the bus. Sub-millisecond charges busy-wait: Go's
-// sleep granularity under load is ~1ms, which would inflate the simulated
-// overhead by an order of magnitude on kernel-heavy ETL workloads.
+// moving nbytes across the bus. Sub-millisecond charges busy-wait: on an
+// idle 2-vCPU Linux host, time.Sleep of 30–500µs returned after a median
+// 1.08–1.09 ms (400 samples each), so sleeping the default 30µs launch
+// would inflate the simulated overhead ~36× on kernel-heavy workloads.
+// Charges of 1 ms or more sleep, so a testing/synctest bubble can run
+// them on its synthetic clock.
 func (d *gpuDevice) charge(nbytes int) {
 	dur := d.profile.LaunchLatency +
 		time.Duration(float64(nbytes)/d.profile.BytesPerSecond*float64(time.Second))

@@ -21,7 +21,7 @@ import (
 
 // On/off ablations of the serving layer's fault-tolerance mechanisms,
 // run in testing/synctest bubbles. Every fault stall, hedge budget,
-// retry wait, query deadline and repair sweep runs on the bubble's
+// query deadline and repair sweep runs on the bubble's
 // synthetic clock, and query work itself takes no synthetic time, so
 // each table is a function of the fault seed alone and prints the same
 // on every run:
@@ -50,6 +50,15 @@ func bubbleService(t *testing.T, n, r, rows int, cfg Config) (*core.Sharded, *Se
 		svc.Close()
 		sdb.Close()
 	}
+}
+
+// inBubble runs f in a synctest bubble and returns its result. The
+// result leaves on a channel made outside the bubble, because the race
+// detector sees no ordering from synctest.Run's return.
+func inBubble[T any](f func() T) T {
+	out := make(chan T, 1)
+	synctest.Run(func() { out <- f() })
+	return <-out
 }
 
 // ablationQuery counts every row, never from the result cache, and may
@@ -116,51 +125,28 @@ func TestHedgeAblation(t *testing.T) {
 	var tab strings.Builder
 	tab.WriteString("| stall p | arm | failed | degraded | attempts | p50 | p99 |\n|---|---|---|---|---|---|---|\n")
 	for _, p := range []float64{0.05, 0.2, 0.5} {
-		for _, arm := range []struct {
+		var runs [2]queryRun
+		for i, arm := range []struct {
 			name  string
 			after time.Duration
 		}{{"hedge 25ms", 25 * time.Millisecond}, {"off", -1}} {
-			var run queryRun
-			synctest.Run(func() {
+			runs[i] = inBubble(func() queryRun {
 				_, svc, closeAll := bubbleService(t, 3, 2, 120, Config{Workers: 2, HedgeAfter: arm.after,
 					Faults: everyReplica(fault.FragmentStall, p, 200*time.Millisecond)})
 				defer closeAll()
-				run = runQueries(t, svc, queries)
+				return runQueries(t, svc, queries)
 			})
+			r := runs[i]
 			fmt.Fprintf(&tab, "| %.2f | %s | %d | %d | %d | %v | %v |\n",
-				p, arm.name, run.failed, run.degraded, run.attempts, run.p50, run.p99)
+				p, arm.name, r.failed, r.degraded, r.attempts, r.p50, r.p99)
+		}
+		// The win: hedging never fails, degrades or waits more, and
+		// degrades fewer responses at every stall probability.
+		if on, off := runs[0], runs[1]; on.failed > off.failed || on.degraded >= off.degraded || on.p99 > off.p99 {
+			t.Errorf("p=%.2f: hedging %+v does not beat no hedging %+v", p, on, off)
 		}
 	}
 	t.Log("hedging, 200 sequential counts\n" + tab.String())
-}
-
-// TestRetryDelayAblation: N=3, R=2, every replica fails a fragment
-// attempt with probability p. The one error-retry on the next replica
-// waits a jittered 2–4 ms today; its two ends bound that arm, against
-// retrying at once.
-func TestRetryDelayAblation(t *testing.T) {
-	const queries = 200
-	defer func(f func() time.Duration) { retryDelay = f }(retryDelay)
-	var tab strings.Builder
-	tab.WriteString("| error p | arm | failed | degraded | attempts | p50 | p99 |\n|---|---|---|---|---|---|---|\n")
-	for _, p := range []float64{0.05, 0.2} {
-		for _, arm := range []struct {
-			name string
-			wait time.Duration
-		}{{"wait 2ms", retryBaseDelay}, {"wait 4ms", retryBaseDelay + retryJitter}, {"immediate", 0}} {
-			retryDelay = func() time.Duration { return arm.wait }
-			var run queryRun
-			synctest.Run(func() {
-				_, svc, closeAll := bubbleService(t, 3, 2, 120, Config{Workers: 2,
-					Faults: everyReplica(fault.FragmentError, p, 0)})
-				defer closeAll()
-				run = runQueries(t, svc, queries)
-			})
-			fmt.Fprintf(&tab, "| %.2f | %s | %d | %d | %d | %v | %v |\n",
-				p, arm.name, run.failed, run.degraded, run.attempts, run.p50, run.p99)
-		}
-	}
-	t.Log("fragment error retry, 200 sequential counts\n" + tab.String())
 }
 
 // readyz returns the service's /readyz status code.
@@ -177,20 +163,23 @@ func readyz(svc *Service) int {
 func TestRepairBackoffAblation(t *testing.T) {
 	defer func(on bool, j func(time.Duration) time.Duration) { repairBackoff, repairJitter = on, j }(repairBackoff, repairJitter)
 	var tab strings.Builder
+	var fixedAttempts int64
 	tab.WriteString("| arm | attempts while wedged | clear to /readyz 200 |\n|---|---|---|\n")
 	for _, arm := range []struct {
 		name    string
 		backoff bool
 		jitter  func(time.Duration) time.Duration
 	}{
+		{"fixed 200ms", false, nil},
 		{"backoff, jitter 0", true, func(time.Duration) time.Duration { return 0 }},
 		{"backoff, jitter d/2", true, func(d time.Duration) time.Duration { return d / 2 }},
-		{"fixed 200ms", false, nil},
 	} {
 		repairBackoff, repairJitter = arm.backoff, arm.jitter
-		var attempts int64
-		var heal time.Duration
-		synctest.Run(func() {
+		type outcome struct {
+			attempts int64
+			heal     time.Duration
+		}
+		o := inBubble(func() outcome {
 			sdb, svc, closeAll := bubbleService(t, 2, 2, 60, Config{Workers: 2})
 			defer closeAll()
 			// Start off the 200 ms sweep grid, so no sweep shares an
@@ -214,16 +203,72 @@ func TestRepairBackoffAblation(t *testing.T) {
 				t.Fatalf("lagging replicas = %+v, want replica 1 of both shards", sdb.OutOfSyncReplicas())
 			}
 			time.Sleep(10 * time.Second)
-			attempts = inj.Fired(fault.ResyncError)
+			attempts := inj.Fired(fault.ResyncError)
 			sdb.SetFaults(nil)
 			cleared := time.Now()
 			// Poll on the half millisecond, never on a sweep's instant.
 			for time.Sleep(time.Millisecond / 2); readyz(svc) != http.StatusOK; {
 				time.Sleep(time.Millisecond)
 			}
-			heal = time.Since(cleared)
+			return outcome{attempts, time.Since(cleared)}
 		})
-		fmt.Fprintf(&tab, "| %s | %d | %v |\n", arm.name, attempts, heal)
+		fmt.Fprintf(&tab, "| %s | %d | %v |\n", arm.name, o.attempts, o.heal)
+		// The win: at either end of its jitter the backoff retries a
+		// wedged replica fewer times than every sweep would.
+		if !arm.backoff {
+			fixedAttempts = o.attempts
+		} else if o.attempts >= fixedAttempts {
+			t.Errorf("%s: %d repair attempts while wedged, the fixed cadence %d", arm.name, o.attempts, fixedAttempts)
+		}
 	}
 	t.Log("repair backoff, 2 lagging replicas wedged for 10s\n" + tab.String())
+}
+
+// TestRepairForgetsLevelReplicasBackoff: a replica whose repairs failed
+// long enough to grow its delay, and that then became level another way
+// (its lagging collection dropped), is repaired on the next sweep when
+// it falls behind again, not after its stale delay. The jitter is pinned
+// at 0, so the stale delay would be 6.4 s.
+func TestRepairForgetsLevelReplicasBackoff(t *testing.T) {
+	defer func(j func(time.Duration) time.Duration) { repairJitter = j }(repairJitter)
+	repairJitter = func(time.Duration) time.Duration { return 0 }
+	const other = "synth.other"
+	synctest.Run(func() {
+		sdb, _, closeAll := bubbleService(t, 1, 2, 30, Config{Workers: 1})
+		defer closeAll()
+		oc, err := sdb.CreateCollection(other, synthSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := sdb.Collection(shardTestCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lagOn := func(c *core.ShardedCollection, rules ...fault.Rule) {
+			sdb.SetFaults(fault.New(fault.Config{Seed: 1, Rules: append(rules,
+				fault.Rule{Point: fault.AppendError, Shard: fault.Any, Replica: 1, Prob: 1})}))
+			if err := c.Append(synthPatch(100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Off the sweep grid; then failed repairs every 0.2, 0.4, 0.8,
+		// 1.6 and 3.2 s grow the delay to 6.4 s.
+		time.Sleep(100 * time.Millisecond)
+		lagOn(sc, fault.Rule{Point: fault.ResyncError, Shard: fault.Any, Replica: 1, Prob: 1})
+		time.Sleep(6400 * time.Millisecond)
+		sdb.SetFaults(nil)
+		if err := sdb.DropCollection(shardTestCol); err != nil {
+			t.Fatal(err)
+		}
+		if lags := sdb.OutOfSyncReplicas(); len(lags) != 0 {
+			t.Fatalf("replicas lag after the drop: %+v", lags)
+		}
+		time.Sleep(time.Second)
+		lagOn(oc)
+		sdb.SetFaults(nil)
+		time.Sleep(defaultResyncInterval)
+		if lags := sdb.OutOfSyncReplicas(); len(lags) != 0 {
+			t.Fatalf("replica still lags %+v one interval after falling behind", lags)
+		}
+	})
 }

@@ -148,7 +148,7 @@ func TestHedgeWaitsConfiguredBudget(t *testing.T) {
 }
 
 // TestFragmentErrorRetriesToSecondReplica: a fragment whose first
-// attempt fails outright gets one jittered retry on the next replica —
+// attempt fails outright gets one immediate retry on the next replica —
 // the query succeeds and the retry counter moves, for filters and kNN
 // probes alike.
 func TestFragmentErrorRetriesToSecondReplica(t *testing.T) {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"math/rand/v2"
 	"strconv"
 	"time"
 
@@ -14,38 +13,13 @@ import (
 // still running after Config.HedgeAfter, a second attempt launches on
 // the next replica and the first response wins — the loser's context
 // is canceled so it stops scanning. A fragment that fails outright gets
-// one retry with jittered backoff before the shard is declared missing.
+// one immediate retry, on the next replica, before the shard is declared
+// missing.
 //
 // The single-replica, no-fault-injection case takes a separate inline
 // path — no goroutine, no channel, no timer — because it has nothing to
 // hedge against and is what every query over an unreplicated backend
 // runs.
-
-// retryBaseDelay/retryJitter space the single error-retry so a
-// deterministic failure (full disk, poisoned block) isn't hammered
-// back-to-back, with jitter to de-correlate shards retrying at once.
-const (
-	retryBaseDelay = 2 * time.Millisecond
-	retryJitter    = 2 * time.Millisecond
-)
-
-// retryDelay returns the jittered backoff before the single fragment
-// error-retry. A variable so the retry ablation can pin it.
-var retryDelay = func() time.Duration {
-	return retryBaseDelay + time.Duration(rand.Int64N(int64(retryJitter)))
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // fragmentAttempt runs shard i's whole fragment — snapshot, filter or
 // kNN probe, materialization of the rows the gather stage will consume
@@ -82,7 +56,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 
 // hedgedFragment produces shard i's fragment from whichever in-sync
 // replica answers first. Policy: start on one replica; hedge to the
-// next after Config.HedgeAfter elapses; on an error, retry once (jittered)
+// next after Config.HedgeAfter elapses; on an error, retry once at once
 // on the next replica in line; first success wins and cancels the
 // loser. Returns the parent context's error verbatim when the query
 // was canceled or timed out.
@@ -99,10 +73,6 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 		frag, err := s.fragmentAttempt(ctx, plan, i, replicas[0])
 		if err != nil && ctx.Err() == nil {
 			s.tel.fragmentRetries.Inc()
-			if serr := sleepCtx(ctx, retryDelay()); serr != nil {
-				sp.End()
-				return nil, serr
-			}
 			start = time.Now()
 			frag, err = s.fragmentAttempt(ctx, plan, i, replicas[0])
 		}
@@ -149,11 +119,9 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 	}
 	var (
 		retried      bool
-		retryC       <-chan time.Time
 		hedged       bool
 		hedgeStart   time.Time
 		hedgeReplica int
-		lastErr      error
 	)
 	for {
 		select {
@@ -186,30 +154,20 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 				}
 				continue // drain the remaining attempt
 			}
-			lastErr = res.err
 			if !retried {
-				// One retry, on the next replica in line, after a
-				// jittered backoff.
+				// One retry, at once, on the next replica in line.
 				retried = true
 				s.tel.fragmentRetries.Inc()
-				rt := time.NewTimer(retryDelay())
-				defer rt.Stop()
-				retryC = rt.C
+				outstanding++
+				launch()
 				continue
 			}
-			if outstanding == 0 && retryC == nil {
+			if outstanding == 0 {
 				sp.End()
-				return nil, lastErr
+				return nil, res.err
 			}
-		case <-retryC:
-			retryC = nil
-			outstanding++
-			launch()
 		case <-hedgeC:
 			hedgeC = nil
-			if outstanding == 0 {
-				continue // an error beat the budget; the retry path owns recovery
-			}
 			hedged = true
 			hedgeStart = time.Now()
 			s.tel.hedgedFragments.Inc()

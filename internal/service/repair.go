@@ -8,8 +8,9 @@ package service
 // repair fails (injected resync-error faults, real storage trouble)
 // backs off exponentially with jitter — a wedged replica must not turn
 // the loop into a hot retry spin — and re-enters the normal cadence on
-// its next success. The loop owns no correctness: ResyncReplica is
-// safe to call at any time and appends only to a verified prefix.
+// its next success, or once a sweep finds it level. The loop owns no
+// correctness: ResyncReplica is safe to call at any time and appends
+// only to a verified prefix.
 
 import (
 	"context"
@@ -34,8 +35,15 @@ var (
 	repairJitter  = func(d time.Duration) time.Duration { return time.Duration(rand.Int64N(int64(d/2) + 1)) }
 )
 
-// replicaKey identifies one replica's backoff state.
-type replicaKey struct{ shard, replica int }
+// replicaKey identifies one replica; backoff is a failed replica's
+// current delay and the earliest time of its next attempt.
+type (
+	replicaKey struct{ shard, replica int }
+	backoff    struct {
+		delay time.Duration
+		next  time.Time
+	}
+)
 
 // runAntiEntropy is the background repair loop; it exits when the
 // service closes. Started only for replicated sharded backends.
@@ -53,8 +61,12 @@ func (s *Service) runAntiEntropy(interval time.Duration) {
 		}
 	}()
 
-	backoff := make(map[replicaKey]time.Duration) // failed replicas' current delay
-	next := make(map[replicaKey]time.Time)        // earliest next attempt
+	// failed holds the replicas whose last repair failed. Each sweep
+	// rebuilds it from the replicas it finds lagging, so a replica that
+	// became level another way (its lagging collection dropped, a direct
+	// ResyncReplica) forgets its delay, and its next lag is repaired on
+	// the next sweep.
+	failed := make(map[replicaKey]backoff)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -64,33 +76,24 @@ func (s *Service) runAntiEntropy(interval time.Duration) {
 		case <-ticker.C:
 		}
 		now := time.Now()
+		still := make(map[replicaKey]backoff)
 		for _, lag := range s.shards.OutOfSyncReplicas() {
 			k := replicaKey{lag.Shard, lag.Replica}
-			if t, ok := next[k]; ok && now.Before(t) {
+			b, ok := failed[k]
+			if ok && now.Before(b.next) {
+				still[k] = b
 				continue
 			}
-			if _, err := s.shards.ResyncReplica(ctx, lag.Shard, lag.Replica); err != nil {
-				if !repairBackoff {
-					continue
-				}
-				// Exponential backoff with jitter: double the delay (from
-				// one interval) and scatter attempts across [1x, 1.5x] so
-				// replicas failing in lockstep don't retry in lockstep.
-				d := backoff[k]
-				if d <= 0 {
-					d = interval
-				} else {
-					d *= 2
-				}
-				if d > resyncBackoffMax {
-					d = resyncBackoffMax
-				}
-				backoff[k] = d
-				next[k] = now.Add(d + repairJitter(d))
+			if _, err := s.shards.ResyncReplica(ctx, lag.Shard, lag.Replica); err == nil || !repairBackoff {
 				continue
 			}
-			delete(backoff, k)
-			delete(next, k)
+			// Exponential backoff with jitter: double the delay (from one
+			// interval) and scatter attempts across [1x, 1.5x] so replicas
+			// failing in lockstep don't retry in lockstep.
+			b.delay = min(max(2*b.delay, interval), resyncBackoffMax)
+			b.next = now.Add(b.delay + repairJitter(b.delay))
+			still[k] = b
 		}
+		failed = still
 	}
 }
