@@ -232,11 +232,10 @@ func TestRepairBackoffAblation(t *testing.T) {
 func TestRepairForgetsLevelReplicasBackoff(t *testing.T) {
 	defer func(j func(time.Duration) time.Duration) { repairJitter = j }(repairJitter)
 	repairJitter = func(time.Duration) time.Duration { return 0 }
-	const other = "synth.other"
 	synctest.Run(func() {
 		sdb, _, closeAll := bubbleService(t, 1, 2, 30, Config{Workers: 1})
 		defer closeAll()
-		oc, err := sdb.CreateCollection(other, synthSchema())
+		oc, err := sdb.CreateCollection("synth.other", synthSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +250,8 @@ func TestRepairForgetsLevelReplicasBackoff(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Off the sweep grid; then failed repairs every 0.2, 0.4, 0.8,
-		// 1.6 and 3.2 s grow the delay to 6.4 s.
+		// Off the sweep grid; then repairs failing at 0.2, 0.4, 0.8,
+		// 1.6, 3.2 and 6.4 s grow the delay to 6.4 s.
 		time.Sleep(100 * time.Millisecond)
 		lagOn(sc, fault.Rule{Point: fault.ResyncError, Shard: fault.Any, Replica: 1, Prob: 1})
 		time.Sleep(6400 * time.Millisecond)
