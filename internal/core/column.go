@@ -726,11 +726,17 @@ func (cs *ColumnStore) TopK(sel []int32, field string, desc bool, k int) ([]int3
 // offered so far. With a column for the order-by field, each candidate
 // carries its sort value copied out of the column segment, so the heap
 // outlives the segment data and the scan holds one segment at a time;
-// without one, candidates compare their rows' own values.
+// without one, candidates compare their rows' own values. A topKeep
+// comes from topKeeps and goes back to it in rows.
 type topKeep struct {
 	col  *Column // the order-by field's column; nil: compare row values
 	rd   segReader
 	heap topHeap[topEntry]
+
+	// Without a column: the rows and the field that order them.
+	snap  Snapshot
+	field string
+	desc  bool
 }
 
 // topEntry is one top-k candidate: its row and, with a column, its sort
@@ -741,51 +747,71 @@ type topEntry struct {
 	f   float64
 }
 
+// topKeeps recycles top-k consumers, each with its heap's before bound
+// once, so a top-k allocates only the row list rows returns. A heap
+// longer than maxPooledTopK entries is dropped on release: the pool
+// holds only small objects.
+var topKeeps = sync.Pool{New: func() any {
+	t := new(topKeep)
+	t.heap.before = t.before
+	return t
+}}
+
+// maxPooledTopK is the largest heap capacity a released topKeep keeps.
+const maxPooledTopK = 256
+
 // newTopKeep returns the consumer keeping the k (> 0) first rows of a
 // stable sort by field, ties in row order. It orders by cs's column for
 // field when there is one, else by the rows of snap (CompareBy: missing
 // values order as the zero Value, before every value ascending, after
 // every value descending).
 func newTopKeep(cs *ColumnStore, snap Snapshot, field string, desc bool, k int) *topKeep {
-	t := &topKeep{heap: topHeap[topEntry]{k: k, h: make([]topEntry, 0, k)}}
+	t := topKeeps.Get().(*topKeep)
+	t.heap.k = k
+	if cap(t.heap.h) < k {
+		t.heap.h = make([]topEntry, 0, k)
+	}
 	if cs != nil {
 		t.col, _ = cs.Column(field)
 	}
+	if t.col == nil {
+		t.snap, t.field = snap, field
+	}
+	t.rd.col, t.desc = t.col, desc
+	return t
+}
+
+// before is the heap's strict order: Value.Compare on the column values
+// (or, without a column, CompareBy on the rows), reversed when desc,
+// ties in row order.
+func (t *topKeep) before(a, b topEntry) bool {
 	col := t.col
 	if col == nil {
-		t.heap.before = func(a, b topEntry) bool {
-			if c := CompareBy(snap.rows[a.row], snap.rows[b.row], field, desc); c != 0 {
-				return c < 0
-			}
-			return a.row < b.row
-		}
-		return t
-	}
-	t.rd.col = col
-	// Value.Compare on the column values, ties in row order.
-	t.heap.before = func(a, b topEntry) bool {
-		var less, greater bool
-		switch col.kind {
-		case KindInt:
-			less, greater = a.i < b.i, a.i > b.i
-		case KindFloat:
-			less, greater = a.f < b.f, a.f > b.f
-		case KindStr:
-			sa, sb := col.dict[a.i], col.dict[b.i]
-			less, greater = sa < sb, sa > sb
-		}
-		if desc {
-			less, greater = greater, less
-		}
-		if less {
-			return true
-		}
-		if greater {
-			return false
+		if c := CompareBy(t.snap.rows[a.row], t.snap.rows[b.row], t.field, t.desc); c != 0 {
+			return c < 0
 		}
 		return a.row < b.row
 	}
-	return t
+	var less, greater bool
+	switch col.kind {
+	case KindInt:
+		less, greater = a.i < b.i, a.i > b.i
+	case KindFloat:
+		less, greater = a.f < b.f, a.f > b.f
+	case KindStr:
+		sa, sb := col.dict[a.i], col.dict[b.i]
+		less, greater = sa < sb, sa > sb
+	}
+	if t.desc {
+		less, greater = greater, less
+	}
+	if less {
+		return true
+	}
+	if greater {
+		return false
+	}
+	return a.row < b.row
 }
 
 // offer folds one block of candidate rows, ascending and all in one
@@ -819,8 +845,8 @@ func (t *topKeep) offer(rows []int32, pc *Column, pd *segData) {
 	}
 }
 
-// rows returns the kept rows in order and releases the segment reader.
-// The heap is spent afterwards.
+// rows returns the kept rows in order, releases the segment reader and
+// puts t back in topKeeps: t is spent afterwards.
 func (t *topKeep) rows() []int32 {
 	t.rd.close()
 	top := t.heap.sorted()
@@ -828,5 +854,12 @@ func (t *topKeep) rows() []int32 {
 	for i, e := range top {
 		out[i] = e.row
 	}
+	h := top[:0]
+	if cap(h) > maxPooledTopK {
+		h = nil
+	}
+	before := t.heap.before
+	*t = topKeep{heap: topHeap[topEntry]{h: h, before: before}}
+	topKeeps.Put(t)
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -118,11 +119,19 @@ func (t *topHeap[T]) heapify() {
 // heapified first, so the sort sees the same arrangement whether k was
 // clamped to the candidate count or not: under an order NaN makes
 // non-transitive, the answer still depends only on the candidates.
+// slices.SortFunc runs the pdqsort sort.Slice runs, asking only whether
+// cmp is negative, so it orders exactly as sort.Slice with before as
+// less would, without the reflect swapper.
 func (t *topHeap[T]) sorted() []T {
 	if len(t.h) < t.k {
 		t.heapify()
 	}
-	sort.Slice(t.h, func(i, j int) bool { return t.before(t.h[i], t.h[j]) })
+	slices.SortFunc(t.h, func(a, b T) int {
+		if t.before(a, b) {
+			return -1
+		}
+		return 1
+	})
 	return t.h
 }
 

@@ -22,24 +22,25 @@ import (
 // runs.
 
 // fragmentAttempt runs shard i's whole fragment — snapshot, filter or
-// kNN probe, materialization of the rows the gather stage will consume
-// — against replica r. It passes the fragment failpoints first, so
-// injected faults behave exactly like a slow or failing replica would.
-func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r int) (*shardFragment, error) {
+// kNN probe, and for a similarity join the materialization of the rows
+// it joins — against replica r, into frag. It passes the fragment
+// failpoints first, so injected faults behave exactly like a slow or
+// failing replica would.
+func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r int, frag *shardFragment) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.inj.Fail(fault.FragmentError, i, r); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.inj.Stall(ctx, fault.FragmentStall, i, r); err != nil {
-		return nil, err
+		return err
 	}
 	snap, err := plan.scol.Replica(i, r).Current()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	frag := &shardFragment{snap: snap}
+	*frag = shardFragment{snap: snap}
 	req := plan.req
 	if req.KNN != nil {
 		// Planned and probed on this replica's own snapshot and index.
@@ -47,11 +48,10 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	} else {
 		err = s.filterFragment(ctx, plan, frag)
 	}
-	if err != nil {
-		return nil, err
+	if err == nil && req.SimJoin != nil {
+		frag.rows = snap.Materialize(frag.Sel)
 	}
-	frag.rows = snap.Materialize(frag.Sel)
-	return frag, nil
+	return err
 }
 
 // hedgedFragment produces shard i's fragment from whichever in-sync
@@ -59,8 +59,11 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 // next after Config.HedgeAfter elapses; on an error, retry once at once
 // on the next replica in line; first success wins and cancels the
 // loser. Returns the parent context's error verbatim when the query
-// was canceled or timed out.
-func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int) (*shardFragment, error) {
+// was canceled or timed out. The inline path writes the fragment into
+// slot, the request's own; a hedged or retried attempt on another
+// goroutine writes its own, since a loser may still be running when
+// the query returns.
+func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int, slot *shardFragment) (*shardFragment, error) {
 	req := plan.req
 	replicas := plan.scol.InSyncReplicas(i)
 	sp := req.tr.Begin("fragment")
@@ -70,19 +73,19 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 	// goroutine, keeping the one error-retry.
 	if len(replicas) == 1 && s.inj == nil {
 		start := time.Now()
-		frag, err := s.fragmentAttempt(ctx, plan, i, replicas[0])
+		err := s.fragmentAttempt(ctx, plan, i, replicas[0], slot)
 		if err != nil && ctx.Err() == nil {
 			s.tel.fragmentRetries.Inc()
 			start = time.Now()
-			frag, err = s.fragmentAttempt(ctx, plan, i, replicas[0])
+			err = s.fragmentAttempt(ctx, plan, i, replicas[0], slot)
 		}
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 		s.tel.fragmentDur.Observe(time.Since(start).Seconds())
-		frag.annotate(sp, plan, i)
-		return frag, nil
+		slot.annotate(sp, plan, i)
+		return slot, nil
 	}
 
 	type attempt struct {
@@ -102,7 +105,8 @@ func (s *Service) hedgedFragment(ctx context.Context, plan *fragmentPlan, i int)
 		next++
 		go func() {
 			start := time.Now()
-			frag, err := s.fragmentAttempt(actx, plan, i, r)
+			frag := new(shardFragment)
+			err := s.fragmentAttempt(actx, plan, i, r, frag)
 			resCh <- attempt{frag: frag, replica: r, dur: time.Since(start), err: err}
 		}()
 		return r

@@ -1,9 +1,9 @@
 package service
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,7 +24,7 @@ import (
 //   - filters/projections: per-shard counts sum, row sets concatenate in
 //     shard order;
 //   - ordered top-k: each shard sorts and trims its own rows, the
-//     service runs a k-way heap merge over the sorted streams;
+//     service merges the sorted lists, taking the best head each step;
 //   - similarity joins: one local self-join task per shard plus one
 //     cross task per shard pair (left rows from shard i probe shard j),
 //     pair lists concatenate;
@@ -49,21 +49,32 @@ type fragmentPlan struct {
 }
 
 // shardFragment is one shard's partial result: the rows core's Select
-// kept of its matches, whichever access path ran, and those rows as
-// patches.
+// kept of its matches, whichever access path ran. The gather stage reads
+// them from snap through Sel: every match for joins and clustering, the
+// sorted/trimmed top-limit for order/limit, none for counts. A kNN
+// fragment leaves its local top-k in ns instead.
 type shardFragment struct {
 	snap core.Snapshot // the answering replica's snapshot
 
 	// The filter stage's result; Method 0 = unfiltered, every row matches.
 	core.Selection
-	op   string // the access path's (or kNN probe's) plan operator
+	op   string // a kNN probe's plan operator (a filter's is label's)
 	cost float64
 
-	// rows is what the gather stage consumes: every match for joins and
-	// clustering, the sorted/trimmed top-limit for order/limit, none for
-	// counts. A kNN fragment leaves its local top-k in ns instead.
+	// rows are a similarity join's kept rows as patches, which the join
+	// tasks and the re-clustering read.
 	rows []*core.Patch
 	ns   []core.VecNeighbor
+}
+
+// label is the fragment's plan operator: its kNN probe's, its filter's
+// access path over the filtered field, or "" for an unfiltered
+// fragment.
+func (f *shardFragment) label(plan *fragmentPlan) string {
+	if f.op != "" || plan.pred == nil {
+		return f.op
+	}
+	return f.Method.String() + "(" + plan.pred.Field + ")"
 }
 
 // annotate attaches the fragment's work record to its trace span:
@@ -84,8 +95,8 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 		sp.AttrInt("matched", int64(f.N))
 	}
 	path := "full-scan"
-	if f.op != "" {
-		path = f.op
+	if op := f.label(plan); op != "" {
+		path = op
 	}
 	sp.Attr("path", path)
 	if f.Method == core.FilterColumnScan || f.Indexed() {
@@ -107,33 +118,40 @@ func (s *Service) taskDev(w *worker, t int) *exec.Batcher {
 }
 
 // scatterWave runs n independent scatter tasks concurrently and returns
-// the first error. A single task runs inline (fan-out 1 adds no
-// goroutine overhead).
+// the lowest-numbered failing task's error, however the tasks' timing
+// falls. Task 0 runs on the caller, the others on one goroutine each,
+// so a single task adds no goroutine.
 func (s *Service) scatterWave(n int, fn func(t int) error) error {
 	s.tel.scatterTasks.Add(int64(n))
 	if n == 1 {
 		return fn(0)
 	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for t := 0; t < n; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			if err := fn(t); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}(t)
+	// One allocation for the wait group and the error slots of a small
+	// wave.
+	w := new(struct {
+		wg   sync.WaitGroup
+		errs []error
+		slot [4]error
+	})
+	w.errs = w.slot[:]
+	if n > len(w.slot) {
+		w.errs = make([]error, n)
 	}
-	wg.Wait()
-	return first
+	w.wg.Add(n - 1)
+	for t := 1; t < n; t++ {
+		go func() {
+			defer w.wg.Done()
+			w.errs[t] = fn(t)
+		}()
+	}
+	w.errs[0] = fn(0)
+	w.wg.Wait()
+	for _, err := range w.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // missingShards judges a scatter wave's per-shard outcomes: which shards
@@ -233,16 +251,17 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 	}
 
 	// ---- scatter: per-shard hedged filter (+ local sort/trim) fragments ----
-	frags := make([]*shardFragment, nsh)
-	errs := make([]error, nsh)
+	st := getScatterState(nsh)
+	defer st.release()
+	frags := st.frags
 	s.scatterWave(nsh, func(i int) error {
-		frags[i], errs[i] = s.hedgedFragment(fctx, plan, i)
+		frags[i], st.errs[i] = s.hedgedFragment(fctx, plan, i, &st.slab[i])
 		return nil // per-shard outcomes are judged below, not first-error
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err // timeout/cancel dominates any per-shard outcome
 	}
-	missing, err := s.missingShards(req, errs)
+	missing, err := s.missingShards(req, st.errs)
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +274,10 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 		if frag == nil {
 			continue
 		}
-		if len(planOps) == 0 && frag.op != "" {
-			planOps = append(planOps, frag.op)
+		if len(planOps) == 0 {
+			if op := frag.label(plan); op != "" {
+				planOps = append(planOps, op)
+			}
 		}
 		resp.EstCostSec += frag.cost
 	}
@@ -282,32 +303,18 @@ func (s *Service) executeScatter(ctx context.Context, w *worker, req *Request) (
 		}
 	}
 	if plan.keep.Kind != core.KeepCount {
-		var merged []*core.Patch
 		if req.OrderBy != "" {
-			merged, err = mergeSortedRows(ctx, frags, req.OrderBy, req.Desc, plan.limit)
+			resp.Rows, err = mergeSortedRows(ctx, frags, req.OrderBy, req.Desc, plan.limit)
 			if err != nil {
 				mg.End()
 				return nil, err
 			}
 			planOps = append(planOps, "order-by("+req.OrderBy+")")
 		} else {
-			for _, frag := range frags {
-				if frag == nil {
-					continue
-				}
-				merged = append(merged, frag.rows...)
-				if len(merged) >= plan.limit {
-					merged = merged[:plan.limit]
-					break
-				}
-			}
-		}
-		resp.Rows = make([]Row, len(merged))
-		for i, p := range merged {
-			resp.Rows[i] = Row{p: p}
+			resp.Rows = concatRows(frags, plan.limit)
 		}
 		if req.Limit > 0 {
-			planOps = append(planOps, fmt.Sprintf("limit(%d)", req.Limit))
+			planOps = append(planOps, "limit("+strconv.Itoa(req.Limit)+")")
 		}
 	}
 	if len(planOps) == 0 {
@@ -338,14 +345,15 @@ func gatherLabel(req *Request) string {
 // scatter[N(+C)] -> gather decoration, C being the cross-shard join
 // task count.
 func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) string {
+	pipeline := strings.Join(fragOps, " -> ")
 	if nsh == 1 {
-		return strings.Join(fragOps, " -> ")
+		return pipeline
 	}
-	fan := fmt.Sprintf("%d", nsh)
+	fan := strconv.Itoa(nsh)
 	if cross > 0 {
-		fan = fmt.Sprintf("%d+%d", nsh, cross)
+		fan += "+" + strconv.Itoa(cross)
 	}
-	return fmt.Sprintf("scatter[%s](%s) -> %s", fan, strings.Join(fragOps, " -> "), gather)
+	return "scatter[" + fan + "](" + pipeline + ") -> " + gather
 }
 
 // filterFragment runs the plan's filter stage on the fragment's snapshot
@@ -354,8 +362,8 @@ func (s *Service) scatterPlan(nsh, cross int, fragOps []string, gather string) s
 // answers from the sort orders of the replica's sealed column segments,
 // sorting each on first use; anything else runs the columnar scan. Both
 // fall back to the row scan for fields the store cannot columnize. The
-// path that ran fixes the plan operator and the static cost. An
-// unfiltered query selects every row.
+// path that ran fixes the plan operator (see label) and the static
+// cost. An unfiltered query selects every row.
 func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *shardFragment) error {
 	var pred core.Pred
 	var method core.FilterMethod
@@ -370,7 +378,6 @@ func (s *Service) filterFragment(ctx context.Context, plan *fragmentPlan, frag *
 		return err
 	}
 	if plan.pred != nil {
-		frag.op = fmt.Sprintf("%s(%s)", frag.Method, pred.Field)
 		frag.cost = core.FilterCost(frag.Method, frag.snap.Len(), frag.N)
 	}
 	return nil
@@ -517,74 +524,122 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, r
 	return err
 }
 
-// rowStream is one shard's sorted, trimmed row list being consumed by
-// the k-way merge.
-type rowStream struct {
-	shard int
-	rows  []*core.Patch
-	pos   int
+// scatterState is a request's scatter bookkeeping: one fragment slot per
+// shard, which the inline path fills, the fragments the gather reads
+// (nil = missing shard) and each shard's error. It comes from
+// scatterStates and goes back, cleared, when executeScatter returns;
+// states for more than maxPooledShards shards are dropped, so the pool
+// holds only small objects.
+type scatterState struct {
+	slab  []shardFragment
+	frags []*shardFragment
+	errs  []error
 }
 
-// rowHeap orders streams by their head row (ties resolve in shard
-// order, mirroring a stable concatenate-then-sort of the shards' rows).
-type rowHeap struct {
-	streams []*rowStream
-	field   string
-	desc    bool
-}
+var scatterStates = sync.Pool{New: func() any { return new(scatterState) }}
 
-func (h *rowHeap) Len() int { return len(h.streams) }
-func (h *rowHeap) Less(i, j int) bool {
-	a, b := h.streams[i], h.streams[j]
-	if c := core.CompareBy(a.rows[a.pos], b.rows[b.pos], h.field, h.desc); c != 0 {
-		return c < 0
+// maxPooledShards is the largest fan-out whose scatterState is reused.
+const maxPooledShards = 16
+
+func getScatterState(nsh int) *scatterState {
+	st := scatterStates.Get().(*scatterState)
+	if cap(st.slab) < nsh {
+		st.slab = make([]shardFragment, nsh)
+		st.frags = make([]*shardFragment, nsh)
+		st.errs = make([]error, nsh)
 	}
-	return a.shard < b.shard
-}
-func (h *rowHeap) Swap(i, j int) { h.streams[i], h.streams[j] = h.streams[j], h.streams[i] }
-func (h *rowHeap) Push(x any)    { h.streams = append(h.streams, x.(*rowStream)) }
-func (h *rowHeap) Pop() any {
-	old := h.streams
-	n := len(old)
-	x := old[n-1]
-	h.streams = old[:n-1]
-	return x
+	st.slab, st.frags, st.errs = st.slab[:nsh], st.frags[:nsh], st.errs[:nsh]
+	return st
 }
 
-// mergeSortedRows k-way heap-merges the shards' sorted row fragments
-// into the global top-limit rows. Each shard trimmed its fragment to
-// the limit already, so the merge touches at most nsh*limit rows no
-// matter how large the collection is. Nil fragments (missing shards on
-// a degraded query) contribute no stream; the merge checks ctx
-// periodically so a query that times out mid-gather stops there.
-func mergeSortedRows(ctx context.Context, frags []*shardFragment, field string, desc bool, limit int) ([]*core.Patch, error) {
-	h := &rowHeap{field: field, desc: desc}
-	for i, frag := range frags {
-		if frag != nil && len(frag.rows) > 0 {
-			h.streams = append(h.streams, &rowStream{shard: i, rows: frag.rows})
+// release clears st, dropping its snapshots and rows, and returns it to
+// the pool. Every fragment attempt that writes to the slab has returned
+// by then: hedged attempts write their own fragments.
+func (st *scatterState) release() {
+	if cap(st.slab) > maxPooledShards {
+		return
+	}
+	clear(st.slab)
+	clear(st.frags)
+	clear(st.errs)
+	scatterStates.Put(st)
+}
+
+// concatRows concatenates the fragments' kept rows in shard order, up to
+// limit, read straight from each fragment's snapshot into the response.
+// Nil fragments (missing shards) contribute nothing.
+func concatRows(frags []*shardFragment, limit int) []Row {
+	n := 0
+	for _, frag := range frags {
+		if frag != nil {
+			n += len(frag.Sel)
 		}
 	}
-	heap.Init(h)
-	out := make([]*core.Patch, 0, limit)
-	for h.Len() > 0 && len(out) < limit {
+	rows := make([]Row, 0, min(n, limit))
+	for _, frag := range frags {
+		if frag == nil {
+			continue
+		}
+		for _, r := range frag.Sel[:min(len(frag.Sel), limit-len(rows))] {
+			rows = append(rows, Row{p: frag.snap.Row(int(r))})
+		}
+	}
+	return rows
+}
+
+// rowCursor is one shard's sorted, trimmed kept rows being consumed by
+// the merge.
+type rowCursor struct {
+	frag *shardFragment
+	pos  int
+}
+
+func (c *rowCursor) head() *core.Patch { return c.frag.snap.Row(int(c.frag.Sel[c.pos])) }
+
+// mergeCursors is the fan-out up to which the merge's cursors live on
+// the stack.
+const mergeCursors = 16
+
+// mergeSortedRows merges the shards' sorted row fragments into the
+// global top-limit rows: each step takes the best head of at most nsh
+// cursors, ties to the lowest shard, which is a stable
+// concatenate-then-sort of the shards' rows. Each shard trimmed its
+// fragment to the limit already, so the merge touches at most nsh*limit
+// rows no matter how large the collection is. Nil fragments (missing
+// shards on a degraded query) contribute no cursor; the merge checks ctx
+// periodically so a query that times out mid-gather stops there.
+func mergeSortedRows(ctx context.Context, frags []*shardFragment, field string, desc bool, limit int) ([]Row, error) {
+	var buf [mergeCursors]rowCursor
+	curs, n := buf[:0], 0
+	for _, frag := range frags {
+		if frag != nil && len(frag.Sel) > 0 {
+			curs = append(curs, rowCursor{frag: frag})
+			n += len(frag.Sel)
+		}
+	}
+	out := make([]Row, 0, min(n, limit))
+	for len(curs) > 0 && len(out) < limit {
 		if len(out)%mergeCtxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		st := h.streams[0]
-		out = append(out, st.rows[st.pos])
-		st.pos++
-		if st.pos < len(st.rows) {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
+		best, bp := 0, curs[0].head()
+		for c := 1; c < len(curs); c++ {
+			if p := curs[c].head(); core.CompareBy(p, bp, field, desc) < 0 {
+				best, bp = c, p
+			}
+		}
+		out = append(out, Row{p: bp})
+		cur := &curs[best]
+		if cur.pos++; cur.pos == len(cur.frag.Sel) {
+			curs = append(curs[:best], curs[best+1:]...)
 		}
 	}
 	return out, nil
 }
 
 // mergeCtxCheckRows is the output-row stride between cancellation
-// checks in the k-way merge (heap steps are pricier than scan steps,
-// so the stride is tighter than core's scan-loop stride).
+// checks in the merge (a step compares every head, so the stride is
+// tighter than core's scan-loop stride).
 const mergeCtxCheckRows = 32

@@ -1,0 +1,103 @@
+package service
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// missAllocRows fills every shard of a 3-shard fixture with at least two
+// sealed column segments, so the fragments scan the way a benchmark
+// shard's do: zone maps, sealed segments and an unsealed tail.
+const missAllocRows = 7 * core.ColumnBlockSize
+
+// missAllocCase is one scan_* shape of the benchmark as a no_cache miss,
+// with its allocation ceilings at N=1 and N=3: the counts measured at
+// GOMAXPROCS 1, 2 and 4 (go1.24, linux/amd64). Before fragments were
+// read in place, pooled and labeled once per query, the same misses
+// cost 32/71, 21/44 and 16/35.
+type missAllocCase struct {
+	name     string
+	body     string
+	max1     float64
+	max3     float64
+	wantRows int
+}
+
+var missAllocCases = []missAllocCase{
+	{"range top-10", `{"collection":"` + shardTestCol + `","filter":{"field":"score","min":1,"max":3},"order_by":"score","limit":10,"no_cache":true}`, 17, 23, 10},
+	{"label eq limit 20", `{"collection":"` + shardTestCol + `","filter":{"field":"label","str":"car"},"limit":20,"no_cache":true}`, 15, 21, 20},
+	{"rank range count", `{"collection":"` + shardTestCol + `","filter":{"field":"rank","min":1,"max":3},"no_cache":true}`, 12, 16, 0},
+}
+
+// maxAllocsPerExtraFragment bounds what one more shard adds to a miss:
+// (N3 - N1) / 2 allocations, 9.5-19.5 before.
+const maxAllocsPerExtraFragment = 5
+
+// missAllocs serves each case's request once through the handler, which
+// builds the columns it scans, checks the answer, then counts a miss's
+// allocations over 100 more.
+func missAllocs(t *testing.T, s *Service) []float64 {
+	t.Helper()
+	h := s.Handler()
+	w := &sinkWriter{hdr: http.Header{}}
+	out := make([]float64, len(missAllocCases))
+	for i, c := range missAllocCases {
+		body := []byte(c.body)
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/query", rd)
+		serve := func() {
+			rd.Reset(body)
+			w.status, w.body = 0, w.body[:0]
+			h.ServeHTTP(w, req)
+		}
+		serve()
+		r := checkWire(t, c.name, w.status, w.body)
+		if r.CacheHit || len(r.Rows) != c.wantRows {
+			t.Fatalf("%s: hit=%v rows=%d, want a %d-row miss", c.name, r.CacheHit, len(r.Rows), c.wantRows)
+		}
+		out[i] = testing.AllocsPerRun(100, serve)
+	}
+	return out
+}
+
+// TestScatterMissAllocs pins what a no_cache miss allocates through the
+// handler for the benchmark's three scan shapes, at one and three
+// shards: each under its ceiling, and each extra fragment adding at
+// most maxAllocsPerExtraFragment.
+func TestScatterMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	one := missAllocs(t, obsFixture(t, 1, missAllocRows, Config{Workers: 1}))
+	s3 := obsFixture(t, 3, missAllocRows, Config{Workers: 1})
+	scol, err := s3.shards.Collection(shardTestCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < scol.Shards(); i++ {
+		snap, err := scol.Replica(i, 0).Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Len() < 2*core.ColumnBlockSize {
+			t.Fatalf("shard %d holds %d rows, want two sealed segments", i, snap.Len())
+		}
+	}
+	three := missAllocs(t, s3)
+	for i, c := range missAllocCases {
+		t.Logf("%s: %.0f allocations at N=1, %.0f at N=3", c.name, one[i], three[i])
+		if one[i] > c.max1 {
+			t.Errorf("%s at N=1: %.0f allocations per miss, want <= %.0f", c.name, one[i], c.max1)
+		}
+		if three[i] > c.max3 {
+			t.Errorf("%s at N=3: %.0f allocations per miss, want <= %.0f", c.name, three[i], c.max3)
+		}
+		if per := (three[i] - one[i]) / 2; per > maxAllocsPerExtraFragment {
+			t.Errorf("%s: %.1f allocations per extra fragment, want <= %d", c.name, per, maxAllocsPerExtraFragment)
+		}
+	}
+}

@@ -23,8 +23,8 @@
 //     its one-shard case): the plan is made once, its fragment runs on
 //     every shard in parallel on batcher-fronted devices, and partial
 //     results merge at the service layer — counts sum, ordered top-k
-//     rows k-way heap-merge, similarity joins fan out one task per shard
-//     pair and re-cluster at the gather stage.
+//     rows merge best head first, similarity joins fan out one task per
+//     shard pair and re-cluster at the gather stage.
 //
 // The cmd/deeplens-serve binary exposes it over HTTP JSON.
 package service
@@ -298,7 +298,7 @@ func New(db *core.DB, cfg Config) (*Service, error) {
 // fragment runs on every shard in parallel, join tasks pinned to
 // batcher-fronted devices so sharding composes with cross-request
 // kernel fusion, and the partial results merge at the service layer
-// (concatenation for filters, a k-way heap merge for ordered top-k,
+// (concatenation for filters, a k-way merge for ordered top-k,
 // re-clustering for distinct, pairwise cross-shard tasks for similarity
 // joins).
 func NewSharded(sdb *core.Sharded, cfg Config) (*Service, error) {
