@@ -248,3 +248,60 @@ func runBatchGenerator(t *testing.T, replicas int, seed int64) {
 		}
 	}
 }
+
+// TestAppendBatchEncodeAllocs: a warm 64-row AppendBatch encodes its
+// rows into the buffer its collection kept from the last batch, on a
+// collection and on a sharded, replicated one alike, so it allocates no
+// buffer per row. The rows are
+// committed rows of another collection, as a replica repair appends
+// them, so sealing allocates nothing either and the count is the
+// batch's own.
+func TestAppendBatchEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const batch, runs = 64, 40
+	db := openDB(t)
+	src, err := db.CreateCollection("enc.src", batchSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.AppendBatch(batchRows(1, (runs+2)*batch)); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := src.Patches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenShardedReplicas(t.TempDir(), 3, 2, exec.New(exec.CPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sharded, err := s.CreateCollection("enc.dst", batchSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := db.CreateCollection("enc.dst", batchSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		col  interface{ AppendBatch([]*Patch) (int, error) }
+	}{{"collection", plain}, {"sharded", sharded}} {
+		next := 0
+		appendNext := func() {
+			if n, err := c.col.AppendBatch(rows[next : next+batch]); err != nil || n != batch {
+				t.Fatalf("%s: appended %d of %d: %v", c.name, n, batch, err)
+			}
+			next += batch
+		}
+		appendNext() // warm: the row cache, the log's tail, the pool
+		allocs := testing.AllocsPerRun(runs, appendNext)
+		t.Logf("%s: %.1f allocations per %d-row batch", c.name, allocs, batch)
+		if allocs >= batch/8 {
+			t.Fatalf("%s: a %d-row batch allocates %.1f times, want < %d (no buffer per row)", c.name, batch, allocs, batch/8)
+		}
+	}
+}

@@ -461,6 +461,10 @@ type Collection struct {
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
 
+	// enc is the buffer the last batch encoded its rows into, kept for
+	// the next (see prepare); nil while a batch holds it.
+	enc atomic.Pointer[[]byte]
+
 	// treeStats caches the tree statistics: treeStatKey -> treeStat,
 	// each written once (see Snapshot.treeStat).
 	treeStats sync.Map
@@ -508,11 +512,12 @@ func (c *Collection) Append(p *Patch) error {
 // gets the next one inside the commit; the ids must ascend above the
 // collection's last, or the batch is refused with ErrIDOrder.
 func (c *Collection) AppendBatch(ps []*Patch) (int, error) {
-	rows, err := c.prepare(ps)
+	rows, buf, err := c.prepare(ps)
 	if err != nil {
 		return 0, err
 	}
 	_, n, err := c.commit(rows, -1)
+	c.releaseEnc(buf)
 	return n, err
 }
 
@@ -522,12 +527,38 @@ type prepRow struct {
 	raw []byte
 }
 
+// maxKeptEnc is the largest encode buffer a collection keeps.
+const maxKeptEnc = 1 << 20
+
+// releaseEnc gives a batch's encode buffer back to the collection that
+// prepared it: the raw bytes of every row prepared into it are dead
+// afterwards. The row log copies each stored row into its tail block,
+// so a buffer is free again once the batch's last commit returns. Of
+// two batches prepared at once, one buffer is kept.
+func (c *Collection) releaseEnc(buf *[]byte) {
+	if cap(*buf) <= maxKeptEnc {
+		*buf = (*buf)[:0]
+		c.enc.CompareAndSwap(nil, buf)
+	}
+}
+
 // prepare seals each builder of ps in the collection's layout, then
-// validates and encodes it (the stored bytes do not hold the id). A row
-// that fails is ErrInvalidPatch naming its index, and is left a builder
-// if it was one. A sealed patch may be a committed row readers share.
-func (c *Collection) prepare(ps []*Patch) ([]prepRow, error) {
+// validates and encodes it (the stored bytes do not hold the id). The
+// rows encode back to back into one buffer, the one the collection
+// kept from its last batch when no other batch holds it, which the
+// caller hands to releaseEnc after its last commit of them. The buffer
+// is kept by the collection rather than a sync.Pool, which drops its
+// contents at garbage collections and makes the next batch grow a
+// buffer again. A row that fails is ErrInvalidPatch naming its index,
+// and is left a builder if it was one. A sealed patch may be a
+// committed row readers share.
+func (c *Collection) prepare(ps []*Patch) ([]prepRow, *[]byte, error) {
 	rows := make([]prepRow, len(ps))
+	buf := c.enc.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	b := *buf
 	for i, p := range ps {
 		meta, built := p.Meta, !p.sealed()
 		if built {
@@ -537,17 +568,28 @@ func (c *Collection) prepare(ps []*Patch) ([]prepRow, error) {
 		}
 		err := c.schema.ValidatePatch(p)
 		if err == nil {
-			rows[i].raw, err = c.codec.encode(p)
+			start := len(b)
+			b, err = c.codec.appendEncoded(b, p)
+			rows[i].raw = b[start:] // its length; sliced from the final buffer below
 		}
 		if err != nil {
 			if built {
 				p.Meta, p.codec, p.decl, p.pairs = meta, nil, nil, nil
 			}
-			return nil, fmt.Errorf("%w: collection %q, patch %d: %w", ErrInvalidPatch, c.name, i, err)
+			*buf = b
+			c.releaseEnc(buf)
+			return nil, nil, fmt.Errorf("%w: collection %q, patch %d: %w", ErrInvalidPatch, c.name, i, err)
 		}
 		rows[i].p = p
 	}
-	return rows, nil
+	off := 0
+	for i := range rows {
+		n := len(rows[i].raw)
+		rows[i].raw = b[off : off+n : off+n]
+		off += n
+	}
+	*buf = b
+	return rows, buf, nil
 }
 
 // errBehind reports a replica commit refused because the replica does

@@ -26,9 +26,10 @@ package core
 // (full) segments — typed arrays, zone maps, dictionary codes — are
 // exactly what a fresh build over the longer snapshot would produce for
 // those rows. Extend therefore carries sealed segments over
-// by pointer: no history memcpy at all, O(appended rows) re-projection
-// for the tail, and stale readers pin only the segments they still
-// reference. The same immutability makes sealed segments spillable: with
+// by pointer: no history memcpy at all, and the unsealed tail grows in
+// place, projecting only the appended rows (see growTail); stale readers
+// pin only the segments they still reference. The same immutability
+// makes sealed segments spillable: with
 // a segment cache attached (see segment.go) each keeps its compressed
 // encoding through internal/codec, the resident summaries keep pruning
 // exact, and the scan kernels decode surviving cold segments through a
@@ -207,7 +208,7 @@ func (r *segReader) load(sg *colSegment, enc []byte, n uint64, st *ScanStats) *s
 // deterministic and lock-free (see fill).
 func (c *Column) rebuildSeg(sg *colSegment) *segData {
 	d := newSegData(c.kind, sg.rows())
-	c.fill(d, sg.zone.lo, sg.zone.hi)
+	c.fill(d, sg.zone.lo, sg.zone.lo, sg.zone.hi)
 	return d
 }
 
@@ -242,19 +243,20 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 // old store's TotalBlocks (summed over its projected columns),
 // ReusedBlocks sealed segments were carried over by pointer — arrays,
 // zone maps and dictionary codes untouched; only the remainder (the
-// partial tail segment per column) was re-projected.
+// partial tail segment per column) was grown by the appended rows.
 type ExtendStats struct {
 	Columns      int // projected columns carried into the new store
 	ReusedBlocks int // sealed old segments shared verbatim
-	TotalBlocks  int // all old segments (shared + rebuilt tails)
+	TotalBlocks  int // all old segments (shared + grown tails)
 }
 
 // Extend builds the store for a longer snapshot that has this store's
 // snapshot as a prefix (the caller must guarantee the prefix property;
 // Collection.Columns checks it). Every column already projected here is
 // carried forward: sealed (full) segments are shared by pointer — no
-// copy of any kind — and only rows from the old tail segment's start
-// onward re-project, so the result is indistinguishable from a fresh
+// copy of any kind — and only the appended rows project, into the old
+// tail's spare room and new segments, so the result is
+// indistinguishable from a fresh
 // store over at with the same columns accessed, at O(appended rows)
 // cost. The receiver is not mutated and stays valid for readers still
 // holding it; columns never projected on the old store stay lazy on the
@@ -278,8 +280,8 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 }
 
 // extendColumn grows one projected column over the appended suffix rows:
-// sealed segments share by pointer, the old tail segment's rows onward
-// re-project.
+// sealed segments share by pointer, the old tail segment grows by the
+// rows that fill it (see growTail), and the rest project fresh.
 func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
 	n := len(patches)
 	sealed := oldN / ColumnBlockSize
@@ -295,8 +297,34 @@ func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
 		segs:       make([]*colSegment, 0, (n+ColumnBlockSize-1)/ColumnBlockSize),
 	}
 	col.segs = append(col.segs, old.segs[:sealed]...)
-	col.appendRows(sealed*ColumnBlockSize, n)
+	from := sealed * ColumnBlockSize
+	if sealed < len(old.segs) {
+		from = col.growTail(old.segs[sealed], n)
+	}
+	col.appendRows(from, n)
 	return col
+}
+
+// growTail appends to c.segs the old unsealed tail segment grown by the
+// rows after it, up to the block's end or row n, and returns the row it
+// stops at. The first extension of tail claims its arrays' spare room
+// and writes only past the tail's rows, where no reader of tail looks;
+// an exact-sized tail — one a projection made — or a sibling extension
+// that loses the claim copies the tail's rows into arrays of
+// ColumnBlockSize capacity, so every later extension of the result
+// appends in place. The zone map merges the tail's with the added
+// values.
+func (c *Column) growTail(tail *colSegment, n int) int {
+	lo, mid := tail.zone.lo, tail.zone.hi
+	hi := min(lo+ColumnBlockSize, n)
+	d := tail.data.Load().grow(c.kind, hi-lo, tail.grown.CompareAndSwap(false, true))
+	c.fill(d, lo, mid, hi)
+	sg := &colSegment{zone: tail.zone, sealed: hi-lo == ColumnBlockSize}
+	sg.zone.hi = hi
+	sg.zone.widen(c.kind, d, mid-lo)
+	sg.data.Store(d)
+	c.segs = append(c.segs, sg)
+	return hi
 }
 
 // projectColumn builds the segmented projection of one field, declared
@@ -315,31 +343,33 @@ func projectColumn(patches []*Patch, field string, kind ValueKind) *Column {
 	return col
 }
 
-// appendRows projects rows [from, n) of c.patches into fresh segments
-// appended to c.segs (from must be ColumnBlockSize-aligned).
+// appendRows projects rows [from, n) of c.patches into fresh,
+// exact-sized segments appended to c.segs (from must be
+// ColumnBlockSize-aligned).
 func (c *Column) appendRows(from, n int) {
 	for lo := from; lo < n; lo += ColumnBlockSize {
 		hi := min(lo+ColumnBlockSize, n)
 		sg := &colSegment{zone: zoneMap{lo: lo, hi: hi}, sealed: hi-lo == ColumnBlockSize}
 		d := newSegData(c.kind, hi-lo)
-		c.fill(d, lo, hi)
+		c.fill(d, lo, lo, hi)
 		sg.computeZone(c.kind, d)
 		sg.data.Store(d)
 		c.segs = append(c.segs, sg)
 	}
 }
 
-// fill reads rows [lo, hi) of the field into d, one segment's arrays.
+// fill reads rows [lo, hi) of the field into d, one segment's arrays
+// whose first row is base.
 // Dictionary codes assign in first-appearance order, so projecting rows
 // in ascending order reproduces a fresh full projection's codes exactly;
 // a dictionary borrowed from an older column clones copy-on-write
 // before the first genuinely new string. A row already projected never
 // adds a code, so re-filling a segment (rebuildSeg) only reads the
 // dictionary and needs no lock.
-func (c *Column) fill(d *segData, lo, hi int) {
+func (c *Column) fill(d *segData, base, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		v, _ := c.patches[i].Get(c.field)
-		switch j := i - lo; c.kind {
+		switch j := i - base; c.kind {
 		case KindInt:
 			d.ints[j] = v.Int()
 		case KindFloat:
@@ -797,7 +827,8 @@ func (t *topKeep) before(a, b topEntry) bool {
 	case KindInt:
 		less, greater = a.i < b.i, a.i > b.i
 	case KindFloat:
-		less, greater = a.f < b.f, a.f > b.f
+		c := cmp.Compare(a.f, b.f) // a NaN first, as Value.Compare orders it
+		less, greater = c < 0, c > 0
 	case KindStr:
 		sa, sb := col.dict[a.i], col.dict[b.i]
 		less, greater = sa < sb, sa > sb

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -285,5 +289,145 @@ func TestCollectionColumnsExtends(t *testing.T) {
 	}
 	if e3 := db.RefreshStats().ColumnExtends; e3 != 0 {
 		t.Fatalf("rebuild after a reopen counted as extend: %d", e3)
+	}
+}
+
+// TestColumnExtendAllocsIndependentOfTail: an extension projects only
+// the rows it adds. Extending a store whose tail already has a block's
+// room (an extension grew it once from its exact-sized projection) by
+// 64 rows allocates about the same bytes over a 64-row tail as over a
+// 960-row one: the tail grows in place, no copy and no re-projection
+// of its old rows.
+func TestColumnExtendAllocsIndependentOfTail(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const step, runs = 64, 21
+	measure := func(tail int) uint64 {
+		n := 2*ColumnBlockSize + tail
+		ps := make([]*Patch, n+step)
+		for i := range ps {
+			ps[i] = columnPatch(i)
+			ps[i].ID = PatchID(i + 1)
+		}
+		per := make([]uint64, runs)
+		var a, b runtime.MemStats
+		for r := range per {
+			cs := newColumnStore(snapshotOf(ps[:n-32], 1), nil)
+			for _, f := range tieredFields {
+				cs.Column(f)
+			}
+			cs, _ = cs.Extend(snapshotOf(ps[:n], 2))
+			runtime.ReadMemStats(&a)
+			cs.Extend(snapshotOf(ps, 3))
+			runtime.ReadMemStats(&b)
+			per[r] = b.TotalAlloc - a.TotalAlloc
+		}
+		slices.Sort(per)
+		return per[runs/2]
+	}
+	short, long := measure(step), measure(960)
+	t.Logf("64-row extension: %d B over a 64-row tail, %d B over a 960-row tail (medians)", short, long)
+	if diff := max(short, long) - min(short, long); diff >= 1<<10 {
+		t.Fatalf("a 64-row extension allocates %d B over a 64-row tail and %d B over a 960-row one: %d B apart, want < 1 KiB",
+			short, long, diff)
+	}
+}
+
+// tailAnswers is what the tail tests ask a store: equalities on an old
+// and a suffix-only string, a float range and two top-ks.
+type tailAnswers struct{ car, zeppelin, scores, rank, label []int32 }
+
+func answersOf(cs *ColumnStore) tailAnswers {
+	var a tailAnswers
+	a.car, _, _ = cs.FilterEqStats("label", StrV("car"))
+	a.zeppelin, _, _ = cs.FilterEqStats("label", StrV("zeppelin"))
+	a.scores, _, _ = cs.FilterRangeStats("score", 2.5, 7.5)
+	a.rank, _ = cs.TopK(nil, "rank", true, 25)
+	a.label, _ = cs.TopK(nil, "label", false, 25)
+	return a
+}
+
+// TestColumnTailSiblingExtends races two extensions of one store whose
+// tail has a block's room, over suffixes that differ in every row (one
+// crossing into the next block, with a new dictionary string), while
+// readers query the store and its parent. One extension wins the tail's
+// claim and appends in place; the other must copy: every older store
+// keeps answering its own rows, and both results, and their own
+// extensions, match fresh projections. CI runs it under -race.
+func TestColumnTailSiblingExtends(t *testing.T) {
+	const base = ColumnBlockSize + 100
+	ps := make([]*Patch, base+64)
+	for i := range ps {
+		ps[i] = columnPatch(i)
+		ps[i].ID = PatchID(i + 1)
+	}
+	suffix := func(n, shift int) []*Patch {
+		rows := slices.Clone(ps)
+		for i := len(ps); i < len(ps)+n; i++ {
+			p := columnPatch(i + shift)
+			if shift > 0 && i%4 == 0 {
+				p.Meta["label"] = StrV("zeppelin")
+			}
+			p.ID = PatchID(i + 1)
+			rows = append(rows, p)
+		}
+		return rows
+	}
+	rowsA, rowsB := suffix(64+200, 0), suffix(1000+200, 1)
+	for round := 0; round < 8; round++ {
+		s0 := newColumnStore(snapshotOf(ps[:base], 1), nil)
+		for _, f := range tieredFields {
+			s0.Column(f)
+		}
+		s1, _ := s0.Extend(snapshotOf(ps, 2)) // the tail now has a block's room
+		want0, want1 := answersOf(s0), answersOf(s1)
+
+		var done atomic.Bool
+		var readers, writers sync.WaitGroup
+		for _, r := range []struct {
+			cs   *ColumnStore
+			want tailAnswers
+		}{{s0, want0}, {s1, want1}} {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for !done.Load() {
+					if got := answersOf(r.cs); !reflect.DeepEqual(got, r.want) {
+						t.Errorf("round %d: a %d-row store's answers changed during its extensions", round, r.cs.at.Len())
+						return
+					}
+				}
+			}()
+		}
+		var a, b *ColumnStore
+		snapA, snapB := snapshotOf(rowsA[:len(ps)+64], 3), snapshotOf(rowsB[:len(ps)+1000], 3)
+		writers.Add(2)
+		go func() { defer writers.Done(); a, _ = s1.Extend(snapA) }()
+		go func() { defer writers.Done(); b, _ = s1.Extend(snapB) }()
+		writers.Wait()
+		done.Store(true)
+		readers.Wait()
+
+		for _, c := range []struct {
+			ext  *ColumnStore
+			rows []*Patch
+			n    int
+		}{{a, rowsA, len(ps) + 64}, {b, rowsB, len(ps) + 1000}} {
+			fresh := newColumnStore(snapshotOf(c.rows[:c.n], 3), nil)
+			for _, f := range tieredFields {
+				columnsEqual(t, f, c.ext, fresh)
+			}
+			// The winner's result carries the claim on; the loser's copy
+			// has a block's room too.
+			next, _ := c.ext.Extend(snapshotOf(c.rows, 4))
+			fresh = newColumnStore(snapshotOf(c.rows, 4), nil)
+			for _, f := range tieredFields {
+				columnsEqual(t, f, next, fresh)
+			}
+		}
+		if !reflect.DeepEqual(answersOf(s0), want0) || !reflect.DeepEqual(answersOf(s1), want1) {
+			t.Fatalf("round %d: an older store's answers changed", round)
+		}
 	}
 }

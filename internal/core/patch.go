@@ -445,8 +445,9 @@ func (v Value) Equal(o Value) bool {
 
 // Compare orders comparable values: -1 when v orders before o, +1 when
 // after, 0 when neither does. Kinds order by Kind, then ints, floats and
-// strings by value; vec/rect values, and a NaN against any float,
-// compare 0.
+// strings by value; floats as cmp.Compare orders them, a NaN before
+// every other float and equal to a NaN, so the order is total, as the
+// column path's sort orders are. Vec/rect values compare 0.
 func (v Value) Compare(o Value) int {
 	if v.Kind != o.Kind {
 		return cmp.Compare(v.Kind, o.Kind)
@@ -455,12 +456,7 @@ func (v Value) Compare(o Value) int {
 	case KindInt:
 		return cmp.Compare(v.Int(), o.Int())
 	case KindFloat:
-		switch a, b := v.Float(), o.Float(); {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
+		return cmp.Compare(v.Float(), o.Float())
 	case KindStr:
 		return strings.Compare(v.Str(), o.Str())
 	}
@@ -611,16 +607,23 @@ func (p *Patch) Marshal() []byte {
 	return buf
 }
 
-// encode serializes p, builder or committed row, in c's stored form. It
-// sizes the encoding first and writes it into one allocation. A declared
-// field that p lacks, or holds with another kind or dimension, is an
-// error: AppendBatch validates a row before it encodes it.
+// encode serializes p, builder or committed row, in c's stored form,
+// into one allocation (see appendEncoded).
 func (c *rowCodec) encode(p *Patch) ([]byte, error) {
+	return c.appendEncoded(nil, p)
+}
+
+// appendEncoded appends p's stored form to buf. It sizes the encoding
+// first and grows buf at most once, to that size exactly when buf is
+// nil. A declared field that p lacks, or holds with another kind or
+// dimension, is an error, and buf is returned as it was: AppendBatch
+// validates a row before it encodes it.
+func (c *rowCodec) appendEncoded(buf []byte, p *Patch) ([]byte, error) {
 	var declArr [16]slot
 	var restArr [16]Pair
 	decl, rest, err := c.split(p, declArr[:0], restArr[:0])
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	n := 1 + strLen(p.Ref.Source) + uvarintLen(p.Ref.Frame) + uvarintLen(uint64(p.Ref.Parent))
 	dataLen := 0
@@ -636,7 +639,11 @@ func (c *rowCodec) encode(p *Patch) ([]byte, error) {
 		n += strLen(rest[i].Key) + 1 + valueLen(&rest[i].Value)
 	}
 
-	buf := make([]byte, 0, n)
+	if buf == nil {
+		buf = make([]byte, 0, n) // exact-sized: Marshal's bytes are kept
+	} else {
+		buf = slices.Grow(buf, n)
+	}
 	buf = append(buf, rowMarker)
 	buf = appendStr(buf, p.Ref.Source)
 	buf = binary.AppendUvarint(buf, p.Ref.Frame)

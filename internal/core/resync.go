@@ -98,11 +98,12 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 			}
 		}
 		checked = have
-		chunk, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
+		chunk, buf, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
 		if err != nil {
 			return err
 		}
 		_, n, err := rcol.commit(chunk, have)
+		rcol.releaseEnc(buf)
 		if rows += n; errors.Is(err, errBehind) {
 			return nil
 		}

@@ -53,6 +53,32 @@ func newSegData(kind ValueKind, rows int) *segData {
 	return d
 }
 
+// grow returns d's array lengthened to rows values: d's own array when
+// inPlace and it has the room, so the values past d's end are the
+// caller's to write and d's readers never look at them; otherwise a
+// copy of d's values with room for ColumnBlockSize.
+func (d *segData) grow(kind ValueKind, rows int, inPlace bool) *segData {
+	g := new(segData)
+	switch kind {
+	case KindInt:
+		g.ints = growRows(d.ints, rows, inPlace)
+	case KindFloat:
+		g.floats = growRows(d.floats, rows, inPlace)
+	case KindStr:
+		g.codes = growRows(d.codes, rows, inPlace)
+	}
+	return g
+}
+
+func growRows[T any](vals []T, rows int, inPlace bool) []T {
+	if inPlace && cap(vals) >= rows {
+		return vals[:rows]
+	}
+	out := make([]T, rows, ColumnBlockSize) // a tail holds at most a block
+	copy(out, vals)
+	return out
+}
+
 // segBytes is the cache-accounting size of a segment's arrays, known
 // from its shape alone so admission is decided before anything decodes.
 func segBytes(kind ValueKind, rows int) int64 {
@@ -80,6 +106,10 @@ type colSegment struct {
 	// ord is a sealed segment's sort order, set once by the first index
 	// probe (see Column.order). It stays resident when data is evicted.
 	ord atomic.Pointer[[]uint16]
+	// grown is claimed by the first Extend that grows this unsealed
+	// segment, which may write its arrays past its rows; any later one
+	// copies (see Column.growTail).
+	grown atomic.Bool
 }
 
 func (sg *colSegment) rows() int { return sg.zone.hi - sg.zone.lo }
@@ -89,11 +119,22 @@ func (sg *colSegment) computeZone(kind ValueKind, d *segData) {
 	z := &sg.zone
 	switch kind {
 	case KindInt:
-		z.minI, z.maxI = bounds(d.ints, math.MaxInt64, math.MinInt64)
+		z.minI, z.maxI = math.MaxInt64, math.MinInt64
 	case KindFloat:
-		z.minF, z.maxF = bounds(d.floats, math.Inf(1), math.Inf(-1))
+		z.minF, z.maxF = math.Inf(1), math.Inf(-1)
+	}
+	z.widen(kind, d, 0)
+}
+
+// widen folds the values of d from index j on into the zone map.
+func (z *zoneMap) widen(kind ValueKind, d *segData, j int) {
+	switch kind {
+	case KindInt:
+		z.minI, z.maxI = bounds(d.ints[j:], z.minI, z.maxI)
+	case KindFloat:
+		z.minF, z.maxF = bounds(d.floats[j:], z.minF, z.maxF)
 	case KindStr:
-		for _, code := range d.codes {
+		for _, code := range d.codes[j:] {
 			if code < 64 {
 				z.codeSet |= 1 << code
 			}

@@ -599,10 +599,12 @@ func (c *ShardedCollection) Append(p *Patch) error {
 // parts committed; a failed secondary falls behind, frozen at a prefix
 // of the primary's rows that ResyncReplica appends the rest to.
 func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
-	rows, err := c.cols[0][0].prepare(ps)
+	prim := c.cols[0][0]
+	rows, buf, err := prim.prepare(ps)
 	if err != nil {
 		return 0, err
 	}
+	defer prim.releaseEnc(buf) // after the last replica's commit
 	s := c.s
 	home := func(r prepRow) int { return s.ShardFor(r.p.ID) }
 	s.appendMu.Lock()

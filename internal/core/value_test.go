@@ -70,7 +70,8 @@ func TestValueEqualCompareTables(t *testing.T) {
 		{FloatV(1), FloatV(2), false, -1},
 		{FloatV(negZero), FloatV(0), true, 0},
 		{FloatV(nan), FloatV(nan), false, 0},
-		{FloatV(nan), FloatV(1), false, 0},
+		{FloatV(nan), FloatV(1), false, -1},
+		{FloatV(nan), FloatV(math.Inf(-1)), false, -1},
 		{FloatV(math.Inf(-1)), FloatV(math.Inf(1)), false, -1},
 		{StrV("aa"), StrV(heapStr), true, 0},
 		{StrV(""), StrV(""), true, 0},

@@ -71,7 +71,7 @@ type VectorIndex struct {
 	// A balltree over pts[:treeN] plus a linear tail pts[treeN:] of
 	// appended points not yet re-treed. An extension shares pts' prefix
 	// and only ever writes past len(pts), so readers of an older index
-	// never see their slice mutate (see appendPts).
+	// never see their slice mutate (see claimPts).
 	pts   []balltree.Point
 	treeN int
 	ball  *balltree.Tree
@@ -123,17 +123,17 @@ func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
 // shape (first vectors appearing, or a dimensionality change); the
 // caller falls back to a full rebuild.
 func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
-	var newPts []balltree.Point
+	pts := vi.claimPts()
 	for _, p := range at.rows[vi.at.Len():] {
 		if vec, ok := vecOf(p, vi.field); ok {
 			if vi.dim == 0 || len(vec) != vi.dim {
 				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
 			}
-			newPts = append(newPts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
+			pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
 		}
 	}
 	nx := &VectorIndex{field: vi.field, dim: vi.dim, at: at,
-		pts: vi.appendPts(newPts), ball: vi.ball, treeN: vi.treeN}
+		pts: pts, ball: vi.ball, treeN: vi.treeN}
 	if tail := len(nx.pts) - nx.treeN; tail > exactTailMax && tail*4 > nx.treeN {
 		// Build partitions a copy of its input, never the prefix older
 		// indexes share.
@@ -146,16 +146,17 @@ func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 	return nx, nil
 }
 
-// appendPts returns vi's points followed by add. The first extension of
-// vi appends in place: it writes only past len(vi.pts), where no reader
-// of vi or of an older index looks, so an append costs O(added) rather
-// than a copy of the history. A raced sibling extension of the same
-// receiver would write the same slots, so every later one copies.
-func (vi *VectorIndex) appendPts(add []balltree.Point) []balltree.Point {
+// claimPts returns vi's points for an extension to append to. The first
+// extension of vi appends in place: it writes only past len(vi.pts),
+// where no reader of vi or of an older index looks, so an append costs
+// O(added) rather than a copy of the history. A raced sibling extension
+// of the same receiver would write the same slots, so every later one
+// gets the points capped at their length, and its first append copies.
+func (vi *VectorIndex) claimPts() []balltree.Point {
 	if vi.extended.CompareAndSwap(false, true) {
-		return append(vi.pts, add...)
+		return vi.pts
 	}
-	return append(vi.pts[:len(vi.pts):len(vi.pts)], add...)
+	return vi.pts[:len(vi.pts):len(vi.pts)]
 }
 
 // Field returns the indexed vector field.

@@ -77,13 +77,16 @@ const DefaultStall = 500 * time.Millisecond
 
 // Rule arms one failpoint: fire with probability Prob at call sites
 // matching the Shard/Replica scope (Any matches all). Stall is the
-// delay for stall points (DefaultStall when zero).
+// delay for stall points (DefaultStall when zero). A stall rule with a
+// Hold channel instead lasts until Hold is closed: a wedged shard that
+// heals when its owner says so, whatever the scheduler's delays.
 type Rule struct {
 	Point   Point
 	Shard   int
 	Replica int
 	Prob    float64
 	Stall   time.Duration
+	Hold    <-chan struct{}
 }
 
 // Config arms a set of rules under one deterministic seed.
@@ -291,28 +294,33 @@ func (in *Injector) Fail(p Point, shard, replica int) error {
 }
 
 // Stall evaluates a stall failpoint: if armed it sleeps for the rule's
-// duration (DefaultStall when unset) or until ctx is done, returning
-// ctx.Err() in the canceled case so hedge losers abandon the attempt.
-// A completed stall returns nil and the call site proceeds normally —
-// stalls model slowness, not failure.
+// duration (DefaultStall when unset), or until its Hold is closed, or
+// until ctx is done, returning ctx.Err() in the canceled case so hedge
+// losers abandon the attempt. A completed stall returns nil and the
+// call site proceeds normally — stalls model slowness, not failure.
 func (in *Injector) Stall(ctx context.Context, p Point, shard, replica int) error {
 	r := in.match(p, shard, replica)
 	if r == nil {
 		return nil
 	}
 	in.fired[pointIdx(p)].Add(1)
-	d := r.Stall
-	if d <= 0 {
-		d = DefaultStall
-	}
 	if ctx == nil {
-		time.Sleep(d)
-		return nil
+		ctx = context.Background()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	var expired <-chan time.Time // nil, so never ready, while held
+	if r.Hold == nil {
+		d := r.Stall
+		if d <= 0 {
+			d = DefaultStall
+		}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
-	case <-t.C:
+	case <-expired:
+		return nil
+	case <-r.Hold:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -301,6 +301,37 @@ func TestStallHonorsCancel(t *testing.T) {
 	}
 }
 
+// TestStallHoldsUntilReleased: a held stall outlasts any delay and
+// returns nil once its Hold is closed; cancellation still ends it.
+func TestStallHoldsUntilReleased(t *testing.T) {
+	hold := make(chan struct{})
+	in := New(Config{Seed: 1, Rules: []Rule{
+		{Point: FragmentStall, Shard: Any, Replica: Any, Prob: 1, Stall: time.Millisecond, Hold: hold},
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceled := make(chan error, 1)
+	go func() { canceled <- in.Stall(ctx, FragmentStall, 1, 0) }()
+	done := make(chan error, 1)
+	go func() { done <- in.Stall(context.Background(), FragmentStall, 0, 0) }()
+	select {
+	case err := <-done:
+		t.Fatalf("held stall returned %v before its release", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled held stall returned %v", err)
+	}
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatalf("released stall returned %v", err)
+	}
+	if got := in.Fired(FragmentStall); got != 2 {
+		t.Fatalf("Fired = %d, want 2", got)
+	}
+}
+
 func TestFirstMatchingRuleWins(t *testing.T) {
 	// A shard-scoped certain rule ahead of a never-fire wildcard:
 	// scoped sites fire, others fall through to the p=0 rule and don't.

@@ -96,22 +96,27 @@ type wireBuf struct {
 
 var wireBufs warmpool.Pool[wireBuf]
 
-// writeResponse sends a successful /query answer as its head — the
-// memoized bytes of a cached result, a fresh encoding for any other —
-// followed by the per-request tail. The body is byte-identical to
+// writeResponse sends a successful /query answer as its head — for a
+// hit on a cached result its memoized bytes, a fresh encoding for any
+// other delivery, the one that stored the result included — followed by
+// the per-request tail. The body is byte-identical to
 // writeJSON(w, http.StatusOK, resp), and like it commits no status
 // before the whole body is encoded.
 func writeResponse(w http.ResponseWriter, resp *Response, t hitTail) {
 	var head []byte
 	var err error
-	if m := resp.wire; m != nil {
+	m := resp.wire
+	if !t.hit && !resp.CacheHit {
+		m = nil // a result no one has read from the cache keeps no head
+	}
+	if m != nil {
 		// Before this request takes its own wireBuf: a first headFor
 		// encodes into one, and one request holds one at a time.
 		head, err = m.headFor(resp)
 	}
 	wb := wireBufs.Get()
 	defer wireBufs.Put(wb)
-	if resp.wire != nil {
+	if m != nil {
 		wb.b = wb.b[:0]
 	} else {
 		wb.b, err = resp.appendHead(wb.b[:0], &wb.keys)

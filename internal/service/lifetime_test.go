@@ -7,18 +7,24 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 )
 
-// armFragmentStall makes every later fragment attempt stall for d. The
-// workers read the injector only for tasks queued after this call.
-func armFragmentStall(s *Service, d time.Duration) {
+// holdFragments makes every later fragment attempt stall until the
+// returned release is called, or the test ends. The workers read the
+// injector only for tasks queued after this call.
+func holdFragments(t *testing.T, s *Service) (release func()) {
+	hold := make(chan struct{})
 	s.inj = fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
-		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Stall: d},
+		{Point: fault.FragmentStall, Shard: fault.Any, Replica: fault.Any, Prob: 1, Hold: hold},
 	}})
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release) // before the service closes: a failed test frees its worker
+	return release
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.
@@ -39,8 +45,9 @@ func (s *Service) flightOpen(key string) bool {
 }
 
 // startBlocker runs req on the only worker in the background, its
-// fragment held by the armed stall, and returns once the worker has
-// taken it. The returned channel delivers its outcome.
+// fragment held by holdFragments, and returns once that fragment is
+// held (the first stall fired) with nothing queued behind it. The
+// returned channel delivers its outcome.
 func startBlocker(t *testing.T, s *Service, req Request) <-chan *Response {
 	t.Helper()
 	out := make(chan *Response, 1)
@@ -51,15 +58,21 @@ func startBlocker(t *testing.T, s *Service, req Request) <-chan *Response {
 		}
 		out <- r
 	}()
-	waitFor(t, "the worker to take the blocker", func() bool { return s.inFlight.Load() == 1 && len(s.queue) == 0 })
+	// Not the in-flight count: a worker publishes a task's outcome before
+	// it counts the task out, so a count of 1 may still be the previous
+	// query while req is yet to be queued.
+	waitFor(t, "the worker to hold the blocker", func() bool {
+		return s.inj.Fired(fault.FragmentStall) == 1 && len(s.queue) == 0
+	})
 	return out
 }
 
 // TestPooledRequestNotReachedByWorker: the Request a pooled decoder
 // holds is never what a worker reads. A timed-out caller's task sits in
-// the queue behind a query whose fragment a fault stall holds; the
-// caller gets its 504, and 200 and more distinct cache hits decode into
-// the decoder it released while the worker reaches that task. The task
+// the queue behind a query whose fragment a held fault stall keeps on
+// the only worker; the caller gets its 504, 200 distinct cache hits
+// decode into the decoder it released while the worker is held, and
+// more while the released worker reaches that task. The task
 // was admitted with its own copy, so it stores nothing under another
 // request's key, and the stalled query's result is stored under its own
 // key with its own rows. A task whose caller timed out is dropped when
@@ -96,7 +109,7 @@ func TestPooledRequestNotReachedByWorker(t *testing.T) {
 	}
 
 	waits, tasks := s.tel.queueWait.Count(), s.tel.scatterTasks.Value()
-	armFragmentStall(s, 300*time.Millisecond)
+	release := holdFragments(t, s)
 	blocker := startBlocker(t, s, blockerReq)
 
 	timedOut := fmt.Sprintf(`{"collection":%q,"filter":{"field":"label","str":"bus"},"order_by":"score","limit":4,"timeout_ms":50}`, shardTestCol)
@@ -118,9 +131,17 @@ func TestPooledRequestNotReachedByWorker(t *testing.T) {
 	released := queryDecoders.Get()
 	queryDecoders.Put(released)
 	n := 0
+	var deadline time.Time
 	for ; n < hits || s.flightOpen(timedOutKey); n++ {
-		if n > 1_000_000 {
-			t.Fatal("the worker never reached the timed-out query's task")
+		if n == hits {
+			if !s.flightOpen(timedOutKey) {
+				t.Fatal("the timed-out query's task left the queue while the blocker held the worker")
+			}
+			release()
+			deadline = time.Now().Add(5 * time.Second)
+		}
+		if n > hits && time.Now().After(deadline) {
+			t.Fatal("the released worker never reached the timed-out query's task")
 		}
 		rec := post(hitBody(n % hits))
 		r := checkWire(t, "hit", rec.Code, rec.Body.Bytes())
@@ -173,7 +194,7 @@ func TestAppendBetweenKeyAndExecutionLeavesResultUnnamed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	armFragmentStall(s, 100*time.Millisecond)
+	release := holdFragments(t, s)
 	blocker := startBlocker(t, s, Request{Collection: shardTestCol, NoCache: true})
 	type outcome struct {
 		r   *Response
@@ -194,6 +215,7 @@ func TestAppendBetweenKeyAndExecutionLeavesResultUnnamed(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	<-blocker
 
 	got := <-queued

@@ -549,8 +549,10 @@ func (r Row) MarshalJSON() ([]byte, error) {
 }
 
 // wireMemo is a cached result's head, encoded at most once — on its
-// first HTTP delivery — and shared by the leader's miss, every coalesced
-// waiter, traced copies and every later hit. Building it charges the
+// first HTTP delivery as a hit — and shared by every coalesced waiter,
+// traced hit and later hit. The delivery that stored the result encodes
+// its head into its pooled wireBuf instead, so a result the next append
+// drops unread never copies its head. Building the memo charges the
 // head's bytes to the result-cache entry holding entry.
 type wireMemo struct {
 	once sync.Once

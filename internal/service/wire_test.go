@@ -442,6 +442,90 @@ func TestCachedHitAllocs(t *testing.T) {
 	}
 }
 
+// TestUnreadResultAllocsNoHead: the delivery that stores a cacheable
+// result writes its head from its pooled buffer and copies none into
+// the memo, so a result no one reads from the cache costs no head. The
+// first hit builds the memo once, charging the cache its length, and
+// later hits send the same bytes.
+func TestUnreadResultAllocsNoHead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s := obsFixture(t, 1, 240, Config{Workers: 1})
+	body := []byte(`{"collection":"` + shardTestCol + `","filter":{"field":"label","str":"car"},"order_by":"rank","limit":20}`)
+	var req Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.fingerprintFor(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	hreq := httptest.NewRequest(http.MethodPost, "/query", rd)
+	h := s.Handler()
+	serve := func() []byte {
+		rd.Reset(body)
+		w := &sinkWriter{hdr: http.Header{}}
+		h.ServeHTTP(w, hreq)
+		return w.body
+	}
+	miss := serve()
+	if r := checkWire(t, "miss", http.StatusOK, miss); r.CacheHit {
+		t.Fatal("the first request hit the cache")
+	}
+	v, ok := s.results.Get(key)
+	if !ok {
+		t.Fatal("the miss stored no result")
+	}
+	stored := v.(*Response)
+	m := stored.wire
+	if m == nil {
+		t.Fatal("the stored result has no memo")
+	}
+	if m.head != nil {
+		t.Fatalf("the miss copied its %d-byte head into the memo, want an unbuilt memo", len(m.head))
+	}
+	before := s.results.Stats().Bytes
+	for i := 0; i < 2; i++ {
+		hit := serve()
+		if r := checkWire(t, "hit", http.StatusOK, hit); !r.CacheHit {
+			t.Fatalf("request %d after the miss did not hit", i+2)
+		}
+		if len(m.head) == 0 || !bytes.HasPrefix(hit, m.head) || !bytes.HasPrefix(miss, m.head) {
+			t.Fatalf("hit %d: the memo's %d-byte head does not begin the miss's and the hit's bodies", i+1, len(m.head))
+		}
+		if got := s.results.Stats().Bytes - before; got != int64(len(m.head)) {
+			t.Fatalf("hit %d: the cache was charged %d bytes for a %d-byte head", i+1, got, len(m.head))
+		}
+	}
+
+	// A storing delivery, each of an unbuilt memo, allocates nothing.
+	const runs = 100
+	memos := make([]wireMemo, runs+1)
+	copies := make([]Response, runs+1)
+	for i := range copies {
+		memos[i] = wireMemo{cache: s.results, key: key, entry: stored}
+		copies[i] = *stored
+		copies[i].wire = &memos[i]
+	}
+	w := &sinkWriter{hdr: http.Header{}}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		w.status, w.body = 0, w.body[:0]
+		writeResponse(w, &copies[next], hitTail{})
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("the delivery that stores a result allocates %.0f times, want 0", allocs)
+	}
+	for i := range memos {
+		if memos[i].head != nil {
+			t.Fatalf("storing delivery %d built its memo", i)
+		}
+	}
+}
+
 // TestUncachedResponseAllocsIndependentOfRows: a response without a
 // stored head is encoded row by row into a pooled buffer, so sending 20
 // rows allocates no more objects than sending one.
