@@ -78,7 +78,7 @@ func run() error {
 		replicas   = flag.Int("replicas", 1, "replicas per shard (appends write all replicas of the home shard; reads hedge across them)")
 		queryTO    = flag.Duration("query-timeout", 0, "server-side query deadline (0 = none; requests may override with timeout_ms; exceeded = HTTP 504)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "how long a fragment attempt runs before it is hedged to another replica (0 = default 25ms, negative disables hedging)")
-		resyncIvl  = flag.Duration("resync-interval", 0, "anti-entropy sweep cadence: how often replicas behind their primary are re-synced from it (0 = default 200ms, negative disables; only with -replicas > 1)")
+		resyncIvl  = flag.Duration("resync-interval", 0, "anti-entropy sweep cadence: how often replicas behind their primary are re-synced from it (0 = default 200ms, negative disables; only with -replicas > 1; a failed repair is retried on the next sweep)")
 		faultSpec  = flag.String("fault", "", "comma-separated failpoint rules point[@shard[.replica]]:prob[:stall_ms], e.g. fragment-stall:0.2 or append-error@*.1:1 (points: fragment-error, fragment-stall, append-error, device-stall, resync-error, resync-stall)")
 		faultSeed  = flag.Int64("fault-seed", 1, "deterministic seed for failpoint probability draws")
 		workers    = flag.Int("workers", 8, "executor pool size")

@@ -465,6 +465,10 @@ type Collection struct {
 	// the next (see prepare); nil while a batch holds it.
 	enc atomic.Pointer[[]byte]
 
+	// verified counts the leading rows a repair found equal to the
+	// primary's (on a replica; see resyncCollection).
+	verified atomic.Int64
+
 	// treeStats caches the tree statistics: treeStatKey -> treeStat,
 	// each written once (see Snapshot.treeStat).
 	treeStats sync.Map

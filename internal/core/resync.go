@@ -74,30 +74,39 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 	if err != nil {
 		return 0, err
 	}
-	rows, checked, lag := 0, 0, math.MaxInt
-	// round reads the replica, then the primary (so one that has not
-	// diverged is never seen ahead), checks the replica's new rows are
-	// the primary's, and commits up to max rows past them at the
-	// replica's count, or none if another repair got there first.
-	round := func(max int) error {
-		rs, err := rcol.Current()
-		if err != nil {
-			return err
+	rows, lag := 0, math.MaxInt
+	// check reads the replica, then the primary (so one that has not
+	// diverged is never seen ahead), and checks that the replica's rows
+	// past its verified prefix are the primary's. Committed rows never
+	// change, so the prefix carries from one repair to the next: a retry
+	// checks only the rows the replica gained since.
+	check := func() (rs, ps Snapshot, err error) {
+		if rs, err = rcol.Current(); err != nil {
+			return rs, ps, err
 		}
-		ps, err := prim.Current()
+		if ps, err = prim.Current(); err != nil {
+			return rs, ps, err
+		}
+		have := rs.Len()
+		if have > ps.Len() {
+			return rs, ps, fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
+		}
+		for i := int(rcol.verified.Load()); i < have; i++ {
+			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
+				return rs, ps, fmt.Errorf("row %d differs from primary — diverged", i)
+			}
+		}
+		rcol.verified.Store(int64(have))
+		return rs, ps, nil
+	}
+	// round checks the replica and commits up to max rows past its
+	// count, or none if another repair got there first.
+	round := func(max int) error {
+		rs, ps, err := check()
 		if err != nil {
 			return err
 		}
 		have := rs.Len()
-		if have > ps.Len() {
-			return fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
-		}
-		for i := checked; i < have; i++ {
-			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
-				return fmt.Errorf("row %d differs from primary — diverged", i)
-			}
-		}
-		checked = have
 		chunk, buf, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
 		if err != nil {
 			return err
@@ -124,6 +133,12 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 		lag = prim.Len() - rcol.Len()
 		last := lag <= commitChunk || lag >= prev
 		if last {
+			// Check before taking appendMu, which then covers only rows
+			// the replica gained meanwhile: after a restart the check
+			// reads every row, and appends must not wait for it.
+			if _, _, err := check(); err != nil {
+				return rows, err
+			}
 			s.appendMu.Lock()
 			err = round(math.MaxInt)
 			s.appendMu.Unlock()

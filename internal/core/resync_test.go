@@ -461,3 +461,53 @@ func TestResyncRefusesReplicaRowWithOtherID(t *testing.T) {
 		t.Fatalf("in-sync after refused resync = %v, want primary only", got)
 	}
 }
+
+// TestResyncRechecksOnlyNewRows: a replica keeps the prefix a repair
+// verified against its primary, and the next repair checks only the
+// rows past it, so a retry after a failure does not read the whole
+// replica again. A twin put in place of a verified row in the
+// replica's memory goes unread; one past the prefix is refused.
+func TestResyncRechecksOnlyNewRows(t *testing.T) {
+	s, sc := resyncFixture(t, 1, 2, 8)
+	next := 8
+	lagBy := func(n int) {
+		freeze(s, 0, 1)
+		for ; n > 0; n-- {
+			if err := sc.Append(shardTestPatch(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		s.SetFaults(nil)
+	}
+	rep := sc.Replica(0, 1)
+	lagBy(2)
+	if _, err := s.ResyncReplica(context.Background(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.verified.Load(); got != 8 {
+		t.Fatalf("verified prefix after the first repair = %d, want the 8 rows it checked", got)
+	}
+	rep.mu.Lock()
+	twin := rep.cache[0].Clone()
+	twin.ID += 1000
+	rep.cache[0] = twin
+	rep.mu.Unlock()
+	lagBy(2)
+	if _, err := s.ResyncReplica(context.Background(), 0, 1); err != nil {
+		t.Fatalf("repair re-read a verified row: %v", err)
+	}
+	lagBy(2)
+	pp, err := sc.Replica(0, 0).Patches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin = pp[rep.Len()].Clone()
+	twin.ID += 1000
+	if err := rep.Append(twin); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ResyncReplica(context.Background(), 0, 1); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("resync over an unverified row with another id = %v, want diverged", err)
+	}
+}

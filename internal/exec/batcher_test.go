@@ -342,10 +342,11 @@ func TestBatcherIdleFlushWaitsForMidQuerySubmitter(t *testing.T) {
 }
 
 // TestBatcherIdleFlushOnSubmitterExit: a registered submitter that
-// finishes without submitting releases batches whose waiters were
-// blocked on it.
+// finishes without submitting does not idle-flush the batch whose waiter
+// was waiting for it: the stranded batch launches at its Window
+// deadline.
 func TestBatcherIdleFlushOnSubmitterExit(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: time.Hour})
+	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: 200 * time.Millisecond})
 	bat.BeginSubmitter() // A: will submit
 	bat.BeginSubmitter() // B: never submits
 
@@ -355,20 +356,25 @@ func TestBatcherIdleFlushOnSubmitterExit(t *testing.T) {
 		c := make([]float32, 4)
 		bat.GEMM(2, 2, 2, []float32{1, 0, 0, 1}, []float32{1, 2, 3, 4}, c)
 	}()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("batch flushed while B was still registered")
-	default:
+	// B exits without submitting once A's kernel is queued.
+	for queued := 0; queued == 0; {
+		select {
+		case <-done:
+			t.Fatal("A's batch launched before B exited")
+		case <-time.After(time.Millisecond):
+		}
+		bat.mu.Lock()
+		queued = bat.queuedKernels
+		bat.mu.Unlock()
 	}
-	bat.EndSubmitter() // B exits without submitting: A's batch must release
+	bat.EndSubmitter()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("batch not flushed after last co-submitter exited")
+		t.Fatal("stranded batch not flushed at its deadline")
 	}
-	if st := bat.BatcherStats(); st.FlushIdle != 1 {
-		t.Fatalf("idle flush not recorded: %+v", st)
+	if st := bat.BatcherStats(); st.FlushDeadline != 1 || st.FlushIdle != 0 || st.Launches != 1 {
+		t.Fatalf("want one deadline flush and no idle flush: %+v", st)
 	}
 	bat.EndSubmitter()
 }

@@ -129,8 +129,9 @@ type Config struct {
 	// ResyncInterval is the anti-entropy sweep cadence: how often the
 	// background repair loop checks for replicas behind their primary
 	// and re-syncs them (default 200ms; negative disables the loop).
-	// Failed repairs back off exponentially per replica regardless of
-	// the cadence.
+	// A replica whose repair fails is tried again on the next sweep, so
+	// a healed replica is repaired within one interval of its fault
+	// clearing.
 	// Only effective with a replicated sharded backend.
 	ResyncInterval time.Duration
 	// Faults arms the deterministic fault-injection failpoints in the
