@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,7 +312,7 @@ func BenchmarkRTreeInsert(b *testing.B) {
 }
 
 // BenchmarkBallTreeBuild measures ball-tree construction over 64-d
-// features.
+// features, each from a copy of the points: Build partitions its input.
 func BenchmarkBallTreeBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pts := make([]balltree.Point, 5000)
@@ -324,7 +325,7 @@ func BenchmarkBallTreeBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := balltree.Build(pts); err != nil {
+		if _, err := balltree.Build(slices.Clone(pts)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +342,7 @@ func BenchmarkBallTreeRange(b *testing.B) {
 		}
 		pts[i] = balltree.Point{Vec: v, ID: uint64(i)}
 	}
-	t, err := balltree.Build(pts)
+	t, err := balltree.Build(slices.Clone(pts))
 	if err != nil {
 		b.Fatal(err)
 	}

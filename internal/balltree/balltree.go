@@ -74,8 +74,10 @@ func DistWithin(a, b []float32, limit float64) (float64, bool) {
 	return math.Sqrt(s), true
 }
 
-// Build constructs a ball tree over pts (copied slice header, shared
-// backing vectors). All vectors must share one dimensionality.
+// Build constructs a ball tree over pts, which it partitions in place
+// and keeps: the tree owns the slice afterwards, so a caller that reads
+// it again passes a copy. The vectors are shared, not copied. All must
+// share one dimensionality.
 func Build(pts []Point) (*Tree, error) {
 	if len(pts) == 0 {
 		return &Tree{}, nil
@@ -86,9 +88,8 @@ func Build(pts []Point) (*Tree, error) {
 			return nil, fmt.Errorf("balltree: mixed dimensions %d and %d", dim, len(p.Vec))
 		}
 	}
-	cp := append([]Point(nil), pts...)
 	t := &Tree{dim: dim, size: len(pts)}
-	t.root = t.build(cp)
+	t.root = t.build(pts)
 	return t, nil
 }
 

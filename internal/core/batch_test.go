@@ -249,13 +249,13 @@ func runBatchGenerator(t *testing.T, replicas int, seed int64) {
 	}
 }
 
-// TestAppendBatchEncodeAllocs: a warm 64-row AppendBatch encodes its
-// rows into the buffer its collection kept from the last batch, on a
-// collection and on a sharded, replicated one alike, so it allocates no
-// buffer per row. The rows are
-// committed rows of another collection, as a replica repair appends
-// them, so sealing allocates nothing either and the count is the
-// batch's own.
+// TestAppendBatchEncodeAllocs: a warm 64-row AppendBatch lists and
+// encodes its rows into the row list and buffer its collection kept
+// from the last batch, on a collection and on a sharded, replicated one
+// alike, so it allocates nothing. The rows are committed rows of
+// another collection, as a replica repair appends them, so sealing
+// allocates nothing either and the count is the batch's own; the row
+// cache's occasional growth rounds away over the runs.
 func TestAppendBatchEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -300,8 +300,8 @@ func TestAppendBatchEncodeAllocs(t *testing.T) {
 		appendNext() // warm: the row cache, the log's tail, the pool
 		allocs := testing.AllocsPerRun(runs, appendNext)
 		t.Logf("%s: %.1f allocations per %d-row batch", c.name, allocs, batch)
-		if allocs >= batch/8 {
-			t.Fatalf("%s: a %d-row batch allocates %.1f times, want < %d (no buffer per row)", c.name, batch, allocs, batch/8)
+		if allocs > 0 {
+			t.Fatalf("%s: a %d-row batch allocates %.1f times, want 0", c.name, batch, allocs)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/exec"
 	"repro/internal/kv"
@@ -461,9 +462,9 @@ type Collection struct {
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
 
-	// enc is the buffer the last batch encoded its rows into, kept for
-	// the next (see prepare); nil while a batch holds it.
-	enc atomic.Pointer[[]byte]
+	// enc is the row list and buffer the last batch was prepared into,
+	// kept for the next (see prepare); nil while a batch holds it.
+	enc atomic.Pointer[prepBatch]
 
 	// verified counts the leading rows a repair found equal to the
 	// primary's (on a replica; see resyncCollection).
@@ -516,12 +517,12 @@ func (c *Collection) Append(p *Patch) error {
 // gets the next one inside the commit; the ids must ascend above the
 // collection's last, or the batch is refused with ErrIDOrder.
 func (c *Collection) AppendBatch(ps []*Patch) (int, error) {
-	rows, buf, err := c.prepare(ps)
+	b, err := c.prepare(ps)
 	if err != nil {
 		return 0, err
 	}
-	_, n, err := c.commit(rows, -1)
-	c.releaseEnc(buf)
+	_, n, err := c.commit(b.rows, -1)
+	c.releaseEnc(b)
 	return n, err
 }
 
@@ -531,38 +532,46 @@ type prepRow struct {
 	raw []byte
 }
 
+// prepBatch is a batch prepare sealed: its rows, whose stored forms are
+// encoded back to back into buf.
+type prepBatch struct {
+	rows []prepRow
+	buf  []byte
+}
+
 // maxKeptEnc is the largest encode buffer a collection keeps.
 const maxKeptEnc = 1 << 20
 
-// releaseEnc gives a batch's encode buffer back to the collection that
-// prepared it: the raw bytes of every row prepared into it are dead
+// releaseEnc gives a prepared batch back to the collection that
+// prepared it: its row list and the raw bytes of every row are dead
 // afterwards. The row log copies each stored row into its tail block,
-// so a buffer is free again once the batch's last commit returns. Of
-// two batches prepared at once, one buffer is kept.
-func (c *Collection) releaseEnc(buf *[]byte) {
-	if cap(*buf) <= maxKeptEnc {
-		*buf = (*buf)[:0]
-		c.enc.CompareAndSwap(nil, buf)
+// so a batch is free again once its last commit returns. Of two
+// batches prepared at once, one is kept.
+func (c *Collection) releaseEnc(b *prepBatch) {
+	if cap(b.buf) <= maxKeptEnc && cap(b.rows) <= maxKeptEnc/int(unsafe.Sizeof(prepRow{})) {
+		clear(b.rows) // drop the patches
+		b.rows, b.buf = b.rows[:0], b.buf[:0]
+		c.enc.CompareAndSwap(nil, b)
 	}
 }
 
 // prepare seals each builder of ps in the collection's layout, then
 // validates and encodes it (the stored bytes do not hold the id). The
-// rows encode back to back into one buffer, the one the collection
-// kept from its last batch when no other batch holds it, which the
-// caller hands to releaseEnc after its last commit of them. The buffer
-// is kept by the collection rather than a sync.Pool, which drops its
-// contents at garbage collections and makes the next batch grow a
-// buffer again. A row that fails is ErrInvalidPatch naming its index,
-// and is left a builder if it was one. A sealed patch may be a
-// committed row readers share.
-func (c *Collection) prepare(ps []*Patch) ([]prepRow, *[]byte, error) {
-	rows := make([]prepRow, len(ps))
-	buf := c.enc.Swap(nil)
-	if buf == nil {
-		buf = new([]byte)
+// rows encode back to back into one buffer, listed in one row list,
+// both the ones the collection kept from its last batch when no other
+// batch holds them; the caller hands the batch to releaseEnc after its
+// last commit of it. They are kept by the collection rather than a
+// sync.Pool, which drops its contents at garbage collections and makes
+// the next batch grow them again. A row that fails is ErrInvalidPatch
+// naming its index, and is left a builder if it was one. A sealed patch
+// may be a committed row readers share.
+func (c *Collection) prepare(ps []*Patch) (*prepBatch, error) {
+	pb := c.enc.Swap(nil)
+	if pb == nil {
+		pb = new(prepBatch)
 	}
-	b := *buf
+	pb.rows = slices.Grow(pb.rows, len(ps))[:len(ps)]
+	rows, b := pb.rows, pb.buf
 	for i, p := range ps {
 		meta, built := p.Meta, !p.sealed()
 		if built {
@@ -580,9 +589,9 @@ func (c *Collection) prepare(ps []*Patch) ([]prepRow, *[]byte, error) {
 			if built {
 				p.Meta, p.codec, p.decl, p.pairs = meta, nil, nil, nil
 			}
-			*buf = b
-			c.releaseEnc(buf)
-			return nil, nil, fmt.Errorf("%w: collection %q, patch %d: %w", ErrInvalidPatch, c.name, i, err)
+			pb.buf = b
+			c.releaseEnc(pb)
+			return nil, fmt.Errorf("%w: collection %q, patch %d: %w", ErrInvalidPatch, c.name, i, err)
 		}
 		rows[i].p = p
 	}
@@ -592,8 +601,8 @@ func (c *Collection) prepare(ps []*Patch) ([]prepRow, *[]byte, error) {
 		rows[i].raw = b[off : off+n : off+n]
 		off += n
 	}
-	*buf = b
-	return rows, buf, nil
+	pb.buf = b
+	return pb, nil
 }
 
 // errBehind reports a replica commit refused because the replica does

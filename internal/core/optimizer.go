@@ -94,7 +94,7 @@ type SimJoinPlan struct {
 // maintained exact index, whose build is not charged to the query.
 func (s Snapshot) PlanSimilarityJoin(field string, nL int, right []*Patch, hasIndex bool, dev exec.Kind) SimJoinPlan {
 	dim := 0
-	if pts := fieldPoints(right, field, 1); pts != nil {
+	if pts := fieldPoints(right, field, 1); len(pts) > 0 {
 		dim = len(pts[0].Vec)
 	}
 	return planSimilarityJoin(nL, len(right), dim, s.treeStat(field, 1), hasIndex, dev)

@@ -107,12 +107,12 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 			return err
 		}
 		have := rs.Len()
-		chunk, buf, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
+		b, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
 		if err != nil {
 			return err
 		}
-		_, n, err := rcol.commit(chunk, have)
-		rcol.releaseEnc(buf)
+		_, n, err := rcol.commit(b.rows, have)
+		rcol.releaseEnc(b)
 		if rows += n; errors.Is(err, errBehind) {
 			return nil
 		}

@@ -600,11 +600,12 @@ func (c *ShardedCollection) Append(p *Patch) error {
 // of the primary's rows that ResyncReplica appends the rest to.
 func (c *ShardedCollection) AppendBatch(ps []*Patch) (int, error) {
 	prim := c.cols[0][0]
-	rows, buf, err := prim.prepare(ps)
+	b, err := prim.prepare(ps)
 	if err != nil {
 		return 0, err
 	}
-	defer prim.releaseEnc(buf) // after the last replica's commit
+	defer prim.releaseEnc(b) // after the last replica's commit
+	rows := b.rows
 	s := c.s
 	home := func(r prepRow) int { return s.ShardFor(r.p.ID) }
 	s.appendMu.Lock()

@@ -65,20 +65,15 @@ type VecNeighbor struct {
 // VectorIndex indexes one vector field of one collection snapshot.
 type VectorIndex struct {
 	field string
-	dim   int
 	at    Snapshot // the rows covered: an extension indexes the ones past them
 
-	// A balltree over pts[:treeN] plus a linear tail pts[treeN:] of
-	// appended points not yet re-treed. An extension shares pts' prefix
-	// and only ever writes past len(pts), so readers of an older index
-	// never see their slice mutate (see claimPts).
-	pts   []balltree.Point
-	treeN int
-	ball  *balltree.Tree
-
-	// extended is claimed by the first Extend of this index, which may
-	// append into the spare capacity of pts; any later one copies.
-	extended atomic.Bool
+	// A ball tree, which owns the only copy of its points, over the
+	// field's points in at.rows[:treeRows], plus a linear tail: the
+	// tailN points in at.rows[treeRows:], read from the rows in row
+	// order. Rows are immutable, so nothing an index reads is written.
+	ball     *balltree.Tree
+	treeRows int
+	tailN    int
 
 	// evals, when set, counts probes' distance evaluations.
 	evals *atomic.Int64
@@ -89,24 +84,30 @@ type VectorIndex struct {
 // disagrees with the first one seen, are skipped: the ball tree indexes
 // one dimensionality.
 func NewVectorIndex(at Snapshot, field string) (*VectorIndex, error) {
-	vi := &VectorIndex{field: field, at: at, pts: fieldPoints(at.rows, field, at.Len())}
-	if len(vi.pts) > 0 {
-		vi.dim = len(vi.pts[0].Vec)
-	}
-	t, err := balltree.Build(vi.pts)
-	if err != nil {
+	vi := &VectorIndex{field: field, at: at}
+	if err := vi.retree(at.Len()); err != nil {
 		return nil, err
 	}
-	vi.ball, vi.treeN = t, len(vi.pts)
 	return vi, nil
+}
+
+// retree builds vi's tree over the first n points of its rows, all of
+// them, in row order, leaving no tail.
+func (vi *VectorIndex) retree(n int) error {
+	t, err := balltree.Build(fieldPoints(vi.at.rows, vi.field, n))
+	if err != nil {
+		return err
+	}
+	vi.ball, vi.treeRows, vi.tailN = t, vi.at.Len(), 0
+	return nil
 }
 
 // fieldPoints returns the points of the first limit rows carrying field
 // at the first one's dimensionality: the rows a vector index holds.
 func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
-	var pts []balltree.Point
+	pts := make([]balltree.Point, 0, min(limit, len(rows)))
 	for _, p := range rows {
-		if vec, ok := vecOf(p, field); ok && (pts == nil || len(vec) == len(pts[0].Vec)) {
+		if vec, ok := vecOf(p, field); ok && (len(pts) == 0 || len(vec) == len(pts[0].Vec)) {
 			if pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)}); len(pts) == limit {
 				break
 			}
@@ -117,56 +118,51 @@ func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
 
 // Extend returns a new index covering at — which must hold the
 // receiver's rows followed by appended ones. Readers holding the
-// receiver stay consistent: nothing they read is written. It appends
-// to the linear tail and re-trees only when the tail outgrows its
-// bound. Returns an error when the extension cannot preserve the index
-// shape (first vectors appearing, or a dimensionality change); the
-// caller falls back to a full rebuild.
+// receiver stay consistent: nothing they read is written. It counts
+// the appended rows' vectors into the linear tail, allocating only the
+// new index, and re-trees only when the tail outgrows its bound.
+// Returns an error when the extension cannot preserve the index shape
+// (first vectors appearing, or a dimensionality change); the caller
+// falls back to a full rebuild.
 func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
-	pts := vi.claimPts()
+	nx := *vi
+	nx.at = at
 	for _, p := range at.rows[vi.at.Len():] {
 		if vec, ok := vecOf(p, vi.field); ok {
-			if vi.dim == 0 || len(vec) != vi.dim {
+			if vi.Dim() == 0 || len(vec) != vi.Dim() {
 				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
 			}
-			pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)})
+			nx.tailN++
 		}
 	}
-	nx := &VectorIndex{field: vi.field, dim: vi.dim, at: at,
-		pts: pts, ball: vi.ball, treeN: vi.treeN}
-	if tail := len(nx.pts) - nx.treeN; tail > exactTailMax && tail*4 > nx.treeN {
-		// Build partitions a copy of its input, never the prefix older
-		// indexes share.
-		t, err := balltree.Build(nx.pts)
-		if err != nil {
+	if treeN := nx.ball.Len(); nx.tailN > exactTailMax && nx.tailN*4 > treeN {
+		if err := nx.retree(treeN + nx.tailN); err != nil {
 			return nil, err
 		}
-		nx.ball, nx.treeN = t, len(nx.pts)
 	}
-	return nx, nil
-}
-
-// claimPts returns vi's points for an extension to append to. The first
-// extension of vi appends in place: it writes only past len(vi.pts),
-// where no reader of vi or of an older index looks, so an append costs
-// O(added) rather than a copy of the history. A raced sibling extension
-// of the same receiver would write the same slots, so every later one
-// gets the points capped at their length, and its first append copies.
-func (vi *VectorIndex) claimPts() []balltree.Point {
-	if vi.extended.CompareAndSwap(false, true) {
-		return vi.pts
-	}
-	return vi.pts[:len(vi.pts):len(vi.pts)]
+	return &nx, nil
 }
 
 // Field returns the indexed vector field.
 func (vi *VectorIndex) Field() string { return vi.field }
 
 // Len returns the number of indexed vectors.
-func (vi *VectorIndex) Len() int { return len(vi.pts) }
+func (vi *VectorIndex) Len() int { return vi.ball.Len() + vi.tailN }
 
 // Dim returns the indexed dimensionality (0 when no vectors were seen).
-func (vi *VectorIndex) Dim() int { return vi.dim }
+func (vi *VectorIndex) Dim() int { return vi.ball.Dim() }
+
+// tail calls fn with each tail point, in row order.
+func (vi *VectorIndex) tail(fn func(id PatchID, vec []float32) bool) {
+	if vi.tailN == 0 {
+		return
+	}
+	for _, p := range vi.at.rows[vi.treeRows:] {
+		if vec, ok := vecOf(p, vi.field); ok && !fn(p.ID, vec) {
+			return
+		}
+	}
+}
 
 // KNN returns the k nearest indexed vectors to q in ascending
 // (distance, id) order: precisely the brute-force answer under that
@@ -178,17 +174,14 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 	// One bounded pass. The tree skips a ball only when it cannot hold a
 	// point tying the keeper's worst, so the kept set is the canonical
 	// top-k whatever order the points arrive in.
-	keep := newNeighborKeep(k, len(vi.pts))
-	tail := vi.pts[vi.treeN:]
-	for _, p := range tail {
-		keep.offer(VecNeighbor{ID: PatchID(p.ID), Dist: VecDist(p.Vec, q)})
-	}
-	evals := len(tail)
-	if vi.ball != nil {
-		evals += vi.ball.Nearest(q, keep.bound, func(p balltree.Point, d float64) {
-			keep.offer(VecNeighbor{ID: PatchID(p.ID), Dist: d})
-		})
-	}
+	keep := newNeighborKeep(k, vi.Len())
+	vi.tail(func(id PatchID, vec []float32) bool {
+		keep.offer(VecNeighbor{ID: id, Dist: VecDist(vec, q)})
+		return true
+	})
+	evals := vi.tailN + vi.ball.Nearest(q, keep.bound, func(p balltree.Point, d float64) {
+		keep.offer(VecNeighbor{ID: PatchID(p.ID), Dist: d})
+	})
 	if vi.evals != nil {
 		vi.evals.Add(int64(evals))
 	}
@@ -202,29 +195,20 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 // and tail rows, each tested once).
 func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID, dist float64) bool) int {
 	stopped := false
-	evals := 0
-	if vi.ball != nil {
-		evals = vi.ball.RangeSearch(q, eps, func(p balltree.Point, d float64) bool {
-			if !fn(PatchID(p.ID), d) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
+	evals := vi.ball.RangeSearch(q, eps, func(p balltree.Point, d float64) bool {
+		stopped = !fn(PatchID(p.ID), d)
+		return !stopped
+	})
 	if stopped {
 		return evals
 	}
 	// The tail applies the tree's membership test, so a row at the eps
 	// boundary matches the same way before and after a re-tree.
-	for _, p := range vi.pts[vi.treeN:] {
+	vi.tail(func(id PatchID, vec []float32) bool {
 		evals++
-		if d, ok := balltree.DistWithin(p.Vec, q, eps); ok {
-			if !fn(PatchID(p.ID), d) {
-				return evals
-			}
-		}
-	}
+		d, ok := balltree.DistWithin(vec, q, eps)
+		return !ok || fn(id, d)
+	})
 	return evals
 }
 
@@ -395,7 +379,10 @@ func (s Snapshot) treeStat(field string, k int) treeStat {
 	if len(pts) < treeSampleRows {
 		return scanStat
 	}
-	var probes, tree []balltree.Point
+	// The probes move out; the others close up in place, in order, and
+	// the tree keeps them.
+	var probes []balltree.Point
+	tree := pts[:0]
 	for i, p := range pts {
 		if i%(treeSampleRows/treeSampleProbes) == 0 {
 			probes = append(probes, p)
@@ -405,7 +392,7 @@ func (s Snapshot) treeStat(field string, k int) treeStat {
 	}
 	t, _ := balltree.Build(tree) // one dimensionality: cannot fail
 	var evals atomic.Int64
-	vi := &VectorIndex{pts: tree, treeN: len(tree), ball: t, evals: &evals}
+	vi := &VectorIndex{ball: t, evals: &evals}
 	for _, p := range probes {
 		vi.KNN(p.Vec, key.k)
 	}

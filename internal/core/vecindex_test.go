@@ -148,9 +148,8 @@ func vecTestRows(from, to, idBase, dim, clusters int) []*Patch {
 // TestVectorIndexSiblingExtendsStayExact: extensions raced off one index
 // — two appending to the tail, one re-treeing — and a further extension
 // of each leave every index, the receiver included, equal to the brute
-// scan over its own snapshot. The first extension appends into the
-// receiver's spare capacity; a sibling writing the same slots, or a
-// re-tree permuting the shared prefix, would corrupt the others.
+// scan over its own snapshot. Siblings share the receiver's tree and
+// rows; a re-tree partitioning anything they read would corrupt them.
 func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 	const dim, clusters, base = 8, 7, 600
 	for round := 0; round < 4; round++ {
@@ -158,9 +157,6 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 		vi0, err := NewVectorIndex(snapshotOf(snap0, 1), "emb")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if spare := cap(vi0.pts) - len(vi0.pts); spare < 300 {
-			t.Fatalf("fixture leaves %d spare point slots: the siblings would not share an array", spare)
 		}
 		// Sibling suffixes hold different rows: tail appends of 40 and 55
 		// rows, and a 300-row append past the tail bound.
@@ -192,8 +188,8 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if ext[0].treeN != base || ext[1].treeN != base || ext[2].treeN != len(snaps[2]) {
-			t.Fatalf("tree sizes %d, %d, %d: want two tail appends and a re-tree", ext[0].treeN, ext[1].treeN, ext[2].treeN)
+		if ext[0].ball.Len() != base || ext[1].ball.Len() != base || ext[2].ball.Len() != len(snaps[2]) {
+			t.Fatalf("tree sizes %d, %d, %d: want two tail appends and a re-tree", ext[0].ball.Len(), ext[1].ball.Len(), ext[2].ball.Len())
 		}
 		for s, c := range []struct {
 			vi   *VectorIndex
@@ -211,10 +207,15 @@ func TestVectorIndexSiblingExtendsStayExact(t *testing.T) {
 	}
 }
 
+// vecIndexHeader is what allocating one VectorIndex costs: its size
+// rounded up to the allocator's size class, a multiple of 16 B between
+// 32 and 128 B.
+var vecIndexHeader = (uint64(unsafe.Sizeof(VectorIndex{})) + 15) &^ 15
+
 // TestVectorIndexExtendAllocatesOnlyAppended: extending a 12k-point
-// exact index by 64 rows allocates for the 64 rows, not a copy of the
-// 12k points (384 KiB). Occasional capacity growth is amortized over
-// the appends, so the median extension is what is bounded.
+// exact index by 64 rows allocates the new index header and nothing
+// else: no copy of the 12k points (384 KiB), nor of the 64 added ones.
+// The median extension is what is bounded.
 func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -225,25 +226,95 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := make([]uint64, steps)
+	i := 0
+	med := allocBytes(steps, func() {
+		i++
+		if vi, err = vi.Extend(snapshotOf(ps[:base+step*i], uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if vi.ball.Len() != base {
+		t.Fatalf("extensions re-treed (tree %d): the test measures tail appends", vi.ball.Len())
+	}
+	t.Logf("median extension: %d B (bound %d)", med, vecIndexHeader)
+	if med > vecIndexHeader {
+		t.Fatalf("a 64-row extension of a %d-point index allocates %d B (median), want <= %d", base, med, vecIndexHeader)
+	}
+}
+
+// allocBytes returns the median bytes runs calls of fn allocate.
+func allocBytes(runs int, fn func()) uint64 {
+	per := make([]uint64, runs)
 	var a, b runtime.MemStats
 	for i := range per {
 		runtime.ReadMemStats(&a)
-		if vi, err = vi.Extend(snapshotOf(ps[:base+step*(i+1)], uint64(i+2))); err != nil {
-			t.Fatal(err)
-		}
+		fn()
 		runtime.ReadMemStats(&b)
 		per[i] = b.TotalAlloc - a.TotalAlloc
 	}
-	if vi.treeN != base {
-		t.Fatalf("extensions re-treed (tree %d): the test measures tail appends", vi.treeN)
-	}
 	slices.Sort(per)
-	// The added points' own bytes, plus slack for the index header.
-	bound := uint64(step)*uint64(unsafe.Sizeof(balltree.Point{})) + 1<<10
-	t.Logf("median extension: %d B (bound %d)", per[steps/2], bound)
-	if med := per[steps/2]; med > bound {
-		t.Fatalf("a 64-row extension of a %d-point index allocates %d B (median), want <= %d", base, med, bound)
+	return per[runs/2]
+}
+
+// TestVectorIndexExtendAllocsIndependentOfTail: a 64-row extension of an
+// index with a 64-point tail and of one with a 2,000-point tail, both
+// over a 12k-point tree, allocate the same bytes: one index header. The
+// tail is read from the rows, so neither copies it. Each receiver is
+// extended repeatedly, as sibling extensions of one index are.
+func TestVectorIndexExtendAllocsIndependentOfTail(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const dim, clusters, base, step, long = 8, 7, 12_000, 64, 2_000
+	ps := vecTestRows(0, base+long+step, 1, dim, clusters)
+	vi0, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]uint64
+	for i, tail := range []int{step, long} {
+		vi, err := vi0.Extend(snapshotOf(ps[:base+tail], 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := snapshotOf(ps[:base+tail+step], 3)
+		got[i] = allocBytes(16, func() {
+			nx, err := vi.Extend(at)
+			if err != nil || nx.ball != vi0.ball || nx.tailN != tail+step {
+				t.Fatalf("%d-point tail: extension re-treed or failed (%v)", tail, err)
+			}
+		})
+	}
+	t.Logf("64-row extension: %d B over a %d-point tail, %d B over a %d-point tail", got[0], step, got[1], long)
+	if got[0] != got[1] || got[1] > vecIndexHeader {
+		t.Fatalf("64-row extension allocates %d B over a %d-point tail and %d B over a %d-point tail, want the same, <= %d",
+			got[0], step, got[1], long, vecIndexHeader)
+	}
+}
+
+// TestVectorIndexBuildAllocsOnePointArray: building an index over 12k
+// points allocates one point array, which the tree partitions and
+// keeps, and the tree's balls: no second copy of the points (384 KiB).
+func TestVectorIndexBuildAllocsOnePointArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const dim, clusters, n = 8, 7, 12_000
+	at := snapshotOf(vecTestRows(0, n, 1, dim, clusters), 1)
+	var vi *VectorIndex
+	got := allocBytes(5, func() {
+		var err error
+		if vi, err = NewVectorIndex(at, "emb"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The array takes whole 8 KiB pages; a ball is its node (72 B, in an
+	// 80 B size class) and its centre; 1 KiB covers the two headers.
+	array := (uint64(n)*uint64(unsafe.Sizeof(balltree.Point{})) + 8191) &^ 8191
+	bound := array + uint64(vi.ball.Nodes())*(80+4*dim) + 1<<10
+	t.Logf("index over %d points: %d B (bound %d)", n, got, bound)
+	if got > bound {
+		t.Fatalf("index over %d points allocates %d B, want <= %d: one point array and %d balls", n, got, bound, vi.ball.Nodes())
 	}
 }
 
@@ -354,8 +425,8 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tail := len(vi.pts) - vi.treeN; (tail > 0) != wantTail || len(vi.pts) != snap.Len() {
-			t.Fatalf("%s: %d rows with a %d-row tail, snapshot %d", stage, len(vi.pts), tail, snap.Len())
+		if tail := vi.tailN; (tail > 0) != wantTail || vi.Len() != snap.Len() {
+			t.Fatalf("%s: %d rows with a %d-row tail, snapshot %d", stage, vi.Len(), tail, snap.Len())
 		}
 		for qi := 0; qi < 12; qi++ {
 			q := vecTestQuery(qi, dim, clusters)
@@ -382,7 +453,7 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 		if vi.ball != nil {
 			treeEvals = vi.ball.RangeSearch(q, 4, func(balltree.Point, float64) bool { return true })
 		}
-		if evals, tail := vi.RangeSearch(q, 4, all), len(vi.pts)-vi.treeN; evals != treeEvals+tail {
+		if evals, tail := vi.RangeSearch(q, 4, all), vi.tailN; evals != treeEvals+tail {
 			t.Fatalf("%s: RangeSearch evaluated %d distances, tree %d + tail %d", stage, evals, treeEvals, tail)
 		}
 		// Early stop: every prefix of the walk, across the tree/tail seam.
@@ -481,7 +552,7 @@ func FuzzVectorIndexKNNMatchesSort(f *testing.F) {
 			k := 1 + (int(kB)+qi*7)%(n+4)
 			want := sortedKNN(ps, q, k)
 			if got := vi.KNN(q, k); !neighborsEqual(got, want) {
-				t.Fatalf("n=%d tree=%d k=%d: KNN %v, want %v", n, vi.treeN, k, got, want)
+				t.Fatalf("n=%d tree=%d k=%d: KNN %v, want %v", n, vi.ball.Len(), k, got, want)
 			}
 			if got := BruteKNN(ps, "emb", q, k); !neighborsEqual(got, want) {
 				t.Fatalf("n=%d k=%d: BruteKNN %v, want %v", n, k, got, want)
@@ -542,8 +613,8 @@ func TestKNNDistanceEvalsCounted(t *testing.T) {
 	probe()
 	add(tail * 10 / 9)
 	vi := probe()
-	if vi.treeN != n || len(vi.pts)-vi.treeN != tail {
-		t.Fatalf("index holds %d tree + %d tail points, want %d + %d", vi.treeN, len(vi.pts)-vi.treeN, n, tail)
+	if vi.ball.Len() != n || vi.tailN != tail {
+		t.Fatalf("index holds %d tree + %d tail points, want %d + %d", vi.ball.Len(), vi.tailN, n, tail)
 	}
 	for _, k := range []int{1, 10, 100} {
 		q := uniform()

@@ -389,7 +389,13 @@ type joinTask struct {
 	left, right int // shard indexes; left == right is a local self-join
 	pairs       []core.Tuple
 	cost        float64
-	label       string
+	method      core.SimMethod
+	dev         exec.Kind
+}
+
+// label is the task's plan operator.
+func (t *joinTask) label(sj *SimJoinSpec) string {
+	return fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", t.method, t.dev, sj.Field, sj.Eps)
 }
 
 // simJoinScatter executes the similarity-join stage: every shard
@@ -472,7 +478,7 @@ func (s *Service) simJoinScatter(ctx context.Context, w *worker, plan *fragmentP
 
 	// Local self-joins lead the task list: the plan shows the first
 	// surviving shard's.
-	planOps = append(planOps, tasks[0].label)
+	planOps = append(planOps, tasks[0].label(sj))
 	gather := "gather-pairs"
 	if req.Distinct {
 		var all []*core.Patch
@@ -512,8 +518,7 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, r
 	// Priced for the task's device, which runs the batched kernels; the
 	// other methods run on the host.
 	sp := rf.snap.PlanSimilarityJoin(sj.Field, len(left), rf.rows, hasIndex, dev.Kind())
-	task.cost = sp.EstCost
-	task.label = fmt.Sprintf("simjoin[%s@%s](%s, eps=%g)", sp.Method, dev.Kind(), sj.Field, sj.Eps)
+	task.cost, task.method, task.dev = sp.EstCost, sp.Method, dev.Kind()
 	// The join index is the replica's maintained one at the fragment's
 	// own snapshot: rows appended since the fragment ran must not join.
 	var err error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -98,6 +99,73 @@ func TestScatterMissAllocs(t *testing.T) {
 		}
 		if per := (three[i] - one[i]) / 2; per > maxAllocsPerExtraFragment {
 			t.Errorf("%s: %.1f allocations per extra fragment, want <= %d", c.name, per, maxAllocsPerExtraFragment)
+		}
+	}
+}
+
+// joinAllocRows is item 29's probe size: the matrix fixture's rows.
+const joinAllocRows = 240
+
+// joinAllocCase is a similarity-join shape as a no_cache miss, with its
+// allocation ceilings at N=1 and N=3: the largest counts measured at
+// GOMAXPROCS 1, 2 and 4 (go1.24, linux/amd64; the distinct join read 183
+// at N=3 in 59 of 60 runs and 184 in one) once the join formatted one
+// plan label per request, not one per task. With a label per task, N=3
+// cost 134 and 198.
+type joinAllocCase struct {
+	name       string
+	body       string
+	max1, max3 float64
+}
+
+var joinAllocCases = []joinAllocCase{
+	{"simjoin", `{"collection":"` + shardTestCol + `","simjoin":{"field":"emb","eps":0.2},"no_cache":true}`, 35, 119},
+	{"distinct simjoin", `{"collection":"` + shardTestCol + `","simjoin":{"field":"emb","eps":0.2,"min_cluster":2},"distinct":true,"no_cache":true}`, 97, 184},
+}
+
+// joinAllocs serves each join case once through the handler, checks it
+// is a miss that found pairs, then counts a miss's allocations over 50
+// more.
+func joinAllocs(t *testing.T, s *Service) []float64 {
+	t.Helper()
+	h := s.Handler()
+	w := &sinkWriter{hdr: http.Header{}}
+	out := make([]float64, len(joinAllocCases))
+	for i, c := range joinAllocCases {
+		body := []byte(c.body)
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/query", rd)
+		serve := func() {
+			rd.Reset(body)
+			w.status, w.body = 0, w.body[:0]
+			h.ServeHTTP(w, req)
+		}
+		serve()
+		r := checkWire(t, c.name, w.status, w.body)
+		if r.CacheHit || r.Value == 0 || !strings.Contains(r.Plan, "simjoin[") {
+			t.Fatalf("%s: hit=%v value=%d plan %q, want a joining miss", c.name, r.CacheHit, r.Value, r.Plan)
+		}
+		out[i] = testing.AllocsPerRun(50, serve)
+	}
+	return out
+}
+
+// TestScatterJoinAllocs pins what a no_cache similarity-join miss
+// allocates through the handler, plain and distinct, at one shard (one
+// join task) and three (three local and three cross tasks).
+func TestScatterJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	one := joinAllocs(t, obsFixture(t, 1, joinAllocRows, Config{Workers: 1}))
+	three := joinAllocs(t, obsFixture(t, 3, joinAllocRows, Config{Workers: 1}))
+	for i, c := range joinAllocCases {
+		t.Logf("%s: %.0f allocations at N=1, %.0f at N=3", c.name, one[i], three[i])
+		if one[i] > c.max1 {
+			t.Errorf("%s at N=1: %.0f allocations per miss, want <= %.0f", c.name, one[i], c.max1)
+		}
+		if three[i] > c.max3 {
+			t.Errorf("%s at N=3: %.0f allocations per miss, want <= %.0f", c.name, three[i], c.max3)
 		}
 	}
 }
