@@ -301,8 +301,7 @@ func TestBatchedServiceKernelsMatchUnbatched(t *testing.T) {
 	}
 	plain := run(exec.NewGPU(exec.GPUProfile{LaunchLatency: time.Microsecond, BytesPerSecond: 1e12}))
 	bat := exec.NewBatcher(
-		exec.NewGPU(exec.GPUProfile{LaunchLatency: time.Microsecond, BytesPerSecond: 1e12}),
-		exec.BatcherConfig{MaxBatch: 4, Window: time.Millisecond})
+		exec.NewGPU(exec.GPUProfile{LaunchLatency: time.Microsecond, BytesPerSecond: 1e12}), 4, nil)
 	var fusedPairs [4]int
 	var wg sync.WaitGroup
 	for i := range fusedPairs {

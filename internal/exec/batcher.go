@@ -6,8 +6,8 @@
 // submit kernels to a shared scheduler that stacks compatible submissions
 // and executes them as one fused launch, paying one simulated launch
 // latency for N requests. The trade is classic accelerator micro-batching:
-// a bounded queuing delay (the flush window) buys an up-to-MaxBatch-fold
-// reduction in fixed launch cost.
+// a bounded queuing delay (the flush window) buys an up-to-N-fold
+// reduction in fixed launch cost for N submitters sharing the device.
 package exec
 
 import (
@@ -31,28 +31,13 @@ type fusedDevice interface {
 	pairwiseKernel(x, y []float32, lenX, lenY, dim int, out []float32)
 }
 
-// BatcherConfig tunes the flush policy. Zero values select defaults.
-type BatcherConfig struct {
-	// MaxBatch flushes a shape-compatible batch as soon as it holds this
-	// many kernels (default 8). MaxBatch 1 disables fusion: every kernel
-	// launches immediately (but launches still serialize on the device,
-	// like streams on a real GPU).
-	MaxBatch int
-	// Window is the deadline for a partial batch: the oldest queued kernel
-	// waits at most this long before its batch launches (default 50µs,
-	// ~1.7 launch latencies under the default GPU profile).
-	Window time.Duration
-}
-
-func (c BatcherConfig) withDefaults() BatcherConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 50 * time.Microsecond
-	}
-	return c
-}
+// flushWindow is the deadline for a partial batch: the oldest queued
+// kernel waits at most this long before its batch launches. 50µs is
+// 5/3 of the default GPU profile's 30µs launch charge:
+// TestFlushWindowSweep's table (README) kept that ratio against 1/2, 1
+// and 3 charges, none of which beats it at 15 of 20 seeds anywhere
+// without losing at 15 somewhere.
+const flushWindow = 50 * time.Microsecond
 
 // batchKey groups shape-compatible kernels: fused GEMMs must share (k, n)
 // (they stack along m), fused pairwise distances must share the vector
@@ -107,14 +92,22 @@ type pendingBatch struct {
 type Batcher struct {
 	dev Device
 	fd  fusedDevice // nil: pass-through (CPU/AVX)
-	cfg BatcherConfig
+
+	// sharers bounds a batch: one that holds that many kernels launches
+	// at once, without waiting out the window. The caller passes the
+	// submitters that share the device; at 1 or below every kernel
+	// launches at once.
+	sharers int
+	// window is the partial-batch deadline: flushWindow, which in-package
+	// tests override before the batcher is shared.
+	window time.Duration
 
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
 	// queuedKernels counts kernels sitting in pending batches (guarded by
 	// mu). Every blocked submitter holds exactly one queued kernel, so
 	// queuedKernels >= inFlight means no registered submitter is still
-	// mid-query: nothing new can join a batch and waiting out the Window
+	// mid-query: nothing new can join a batch and waiting out the window
 	// deadline would be pure added latency.
 	queuedKernels int
 
@@ -123,12 +116,11 @@ type Batcher struct {
 	// idle flush and preserves the pure size/deadline policy.
 	inFlight atomic.Int64
 
-	// idleProbe, when set, vetoes the idle flush while more submitters
+	// idle, when non-nil, vetoes the idle flush while more submitters
 	// are imminent (e.g. a serving layer's admission queue is non-empty:
 	// those tasks will register as submitters the moment a worker picks
-	// them up, so a partial batch may still grow). Must be set before
-	// the batcher is shared between goroutines.
-	idleProbe func() bool
+	// them up, so a partial batch may still grow).
+	idle func() bool
 
 	// launchSem (one token) serializes fused launches, preserving the
 	// cost model's fidelity when many workers share one simulated device:
@@ -151,11 +143,15 @@ type Batcher struct {
 	stackedGEMMs  atomic.Int64
 }
 
-// NewBatcher wraps dev in a kernel-coalescing scheduler. For devices
+// NewBatcher wraps dev in a kernel-coalescing scheduler. sharers bounds
+// a batch (one of that many kernels launches without waiting out the
+// window); idle, if non-nil, is
+// consulted before an idle flush and returns false while more
+// submitters are imminent (a non-empty admission queue). For devices
 // without launch overhead (CPU, AVX) every call passes straight through.
-func NewBatcher(dev Device, cfg BatcherConfig) *Batcher {
-	b := &Batcher{dev: dev, cfg: cfg.withDefaults(), pending: make(map[batchKey]*pendingBatch),
-		launchSem: make(chan struct{}, 1)}
+func NewBatcher(dev Device, sharers int, idle func() bool) *Batcher {
+	b := &Batcher{dev: dev, sharers: sharers, window: flushWindow, idle: idle,
+		pending: make(map[batchKey]*pendingBatch), launchSem: make(chan struct{}, 1)}
 	if fd, ok := dev.(fusedDevice); ok {
 		b.fd = fd
 	}
@@ -169,25 +165,18 @@ func (b *Batcher) Kind() Kind { return b.dev.Kind() }
 // Launches < Kernels and a sub-linear Overhead).
 func (b *Batcher) Stats() Stats { return b.dev.Stats() }
 
-// SetIdleProbe installs a check consulted before an idle flush: return
-// false while more submitters are imminent (a non-empty admission
-// queue), true when the registered submitters are all there is. Install
-// before the batcher is shared between goroutines; a nil probe (the
-// default) means the in-flight count alone decides.
-func (b *Batcher) SetIdleProbe(probe func() bool) { b.idleProbe = probe }
-
 // BeginSubmitter registers a submitter that is mid-query on this device
 // (it may submit kernels until the matching EndSubmitter). The count
 // drives the adaptive flush: when every registered submitter is already
 // blocked inside the batcher, a partial batch cannot grow, so it
-// launches immediately instead of waiting out the Window deadline — a
+// launches immediately instead of waiting out the window deadline — a
 // lightly-loaded service stops paying the deadline per launch. Callers
 // that never register keep the pure size/deadline policy.
 func (b *Batcher) BeginSubmitter() { b.inFlight.Add(1) }
 
 // EndSubmitter unregisters a BeginSubmitter registration. A partial
 // batch whose waiters were waiting for this submitter launches at its
-// Window deadline: an idle-flush check here beat its removal at no more
+// window deadline: an idle-flush check here beat its removal at no more
 // than 11 of the idle-flush ablation's 20 seeds at any k (README).
 func (b *Batcher) EndSubmitter() {
 	if n := b.inFlight.Add(-1); n < 0 {
@@ -253,8 +242,8 @@ func (b *Batcher) pairwise(x, y []float32, lenX, lenY, dim int, out []float32, r
 }
 
 // submit queues req under key and blocks until its batch has launched.
-// The batch flushes when it reaches MaxBatch kernels (flushed by the
-// submitter that filled it) or when the Window deadline set by its first
+// The batch flushes when it holds one kernel per sharer (flushed by the
+// submitter that filled it) or when the window deadline set by its first
 // kernel fires (flushed by the timer goroutine).
 func (b *Batcher) submit(key batchKey, req fusedReq) {
 	seq := b.submitted.Add(1)
@@ -263,27 +252,27 @@ func (b *Batcher) submit(key batchKey, req fusedReq) {
 	if !ok {
 		pb = &pendingBatch{seq: seq}
 		b.pending[key] = pb
-		if b.cfg.MaxBatch > 1 {
-			pb.timer = time.AfterFunc(b.cfg.Window, func() { b.flushDeadlined(key, pb) })
+		if b.sharers > 1 {
+			pb.timer = time.AfterFunc(b.window, func() { b.flushDeadlined(key, pb) })
 		}
 	}
 	pb.reqs = append(pb.reqs, req)
 	b.queuedKernels++
-	full := len(pb.reqs) >= b.cfg.MaxBatch
+	full := len(pb.reqs) >= b.sharers
 	if full {
 		b.takeLocked(key, pb)
 	}
 	// Adaptive flush: if every registered mid-query submitter is now
 	// blocked in this batcher (each holds exactly one queued kernel), no
 	// pending batch can grow — launch them all now rather than letting
-	// the Window deadline add latency to an already-quiet device.
+	// the window deadline add latency to an already-quiet device.
 	var idle []*pendingBatch
 	if !full {
 		idle = b.idleBatchesLocked()
 	}
 	b.mu.Unlock()
 	if full {
-		// Single-kernel "batches" (MaxBatch 1, the eager unfused mode) are
+		// Single-kernel "batches" (one sharer, the eager unfused mode) are
 		// not size flushes: counting them would make flush_size read as
 		// batching activity when no fusion is happening.
 		if len(pb.reqs) > 1 {
@@ -318,7 +307,7 @@ func (b *Batcher) idleBatchesLocked() []*pendingBatch {
 	if inf <= 0 || int64(b.queuedKernels) < inf || len(b.pending) == 0 {
 		return nil
 	}
-	if b.idleProbe != nil && !b.idleProbe() {
+	if b.idle != nil && !b.idle() {
 		return nil // more submitters are imminent: let the batch grow
 	}
 	out := make([]*pendingBatch, 0, len(b.pending))
@@ -461,8 +450,8 @@ type BatcherStats struct {
 	Submitted     int64 `json:"submitted"`      // kernels submitted for fusion
 	FusedKernels  int64 `json:"fused_kernels"`  // kernels executed via fused launches
 	Launches      int64 `json:"launches"`       // fused launches issued
-	FlushSize     int64 `json:"flush_size"`     // multi-kernel batches flushed by reaching MaxBatch
-	FlushDeadline int64 `json:"flush_deadline"` // batches flushed by the Window deadline
+	FlushSize     int64 `json:"flush_size"`     // multi-kernel batches flushed by holding one kernel per sharer
+	FlushDeadline int64 `json:"flush_deadline"` // batches flushed by the window deadline
 	FlushIdle     int64 `json:"flush_idle"`     // batches flushed because every active submitter was already blocked
 	PassThrough   int64 `json:"pass_through"`   // kernels bypassing fusion (CPU/AVX)
 	MaxFusion     int64 `json:"max_fusion"`     // largest batch launched

@@ -33,7 +33,8 @@ func TestBatchedGEMMBitIdentical(t *testing.T) {
 			want[i] = make([]float32, m*n)
 			freeGPU().GEMM(m, n, k, as[i], bs[i], want[i])
 		}
-		bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: submitters, Window: 50 * time.Millisecond})
+		bat := NewBatcher(freeGPU(), submitters, nil)
+		bat.window = 50 * time.Millisecond
 		got := make([][]float32, submitters)
 		var wg sync.WaitGroup
 		for i := 0; i < submitters; i++ {
@@ -71,7 +72,8 @@ func TestBatchedPairwiseBitIdentical(t *testing.T) {
 			want[i] = make([]float32, lx*ly)
 			freeGPU().PairwiseSqDist(xs[i], ys[i], lx, ly, d, want[i])
 		}
-		bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: submitters, Window: 50 * time.Millisecond})
+		bat := NewBatcher(freeGPU(), submitters, nil)
+		bat.window = 50 * time.Millisecond
 		got := make([][]float32, submitters)
 		var wg sync.WaitGroup
 		for i := 0; i < submitters; i++ {
@@ -93,10 +95,11 @@ func TestBatchedPairwiseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushOnSize: a batch that reaches MaxBatch launches
+// TestBatcherFlushOnSize: a batch that holds one kernel per sharer launches
 // immediately, without waiting out the window.
 func TestBatcherFlushOnSize(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 4, Window: time.Hour})
+	bat := NewBatcher(freeGPU(), 4, nil)
+	bat.window = time.Hour
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < 4; i++ {
@@ -121,9 +124,10 @@ func TestBatcherFlushOnSize(t *testing.T) {
 }
 
 // TestBatcherFlushOnDeadline: a partial batch launches once the window
-// lapses even though MaxBatch was never reached.
+// lapses even though it never held one kernel per sharer.
 func TestBatcherFlushOnDeadline(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 100, Window: 5 * time.Millisecond})
+	bat := NewBatcher(freeGPU(), 100, nil)
+	bat.window = 5 * time.Millisecond
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -145,7 +149,8 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 
 // TestBatcherShapeGroups: incompatible shapes never share a batch.
 func TestBatcherShapeGroups(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 2, Window: 5 * time.Millisecond})
+	bat := NewBatcher(freeGPU(), 2, nil)
+	bat.window = 5 * time.Millisecond
 	var wg sync.WaitGroup
 	run := func(m, n, k int) {
 		defer wg.Done()
@@ -173,7 +178,7 @@ func TestBatcherShapeGroups(t *testing.T) {
 // queue entirely.
 func TestBatcherPassThroughCPU(t *testing.T) {
 	for _, kind := range []Kind{CPU, AVX} {
-		bat := NewBatcher(New(kind), BatcherConfig{})
+		bat := NewBatcher(New(kind), 1, nil)
 		c := make([]float32, 4)
 		bat.GEMM(2, 2, 2, []float32{1, 0, 0, 1}, []float32{1, 2, 3, 4}, c)
 		if c[0] != 1 || c[3] != 4 {
@@ -202,9 +207,10 @@ func TestBatcherPassThroughCPU(t *testing.T) {
 func TestFusedLaunchAmortizesOverhead(t *testing.T) {
 	profile := GPUProfile{LaunchLatency: 30 * time.Microsecond, BytesPerSecond: 6e9}
 	const submitters = 8
-	run := func(maxBatch int) (Stats, BatcherStats) {
+	run := func(sharers int) (Stats, BatcherStats) {
 		dev := NewGPU(profile)
-		bat := NewBatcher(dev, BatcherConfig{MaxBatch: maxBatch, Window: 10 * time.Millisecond})
+		bat := NewBatcher(dev, sharers, nil)
+		bat.window = 10 * time.Millisecond
 		var wg sync.WaitGroup
 		for i := 0; i < submitters; i++ {
 			wg.Add(1)
@@ -246,7 +252,8 @@ func TestFusedLaunchAmortizesOverhead(t *testing.T) {
 // with mixed kernels; run under -race this is the scheduler's data-race
 // certification.
 func TestBatcherConcurrentSubmitRace(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 5, Window: 200 * time.Microsecond})
+	bat := NewBatcher(freeGPU(), 5, nil)
+	bat.window = 200 * time.Microsecond
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -281,10 +288,11 @@ func TestBatcherConcurrentSubmitRace(t *testing.T) {
 }
 
 // TestBatcherIdleFlushLoneSubmitter: with submitter tracking on, a lone
-// registered submitter never waits out the Window deadline — its kernel
+// registered submitter never waits out the window deadline — its kernel
 // launches immediately because the queue provably cannot grow.
 func TestBatcherIdleFlushLoneSubmitter(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: time.Hour})
+	bat := NewBatcher(freeGPU(), 8, nil)
+	bat.window = time.Hour
 	bat.BeginSubmitter()
 	defer bat.EndSubmitter()
 	start := time.Now()
@@ -307,7 +315,8 @@ func TestBatcherIdleFlushLoneSubmitter(t *testing.T) {
 // might still fuse); once every registered submitter is blocked in the
 // batcher, the batch launches without the deadline.
 func TestBatcherIdleFlushWaitsForMidQuerySubmitter(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: time.Hour})
+	bat := NewBatcher(freeGPU(), 8, nil)
+	bat.window = time.Hour
 	bat.BeginSubmitter() // submitter A
 	bat.BeginSubmitter() // submitter B
 
@@ -325,7 +334,7 @@ func TestBatcherIdleFlushWaitsForMidQuerySubmitter(t *testing.T) {
 	default:
 	}
 	// B submits: now both submitters are blocked, the batch fuses and
-	// launches immediately (size flush at 2 kernels would need MaxBatch;
+	// launches immediately (size flush at 2 kernels would need 2 sharers;
 	// here the idle rule fires).
 	c := make([]float32, 4)
 	bat.GEMM(2, 2, 2, []float32{1, 0, 0, 1}, []float32{1, 2, 3, 4}, c)
@@ -343,10 +352,11 @@ func TestBatcherIdleFlushWaitsForMidQuerySubmitter(t *testing.T) {
 
 // TestBatcherIdleFlushOnSubmitterExit: a registered submitter that
 // finishes without submitting does not idle-flush the batch whose waiter
-// was waiting for it: the stranded batch launches at its Window
+// was waiting for it: the stranded batch launches at its window
 // deadline.
 func TestBatcherIdleFlushOnSubmitterExit(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: 200 * time.Millisecond})
+	bat := NewBatcher(freeGPU(), 8, nil)
+	bat.window = 200 * time.Millisecond
 	bat.BeginSubmitter() // A: will submit
 	bat.BeginSubmitter() // B: never submits
 
@@ -382,7 +392,8 @@ func TestBatcherIdleFlushOnSubmitterExit(t *testing.T) {
 // TestBatcherUntrackedSubmittersKeepDeadlinePolicy: without
 // BeginSubmitter registrations the idle rule stays off.
 func TestBatcherUntrackedSubmittersKeepDeadlinePolicy(t *testing.T) {
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: 8, Window: 5 * time.Millisecond})
+	bat := NewBatcher(freeGPU(), 8, nil)
+	bat.window = 5 * time.Millisecond
 	c := make([]float32, 4)
 	bat.GEMM(2, 2, 2, []float32{1, 0, 0, 1}, []float32{1, 2, 3, 4}, c)
 	st := bat.BatcherStats()

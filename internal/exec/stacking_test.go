@@ -34,7 +34,8 @@ func TestStackedGEMMBitIdentical(t *testing.T) {
 			got[i] = append([]float32(nil), init...)
 			freeGPU().GEMM(m, n, k, as[i], shared, want[i])
 		}
-		bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: submitters, Window: 50 * time.Millisecond})
+		bat := NewBatcher(freeGPU(), submitters, nil)
+		bat.window = 50 * time.Millisecond
 		var wg sync.WaitGroup
 		for i := 0; i < submitters; i++ {
 			wg.Add(1)
@@ -69,7 +70,8 @@ func TestStackingRequiresSharedRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const m, n, k = 6, 8, 10
 	const submitters = 4
-	bat := NewBatcher(freeGPU(), BatcherConfig{MaxBatch: submitters, Window: 50 * time.Millisecond})
+	bat := NewBatcher(freeGPU(), submitters, nil)
+	bat.window = 50 * time.Millisecond
 	var wg sync.WaitGroup
 	for i := 0; i < submitters; i++ {
 		a, b, c := randMat(rng, m*k), randMat(rng, k*n), make([]float32, m*n)
@@ -93,7 +95,7 @@ func TestStackingSkipsSharedOutput(t *testing.T) {
 	const m, n, k = 2, 3, 4
 	shared := make([]float32, k*n)
 	c := make([]float32, m*n)
-	bat := NewBatcher(freeGPU(), BatcherConfig{})
+	bat := NewBatcher(freeGPU(), 1, nil)
 	reqs := []fusedReq{
 		{run: func() {}, m: m, n: n, k: k, a: make([]float32, m*k), bm: shared, c: c},
 		{run: func() {}, m: m, n: n, k: k, a: make([]float32, m*k), bm: shared, c: c},
@@ -122,7 +124,7 @@ func TestStackingMixedBatch(t *testing.T) {
 	solo := fusedReq{run: func() {}, m: m, n: n, k: k,
 		a: randMat(rng, m*k), bm: randMat(rng, k*n), c: make([]float32, m*n), bytes: 77}
 	reqs = append(reqs, solo)
-	bat := NewBatcher(freeGPU(), BatcherConfig{})
+	bat := NewBatcher(freeGPU(), 1, nil)
 	fns, total, nstacks, nstacked := bat.buildLaunch(reqs)
 	if nstacks != 1 || nstacked != 3 {
 		t.Fatalf("stacks=%d stacked=%d, want 1/3", nstacks, nstacked)

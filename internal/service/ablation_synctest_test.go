@@ -179,15 +179,17 @@ type wedged struct {
 	heal     time.Duration
 }
 
-// runWedge: N=2, R=2. Replica 1 of each shard misses appends, and every
-// repair of it fails for the given time; then the fault clears.
-func runWedge(t *testing.T, wedge time.Duration) wedged {
+// runWedge: N=2, R=2, sweeping every interval. Replica 1 of each shard
+// misses appends, and every repair of it fails for the given time; then
+// the fault clears, half a millisecond after a sweep: the replica then
+// waits the longest for the next one.
+func runWedge(t *testing.T, wedge, interval time.Duration) wedged {
 	return inBubble(func() wedged {
-		sdb, svc, closeAll := bubbleService(t, 2, 2, 60, Config{Workers: 2})
+		sdb, svc, closeAll := bubbleService(t, 2, 2, 60, Config{Workers: 2, ResyncInterval: interval})
 		defer closeAll()
-		// Start off the 200 ms sweep grid, so no sweep shares an instant
+		// Start just off the sweep grid, so no sweep shares an instant
 		// with the fault's arming or clearing.
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(time.Millisecond / 2)
 		inj := fault.New(fault.Config{Seed: 1, Rules: []fault.Rule{
 			{Point: fault.AppendError, Shard: fault.Any, Replica: 1, Prob: 1},
 			{Point: fault.ResyncError, Shard: fault.Any, Replica: 1, Prob: 1},
@@ -209,34 +211,49 @@ func runWedge(t *testing.T, wedge time.Duration) wedged {
 		attempts := inj.Fired(fault.ResyncError)
 		sdb.SetFaults(nil)
 		cleared := time.Now()
-		// Poll on the half millisecond, never on a sweep's instant. A
-		// replica heals only on a sweep, a whole number of intervals
-		// and 100 ms after the clear, so polling every 10 ms reads the
-		// time a 1 ms poll would.
+		// Poll every half millisecond, a quarter off the sweeps' grid. A
+		// replica heals only on a sweep, so the reading is a quarter
+		// millisecond late at most.
 		h := svc.Handler()
-		for time.Sleep(time.Millisecond / 2); readyz(h) != http.StatusOK; {
-			time.Sleep(10 * time.Millisecond)
+		for time.Sleep(time.Millisecond / 4); readyz(h) != http.StatusOK; {
+			time.Sleep(time.Millisecond / 2)
 		}
 		return wedged{attempts, time.Since(cleared)}
 	})
 }
 
 // TestRepairWedge: the repair loop over 2, 10 and 60 s wedges of two
-// replicas. A failed repair is retried on the next sweep, so the loop
-// makes one attempt per lagging replica per sweep while the fault holds,
-// and /readyz reads 200 on the first sweep after it clears.
+// replicas, sweeping every 100, 200 and 400 ms. A failed repair is
+// retried on the next sweep, so the loop makes one attempt per lagging
+// replica per sweep while the fault holds, and /readyz reads 200 on the
+// first sweep after it clears. The rule for defaultResyncInterval, fixed
+// before the sweep ran: the largest interval whose clear-to-/readyz is
+// at most 250 ms after every wedge, the fault clearing just after a
+// sweep.
 func TestRepairWedge(t *testing.T) {
+	const readyWithin = 250 * time.Millisecond
 	var tab strings.Builder
-	tab.WriteString("| wedge | attempts while wedged | clear to /readyz 200 |\n|---|---|---|\n")
-	for _, wedge := range []time.Duration{2 * time.Second, 10 * time.Second, 60 * time.Second} {
-		w := runWedge(t, wedge)
-		fmt.Fprintf(&tab, "| %v | %d | %v |\n", wedge, w.attempts, w.heal)
-		if want := 2 * int64(wedge/defaultResyncInterval); w.attempts != want || w.heal > defaultResyncInterval {
-			t.Errorf("%v wedge: %d attempts, healed in %v; want %d, within %v",
-				wedge, w.attempts, w.heal, want, defaultResyncInterval)
+	tab.WriteString("| interval | wedge | attempts while wedged | clear to /readyz 200 |\n|---|---|---|---|\n")
+	var pick time.Duration
+	for _, interval := range []time.Duration{100 * time.Millisecond, defaultResyncInterval, 400 * time.Millisecond} {
+		ready := true
+		for _, wedge := range []time.Duration{2 * time.Second, 10 * time.Second, 60 * time.Second} {
+			w := runWedge(t, wedge, interval)
+			fmt.Fprintf(&tab, "| %v | %v | %d | %v |\n", interval, wedge, w.attempts, w.heal)
+			if want := 2 * int64(wedge/interval); w.attempts != want || w.heal > interval {
+				t.Errorf("%v interval, %v wedge: %d attempts, healed in %v; want %d, within %v",
+					interval, wedge, w.attempts, w.heal, want, interval)
+			}
+			ready = ready && w.heal <= readyWithin
+		}
+		if ready {
+			pick = interval
 		}
 	}
-	t.Log("repair, 2 lagging replicas wedged\n" + tab.String())
+	t.Logf("repair, 2 lagging replicas wedged; the rule picks %v\n%s", pick, tab.String())
+	if pick != defaultResyncInterval {
+		t.Errorf("defaultResyncInterval is %v, the rule picks %v", defaultResyncInterval, pick)
+	}
 }
 
 // TestRepairForgetsLevelReplicasBackoff: a replica whose repairs failed

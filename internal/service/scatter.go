@@ -109,12 +109,16 @@ func (f *shardFragment) annotate(sp *obs.SpanHandle, plan *fragmentPlan, shard i
 	}
 }
 
-// taskDev returns the batcher-fronted device worker w's scatter task t
-// is pinned to: the worker's own device for task 0 (all of a one-shard
-// query), round-robin from there, so a query's tasks spread over the
-// devices while concurrent workers' single tasks never pile onto one.
+// placeDev is the device worker w's scatter task t is pinned to: the
+// worker's own device for task 0 (all of a one-shard query),
+// round-robin from there, so a query's tasks spread over the devices
+// while concurrent workers' single tasks never pile onto one.
+func placeDev(w, t, devices int) int { return (w + t) % devices }
+
+// taskDev returns the batcher-fronted device placeDev pins worker w's
+// scatter task t to.
 func (s *Service) taskDev(w *worker, t int) *exec.Batcher {
-	return s.batchers[(w.id+t)%len(s.batchers)]
+	return s.batchers[placeDev(w.id, t, len(s.batchers))]
 }
 
 // scatterWave runs n independent scatter tasks concurrently and returns

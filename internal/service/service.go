@@ -93,8 +93,10 @@ type Config struct {
 	// workers, whose concurrent GEMM/pairwise kernels fuse into one
 	// launch — the cross-request analog of within-query batching,
 	// amortizing the simulated GPU's launch overhead. A batch launches
-	// when it is full, when its 50µs window expires, or as soon as every
-	// mid-query submitter is blocked and the admission queue is empty.
+	// when it holds as many kernels as its device has workers (over N
+	// shards, N per worker, capped at 16), when its 50µs window expires,
+	// or as soon as every mid-query submitter is blocked and the
+	// admission queue is empty.
 	// Fusion buys nothing on CPU/AVX (the batcher passes through).
 	Devices int
 	// ResultCacheBytes budgets the plan-keyed result cache (default 32 MiB).
@@ -335,38 +337,18 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 	s.tel = newTelemetry(s, cfg)
 	// One device per batcher for the service's lifetime; workers are
 	// assigned round-robin, so with fewer devices than workers the
-	// co-resident workers' kernels fuse.
+	// co-resident workers' kernels fuse. Admitted-but-unclaimed tasks
+	// become submitters the moment a worker dequeues them: the idle probe
+	// holds partial batches while the queue is non-empty so imminent
+	// kernels can still fuse.
+	idle := func() bool { return len(s.queue) == 0 }
 	s.batchers = make([]*exec.Batcher, cfg.Devices)
-	for i := range s.batchers {
-		// A blocked submitter holds at most one pending kernel, so a batch
-		// can never exceed the submitters sharing this device: MaxBatch is
-		// exactly that count (round-robin gives device i one extra worker
-		// when i < Workers%Devices), so flush-on-size fires as soon as
-		// every co-worker's kernel has arrived instead of waiting out the
-		// window. With one worker per device that is an eager MaxBatch of
-		// 1. Under scatter-gather each worker fans out up to nshards
-		// kernel-submitting fragments, spread round-robin over the devices
-		// (Devices may exceed Workers here), so the bound scales by the
-		// shard count — capped: the idle flush releases partial batches
-		// early, but MaxBatch still bounds worst-case queuing delay.
-		var maxBatch int
-		if nshards > 1 {
-			maxBatch = min((cfg.Workers*nshards+cfg.Devices-1)/cfg.Devices, 16)
-		} else {
-			maxBatch = cfg.Workers / cfg.Devices
-			if i < cfg.Workers%cfg.Devices {
-				maxBatch++
-			}
-		}
-		s.batchers[i] = exec.NewBatcher(exec.New(cfg.Device), exec.BatcherConfig{MaxBatch: max(maxBatch, 1)})
-		// Admitted-but-unclaimed tasks become submitters the moment a
-		// worker dequeues them: hold partial batches while the queue is
-		// non-empty so imminent kernels can still fuse.
-		s.batchers[i].SetIdleProbe(func() bool { return len(s.queue) == 0 })
+	for i, n := range deviceBounds(cfg.Workers, cfg.Devices, nshards) {
+		s.batchers[i] = exec.NewBatcher(exec.New(cfg.Device), n, idle)
 	}
 	ns := fmt.Sprintf("seed%d", cfg.ModelSeed)
 	for i := 0; i < cfg.Workers; i++ {
-		dev := s.batchers[i%cfg.Devices]
+		dev := s.batchers[placeDev(i, 0, cfg.Devices)]
 		w := &worker{
 			id:  i,
 			dev: dev,
@@ -386,6 +368,26 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 		go s.runAntiEntropy(cfg.ResyncInterval)
 	}
 	return s, nil
+}
+
+// deviceBounds gives each device's batch bound: a batch that holds that
+// many kernels launches without waiting out its window. At one shard it
+// is the device's worker count, every submitter that can block there. At
+// N shards it is N per worker, spread over the devices and capped at 16:
+// a join places up to N(N+1)/2 submitters per worker, but
+// internal/exec's TestBatchBoundSweep found that bound loses mean task
+// time at 2 workers on 20 of 20 seeds.
+func deviceBounds(workers, devices, shards int) []int {
+	bounds := make([]int, devices)
+	for w := range workers {
+		bounds[placeDev(w, 0, devices)]++
+	}
+	if shards > 1 {
+		for i := range bounds {
+			bounds[i] = min((workers*shards+devices-1)/devices, 16)
+		}
+	}
+	return bounds
 }
 
 // Close stops the workers and background loops. In-flight waiters

@@ -509,3 +509,63 @@ func TestJoinTaskKeepsWorkerDeviceAtFanOutOne(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceBoundsMatchTaskPlacement: at one shard each device's batch
+// bound is the number of workers taskDev places on it, every submitter
+// that can block there. Over 3 shards it is 3 per worker spread over the
+// devices, capped at 16 (internal/exec's TestBatchBoundSweep kept it),
+// which never exceeds the submitters a join's tasks, one per shard pair,
+// place on the device, so a size flush can always fire.
+func TestDeviceBoundsMatchTaskPlacement(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		sdb, err := core.OpenSharded(filepath.Join(t.TempDir(), "sharded"), n, exec.New(exec.CPU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinTasks := 0
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				joinTasks++
+			}
+		}
+		for _, workers := range []int{1, 2, 4, 5} {
+			for _, devices := range []int{1, 2, 3} {
+				s, err := NewSharded(sdb, Config{Workers: workers, Devices: devices})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+				d := s.cfg.Devices
+				placed := make(map[*exec.Batcher]int)
+				for w := 0; w < workers; w++ {
+					for task := 0; task < joinTasks; task++ {
+						placed[s.taskDev(&worker{id: w}, task)]++
+					}
+				}
+				bounds := deviceBounds(workers, d, n)
+				for i, b := range s.batchers {
+					want := placed[b]
+					if n > 1 {
+						want = min((workers*n+d-1)/d, 16)
+						if want > placed[b] {
+							t.Errorf("W=%d D=%d N=%d: device %d bound %d exceeds the %d submitters placed on it",
+								workers, d, n, i, want, placed[b])
+						}
+					} else {
+						perDevice := workers / d
+						if i < workers%d {
+							perDevice++
+						}
+						if want != perDevice {
+							t.Errorf("W=%d D=%d: taskDev places %d workers on device %d, round-robin %d", workers, d, want, i, perDevice)
+						}
+					}
+					if bounds[i] != want {
+						t.Errorf("W=%d D=%d N=%d: device %d bound %d, want %d", workers, d, n, i, bounds[i], want)
+					}
+				}
+			}
+		}
+		sdb.Close()
+	}
+}
