@@ -303,8 +303,9 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{db: db, name: name, schema: schema, codec: newRowCodec(schema), logKey: v, version: v,
-		log: log, cache: []*Patch{}}
+	codec := newRowCodec(schema)
+	c := &Collection{db: db, name: name, schema: schema, codec: codec, logKey: v, version: v,
+		log: log, tab: newRowTable(codec)}
 	db.cols[name] = c
 	return c, nil
 }
@@ -427,10 +428,11 @@ func backtrace(p *Patch, get func(PatchID) (*Patch, error)) ([]*Patch, error) {
 }
 
 // Collection is a named materialized set of patches persisted in one
-// row log (see rowlog.go), whose rows it holds in memory once loaded.
+// row log (see rowlog.go), whose rows it holds in memory once loaded, in
+// a row table (see rowtable.go).
 //
 // Patch ids are issued at commit, under the collection's lock, so one
-// row order holds everywhere: ascending id, in the row cache, the log,
+// row order holds everywhere: ascending id, in the row table, the log,
 // the columns and after a reopen. Concurrent readers and writers are
 // safe: Current returns a Snapshot, the rows committed so far and the
 // version they reflect, and no later append changes what it holds.
@@ -441,15 +443,16 @@ type Collection struct {
 	codec  *rowCodec // stores every row of the schema, and loads it
 
 	// mu guards the commit: the log append, count, version and the row
-	// cache, which is nil until loaded (see load). The log is open once
-	// the cache is loaded; logKey names it. It also guards the declared
-	// indexes (BuildIndex's fields), saved with the descriptor.
+	// table's published header, which is nil until loaded (see load).
+	// The log is open once the table is loaded; logKey names it. It also
+	// guards the declared indexes (BuildIndex's fields), saved with the
+	// descriptor.
 	mu      sync.Mutex
 	logKey  uint64
 	log     rowLog
 	count   int
 	version uint64
-	cache   []*Patch
+	tab     *RowTable
 	indexes []string
 
 	// colMu guards the columnar projection of the current snapshot
@@ -462,9 +465,13 @@ type Collection struct {
 	vecMu  sync.Mutex
 	vecIdx map[string]*VectorIndex
 
-	// enc is the row list and buffer the last batch was prepared into,
-	// kept for the next (see prepare); nil while a batch holds it.
+	// enc is the row list, buffer and slots the last batch was prepared
+	// into, kept for the next (see prepare); nil while a batch holds it.
 	enc atomic.Pointer[prepBatch]
+
+	// sealer is the Sealer the last append through one gave back, kept
+	// with its slot array for the next (see ShardedCollection.Sealer).
+	sealer atomic.Pointer[Sealer]
 
 	// verified counts the leading rows a repair found equal to the
 	// primary's (on a replica; see resyncCollection).
@@ -533,38 +540,56 @@ type prepRow struct {
 }
 
 // prepBatch is a batch prepare sealed: its rows, whose stored forms are
-// encoded back to back into buf.
+// encoded back to back into buf, and the slots the builders among them
+// were sealed into, until their commit re-points them at a row table.
 type prepBatch struct {
-	rows []prepRow
-	buf  []byte
+	rows  []prepRow
+	buf   []byte
+	slots []slot
 }
 
 // maxKeptEnc is the largest encode buffer a collection keeps.
 const maxKeptEnc = 1 << 20
 
 // releaseEnc gives a prepared batch back to the collection that
-// prepared it: its row list and the raw bytes of every row are dead
-// afterwards. The row log copies each stored row into its tail block,
-// so a batch is free again once its last commit returns. Of two
-// batches prepared at once, one is kept.
+// prepared it: its row list, the raw bytes of every row and its slots
+// are dead afterwards. The row log copies each stored row into its tail
+// block, and a commit re-points each builder it committed at its row
+// table, so a batch is free again once its last commit returns; a
+// builder that did not commit takes a copy of its slots. Of two batches
+// prepared at once, one is kept.
 func (c *Collection) releaseEnc(b *prepBatch) {
-	if cap(b.buf) <= maxKeptEnc && cap(b.rows) <= maxKeptEnc/int(unsafe.Sizeof(prepRow{})) {
+	for _, r := range b.rows {
+		if p := r.p; p != nil && len(b.slots) > 0 && p.decl != nil && inSlots(p.decl, b.slots) {
+			decl := slices.Clone(p.declared())
+			p.decl = &decl[0]
+		}
+	}
+	if cap(b.buf) <= maxKeptEnc && cap(b.rows) <= maxKeptEnc/int(unsafe.Sizeof(prepRow{})) && cap(b.slots) <= maxKeptSlots {
 		clear(b.rows) // drop the patches
-		b.rows, b.buf = b.rows[:0], b.buf[:0]
+		clear(b.slots)
+		b.rows, b.buf, b.slots = b.rows[:0], b.buf[:0], b.slots[:0]
 		c.enc.CompareAndSwap(nil, b)
 	}
 }
 
+// inSlots reports whether s is one of arr's slots.
+func inSlots(s *slot, arr []slot) bool {
+	p, lo := uintptr(unsafe.Pointer(s)), uintptr(unsafe.Pointer(unsafe.SliceData(arr)))
+	return p >= lo && p < lo+uintptr(len(arr))*unsafe.Sizeof(slot{})
+}
+
 // prepare seals each builder of ps in the collection's layout, then
 // validates and encodes it (the stored bytes do not hold the id). The
-// rows encode back to back into one buffer, listed in one row list,
-// both the ones the collection kept from its last batch when no other
-// batch holds them; the caller hands the batch to releaseEnc after its
-// last commit of it. They are kept by the collection rather than a
-// sync.Pool, which drops its contents at garbage collections and makes
-// the next batch grow them again. A row that fails is ErrInvalidPatch
-// naming its index, and is left a builder if it was one. A sealed patch
-// may be a committed row readers share.
+// rows encode back to back into one buffer, listed in one row list, and
+// the builders seal into one slot array, all three the ones the
+// collection kept from its last batch when no other batch holds them;
+// the caller hands the batch to releaseEnc after its last commit of it.
+// They are kept by the collection rather than a sync.Pool, which drops
+// its contents at garbage collections and makes the next batch grow
+// them again. A row that fails is ErrInvalidPatch naming its index, and
+// is left a builder if it was one. A sealed patch may be a committed
+// row readers share.
 func (c *Collection) prepare(ps []*Patch) (*prepBatch, error) {
 	pb := c.enc.Swap(nil)
 	if pb == nil {
@@ -572,12 +597,16 @@ func (c *Collection) prepare(ps []*Patch) (*prepBatch, error) {
 	}
 	pb.rows = slices.Grow(pb.rows, len(ps))[:len(ps)]
 	rows, b := pb.rows, pb.buf
+	seal, sized := Sealer{codec: c.codec, arr: pb.slots}, false
 	for i, p := range ps {
 		meta, built := p.Meta, !p.sealed()
 		if built {
+			if !sized {
+				seal.reset(len(ps))
+				pb.slots, sized = seal.arr, true
+			}
 			var arr [16]Pair
-			s := Sealer{codec: c.codec}
-			s.Seal(p, p.entries(arr[:0]))
+			seal.Seal(p, p.entries(arr[:0]))
 		}
 		err := c.schema.ValidatePatch(p)
 		if err == nil {
@@ -610,11 +639,12 @@ func (c *Collection) prepare(ps []*Patch) (*prepBatch, error) {
 var errBehind = errors.New("core: replica behind its primary")
 
 // commit appends prepared rows under one hold of c.mu: one load (for
-// the last id), ids, one order check, the log appends and one version.
-// It returns the row count it committed after and how many rows it
-// committed. With at >= 0 it commits only after exactly at rows, and
-// is errBehind otherwise. A log append that fails commits the rows
-// before it.
+// the last id), ids, one order check, the log and table appends, and
+// one version. Each row's patch sealed in the collection's layout is
+// re-pointed at its table row (see tableWriter.commit). It returns the
+// row count it committed after and how many rows it committed. With at
+// >= 0 it commits only after exactly at rows, and is errBehind
+// otherwise. A log append that fails commits the rows before it.
 func (c *Collection) commit(rows []prepRow, at int) (from, n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -624,7 +654,7 @@ func (c *Collection) commit(rows []prepRow, at int) (from, n int, err error) {
 	if from = c.count; at >= 0 && at != from {
 		return from, 0, errBehind
 	}
-	last := c.log.last // the cache's last id
+	last := c.log.last // the table's last id
 	for _, r := range rows {
 		if r.p.ID == 0 {
 			r.p.ID = c.db.NewPatchID()
@@ -634,14 +664,15 @@ func (c *Collection) commit(rows []prepRow, at int) (from, n int, err error) {
 		}
 		last = r.p.ID
 	}
+	w := tableWriter{t: c.tab, n: from}
 	for _, r := range rows {
 		if err = c.log.append(r.p.ID, r.raw); err != nil {
 			break
 		}
-		c.cache = append(c.cache, r.p)
+		w.commit(r.p)
 	}
-	if n = len(c.cache) - from; n > 0 {
-		c.count, c.version = len(c.cache), c.db.nextVersion()
+	if n = w.n - from; n > 0 {
+		c.tab, c.count, c.version = w.t, w.n, c.db.nextVersion()
 	}
 	return from, n, err
 }
@@ -656,78 +687,124 @@ func (c *Collection) Get(id PatchID) (*Patch, error) {
 	return s.Get(id)
 }
 
-// Patches returns all patches, loading and caching them on first use.
+// Patches returns all patches of the current snapshot, loading the
+// collection on first use (see Snapshot.Patches).
 func (c *Collection) Patches() ([]*Patch, error) {
 	s, err := c.Current()
-	return s.rows, err
+	return s.Patches(), err
 }
 
 // Current returns the collection's snapshot as of its last commit,
-// loading the row cache on first use.
+// loading the row table on first use.
 func (c *Collection) Current() (Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.load(); err != nil {
 		return Snapshot{}, err
 	}
-	return Snapshot{c, c.cache, c.version}, nil
+	return Snapshot{c, c.tab, c.count, c.version}, nil
 }
 
-// Snapshot is Current as a bare row slice and version, for the
-// benchmark harness.
+// Snapshot is Current as a row slice and version. It materializes
+// every row (see Snapshot.Patches). The benchmark harness's traced
+// probes are its only caller; ROADMAP item 25 moves them to Current
+// and deletes it.
 func (c *Collection) Snapshot() ([]*Patch, uint64, error) {
 	s, err := c.Current()
-	return s.rows, s.version, err
+	return s.Patches(), s.version, err
 }
 
 // Snapshot is a stable view of a collection: the rows committed as of
-// one version, in id order. Concurrent appends grow the row cache past
-// a snapshot's rows but never change them, so many queries can share
-// one snapshot while writers proceed, and a (name, version) pair names
-// exactly the rows it holds. The zero Snapshot is empty and older than
-// any real version.
+// one version, in id order, the first Len rows of its row table.
+// Concurrent appends grow the table past a snapshot's rows but never
+// change them, so many queries can share one snapshot while writers
+// proceed, and a (name, version) pair names exactly the rows it holds.
+// The zero Snapshot is empty and older than any real version.
 type Snapshot struct {
 	col     *Collection
-	rows    []*Patch
+	tab     *RowTable
+	n       int
 	version uint64
 }
 
 // Len returns the snapshot's row count.
-func (s Snapshot) Len() int { return len(s.rows) }
+func (s Snapshot) Len() int { return s.n }
 
-// Row returns row i.
-func (s Snapshot) Row(i int) *Patch { return s.rows[i] }
+// Table returns the row table the snapshot's rows are the first Len of.
+func (s Snapshot) Table() *RowTable { return s.tab }
 
-// Patches returns the rows, which the caller must not modify.
-func (s Snapshot) Patches() []*Patch { return s.rows }
+// Row returns row i as a new committed row (see RowTable.View).
+func (s Snapshot) Row(i int) *Patch {
+	s.check(i)
+	return s.tab.Row(i)
+}
 
-// Materialize resolves selected rows to their patches, in sel's order.
-func (s Snapshot) Materialize(sel []int32) []*Patch {
-	out := make([]*Patch, len(sel))
-	for i, r := range sel {
-		out[i] = s.rows[r]
+// check panics unless i is one of the snapshot's rows.
+func (s Snapshot) check(i int) {
+	if uint(i) >= uint(s.n) {
+		panic(fmt.Sprintf("core: row %d of a %d-row snapshot", i, s.n))
+	}
+}
+
+// Patches returns every row as a new committed row, in one block.
+func (s Snapshot) Patches() []*Patch {
+	out := make([]*Patch, s.n)
+	block := make([]Patch, s.n)
+	for i := range block {
+		s.tab.View(i, &block[i])
+		out[i] = &block[i]
 	}
 	return out
 }
 
-// Get fetches one patch by id: a binary search of the id-ordered rows.
-// A miss is ErrNotFound itself.
+// Materialize returns the selected rows as new committed rows, in sel's
+// order, in one block.
+func (s Snapshot) Materialize(sel []int32) []*Patch {
+	out := make([]*Patch, len(sel))
+	block := make([]Patch, len(sel))
+	s.ViewRows(sel, block)
+	for i := range block {
+		out[i] = &block[i]
+	}
+	return out
+}
+
+// ViewRows fills ps[i] with row sel[i] (see RowTable.View); ps is as
+// long as sel.
+func (s Snapshot) ViewRows(sel []int32, ps []Patch) {
+	for i, r := range sel {
+		s.check(int(r))
+		s.tab.View(int(r), &ps[i])
+	}
+}
+
+// Find returns the position of the row with the given id: a binary
+// search of the id-ordered rows.
+func (s Snapshot) Find(id PatchID) (int, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	return s.tab.search(s.n, id)
+}
+
+// Get fetches one patch by id as a new committed row (see Find). A miss
+// is ErrNotFound itself.
 func (s Snapshot) Get(id PatchID) (*Patch, error) {
-	i, ok := slices.BinarySearchFunc(s.rows, id, func(p *Patch, id PatchID) int { return cmp.Compare(p.ID, id) })
+	i, ok := s.Find(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return s.rows[i], nil
+	return s.tab.Row(i), nil
 }
 
-// load fills the row cache from the row log, in id order, and opens the
-// log for appends, unless the cache is loaded; an empty collection's
-// cache is loaded and empty. Callers hold c.mu: the one load path, which
-// appends wait out. A damaged block fails the load with errCorrupt. The
-// rows take their declared values from slot arrays of loadBatch rows
-// each, and the decoder copies what they hold out of the read buffers.
+// load fills the row table from the row log, in id order, and opens
+// the log for appends, unless the table is loaded; an empty
+// collection's table is loaded and empty. Callers hold c.mu: the one
+// load path, which appends wait out. A damaged block fails the load
+// with errCorrupt. The decoder copies what the rows hold out of the
+// read buffers.
 func (c *Collection) load() error {
-	if c.cache != nil {
+	if c.tab != nil {
 		return nil
 	}
 	f, err := os.OpenFile(rowLogPath(c.db.path, c.logKey), os.O_RDWR|os.O_APPEND, 0)
@@ -739,15 +816,16 @@ func (c *Collection) load() error {
 		f.Close()
 		return err
 	}
-	out := make([]*Patch, 0, c.count)
-	d := patchDecoder{codec: c.codec, batch: loadBatch}
+	w := tableWriter{t: newRowTable(c.codec), owned: true}
+	d := patchDecoder{codec: c.codec}
+	var p Patch
+	decl := make([]slot, len(c.codec.fields))
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, st.Size()), 64<<10)
 	err = readRowLog(r, st.Size(), func(id PatchID, row []byte) error {
-		p, err := d.decode(id, row)
-		if err != nil {
+		if err := d.read(id, row, &p, decl); err != nil {
 			return err
 		}
-		out = append(out, p)
+		w.put(&p, decl, p.pairs)
 		return nil
 	})
 	if err != nil {
@@ -755,20 +833,17 @@ func (c *Collection) load() error {
 		return fmt.Errorf("collection %q: %w", c.name, err)
 	}
 	c.log = rowLog{f: f, size: st.Size()}
-	if n := len(out); n > 0 {
-		c.log.last = out[n-1].ID
+	if w.n > 0 {
+		c.log.last = w.t.ID(w.n - 1)
 	}
-	c.cache, c.count = out, len(out)
+	c.tab, c.count = w.t, w.n
 	return nil
 }
-
-// loadBatch is how many loaded rows share one slot array.
-const loadBatch = 64
 
 // Columns returns the columnar projection of the collection's current
 // snapshot, building it lazily and upgrading whenever the version has
 // moved — the same version-keyed invalidation the serving layer's result
-// cache uses, so appends can never serve a stale column. The row cache
+// cache uses, so appends can never serve a stale column. The row table
 // only grows, so the upgrade is an incremental Extend that reuses every
 // sealed block and re-projects only the tail; the first touch builds.
 // The returned store is immutable and safe to share across queries.
@@ -842,7 +917,7 @@ type versioned interface {
 // the caller's snapshot: the protocol the column store and the vector
 // indexes share. The cached value is returned while its version
 // matches. Otherwise derive makes the new one: from the cached value
-// when snap holds at least the rows it covers (the row cache only
+// when snap holds at least the rows it covers (the row table only
 // grows, so snap extends them), and from nil when the slot is empty or
 // snap is shorter — a reader behind the slot. derive runs with mu free
 // — a full build is O(snapshot), and holding the lock would stall every

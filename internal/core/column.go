@@ -107,7 +107,7 @@ type Column struct {
 	kind    ValueKind
 	n       int
 	field   string
-	patches []*Patch // backing snapshot (rebuild source if a segment's encoding is unreadable)
+	rows    *RowTable // the snapshot's rows (rebuild source if a segment's encoding is unreadable)
 	cache   *SegmentCache
 	segs    []*colSegment
 	dict    []string
@@ -226,7 +226,7 @@ func (cs *ColumnStore) Column(field string) (*Column, bool) {
 	if f == nil || f.Kind != KindInt && f.Kind != KindFloat && f.Kind != KindStr {
 		return nil, false
 	}
-	col = projectColumn(cs.at.rows, field, f.Kind)
+	col = projectColumn(cs.at, field, f.Kind)
 	col.cache = cs.cache
 	cs.cache.spill(col)
 	cs.mu.Lock()
@@ -269,7 +269,7 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 	carried := maps.Clone(cs.cols)
 	cs.mu.RUnlock()
 	for field, col := range carried {
-		ext := extendColumn(col, at.rows, oldN)
+		ext := extendColumn(col, at, oldN)
 		next.cols[field] = ext
 		st.Columns++
 		st.ReusedBlocks += oldN / ColumnBlockSize
@@ -282,14 +282,14 @@ func (cs *ColumnStore) Extend(at Snapshot) (*ColumnStore, ExtendStats) {
 // extendColumn grows one projected column over the appended suffix rows:
 // sealed segments share by pointer, the old tail segment grows by the
 // rows that fill it (see growTail), and the rest project fresh.
-func extendColumn(old *Column, patches []*Patch, oldN int) *Column {
-	n := len(patches)
+func extendColumn(old *Column, at Snapshot, oldN int) *Column {
+	n := at.Len()
 	sealed := oldN / ColumnBlockSize
 	col := &Column{
 		kind:       old.kind,
 		n:          n,
 		field:      old.field,
-		patches:    patches,
+		rows:       at.tab,
 		cache:      old.cache,
 		dict:       old.dict,
 		dictIdx:    old.dictIdx,
@@ -327,15 +327,15 @@ func (c *Column) growTail(tail *colSegment, n int) int {
 	return hi
 }
 
-// projectColumn builds the segmented projection of one field, declared
-// with kind.
-func projectColumn(patches []*Patch, field string, kind ValueKind) *Column {
-	n := len(patches)
+// projectColumn builds the segmented projection of one field of at's
+// rows, declared with kind.
+func projectColumn(at Snapshot, field string, kind ValueKind) *Column {
+	n := at.Len()
 	col := &Column{
 		kind:    kind,
 		n:       n,
 		field:   field,
-		patches: patches,
+		rows:    at.tab,
 		dictIdx: make(map[string]uint32),
 		segs:    make([]*colSegment, 0, (n+ColumnBlockSize-1)/ColumnBlockSize),
 	}
@@ -343,7 +343,7 @@ func projectColumn(patches []*Patch, field string, kind ValueKind) *Column {
 	return col
 }
 
-// appendRows projects rows [from, n) of c.patches into fresh,
+// appendRows projects rows [from, n) of c.rows into fresh,
 // exact-sized segments appended to c.segs (from must be
 // ColumnBlockSize-aligned).
 func (c *Column) appendRows(from, n int) {
@@ -367,8 +367,12 @@ func (c *Column) appendRows(from, n int) {
 // adds a code, so re-filling a segment (rebuildSeg) only reads the
 // dictionary and needs no lock.
 func (c *Column) fill(d *segData, base, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	f := c.rows.fieldReader(c.field)
 	for i := lo; i < hi; i++ {
-		v, _ := c.patches[i].Get(c.field)
+		v, _ := f.get(i)
 		switch j := i - base; c.kind {
 		case KindInt:
 			d.ints[j] = v.Int()
@@ -707,8 +711,11 @@ func probeRange[T int64 | float64](blk *[ColumnBlockSize]int32, vals []T, ord []
 	return c
 }
 
-// Materialize resolves a selection list to its patches, preserving row
-// order (the same patches, same order, the row scan would produce).
+// Materialize resolves a selection list to new committed rows,
+// preserving row order (the same rows, same order, the row scan would
+// produce): Snapshot.Materialize of the store's snapshot. The
+// benchmark harness's traced probes are its only caller; ROADMAP item
+// 25 deletes it.
 func (cs *ColumnStore) Materialize(sel []int32) []*Patch { return cs.at.Materialize(sel) }
 
 // --------------------------------------------------------------- top-k ----
@@ -763,10 +770,12 @@ type topKeep struct {
 	rd   segReader
 	heap topHeap[topEntry]
 
-	// Without a column: the rows and the field that order them.
-	snap  Snapshot
-	field string
-	desc  bool
+	// Without a column: the rows and the field that order them, and a
+	// view of each of two rows compared.
+	snap   Snapshot
+	field  string
+	desc   bool
+	va, vb Patch
 }
 
 // topEntry is one top-k candidate: its row and, with a column, its sort
@@ -817,7 +826,9 @@ func newTopKeep(cs *ColumnStore, snap Snapshot, field string, desc bool, k int) 
 func (t *topKeep) before(a, b topEntry) bool {
 	col := t.col
 	if col == nil {
-		if c := CompareBy(t.snap.rows[a.row], t.snap.rows[b.row], t.field, t.desc); c != 0 {
+		t.snap.tab.View(int(a.row), &t.va)
+		t.snap.tab.View(int(b.row), &t.vb)
+		if c := CompareBy(&t.va, &t.vb, t.field, t.desc); c != 0 {
 			return c < 0
 		}
 		return a.row < b.row

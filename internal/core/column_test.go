@@ -87,13 +87,66 @@ func reopenDB(t testing.TB, path string) *DB {
 }
 
 // schemaOnly is a collection with columnTestSchema and no database
-// behind it: the collection of every snapshotOf.
-var schemaOnly = &Collection{schema: columnTestSchema()}
+// behind it: the collection of every snapshotOf whose rows it
+// validates.
+var schemaOnly = &Collection{schema: columnTestSchema(), codec: newRowCodec(columnTestSchema())}
 
-// snapshotOf is a snapshot of rows at version ver with columnTestSchema
-// and no database: enough for a store or an index built in isolation.
+// snapshotOf is a snapshot of rows at version ver with no database:
+// enough for a store or an index built in isolation. Its schema is
+// columnTestSchema when every row holds its fields, and otherwise
+// declares the fields every row holds with one kind (a vector of any
+// length). Its row table holds the rows, a builder sealed as a copy, so
+// rows are left as they are.
 func snapshotOf(rows []*Patch, ver uint64) Snapshot {
-	return Snapshot{col: schemaOnly, rows: rows, version: ver}
+	col, fits := schemaOnly, true
+	sealed := make([]*Patch, len(rows))
+	for i, p := range rows {
+		if sealed[i] = p; !p.sealed() {
+			sealed[i] = &Patch{ID: p.ID, Ref: p.Ref, Data: p.Data}
+			sealed[i].Seal(metaPairs(p.Meta))
+		}
+		fits = fits && col.schema.ValidatePatch(sealed[i]) == nil
+	}
+	if !fits {
+		schema := commonSchema(sealed)
+		col = &Collection{schema: schema, codec: newRowCodec(schema)}
+	}
+	w := tableWriter{t: newRowTable(col.codec), owned: true}
+	for _, p := range sealed {
+		decl, pairs, _ := col.codec.split(p, nil, nil)
+		w.put(p, decl, slices.Clone(pairs))
+	}
+	return Snapshot{col: col, tab: w.t, n: w.n, version: ver}
+}
+
+// commonSchema declares the fields every one of rows holds with one
+// kind, in the first row's key order.
+func commonSchema(rows []*Patch) Schema {
+	var s Schema
+	if len(rows) == 0 {
+		return s
+	}
+	for k, v := range rows[0].Range {
+		if k == frameKey || k == sourceKey {
+			continue
+		}
+		all := true
+		for _, p := range rows[1:] {
+			if w, ok := p.Get(k); !ok || w.Kind != v.Kind {
+				all = false
+				break
+			}
+		}
+		if all {
+			s.Fields = append(s.Fields, Field{Name: k, Kind: v.Kind})
+		}
+	}
+	return s
+}
+
+// cut is s's first n rows at version ver: a snapshot s extends.
+func cut(s Snapshot, n int, ver uint64) Snapshot {
+	return Snapshot{col: s.col, tab: s.tab, n: n, version: ver}
 }
 
 // assertRowScanFallback checks that fields have no column in snap's
@@ -133,7 +186,7 @@ func assertRowScanFallback(t *testing.T, snap Snapshot, fields ...string) {
 			if q.keep.Kind == KeepTop {
 				// The filter, on a column, matches every row; the
 				// order-by's rows compare.
-				want := referenceTopK(snap.rows, f, q.keep.Desc, q.keep.N)
+				want := referenceTopK(snap.Patches(), f, q.keep.Desc, q.keep.N)
 				if !idsEqual(patchIDs(want), patchIDs(snap.Materialize(cols.Sel))) {
 					t.Fatalf("top-k by %s (desc=%v) diverged from stable sort", f, q.keep.Desc)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -244,10 +245,12 @@ func TestConcurrentAppendsCommitInIDOrder(t *testing.T) {
 	})
 }
 
-// TestCollectionGetAllocatesNothing: on a loaded collection, Get is a
-// binary search of the row cache — a hit and a miss (an id another
-// collection holds) allocate nothing.
-func TestCollectionGetAllocatesNothing(t *testing.T) {
+// TestCollectionGetAllocatesOnlyItsPatch: on a loaded collection, Get
+// is a binary search of the row table's ids. A hit allocates only the
+// patch it returns, which holds the row's stored bytes, and a miss (an
+// id another collection holds) allocates nothing, as Find does on
+// either.
+func TestCollectionGetAllocatesOnlyItsPatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -266,11 +269,25 @@ func TestCollectionGetAllocatesNothing(t *testing.T) {
 	hit, miss := snap[1234].ID, snap[1234].ID+1
 	var p *Patch
 	var hitErr, missErr error
-	if allocs := testing.AllocsPerRun(100, func() { p, hitErr = col.Get(hit) }); allocs != 0 {
-		t.Errorf("hit: %.0f allocations, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { p, hitErr = col.Get(hit) }); allocs != 1 {
+		t.Errorf("hit: %.0f allocations, want 1", allocs)
 	}
-	if hitErr != nil || p != snap[1234] {
+	if hitErr != nil || p.ID != hit || !bytes.Equal(p.Marshal(), snap[1234].Marshal()) {
 		t.Fatalf("hit: %v, %v", p, hitErr)
+	}
+	cur, err := col.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at int
+	var found bool
+	for _, id := range []PatchID{hit, miss} {
+		if allocs := testing.AllocsPerRun(100, func() { at, found = cur.Find(id) }); allocs != 0 {
+			t.Errorf("Find(%d): %.0f allocations, want 0", id, allocs)
+		}
+		if found != (id == hit) || found && at != 1234 {
+			t.Fatalf("Find(%d) = %d, %v", id, at, found)
+		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { p, missErr = col.Get(miss) }); allocs != 0 {
 		t.Errorf("miss: %.0f allocations, want 0", allocs)

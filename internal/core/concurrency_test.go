@@ -110,7 +110,7 @@ func TestCatalogConcurrentReadersDuringWrites(t *testing.T) {
 					return
 				}
 				lastLen, lastVer = snap.Len(), snap.version
-				for _, p := range snap.rows[:min(snap.Len(), 10)] {
+				for _, p := range snap.Patches()[:min(snap.Len(), 10)] {
 					if _, err := col.Get(p.ID); err != nil {
 						errs <- err
 						return

@@ -310,16 +310,17 @@ func TestColumnExtendAllocsIndependentOfTail(t *testing.T) {
 			ps[i] = columnPatch(i)
 			ps[i].ID = PatchID(i + 1)
 		}
+		all := snapshotOf(ps, 3)
 		per := make([]uint64, runs)
 		var a, b runtime.MemStats
 		for r := range per {
-			cs := newColumnStore(snapshotOf(ps[:n-32], 1), nil)
+			cs := newColumnStore(cut(all, n-32, 1), nil)
 			for _, f := range tieredFields {
 				cs.Column(f)
 			}
-			cs, _ = cs.Extend(snapshotOf(ps[:n], 2))
+			cs, _ = cs.Extend(cut(all, n, 2))
 			runtime.ReadMemStats(&a)
-			cs.Extend(snapshotOf(ps, 3))
+			cs.Extend(all)
 			runtime.ReadMemStats(&b)
 			per[r] = b.TotalAlloc - a.TotalAlloc
 		}

@@ -67,7 +67,7 @@ func TestMatchKernelsAgreeWithPred(t *testing.T) {
 		ps := kernelPatches(n)
 		cols := map[string]*Column{}
 		for f, kind := range kinds {
-			cols[f] = projectColumn(ps, f, kind)
+			cols[f] = projectColumn(snapshotOf(ps, 1), f, kind)
 		}
 		// The column's own length, and snapshots cut inside its last
 		// segment and inside its first.

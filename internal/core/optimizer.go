@@ -94,8 +94,11 @@ type SimJoinPlan struct {
 // maintained exact index, whose build is not charged to the query.
 func (s Snapshot) PlanSimilarityJoin(field string, nL int, right []*Patch, hasIndex bool, dev exec.Kind) SimJoinPlan {
 	dim := 0
-	if pts := fieldPoints(right, field, 1); len(pts) > 0 {
-		dim = len(pts[0].Vec)
+	for _, p := range right {
+		if vec, ok := vecOf(p, field); ok {
+			dim = len(vec)
+			break
+		}
 	}
 	return planSimilarityJoin(nL, len(right), dim, s.treeStat(field, 1), hasIndex, dev)
 }

@@ -46,11 +46,13 @@ type Ref struct {
 // seals a builder before it commits it) turns it into a committed row,
 // whose Meta is nil. A committed row holds the values of its schema's
 // declared fields by position, without their keys or kinds, and every
-// other entry as a key-sorted pair. It is immutable: collections,
-// snapshots, indexes and replicas share it. Its lineage attributes
-// _source and _frame are not stored with its metadata; Get and Range
-// answer them from Ref. Read metadata through Get and Range, which
-// serve both forms.
+// other entry as a key-sorted pair. It is immutable. A collection does
+// not keep it: it copies the row into its row table (see rowtable.go)
+// and points the patch's declared values at the table's. A patch read
+// from a collection is built from the table and shares its values. Its
+// lineage attributes _source and _frame are not stored with its
+// metadata; Get and Range answer them from Ref. Read metadata through
+// Get and Range, which serve both forms.
 type Patch struct {
 	ID   PatchID
 	Ref  Ref
@@ -240,11 +242,48 @@ func (p *Patch) Seal(entries []Pair) {
 type Sealer struct {
 	schema Schema
 	codec  *rowCodec
-	slab   []slot // slots no row has taken yet
+	arr    []slot // the slot array
+	slab   []slot // its slots no row has taken yet
+
+	home *Collection // the collection that lent arr, if any (see Release)
 }
 
 func newSealer(schema Schema, c *rowCodec, rows int) *Sealer {
-	return &Sealer{schema: schema, codec: c, slab: make([]slot, rows*len(c.fields))}
+	s := &Sealer{schema: schema, codec: c}
+	s.reset(rows)
+	return s
+}
+
+// reset gives s room for rows rows in its slot array, growing it only
+// when it is short.
+func (s *Sealer) reset(rows int) {
+	n := rows * len(s.codec.fields)
+	if cap(s.arr) < n {
+		s.arr = make([]slot, n)
+	}
+	s.arr = s.arr[:n]
+	s.slab = s.arr
+}
+
+// maxKeptSlots is the largest slot array a collection keeps for its
+// Sealers.
+const maxKeptSlots = 1 << 14
+
+// Release gives s's slot array back to the collection that lent it.
+// Call it once AppendBatch of the rows s sealed has returned, or once
+// they are dropped: a committed row no longer reads the array (its
+// collection points it at its row table), and a row that did not
+// commit must not be read afterwards. s is spent.
+func (s *Sealer) Release() {
+	c := s.home
+	if c == nil {
+		return
+	}
+	s.home = nil
+	if cap(s.arr) <= maxKeptSlots {
+		clear(s.arr[:cap(s.arr)]) // drop the values' strings and vectors
+		c.sealer.CompareAndSwap(nil, s)
+	}
 }
 
 // Schema returns the schema s seals rows of.
@@ -261,7 +300,7 @@ func (s *Sealer) Seal(p *Patch, entries []Pair) {
 	c := s.codec
 	nf := len(c.fields)
 	if len(s.slab) < nf {
-		s.slab = make([]slot, nf)
+		s.slab = make([]slot, nf) // past the rows s was sized for
 	}
 	decl := s.slab[:nf:nf]
 	found := 0
@@ -591,6 +630,25 @@ func (c *rowCodec) pos(name string) int {
 	return -1
 }
 
+// sameLayout reports whether c's rows hold their declared values as o's
+// do: the same fields, by name, kind and dimension, in the same order.
+// The codecs of one schema in two databases differ only by address.
+func (c *rowCodec) sameLayout(o *rowCodec) bool {
+	if c == o {
+		return true
+	}
+	if len(c.fields) != len(o.fields) {
+		return false
+	}
+	for i := range c.fields {
+		f, g := &c.fields[i], &o.fields[i]
+		if f.Name != g.Name || f.Kind != g.Kind || f.VecDim != g.VecDim {
+			return false
+		}
+	}
+	return true
+}
+
 // fixedDim reports whether f's vectors are stored without their length.
 func fixedDim(f *Field) bool { return f.Kind == KindVec && f.VecDim > 0 }
 
@@ -669,7 +727,7 @@ func (c *rowCodec) appendEncoded(buf []byte, p *Patch) ([]byte, error) {
 // is read by name, appending to decl and rest: a declared field it
 // lacks, or holds with another kind or dimension, is an error.
 func (c *rowCodec) split(p *Patch, decl []slot, rest []Pair) ([]slot, []Pair, error) {
-	if p.codec == c {
+	if p.codec != nil && p.codec.sameLayout(c) {
 		return p.declared(), p.pairs, nil
 	}
 	for i := range c.fields {
@@ -767,9 +825,8 @@ func UnmarshalPatch(id PatchID, buf []byte) (*Patch, error) {
 
 // patchDecoder parses the stored rows of one codec into committed rows
 // of that codec. One decoder reads a whole collection on load, so its
-// rows share strings and slot arrays: a declared key is the schema's
-// own string, a row whose source equals the previous row's reuses that
-// string, and each slot array holds the declared values of batch rows.
+// rows share strings: a declared key is the schema's own string, and a
+// row whose source equals the previous row's reuses that string.
 //
 // It reads two forms: the positional one rowCodec writes, and the keyed
 // one rows were stored in before, which begins with the id's uvarint and
@@ -780,9 +837,7 @@ func UnmarshalPatch(id PatchID, buf []byte) (*Patch, error) {
 // dimension, as ValidatePatch promised when the row was appended.
 type patchDecoder struct {
 	codec   *rowCodec
-	batch   int // rows each slot array holds (one when 0)
 	source  string
-	slab    []slot // slots no row has taken yet
 	scratch []Pair // the row's pairs, copied out exactly sized
 	buf     []byte
 	pos     int
@@ -823,66 +878,74 @@ func (d *patchDecoder) key(b []byte) (string, int) {
 	return string(b), -1
 }
 
-// decode parses buf, the stored row with the given id. Pair keys must be
-// stored in strictly ascending order, as encode writes them.
+// decode parses buf, the stored row with the given id, into a new
+// committed row with its own slots (see read).
 func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
+	p := new(Patch)
+	if err := d.read(id, buf, p, make([]slot, len(d.codec.fields))); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// read parses buf, the stored row with the given id, into p, a
+// committed row whose declared values it writes to decl, one slot per
+// declared field. Pair keys must be stored in strictly ascending order,
+// as encode writes them.
+func (d *patchDecoder) read(id PatchID, buf []byte, p *Patch, decl []slot) error {
 	d.buf, d.pos = buf, 0
 	keyed := len(buf) == 0 || buf[0] != rowMarker
 	if keyed {
 		stored, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if stored != uint64(id) {
-			return nil, errCorrupt
+			return errCorrupt
 		}
 	} else {
 		d.pos++
 	}
-	p := &Patch{ID: id}
+	*p = Patch{ID: id}
 	src, err := d.bytes()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if string(src) != d.source {
 		d.source = string(src)
 	}
 	p.Ref.Source = d.source
 	if p.Ref.Frame, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	parent, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.Ref.Parent = PatchID(parent)
 	data, err := d.bytes()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(data) > 0 {
 		if p.Data, err = tensor.Unmarshal(data); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c := d.codec
 	nf := len(c.fields)
-	if len(d.slab) < nf {
-		d.slab = make([]slot, nf*max(d.batch, 1))
-	}
-	decl := d.slab[:nf:nf]
 	if !keyed {
 		for i := range c.fields {
 			v, err := d.declared(&c.fields[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			decl[i] = v.slot()
 		}
 	}
 	nmeta, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pairs := d.scratch[:0]
 	found := 0
@@ -890,33 +953,33 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 	for i := uint64(0); i < nmeta; i++ {
 		kb, err := d.bytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if (i > 0 && string(kb) <= string(prev)) || d.pos >= len(buf) {
-			return nil, errCorrupt
+			return errCorrupt
 		}
 		prev = kb
 		k := ValueKind(buf[d.pos])
 		d.pos++
 		v, err := d.value(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch string(kb) {
 		case frameKey:
 			if v.Kind != KindInt || v.n != p.Ref.Frame {
-				return nil, errCorrupt
+				return errCorrupt
 			}
 		case sourceKey:
 			if v.Kind != KindStr || v.Str() != p.Ref.Source {
-				return nil, errCorrupt
+				return errCorrupt
 			}
 		default:
 			switch key, pos := d.key(kb); {
 			case pos < 0:
 				pairs = append(pairs, Pair{key, v})
 			case !keyed || !fits(&c.fields[pos], &v):
-				return nil, errCorrupt // a declared value stored twice, or breaking its schema
+				return errCorrupt // a declared value stored twice, or breaking its schema
 			default:
 				decl[pos] = v.slot()
 				found++
@@ -924,12 +987,11 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 		}
 	}
 	if keyed && found != nf {
-		return nil, errCorrupt
+		return errCorrupt
 	}
 	p.codec = c
 	if nf > 0 {
 		p.decl = &decl[0]
-		d.slab = d.slab[nf:]
 	}
 	if len(pairs) > 0 {
 		p.pairs = make([]Pair, len(pairs))
@@ -937,7 +999,7 @@ func (d *patchDecoder) decode(id PatchID, buf []byte) (*Patch, error) {
 	}
 	clear(pairs)
 	d.scratch = pairs[:0]
-	return p, nil
+	return nil
 }
 
 // declared parses field f's declared value.

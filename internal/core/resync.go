@@ -22,19 +22,20 @@ import (
 	"repro/internal/fault"
 )
 
-// samePatchBytes reports whether two patches have the same id and
-// serialize identically (the bytes do not hold the id, the row log's
-// framing does). Replicated appends share patch pointers across replicas, so the
-// common case is a pointer compare; marshaling only happens when a
-// replica was cold-loaded from its own store.
-func samePatchBytes(a, b *Patch) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || a.ID != b.ID {
+// sameRow reports whether row i of two snapshots has the same id and
+// stores the same bytes (the bytes do not hold the id, the row log's
+// framing does). The replicas' row tables hold their own copies, so it
+// encodes both rows, into bufs, through views of them.
+func sameRow(a, b Snapshot, i int, bufs *[2][]byte) bool {
+	var pa, pb Patch
+	a.tab.View(i, &pa)
+	b.tab.View(i, &pb)
+	if pa.ID != pb.ID {
 		return false
 	}
-	return bytes.Equal(a.Marshal(), b.Marshal())
+	bufs[0], _ = a.col.codec.appendEncoded(bufs[0][:0], &pa)
+	bufs[1], _ = b.col.codec.appendEncoded(bufs[1][:0], &pb)
+	return bytes.Equal(bufs[0], bufs[1])
 }
 
 // ResyncReplica brings one secondary level with its primary in every
@@ -75,6 +76,7 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 		return 0, err
 	}
 	rows, lag := 0, math.MaxInt
+	var bufs [2][]byte
 	// check reads the replica, then the primary (so one that has not
 	// diverged is never seen ahead), and checks that the replica's rows
 	// past its verified prefix are the primary's. Committed rows never
@@ -92,7 +94,7 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 			return rs, ps, fmt.Errorf("replica holds %d rows, primary %d — diverged", have, ps.Len())
 		}
 		for i := int(rcol.verified.Load()); i < have; i++ {
-			if !samePatchBytes(rs.rows[i], ps.rows[i]) {
+			if !sameRow(rs, ps, i, &bufs) {
 				return rs, ps, fmt.Errorf("row %d differs from primary — diverged", i)
 			}
 		}
@@ -107,7 +109,11 @@ func (s *Sharded) resyncCollection(ctx context.Context, shard, replica int, name
 			return err
 		}
 		have := rs.Len()
-		b, err := rcol.prepare(ps.rows[have : have+min(max, ps.Len()-have)])
+		part := make([]int32, min(max, ps.Len()-have))
+		for j := range part {
+			part[j] = int32(have + j)
+		}
+		b, err := rcol.prepare(ps.Materialize(part))
 		if err != nil {
 			return err
 		}

@@ -489,9 +489,7 @@ func TestResyncRechecksOnlyNewRows(t *testing.T) {
 		t.Fatalf("verified prefix after the first repair = %d, want the 8 rows it checked", got)
 	}
 	rep.mu.Lock()
-	twin := rep.cache[0].Clone()
-	twin.ID += 1000
-	rep.cache[0] = twin
+	rep.tab.chunks[0].ids[0] += 1000 // a verified row turns into another
 	rep.mu.Unlock()
 	lagBy(2)
 	if _, err := s.ResyncReplica(context.Background(), 0, 1); err != nil {
@@ -502,7 +500,7 @@ func TestResyncRechecksOnlyNewRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin = pp[rep.Len()].Clone()
+	twin := pp[rep.Len()].Clone()
 	twin.ID += 1000
 	if err := rep.Append(twin); err != nil {
 		t.Fatal(err)
@@ -510,4 +508,10 @@ func TestResyncRechecksOnlyNewRows(t *testing.T) {
 	if _, err := s.ResyncReplica(context.Background(), 0, 1); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("resync over an unverified row with another id = %v, want diverged", err)
 	}
+}
+
+// samePatchBytes reports whether two patches have the same id and
+// serialize identically (the bytes do not hold the id).
+func samePatchBytes(a, b *Patch) bool {
+	return a.ID == b.ID && bytes.Equal(a.Marshal(), b.Marshal())
 }

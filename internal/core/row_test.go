@@ -294,15 +294,16 @@ func fixtureMeta(labels []string, rng *rand.Rand) Metadata {
 }
 
 // TestCommittedRowBytes: a committed fixture-shaped row (three declared
-// fields, lineage from Ref) costs at most 160 bytes of live heap once the
-// rows are flushed: a Patch, three 16-byte slots for its declared values
-// and its pointer in the row cache. Before rows held their declared
-// values by position it cost 216.
+// fields, lineage from Ref) costs at most 80 bytes of live heap once the
+// rows are flushed: its id, frame and source code and three 16-byte
+// slots for its declared values in its collection's row table, 68 bytes.
+// Before rows held their declared values by position it cost 216, and
+// while a collection kept each row as a Patch, 152.
 func TestCommittedRowBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const rows, limit = 20000, 160
+	const rows, limit = 20000, 80
 	labels := make([]string, 16)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("cls%02d", i)
@@ -315,14 +316,16 @@ func TestCommittedRowBytes(t *testing.T) {
 }
 
 // TestCommittedVectorRowBytes: a committed row of the ingest_live shape
-// (the fixture's fields and a declared 32-d embedding) costs at most 176
-// bytes of live heap besides its vector's own 128-byte array. Before rows
-// held their declared values by position it cost 248.
+// (the fixture's fields and a declared 32-d embedding) costs at most 96
+// bytes of live heap besides its vector's own 128-byte array: its row
+// table entry, 84 bytes. Before rows held their declared values by
+// position it cost 248, and while a collection kept each row as a
+// Patch, 167.
 func TestCommittedVectorRowBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const rows, dim, limit = 20000, 32, 176
+	const rows, dim, limit = 20000, 32, 96
 	labels := make([]string, 16)
 	for i := range labels {
 		labels[i] = fmt.Sprintf("cls%02d", i)

@@ -251,15 +251,16 @@ func assertSameSnapshot(t *testing.T, what string, want, got Snapshot) {
 		t.Fatalf("%s: reopened %d rows, closed with %d", what, got.Len(), want.Len())
 	}
 	codec := got.col.codec
-	for i := range got.rows {
-		if err := samePatch(want.rows[i], got.rows[i]); err != nil {
+	wantRows, gotRows := want.Patches(), got.Patches()
+	for i := range gotRows {
+		if err := samePatch(wantRows[i], gotRows[i]); err != nil {
 			t.Fatalf("%s row %d: %v", what, i, err)
 		}
-		a, err := codec.encode(want.rows[i])
+		a, err := codec.encode(wantRows[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := codec.encode(got.rows[i])
+		b, err := codec.encode(gotRows[i])
 		if err != nil {
 			t.Fatal(err)
 		}

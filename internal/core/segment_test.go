@@ -280,12 +280,13 @@ func TestExtendAllocsIndependentOfHistory(t *testing.T) {
 			ps[i] = columnPatch(i)
 			ps[i].ID = PatchID(i + 1)
 		}
-		cs := newColumnStore(snapshotOf(ps[:n], 1), nil)
+		all := snapshotOf(ps, 2)
+		cs := newColumnStore(cut(all, n, 1), nil)
 		for _, f := range tieredFields {
 			cs.Column(f)
 		}
 		return testing.AllocsPerRun(20, func() {
-			cs.Extend(snapshotOf(ps, 2))
+			cs.Extend(all)
 		})
 	}
 	small, large := measure(1), measure(64)

@@ -145,12 +145,13 @@ func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod,
 	}
 	// The row scan, the fallback for fields with no column (any field the
 	// schema does not declare as int, float or string), and the
-	// unfiltered walk.
+	// unfiltered walk. Match tests one view of each row in turn.
 	all := method == 0
 	if !all {
 		s.Method = FilterScan
 	}
 	var blk [ColumnBlockSize]int32
+	var view Patch // the row Match tests
 	for lo := 0; lo < snap.Len(); lo += ColumnBlockSize {
 		if lo%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -163,7 +164,10 @@ func (snap Snapshot) Select(ctx context.Context, pred Pred, method FilterMethod,
 		}
 		hi, c := min(lo+ColumnBlockSize, snap.Len()), 0
 		for r := lo; r < hi; r++ {
-			if all || pred.Match(snap.rows[r]) {
+			if !all {
+				snap.tab.View(r, &view)
+			}
+			if all || pred.Match(&view) {
 				blk[c] = int32(r)
 				c++
 			}

@@ -301,7 +301,7 @@ func FuzzSelectPathsAgree(f *testing.F) {
 			t.Fatal(err)
 		}
 		for v, vw := range views {
-			vw = Snapshot{col, cur.rows[:vw.Len()], vw.version} // the view's rows, read through the reopened collection
+			vw = Snapshot{col, cur.tab, vw.Len(), vw.version} // the view's rows, read through the reopened collection
 			for k, p := range preds {
 				if got := selectIDs(t, vw, p, FilterColumnScan); !reflect.DeepEqual(got, want[v][k]) {
 					t.Fatalf("tiered %d/%d rows, %+v: %d ids, row scan %d", vw.Len(), snap.Len(), p, len(got), len(want[v][k]))
@@ -325,7 +325,7 @@ func FuzzSelectPathsAgree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !idsEqual(patchIDs(rsnap.rows), patchIDs(snap.rows)) {
+		if !idsEqual(patchIDs(rsnap.Patches()), patchIDs(snap.Patches())) {
 			t.Fatalf("reopened %d rows: not the %d rows before the close, in order", rsnap.Len(), snap.Len())
 		}
 		for k, p := range preds {

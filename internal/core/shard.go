@@ -537,11 +537,19 @@ func (c *ShardedCollection) Name() string { return c.name }
 // Schema returns the collection's schema.
 func (c *ShardedCollection) Schema() Schema { return c.schema }
 
-// Sealer returns a Sealer of rows in the layout of the collection's
-// first shard, with slots for rows rows. Every shard's layout is alike:
-// another shard encodes such a row by reading its fields by name.
+// Sealer returns a Sealer of rows in the layout of the collection,
+// with slots for rows rows, lent by the first shard's primary: Release
+// gives them back once AppendBatch of the rows has returned, and the
+// next Sealer reuses them.
 func (c *ShardedCollection) Sealer(rows int) *Sealer {
-	return newSealer(c.schema, c.cols[0][0].codec, rows)
+	home := c.cols[0][0]
+	s := home.sealer.Swap(nil)
+	if s == nil {
+		s = &Sealer{schema: c.schema, codec: home.codec}
+	}
+	s.home = home
+	s.reset(rows)
+	return s
 }
 
 // Shards returns the partition count.

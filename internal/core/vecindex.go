@@ -68,9 +68,10 @@ type VectorIndex struct {
 	at    Snapshot // the rows covered: an extension indexes the ones past them
 
 	// A ball tree, which owns the only copy of its points, over the
-	// field's points in at.rows[:treeRows], plus a linear tail: the
-	// tailN points in at.rows[treeRows:], read from the rows in row
-	// order. Rows are immutable, so nothing an index reads is written.
+	// field's points in the first treeRows rows of at, plus a linear
+	// tail: the tailN points in the rows after them, read from the row
+	// table in row order. Rows are immutable, so nothing an index reads
+	// is written.
 	ball     *balltree.Tree
 	treeRows int
 	tailN    int
@@ -94,7 +95,7 @@ func NewVectorIndex(at Snapshot, field string) (*VectorIndex, error) {
 // retree builds vi's tree over the first n points of its rows, all of
 // them, in row order, leaving no tail.
 func (vi *VectorIndex) retree(n int) error {
-	t, err := balltree.Build(fieldPoints(vi.at.rows, vi.field, n))
+	t, err := balltree.Build(fieldPoints(vi.at, vi.field, n))
 	if err != nil {
 		return err
 	}
@@ -102,17 +103,24 @@ func (vi *VectorIndex) retree(n int) error {
 	return nil
 }
 
-// fieldPoints returns the points of the first limit rows carrying field
-// at the first one's dimensionality: the rows a vector index holds.
-func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
-	pts := make([]balltree.Point, 0, min(limit, len(rows)))
-	for _, p := range rows {
-		if vec, ok := vecOf(p, field); ok && (len(pts) == 0 || len(vec) == len(pts[0].Vec)) {
-			if pts = append(pts, balltree.Point{Vec: vec, ID: uint64(p.ID)}); len(pts) == limit {
-				break
+// fieldPoints returns the points of the first limit rows of at carrying
+// field at the first one's dimensionality: the rows a vector index
+// holds.
+func fieldPoints(at Snapshot, field string, limit int) []balltree.Point {
+	pts := make([]balltree.Point, 0, min(limit, at.Len()))
+	if at.Len() == 0 {
+		return pts
+	}
+	at.tab.vectorRuns(field, 0, at.Len(), func(ids []PatchID, slots []slot, stride int) bool {
+		for j, id := range ids {
+			if vec := vecAt(slots, j, stride); len(pts) == 0 || len(vec) == len(pts[0].Vec) {
+				if pts = append(pts, balltree.Point{Vec: vec, ID: uint64(id)}); len(pts) == limit {
+					return false
+				}
 			}
 		}
-	}
+		return true
+	})
 	return pts
 }
 
@@ -127,13 +135,18 @@ func fieldPoints(rows []*Patch, field string, limit int) []balltree.Point {
 func (vi *VectorIndex) Extend(at Snapshot) (*VectorIndex, error) {
 	nx := *vi
 	nx.at = at
-	for _, p := range at.rows[vi.at.Len():] {
-		if vec, ok := vecOf(p, vi.field); ok {
-			if vi.Dim() == 0 || len(vec) != vi.Dim() {
-				return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
+	dim, dimOK := vi.Dim(), true
+	at.tab.vectorRuns(vi.field, vi.at.Len(), at.Len(), func(ids []PatchID, slots []slot, stride int) bool {
+		for j := range ids {
+			if dimOK = dim != 0 && len(vecAt(slots, j, stride)) == dim; !dimOK {
+				return false
 			}
-			nx.tailN++
 		}
+		nx.tailN += len(ids)
+		return true
+	})
+	if !dimOK {
+		return nil, fmt.Errorf("core: vector index on %q cannot extend across dimensionality change", vi.field)
 	}
 	if treeN := nx.ball.Len(); nx.tailN > exactTailMax && nx.tailN*4 > treeN {
 		if err := nx.retree(treeN + nx.tailN); err != nil {
@@ -152,16 +165,13 @@ func (vi *VectorIndex) Len() int { return vi.ball.Len() + vi.tailN }
 // Dim returns the indexed dimensionality (0 when no vectors were seen).
 func (vi *VectorIndex) Dim() int { return vi.ball.Dim() }
 
-// tail calls fn with each tail point, in row order.
-func (vi *VectorIndex) tail(fn func(id PatchID, vec []float32) bool) {
+// tail calls fn with the tail points, in row order, in runs (see
+// RowTable.vectorRuns).
+func (vi *VectorIndex) tail(fn func(ids []PatchID, slots []slot, stride int) bool) {
 	if vi.tailN == 0 {
 		return
 	}
-	for _, p := range vi.at.rows[vi.treeRows:] {
-		if vec, ok := vecOf(p, vi.field); ok && !fn(p.ID, vec) {
-			return
-		}
-	}
+	vi.at.tab.vectorRuns(vi.field, vi.treeRows, vi.at.Len(), fn)
 }
 
 // KNN returns the k nearest indexed vectors to q in ascending
@@ -175,8 +185,10 @@ func (vi *VectorIndex) KNN(q []float32, k int) []VecNeighbor {
 	// point tying the keeper's worst, so the kept set is the canonical
 	// top-k whatever order the points arrive in.
 	keep := newNeighborKeep(k, vi.Len())
-	vi.tail(func(id PatchID, vec []float32) bool {
-		keep.offer(VecNeighbor{ID: id, Dist: VecDist(vec, q)})
+	vi.tail(func(ids []PatchID, slots []slot, stride int) bool {
+		for j, id := range ids {
+			keep.offer(VecNeighbor{ID: id, Dist: VecDist(vecAt(slots, j, stride), q)})
+		}
 		return true
 	})
 	evals := vi.tailN + vi.ball.Nearest(q, keep.bound, func(p balltree.Point, d float64) {
@@ -204,10 +216,14 @@ func (vi *VectorIndex) RangeSearch(q []float32, eps float64, fn func(id PatchID,
 	}
 	// The tail applies the tree's membership test, so a row at the eps
 	// boundary matches the same way before and after a re-tree.
-	vi.tail(func(id PatchID, vec []float32) bool {
-		evals++
-		d, ok := balltree.DistWithin(vec, q, eps)
-		return !ok || fn(id, d)
+	vi.tail(func(ids []PatchID, slots []slot, stride int) bool {
+		for j, id := range ids {
+			evals++
+			if d, ok := balltree.DistWithin(vecAt(slots, j, stride), q, eps); ok && !fn(id, d) {
+				return false
+			}
+		}
+		return true
 	})
 	return evals
 }
@@ -248,33 +264,41 @@ func (t *neighborKeep) bound() float64 {
 // id), distances through VecDist. Rows without the field (or with a
 // dimensionality mismatch against the query) are skipped.
 func BruteKNN(ps []*Patch, field string, q []float32, k int) []VecNeighbor {
-	ns, _ := bruteKNN(ps, field, q, k)
-	return ns
-}
-
-// ScanKNN is BruteKNN over the snapshot's rows, counted into the
-// database's RefreshStats.
-func (s Snapshot) ScanKNN(field string, q []float32, k int) []VecNeighbor {
-	ns, evals := bruteKNN(s.rows, field, q, k)
-	s.col.db.refresh.knnScanEvals.Add(int64(evals))
-	return ns
-}
-
-// bruteKNN is BruteKNN, also returning the distances it evaluated.
-func bruteKNN(ps []*Patch, field string, q []float32, k int) ([]VecNeighbor, int) {
 	if k <= 0 {
-		return nil, 0
+		return nil
 	}
 	keep := newNeighborKeep(k, len(ps))
-	evals := 0
 	for _, p := range ps {
 		if vec, ok := vecOf(p, field); ok && len(vec) == len(q) {
 			keep.offer(VecNeighbor{ID: p.ID, Dist: VecDist(vec, q)})
-			evals++
 		}
 	}
 	SortNeighbors(keep.h)
-	return keep.h, evals
+	return keep.h
+}
+
+// ScanKNN is BruteKNN over the snapshot's rows, read from its row
+// table, counted into the database's RefreshStats.
+func (s Snapshot) ScanKNN(field string, q []float32, k int) []VecNeighbor {
+	if k <= 0 {
+		return nil
+	}
+	keep := newNeighborKeep(k, s.Len())
+	evals := 0
+	if s.Len() > 0 {
+		s.tab.vectorRuns(field, 0, s.Len(), func(ids []PatchID, slots []slot, stride int) bool {
+			for j, id := range ids {
+				if vec := vecAt(slots, j, stride); len(vec) == len(q) {
+					keep.offer(VecNeighbor{ID: id, Dist: VecDist(vec, q)})
+					evals++
+				}
+			}
+			return true
+		})
+	}
+	SortNeighbors(keep.h)
+	s.col.db.refresh.knnScanEvals.Add(int64(evals))
+	return keep.h
 }
 
 // VectorIndex returns a vector index over field, current exactly as of
@@ -322,10 +346,18 @@ type VecIndexMode int
 // VecExact is the ball-tree index, whose answers equal the brute scan's.
 const VecExact VecIndexMode = 1
 
-// VectorIndexAt is Snapshot.VectorIndex over the rows ps at version
-// ver, for the benchmark harness. The mode is ignored.
+// VectorIndexAt is Snapshot.VectorIndex over the first len(ps) rows of
+// the collection at version ver, for the benchmark harness: ps is the
+// rows Collection.Snapshot returned with ver. The mode is ignored.
 func (c *Collection) VectorIndexAt(ps []*Patch, ver uint64, field string, _ VecIndexMode) (*VectorIndex, error) {
-	return Snapshot{c, ps, ver}.VectorIndex(field)
+	cur, err := c.Current()
+	if err != nil {
+		return nil, err
+	}
+	if len(ps) > cur.Len() {
+		return nil, fmt.Errorf("core: %d rows past the %d of collection %q", len(ps), cur.Len(), c.name)
+	}
+	return Snapshot{c, cur.tab, len(ps), ver}.VectorIndex(field)
 }
 
 func (vi *VectorIndex) covers() Snapshot {
@@ -375,7 +407,7 @@ func (s Snapshot) treeStat(field string, k int) treeStat {
 	if st, ok := s.col.treeStats.Load(key); ok {
 		return st.(treeStat)
 	}
-	pts := fieldPoints(s.rows, field, treeSampleRows)
+	pts := fieldPoints(s, field, treeSampleRows)
 	if len(pts) < treeSampleRows {
 		return scanStat
 	}

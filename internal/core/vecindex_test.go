@@ -106,7 +106,7 @@ func TestVectorIndexExactMatchesBrute(t *testing.T) {
 			q := vecTestQuery(qi, dim, clusters)
 			for _, k := range []int{1, 3, 10, 25, snap.Len() + 5} {
 				got := vi.KNN(q, k)
-				want := BruteKNN(snap.rows, "emb", q, k)
+				want := BruteKNN(snap.Patches(), "emb", q, k)
 				if !neighborsEqual(got, want) {
 					t.Fatalf("%s: q%d k=%d: index %v != brute %v", stage, qi, k, got, want)
 				}
@@ -222,14 +222,15 @@ func TestVectorIndexExtendAllocatesOnlyAppended(t *testing.T) {
 	}
 	const dim, clusters, base, step, steps = 8, 7, 12_000, 64, 32
 	ps := vecTestRows(0, base+step*steps, 1, dim, clusters)
-	vi, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb")
+	all := snapshotOf(ps, 1)
+	vi, err := NewVectorIndex(cut(all, base, 1), "emb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	med := allocBytes(steps, func() {
 		i++
-		if vi, err = vi.Extend(snapshotOf(ps[:base+step*i], uint64(i+1))); err != nil {
+		if vi, err = vi.Extend(cut(all, base+step*i, uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -267,17 +268,18 @@ func TestVectorIndexExtendAllocsIndependentOfTail(t *testing.T) {
 	}
 	const dim, clusters, base, step, long = 8, 7, 12_000, 64, 2_000
 	ps := vecTestRows(0, base+long+step, 1, dim, clusters)
-	vi0, err := NewVectorIndex(snapshotOf(ps[:base], 1), "emb")
+	all := snapshotOf(ps, 1)
+	vi0, err := NewVectorIndex(cut(all, base, 1), "emb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [2]uint64
 	for i, tail := range []int{step, long} {
-		vi, err := vi0.Extend(snapshotOf(ps[:base+tail], 2))
+		vi, err := vi0.Extend(cut(all, base+tail, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := snapshotOf(ps[:base+tail+step], 3)
+		at := cut(all, base+tail+step, 3)
 		got[i] = allocBytes(16, func() {
 			nx, err := vi.Extend(at)
 			if err != nil || nx.ball != vi0.ball || nx.tailN != tail+step {
@@ -431,11 +433,11 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 		for qi := 0; qi < 12; qi++ {
 			q := vecTestQuery(qi, dim, clusters)
 			epss := []float64{0, 0.01, 0.5, 4}
-			for _, n := range BruteKNN(snap.rows, "emb", q, 200) {
+			for _, n := range BruteKNN(snap.Patches(), "emb", q, 200) {
 				epss = append(epss, n.Dist) // boundary: a row at exactly eps
 			}
 			for _, eps := range epss {
-				got, want := rangeAll(vi, q, eps), scanRange(snap.rows, q, eps)
+				got, want := rangeAll(vi, q, eps), scanRange(snap.Patches(), q, eps)
 				if len(got) != len(want) {
 					t.Fatalf("%s: q%d eps=%g: %d rows, scan %d", stage, qi, eps, len(got), len(want))
 				}
@@ -457,7 +459,7 @@ func TestVectorIndexRangeSearchMatchesScan(t *testing.T) {
 			t.Fatalf("%s: RangeSearch evaluated %d distances, tree %d + tail %d", stage, evals, treeEvals, tail)
 		}
 		// Early stop: every prefix of the walk, across the tree/tail seam.
-		n := len(scanRange(snap.rows, q, 4))
+		n := len(scanRange(snap.Patches(), q, 4))
 		if n < 2 {
 			t.Fatalf("%s: vacuous early-stop check (%d rows)", stage, n)
 		}

@@ -266,17 +266,17 @@ func TestAppendRejectsFrameBeyondInt64(t *testing.T) {
 }
 
 // TestAppendedRowBytes: a fixture-shaped row (three declared fields)
-// committed through /append costs at most 176 bytes of live heap once
-// the rows are flushed: its share of the batch's array of Patches, of
-// the slot array its declared values take (the collection's Sealer
-// gives a batch one), its copied label and its pointer in the row cache.
-// Before /append sealed against the collection's layout, the batch's
-// rows held their metadata as keyed pairs, at ~216 bytes a row.
+// committed through /append costs at most 96 bytes of live heap once
+// the rows are flushed: its row table entry and its copied label. The
+// batch's array of Patches and its Sealer's slots do not outlive the
+// append. Before /append sealed against the collection's layout, the
+// batch's rows held their metadata as keyed pairs, at ~216 bytes a row,
+// and while the collection kept the batch's Patches, 176 bounded it.
 func TestAppendedRowBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const batches, limit = 200, 176
+	const batches, limit = 200, 96
 	db, err := core.Open(filepath.Join(t.TempDir(), "rows.db"), exec.New(exec.CPU))
 	if err != nil {
 		t.Fatal(err)

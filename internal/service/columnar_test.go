@@ -87,7 +87,7 @@ func TestColumnarRowsShardCountInvariant(t *testing.T) {
 			}
 			if n == 1 {
 				// One shard must reproduce the unsharded rows exactly.
-				if !reflect.DeepEqual(refRows(asBuilders(want[i].Rows)), refRows(asBuilders(r.Rows))) {
+				if !reflect.DeepEqual(refRows(want[i].Rows), refRows(r.Rows)) {
 					t.Errorf("N=1 query %d: rows diverge from unsharded reference", i)
 				}
 			} else if !reflect.DeepEqual(keySeq(want[i], reqs[i].OrderBy), keySeq(r, reqs[i].OrderBy)) {

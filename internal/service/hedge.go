@@ -40,7 +40,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 	if err != nil {
 		return err
 	}
-	*frag = shardFragment{snap: snap}
+	*frag = shardFragment{snap: snap, rows: frag.rows[:0], block: frag.block[:0]}
 	req := plan.req
 	if req.KNN != nil {
 		// Planned and probed on this replica's own snapshot and index.
@@ -49,7 +49,7 @@ func (s *Service) fragmentAttempt(ctx context.Context, plan *fragmentPlan, i, r 
 		err = s.filterFragment(ctx, plan, frag)
 	}
 	if err == nil && req.SimJoin != nil {
-		frag.rows = snap.Materialize(frag.Sel)
+		frag.materialize()
 	}
 	return err
 }

@@ -167,7 +167,9 @@ func (r *Response) appendHead(b []byte, keys *[]string) ([]byte, error) {
 // fields sorted bytewise, as encoding/json orders a map's keys. keys is
 // the scratch the field names are sorted in.
 func (r Row) appendJSON(b []byte, keys *[]string) ([]byte, error) {
-	*keys = r.appendKeys((*keys)[:0])
+	var p core.Patch
+	r.view(&p)
+	*keys = r.appendKeys(&p, (*keys)[:0])
 	b = append(b, '{')
 	for i, k := range *keys {
 		if i > 0 {
@@ -176,7 +178,7 @@ func (r Row) appendJSON(b []byte, keys *[]string) ([]byte, error) {
 		b = append(b, "\n      "...)
 		b = appendJSONString(b, k)
 		b = append(b, ": "...)
-		v, u, _ := r.value(k)
+		v, u, _ := r.value(&p, k)
 		switch v.Kind {
 		case core.KindInt:
 			b = strconv.AppendInt(b, v.Int(), 10)

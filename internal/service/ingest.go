@@ -103,7 +103,8 @@ func (s *Service) Append(ctx context.Context, req AppendRequest) (*AppendRespons
 // fixed order — closed service, canceled context, no collection or no
 // patches, a full append gate (429), an unknown collection (404) — and
 // only then calls build, which seals the n patches through a Sealer of
-// the collection's, and commits them as one AppendBatch.
+// the collection's, and commits them as one AppendBatch. The Sealer's
+// slots go back to the collection when it returns.
 func (s *Service) appendPatches(ctx context.Context, collection string, n int, build func(*core.Sealer) ([]*core.Patch, error)) (*AppendResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -133,7 +134,9 @@ func (s *Service) appendPatches(ctx context.Context, collection string, n int, b
 	}
 
 	start := time.Now()
-	patches, err := build(sc.Sealer(n))
+	sl := sc.Sealer(n)
+	defer sl.Release() // once the commit re-pointed the rows at their tables
+	patches, err := build(sl)
 	if err != nil {
 		return nil, err
 	}

@@ -119,11 +119,12 @@ func (s *Service) knnRows(frags []*shardFragment, k int) ([]Row, error) {
 	}
 	rows := make([]Row, len(ns))
 	for i, n := range ns {
-		p, err := frags[s.shards.ShardFor(n.ID)].snap.Get(n.ID)
-		if err != nil {
-			return nil, err
+		snap := frags[s.shards.ShardFor(n.ID)].snap
+		at, ok := snap.Find(n.ID)
+		if !ok {
+			return nil, fmt.Errorf("%w: neighbor %d", core.ErrNotFound, n.ID)
 		}
-		rows[i] = Row{p: p, dist: n.Dist, knn: true}
+		rows[i] = Row{tab: snap.Table(), pos: int32(at), dist: n.Dist, knn: true}
 	}
 	return rows, nil
 }

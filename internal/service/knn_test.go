@@ -160,7 +160,7 @@ func TestKNNShardInvariance(t *testing.T) {
 		if r.Value != want[qi].Value {
 			t.Errorf("knn %d: N=3 value %d, unsharded %d", qi, r.Value, want[qi].Value)
 		}
-		if got, ref := refRows(asBuilders(r.Rows)), refRows(asBuilders(want[qi].Rows)); !reflect.DeepEqual(got, ref) {
+		if got, ref := refRows(r.Rows), refRows(want[qi].Rows); !reflect.DeepEqual(got, ref) {
 			t.Errorf("knn %d: N=3 rows diverge from unsharded\n  N=3: %v\n  N=1: %v", qi, got, ref)
 		}
 	}
@@ -184,14 +184,14 @@ func TestKNNRowsShape(t *testing.T) {
 	for i, row := range r.Rows {
 		d, ok := rowField(row, "_dist").(float64)
 		if !ok {
-			t.Fatalf("row %d has no _dist: %v", i, refRows(asBuilders(r.Rows))[i])
+			t.Fatalf("row %d has no _dist: %v", i, refRows(r.Rows)[i])
 		}
 		if d < prev {
 			t.Fatalf("rows not ascending by distance: %g after %g", d, prev)
 		}
 		prev = d
 		if _, ok := row.Get("_id"); !ok {
-			t.Fatalf("row %d lost its projection: %v", i, refRows(asBuilders(r.Rows))[i])
+			t.Fatalf("row %d lost its projection: %v", i, refRows(r.Rows)[i])
 		}
 	}
 	// The query sits at cluster 2's center: every neighbor is a member.

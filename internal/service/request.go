@@ -464,27 +464,34 @@ type Response struct {
 	wire *wireMemo
 }
 
-// Row is one result row: a handle on the patch it projects, plus the
-// neighbor's distance in a kNN answer. Its fields, on the wire and
-// through Get, are the patch's scalar metadata, its identity and lineage
-// columns _id, _source and _frame, and _dist for a kNN neighbor; vector
-// and rect values are left out. A metadata field shadows the identity
-// and lineage column of its name, and _dist shadows metadata.
+// Row is one result row: a handle on the committed row it projects, a
+// position in its replica's row table, plus the neighbor's distance in
+// a kNN answer. Its fields, on the wire and through Get, are the row's
+// scalar metadata, its identity and lineage columns _id, _source and
+// _frame, and _dist for a kNN neighbor; vector and rect values are left
+// out. A metadata field shadows the identity and lineage column of its
+// name, and _dist shadows metadata.
 type Row struct {
-	p    *core.Patch
+	tab  *core.RowTable
 	dist float64
+	pos  int32
 	knn  bool
 }
 
-// rowBytes is a Row's footprint: the patch pointer, the distance and the
-// kNN flag.
+// rowBytes is a Row's footprint: the table pointer, the distance, the
+// position and the kNN flag.
 const rowBytes = 24
+
+// view fills p with the row (see core.RowTable.View).
+func (r Row) view(p *core.Patch) { r.tab.View(int(r.pos), p) }
 
 // Get returns the row's field: _id and _frame as uint64, ints as int64,
 // floats as float64 and strings as string. ok is false for a field the
 // row does not carry.
 func (r Row) Get(field string) (any, bool) {
-	v, u, ok := r.value(field)
+	var p core.Patch
+	r.view(&p)
+	v, u, ok := r.value(&p, field)
 	switch {
 	case !ok:
 		return nil, false
@@ -498,22 +505,22 @@ func (r Row) Get(field string) (any, bool) {
 	return u, true
 }
 
-// value resolves field: a scalar v, or, when v has no kind, the unsigned
-// u of _id or _frame.
-func (r Row) value(field string) (v core.Value, u uint64, ok bool) {
+// value resolves field of p, the row's view: a scalar v, or, when v has
+// no kind, the unsigned u of _id or _frame.
+func (r Row) value(p *core.Patch, field string) (v core.Value, u uint64, ok bool) {
 	if r.knn && field == "_dist" {
 		return core.FloatV(r.dist), 0, true
 	}
-	if mv, found := r.p.Get(field); found && wireKind(mv.Kind) {
+	if mv, found := p.Get(field); found && wireKind(mv.Kind) {
 		return mv, 0, true
 	}
 	switch field {
 	case "_id":
-		return core.Value{}, uint64(r.p.ID), true
+		return core.Value{}, uint64(p.ID), true
 	case "_frame":
-		return core.Value{}, r.p.Ref.Frame, true
+		return core.Value{}, p.Ref.Frame, true
 	case "_source":
-		return core.StrV(r.p.Ref.Source), 0, true
+		return core.StrV(p.Ref.Source), 0, true
 	}
 	return core.Value{}, 0, false
 }
@@ -523,13 +530,14 @@ func wireKind(k core.ValueKind) bool {
 	return k == core.KindInt || k == core.KindFloat || k == core.KindStr
 }
 
-// appendKeys appends the row's field names to keys, sorted bytewise.
-func (r Row) appendKeys(keys []string) []string {
+// appendKeys appends the field names of p, the row's view, to keys,
+// sorted bytewise.
+func (r Row) appendKeys(p *core.Patch, keys []string) []string {
 	keys = append(keys, "_frame", "_id", "_source")
 	if r.knn {
 		keys = append(keys, "_dist")
 	}
-	for k, v := range r.p.Range {
+	for k, v := range p.Range {
 		switch {
 		case !wireKind(v.Kind), k == "_frame", k == "_id", k == "_source", r.knn && k == "_dist":
 			continue
@@ -578,8 +586,8 @@ func (m *wireMemo) headFor(r *Response) ([]byte, error) {
 }
 
 // sizeBytes is the response's cache footprint: its fixed fields and one
-// handle per row. The rows' patches are resident in their collection's
-// row cache; the encoded head is charged when it is built.
+// handle per row. The rows are resident in their collection's row
+// table; the encoded head is charged when it is built.
 func (r *Response) sizeBytes() int64 {
 	return 160 + int64(len(r.Plan)) + int64(len(r.Fingerprint)) + rowBytes*int64(len(r.Rows))
 }

@@ -210,7 +210,7 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 		// Unsharded rows are snapshot-ordered on both paths: identical.
 		sr, _ := plain.Query(ctx, scan)
 		ir, _ := plain.Query(ctx, indexed)
-		if !reflect.DeepEqual(refRows(asBuilders(sr.Rows)), refRows(asBuilders(ir.Rows))) {
+		if !reflect.DeepEqual(refRows(sr.Rows), refRows(ir.Rows)) {
 			t.Errorf("%s[%v,%v): indexed rows diverge from column scan", tc.field, tc.min, tc.max)
 		}
 	}
@@ -222,7 +222,7 @@ func TestBTreeRangeFilterMatchesColumnScan(t *testing.T) {
 // nearly for free.
 func TestResponseSizeBytesCountsWideValues(t *testing.T) {
 	rows := func(v core.Value) []Row {
-		return []Row{{p: &core.Patch{ID: 1, Meta: core.Metadata{"a": v}}}}
+		return []Row{{tab: core.TableOf(&core.Patch{ID: 1, Meta: core.Metadata{"a": v}})}}
 	}
 	narrow := &Response{Rows: rows(core.IntV(1))}
 	wide := &Response{Rows: rows(core.StrV(strings.Repeat("v", 600)))}

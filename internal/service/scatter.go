@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,9 +63,22 @@ type shardFragment struct {
 	cost float64
 
 	// rows are a similarity join's kept rows as patches, which the join
-	// tasks and the re-clustering read.
-	rows []*core.Patch
-	ns   []core.VecNeighbor
+	// tasks and the re-clustering read: views of the rows in block, both
+	// kept by the request's pooled scatterState for the next request.
+	rows  []*core.Patch
+	block []core.Patch
+	ns    []core.VecNeighbor
+}
+
+// materialize fills rows with the kept rows, in Sel's order.
+func (f *shardFragment) materialize() {
+	n := len(f.Sel)
+	f.block = slices.Grow(f.block[:0], n)[:n]
+	f.snap.ViewRows(f.Sel, f.block)
+	f.rows = slices.Grow(f.rows[:0], n)
+	for i := range f.block {
+		f.rows = append(f.rows, &f.block[i])
+	}
 }
 
 // label is the fragment's plan operator: its kNN probe's, its filter's
@@ -538,7 +552,8 @@ func (s *Service) runJoin(task *joinTask, sj *SimJoinSpec, left []*core.Patch, r
 // (nil = missing shard) and each shard's error. It comes from
 // scatterStates and goes back, cleared, when executeScatter returns;
 // states for more than maxPooledShards shards are dropped, so the pool
-// holds only small objects.
+// holds only small objects. A slot keeps the arrays its join rows were
+// materialized into, up to maxPooledJoinRows rows.
 type scatterState struct {
 	slab  []shardFragment
 	frags []*shardFragment
@@ -549,6 +564,10 @@ var scatterStates = sync.Pool{New: func() any { return new(scatterState) }}
 
 // maxPooledShards is the largest fan-out whose scatterState is reused.
 const maxPooledShards = 16
+
+// maxPooledJoinRows is the most join rows a pooled fragment slot keeps
+// room for.
+const maxPooledJoinRows = 4096
 
 func getScatterState(nsh int) *scatterState {
 	st := scatterStates.Get().(*scatterState)
@@ -568,7 +587,16 @@ func (st *scatterState) release() {
 	if cap(st.slab) > maxPooledShards {
 		return
 	}
-	clear(st.slab)
+	for i := range st.slab {
+		f := &st.slab[i]
+		rows, block := f.rows[:0], f.block[:0]
+		if cap(block) > maxPooledJoinRows {
+			rows, block = nil, nil
+		}
+		clear(rows[:cap(rows)])
+		clear(block[:cap(block)])
+		*f = shardFragment{rows: rows, block: block}
+	}
 	clear(st.frags)
 	clear(st.errs)
 	scatterStates.Put(st)
@@ -589,21 +617,34 @@ func concatRows(frags []*shardFragment, limit int) []Row {
 		if frag == nil {
 			continue
 		}
+		tab := frag.snap.Table()
 		for _, r := range frag.Sel[:min(len(frag.Sel), limit-len(rows))] {
-			rows = append(rows, Row{p: frag.snap.Row(int(r))})
+			rows = append(rows, Row{tab: tab, pos: r})
 		}
 	}
 	return rows
 }
 
 // rowCursor is one shard's sorted, trimmed kept rows being consumed by
-// the merge.
+// the merge, and a view of its head row.
 type rowCursor struct {
 	frag *shardFragment
 	pos  int
+	head core.Patch
 }
 
-func (c *rowCursor) head() *core.Patch { return c.frag.snap.Row(int(c.frag.Sel[c.pos])) }
+// next moves the cursor to its pos'th row and reports whether it has
+// one.
+func (c *rowCursor) next() bool {
+	if c.pos == len(c.frag.Sel) {
+		return false
+	}
+	c.frag.snap.Table().View(int(c.frag.Sel[c.pos]), &c.head)
+	return true
+}
+
+// row is the handle on the cursor's head.
+func (c *rowCursor) row() Row { return Row{tab: c.frag.snap.Table(), pos: c.frag.Sel[c.pos]} }
 
 // mergeCursors is the fan-out up to which the merge's cursors live on
 // the stack.
@@ -623,6 +664,7 @@ func mergeSortedRows(ctx context.Context, frags []*shardFragment, field string, 
 	for _, frag := range frags {
 		if frag != nil && len(frag.Sel) > 0 {
 			curs = append(curs, rowCursor{frag: frag})
+			curs[len(curs)-1].next()
 			n += len(frag.Sel)
 		}
 	}
@@ -633,15 +675,15 @@ func mergeSortedRows(ctx context.Context, frags []*shardFragment, field string, 
 				return nil, err
 			}
 		}
-		best, bp := 0, curs[0].head()
+		best := 0
 		for c := 1; c < len(curs); c++ {
-			if p := curs[c].head(); core.CompareBy(p, bp, field, desc) < 0 {
-				best, bp = c, p
+			if core.CompareBy(&curs[c].head, &curs[best].head, field, desc) < 0 {
+				best = c
 			}
 		}
-		out = append(out, Row{p: bp})
 		cur := &curs[best]
-		if cur.pos++; cur.pos == len(cur.frag.Sel) {
+		out = append(out, cur.row())
+		if cur.pos++; !cur.next() {
 			curs = append(curs[:best], curs[best+1:]...)
 		}
 	}

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -166,6 +168,76 @@ func TestScatterJoinAllocs(t *testing.T) {
 		}
 		if three[i] > c.max3 {
 			t.Errorf("%s at N=3: %.0f allocations per miss, want <= %.0f", c.name, three[i], c.max3)
+		}
+	}
+}
+
+// TestResultRowIsHandle: a result row is a 24-byte handle on its row in
+// the answering replica's row table, with no patch behind it. Over a
+// 3-shard fixture, concatenating the fragments' kept rows and merging
+// their sorted rows each allocate the row list and nothing else, and
+// every handle reads the row it names: Get of each field it carries
+// equals the committed row's.
+func TestResultRowIsHandle(t *testing.T) {
+	if got := unsafe.Sizeof(Row{}); got != rowBytes {
+		t.Fatalf("a Row takes %d bytes, rowBytes is %d", got, rowBytes)
+	}
+	s := obsFixture(t, 3, missAllocRows, Config{Workers: 1})
+	scol, err := s.shards.Collection(shardTestCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := make([]*shardFragment, scol.Shards())
+	for i := range frags {
+		snap, err := scol.Replica(i, 0).Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := make([]int32, 0, 40)
+		for r := 0; r < snap.Len() && len(sel) < cap(sel); r += 53 {
+			sel = append(sel, int32(r))
+		}
+		frags[i] = &shardFragment{snap: snap, Selection: core.Selection{Sel: sel}}
+	}
+	var want []*core.Patch // the concatenation's rows
+	for _, f := range frags {
+		for _, r := range f.Sel {
+			want = append(want, f.snap.Row(int(r)))
+		}
+	}
+	want = want[:100]
+	var rows []Row
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"concat", func() { rows = concatRows(frags, 100) }},
+		{"merge", func() { rows, _ = mergeSortedRows(ctx, frags, "rank", false, 100) }},
+	} {
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(50, c.build); allocs != 1 {
+				t.Errorf("%s: building rows allocates %.0f times, want 1 (the row list)", c.name, allocs)
+			}
+		}
+		c.build()
+		if len(rows) != 100 {
+			t.Fatalf("%s: %d rows, want 100", c.name, len(rows))
+		}
+		for i, r := range rows {
+			p := r.patch()
+			if c.name == "concat" && p.ID != want[i].ID {
+				t.Fatalf("concat: row %d is id %d, want %d", i, p.ID, want[i].ID)
+			}
+			label, _ := p.Get("label")
+			score, _ := p.Get("score")
+			rank, _ := p.Get("rank")
+			for f, v := range map[string]any{"label": label.Str(), "score": score.Float(), "rank": rank.Int(),
+				"_id": uint64(p.ID), "_frame": int64(p.Ref.Frame), "_source": p.Ref.Source} {
+				if got, ok := r.Get(f); !ok || got != v {
+					t.Fatalf("%s: row %d Get(%q) = %v, %v; its patch holds %v", c.name, i, f, got, ok, v)
+				}
+			}
 		}
 	}
 }

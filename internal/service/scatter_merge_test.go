@@ -106,10 +106,10 @@ func checkMerge(t *testing.T, cols mergeCols, c mergeCase) {
 		t.Fatalf("%s: %d rows, want %d", c.name, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].p != want[i] {
-			gv, _ := got[i].p.Get("v")
+		if p := got[i].patch(); p.ID != want[i].ID {
+			gv, _ := p.Get("v")
 			wv, _ := want[i].Get("v")
-			t.Fatalf("%s: row %d is %v (id %d), want %v (id %d)", c.name, i, gv, got[i].p.ID, wv, want[i].ID)
+			t.Fatalf("%s: row %d is %v (id %d), want %v (id %d)", c.name, i, gv, p.ID, wv, want[i].ID)
 		}
 	}
 

@@ -96,7 +96,9 @@ type Config struct {
 	// when it holds as many kernels as its device has workers (over N
 	// shards, N per worker, capped at 16), when its 50µs window expires,
 	// or as soon as every mid-query submitter is blocked and the
-	// admission queue is empty.
+	// admission queue is empty. Devices is at most Workers per shard, and
+	// at most Workers + N(N+1)/2 - 1 over N shards: the devices a
+	// query's scatter tasks are placed on.
 	// Fusion buys nothing on CPU/AVX (the batcher passes through).
 	Devices int
 	// ResultCacheBytes budgets the plan-keyed result cache (default 32 MiB).
@@ -163,7 +165,11 @@ func (c Config) withDefaults(shards int) Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	maxDevices := c.Workers * shards
+	// Worker w's scatter task t runs on device (w+t) mod Devices (see
+	// placeDev), and a query has at most N(N+1)/2 tasks, one join task
+	// per shard pair: a device past the last (w, t) reaches would never
+	// run a kernel.
+	maxDevices := min(c.Workers*shards, c.Workers+shards*(shards+1)/2-1)
 	if c.Devices <= 0 {
 		c.Devices = c.Workers
 	}
@@ -376,16 +382,23 @@ func buildService(sdb *core.Sharded, cfg Config) (*Service, error) {
 // N shards it is N per worker, spread over the devices and capped at 16:
 // a join places up to N(N+1)/2 submitters per worker, but
 // internal/exec's TestBatchBoundSweep found that bound loses mean task
-// time at 2 workers on 20 of 20 seeds.
+// time at 2 workers on 20 of 20 seeds. It never exceeds the submitters
+// the join tasks place on the device, so a size flush can always fire.
 func deviceBounds(workers, devices, shards int) []int {
 	bounds := make([]int, devices)
-	for w := range workers {
-		bounds[placeDev(w, 0, devices)]++
-	}
-	if shards > 1 {
-		for i := range bounds {
-			bounds[i] = min((workers*shards+devices-1)/devices, 16)
+	if shards == 1 {
+		for w := range workers {
+			bounds[placeDev(w, 0, devices)]++
 		}
+		return bounds
+	}
+	for w := range workers {
+		for t := range shards * (shards + 1) / 2 {
+			bounds[placeDev(w, t, devices)]++
+		}
+	}
+	for i := range bounds {
+		bounds[i] = min((workers*shards+devices-1)/devices, 16, bounds[i])
 	}
 	return bounds
 }

@@ -569,3 +569,36 @@ func TestDeviceBoundsMatchTaskPlacement(t *testing.T) {
 		sdb.Close()
 	}
 }
+
+// TestDevicesReachedByPlacement: the service builds no device its
+// scatter never places a task on. Over W workers and N shards, worker
+// w's task t (t below N(N+1)/2, the most tasks a join has) runs on
+// device placeDev(w, t, D), and every device built is one of those; at
+// W = 4, N = 2, D = 8 that is six. No device's batch bound exceeds the
+// tasks placed on it.
+func TestDevicesReachedByPlacement(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		for _, n := range []int{1, 2, 3} {
+			for d := 1; d <= 12; d++ {
+				cfg := Config{Workers: w, Devices: d}.withDefaults(n)
+				placed := make([]int, cfg.Devices)
+				for wk := 0; wk < w; wk++ {
+					for task := 0; task < n*(n+1)/2; task++ {
+						placed[placeDev(wk, task, cfg.Devices)]++
+					}
+				}
+				for i, b := range deviceBounds(w, cfg.Devices, n) {
+					if placed[i] == 0 {
+						t.Errorf("W=%d N=%d D=%d: device %d of %d is built but no task is placed on it", w, n, d, i, cfg.Devices)
+					}
+					if b > placed[i] {
+						t.Errorf("W=%d N=%d D=%d: device %d bound %d exceeds the %d tasks placed on it", w, n, d, i, b, placed[i])
+					}
+				}
+			}
+		}
+	}
+	if got := (Config{Workers: 4, Devices: 8}).withDefaults(2).Devices; got != 6 {
+		t.Fatalf("W=4 N=2 D=8 builds %d devices, want 6", got)
+	}
+}

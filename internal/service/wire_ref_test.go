@@ -36,12 +36,13 @@ func projectRows(ps []*core.Patch) []map[string]any {
 	return rows
 }
 
-// refRows is rows as reference maps: the projection, plus _dist for a
-// kNN neighbor.
+// refRows is rows as reference maps: the projection of builder copies
+// of their patches, whose Meta holds every entry a committed row's Range
+// yields, plus _dist for a kNN neighbor.
 func refRows(rows []Row) []map[string]any {
 	ps := make([]*core.Patch, len(rows))
 	for i, r := range rows {
-		ps[i] = r.p
+		ps[i] = r.patch().Builder()
 	}
 	out := projectRows(ps)
 	for i, r := range rows {
@@ -74,3 +75,6 @@ func refBody(r *Response) (int, []byte) {
 	writeJSON(rec, http.StatusOK, &wireResponse{Value: r.Value, Rows: refRows(r.Rows), Response: *r})
 	return rec.Code, rec.Body.Bytes()
 }
+
+// patch returns the row as a new committed row.
+func (r Row) patch() *core.Patch { return r.tab.Row(int(r.pos)) }
