@@ -172,12 +172,14 @@ func SimilarityJoinBatched(db *DB, left, right []*Patch, opts SimilarityJoinOpts
 // SimilarityJoinVecIndexed probes a maintained vector index (see
 // Snapshot.VectorIndex), extended incrementally on append instead of
 // rebuilt per version; the right rows are those of the index's own
-// snapshot. The pair set is identical to the all-pairs methods over
-// those rows. It also returns the distances the probes evaluated (the
-// sum of RangeSearch's counts).
+// snapshot, materialized in one block at the first pair. The pair set
+// is identical to the all-pairs methods over those rows. It also
+// returns the distances the probes evaluated (the sum of RangeSearch's
+// counts).
 func SimilarityJoinVecIndexed(left []*Patch, vi *VectorIndex, opts SimilarityJoinOpts) ([]Tuple, int, error) {
 	var out []Tuple
 	var ferr error
+	var right []*Patch
 	evals := 0
 	for _, l := range left {
 		lv, err := VecField(l, opts.LeftField)
@@ -191,12 +193,15 @@ func SimilarityJoinVecIndexed(left []*Patch, vi *VectorIndex, opts SimilarityJoi
 			if opts.DedupUnordered && l.ID >= id {
 				return true
 			}
-			r, err := vi.at.Get(id)
-			if err != nil {
-				ferr = err
+			at, ok := vi.at.Find(id)
+			if !ok {
+				ferr = fmt.Errorf("%w: patch %d", ErrNotFound, id)
 				return false
 			}
-			out = append(out, Tuple{l, r})
+			if right == nil {
+				right = vi.at.Patches()
+			}
+			out = append(out, Tuple{l, right[at]})
 			return true
 		})
 		if ferr != nil {

@@ -88,7 +88,9 @@ func roundTripRow(rng *rand.Rand, schema Schema, frame int) *Patch {
 // RowTable.View (what a service result row reads through) encodes to
 // the bytes its row log holds, marshals as its builder does and answers
 // Get of every key with its builder's value; so does each appended
-// patch, which its commit pointed at its table row.
+// patch, which its commit pointed at its table row. The vector field,
+// read from its slots wherever the schema puts it, gives ScanKNN and
+// the vector index the points BruteKNN finds in the patches.
 func FuzzCommittedRowsRoundTrip(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed)
@@ -194,6 +196,9 @@ func runRoundTrip(t *testing.T, rng *rand.Rand, schema Schema, n, r int) {
 				}
 				delete(stored, id)
 			}
+			if f := schema.FieldNamed("v"); f != nil {
+				assertVectorReads(t, snap, all, f.VecDim, rng)
+			}
 		}
 	}
 	if sc.Len() != len(want) {
@@ -230,4 +235,32 @@ func sameAsBuilder(p, b *Patch) error {
 		return fmt.Errorf("Range yields %d entries, the builder %d and the lineage keys", n, len(b.Meta))
 	}
 	return nil
+}
+
+// assertVectorReads checks the reads of the declared vector field "v"
+// of dim elements against the patches all of snap: ScanKNN of a random
+// query answers what BruteKNN over the patches does, distance bits
+// included, and a vector index holds every row's point.
+func assertVectorReads(t *testing.T, snap Snapshot, all []*Patch, dim int, rng *rand.Rand) {
+	t.Helper()
+	q := make([]float32, dim)
+	for i := range q {
+		q[i] = rng.Float32()
+	}
+	want, got := BruteKNN(all, "v", q, 5), snap.ScanKNN("v", q, 5)
+	if len(got) != len(want) {
+		t.Fatalf("ScanKNN: %d neighbors, BruteKNN %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+			t.Fatalf("ScanKNN neighbor %d: %+v, BruteKNN %+v", i, got[i], want[i])
+		}
+	}
+	vi, err := NewVectorIndex(snap, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vi.Len() != snap.Len() || (snap.Len() > 0 && vi.Dim() != dim) {
+		t.Fatalf("a vector index over %d rows holds %d points of dimension %d, want %d", snap.Len(), vi.Len(), vi.Dim(), dim)
+	}
 }
